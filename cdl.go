@@ -85,8 +85,9 @@ type (
 	// EnergyAccumulator aggregates 45nm energy one ExitRecord at a time
 	// (the serving-path counterpart of EnergyOf).
 	EnergyAccumulator = energy.Accumulator
-	// Session is a warm single-goroutine classifier with reusable scratch
-	// buffers — the unit of the serving replica pool.
+	// Session is a warm single-goroutine classifier — the one batched
+	// walker of Algorithm 2 (a single input is a batch of one) and the unit
+	// of the serving replica pool.
 	Session = core.Session
 	// Server is the batched CDLN inference server (internal/serve).
 	Server = serve.Server
@@ -286,9 +287,11 @@ func NewEnergyAccumulator(c *CDLN) (*EnergyAccumulator, error) {
 }
 
 // NewSession returns a warm classifier over a private replica of the
-// cascade: exit costs precomputed and scratch buffers reused across calls,
-// so repeated classification avoids both the per-call Clone and the
-// per-call allocations of CDLN.Classify. Sessions are single-goroutine;
+// cascade. Classify and ClassifyDelta take one input; ClassifyBatchPolicy
+// takes a micro-batch under an ExitPolicy (DefaultExitPolicy keeps the
+// trained thresholds); ClassifyPrefixBatchPolicy and ResumeBatchPolicyAt
+// are the two halves of a tier split. Every record is bit-identical to
+// the reference oracle CDLN.Classify. Sessions are single-goroutine;
 // create one per worker.
 func NewSession(c *CDLN) (*Session, error) {
 	return core.NewSession(c)

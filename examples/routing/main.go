@@ -18,6 +18,7 @@ import (
 	"log"
 
 	"cdl"
+	"cdl/internal/tensor"
 )
 
 func main() {
@@ -57,14 +58,17 @@ func main() {
 	}
 	branchTrain := make([][]cdl.Sample, len(groups))
 	var tapShape []int
-	for _, s := range trainS {
-		pre := sess.ClassifyPrefix(s.X, 1, 2)
+	xs := make([]*tensor.T, len(trainS))
+	for i, s := range trainS {
+		xs[i] = s.X
+	}
+	for i, pre := range sess.ClassifyPrefixBatchPolicy(xs, 1, cdl.ExitPolicy{Delta: 2, MaxExit: -1}) {
 		if pre.Exited {
 			log.Fatal("δ=2 should never exit")
 		}
 		tapShape = pre.Activation.Shape()
-		gi, li := local[s.Label][0], local[s.Label][1]
-		branchTrain[gi] = append(branchTrain[gi], cdl.Sample{X: pre.Activation.Clone(), Label: li})
+		gi, li := local[trainS[i].Label][0], local[trainS[i].Label][1]
+		branchTrain[gi] = append(branchTrain[gi], cdl.Sample{X: pre.Activation, Label: li})
 	}
 
 	// Specialist branches: one compact conv→pool→dense cascade per digit

@@ -1,28 +1,30 @@
 package core
 
-// batch.go is the batched fast path for Algorithm 2 over a routing graph:
-// ClassifyBatch (and its tier-split relatives ResumeBatch and
-// ClassifyPrefixBatch) run the cascade over a whole micro-batch at once.
-// Between taps the baseline advances with nn's batched GEMM pipeline (one
-// im2col+GEMM per conv layer for every still-active sample), each stage's
-// classifier scores the whole batch in one call, the δ exit rule is
-// applied per sample, and survivors are compacted to the front of the
-// activation buffer so exited samples stop paying for deeper layers — the
-// batch equivalent of Algorithm 2's "deeper layers of a terminated input
-// are never executed".
+// batch.go is the Session walker: the one executable form of Algorithm 2
+// over a routing graph outside the reference oracle (Graph.classify). It
+// runs the cascade over a whole micro-batch at once — a single input is a
+// batch of one. Between taps the baseline advances with nn's batched GEMM
+// pipeline (one im2col+GEMM per conv layer for every still-active sample),
+// each stage's classifier scores the whole batch in one call, the δ exit
+// rule is applied per sample, and survivors are compacted to the front of
+// the activation buffer so exited samples stop paying for deeper layers —
+// the batch equivalent of Algorithm 2's "deeper layers of a terminated
+// input are never executed".
 //
 // Routing generalizes the compaction three-ways: a row either exits
 // (record written), continues on the current node (compacted forward), or
 // is handed to a branch node (gathered into a fresh per-branch batch,
 // queued behind the current node's walk). A node with no routes performs
-// the identical two-way loop the linear cascade always ran, and every
-// per-sample float is produced by the same operations in the same order
-// as the reference path (see nn/gemm.go and linclass.ScoresBatchInto for
-// the order pins), so for each input the batched ExitRecord — exit stage,
-// label, confidence, op count — equals the per-sample Classify result
-// exactly. The differential harnesses in batch_test.go and
-// linear_equiv_test.go enforce this across randomized batches; DESIGN.md
-// §2 documents the 1e-9 contract the harness over-delivers on.
+// the two-way loop of the linear cascade, and every per-sample float is
+// produced by the same operations in the same order as the reference walk
+// (see nn/gemm.go and linclass.ScoresBatchInto for the order pins), so for
+// each input the ExitRecord — exit stage, label, confidence, op count —
+// equals the reference record exactly, at every batch size. A tier split
+// is the same walk with a non-default start (ResumeBatchPolicyAt) or stop
+// (ClassifyPrefixBatchPolicy). The differential harnesses in batch_test.go,
+// graph_test.go and linear_equiv_test.go enforce this across randomized
+// batches; DESIGN.md §2 documents the 1e-9 contract the harness
+// over-delivers on.
 
 import (
 	"fmt"
@@ -41,62 +43,35 @@ type batchGroup struct {
 	idx             []int
 }
 
-// ClassifyBatch runs Algorithm 2 over a micro-batch in one batched pass.
-// delta ≥ 0 overrides the model's trained thresholds for every input
-// (ClassifyDelta semantics); negative keeps them. Records are in input
-// order, each identical to what Classify/ClassifyDelta returns for that
-// input alone. Inputs must match the model's input shape (the layers panic
-// on a mismatch, as in Classify).
-func (s *Session) ClassifyBatch(xs []*tensor.T, delta float64) []ExitRecord {
-	return s.ResumeBatchPolicy(xs, 0, deltaPolicy(delta))
-}
-
-// ClassifyBatchPolicy is ClassifyBatch under a full ExitPolicy: per-stage
-// thresholds, depth cap and trace detail (see ExitPolicy). With the
-// identity policy it is exactly ClassifyBatch with the trained thresholds.
+// ClassifyBatchPolicy runs Algorithm 2 over a micro-batch under an
+// ExitPolicy: per-call thresholds, depth cap and trace detail (see
+// ExitPolicy; DefaultExitPolicy keeps the trained behaviour, DeltaPolicy
+// spells a bare δ). Records are in input order, each identical to what the
+// input would get alone. Inputs must match the model's input shape.
 func (s *Session) ClassifyBatchPolicy(xs []*tensor.T, pol ExitPolicy) []ExitRecord {
-	return s.ResumeBatchPolicy(xs, 0, pol)
-}
-
-// ResumeBatch continues Algorithm 2 past a tier split for a whole batch of
-// deferred activations: each act sits after CDLN.SplitPos(fromStage)
-// baseline layers of the trunk, and the remaining cascade — trunk stages,
-// routed branches, FC tails — runs here. ResumeBatch(xs, 0, delta) is
-// exactly ClassifyBatch(xs, delta); each record equals the per-sample
-// Resume result. Like Resume, it panics when an activation's shape does
-// not match the model at the split position — network-facing callers
-// validate first with CDLN.ValidateResume.
-func (s *Session) ResumeBatch(acts []*tensor.T, fromStage int, delta float64) []ExitRecord {
-	return s.ResumeBatchPolicy(acts, fromStage, deltaPolicy(delta))
-}
-
-// ResumeBatchPolicy is ResumeBatch under a full ExitPolicy — the trunk
-// special case of ResumeBatchPolicyAt, and the historical one cascade
-// entry point behind every serving path.
-func (s *Session) ResumeBatchPolicy(acts []*tensor.T, fromStage int, pol ExitPolicy) []ExitRecord {
-	return s.ResumeBatchPolicyAt(acts, 0, fromStage, pol)
+	return s.ResumeBatchPolicyAt(xs, 0, 0, pol)
 }
 
 // ResumeBatchPolicyAt continues Algorithm 2 past a tier split at any graph
 // node for a whole batch of deferred activations: each act sits after
 // Graph.SplitPosOf(node, fromStage) baseline layers of the node's cascade
-// (a branch-entry handoff is (node, 0)). A policy whose only active field
-// is Delta performs the identical floating-point operations in the
-// identical order as the legacy δ-override path, so policy-aware dispatch
-// keeps the /v1 surface bit-identical. A MaxExit depth cap below the
+// (a branch-entry handoff is (node, 0)), and the remaining cascade — the
+// node's stages, routed branches, FC tails — runs here. (0, 0) is the
+// monolithic classification; for any split, prefix plus resume performs the
+// same floating-point operations in the same order as the monolithic walk,
+// so tier-split results are bit-identical. A MaxExit depth cap below the
 // resume point's path depth cannot be satisfied (those exit points already
-// ran on the other tier) and panics; network-facing callers validate with
-// ValidatePolicy plus an explicit depth check first.
+// ran on the other tier) and panics, as does an activation whose shape
+// does not match the model at the split position; network-facing callers
+// validate first with Graph.ValidateResume and ValidatePolicy plus an
+// explicit depth check.
 func (s *Session) ResumeBatchPolicyAt(acts []*tensor.T, node, fromStage int, pol ExitPolicy) []ExitRecord {
 	g := s.graph
 	if node < 0 || node >= len(g.Nodes) {
 		panic(fmt.Sprintf("core: ResumeBatch node %d outside [0,%d)", node, len(g.Nodes)))
 	}
-	c := g.Nodes[node].Model
-	pos := c.SplitPos(fromStage) // validates fromStage
-	if pol.StageDeltas != nil && len(pol.StageDeltas) != len(s.model.Stages) {
-		panic(fmt.Sprintf("core: policy has %d stage deltas for %d stages", len(pol.StageDeltas), len(s.model.Stages)))
-	}
+	pos := g.Nodes[node].Model.SplitPos(fromStage) // validates fromStage
+	s.checkStageDeltas(pol)
 	capG := g.maxExit(pol)
 	if depth := g.EntryDepth(node) + fromStage; capG < depth {
 		panic(fmt.Sprintf("core: policy max exit %d precedes resume depth %d", capG, depth))
@@ -115,95 +90,59 @@ func (s *Session) ResumeBatchPolicyAt(acts []*tensor.T, node, fromStage int, pol
 	for len(queue) > 0 {
 		grp := queue[0]
 		queue = queue[1:]
-		s.runGroup(grp, capG, pol, recs, &queue)
+		// The node's share of the path-depth cap: its FC when the cap lies
+		// beyond its stages, the forced exit at the capped stage otherwise.
+		to := min(capG-g.EntryDepth(grp.node), len(g.Nodes[grp.node].Model.Stages))
+		s.walk(grp, to, true, pol, recs, &queue)
 	}
 	return recs
 }
 
-// runGroup walks one node's rows to completion: conditional stages up to
-// the node's share of the path-depth cap, then the FC tail or the forced
-// exit at the cap. Rows routed off the node are appended to the queue.
-func (s *Session) runGroup(grp batchGroup, capG int, pol ExitPolicy, recs []ExitRecord, queue *[]batchGroup) {
-	nStages := len(s.graph.Nodes[grp.node].Model.Stages)
-	localTo := capG - s.graph.EntryDepth(grp.node)
-	if localTo > nStages {
-		localTo = nStages
-	}
-	act, pos, idx := s.runStagesBatch(grp.node, grp.act, grp.pos, grp.from, localTo, pol, grp.idx, recs, queue)
-	if localTo == nStages {
-		s.finalExitBatch(grp.node, act, pos, idx, recs, pol.Trace)
-	} else {
-		s.forcedExitBatch(grp.node, act, pos, localTo, idx, recs, pol.Trace)
-	}
-}
-
-// ClassifyPrefixBatch runs the first splitStage trunk cascade stages over a
-// batch — the edge tier's share of Algorithm 2 — returning one
-// PrefixResult per input in input order, each matching the per-sample
-// ClassifyPrefix result. Unlike ClassifyPrefix, a deferred result's
-// Activation is a private copy (survivor compaction reuses the batch
-// buffers), so callers may hold all of a batch's activations at once
-// without serializing between samples.
-func (s *Session) ClassifyPrefixBatch(xs []*tensor.T, splitStage int, delta float64) []PrefixResult {
-	return s.ClassifyPrefixBatchPolicy(xs, splitStage, deltaPolicy(delta))
-}
-
-// ClassifyPrefixBatchPolicy is ClassifyPrefixBatch under a full
-// ExitPolicy. A depth cap at or below the split stage resolves the
-// unrouted share of the batch locally (those PrefixResults are Exited —
-// nothing left to offload): survivors of the conditional stages are forced
-// out at the cap exactly as ResumeBatchPolicy would, which is how an edge
-// node sheds its offload traffic under an SLO controller without touching
-// the cloud tier. Rows a trunk route dispatches to a branch always defer
-// — the edge owns only the trunk prefix, and the branch's share of the
-// cap is the cloud's to enforce — so prefix+resume stays bit-identical to
-// the monolithic walk under every policy.
+// ClassifyPrefixBatchPolicy runs the first splitStage trunk cascade stages
+// over a batch — the edge tier's share of Algorithm 2 — returning one
+// PrefixResult per input in input order: the final record when a prefix
+// stage's activation module fired (bit-identical to the monolithic walk's,
+// including full-pipeline Ops accounting), otherwise a private copy of the
+// activation to resume from — at (trunk, splitStage) normally, or at a
+// branch's entry when a trunk route fired before the split. splitStage
+// must be in [0, len(trunk.Stages)]: 0 owns no stages and always defers,
+// len(Stages) owns the whole trunk and defers only the FC tail (plus any
+// routed branches).
+//
+// A depth cap at or below the split stage resolves the unrouted share of
+// the batch locally (those PrefixResults are Exited — nothing left to
+// offload): survivors of the conditional stages are forced out at the cap
+// exactly as ResumeBatchPolicyAt would, which is how an edge node sheds its
+// offload traffic under an SLO controller without touching the cloud tier.
+// Rows a trunk route dispatches to a branch always defer — the edge owns
+// only the trunk prefix, and the branch's share of the cap is the cloud's
+// to enforce — so prefix+resume stays bit-identical to the monolithic walk
+// under every policy.
 func (s *Session) ClassifyPrefixBatchPolicy(xs []*tensor.T, splitStage int, pol ExitPolicy) []PrefixResult {
-	c := s.model
-	c.SplitPos(splitStage) // validates splitStage
-	if pol.StageDeltas != nil && len(pol.StageDeltas) != len(c.Stages) {
-		panic(fmt.Sprintf("core: policy has %d stage deltas for %d stages", len(pol.StageDeltas), len(c.Stages)))
-	}
+	s.model.SplitPos(splitStage) // validates splitStage
+	s.checkStageDeltas(pol)
 	if len(xs) == 0 {
 		return nil
 	}
-	to, forcedAt := splitStage, -1
+	to, forced := splitStage, false
 	if capG := s.graph.maxExit(pol); capG < splitStage {
-		to, forcedAt = capG, capG
+		to, forced = capG, true
 	}
 	recs := make([]ExitRecord, len(xs))
 	act, idx := s.stackBatchAt(0, xs, 0)
 	var routed []batchGroup
-	act, pos, idx := s.runStagesBatch(0, act, 0, 0, to, pol, idx, recs, &routed)
-	if forcedAt >= 0 {
-		s.forcedExitBatch(0, act, pos, forcedAt, idx, recs, pol.Trace)
-		idx = idx[:0]
-	}
-	exited := make([]bool, len(xs))
-	for i := range exited {
-		exited[i] = true
-	}
-	for _, orig := range idx {
-		exited[orig] = false
-	}
-	for _, grp := range routed {
-		for _, orig := range grp.idx {
-			exited[orig] = false
-		}
-	}
+	rest := s.walk(batchGroup{act: act, idx: idx}, to, forced, pol, recs, &routed)
 	results := make([]PrefixResult, len(xs))
-	for i := range xs {
-		if exited[i] {
-			results[i] = PrefixResult{Record: recs[i], Exited: true}
-		}
+	for i, rec := range recs {
+		results[i] = PrefixResult{Record: rec, Exited: true}
 	}
-	if len(idx) > 0 {
-		sshape := act.Shape()[1:]
-		ssz := act.Numel() / len(idx)
-		for r, orig := range idx {
+	if len(rest.idx) > 0 {
+		sshape := rest.act.Shape()[1:]
+		ssz := rest.act.Numel() / len(rest.idx)
+		for r, orig := range rest.idx {
 			private := tensor.New(sshape...)
-			copy(private.Data, act.Data[r*ssz:(r+1)*ssz])
-			results[orig] = PrefixResult{Activation: private, Node: 0, FromStage: splitStage, Pos: pos}
+			copy(private.Data, rest.act.Data[r*ssz:(r+1)*ssz])
+			results[orig] = PrefixResult{Activation: private, Node: 0, FromStage: splitStage, Pos: rest.pos}
 		}
 	}
 	for _, grp := range routed {
@@ -217,6 +156,15 @@ func (s *Session) ClassifyPrefixBatchPolicy(xs []*tensor.T, splitStage int, pol 
 		}
 	}
 	return results
+}
+
+// checkStageDeltas panics on a policy whose per-stage thresholds do not
+// name the trunk's stages (network-facing callers reject it earlier with
+// ValidatePolicy).
+func (s *Session) checkStageDeltas(pol ExitPolicy) {
+	if pol.StageDeltas != nil && len(pol.StageDeltas) != len(s.model.Stages) {
+		panic(fmt.Sprintf("core: policy has %d stage deltas for %d stages", len(pol.StageDeltas), len(s.model.Stages)))
+	}
 }
 
 // stackBatchAt copies the per-sample activations into one contiguous
@@ -245,21 +193,27 @@ func (s *Session) stackBatchAt(node int, xs []*tensor.T, pos int) (*tensor.T, []
 	return act, idx
 }
 
-// runStagesBatch evaluates a node's cascade stages [from, to) over the
-// active rows of act (position pos in the node's baseline), writing an
-// ExitRecord into recs[idx[r]] for every row whose activation module
-// fires, gathering rows a route dispatches into per-branch groups
-// appended to routed, and compacting the remaining survivors in place. It
-// returns the surviving rows' activation, the baseline position reached,
-// and the surviving index map — the batch counterpart of the serial
-// classifyFrom walk, applying the same per-stage δ resolution
-// (Session.stageDeltaAt over the policy) and the same exit rule to each
-// sample's scores. With pol.Trace it also appends each evaluated stage's
-// winning confidence to the sample's record; a routed sample's trace
-// keeps accumulating in its branch group.
-func (s *Session) runStagesBatch(node int, act *tensor.T, pos, from, to int, pol ExitPolicy, idx []int, recs []ExitRecord, routed *[]batchGroup) (*tensor.T, int, []int) {
-	c := s.graph.Nodes[node].Model
-	for i := from; i < to && len(idx) > 0; i++ {
+// walk is Algorithm 2 for one node's rows: at each exit point from
+// grp.from on, run the baseline to the tap, score the stage classifier and
+// apply the activation module per row, writing an ExitRecord into
+// recs[idx[r]] for every row that exits, gathering rows a route dispatches
+// into per-branch groups appended to routed, and compacting the remaining
+// survivors in place. Exit points before `to` are conditional. With
+// terminate set, exit point `to` is the unconditional terminator every
+// surviving row leaves at — the node's FC output when `to` is its stage
+// count, else the capped stage's classifier verdict whatever its
+// confidence (the ExitPolicy.MaxExit forced exit: the baseline advances
+// only to that stage's tap, so the exit's path cost stays exact). Without
+// it the walk stops after the conditional stages and returns the survivors
+// — activation, baseline position reached, index map — for the other tier.
+// With pol.Trace each evaluated exit point's winning confidence is
+// appended to the sample's record; a routed sample's trace keeps
+// accumulating in its branch group.
+func (s *Session) walk(grp batchGroup, to int, terminate bool, pol ExitPolicy, recs []ExitRecord, routed *[]batchGroup) batchGroup {
+	g, node := s.graph, grp.node
+	c := g.Nodes[node].Model
+	act, pos, idx := grp.act, grp.pos, grp.idx
+	for i := grp.from; len(idx) > 0 && (i < to || terminate && i == to); i++ {
 		var evStart time.Time
 		var evRows []int
 		if s.observer != nil {
@@ -267,19 +221,36 @@ func (s *Session) runStagesBatch(node int, act *tensor.T, pos, from, to int, pol
 			evStart = time.Now()
 			evRows = append([]int(nil), idx...)
 		}
-		st := c.Stages[i]
-		act = c.Arch.Net.ForwardBatchRange(act, pos, st.Tap)
-		pos = st.Tap
 		nAct := len(idx)
-		ssz := act.Numel() / nAct
-		feat := act.Reshape(nAct, ssz)
-		if cap(s.bscores) < nAct*st.LC.Out {
-			s.bscores = make([]float64, nAct*st.LC.Out)
+		// Advance to exit point i and score it: the stage classifier at its
+		// tap, or the baseline's own output layer at the FC.
+		kind, last := StageForward, i == to
+		var scores []float64
+		var delta float64
+		var route *Route
+		if i == len(c.Stages) {
+			kind = StageFinal
+			act = c.Arch.Net.ForwardBatchRange(act, pos, len(c.Arch.Net.Layers))
+			pos = len(c.Arch.Net.Layers)
+			scores = act.Data
+		} else {
+			st := c.Stages[i]
+			act = c.Arch.Net.ForwardBatchRange(act, pos, st.Tap)
+			pos = st.Tap
+			if cap(s.bscores) < nAct*st.LC.Out {
+				s.bscores = make([]float64, nAct*st.LC.Out)
+			}
+			scores = s.bscores[:nAct*st.LC.Out]
+			st.LC.ScoresBatchInto(act.Reshape(nAct, act.Numel()/nAct), tensor.FromSlice(scores, nAct, st.LC.Out))
+			if last {
+				kind = StageForced
+			} else {
+				delta = s.stageDeltaAt(node, i, pol)
+				route = g.routeFor(node, i)
+			}
 		}
-		scores := tensor.FromSlice(s.bscores[:nAct*st.LC.Out], nAct, st.LC.Out)
-		st.LC.ScoresBatchInto(feat, scores)
-		d := s.stageDeltaAt(node, i, pol)
-		route := s.graph.routeFor(node, i)
+		ssz := act.Numel() / nAct
+		width := len(scores) / nAct
 		// Per-branch gathers for this stage's routed rows: rows with the
 		// same target accumulate into one fresh buffer, flushed into routed
 		// as a batchGroup once the stage's row loop completes.
@@ -289,32 +260,23 @@ func (s *Session) runStagesBatch(node int, act *tensor.T, pos, from, to int, pol
 			idx  []int
 		}
 		var hand []pending
-		row := s.scores[node][i] // per-stage scratch, same buffer the serial path uses
+		row := s.rows[node][i]
 		w := 0
 		for r := 0; r < nAct; r++ {
-			copy(row.Data, scores.Data[r*st.LC.Out:(r+1)*st.LC.Out])
+			copy(row.Data, scores[r*width:(r+1)*width])
 			orig := idx[r]
+			conf, class := row.Max()
 			if pol.Trace {
-				conf, _ := row.Max()
 				recs[orig].Trace = append(recs[orig].Trace, conf)
 			}
-			if c.Rule.ShouldExit(row, d) {
-				conf, label := row.Max()
-				gi := s.graph.ExitIndex(node, i)
-				recs[orig] = ExitRecord{
-					Node:       node,
-					StageIndex: gi,
-					StageName:  s.graph.ExitName(gi),
-					Label:      s.graph.mapLabel(node, label),
-					Confidence: conf,
-					Ops:        s.exitOps[gi],
-					Trace:      recs[orig].Trace,
-				}
+			if last || c.Rule.ShouldExit(row, delta) {
+				rec := g.exitRecord(node, i, class, conf)
+				rec.Trace = recs[orig].Trace
+				recs[orig] = rec
 				continue
 			}
 			if route != nil {
-				_, label := row.Max()
-				if t := route.Branch[label]; t >= 0 {
+				if t := route.Branch[class]; t >= 0 {
 					// Copy the row out now — compaction may overwrite it
 					// before the stage's row loop completes.
 					hi := -1
@@ -341,13 +303,13 @@ func (s *Session) runStagesBatch(node int, act *tensor.T, pos, from, to int, pol
 		}
 		if s.observer != nil {
 			evEnd := time.Now()
-			s.observer(StageEvent{Kind: StageForward, Node: node, Stage: i, Rows: evRows, Start: evStart, End: evEnd})
+			s.observer(StageEvent{Kind: kind, Node: node, Stage: i, Rows: evRows, Start: evStart, End: evEnd})
 			for _, h := range hand {
 				s.observer(StageEvent{Kind: StageRoute, Node: node, Stage: i, Branch: h.node, Rows: h.idx, Start: evEnd, End: evEnd})
 			}
 		}
 		for _, h := range hand {
-			shape := s.graph.Nodes[h.node].Model.Arch.Net.InShape
+			shape := g.Nodes[h.node].Model.Arch.Net.InShape
 			*routed = append(*routed, batchGroup{
 				node: h.node,
 				act:  tensor.FromSlice(h.data, append([]int{len(h.idx)}, shape...)...),
@@ -355,20 +317,18 @@ func (s *Session) runStagesBatch(node int, act *tensor.T, pos, from, to int, pol
 			})
 		}
 		idx = idx[:w]
-		if w < nAct {
-			sshape := c.Arch.Net.ShapeAt(pos)
-			act = tensor.FromSlice(act.Data[:w*ssz], append([]int{w}, sshape...)...)
+		if 0 < w && w < nAct {
+			act = tensor.FromSlice(act.Data[:w*ssz], append([]int{w}, c.Arch.Net.ShapeAt(pos)...)...)
 		}
 	}
-	return act, pos, idx
+	return batchGroup{node: node, pos: pos, act: act, idx: idx}
 }
 
 // stageDeltaAt resolves the effective threshold for a node's stage i under
 // a policy: the node's trained value, then the policy's global Delta, then
 // — for trunk stages only — the policy's per-stage entry (per-stage
 // overrides name trunk stages; branch stages keep their own trained
-// thresholds under the global override). On the trunk this is exactly
-// CDLN.stageDelta.
+// thresholds under the global override).
 func (s *Session) stageDeltaAt(node, i int, p ExitPolicy) float64 {
 	c := s.graph.Nodes[node].Model
 	d := c.Delta
@@ -382,89 +342,4 @@ func (s *Session) stageDeltaAt(node, i int, p ExitPolicy) float64 {
 		d = p.StageDeltas[i]
 	}
 	return d
-}
-
-// finalExitBatch runs the remaining baseline layers of the node for the
-// surviving rows and records their unconditional FC exits — the batch
-// counterpart of the serial walk's FC tail.
-func (s *Session) finalExitBatch(node int, act *tensor.T, pos int, idx []int, recs []ExitRecord, trace bool) {
-	if len(idx) == 0 {
-		return
-	}
-	var evStart time.Time
-	if s.observer != nil {
-		evStart = time.Now()
-	}
-	c := s.graph.Nodes[node].Model
-	act = c.Arch.Net.ForwardBatchRange(act, pos, len(c.Arch.Net.Layers))
-	osz := act.Numel() / len(idx)
-	gi := s.graph.ExitIndex(node, len(c.Stages))
-	for r, orig := range idx {
-		row := tensor.FromSlice(act.Data[r*osz:(r+1)*osz], osz)
-		conf, label := row.Max()
-		rec := ExitRecord{
-			Node:       node,
-			StageIndex: gi,
-			StageName:  s.graph.ExitName(gi),
-			Label:      s.graph.mapLabel(node, label),
-			Confidence: conf,
-			Ops:        s.exitOps[gi],
-		}
-		if trace {
-			rec.Trace = append(recs[orig].Trace, conf)
-		}
-		recs[orig] = rec
-	}
-	if s.observer != nil {
-		s.observer(StageEvent{Kind: StageFinal, Node: node, Stage: len(c.Stages), Rows: idx, Start: evStart, End: time.Now()})
-	}
-}
-
-// forcedExitBatch terminates the surviving rows unconditionally at the
-// node's cascade stage `stage` — the node's share of the
-// ExitPolicy.MaxExit path-depth cap. The baseline advances only to the
-// stage's tap and the stage classifier's verdict is taken whatever its
-// confidence, so the per-exit ops accounting (the global exit's path cost)
-// stays exact: earlier exit points on the path were evaluated
-// conditionally, this stage's LC unconditionally, deeper layers never ran.
-func (s *Session) forcedExitBatch(node int, act *tensor.T, pos, stage int, idx []int, recs []ExitRecord, trace bool) {
-	if len(idx) == 0 {
-		return
-	}
-	var evStart time.Time
-	if s.observer != nil {
-		evStart = time.Now()
-	}
-	c := s.graph.Nodes[node].Model
-	st := c.Stages[stage]
-	act = c.Arch.Net.ForwardBatchRange(act, pos, st.Tap)
-	nAct := len(idx)
-	ssz := act.Numel() / nAct
-	feat := act.Reshape(nAct, ssz)
-	if cap(s.bscores) < nAct*st.LC.Out {
-		s.bscores = make([]float64, nAct*st.LC.Out)
-	}
-	scores := tensor.FromSlice(s.bscores[:nAct*st.LC.Out], nAct, st.LC.Out)
-	st.LC.ScoresBatchInto(feat, scores)
-	row := s.scores[node][stage]
-	gi := s.graph.ExitIndex(node, stage)
-	for r, orig := range idx {
-		copy(row.Data, scores.Data[r*st.LC.Out:(r+1)*st.LC.Out])
-		conf, label := row.Max()
-		rec := ExitRecord{
-			Node:       node,
-			StageIndex: gi,
-			StageName:  s.graph.ExitName(gi),
-			Label:      s.graph.mapLabel(node, label),
-			Confidence: conf,
-			Ops:        s.exitOps[gi],
-		}
-		if trace {
-			rec.Trace = append(recs[orig].Trace, conf)
-		}
-		recs[orig] = rec
-	}
-	if s.observer != nil {
-		s.observer(StageEvent{Kind: StageForced, Node: node, Stage: stage, Rows: idx, Start: evStart, End: time.Now()})
-	}
 }

@@ -1,13 +1,14 @@
 package core
 
-// batch_test.go is the cascade-level half of the fast-path differential
-// harness (the layer-level half is internal/nn's equiv_test.go): across
-// randomized weights, inputs and batch sizes 1..64 — over 2000 inputs per
-// sweep — ClassifyBatch must reproduce the per-sample Classify ExitRecord
-// field for field: exit stage, exit name, predicted label, confidence and
-// dynamic op count. Degenerate batches (everything exits at stage 1,
-// nothing exits before FC, the empty batch) and the tier-split entry points
-// (ClassifyPrefixBatch/ResumeBatch) are covered explicitly.
+// batch_test.go is the cascade-level half of the differential harness (the
+// layer-level half is internal/nn's equiv_test.go): across randomized
+// weights, inputs and batch sizes 1..64 — over 2000 inputs per sweep — the
+// Session walker must reproduce the reference walk's ExitRecord
+// (CDLN.Classify: serial, per layer, no GEMM) field for field: exit stage,
+// exit name, predicted label, confidence and dynamic op count. Degenerate
+// batches (everything exits at stage 1, nothing exits before FC, the empty
+// batch) and the tier-split entry points (ClassifyPrefixBatchPolicy,
+// ResumeBatchPolicyAt) are covered explicitly, batch of one included.
 
 import (
 	"math/rand"
@@ -50,35 +51,59 @@ func mixedInputs(n int, seed int64) []*tensor.T {
 	return xs
 }
 
-// assertRecordsMatch compares a batched record against the per-sample
-// reference, field for field.
+// assertRecordsMatch compares a walker record against the reference,
+// field for field.
 func assertRecordsMatch(t *testing.T, label string, i int, got, want ExitRecord) {
 	t.Helper()
 	if !got.Equal(want) {
-		t.Fatalf("%s: input %d: batch record %+v != per-sample record %+v", label, i, got, want)
+		t.Fatalf("%s: input %d: walker record %+v != reference record %+v", label, i, got, want)
 	}
 }
 
+// reference returns the reference walk (Graph.classify) over a private
+// clone of g. A bare δ override (negative keeps the trained thresholds) is
+// expressed the way bench/setup.go does it: as every node's threshold on
+// the clone.
+func reference(t testing.TB, g *Graph, delta float64) func(*tensor.T) ExitRecord {
+	t.Helper()
+	ref := g.Clone()
+	if delta >= 0 {
+		for _, n := range ref.Nodes {
+			n.Model.Delta, n.Model.StageDeltas = delta, nil
+		}
+	}
+	if err := ref.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return ref.classify
+}
+
+// chunks splits xs into consecutive batches of at most size inputs.
+func chunks(xs []*tensor.T, size int) [][]*tensor.T {
+	var out [][]*tensor.T
+	for lo := 0; lo < len(xs); lo += size {
+		out = append(out, xs[lo:min(lo+size, len(xs))])
+	}
+	return out
+}
+
 // TestClassifyBatchMatchesClassify is the headline differential sweep:
-// every batch size 1..64 (2080 randomized inputs in total), batched vs
-// per-sample, exact record equality.
+// every batch size 1..64 (2080 randomized inputs in total), the walker vs
+// the reference CDLN.Classify, exact record equality.
 func TestClassifyBatchMatchesClassify(t *testing.T) {
 	cdln := batchCDLN(t, 21)
 	sess, err := NewSession(cdln)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := NewSession(cdln)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := cdln.Clone()
 	seed := int64(100)
 	total := 0
 	exitsSeen := make(map[int]int)
 	for bsz := 1; bsz <= 64; bsz++ {
 		xs := mixedInputs(bsz, seed)
 		seed++
-		recs := sess.ClassifyBatch(xs, -1)
+		recs := sess.ClassifyBatchPolicy(xs, DefaultExitPolicy())
 		if len(recs) != bsz {
 			t.Fatalf("batch %d returned %d records", bsz, len(recs))
 		}
@@ -98,8 +123,10 @@ func TestClassifyBatchMatchesClassify(t *testing.T) {
 	}
 }
 
-// TestClassifyBatchDeltaOverride checks the per-call δ override against
-// ClassifyDelta across the knob's range.
+// TestClassifyBatchDeltaOverride checks the per-call δ override — as a
+// batch and as ClassifyDelta's batch of one — against the reference walk
+// over a clone carrying δ as its trained threshold, across the knob's
+// range.
 func TestClassifyBatchDeltaOverride(t *testing.T) {
 	cdln := batchCDLN(t, 22)
 	sess, err := NewSession(cdln)
@@ -108,9 +135,12 @@ func TestClassifyBatchDeltaOverride(t *testing.T) {
 	}
 	xs := mixedInputs(40, 7)
 	for _, delta := range []float64{0, 0.3, 0.6, 0.9, 1} {
-		recs := sess.ClassifyBatch(xs, delta)
+		ref := reference(t, LinearGraph(cdln), delta)
+		recs := sess.ClassifyBatchPolicy(xs, DeltaPolicy(delta))
 		for i, x := range xs {
-			assertRecordsMatch(t, "delta-override", i, recs[i], sess.ClassifyDelta(x, delta))
+			want := ref(x)
+			assertRecordsMatch(t, "delta-override", i, recs[i], want)
+			assertRecordsMatch(t, "delta-override-one", i, sess.ClassifyDelta(x, delta), want)
 		}
 	}
 }
@@ -136,12 +166,12 @@ func TestClassifyBatchDegenerate(t *testing.T) {
 		t.Fatal(err)
 	}
 	xs := mixedInputs(32, 9)
-	recs := sess.ClassifyBatch(xs, -1)
+	recs := sess.ClassifyBatchPolicy(xs, DefaultExitPolicy())
 	for i, x := range xs {
 		if recs[i].StageIndex != 0 {
 			t.Fatalf("always-exit input %d exited at %d, want 0", i, recs[i].StageIndex)
 		}
-		assertRecordsMatch(t, "all-exit", i, recs[i], sess.Classify(x))
+		assertRecordsMatch(t, "all-exit", i, recs[i], all.Classify(x))
 	}
 
 	// No early exit: δ=1 forces the whole batch to FC (no sigmoid score
@@ -150,97 +180,117 @@ func TestClassifyBatchDegenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs = sess2.ClassifyBatch(xs, 1)
+	ref := reference(t, LinearGraph(cdln), 1)
+	recs = sess2.ClassifyBatchPolicy(xs, DeltaPolicy(1))
 	for i, x := range xs {
 		if recs[i].StageName != "FC" {
 			t.Fatalf("δ=1 input %d exited at %s, want FC", i, recs[i].StageName)
 		}
-		assertRecordsMatch(t, "no-exit", i, recs[i], sess2.ClassifyDelta(x, 1))
+		assertRecordsMatch(t, "no-exit", i, recs[i], ref(x))
 	}
 
 	// Empty batch.
-	if recs := sess2.ClassifyBatch(nil, -1); len(recs) != 0 {
+	if recs := sess2.ClassifyBatchPolicy(nil, DefaultExitPolicy()); len(recs) != 0 {
 		t.Fatalf("empty batch returned %d records", len(recs))
 	}
 }
 
-// TestClassifyPrefixBatchMatchesClassifyPrefix compares the batched edge
-// prefix against the per-sample one for every split stage: identical exit
-// records, positions and activation bytes.
+// prefixOf is the reference for the edge tier's half of a split on a
+// linear cascade, derived from the reference record alone: an input whose
+// reference exit lies before the split exits locally with that record;
+// any other defers the trunk activation after SplitPos(split) layers —
+// per-layer ForwardRange on a private replica, never GEMM.
+func prefixOf(c *CDLN, x *tensor.T, split int) PrefixResult {
+	if rec := c.Classify(x); rec.StageIndex < split {
+		return PrefixResult{Record: rec, Exited: true}
+	}
+	pos := c.SplitPos(split)
+	return PrefixResult{Activation: c.Arch.Net.ForwardRange(x, 0, pos).Clone(), FromStage: split, Pos: pos}
+}
+
+// TestClassifyPrefixBatchMatchesClassifyPrefix compares the walker's edge
+// prefix against the per-sample reference for every split stage and batch
+// size (one included): identical exit records, positions and activation
+// bytes.
 func TestClassifyPrefixBatchMatchesClassifyPrefix(t *testing.T) {
 	cdln := batchCDLN(t, 24)
 	sess, err := NewSession(cdln)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := NewSession(cdln)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := cdln.Clone()
 	xs := mixedInputs(48, 11)
 	for split := 0; split <= len(cdln.Stages); split++ {
-		pres := sess.ClassifyPrefixBatch(xs, split, -1)
-		for i, x := range xs {
-			want := ref.ClassifyPrefix(x, split, -1)
-			got := pres[i]
-			if got.Exited != want.Exited {
-				t.Fatalf("split %d input %d: batch exited=%v, per-sample %v", split, i, got.Exited, want.Exited)
-			}
-			if want.Exited {
-				assertRecordsMatch(t, "prefix", i, got.Record, want.Record)
-				continue
-			}
-			if got.Pos != want.Pos {
-				t.Fatalf("split %d input %d: pos %d, want %d", split, i, got.Pos, want.Pos)
-			}
-			if !tensor.Equal(got.Activation, want.Activation) {
-				t.Fatalf("split %d input %d: deferred activations diverge", split, i)
-			}
-			// The batched activation must be a private copy: consuming it
-			// later (after further session use) must be safe.
-			if &got.Activation.Data[0] == &want.Activation.Data[0] {
-				t.Fatalf("split %d input %d: batched activation aliases session caches", split, i)
+		for _, bsz := range []int{1, 5, 48} {
+			i := 0
+			for _, chunk := range chunks(xs, bsz) {
+				pres := sess.ClassifyPrefixBatchPolicy(chunk, split, DefaultExitPolicy())
+				// Further session use must not disturb results already handed
+				// out: deferred activations are private copies.
+				sess.ClassifyBatchPolicy(xs[:8], DeltaPolicy(1))
+				for k, x := range chunk {
+					want := prefixOf(ref, x, split)
+					got := pres[k]
+					if got.Exited != want.Exited {
+						t.Fatalf("split %d batch %d input %d: walker exited=%v, reference %v", split, bsz, i, got.Exited, want.Exited)
+					}
+					if want.Exited {
+						assertRecordsMatch(t, "prefix", i, got.Record, want.Record)
+					} else {
+						if got.Node != 0 || got.FromStage != split || got.Pos != want.Pos {
+							t.Fatalf("split %d batch %d input %d: handoff (node %d, stage %d, pos %d), want (0, %d, %d)",
+								split, bsz, i, got.Node, got.FromStage, got.Pos, split, want.Pos)
+						}
+						if !tensor.Equal(got.Activation, want.Activation) {
+							t.Fatalf("split %d batch %d input %d: deferred activations diverge", split, bsz, i)
+						}
+					}
+					i++
+				}
 			}
 		}
 	}
 }
 
 // TestResumeBatchMatchesResume feeds every split's deferred activations
-// through both resume paths.
+// through the resume entry point at every batch size (one included): each
+// resumed record equals the reference walk's record of the original input.
 func TestResumeBatchMatchesResume(t *testing.T) {
 	cdln := batchCDLN(t, 25)
 	sess, err := NewSession(cdln)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := NewSession(cdln)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := cdln.Clone()
 	xs := mixedInputs(64, 13)
 	for split := 0; split <= len(cdln.Stages); split++ {
 		var acts []*tensor.T
-		for _, pre := range sess.ClassifyPrefixBatch(xs, split, -1) {
+		var want []ExitRecord
+		for i, pre := range sess.ClassifyPrefixBatchPolicy(xs, split, DefaultExitPolicy()) {
 			if !pre.Exited {
 				acts = append(acts, pre.Activation)
+				want = append(want, ref.Classify(xs[i]))
 			}
 		}
-		if len(acts) == 0 {
-			continue
-		}
-		recs := sess.ResumeBatch(acts, split, -1)
-		for i, a := range acts {
-			assertRecordsMatch(t, "resume", i, recs[i], ref.Resume(a, split, -1))
+		for _, bsz := range []int{1, 9, 64} {
+			i := 0
+			for _, chunk := range chunks(acts, bsz) {
+				for _, rec := range sess.ResumeBatchPolicyAt(chunk, 0, split, DefaultExitPolicy()) {
+					assertRecordsMatch(t, "resume", i, rec, want[i])
+					i++
+				}
+			}
 		}
 	}
-	// ResumeBatch(xs, 0, δ) is exactly ClassifyBatch(xs, δ).
-	recs0 := sess.ResumeBatch(xs, 0, 0.5)
+	// Resuming raw inputs at (trunk, 0) is exactly the monolithic walk.
+	ref05 := reference(t, LinearGraph(cdln), 0.5)
+	recs0 := sess.ResumeBatchPolicyAt(xs, 0, 0, DeltaPolicy(0.5))
 	for i, x := range xs {
-		assertRecordsMatch(t, "resume-0", i, recs0[i], ref.ClassifyDelta(x, 0.5))
+		assertRecordsMatch(t, "resume-0", i, recs0[i], ref05(x))
 	}
 }
 
-// TestResumeBatchRejectsBadShape mirrors Resume's panic contract.
+// TestResumeBatchRejectsBadShape pins the resume panic contract.
 func TestResumeBatchRejectsBadShape(t *testing.T) {
 	cdln := batchCDLN(t, 26)
 	sess, err := NewSession(cdln)
@@ -249,14 +299,14 @@ func TestResumeBatchRejectsBadShape(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("ResumeBatch accepted a wrong-shape activation")
+			t.Fatal("ResumeBatchPolicyAt accepted a wrong-shape activation")
 		}
 	}()
-	sess.ResumeBatch([]*tensor.T{tensor.New(3, 3)}, 1, -1)
+	sess.ResumeBatchPolicyAt([]*tensor.T{tensor.New(3, 3)}, 0, 1, DefaultExitPolicy())
 }
 
-// TestClassifyBatchStageDeltas checks per-stage thresholds resolve the
-// same way on both paths.
+// TestClassifyBatchStageDeltas checks trained per-stage thresholds resolve
+// the same way in the walker and the reference.
 func TestClassifyBatchStageDeltas(t *testing.T) {
 	cdln := batchCDLN(t, 27)
 	tuned := cdln.Clone()
@@ -266,20 +316,20 @@ func TestClassifyBatchStageDeltas(t *testing.T) {
 		t.Fatal(err)
 	}
 	xs := mixedInputs(50, 15)
-	recs := sess.ClassifyBatch(xs, -1)
+	recs := sess.ClassifyBatchPolicy(xs, DefaultExitPolicy())
 	for i, x := range xs {
-		assertRecordsMatch(t, "stage-deltas", i, recs[i], sess.Classify(x))
+		assertRecordsMatch(t, "stage-deltas", i, recs[i], tuned.Classify(x))
 	}
 }
 
-// BenchmarkSessionClassifyLoop32 is the reference path: 32 per-sample
-// Classify calls per iteration.
+// BenchmarkSessionClassifyLoop32 is 32 batch-of-one Classify calls per
+// iteration.
 func BenchmarkSessionClassifyLoop32(b *testing.B) {
 	benchClassify(b, false)
 }
 
-// BenchmarkSessionClassifyBatch32 is the fast path: one ClassifyBatch of
-// 32 per iteration.
+// BenchmarkSessionClassifyBatch32 is the same 32 inputs as one batch per
+// iteration.
 func BenchmarkSessionClassifyBatch32(b *testing.B) {
 	benchClassify(b, true)
 }
@@ -301,7 +351,7 @@ func benchClassify(b *testing.B, batched bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if batched {
-			sess.ClassifyBatch(xs, -1)
+			sess.ClassifyBatchPolicy(xs, DefaultExitPolicy())
 		} else {
 			for _, x := range xs {
 				sess.Classify(x)

@@ -168,83 +168,53 @@ func (c *CDLN) BaselineOps() float64 { return c.Ops.NetworkOps(c.Arch.Net) }
 // Classify runs Algorithm 2 on one input: evaluate stages in depth order,
 // resume the baseline network between taps (deeper layers of a terminated
 // input are never executed), and exit when the activation module fires or
-// the final FC layer is reached.
+// the final FC layer is reached. It is the reference oracle — the walk of
+// the trivial one-node graph — that the differential suites and the
+// benchmark compare the Session walker against.
 //
 // Classify mutates per-layer forward caches, so a CDLN must not be shared
-// across goroutines; use Clone for parallel evaluation, or a Session to
-// additionally reuse scratch buffers across calls.
+// across goroutines; use Clone for parallel evaluation, or a Session for
+// the batched fast path.
 func (c *CDLN) Classify(x *tensor.T) ExitRecord {
-	return c.classify(x, c.ExitOps(), nil, -1)
+	return LinearGraph(c).classify(x)
 }
 
-// classify is the single Algorithm 2 implementation shared by CDLN.Classify
-// and Session: exitOps is the precomputed per-exit cost vector, scratch (if
-// non-nil) holds one reusable score buffer per stage, and deltaOverride ≥ 0
-// replaces the model's Delta/StageDeltas for this call (the paper's §III.B
-// runtime knob).
-func (c *CDLN) classify(x *tensor.T, exitOps []float64, scratch []*tensor.T, deltaOverride float64) ExitRecord {
-	rec, exited, act, pos := c.runStages(x, 0, 0, len(c.Stages), exitOps, scratch, deltaOverride)
-	if exited {
-		return rec
-	}
-	return c.finalExit(act, pos, exitOps)
-}
-
-// runStages evaluates cascade stages [from, to) starting from an activation
-// act that sits after the first pos baseline layers. It is the one stage
-// loop behind every Algorithm 2 entry point — monolithic classify, the
-// edge-side prefix (ClassifyPrefix) and the cloud-side resume (Resume) —
-// so a cascade split across tiers performs the identical floating-point
-// operations in the identical order as a monolithic pass.
-//
-// When a stage's activation module fires it returns (record, true, _, _);
-// otherwise it returns (_, false, act, pos) with the activation and layer
-// position where the caller must continue (the tap of stage to−1, or the
-// starting position when from == to).
-func (c *CDLN) runStages(act *tensor.T, pos, from, to int, exitOps []float64, scratch []*tensor.T, deltaOverride float64) (ExitRecord, bool, *tensor.T, int) {
-	for i := from; i < to; i++ {
-		s := c.Stages[i]
-		act = c.Arch.Net.ForwardRange(act, pos, s.Tap)
-		pos = s.Tap
-		var scores *tensor.T
-		if scratch != nil {
-			scores = scratch[i]
-			s.LC.ScoresInto(act, scores)
-		} else {
-			scores = s.LC.Scores(act)
+// classify is the reference definition of Algorithm 2 over a routing
+// graph: one input, one layer at a time (ForwardRange, never the batched
+// GEMM pipeline), each node's trained thresholds. At every stage it runs
+// the baseline to the tap, scores the stage classifier and exits if the
+// activation module fires; otherwise a route may hand the activation to a
+// branch, and a node that runs out of stages terminates at its FC. It is
+// deliberately independent of the Session walker (batch.go) — no shared
+// scratch, no compaction, no policy — so that walker always has something
+// to be differentially tested against. A δ override is expressed by
+// setting Delta/StageDeltas on a clone.
+func (g *Graph) classify(x *tensor.T) ExitRecord {
+	node, act := 0, x
+walk:
+	for {
+		c := g.Nodes[node].Model
+		pos := 0
+		for i, st := range c.Stages {
+			act = c.Arch.Net.ForwardRange(act, pos, st.Tap)
+			pos = st.Tap
+			scores := st.LC.Scores(act)
+			delta := c.Delta
+			if c.StageDeltas != nil {
+				delta = c.StageDeltas[i]
+			}
+			conf, class := scores.Max()
+			if c.Rule.ShouldExit(scores, delta) {
+				return g.exitRecord(node, i, class, conf)
+			}
+			if r := g.routeFor(node, i); r != nil && r.Branch[class] >= 0 {
+				node = r.Branch[class]
+				continue walk
+			}
 		}
-		delta := c.Delta
-		if c.StageDeltas != nil {
-			delta = c.StageDeltas[i]
-		}
-		if deltaOverride >= 0 {
-			delta = deltaOverride
-		}
-		if c.Rule.ShouldExit(scores, delta) {
-			conf, label := scores.Max()
-			return ExitRecord{
-				StageIndex: i,
-				StageName:  s.Name,
-				Label:      label,
-				Confidence: conf,
-				Ops:        exitOps[i],
-			}, true, nil, 0
-		}
-	}
-	return ExitRecord{}, false, act, pos
-}
-
-// finalExit runs the remaining baseline layers from pos through the output
-// layer — the cascade's unconditional FC terminator.
-func (c *CDLN) finalExit(act *tensor.T, pos int, exitOps []float64) ExitRecord {
-	act = c.Arch.Net.ForwardRange(act, pos, len(c.Arch.Net.Layers))
-	conf, label := act.Max()
-	return ExitRecord{
-		StageIndex: len(c.Stages),
-		StageName:  "FC",
-		Label:      label,
-		Confidence: conf,
-		Ops:        exitOps[len(c.Stages)],
+		act = c.Arch.Net.ForwardRange(act, pos, len(c.Arch.Net.Layers))
+		conf, class := act.Max()
+		return g.exitRecord(node, len(c.Stages), class, conf)
 	}
 }
 
@@ -265,10 +235,11 @@ func (c *CDLN) SplitPos(splitStage int) int {
 // ValidateResume checks a tier-split handoff against this model: the
 // resume stage must exist, pos must be the stage's SplitPos, and the
 // activation shape must match the network at that position. It is the one
-// validation shared by every resume entry point — Session.Resume (which
-// panics on failure), the serve /v1/resume handler and the edgecloud
-// Loopback transport (which map it to request errors) — so a payload the
-// loopback accepts is exactly a payload a real backend accepts.
+// validation shared by every resume entry point —
+// Session.ResumeBatchPolicyAt (which panics on failure), the serve resume
+// handlers and the edgecloud Loopback transport (which map it to request
+// errors) — so a payload the loopback accepts is exactly a payload a real
+// backend accepts.
 //
 // Like NumExits, this is linear-cascade validation: fromStage names a
 // trunk stage. Handoffs into a routing graph (a (node, fromStage) pair)

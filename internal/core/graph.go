@@ -11,7 +11,8 @@ package core
 // a branch, which runs its own cascade over the routed activation.
 //
 // The linear cascade is the degenerate one-node graph (LinearGraph), and
-// every execution path — serial, batched, tier-split — produces
+// both definitions of the walk — the reference (Graph.classify, cdln.go)
+// and the Session walker (batch.go), monolithic or tier-split — produce
 // bit-identical ExitRecords for it: a node with no routes runs exactly the
 // pre-graph stage loop, evaluating no extra operations. The golden and
 // differential harnesses in graph_test.go and linear_equiv_test.go pin
@@ -28,6 +29,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -444,13 +446,24 @@ func (g *Graph) NodeIndex(name string) (int, bool) {
 // routeFor returns the route at a node's stage, or nil.
 func (g *Graph) routeFor(node, stage int) *Route { return g.tables().routeAt[node][stage] }
 
-// mapLabel lifts a node-local predicted class into the trunk's global
-// label space.
-func (g *Graph) mapLabel(node, class int) int {
+// exitRecord builds the record of an exit taken at a node's local exit
+// point (stage index, or the stage count for FC): global index, qualified
+// name and whole-path op cost from the tables, the node-local predicted
+// class lifted into the trunk's label space.
+func (g *Graph) exitRecord(node, local, class int, conf float64) ExitRecord {
+	t := g.tables()
+	gi := t.base[node] + local
 	if labels := g.Nodes[node].Labels; labels != nil {
-		return labels[class]
+		class = labels[class]
 	}
-	return class
+	return ExitRecord{
+		Node:       node,
+		StageIndex: gi,
+		StageName:  t.exitNames[gi],
+		Label:      class,
+		Confidence: conf,
+		Ops:        t.exitOps[gi],
+	}
 }
 
 // SplitPosOf returns the baseline-layer position of the activation handed
@@ -468,8 +481,8 @@ func (g *Graph) SplitPosOf(node, splitStage int) int {
 // ValidateResume checks a tier-split handoff against this graph: the node
 // must exist and (fromStage, pos, shape) must satisfy the node model's
 // ValidateResume. It is the graph form of the one validation shared by
-// every resume entry point — Session.ResumeAt, the serve resume handlers
-// and the edgecloud Loopback.
+// every resume entry point — Session.ResumeBatchPolicyAt, the serve resume
+// handlers and the edgecloud Loopback.
 func (g *Graph) ValidateResume(node, fromStage, pos int, shape []int) error {
 	g.tables()
 	if node < 0 || node >= len(g.Nodes) {
@@ -512,12 +525,12 @@ func (g *Graph) maxExit(p ExitPolicy) int {
 
 // MaxExitForOps converts an operation budget into the deepest path-depth
 // cap whose worst-case forced-exit cost fits it, across every path of the
-// graph — the graph form of CDLN.MaxExitForOps (identical on linear
-// graphs). It errors when even depth 0 (the trunk's first exit) exceeds
-// the budget.
+// graph — the ExitPolicy.MaxExit realization of a per-request compute
+// budget (on a linear graph: the deepest exit point whose cost fits). It
+// errors when even depth 0 (the trunk's first exit) exceeds the budget.
 func (g *Graph) MaxExitForOps(budget float64) (int, error) {
-	if err := validateOpsBudget(budget); err != nil {
-		return 0, err
+	if math.IsNaN(budget) || budget <= 0 {
+		return 0, fmt.Errorf("core: ops budget %v must be a positive number", budget)
 	}
 	t := g.tables()
 	best := -1

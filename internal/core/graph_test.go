@@ -2,9 +2,10 @@ package core
 
 // graph_test.go covers the routed half of the graph walk: a two-branch
 // class-group tree (trunk router dispatching digit groups to "lo" and "hi"
-// subnetworks) exercised through the structural tables, the serial walk,
-// the batched fast path, tier splits with branch-entry handoffs, the
-// path-depth cap, and Validate's rejection of every malformed topology.
+// subnetworks) exercised through the structural tables, the reference
+// walk, the Session walker at every batch size, tier splits with
+// branch-entry handoffs, the path-depth cap, and Validate's rejection of
+// every malformed topology.
 // The degenerate linear case is pinned separately in linear_equiv_test.go.
 
 import (
@@ -218,10 +219,11 @@ func TestRoutedGraphStructure(t *testing.T) {
 	}
 }
 
-// TestRoutedGraphSerialWalk drives the serial walk through the tree and
-// checks every record's invariants: the (Node, StageIndex) pair is
-// consistent, the name and ops come from the graph tables, and branch
-// labels land in the branch's global label group.
+// TestRoutedGraphSerialWalk drives single inputs through the tree — the
+// walker's batch of one against the serial reference walk — and checks
+// every record's invariants: the (Node, StageIndex) pair is consistent,
+// the name and ops come from the graph tables, and branch labels land in
+// the branch's global label group.
 func TestRoutedGraphSerialWalk(t *testing.T) {
 	g := routedGraph(t, 42)
 	sess, err := NewGraphSession(g)
@@ -232,9 +234,11 @@ func TestRoutedGraphSerialWalk(t *testing.T) {
 	labelGroups := map[int][]int{1: {0, 1}, 2: {2}}
 	nodesSeen := make(map[int]int)
 	for _, delta := range routingDeltas {
+		ref := reference(t, g, delta)
 		xs := mixedInputs(150, 11)
 		for i, x := range xs {
 			rec := sess.ClassifyDelta(x, delta)
+			assertRecordsMatch(t, "routed-one", i, rec, ref(x))
 			node, _ := g.NodeOfExit(rec.StageIndex)
 			if node != rec.Node {
 				t.Fatalf("input %d: record node %d but exit %d belongs to node %d", i, rec.Node, rec.StageIndex, node)
@@ -265,32 +269,33 @@ func TestRoutedGraphSerialWalk(t *testing.T) {
 }
 
 // TestRoutedGraphBatchMatchesSerial is the routed differential: across
-// batch sizes and both threshold regimes, the batched walk — three-way
+// batch sizes and both threshold regimes, the Session walker — three-way
 // compaction, per-branch gathers, queued branch groups — must reproduce
-// the per-sample serial record exactly, branch exits included.
+// the serial reference walk's record exactly, branch exits included.
 func TestRoutedGraphBatchMatchesSerial(t *testing.T) {
 	g := routedGraph(t, 43)
 	sess, err := NewGraphSession(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := NewGraphSession(g)
-	if err != nil {
-		t.Fatal(err)
-	}
 	nodesSeen := make(map[int]int)
 	seed := int64(300)
 	for _, delta := range routingDeltas {
+		serial := reference(t, g, delta)
 		for _, bsz := range []int{1, 2, 5, 13, 32} {
 			xs := mixedInputs(bsz, seed)
 			seed++
-			recs := sess.ClassifyBatch(xs, delta)
+			recs := sess.ClassifyBatchPolicy(xs, DeltaPolicy(delta))
 			for i, x := range xs {
-				want := ref.ClassifyDelta(x, delta)
+				want := serial(x)
 				assertRecordsMatch(t, "routed-batch", i, recs[i], want)
 				nodesSeen[want.Node]++
 			}
 		}
+	}
+	ref, err := NewGraphSession(g)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if nodesSeen[1] == 0 || nodesSeen[2] == 0 {
 		t.Fatalf("sweep never exercised both branches: %v", nodesSeen)
@@ -314,8 +319,9 @@ func TestRoutedGraphBatchMatchesSerial(t *testing.T) {
 
 // TestRoutedGraphSplitEquivalence pins tier splits through the router:
 // for every trunk split stage, prefix+resume — with branch handoffs
-// resuming at (branch, 0) — equals the monolithic walk exactly, serial
-// and batched.
+// resuming at (branch, 0) — equals the reference walk's monolithic record
+// exactly, as batches of one and batched, and every split that contains
+// the router stage hands inputs off at a branch entry.
 func TestRoutedGraphSplitEquivalence(t *testing.T) {
 	g := routedGraph(t, 44)
 	sess, err := NewGraphSession(g)
@@ -326,54 +332,58 @@ func TestRoutedGraphSplitEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	branchHandoffs := 0
+	type handoff struct{ node, from int }
 	for _, delta := range routingDeltas {
+		ref := reference(t, g, delta)
+		pol := DeltaPolicy(delta)
 		xs := mixedInputs(60, 13)
+		want := make([]ExitRecord, len(xs))
+		for i, x := range xs {
+			want[i] = ref(x)
+		}
 		for split := 0; split <= len(g.Trunk().Stages); split++ {
-			// Serial: ClassifyPrefix + ResumeAt.
-			for i, x := range xs {
-				want := sess.ClassifyDelta(x, delta)
-				pre := sess.ClassifyPrefix(x, split, delta)
-				got := pre.Record
-				if !pre.Exited {
-					if pre.Pos != g.SplitPosOf(pre.Node, pre.FromStage) {
-						t.Fatalf("split %d input %d: handoff pos %d, want %d", split, i, pre.Pos, g.SplitPosOf(pre.Node, pre.FromStage))
-					}
-					if pre.Node > 0 {
-						if pre.FromStage != 0 {
-							t.Fatalf("split %d input %d: branch handoff resumes at stage %d, want 0", split, i, pre.FromStage)
+			for _, bsz := range []int{1, 60} {
+				branchHandoffs, base := 0, 0
+				for _, chunk := range chunks(xs, bsz) {
+					deferred := make(map[handoff][]*tensor.T)
+					deferredIdx := make(map[handoff][]int)
+					for k, pre := range sess.ClassifyPrefixBatchPolicy(chunk, split, pol) {
+						i := base + k
+						if pre.Exited {
+							assertRecordsMatch(t, "routed-split-local", i, pre.Record, want[i])
+							continue
 						}
-						branchHandoffs++
+						if pre.Pos != g.SplitPosOf(pre.Node, pre.FromStage) {
+							t.Fatalf("split %d input %d: handoff pos %d, want %d", split, i, pre.Pos, g.SplitPosOf(pre.Node, pre.FromStage))
+						}
+						if pre.Node > 0 {
+							if pre.FromStage != 0 {
+								t.Fatalf("split %d input %d: branch handoff resumes at stage %d, want 0", split, i, pre.FromStage)
+							}
+							branchHandoffs++
+						} else if pre.FromStage != split {
+							t.Fatalf("split %d input %d: trunk handoff resumes at stage %d", split, i, pre.FromStage)
+						}
+						h := handoff{pre.Node, pre.FromStage}
+						deferred[h] = append(deferred[h], pre.Activation)
+						deferredIdx[h] = append(deferredIdx[h], i)
 					}
-					got = cloud.ResumeAt(pre.Activation, pre.Node, pre.FromStage, delta)
+					for h, acts := range deferred {
+						resumed := cloud.ResumeBatchPolicyAt(acts, h.node, h.from, pol)
+						for j, i := range deferredIdx[h] {
+							assertRecordsMatch(t, "routed-split-resumed", i, resumed[j], want[i])
+						}
+					}
+					base += len(chunk)
 				}
-				assertRecordsMatch(t, "routed-split-serial", i, got, want)
-			}
-			// Batched: ClassifyPrefixBatch + per-(node,stage) ResumeBatchPolicyAt.
-			wantRecs := sess.ClassifyBatch(xs, delta)
-			pres := sess.ClassifyPrefixBatch(xs, split, delta)
-			type handoff struct{ node, from int }
-			deferred := make(map[handoff][]*tensor.T)
-			deferredIdx := make(map[handoff][]int)
-			for i, pre := range pres {
-				if pre.Exited {
-					assertRecordsMatch(t, "routed-split-batch-local", i, pre.Record, wantRecs[i])
-					continue
-				}
-				h := handoff{pre.Node, pre.FromStage}
-				deferred[h] = append(deferred[h], pre.Activation)
-				deferredIdx[h] = append(deferredIdx[h], i)
-			}
-			for h, acts := range deferred {
-				resumed := cloud.ResumeBatchPolicyAt(acts, h.node, h.from, deltaPolicy(delta))
-				for j, i := range deferredIdx[h] {
-					assertRecordsMatch(t, "routed-split-batch-resumed", i, resumed[j], wantRecs[i])
+				// The router sits at trunk stage 0: any edge that owns it
+				// must see branch-entry handoffs; an edge that owns nothing
+				// cannot.
+				if (split > 0) != (branchHandoffs > 0) {
+					t.Fatalf("split %d δ=%v batch %d: %d branch-entry handoffs", split, delta, bsz, branchHandoffs)
 				}
 			}
 		}
-	}
-	if branchHandoffs == 0 {
-		t.Fatal("no split handed an input off at a branch entry")
 	}
 }
 
@@ -431,6 +441,41 @@ func TestRoutedGraphDepthCap(t *testing.T) {
 		act := tensor.New(2, 5, 5)
 		sess.ResumeBatchPolicyAt([]*tensor.T{act}, 1, 0, DepthCapped(0))
 	}()
+}
+
+// TestBatchOfOneStageEventRows pins the observer contract now that every
+// walk is batched: a single input is row 0 of a batch of one, so every
+// event kind — forward, route, final, forced — reports Rows == []int{0},
+// never nil, on the monolithic walk and on the prefix walk alike.
+func TestBatchOfOneStageEventRows(t *testing.T) {
+	g := routedGraph(t, 46)
+	sess, err := NewGraphSession(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[StageEventKind]int)
+	sess.SetStageObserver(func(ev StageEvent) {
+		if len(ev.Rows) != 1 || ev.Rows[0] != 0 {
+			t.Errorf("event kind %d (node %d stage %d): Rows = %v, want [0]", ev.Kind, ev.Node, ev.Stage, ev.Rows)
+		}
+		seen[ev.Kind]++
+	})
+	defer sess.SetStageObserver(nil)
+	routeHeavy := DeltaPolicy(0.999) // suppress exits: forward, route, final
+	capped := DepthCapped(1)         // forced exits at depth 1, branches included
+	capped.Delta = 0.999
+	for _, x := range mixedInputs(30, 17) {
+		sess.Classify(x)
+		sess.ClassifyBatchPolicy([]*tensor.T{x}, routeHeavy)
+		sess.ClassifyBatchPolicy([]*tensor.T{x}, capped)
+		sess.ClassifyPrefixBatchPolicy([]*tensor.T{x}, 2, routeHeavy)
+		sess.ClassifyPrefixBatchPolicy([]*tensor.T{x}, 2, capped)
+	}
+	for _, kind := range []StageEventKind{StageForward, StageRoute, StageFinal, StageForced} {
+		if seen[kind] == 0 {
+			t.Errorf("no event of kind %d observed: %v", kind, seen)
+		}
+	}
 }
 
 // TestGraphValidateRejects is the malformed-topology table: every way a
@@ -593,7 +638,7 @@ func benchClassifyBatch(b *testing.B, g *Graph, delta float64) {
 	xs := mixedInputs(bsz, 99)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sess.ClassifyBatch(xs, delta)
+		sess.ClassifyBatchPolicy(xs, DeltaPolicy(delta))
 	}
 	b.ReportMetric(float64(bsz*b.N)/b.Elapsed().Seconds(), "images/s")
 }

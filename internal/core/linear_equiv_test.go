@@ -1,14 +1,12 @@
 package core
 
-// linear_equiv_test.go is the linear-equivalence golden harness for the
-// routing-graph refactor: a linear cascade wrapped as the one-node graph
-// (LinearGraph) must be byte-identical to the pre-graph execution paths —
-// not approximately equal, identical, ExitRecord field for field including
-// the per-stage confidence Trace — across the serial walk, the batched
-// fast path, and every tier-split stage. The pre-refactor reference is
-// CDLN.Classify itself (that code path did not change), so these tests ARE
-// the pre-refactor goldens; CI runs them under -race alongside the batch
-// differential suite.
+// linear_equiv_test.go is the linear-equivalence golden harness: a linear
+// cascade wrapped as the one-node graph (LinearGraph) and run by the
+// Session walker must be byte-identical to the reference walk
+// (CDLN.Classify) — not approximately equal, identical, ExitRecord field
+// for field, with the per-stage confidence Trace identical across batch
+// sizes — as a batch of one, as a batch, and across every tier-split
+// stage. CI runs these under -race alongside the batch differential suite.
 
 import (
 	"slices"
@@ -29,9 +27,9 @@ func assertRecordsIdentical(t *testing.T, label string, i int, got, want ExitRec
 	}
 }
 
-// TestLinearGraphMatchesCDLNClassify pins the serial walk: a session over
+// TestLinearGraphMatchesCDLNClassify pins the batch of one: a session over
 // LinearGraph(c) produces exactly the record CDLN.Classify produces — the
-// unchanged pre-graph reference path — for every input.
+// reference walk — for every input.
 func TestLinearGraphMatchesCDLNClassify(t *testing.T) {
 	cdln := batchCDLN(t, 31)
 	sess, err := NewGraphSession(LinearGraph(cdln))
@@ -56,9 +54,10 @@ func TestLinearGraphMatchesCDLNClassify(t *testing.T) {
 	}
 }
 
-// TestLinearGraphBatchMatchesSerial pins the batched fast path on the
-// one-node graph, with Trace enabled so the per-stage confidences are part
-// of the identity: every batch size, batched record == single-input record.
+// TestLinearGraphBatchMatchesSerial pins the walker on the one-node graph
+// across batch sizes, with Trace enabled so the per-stage confidences are
+// part of the identity: batched record == batch-of-one record, trace
+// included, and both equal the reference walk's record.
 func TestLinearGraphBatchMatchesSerial(t *testing.T) {
 	cdln := batchCDLN(t, 32)
 	sess, err := NewGraphSession(LinearGraph(cdln))
@@ -80,18 +79,17 @@ func TestLinearGraphBatchMatchesSerial(t *testing.T) {
 			if len(want.Trace) == 0 {
 				t.Fatalf("input %d: policy trace empty", i)
 			}
-			// The non-trace fields must also equal the serial walk.
-			serial := ref.Classify(x)
-			if !recs[i].Equal(serial) {
-				t.Fatalf("input %d: batch record %+v != serial %+v", i, recs[i], serial)
+			// The non-trace fields must also equal the reference walk.
+			if serial := cdln.Classify(x); !recs[i].Equal(serial) {
+				t.Fatalf("input %d: batch record %+v != reference %+v", i, recs[i], serial)
 			}
 		}
 	}
 }
 
 // TestLinearGraphSplitEquivalence pins the tier-split identity on the
-// one-node graph at every split stage: prefix+resume — serial and batched —
-// equals the monolithic classification exactly.
+// one-node graph at every split stage: prefix+resume — batch of one and
+// batched — equals the reference walk's monolithic record exactly.
 func TestLinearGraphSplitEquivalence(t *testing.T) {
 	cdln := batchCDLN(t, 33)
 	sess, err := NewGraphSession(LinearGraph(cdln))
@@ -103,37 +101,33 @@ func TestLinearGraphSplitEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	xs := mixedInputs(48, 9)
+	want := make([]ExitRecord, len(xs))
+	for i, x := range xs {
+		want[i] = cdln.Classify(x)
+	}
+	pol := DefaultExitPolicy()
 	for split := 0; split <= len(cdln.Stages); split++ {
-		// Serial: ClassifyPrefix + ResumeAt.
-		for i, x := range xs {
-			want := sess.Classify(x)
-			pre := sess.ClassifyPrefix(x, split, -1)
-			got := pre.Record
-			if !pre.Exited {
-				if pre.Node != 0 || pre.FromStage != split {
-					t.Fatalf("split %d input %d: linear handoff at (node %d, stage %d)", split, i, pre.Node, pre.FromStage)
+		for _, bsz := range []int{1, 48} {
+			base := 0
+			for _, chunk := range chunks(xs, bsz) {
+				var deferredX []*tensor.T
+				var deferredIdx []int
+				for k, pre := range sess.ClassifyPrefixBatchPolicy(chunk, split, pol) {
+					i := base + k
+					if pre.Exited {
+						assertRecordsIdentical(t, "split-local", i, pre.Record, want[i])
+						continue
+					}
+					if pre.Node != 0 || pre.FromStage != split {
+						t.Fatalf("split %d input %d: linear handoff at (node %d, stage %d)", split, i, pre.Node, pre.FromStage)
+					}
+					deferredX = append(deferredX, pre.Activation)
+					deferredIdx = append(deferredIdx, i)
 				}
-				got = cloud.ResumeAt(pre.Activation, pre.Node, pre.FromStage, -1)
-			}
-			assertRecordsIdentical(t, "split-serial", i, got, want)
-		}
-		// Batched: ClassifyPrefixBatch + ResumeBatch.
-		wantRecs := sess.ClassifyBatch(xs, -1)
-		pres := sess.ClassifyPrefixBatch(xs, split, -1)
-		var deferredX []*tensor.T
-		var deferredIdx []int
-		for i, pre := range pres {
-			if pre.Exited {
-				assertRecordsIdentical(t, "split-batch-local", i, pre.Record, wantRecs[i])
-				continue
-			}
-			deferredX = append(deferredX, pre.Activation)
-			deferredIdx = append(deferredIdx, i)
-		}
-		if len(deferredX) > 0 {
-			resumed := cloud.ResumeBatch(deferredX, split, -1)
-			for j, i := range deferredIdx {
-				assertRecordsIdentical(t, "split-batch-resumed", i, resumed[j], wantRecs[i])
+				for j, rec := range cloud.ResumeBatchPolicyAt(deferredX, 0, split, pol) {
+					assertRecordsIdentical(t, "split-resumed", deferredIdx[j], rec, want[deferredIdx[j]])
+				}
+				base += len(chunk)
 			}
 		}
 	}

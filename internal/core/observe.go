@@ -31,9 +31,9 @@ const (
 	StageForced
 )
 
-// StageEvent is one observed unit of work. On batched walks Rows holds the
-// affected rows' original batch positions; on serial walks Rows is nil
-// (the single input is implied). Rows aliases walk-internal storage and is
+// StageEvent is one observed unit of work. Rows holds the affected rows'
+// original batch positions and is never nil — every walk is batched, so a
+// single input reports []int{0}. Rows aliases walk-internal storage and is
 // valid only for the duration of the observer call — copy to retain.
 type StageEvent struct {
 	Kind   StageEventKind

@@ -7,8 +7,8 @@ package core
 // hard cap on how deep the cascade may run (directly or via an operation
 // budget), and how much detail the exit record should carry. The serving
 // layer validates a policy once per request (CDLN.ValidatePolicy) and
-// threads it unchanged through the replica pool into the batched cascade
-// (Session.ResumeBatchPolicy).
+// threads it unchanged through the replica pool into the Session walker
+// (Session.ResumeBatchPolicyAt).
 
 import (
 	"fmt"
@@ -45,8 +45,10 @@ type ExitPolicy struct {
 // cascade, no trace.
 func DefaultExitPolicy() ExitPolicy { return ExitPolicy{Delta: -1, MaxExit: -1} }
 
-// deltaPolicy is the internal bridge from the legacy single-δ entry points.
-func deltaPolicy(delta float64) ExitPolicy { return ExitPolicy{Delta: delta, MaxExit: -1} }
+// DeltaPolicy is the policy form of a bare δ — the paper's §III.B runtime
+// knob: delta in [0,1] overrides every node's trained thresholds, negative
+// keeps them; full cascade, no trace.
+func DeltaPolicy(delta float64) ExitPolicy { return ExitPolicy{Delta: delta, MaxExit: -1} }
 
 // DepthCapped returns the policy that keeps the trained thresholds but
 // terminates the cascade at exit point maxExit unconditionally. This is
@@ -95,59 +97,4 @@ func (c *CDLN) ValidatePolicy(p ExitPolicy) error {
 		return fmt.Errorf("core: policy max exit %d beyond last exit point %d", p.MaxExit, len(c.Stages))
 	}
 	return nil
-}
-
-// MaxExitForOps converts an operation budget into the deepest exit point
-// whose dynamic cost fits it — the ExitPolicy.MaxExit realization of a
-// per-request compute budget. It errors when even the cheapest exit
-// (stage 0) exceeds the budget.
-func (c *CDLN) MaxExitForOps(budget float64) (int, error) {
-	if err := validateOpsBudget(budget); err != nil {
-		return 0, err
-	}
-	exitOps := c.ExitOps()
-	max := -1
-	for e, ops := range exitOps {
-		if ops <= budget {
-			max = e
-		}
-	}
-	if max < 0 {
-		return 0, fmt.Errorf("core: ops budget %v below the cheapest exit (stage 0 costs %v)", budget, exitOps[0])
-	}
-	return max, nil
-}
-
-// validateOpsBudget is the budget check shared by CDLN.MaxExitForOps and
-// Graph.MaxExitForOps.
-func validateOpsBudget(budget float64) error {
-	if math.IsNaN(budget) || budget <= 0 {
-		return fmt.Errorf("core: ops budget %v must be a positive number", budget)
-	}
-	return nil
-}
-
-// stageDelta resolves the effective threshold for stage i under a policy:
-// trained value, then the policy's global Delta, then its per-stage entry.
-func (c *CDLN) stageDelta(i int, p ExitPolicy) float64 {
-	d := c.Delta
-	if c.StageDeltas != nil {
-		d = c.StageDeltas[i]
-	}
-	if p.Delta >= 0 {
-		d = p.Delta
-	}
-	if p.StageDeltas != nil && p.StageDeltas[i] >= 0 {
-		d = p.StageDeltas[i]
-	}
-	return d
-}
-
-// maxExit normalizes MaxExit: any out-of-range or negative cap means the
-// full cascade.
-func (c *CDLN) maxExit(p ExitPolicy) int {
-	if p.MaxExit < 0 || p.MaxExit > len(c.Stages) {
-		return len(c.Stages)
-	}
-	return p.MaxExit
 }

@@ -1,10 +1,10 @@
 package core
 
 // policy_test.go covers the structured ExitPolicy: validation, the ops
-// budget → depth cap mapping, and the policy-aware batch cascade —
-// delta-only policies must be bit-identical to the legacy δ-override path,
-// depth caps must take the capped stage classifier's own verdict, and
-// traces must record every evaluated exit.
+// budget → depth cap mapping, and the policy-aware walk — delta-only
+// policies must be bit-identical to the reference walk under that δ, depth
+// caps must take the capped stage classifier's own verdict, and traces must
+// record every evaluated exit.
 
 import (
 	"math"
@@ -46,6 +46,7 @@ func TestValidatePolicy(t *testing.T) {
 
 func TestMaxExitForOps(t *testing.T) {
 	cdln := batchCDLN(t, 62)
+	g := LinearGraph(cdln)
 	exitOps := cdln.ExitOps()
 	cases := []struct {
 		budget float64
@@ -58,13 +59,13 @@ func TestMaxExitForOps(t *testing.T) {
 		{(exitOps[0] + exitOps[1]) / 2, 0},
 	}
 	for _, tc := range cases {
-		got, err := cdln.MaxExitForOps(tc.budget)
+		got, err := g.MaxExitForOps(tc.budget)
 		if err != nil || got != tc.want {
 			t.Errorf("MaxExitForOps(%v) = (%d, %v), want %d", tc.budget, got, err, tc.want)
 		}
 	}
 	for _, bad := range []float64{0, -1, exitOps[0] / 2, math.NaN()} {
-		if _, err := cdln.MaxExitForOps(bad); err == nil {
+		if _, err := g.MaxExitForOps(bad); err == nil {
 			t.Errorf("budget %v accepted", bad)
 		}
 	}
@@ -72,23 +73,20 @@ func TestMaxExitForOps(t *testing.T) {
 
 // TestPolicyDeltaOnlyMatchesLegacy pins the compat contract behind the
 // serving redesign: a policy whose only active field is Delta must be
-// bit-identical to the legacy δ-override batch path.
+// bit-identical to the reference walk with that δ as the trained
+// threshold — what the /v1 δ override has always meant.
 func TestPolicyDeltaOnlyMatchesLegacy(t *testing.T) {
 	cdln := batchCDLN(t, 63)
 	xs := mixedInputs(64, 64)
-	sessA, err := NewSession(cdln)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sessB, err := NewSession(cdln)
+	sess, err := NewSession(cdln)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, delta := range []float64{-1, 0.5, 0.9, 1} {
-		legacy := sessA.ClassifyBatch(xs, delta)
-		policy := sessB.ClassifyBatchPolicy(xs, ExitPolicy{Delta: delta, MaxExit: -1})
-		for i := range xs {
-			assertRecordsMatch(t, "delta-only policy", i, policy[i], legacy[i])
+		ref := reference(t, LinearGraph(cdln), delta)
+		policy := sess.ClassifyBatchPolicy(xs, ExitPolicy{Delta: delta, MaxExit: -1})
+		for i, x := range xs {
+			assertRecordsMatch(t, "delta-only policy", i, policy[i], ref(x))
 		}
 	}
 }
@@ -119,15 +117,12 @@ func TestPolicyMaxExit(t *testing.T) {
 	}
 
 	// The forced verdict at stage m must equal the stage classifier's own
-	// scores: reproduce via the serial path (forward to tap, score, argmax).
-	ref, err := NewSession(cdln)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// scores: reproduce per layer (forward to tap, score, argmax).
+	ref := cdln.Clone()
 	recs := sess.ClassifyBatchPolicy(xs, ExitPolicy{Delta: 1, MaxExit: 0})
-	st := cdln.Stages[0]
+	st := ref.Stages[0]
 	for i, x := range xs {
-		act := ref.model.Arch.Net.ForwardRange(x, 0, st.Tap)
+		act := ref.Arch.Net.ForwardRange(x, 0, st.Tap)
 		scores := st.LC.Scores(act)
 		conf, label := scores.Max()
 		if recs[i].Label != label || recs[i].Confidence != conf {
@@ -215,11 +210,11 @@ func TestPolicyResumePanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	xs := mixedInputs(4, 72)
-	pre := sess.ClassifyPrefixBatch(xs, 1, 1) // δ=1: all defer
+	pre := sess.ClassifyPrefixBatchPolicy(xs, 1, DeltaPolicy(1)) // δ=1: all defer
 	defer func() {
 		if recover() == nil {
-			t.Fatal("ResumeBatchPolicy accepted max exit below the resume stage")
+			t.Fatal("ResumeBatchPolicyAt accepted max exit below the resume stage")
 		}
 	}()
-	sess.ResumeBatchPolicy([]*tensor.T{pre[0].Activation}, 1, ExitPolicy{Delta: -1, MaxExit: 0})
+	sess.ResumeBatchPolicyAt([]*tensor.T{pre[0].Activation}, 0, 1, ExitPolicy{Delta: -1, MaxExit: 0})
 }

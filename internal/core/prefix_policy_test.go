@@ -4,21 +4,29 @@ import (
 	"testing"
 )
 
-// TestPrefixPolicyDelegation pins that the policy-aware prefix with a
-// delta-only policy is exactly ClassifyPrefixBatch.
+// TestPrefixPolicyDelegation pins that the prefix under a delta-only
+// policy decides exactly as the reference walk does with that δ as its
+// trained threshold — at every split stage, as one batch and as batches of
+// one: an input exits locally iff its reference exit precedes the split,
+// with the reference record.
 func TestPrefixPolicyDelegation(t *testing.T) {
 	cdln, xs := splitCDLN(t, 61)
-	a, _ := NewSession(cdln)
-	b, _ := NewSession(cdln)
+	sess, _ := NewSession(cdln)
+	ref := reference(t, LinearGraph(cdln), 0.55)
 	for split := 0; split <= len(cdln.Stages); split++ {
-		want := a.ClassifyPrefixBatch(xs, split, 0.55)
-		got := b.ClassifyPrefixBatchPolicy(xs, split, ExitPolicy{Delta: 0.55, MaxExit: -1})
-		for i := range want {
-			if want[i].Exited != got[i].Exited {
-				t.Fatalf("split %d sample %d: exited %v vs %v", split, i, got[i].Exited, want[i].Exited)
-			}
-			if want[i].Exited && !sameRecord(want[i].Record, got[i].Record) {
-				t.Fatalf("split %d sample %d: record %+v vs %+v", split, i, got[i].Record, want[i].Record)
+		for _, bsz := range []int{1, len(xs)} {
+			i := 0
+			for _, chunk := range chunks(xs, bsz) {
+				for _, got := range sess.ClassifyPrefixBatchPolicy(chunk, split, DeltaPolicy(0.55)) {
+					want := ref(xs[i])
+					if exits := want.StageIndex < split; got.Exited != exits {
+						t.Fatalf("split %d batch %d sample %d: exited %v, reference exit %d", split, bsz, i, got.Exited, want.StageIndex)
+					}
+					if got.Exited && !got.Record.Equal(want) {
+						t.Fatalf("split %d batch %d sample %d: record %+v vs %+v", split, bsz, i, got.Record, want)
+					}
+					i++
+				}
 			}
 		}
 	}
@@ -27,7 +35,7 @@ func TestPrefixPolicyDelegation(t *testing.T) {
 // TestPrefixPolicyDepthCapBelowSplit is the edge tier's force-local
 // shed: a depth cap below the split stage must resolve every input
 // locally (all Exited, nothing to offload), with records identical to
-// the fully-local ResumeBatchPolicy under the same policy.
+// the fully-local ClassifyBatchPolicy under the same policy.
 func TestPrefixPolicyDepthCapBelowSplit(t *testing.T) {
 	cdln, xs := splitCDLN(t, 62)
 	if len(cdln.Stages) < 2 {
@@ -38,13 +46,13 @@ func TestPrefixPolicyDepthCapBelowSplit(t *testing.T) {
 		pol := DepthCapped(cap)
 		a, _ := NewSession(cdln)
 		b, _ := NewSession(cdln)
-		want := a.ResumeBatchPolicy(xs, 0, pol)
+		want := a.ClassifyBatchPolicy(xs, pol)
 		got := b.ClassifyPrefixBatchPolicy(xs, split, pol)
 		for i := range got {
 			if !got[i].Exited {
 				t.Fatalf("cap %d sample %d: not exited — a capped prefix must resolve everything locally", cap, i)
 			}
-			if !sameRecord(got[i].Record, want[i]) {
+			if !got[i].Record.Equal(want[i]) {
 				t.Fatalf("cap %d sample %d: prefix record %+v != batched policy record %+v", cap, i, got[i].Record, want[i])
 			}
 			if got[i].Record.StageIndex > cap {

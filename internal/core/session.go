@@ -2,33 +2,32 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"cdl/internal/tensor"
 )
 
-// Session is a reusable single-goroutine classifier over a routing graph.
-// It owns a private replica of every node's cascade (weights shared with
-// the source model, caches private) plus all scratch state Algorithm 2
-// needs — the global per-exit cost vector and one score buffer per stage
-// per node — so repeated Classify calls perform no cascade-level
-// allocation and no re-derivation of exit costs.
+// Session is a reusable single-goroutine classifier over a routing graph:
+// the one executable walker of Algorithm 2 (batch.go) outside the
+// reference oracle. It owns a private replica of every node's cascade
+// (weights shared with the source model, caches private) plus the walk's
+// scratch state, so repeated calls re-derive nothing. Every entry point is
+// batch-shaped; a single input is a batch of one.
 //
-// A Session over LinearGraph(c) (what NewSession builds) behaves exactly
-// as the pre-graph session over c did: a routeless trunk walks the
-// identical stage loop, so every record is bit-identical to CDLN.Classify.
+// A Session over LinearGraph(c) (what NewSession builds) produces records
+// bit-identical to CDLN.Classify: a routeless trunk performs, per input,
+// the reference walk's floating-point operations in the reference order.
 // The graph walk only diverges where a Route actually fires.
 //
 // A Session is not safe for concurrent use; create one per worker.
 type Session struct {
-	graph   *Graph
-	model   *CDLN // trunk replica, the entry cascade
-	exitOps []float64
-	scores  [][]*tensor.T // scores[node][stage], same buffers serial and batched
+	graph *Graph
+	model *CDLN // trunk replica, the entry cascade
 
-	// batch-path scratch (batch.go): the stacked-scores buffer and the
-	// active-row index map, grown on demand and reused across
-	// ClassifyBatch/ResumeBatch calls.
+	// Walk scratch: one score-row buffer per exit point (rows[node][exit],
+	// the node's stages then its FC), the stacked-scores buffer and the
+	// active-row index map, the last two grown on demand and reused across
+	// calls.
+	rows    [][]*tensor.T
 	bscores []float64
 	bidx    []int
 
@@ -66,17 +65,12 @@ func newGraphSession(g *Graph) *Session {
 	if err := g.Validate(); err != nil {
 		panic(fmt.Sprintf("core: session over invalid graph: %v", err))
 	}
-	s := &Session{
-		graph:   g,
-		model:   g.Trunk(),
-		exitOps: g.ExitOps(),
-		scores:  make([][]*tensor.T, len(g.Nodes)),
-	}
+	s := &Session{graph: g, model: g.Trunk(), rows: make([][]*tensor.T, len(g.Nodes))}
 	for ni, n := range g.Nodes {
-		s.scores[ni] = make([]*tensor.T, len(n.Model.Stages))
-		for i, st := range n.Model.Stages {
-			s.scores[ni][i] = tensor.New(st.LC.Out)
+		for _, st := range n.Model.Stages {
+			s.rows[ni] = append(s.rows[ni], tensor.New(st.LC.Out))
 		}
+		s.rows[ni] = append(s.rows[ni], tensor.New(n.Model.Arch.NumClasses))
 	}
 	return s
 }
@@ -91,11 +85,12 @@ func (s *Session) Model() *CDLN { return s.model }
 func (s *Session) Graph() *Graph { return s.graph }
 
 // Classify runs Algorithm 2 on one input with the model's trained
-// thresholds, reusing the session's scratch buffers. On a linear graph
-// results are bit-identical to CDLN.Classify on the same weights; on a
-// routed graph undecided inputs may descend into branch cascades.
+// thresholds: a batch of one through the session's one walker (batch.go).
+// On a linear graph the record is bit-identical to CDLN.Classify on the
+// same weights; on a routed graph undecided inputs may descend into
+// branch cascades.
 func (s *Session) Classify(x *tensor.T) ExitRecord {
-	return s.classifyFrom(x, 0, 0, 0, -1)
+	return s.ClassifyBatchPolicy([]*tensor.T{x}, DefaultExitPolicy())[0]
 }
 
 // ClassifyDelta is Classify with a per-call confidence threshold: delta in
@@ -103,98 +98,23 @@ func (s *Session) Classify(x *tensor.T) ExitRecord {
 // (the paper's §III.B runtime accuracy/efficiency knob, exposed per request
 // by the serving layer); a negative delta keeps the trained thresholds.
 func (s *Session) ClassifyDelta(x *tensor.T, delta float64) ExitRecord {
-	return s.classifyFrom(x, 0, 0, 0, delta)
-}
-
-// classifyFrom is the serial graph walk: evaluate node's cascade from
-// stage `from` (activation act after the node's first pos baseline
-// layers), exiting where the activation module fires, descending into a
-// branch where a route fires, and terminating at the node's FC otherwise.
-// It performs, stage for stage, the identical floating-point operations in
-// the identical order as CDLN.runStages/finalExit — routing adds no
-// arithmetic, only an argmax read of scores already computed — which is
-// what keeps the one-node graph bit-identical to the linear cascade.
-func (s *Session) classifyFrom(act *tensor.T, node, from, pos int, delta float64) ExitRecord {
-	n := s.graph.Nodes[node]
-	c := n.Model
-	for i := from; i < len(c.Stages); i++ {
-		var evStart time.Time
-		if s.observer != nil {
-			evStart = time.Now()
-		}
-		st := c.Stages[i]
-		act = c.Arch.Net.ForwardRange(act, pos, st.Tap)
-		pos = st.Tap
-		scores := s.scores[node][i]
-		st.LC.ScoresInto(act, scores)
-		d := c.Delta
-		if c.StageDeltas != nil {
-			d = c.StageDeltas[i]
-		}
-		if delta >= 0 {
-			d = delta
-		}
-		exit := c.Rule.ShouldExit(scores, d)
-		if s.observer != nil {
-			s.observer(StageEvent{Kind: StageForward, Node: node, Stage: i, Start: evStart, End: time.Now()})
-		}
-		if exit {
-			conf, label := scores.Max()
-			gi := s.graph.ExitIndex(node, i)
-			return ExitRecord{
-				Node:       node,
-				StageIndex: gi,
-				StageName:  s.graph.ExitName(gi),
-				Label:      s.graph.mapLabel(node, label),
-				Confidence: conf,
-				Ops:        s.exitOps[gi],
-			}
-		}
-		if r := s.graph.routeFor(node, i); r != nil {
-			_, label := scores.Max()
-			if t := r.Branch[label]; t >= 0 {
-				if s.observer != nil {
-					now := time.Now()
-					s.observer(StageEvent{Kind: StageRoute, Node: node, Stage: i, Branch: t, Start: now, End: now})
-				}
-				return s.classifyFrom(act, t, 0, 0, delta)
-			}
-		}
-	}
-	var evStart time.Time
-	if s.observer != nil {
-		evStart = time.Now()
-	}
-	act = c.Arch.Net.ForwardRange(act, pos, len(c.Arch.Net.Layers))
-	if s.observer != nil {
-		s.observer(StageEvent{Kind: StageFinal, Node: node, Stage: len(c.Stages), Start: evStart, End: time.Now()})
-	}
-	conf, label := act.Max()
-	gi := s.graph.ExitIndex(node, len(c.Stages))
-	return ExitRecord{
-		Node:       node,
-		StageIndex: gi,
-		StageName:  s.graph.ExitName(gi),
-		Label:      s.graph.mapLabel(node, label),
-		Confidence: conf,
-		Ops:        s.exitOps[gi],
-	}
+	return s.ClassifyBatchPolicy([]*tensor.T{x}, DeltaPolicy(delta))[0]
 }
 
 // PrefixResult is the outcome of the edge-side half of a tier-split
-// classification (ClassifyPrefix): either the input exited locally and
-// Record is final, or the cascade must continue past the split and
-// (Node, FromStage, Pos, Activation) describe what to hand to ResumeAt on
-// the other tier.
+// classification (ClassifyPrefixBatchPolicy): either the input exited
+// locally and Record is final, or the cascade must continue past the split
+// and (Node, FromStage, Pos, Activation) describe what to hand to
+// ResumeBatchPolicyAt on the other tier.
 type PrefixResult struct {
 	// Record is the final classification; valid only when Exited.
 	Record ExitRecord
 	// Exited reports whether a prefix stage's activation module fired.
 	Exited bool
 	// Activation is the intermediate activation at the handoff point; valid
-	// only when !Exited. It aliases the session's layer forward caches, so
-	// it must be consumed (serialized or copied) before the session's next
-	// classification.
+	// only when !Exited. It is private to the result (survivor compaction
+	// reuses the walk's buffers, so deferred rows are copied out): a caller
+	// may hold a whole batch's activations across later session use.
 	Activation *tensor.T
 	// Node is the graph node the other tier must resume in: 0 when the
 	// input reached the trunk split stage undecided, or a branch index when
@@ -208,94 +128,4 @@ type PrefixResult struct {
 	// — Graph.SplitPosOf(Node, FromStage), recorded here so transports
 	// need not re-derive it.
 	Pos int
-}
-
-// ClassifyPrefix runs only the first splitStage trunk cascade stages — the
-// edge tier's share of Algorithm 2. If any of those stages' activation
-// modules fires, the result carries the final ExitRecord (bit-identical to
-// what the monolithic Classify would produce, including full-pipeline Ops
-// accounting); otherwise it carries the intermediate activation to resume
-// from — at (trunk, splitStage) normally, or at a branch's entry when a
-// trunk route fired before the split. splitStage must be in
-// [0, len(trunk.Stages)] — 0 owns no stages and always defers,
-// len(Stages) owns the whole trunk and defers only the FC tail (plus any
-// routed branches). delta ≥ 0 overrides the trained thresholds as in
-// ClassifyDelta.
-func (s *Session) ClassifyPrefix(x *tensor.T, splitStage int, delta float64) PrefixResult {
-	c := s.model
-	c.SplitPos(splitStage) // validates splitStage
-	act, pos := x, 0
-	for i := 0; i < splitStage; i++ {
-		var evStart time.Time
-		if s.observer != nil {
-			evStart = time.Now()
-		}
-		st := c.Stages[i]
-		act = c.Arch.Net.ForwardRange(act, pos, st.Tap)
-		pos = st.Tap
-		scores := s.scores[0][i]
-		st.LC.ScoresInto(act, scores)
-		d := c.Delta
-		if c.StageDeltas != nil {
-			d = c.StageDeltas[i]
-		}
-		if delta >= 0 {
-			d = delta
-		}
-		exit := c.Rule.ShouldExit(scores, d)
-		if s.observer != nil {
-			s.observer(StageEvent{Kind: StageForward, Node: 0, Stage: i, Start: evStart, End: time.Now()})
-		}
-		if exit {
-			conf, label := scores.Max()
-			return PrefixResult{Record: ExitRecord{
-				StageIndex: i,
-				StageName:  s.graph.ExitName(i),
-				Label:      s.graph.mapLabel(0, label),
-				Confidence: conf,
-				Ops:        s.exitOps[i],
-			}, Exited: true}
-		}
-		if r := s.graph.routeFor(0, i); r != nil {
-			_, label := scores.Max()
-			if t := r.Branch[label]; t >= 0 {
-				if s.observer != nil {
-					now := time.Now()
-					s.observer(StageEvent{Kind: StageRoute, Node: 0, Stage: i, Branch: t, Start: now, End: now})
-				}
-				return PrefixResult{Activation: act, Node: t, FromStage: 0, Pos: 0}
-			}
-		}
-	}
-	return PrefixResult{Activation: act, Node: 0, FromStage: splitStage, Pos: s.model.SplitPos(splitStage)}
-}
-
-// Resume continues Algorithm 2 past a tier split on the trunk: act is the
-// activation a ClassifyPrefix(…, fromStage, …) deferred at (trunk,
-// fromStage), and the remaining trunk stages plus any routed branches and
-// the FC tail run here. Resume(x, 0, delta) is exactly
-// ClassifyDelta(x, delta), and for any split the pair
-// ClassifyPrefix+ResumeAt performs the same floating-point operations in
-// the same order as the monolithic call — tier-split results are
-// bit-identical.
-//
-// The activation's shape must match the model at that position; Resume
-// panics on a mismatch (callers decoding activations from the network must
-// validate first with CDLN.ValidateResume or Graph.ValidateResume).
-func (s *Session) Resume(act *tensor.T, fromStage int, delta float64) ExitRecord {
-	return s.ResumeAt(act, 0, fromStage, delta)
-}
-
-// ResumeAt continues Algorithm 2 past a tier split at any graph node —
-// the graph form of Resume, accepting the (Node, FromStage) pair a
-// PrefixResult carries (branch-entry handoffs resume at (branch, 0)).
-func (s *Session) ResumeAt(act *tensor.T, node, fromStage int, delta float64) ExitRecord {
-	if node < 0 || node >= len(s.graph.Nodes) {
-		panic(fmt.Sprintf("core: ResumeAt node %d outside [0,%d)", node, len(s.graph.Nodes)))
-	}
-	pos := s.graph.SplitPosOf(node, fromStage) // validates fromStage
-	if err := s.graph.ValidateResume(node, fromStage, pos, act.Shape()); err != nil {
-		panic(fmt.Sprintf("core: Resume: %v", err))
-	}
-	return s.classifyFrom(act, node, fromStage, pos, delta)
 }

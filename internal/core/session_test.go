@@ -7,8 +7,9 @@ import (
 	"cdl/internal/stats"
 )
 
-// TestSessionMatchesClassify asserts the session path (reused scratch
-// buffers, precomputed exit costs) is bit-identical to CDLN.Classify.
+// TestSessionMatchesClassify asserts the session's batch of one (GEMM
+// pipeline, reused scratch) is bit-identical to the reference
+// CDLN.Classify.
 func TestSessionMatchesClassify(t *testing.T) {
 	arch, data := trainedArch(t, 11)
 	cdln, _, err := Build(arch, data, DefaultBuildConfig())
@@ -30,7 +31,8 @@ func TestSessionMatchesClassify(t *testing.T) {
 
 // TestSessionDeltaOverride checks the per-call threshold knob: δ=1 forces
 // every input through the full cascade (threshold rule needs score ≥ 1,
-// unreachable for a sigmoid), δ<0 restores the trained behaviour.
+// unreachable for a sigmoid), δ<0 restores the trained behaviour, and an
+// in-range δ equals the reference walk over a clone trained to that δ.
 func TestSessionDeltaOverride(t *testing.T) {
 	arch, data := trainedArch(t, 12)
 	cdln, _, err := Build(arch, data, DefaultBuildConfig())
@@ -45,7 +47,11 @@ func TestSessionDeltaOverride(t *testing.T) {
 		t.Fatal(err)
 	}
 	fc := len(cdln.Stages)
+	ref := reference(t, LinearGraph(cdln), 0.7)
 	for i, s := range data[:40] {
+		if got, want := sess.ClassifyDelta(s.X, 0.7), ref(s.X); !got.Equal(want) {
+			t.Fatalf("sample %d: δ=0.7 record %+v != reference %+v", i, got, want)
+		}
 		if rec := sess.ClassifyDelta(s.X, 1); rec.StageIndex != fc {
 			t.Fatalf("sample %d: δ=1 exited early at %s", i, rec.StageName)
 		}

@@ -23,85 +23,90 @@ func splitCDLN(t *testing.T, seed int64) (*CDLN, []*tensor.T) {
 	return cdln, xs
 }
 
-// copyActivation simulates the wire: the prefix activation aliases the edge
-// session's layer caches, so a transport must serialize it before the
-// session is reused. A deep copy is the lossless equivalent.
-func copyActivation(act *tensor.T) *tensor.T {
-	return tensor.FromSlice(append([]float64(nil), act.Data...), act.Shape()...)
-}
-
-func sameRecord(a, b ExitRecord) bool {
-	return a.StageIndex == b.StageIndex && a.StageName == b.StageName &&
-		a.Label == b.Label && a.Confidence == b.Confidence && a.Ops == b.Ops
-}
-
 // TestSplitIdentityEverySplitStage is the tier-split identity guarantee:
-// for every split stage and every input, the edge-exit and edge→cloud
-// resume paths must agree bit-for-bit with the monolithic Classify —
-// labels, exits, confidences and (full-pipeline) OPS.
+// for every split stage, every input and every batch size (a batch of one
+// included), the edge-exit and edge→cloud resume paths must agree
+// bit-for-bit with the reference walk's monolithic record — labels, exits,
+// confidences and (full-pipeline) OPS.
 func TestSplitIdentityEverySplitStage(t *testing.T) {
 	cdln, xs := splitCDLN(t, 31)
-	mono, err := NewSession(cdln)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, delta := range []float64{-1, 0.55, 0.9} {
+		ref := reference(t, LinearGraph(cdln), delta)
+		pol := DeltaPolicy(delta)
 		for split := 0; split <= len(cdln.Stages); split++ {
-			edge, err := NewSession(cdln)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cloud, err := NewSession(cdln)
-			if err != nil {
-				t.Fatal(err)
-			}
-			localExits, offloads := 0, 0
-			for i, x := range xs {
-				want := mono.ClassifyDelta(x, delta)
-				pre := edge.ClassifyPrefix(x, split, delta)
-				var got ExitRecord
-				if pre.Exited {
-					localExits++
-					if pre.Record.StageIndex >= split {
-						t.Fatalf("split %d: prefix exited at stage %d", split, pre.Record.StageIndex)
+			for _, bsz := range []int{1, 16} {
+				edge, err := NewSession(cdln)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cloud, err := NewSession(cdln)
+				if err != nil {
+					t.Fatal(err)
+				}
+				localExits, offloads, i := 0, 0, 0
+				for _, chunk := range chunks(xs, bsz) {
+					got := make([]ExitRecord, len(chunk))
+					var acts []*tensor.T
+					var deferred []int
+					for k, pre := range edge.ClassifyPrefixBatchPolicy(chunk, split, pol) {
+						if pre.Exited {
+							localExits++
+							if pre.Record.StageIndex >= split {
+								t.Fatalf("split %d: prefix exited at stage %d", split, pre.Record.StageIndex)
+							}
+							got[k] = pre.Record
+							continue
+						}
+						offloads++
+						if wantPos := cdln.SplitPos(split); pre.Node != 0 || pre.FromStage != split || pre.Pos != wantPos {
+							t.Fatalf("split %d: handoff (node %d, stage %d, pos %d), want (0, %d, %d)",
+								split, pre.Node, pre.FromStage, pre.Pos, split, wantPos)
+						}
+						acts = append(acts, pre.Activation)
+						deferred = append(deferred, k)
 					}
-					got = pre.Record
-				} else {
-					offloads++
-					if wantPos := cdln.SplitPos(split); pre.Pos != wantPos {
-						t.Fatalf("split %d: prefix pos %d, want %d", split, pre.Pos, wantPos)
+					for j, rec := range cloud.ResumeBatchPolicyAt(acts, 0, split, pol) {
+						if rec.StageIndex < split {
+							t.Fatalf("split %d: resume exited at stage %d", split, rec.StageIndex)
+						}
+						got[deferred[j]] = rec
 					}
-					got = cloud.Resume(copyActivation(pre.Activation), split, delta)
-					if got.StageIndex < split {
-						t.Fatalf("split %d: resume exited at stage %d", split, got.StageIndex)
+					for k, x := range chunk {
+						if want := ref(x); !got[k].Equal(want) {
+							t.Fatalf("split %d δ=%v batch %d sample %d: split-path %+v != monolithic %+v",
+								split, delta, bsz, i, got[k], want)
+						}
+						i++
 					}
 				}
-				if !sameRecord(got, want) {
-					t.Fatalf("split %d δ=%v sample %d: split-path %+v != monolithic %+v",
-						split, delta, i, got, want)
+				if split == 0 && localExits != 0 {
+					t.Fatalf("split 0 produced %d local exits", localExits)
 				}
-			}
-			if split == 0 && localExits != 0 {
-				t.Fatalf("split 0 produced %d local exits", localExits)
-			}
-			if split == len(cdln.Stages) && delta < 0 && offloads == len(xs) {
-				t.Fatalf("full-cascade edge never exited locally; fixture degenerate")
+				if split == len(cdln.Stages) && delta < 0 && offloads == len(xs) {
+					t.Fatalf("full-cascade edge never exited locally; fixture degenerate")
+				}
 			}
 		}
 	}
 }
 
-// TestResumeFromZeroIsClassify pins Resume's degenerate split: resuming the
-// raw input from stage 0 is exactly ClassifyDelta.
+// TestResumeFromZeroIsClassify pins the degenerate split: resuming the raw
+// input at (trunk, 0) — as a batch of one and as one batch — is exactly the
+// monolithic classification.
 func TestResumeFromZeroIsClassify(t *testing.T) {
 	cdln, xs := splitCDLN(t, 32)
-	a, _ := NewSession(cdln)
-	b, _ := NewSession(cdln)
-	for i, x := range xs[:40] {
-		want := a.ClassifyDelta(x, -1)
-		got := b.Resume(copyActivation(x), 0, -1)
-		if !sameRecord(got, want) {
-			t.Fatalf("sample %d: %+v != %+v", i, got, want)
+	ref := cdln.Clone()
+	sess, _ := NewSession(cdln)
+	xs = xs[:40]
+	for _, bsz := range []int{1, 40} {
+		i := 0
+		for _, chunk := range chunks(xs, bsz) {
+			for _, got := range sess.ResumeBatchPolicyAt(chunk, 0, 0, DefaultExitPolicy()) {
+				if want := ref.Classify(xs[i]); !got.Equal(want) {
+					t.Fatalf("batch %d sample %d: %+v != %+v", bsz, i, got, want)
+				}
+				i++
+			}
 		}
 	}
 }
@@ -111,6 +116,7 @@ func TestResumeFromZeroIsClassify(t *testing.T) {
 func TestSplitValidation(t *testing.T) {
 	cdln, xs := splitCDLN(t, 33)
 	sess, _ := NewSession(cdln)
+	pol := DefaultExitPolicy()
 	mustPanic := func(name string, f func()) {
 		t.Helper()
 		defer func() {
@@ -122,10 +128,11 @@ func TestSplitValidation(t *testing.T) {
 	}
 	mustPanic("SplitPos(-1)", func() { cdln.SplitPos(-1) })
 	mustPanic("SplitPos(too deep)", func() { cdln.SplitPos(len(cdln.Stages) + 1) })
-	mustPanic("ClassifyPrefix out of range", func() { sess.ClassifyPrefix(xs[0], len(cdln.Stages)+1, -1) })
-	mustPanic("Resume out of range", func() { sess.Resume(xs[0], -1, -1) })
-	mustPanic("Resume wrong shape", func() { sess.Resume(xs[0], 1, -1) })
-	mustPanic("Resume wrong rank", func() { sess.Resume(tensor.New(4), 1, -1) })
+	mustPanic("prefix out of range", func() { sess.ClassifyPrefixBatchPolicy(xs[:1], len(cdln.Stages)+1, pol) })
+	mustPanic("resume out of range", func() { sess.ResumeBatchPolicyAt(xs[:1], 0, -1, pol) })
+	mustPanic("resume unknown node", func() { sess.ResumeBatchPolicyAt(xs[:1], 1, 0, pol) })
+	mustPanic("resume wrong shape", func() { sess.ResumeBatchPolicyAt(xs[:1], 0, 1, pol) })
+	mustPanic("resume wrong rank", func() { sess.ResumeBatchPolicyAt([]*tensor.T{tensor.New(4)}, 0, 1, pol) })
 }
 
 // TestSplitOpsEnergyAccounting checks that the dynamic cost attributed to a
@@ -137,14 +144,18 @@ func TestSplitOpsEnergyAccounting(t *testing.T) {
 	exitOps := cdln.ExitOps()
 	edge, _ := NewSession(cdln)
 	cloud, _ := NewSession(cdln)
-	for _, x := range xs[:60] {
-		pre := edge.ClassifyPrefix(x, 1, -1)
-		rec := pre.Record
-		if !pre.Exited {
-			rec = cloud.Resume(copyActivation(pre.Activation), 1, -1)
-		}
-		if rec.Ops != exitOps[rec.StageIndex] {
-			t.Fatalf("record ops %v != exit ops %v at exit %d", rec.Ops, exitOps[rec.StageIndex], rec.StageIndex)
+	pol := DefaultExitPolicy()
+	for _, bsz := range []int{1, 60} {
+		for _, chunk := range chunks(xs[:60], bsz) {
+			for _, pre := range edge.ClassifyPrefixBatchPolicy(chunk, 1, pol) {
+				rec := pre.Record
+				if !pre.Exited {
+					rec = cloud.ResumeBatchPolicyAt([]*tensor.T{pre.Activation}, 0, 1, pol)[0]
+				}
+				if rec.Ops != exitOps[rec.StageIndex] {
+					t.Fatalf("record ops %v != exit ops %v at exit %d", rec.Ops, exitOps[rec.StageIndex], rec.StageIndex)
+				}
+			}
 		}
 	}
 }

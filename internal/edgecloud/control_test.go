@@ -43,7 +43,7 @@ func TestClassifyBatchPolicyForceLocal(t *testing.T) {
 	}
 	for cap := 0; cap < split; cap++ {
 		pol := core.DepthCapped(cap)
-		want := ref.ResumeBatchPolicy(xs, 0, pol)
+		want := ref.ClassifyBatchPolicy(xs, pol)
 		got, err := edge.ClassifyBatchPolicy(xs, pol)
 		if err != nil {
 			t.Fatalf("cap %d: %v", cap, err)

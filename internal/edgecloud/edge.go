@@ -75,25 +75,17 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Transport ships one wire-encoded activation to the cloud tier and
-// returns the cascade's final exit record. delta follows Session.Resume
-// semantics (< 0 = the model's trained thresholds). Implementations:
-// HTTPTransport (a real cdlserve backend) and Loopback (in-process, for
-// tests and single-node runs).
+// Transport ships wire-encoded activations to the cloud tier — one round
+// trip for however many payloads a batch deferred — and returns the
+// cascade's final exit records in payload order. delta is the bare-δ
+// policy (core.DeltaPolicy: < 0 = the model's trained thresholds).
+// Implementations: HTTPTransport (a real cdlserve backend) and Loopback
+// (in-process, for tests and single-node runs).
 type Transport interface {
-	Resume(payload []byte, delta float64) (core.ExitRecord, error)
-}
-
-// BatchTransport is an optional Transport extension: ship several
-// offloaded activations in one round trip. Edge.ClassifyBatch uses it when
-// available, so a hard batch pays one network round trip instead of one
-// per image. Results must be in payload order.
-type BatchTransport interface {
-	Transport
 	ResumeBatch(payloads [][]byte, delta float64) ([]core.ExitRecord, error)
 }
 
-// TracedBatchTransport is the tracing extension of BatchTransport: the
+// TracedBatchTransport is the optional tracing extension of Transport: the
 // hop carries the request's trace ID to the cloud tier (as an X-Trace-Id
 // header on HTTPTransport, in-process on Loopback) and returns the cloud's
 // span timeline alongside the records, so an Edge with an attached trace
@@ -180,11 +172,8 @@ func (e *Edge) installObserver() func() {
 	g := e.sess.Graph()
 	tr := e.tr
 	e.sess.SetStageObserver(func(ev core.StageEvent) {
-		detail := ""
-		if len(ev.Rows) > 1 && ev.Kind != core.StageRoute {
-			detail = "batch=" + strconv.Itoa(len(ev.Rows))
-		}
-		tr.Record("edge:"+serve.SpanName(g, ev), ev.Start, ev.End, detail)
+		name, detail := serve.SpanName(g, ev)
+		tr.Record("edge:"+name, ev.Start, ev.End, detail)
 	})
 	return func() { e.sess.SetStageObserver(nil) }
 }
@@ -224,9 +213,8 @@ type Result struct {
 // TotalPJ is the input's whole-system energy.
 func (r Result) TotalPJ() float64 { return r.EdgePJ + r.LinkPJ + r.CloudPJ }
 
-// Classify runs the split pipeline on one input: prefix locally, exit if
-// the δ-rule fires, otherwise encode the split-point activation and resume
-// on the cloud. Classify uses ClassifyDelta semantics with the config's δ.
+// Classify runs the split pipeline on one input with the config's δ: a
+// batch of one through ClassifyBatchPolicy.
 func (e *Edge) Classify(x *tensor.T) (Result, error) {
 	return e.ClassifyDelta(x, e.cfg.Delta)
 }
@@ -234,38 +222,23 @@ func (e *Edge) Classify(x *tensor.T) (Result, error) {
 // ClassifyDelta is Classify with a per-call δ override (< 0 keeps the
 // model's trained thresholds), forwarded to the cloud on offload.
 func (e *Edge) ClassifyDelta(x *tensor.T, delta float64) (Result, error) {
-	detach := e.installObserver()
-	pre := e.sess.ClassifyPrefix(x, e.cfg.SplitStage, delta)
-	detach()
-	if pre.Exited {
-		return e.localResult(pre.Record), nil
-	}
-	payload, err := e.encodePrefix(pre)
+	res, err := e.ClassifyBatchPolicy([]*tensor.T{x}, core.DeltaPolicy(delta))
 	if err != nil {
 		return Result{}, err
 	}
-	recs, err := e.resumeOffloads([][]byte{payload}, delta)
-	if err != nil {
-		return Result{}, err
-	}
-	return e.offloadResult(recs[0], len(payload))
+	return res[0], nil
 }
 
-// ClassifyBatch runs the split pipeline over a batch: the whole batch's
-// prefix runs locally in one batched cascade pass (ClassifyPrefixBatch —
-// one GEMM per conv layer for every still-active input, exited inputs
-// compacted away between stages), then all offloads travel together when
-// the transport supports batching (one round trip) and one by one
-// otherwise. Results are in input order and identical to per-sample
-// Classify calls.
-func (e *Edge) ClassifyBatch(xs []*tensor.T, delta float64) ([]Result, error) {
-	return e.ClassifyBatchPolicy(xs, core.ExitPolicy{Delta: delta, MaxExit: -1})
-}
-
-// ClassifyBatchPolicy is ClassifyBatch under an ExitPolicy, within what a
-// split deployment can honor: the offload wire carries only δ, so
-// per-stage thresholds and depth caps in the cloud's half of the cascade
-// cannot be forwarded and are rejected. A depth cap at or below the last
+// ClassifyBatchPolicy runs the split pipeline over a batch: the whole
+// batch's prefix runs locally in one cascade pass
+// (core.Session.ClassifyPrefixBatchPolicy — exit where the δ-rule fires,
+// exited inputs compacted away between stages), then every deferred
+// split-point activation is wire-encoded and all of them resume on the
+// cloud in one round trip. Results are in input order, each identical to
+// what the input would get alone. The policy is honored within what a
+// split deployment can: the offload wire carries only δ, so per-stage
+// thresholds and depth caps in the cloud's half of the cascade cannot be
+// forwarded and are rejected. A depth cap at or below the last
 // local stage resolves the whole batch on the edge (nothing offloads) —
 // the knob the SLO controller turns to shed the offload path under load.
 func (e *Edge) ClassifyBatchPolicy(xs []*tensor.T, pol core.ExitPolicy) ([]Result, error) {
@@ -313,10 +286,10 @@ func (e *Edge) ClassifyBatchPolicy(xs []*tensor.T, pol core.ExitPolicy) ([]Resul
 	return results, nil
 }
 
-// resumeOffloads ships the deferred payloads across the link — one round
-// trip on a BatchTransport, serially otherwise — recording the hop as an
-// "edge:offload" span and, on a TracedBatchTransport, forwarding the trace
-// ID and folding the cloud tier's spans back in under "cloud:".
+// resumeOffloads ships the deferred payloads across the link in one round
+// trip, recording the hop as an "edge:offload" span and, on a
+// TracedBatchTransport, forwarding the trace ID and folding the cloud
+// tier's spans back in under "cloud:".
 func (e *Edge) resumeOffloads(payloads [][]byte, delta float64) ([]core.ExitRecord, error) {
 	var start time.Time
 	if e.tr != nil {
@@ -330,15 +303,8 @@ func (e *Edge) resumeOffloads(payloads [][]byte, delta float64) ([]core.ExitReco
 		if err == nil {
 			e.tr.Merge("cloud:", spans)
 		}
-	} else if bt, ok := e.transport.(BatchTransport); ok {
-		recs, err = bt.ResumeBatch(payloads, delta)
 	} else {
-		recs = make([]core.ExitRecord, len(payloads))
-		for k, p := range payloads {
-			if recs[k], err = e.transport.Resume(p, delta); err != nil {
-				break
-			}
-		}
+		recs, err = e.transport.ResumeBatch(payloads, delta)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("edgecloud: cloud resume: %w", err)

@@ -92,19 +92,27 @@ func sameRecord(a, b core.ExitRecord) bool {
 		a.Label == b.Label && a.Confidence == b.Confidence && a.Ops == b.Ops
 }
 
+// reference returns the monolithic reference oracle (CDLN.Classify: serial,
+// per layer) under a bare δ override (negative keeps the trained
+// thresholds), expressed as the threshold of a private clone.
+func reference(cdln *core.CDLN, delta float64) *core.CDLN {
+	ref := cdln.Clone()
+	if delta >= 0 {
+		ref.Delta, ref.StageDeltas = delta, nil
+	}
+	return ref
+}
+
 // TestEdgeLoopbackIdentity is the subsystem-level identity check: with the
 // lossless encoding, the full edge pipeline (prefix → wire encode → decode
-// → resume) must agree bit-for-bit with monolithic classification for
+// → resume) must agree bit-for-bit with the monolithic reference walk for
 // every split stage and δ, and the per-tier energies must sum to the
 // monolithic exit energy.
 func TestEdgeLoopbackIdentity(t *testing.T) {
 	cdln, data := testCDLN(t, 51)
-	mono, err := core.NewSession(cdln)
-	if err != nil {
-		t.Fatal(err)
-	}
 	exits := energy.NewEvaluator().ExitEnergies(cdln)
 	for _, delta := range []float64{-1, 0.9} {
+		mono := reference(cdln, delta)
 		for split := 0; split <= len(cdln.Stages); split++ {
 			lb, err := NewLoopback(cdln)
 			if err != nil {
@@ -116,7 +124,7 @@ func TestEdgeLoopbackIdentity(t *testing.T) {
 			}
 			offloads := 0
 			for i, s := range data {
-				want := mono.ClassifyDelta(s.X, delta)
+				want := mono.Classify(s.X)
 				res, err := edge.ClassifyDelta(s.X, delta)
 				if err != nil {
 					t.Fatal(err)
@@ -372,47 +380,29 @@ func TestEdgeServerBadRequests(t *testing.T) {
 	}
 }
 
-// countingBatchTransport wraps a Loopback, counting single and batched
-// resume calls and implementing BatchTransport on top of it.
+// countingBatchTransport wraps a Loopback, counting round trips and the
+// payloads they carried.
 type countingBatchTransport struct {
-	lb      *Loopback
-	singles int
-	batches int
-}
-
-func (c *countingBatchTransport) Resume(p []byte, d float64) (core.ExitRecord, error) {
-	c.singles++
-	return c.lb.Resume(p, d)
+	lb       *Loopback
+	calls    int
+	payloads int
 }
 
 func (c *countingBatchTransport) ResumeBatch(ps [][]byte, d float64) ([]core.ExitRecord, error) {
-	c.batches++
-	recs := make([]core.ExitRecord, len(ps))
-	for i, p := range ps {
-		rec, err := c.lb.Resume(p, d)
-		if err != nil {
-			return nil, err
-		}
-		recs[i] = rec
-	}
-	return recs, nil
+	c.calls++
+	c.payloads += len(ps)
+	return c.lb.ResumeBatch(ps, d)
 }
 
 // TestClassifyBatchUsesBatchTransport checks that a batch's offloads
-// travel through one ResumeBatch call, with results bit-identical to the
-// per-input path and in input order.
+// travel through one ResumeBatch call — a batch of one included, where the
+// round trip carries the one payload — with results bit-identical to the
+// reference walk and in input order.
 func TestClassifyBatchUsesBatchTransport(t *testing.T) {
 	cdln, data := testCDLN(t, 57)
-	mono, err := core.NewSession(cdln)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const strict = 0.9 // force a local/offload mix
+	ref := reference(cdln, strict)
 	lb, err := NewLoopback(cdln)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct := &countingBatchTransport{lb: lb}
-	edge, err := New(cdln, ct, Config{SplitStage: 1, Delta: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,55 +410,53 @@ func TestClassifyBatchUsesBatchTransport(t *testing.T) {
 	for i := range xs {
 		xs[i] = data[i].X
 	}
-	const strict = 0.9 // force a local/offload mix
-	results, err := edge.ClassifyBatch(xs, strict)
-	if err != nil {
-		t.Fatal(err)
-	}
-	offloads := 0
-	for i, res := range results {
-		want := mono.ClassifyDelta(xs[i], strict)
-		if !sameRecord(res.Record, want) {
-			t.Fatalf("sample %d: batch %+v != monolithic %+v", i, res.Record, want)
+	for _, bsz := range []int{1, len(xs)} {
+		ct := &countingBatchTransport{lb: lb}
+		edge, err := New(cdln, ct, Config{SplitStage: 1, Delta: -1})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if res.Offloaded {
-			offloads++
+		offloads, wantCalls := 0, 0
+		for lo := 0; lo < len(xs); lo += bsz {
+			results, err := edge.ClassifyBatchPolicy(xs[lo:lo+bsz], core.DeltaPolicy(strict))
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := offloads
+			for k, res := range results {
+				if want := ref.Classify(xs[lo+k]); !res.Record.Equal(want) {
+					t.Fatalf("batch %d sample %d: split %+v != reference %+v", bsz, lo+k, res.Record, want)
+				}
+				if res.Offloaded {
+					offloads++
+				}
+			}
+			if offloads > before {
+				wantCalls++
+			}
 		}
-	}
-	if offloads == 0 {
-		t.Fatal("no offloads; fixture degenerate")
-	}
-	if ct.singles != 0 || ct.batches != 1 {
-		t.Fatalf("transport saw %d single + %d batch calls, want 0 + 1", ct.singles, ct.batches)
-	}
-
-	// A non-batch transport still works, one round trip per offload.
-	edge2, err := New(cdln, lb, Config{SplitStage: 1, Delta: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	results2, err := edge2.ClassifyBatch(xs, strict)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range results2 {
-		if !sameRecord(results2[i].Record, results[i].Record) {
-			t.Fatalf("sample %d: plain-transport batch diverged", i)
+		if offloads == 0 {
+			t.Fatal("no offloads; fixture degenerate")
+		}
+		if ct.calls != wantCalls || ct.payloads != offloads {
+			t.Fatalf("batch %d: transport saw %d calls carrying %d payloads, want %d carrying %d",
+				bsz, ct.calls, ct.payloads, wantCalls, offloads)
 		}
 	}
 }
 
-// blockingTransport parks every Resume until released, signalling entry.
+// blockingTransport parks every round trip until released, signalling
+// entry.
 type blockingTransport struct {
 	entered chan struct{}
 	release chan struct{}
 	lb      *Loopback
 }
 
-func (b *blockingTransport) Resume(p []byte, d float64) (core.ExitRecord, error) {
+func (b *blockingTransport) ResumeBatch(ps [][]byte, d float64) ([]core.ExitRecord, error) {
 	b.entered <- struct{}{}
 	<-b.release
-	return b.lb.Resume(p, d)
+	return b.lb.ResumeBatch(ps, d)
 }
 
 // TestEdgeServerShedsWhenBusy pins the load-shedding path: with one worker

@@ -80,7 +80,7 @@ func TestHTTPModelTransportResumesNamedModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	xs := tensorsOf(data[:40])
-	results, err := edge.ClassifyBatch(xs, 0.9)
+	results, err := edge.ClassifyBatchPolicy(xs, core.DeltaPolicy(0.9))
 	if err != nil {
 		t.Fatal(err)
 	}

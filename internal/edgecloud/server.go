@@ -619,8 +619,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	for i, img := range images {
 		xs[i] = tensor.FromSlice(img, s.model.Arch.Net.InShape...)
 	}
-	// One batched cloud round trip for all of this request's offloads
-	// (HTTPTransport implements BatchTransport).
+	// One batched cloud round trip for all of this request's offloads.
 	results, err := edge.ClassifyBatchPolicy(xs, pol)
 	if err != nil {
 		s.mu.Lock()

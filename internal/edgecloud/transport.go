@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"time"
 
@@ -48,18 +49,9 @@ func NewHTTPModelTransport(baseURL, model string) *HTTPTransport {
 	return &HTTPTransport{BaseURL: baseURL, Model: model}
 }
 
-// Resume implements Transport over the serve JSON schema.
-func (h *HTTPTransport) Resume(payload []byte, delta float64) (core.ExitRecord, error) {
-	recs, err := h.ResumeBatch([][]byte{payload}, delta)
-	if err != nil {
-		return core.ExitRecord{}, err
-	}
-	return recs[0], nil
-}
-
-// ResumeBatch implements BatchTransport: all payloads travel in one
-// resume request, so a hard batch costs one round trip instead of one per
-// image.
+// ResumeBatch implements Transport over the serve JSON schema: all
+// payloads travel in one resume request, so a hard batch costs one round
+// trip instead of one per image.
 func (h *HTTPTransport) ResumeBatch(payloads [][]byte, delta float64) ([]core.ExitRecord, error) {
 	recs, _, err := h.resumeBatch(payloads, delta, "")
 	return recs, err
@@ -189,41 +181,62 @@ func NewGraphLoopback(g *core.Graph) (*Loopback, error) {
 	return &Loopback{graph: sess.Graph(), sess: sess}, nil
 }
 
-// Resume implements Transport. Payload validation is the same
-// core.Graph.ValidateResume a real backend applies, so the loopback accepts
-// exactly what /v1/resume would.
-func (l *Loopback) Resume(payload []byte, delta float64) (core.ExitRecord, error) {
-	act, err := wire.Decode(payload)
-	if err != nil {
-		return core.ExitRecord{}, err
+// ResumeBatch implements Transport: payloads decode, validate with the
+// same core.Graph.ValidateResume a real backend applies (so the loopback
+// accepts exactly what /v1/resume would), and resume on the private
+// session grouped by handoff point — one walk per distinct (node, stage),
+// in first-appearance order.
+func (l *Loopback) ResumeBatch(payloads [][]byte, delta float64) ([]core.ExitRecord, error) {
+	type group struct {
+		node, from int
+		acts       []*tensor.T
+		rows       []int // payload index of each activation
 	}
-	if err := l.graph.ValidateResume(act.Node, act.FromStage, act.Pos, act.Shape); err != nil {
-		return core.ExitRecord{}, err
+	var groups []group
+	for i, p := range payloads {
+		act, err := wire.Decode(p)
+		if err != nil {
+			return nil, err
+		}
+		if err := l.graph.ValidateResume(act.Node, act.FromStage, act.Pos, act.Shape); err != nil {
+			return nil, err
+		}
+		gi := slices.IndexFunc(groups, func(g group) bool { return g.node == act.Node && g.from == act.FromStage })
+		if gi < 0 {
+			groups = append(groups, group{node: act.Node, from: act.FromStage})
+			gi = len(groups) - 1
+		}
+		groups[gi].acts = append(groups[gi].acts, tensor.FromSlice(act.Data, act.Shape...))
+		groups[gi].rows = append(groups[gi].rows, i)
 	}
-	return l.sess.ResumeAt(tensor.FromSlice(act.Data, act.Shape...), act.Node, act.FromStage, delta), nil
+	recs := make([]core.ExitRecord, len(payloads))
+	for _, g := range groups {
+		for k, rec := range l.sess.ResumeBatchPolicyAt(g.acts, g.node, g.from, core.DeltaPolicy(delta)) {
+			recs[g.rows[k]] = rec
+		}
+	}
+	return recs, nil
 }
 
-// ResumeBatchTraced implements TracedBatchTransport: payloads resume
-// serially on the private session with a stage observer attached, so the
-// in-process "cloud" returns the same span vocabulary a real backend
-// would (minus queue/batch spans — there is no pool here).
+// ResumeBatchTraced implements TracedBatchTransport: ResumeBatch with a
+// stage observer attached, so the in-process "cloud" returns the same span
+// vocabulary a real backend would (minus queue/batch spans — there is no
+// pool here).
 func (l *Loopback) ResumeBatchTraced(payloads [][]byte, delta float64, traceID string) ([]core.ExitRecord, []obs.Span, error) {
 	var spans []obs.Span
 	l.sess.SetStageObserver(func(ev core.StageEvent) {
+		name, detail := serve.SpanName(l.graph, ev)
 		spans = append(spans, obs.Span{
-			Name:        serve.SpanName(l.graph, ev),
+			Name:        name,
 			StartUnixNS: ev.Start.UnixNano(),
 			DurationMS:  float64(ev.End.Sub(ev.Start)) / float64(time.Millisecond),
+			Detail:      detail,
 		})
 	})
 	defer l.sess.SetStageObserver(nil)
-	recs := make([]core.ExitRecord, len(payloads))
-	for i, p := range payloads {
-		rec, err := l.Resume(p, delta)
-		if err != nil {
-			return nil, nil, err
-		}
-		recs[i] = rec
+	recs, err := l.ResumeBatch(payloads, delta)
+	if err != nil {
+		return nil, nil, err
 	}
 	return recs, spans, nil
 }

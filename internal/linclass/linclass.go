@@ -76,8 +76,8 @@ func (c *Classifier) ScoresInto(x, y *tensor.T) {
 // feature rows: x is [B, In] (rows contiguous, e.g. a batched tap
 // activation reshaped flat) and y is [B, Out]. Each row is computed with
 // exactly ScoresInto's operations in ScoresInto's order — the same running
-// dot product per class followed by the same sigmoid — so the batched fast
-// path (core.Session.ClassifyBatch) reproduces per-sample scores bit for
+// dot product per class followed by the same sigmoid — so the batched
+// Session walker (core's batch.go) reproduces per-sample scores bit for
 // bit.
 func (c *Classifier) ScoresBatchInto(x, y *tensor.T) {
 	if x.Rank() != 2 || x.Dim(1) != c.In {

@@ -14,7 +14,7 @@ package nn
 //
 // A batched activation is a single tensor whose leading dimension is the
 // batch: [B, ...sample shape...], rows contiguous, so per-sample views and
-// survivor compaction (internal/core's ClassifyBatch) are cheap slices.
+// survivor compaction (internal/core's Session walker) are cheap slices.
 
 import (
 	"fmt"
@@ -41,7 +41,7 @@ func (n *Network) ForwardBatch(x *tensor.T) *tensor.T {
 
 // ForwardBatchRange runs layers [from, to) on the batched activation x
 // (leading dimension = batch). It is the batched counterpart of
-// ForwardRange — the primitive internal/core's ClassifyBatch resumes the
+// ForwardRange — the primitive internal/core's Session walker resumes the
 // baseline with between cascade taps — and uses each layer's ForwardBatch
 // when implemented, falling back to a per-sample loop otherwise, so the
 // fast path never constrains which layers a network may contain.

@@ -226,7 +226,7 @@ func TestResumeInheritedPolicyRelaxed(t *testing.T) {
 	}
 	var payload string
 	for _, s := range data {
-		pre := edge.ClassifyPrefix(s.X, 1, 0.99)
+		pre := prefixOne(edge, s.X, 1, 0.99)
 		if pre.Exited {
 			continue
 		}
@@ -344,7 +344,7 @@ func TestLatencyHistogramsInStats(t *testing.T) {
 			t.Fatalf("classify %d: HTTP %d", i, status)
 		}
 	}
-	st := srv.Stats()
+	st := settledStats(t, srv, 10)
 	for name, ls := range map[string]LatencyStats{
 		"queue": st.QueueLatency, "service": st.ServiceLatency, "total": st.TotalLatency,
 	} {

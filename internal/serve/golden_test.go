@@ -57,7 +57,7 @@ func goldenRequests(t *testing.T, cdln *core.CDLN) []struct {
 	resumeDelta := 0.9
 	var payloads []string
 	for i := 0; i < 40 && len(payloads) < 12; i++ {
-		pre := edge.ClassifyPrefix(data[i].X, 1, resumeDelta)
+		pre := prefixOne(edge, data[i].X, 1, resumeDelta)
 		if pre.Exited {
 			continue
 		}

@@ -172,7 +172,7 @@ func TestServeRoutedGraphV2(t *testing.T) {
 	}
 
 	// /statsz aggregates per branch; counts must cover all served images.
-	stats := srv.Stats()
+	stats := settledStats(t, srv, 120)
 	if len(stats.Branches) != 3 {
 		t.Fatalf("statsz reports %d branch rows, want 3 (trunk+2)", len(stats.Branches))
 	}

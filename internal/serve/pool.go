@@ -34,8 +34,8 @@ type job struct {
 	x   *tensor.T
 	// node/fromStage locate the resume point on the model's routing graph:
 	// (0, 0) = classify from the trunk's input layer, (0, s) = a trunk
-	// split resume, (n, 0) = a branch-entry handoff (Session.ResumeAt
-	// semantics).
+	// split resume, (n, 0) = a branch-entry handoff
+	// (Session.ResumeBatchPolicyAt semantics).
 	node      int
 	fromStage int
 	// pol is the request's validated exit policy, shared by every job the
@@ -150,8 +150,8 @@ func samePolicy(a, b *core.ExitPolicy) bool {
 }
 
 // worker drains micro-batches with its private session, dispatching each
-// batch through the batched GEMM fast path (Session.ResumeBatchPolicy)
-// instead of a per-sample loop. Jobs whose request context died in the
+// batch through the Session walker (Session.ResumeBatchPolicyAt) instead
+// of a per-sample loop. Jobs whose request context died in the
 // queue are dropped first — a cancelled client costs no replica time.
 // Live jobs are grouped by (node, fromStage, policy) — a batched cascade
 // pass needs one resume point and one policy — and a micro-batch usually

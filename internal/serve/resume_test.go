@@ -54,7 +54,7 @@ func TestResumeMatchesMonolithic(t *testing.T) {
 			var want []core.ExitRecord
 			for i, s := range data[:80] {
 				ref := mono.ClassifyDelta(s.X, delta)
-				pre := edge.ClassifyPrefix(s.X, split, delta)
+				pre := prefixOne(edge, s.X, split, delta)
 				if pre.Exited {
 					if pre.Record.Label != ref.Label || pre.Record.StageIndex != ref.StageIndex ||
 						pre.Record.Confidence != ref.Confidence {
@@ -121,7 +121,7 @@ func TestResumeBadRequests(t *testing.T) {
 	// exits locally, whatever the trained thresholds do on this fixture).
 	var good string
 	for _, s := range data {
-		pre := edge.ClassifyPrefix(s.X, 1, 1)
+		pre := prefixOne(edge, s.X, 1, 1)
 		if pre.Exited {
 			continue
 		}

@@ -660,7 +660,7 @@ func finishTrace(w http.ResponseWriter, r *http.Request) (string, []obs.Span) {
 // ResumeRequest is the /v1/resume payload: exactly one of Payload (a
 // single activation) or Payloads (a batch) must be set, each a base64
 // (standard encoding) wire-format activation produced by an edge node's
-// ClassifyPrefix (see internal/edgecloud/wire). The activation's split
+// prefix walk (see internal/edgecloud/wire). The activation's split
 // stage, layer position and shape must match this server's model. Delta
 // follows the same rules as ClassifyRequest.Delta and must be the δ the
 // edge used for its prefix if the pair is to behave like one monolithic

@@ -58,6 +58,28 @@ func testCDLN(t testing.TB, seed int64) (*core.CDLN, []train.Sample) {
 }
 
 // blobData builds the 3-class blob-position problem with a hard noise tail.
+// prefixOne runs the edge tier's share of a split on one input — a batch
+// of one through the session's prefix walk — under a bare δ.
+func prefixOne(sess *core.Session, x *tensor.T, split int, delta float64) core.PrefixResult {
+	return sess.ClassifyPrefixBatchPolicy([]*tensor.T{x}, split, core.DeltaPolicy(delta))[0]
+}
+
+// settledStats returns the server's stats once they cover images served
+// images. A worker releases a batch's waiters before it charges the batch
+// to the metrics, so a snapshot taken right after the last response may
+// still be one micro-batch behind.
+func settledStats(t testing.TB, srv *Server, images int64) Stats {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		st := srv.Stats()
+		if st.Images >= images || time.Now().After(deadline) {
+			return st
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func blobData(n int, seed int64) []train.Sample {
 	rng := rand.New(rand.NewSource(seed))
 	centers := [][2]int{{3, 3}, {3, 8}, {8, 5}}

@@ -12,28 +12,33 @@ import (
 	"strconv"
 
 	"cdl/internal/core"
-	"cdl/internal/obs"
 )
 
-// SpanName renders a stage event as a span name using the graph's node
-// names: "stage:<node>#<i>" for a cascade stage forward (conv stage +
-// linear classifier + exit decision), "route:<node>-><branch>" for a
-// branch dispatch, "fc:<node>" for a final FC exit and "forced:<node>#<i>"
-// for a depth-cap exit. The set of names is bounded by the model's graph,
-// never by request content. Exported for the edge tier, which renders its
-// prefix and loopback walks with the same vocabulary so a cross-tier trace
-// reads uniformly.
-func SpanName(g *core.Graph, ev core.StageEvent) string {
+// SpanName is the one stage-event → span mapping: it renders the event as
+// a span name using the graph's node names — "stage:<node>#<i>" for a
+// cascade stage forward (conv stage + linear classifier + exit decision),
+// "route:<node>-><branch>" for a branch dispatch, "fc:<node>" for a final
+// FC exit and "forced:<node>#<i>" for a depth-cap exit — plus the span
+// detail: "batch=N" on a stage pass that N > 1 rows shared, so a trace
+// shows which stages amortized across neighbours. The set of names is
+// bounded by the model's graph, never by request content. Exported for the
+// edge tier, which renders its prefix and loopback walks with the same
+// vocabulary so a cross-tier trace reads uniformly.
+func SpanName(g *core.Graph, ev core.StageEvent) (name, detail string) {
 	node := nodeName(g, ev.Node)
+	if ev.Kind == core.StageRoute {
+		return "route:" + node + "->" + nodeName(g, ev.Branch), ""
+	}
+	if len(ev.Rows) > 1 {
+		detail = "batch=" + strconv.Itoa(len(ev.Rows))
+	}
 	switch ev.Kind {
-	case core.StageRoute:
-		return "route:" + node + "->" + nodeName(g, ev.Branch)
 	case core.StageFinal:
-		return "fc:" + node
+		return "fc:" + node, detail
 	case core.StageForced:
-		return "forced:" + node + "#" + strconv.Itoa(ev.Stage)
+		return "forced:" + node + "#" + strconv.Itoa(ev.Stage), detail
 	default:
-		return "stage:" + node + "#" + strconv.Itoa(ev.Stage)
+		return "stage:" + node + "#" + strconv.Itoa(ev.Stage), detail
 	}
 }
 
@@ -61,32 +66,18 @@ func anyTraced(group []*job) bool {
 
 // stageObserver returns the observer to install around one grouped batch
 // call: it fans each stage event out to the traces of the rows it covered
-// (all of them when the event predates compaction info, i.e. Rows is nil).
-// Batched stage spans note the batch width so a trace shows which stages
-// amortized across neighbours. The returned closure runs on the worker
-// goroutine only, and group's backing array is stable for the duration of
-// the call, so no locking beyond the traces' own is needed.
+// (every walk is batched, so Rows always names them). The returned closure
+// runs on the worker goroutine only, and group's backing array is stable
+// for the duration of the call, so no locking beyond the traces' own is
+// needed.
 func stageObserver(group []*job, g *core.Graph) func(core.StageEvent) {
 	return func(ev core.StageEvent) {
-		name := SpanName(g, ev)
-		detail := ""
-		if len(ev.Rows) > 1 && ev.Kind != core.StageRoute {
-			detail = "batch=" + strconv.Itoa(len(ev.Rows))
-		}
-		record := func(tr *obs.Trace) {
-			if tr != nil {
-				tr.Record(name, ev.Start, ev.End, detail)
-			}
-		}
-		if ev.Rows == nil {
-			for _, j := range group {
-				record(j.tr)
-			}
-			return
-		}
+		name, detail := SpanName(g, ev)
 		for _, row := range ev.Rows {
 			if row >= 0 && row < len(group) {
-				record(group[row].tr)
+				if tr := group[row].tr; tr != nil {
+					tr.Record(name, ev.Start, ev.End, detail)
+				}
 			}
 		}
 	}

@@ -53,7 +53,7 @@ const (
 )
 
 // resolve validates the wire policy against a model once, returning the
-// core policy the pool threads through to Session.ClassifyBatch and the
+// core policy the pool threads through to the Session walker and the
 // normalized detail level.
 func (p *PolicyRequest) resolve(m *Model) (core.ExitPolicy, string, *requestError) {
 	pol := core.DefaultExitPolicy()

@@ -39,8 +39,9 @@ type Config struct {
 	Loss nn.Loss
 	// Seed drives minibatch shuffling.
 	Seed int64
-	// Workers is the number of parallel gradient goroutines;
-	// 0 means GOMAXPROCS.
+	// Workers is the number of parallel gradient goroutines; 0 means
+	// GOMAXPROCS. It affects speed only: the result of SGD is bit-identical
+	// for every value.
 	Workers int
 	// Classes is the label width for one-hot targets.
 	Classes int
@@ -127,12 +128,15 @@ func SGD(net *nn.Network, data []Sample, cfg Config) (*Result, error) {
 		velocity[i] = tensor.New(p.W.Shape()...)
 	}
 
-	// Replica networks: share weights, own gradients and caches.
-	replicas := make([]*nn.Network, workers)
-	replicaParams := make([][]*nn.Param, workers)
-	for w := 0; w < workers; w++ {
-		replicas[w] = net.Clone()
-		replicaParams[w] = replicas[w].Params()
+	// One gradient slot per mini-batch position: a replica that shares the
+	// weights and owns its gradients and caches. Workers only decide which
+	// goroutine fills a slot, never what is summed with what, so the
+	// trained weights are bit-identical for every worker count.
+	slots := make([]*nn.Network, cfg.BatchSize)
+	slotParams := make([][]*nn.Param, cfg.BatchSize)
+	for i := range slots {
+		slots[i] = net.Clone()
+		slotParams[i] = slots[i].Params()
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -148,7 +152,7 @@ func SGD(net *nn.Network, data []Sample, cfg Config) (*Result, error) {
 
 	res := &Result{FinalLR: cfg.LearningRate}
 	lr := cfg.LearningRate
-	losses := make([]float64, workers)
+	losses := make([]float64, cfg.BatchSize)
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
@@ -166,30 +170,27 @@ func SGD(net *nn.Network, data []Sample, cfg Config) (*Result, error) {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
-					replica := replicas[w]
-					replica.ZeroGrad()
-					loss := 0.0
-					// Strided assignment keeps the partition deterministic.
 					for i := w; i < len(batch); i += workers {
 						s := data[batch[i]]
-						out := replica.Forward(s.X)
+						slot := slots[i]
+						slot.ZeroGrad()
+						out := slot.Forward(s.X)
 						target := targets[s.Label]
-						loss += cfg.Loss.Loss(out, target)
-						replica.Backward(cfg.Loss.Grad(out, target))
+						losses[i] = cfg.Loss.Loss(out, target)
+						slot.Backward(cfg.Loss.Grad(out, target))
 					}
-					losses[w] = loss
 				}(w)
 			}
 			wg.Wait()
 
-			// Deterministic ordered reduction of replica gradients, then a
-			// momentum SGD step on the shared weights.
+			// Reduce the per-sample gradients in batch order, then a momentum
+			// SGD step on the shared weights.
 			scale := 1.0 / float64(len(batch))
 			for pi, p := range params {
 				g := p.G
 				g.Zero()
-				for w := 0; w < workers; w++ {
-					g.Add(replicaParams[w][pi].G)
+				for i := range batch {
+					g.Add(slotParams[i][pi].G)
 				}
 				v := velocity[pi]
 				for i := range v.Data {
@@ -197,8 +198,8 @@ func SGD(net *nn.Network, data []Sample, cfg Config) (*Result, error) {
 					p.W.Data[i] += v.Data[i]
 				}
 			}
-			for w := 0; w < workers; w++ {
-				epochLoss += losses[w]
+			for i := range batch {
+				epochLoss += losses[i]
 			}
 		}
 

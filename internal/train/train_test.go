@@ -87,8 +87,8 @@ func TestSGDDeterministicSingleWorker(t *testing.T) {
 }
 
 func TestSGDParallelMatchesSerialLoss(t *testing.T) {
-	// Parallel workers change only float summation order; resulting accuracy
-	// must be equivalent on separable data.
+	// Parallel workers only share out the per-sample gradient slots; the
+	// run must learn separable data at any worker count.
 	data := blobs(120, 7)
 	for _, workers := range []int{1, 4} {
 		net := denseNet(8)
@@ -99,6 +99,49 @@ func TestSGDParallelMatchesSerialLoss(t *testing.T) {
 		}
 		if acc := Accuracy(net, data, 2); acc < 0.95 {
 			t.Errorf("workers=%d accuracy %.3f < 0.95", workers, acc)
+		}
+	}
+}
+
+// TestSGDWorkerCountInvariant pins the reduction order: gradients are
+// summed per sample in batch order, so the trained weights and the loss
+// trace are byte-equal for every worker count — including counts that do
+// not divide the batch, exceed it, or meet a short final batch. A conv net
+// is used so every layer kind's gradient takes part.
+func TestSGDWorkerCountInvariant(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	data := make([]Sample, 43) // 5 full batches of 8 and a short one
+	for i := range data {
+		x := tensor.New(1, 12, 12)
+		for j := range x.Data {
+			x.Data[j] = rng.Float64()
+		}
+		data[i] = Sample{X: x, Label: i % 2}
+	}
+	run := func(workers int) ([]*nn.Param, []float64) {
+		arch := nn.ArchTiny(rand.New(rand.NewSource(42)), 2)
+		cfg := Defaults(2)
+		cfg.Epochs = 3
+		cfg.BatchSize = 8
+		cfg.Workers = workers
+		res, err := SGD(arch.Net, data, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return arch.Net.Params(), res.EpochLoss
+	}
+	wantParams, wantLoss := run(1)
+	for _, workers := range []int{2, 3, 7, 16} {
+		params, loss := run(workers)
+		for i, p := range params {
+			if !tensor.Equal(p.W, wantParams[i].W) {
+				t.Errorf("workers=%d: param %s differs from workers=1", workers, p.Name)
+			}
+		}
+		for e := range wantLoss {
+			if loss[e] != wantLoss[e] {
+				t.Errorf("workers=%d: epoch %d loss %v, workers=1 has %v", workers, e, loss[e], wantLoss[e])
+			}
 		}
 	}
 }
