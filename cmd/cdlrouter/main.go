@@ -3,8 +3,7 @@
 // (model, input-hash) so identical inputs keep landing on the same
 // cache-warm replica, with bounded-load overflow to the next ring node;
 // backends are health-probed (/readyz) and load-weighted from their own
-// telemetry (/metricsz, or the cheaper /statsz?summary=1 with
-// -load-source statsz); hedged requests clip the tail (after the
+// telemetry (/metricsz); hedged requests clip the tail (after the
 // per-model p95 deadline a straggler's input is re-sent to a second
 // backend and the first answer wins); and PUT /v2/models/{name} at the
 // router performs a rolling fleet hot-swap, one backend at a time, on top
@@ -62,7 +61,6 @@ func main() {
 	hedge := flag.Bool("hedge", false, "enable hedged requests: re-send stragglers past the per-model p95 deadline to a second backend")
 	hedgeMin := flag.Duration("hedge-min", 0, "hedge deadline floor (0 = default 5ms)")
 	hedgeMax := flag.Duration("hedge-max", 0, "hedge deadline ceiling, also used before enough samples exist (0 = default 1s)")
-	loadSource := flag.String("load-source", "", `backend load telemetry: "metricsz" (parse the Prometheus exposition; default) or "statsz" (poll the compact /statsz?summary=1 JSON)`)
 	adminAddr := flag.String("admin-addr", "", "separate listen address for the admin/debug surface (pprof, expvar, fleet /alertz and /debug/flightz); empty = disabled")
 	flag.Parse()
 
@@ -71,14 +69,14 @@ func main() {
 		os.Exit(2)
 	}
 	if err := run(backends, *addr, *adminAddr, *probeInterval, *probeTimeout, *reqTimeout,
-		*replicas, *loadFactor, *hedge, *hedgeMin, *hedgeMax, *loadSource); err != nil {
+		*replicas, *loadFactor, *hedge, *hedgeMin, *hedgeMax); err != nil {
 		fmt.Fprintln(os.Stderr, "cdlrouter:", err)
 		os.Exit(1)
 	}
 }
 
 func run(backends []string, addr, adminAddr string, probeInterval, probeTimeout, reqTimeout time.Duration,
-	replicas int, loadFactor float64, hedge bool, hedgeMin, hedgeMax time.Duration, loadSource string) error {
+	replicas int, loadFactor float64, hedge bool, hedgeMin, hedgeMax time.Duration) error {
 	rt, err := fleet.New(fleet.Config{
 		Backends:       backends,
 		ProbeInterval:  probeInterval,
@@ -89,7 +87,6 @@ func run(backends []string, addr, adminAddr string, probeInterval, probeTimeout,
 		Hedge:          hedge,
 		HedgeMin:       hedgeMin,
 		HedgeMax:       hedgeMax,
-		LoadSource:     loadSource,
 	})
 	if err != nil {
 		return err

@@ -349,22 +349,29 @@ func TestEdgeServerBadRequests(t *testing.T) {
 	cases := []struct {
 		name string
 		req  serve.ClassifyRequest
+		want int
 	}{
-		{"empty", serve.ClassifyRequest{}},
-		{"wrong width", serve.ClassifyRequest{Image: []float64{1, 2}}},
-		{"both forms", serve.ClassifyRequest{Image: good, Images: [][]float64{good}}},
-		{"bad delta", serve.ClassifyRequest{Image: good, Delta: &bad}},
-		{"too many", serve.ClassifyRequest{Images: [][]float64{good, good, good}}},
+		{"empty", serve.ClassifyRequest{}, http.StatusBadRequest},
+		{"wrong width", serve.ClassifyRequest{Image: []float64{1, 2}}, http.StatusBadRequest},
+		{"both forms", serve.ClassifyRequest{Image: good, Images: [][]float64{good}}, http.StatusBadRequest},
+		{"bad delta", serve.ClassifyRequest{Image: good, Delta: &bad}, http.StatusBadRequest},
+		{"too many", serve.ClassifyRequest{Images: [][]float64{good, good, good}}, http.StatusBadRequest},
+		// 40 KB of pixels against a 2-image body bound of ~25 KB.
+		{"body over the bound", serve.ClassifyRequest{Image: make([]float64, 20000)}, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
+		before := edgeSrv.Stats().Invalid
 		body, _ := json.Marshal(tc.req)
 		resp, err := http.Post(ts.URL+"/v1/classify", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: HTTP %d, want 400", tc.name, resp.StatusCode)
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: HTTP %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+		if got := edgeSrv.Stats().Invalid; got != before+1 {
+			t.Errorf("%s: invalid counter %d -> %d, want +1", tc.name, before, got)
 		}
 	}
 	resp, err := http.Get(ts.URL + "/v1/classify")

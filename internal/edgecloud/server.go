@@ -1,7 +1,6 @@
 package edgecloud
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -56,12 +55,6 @@ type ServerConfig struct {
 	ControlInterval time.Duration
 	// ControlWindow is the sliding telemetry span. Default 5s.
 	ControlWindow time.Duration
-
-	// ReadHeaderTimeout/IdleTimeout/MaxHeaderBytes harden ListenAndServe
-	// exactly as in serve.Config. Defaults 5s / 60s / 64 KiB.
-	ReadHeaderTimeout time.Duration
-	IdleTimeout       time.Duration
-	MaxHeaderBytes    int
 }
 
 func (c ServerConfig) withDefaults() ServerConfig {
@@ -79,15 +72,6 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	}
 	if c.ControlWindow <= 0 {
 		c.ControlWindow = 5 * time.Second
-	}
-	if c.ReadHeaderTimeout == 0 {
-		c.ReadHeaderTimeout = 5 * time.Second
-	}
-	if c.IdleTimeout == 0 {
-		c.IdleTimeout = 60 * time.Second
-	}
-	if c.MaxHeaderBytes <= 0 {
-		c.MaxHeaderBytes = 64 << 10
 	}
 	return c
 }
@@ -542,31 +526,11 @@ func (s *Server) observeInvalid() {
 }
 
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
+	// The cloud tier's own ingress: same method check, body bound, strict
+	// decode, image and δ validation, same status codes and error text.
+	images, delta, ok := serve.DecodeClassify(w, r, s.inWidth, s.cfg.MaxRequestImages, s.model.Arch.Net.InShape)
+	if !ok {
 		s.observeInvalid()
-		serve.WriteError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	maxBody := int64(s.cfg.MaxRequestImages)*int64(s.inWidth)*32 + 4096
-	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
-	var req serve.ClassifyRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.observeInvalid()
-		serve.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return
-	}
-	images, err := req.NormalizeImages(s.inWidth, s.cfg.MaxRequestImages, s.model.Arch.Net.InShape)
-	if err != nil {
-		s.observeInvalid()
-		serve.WriteError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	delta, err := serve.ParseDeltaOverride(req.Delta)
-	if err != nil {
-		s.observeInvalid()
-		serve.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	// Requests without an explicit δ inherit the offload-split
@@ -574,8 +538,8 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	// an explicit δ always bypasses the controller, as on the cloud
 	// tier.
 	pol := core.ExitPolicy{Delta: s.edgeCfg.Delta, MaxExit: -1}
-	if req.Delta != nil {
-		pol.Delta = delta
+	if delta != nil {
+		pol.Delta = *delta
 	} else if p := s.controlled.Load(); p != nil {
 		pol.MaxExit = p.MaxExit
 	}
@@ -652,7 +616,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		}
 		s.window.ObserveBatch(samples)
 	}
-	s.observeFlight(tr, req.Delta != nil, results, elapsedMS)
+	s.observeFlight(tr, delta != nil, results, elapsedMS)
 
 	resp := serve.ClassifyResponse{Results: make([]serve.ClassifyResult, len(results)), Count: len(results)}
 	for i, res := range results {
@@ -815,10 +779,5 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 // server (serve.ListenHardened). The SLO control loop (when configured)
 // stops with the HTTP layer.
 func (s *Server) ListenAndServe(addr string, stop <-chan struct{}) error {
-	hard := serve.HTTPHardening{
-		ReadHeaderTimeout: s.cfg.ReadHeaderTimeout,
-		IdleTimeout:       s.cfg.IdleTimeout,
-		MaxHeaderBytes:    s.cfg.MaxHeaderBytes,
-	}
-	return serve.ListenHardened(addr, s.handler, stop, hard, s.Close)
+	return serve.ListenHardened(addr, s.handler, stop, s.Close)
 }

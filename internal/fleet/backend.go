@@ -14,7 +14,6 @@ import (
 
 	"cdl/internal/control"
 	"cdl/internal/obs"
-	"cdl/internal/serve"
 )
 
 // backend is the router's live view of one cdlserve process: identity,
@@ -96,19 +95,8 @@ func (b *backend) probedP95() float64 {
 	return math.Float64frombits(b.p95MS.Load())
 }
 
-// Load sources for Config.LoadSource.
-const (
-	// LoadFromMetricsz parses the backend's Prometheus /metricsz
-	// exposition (queue-depth gauges and the total-latency histogram).
-	LoadFromMetricsz = "metricsz"
-	// LoadFromStatsz polls GET /statsz?summary=1 — the compact JSON load
-	// summary internal/serve exports for exactly this purpose; much
-	// cheaper to produce and parse than a full scrape.
-	LoadFromStatsz = "statsz"
-)
-
 // probeOnce refreshes one backend: /readyz decides health, and (when the
-// backend is ready) the configured load source refreshes its weight. Probe
+// backend is ready) its /metricsz scrape refreshes its weight. Probe
 // failures never panic the loop; they mark the backend down and count.
 func (rt *Router) probeOnce(ctx context.Context, b *backend) {
 	ready := rt.probeReady(ctx, b)
@@ -173,23 +161,13 @@ func (rt *Router) probeReady(ctx context.Context, b *backend) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-// probeLoad reads the backend's load via the configured source.
-func (rt *Router) probeLoad(ctx context.Context, b *backend) (depth int64, frac, p95 float64, err error) {
+// probeLoad scrapes and parses the backend's Prometheus text exposition:
+// queue depth is the cdl_queue_depth sum across its models, occupancy
+// derives from the queue-capacity share, and p95 comes from the
+// cdl_total_latency_ms histogram with every model's series merged.
+func (rt *Router) probeLoad(ctx context.Context, b *backend) (int64, float64, float64, error) {
 	ctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
 	defer cancel()
-	switch rt.cfg.LoadSource {
-	case LoadFromStatsz:
-		return rt.loadFromStatsz(ctx, b)
-	default:
-		return rt.loadFromMetricsz(ctx, b)
-	}
-}
-
-// loadFromMetricsz scrapes and parses the backend's Prometheus text
-// exposition: queue depth is the cdl_queue_depth sum across its models,
-// occupancy derives from the queue-capacity share, and p95 comes from the
-// cdl_total_latency_ms histogram with every model's series merged.
-func (rt *Router) loadFromMetricsz(ctx context.Context, b *backend) (int64, float64, float64, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.url+"/metricsz", nil)
 	if err != nil {
 		return 0, 0, 0, err
@@ -225,31 +203,10 @@ func (rt *Router) loadFromMetricsz(ctx context.Context, b *backend) (int64, floa
 	return int64(depth), clamp01(frac), p95, nil
 }
 
-// queueFracWorkerScale scales queue depth into a rough occupancy when the
-// scrape source is /metricsz (which exports no queue capacity): a backlog
-// of this many jobs per worker counts as fully occupied.
+// queueFracWorkerScale scales queue depth into a rough occupancy
+// (/metricsz exports no queue capacity): a backlog of this many jobs per
+// worker counts as fully occupied.
 const queueFracWorkerScale = 64
-
-// loadFromStatsz polls the compact serve.LoadSummary.
-func (rt *Router) loadFromStatsz(ctx context.Context, b *backend) (int64, float64, float64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.url+"/statsz?summary=1", nil)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	resp, err := rt.probeClient.Do(req)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, 0, 0, fmt.Errorf("fleet: %s/statsz?summary=1: HTTP %d", b.url, resp.StatusCode)
-	}
-	var sum serve.LoadSummary
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxProbeBody)).Decode(&sum); err != nil {
-		return 0, 0, 0, err
-	}
-	return int64(sum.QueueDepth), clamp01(sum.QueueFrac), sum.P95TotalMS, nil
-}
 
 // maxProbeBody bounds what a probe will read from a backend: a hostile or
 // broken backend must not balloon the router.

@@ -59,19 +59,11 @@ type Config struct {
 	// Default 50.
 	HedgeMinSamples int64
 
-	// LoadSource selects the probe's load telemetry: LoadFromMetricsz
-	// (default; parses the Prometheus exposition) or LoadFromStatsz (the
-	// compact JSON summary).
-	LoadSource string
-
 	// MaxBodyBytes bounds an accepted request body. Default 32 MiB.
 	MaxBodyBytes int64
 	// MaxIdleConnsPerHost sizes the forwarding client's connection reuse
 	// per backend. Default 2×GOMAXPROCS.
 	MaxIdleConnsPerHost int
-
-	// Hardening carries the front-door listener limits (ListenAndServe).
-	Hardening serve.HTTPHardening
 }
 
 func (c Config) withDefaults() Config {
@@ -111,16 +103,12 @@ func (c Config) withDefaults() Config {
 	if c.HedgeMinSamples <= 0 {
 		c.HedgeMinSamples = 50
 	}
-	if c.LoadSource == "" {
-		c.LoadSource = LoadFromMetricsz
-	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 32 << 20
 	}
 	if c.MaxIdleConnsPerHost <= 0 {
 		c.MaxIdleConnsPerHost = 2 * runtime.GOMAXPROCS(0)
 	}
-	c.Hardening = c.Hardening.WithDefaults()
 	return c
 }
 
@@ -256,7 +244,7 @@ func (rt *Router) Close() {
 // ListenAndServe runs the router on addr until stop is closed, then shuts
 // down gracefully, reusing the serving tier's hardened listener.
 func (rt *Router) ListenAndServe(addr string, stop <-chan struct{}) error {
-	return serve.ListenHardened(addr, rt.handler, stop, rt.cfg.Hardening, rt.Close)
+	return serve.ListenHardened(addr, rt.handler, stop, rt.Close)
 }
 
 // route names label the per-model metrics.

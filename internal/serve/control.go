@@ -14,7 +14,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
@@ -340,10 +339,8 @@ type SLOResponse struct {
 }
 
 func (s *Server) handleSLOGet(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("model")
-	m, err := s.reg.Get(name)
-	if err != nil {
-		WriteError(w, http.StatusNotFound, fmt.Sprintf("unknown model %q (have: %s)", name, s.reg.names()))
+	m, ok := s.lookup(w, r.PathValue("model"))
+	if !ok {
 		return
 	}
 	resp := SLOResponse{Model: m.Name()}
@@ -354,18 +351,13 @@ func (s *Server) handleSLOGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSLOPut(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("model")
-	m, err := s.reg.Get(name)
-	if err != nil {
-		WriteError(w, http.StatusNotFound, fmt.Sprintf("unknown model %q (have: %s)", name, s.reg.names()))
+	m, ok := s.lookup(w, r.PathValue("model"))
+	if !ok {
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<16)
 	var slo control.SLO
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&slo); err != nil {
-		WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	if rerr := decodeBody(w, r, http.MethodPut, 1<<16, &slo); rerr != nil {
+		WriteError(w, rerr.status, rerr.msg)
 		return
 	}
 	if err := s.reg.SetSLO(m.Name(), slo); err != nil {
@@ -384,10 +376,8 @@ func (s *Server) handleSLOPut(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSLODelete(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("model")
-	m, err := s.reg.Get(name)
-	if err != nil {
-		WriteError(w, http.StatusNotFound, fmt.Sprintf("unknown model %q (have: %s)", name, s.reg.names()))
+	m, ok := s.lookup(w, r.PathValue("model"))
+	if !ok {
 		return
 	}
 	if !s.reg.ClearSLO(m.Name()) {

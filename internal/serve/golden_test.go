@@ -1,12 +1,15 @@
 package serve
 
-// golden_test.go pins the /v1 wire format byte-for-byte: the golden files
-// under testdata/ were generated against the pre-registry single-model
-// server, and every later redesign of the serving internals (the model
-// registry, the v2 surface, policy-aware dispatch) must keep /v1/classify
-// and /v1/resume responses bit-identical to them. Regenerate only on a
-// deliberate, documented wire change: go test ./internal/serve -run
-// TestV1GoldenCompat -update-golden
+// golden_test.go pins the inference wire format byte-for-byte. The
+// golden_v1_* files under testdata/ were generated against the
+// pre-registry single-model server, and every later redesign of the
+// serving internals (the model registry, the v2 surface, policy-aware
+// dispatch) must keep /v1/classify and /v1/resume responses bit-identical
+// to them. The golden_v2_* files were generated against the last tree with
+// four separate data handlers, and pin /v2 classify/resume across their
+// collapse onto handleInfer. Regenerate only on a deliberate, documented
+// wire change: go test ./internal/serve -run TestV1GoldenCompat
+// -update-golden
 
 import (
 	"bytes"
@@ -16,6 +19,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
 	"testing"
 
 	"cdl/internal/core"
@@ -23,17 +27,29 @@ import (
 	"cdl/internal/fixed"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite the /v1 golden response files")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the golden response files")
+
+// goldenVolatile matches the response fields that differ run to run (the
+// generated trace id and the wall-clock span and deadline stamps); they are
+// masked before comparing, so the goldens still pin their presence, order
+// and every span name and detail.
+var goldenVolatile = regexp.MustCompile(`"(trace_id|start_unix_ns|duration_ms|deadline_unix_ms)":("[^"]*"|[0-9.e+-]+)`)
+
+// goldenRequest is one pinned exchange: req POSTed to path must answer 200
+// with exactly the bytes of testdata/golden_<surface>_<name>.json.
+type goldenRequest struct {
+	surface string // "v1" or "v2"
+	name    string
+	path    string
+	req     any
+}
 
 // goldenRequests builds the deterministic request set: classify (single,
 // batch, δ-override) and resume (every payload the split-1 prefix defers
-// under a deep-exit δ). Everything derives from the seeded fixture, so the
+// under a deep-exit δ) on /v1, and single, shaped-policy trace, label-detail
+// and resume on /v2. Everything derives from the seeded fixture, so the
 // bodies are reproducible bit-for-bit.
-func goldenRequests(t *testing.T, cdln *core.CDLN) []struct {
-	name string
-	path string
-	req  any
-} {
+func goldenRequests(t testing.TB, cdln *core.CDLN) []goldenRequest {
 	t.Helper()
 	_, data := testCDLN(t, 91) // same seed as the caller's model
 	img := func(i int) []float64 { return data[i].X.Flatten().Data }
@@ -73,39 +89,44 @@ func goldenRequests(t *testing.T, cdln *core.CDLN) []struct {
 		t.Fatal("fixture degenerate: split-1 δ=0.9 prefix deferred nothing")
 	}
 
-	return []struct {
-		name string
-		path string
-		req  any
-	}{
-		{"classify_single", "/v1/classify", ClassifyRequest{Image: img(3)}},
-		{"classify_batch", "/v1/classify", ClassifyRequest{Images: batch}},
-		{"classify_delta", "/v1/classify", ClassifyRequest{Images: small, Delta: &delta}},
-		{"resume_batch", "/v1/resume", ResumeRequest{Payloads: payloads, Delta: &resumeDelta}},
+	// The trace row is a single image: one job runs on one worker in one
+	// micro-batch, so its span list is the same at every GOMAXPROCS. A δ no
+	// stage clears plus a depth cap makes the cap decide the exit.
+	capAt, strict := 1, 0.999
+	shaped := &PolicyRequest{Delta: &strict, MaxExit: &capAt, Detail: DetailTrace}
+	const v2Classify, v2Resume = "/v2/models/" + DefaultModelName + "/classify", "/v2/models/" + DefaultModelName + "/resume"
+	return []goldenRequest{
+		{"v1", "classify_single", "/v1/classify", ClassifyRequest{Image: img(3)}},
+		{"v1", "classify_batch", "/v1/classify", ClassifyRequest{Images: batch}},
+		{"v1", "classify_delta", "/v1/classify", ClassifyRequest{Images: small, Delta: &delta}},
+		{"v1", "resume_batch", "/v1/resume", ResumeRequest{Payloads: payloads, Delta: &resumeDelta}},
+		{"v2", "classify_single", v2Classify, V2ClassifyRequest{Image: img(3)}},
+		{"v2", "classify_policy_trace", v2Classify, V2ClassifyRequest{Image: img(5), Policy: shaped, TimeoutMS: 60_000}},
+		{"v2", "classify_label", v2Classify, V2ClassifyRequest{Images: small, Policy: &PolicyRequest{Detail: DetailLabel}}},
+		{"v2", "resume_batch", v2Resume, V2ResumeRequest{Payloads: payloads, Policy: &PolicyRequest{Delta: &resumeDelta}}},
 	}
 }
 
-// TestV1GoldenCompat asserts the exact response bytes of the /v1 surface
-// against the checked-in goldens (HTTP 200 and body, including the JSON
-// encoder's trailing newline).
+// TestV1GoldenCompat asserts the exact response bytes of the four
+// inference routes against the checked-in goldens (HTTP 200 and body,
+// including the JSON encoder's trailing newline). The /v1 subtests keep
+// their original names; the /v2 ones carry a v2_ prefix.
 func TestV1GoldenCompat(t *testing.T) {
 	cdln, _ := testCDLN(t, 91)
 	_, ts := startServer(t, cdln, Config{Workers: 2})
 
 	for _, tc := range goldenRequests(t, cdln) {
-		t.Run(tc.name, func(t *testing.T) {
-			var status int
-			var body []byte
-			switch req := tc.req.(type) {
-			case ClassifyRequest:
-				status, body = postClassify(t, ts.URL, req)
-			case ResumeRequest:
-				status, body = postResume(t, ts.URL, req)
-			}
+		name := tc.name
+		if tc.surface != "v1" {
+			name = tc.surface + "_" + tc.name
+		}
+		t.Run(name, func(t *testing.T) {
+			status, body := postJSON(t, ts.URL+tc.path, tc.req)
 			if status != http.StatusOK {
 				t.Fatalf("HTTP %d: %s", status, body)
 			}
-			golden := filepath.Join("testdata", "golden_v1_"+tc.name+".json")
+			body = goldenVolatile.ReplaceAll(body, []byte(`"$1":"MASKED"`))
+			golden := filepath.Join("testdata", "golden_"+tc.surface+"_"+tc.name+".json")
 			if *updateGolden {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
 					t.Fatal(err)
@@ -120,7 +141,7 @@ func TestV1GoldenCompat(t *testing.T) {
 				t.Fatalf("missing golden (run with -update-golden on a known-good tree): %v", err)
 			}
 			if !bytes.Equal(body, want) {
-				t.Fatalf("%s response diverged from the pre-registry golden:\ngot:  %s\nwant: %s",
+				t.Fatalf("%s response diverged from the golden:\ngot:  %s\nwant: %s",
 					tc.path, firstDiff(body, want), want)
 			}
 		})

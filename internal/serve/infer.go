@@ -1,0 +1,329 @@
+// infer.go is the one inference path. The four data routes — /v1/classify,
+// /v1/resume and their /v2/models/{model}/ counterparts — are one request:
+// inputs (images, or activations resumed from an edge tier), an exit policy
+// and a deadline. Each route contributes only its wire struct and the shim
+// that maps it onto inferRequest; everything after the shim runs once, in
+// handleInfer.
+package serve
+
+import (
+	"context"
+	"encoding/base64"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
+
+	"cdl/internal/core"
+	"cdl/internal/edgecloud/wire"
+	"cdl/internal/obs"
+	"cdl/internal/tensor"
+)
+
+// inferRequest is the request behind every data route.
+type inferRequest struct {
+	// The inputs, as the wire's single-or-batch pair (setting both stays a
+	// 400); handleInfer's resume argument says which family the route reads.
+	images   ClassifyRequest
+	payload  string
+	payloads []string
+	// policy nil inherits the entry's serve policy (the SLO controller's
+	// current rung, or the trained behaviour).
+	policy    *PolicyRequest
+	timeoutMS int
+	// v1 marks the default-model aliases: the policy was a bare "delta" (its
+	// errors carry no "policy: " path) and the response is the /v1 envelope.
+	v1 bool
+}
+
+// wireRequest is a route's wire struct; infer is its decode shim.
+type wireRequest interface{ infer() inferRequest }
+
+// deltaPolicy lifts /v1's bare δ onto the policy every route shares.
+func deltaPolicy(d *float64) *PolicyRequest {
+	if d == nil {
+		return nil
+	}
+	return &PolicyRequest{Delta: d}
+}
+
+func (q *ClassifyRequest) infer() inferRequest {
+	return inferRequest{v1: true, images: *q, policy: deltaPolicy(q.Delta)}
+}
+
+func (q *ResumeRequest) infer() inferRequest {
+	return inferRequest{v1: true, payload: q.Payload, payloads: q.Payloads, policy: deltaPolicy(q.Delta)}
+}
+
+func (q *V2ClassifyRequest) infer() inferRequest {
+	return inferRequest{images: ClassifyRequest{Image: q.Image, Images: q.Images}, policy: q.Policy, timeoutMS: q.TimeoutMS}
+}
+
+func (q *V2ResumeRequest) infer() inferRequest {
+	return inferRequest{payload: q.Payload, payloads: q.Payloads, policy: q.Policy, timeoutMS: q.TimeoutMS}
+}
+
+// bodyBound is the largest body a request of maxInputs inputs, each at most
+// perInput bytes on the wire, can legitimately have; the slack covers the
+// policy object and JSON framing. An image is bounded at 32 bytes a pixel
+// (any float64 rendering plus its separator).
+func bodyBound(maxInputs, perInput int) int64 {
+	return int64(maxInputs)*int64(perInput) + 16384
+}
+
+// decodeBody is the ingress check of every JSON body on both tiers: the
+// route's method only, one value with no unknown fields, at most maxBody
+// bytes (an input-count cap is useless if a client can make the decoder
+// buffer gigabytes first). An oversized body is 413, any other reject 400.
+func decodeBody(w http.ResponseWriter, r *http.Request, method string, maxBody int64, into any) *requestError {
+	if r.Method != method {
+		return &requestError{http.StatusMethodNotAllowed, method + " only"}
+	}
+	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(into); err != nil {
+		rerr := badRequest("bad request body: %v", err)
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			rerr.status = http.StatusRequestEntityTooLarge
+		}
+		return rerr
+	}
+	return nil
+}
+
+// DecodeClassify is the /v1/classify ingress for a tier that fronts one
+// fixed model outside a registry (the edge front in internal/edgecloud):
+// decodeBody, NormalizeImages and ParseDeltaOverride, exactly what
+// handleInfer runs, so both tiers accept and reject the same requests by
+// construction. On rejection it has written the error response and returns
+// ok=false. delta is nil when the client sent none.
+func DecodeClassify(w http.ResponseWriter, r *http.Request, inWidth, maxImages int, inShape []int) (images [][]float64, delta *float64, ok bool) {
+	var req ClassifyRequest
+	rerr := decodeBody(w, r, http.MethodPost, bodyBound(maxImages, inWidth*32), &req)
+	if rerr == nil {
+		images, err := req.NormalizeImages(inWidth, maxImages, inShape)
+		if err == nil {
+			_, err = ParseDeltaOverride(req.Delta)
+		}
+		if err == nil {
+			return images, req.Delta, true
+		}
+		rerr = badRequest("%v", err)
+	}
+	WriteError(w, rerr.status, rerr.msg)
+	return nil, nil, false
+}
+
+// oneOrMany resolves a wire struct's single/batch pair (noun / noun+"s")
+// against the per-request cap.
+func oneOrMany[T any](one T, hasOne bool, many []T, noun string, max int) ([]T, error) {
+	switch {
+	case hasOne && many != nil:
+		return nil, fmt.Errorf(`set "%s" or "%ss", not both`, noun, noun)
+	case hasOne:
+		many = []T{one}
+	case len(many) == 0:
+		return nil, fmt.Errorf(`missing "%s" or "%ss"`, noun, noun)
+	}
+	if len(many) > max {
+		return nil, fmt.Errorf("%d %ss exceed the per-request cap %d", len(many), noun, max)
+	}
+	return many, nil
+}
+
+// inputs validates the request's inputs against one model version and
+// prepares each as a job holding only its tensor and where on the routing
+// graph it enters: (0, 0) for a raw image, the decoded resume point for an
+// edge-offloaded activation. An activation carrying a trace ID (wire v3)
+// continues the edge tier's trace: tr adopts it unless the HTTP client
+// pinned one (AdoptID is a no-op then, and on a nil trace).
+func (q *inferRequest) inputs(m *Model, resume bool, max int, tr *obs.Trace) ([]*job, error) {
+	if !resume {
+		inShape := m.cdln.Arch.Net.InShape
+		images, err := q.images.NormalizeImages(m.inWidth, max, inShape)
+		if err != nil {
+			return nil, err
+		}
+		jobs := make([]*job, len(images))
+		for i, img := range images {
+			jobs[i] = &job{x: tensor.FromSlice(img, inShape...)}
+		}
+		return jobs, nil
+	}
+	payloads, err := oneOrMany(q.payload, q.payload != "", q.payloads, "payload", max)
+	if err != nil {
+		return nil, err
+	}
+	jobs := make([]*job, len(payloads))
+	for i, p := range payloads {
+		raw, err := base64.StdEncoding.DecodeString(p)
+		if err != nil {
+			return nil, fmt.Errorf("payload %d: bad base64 payload: %v", i, err)
+		}
+		act, err := wire.Decode(raw)
+		if err == nil {
+			err = m.graph.ValidateResume(act.Node, act.FromStage, act.Pos, act.Shape)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("payload %d: %v", i, err)
+		}
+		if act.TraceID != "" {
+			tr.AdoptID(act.TraceID)
+		}
+		jobs[i] = &job{x: tensor.FromSlice(act.Data, act.Shape...), node: act.Node, fromStage: act.FromStage}
+	}
+	return jobs, nil
+}
+
+// applyPolicy sets the request's shared policy on its prepared inputs. A
+// policy depth cap shallower than an input's resume depth (entry depth of
+// its node plus its resume stage; 0 for a raw image, which no cap
+// excludes) is unsatisfiable — those stages already ran on the edge tier:
+// an explicit policy is rejected, while an inherited one (the SLO
+// controller's current rung — the client never asked for a cap) is relaxed
+// to the deepest resume depth in the request, so controller actuation can
+// never 400 offloaded traffic.
+func applyPolicy(m *Model, jobs []*job, pol *core.ExitPolicy, inherited bool) *requestError {
+	maxFrom := 0
+	for _, j := range jobs {
+		if depth := m.graph.EntryDepth(j.node) + j.fromStage; depth > maxFrom {
+			maxFrom = depth
+		}
+	}
+	maxExit := m.graph.MaxDepth()
+	if pol.MaxExit >= 0 {
+		maxExit = pol.MaxExit
+	}
+	if maxFrom > maxExit {
+		if !inherited {
+			return badRequest("resume depth %d beyond the policy's max exit %d", maxFrom, maxExit)
+		}
+		relaxed := *pol
+		relaxed.MaxExit = maxFrom
+		pol = &relaxed
+	}
+	for _, j := range jobs {
+		j.pol = pol
+	}
+	return nil
+}
+
+// renderResults renders records at the requested detail level.
+func renderResults(m *Model, records []core.ExitRecord, detail string) []V2Result {
+	out := make([]V2Result, len(records))
+	baseOps := m.metrics.baselineOps
+	for i, rec := range records {
+		res := V2Result{
+			Label:      rec.Label,
+			Exit:       rec.StageName,
+			ExitIndex:  rec.StageIndex,
+			Node:       rec.Node,
+			Confidence: rec.Confidence,
+		}
+		if detail != DetailLabel {
+			res.Ops = rec.Ops
+			res.EnergyPJ = m.metrics.acc.ExitEnergy(rec.StageIndex)
+			if baseOps > 0 {
+				res.NormalizedOps = rec.Ops / baseOps
+			}
+		}
+		if detail == DetailTrace {
+			res.StageConfidences = rec.Trace
+		}
+		out[i] = res
+	}
+	return out
+}
+
+// v1 narrows the response to the /v1 envelope: detail level "cost" without
+// the model identity, its cost fields emitted even when zero.
+func (resp *V2ClassifyResponse) v1() ClassifyResponse {
+	out := ClassifyResponse{Results: make([]ClassifyResult, len(resp.Results)), Count: resp.Count, TraceID: resp.TraceID, Spans: resp.Spans}
+	for i, r := range resp.Results {
+		out.Results[i] = ClassifyResult{
+			Label: r.Label, Exit: r.Exit, ExitIndex: r.ExitIndex, Node: r.Node, Confidence: r.Confidence,
+			Ops: r.Ops, NormalizedOps: r.NormalizedOps, EnergyPJ: r.EnergyPJ,
+		}
+	}
+	return out
+}
+
+// handleInfer is the one data handler, mounted on all four routes. resume
+// says which input family the route reads (images or wire activations);
+// wire allocates the route's wire struct.
+func (s *Server) handleInfer(resume bool, wire func() wireRequest) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		name := r.PathValue("model") // "" on the /v1 aliases: the default entry
+		m0, ok := s.lookup(w, name)
+		if !ok {
+			return
+		}
+		perInput := m0.inWidth * 32
+		if resume {
+			// The model's widest lossless wire activation, base64-inflated.
+			perInput = base64.StdEncoding.EncodedLen(m0.maxResumeWire) + 4
+		}
+		body := wire()
+		rerr := decodeBody(w, r, http.MethodPost, bodyBound(s.cfg.MaxRequestImages, perInput), body)
+		var req inferRequest
+		var ctx context.Context
+		var cancel context.CancelFunc
+		if rerr == nil {
+			req = body.infer()
+			ctx, cancel, rerr = requestContext(r, req.timeoutMS)
+		}
+		if rerr != nil {
+			m0.metrics.observeInvalid()
+			WriteError(w, rerr.status, rerr.msg)
+			return
+		}
+		defer cancel()
+
+		detail := DetailCost
+		build := func(m *Model) ([]*job, *requestError) {
+			jobs, err := req.inputs(m, resume, s.cfg.MaxRequestImages, obs.FromContext(ctx))
+			if err != nil {
+				return nil, badRequest("%v", err)
+			}
+			// No explicit policy: inherit the entry's current serve policy
+			// (identity unless an SLO controller is actuating). A present
+			// policy — a /v1 "delta", or a /v2 "policy" object, even an
+			// empty one — is explicit: it pins the trained behaviour and
+			// the controller never overrides it.
+			pol, inherited := m.servePolicy(), true
+			if req.policy != nil {
+				explicit, d, err := req.policy.resolve(m)
+				if err != nil {
+					if !req.v1 {
+						err = fmt.Errorf("policy: %v", err)
+					}
+					return nil, badRequest("%v", err)
+				}
+				pol, inherited, detail = &explicit, false, d
+			}
+			return jobs, applyPolicy(m, jobs, pol, inherited)
+		}
+		m, records, ok := s.dispatch(w, ctx, name, build)
+		if !ok {
+			return
+		}
+		resp := V2ClassifyResponse{
+			Model: m.name, Version: m.version,
+			Results: renderResults(m, records, detail), Count: len(records),
+		}
+		if dl, ok := ctx.Deadline(); ok && detail == DetailTrace {
+			resp.DeadlineUnixMS = dl.UnixMilli()
+		}
+		resp.TraceID, resp.Spans = finishTrace(w, r, detail)
+		if req.v1 {
+			WriteJSON(w, http.StatusOK, resp.v1())
+		} else {
+			WriteJSON(w, http.StatusOK, resp)
+		}
+		if resume {
+			m.metrics.observeResume()
+		}
+	}
+}

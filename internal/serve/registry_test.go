@@ -139,15 +139,17 @@ func TestRegistryVersioning(t *testing.T) {
 }
 
 // m2Classify pushes one image through a Model's pool directly.
-func m2Classify(t testing.TB, m *Model, img []float64) ClassifyResult {
+func m2Classify(t testing.TB, m *Model, img []float64) V2Result {
 	t.Helper()
 	pol := core.DefaultExitPolicy()
-	b := newImageBatch(context.Background(), m, [][]float64{img}, &pol)
-	if err := m.pool.submit(context.Background(), b.jobs); err != nil {
+	var rec core.ExitRecord
+	var wg sync.WaitGroup
+	j := &job{x: tensor.FromSlice(img, m.cdln.Arch.Net.InShape...), pol: &pol, rec: &rec, wg: &wg}
+	if err := m.pool.submit(context.Background(), []*job{j}); err != nil {
 		t.Fatal(err)
 	}
-	b.wg.Wait()
-	return v1Results(m, b.records)[0]
+	wg.Wait()
+	return renderResults(m, []core.ExitRecord{rec}, DetailCost)[0]
 }
 
 // TestV2Endpoints covers the v2 metadata and dispatch surface end to end:

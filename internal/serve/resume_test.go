@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
+	"strings"
 	"testing"
 
 	"cdl/internal/core"
@@ -155,22 +156,35 @@ func TestResumeBadRequests(t *testing.T) {
 	cases := []struct {
 		name string
 		req  ResumeRequest
+		want int
 	}{
-		{"empty", ResumeRequest{}},
-		{"both forms", ResumeRequest{Payload: good, Payloads: []string{good}}},
-		{"bad base64", ResumeRequest{Payload: "!!!not-base64!!!"}},
-		{"not wire", ResumeRequest{Payload: base64.StdEncoding.EncodeToString([]byte("junk-bytes"))}},
-		{"stage too deep", ResumeRequest{Payload: reencode(func(a *wire.Activation) { a.FromStage = 9 })}},
-		{"wrong pos", ResumeRequest{Payload: reencode(func(a *wire.Activation) { a.Pos = 1 })}},
+		{"empty", ResumeRequest{}, http.StatusBadRequest},
+		{"both forms", ResumeRequest{Payload: good, Payloads: []string{good}}, http.StatusBadRequest},
+		{"bad base64", ResumeRequest{Payload: "!!!not-base64!!!"}, http.StatusBadRequest},
+		{"not wire", ResumeRequest{Payload: base64.StdEncoding.EncodeToString([]byte("junk-bytes"))}, http.StatusBadRequest},
+		{"stage too deep", ResumeRequest{Payload: reencode(func(a *wire.Activation) { a.FromStage = 9 })}, http.StatusBadRequest},
+		{"wrong pos", ResumeRequest{Payload: reencode(func(a *wire.Activation) { a.Pos = 1 })}, http.StatusBadRequest},
 		{"wrong shape", ResumeRequest{Payload: reencode(func(a *wire.Activation) {
 			a.Shape = []int{len(a.Data)}
-		})}},
-		{"out-of-range delta", ResumeRequest{Payload: good, Delta: &bad}},
-		{"too many payloads", ResumeRequest{Payloads: []string{good, good, good}}},
+		})}, http.StatusBadRequest},
+		{"out-of-range delta", ResumeRequest{Payload: good, Delta: &bad}, http.StatusBadRequest},
+		{"too many payloads", ResumeRequest{Payloads: []string{good, good, good}}, http.StatusBadRequest},
+		// Far past the 2-payload bound of the widest activation this model
+		// can receive: the byte limit trips before base64 is even looked at.
+		{"body over the bound", ResumeRequest{Payload: strings.Repeat("A", 64<<10)}, http.StatusRequestEntityTooLarge},
 	}
+	// Every row is posted in both wire forms: one handler, one verdict, one
+	// bump of the invalid counter each.
 	for _, tc := range cases {
-		if status, body := postResume(t, ts.URL, tc.req); status != http.StatusBadRequest {
-			t.Errorf("%s: HTTP %d (%s), want 400", tc.name, status, body)
+		v2 := V2ResumeRequest{Payload: tc.req.Payload, Payloads: tc.req.Payloads, Policy: deltaPolicy(tc.req.Delta)}
+		for path, req := range map[string]any{"/v1/resume": tc.req, "/v2/models/" + DefaultModelName + "/resume": v2} {
+			before := srv.Stats().Invalid
+			if status, body := postJSON(t, ts.URL+path, req); status != tc.want {
+				t.Errorf("%s %s: HTTP %d (%s), want %d", path, tc.name, status, body, tc.want)
+			}
+			if got := srv.Stats().Invalid; got != before+1 {
+				t.Errorf("%s %s: invalid counter %d -> %d, want +1", path, tc.name, before, got)
+			}
 		}
 	}
 

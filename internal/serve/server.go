@@ -43,7 +43,6 @@ package serve
 
 import (
 	"context"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -56,7 +55,6 @@ import (
 	"cdl/internal/core"
 	"cdl/internal/edgecloud/wire"
 	"cdl/internal/obs"
-	"cdl/internal/tensor"
 )
 
 // Config sizes the server (and every model pool in its registry).
@@ -86,17 +84,6 @@ type Config struct {
 	// ControlWindow is the sliding telemetry span the controller's
 	// latency/energy signals are computed over. Default 5s.
 	ControlWindow time.Duration
-
-	// ReadHeaderTimeout bounds how long ListenAndServe waits for a
-	// client's request headers — without it a slowloris client can pin
-	// connections forever on a server whose whole point is shedding load
-	// deliberately. Default 5s.
-	ReadHeaderTimeout time.Duration
-	// IdleTimeout closes keep-alive connections idle this long. Default
-	// 60s.
-	IdleTimeout time.Duration
-	// MaxHeaderBytes caps request header size. Default 64 KiB.
-	MaxHeaderBytes int
 }
 
 // withDefaults fills unset fields.
@@ -126,15 +113,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ControlWindow <= 0 {
 		c.ControlWindow = 5 * time.Second
-	}
-	if c.ReadHeaderTimeout == 0 {
-		c.ReadHeaderTimeout = 5 * time.Second
-	}
-	if c.IdleTimeout == 0 {
-		c.IdleTimeout = 60 * time.Second
-	}
-	if c.MaxHeaderBytes <= 0 {
-		c.MaxHeaderBytes = 64 << 10
 	}
 	return c
 }
@@ -202,14 +180,14 @@ func NewWithRegistry(reg *Registry) (*Server, error) {
 	}
 	s := &Server{cfg: reg.Config(), reg: reg, started: time.Now()}
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/v1/classify", s.handleClassify)
-	s.mux.HandleFunc("/v1/resume", s.handleResume)
+	s.mux.HandleFunc("/v1/classify", s.handleInfer(false, func() wireRequest { return new(ClassifyRequest) }))
+	s.mux.HandleFunc("/v1/resume", s.handleInfer(true, func() wireRequest { return new(ResumeRequest) }))
 	s.mux.HandleFunc("GET /v2/models", s.handleModelsList)
 	s.mux.HandleFunc("GET /v2/models/{model}", s.handleModelGet)
 	s.mux.HandleFunc("PUT /v2/models/{model}", s.handleModelPut)
 	s.mux.HandleFunc("PUT /v2/models/{model}/branches/{branch}", s.handleBranchPut)
-	s.mux.HandleFunc("POST /v2/models/{model}/classify", s.handleV2Classify)
-	s.mux.HandleFunc("POST /v2/models/{model}/resume", s.handleV2Resume)
+	s.mux.HandleFunc("POST /v2/models/{model}/classify", s.handleInfer(false, func() wireRequest { return new(V2ClassifyRequest) }))
+	s.mux.HandleFunc("POST /v2/models/{model}/resume", s.handleInfer(true, func() wireRequest { return new(V2ResumeRequest) }))
 	s.mux.HandleFunc("GET /v2/models/{model}/slo", s.handleSLOGet)
 	s.mux.HandleFunc("PUT /v2/models/{model}/slo", s.handleSLOPut)
 	s.mux.HandleFunc("DELETE /v2/models/{model}/slo", s.handleSLODelete)
@@ -267,47 +245,20 @@ func (s *Server) handleAlertz(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, s.reg.AlertReport())
 }
 
-// HTTPHardening bundles the slow-client listener limits shared by the
-// cloud server and the edge front (internal/edgecloud): a server built to
-// shed load deliberately must not let a slowloris client pin its
-// connections for free.
-type HTTPHardening struct {
-	// ReadHeaderTimeout bounds how long a client may take to send its
-	// request headers. Default 5s.
-	ReadHeaderTimeout time.Duration
-	// IdleTimeout closes keep-alive connections idle this long. Default
-	// 60s.
-	IdleTimeout time.Duration
-	// MaxHeaderBytes caps request header size. Default 64 KiB.
-	MaxHeaderBytes int
-}
-
-// WithDefaults fills unset fields.
-func (h HTTPHardening) WithDefaults() HTTPHardening {
-	if h.ReadHeaderTimeout == 0 {
-		h.ReadHeaderTimeout = 5 * time.Second
-	}
-	if h.IdleTimeout == 0 {
-		h.IdleTimeout = 60 * time.Second
-	}
-	if h.MaxHeaderBytes <= 0 {
-		h.MaxHeaderBytes = 64 << 10
-	}
-	return h
-}
-
-// ListenHardened runs handler on addr with the hardening limits until stop
-// is closed, then shuts down gracefully (drain HTTP, then run afterStop if
-// non-nil — the hook both tiers use to drain their worker pools). Body
-// reads are the handlers' responsibility (MaxBytesReader).
-func ListenHardened(addr string, handler http.Handler, stop <-chan struct{}, hard HTTPHardening, afterStop func()) error {
-	hard = hard.WithDefaults()
+// ListenHardened runs handler on addr until stop is closed, then shuts down
+// gracefully (drain HTTP, then run afterStop if non-nil — the hook every
+// tier uses to drain its worker pools). The cloud server, the edge front
+// and the fleet router all listen through it, under fixed slow-client
+// limits: a server built to shed load deliberately must not let a slowloris
+// client pin its connections for free. Bounding body reads is the handlers'
+// job (MaxBytesReader).
+func ListenHardened(addr string, handler http.Handler, stop <-chan struct{}, afterStop func()) error {
 	httpSrv := &http.Server{
 		Addr:              addr,
 		Handler:           handler,
-		ReadHeaderTimeout: hard.ReadHeaderTimeout,
-		IdleTimeout:       hard.IdleTimeout,
-		MaxHeaderBytes:    hard.MaxHeaderBytes,
+		ReadHeaderTimeout: 5 * time.Second,  // how long a client may take to send its headers
+		IdleTimeout:       60 * time.Second, // keep-alive connections idle this long are closed
+		MaxHeaderBytes:    64 << 10,
 	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
@@ -337,16 +288,10 @@ func ListenHardened(addr string, handler http.Handler, stop <-chan struct{}, har
 
 // ListenAndServe runs the server on addr until stop is closed, then shuts
 // down gracefully: stop accepting, wait for in-flight requests, drain the
-// pools. The listener is hardened against slow clients via the Config's
-// ReadHeaderTimeout/IdleTimeout/MaxHeaderBytes (body reads are already
-// bounded per handler with MaxBytesReader).
+// pools. The listener is hardened against slow clients (ListenHardened);
+// body reads are bounded by the handlers.
 func (s *Server) ListenAndServe(addr string, stop <-chan struct{}) error {
-	hard := HTTPHardening{
-		ReadHeaderTimeout: s.cfg.ReadHeaderTimeout,
-		IdleTimeout:       s.cfg.IdleTimeout,
-		MaxHeaderBytes:    s.cfg.MaxHeaderBytes,
-	}
-	return ListenHardened(addr, s.handler, stop, hard, s.Close)
+	return ListenHardened(addr, s.handler, stop, s.Close)
 }
 
 // ClassifyRequest is the /v1/classify payload: exactly one of Image (a
@@ -430,36 +375,6 @@ func badRequest(format string, args ...any) *requestError {
 	return &requestError{http.StatusBadRequest, fmt.Sprintf(format, args...)}
 }
 
-// jobBatch is one attempt's prepared work: jobs referencing records in
-// request order plus the WaitGroup the pool releases them through.
-type jobBatch struct {
-	jobs    []*job
-	records []core.ExitRecord
-	wg      *sync.WaitGroup
-}
-
-// newImageBatch fans a validated image set out into jobs under one shared
-// context and policy.
-func newImageBatch(ctx context.Context, m *Model, images [][]float64, pol *core.ExitPolicy) *jobBatch {
-	b := &jobBatch{
-		jobs:    make([]*job, len(images)),
-		records: make([]core.ExitRecord, len(images)),
-		wg:      &sync.WaitGroup{},
-	}
-	tr := obs.FromContext(ctx)
-	for i, img := range images {
-		b.jobs[i] = &job{
-			ctx: ctx,
-			x:   tensor.FromSlice(img, m.cdln.Arch.Net.InShape...),
-			pol: pol,
-			rec: &b.records[i],
-			wg:  b.wg,
-			tr:  tr,
-		}
-	}
-	return b
-}
-
 // maxDispatchAttempts bounds the hot-swap retry loop: each retry means a
 // swap landed between model resolution and submission, so more than a few
 // in one request means the registry is churning faster than it can serve —
@@ -481,42 +396,45 @@ func WriteShed(w http.ResponseWriter, msg string) {
 	WriteError(w, http.StatusServiceUnavailable, msg)
 }
 
-// dispatch resolves name, builds jobs via build, submits them and waits.
+// dispatch resolves name, prepares jobs via build, submits them and waits.
 // When a hot swap closes the resolved model's pool between resolution and
 // submission, it transparently retries against the successor version
 // (re-running build, so inputs are re-validated against the new model).
-// On success it returns the model that served the request and the filled
-// records; on failure it has already written the error response.
+// On success it returns the model that served the request and the records,
+// in job order; on failure it has already written the error response.
 //
-// build runs against a specific model version and returns the prepared
-// batch or a request-level rejection (counted on that model's invalid
-// counter).
-func (s *Server) dispatch(w http.ResponseWriter, ctx context.Context, name string, build func(m *Model) (*jobBatch, *requestError)) (*Model, []core.ExitRecord, bool) {
+// build runs against a specific model version and returns the request's
+// jobs (inputs and shared policy set; dispatch adds the context, trace,
+// records and WaitGroup) or a rejection, counted as invalid on that model.
+func (s *Server) dispatch(w http.ResponseWriter, ctx context.Context, name string, build func(m *Model) ([]*job, *requestError)) (*Model, []core.ExitRecord, bool) {
 	var m *Model
 	lastJobs := 1
+	tr := obs.FromContext(ctx)
 	for attempt := 0; attempt < maxDispatchAttempts; attempt++ {
-		var err error
-		m, err = s.reg.Get(name)
-		if err != nil {
-			WriteError(w, http.StatusNotFound,
-				fmt.Sprintf("unknown model %q (have: %s)", name, s.reg.names()))
+		var ok bool
+		if m, ok = s.lookup(w, name); !ok {
 			return nil, nil, false
 		}
-		b, rerr := build(m)
+		jobs, rerr := build(m)
 		if rerr != nil {
 			m.metrics.observeInvalid()
 			WriteError(w, rerr.status, rerr.msg)
 			return nil, nil, false
 		}
-		lastJobs = len(b.jobs)
+		records := make([]core.ExitRecord, len(jobs))
+		var wg sync.WaitGroup
+		for i, j := range jobs {
+			j.ctx, j.tr, j.rec, j.wg = ctx, tr, &records[i], &wg
+		}
+		lastJobs = len(jobs)
 		if attempt == 0 {
 			// Offered load (admitted or not) feeds the telemetry window
 			// once per request, whatever the dispatch outcome.
-			m.window.Arrivals(len(b.jobs))
+			m.window.Arrivals(len(jobs))
 		}
-		switch err := m.pool.submit(ctx, b.jobs); {
+		switch err := m.pool.submit(ctx, jobs); {
 		case err == nil:
-			b.wg.Wait()
+			wg.Wait()
 			if cerr := ctx.Err(); cerr != nil {
 				// The request died while queued or mid-batch; whatever
 				// subset was classified, the client is gone or out of time
@@ -530,11 +448,11 @@ func (s *Server) dispatch(w http.ResponseWriter, ctx context.Context, name strin
 				return nil, nil, false
 			}
 			m.metrics.observeRequest()
-			return m, b.records, true
+			return m, records, true
 		case errors.Is(err, ErrOverloaded):
 			m.metrics.observeRejected(shedQueueFull)
-			m.window.Sheds(len(b.jobs))
-			m.flightShed(ctx, "queue_full", len(b.jobs))
+			m.window.Sheds(len(jobs))
+			m.flightShed(ctx, "queue_full", len(jobs))
 			WriteShed(w, err.Error())
 			return nil, nil, false
 		case errors.Is(err, ErrClosed):
@@ -544,14 +462,14 @@ func (s *Server) dispatch(w http.ResponseWriter, ctx context.Context, name strin
 				continue
 			}
 			m.metrics.observeRejected(shedClosed)
-			m.window.Sheds(len(b.jobs))
-			m.flightShed(ctx, "closed", len(b.jobs))
+			m.window.Sheds(len(jobs))
+			m.flightShed(ctx, "closed", len(jobs))
 			WriteShed(w, err.Error())
 			return nil, nil, false
 		default:
 			// Context error at admission: nothing was enqueued.
 			m.metrics.observeCancelled()
-			m.flightShed(ctx, flightCause(err), len(b.jobs))
+			m.flightShed(ctx, flightCause(err), len(jobs))
 			if errors.Is(err, context.DeadlineExceeded) {
 				WriteError(w, http.StatusGatewayTimeout, fmt.Sprintf("request abandoned: %v", err))
 			} else {
@@ -567,91 +485,18 @@ func (s *Server) dispatch(w http.ResponseWriter, ctx context.Context, name strin
 	return nil, nil, false
 }
 
-// v1Results renders records into the /v1 (and v2 cost-detail) result rows.
-func v1Results(m *Model, records []core.ExitRecord) []ClassifyResult {
-	out := make([]ClassifyResult, len(records))
-	baseOps := m.metrics.baselineOps
-	for i, rec := range records {
-		res := ClassifyResult{
-			Label:      rec.Label,
-			Exit:       rec.StageName,
-			ExitIndex:  rec.StageIndex,
-			Node:       rec.Node,
-			Confidence: rec.Confidence,
-			Ops:        rec.Ops,
-			EnergyPJ:   m.metrics.acc.ExitEnergy(rec.StageIndex),
-		}
-		if baseOps > 0 {
-			res.NormalizedOps = rec.Ops / baseOps
-		}
-		out[i] = res
-	}
-	return out
-}
-
-func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
-	m0, err := s.reg.Get("")
-	if err != nil {
-		WriteError(w, http.StatusServiceUnavailable, "no models registered")
-		return
-	}
-	if r.Method != http.MethodPost {
-		m0.metrics.observeInvalid()
-		WriteJSON(w, http.StatusMethodNotAllowed, errorResponse{"POST only"})
-		return
-	}
-	// Bound the body before decoding: the per-request image cap is useless
-	// if a client can make the decoder buffer gigabytes first. ~32 bytes
-	// covers any float64 JSON rendering plus separators.
-	maxBody := int64(s.cfg.MaxRequestImages)*int64(m0.inWidth)*32 + 4096
-	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
-	var req ClassifyRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		m0.metrics.observeInvalid()
-		WriteJSON(w, http.StatusBadRequest, errorResponse{fmt.Sprintf("bad request body: %v", err)})
-		return
-	}
-	build := func(m *Model) (*jobBatch, *requestError) {
-		images, err := req.NormalizeImages(m.inWidth, s.cfg.MaxRequestImages, m.cdln.Arch.Net.InShape)
-		if err != nil {
-			return nil, badRequest("%s", err.Error())
-		}
-		delta, err := ParseDeltaOverride(req.Delta)
-		if err != nil {
-			return nil, badRequest("%s", err.Error())
-		}
-		if req.Delta == nil {
-			// No explicit δ: inherit the entry's current serve policy —
-			// identity unless an SLO controller is actuating. An explicit
-			// δ always wins (the controller never overrides a caller).
-			return newImageBatch(r.Context(), m, images, m.servePolicy()), nil
-		}
-		pol := core.ExitPolicy{Delta: delta, MaxExit: -1}
-		return newImageBatch(r.Context(), m, images, &pol), nil
-	}
-	m, records, ok := s.dispatch(w, r.Context(), "", build)
-	if !ok {
-		return
-	}
-	resp := ClassifyResponse{Results: v1Results(m, records), Count: len(records)}
-	resp.TraceID, resp.Spans = finishTrace(w, r)
-	WriteJSON(w, http.StatusOK, resp)
-}
-
 // finishTrace re-asserts the response trace header — the ID may have been
 // adopted from a resumed wire payload after the middleware first set it —
 // and returns the body detail (ID + span timeline) for clients that opted
-// in by sending X-Trace-Id themselves. Requests without the header keep
-// their exact pre-tracing bodies.
-func finishTrace(w http.ResponseWriter, r *http.Request) (string, []obs.Span) {
+// in, by sending X-Trace-Id themselves or by asking for detail level
+// "trace". Every other request keeps its exact pre-tracing body.
+func finishTrace(w http.ResponseWriter, r *http.Request, detail string) (string, []obs.Span) {
 	tr := obs.FromContext(r.Context())
 	if tr == nil {
 		return "", nil
 	}
 	w.Header().Set(obs.TraceHeader, tr.ID())
-	if !tr.Propagated() {
+	if !tr.Propagated() && detail != DetailTrace {
 		return "", nil
 	}
 	return tr.ID(), tr.Spans()
@@ -671,143 +516,6 @@ type ResumeRequest struct {
 	Delta    *float64 `json:"delta,omitempty"`
 }
 
-// normalizePayloads validates the single/batch forms against the
-// per-request cap.
-func (req *ResumeRequest) normalizePayloads(maxPayloads int) ([]string, *requestError) {
-	var payloads []string
-	switch {
-	case req.Payload != "" && req.Payloads != nil:
-		return nil, badRequest(`set "payload" or "payloads", not both`)
-	case req.Payload != "":
-		payloads = []string{req.Payload}
-	case len(req.Payloads) > 0:
-		payloads = req.Payloads
-	default:
-		return nil, badRequest(`missing "payload" or "payloads"`)
-	}
-	if len(payloads) > maxPayloads {
-		return nil, badRequest("%d payloads exceed the per-request cap %d", len(payloads), maxPayloads)
-	}
-	return payloads, nil
-}
-
-// resumeActivation decodes and validates one base64 wire payload against
-// the model's routing graph, returning the ready-to-submit tensor and the
-// decoded activation (resume point, and the trace ID a v3 payload carried
-// across the tier boundary).
-func (m *Model) resumeActivation(p string) (*tensor.T, *wire.Activation, error) {
-	raw, err := base64.StdEncoding.DecodeString(p)
-	if err != nil {
-		return nil, nil, fmt.Errorf("bad base64 payload: %v", err)
-	}
-	act, err := wire.Decode(raw)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := m.graph.ValidateResume(act.Node, act.FromStage, act.Pos, act.Shape); err != nil {
-		return nil, nil, err
-	}
-	return tensor.FromSlice(act.Data, act.Shape...), &act, nil
-}
-
-// newResumeBatch decodes and validates payloads against m and fans them
-// out into jobs under one shared context and policy. A policy depth cap
-// shallower than a payload's resume depth (entry depth of its node plus
-// its resume stage) is unsatisfiable — those stages already ran on the
-// edge tier: an explicit policy is rejected, while an inherited one (the
-// SLO controller's current rung — the client never asked for a cap) is
-// relaxed to the deepest resume depth in the request, so controller
-// actuation can never 400 offloaded traffic.
-func newResumeBatch(ctx context.Context, m *Model, payloads []string, pol *core.ExitPolicy, inherited bool) (*jobBatch, *requestError) {
-	b := &jobBatch{
-		jobs:    make([]*job, len(payloads)),
-		records: make([]core.ExitRecord, len(payloads)),
-		wg:      &sync.WaitGroup{},
-	}
-	tr := obs.FromContext(ctx)
-	maxFrom := 0
-	for i, p := range payloads {
-		x, act, err := m.resumeActivation(p)
-		if err != nil {
-			return nil, badRequest("payload %d: %v", i, err)
-		}
-		if act.TraceID != "" {
-			// Continue the trace the edge tier started: adopt its ID unless
-			// the HTTP client already pinned one (AdoptID is a no-op then,
-			// and on a nil trace).
-			tr.AdoptID(act.TraceID)
-		}
-		if depth := m.graph.EntryDepth(act.Node) + act.FromStage; depth > maxFrom {
-			maxFrom = depth
-		}
-		b.jobs[i] = &job{ctx: ctx, x: x, node: act.Node, fromStage: act.FromStage, rec: &b.records[i], wg: b.wg, tr: tr}
-	}
-	maxExit := m.graph.MaxDepth()
-	if pol.MaxExit >= 0 {
-		maxExit = pol.MaxExit
-	}
-	if maxFrom > maxExit {
-		if !inherited {
-			return nil, badRequest("resume depth %d beyond the policy's max exit %d", maxFrom, maxExit)
-		}
-		relaxed := *pol
-		relaxed.MaxExit = maxFrom
-		pol = &relaxed
-	}
-	for _, j := range b.jobs {
-		j.pol = pol
-	}
-	return b, nil
-}
-
-func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
-	m0, err := s.reg.Get("")
-	if err != nil {
-		WriteError(w, http.StatusServiceUnavailable, "no models registered")
-		return
-	}
-	if r.Method != http.MethodPost {
-		m0.metrics.observeInvalid()
-		WriteJSON(w, http.StatusMethodNotAllowed, errorResponse{"POST only"})
-		return
-	}
-	// Bound the body by the largest activation the model can legitimately
-	// receive (lossless encoding, base64-inflated) times the batch cap.
-	maxBody := int64(s.cfg.MaxRequestImages)*int64(base64.StdEncoding.EncodedLen(m0.maxResumeWire)+4) + 4096
-	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
-	var req ResumeRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		m0.metrics.observeInvalid()
-		WriteJSON(w, http.StatusBadRequest, errorResponse{fmt.Sprintf("bad request body: %v", err)})
-		return
-	}
-	build := func(m *Model) (*jobBatch, *requestError) {
-		payloads, rerr := req.normalizePayloads(s.cfg.MaxRequestImages)
-		if rerr != nil {
-			return nil, rerr
-		}
-		delta, err := ParseDeltaOverride(req.Delta)
-		if err != nil {
-			return nil, badRequest("%s", err.Error())
-		}
-		if req.Delta == nil {
-			return newResumeBatch(r.Context(), m, payloads, m.servePolicy(), true)
-		}
-		pol := core.ExitPolicy{Delta: delta, MaxExit: -1}
-		return newResumeBatch(r.Context(), m, payloads, &pol, false)
-	}
-	m, records, ok := s.dispatch(w, r.Context(), "", build)
-	if !ok {
-		return
-	}
-	resp := ClassifyResponse{Results: v1Results(m, records), Count: len(records)}
-	resp.TraceID, resp.Spans = finishTrace(w, r)
-	WriteJSON(w, http.StatusOK, resp)
-	m.metrics.observeResume()
-}
-
 // NormalizeImages validates the request's single/batch forms against the
 // model's input width and the per-request cap, returning the pixel slices.
 // Shared by the cloud server and the edge front, so both tiers accept and
@@ -817,19 +525,9 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 // disable the exit rule (NaN compares false against δ) — reject it here,
 // like ParseDeltaOverride does for δ.
 func (req *ClassifyRequest) NormalizeImages(inWidth, maxImages int, inShape []int) ([][]float64, error) {
-	var images [][]float64
-	switch {
-	case req.Image != nil && req.Images != nil:
-		return nil, errors.New(`set "image" or "images", not both`)
-	case req.Image != nil:
-		images = [][]float64{req.Image}
-	case len(req.Images) > 0:
-		images = req.Images
-	default:
-		return nil, errors.New(`missing "image" or "images"`)
-	}
-	if len(images) > maxImages {
-		return nil, fmt.Errorf("%d images exceed the per-request cap %d", len(images), maxImages)
+	images, err := oneOrMany(req.Image, req.Image != nil, req.Images, "image", maxImages)
+	if err != nil {
+		return nil, err
 	}
 	for i, img := range images {
 		if len(img) != inWidth {
@@ -905,38 +603,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("summary") == "1" {
-		WriteJSON(w, http.StatusOK, s.LoadSummary())
-		return
-	}
 	WriteJSON(w, http.StatusOK, s.Stats())
-}
-
-// LoadSummary assembles the compact load snapshot (/statsz?summary=1):
-// queue depth sums across entries, occupancy and p95 report the worst
-// entry — a fleet router steering by shed risk wants the hottest queue,
-// not the average.
-func (s *Server) LoadSummary() LoadSummary {
-	sum := LoadSummary{Ready: s.reg.Ready()}
-	queueCap := s.reg.Config().QueueDepth
-	for _, m := range s.reg.Models() {
-		sum.Models++
-		depth := m.pool.depth()
-		sum.QueueDepth += depth
-		if queueCap > 0 {
-			if frac := float64(depth) / float64(queueCap); frac > sum.QueueFrac {
-				sum.QueueFrac = frac
-			}
-		}
-		m.metrics.mu.Lock()
-		if p95 := m.metrics.totalLat.Quantile(0.95); p95 > sum.P95TotalMS {
-			sum.P95TotalMS = p95
-		}
-		sum.Requests += m.metrics.requests
-		sum.Rejected += m.metrics.rejected
-		m.metrics.mu.Unlock()
-	}
-	return sum
 }
 
 // WriteJSON writes v as a JSON response with the given status — the one
@@ -950,4 +617,15 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 // WriteError writes the shared {"error": msg} body.
 func WriteError(w http.ResponseWriter, status int, msg string) {
 	WriteJSON(w, status, errorResponse{msg})
+}
+
+// lookup resolves a route's {model} to its current version ("", as on the
+// /v1 aliases, is the default entry); for a name the registry does not hold
+// it has written the 404 and returns ok=false.
+func (s *Server) lookup(w http.ResponseWriter, name string) (m *Model, ok bool) {
+	m, err := s.reg.Get(name)
+	if err != nil {
+		WriteError(w, http.StatusNotFound, fmt.Sprintf("unknown model %q (have: %s)", name, s.reg.names()))
+	}
+	return m, err == nil
 }

@@ -198,6 +198,7 @@ func TestServerStatsz(t *testing.T) {
 	if status, body := postClassify(t, ts.URL, req); status != http.StatusOK {
 		t.Fatalf("HTTP %d: %s", status, body)
 	}
+	settledStats(t, srv, 50)
 
 	resp, err := http.Get(ts.URL + "/statsz")
 	if err != nil {
@@ -354,16 +355,29 @@ func TestServerBadRequests(t *testing.T) {
 	cases := []struct {
 		name string
 		req  ClassifyRequest
+		want int
 	}{
-		{"empty", ClassifyRequest{}},
-		{"wrong width", ClassifyRequest{Image: []float64{1, 2, 3}}},
-		{"both forms", ClassifyRequest{Image: good, Images: [][]float64{good}}},
-		{"delta range", ClassifyRequest{Image: good, Delta: &bad}},
-		{"too many images", ClassifyRequest{Images: [][]float64{good, good, good, good, good}}},
+		{"empty", ClassifyRequest{}, http.StatusBadRequest},
+		{"wrong width", ClassifyRequest{Image: []float64{1, 2, 3}}, http.StatusBadRequest},
+		{"both forms", ClassifyRequest{Image: good, Images: [][]float64{good}}, http.StatusBadRequest},
+		{"delta range", ClassifyRequest{Image: good, Delta: &bad}, http.StatusBadRequest},
+		{"too many images", ClassifyRequest{Images: [][]float64{good, good, good, good, good}}, http.StatusBadRequest},
+		// 40 KB of pixels against a 4-image bound of ~34 KB: the byte limit
+		// trips mid-decode, before the width check could see the image.
+		{"body over the bound", ClassifyRequest{Image: make([]float64, 20000)}, http.StatusRequestEntityTooLarge},
 	}
+	// Every row is posted in both wire forms: one handler, one verdict, one
+	// bump of the invalid counter each.
 	for _, tc := range cases {
-		if status, body := postClassify(t, ts.URL, tc.req); status != http.StatusBadRequest {
-			t.Errorf("%s: HTTP %d (%s), want 400", tc.name, status, body)
+		v2 := V2ClassifyRequest{Image: tc.req.Image, Images: tc.req.Images, Policy: deltaPolicy(tc.req.Delta)}
+		for path, req := range map[string]any{"/v1/classify": tc.req, "/v2/models/" + DefaultModelName + "/classify": v2} {
+			before := srv.Stats().Invalid
+			if status, body := postJSON(t, ts.URL+path, req); status != tc.want {
+				t.Errorf("%s %s: HTTP %d (%s), want %d", path, tc.name, status, body, tc.want)
+			}
+			if got := srv.Stats().Invalid; got != before+1 {
+				t.Errorf("%s %s: invalid counter %d -> %d, want +1", path, tc.name, before, got)
+			}
 		}
 	}
 

@@ -195,22 +195,6 @@ func SummarizeLatency(h *control.Histogram) LatencyStats {
 	}
 }
 
-// LoadSummary is the compact load snapshot behind GET /statsz?summary=1:
-// just the fields a fleet router needs to weight this backend — queue
-// pressure and tail latency — cheap enough to poll every few hundred
-// milliseconds without the cost of a full Stats snapshot or a /metricsz
-// scrape. Aggregated across every registry entry: depth sums, occupancy
-// and p95 take the worst model (the shed-risk signal).
-type LoadSummary struct {
-	Ready      bool    `json:"ready"`
-	Models     int     `json:"models"`
-	QueueDepth int     `json:"queue_depth"`
-	QueueFrac  float64 `json:"queue_frac"`
-	P95TotalMS float64 `json:"p95_total_ms"`
-	Requests   int64   `json:"requests"`
-	Rejected   int64   `json:"rejected"`
-}
-
 // Stats is the /statsz payload: a consistent snapshot of the counters.
 type Stats struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`

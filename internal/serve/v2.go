@@ -7,8 +7,6 @@ package serve
 
 import (
 	"context"
-	"encoding/base64"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -54,26 +52,24 @@ const (
 
 // resolve validates the wire policy against a model once, returning the
 // core policy the pool threads through to the Session walker and the
-// normalized detail level.
-func (p *PolicyRequest) resolve(m *Model) (core.ExitPolicy, string, *requestError) {
+// normalized detail level. Errors name the offending field relative to the
+// policy; the handler prefixes where the policy sits in the route's body.
+func (p *PolicyRequest) resolve(m *Model) (core.ExitPolicy, string, error) {
 	pol := core.DefaultExitPolicy()
 	detail := DetailCost
-	if p == nil {
-		return pol, detail, nil
-	}
 	delta, err := ParseDeltaOverride(p.Delta)
 	if err != nil {
-		return pol, "", badRequest("policy: %s", err.Error())
+		return pol, "", err
 	}
 	pol.Delta = delta
 	if p.StageDeltas != nil {
 		if len(p.StageDeltas) != len(m.cdln.Stages) {
-			return pol, "", badRequest("policy: %d stage deltas for %d stages", len(p.StageDeltas), len(m.cdln.Stages))
+			return pol, "", fmt.Errorf("%d stage deltas for %d stages", len(p.StageDeltas), len(m.cdln.Stages))
 		}
 		sd := make([]float64, len(p.StageDeltas))
 		for i, d := range p.StageDeltas {
 			if math.IsNaN(d) || math.IsInf(d, 0) || d > 1 {
-				return pol, "", badRequest("policy: stage %d delta %v must be negative (keep) or in [0,1]", i, d)
+				return pol, "", fmt.Errorf("stage %d delta %v must be negative (keep) or in [0,1]", i, d)
 			}
 			sd[i] = d
 		}
@@ -82,30 +78,28 @@ func (p *PolicyRequest) resolve(m *Model) (core.ExitPolicy, string, *requestErro
 	if p.MaxExit != nil {
 		me := *p.MaxExit
 		if me < 0 || me > m.graph.MaxDepth() {
-			return pol, "", badRequest("policy: max_exit %d outside [0,%d]", me, m.graph.MaxDepth())
+			return pol, "", fmt.Errorf("max_exit %d outside [0,%d]", me, m.graph.MaxDepth())
 		}
 		pol.MaxExit = me
 	}
 	if p.OpsBudget != nil {
 		me, err := m.graph.MaxExitForOps(*p.OpsBudget)
 		if err != nil {
-			return pol, "", badRequest("policy: %v", err)
+			return pol, "", err
 		}
 		if pol.MaxExit < 0 || me < pol.MaxExit {
 			pol.MaxExit = me
 		}
 	}
 	switch p.Detail {
-	case "", DetailCost:
-	case DetailLabel:
-		detail = DetailLabel
-	case DetailTrace:
-		detail = DetailTrace
-		pol.Trace = true
+	case "":
+	case DetailLabel, DetailCost, DetailTrace:
+		detail = p.Detail
 	default:
-		return pol, "", badRequest("policy: unknown detail %q (want %q, %q or %q)",
+		return pol, "", fmt.Errorf("unknown detail %q (want %q, %q or %q)",
 			p.Detail, DetailLabel, DetailCost, DetailTrace)
 	}
+	pol.Trace = detail == DetailTrace
 	// The field checks above are the full CDLN.ValidatePolicy contract
 	// phrased as per-field 400s (core/policy_test.go pins the core side);
 	// no second validation pass — one source of truth per rule.
@@ -168,47 +162,6 @@ type V2ClassifyResponse struct {
 	Spans   []obs.Span `json:"spans,omitempty"`
 }
 
-// v2Trace fills the response's trace fields: always when the client
-// propagated an ID (finishTrace), additionally at detail level "trace"
-// even without a client-sent header.
-func (resp *V2ClassifyResponse) v2Trace(w http.ResponseWriter, r *http.Request, detail string) {
-	resp.TraceID, resp.Spans = finishTrace(w, r)
-	if resp.TraceID != "" || detail != DetailTrace {
-		return
-	}
-	if tr := obs.FromContext(r.Context()); tr != nil {
-		resp.TraceID = tr.ID()
-		resp.Spans = tr.Spans()
-	}
-}
-
-// v2Results renders records at the requested detail level.
-func v2Results(m *Model, records []core.ExitRecord, detail string) []V2Result {
-	out := make([]V2Result, len(records))
-	baseOps := m.metrics.baselineOps
-	for i, rec := range records {
-		res := V2Result{
-			Label:      rec.Label,
-			Exit:       rec.StageName,
-			ExitIndex:  rec.StageIndex,
-			Node:       rec.Node,
-			Confidence: rec.Confidence,
-		}
-		if detail != DetailLabel {
-			res.Ops = rec.Ops
-			res.EnergyPJ = m.metrics.acc.ExitEnergy(rec.StageIndex)
-			if baseOps > 0 {
-				res.NormalizedOps = rec.Ops / baseOps
-			}
-		}
-		if detail == DetailTrace {
-			res.StageConfidences = rec.Trace
-		}
-		out[i] = res
-	}
-	return out
-}
-
 // MaxTimeoutMS caps the per-request timeout_ms at 10 minutes: a larger
 // value cannot mean anything on a path whose queue drains in seconds, so
 // it is almost certainly a unit confusion (seconds or nanoseconds pasted
@@ -231,129 +184,6 @@ func requestContext(r *http.Request, timeoutMS int) (context.Context, context.Ca
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), time.Duration(timeoutMS)*time.Millisecond)
 	return ctx, cancel, nil
-}
-
-func (s *Server) handleV2Classify(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("model")
-	m0, err := s.reg.Get(name)
-	if err != nil {
-		WriteError(w, http.StatusNotFound, fmt.Sprintf("unknown model %q (have: %s)", name, s.reg.names()))
-		return
-	}
-	maxBody := int64(s.cfg.MaxRequestImages)*int64(m0.inWidth)*32 + 16384
-	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
-	var req V2ClassifyRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		m0.metrics.observeInvalid()
-		WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return
-	}
-	ctx, cancel, rerr := requestContext(r, req.TimeoutMS)
-	if rerr != nil {
-		m0.metrics.observeInvalid()
-		WriteError(w, rerr.status, rerr.msg)
-		return
-	}
-	defer cancel()
-
-	detail := DetailCost
-	creq := ClassifyRequest{Image: req.Image, Images: req.Images}
-	build := func(m *Model) (*jobBatch, *requestError) {
-		images, err := creq.NormalizeImages(m.inWidth, s.cfg.MaxRequestImages, m.cdln.Arch.Net.InShape)
-		if err != nil {
-			return nil, badRequest("%s", err.Error())
-		}
-		if req.Policy == nil {
-			// No explicit policy: inherit the entry's current serve
-			// policy (identity unless an SLO controller is actuating). A
-			// present "policy" object — even an empty one — is explicit
-			// and pins the trained behaviour.
-			return newImageBatch(ctx, m, images, m.servePolicy()), nil
-		}
-		pol, d, rerr := req.Policy.resolve(m)
-		if rerr != nil {
-			return nil, rerr
-		}
-		detail = d
-		return newImageBatch(ctx, m, images, &pol), nil
-	}
-	m, records, ok := s.dispatch(w, ctx, name, build)
-	if !ok {
-		return
-	}
-	resp := V2ClassifyResponse{
-		Model: m.name, Version: m.version,
-		Results: v2Results(m, records, detail), Count: len(records),
-	}
-	if detail == DetailTrace {
-		if dl, ok := ctx.Deadline(); ok {
-			resp.DeadlineUnixMS = dl.UnixMilli()
-		}
-	}
-	resp.v2Trace(w, r, detail)
-	WriteJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleV2Resume(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("model")
-	m0, err := s.reg.Get(name)
-	if err != nil {
-		WriteError(w, http.StatusNotFound, fmt.Sprintf("unknown model %q (have: %s)", name, s.reg.names()))
-		return
-	}
-	maxBody := int64(s.cfg.MaxRequestImages)*int64(base64.StdEncoding.EncodedLen(m0.maxResumeWire)+4) + 16384
-	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
-	var req V2ResumeRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		m0.metrics.observeInvalid()
-		WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return
-	}
-	ctx, cancel, rerr := requestContext(r, req.TimeoutMS)
-	if rerr != nil {
-		m0.metrics.observeInvalid()
-		WriteError(w, rerr.status, rerr.msg)
-		return
-	}
-	defer cancel()
-
-	detail := DetailCost
-	rreq := ResumeRequest{Payload: req.Payload, Payloads: req.Payloads}
-	build := func(m *Model) (*jobBatch, *requestError) {
-		payloads, rerr := rreq.normalizePayloads(s.cfg.MaxRequestImages)
-		if rerr != nil {
-			return nil, rerr
-		}
-		if req.Policy == nil {
-			return newResumeBatch(ctx, m, payloads, m.servePolicy(), true)
-		}
-		pol, d, rerr := req.Policy.resolve(m)
-		if rerr != nil {
-			return nil, rerr
-		}
-		detail = d
-		return newResumeBatch(ctx, m, payloads, &pol, false)
-	}
-	m, records, ok := s.dispatch(w, ctx, name, build)
-	if !ok {
-		return
-	}
-	resp := V2ClassifyResponse{
-		Model: m.name, Version: m.version,
-		Results: v2Results(m, records, detail), Count: len(records),
-	}
-	if detail == DetailTrace {
-		if dl, ok := ctx.Deadline(); ok {
-			resp.DeadlineUnixMS = dl.UnixMilli()
-		}
-	}
-	resp.v2Trace(w, r, detail)
-	WriteJSON(w, http.StatusOK, resp)
-	m.metrics.observeResume()
 }
 
 // ModelInfo is one registry entry's metadata on GET /v2/models: identity,
@@ -462,10 +292,8 @@ func (s *Server) handleModelsList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleModelGet(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("model")
-	m, err := s.reg.Get(name)
-	if err != nil {
-		WriteError(w, http.StatusNotFound, fmt.Sprintf("unknown model %q (have: %s)", name, s.reg.names()))
+	m, ok := s.lookup(w, r.PathValue("model"))
+	if !ok {
 		return
 	}
 	WriteJSON(w, http.StatusOK, m.info(m.name == s.reg.DefaultName()))
@@ -498,12 +326,9 @@ func (s *Server) handleModelPut(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
 	var req V2PutModelRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	if rerr := decodeBody(w, r, http.MethodPut, 1<<20, &req); rerr != nil {
+		WriteError(w, rerr.status, rerr.msg)
 		return
 	}
 	if req.Path == "" {
@@ -556,16 +381,12 @@ func (s *Server) handleBranchPut(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if _, err := s.reg.Get(name); err != nil {
-		WriteError(w, http.StatusNotFound, fmt.Sprintf("unknown model %q (have: %s)", name, s.reg.names()))
+	if _, ok := s.lookup(w, name); !ok {
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
 	var req V2PutBranchRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	if rerr := decodeBody(w, r, http.MethodPut, 1<<20, &req); rerr != nil {
+		WriteError(w, rerr.status, rerr.msg)
 		return
 	}
 	if req.Path == "" {
