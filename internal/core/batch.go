@@ -79,23 +79,26 @@ func (s *Session) ResumeBatchPolicyAt(acts []*tensor.T, node, fromStage int, pol
 	if len(acts) == 0 {
 		return nil
 	}
+	want := g.Nodes[node].Model.Arch.Net.ShapeAt(pos)
 	for i, a := range acts {
-		if err := g.ValidateResume(node, fromStage, pos, a.Shape()); err != nil {
-			panic(fmt.Sprintf("core: ResumeBatch activation %d: %v", i, err))
+		if !a.HasShape(want) {
+			panic(fmt.Sprintf("core: ResumeBatch activation %d: %v", i, g.ValidateResume(node, fromStage, pos, a.Shape())))
 		}
 	}
 	recs := make([]ExitRecord, len(acts))
-	act, idx := s.stackBatchAt(node, acts, pos)
-	queue := []batchGroup{{node: node, from: fromStage, pos: pos, act: act, idx: idx}}
-	for len(queue) > 0 {
-		grp := queue[0]
-		queue = queue[1:]
+	act, idx := s.stackBatch(acts, want)
+	grp := batchGroup{node: node, from: fromStage, pos: pos, act: act, idx: idx}
+	var queue []batchGroup // routed groups, in dispatch order
+	for {
 		// The node's share of the path-depth cap: its FC when the cap lies
 		// beyond its stages, the forced exit at the capped stage otherwise.
 		to := min(capG-g.EntryDepth(grp.node), len(g.Nodes[grp.node].Model.Stages))
 		s.walk(grp, to, true, pol, recs, &queue)
+		if len(queue) == 0 {
+			return recs
+		}
+		grp, queue = queue[0], queue[1:]
 	}
-	return recs
 }
 
 // ClassifyPrefixBatchPolicy runs the first splitStage trunk cascade stages
@@ -129,7 +132,7 @@ func (s *Session) ClassifyPrefixBatchPolicy(xs []*tensor.T, splitStage int, pol 
 		to, forced = capG, true
 	}
 	recs := make([]ExitRecord, len(xs))
-	act, idx := s.stackBatchAt(0, xs, 0)
+	act, idx := s.stackBatch(xs, s.model.Arch.Net.InShape)
 	var routed []batchGroup
 	rest := s.walk(batchGroup{act: act, idx: idx}, to, forced, pol, recs, &routed)
 	results := make([]PrefixResult, len(xs))
@@ -167,16 +170,21 @@ func (s *Session) checkStageDeltas(pol ExitPolicy) {
 	}
 }
 
-// stackBatchAt copies the per-sample activations into one contiguous
-// batched tensor [B, ...] shaped for position pos of the node's baseline,
-// and returns it with the identity row→input index map.
-func (s *Session) stackBatchAt(node int, xs []*tensor.T, pos int) (*tensor.T, []int) {
-	sshape := s.graph.Nodes[node].Model.Arch.Net.ShapeAt(pos)
+// stackBatch copies the per-sample activations, each of shape sshape, into
+// one contiguous batched tensor [B, ...sshape] and returns it with the
+// identity row→input index map. Both live in session scratch, valid until
+// the next call on this session.
+func (s *Session) stackBatch(xs []*tensor.T, sshape []int) (*tensor.T, []int) {
 	ssz := 1
 	for _, d := range sshape {
 		ssz *= d
 	}
-	act := tensor.New(append([]int{len(xs)}, sshape...)...)
+	if cap(s.bstack) < len(xs)*ssz {
+		s.bstack = make([]float64, len(xs)*ssz)
+	}
+	shape := append(make([]int, 1, 8), sshape...) // constant cap: stays on the stack
+	shape[0] = len(xs)
+	act := tensor.FromSlice(s.bstack[:len(xs)*ssz], shape...)
 	for i, x := range xs {
 		if x.Numel() != ssz {
 			panic(fmt.Sprintf("core: batch input %d numel %d, want %d (shape %v)", i, x.Numel(), ssz, sshape))
@@ -318,7 +326,7 @@ func (s *Session) walk(grp batchGroup, to int, terminate bool, pol ExitPolicy, r
 		}
 		idx = idx[:w]
 		if 0 < w && w < nAct {
-			act = tensor.FromSlice(act.Data[:w*ssz], append([]int{w}, c.Arch.Net.ShapeAt(pos)...)...)
+			act = act.Head(w)
 		}
 	}
 	return batchGroup{node: node, pos: pos, act: act, idx: idx}

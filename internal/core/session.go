@@ -18,16 +18,22 @@ import (
 // the reference walk's floating-point operations in the reference order.
 // The graph walk only diverges where a Route actually fires.
 //
+// Scratch lifetime: every activation a call computes (stacked input,
+// nn.ForwardBatchRange results, scores) lives in replica-owned buffers,
+// valid until the next call on the session. Nothing a call returns aliases
+// them: every activation that outlives the walk is copied out first.
+//
 // A Session is not safe for concurrent use; create one per worker.
 type Session struct {
 	graph *Graph
 	model *CDLN // trunk replica, the entry cascade
 
 	// Walk scratch: one score-row buffer per exit point (rows[node][exit],
-	// the node's stages then its FC), the stacked-scores buffer and the
-	// active-row index map, the last two grown on demand and reused across
-	// calls.
+	// the node's stages then its FC), the stacked-input and stacked-scores
+	// buffers and the active-row index map, the last three grown on demand
+	// and reused across calls.
 	rows    [][]*tensor.T
+	bstack  []float64
 	bscores []float64
 	bidx    []int
 

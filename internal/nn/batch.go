@@ -15,6 +15,10 @@ package nn
 // A batched activation is a single tensor whose leading dimension is the
 // batch: [B, ...sample shape...], rows contiguous, so per-sample views and
 // survivor compaction (internal/core's Session walker) are cheap slices.
+//
+// The hot layers (the fused conv segment, Dense, Sigmoid) write into scratch
+// the layer owns, grown to the largest batch seen and never shared between
+// Clone replicas: a result is valid until the next call on the same replica.
 
 import (
 	"fmt"
@@ -28,7 +32,9 @@ import (
 // BatchLayer is the optional fast-path extension of Layer: ForwardBatch
 // maps a batched activation [B, ...in] to [B, ...out], reproducing Forward
 // exactly on every row. Layers that do not implement it still work in
-// batched pipelines via the per-sample fallback in ForwardBatchRange.
+// batched pipelines via the per-sample fallback in ForwardBatchRange. The
+// result may live in layer-owned scratch: it is valid until the next
+// ForwardBatch on the same layer value.
 type BatchLayer interface {
 	Layer
 	ForwardBatch(in *tensor.T) *tensor.T
@@ -44,7 +50,10 @@ func (n *Network) ForwardBatch(x *tensor.T) *tensor.T {
 // ForwardRange — the primitive internal/core's Session walker resumes the
 // baseline with between cascade taps — and uses each layer's ForwardBatch
 // when implemented, falling back to a per-sample loop otherwise, so the
-// fast path never constrains which layers a network may contain.
+// fast path never constrains which layers a network may contain. A
+// Conv2D → Sigmoid → MaxPool2D triple wholly inside [from, to) runs fused
+// (forwardBatchSigmoidPool); a range that cuts it runs per layer, same
+// floats. The result is valid until the next ForwardBatch* on this replica.
 func (n *Network) ForwardBatchRange(x *tensor.T, from, to int) *tensor.T {
 	if from < 0 || to > len(n.Layers) || from > to {
 		panic(fmt.Sprintf("nn: ForwardBatchRange[%d,%d) out of range [0,%d]", from, to, len(n.Layers)))
@@ -52,14 +61,32 @@ func (n *Network) ForwardBatchRange(x *tensor.T, from, to int) *tensor.T {
 	if x.Rank() < 1 {
 		panic("nn: ForwardBatchRange input has no batch dimension")
 	}
-	for _, l := range n.Layers[from:to] {
-		if bl, ok := l.(BatchLayer); ok {
+	ls := n.Layers[from:to]
+	for i := 0; i < len(ls); i++ {
+		if c, p := convSigmoidPool(ls[i:]); c != nil {
+			x = c.forwardBatchSigmoidPool(x, p)
+			i += 2
+		} else if bl, ok := ls[i].(BatchLayer); ok {
 			x = bl.ForwardBatch(x)
 		} else {
-			x = forwardBatchFallback(l, x)
+			x = forwardBatchFallback(ls[i], x)
 		}
 	}
 	return x
+}
+
+// convSigmoidPool returns the conv and pool of a leading Conv2D → Sigmoid →
+// MaxPool2D triple (every stage of the paper's architectures), else nils.
+func convSigmoidPool(ls []Layer) (*Conv2D, *MaxPool2D) {
+	if len(ls) < 3 {
+		return nil, nil
+	}
+	c, _ := ls[0].(*Conv2D)
+	p, _ := ls[2].(*MaxPool2D)
+	if _, ok := ls[1].(*Sigmoid); !ok || c == nil || p == nil {
+		return nil, nil
+	}
+	return c, p
 }
 
 // forwardBatchFallback runs a plain Layer sample by sample over the batch,
@@ -105,26 +132,23 @@ func growScratch(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// ForwardBatch implements BatchLayer: one im2col + one grouped GEMM for the
-// whole batch, then a scatter from the GEMM's [outC, B·oh·ow] layout into
-// the batched [B, outC, oh, ow] activation with the bias folded in. The
-// grouped accumulation (groupK = k·k) reproduces Forward's per-channel
-// summation order exactly.
-func (c *Conv2D) ForwardBatch(in *tensor.T) *tensor.T {
-	shape := in.Shape()
-	if len(shape) != 4 || shape[1] != c.inC {
-		panic(fmt.Sprintf("nn: %s batch input shape %v, want [B %d H W]", c.name, shape, c.inC))
+// lower is the one lowering behind Conv2D.ForwardBatch and the fused
+// segment: im2col + grouped GEMM of in ([B, inC, H, W]) into the layer's
+// scratch, leaving the [outC, B·oh·ow] product in c.bgemm, bias not yet
+// added. The grouped accumulation (groupK = k·k) reproduces Forward's
+// per-channel summation order exactly.
+func (c *Conv2D) lower(in *tensor.T) (bsz, oh, ow int) {
+	if in.Rank() != 4 || in.Dim(1) != c.inC {
+		panic(fmt.Sprintf("nn: %s batch input shape %v, want [B %d H W]", c.name, in.Shape(), c.inC))
 	}
-	bsz, h, w := shape[0], shape[2], shape[3]
-	oh, ow := h-c.k+1, w-c.k+1
+	bsz, h, w := in.Dim(0), in.Dim(2), in.Dim(3)
+	oh, ow = h-c.k+1, w-c.k+1
 	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("nn: %s kernel %d too large for input %v", c.name, c.k, shape))
+		panic(fmt.Sprintf("nn: %s kernel %d too large for input %v", c.name, c.k, in.Shape()))
 	}
-	out := tensor.New(bsz, c.outC, oh, ow)
 	kk := c.k * c.k
 	kcols := c.inC * kk
-	planeOut := oh * ow
-	ncols := bsz * planeOut
+	ncols := bsz * oh * ow
 	c.bcols = growScratch(c.bcols, kcols*ncols)
 	c.bgemm = growScratch(c.bgemm, c.outC*ncols)
 	if obs.ProfilingEnabled() {
@@ -139,6 +163,17 @@ func (c *Conv2D) ForwardBatch(in *tensor.T) *tensor.T {
 		im2colInto(in.Data, bsz, c.inC, h, w, c.k, c.bcols)
 		gemmGrouped(c.weight.W.Data, c.outC, kcols, c.bcols, ncols, c.bgemm, kk)
 	}
+	return bsz, oh, ow
+}
+
+// ForwardBatch implements BatchLayer: one lowering for the whole batch,
+// then a scatter from the GEMM's [outC, B·oh·ow] layout into the batched
+// [B, outC, oh, ow] activation with the bias folded in.
+func (c *Conv2D) ForwardBatch(in *tensor.T) *tensor.T {
+	bsz, oh, ow := c.lower(in)
+	out := tensor.New(bsz, c.outC, oh, ow)
+	planeOut := oh * ow
+	ncols := bsz * planeOut
 	for oc := 0; oc < c.outC; oc++ {
 		b := c.bias.W.Data[oc]
 		grow := c.bgemm[oc*ncols : (oc+1)*ncols]
@@ -153,19 +188,76 @@ func (c *Conv2D) ForwardBatch(in *tensor.T) *tensor.T {
 	return out
 }
 
+// nearTie is the fused segment's guard band around a pooling window's max.
+const nearTie = 1e-12
+
+// forwardBatchSigmoidPool is the fused Conv2D → Sigmoid → MaxPool2D
+// segment: one lowering, then one pass over the GEMM output writing the
+// pooled [B, outC, oh/win, ow/win] activation into the layer's scratch.
+// fl(g+b) and σ are monotone, so maxpool(σ(conv+b)) = σ(max(conv)+b): one
+// math.Exp per pooled element, not one per conv output. No libm documents
+// that the COMPUTED σ is monotone, so every element within nearTie of the
+// max is evaluated too: inside the band that is the reference computation,
+// outside it exp moves by thousands of ulps (DESIGN.md §2).
+func (c *Conv2D) forwardBatchSigmoidPool(in *tensor.T, p *MaxPool2D) *tensor.T {
+	bsz, oh, ow := c.lower(in)
+	ph, pw := oh/p.win, ow/p.win
+	if ph <= 0 || pw <= 0 {
+		panic(fmt.Sprintf("nn: %s window %d too large for %s output [%d %d]", p.name, p.win, c.name, oh, ow))
+	}
+	plane, pplane := oh*ow, ph*pw
+	c.bpool = growScratch(c.bpool, bsz*c.outC*pplane)
+	for oc := 0; oc < c.outC; oc++ {
+		b := c.bias.W.Data[oc]
+		for bi := 0; bi < bsz; bi++ {
+			src := c.bgemm[(oc*bsz+bi)*plane:][:plane]
+			dst := c.bpool[(bi*c.outC+oc)*pplane:][:pplane]
+			poolSigmoid(dst, src, ow, pw, p.win, b, sigmoid)
+		}
+	}
+	return tensor.FromSlice(c.bpool, bsz, c.outC, ph, pw)
+}
+
+// poolSigmoid fills one pooled plane dst (rows of pw) from one conv output
+// plane src (rows of ow, bias not added): the window max in MaxPool2D's
+// scan order with its `>`, act(max+bias), then the near-tie guard. act is
+// a parameter so a test can bend σ and show the guard carries the equality.
+func poolSigmoid(dst, src []float64, ow, pw, win int, bias float64, act func(float64) float64) {
+	for o := range dst {
+		base := (o/pw)*win*ow + (o%pw)*win
+		best := src[base]
+		for dy := 0; dy < win; dy++ {
+			for _, v := range src[base+dy*ow:][:win] {
+				if v > best {
+					best = v
+				}
+			}
+		}
+		y := act(best + bias)
+		for dy := 0; dy < win; dy++ {
+			for _, v := range src[base+dy*ow:][:win] {
+				if v != best && best-v <= nearTie {
+					y = max(y, act(v+bias))
+				}
+			}
+		}
+		dst[o] = y
+	}
+}
+
 // ForwardBatch implements BatchLayer: per-row W·x + b with the same running
 // dot order as MatVecInto, the bias added after the dot as in Forward.
 func (d *Dense) ForwardBatch(in *tensor.T) *tensor.T {
-	bsz, _ := batchDims(in)
+	bsz := in.Dim(0)
 	ssz := sampleSize(in, bsz)
 	if ssz != d.in {
 		panic(fmt.Sprintf("nn: %s batch sample numel %d, want %d", d.name, ssz, d.in))
 	}
-	out := tensor.New(bsz, d.out)
+	d.bout = growScratch(d.bout, bsz*d.out)
 	wd, bd := d.weight.W.Data, d.bias.W.Data
 	for bi := 0; bi < bsz; bi++ {
 		x := in.Data[bi*ssz : (bi+1)*ssz]
-		y := out.Data[bi*d.out : (bi+1)*d.out]
+		y := d.bout[bi*d.out : (bi+1)*d.out]
 		for o := 0; o < d.out; o++ {
 			row := wd[o*d.in : (o+1)*d.in][:len(x)]
 			s := 0.0
@@ -175,18 +267,26 @@ func (d *Dense) ForwardBatch(in *tensor.T) *tensor.T {
 			y[o] = s + bd[o]
 		}
 	}
-	return out
+	return tensor.FromSlice(d.bout, bsz, d.out)
 }
 
 // ForwardBatch implements BatchLayer: a flat reshape to [B, n].
 func (f *Flatten) ForwardBatch(in *tensor.T) *tensor.T {
-	bsz, _ := batchDims(in)
+	bsz := in.Dim(0)
 	return in.Reshape(bsz, sampleSize(in, bsz))
 }
 
 // ForwardBatch implements BatchLayer: element-wise, so batching is the
-// identity transformation on the math.
-func (s *Sigmoid) ForwardBatch(in *tensor.T) *tensor.T { return in.Map(sigmoid) }
+// identity transformation on the math. in is left untouched.
+func (s *Sigmoid) ForwardBatch(in *tensor.T) *tensor.T {
+	s.bout = growScratch(s.bout, in.Numel())
+	for i, v := range in.Data {
+		s.bout[i] = sigmoid(v)
+	}
+	out := *in // in's shape over the layer's own data
+	out.Data = s.bout
+	return &out
+}
 
 // ForwardBatch implements BatchLayer.
 func (t *Tanh) ForwardBatch(in *tensor.T) *tensor.T { return in.Map(math.Tanh) }

@@ -17,7 +17,8 @@ type Dense struct {
 	weight *Param // [out, in]
 	bias   *Param // [out]
 
-	x *tensor.T // cached input
+	x    *tensor.T // cached input
+	bout []float64 // ForwardBatch output scratch, replica-owned (batch.go)
 }
 
 // NewDense constructs a dense layer with zeroed weights; call an

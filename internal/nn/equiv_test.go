@@ -303,3 +303,75 @@ func TestIm2Col(t *testing.T) {
 		}
 	}
 }
+
+// fusedNets are the networks the fused Conv→Sigmoid→MaxPool sweep runs:
+// the three presets (Arch8 includes P3's win=1 window) plus a 13→6 pool
+// whose trailing row and column fill no window.
+func fusedNets() map[string]*Network {
+	odd := NewNetwork([]int{2, 15, 15},
+		NewConv2D("C1", 2, 3, 3),
+		NewSigmoid("C1.act"),
+		NewMaxPool2D("P1", 2),
+	)
+	InitNetwork(odd, rand.New(rand.NewSource(9)))
+	return map[string]*Network{
+		"arch6":     Arch6Layer(rand.New(rand.NewSource(1))).Net,
+		"arch8":     Arch8Layer(rand.New(rand.NewSource(2))).Net,
+		"tiny":      ArchTiny(rand.New(rand.NewSource(3)), 4).Net,
+		"pool13to6": odd,
+	}
+}
+
+// assertBitsEqual demands bitwise equality of two activations (so ±0 and
+// NaN payloads count), shape included.
+func assertBitsEqual(t *testing.T, label string, got, want *tensor.T) {
+	t.Helper()
+	if !got.SameShape(want) {
+		t.Fatalf("%s: shape %v, want %v", label, got.Shape(), want.Shape())
+	}
+	for i, w := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(w) {
+			t.Fatalf("%s: element %d = %v (%#x), want %v (%#x)", label, i,
+				got.Data[i], math.Float64bits(got.Data[i]), w, math.Float64bits(w))
+		}
+	}
+}
+
+// TestForwardBatchFusedSegment sweeps the fused segment over every preset
+// and the non-divisible pool at batch sizes around the tile and scratch
+// boundaries: the whole network must equal the per-sample reference, and
+// every triple run fused — ForwardBatchRange(x, t, t+3) — must equal the
+// same three layers run one by one and run as (conv+σ) then pool, the two
+// ways a range can cut the triple, bit for bit.
+func TestForwardBatchFusedSegment(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	for name, net := range fusedNets() {
+		triples := 0
+		for _, bsz := range []int{1, 2, 31, 32, 33} {
+			xs := make([]*tensor.T, bsz)
+			for i := range xs {
+				xs[i] = randTensor(rng, net.InShape...)
+			}
+			got := net.ForwardBatch(stack(xs))
+			for bi, x := range xs {
+				assertRowsEqual(t, name, bi, got, net.Forward(x))
+			}
+			for from := 0; from+3 <= len(net.Layers); from++ {
+				if c, _ := convSigmoidPool(net.Layers[from:]); c == nil {
+					continue
+				}
+				triples++
+				x := net.ForwardBatchRange(stack(xs), 0, from).Clone()
+				// Results live in layer scratch: clone before the next run.
+				fused := net.ForwardBatchRange(x, from, from+3).Clone()
+				byLayer := net.ForwardBatchRange(net.ForwardBatchRange(net.ForwardBatchRange(x, from, from+1), from+1, from+2), from+2, from+3)
+				assertBitsEqual(t, name+" fused vs 1+1+1", fused, byLayer)
+				cut := net.ForwardBatchRange(net.ForwardBatchRange(x, from, from+2), from+2, from+3)
+				assertBitsEqual(t, name+" fused vs 2+1", fused, cut)
+			}
+		}
+		if triples == 0 {
+			t.Fatalf("%s: no Conv→Sigmoid→MaxPool triple found; the sweep tested nothing", name)
+		}
+	}
+}

@@ -83,10 +83,12 @@ func gemmGrouped(a []float64, m, k int, b []float64, n int, c []float64, groupK 
 			hi = n
 		}
 		wg.Add(1)
-		go func(lo, hi int) {
+		// groupK is an argument: captured, the reassigned parameter would
+		// move to the heap on every call, serial ones included.
+		go func(lo, hi, groupK int) {
 			defer wg.Done()
 			gemmTiles(a, m, k, b, n, c, groupK, lo, hi)
-		}(lo, hi)
+		}(lo, hi, groupK)
 	}
 	wg.Wait()
 }

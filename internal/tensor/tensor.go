@@ -30,13 +30,7 @@ type T struct {
 // New returns a zero-filled tensor with the given shape. It panics if any
 // dimension is negative or if the element count overflows int.
 func New(shape ...int) *T {
-	n := checkedNumel(shape)
-	t := &T{
-		shape:   append([]int(nil), shape...),
-		strides: rowMajorStrides(shape),
-		Data:    make([]float64, n),
-	}
-	return t
+	return view(make([]float64, checkedNumel(shape)), shape)
 }
 
 // FromSlice wraps data in a tensor of the given shape. The slice is used
@@ -44,13 +38,32 @@ func New(shape ...int) *T {
 func FromSlice(data []float64, shape ...int) *T {
 	n := checkedNumel(shape)
 	if len(data) != n {
-		panic(fmt.Sprintf("tensor: FromSlice data length %d != shape %v numel %d", len(data), shape, n))
+		panic(fmt.Sprintf("tensor: FromSlice data length %d != shape %v numel %d", len(data), append([]int(nil), shape...), n))
 	}
-	return &T{
-		shape:   append([]int(nil), shape...),
-		strides: rowMajorStrides(shape),
-		Data:    data,
+	return view(data, shape)
+}
+
+// header is a T whose shape and strides, up to rank 4 (every activation in
+// this repo), live in the same allocation as the T itself: a view over
+// existing data costs one object, which is what keeps the batched walk's
+// per-call allocations to a handful of headers.
+type header struct {
+	T
+	dims [8]int
+}
+
+// view builds a tensor over data with a private copy of shape.
+func view(data []float64, shape []int) *T {
+	r := len(shape)
+	h := &header{}
+	dims := h.dims[:]
+	if 2*r > len(dims) {
+		dims = make([]int, 2*r)
 	}
+	h.shape, h.strides, h.Data = dims[:r:r], dims[r:2*r], data
+	copy(h.shape, shape)
+	setStrides(h.strides, h.shape)
+	return &h.T
 }
 
 // Scalar returns a rank-0-like 1-element tensor holding v.
@@ -63,25 +76,26 @@ func Scalar(v float64) *T {
 func checkedNumel(shape []int) int {
 	n := 1
 	for _, d := range shape {
+		// The panics format a copy so that shape itself never escapes:
+		// callers' variadic shape arguments stay on their stacks.
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension in shape %v", shape))
+			panic(fmt.Sprintf("tensor: negative dimension in shape %v", append([]int(nil), shape...)))
 		}
 		if d != 0 && n > math.MaxInt/d {
-			panic(fmt.Sprintf("tensor: shape %v overflows", shape))
+			panic(fmt.Sprintf("tensor: shape %v overflows", append([]int(nil), shape...)))
 		}
 		n *= d
 	}
 	return n
 }
 
-func rowMajorStrides(shape []int) []int {
-	s := make([]int, len(shape))
+// setStrides fills s with the row-major strides of shape.
+func setStrides(s, shape []int) {
 	acc := 1
 	for i := len(shape) - 1; i >= 0; i-- {
 		s[i] = acc
 		acc *= shape[i]
 	}
-	return s
 }
 
 // Shape returns a copy of the tensor's shape.
@@ -100,12 +114,16 @@ func (t *T) Numel() int { return len(t.Data) }
 func (t *T) Strides() []int { return append([]int(nil), t.strides...) }
 
 // SameShape reports whether t and u have identical shapes.
-func (t *T) SameShape(u *T) bool {
-	if len(t.shape) != len(u.shape) {
+func (t *T) SameShape(u *T) bool { return t.HasShape(u.shape) }
+
+// HasShape reports whether t has exactly the given shape, without the copy
+// Shape makes.
+func (t *T) HasShape(shape []int) bool {
+	if len(t.shape) != len(shape) {
 		return false
 	}
 	for i, d := range t.shape {
-		if u.shape[i] != d {
+		if shape[i] != d {
 			return false
 		}
 	}
@@ -136,19 +154,15 @@ func (t *T) Set(v float64, idx ...int) { t.Data[t.Offset(idx...)] = v }
 
 // Clone returns a deep copy of t.
 func (t *T) Clone() *T {
-	c := &T{
-		shape:   append([]int(nil), t.shape...),
-		strides: append([]int(nil), t.strides...),
-		Data:    append([]float64(nil), t.Data...),
-	}
-	return c
+	return view(append([]float64(nil), t.Data...), t.shape)
 }
 
 // Reshape returns a new tensor view with the given shape sharing t's data.
 // The element count must match. One dimension may be -1, in which case it is
 // inferred.
-func (t *T) Reshape(shape ...int) *T {
-	shape = append([]int(nil), shape...)
+func (t *T) Reshape(dims ...int) *T {
+	v := view(t.Data, dims)
+	shape := v.shape // the view's private copy: -1 is resolved in place
 	infer := -1
 	known := 1
 	for i, d := range shape {
@@ -170,11 +184,23 @@ func (t *T) Reshape(shape ...int) *T {
 		}
 		shape[infer] = t.Numel() / known
 		known *= shape[infer]
+		setStrides(v.strides, shape)
 	}
 	if known != t.Numel() {
 		panic(fmt.Sprintf("tensor: Reshape %v incompatible with %d elements", shape, t.Numel()))
 	}
-	return &T{shape: shape, strides: rowMajorStrides(shape), Data: t.Data}
+	return v
+}
+
+// Head returns a view of the first n entries along the leading dimension,
+// sharing t's data (entries are contiguous in row-major order).
+func (t *T) Head(n int) *T {
+	if len(t.shape) == 0 || n < 0 || n > t.shape[0] {
+		panic(fmt.Sprintf("tensor: Head(%d) of shape %v", n, t.shape))
+	}
+	v := view(t.Data[:n*t.strides[0]], t.shape)
+	v.shape[0] = n
+	return v
 }
 
 // Flatten returns a rank-1 view of t sharing its data.
