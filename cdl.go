@@ -298,8 +298,7 @@ func NewSession(c *CDLN) (*Session, error) {
 }
 
 // DefaultServeConfig returns the inference server's default sizing
-// (GOMAXPROCS workers, 1024-image queue, 32-image micro-batches, 200µs
-// batch window).
+// (GOMAXPROCS workers, 1024-image queue, 32-image micro-batches).
 func DefaultServeConfig() ServeConfig { return serve.DefaultConfig() }
 
 // NewServer starts a batched inference server over a pool of pre-cloned

@@ -82,31 +82,29 @@ func main() {
 	workers := flag.Int("workers", 0, "replica pool size per model (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "work queue depth in images per model (0 = default 1024)")
 	batch := flag.Int("batch", 0, "micro-batch size B (0 = default 32)")
-	window := flag.Duration("window", 0, "micro-batch wait T (0 = default 200µs)")
 	delta := flag.Float64("delta", -1, "override every model's trained δ at load (-1 keeps them)")
 	defName := flag.String("default", "", "name of the default model entry (the /v1 alias target; default: first -model)")
 	slo := flag.String("slo", "", `attach an SLO controller to every model: "p99=15ms,queue=0.8,energy=2.5e9,floor=0.5" (see internal/control.ParseSLO); requests without an explicit δ/policy degrade to shallower exits under load instead of shedding`)
 	sloInterval := flag.Duration("slo-interval", 0, "SLO controller tick period (0 = default 200ms)")
 	adminAddr := flag.String("admin-addr", "", "separate listen address for the admin/debug surface (pprof, expvar, phase profile); empty = disabled")
-	profile := flag.Bool("profile", false, "enable the per-phase (im2col/gemm/classifier) time breakdown from startup; also toggleable at runtime via POST /debug/phaseprof on -admin-addr")
+	profile := flag.Bool("profile", false, "enable the per-phase (im2col/gemm/epilogue/classifier) time breakdown from startup; also toggleable at runtime via POST /debug/phaseprof on -admin-addr")
 	flag.Parse()
 
 	if len(models.entries) == 0 {
 		models.entries = []modelEntry{{serve.DefaultModelName, "model.cdln"}}
 	}
 	obs.SetProfiling(*profile)
-	if err := run(models.entries, *addr, *adminAddr, *workers, *queue, *batch, *window, *delta, *defName, *slo, *sloInterval); err != nil {
+	if err := run(models.entries, *addr, *adminAddr, *workers, *queue, *batch, *delta, *defName, *slo, *sloInterval); err != nil {
 		fmt.Fprintln(os.Stderr, "cdlserve:", err)
 		os.Exit(1)
 	}
 }
 
-func run(models []modelEntry, addr, adminAddr string, workers, queue, batch int, window time.Duration, delta float64, defName, slo string, sloInterval time.Duration) error {
+func run(models []modelEntry, addr, adminAddr string, workers, queue, batch int, delta float64, defName, slo string, sloInterval time.Duration) error {
 	reg := serve.NewRegistry(serve.Config{
 		Workers:         workers,
 		QueueDepth:      queue,
 		MaxBatch:        batch,
-		BatchWindow:     window,
 		ModelName:       models[0].path,
 		ControlInterval: sloInterval,
 	})

@@ -44,9 +44,10 @@ func arch8CDLN(seed int64) *CDLN {
 
 // TestClassifyBatchAllocs is the scratch guard (ROADMAP item 2c): once a
 // session is warm, a batched walk on the paper's 8-layer architecture
-// allocates only its records and a handful of tensor headers — every
-// activation, the stacked input and the scores live in replica-owned
-// scratch. Skipped under -race, which instruments allocations.
+// allocates only its records and the per-stage feature and survivor views
+// — every activation, the stacked input and the scores live in
+// replica-owned scratch under replica-owned headers. Skipped under -race,
+// which instruments allocations.
 func TestClassifyBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -79,8 +80,8 @@ func TestClassifyBatchAllocs(t *testing.T) {
 		runtime.ReadMemStats(&m1)
 		bytes := m1.TotalAlloc - m0.TotalAlloc
 		t.Logf("batch %d: %.0f allocs, %d B per call", bsz, allocs, bytes)
-		if allocs > 16 || bytes > 16<<10 {
-			t.Errorf("warm ClassifyBatchPolicy at batch %d: %.0f allocs, %d B per call; want ≤ 16 allocs, ≤ 16 KiB", bsz, allocs, bytes)
+		if maxAllocs := map[int]float64{32: 8, 1: 6}[bsz]; allocs > maxAllocs || bytes > 4000 {
+			t.Errorf("warm ClassifyBatchPolicy at batch %d: %.0f allocs, %d B per call; want ≤ %.0f allocs, ≤ 4000 B", bsz, allocs, bytes, maxAllocs)
 		}
 	}
 }

@@ -179,12 +179,13 @@ func (s *Session) stackBatch(xs []*tensor.T, sshape []int) (*tensor.T, []int) {
 	for _, d := range sshape {
 		ssz *= d
 	}
-	if cap(s.bstack) < len(xs)*ssz {
-		s.bstack = make([]float64, len(xs)*ssz)
+	buf := s.bstack.Data
+	if cap(buf) < len(xs)*ssz {
+		buf = make([]float64, len(xs)*ssz)
 	}
 	shape := append(make([]int, 1, 8), sshape...) // constant cap: stays on the stack
 	shape[0] = len(xs)
-	act := tensor.FromSlice(s.bstack[:len(xs)*ssz], shape...)
+	act := s.bstack.Point(buf[:len(xs)*ssz], shape...)
 	for i, x := range xs {
 		if x.Numel() != ssz {
 			panic(fmt.Sprintf("core: batch input %d numel %d, want %d (shape %v)", i, x.Numel(), ssz, sshape))
@@ -245,11 +246,12 @@ func (s *Session) walk(grp batchGroup, to int, terminate bool, pol ExitPolicy, r
 			st := c.Stages[i]
 			act = c.Arch.Net.ForwardBatchRange(act, pos, st.Tap)
 			pos = st.Tap
-			if cap(s.bscores) < nAct*st.LC.Out {
-				s.bscores = make([]float64, nAct*st.LC.Out)
+			scores = s.bscores.Data
+			if cap(scores) < nAct*st.LC.Out {
+				scores = make([]float64, nAct*st.LC.Out)
 			}
-			scores = s.bscores[:nAct*st.LC.Out]
-			st.LC.ScoresBatchInto(act.Reshape(nAct, act.Numel()/nAct), tensor.FromSlice(scores, nAct, st.LC.Out))
+			scores = scores[:nAct*st.LC.Out]
+			st.LC.ScoresBatchInto(act.Reshape(nAct, act.Numel()/nAct), s.bscores.Point(scores, nAct, st.LC.Out))
 			if last {
 				kind = StageForced
 			} else {

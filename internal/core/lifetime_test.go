@@ -12,7 +12,11 @@ import (
 // call RETURNS must be private. It holds call N's PrefixResults — trunk
 // split handoffs and routed branch-entry handoffs, at every split stage —
 // and call N's records, runs further calls on different inputs through the
-// same session, and requires call N's results to be untouched.
+// same session, and requires call N's results to be untouched: the data,
+// and the header too, now that the stacked input and every hot layer's
+// output are returned under a replica-owned tensor header that the next
+// call re-points at another batch size (a handoff that was such a header
+// would change shape under its holder).
 func TestSessionScratchLifetime(t *testing.T) {
 	g := routedGraph(t, 44)
 	sess, err := NewGraphSession(g)
@@ -62,6 +66,9 @@ func TestSessionScratchLifetime(t *testing.T) {
 				assertRecordsMatch(t, "held prefix record", i, pre.Record, want.Record)
 			} else if !tensor.Equal(pre.Activation, want.Activation) {
 				t.Fatalf("split %d input %d: held activation (node %d) was overwritten by a later call", split, i, pre.Node)
+			} else if shape := g.Nodes[pre.Node].Model.Arch.Net.ShapeAt(pre.Pos); !pre.Activation.HasShape(shape) {
+				t.Fatalf("split %d input %d: held header has shape %v, want the sample shape %v at node %d pos %d",
+					split, i, pre.Activation.Shape(), shape, pre.Node, pre.Pos)
 			}
 		}
 		for i := range recs {

@@ -29,12 +29,12 @@ type Session struct {
 	model *CDLN // trunk replica, the entry cascade
 
 	// Walk scratch: one score-row buffer per exit point (rows[node][exit],
-	// the node's stages then its FC), the stacked-input and stacked-scores
-	// buffers and the active-row index map, the last three grown on demand
-	// and reused across calls.
+	// the node's stages then its FC), the stacked input and stacked scores
+	// (header and buffer) and the active-row index map, the last three
+	// grown on demand and reused across calls.
 	rows    [][]*tensor.T
-	bstack  []float64
-	bscores []float64
+	bstack  tensor.T
+	bscores tensor.T
 	bidx    []int
 
 	// observer, when set, sees one StageEvent per executed unit of

@@ -229,8 +229,13 @@ func renderDigit(label int, variants []glyph, rng *rand.Rand, cfg *GenConfig) Im
 		return pt{X: xr + 0.5 + dx, Y: yr + 0.5 + dy}
 	}
 
-	// Build the warped, wavy segment list.
-	type seg struct{ a, b pt }
+	// Build the warped, wavy segment list, each segment with its bounding
+	// box grown by the stroke's reach: a pixel outside it is further than
+	// width+aa from the segment, which can only yield v < 0, and that
+	// clamps to the same +0 as if the segment had been measured.
+	type seg struct{ a, b, lo, hi pt }
+	const aa = 0.030 // antialias band in glyph units
+	reach := width + aa + 1e-9
 	var segs []seg
 	arcPos := 0.0
 	for _, st := range g {
@@ -241,27 +246,33 @@ func renderDigit(label int, variants []glyph, rng *rand.Rand, cfg *GenConfig) Im
 			q.X += wavAmp * math.Sin(wavFreq*arcPos+wavPhase)
 			q.Y += wavAmp * math.Cos(wavFreq*arcPos*0.8+wavPhase)
 			if i > 0 {
-				segs = append(segs, seg{prev, q})
+				segs = append(segs, seg{prev, q,
+					pt{min(prev.X, q.X) - reach, min(prev.Y, q.Y) - reach},
+					pt{max(prev.X, q.X) + reach, max(prev.Y, q.Y) + reach}})
 			}
 			prev = q
 		}
 	}
 
 	// Rasterize: intensity from distance-to-nearest-segment with a soft
-	// falloff, approximating pen pressure and antialiasing.
+	// falloff, approximating pen pressure and antialiasing. The minimum is
+	// taken over squared distances: a correctly rounded sqrt is monotone,
+	// so one sqrt of the least square is the least of the sqrts, bit for bit.
 	pix := make([]float64, Side*Side)
-	aa := 0.030 // antialias band in glyph units
 	for py := 0; py < Side; py++ {
 		for px := 0; px < Side; px++ {
 			gx := (float64(px) + 0.5) / Side
 			gy := (float64(py) + 0.5) / Side
 			best := math.Inf(1)
 			for _, s := range segs {
-				if dseg := distPointSeg(gx, gy, s.a, s.b); dseg < best {
-					best = dseg
+				if gx < s.lo.X || gx > s.hi.X || gy < s.lo.Y || gy > s.hi.Y {
+					continue
+				}
+				if d2 := dist2PointSeg(gx, gy, s.a, s.b); d2 < best {
+					best = d2
 				}
 			}
-			v := 1 - (best-width)/aa
+			v := 1 - (math.Sqrt(best)-width)/aa
 			if v < 0 {
 				v = 0
 			}
@@ -290,8 +301,9 @@ func renderDigit(label int, variants []glyph, rng *rand.Rand, cfg *GenConfig) Im
 	return Image{Pixels: pix, Label: label, Difficulty: d}
 }
 
-// distPointSeg returns the Euclidean distance from (x,y) to segment ab.
-func distPointSeg(x, y float64, a, b pt) float64 {
+// dist2PointSeg returns the squared Euclidean distance from (x,y) to
+// segment ab.
+func dist2PointSeg(x, y float64, a, b pt) float64 {
 	vx, vy := b.X-a.X, b.Y-a.Y
 	wx, wy := x-a.X, y-a.Y
 	den := vx*vx + vy*vy
@@ -307,7 +319,7 @@ func distPointSeg(x, y float64, a, b pt) float64 {
 	}
 	dx := x - (a.X + t*vx)
 	dy := y - (a.Y + t*vy)
-	return math.Sqrt(dx*dx + dy*dy)
+	return dx*dx + dy*dy
 }
 
 // blur3x3 applies one pass of a 3×3 binomial-ish blur with the given

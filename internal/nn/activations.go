@@ -13,7 +13,7 @@ import (
 type Sigmoid struct {
 	name string
 	out  *tensor.T
-	bout []float64 // ForwardBatch output scratch, replica-owned (batch.go)
+	bout tensor.T // ForwardBatch output, header and scratch, replica-owned (batch.go)
 }
 
 // NewSigmoid constructs a sigmoid activation layer.

@@ -191,6 +191,8 @@ func (c *Conv2D) ForwardBatch(in *tensor.T) *tensor.T {
 // nearTie is the fused segment's guard band around a pooling window's max.
 const nearTie = 1e-12
 
+var nearTieBits = math.Float64bits(nearTie)
+
 // forwardBatchSigmoidPool is the fused Conv2D → Sigmoid → MaxPool2D
 // segment: one lowering, then one pass over the GEMM output writing the
 // pooled [B, outC, oh/win, ow/win] activation into the layer's scratch.
@@ -206,43 +208,91 @@ func (c *Conv2D) forwardBatchSigmoidPool(in *tensor.T, p *MaxPool2D) *tensor.T {
 		panic(fmt.Sprintf("nn: %s window %d too large for %s output [%d %d]", p.name, p.win, c.name, oh, ow))
 	}
 	plane, pplane := oh*ow, ph*pw
-	c.bpool = growScratch(c.bpool, bsz*c.outC*pplane)
+	out := c.bpool.Point(growScratch(c.bpool.Data, bsz*c.outC*pplane), bsz, c.outC, ph, pw)
+	var t0 time.Time
+	if obs.ProfilingEnabled() {
+		t0 = time.Now()
+	}
 	for oc := 0; oc < c.outC; oc++ {
 		b := c.bias.W.Data[oc]
 		for bi := 0; bi < bsz; bi++ {
 			src := c.bgemm[(oc*bsz+bi)*plane:][:plane]
-			dst := c.bpool[(bi*c.outC+oc)*pplane:][:pplane]
-			poolSigmoid(dst, src, ow, pw, p.win, b, sigmoid)
+			dst := out.Data[(bi*c.outC+oc)*pplane:][:pplane]
+			poolSigmoid(dst, src, ow, pw, p.win, b, nil)
 		}
 	}
-	return tensor.FromSlice(c.bpool, bsz, c.outC, ph, pw)
+	if !t0.IsZero() {
+		obs.ProfAdd(obs.PhaseEpilogue, time.Since(t0))
+	}
+	return out
 }
 
 // poolSigmoid fills one pooled plane dst (rows of pw) from one conv output
-// plane src (rows of ow, bias not added): the window max in MaxPool2D's
-// scan order with its `>`, act(max+bias), then the near-tie guard. act is
-// a parameter so a test can bend σ and show the guard carries the equality.
+// plane src (rows of ow, bias not added): every element is poolScan's of
+// its window. act is a parameter so a test can bend σ and show the guard
+// carries the equality; nil is σ itself, called directly.
+//
+// The 2×2 window, the only pooling shape the paper's architectures compute
+// with, has no data-dependent branch: on conv outputs the scan's compares
+// mispredict, and the refills cost more than the exp they precede. best-v
+// is +0 exactly when v == best, and positive doubles order like their bits,
+// so u, the least Float64bits(best-v)-1 (a tie wraps to MaxUint64; Inf-Inf
+// is NaN, whose bits are large), is below nearTieBits exactly when some v
+// has 0 < best-v ≤ nearTie, the guard's predicate. Such a window, and one
+// holding a NaN, takes poolScan. In any other the scan finds the same max
+// or the other zero of a +0/-0 pair, and no output bit depends on which:
+// fl(±0+b) is b for b ≠ 0, σ(+0) = σ(-0) = 0.5 exactly (DESIGN.md §2).
 func poolSigmoid(dst, src []float64, ow, pw, win int, bias float64, act func(float64) float64) {
-	for o := range dst {
-		base := (o/pw)*win*ow + (o%pw)*win
-		best := src[base]
-		for dy := 0; dy < win; dy++ {
-			for _, v := range src[base+dy*ow:][:win] {
-				if v > best {
-					best = v
-				}
-			}
+	if win != 2 {
+		for o := range dst {
+			dst[o] = poolScan(src, (o/pw)*win*ow+(o%pw)*win, ow, win, bias, act)
 		}
-		y := act(best + bias)
-		for dy := 0; dy < win; dy++ {
-			for _, v := range src[base+dy*ow:][:win] {
-				if v != best && best-v <= nearTie {
-					y = max(y, act(v+bias))
-				}
-			}
-		}
-		dst[o] = y
+		return
 	}
+	for py := 0; py < len(dst)/pw; py++ {
+		r0, r1 := src[2*py*ow:][:2*pw], src[(2*py+1)*ow:][:2*pw]
+		d := dst[py*pw:][:pw]
+		for px := range d {
+			a, b, c, e := r0[2*px], r0[2*px+1], r1[2*px], r1[2*px+1]
+			best := max(a, b, c, e)
+			u := min(math.Float64bits(best-a)-1, math.Float64bits(best-b)-1,
+				math.Float64bits(best-c)-1, math.Float64bits(best-e)-1)
+			switch {
+			case best != best || u < nearTieBits:
+				d[px] = poolScan(src, 2*py*ow+2*px, ow, 2, bias, act)
+			case act == nil:
+				d[px] = sigmoid(best + bias)
+			default:
+				d[px] = act(best + bias)
+			}
+		}
+	}
+}
+
+// poolScan is one pooled element, exactly: the max of the win×win window
+// at src[base] in MaxPool2D's scan order with its `>`, act(max+bias), then
+// every element within nearTie of the max evaluated too.
+func poolScan(src []float64, base, ow, win int, bias float64, act func(float64) float64) float64 {
+	if act == nil {
+		act = sigmoid
+	}
+	best := src[base]
+	for dy := 0; dy < win; dy++ {
+		for _, v := range src[base+dy*ow:][:win] {
+			if v > best {
+				best = v
+			}
+		}
+	}
+	y := act(best + bias)
+	for dy := 0; dy < win; dy++ {
+		for _, v := range src[base+dy*ow:][:win] {
+			if v != best && best-v <= nearTie {
+				y = max(y, act(v+bias))
+			}
+		}
+	}
+	return y
 }
 
 // ForwardBatch implements BatchLayer: per-row W·x + b with the same running
@@ -253,11 +303,11 @@ func (d *Dense) ForwardBatch(in *tensor.T) *tensor.T {
 	if ssz != d.in {
 		panic(fmt.Sprintf("nn: %s batch sample numel %d, want %d", d.name, ssz, d.in))
 	}
-	d.bout = growScratch(d.bout, bsz*d.out)
+	out := d.bout.Point(growScratch(d.bout.Data, bsz*d.out), bsz, d.out)
 	wd, bd := d.weight.W.Data, d.bias.W.Data
 	for bi := 0; bi < bsz; bi++ {
 		x := in.Data[bi*ssz : (bi+1)*ssz]
-		y := d.bout[bi*d.out : (bi+1)*d.out]
+		y := out.Data[bi*d.out : (bi+1)*d.out]
 		for o := 0; o < d.out; o++ {
 			row := wd[o*d.in : (o+1)*d.in][:len(x)]
 			s := 0.0
@@ -267,25 +317,25 @@ func (d *Dense) ForwardBatch(in *tensor.T) *tensor.T {
 			y[o] = s + bd[o]
 		}
 	}
-	return tensor.FromSlice(d.bout, bsz, d.out)
+	return out
 }
 
 // ForwardBatch implements BatchLayer: a flat reshape to [B, n].
 func (f *Flatten) ForwardBatch(in *tensor.T) *tensor.T {
 	bsz := in.Dim(0)
-	return in.Reshape(bsz, sampleSize(in, bsz))
+	return f.bout.Point(in.Data, bsz, sampleSize(in, bsz))
 }
 
 // ForwardBatch implements BatchLayer: element-wise, so batching is the
 // identity transformation on the math. in is left untouched.
 func (s *Sigmoid) ForwardBatch(in *tensor.T) *tensor.T {
-	s.bout = growScratch(s.bout, in.Numel())
+	data := growScratch(s.bout.Data, in.Numel())
 	for i, v := range in.Data {
-		s.bout[i] = sigmoid(v)
+		data[i] = sigmoid(v)
 	}
-	out := *in // in's shape over the layer's own data
-	out.Data = s.bout
-	return &out
+	s.bout = *in // in's shape over the layer's own data
+	s.bout.Data = data
+	return &s.bout
 }
 
 // ForwardBatch implements BatchLayer.

@@ -177,3 +177,52 @@ func BenchmarkForwardBatch1(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "images/s")
 }
+
+// BenchmarkPoolSigmoid times the fused segment's epilogue alone, in ns per
+// pooled element, on 96 conv-output planes of 26×26 (Arch8 C1 at batch 32):
+// random planes, where the window max moves unpredictably, and MNIST-like
+// ones (flat background, a few strokes), under σ and under the identity.
+// The identity rows are the scan itself: a profile charges its mispredicted
+// branches to whatever dependent chain follows, which once read as exp.
+func BenchmarkPoolSigmoid(b *testing.B) {
+	const planes, ow, pw = 96, 26, 13
+	rng := rand.New(rand.NewSource(1))
+	random := make([]float64, planes*ow*ow)
+	for i := range random {
+		random[i] = rng.NormFloat64()
+	}
+	strokes := make([]float64, planes*ow*ow)
+	for p := 0; p < planes; p++ {
+		plane := strokes[p*ow*ow:][:ow*ow]
+		for s := 0; s < 3; s++ {
+			y, x := 3+rng.Intn(ow-6), 3+rng.Intn(ow-6)
+			dy, dx := rng.Intn(3)-1, rng.Intn(3)-1
+			for t := 0; t < 12; t++ {
+				if yy, xx := y+t*dy, x+t*dx; yy >= 0 && yy < ow && xx >= 0 && xx < ow {
+					plane[yy*ow+xx] = 0.5 + rng.Float64()
+				}
+			}
+		}
+	}
+	identity := func(z float64) float64 { return z }
+	dst := make([]float64, pw*pw)
+	for _, tc := range []struct {
+		name string
+		src  []float64
+		act  func(float64) float64
+	}{
+		{"random/sigmoid", random, nil},
+		{"random/identity", random, identity},
+		{"strokes/sigmoid", strokes, nil},
+		{"strokes/identity", strokes, identity},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for p := 0; p < planes; p++ {
+					poolSigmoid(dst, tc.src[p*ow*ow:][:ow*ow], ow, pw, 2, -0.1, tc.act)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*planes*len(dst)), "ns/elt")
+		})
+	}
+}

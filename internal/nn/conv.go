@@ -25,12 +25,13 @@ type Conv2D struct {
 	out *tensor.T
 
 	// scratch for the batched fast path (batch.go): the im2col column
-	// matrix, the GEMM output and the fused segment's pooled output, grown
-	// on demand and reused across ForwardBatch calls. Clone starts replicas
-	// with nil scratch, so replicas never share these buffers.
+	// matrix, the GEMM output and the fused segment's pooled output (with
+	// the header it is returned under), grown on demand and reused across
+	// ForwardBatch calls. Clone starts replicas with nil scratch, so
+	// replicas never share these buffers.
 	bcols []float64
 	bgemm []float64
-	bpool []float64
+	bpool tensor.T
 }
 
 // NewConv2D constructs a conv layer with zeroed weights; call an

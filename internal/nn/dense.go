@@ -18,7 +18,7 @@ type Dense struct {
 	bias   *Param // [out]
 
 	x    *tensor.T // cached input
-	bout []float64 // ForwardBatch output scratch, replica-owned (batch.go)
+	bout tensor.T  // ForwardBatch output, header and scratch, replica-owned (batch.go)
 }
 
 // NewDense constructs a dense layer with zeroed weights; call an
@@ -104,6 +104,7 @@ func (d *Dense) Clone() Layer {
 type Flatten struct {
 	name    string
 	inShape []int
+	bout    tensor.T // ForwardBatch output header, replica-owned (batch.go)
 }
 
 // NewFlatten constructs a flatten layer.

@@ -6,18 +6,19 @@ import (
 )
 
 // Phase identifies one hot-path compute phase for the opt-in profile:
-// where a stage's wall time actually goes (lowering vs GEMM vs the
-// per-stage linear classifier).
+// where a stage's wall time actually goes (lowering vs GEMM vs the fused
+// segment's pool + bias + σ epilogue vs the per-stage linear classifier).
 type Phase int
 
 const (
 	PhaseIm2Col Phase = iota
 	PhaseGEMM
 	PhaseClassifier
+	PhaseEpilogue
 	numPhases
 )
 
-var phaseNames = [numPhases]string{"im2col", "gemm", "classifier"}
+var phaseNames = [numPhases]string{"im2col", "gemm", "classifier", "epilogue"}
 
 func (p Phase) String() string {
 	if p < 0 || p >= numPhases {

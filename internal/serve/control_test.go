@@ -310,7 +310,7 @@ func TestShedCausesAndRetryAfter(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.pool.close()
-		m.pool = newPool(nil, 2, 1, 0, m.onBatch)
+		m.pool = newPool(nil, 2, 1, m.onBatch)
 		body, _ := json.Marshal(ClassifyRequest{Images: [][]float64{img, img, img}})
 		resp, err := http.Post(ts.URL+"/v1/classify", "application/json", bytes.NewReader(body))
 		if err != nil {

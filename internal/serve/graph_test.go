@@ -18,7 +18,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"cdl/internal/core"
 	"cdl/internal/linclass"
@@ -87,7 +86,7 @@ const routingDelta = 0.999
 func newRoutedServer(t *testing.T, seed int64) (*httptest.Server, *Server, []train.Sample) {
 	t.Helper()
 	g, data := routedServeGraph(t, seed)
-	reg := NewRegistry(Config{Workers: 4, MaxBatch: 8, BatchWindow: 50 * time.Microsecond})
+	reg := NewRegistry(Config{Workers: 4, MaxBatch: 8})
 	if _, err := reg.RegisterGraph(DefaultModelName, g); err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	if obs.ProfilingEnabled() {
 		for _, st := range obs.ProfSnapshot() {
 			lbl := obs.Labels{{"phase", st.Name}}
-			p.Counter("cdl_phase_time_ms_total", "Cumulative time in each compute phase (im2col, GEMM, classifier) while profiling is enabled.", lbl, st.TotalMS)
+			p.Counter("cdl_phase_time_ms_total", "Cumulative time in each compute phase (im2col, GEMM, epilogue, classifier) while profiling is enabled.", lbl, st.TotalMS)
 			p.Counter("cdl_phase_calls_total", "Invocations of each profiled compute phase.", lbl, float64(st.Calls))
 		}
 	}

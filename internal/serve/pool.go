@@ -60,15 +60,15 @@ type job struct {
 }
 
 // pool is the replica fan-out: a bounded job queue drained by one goroutine
-// per pre-built core.Session. Workers micro-batch — after blocking on the
-// first job they greedily collect up to maxBatch jobs or until the batch
-// window elapses — so the per-batch costs downstream (one metrics lock per
-// batch, not per image) amortize under load while a lone request still
-// clears in roughly the batch window.
+// per pre-built core.Session. Workers micro-batch work-conservingly —
+// after blocking on the first job they take whatever else is already
+// queued, up to maxBatch, and never wait for more — so batches form from
+// the backlog that builds while every replica is busy, which is when the
+// per-batch costs downstream (one metrics lock per batch, not per image)
+// need amortizing, and a lone request on an idle pool is dispatched at once.
 type pool struct {
 	jobs     chan *job
 	maxBatch int
-	window   time.Duration
 
 	mu     sync.Mutex // serializes submits
 	closed bool       // guarded by mu
@@ -76,11 +76,10 @@ type pool struct {
 }
 
 // newPool starts one worker per session.
-func newPool(sessions []*core.Session, queueDepth, maxBatch int, window time.Duration, done func(batch []*job)) *pool {
+func newPool(sessions []*core.Session, queueDepth, maxBatch int, done func(batch []*job)) *pool {
 	p := &pool{
 		jobs:     make(chan *job, queueDepth),
 		maxBatch: maxBatch,
-		window:   window,
 	}
 	for _, sess := range sessions {
 		p.wg.Add(1)
@@ -249,8 +248,8 @@ func (p *pool) worker(sess *core.Session, done func(batch []*job)) {
 	}
 }
 
-// collect greedily tops the batch up to maxBatch, first without waiting,
-// then waiting out the remainder of the batch window.
+// collect tops the batch up to maxBatch from the jobs already queued,
+// without waiting: an empty queue dispatches what the worker has.
 func (p *pool) collect(batch *[]*job) {
 	for len(*batch) < p.maxBatch {
 		select {
@@ -259,24 +258,7 @@ func (p *pool) collect(batch *[]*job) {
 				return
 			}
 			*batch = append(*batch, j)
-			continue
 		default:
-		}
-		break
-	}
-	if len(*batch) >= p.maxBatch || p.window <= 0 {
-		return
-	}
-	timer := time.NewTimer(p.window)
-	defer timer.Stop()
-	for len(*batch) < p.maxBatch {
-		select {
-		case j, ok := <-p.jobs:
-			if !ok {
-				return
-			}
-			*batch = append(*batch, j)
-		case <-timer.C:
 			return
 		}
 	}

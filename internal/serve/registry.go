@@ -139,7 +139,7 @@ func newModel(name string, version int, path string, g *core.Graph, cfg Config) 
 		Buckets:   buckets,
 		BucketDur: cfg.ControlWindow / time.Duration(buckets),
 	})
-	m.pool = newPool(sessions, cfg.QueueDepth, cfg.MaxBatch, cfg.BatchWindow, m.onBatch)
+	m.pool = newPool(sessions, cfg.QueueDepth, cfg.MaxBatch, m.onBatch)
 	return m, nil
 }
 

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"testing"
-	"time"
 )
 
 // benchRegistryServer builds a server holding n copies of the fixture
@@ -21,7 +20,7 @@ import (
 func benchRegistryServer(b *testing.B, n int) (*Server, *httptest.Server, [][]byte) {
 	b.Helper()
 	cdln, data := testCDLN(b, 81)
-	cfg := Config{Workers: 2, MaxBatch: 8, BatchWindow: 50 * time.Microsecond}
+	cfg := Config{Workers: 2, MaxBatch: 8}
 	reg := NewRegistry(cfg)
 	for i := 0; i < n; i++ {
 		if _, err := reg.Register(fmt.Sprintf("m%d", i), cdln); err != nil {

@@ -486,7 +486,7 @@ func TestWorkerDropsDeadJobs(t *testing.T) {
 			}
 		}
 	}
-	p := newPool(nil, 16, 8, 0, done) // no workers yet: jobs sit in the queue
+	p := newPool(nil, 16, 8, done) // no workers yet: jobs sit in the queue
 	ctx, cancel := context.WithCancel(context.Background())
 	pol := core.DefaultExitPolicy()
 	var wg sync.WaitGroup
@@ -530,7 +530,7 @@ func TestRegistryHotSwapUnderLoad(t *testing.T) {
 		saveModel(t, dir, "b.cdln", cdlnB),
 	}
 
-	srv, err := New(cdlnA, Config{Workers: 4, MaxBatch: 8, BatchWindow: 50 * time.Microsecond})
+	srv, err := New(cdlnA, Config{Workers: 4, MaxBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

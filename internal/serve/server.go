@@ -66,11 +66,9 @@ type Config struct {
 	// it are rejected with 503. Default 1024.
 	QueueDepth int
 	// MaxBatch is the micro-batch size B: a worker drains up to B queued
-	// images before touching shared state. Default 32.
+	// images before touching shared state, and never waits for more.
+	// Default 32.
 	MaxBatch int
-	// BatchWindow is the micro-batch wait T: after the first image a worker
-	// waits at most this long for the batch to fill. Default 200µs.
-	BatchWindow time.Duration
 	// MaxRequestImages caps the images accepted in one request (they must
 	// all fit the queue anyway). Default MaxBatch×8.
 	MaxRequestImages int
@@ -96,9 +94,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
-	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = 200 * time.Microsecond
 	}
 	if c.MaxRequestImages <= 0 {
 		c.MaxRequestImages = c.MaxBatch * 8

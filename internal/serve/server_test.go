@@ -300,7 +300,7 @@ func TestServerConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ts := startServer(t, cdln, Config{Workers: 4, MaxBatch: 8, BatchWindow: 50 * time.Microsecond})
+	_, ts := startServer(t, cdln, Config{Workers: 4, MaxBatch: 8})
 
 	const clients = 16
 	const perClient = 25
@@ -421,7 +421,7 @@ func TestServerBadRequests(t *testing.T) {
 // nothing: a rejected request must cost the saturated server no worker
 // time. The pool has no workers, so the queue never drains underneath us.
 func TestPoolAllOrNothingAdmission(t *testing.T) {
-	p := newPool(nil, 4, 1, 0, nil)
+	p := newPool(nil, 4, 1, nil)
 	defer p.close()
 	mkJobs := func(n int) []*job {
 		out := make([]*job, n)
@@ -442,6 +442,74 @@ func TestPoolAllOrNothingAdmission(t *testing.T) {
 	}
 	if err := p.submit(context.Background(), mkJobs(1)); err != nil {
 		t.Fatalf("exact-fit submit rejected: %v", err)
+	}
+}
+
+// TestPoolCollectNeverWaits pins work-conserving dispatch at collect
+// itself: on an empty queue it returns the lone job it was handed — a
+// collect that waited for company would block here, there is nobody to
+// send any — and a job that arrives afterwards stays queued for the next
+// batch.
+func TestPoolCollectNeverWaits(t *testing.T) {
+	p := newPool(nil, 4, 8, nil) // no workers: the test is the worker
+	defer p.close()
+	lone := &job{}
+	batch := []*job{lone}
+	p.collect(&batch)
+	if len(batch) != 1 || batch[0] != lone {
+		t.Fatalf("collect on an empty queue returned %d jobs, want the lone job it was given", len(batch))
+	}
+	var wg sync.WaitGroup
+	if err := p.submit(context.Background(), []*job{{rec: &core.ExitRecord{}, wg: &wg}}); err != nil {
+		t.Fatal(err)
+	}
+	if len(batch) != 1 || p.depth() != 1 {
+		t.Fatalf("late arrival: batch %d, queue depth %d, want 1 and 1", len(batch), p.depth())
+	}
+}
+
+// TestPoolBatchesFormFromBacklog pins the other half: with the only
+// replica held busy, N queued jobs leave as one batch of min(N, MaxBatch)
+// and the rest as the next.
+func TestPoolBatchesFormFromBacklog(t *testing.T) {
+	cdln, data := testCDLN(t, 61)
+	sess, err := core.NewSession(cdln)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const maxBatch = 4
+	sizes := make(chan int)
+	p := newPool([]*core.Session{sess}, 16, maxBatch, func(batch []*job) { sizes <- len(batch) })
+	defer p.close()
+	pol := core.DefaultExitPolicy()
+	submit := func(n int) *sync.WaitGroup {
+		var wg sync.WaitGroup
+		jobs := make([]*job, n)
+		for i := range jobs {
+			jobs[i] = &job{x: data[i].X, pol: &pol, rec: &core.ExitRecord{}, wg: &wg}
+		}
+		if err := p.submit(context.Background(), jobs); err != nil {
+			t.Fatal(err)
+		}
+		return &wg
+	}
+	for _, tc := range []struct{ n, first, second int }{{3, 3, 0}, {4, 4, 0}, {6, 4, 2}} {
+		// The worker classifies one job and then sits in the done callback
+		// until the test receives: the replica is busy while n jobs queue.
+		submit(1).Wait()
+		wg := submit(tc.n)
+		if got := <-sizes; got != 1 {
+			t.Fatalf("warm-up batch of %d, want 1", got)
+		}
+		if got := <-sizes; got != tc.first {
+			t.Fatalf("%d queued jobs left as a batch of %d, want %d", tc.n, got, tc.first)
+		}
+		if tc.second > 0 {
+			if got := <-sizes; got != tc.second {
+				t.Fatalf("%d queued jobs: second batch of %d, want %d", tc.n, got, tc.second)
+			}
+		}
+		wg.Wait()
 	}
 }
 

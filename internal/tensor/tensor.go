@@ -66,6 +66,25 @@ func view(data []float64, shape []int) *T {
 	return &h.T
 }
 
+// Point re-points t at data viewed with the given shape and returns t:
+// FromSlice into an existing header, for one that lives beside the scratch
+// it describes and is rewritten on every call. It allocates only when t's
+// own shape storage is too small for the rank.
+func (t *T) Point(data []float64, shape ...int) *T {
+	if n := checkedNumel(shape); len(data) != n {
+		panic(fmt.Sprintf("tensor: Point data length %d != shape %v numel %d", len(data), append([]int(nil), shape...), n))
+	}
+	r := len(shape)
+	if cap(t.shape) < r || cap(t.strides) < r {
+		dims := make([]int, 2*r)
+		t.shape, t.strides = dims[:r:r], dims[r:]
+	}
+	t.shape, t.strides, t.Data = t.shape[:r], t.strides[:r], data
+	copy(t.shape, shape)
+	setStrides(t.strides, t.shape)
+	return t
+}
+
 // Scalar returns a rank-0-like 1-element tensor holding v.
 func Scalar(v float64) *T {
 	t := New(1)

@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -109,6 +110,40 @@ func TestReshapeSharesData(t *testing.T) {
 	if a.Flatten().Rank() != 1 || a.Flatten().Numel() != 6 {
 		t.Error("Flatten wrong")
 	}
+}
+
+// TestPoint re-points one header across ranks and sizes: shape, strides and
+// data follow every call, a zero T works, a view's own storage is reused,
+// and once the storage has the rank a call allocates nothing.
+func TestPoint(t *testing.T) {
+	data := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
+	var h T
+	for _, shape := range [][]int{{3, 4}, {2, 3, 2}, {12}, {1, 2, 3, 2}, {2, 2}} {
+		n := 1
+		for _, d := range shape {
+			n *= d
+		}
+		if got := h.Point(data[:n], shape...); got != &h {
+			t.Fatal("Point did not return its receiver")
+		}
+		want := FromSlice(data[:n], shape...)
+		if !Equal(&h, want) || !reflect.DeepEqual(h.Strides(), want.Strides()) {
+			t.Fatalf("Point(%v): shape %v strides %v, want %v %v", shape, h.Shape(), h.Strides(), want.Shape(), want.Strides())
+		}
+	}
+	v := New(2, 3)
+	if v.Point(data[:4], 4); v.Rank() != 1 || v.Dim(0) != 4 || &v.Data[0] != &data[0] {
+		t.Fatalf("Point on a view: shape %v", v.Shape())
+	}
+	if allocs := testing.AllocsPerRun(10, func() { h.Point(data[:6], 3, 2); h.Point(data, 1, 2, 3, 2) }); allocs != 0 {
+		t.Fatalf("warm Point allocates %v objects, want 0", allocs)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Point length mismatch did not panic")
+		}
+	}()
+	h.Point(data[:5], 2, 3)
 }
 
 func TestReshapeBadPanics(t *testing.T) {
