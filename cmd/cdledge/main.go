@@ -109,11 +109,7 @@ func run(model, addr, adminAddr, cloud, cloudModel, encoding, slo string, split,
 		// state stay reachable even when the data listener is saturated.
 		go func() {
 			fmt.Fprintf(os.Stderr, "cdledge: admin surface on %s\n", adminAddr)
-			err := obs.ListenAdmin(adminAddr,
-				obs.AdminRoute{Pattern: "GET /alertz", Handler: srv.AlertzHandler()},
-				obs.AdminRoute{Pattern: "GET /debug/flightz", Handler: srv.FlightzHandler()},
-			)
-			if err != nil {
+			if err := obs.ListenAdmin(adminAddr, srv.AdminRoutes()...); err != nil {
 				fmt.Fprintln(os.Stderr, "cdledge: admin listener:", err)
 			}
 		}()

@@ -97,11 +97,7 @@ func run(backends []string, addr, adminAddr string, probeInterval, probeTimeout,
 		// the front door is saturated.
 		go func() {
 			fmt.Fprintf(os.Stderr, "cdlrouter: admin surface on %s\n", adminAddr)
-			err := obs.ListenAdmin(adminAddr,
-				obs.AdminRoute{Pattern: "GET /alertz", Handler: rt.AlertzHandler()},
-				obs.AdminRoute{Pattern: "GET /debug/flightz", Handler: rt.FlightzHandler()},
-			)
-			if err != nil {
+			if err := obs.ListenAdmin(adminAddr, rt.AdminRoutes()...); err != nil {
 				fmt.Fprintln(os.Stderr, "cdlrouter: admin listener:", err)
 			}
 		}()

@@ -157,11 +157,7 @@ func run(models []modelEntry, addr, adminAddr string, workers, queue, batch int,
 		// state stay reachable even when the data listener is saturated.
 		go func() {
 			fmt.Fprintf(os.Stderr, "cdlserve: admin surface on %s\n", adminAddr)
-			err := obs.ListenAdmin(adminAddr,
-				obs.AdminRoute{Pattern: "GET /alertz", Handler: srv.AlertzHandler()},
-				obs.AdminRoute{Pattern: "GET /debug/flightz", Handler: srv.FlightzHandler()},
-			)
-			if err != nil {
+			if err := obs.ListenAdmin(adminAddr, srv.AdminRoutes()...); err != nil {
 				fmt.Fprintln(os.Stderr, "cdlserve: admin listener:", err)
 			}
 		}()

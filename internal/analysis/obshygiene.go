@@ -12,9 +12,13 @@ import (
 // AnalyzerObsHygiene enforces the observability contract of the serving
 // tiers (serve, fleet, edgecloud):
 //
-//   - every *http.ServeMux that receives Handle/HandleFunc registrations
-//     must be wrapped by obs.Middleware before serving, so every handler
-//     gets trace-id echo, slow-request logging and span roots;
+//   - data muxes are wrapped: every *http.ServeMux that receives
+//     Handle/HandleFunc registrations must pass through obs.Middleware
+//     before serving, so every handler gets trace-id echo, slow-request
+//     logging and span roots;
+//   - ops routes come from obs.OpsMux: a literal /healthz, /readyz, /statsz,
+//     /metricsz, /alertz or /debug/flightz pattern registered by hand is a
+//     second ops surface waiting to drift from the shared one;
 //   - metric names passed to obs.Prom must be compile-time constants (the
 //     bounded-cardinality guarantee starts with statically known families)
 //     matching Prometheus naming rules, with the repo's unit-suffix
@@ -25,11 +29,15 @@ import (
 //     sites are checked instead.
 var AnalyzerObsHygiene = &Analyzer{
 	Name: "obshygiene",
-	Doc:  "handlers outside obs.Middleware and malformed metric names",
+	Doc:  "handlers outside obs.Middleware, hand-registered ops routes and malformed metric names",
 	Run:  runObsHygiene,
 }
 
 var obsHygieneRels = []string{"internal/serve", "internal/fleet", "internal/edgecloud"}
+
+// opsRouteRe matches a mux pattern (optional method, then path) naming one
+// of the routes obs.OpsMux owns.
+var opsRouteRe = regexp.MustCompile(`^([A-Z]+ )?/(healthz|readyz|statsz|metricsz|alertz|debug/flightz)$`)
 
 var metricNameRe = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
 
@@ -61,6 +69,11 @@ func checkMuxWrapping(p *Pass) {
 				if obj := referencedObject(info, sel.X); obj != nil {
 					if _, seen := registered[obj]; !seen {
 						registered[obj] = call.Pos()
+					}
+				}
+				if len(call.Args) > 0 {
+					if tv := info.Types[call.Args[0]]; tv.Value != nil && tv.Value.Kind() == constant.String && opsRouteRe.MatchString(constant.StringVal(tv.Value)) {
+						p.Reportf(call.Args[0].Pos(), "ops route %s registered by hand: ops routes come from obs.OpsMux", tv.Value.ExactString())
 					}
 				}
 			}

@@ -1,5 +1,5 @@
 // Package obs is a stub of the real internal/obs surface: just enough for
-// the analyzer fixtures to typecheck — the Middleware wrapper, the Prom
+// the analyzer fixtures to typecheck — the Middleware wrapper, OpsMux, the Prom
 // metric sinks and the profiling gate.
 package obs
 
@@ -31,16 +31,11 @@ func (p *Prom) Gauge(name, help string, labels Labels, v float64) {}
 func (p *Prom) Histogram(name, help string, labels Labels, bounds []float64, counts []int64, sum float64, count int64) {
 }
 
-// AdminMux mirrors the real admin-listener builder. The obs package itself
-// is exempt from the mux-wrapping rule (the admin surface must stay
-// reachable even when the data path's middleware stack is saturated), so
-// these /alertz and /debug/flightz registrations produce no finding.
-func AdminMux(routes map[string]http.Handler) *http.ServeMux {
-	mux := http.NewServeMux()
+// OpsMux mirrors the real ops surface. The obs package itself is exempt
+// from the obshygiene rules (it IS the shared surface), so these
+// registrations produce no finding.
+func OpsMux(mux *http.ServeMux, tier string) {
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {})
 	mux.HandleFunc("GET /alertz", func(w http.ResponseWriter, r *http.Request) {})
 	mux.Handle("GET /debug/flightz", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	for pattern, h := range routes {
-		mux.Handle(pattern, h)
-	}
-	return mux
 }

@@ -1,4 +1,4 @@
-// Observability-hygiene fixtures: mux wrapping.
+// Observability-hygiene fixtures: mux wrapping and the ops surface.
 package serve
 
 import (
@@ -7,7 +7,8 @@ import (
 	"cdl/internal/obs"
 )
 
-// wrappedServer wires its mux through obs.Middleware.
+// wrappedServer wires its mux through obs.Middleware and takes its ops
+// routes from obs.OpsMux.
 type wrappedServer struct {
 	mux     *http.ServeMux
 	handler http.Handler
@@ -15,9 +16,8 @@ type wrappedServer struct {
 
 func newWrappedServer(slow *obs.SlowLog) *wrappedServer {
 	s := &wrappedServer{mux: http.NewServeMux()}
-	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {})
-	s.mux.HandleFunc("GET /alertz", func(w http.ResponseWriter, r *http.Request) {})
-	s.mux.Handle("GET /debug/flightz", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+	s.mux.HandleFunc("/v1/classify", func(w http.ResponseWriter, r *http.Request) {})
+	obs.OpsMux(s.mux, "serve")
 	s.handler = obs.Middleware(s.mux, slow)
 	return s
 }
@@ -29,20 +29,20 @@ type nakedServer struct {
 
 func newNakedServer() *nakedServer {
 	s := &nakedServer{mux: http.NewServeMux()}
-	s.mux.HandleFunc("/statsz", func(w http.ResponseWriter, r *http.Request) {}) // want:obshygiene "never wrapped by obs.Middleware"
+	s.mux.HandleFunc("/v1/resume", func(w http.ResponseWriter, r *http.Request) {}) // want:obshygiene "never wrapped by obs.Middleware"
 	return s
 }
 
-// nakedFlightServer exposes the flight-recorder and alert query surfaces
-// on a data mux without the middleware wrap — the exact regression the
-// obshygiene rule exists to catch on serving tiers.
-type nakedFlightServer struct {
-	mux *http.ServeMux
+// handRolledOps wraps its mux but registers an ops route itself — the
+// second ops surface the OpsMux rule exists to catch on serving tiers.
+type handRolledOps struct {
+	mux     *http.ServeMux
+	handler http.Handler
 }
 
-func newNakedFlightServer() *nakedFlightServer {
-	s := &nakedFlightServer{mux: http.NewServeMux()}
-	s.mux.Handle("GET /debug/flightz", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {})) // want:obshygiene "never wrapped by obs.Middleware"
-	s.mux.HandleFunc("GET /alertz", func(w http.ResponseWriter, r *http.Request) {})
+func newHandRolledOps(slow *obs.SlowLog) *handRolledOps {
+	s := &handRolledOps{mux: http.NewServeMux()}
+	s.mux.HandleFunc("GET /alertz", func(w http.ResponseWriter, r *http.Request) {}) // want:obshygiene "ops routes come from obs.OpsMux"
+	s.handler = obs.Middleware(s.mux, slow)
 	return s
 }

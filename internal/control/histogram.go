@@ -111,6 +111,25 @@ func (h *Histogram) Export(step int) (bounds []float64, counts []int64, sum floa
 	return bounds, counts, h.sum, h.total
 }
 
+// ExportStep is the exposition granularity of every tier's /metricsz:
+// merging 8 adjacent native buckets leaves ~20 log-spaced ones from 1µs to
+// 60s (~2.6× growth) — a small scrape that keeps the tail.
+const ExportStep = 8
+
+// Buckets is a histogram coarsened for exposition: what Export returns.
+type Buckets struct {
+	Bounds []float64
+	Counts []int64
+	Sum    float64
+	Count  int64
+}
+
+// Buckets is Export at ExportStep, for a snapshot to carry.
+func (h *Histogram) Buckets() (b Buckets) {
+	b.Bounds, b.Counts, b.Sum, b.Count = h.Export(ExportStep)
+	return b
+}
+
 // Quantile estimates the q-th quantile (q in [0,1]) in milliseconds: the
 // upper bound of the bucket holding the q·total-th observation. Returns 0
 // when empty. The estimate errs high by at most one bucket's width — the

@@ -141,18 +141,24 @@ func (w *Window) ObserveBatch(obs []Obs) {
 	defer w.mu.Unlock()
 	b := w.rotate(w.cfg.Now())
 	for _, o := range obs {
-		b.images++
-		b.lat.Observe(o.LatencyMS)
-		e := o.ExitIndex
-		if e < 0 {
-			e = 0
-		} else if e >= w.numExits {
-			e = w.numExits - 1
-		}
-		b.exitSum += int64(e)
-		b.exitCounts[e]++
-		b.energySum += o.EnergyPJ
+		b.observe(o)
 	}
+}
+
+// observe adds one classified input to the slot. Caller holds the
+// window's mu.
+func (b *wbucket) observe(o Obs) {
+	b.images++
+	b.lat.Observe(o.LatencyMS)
+	e := o.ExitIndex
+	if e < 0 {
+		e = 0
+	} else if e >= len(b.exitCounts) {
+		e = len(b.exitCounts) - 1
+	}
+	b.exitSum += int64(e)
+	b.exitCounts[e]++
+	b.energySum += o.EnergyPJ
 }
 
 // Arrivals records n inputs offered to the system (admitted or not) — the

@@ -1,0 +1,217 @@
+package edgecloud
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"cdl/internal/control"
+	"cdl/internal/core"
+	"cdl/internal/obs"
+	"cdl/internal/serve"
+)
+
+// faultTransport is a loopback cloud whose next round trips can be made to
+// fail, or to park until released.
+type faultTransport struct {
+	lb      *Loopback
+	fail    atomic.Bool
+	park    atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (f *faultTransport) ResumeBatch(ps [][]byte, d float64) ([]core.ExitRecord, error) {
+	if f.fail.Load() {
+		return nil, errors.New("cloud down")
+	}
+	if f.park.Load() {
+		f.entered <- struct{}{}
+		<-f.release
+	}
+	return f.lb.ResumeBatch(ps, d)
+}
+
+// TestEdgeSinksAgree is the edge tier's sink-conservation test: after a
+// mixed run — OK traffic from several clients, invalid bodies, a request
+// shed with every worker busy, an offload the cloud failed — the
+// cumulative counters, the telemetry window, the burn-rate monitor and the
+// flight ring agree exactly, /metricsz renders what /statsz reports, and
+// every non-200 left a flight record naming its cause. Run under -race.
+func TestEdgeSinksAgree(t *testing.T) {
+	cdln, data := testCDLN(t, 93)
+	lb, err := NewLoopback(cdln)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ft := &faultTransport{lb: lb, entered: make(chan struct{}), release: make(chan struct{})}
+	// One worker, so one parked offload is "every worker busy". The latency
+	// target is one nothing misses: bad counts exactly the refused images.
+	srv, err := NewServer(cdln, func() (Transport, error) { return ft, nil },
+		Config{SplitStage: 1, Delta: -1},
+		ServerConfig{
+			Workers: 1, AcquireTimeout: 50 * time.Millisecond, ModelName: "blob",
+			SLO: control.SLO{P99LatencyMs: 60_000}, ControlInterval: time.Hour, ControlWindow: time.Hour,
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	var mu sync.Mutex
+	var seq int
+	refused := map[string]int{} // trace id → status of every non-200
+	do := func(body []byte) int {
+		mu.Lock()
+		seq++
+		id := fmt.Sprintf("edge-sinks-%04d", seq)
+		mu.Unlock()
+		r := httptest.NewRequest(http.MethodPost, "/v1/classify", bytes.NewReader(body))
+		r.Header.Set(obs.TraceHeader, id)
+		w := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(w, r)
+		if w.Code != http.StatusOK {
+			mu.Lock()
+			refused[id] = w.Code
+			mu.Unlock()
+		}
+		return w.Code
+	}
+	// offloadAll is δ=1: no early exit, every image crosses the link.
+	classify := func(n, from int, offloadAll bool) []byte {
+		req := serve.ClassifyRequest{}
+		for i := 0; i < n; i++ {
+			req.Images = append(req.Images, data[(from+i)%len(data)].X.Flatten().Data)
+		}
+		if one := 1.0; offloadAll {
+			req.Delta = &one
+		}
+		b, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+
+	const clients, perClient = 3, 5
+	var wg sync.WaitGroup
+	var okImages, okRequests, invalid int64
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				n := 1 + (c+i)%4
+				if code := do(classify(n, c*17+i, i%2 == 0)); code != http.StatusOK {
+					t.Errorf("classify: HTTP %d", code)
+					return
+				}
+				if code := do([]byte(`{"image":[1,2,3]}`)); code != http.StatusBadRequest {
+					t.Errorf("invalid body: HTTP %d, want 400", code)
+					return
+				}
+				mu.Lock()
+				okImages += int64(n)
+				okRequests++
+				invalid++
+				mu.Unlock()
+			}
+		}(c)
+	}
+	wg.Wait()
+
+	// workers_busy: park the lone worker inside the cloud call, then ask.
+	ft.park.Store(true)
+	parked := make(chan int, 1)
+	go func() { parked <- do(classify(2, 0, true)) }()
+	<-ft.entered
+	ft.park.Store(false)
+	if code := do(classify(3, 0, true)); code != http.StatusServiceUnavailable {
+		t.Fatalf("busy edge: HTTP %d, want 503", code)
+	}
+	close(ft.release)
+	if code := <-parked; code != http.StatusOK {
+		t.Fatalf("parked request: HTTP %d, want 200", code)
+	}
+	okImages, okRequests = okImages+2, okRequests+1
+	// cloud_error: the offload fails, the whole request is a 502.
+	ft.fail.Store(true)
+	if code := do(classify(4, 0, true)); code != http.StatusBadGateway {
+		t.Fatalf("cloud down: HTTP %d, want 502", code)
+	}
+	const refusedImages, refusals = 3 + 4, 2
+
+	st := srv.Stats()
+	snap := srv.plane.Window()
+	var exits int64
+	for _, c := range snap.ExitCounts {
+		exits += c
+	}
+	get := func(path string, out any) {
+		t.Helper()
+		w := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+		if err := json.Unmarshal(w.Body.Bytes(), out); err != nil || w.Code != http.StatusOK {
+			t.Fatalf("GET %s: HTTP %d, %v", path, w.Code, err)
+		}
+	}
+	var alerts control.AlertzReport
+	get("/alertz", &alerts)
+	alert := alerts.Models["blob"]
+	var flights obs.FlightzResponse
+	get("/debug/flightz?limit=256", &flights)
+	seen := flights.Models["blob"].Seen
+
+	if st.Images != okImages || st.LocalExits+st.Offloads != okImages || st.Latency.Count != okImages ||
+		snap.Images != okImages || exits != okImages || alert.TotalGood != okImages {
+		t.Errorf("images: statsz %d, local+offloads %d, latency %d, window %d, Σ exit depth %d, alert good %d — want all %d",
+			st.Images, st.LocalExits+st.Offloads, st.Latency.Count, snap.Images, exits, alert.TotalGood, okImages)
+	}
+	if st.Requests != okRequests || st.Invalid != invalid || st.Rejected != 1 || st.CloudErrors != 1 {
+		t.Errorf("requests/invalid/rejected/cloud_errors = %d/%d/%d/%d, want %d/%d/1/1",
+			st.Requests, st.Invalid, st.Rejected, st.CloudErrors, okRequests, invalid)
+	}
+	if want := okImages + invalid + refusals; seen != want {
+		t.Errorf("flight seen %d, want %d (one per image, one per refusal)", seen, want)
+	}
+	if alert.TotalBad != refusedImages {
+		t.Errorf("alert bad %d, want %d (an invalid request burns no budget)", alert.TotalBad, refusedImages)
+	}
+	if snap.Sheds != 3 || snap.Arrivals != okImages+refusedImages {
+		t.Errorf("window sheds/arrivals = %d/%d, want 3/%d", snap.Sheds, snap.Arrivals, okImages+refusedImages)
+	}
+	w := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metricsz", nil))
+	for _, line := range []string{
+		fmt.Sprintf(`cdl_edge_images_total %d`, okImages),
+		fmt.Sprintf(`cdl_flight_seen_total{model="blob"} %d`, seen),
+		fmt.Sprintf(`cdl_alert_bad_total{model="blob"} %d`, refusedImages),
+		`cdl_alert_error_budget{model="blob"} 0.01`,
+	} {
+		if !bytes.Contains(w.Body.Bytes(), []byte(line+"\n")) {
+			t.Errorf("/metricsz lacks %q", line)
+		}
+	}
+
+	byTrace := map[string]obs.FlightRecord{}
+	for _, rec := range flights.Records {
+		if rec.Outcome != obs.FlightOK {
+			byTrace[rec.TraceID] = rec
+		}
+	}
+	if int64(len(refused)) != invalid+refusals {
+		t.Fatalf("%d non-200 responses, want %d", len(refused), invalid+refusals)
+	}
+	for id, code := range refused {
+		if rec, ok := byTrace[id]; !ok || rec.RejectCause == "" {
+			t.Errorf("HTTP %d (trace %s) left flight record %+v, want one with a reject_cause", code, id, rec)
+		}
+	}
+}

@@ -124,14 +124,6 @@ func (a *Accumulator) BaselineEnergy() float64 { return a.baseline }
 // ExitEnergy returns the pJ cost of exit point i.
 func (a *Accumulator) ExitEnergy(i int) float64 { return a.exits[i] }
 
-// ExitEnergies returns a copy of the per-exit pJ cost table — one entry
-// per global exit point, indexed like ExitCounts. The serving layer's
-// metrics exposition pairs the two to report energy per exit stage
-// without walking the graph again.
-func (a *Accumulator) ExitEnergies() []float64 {
-	return append([]float64(nil), a.exits...)
-}
-
 // ExitCounts returns a copy of the per-exit input counts.
 func (a *Accumulator) ExitCounts() []int64 {
 	return append([]int64(nil), a.perExit...)

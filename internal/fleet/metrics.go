@@ -1,8 +1,6 @@
 package fleet
 
 import (
-	"math"
-	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -10,7 +8,6 @@ import (
 
 	"cdl/internal/control"
 	"cdl/internal/obs"
-	"cdl/internal/serve"
 )
 
 // routerMetrics aggregates the router's own counters: per-model request
@@ -18,6 +15,10 @@ import (
 // level probe and swap counts. Per-backend counters live on the backends
 // themselves.
 type routerMetrics struct {
+	// flights owns the per-model flight rings the planes record into (the
+	// /debug/flightz backing store).
+	flights *obs.FlightSet
+
 	mu     sync.Mutex
 	models map[string]*modelMetrics // guarded by mu
 
@@ -33,7 +34,14 @@ const maxModelSeries = 256
 
 const overflowModel = "_other"
 
-// modelMetrics is one model's router-side counters.
+// planeWindow is the span of a model's router-side telemetry window (the
+// live p99 behind the flight recorder's anomaly gate).
+const planeWindow = 5 * time.Second
+
+// modelMetrics is one model's router-side state: the counters only a
+// front door has — routed requests, failover retries, sheds, hedges, the
+// end-to-end latency that sets the hedge deadline — and the model's
+// control plane.
 type modelMetrics struct {
 	requests    atomic.Int64
 	retries     atomic.Int64
@@ -42,45 +50,21 @@ type modelMetrics struct {
 	hedgeWins   atomic.Int64
 	hedgeLosses atomic.Int64
 
-	// alert is the router's own availability monitor for this model: a
-	// forwarded 200 is good, a shed or transport failure burns budget. The
-	// latency dimension lives on the backends; the fleet view merges both.
-	alert *control.AlertMonitor
-
-	// liveP99Bits/liveP99AtNS cache the router-observed p99 for the flight
-	// recorder's anomaly gate, refreshed at most every liveP99RefreshNS so
-	// the data path never computes a histogram quantile per request.
-	liveP99Bits atomic.Uint64
-	liveP99AtNS atomic.Int64
+	// plane is the router's view of this model: its window, its flight ring
+	// and its availability monitor — a forwarded 200 is good, a shed or a
+	// transport failure burns budget. The latency dimension lives on the
+	// backends; the fleet /alertz merges both.
+	plane *control.Plane
 
 	latMu sync.Mutex
 	lat   *control.Histogram // guarded by latMu; end-to-end router latency, ms
 }
 
-// liveP99RefreshNS bounds how often the flight anomaly gate recomputes the
-// router-observed p99 from the latency histogram.
-const liveP99RefreshNS = int64(250 * time.Millisecond)
-
-// liveP99 returns the cached router-observed p99 for this model (0 until
-// enough samples exist), recomputing at most every liveP99RefreshNS.
-func (mm *modelMetrics) liveP99(nowNS int64) float64 {
-	last := mm.liveP99AtNS.Load()
-	if nowNS-last < liveP99RefreshNS {
-		return math.Float64frombits(mm.liveP99Bits.Load())
-	}
-	if !mm.liveP99AtNS.CompareAndSwap(last, nowNS) {
-		return math.Float64frombits(mm.liveP99Bits.Load())
-	}
-	count, p99 := mm.latQuantile(0.99)
-	if count < flightP99MinSamples {
-		p99 = 0
-	}
-	mm.liveP99Bits.Store(math.Float64bits(p99))
-	return p99
-}
-
 func newRouterMetrics() *routerMetrics {
-	return &routerMetrics{models: make(map[string]*modelMetrics)}
+	return &routerMetrics{
+		flights: obs.NewFlightSet("fleet", obs.FlightConfig{}),
+		models:  make(map[string]*modelMetrics),
+	}
 }
 
 func (m *routerMetrics) model(name string) *modelMetrics {
@@ -96,11 +80,27 @@ func (m *routerMetrics) model(name string) *modelMetrics {
 		}
 		mm = &modelMetrics{
 			lat:   control.NewHistogram(),
-			alert: control.NewAlertMonitor(control.AlertConfig{}),
+			plane: control.NewPlane(name, m.flights.Recorder(name), planeWindow, 1, 0),
 		}
+		mm.plane.Monitor(0)
 		m.models[name] = mm
 	}
 	return mm
+}
+
+// sorted returns the per-model state in name order (deterministic,
+// golden-testable renderings).
+func (m *routerMetrics) sorted() (names []string, models []*modelMetrics) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for name := range m.models {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		models = append(models, m.models[name])
+	}
+	return names, models
 }
 
 func (mm *modelMetrics) observeLatency(ms float64) {
@@ -117,34 +117,22 @@ func (mm *modelMetrics) latQuantile(q float64) (int64, float64) {
 	return mm.lat.Count(), mm.lat.Quantile(q)
 }
 
-// histExportStep mirrors the serving tier's exposition granularity: every
-// 8th histogram bucket becomes an exported bound.
-const histExportStep = 8
-
-// handleHealthz: the router process is up (probe state notwithstanding).
-func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	serve.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// handleReadyz: ready iff at least one backend is ready — the router can
-// do useful work. A fleet with zero ready backends reports 503 so an
-// outer balancer stops sending it traffic.
-func (rt *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
+// ready is the /readyz body and verdict: ready iff at least one backend is
+// ready — the router can do useful work. A fleet with zero ready backends
+// reports 503 so an outer balancer stops sending it traffic. (/healthz only
+// says the router process is up, probe state notwithstanding.)
+func (rt *Router) ready() (any, bool) {
 	ready := 0
 	for _, b := range rt.backends {
 		if b.healthy.Load() {
 			ready++
 		}
 	}
-	status := http.StatusOK
-	if ready == 0 {
-		status = http.StatusServiceUnavailable
-	}
-	serve.WriteJSON(w, status, map[string]any{
+	return map[string]any{
 		"status":   map[bool]string{true: "ready", false: "unready"}[ready > 0],
 		"ready":    ready,
 		"backends": len(rt.backends),
-	})
+	}, ready > 0
 }
 
 // BackendStats is one backend's row in the router's /statsz.
@@ -187,12 +175,26 @@ type ModelStats struct {
 	P99MS       float64 `json:"p99_ms"`
 }
 
-// Stats snapshots the router's state (the /statsz payload).
-func (rt *Router) Stats() RouterStats {
-	out := RouterStats{
+// snapshot is one read of the router's state: the /statsz document plus,
+// per model in name order, what only /metricsz renders — the latency
+// histogram coarsened for exposition and the model's plane. Both views
+// render from it, so they cannot disagree.
+type snapshot struct {
+	RouterStats
+	models []modelRow
+}
+
+type modelRow struct {
+	name  string
+	plane *control.Plane
+	lat   control.Buckets
+}
+
+func (rt *Router) snapshot() snapshot {
+	out := snapshot{RouterStats: RouterStats{
 		UptimeSeconds: time.Since(rt.started).Seconds(),
 		Models:        make(map[string]ModelStats),
-	}
+	}}
 	for _, b := range rt.backends {
 		out.Backends = append(out.Backends, BackendStats{
 			URL:        b.url,
@@ -207,8 +209,11 @@ func (rt *Router) Stats() RouterStats {
 			ProbeFails: b.probeFails.Load(),
 		})
 	}
-	rt.metrics.mu.Lock()
-	for name, mm := range rt.metrics.models {
+	names, models := rt.metrics.sorted()
+	out.models = make([]modelRow, len(models))
+	for i, mm := range models {
+		row := &out.models[i]
+		row.name, row.plane = names[i], mm.plane
 		mm.latMu.Lock()
 		ms := ModelStats{
 			Requests:    mm.requests.Load(),
@@ -221,22 +226,21 @@ func (rt *Router) Stats() RouterStats {
 			P95MS:       mm.lat.Quantile(0.95),
 			P99MS:       mm.lat.Quantile(0.99),
 		}
+		row.lat = mm.lat.Buckets()
 		mm.latMu.Unlock()
-		out.Models[name] = ms
+		out.Models[names[i]] = ms
 		out.HedgesSent += ms.HedgesSent
 		out.HedgeWins += ms.HedgeWins
 		out.HedgeLosses += ms.HedgeLosses
 	}
-	rt.metrics.mu.Unlock()
 	out.Swaps = rt.metrics.swaps.Load()
 	out.SwapFailures = rt.metrics.swapFailures.Load()
 	out.ProbeErrors = rt.metrics.probeErrors.Load()
 	return out
 }
 
-func (rt *Router) handleStatsz(w http.ResponseWriter, _ *http.Request) {
-	serve.WriteJSON(w, http.StatusOK, rt.Stats())
-}
+// Stats snapshots the router's state (the /statsz payload).
+func (rt *Router) Stats() RouterStats { return rt.snapshot().RouterStats }
 
 // FleetAlertz is the router's /alertz document: its own per-model
 // availability monitors in the shared AlertzReport shape, plus every
@@ -246,79 +250,47 @@ type FleetAlertz struct {
 	Backends map[string]control.AlertzReport `json:"backends,omitempty"`
 }
 
-// handleMetricsz renders the router's Prometheus exposition. Iteration
-// orders are pinned (config order for backends, sorted names for models)
-// so the output is deterministic and golden-testable.
-func (rt *Router) handleMetricsz(w http.ResponseWriter, _ *http.Request) {
-	p := obs.NewProm()
-	p.Gauge("cdl_build_info", "Build identity (constant 1; the identity lives in the labels).", obs.BuildInfoLabels("fleet"), 1)
-	p.Gauge("cdl_flight_enabled", "Whether the flight recorder is on (1) or off (0).", nil, boolGauge(obs.FlightEnabled()))
-	p.Gauge("fleet_backends", "Configured backends.", nil, float64(len(rt.backends)))
+// prom is the router's share of the /metricsz exposition, rendered from
+// the snapshot /statsz returns. Iteration orders are pinned (config order
+// for backends, sorted names for models) so the output is deterministic and
+// golden-testable.
+func (rt *Router) prom(p *obs.Prom) {
+	st := rt.snapshot()
+	p.Gauge("fleet_backends", "Configured backends.", nil, float64(len(st.Backends)))
 	ready := 0
-	for _, b := range rt.backends {
-		if b.healthy.Load() {
+	for _, b := range st.Backends {
+		if b.Healthy {
 			ready++
 		}
 	}
 	p.Gauge("fleet_backends_ready", "Backends currently passing readiness probes.", nil, float64(ready))
-	for _, b := range rt.backends {
-		l := obs.Labels{{"backend", b.url}}
-		p.Gauge("fleet_backend_healthy", "1 if the backend passed its last readiness probe.", l, boolGauge(b.healthy.Load()))
-		p.Gauge("fleet_backend_swapping", "1 while the backend drains for a rolling swap.", l, boolGauge(b.swapping.Load()))
-		p.Gauge("fleet_backend_inflight", "Router-side in-flight requests against the backend.", l, float64(b.inflight.Load()))
-		p.Gauge("fleet_backend_queue_depth", "Backend queue depth from its last load probe.", l, float64(b.queueDepth.Load()))
-		p.Gauge("fleet_backend_p95_ms", "Backend p95 total latency from its last load probe.", l, b.probedP95())
-		p.Counter("fleet_backend_requests_total", "Forwarded attempts answered by the backend.", l, float64(b.requests.Load()))
-		p.Counter("fleet_backend_errors_total", "Forwarded attempts that died in transport.", l, float64(b.errors.Load()))
-		p.Counter("fleet_backend_probe_fails_total", "Probe rounds that found the backend unready.", l, float64(b.probeFails.Load()))
-		if rep := b.alertz.Load(); rep != nil {
-			p.Gauge("fleet_backend_alert_active", "1 while the backend's own burn-rate monitor pages (from its last-probed /alertz).", l, boolGauge(rep.Active))
+	for i, b := range st.Backends {
+		l := obs.Labels{{"backend", b.URL}}
+		p.Gauge("fleet_backend_healthy", "1 if the backend passed its last readiness probe.", l, obs.BoolGauge(b.Healthy))
+		p.Gauge("fleet_backend_swapping", "1 while the backend drains for a rolling swap.", l, obs.BoolGauge(b.Swapping))
+		p.Gauge("fleet_backend_inflight", "Router-side in-flight requests against the backend.", l, float64(b.Inflight))
+		p.Gauge("fleet_backend_queue_depth", "Backend queue depth from its last load probe.", l, float64(b.QueueDepth))
+		p.Gauge("fleet_backend_p95_ms", "Backend p95 total latency from its last load probe.", l, b.P95MS)
+		p.Counter("fleet_backend_requests_total", "Forwarded attempts answered by the backend.", l, float64(b.Requests))
+		p.Counter("fleet_backend_errors_total", "Forwarded attempts that died in transport.", l, float64(b.Errors))
+		p.Counter("fleet_backend_probe_fails_total", "Probe rounds that found the backend unready.", l, float64(b.ProbeFails))
+		if rep := rt.backends[i].alertz.Load(); rep != nil {
+			p.Gauge("fleet_backend_alert_active", "1 while the backend's own burn-rate monitor pages (from its last-probed /alertz).", l, obs.BoolGauge(rep.Active))
 		}
 	}
-
-	rt.metrics.mu.Lock()
-	names := make([]string, 0, len(rt.metrics.models))
-	for name := range rt.metrics.models {
-		names = append(names, name)
+	for _, row := range st.models {
+		ms := st.Models[row.name]
+		l := obs.Labels{{"model", row.name}}
+		p.Counter("fleet_requests_total", "Requests routed, by model.", l, float64(ms.Requests))
+		p.Counter("fleet_retries_total", "Failover retries after a failed attempt, by model.", l, float64(ms.Retries))
+		p.Counter("fleet_sheds_total", "Requests shed (no backend, or backend 503), by model.", l, float64(ms.Sheds))
+		p.Counter("fleet_hedges_sent_total", "Hedge attempts launched, by model.", l, float64(ms.HedgesSent))
+		p.Counter("fleet_hedge_wins_total", "Hedges whose response was used, by model.", l, float64(ms.HedgeWins))
+		p.Counter("fleet_hedge_losses_total", "Hedges whose response was discarded, by model.", l, float64(ms.HedgeLosses))
+		p.Histogram("fleet_latency_ms", "End-to-end router latency, by model.", l, row.lat.Bounds, row.lat.Counts, row.lat.Sum, row.lat.Count)
+		row.plane.Prom(p, l)
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		mm := rt.metrics.models[name]
-		l := obs.Labels{{"model", name}}
-		p.Counter("fleet_requests_total", "Requests routed, by model.", l, float64(mm.requests.Load()))
-		p.Counter("fleet_retries_total", "Failover retries after a failed attempt, by model.", l, float64(mm.retries.Load()))
-		p.Counter("fleet_sheds_total", "Requests shed (no backend, or backend 503), by model.", l, float64(mm.sheds.Load()))
-		p.Counter("fleet_hedges_sent_total", "Hedge attempts launched, by model.", l, float64(mm.hedgesSent.Load()))
-		p.Counter("fleet_hedge_wins_total", "Hedges whose response was used, by model.", l, float64(mm.hedgeWins.Load()))
-		p.Counter("fleet_hedge_losses_total", "Hedges whose response was discarded, by model.", l, float64(mm.hedgeLosses.Load()))
-		mm.latMu.Lock()
-		bounds, counts, sum, total := mm.lat.Export(histExportStep)
-		mm.latMu.Unlock()
-		p.Histogram("fleet_latency_ms", "End-to-end router latency, by model.", l, bounds, counts, sum, total)
-		st := mm.alert.Status()
-		p.Gauge("cdl_alert_active", "Whether any router-side burn-rate window is firing for this model.", l, boolGauge(st.Active))
-		p.Gauge("cdl_alert_fast_burn_rate", "Error-budget burn rate over the fast window (1.0 = exactly on budget).", l, st.Fast.BurnRate)
-		p.Gauge("cdl_alert_slow_burn_rate", "Error-budget burn rate over the slow window.", l, st.Slow.BurnRate)
-		p.Counter("cdl_alert_bad_total", "Requests that burned error budget (shed or transport failure).", l, float64(st.TotalBad))
-		p.Counter("cdl_alert_good_total", "Requests forwarded successfully.", l, float64(st.TotalGood))
-		fst := rt.flights.Recorder(name).Stats()
-		p.Counter("cdl_flight_seen_total", "Requests offered to the flight recorder.", l, float64(fst.Seen))
-		p.Counter("cdl_flight_anomalous_total", "Requests tail-retained with full span trees.", l, float64(fst.Anomalous))
-		p.Gauge("cdl_flight_buffered", "Records currently live in the flight ring.", l, float64(fst.Buffered))
-	}
-	rt.metrics.mu.Unlock()
-
-	p.Counter("fleet_probe_errors_total", "Load probes that failed against ready backends.", nil, float64(rt.metrics.probeErrors.Load()))
-	p.Counter("fleet_swaps_total", "Rolling fleet swaps completed.", nil, float64(rt.metrics.swaps.Load()))
-	p.Counter("fleet_swap_failures_total", "Rolling fleet swaps aborted mid-fleet.", nil, float64(rt.metrics.swapFailures.Load()))
-
-	w.Header().Set("Content-Type", obs.ContentType)
-	_, _ = p.WriteTo(w)
-}
-
-func boolGauge(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
+	p.Counter("fleet_probe_errors_total", "Load probes that failed against ready backends.", nil, float64(st.ProbeErrors))
+	p.Counter("fleet_swaps_total", "Rolling fleet swaps completed.", nil, float64(st.Swaps))
+	p.Counter("fleet_swap_failures_total", "Rolling fleet swaps aborted mid-fleet.", nil, float64(st.SwapFailures))
 }

@@ -68,16 +68,18 @@ func TestRouterMetricszGolden(t *testing.T) {
 
 	req := httptest.NewRequest("GET", "/metricsz", nil)
 	rec := httptest.NewRecorder()
-	rt.handleMetricsz(rec, req)
+	rt.Handler().ServeHTTP(rec, req)
 
 	if ct := rec.Header().Get("Content-Type"); ct != "text/plain; version=0.0.4; charset=utf-8" {
 		t.Errorf("content type %q", ct)
 	}
-	// The build-info labels embed the toolchain version; mask them so the
-	// golden stays byte-stable across go upgrades (the family's presence
-	// and label names are still pinned).
+	// The build-info labels embed the toolchain version and the uptime is a
+	// clock reading; mask them so the golden stays byte-stable (the
+	// families' presence and label names are still pinned).
 	got := regexp.MustCompile(`cdl_build_info\{[^}]*\}`).
 		ReplaceAll(rec.Body.Bytes(), []byte(`cdl_build_info{MASKED}`))
+	got = regexp.MustCompile(`(?m)^cdl_uptime_seconds .*$`).
+		ReplaceAll(got, []byte(`cdl_uptime_seconds MASKED`))
 	golden := filepath.Join("testdata", "router_metricsz.golden")
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {

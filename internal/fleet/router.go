@@ -130,7 +130,7 @@ type Router struct {
 	mux     *http.ServeMux
 	handler http.Handler
 	slow    *obs.SlowLog
-	flights *obs.FlightSet
+	admin   []obs.AdminRoute
 
 	stop    chan struct{}
 	wg      sync.WaitGroup
@@ -207,13 +207,15 @@ func New(cfg Config) (*Router, error) {
 	rt.mux.HandleFunc("GET /v2/models/{model}/slo", rt.handleProxyGet)
 	rt.mux.HandleFunc("PUT /v2/models/{model}", rt.handleRollingSwap)
 	rt.mux.HandleFunc("PUT /v2/models/{model}/branches/{branch}", rt.handleRollingSwap)
-	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
-	rt.mux.HandleFunc("GET /readyz", rt.handleReadyz)
-	rt.mux.HandleFunc("GET /statsz", rt.handleStatsz)
-	rt.mux.HandleFunc("GET /metricsz", rt.handleMetricsz)
-	rt.flights = obs.NewFlightSet("fleet", obs.FlightConfig{})
-	rt.mux.HandleFunc("GET /alertz", rt.handleAlertz)
-	rt.mux.Handle("GET /debug/flightz", rt.flights.Handler())
+	rt.admin = obs.OpsMux(rt.mux, "fleet", obs.OpsSources{
+		Started: rt.started,
+		Health:  func() any { return map[string]string{"status": "ok"} },
+		Ready:   rt.ready,
+		Stats:   func() any { return rt.Stats() },
+		Metrics: rt.prom,
+		Alerts:  func() any { return rt.AlertReport() },
+		Flights: rt.metrics.flights,
+	})
 	rt.slow = obs.NewSlowLog()
 	rt.handler = obs.Middleware(rt.mux, rt.slow)
 
@@ -383,10 +385,16 @@ func writeResult(w http.ResponseWriter, res attemptResult) {
 }
 
 // handleData is the classify/resume data path: hash, pick, forward with
-// hedging and failover.
+// hedging and failover. Every outcome is one event on the model's plane,
+// emitted before the response is written.
 func (rt *Router) handleData(w http.ResponseWriter, r *http.Request, model, route string) {
+	mk := modelKey(model)
+	mm := rt.metrics.model(mk)
+	tr := obs.FromContext(r.Context())
+	refused := control.Event{Trace: tr, ExitIndex: -1, Outcome: obs.FlightError, Cause: control.CauseInvalid}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
 	if err != nil {
+		mm.plane.Observe([]control.Event{refused})
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			serve.WriteError(w, http.StatusRequestEntityTooLarge, err.Error())
@@ -395,15 +403,13 @@ func (rt *Router) handleData(w http.ResponseWriter, r *http.Request, model, rout
 		serve.WriteError(w, http.StatusBadRequest, fmt.Sprintf("read body: %v", err))
 		return
 	}
-	mk := modelKey(model)
 	key := HashRequest(mk, body)
 	chain := rt.pickChain(key)
-	tr := obs.FromContext(r.Context())
 	if len(chain) == 0 {
-		mm := rt.metrics.model(mk)
+		// Rejected before any backend attempt.
 		mm.sheds.Add(1)
-		mm.alert.Observe(0, 1)
-		rt.flightShed(tr, mk, "no_backend")
+		refused.Outcome, refused.Cause = obs.FlightShed, "no_backend"
+		mm.plane.Observe([]control.Event{refused})
 		serve.WriteShed(w, "no ready backend")
 		return
 	}
@@ -414,133 +420,66 @@ func (rt *Router) handleData(w http.ResponseWriter, r *http.Request, model, rout
 	start := time.Now()
 	res := rt.dispatch(r.Context(), chain, r.Method, r.URL.RequestURI(), body, mk, route, traceID, tr)
 	elapsedMS := float64(time.Since(start)) / float64(time.Millisecond)
-	mm := rt.metrics.model(mk)
+	mm.observe(tr, res, elapsedMS)
 	if res.err != nil {
-		mm.sheds.Add(1)
-		mm.alert.Observe(0, 1)
-		rt.recordFlight(tr, mm, mk, res, elapsedMS, start)
 		w.Header().Set("Retry-After", "1")
 		serve.WriteError(w, http.StatusBadGateway, fmt.Sprintf("all backends failed: %v", res.err))
 		return
 	}
-	switch {
-	case res.status == http.StatusServiceUnavailable:
-		mm.sheds.Add(1)
-		mm.alert.Observe(0, 1)
-	case res.status == http.StatusOK:
-		mm.observeLatency(elapsedMS)
-		mm.alert.Observe(1, 0)
-	}
-	mm.requests.Add(1)
-	rt.recordFlight(tr, mm, mk, res, elapsedMS, start)
 	writeResult(w, res)
 }
 
-// flightP99MinSamples is how many router-observed latencies a model needs
-// before its live p99 starts tagging AnomalyP99 — below it every early
-// request would look like a tail against an empty histogram.
-const flightP99MinSamples = 50
-
-// recordFlight writes the router-side wide event for one data request.
-// The router's records carry what the front door knows — the backend the
-// answer came from as the node path, the hedge outcome, and the end-to-end
-// router latency — and are tail-retained on sheds, transport errors, hedge
-// losses, and latencies above the model's live p99.
-func (rt *Router) recordFlight(tr *obs.Trace, mm *modelMetrics, model string, res attemptResult, elapsedMS float64, start time.Time) {
-	if !obs.FlightEnabled() {
-		return
-	}
-	rec := obs.FlightRecord{
-		Model:       model,
-		ExitIndex:   -1,
-		TotalMS:     elapsedMS,
-		Outcome:     obs.FlightOK,
-		StartUnixNS: start.UnixNano(),
-	}
+// observe charges one dispatched request to the model's counters and emits
+// its wide event. The event carries what the front door knows — the backend
+// the answer came from as the node path, the hedge outcome and the
+// end-to-end router latency; a 200 is served, a 503 a shed, a transport
+// failure or another backend 5xx an error, and a relayed 4xx the client's
+// own (tail-retained, no budget burned).
+func (mm *modelMetrics) observe(tr *obs.Trace, res attemptResult, elapsedMS float64) {
+	ev := control.Event{Trace: tr, TotalMS: elapsedMS, ExitIndex: -1, Outcome: obs.FlightOK}
 	if res.backend != nil {
-		rec.NodePath = res.backend.url
+		ev.NodePath = res.backend.url
 	}
 	switch {
 	case res.err != nil:
-		rec.Outcome = obs.FlightError
-		rec.RejectCause = "transport"
-		rec.Anomalies = append(rec.Anomalies, obs.AnomalyError)
+		mm.sheds.Add(1)
+		ev.Outcome, ev.Cause = obs.FlightError, "transport"
 	case res.status == http.StatusServiceUnavailable:
-		rec.Outcome = obs.FlightShed
-		rec.RejectCause = "backend_shed"
-		rec.Anomalies = append(rec.Anomalies, obs.AnomalyShed)
-	case res.hedged && res.hedgeWon:
-		rec.Outcome = obs.FlightHedgeWin
-	case res.hedged:
-		// The hedge lost: the request succeeded but burned duplicate work —
-		// exactly the tail evidence worth retaining.
-		rec.Anomalies = append(rec.Anomalies, obs.AnomalyHedge)
-	}
-	if res.err == nil && res.status == http.StatusOK {
-		if p99 := mm.liveP99(start.UnixNano()); p99 > 0 && elapsedMS > p99 {
-			rec.Anomalies = append(rec.Anomalies, obs.AnomalyP99)
+		mm.sheds.Add(1)
+		ev.Outcome, ev.Cause = obs.FlightShed, "backend_shed"
+	case res.status >= http.StatusInternalServerError:
+		ev.Outcome, ev.Cause = obs.FlightError, "backend_error"
+	case res.status != http.StatusOK:
+		ev.Outcome, ev.Cause = obs.FlightError, control.CauseInvalid
+	default:
+		mm.observeLatency(elapsedMS)
+		if res.hedged && res.hedgeWon {
+			ev.Outcome = obs.FlightHedgeWin
+		} else if res.hedged {
+			ev.Outcome = obs.FlightHedgeLoss
 		}
 	}
-	if tr != nil {
-		rec.TraceID = tr.ID()
-		if len(rec.Anomalies) > 0 {
-			rec.Spans = tr.Spans()
-		}
+	if res.err == nil {
+		mm.requests.Add(1)
 	}
-	rt.flights.Recorder(model).Record(rec)
+	mm.plane.Observe([]control.Event{ev})
 }
 
-// flightShed records a request the router rejected before any backend
-// attempt (always anomalous — sheds are tail-retained by definition).
-func (rt *Router) flightShed(tr *obs.Trace, model, cause string) {
-	if !obs.FlightEnabled() {
-		return
-	}
-	rec := obs.FlightRecord{
-		Model:       model,
-		ExitIndex:   -1,
-		Outcome:     obs.FlightShed,
-		RejectCause: cause,
-		Anomalies:   []string{obs.AnomalyShed},
-		StartUnixNS: time.Now().UnixNano(),
-	}
-	if tr != nil {
-		rec.TraceID = tr.ID()
-		rec.Spans = tr.Spans()
-	}
-	rt.flights.Recorder(model).Record(rec)
-}
-
-// Flights exposes the router's flight recorders (tests and embedding).
-func (rt *Router) Flights() *obs.FlightSet { return rt.flights }
-
-// FlightzHandler returns the /debug/flightz query handler, for mounting on
-// an admin listener alongside the data mux registration.
-func (rt *Router) FlightzHandler() http.Handler { return rt.flights.Handler() }
-
-// AlertzHandler returns the fleet /alertz handler for admin listeners.
-func (rt *Router) AlertzHandler() http.Handler { return http.HandlerFunc(rt.handleAlertz) }
+// AdminRoutes returns the ops routes the admin listener mirrors
+// (obs.ListenAdmin): /alertz and /debug/flightz.
+func (rt *Router) AdminRoutes() []obs.AdminRoute { return rt.admin }
 
 // AlertReport rolls the fleet's burn-rate state into one view: the
 // router's own per-model availability monitors plus every backend's
 // last-probed /alertz report. The fleet pages when anything underneath
 // pages — its own monitors or any backend's.
 func (rt *Router) AlertReport() FleetAlertz {
-	out := FleetAlertz{AlertzReport: control.AlertzReport{
-		Tier:   "fleet",
-		Models: make(map[string]control.AlertStatus),
-	}}
-	rt.metrics.mu.Lock()
-	monitors := make(map[string]*control.AlertMonitor, len(rt.metrics.models))
-	for name, mm := range rt.metrics.models {
-		monitors[name] = mm.alert
+	_, models := rt.metrics.sorted()
+	planes := make([]*control.Plane, len(models))
+	for i, mm := range models {
+		planes[i] = mm.plane
 	}
-	rt.metrics.mu.Unlock()
-	for name, mon := range monitors {
-		st := mon.Status()
-		out.Models[name] = st
-		out.Active = out.Active || st.Active
-	}
+	out := FleetAlertz{AlertzReport: control.Report("fleet", planes...)}
 	for _, b := range rt.backends {
 		rep := b.alertz.Load()
 		if rep == nil {
@@ -553,10 +492,6 @@ func (rt *Router) AlertReport() FleetAlertz {
 		out.Active = out.Active || rep.Active
 	}
 	return out
-}
-
-func (rt *Router) handleAlertz(w http.ResponseWriter, _ *http.Request) {
-	serve.WriteJSON(w, http.StatusOK, rt.AlertReport())
 }
 
 // dispatch runs the attempt chain: the primary attempt is hedged (when

@@ -188,3 +188,11 @@ func escapeHelp(s string) string {
 	}
 	return b.String()
 }
+
+// BoolGauge is the gauge value of a flag: 1 for true, 0 for false.
+func BoolGauge(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}

@@ -23,6 +23,7 @@ import (
 	"cdl/internal/core"
 	"cdl/internal/edgecloud/wire"
 	"cdl/internal/fixed"
+	"cdl/internal/obs"
 )
 
 // httpJSON runs one JSON request against ts and decodes the response.
@@ -131,25 +132,27 @@ func forceRung(t *testing.T, srv *Server, name string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ec := &entryControl{name: m.Name()}
-	if err := ec.bind(m, control.SLO{P99LatencyMs: 1}, time.Second); err != nil {
+	// A one-hour interval parks the loop: the test ticks the plane itself.
+	ladder := control.Ladder(m.graph.MaxDepth(), 0)
+	if err := m.plane.Attach(control.SLO{P99LatencyMs: 1}, ladder, time.Hour, func() float64 { return 0 }); err != nil {
 		t.Fatal(err)
 	}
-	// Trip the p99 target with synthetic window observations, then tick
-	// until the ladder saturates.
-	obs := make([]control.Obs, 16)
-	for i := range obs {
-		obs[i] = control.Obs{LatencyMS: 1000, ExitIndex: 0}
+	t.Cleanup(func() { m.plane.Detach() })
+	// Trip the p99 target with synthetic slow images, then tick until the
+	// ladder saturates.
+	slow := make([]control.Event, 16)
+	for i := range slow {
+		slow[i] = control.Event{TotalMS: 1000, Outcome: obs.FlightOK}
 	}
-	for i := 0; i <= ec.ctrl.MaxRung(); i++ {
-		m.window.ObserveBatch(obs)
-		srv.reg.controlTick(ec)
+	for i := 0; i < len(ladder); i++ {
+		m.plane.Observe(slow)
+		m.plane.Tick(0)
 	}
-	st := ec.ctrl.State()
+	st := m.plane.Status()
 	if st.Rung != st.MaxRung {
 		t.Fatalf("controller at rung %d after forcing, want max %d", st.Rung, st.MaxRung)
 	}
-	if p := m.controlled.Load(); p == nil || p.MaxExit != 0 {
+	if p := m.plane.Policy(); p == nil || p.MaxExit != 0 {
 		t.Fatalf("controlled policy %+v, want MaxExit 0", p)
 	}
 }
@@ -310,7 +313,7 @@ func TestShedCausesAndRetryAfter(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.pool.close()
-		m.pool = newPool(nil, 2, 1, m.onBatch)
+		m.pool = newPool(nil, 2, 1, m.emit)
 		body, _ := json.Marshal(ClassifyRequest{Images: [][]float64{img, img, img}})
 		resp, err := http.Post(ts.URL+"/v1/classify", "application/json", bytes.NewReader(body))
 		if err != nil {
@@ -327,7 +330,7 @@ func TestShedCausesAndRetryAfter(t *testing.T) {
 		if st.RejectedQueueFull != 1 {
 			t.Errorf("rejected_queue_full = %d, want 1", st.RejectedQueueFull)
 		}
-		if snap := m.window.Snapshot(); snap.Sheds != 3 || snap.Arrivals != 3 {
+		if snap := m.plane.Window(); snap.Sheds != 3 || snap.Arrivals != 3 {
 			t.Errorf("window sheds/arrivals = %d/%d, want 3/3", snap.Sheds, snap.Arrivals)
 		}
 	})
@@ -344,7 +347,7 @@ func TestLatencyHistogramsInStats(t *testing.T) {
 			t.Fatalf("classify %d: HTTP %d", i, status)
 		}
 	}
-	st := settledStats(t, srv, 10)
+	st := srv.Stats()
 	for name, ls := range map[string]LatencyStats{
 		"queue": st.QueueLatency, "service": st.ServiceLatency, "total": st.TotalLatency,
 	} {
@@ -473,7 +476,7 @@ func TestControlObserveStepSwapRace(t *testing.T) {
 				return
 			default:
 			}
-			_ = reg.controlStatus(DefaultModelName)
+			_ = srv.Stats().Control
 			if i%7 == 0 {
 				_ = reg.SetSLO(DefaultModelName, control.SLO{P99LatencyMs: float64(1 + i%5)})
 			}
@@ -523,7 +526,7 @@ func TestSLOControllerActuatesEndToEnd(t *testing.T) {
 		if status, _ := postClassify(t, ts.URL, ClassifyRequest{Images: images}); status != http.StatusOK {
 			t.Fatalf("classify: HTTP %d", status)
 		}
-		st := reg.controlStatus(DefaultModelName)
+		st := srv.Stats().Control
 		if st != nil && st.Rung == st.MaxRung {
 			break
 		}

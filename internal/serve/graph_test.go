@@ -171,7 +171,7 @@ func TestServeRoutedGraphV2(t *testing.T) {
 	}
 
 	// /statsz aggregates per branch; counts must cover all served images.
-	stats := settledStats(t, srv, 120)
+	stats := srv.Stats()
 	if len(stats.Branches) != 3 {
 		t.Fatalf("statsz reports %d branch rows, want 3 (trunk+2)", len(stats.Branches))
 	}

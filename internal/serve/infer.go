@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"cdl/internal/control"
 	"cdl/internal/core"
 	"cdl/internal/edgecloud/wire"
 	"cdl/internal/obs"
@@ -177,15 +178,15 @@ func (q *inferRequest) inputs(m *Model, resume bool, max int, tr *obs.Trace) ([]
 	return jobs, nil
 }
 
-// applyPolicy sets the request's shared policy on its prepared inputs. A
-// policy depth cap shallower than an input's resume depth (entry depth of
-// its node plus its resume stage; 0 for a raw image, which no cap
-// excludes) is unsatisfiable — those stages already ran on the edge tier:
-// an explicit policy is rejected, while an inherited one (the SLO
-// controller's current rung — the client never asked for a cap) is relaxed
-// to the deepest resume depth in the request, so controller actuation can
-// never 400 offloaded traffic.
-func applyPolicy(m *Model, jobs []*job, pol *core.ExitPolicy, inherited bool) *requestError {
+// applyPolicy sets the request's shared policy, and who chose it (source),
+// on its prepared inputs. A policy depth cap shallower than an input's
+// resume depth (entry depth of its node plus its resume stage; 0 for a raw
+// image, which no cap excludes) is unsatisfiable — those stages already ran
+// on the edge tier: an explicit policy is rejected, while an inherited one
+// (the SLO controller's current rung — the client never asked for a cap) is
+// relaxed to the deepest resume depth in the request, so controller
+// actuation can never 400 offloaded traffic.
+func applyPolicy(m *Model, jobs []*job, pol *core.ExitPolicy, source string) *requestError {
 	maxFrom := 0
 	for _, j := range jobs {
 		if depth := m.graph.EntryDepth(j.node) + j.fromStage; depth > maxFrom {
@@ -197,7 +198,7 @@ func applyPolicy(m *Model, jobs []*job, pol *core.ExitPolicy, inherited bool) *r
 		maxExit = pol.MaxExit
 	}
 	if maxFrom > maxExit {
-		if !inherited {
+		if source == control.SourceExplicit {
 			return badRequest("resume depth %d beyond the policy's max exit %d", maxFrom, maxExit)
 		}
 		relaxed := *pol
@@ -205,7 +206,7 @@ func applyPolicy(m *Model, jobs []*job, pol *core.ExitPolicy, inherited bool) *r
 		pol = &relaxed
 	}
 	for _, j := range jobs {
-		j.pol = pol
+		j.pol, j.src = pol, source
 	}
 	return nil
 }
@@ -275,7 +276,7 @@ func (s *Server) handleInfer(resume bool, wire func() wireRequest) http.HandlerF
 			ctx, cancel, rerr = requestContext(r, req.timeoutMS)
 		}
 		if rerr != nil {
-			m0.metrics.observeInvalid()
+			m0.refuse(r.Context(), obs.FlightError, control.CauseInvalid, 0)
 			WriteError(w, rerr.status, rerr.msg)
 			return
 		}
@@ -292,7 +293,7 @@ func (s *Server) handleInfer(resume bool, wire func() wireRequest) http.HandlerF
 			// policy — a /v1 "delta", or a /v2 "policy" object, even an
 			// empty one — is explicit: it pins the trained behaviour and
 			// the controller never overrides it.
-			pol, inherited := m.servePolicy(), true
+			pol, source := m.servePolicy()
 			if req.policy != nil {
 				explicit, d, err := req.policy.resolve(m)
 				if err != nil {
@@ -301,11 +302,11 @@ func (s *Server) handleInfer(resume bool, wire func() wireRequest) http.HandlerF
 					}
 					return nil, badRequest("%v", err)
 				}
-				pol, inherited, detail = &explicit, false, d
+				pol, source, detail = &explicit, control.SourceExplicit, d
 			}
-			return jobs, applyPolicy(m, jobs, pol, inherited)
+			return jobs, applyPolicy(m, jobs, pol, source)
 		}
-		m, records, ok := s.dispatch(w, ctx, name, build)
+		m, records, ok := s.dispatch(w, ctx, name, resume, build)
 		if !ok {
 			return
 		}
@@ -321,9 +322,6 @@ func (s *Server) handleInfer(resume bool, wire func() wireRequest) http.HandlerF
 			WriteJSON(w, http.StatusOK, resp.v1())
 		} else {
 			WriteJSON(w, http.StatusOK, resp)
-		}
-		if resume {
-			m.metrics.observeResume()
 		}
 	}
 }

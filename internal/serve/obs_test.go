@@ -344,7 +344,7 @@ func scrape(t testing.TB, url string) string {
 // is present with the model label.
 func TestMetricszExposition(t *testing.T) {
 	cdln, data := testCDLN(t, 67)
-	srv, ts := startServer(t, cdln, Config{Workers: 2})
+	_, ts := startServer(t, cdln, Config{Workers: 2})
 	req := ClassifyRequest{}
 	for _, s := range data[:20] {
 		req.Images = append(req.Images, s.X.Flatten().Data)
@@ -352,8 +352,6 @@ func TestMetricszExposition(t *testing.T) {
 	if status, body := postClassify(t, ts.URL, req); status != http.StatusOK {
 		t.Fatalf("classify HTTP %d: %s", status, body)
 	}
-	settledStats(t, srv, 20)
-
 	body := scrape(t, ts.URL)
 	for _, want := range []string{
 		"cdl_uptime_seconds ",

@@ -41,20 +41,23 @@ type job struct {
 	// pol is the request's validated exit policy, shared by every job the
 	// request fanned out into. Never nil.
 	pol *core.ExitPolicy
+	// src says who chose pol (a control.Source* value): the flight record's
+	// policy_source.
+	src string
 	rec *core.ExitRecord
 	wg  *sync.WaitGroup
 	// tr is the request's trace (nil when tracing is disabled): the worker
-	// maps the session's stage events onto its spans, and onBatch adds the
+	// maps the session's stage events onto its spans and adds the
 	// queue-wait and batch-grouping spans.
 	tr *obs.Trace
 	// cancelled is set (before wg.Done) when the job was dropped for a dead
-	// context; the handler discards the whole request and metrics skip it.
+	// context; the handler discards the whole request and the counters of
+	// classified images skip it.
 	cancelled bool
 	// enqueued and started bound the job's queue wait: submit stamps
 	// enqueued (one clock read per request), the worker stamps started
-	// when its micro-batch begins. The per-batch done callback turns
-	// them into the queue/service latency histograms and the telemetry
-	// window the SLO controller reads.
+	// when its micro-batch begins. The emit callback turns them into the
+	// queue/service latency histograms and the event's queue/total times.
 	enqueued time.Time
 	started  time.Time
 }
@@ -75,15 +78,17 @@ type pool struct {
 	wg     sync.WaitGroup
 }
 
-// newPool starts one worker per session.
-func newPool(sessions []*core.Session, queueDepth, maxBatch int, done func(batch []*job)) *pool {
+// newPool starts one worker per session. emit (nil in tests that need no
+// sinks) receives every group of every micro-batch, with the micro-batch's
+// size, before the group's waiters are released.
+func newPool(sessions []*core.Session, queueDepth, maxBatch int, emit func(group []*job, batchSize int)) *pool {
 	p := &pool{
 		jobs:     make(chan *job, queueDepth),
 		maxBatch: maxBatch,
 	}
 	for _, sess := range sessions {
 		p.wg.Add(1)
-		go p.worker(sess, done)
+		go p.worker(sess, emit)
 	}
 	return p
 }
@@ -159,10 +164,12 @@ func samePolicy(a, b *core.ExitPolicy) bool {
 // whole micro-batch. ResumeBatchPolicyAt(xs, 0, 0, pol) is exactly a
 // batched policy-aware classify, so one call covers fresh classifications,
 // split-resume jobs and branch-entry handoffs alike; each job writes its
-// record in place, so grouping never disturbs response order. done is
-// called once per batch after every record is written and its waiters
-// released.
-func (p *pool) worker(sess *core.Session, done func(batch []*job)) {
+// record in place, so grouping never disturbs response order. Each group
+// — the dropped jobs first, then every classified one — is emitted to the
+// sinks BEFORE its waiters are released, so a client holding its response
+// can already read its own request in /statsz, /metricsz and
+// /debug/flightz (the ordering control.Plane.Observe documents).
+func (p *pool) worker(sess *core.Session, emit func(group []*job, batchSize int)) {
 	defer p.wg.Done()
 	batch := make([]*job, 0, p.maxBatch)
 	group := make([]*job, 0, p.maxBatch)
@@ -176,14 +183,14 @@ func (p *pool) worker(sess *core.Session, done func(batch []*job)) {
 		batch = append(batch[:0], first)
 		p.collect(&batch)
 		started := time.Now()
-		claimed = claimed[:0]
+		claimed, group = claimed[:0], group[:0]
 		remaining := 0
 		for _, j := range batch {
 			j.started = started
 			if j.ctx != nil && j.ctx.Err() != nil {
-				// Dead before compute: release the waiter, never classify.
+				// Dead before compute: never classified.
 				j.cancelled = true
-				j.wg.Done()
+				group = append(group, j)
 				claimed = append(claimed, true)
 				continue
 			}
@@ -193,6 +200,7 @@ func (p *pool) worker(sess *core.Session, done func(batch []*job)) {
 			claimed = append(claimed, false)
 			remaining++
 		}
+		release(group, len(batch), emit)
 		for remaining > 0 {
 			group, xs = group[:0], xs[:0]
 			var lead *job
@@ -238,13 +246,21 @@ func (p *pool) worker(sess *core.Session, done func(batch []*job)) {
 			}
 			for gi, rec := range recs {
 				*group[gi].rec = rec
-				group[gi].wg.Done()
 			}
+			release(group, len(batch), emit)
 			remaining -= len(group)
 		}
-		if done != nil {
-			done(batch)
-		}
+	}
+}
+
+// release emits one group of a micro-batch of batchSize jobs to the sinks,
+// then releases its waiters.
+func release(group []*job, batchSize int, emit func(group []*job, batchSize int)) {
+	if emit != nil && len(group) > 0 {
+		emit(group, batchSize)
+	}
+	for _, j := range group {
+		j.wg.Done()
 	}
 }
 

@@ -14,12 +14,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cdl/internal/control"
@@ -55,44 +53,18 @@ type Model struct {
 	pool          *pool
 	metrics       *metrics
 	workers       int
-	// window is the sliding telemetry view the SLO controller reads
-	// (latency percentiles, exit depth, pJ/image over the last few
-	// seconds); it is fed per micro-batch alongside the cumulative
-	// metrics.
-	window *control.Window
-	// controlled is the exit policy inherited by requests that carry no
-	// explicit one: nil means the identity policy (trained behaviour),
-	// non-nil is the attached controller's current rung. Atomic because
-	// the control loop writes it while handlers read it.
-	controlled atomic.Pointer[core.ExitPolicy]
-
-	// flight is this entry's flight recorder, owned by the registry's
-	// FlightSet and keyed by entry name — a hot-swap's successor version
-	// inherits the same ring, so the tail evidence survives reloads.
-	flight *obs.FlightRecorder
+	// plane is the entry's control plane: telemetry window, burn-rate
+	// monitor, flight ring and the attached SLO controller with the policy
+	// requests without one of their own inherit. It is the entry's, not the
+	// version's — a hot-swap's successor is bound to the same plane, so the
+	// tail evidence, the burn-rate history and the controller survive
+	// reloads.
+	plane *control.Plane
 	// nodePaths pre-renders the routed walk for each graph node
-	// ("trunk", "trunk->convB"), so the per-request flight record never
-	// allocates a path string on the hot path.
+	// ("trunk", "trunk->convB"), so the per-image event never allocates a
+	// path string on the hot path.
 	nodePaths []string
-	// alert is the burn-rate monitor attached alongside the SLO
-	// controller (nil when no SLO is attached): onBatch classifies each
-	// finished image good/bad against the target it carries. Atomic for
-	// the same reason as controlled.
-	alert atomic.Pointer[alertSink]
-	// ctrlRung mirrors the controller's current ladder position for
-	// flight records (0 = trained behaviour).
-	ctrlRung atomic.Int32
-	// liveP99Bits/liveP99AtNS cache the telemetry window's p99 (float64
-	// bits + refresh stamp): onBatch tags tail-latency anomalies against
-	// it but re-snapshots the window at most every liveP99RefreshNS.
-	liveP99Bits atomic.Uint64
-	liveP99AtNS atomic.Int64
 }
-
-// liveP99RefreshNS is how often onBatch refreshes the cached live p99
-// from the telemetry window — frequent enough to track load swings,
-// rare enough that the snapshot cost never shows in the overhead guard.
-const liveP99RefreshNS = int64(250 * time.Millisecond)
 
 // newModel validates the routing graph, pre-clones cfg.Workers warm
 // sessions and starts the replica pool — the per-model half of what
@@ -134,136 +106,65 @@ func newModel(name string, version int, path string, g *core.Graph, cfg Config) 
 			m.nodePaths[ni] = m.metrics.nodeNames[0] + "->" + n
 		}
 	}
-	buckets := 10
-	m.window = control.NewWindow(g.NumExits(), control.WindowConfig{
-		Buckets:   buckets,
-		BucketDur: cfg.ControlWindow / time.Duration(buckets),
-	})
-	m.pool = newPool(sessions, cfg.QueueDepth, cfg.MaxBatch, m.onBatch)
+	m.pool = newPool(sessions, cfg.QueueDepth, cfg.MaxBatch, m.emit)
 	return m, nil
 }
 
-// onBatch is the pool's per-micro-batch callback: it charges the
-// cumulative metrics, feeds the sliding telemetry window, offers every
-// job to the flight recorder (tail-retention decides what survives) and
-// classifies the batch against the burn-rate monitor. One lock
-// acquisition each per batch, not per image.
-func (m *Model) onBatch(batch []*job) {
-	m.metrics.observeBatch(batch)
-	window := make([]control.Obs, 0, len(batch))
+// emit is the pool's callback for one group of a micro-batch — the jobs
+// one batched cascade pass classified, or the ones dropped for a dead
+// context — called before the group's waiters are released: it charges the
+// cumulative metrics and reports one event per image to the plane.
+func (m *Model) emit(group []*job, batchSize int) {
 	now := time.Now()
-	for _, j := range batch {
-		if j.cancelled {
-			continue
-		}
-		window = append(window, control.Obs{
-			LatencyMS: float64(now.Sub(j.enqueued)) / float64(time.Millisecond),
-			ExitIndex: j.rec.StageIndex,
-			// ExitEnergy reads an immutable precomputed table — safe
-			// without the metrics lock.
-			EnergyPJ: m.metrics.acc.ExitEnergy(j.rec.StageIndex),
-		})
+	dropped := group[0].cancelled
+	if !dropped {
+		m.metrics.observeGroup(group, now)
 	}
-	m.window.ObserveBatch(window)
-	m.observeFlight(batch, now)
-}
-
-// liveP99 returns the cached telemetry-window p99, re-snapshotting at
-// most every liveP99RefreshNS — the anomaly gate must not pay a window
-// scan per micro-batch.
-func (m *Model) liveP99(nowNS int64) float64 {
-	if at := m.liveP99AtNS.Load(); nowNS-at > liveP99RefreshNS && m.liveP99AtNS.CompareAndSwap(at, nowNS) {
-		m.liveP99Bits.Store(math.Float64bits(m.window.Snapshot().P99LatencyMS))
-	}
-	return math.Float64frombits(m.liveP99Bits.Load())
-}
-
-// observeFlight turns one micro-batch into flight records and burn-rate
-// observations. Records for sampled-out normals cost one atomic bump
-// inside Record; anomalous requests (above the live p99, deadline
-// deaths, deepest exits) carry their full span trees.
-func (m *Model) observeFlight(batch []*job, now time.Time) {
-	sink := m.alert.Load()
-	if m.flight == nil || !obs.FlightEnabled() {
-		// The kill switch skips record assembly entirely, but SLO
-		// accounting must not go dark with it.
-		if sink != nil {
-			var good, bad int64
-			for _, j := range batch {
-				switch {
-				case j.cancelled:
-					bad++
-				case float64(now.Sub(j.enqueued))/float64(time.Millisecond) > sink.p99TargetMS:
-					bad++
-				default:
-					good++
-				}
-			}
-			sink.mon.Observe(good, bad)
-		}
-		return
-	}
-	nowNS := now.UnixNano()
-	p99 := m.liveP99(nowNS)
-	deepest := len(m.exitOps) - 1
-	rung := int(m.ctrlRung.Load())
-	controlled := m.controlled.Load()
-	var good, bad int64
-	for _, j := range batch {
-		rec := obs.FlightRecord{
-			Model:     m.name,
+	var buf [32]control.Event
+	events := buf[:0]
+	for _, j := range group {
+		ev := control.Event{
+			Trace:     j.tr,
 			Version:   m.version,
-			Rung:      rung,
 			ExitIndex: -1,
-			BatchSize: len(batch),
+			BatchSize: 1,
 			QueueMS:   float64(j.started.Sub(j.enqueued)) / float64(time.Millisecond),
 			TotalMS:   float64(now.Sub(j.enqueued)) / float64(time.Millisecond),
-			Outcome:   obs.FlightOK,
 		}
-		rec.ServiceMS = rec.TotalMS - rec.QueueMS
-		rec.StartUnixNS = nowNS - int64(rec.TotalMS*float64(time.Millisecond))
-		if j.tr != nil {
-			rec.TraceID = j.tr.ID()
-		}
-		switch {
-		case j.pol == controlled && controlled != nil:
-			rec.PolicySource = "controller"
-		case j.pol == &identityPolicy:
-			rec.PolicySource = "default"
-		default:
-			rec.PolicySource = "explicit"
-		}
-		if j.cancelled {
-			rec.Outcome = obs.FlightError
-			rec.RejectCause = "deadline"
-			rec.Anomalies = append(rec.Anomalies, obs.AnomalyDeadline)
-			bad++
+		if dropped {
+			ev.Outcome, ev.Cause = obs.FlightError, rejectCause(j.ctx.Err())
 		} else {
-			rec.ExitIndex = j.rec.StageIndex
+			ev.Outcome, ev.PolicySource, ev.BatchSize = obs.FlightOK, j.src, batchSize
+			ev.ExitIndex = j.rec.StageIndex
 			if j.rec.Node >= 0 && j.rec.Node < len(m.nodePaths) {
-				rec.NodePath = m.nodePaths[j.rec.Node]
+				ev.NodePath = m.nodePaths[j.rec.Node]
 			}
-			rec.EnergyPJ = m.metrics.acc.ExitEnergy(j.rec.StageIndex)
-			if p99 > 0 && rec.TotalMS > p99 {
-				rec.Anomalies = append(rec.Anomalies, obs.AnomalyP99)
-			}
-			if j.rec.StageIndex == deepest {
-				rec.Anomalies = append(rec.Anomalies, obs.AnomalyDeepExit)
-			}
-			if sink != nil && rec.TotalMS > sink.p99TargetMS {
-				bad++
-			} else {
-				good++
-			}
+			// ExitEnergy reads an immutable precomputed table — safe
+			// without the metrics lock.
+			ev.EnergyPJ = m.metrics.acc.ExitEnergy(j.rec.StageIndex)
 		}
-		if len(rec.Anomalies) > 0 && j.tr != nil {
-			rec.Spans = j.tr.Spans()
-		}
-		m.flight.Record(rec)
+		events = append(events, ev)
 	}
-	if sink != nil {
-		sink.mon.Observe(good, bad)
+	m.plane.Observe(events)
+}
+
+// refuse charges one request that produced no result — shed, abandoned or
+// malformed — to the entry's counters and reports it to the plane (always
+// tail-retained: a refusal is by definition anomalous).
+func (m *Model) refuse(ctx context.Context, outcome, cause string, images int) {
+	m.metrics.observeRefused(cause)
+	m.plane.Observe([]control.Event{{
+		Trace: obs.FromContext(ctx), Version: m.version, ExitIndex: -1,
+		BatchSize: images, Outcome: outcome, Cause: cause,
+	}})
+}
+
+// rejectCause names why a context died.
+func rejectCause(err error) string {
+	if errors.Is(err, context.DeadlineExceeded) {
+		return control.CauseDeadline
 	}
+	return causeCancelled
 }
 
 // Name returns the registry entry name.
@@ -285,8 +186,17 @@ func (m *Model) CDLN() *core.CDLN { return m.cdln }
 // cascades). Treat it as read-only.
 func (m *Model) Graph() *core.Graph { return m.graph }
 
-// Stats snapshots this model's live counters.
-func (m *Model) Stats() Stats { return m.metrics.snapshot(m.pool.depth(), m.workers) }
+// snapshot reads the model's counters and its controller state once —
+// what both /statsz and /metricsz render.
+func (m *Model) snapshot() snapshot {
+	s := m.metrics.snapshot(m.pool.depth(), m.workers)
+	s.Control = m.plane.Status()
+	return s
+}
+
+// Stats snapshots this model's live counters, including the SLO controller
+// state when one is attached.
+func (m *Model) Stats() Stats { return m.snapshot().Stats }
 
 // Registry is a concurrent map of named model entries sharing one pool
 // sizing. All methods are safe for concurrent use.
@@ -299,15 +209,9 @@ type Registry struct {
 	defaultName string            // guarded by mu
 	closed      bool              // guarded by mu
 
-	// ctrlMu guards the per-entry SLO controllers (control.go). Separate
-	// from mu: control ticks must never contend with the request path's
-	// model lookups.
-	ctrlMu     sync.Mutex
-	ctrls      map[string]*entryControl // guarded by ctrlMu
-	closedCtrl bool                     // guarded by ctrlMu
-
-	// flights owns the per-entry flight recorders: keyed by name, not
-	// version, so swaps inherit rings and snapshot history.
+	// planes holds each entry's control plane, keyed by name like flights
+	// (whose rings they record into), so swaps inherit both.
+	planes  map[string]*control.Plane // guarded by mu
 	flights *obs.FlightSet
 }
 
@@ -318,6 +222,7 @@ func NewRegistry(cfg Config) *Registry {
 		cfg:      cfg.withDefaults(),
 		models:   make(map[string]*Model),
 		versions: make(map[string]int),
+		planes:   make(map[string]*control.Plane),
 		flights:  obs.NewFlightSet("serve", obs.FlightConfig{}),
 	}
 }
@@ -464,7 +369,6 @@ func (r *Registry) swapIn(name, path string, g *core.Graph) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.flight = r.flights.Recorder(name)
 
 	r.mu.Lock()
 	if r.closed {
@@ -480,12 +384,12 @@ func (r *Registry) swapIn(name, path string, g *core.Graph) (*Model, error) {
 		m.pool.close()
 		return old, nil
 	}
-	if old != nil {
-		// The successor inherits the attached alert monitor and rung so
-		// burn-rate accounting never blinks across a swap (controlTick
-		// re-asserts both on its next pass anyway).
-		m.alert.Store(old.alert.Load())
-		m.ctrlRung.Store(old.ctrlRung.Load())
+	delta := m.cdln.Delta
+	if m.plane = r.planes[name]; m.plane == nil {
+		m.plane = control.NewPlane(name, r.flights.Recorder(name), r.cfg.ControlWindow, g.NumExits(), delta)
+		r.planes[name] = m.plane
+	} else {
+		m.plane.Bind(g.NumExits(), delta)
 	}
 	r.models[name] = m
 	if r.defaultName == "" {
@@ -497,6 +401,11 @@ func (r *Registry) swapIn(name, path string, g *core.Graph) (*Model, error) {
 		// Drain after publication: requests that raced the swap and hit the
 		// closing pool observe ErrClosed and retry against m.
 		old.pool.close()
+		if st := m.plane.Status(); st != nil && old.graph.MaxDepth() != m.graph.MaxDepth() && r.SetSLO(name, st.SLO) != nil {
+			// The ladder no longer matches the graph and the new shape
+			// leaves the SLO nothing to actuate: back to the trained policy.
+			m.plane.Detach()
+		}
 	}
 	return m, nil
 }
@@ -505,6 +414,11 @@ func (r *Registry) swapIn(name, path string, g *core.Graph) (*Model, error) {
 func (r *Registry) Get(name string) (*Model, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
+	return r.getLocked(name)
+}
+
+// getLocked is Get for callers holding mu.
+func (r *Registry) getLocked(name string) (*Model, error) {
 	if name == "" {
 		name = r.defaultName
 	}
@@ -549,7 +463,6 @@ func (r *Registry) Models() []*Model {
 // (queued work still classifies) and later submissions shed with
 // ErrClosed. Idempotent.
 func (r *Registry) Close() {
-	r.closeControllers()
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
@@ -562,53 +475,8 @@ func (r *Registry) Close() {
 	}
 	r.mu.Unlock()
 	for _, m := range models {
+		m.plane.Detach()
 		m.pool.close()
-	}
-}
-
-// flightShed records one rejected request in the flight ring (always
-// tail-retained: a shed is by definition anomalous) and charges its
-// images against the burn-rate monitor.
-func (m *Model) flightShed(ctx context.Context, cause string, images int) {
-	if sink := m.alert.Load(); sink != nil {
-		sink.mon.Observe(0, int64(images))
-	}
-	if m.flight == nil || !obs.FlightEnabled() {
-		return
-	}
-	rec := obs.FlightRecord{
-		Model:       m.name,
-		Version:     m.version,
-		Rung:        int(m.ctrlRung.Load()),
-		ExitIndex:   -1,
-		BatchSize:   images,
-		Outcome:     obs.FlightShed,
-		RejectCause: cause,
-		Anomalies:   []string{obs.AnomalyShed},
-		StartUnixNS: time.Now().UnixNano(),
-	}
-	if cause == "deadline" {
-		rec.Outcome = obs.FlightError
-		rec.Anomalies = []string{obs.AnomalyDeadline}
-	}
-	if tr := obs.FromContext(ctx); tr != nil {
-		rec.TraceID = tr.ID()
-		rec.Spans = tr.Spans()
-	}
-	m.flight.Record(rec)
-}
-
-// flightCause maps a dispatch rejection to its flight reject-cause tag.
-func flightCause(err error) string {
-	switch {
-	case errors.Is(err, ErrOverloaded):
-		return "queue_full"
-	case errors.Is(err, ErrClosed):
-		return "closed"
-	case errors.Is(err, context.DeadlineExceeded):
-		return "deadline"
-	default:
-		return "cancelled"
 	}
 }
 

@@ -479,8 +479,8 @@ func TestWorkerDropsDeadJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var observed atomic.Int64
-	done := func(batch []*job) {
-		for _, j := range batch {
+	done := func(group []*job, _ int) {
+		for _, j := range group {
 			if !j.cancelled {
 				observed.Add(1)
 			}

@@ -43,7 +43,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -52,6 +51,7 @@ import (
 	"sync"
 	"time"
 
+	"cdl/internal/control"
 	"cdl/internal/core"
 	"cdl/internal/edgecloud/wire"
 	"cdl/internal/obs"
@@ -153,6 +153,7 @@ type Server struct {
 	mux     *http.ServeMux
 	handler http.Handler // mux wrapped in the tracing middleware
 	slow    *obs.SlowLog
+	admin   []obs.AdminRoute
 	started time.Time
 }
 
@@ -186,12 +187,19 @@ func NewWithRegistry(reg *Registry) (*Server, error) {
 	s.mux.HandleFunc("GET /v2/models/{model}/slo", s.handleSLOGet)
 	s.mux.HandleFunc("PUT /v2/models/{model}/slo", s.handleSLOPut)
 	s.mux.HandleFunc("DELETE /v2/models/{model}/slo", s.handleSLODelete)
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
-	s.mux.HandleFunc("/statsz", s.handleStatsz)
-	s.mux.HandleFunc("GET /metricsz", s.handleMetricsz)
-	s.mux.HandleFunc("GET /alertz", s.handleAlertz)
-	s.mux.Handle("GET /debug/flightz", s.reg.flights.Handler())
+	s.admin = obs.OpsMux(s.mux, "serve", obs.OpsSources{
+		Started: s.started,
+		Health:  s.health,
+		Ready:   s.ready,
+		Stats:   func() any { return s.Stats() },
+		Metrics: func(p *obs.Prom) {
+			for _, m := range reg.Models() {
+				m.prom(p)
+			}
+		},
+		Alerts:  func() any { return reg.alertReport() },
+		Flights: reg.flights,
+	})
 	s.slow = obs.NewSlowLog()
 	s.handler = obs.Middleware(s.mux, s.slow)
 	return s, nil
@@ -215,9 +223,7 @@ func (s *Server) Stats() Stats {
 	if err != nil {
 		return Stats{}
 	}
-	st := m.Stats()
-	st.Control = s.reg.controlStatus(m.Name())
-	return st
+	return m.Stats()
 }
 
 // Close drains every model's queue and stops the workers. Call after the
@@ -225,20 +231,10 @@ func (s *Server) Stats() Stats {
 // classify requests racing Close receive 503.
 func (s *Server) Close() { s.reg.Close() }
 
-// FlightzHandler returns the /debug/flightz query handler — also mounted
-// on the admin listener (obs.AdminRoute) so the tail evidence stays
-// reachable when the data port is saturated.
-func (s *Server) FlightzHandler() http.Handler { return s.reg.flights.Handler() }
-
-// AlertzHandler returns the /alertz burn-rate view as a standalone
-// handler for the admin listener.
-func (s *Server) AlertzHandler() http.Handler { return http.HandlerFunc(s.handleAlertz) }
-
-// handleAlertz renders the per-model burn-rate monitors (entries with an
-// attached SLO) and the tier's rolled-up page signal.
-func (s *Server) handleAlertz(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, s.reg.AlertReport())
-}
+// AdminRoutes returns the ops routes the admin listener mirrors
+// (obs.ListenAdmin): /alertz and /debug/flightz, so the burn-rate state
+// and the tail evidence stay reachable when the data port is saturated.
+func (s *Server) AdminRoutes() []obs.AdminRoute { return s.admin }
 
 // ListenHardened runs handler on addr until stop is closed, then shuts down
 // gracefully (drain HTTP, then run afterStop if non-nil — the hook every
@@ -396,12 +392,13 @@ func WriteShed(w http.ResponseWriter, msg string) {
 // submission, it transparently retries against the successor version
 // (re-running build, so inputs are re-validated against the new model).
 // On success it returns the model that served the request and the records,
-// in job order; on failure it has already written the error response.
+// in job order; on failure it has already written the error response and
+// charged the refusal to the model (Model.refuse).
 //
 // build runs against a specific model version and returns the request's
 // jobs (inputs and shared policy set; dispatch adds the context, trace,
 // records and WaitGroup) or a rejection, counted as invalid on that model.
-func (s *Server) dispatch(w http.ResponseWriter, ctx context.Context, name string, build func(m *Model) ([]*job, *requestError)) (*Model, []core.ExitRecord, bool) {
+func (s *Server) dispatch(w http.ResponseWriter, ctx context.Context, name string, resume bool, build func(m *Model) ([]*job, *requestError)) (*Model, []core.ExitRecord, bool) {
 	var m *Model
 	lastJobs := 1
 	tr := obs.FromContext(ctx)
@@ -412,7 +409,7 @@ func (s *Server) dispatch(w http.ResponseWriter, ctx context.Context, name strin
 		}
 		jobs, rerr := build(m)
 		if rerr != nil {
-			m.metrics.observeInvalid()
+			m.refuse(ctx, obs.FlightError, control.CauseInvalid, 0)
 			WriteError(w, rerr.status, rerr.msg)
 			return nil, nil, false
 		}
@@ -425,7 +422,7 @@ func (s *Server) dispatch(w http.ResponseWriter, ctx context.Context, name strin
 		if attempt == 0 {
 			// Offered load (admitted or not) feeds the telemetry window
 			// once per request, whatever the dispatch outcome.
-			m.window.Arrivals(len(jobs))
+			m.plane.Arrivals(len(jobs))
 		}
 		switch err := m.pool.submit(ctx, jobs); {
 		case err == nil:
@@ -433,8 +430,9 @@ func (s *Server) dispatch(w http.ResponseWriter, ctx context.Context, name strin
 			if cerr := ctx.Err(); cerr != nil {
 				// The request died while queued or mid-batch; whatever
 				// subset was classified, the client is gone or out of time
-				// — never ship a partial response.
-				m.metrics.observeCancelled()
+				// — never ship a partial response. The worker already
+				// emitted one event per image, dropped or classified.
+				m.metrics.observeRefused(rejectCause(cerr))
 				status := http.StatusServiceUnavailable
 				if errors.Is(cerr, context.DeadlineExceeded) {
 					status = http.StatusGatewayTimeout
@@ -442,12 +440,10 @@ func (s *Server) dispatch(w http.ResponseWriter, ctx context.Context, name strin
 				WriteError(w, status, fmt.Sprintf("request abandoned: %v", cerr))
 				return nil, nil, false
 			}
-			m.metrics.observeRequest()
+			m.metrics.observeRequest(resume)
 			return m, records, true
 		case errors.Is(err, ErrOverloaded):
-			m.metrics.observeRejected(shedQueueFull)
-			m.window.Sheds(len(jobs))
-			m.flightShed(ctx, "queue_full", len(jobs))
+			m.refuse(ctx, obs.FlightShed, causeQueueFull, len(jobs))
 			WriteShed(w, err.Error())
 			return nil, nil, false
 		case errors.Is(err, ErrClosed):
@@ -456,15 +452,12 @@ func (s *Server) dispatch(w http.ResponseWriter, ctx context.Context, name strin
 			if cur, gerr := s.reg.Get(name); gerr == nil && cur != m {
 				continue
 			}
-			m.metrics.observeRejected(shedClosed)
-			m.window.Sheds(len(jobs))
-			m.flightShed(ctx, "closed", len(jobs))
+			m.refuse(ctx, obs.FlightShed, causeClosed, len(jobs))
 			WriteShed(w, err.Error())
 			return nil, nil, false
 		default:
 			// Context error at admission: nothing was enqueued.
-			m.metrics.observeCancelled()
-			m.flightShed(ctx, flightCause(err), len(jobs))
+			m.refuse(ctx, obs.FlightError, rejectCause(err), len(jobs))
 			if errors.Is(err, context.DeadlineExceeded) {
 				WriteError(w, http.StatusGatewayTimeout, fmt.Sprintf("request abandoned: %v", err))
 			} else {
@@ -473,9 +466,7 @@ func (s *Server) dispatch(w http.ResponseWriter, ctx context.Context, name strin
 			return nil, nil, false
 		}
 	}
-	m.metrics.observeRejected(shedChurn)
-	m.window.Sheds(lastJobs)
-	m.flightShed(ctx, "churn", lastJobs)
+	m.refuse(ctx, obs.FlightShed, causeChurn, lastJobs)
 	WriteShed(w, "model reloading too fast; retry")
 	return nil, nil, false
 }
@@ -551,7 +542,8 @@ type healthResponse struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+// health is the /healthz body: liveness and the default model's identity.
+func (s *Server) health() any {
 	resp := healthResponse{
 		Status:        "ok",
 		Model:         s.cfg.ModelName,
@@ -575,7 +567,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		resp.Stages = len(m.cdln.Stages)
 		resp.Delta = m.cdln.Delta
 	}
-	WriteJSON(w, http.StatusOK, resp)
+	return resp
 }
 
 // readyResponse is the /readyz payload.
@@ -584,30 +576,21 @@ type readyResponse struct {
 	Default string `json:"default_model,omitempty"`
 }
 
-// handleReadyz is the readiness probe: 200 only while the registry can
-// serve a default-model request (at least one warmed entry, not mid-Close).
+// ready is the readiness probe: ok only while the registry can serve a
+// default-model request (at least one warmed entry, not mid-Close).
 // /healthz stays pure liveness — it answers 200 whenever the process can
 // answer at all, so orchestrators restart on liveness and un-route on
 // readiness.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) ready() (any, bool) {
 	if s.reg.Ready() {
-		WriteJSON(w, http.StatusOK, readyResponse{Ready: true, Default: s.reg.DefaultName()})
-		return
+		return readyResponse{Ready: true, Default: s.reg.DefaultName()}, true
 	}
-	WriteJSON(w, http.StatusServiceUnavailable, readyResponse{Ready: false})
+	return readyResponse{Ready: false}, false
 }
 
-func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, s.Stats())
-}
-
-// WriteJSON writes v as a JSON response with the given status — the one
-// response writer shared by every endpoint on both tiers.
-func WriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
+// WriteJSON writes v as a JSON response with the given status
+// (obs.WriteJSON, the one response writer of every tier).
+func WriteJSON(w http.ResponseWriter, status int, v any) { obs.WriteJSON(w, status, v) }
 
 // WriteError writes the shared {"error": msg} body.
 func WriteError(w http.ResponseWriter, status int, msg string) {

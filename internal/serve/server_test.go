@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"cdl/internal/core"
 	"cdl/internal/nn"
@@ -62,22 +61,6 @@ func testCDLN(t testing.TB, seed int64) (*core.CDLN, []train.Sample) {
 // of one through the session's prefix walk — under a bare δ.
 func prefixOne(sess *core.Session, x *tensor.T, split int, delta float64) core.PrefixResult {
 	return sess.ClassifyPrefixBatchPolicy([]*tensor.T{x}, split, core.DeltaPolicy(delta))[0]
-}
-
-// settledStats returns the server's stats once they cover images served
-// images. A worker releases a batch's waiters before it charges the batch
-// to the metrics, so a snapshot taken right after the last response may
-// still be one micro-batch behind.
-func settledStats(t testing.TB, srv *Server, images int64) Stats {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st := srv.Stats()
-		if st.Images >= images || time.Now().After(deadline) {
-			return st
-		}
-		time.Sleep(time.Millisecond)
-	}
 }
 
 func blobData(n int, seed int64) []train.Sample {
@@ -198,8 +181,6 @@ func TestServerStatsz(t *testing.T) {
 	if status, body := postClassify(t, ts.URL, req); status != http.StatusOK {
 		t.Fatalf("HTTP %d: %s", status, body)
 	}
-	settledStats(t, srv, 50)
-
 	resp, err := http.Get(ts.URL + "/statsz")
 	if err != nil {
 		t.Fatal(err)
@@ -478,8 +459,14 @@ func TestPoolBatchesFormFromBacklog(t *testing.T) {
 		t.Fatal(err)
 	}
 	const maxBatch = 4
-	sizes := make(chan int)
-	p := newPool([]*core.Session{sess}, 16, maxBatch, func(batch []*job) { sizes <- len(batch) })
+	// emit runs before the group's waiters are released: the worker reports
+	// the batch size and then sits in the callback until the test lets it go,
+	// so the replica is provably busy while the next jobs queue.
+	sizes, resume := make(chan int), make(chan struct{})
+	p := newPool([]*core.Session{sess}, 16, maxBatch, func(_ []*job, batchSize int) {
+		sizes <- batchSize
+		<-resume
+	})
 	defer p.close()
 	pol := core.DefaultExitPolicy()
 	submit := func(n int) *sync.WaitGroup {
@@ -494,20 +481,22 @@ func TestPoolBatchesFormFromBacklog(t *testing.T) {
 		return &wg
 	}
 	for _, tc := range []struct{ n, first, second int }{{3, 3, 0}, {4, 4, 0}, {6, 4, 2}} {
-		// The worker classifies one job and then sits in the done callback
-		// until the test receives: the replica is busy while n jobs queue.
-		submit(1).Wait()
-		wg := submit(tc.n)
+		warm := submit(1)
 		if got := <-sizes; got != 1 {
 			t.Fatalf("warm-up batch of %d, want 1", got)
 		}
+		wg := submit(tc.n) // queues behind the held replica
+		resume <- struct{}{}
+		warm.Wait()
 		if got := <-sizes; got != tc.first {
 			t.Fatalf("%d queued jobs left as a batch of %d, want %d", tc.n, got, tc.first)
 		}
+		resume <- struct{}{}
 		if tc.second > 0 {
 			if got := <-sizes; got != tc.second {
 				t.Fatalf("%d queued jobs: second batch of %d, want %d", tc.n, got, tc.second)
 			}
+			resume <- struct{}{}
 		}
 		wg.Wait()
 	}

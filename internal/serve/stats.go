@@ -9,29 +9,28 @@ import (
 	"cdl/internal/energy"
 )
 
-// shedCause distinguishes why a request was rejected with 503 — load
-// generators and the SLO controller treat a full queue (back off and
-// retry) differently from a draining server (fail over) or reload churn
-// (transient).
-type shedCause int
-
+// Reject causes of a request that produced no result. The three shed
+// causes — a full queue (back off and retry), a draining server (fail
+// over), reload churn (transient) — ship 503 + Retry-After; the rest are
+// the client's: a malformed request (control.CauseInvalid), or a context
+// that died first.
 const (
-	shedQueueFull shedCause = iota
-	shedClosed
-	shedChurn
+	causeQueueFull = "queue_full"
+	causeClosed    = "closed"
+	causeChurn     = "churn"
+	causeCancelled = "cancelled"
 )
 
 // metrics aggregates live serving statistics: request/image counters, the
 // exit distribution, dynamic OPS, the 45 nm energy counters and the
 // queue/service latency histograms. Workers update it once per
-// micro-batch (observeBatch), so the mutex is taken per batch rather than
-// per image.
+// classified group (observeGroup), so the mutex is taken per batch rather
+// than per image.
 type metrics struct {
 	mu        sync.Mutex
 	started   time.Time
 	requests  int64 // guarded by mu; classify + resume requests admitted
 	resumes   int64 // guarded by mu; resume requests admitted (edge offloads)
-	rejected  int64 // guarded by mu; 503s (queue full / shutting down / reload churn)
 	rejFull   int64 // guarded by mu; 503s from a full work queue
 	rejClosed int64 // guarded by mu; 503s from a draining/closed pool
 	rejChurn  int64 // guarded by mu; 503s from hot-swap churn outrunning dispatch retries
@@ -44,8 +43,7 @@ type metrics struct {
 	totalOps    float64  // guarded by mu
 	baselineOps float64
 	// acc's pointer is immutable; its counters are mutated and read under
-	// mu (observeBatch / snapshot / promInto take the same critical
-	// section).
+	// mu (observeGroup and snapshot take the same critical section).
 	acc *energy.Accumulator
 	// exitNode maps each global exit index to its graph node, exitOps is
 	// the per-exit path cost, and nodeNames names the nodes — the
@@ -88,54 +86,39 @@ func newMetrics(g *core.Graph, acc *energy.Accumulator) *metrics {
 	return m
 }
 
-func (m *metrics) observeRequest() {
+func (m *metrics) observeRequest(resume bool) {
 	m.mu.Lock()
 	m.requests++
-	m.mu.Unlock()
-}
-
-func (m *metrics) observeResume() {
-	m.mu.Lock()
-	m.resumes++
-	m.mu.Unlock()
-}
-
-func (m *metrics) observeRejected(cause shedCause) {
-	m.mu.Lock()
-	m.rejected++
-	switch cause {
-	case shedQueueFull:
-		m.rejFull++
-	case shedClosed:
-		m.rejClosed++
-	case shedChurn:
-		m.rejChurn++
+	if resume {
+		m.resumes++
 	}
 	m.mu.Unlock()
 }
 
-func (m *metrics) observeInvalid() {
+// observeRefused counts one request that produced no result, by cause.
+func (m *metrics) observeRefused(cause string) {
 	m.mu.Lock()
-	m.invalid++
+	switch cause {
+	case causeQueueFull:
+		m.rejFull++
+	case causeClosed:
+		m.rejClosed++
+	case causeChurn:
+		m.rejChurn++
+	case control.CauseInvalid:
+		m.invalid++
+	default:
+		m.cancelled++
+	}
 	m.mu.Unlock()
 }
 
-func (m *metrics) observeCancelled() {
-	m.mu.Lock()
-	m.cancelled++
-	m.mu.Unlock()
-}
-
-// observeBatch charges one classified micro-batch to the counters. Jobs
-// dropped for a dead context carry no record and are skipped.
-func (m *metrics) observeBatch(batch []*job) {
-	now := time.Now()
+// observeGroup charges one classified group of a micro-batch, finished at
+// now, to the counters.
+func (m *metrics) observeGroup(group []*job, now time.Time) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, j := range batch {
-		if j.cancelled {
-			continue
-		}
+	for _, j := range group {
 		rec := *j.rec
 		m.images++
 		m.exitCounts[rec.StageIndex]++
@@ -244,31 +227,60 @@ type Stats struct {
 
 	// Control is the attached SLO controller's state (absent when the
 	// entry has no SLO).
-	Control *ControlStatus `json:"control,omitempty"`
+	Control *control.Status `json:"control,omitempty"`
 }
 
-// snapshot assembles a Stats under the lock.
-func (m *metrics) snapshot(queueDepth, workers int) Stats {
+// snapshot is one consistent read of a model's counters: the /statsz
+// document plus what only /metricsz renders — the per-node totals (trunk
+// row of a linear cascade included) and the histogram buckets. Both views
+// render from it, so they derive every aggregate once and cannot disagree.
+type snapshot struct {
+	Stats
+	nodes                 []nodeTotal
+	queue, service, total control.Buckets
+}
+
+// nodeTotal is one routing-graph node's share: the images that resolved on
+// it and their cumulative whole-path ops and energy.
+type nodeTotal struct {
+	name    string
+	images  int64
+	ops, pj float64
+}
+
+// snapshot reads everything under the lock in one critical section, so a
+// scrape racing a classify storm never shows a request whose images are
+// missing.
+func (m *metrics) snapshot(queueDepth, workers int) snapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s := Stats{
-		UptimeSeconds:     time.Since(m.started).Seconds(),
-		Requests:          m.requests,
-		ResumeRequests:    m.resumes,
-		Rejected:          m.rejected,
-		RejectedQueueFull: m.rejFull,
-		RejectedClosed:    m.rejClosed,
-		RejectedChurn:     m.rejChurn,
-		Invalid:           m.invalid,
-		Cancelled:         m.cancelled,
-		Images:            m.images,
-		QueueDepth:        queueDepth,
-		Workers:           workers,
-		QueueLatency:      SummarizeLatency(m.queueLat),
-		ServiceLatency:    SummarizeLatency(m.serviceLat),
-		TotalLatency:      SummarizeLatency(m.totalLat),
-		BaselineOps:       m.baselineOps,
-		Exits:             make([]ExitStat, len(m.exitNames)),
+	s := snapshot{
+		Stats: Stats{
+			UptimeSeconds:     time.Since(m.started).Seconds(),
+			Requests:          m.requests,
+			ResumeRequests:    m.resumes,
+			Rejected:          m.rejFull + m.rejClosed + m.rejChurn,
+			RejectedQueueFull: m.rejFull,
+			RejectedClosed:    m.rejClosed,
+			RejectedChurn:     m.rejChurn,
+			Invalid:           m.invalid,
+			Cancelled:         m.cancelled,
+			Images:            m.images,
+			QueueDepth:        queueDepth,
+			Workers:           workers,
+			QueueLatency:      SummarizeLatency(m.queueLat),
+			ServiceLatency:    SummarizeLatency(m.serviceLat),
+			TotalLatency:      SummarizeLatency(m.totalLat),
+			BaselineOps:       m.baselineOps,
+			Exits:             make([]ExitStat, len(m.exitNames)),
+		},
+		nodes:   make([]nodeTotal, len(m.nodeNames)),
+		queue:   m.queueLat.Buckets(),
+		service: m.serviceLat.Buckets(),
+		total:   m.totalLat.Buckets(),
+	}
+	for ni, name := range m.nodeNames {
+		s.nodes[ni].name = name
 	}
 	for e := range s.Exits {
 		s.Exits[e] = ExitStat{
@@ -279,28 +291,23 @@ func (m *metrics) snapshot(queueDepth, workers int) Stats {
 		if m.images > 0 {
 			s.Exits[e].Fraction = float64(m.exitCounts[e]) / float64(m.images)
 		}
+		n := &s.nodes[m.exitNode[e]]
+		n.images += m.exitCounts[e]
+		n.ops += float64(m.exitCounts[e]) * m.exitOps[e]
+		n.pj += float64(m.exitCounts[e]) * m.acc.ExitEnergy(e)
 	}
-	if len(m.nodeNames) > 1 {
-		s.Branches = make([]BranchStat, len(m.nodeNames))
-		ops := make([]float64, len(m.nodeNames))
-		pj := make([]float64, len(m.nodeNames))
-		for ni, name := range m.nodeNames {
-			s.Branches[ni].Name = name
-		}
-		for e, cnt := range m.exitCounts {
-			ni := m.exitNode[e]
-			s.Branches[ni].Count += cnt
-			ops[ni] += float64(cnt) * m.exitOps[e]
-			pj[ni] += float64(cnt) * m.acc.ExitEnergy(e)
-		}
-		for ni := range s.Branches {
-			if n := s.Branches[ni].Count; n > 0 {
-				s.Branches[ni].MeanOps = ops[ni] / float64(n)
-				s.Branches[ni].MeanEnergyPJ = pj[ni] / float64(n)
+	if len(s.nodes) > 1 {
+		s.Branches = make([]BranchStat, len(s.nodes))
+		for ni, n := range s.nodes {
+			b := BranchStat{Name: n.name, Count: n.images}
+			if n.images > 0 {
+				b.MeanOps = n.ops / float64(n.images)
+				b.MeanEnergyPJ = n.pj / float64(n.images)
 			}
 			if m.images > 0 {
-				s.Branches[ni].Fraction = float64(s.Branches[ni].Count) / float64(m.images)
+				b.Fraction = float64(n.images) / float64(m.images)
 			}
+			s.Branches[ni] = b
 		}
 	}
 	sum := m.acc.Summary()
