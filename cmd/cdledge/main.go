@@ -49,7 +49,7 @@ func main() {
 	pjOffload := flag.Float64("pjoffload", energy.DefaultLink().PerOffloadPJ, "link energy model: fixed pJ per transfer")
 	slo := flag.String("slo", "", `adapt the offload split to an SLO: "p99=20ms,queue=0.8,energy=2.5e9" — under pressure the controller resolves inputs locally at the last edge stage instead of queueing on the cloud (requests with an explicit δ bypass it)`)
 	adminAddr := flag.String("admin-addr", "", "separate listen address for the admin/debug surface (pprof, expvar, phase profile); empty = disabled")
-	profile := flag.Bool("profile", false, "enable the per-phase (im2col/gemm/epilogue/classifier) time breakdown from startup; also toggleable at runtime via POST /debug/phaseprof on -admin-addr")
+	profile := flag.Bool("profile", false, "enable the per-phase (im2col/gemm/epilogue/classifier/decode) time breakdown from startup; also toggleable at runtime via POST /debug/phaseprof on -admin-addr")
 	flag.Parse()
 
 	obs.SetProfiling(*profile)

@@ -87,7 +87,7 @@ func main() {
 	slo := flag.String("slo", "", `attach an SLO controller to every model: "p99=15ms,queue=0.8,energy=2.5e9,floor=0.5" (see internal/control.ParseSLO); requests without an explicit δ/policy degrade to shallower exits under load instead of shedding`)
 	sloInterval := flag.Duration("slo-interval", 0, "SLO controller tick period (0 = default 200ms)")
 	adminAddr := flag.String("admin-addr", "", "separate listen address for the admin/debug surface (pprof, expvar, phase profile); empty = disabled")
-	profile := flag.Bool("profile", false, "enable the per-phase (im2col/gemm/epilogue/classifier) time breakdown from startup; also toggleable at runtime via POST /debug/phaseprof on -admin-addr")
+	profile := flag.Bool("profile", false, "enable the per-phase (im2col/gemm/epilogue/classifier/decode) time breakdown from startup; also toggleable at runtime via POST /debug/phaseprof on -admin-addr")
 	flag.Parse()
 
 	if len(models.entries) == 0 {

@@ -3,6 +3,7 @@ package edgecloud
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -350,19 +351,31 @@ func TestEdgeServerBadRequests(t *testing.T) {
 		name string
 		req  serve.ClassifyRequest
 		want int
+		// pad spaces follow the value; chunked declares no Content-Length.
+		pad     int
+		chunked bool
 	}{
-		{"empty", serve.ClassifyRequest{}, http.StatusBadRequest},
-		{"wrong width", serve.ClassifyRequest{Image: []float64{1, 2}}, http.StatusBadRequest},
-		{"both forms", serve.ClassifyRequest{Image: good, Images: [][]float64{good}}, http.StatusBadRequest},
-		{"bad delta", serve.ClassifyRequest{Image: good, Delta: &bad}, http.StatusBadRequest},
-		{"too many", serve.ClassifyRequest{Images: [][]float64{good, good, good}}, http.StatusBadRequest},
+		{name: "empty", req: serve.ClassifyRequest{}, want: http.StatusBadRequest},
+		{name: "wrong width", req: serve.ClassifyRequest{Image: []float64{1, 2}}, want: http.StatusBadRequest},
+		{name: "both forms", req: serve.ClassifyRequest{Image: good, Images: [][]float64{good}}, want: http.StatusBadRequest},
+		{name: "bad delta", req: serve.ClassifyRequest{Image: good, Delta: &bad}, want: http.StatusBadRequest},
+		{name: "too many", req: serve.ClassifyRequest{Images: [][]float64{good, good, good}}, want: http.StatusBadRequest},
 		// 40 KB of pixels against a 2-image body bound of ~25 KB.
-		{"body over the bound", serve.ClassifyRequest{Image: make([]float64, 20000)}, http.StatusRequestEntityTooLarge},
+		{name: "body over the bound", req: serve.ClassifyRequest{Image: make([]float64, 20000)}, want: http.StatusRequestEntityTooLarge},
+		// The bound decides on length alone: a good request is refused once
+		// padding carries it over, by its declared Content-Length before a
+		// byte is read, or without one (chunked) when the bytes run past.
+		{name: "declared length over the bound", req: serve.ClassifyRequest{Image: good}, want: http.StatusRequestEntityTooLarge, pad: 64 << 10},
+		{name: "chunked body over the bound", req: serve.ClassifyRequest{Image: good}, want: http.StatusRequestEntityTooLarge, pad: 64 << 10, chunked: true},
 	}
 	for _, tc := range cases {
 		before := edgeSrv.Stats().Invalid
 		body, _ := json.Marshal(tc.req)
-		resp, err := http.Post(ts.URL+"/v1/classify", "application/json", bytes.NewReader(body))
+		var rd io.Reader = bytes.NewReader(append(body, bytes.Repeat([]byte(" "), tc.pad)...))
+		if tc.chunked {
+			rd = struct{ io.Reader }{rd}
+		}
+		resp, err := http.Post(ts.URL+"/v1/classify", "application/json", rd)
 		if err != nil {
 			t.Fatal(err)
 		}

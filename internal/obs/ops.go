@@ -69,8 +69,8 @@ func OpsMux(mux *http.ServeMux, tier string, src OpsSources) []AdminRoute {
 		if ProfilingEnabled() {
 			for _, st := range ProfSnapshot() {
 				lbl := Labels{{"phase", st.Name}}
-				p.Counter("cdl_phase_time_ms_total", "Cumulative time in each compute phase (im2col, GEMM, epilogue, classifier) while profiling is enabled.", lbl, st.TotalMS)
-				p.Counter("cdl_phase_calls_total", "Invocations of each profiled compute phase.", lbl, float64(st.Calls))
+				p.Counter("cdl_phase_time_ms_total", "Cumulative time in each profiled phase (im2col, GEMM, epilogue, classifier, body decode) while profiling is enabled.", lbl, st.TotalMS)
+				p.Counter("cdl_phase_calls_total", "Invocations of each profiled phase.", lbl, float64(st.Calls))
 			}
 		}
 		src.Metrics(p)

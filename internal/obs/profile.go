@@ -5,9 +5,10 @@ import (
 	"time"
 )
 
-// Phase identifies one hot-path compute phase for the opt-in profile:
-// where a stage's wall time actually goes (lowering vs GEMM vs the fused
-// segment's pool + bias + σ epilogue vs the per-stage linear classifier).
+// Phase identifies one hot-path phase for the opt-in profile: where a
+// stage's wall time actually goes (lowering vs GEMM vs the fused segment's
+// pool + bias + σ epilogue vs the per-stage linear classifier), and what a
+// request pays before any of it (reading and decoding its body).
 type Phase int
 
 const (
@@ -15,10 +16,11 @@ const (
 	PhaseGEMM
 	PhaseClassifier
 	PhaseEpilogue
+	PhaseDecode
 	numPhases
 )
 
-var phaseNames = [numPhases]string{"im2col", "gemm", "classifier", "epilogue"}
+var phaseNames = [numPhases]string{"im2col", "gemm", "classifier", "epilogue", "decode"}
 
 func (p Phase) String() string {
 	if p < 0 || p >= numPhases {

@@ -7,12 +7,15 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"sync"
+	"time"
 
 	"cdl/internal/control"
 	"cdl/internal/core"
@@ -72,18 +75,53 @@ func bodyBound(maxInputs, perInput int) int64 {
 	return int64(maxInputs)*int64(perInput) + 16384
 }
 
+// maxPooledBody caps what the body pool retains: a buffer that grew past it
+// (bodyBound reaches 6.4 MB at 256 images of 784 pixels) is dropped after
+// its request, so one large request does not pin its size in every pool
+// slot. It also caps what a declared Content-Length alone can reserve.
+const maxPooledBody = 1 << 20
+
+// bodyPool holds the buffers request bodies are read into. Nothing decoded
+// from a body may alias it: the buffer is back in the pool, and being
+// overwritten by another request, as soon as decodeBody returns.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 // decodeBody is the ingress check of every JSON body on both tiers: the
-// route's method only, one value with no unknown fields, at most maxBody
-// bytes (an input-count cap is useless if a client can make the decoder
-// buffer gigabytes first). An oversized body is 413, any other reject 400.
-func decodeBody(w http.ResponseWriter, r *http.Request, method string, maxBody int64, into any) *requestError {
+// route's method only, at most maxBody bytes, one value with no unknown
+// fields. The body is read whole into a pooled buffer before anything is
+// parsed, so the bound alone decides 413 — a declared Content-Length above
+// it is refused unread, and a body that runs past it is refused however
+// much of it was padding — and any other reject is 400. width and
+// maxImages size an image route's pixel storage (see scanImageBody); the
+// admin bodies pass zeros.
+func decodeBody(w http.ResponseWriter, r *http.Request, method string, maxBody int64, into any, width, maxImages int) *requestError {
 	if r.Method != method {
 		return &requestError{http.StatusMethodNotAllowed, method + " only"}
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
+	var t0 time.Time
+	prof := obs.ProfilingEnabled()
+	if prof {
+		t0 = time.Now()
+	}
+	buf := bodyPool.Get().(*bytes.Buffer)
+	var err error
+	if r.ContentLength > maxBody {
+		err = &http.MaxBytesError{Limit: maxBody}
+	} else {
+		buf.Grow(int(min(r.ContentLength, maxPooledBody)) + bytes.MinRead)
+		_, err = buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody))
+	}
+	if err == nil {
+		_, err = decodeJSON(buf.Bytes(), into, width, maxImages)
+	}
+	if buf.Cap() <= maxPooledBody {
+		buf.Reset()
+		bodyPool.Put(buf)
+	}
+	if prof {
+		obs.ProfAdd(obs.PhaseDecode, time.Since(t0))
+	}
+	if err != nil {
 		rerr := badRequest("bad request body: %v", err)
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -94,6 +132,48 @@ func decodeBody(w http.ResponseWriter, r *http.Request, method string, maxBody i
 	return nil
 }
 
+// decodeJSON decodes one request body into a route's wire struct. An image
+// route's body goes to the single-pass scanner first, which parses the
+// pixel arrays and returns the few other members for the strict decode;
+// scanned reports that it took the body. Whatever the scanner declines,
+// and every body of the other routes, takes strictDecode whole: that is the
+// only path for those inputs and the oracle FuzzDecodeBody holds the
+// scanner to, chosen by the bytes and never by a caller.
+func decodeJSON(data []byte, into any, width, maxImages int) (scanned bool, err error) {
+	switch q := into.(type) {
+	case *ClassifyRequest:
+		scanned = scanInto(data, q, &q.Image, &q.Images, classifyOthers, width, maxImages)
+	case *V2ClassifyRequest:
+		scanned = scanInto(data, q, &q.Image, &q.Images, v2ClassifyOthers, width, maxImages)
+	}
+	if scanned {
+		return true, nil
+	}
+	return false, strictDecode(data, into)
+}
+
+// scanInto fills the wire struct *q from the scanner's reading of data:
+// the other members through the strict decode, then the pixels. It leaves
+// *q zero when the scanner, or the strict decode of those members, declines.
+func scanInto[T any](data []byte, q *T, image *[]float64, images *[][]float64, others []string, width, maxImages int) bool {
+	one, many, rest, ok := scanImageBody(data, others, width, maxImages)
+	if ok && rest != nil && strictDecode(rest, q) != nil {
+		*q, ok = *new(T), false
+	}
+	if ok {
+		*image, *images = one, many
+	}
+	return ok
+}
+
+// strictDecode is encoding/json on the first value in data, unknown fields
+// refused.
+func strictDecode(data []byte, into any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	return dec.Decode(into)
+}
+
 // DecodeClassify is the /v1/classify ingress for a tier that fronts one
 // fixed model outside a registry (the edge front in internal/edgecloud):
 // decodeBody, NormalizeImages and ParseDeltaOverride, exactly what
@@ -102,7 +182,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, method string, maxBody i
 // ok=false. delta is nil when the client sent none.
 func DecodeClassify(w http.ResponseWriter, r *http.Request, inWidth, maxImages int, inShape []int) (images [][]float64, delta *float64, ok bool) {
 	var req ClassifyRequest
-	rerr := decodeBody(w, r, http.MethodPost, bodyBound(maxImages, inWidth*32), &req)
+	rerr := decodeBody(w, r, http.MethodPost, bodyBound(maxImages, inWidth*32), &req, inWidth, maxImages)
 	if rerr == nil {
 		images, err := req.NormalizeImages(inWidth, maxImages, inShape)
 		if err == nil {
@@ -267,7 +347,7 @@ func (s *Server) handleInfer(resume bool, wire func() wireRequest) http.HandlerF
 			perInput = base64.StdEncoding.EncodedLen(m0.maxResumeWire) + 4
 		}
 		body := wire()
-		rerr := decodeBody(w, r, http.MethodPost, bodyBound(s.cfg.MaxRequestImages, perInput), body)
+		rerr := decodeBody(w, r, http.MethodPost, bodyBound(s.cfg.MaxRequestImages, perInput), body, m0.inWidth, s.cfg.MaxRequestImages)
 		var req inferRequest
 		var ctx context.Context
 		var cancel context.CancelFunc

@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -43,11 +44,22 @@ func saveModel(t testing.TB, dir, name string, cdln *core.CDLN) string {
 
 func postJSON(t testing.TB, url string, v any) (int, []byte) {
 	t.Helper()
+	return postPadded(t, url, v, 0, false)
+}
+
+// postPadded posts v followed by pad spaces; chunked hides the body's length
+// from the client, so no Content-Length is declared.
+func postPadded(t testing.TB, url string, v any, pad int, chunked bool) (int, []byte) {
+	t.Helper()
 	body, err := json.Marshal(v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	var rd io.Reader = bytes.NewReader(append(body, bytes.Repeat([]byte(" "), pad)...))
+	if chunked {
+		rd = struct{ io.Reader }{rd}
+	}
+	resp, err := http.Post(url, "application/json", rd)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -157,21 +157,29 @@ func TestResumeBadRequests(t *testing.T) {
 		name string
 		req  ResumeRequest
 		want int
+		// pad spaces follow the value; chunked declares no Content-Length.
+		pad     int
+		chunked bool
 	}{
-		{"empty", ResumeRequest{}, http.StatusBadRequest},
-		{"both forms", ResumeRequest{Payload: good, Payloads: []string{good}}, http.StatusBadRequest},
-		{"bad base64", ResumeRequest{Payload: "!!!not-base64!!!"}, http.StatusBadRequest},
-		{"not wire", ResumeRequest{Payload: base64.StdEncoding.EncodeToString([]byte("junk-bytes"))}, http.StatusBadRequest},
-		{"stage too deep", ResumeRequest{Payload: reencode(func(a *wire.Activation) { a.FromStage = 9 })}, http.StatusBadRequest},
-		{"wrong pos", ResumeRequest{Payload: reencode(func(a *wire.Activation) { a.Pos = 1 })}, http.StatusBadRequest},
-		{"wrong shape", ResumeRequest{Payload: reencode(func(a *wire.Activation) {
+		{name: "empty", req: ResumeRequest{}, want: http.StatusBadRequest},
+		{name: "both forms", req: ResumeRequest{Payload: good, Payloads: []string{good}}, want: http.StatusBadRequest},
+		{name: "bad base64", req: ResumeRequest{Payload: "!!!not-base64!!!"}, want: http.StatusBadRequest},
+		{name: "not wire", req: ResumeRequest{Payload: base64.StdEncoding.EncodeToString([]byte("junk-bytes"))}, want: http.StatusBadRequest},
+		{name: "stage too deep", req: ResumeRequest{Payload: reencode(func(a *wire.Activation) { a.FromStage = 9 })}, want: http.StatusBadRequest},
+		{name: "wrong pos", req: ResumeRequest{Payload: reencode(func(a *wire.Activation) { a.Pos = 1 })}, want: http.StatusBadRequest},
+		{name: "wrong shape", req: ResumeRequest{Payload: reencode(func(a *wire.Activation) {
 			a.Shape = []int{len(a.Data)}
-		})}, http.StatusBadRequest},
-		{"out-of-range delta", ResumeRequest{Payload: good, Delta: &bad}, http.StatusBadRequest},
-		{"too many payloads", ResumeRequest{Payloads: []string{good, good, good}}, http.StatusBadRequest},
+		})}, want: http.StatusBadRequest},
+		{name: "out-of-range delta", req: ResumeRequest{Payload: good, Delta: &bad}, want: http.StatusBadRequest},
+		{name: "too many payloads", req: ResumeRequest{Payloads: []string{good, good, good}}, want: http.StatusBadRequest},
 		// Far past the 2-payload bound of the widest activation this model
-		// can receive: the byte limit trips before base64 is even looked at.
-		{"body over the bound", ResumeRequest{Payload: strings.Repeat("A", 64<<10)}, http.StatusRequestEntityTooLarge},
+		// can receive: the byte limit decides before base64 is even looked at.
+		{name: "body over the bound", req: ResumeRequest{Payload: strings.Repeat("A", 64<<10)}, want: http.StatusRequestEntityTooLarge},
+		// The bound decides on length alone: a good request is refused once
+		// padding carries it over, by its declared Content-Length before a
+		// byte is read, or without one (chunked) when the bytes run past.
+		{name: "declared length over the bound", req: ResumeRequest{Payload: good}, want: http.StatusRequestEntityTooLarge, pad: 64 << 10},
+		{name: "chunked body over the bound", req: ResumeRequest{Payload: good}, want: http.StatusRequestEntityTooLarge, pad: 64 << 10, chunked: true},
 	}
 	// Every row is posted in both wire forms: one handler, one verdict, one
 	// bump of the invalid counter each.
@@ -179,7 +187,7 @@ func TestResumeBadRequests(t *testing.T) {
 		v2 := V2ResumeRequest{Payload: tc.req.Payload, Payloads: tc.req.Payloads, Policy: deltaPolicy(tc.req.Delta)}
 		for path, req := range map[string]any{"/v1/resume": tc.req, "/v2/models/" + DefaultModelName + "/resume": v2} {
 			before := srv.Stats().Invalid
-			if status, body := postJSON(t, ts.URL+path, req); status != tc.want {
+			if status, body := postPadded(t, ts.URL+path, req, tc.pad, tc.chunked); status != tc.want {
 				t.Errorf("%s %s: HTTP %d (%s), want %d", path, tc.name, status, body, tc.want)
 			}
 			if got := srv.Stats().Invalid; got != before+1 {

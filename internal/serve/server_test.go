@@ -337,15 +337,23 @@ func TestServerBadRequests(t *testing.T) {
 		name string
 		req  ClassifyRequest
 		want int
+		// pad spaces follow the value; chunked declares no Content-Length.
+		pad     int
+		chunked bool
 	}{
-		{"empty", ClassifyRequest{}, http.StatusBadRequest},
-		{"wrong width", ClassifyRequest{Image: []float64{1, 2, 3}}, http.StatusBadRequest},
-		{"both forms", ClassifyRequest{Image: good, Images: [][]float64{good}}, http.StatusBadRequest},
-		{"delta range", ClassifyRequest{Image: good, Delta: &bad}, http.StatusBadRequest},
-		{"too many images", ClassifyRequest{Images: [][]float64{good, good, good, good, good}}, http.StatusBadRequest},
+		{name: "empty", req: ClassifyRequest{}, want: http.StatusBadRequest},
+		{name: "wrong width", req: ClassifyRequest{Image: []float64{1, 2, 3}}, want: http.StatusBadRequest},
+		{name: "both forms", req: ClassifyRequest{Image: good, Images: [][]float64{good}}, want: http.StatusBadRequest},
+		{name: "delta range", req: ClassifyRequest{Image: good, Delta: &bad}, want: http.StatusBadRequest},
+		{name: "too many images", req: ClassifyRequest{Images: [][]float64{good, good, good, good, good}}, want: http.StatusBadRequest},
 		// 40 KB of pixels against a 4-image bound of ~34 KB: the byte limit
-		// trips mid-decode, before the width check could see the image.
-		{"body over the bound", ClassifyRequest{Image: make([]float64, 20000)}, http.StatusRequestEntityTooLarge},
+		// decides, before the width check could see the image.
+		{name: "body over the bound", req: ClassifyRequest{Image: make([]float64, 20000)}, want: http.StatusRequestEntityTooLarge},
+		// The bound decides on length alone: a good request is refused once
+		// padding carries it over, by its declared Content-Length before a
+		// byte is read, or without one (chunked) when the bytes run past.
+		{name: "declared length over the bound", req: ClassifyRequest{Image: good}, want: http.StatusRequestEntityTooLarge, pad: 64 << 10},
+		{name: "chunked body over the bound", req: ClassifyRequest{Image: good}, want: http.StatusRequestEntityTooLarge, pad: 64 << 10, chunked: true},
 	}
 	// Every row is posted in both wire forms: one handler, one verdict, one
 	// bump of the invalid counter each.
@@ -353,7 +361,7 @@ func TestServerBadRequests(t *testing.T) {
 		v2 := V2ClassifyRequest{Image: tc.req.Image, Images: tc.req.Images, Policy: deltaPolicy(tc.req.Delta)}
 		for path, req := range map[string]any{"/v1/classify": tc.req, "/v2/models/" + DefaultModelName + "/classify": v2} {
 			before := srv.Stats().Invalid
-			if status, body := postJSON(t, ts.URL+path, req); status != tc.want {
+			if status, body := postPadded(t, ts.URL+path, req, tc.pad, tc.chunked); status != tc.want {
 				t.Errorf("%s %s: HTTP %d (%s), want %d", path, tc.name, status, body, tc.want)
 			}
 			if got := srv.Stats().Invalid; got != before+1 {
@@ -371,8 +379,8 @@ func TestServerBadRequests(t *testing.T) {
 		t.Errorf("GET classify: HTTP %d, want 405", resp.StatusCode)
 	}
 
-	// Oversized body: rejected by the byte limit while decoding, well
-	// before the image-count check could see it.
+	// Oversized body: rejected by the byte limit, well before the
+	// image-count check could see it.
 	huge := bytes.Repeat([]byte("9"), 8<<20)
 	oresp, err := http.Post(ts.URL+"/v1/classify", "application/json",
 		bytes.NewReader(append([]byte(`{"image":[`), huge...)))

@@ -327,7 +327,7 @@ func (s *Server) handleModelPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req V2PutModelRequest
-	if rerr := decodeBody(w, r, http.MethodPut, 1<<20, &req); rerr != nil {
+	if rerr := decodeBody(w, r, http.MethodPut, 1<<20, &req, 0, 0); rerr != nil {
 		WriteError(w, rerr.status, rerr.msg)
 		return
 	}
@@ -385,7 +385,7 @@ func (s *Server) handleBranchPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req V2PutBranchRequest
-	if rerr := decodeBody(w, r, http.MethodPut, 1<<20, &req); rerr != nil {
+	if rerr := decodeBody(w, r, http.MethodPut, 1<<20, &req, 0, 0); rerr != nil {
 		WriteError(w, rerr.status, rerr.msg)
 		return
 	}
