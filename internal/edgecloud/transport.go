@@ -116,7 +116,7 @@ func (h *HTTPTransport) resumeBatch(payloads [][]byte, delta float64, traceID st
 		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
+	raw, err := serve.ReadSized(io.LimitReader(resp.Body, 8<<20), resp.ContentLength)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -331,6 +331,67 @@ func TestFleetRoutesAcrossBackends(t *testing.T) {
 	}
 }
 
+// unreadBody fails the test if the handler reads the body at all.
+type unreadBody struct{ t *testing.T }
+
+func (b unreadBody) Read([]byte) (int, error) {
+	b.t.Error("the body was read")
+	return 0, io.EOF
+}
+
+// TestRouterBodyBound pins the router's 413 rule, the one serve's
+// decodeBody has: MaxBodyBytes alone decides. A declared length over the
+// bound is refused before a byte is read, a body that runs past it
+// undeclared (chunked) is refused too, both with MaxBytesError's message;
+// a body of exactly the bound is forwarded intact, which the backend shows
+// by classifying it.
+func TestRouterBodyBound(t *testing.T) {
+	cdln, data := testCDLN(t, 37)
+	body, err := json.Marshal(serve.ClassifyRequest{Images: sampleImages(data, 0, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := int64(len(body))
+	f := startFleet(t, cdln, 1, func(c *Config) { c.MaxBodyBytes = bound })
+	waitReady(t, f, 1)
+
+	over := append(bytes.Clone(body), ' ')
+	for _, tc := range []struct {
+		name     string
+		body     io.Reader
+		declared int64
+		want     int
+	}{
+		{"exactly the bound", bytes.NewReader(body), bound, http.StatusOK},
+		{"exactly the bound, chunked", bytes.NewReader(body), -1, http.StatusOK},
+		{"declared over the bound", unreadBody{t}, bound + 1, http.StatusRequestEntityTooLarge},
+		{"chunked over the bound", bytes.NewReader(over), -1, http.StatusRequestEntityTooLarge},
+	} {
+		r := httptest.NewRequest(http.MethodPost, "/v1/classify", tc.body)
+		r.ContentLength = tc.declared
+		w := httptest.NewRecorder()
+		f.router.Handler().ServeHTTP(w, r)
+		if w.Code != tc.want {
+			t.Errorf("%s: HTTP %d (%s), want %d", tc.name, w.Code, w.Body, tc.want)
+			continue
+		}
+		switch tc.want {
+		case http.StatusOK:
+			var cr serve.ClassifyResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &cr); err != nil || cr.Count != 2 {
+				t.Errorf("%s: the backend answered %s (%v), want 2 results", tc.name, w.Body, err)
+			}
+		default:
+			var e struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || e.Error != "http: request body too large" {
+				t.Errorf("%s: 413 says %s", tc.name, w.Body)
+			}
+		}
+	}
+}
+
 // TestFleetSurvivesBackendKill is the e2e storm the issue names: 3 real
 // backends under concurrent load, one severed mid-flight (listener and all
 // connections die, as a SIGKILL would). Requirements: zero non-503 client

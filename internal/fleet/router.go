@@ -358,7 +358,7 @@ func (rt *Router) send(ctx context.Context, b *backend, method, path string, bod
 		return attemptResult{backend: b, err: err}
 	}
 	defer resp.Body.Close()
-	payload, err := io.ReadAll(io.LimitReader(resp.Body, rt.cfg.MaxBodyBytes+1))
+	payload, err := serve.ReadSized(io.LimitReader(resp.Body, rt.cfg.MaxBodyBytes+1), resp.ContentLength)
 	if err != nil {
 		b.errors.Add(1)
 		return attemptResult{backend: b, err: err}
@@ -392,7 +392,16 @@ func (rt *Router) handleData(w http.ResponseWriter, r *http.Request, model, rout
 	mm := rt.metrics.model(mk)
 	tr := obs.FromContext(r.Context())
 	refused := control.Event{Trace: tr, ExitIndex: -1, Outcome: obs.FlightError, Cause: control.CauseInvalid}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
+	// The bound alone decides 413: a declared length over it is refused
+	// unread. The buffer is not pooled: a hedge loser's goroutine can still
+	// be sending it after this handler returns.
+	var body []byte
+	var err error
+	if r.ContentLength > rt.cfg.MaxBodyBytes {
+		err = &http.MaxBytesError{Limit: rt.cfg.MaxBodyBytes}
+	} else {
+		body, err = serve.ReadSized(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes), r.ContentLength)
+	}
 	if err != nil {
 		mm.plane.Observe([]control.Event{refused})
 		var tooLarge *http.MaxBytesError

@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -86,13 +87,30 @@ const maxPooledBody = 1 << 20
 // overwritten by another request, as soon as decodeBody returns.
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
+// ReadSized reads r to its end, like io.ReadAll, into one buffer sized from
+// the length the peer declared (an http Content-Length; negative when there
+// is none, and then it is io.ReadAll). io.ReadAll starts at 512 bytes and
+// regrows — some 34 KB of garbage for a 10 KB body. The declaration is only
+// a hint, reserved up to maxPooledBody: a body that runs past it still
+// reads whole, so the bound on r stays the caller's (http.MaxBytesReader, an
+// io.LimitReader). The buffer is the caller's own, never pooled.
+func ReadSized(r io.Reader, declared int64) ([]byte, error) {
+	if declared < 0 {
+		return io.ReadAll(r)
+	}
+	// bytes.MinRead spare, or ReadFrom regrows to look for the EOF.
+	buf := bytes.NewBuffer(make([]byte, 0, min(declared, maxPooledBody)+bytes.MinRead))
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
+}
+
 // decodeBody is the ingress check of every JSON body on both tiers: the
 // route's method only, at most maxBody bytes, one value with no unknown
 // fields. The body is read whole into a pooled buffer before anything is
 // parsed, so the bound alone decides 413 — a declared Content-Length above
 // it is refused unread, and a body that runs past it is refused however
 // much of it was padding — and any other reject is 400. width and
-// maxImages size an image route's pixel storage (see scanImageBody); the
+// maxImages size an image route's pixel storage (see bodyScan.imageBody); the
 // admin bodies pass zeros.
 func decodeBody(w http.ResponseWriter, r *http.Request, method string, maxBody int64, into any, width, maxImages int) *requestError {
 	if r.Method != method {
@@ -156,7 +174,8 @@ func decodeJSON(data []byte, into any, width, maxImages int) (scanned bool, err 
 // the other members through the strict decode, then the pixels. It leaves
 // *q zero when the scanner, or the strict decode of those members, declines.
 func scanInto[T any](data []byte, q *T, image *[]float64, images *[][]float64, others []string, width, maxImages int) bool {
-	one, many, rest, ok := scanImageBody(data, others, width, maxImages)
+	s := bodyScan{data: data}
+	one, many, rest, ok := s.imageBody(others, width, maxImages)
 	if ok && rest != nil && strictDecode(rest, q) != nil {
 		*q, ok = *new(T), false
 	}

@@ -9,7 +9,10 @@
 // encoding/json's own.
 package serve
 
-import "strconv"
+import (
+	"encoding/binary"
+	"strconv"
+)
 
 // The members of the two image wire structs the scanner passes through to
 // the strict decode (TestScanKnowsTheWireStructs holds them to the tags).
@@ -22,6 +25,10 @@ var (
 type bodyScan struct {
 	data []byte
 	i    int
+	// fallbacks counts the number tokens strconv.ParseFloat converted
+	// because decimalToFloat declined them; tests and BenchmarkDecodeBody
+	// hold it at zero on what clients send.
+	fallbacks int
 }
 
 // space skips JSON whitespace and returns the byte the cursor rests on, 0
@@ -38,16 +45,16 @@ func (s *bodyScan) space() byte {
 	return 0
 }
 
-// scanImageBody scans data as an image route's request. others names the
+// imageBody scans s.data as an image route's request. others names the
 // wire struct's members besides "image" and "images"; width and maxImages
 // size the pixel storage (one exact allocation per image of the model's
 // width; a body carrying more than maxImages images declines, so what a
 // hostile `[[],[],…` can make the scanner allocate is what a legitimate
 // full request occupies). rest is the other members re-framed as one
 // object for the strict decode, nil when there are none. Everything
-// returned is freshly allocated: nothing aliases data.
-func scanImageBody(data []byte, others []string, width, maxImages int) (image []float64, images [][]float64, rest []byte, ok bool) {
-	s := bodyScan{data: data}
+// returned is freshly allocated: nothing aliases s.data.
+func (s *bodyScan) imageBody(others []string, width, maxImages int) (image []float64, images [][]float64, rest []byte, ok bool) {
+	data := s.data
 	if s.space() != '{' {
 		return nil, nil, nil, false
 	}
@@ -168,10 +175,14 @@ func (s *bodyScan) numberArrays(width, maxImages int) ([][]float64, bool) {
 }
 
 // numbers scans one array of numbers into a slice with room for width of
-// them. Each token is checked against the JSON number grammar
-// (-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?) before it reaches
-// strconv.ParseFloat, the conversion encoding/json itself applies, so the
-// bits are the decoder's; a token ParseFloat refuses (out of range) declines.
+// them. Each token is walked once: the loop that checks it against the JSON
+// number grammar (-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?) also
+// gathers its significant digits into an integer mantissa and its decimal
+// exponent, which decimalToFloat converts. A token that conversion cannot
+// prove — more than 19 significant digits, or one of its own declines — goes
+// to strconv.ParseFloat, the conversion encoding/json itself applies, so
+// either way the bits are the decoder's; a token ParseFloat refuses (out of
+// range) declines the body.
 func (s *bodyScan) numbers(width int) ([]float64, bool) {
 	if s.space() != '[' {
 		return nil, false
@@ -190,52 +201,93 @@ func (s *bodyScan) numbers(width int) ([]float64, bool) {
 			i++
 		}
 		start := i
-		if i < n && data[i] == '-' {
+		neg := i < n && data[i] == '-'
+		if neg {
 			i++
 		}
+		// man gathers the digits of the integer and fraction parts as one
+		// integer, wrapping around if they overflow it: digits counts the
+		// significant ones (from the first that is not zero), and past 19
+		// man is not looked at.
+		var man uint64
+		digits, exp10 := 0, 0
 		// The integer part: a lone 0, or digits that do not start with one.
 		// (c-'0' <= 9 is the digit test: a byte below '0' wraps past 9.)
 		switch {
 		case i < n && data[i] == '0':
 			i++
 		case i < n && data[i]-'1' <= 8:
-			for i++; i < n && data[i]-'0' <= 9; i++ {
+			first := i
+			for ; i < n && data[i]-'0' <= 9; i++ {
+				man = man*10 + uint64(data[i]-'0')
 			}
+			digits = i - first
 		default:
 			return nil, false
 		}
 		if i < n && data[i] == '.' {
 			frac := i + 1
-			for i = frac; i < n && data[i]-'0' <= 9; i++ {
+			i = frac
+			if digits == 0 {
+				for i < n && data[i] == '0' {
+					i++
+				}
+			}
+			first := i
+			// Most pixels are 16 or 17 fraction digits: take them eight to
+			// a step while they last, the rest one by one.
+			for i+8 <= n {
+				v, ok := eightDigits(binary.LittleEndian.Uint64(data[i:]))
+				if !ok {
+					break
+				}
+				man = man*1e8 + v
+				i += 8
+			}
+			for ; i < n && data[i]-'0' <= 9; i++ {
+				man = man*10 + uint64(data[i]-'0')
 			}
 			if i == frac {
 				return nil, false
 			}
+			digits += i - first
+			exp10 = frac - i
 		}
 		if i < n && data[i]|0x20 == 'e' {
 			i++
+			eneg := false
 			if i < n && (data[i] == '+' || data[i] == '-') {
+				eneg = data[i] == '-'
 				i++
 			}
-			exp := i
+			first, e := i, 0
 			for ; i < n && data[i]-'0' <= 9; i++ {
+				if e < 1e4 { // far outside float64 already: stop before it overflows
+					e = e*10 + int(data[i]-'0')
+				}
 			}
-			if i == exp {
+			if i == first {
 				return nil, false
 			}
+			if eneg {
+				e = -e
+			}
+			exp10 += e
 		}
-		if i == start+1 {
-			// One digit is its own value; a blank image is mostly these.
-			out = append(out, float64(data[start]-'0'))
-		} else {
+		f, ok := 0.0, digits <= 19
+		if ok {
+			f, ok = decimalToFloat(man, exp10, neg)
+		}
+		if !ok {
 			// The conversion does not escape, so a token of up to 32 bytes
 			// is converted on the stack.
-			f, err := strconv.ParseFloat(string(data[start:i]), 64)
-			if err != nil {
+			var err error
+			if f, err = strconv.ParseFloat(string(data[start:i]), 64); err != nil {
 				return nil, false
 			}
-			out = append(out, f)
+			s.fallbacks++
 		}
+		out = append(out, f)
 
 		for i < n && (data[i] == ' ' || data[i] == '\t' || data[i] == '\r' || data[i] == '\n') {
 			i++
@@ -253,6 +305,21 @@ func (s *bodyScan) numbers(width int) ([]float64, bool) {
 			return nil, false
 		}
 	}
+}
+
+// eightDigits converts eight ASCII digits, loaded little-endian so the first
+// is the low byte, to the number they spell; ok=false if any of the eight
+// bytes is not a digit. (A digit is 0x30–0x39: high nibble 3, and still 3
+// after adding 6. Then adjacent digits are combined pairwise — 10a+b in each
+// 16-bit lane, 100ab+cd and 10^4·abcd+efgh by the two multiplies — the word
+// at a time technique of github.com/fastfloat/fast_float.)
+func eightDigits(v uint64) (val uint64, ok bool) {
+	if (v&0xF0F0F0F0F0F0F0F0)|(v+0x0606060606060606)&0xF0F0F0F0F0F0F0F0>>4 != 0x3333333333333333 {
+		return 0, false
+	}
+	v -= 0x3030303030303030
+	v = v*10 + v>>8
+	return ((v&0x000000FF000000FF)*(100+1e6<<32) + (v>>16&0x000000FF000000FF)*(1+1e4<<32)) >> 32, true
 }
 
 // skipValue moves the cursor past one JSON value without validating it: it

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"net/http"
@@ -146,11 +147,11 @@ func scanSeeds() [][]byte {
 		`{"policy":` + strings.Repeat(`{"a":`, 10000) + `1` + strings.Repeat("}", 10000) + `}`,
 		`{"image":` + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + `}`,
 	}
-	for _, num := range []string{
-		"1e999", "-1e999", "1e-999", "-0", "-0.0", "0", "01", "-01", "+1", ".5", "-.5", "1.", "1.e3", "1e", "1e+", "1E-2", "1e+2",
-		"-", "--1", "0x10", "NaN", "Infinity", "-Infinity", "1_000", "true", `"1"`, "0.1e0001", "9007199254740993",
-		"0.30000000000000004", "123456789012345678901234567890123456789012345", "4.9e-324", "1.7976931348623157e308", "1.7976931348623159e308",
-	} {
+	// Tokens on both sides of the number grammar, then the conversion's edge table.
+	for _, num := range append([]string{
+		"-1e999", "01", "-01", "+1", ".5", "-.5", "1.", "1.e3", "1e", "1e+", "1E-2", "1e+2",
+		"-", "--1", "0x10", "NaN", "Infinity", "-Infinity", "1_000", "true", `"1"`,
+	}, edgeNumbers...) {
 		seeds = append(seeds, `{"image":[`+num+`]}`, `{"images":[[0,`+num+`]],"delta":0.5}`)
 	}
 	out := make([][]byte, len(seeds))
@@ -314,6 +315,27 @@ func TestBodyPoolDropsLargeBuffers(t *testing.T) {
 	}
 }
 
+// TestReadSized: the declared length only sizes the buffer. The body reads
+// whole whether the declaration was right, short, long, absent or past the
+// reservation cap, and a reader's error comes back with what was read.
+func TestReadSized(t *testing.T) {
+	body := bytes.Repeat([]byte("0123456789abcdef"), 700)
+	for _, declared := range []int64{-1, 0, 1, int64(len(body)) - 1, int64(len(body)), int64(len(body)) + 1, 1 << 40} {
+		got, err := ReadSized(bytes.NewReader(body), declared)
+		if err != nil || !bytes.Equal(got, body) {
+			t.Errorf("declared %d: read %d bytes (%v), want the %d sent", declared, len(got), err, len(body))
+		}
+		if declared == int64(len(body)) && cap(got) != len(body)+bytes.MinRead {
+			t.Errorf("a true declaration of %d left a %d-byte buffer: it regrew", declared, cap(got))
+		}
+	}
+	got, err := ReadSized(http.MaxBytesReader(httptest.NewRecorder(), io.NopCloser(bytes.NewReader(body)), 100), int64(len(body)))
+	var tooLarge *http.MaxBytesError
+	if !errors.As(err, &tooLarge) || len(got) != 100 {
+		t.Errorf("past the reader's bound: %d bytes, %v", len(got), err)
+	}
+}
+
 // unreadBody fails the test if the handler reads the body at all.
 type unreadBody struct{ t *testing.T }
 
@@ -397,8 +419,9 @@ func TestDecodeBodyAllocs(t *testing.T) {
 		t.Errorf("%.0f bytes allocated per 16-image body, want <= %.0f", size, limit)
 	}
 
-	// The float conversion's string(token) stays on the stack up to 32
-	// bytes; a longer token costs one allocation each, and no more.
+	// A token of over 19 digits is strconv's: its string(token) stays on
+	// the stack up to 32 bytes; a longer one costs one allocation each, and
+	// no more.
 	long := []byte(`{"images":[[` + strings.TrimSuffix(strings.Repeat("0."+strings.Repeat("3", 38)+",", 8), ",") + `]]}`)
 	short := []byte(`{"images":[[` + strings.TrimSuffix(strings.Repeat("0."+strings.Repeat("3", 30)+",", 8), ",") + `]]}`)
 	shortAllocs, _ := measure(short, scan)
@@ -414,9 +437,27 @@ var decodeSink any
 // BenchmarkDecodeBody is the layer number of the request-body decode: the
 // bench-shaped 1- and 16-image bodies of 784-pixel digits through
 // decodeJSON (the scanner), each beside the strict encoding/json decode
-// the scanner replaced and falls back to.
+// the scanner replaced and falls back to. numbers_only is the scanner by
+// itself on the 16-image body: what one pixel token costs to check and
+// convert, and how many of them strconv converted (none).
 func BenchmarkDecodeBody(b *testing.B) {
 	single, batch, _ := benchShapedBodies(b, 16)
+	b.Run("numbers_only", func(b *testing.B) {
+		b.SetBytes(int64(len(batch)))
+		b.ReportAllocs()
+		fallbacks := 0
+		for i := 0; i < b.N; i++ {
+			s := bodyScan{data: batch}
+			_, images, _, ok := s.imageBody(v2ClassifyOthers, 784, 256)
+			if !ok {
+				b.Fatal("the scanner declined the body")
+			}
+			fallbacks += s.fallbacks
+			decodeSink = images
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*16*784), "ns/token")
+		b.ReportMetric(float64(fallbacks)/float64(b.N), "fallbacks/op")
+	})
 	for _, bc := range []struct {
 		name string
 		body []byte
