@@ -1,0 +1,99 @@
+package edgecloud
+
+import (
+	"bytes"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"sync"
+	"testing"
+
+	"cdl/internal/core"
+	"cdl/internal/edgecloud/wire"
+	"cdl/internal/obs"
+	"cdl/internal/serve"
+)
+
+// TestLinkChargeMatchesTheWire pins what energy.Link is charged on against
+// what HTTPTransport puts on the link: one wire frame per offloading batch,
+// whose length less its framing (the 12-byte preamble, the members object,
+// four bytes per payload) is exactly the sum of the offloaded results'
+// WireBytes. The charge was always on the raw wire.Encode length; since the
+// frame replaced base64-in-JSON that is also what is sent, on both the /v1
+// and the named-model route, traced (wire v3 payloads) or not.
+func TestLinkChargeMatchesTheWire(t *testing.T) {
+	cdln, data := testCDLN(t, 91)
+	cloud, err := serve.New(cdln, serve.Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type seen struct {
+		contentType string
+		body        []byte
+	}
+	var mu sync.Mutex
+	var requests []seen
+	cloudTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		mu.Lock()
+		requests = append(requests, seen{r.Header.Get("Content-Type"), body})
+		mu.Unlock()
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		cloud.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() { cloudTS.Close(); cloud.Close() })
+
+	xs := tensorsOf(data[:40])
+	for _, tc := range []struct {
+		name      string
+		transport *HTTPTransport
+		traced    bool
+	}{
+		{"v1", NewHTTPTransport(cloudTS.URL), false},
+		{"named model", NewHTTPModelTransport(cloudTS.URL, serve.DefaultModelName), false},
+		{"named model, traced", NewHTTPModelTransport(cloudTS.URL, serve.DefaultModelName), true},
+	} {
+		requests = nil
+		edge, err := New(cdln, tc.transport, DefaultConfig(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.traced {
+			edge.AttachTrace(obs.NewTrace("00112233445566778899aabbccddeeff", true))
+		}
+		results, err := edge.ClassifyBatchPolicy(xs, core.DeltaPolicy(0.9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		charged, offloads := 0, 0
+		for _, res := range results {
+			if res.Offloaded {
+				offloads++
+				charged += res.WireBytes
+				if want := edge.Costs().Link.TransferPJ(res.WireBytes); res.LinkPJ != want {
+					t.Errorf("%s: link charge %v pJ, want %v for %d bytes", tc.name, res.LinkPJ, want, res.WireBytes)
+				}
+			}
+		}
+		if offloads < 2 || len(requests) != 1 {
+			t.Fatalf("%s: %d offloads in %d requests; want a batch in one round trip", tc.name, offloads, len(requests))
+		}
+		req := requests[0]
+		if req.contentType != wire.FrameContentType {
+			t.Errorf("%s: Content-Type %q, want %q", tc.name, req.contentType, wire.FrameContentType)
+		}
+		members, payloads, err := wire.ReadFrame(req.body)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(payloads) != offloads {
+			t.Errorf("%s: %d payloads on the link for %d offloads", tc.name, len(payloads), offloads)
+		}
+		if sent := len(req.body) - (12 + len(members) + 4*len(payloads)); sent != charged {
+			t.Errorf("%s: %d payload bytes on the link, %d charged", tc.name, sent, charged)
+		}
+		if want := map[bool]string{true: `{"policy":{"delta":0.9}}`, false: `{"delta":0.9}`}[tc.transport.Model != ""]; string(members) != want {
+			t.Errorf("%s: members %s, want %s", tc.name, members, want)
+		}
+	}
+}

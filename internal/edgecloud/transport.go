@@ -2,7 +2,6 @@ package edgecloud
 
 import (
 	"bytes"
-	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -32,10 +31,13 @@ type HTTPTransport struct {
 	// the same cascade the edge runs its prefix on — the cloud validates
 	// every activation's stage/shape against it and rejects mismatches.
 	Model string
-	// Client is the HTTP client; nil uses a client with a 30s timeout
-	// (an offload must never hang an edge worker forever).
+	// Client is the HTTP client; nil uses defaultClient.
 	Client *http.Client
 }
+
+// defaultClient is shared by every transport without a Client of its own:
+// an offload must never hang an edge worker forever.
+var defaultClient = &http.Client{Timeout: 30 * time.Second}
 
 // NewHTTPTransport returns a transport for the given base URL with the
 // default client, targeting the backend's default model.
@@ -49,9 +51,9 @@ func NewHTTPModelTransport(baseURL, model string) *HTTPTransport {
 	return &HTTPTransport{BaseURL: baseURL, Model: model}
 }
 
-// ResumeBatch implements Transport over the serve JSON schema: all
-// payloads travel in one resume request, so a hard batch costs one round
-// trip instead of one per image.
+// ResumeBatch implements Transport over the serve resume routes: all
+// payloads travel in one wire frame (wire.AppendFrame), so a hard batch
+// costs one round trip instead of one per image.
 func (h *HTTPTransport) ResumeBatch(payloads [][]byte, delta float64) ([]core.ExitRecord, error) {
 	recs, _, err := h.resumeBatch(payloads, delta, "")
 	return recs, err
@@ -66,48 +68,41 @@ func (h *HTTPTransport) ResumeBatchTraced(payloads [][]byte, delta float64, trac
 }
 
 func (h *HTTPTransport) resumeBatch(payloads [][]byte, delta float64, traceID string) ([]core.ExitRecord, []obs.Span, error) {
-	b64 := make([]string, len(payloads))
-	for i, p := range payloads {
-		b64[i] = base64.StdEncoding.EncodeToString(p)
-	}
-	var body []byte
-	var err error
+	// The members: the route's own wire struct, its payload fields empty.
+	var members any
 	var path string
 	if h.Model == "" {
 		path = "/v1/resume"
 		req := serve.ResumeRequest{}
-		if len(b64) == 1 {
-			req.Payload = b64[0]
-		} else {
-			req.Payloads = b64
-		}
 		if delta >= 0 {
-			d := delta
-			req.Delta = &d
+			req.Delta = &delta
 		}
-		body, err = json.Marshal(req)
+		members = req
 	} else {
 		path = "/v2/models/" + h.Model + "/resume"
-		req := serve.V2ResumeRequest{Payloads: b64}
+		req := serve.V2ResumeRequest{}
 		if delta >= 0 {
-			d := delta
-			req.Policy = &serve.PolicyRequest{Delta: &d}
+			req.Policy = &serve.PolicyRequest{Delta: &delta}
 		}
-		body, err = json.Marshal(req)
+		members = req
+	}
+	body, err := json.Marshal(members)
+	if err == nil {
+		body, err = wire.AppendFrame(nil, body, payloads)
 	}
 	if err != nil {
 		return nil, nil, err
 	}
 	client := h.Client
 	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
+		client = defaultClient
 	}
 	url := strings.TrimSuffix(h.BaseURL, "/") + path
 	hreq, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		return nil, nil, err
 	}
-	hreq.Header.Set("Content-Type", "application/json")
+	hreq.Header.Set("Content-Type", wire.FrameContentType)
 	if traceID != "" {
 		hreq.Header.Set(obs.TraceHeader, traceID)
 	}

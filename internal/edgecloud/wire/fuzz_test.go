@@ -4,12 +4,15 @@ package wire
 // bytes, Decode must either return a structurally consistent Activation or
 // an error — never panic, never allocate unboundedly (the maxElems decode
 // bound), never return an Activation whose Data disagrees with its Shape.
+// The same bytes go to ReadFrame, the other thing a peer can send: it too
+// errors or returns parts that re-frame to exactly its input.
 // CI runs a 30-second `go test -fuzz` smoke on every push; the seeded
 // corpus under testdata/fuzz/FuzzDecode pins the interesting regions
 // (valid payloads of both encodings, truncations, bad magic/version/
 // encoding, hostile dims) so even the plain `go test` run replays them.
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"math"
@@ -57,6 +60,8 @@ func fuzzSeeds() [][]byte {
 		Shape: []int{4},
 		Data:  []float64{0.5, -0.5, 1, -1},
 	}, EncodingFixed, fixed.Q2x13))
+	// Resume frames: well formed, cut in each region, mislabelled, padded.
+	frame := must(AppendFrame(nil, []byte(`{"delta":0.9}`), [][]byte{scalarish, routedFixed}))
 	return [][]byte{
 		valid,
 		fixedEnc,
@@ -75,6 +80,13 @@ func fuzzSeeds() [][]byte {
 		routed[:headerBaseRouted-1], // version-2 byte, header cut before the node field
 		routed[:headerBaseRouted],   // routed header only, dims missing
 		routed[:len(routed)-1],      // truncated routed payload
+		frame,
+		must(AppendFrame(nil, []byte("{}"), nil)),
+		frame[:framePreamble-1],
+		frame[:framePreamble+5],
+		frame[:len(frame)-1],
+		append(frame[:len(frame):len(frame)], 0),
+		append([]byte("CDLF\x02"), frame[5:]...), // unknown frame version
 	}
 }
 
@@ -85,6 +97,12 @@ func FuzzDecode(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
+		if members, payloads, err := ReadFrame(b); err == nil {
+			again, err := AppendFrame(nil, members, payloads)
+			if err != nil || !bytes.Equal(again, b) {
+				t.Fatalf("a %d-byte frame of %d payloads re-frames to %d bytes (%v)", len(b), len(payloads), len(again), err)
+			}
+		}
 		a, err := Decode(b)
 		if err != nil {
 			return

@@ -38,6 +38,23 @@
 // peer. Decoders accept all versions (a version-1 activation resumes in
 // the trunk) and reject unknown magic, versions and encodings, so the
 // format can evolve without silently misreading old peers.
+//
+// Several activations cross the link in one resume frame, the body of a
+// POST to a resume route under Content-Type FrameContentType (AppendFrame,
+// ReadFrame; little-endian like the activation header):
+//
+//	offset size  field
+//	0      4     magic "CDLF"
+//	4      2     version (1)
+//	6      2     count: number of payloads
+//	8      4     m: length of the members
+//	12     m     members: the route's JSON wire struct, payload fields empty
+//	...          count × (uint32 length, then that many bytes: one Encode result)
+//
+// The members carry what is not an activation (exit policy, deadline) in the
+// JSON the route's text body uses, so there is one policy decoder. A reader
+// refuses trailing bytes, a count that disagrees with the payloads present
+// and any length that runs past the end.
 package wire
 
 import (
@@ -45,6 +62,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"slices"
 
 	"cdl/internal/fixed"
 )
@@ -320,4 +338,74 @@ func Decode(b []byte) (Activation, error) {
 		}
 	}
 	return a, nil
+}
+
+// FrameContentType is the request Content-Type that selects the resume
+// frame on a resume route; any other value is a JSON body.
+const FrameContentType = "application/x-cdl-wire"
+
+const (
+	frameMagic    = "CDLF"
+	frameVersion  = 1
+	framePreamble = 12
+)
+
+// AppendFrame appends to dst, grown once, the resume frame of payloads (each
+// an Encode result) under members, the route's JSON wire struct without them.
+func AppendFrame(dst, members []byte, payloads [][]byte) ([]byte, error) {
+	if len(payloads) > math.MaxUint16 {
+		return nil, fmt.Errorf("wire: frame: %d payloads outside uint16", len(payloads))
+	}
+	size := framePreamble + len(members)
+	for _, p := range payloads {
+		size += 4 + len(p)
+	}
+	dst = slices.Grow(dst, size)
+	dst = append(dst, frameMagic...)
+	dst = binary.LittleEndian.AppendUint16(dst, frameVersion)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(payloads)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(members)))
+	dst = append(dst, members...)
+	for _, p := range payloads {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(p)))
+		dst = append(dst, p...)
+	}
+	return dst, nil
+}
+
+// ReadFrame splits a resume frame into its members and payloads. Both alias
+// b: Decode each payload (it copies) before b is reused. The payload count
+// is the frame's own; the caller holds it to its per-request cap.
+func ReadFrame(b []byte) (members []byte, payloads [][]byte, err error) {
+	if len(b) < framePreamble {
+		return nil, nil, fmt.Errorf("wire: frame: %d bytes, shorter than the %d-byte preamble", len(b), framePreamble)
+	}
+	if string(b[:4]) != frameMagic {
+		return nil, nil, fmt.Errorf("wire: frame: bad magic %q", b[:4])
+	}
+	if v := binary.LittleEndian.Uint16(b[4:]); v != frameVersion {
+		return nil, nil, fmt.Errorf("wire: frame: version %d, want %d", v, frameVersion)
+	}
+	count := int(binary.LittleEndian.Uint16(b[6:]))
+	n, rest := uint64(binary.LittleEndian.Uint32(b[8:])), b[framePreamble:]
+	if n > uint64(len(rest)) {
+		return nil, nil, fmt.Errorf("wire: frame: truncated members (%d of %d bytes)", len(rest), n)
+	}
+	members, rest = rest[:n], rest[n:]
+	// Sized by what b can hold, not by what it claims.
+	payloads = make([][]byte, 0, min(count, len(rest)/4))
+	for i := range count {
+		if len(rest) < 4 {
+			return nil, nil, fmt.Errorf("wire: frame: payload %d: truncated length", i)
+		}
+		n, rest = uint64(binary.LittleEndian.Uint32(rest)), rest[4:]
+		if n > uint64(len(rest)) {
+			return nil, nil, fmt.Errorf("wire: frame: payload %d: truncated (%d of %d bytes)", i, len(rest), n)
+		}
+		payloads, rest = append(payloads, rest[:n]), rest[n:]
+	}
+	if len(rest) != 0 {
+		return nil, nil, fmt.Errorf("wire: frame: %d trailing bytes", len(rest))
+	}
+	return members, payloads, nil
 }

@@ -20,7 +20,7 @@ import (
 // was the one used — including the case where the primary had already
 // failed) or a loss (the primary's response was used, or both failed).
 // hedges_sent == hedge_wins + hedge_losses at every quiescent point.
-func (rt *Router) hedged(ctx context.Context, primary, secondary *backend, method, path string, body []byte, model, traceID string, tr *obs.Trace) attemptResult {
+func (rt *Router) hedged(ctx context.Context, primary, secondary *backend, method, path, contentType string, body []byte, model, traceID string, tr *obs.Trace) attemptResult {
 	mm := rt.metrics.model(model)
 	deadline := rt.hedgeDeadline(mm)
 
@@ -33,7 +33,7 @@ func (rt *Router) hedged(ctx context.Context, primary, secondary *backend, metho
 	launch := func(b *backend, hedge bool) context.CancelFunc {
 		actx, cancel := context.WithCancel(ctx)
 		go func() {
-			results <- arrival{res: rt.send(actx, b, method, path, body, traceID), hedge: hedge, cancel: cancel}
+			results <- arrival{res: rt.send(actx, b, method, path, contentType, body, traceID), hedge: hedge, cancel: cancel}
 		}()
 		return cancel
 	}

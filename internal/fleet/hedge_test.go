@@ -31,9 +31,9 @@ type stallingBackend struct {
 	cancelled atomic.Int64
 }
 
-func newStallingBackend(t testing.TB) *stallingBackend {
-	t.Helper()
-	sb := &stallingBackend{}
+// probedMux is a fake backend's mux with the two routes the router's probe
+// loop needs to admit it: ready, idle, one worker.
+func probedMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		serve.WriteJSON(w, http.StatusOK, map[string]bool{"ready": true})
@@ -42,6 +42,13 @@ func newStallingBackend(t testing.TB) *stallingBackend {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_, _ = w.Write([]byte("cdl_queue_depth{model=\"default\"} 0\ncdl_workers{model=\"default\"} 1\n"))
 	})
+	return mux
+}
+
+func newStallingBackend(t testing.TB) *stallingBackend {
+	t.Helper()
+	sb := &stallingBackend{}
+	mux := probedMux()
 	mux.HandleFunc("POST /v2/models/{model}/classify", func(w http.ResponseWriter, r *http.Request) {
 		// Drain the body before stalling, as a real backend would: the
 		// server only watches for client disconnect (which cancels

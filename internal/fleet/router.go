@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -335,11 +336,12 @@ func (a attemptResult) decisive() bool {
 	return a.err == nil && a.status != http.StatusServiceUnavailable
 }
 
-// send forwards one attempt to b and buffers the response. The trace ID is
-// propagated to the backend only when the client itself supplied one —
-// otherwise backend response bodies would grow trace fields the client
-// never asked for.
-func (rt *Router) send(ctx context.Context, b *backend, method, path string, body []byte, traceID string) attemptResult {
+// send forwards one attempt to b and buffers the response. The body goes
+// under the client's own Content-Type (the router never reads it, and a
+// backend picks its decoder by it). The trace ID is propagated to the
+// backend only when the client itself supplied one — otherwise backend
+// response bodies would grow trace fields the client never asked for.
+func (rt *Router) send(ctx context.Context, b *backend, method, path, contentType string, body []byte, traceID string) attemptResult {
 	b.inflight.Add(1)
 	defer b.inflight.Add(-1)
 	actx, cancel := context.WithTimeout(ctx, rt.cfg.RequestTimeout)
@@ -348,7 +350,7 @@ func (rt *Router) send(ctx context.Context, b *backend, method, path string, bod
 	if err != nil {
 		return attemptResult{backend: b, err: err}
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", cmp.Or(contentType, "application/json"))
 	if traceID != "" {
 		req.Header.Set(obs.TraceHeader, traceID)
 	}
@@ -427,7 +429,7 @@ func (rt *Router) handleData(w http.ResponseWriter, r *http.Request, model, rout
 		traceID = tr.ID()
 	}
 	start := time.Now()
-	res := rt.dispatch(r.Context(), chain, r.Method, r.URL.RequestURI(), body, mk, route, traceID, tr)
+	res := rt.dispatch(r.Context(), chain, r.Method, r.URL.RequestURI(), r.Header.Get("Content-Type"), body, mk, route, traceID, tr)
 	elapsedMS := float64(time.Since(start)) / float64(time.Millisecond)
 	mm.observe(tr, res, elapsedMS)
 	if res.err != nil {
@@ -508,7 +510,7 @@ func (rt *Router) AlertReport() FleetAlertz {
 // the backend down on the spot — rerouting does not wait for the probe
 // loop — and moves on; a 503 is remembered (for Retry-After propagation)
 // while overflow tries the rest of the chain.
-func (rt *Router) dispatch(ctx context.Context, chain []*backend, method, path string, body []byte, model, route, traceID string, tr *obs.Trace) attemptResult {
+func (rt *Router) dispatch(ctx context.Context, chain []*backend, method, path, contentType string, body []byte, model, route, traceID string, tr *obs.Trace) attemptResult {
 	var last attemptResult
 	haveLast := false
 	for i := 0; i < len(chain); i++ {
@@ -516,9 +518,9 @@ func (rt *Router) dispatch(ctx context.Context, chain []*backend, method, path s
 		var res attemptResult
 		start := time.Now()
 		if i == 0 && rt.cfg.Hedge && len(chain) > 1 {
-			res = rt.hedged(ctx, b, chain[1], method, path, body, model, traceID, tr)
+			res = rt.hedged(ctx, b, chain[1], method, path, contentType, body, model, traceID, tr)
 		} else {
-			res = rt.send(ctx, b, method, path, body, traceID)
+			res = rt.send(ctx, b, method, path, contentType, body, traceID)
 			name := "router:pick"
 			if i > 0 {
 				name = "router:retry"
@@ -557,7 +559,7 @@ func (rt *Router) handleProxyGet(w http.ResponseWriter, r *http.Request) {
 	}
 	var res attemptResult
 	for _, b := range chain {
-		res = rt.send(r.Context(), b, http.MethodGet, r.URL.RequestURI(), nil, "")
+		res = rt.send(r.Context(), b, http.MethodGet, r.URL.RequestURI(), "", nil, "")
 		if res.err == nil {
 			writeResult(w, res)
 			return

@@ -1,0 +1,398 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/base64"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"slices"
+	"sync"
+	"testing"
+
+	"cdl/internal/core"
+	"cdl/internal/edgecloud/wire"
+	"cdl/internal/fixed"
+	"cdl/internal/tensor"
+)
+
+// postFrame posts body under the frame's content type; chunked declares no
+// Content-Length.
+func postFrame(t testing.TB, url string, body []byte, chunked bool) (int, []byte) {
+	t.Helper()
+	return postBody(t, url, wire.FrameContentType, body, chunked)
+}
+
+// frameOf is the frame that says what a JSON resume request says: its
+// payloads out of their base64, everything else as the members.
+func frameOf(t testing.TB, req any) []byte {
+	t.Helper()
+	var b64 []string
+	switch q := req.(type) {
+	case ResumeRequest:
+		b64, q.Payload, q.Payloads = oneAndMany(q.Payload, q.Payloads), "", nil
+		req = q
+	case V2ResumeRequest:
+		b64, q.Payload, q.Payloads = oneAndMany(q.Payload, q.Payloads), "", nil
+		req = q
+	default:
+		t.Fatalf("frameOf(%T)", req)
+	}
+	payloads := make([][]byte, len(b64))
+	for i, p := range b64 {
+		var err error
+		if payloads[i], err = base64.StdEncoding.DecodeString(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	members, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := wire.AppendFrame(nil, members, payloads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// goldenResume returns the two resume requests of the golden set.
+func goldenResume(t testing.TB, cdln *core.CDLN) (v1 ResumeRequest, v2 V2ResumeRequest) {
+	t.Helper()
+	for _, g := range goldenRequests(t, cdln) {
+		switch q := g.req.(type) {
+		case ResumeRequest:
+			v1 = q
+		case V2ResumeRequest:
+			v2 = q
+		}
+	}
+	return v1, v2
+}
+
+func oneAndMany(one string, many []string) []string {
+	if one != "" {
+		return append([]string{one}, many...)
+	}
+	return many
+}
+
+// TestFrameMatchesJSON is the differential check on the second body shape:
+// the frame of a resume request and the JSON body carrying base64 of the
+// same payloads get the same status and the same response bytes on both
+// routes — the golden requests (so the frame's answers are pinned by the
+// same files), a single payload, a shaped policy with a deadline, and a
+// refusal at each payload index by wire.Decode and by ValidateResume.
+func TestFrameMatchesJSON(t *testing.T) {
+	cdln, _ := testCDLN(t, 91)
+	_, ts := startServer(t, cdln, Config{Workers: 2})
+	const v2Path = "/v2/models/" + DefaultModelName + "/resume"
+
+	v1, v2 := goldenResume(t, cdln)
+	good := v1.Payloads
+	raw, _ := base64.StdEncoding.DecodeString(good[0])
+	act, err := wire.Decode(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reshaped := act
+	reshaped.Shape = []int{len(act.Data)}
+	misfit, err := wire.Encode(reshaped, wire.EncodingFloat64, fixed.Format{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	notWire, wrongShape := base64.StdEncoding.EncodeToString(raw[:len(raw)-3]), base64.StdEncoding.EncodeToString(misfit)
+
+	capAt, strict := 2, 0.999
+	cases := []struct {
+		name, path string
+		req        any
+		want       int
+	}{
+		{"golden v1", "/v1/resume", v1, 200},
+		{"golden v2", v2Path, v2, 200},
+		{"one payload v1", "/v1/resume", ResumeRequest{Payload: good[0]}, 200},
+		{"one payload v2", v2Path, V2ResumeRequest{Payload: good[0]}, 200},
+		{"shaped policy", v2Path, V2ResumeRequest{Payloads: good[:3], TimeoutMS: 60_000,
+			Policy: &PolicyRequest{Delta: &strict, MaxExit: &capAt, Detail: DetailLabel}}, 200},
+		{"unsatisfiable depth cap", v2Path, V2ResumeRequest{Payloads: good[:2], Policy: &PolicyRequest{MaxExit: new(int)}}, 400},
+		{"negative timeout", v2Path, V2ResumeRequest{Payloads: good[:2], TimeoutMS: -1}, 400},
+		{"wire refuses payload 2", "/v1/resume", ResumeRequest{Payloads: []string{good[0], good[1], notWire, wrongShape}}, 400},
+		{"the model refuses payload 1", v2Path, V2ResumeRequest{Payloads: []string{good[0], wrongShape, notWire}}, 400},
+		{"the model refuses payload 0, wire payload 1", "/v1/resume", ResumeRequest{Payloads: []string{wrongShape, notWire}}, 400},
+	}
+	for _, tc := range cases {
+		status, body := postJSON(t, ts.URL+tc.path, tc.req)
+		fstatus, fbody := postFrame(t, ts.URL+tc.path, frameOf(t, tc.req), false)
+		if status != tc.want {
+			t.Errorf("%s: JSON HTTP %d (%s), want %d", tc.name, status, body, tc.want)
+		}
+		if fstatus != status || !bytes.Equal(fbody, body) {
+			t.Errorf("%s: frame HTTP %d\n%s\nJSON HTTP %d\n%s", tc.name, fstatus, fbody, status, body)
+		}
+	}
+}
+
+// TestResumeFrameBound pins the frame's 413 on its own length: the bound is
+// MaxRequestImages payloads of the model's widest activation, each with its
+// four-byte length, not the base64-inflated bound of the JSON body. A frame
+// of exactly the bound is served; one byte more is refused by its declared
+// length before a byte is read, or (chunked) once the bytes run past.
+func TestResumeFrameBound(t *testing.T) {
+	cdln, _ := testCDLN(t, 91)
+	const maxImages = 3
+	srv, _ := startServer(t, cdln, Config{Workers: 1, MaxRequestImages: maxImages})
+	m, err := srv.Registry().Get("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := bodyBound(maxImages, m.maxResumeWire+4)
+	if jsonBound := bodyBound(maxImages, base64.StdEncoding.EncodedLen(m.maxResumeWire)+4); bound >= jsonBound {
+		t.Fatalf("frame bound %d is not under the JSON bound %d", bound, jsonBound)
+	}
+	golden, _ := goldenResume(t, cdln)
+	req := ResumeRequest{Payloads: golden.Payloads[:maxImages], Delta: golden.Delta}
+	// Whitespace after the members object is the one place a frame can be
+	// padded: the members are read as the JSON route reads its body.
+	padded := func(size int64) []byte {
+		frame := frameOf(t, req)
+		_, payloads, _ := wire.ReadFrame(frame)
+		members, _ := json.Marshal(ResumeRequest{Delta: req.Delta})
+		members = append(members, bytes.Repeat([]byte(" "), int(size)-len(frame))...)
+		frame, err := wire.AppendFrame(nil, members, payloads)
+		if err != nil || int64(len(frame)) != size {
+			t.Fatalf("padded frame: %d bytes, want %d (%v)", len(frame), size, err)
+		}
+		return frame
+	}
+	post := func(body io.Reader, declared int64) int {
+		r := httptest.NewRequest(http.MethodPost, "/v1/resume", body)
+		r.Header.Set("Content-Type", wire.FrameContentType)
+		r.ContentLength = declared
+		w := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(w, r)
+		return w.Code
+	}
+	for _, tc := range []struct {
+		name string
+		got  int
+		want int
+	}{
+		{"exactly the bound", post(bytes.NewReader(padded(bound)), bound), http.StatusOK},
+		{"exactly the bound, chunked", post(bytes.NewReader(padded(bound)), -1), http.StatusOK},
+		{"declared over the bound", post(unreadBody{t}, bound+1), http.StatusRequestEntityTooLarge},
+		{"chunked over the bound", post(bytes.NewReader(padded(bound+1)), -1), http.StatusRequestEntityTooLarge},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s: HTTP %d, want %d", tc.name, tc.got, tc.want)
+		}
+	}
+	if got := srv.Stats().Invalid; got != 2 {
+		t.Errorf("invalid counter %d, want 2", got)
+	}
+}
+
+// TestFrameDoesNotAliasBody pins what lets a frame's inputs be built twice
+// across a hot-swap: everything frameBody.decode keeps is a copy, so the
+// pooled body buffer can be overwritten and reused by another request and
+// the jobs built afterwards, however often, hold the tensors that were sent.
+func TestFrameDoesNotAliasBody(t *testing.T) {
+	cdln, _ := testCDLN(t, 91)
+	srv, _ := startServer(t, cdln, Config{Workers: 1})
+	m, err := srv.Registry().Get("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, v2 := goldenResume(t, cdln)
+	var want []*tensor.T
+	for _, p := range v2.Payloads {
+		raw, _ := base64.StdEncoding.DecodeString(p)
+		act, err := wire.Decode(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, tensor.FromSlice(act.Data, act.Shape...))
+	}
+
+	buf := frameOf(t, v2)
+	frame := &frameBody{members: new(V2ResumeRequest)}
+	if _, err := decodeJSON(buf, frame, m.inWidth, 64); err != nil {
+		t.Fatal(err)
+	}
+	req := frame.infer()
+	check := func(when string) {
+		t.Helper()
+		jobs, err := req.inputs(m, true, 64, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, j := range jobs {
+			if !slices.Equal(j.x.Data, want[i].Data) || !slices.Equal(j.x.Shape(), want[i].Shape()) || j.fromStage != 1 {
+				t.Fatalf("%s: job %d is not the activation that was sent", when, i)
+			}
+		}
+	}
+	check("before the buffer is reused")
+	for i := range buf {
+		buf[i] = 0xA5
+	}
+	check("after the buffer is overwritten")
+	// Reused for another request's frame, as the pool would.
+	other := frameOf(t, V2ResumeRequest{Payloads: []string{v2.Payloads[len(v2.Payloads)-1]}})
+	copy(buf, other)
+	if _, err := decodeJSON(buf[:len(other)], &frameBody{members: new(V2ResumeRequest)}, m.inWidth, 64); err != nil {
+		t.Fatal(err)
+	}
+	check("after the buffer carried another request")
+}
+
+// TestFrameJSONConcurrent mixes both body shapes on one server (one body
+// pool, one worker pool): every response is the one its request gets alone.
+// CI runs it under -race.
+func TestFrameJSONConcurrent(t *testing.T) {
+	cdln, _ := testCDLN(t, 91)
+	_, ts := startServer(t, cdln, Config{Workers: 2})
+	v1, _ := goldenResume(t, cdln)
+	// Request k resumes payload k alone, so a swapped buffer shows as a
+	// different record.
+	n := len(v1.Payloads)
+	reqs, want := make([]ResumeRequest, n), make([][]byte, n)
+	for k := range reqs {
+		reqs[k] = ResumeRequest{Payload: v1.Payloads[k], Delta: v1.Delta}
+		status, body := postResume(t, ts.URL, reqs[k])
+		if status != http.StatusOK {
+			t.Fatalf("payload %d: HTTP %d (%s)", k, status, body)
+		}
+		want[k] = body
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				k := (g + i) % n
+				var status int
+				var body []byte
+				if (g+i)%2 == 0 {
+					status, body = postFrame(t, ts.URL+"/v1/resume", frameOf(t, reqs[k]), i%3 == 0)
+				} else {
+					status, body = postResume(t, ts.URL, reqs[k])
+				}
+				if status != http.StatusOK || !bytes.Equal(body, want[k]) {
+					errs <- fmt.Errorf("goroutine %d request %d (payload %d): HTTP %d %s, want %s", g, i, k, status, body, want[k])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// FuzzResumeFrame is the differential check as a fuzz target, handler to
+// handler with no sockets: for any members and any payloads, the frame and
+// the JSON body carrying base64 of the same payloads under the same members
+// get the same status on /v1/resume and /v2/.../resume, the same result rows
+// on 200 and the same refusal otherwise — the payload index and wire's or
+// ValidateResume's words included. Members the route's wire struct refuses
+// have no JSON twin; their frame must be a 400.
+func FuzzResumeFrame(f *testing.F) {
+	cdln, _ := testCDLN(f, 91)
+	srv, _ := startServer(f, cdln, Config{Workers: 2, MaxRequestImages: 3})
+	v1, _ := goldenResume(f, cdln)
+	_, good, _ := wire.ReadFrame(frameOf(f, v1))
+	act, err := wire.Decode(good[0])
+	if err != nil {
+		f.Fatal(err)
+	}
+	act.Shape = []int{len(act.Data)}
+	misfit, err := wire.Encode(act, wire.EncodingFloat64, fixed.Format{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, members := range []string{
+		`{}`, `{"delta":0.9}`, `{"policy":{"delta":0.9}}`, `{"policy":{"max_exit":0}}`, `{"delta":1.5}`,
+		`{"policy":{"detail":"label"},"timeout_ms":60000}`, `{"frogs":1}`, `{"payload":"QQ=="}`, `{"delta":0.9} x`, ``,
+	} {
+		f.Add([]byte(members), good[0], good[1], uint8(2))
+		f.Add([]byte(members), good[2], []byte(nil), uint8(1))
+	}
+	f.Add([]byte(`{}`), good[0], good[1], uint8(4)) // over the cap of 3
+	f.Add([]byte(`{}`), good[0], good[1], uint8(0))
+	f.Add([]byte(`{}`), misfit, good[1][:40], uint8(2))
+	f.Add([]byte(`{}`), good[0], good[1][:40], uint8(3))
+
+	post := func(t *testing.T, path, contentType string, body []byte) (int, string) {
+		r := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+		r.Header.Set("Content-Type", contentType)
+		w := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(w, r)
+		return w.Code, verdict(t, w.Body.Bytes())
+	}
+	// A deadline or a full queue is the clock's verdict, not the body's; and
+	// the two bodies have different lengths under different bounds.
+	incomparable := map[int]bool{http.StatusServiceUnavailable: true, http.StatusGatewayTimeout: true, http.StatusRequestEntityTooLarge: true}
+	f.Fuzz(func(t *testing.T, members, p0, p1 []byte, n uint8) {
+		payloads := make([][]byte, n%5)
+		b64 := make([]string, len(payloads))
+		for i := range payloads {
+			payloads[i] = [][]byte{p0, p1}[i%2]
+			b64[i] = base64.StdEncoding.EncodeToString(payloads[i])
+		}
+		frame, err := wire.AppendFrame(nil, members, payloads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for path, twin := range map[string]wireRequest{"/v1/resume": new(ResumeRequest), "/v2/models/" + DefaultModelName + "/resume": new(V2ResumeRequest)} {
+			status, got := post(t, path, wire.FrameContentType, frame)
+			err := strictDecode(members, twin)
+			if q := twin.infer(); err != nil || q.payload != "" || q.payloads != nil {
+				if status != http.StatusBadRequest && status != http.StatusRequestEntityTooLarge {
+					t.Fatalf("%s: HTTP %d %s for members %q", path, status, got, members)
+				}
+				continue
+			}
+			switch q := twin.(type) {
+			case *ResumeRequest:
+				q.Payloads = b64
+			case *V2ResumeRequest:
+				q.Payloads = b64
+			}
+			asJSON, err := json.Marshal(twin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jstatus, want := post(t, path, "application/json", asJSON)
+			if incomparable[status] || incomparable[jstatus] {
+				continue
+			}
+			if status != jstatus || got != want {
+				t.Fatalf("%s: frame HTTP %d %s\nJSON  HTTP %d %s", path, status, got, jstatus, want)
+			}
+		}
+	})
+}
+
+// verdict is a response without what the clock wrote into it (a trace
+// detail's span list and deadline stamp): the refusal, or the result rows
+// byte for byte.
+func verdict(t testing.TB, resp []byte) string {
+	var out struct {
+		Error   string          `json:"error"`
+		Model   string          `json:"model"`
+		Version int             `json:"version"`
+		Results json.RawMessage `json:"results"`
+		Count   int             `json:"count"`
+	}
+	if err := json.Unmarshal(resp, &out); err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%s|%s|%d|%s|%d", out.Error, out.Model, out.Version, out.Results, out.Count)
+}

@@ -3,8 +3,11 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"testing"
+
+	"cdl/internal/edgecloud/wire"
 )
 
 // FuzzInfer feeds arbitrary bodies to the one inference handler through
@@ -14,6 +17,11 @@ import (
 // documents, and must say why in the shared {"error": ...} body whenever it
 // refuses. The corpus is seeded from the golden requests, truncations of
 // them, trailing garbage after a valid value and a wrong-typed field.
+//
+// The resume routes get the same bytes a second time under the frame's
+// content type, held to the same rules (frames of the golden resume
+// requests, whole, cut and padded, seed that side); FuzzResumeFrame holds
+// well-formed frames to the JSON route's verdicts.
 func FuzzInfer(f *testing.F) {
 	cdln, _ := testCDLN(f, 91)
 	_, ts := startServer(f, cdln, Config{Workers: 2})
@@ -26,6 +34,14 @@ func FuzzInfer(f *testing.F) {
 		f.Add(body[:len(body)/2])
 		f.Add(body[:len(body)-1])
 		f.Add(append(body[:len(body):len(body)], " trailing garbage"...))
+		switch g.req.(type) {
+		case ResumeRequest, V2ResumeRequest:
+			frame := frameOf(f, g.req)
+			f.Add(frame)
+			f.Add(frame[:len(frame)/2])
+			f.Add(frame[:len(frame)-1])
+			f.Add(append(frame[:len(frame):len(frame)], 0))
+		}
 	}
 	f.Add([]byte(`{"image": "not an array", "timeout_ms": "soon"}`))
 
@@ -38,26 +54,36 @@ func FuzzInfer(f *testing.F) {
 		http.StatusMethodNotAllowed: true, http.StatusRequestEntityTooLarge: true,
 		http.StatusServiceUnavailable: true, http.StatusGatewayTimeout: true,
 	}
+	// post holds one response to the surface's rules and returns it.
+	post := func(t *testing.T, path, contentType string, body []byte) {
+		resp, err := http.Post(ts.URL+path, contentType, bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		var out struct {
+			Error string `json:"error"`
+		}
+		if !allowed[resp.StatusCode] {
+			t.Fatalf("%s: HTTP %d", path, resp.StatusCode)
+		}
+		if err := json.Unmarshal(raw, &out); err != nil {
+			t.Fatalf("%s: HTTP %d with a non-JSON body: %v", path, resp.StatusCode, err)
+		}
+		if resp.StatusCode != http.StatusOK && out.Error == "" {
+			t.Fatalf("%s: HTTP %d without an error message", path, resp.StatusCode)
+		}
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		for _, path := range routes {
-			resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
-			if err != nil {
-				t.Fatalf("%s: %v", path, err)
-			}
-			var out struct {
-				Error string `json:"error"`
-			}
-			err = json.NewDecoder(resp.Body).Decode(&out)
-			resp.Body.Close()
-			if !allowed[resp.StatusCode] {
-				t.Fatalf("%s: HTTP %d", path, resp.StatusCode)
-			}
-			if err != nil {
-				t.Fatalf("%s: HTTP %d with a non-JSON body: %v", path, resp.StatusCode, err)
-			}
-			if resp.StatusCode != http.StatusOK && out.Error == "" {
-				t.Fatalf("%s: HTTP %d without an error message", path, resp.StatusCode)
-			}
+			post(t, path, "application/json", body)
+		}
+		for _, path := range []string{routes[1], routes[3]} {
+			post(t, path, wire.FrameContentType, body)
 		}
 	})
 }

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sync"
 	"time"
@@ -32,6 +33,9 @@ type inferRequest struct {
 	images   ClassifyRequest
 	payload  string
 	payloads []string
+	// acts, non-nil for a wire.FrameContentType body, are its payloads in
+	// place of payload/payloads, already through wire.Decode (see frameBody).
+	acts []frameAct
 	// policy nil inherits the entry's serve policy (the SLO controller's
 	// current rung, or the trained behaviour).
 	policy    *PolicyRequest
@@ -66,6 +70,52 @@ func (q *V2ClassifyRequest) infer() inferRequest {
 
 func (q *V2ResumeRequest) infer() inferRequest {
 	return inferRequest{payload: q.Payload, payloads: q.Payloads, policy: q.Policy, timeoutMS: q.TimeoutMS}
+}
+
+// frameAct is one payload of a resume frame through wire.Decode: its
+// refusal is reported by inputs, at the payload's index like the JSON route's.
+type frameAct struct {
+	act wire.Activation
+	err error
+}
+
+// frameBody is the resume routes' second body shape, a wire frame: members
+// is the route's own wire struct, strict-decoded from the frame's JSON
+// object so policy, timeout and unknown-field refusal keep one definition.
+// Inputs can be built twice across a hot-swap, after the pooled body buffer
+// was handed on, so every payload is decoded here (wire.Decode copies).
+type frameBody struct {
+	members wireRequest
+	acts    []frameAct
+}
+
+func (f *frameBody) infer() inferRequest {
+	q := f.members.infer()
+	q.acts = f.acts
+	return q
+}
+
+func (f *frameBody) decode(data []byte, maxInputs int) error {
+	members, payloads, err := wire.ReadFrame(data)
+	if err == nil {
+		err = strictDecode(members, f.members)
+	}
+	if err != nil {
+		return err
+	}
+	if q := f.members.infer(); q.payload != "" || q.payloads != nil {
+		return errors.New(`a frame's members carry no "payload" or "payloads"`)
+	}
+	f.acts = make([]frameAct, len(payloads))
+	if len(payloads) > maxInputs {
+		return nil // inputs refuses the count; nothing is decoded for it
+	}
+	for i, p := range payloads {
+		if f.acts[i].act, f.acts[i].err = wire.Decode(p); f.acts[i].err != nil {
+			break // inputs stops here too
+		}
+	}
+	return nil
 }
 
 // bodyBound is the largest body a request of maxInputs inputs, each at most
@@ -104,7 +154,7 @@ func ReadSized(r io.Reader, declared int64) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// decodeBody is the ingress check of every JSON body on both tiers: the
+// decodeBody is the ingress check of every request body on both tiers: the
 // route's method only, at most maxBody bytes, one value with no unknown
 // fields. The body is read whole into a pooled buffer before anything is
 // parsed, so the bound alone decides 413 — a declared Content-Length above
@@ -154,15 +204,18 @@ func decodeBody(w http.ResponseWriter, r *http.Request, method string, maxBody i
 // route's body goes to the single-pass scanner first, which parses the
 // pixel arrays and returns the few other members for the strict decode;
 // scanned reports that it took the body. Whatever the scanner declines,
-// and every body of the other routes, takes strictDecode whole: that is the
-// only path for those inputs and the oracle FuzzDecodeBody holds the
-// scanner to, chosen by the bytes and never by a caller.
+// and every body of the other routes, takes strictDecode whole (a resume
+// frame's members do, in frameBody.decode): that is the only path for those
+// inputs and the oracle FuzzDecodeBody holds the scanner to, chosen by the
+// bytes and never by a caller.
 func decodeJSON(data []byte, into any, width, maxImages int) (scanned bool, err error) {
 	switch q := into.(type) {
 	case *ClassifyRequest:
 		scanned = scanInto(data, q, &q.Image, &q.Images, classifyOthers, width, maxImages)
 	case *V2ClassifyRequest:
 		scanned = scanInto(data, q, &q.Image, &q.Images, v2ClassifyOthers, width, maxImages)
+	case *frameBody:
+		return false, q.decode(data, maxImages)
 	}
 	if scanned {
 		return true, nil
@@ -252,19 +305,33 @@ func (q *inferRequest) inputs(m *Model, resume bool, max int, tr *obs.Trace) ([]
 		}
 		return jobs, nil
 	}
-	payloads, err := oneOrMany(q.payload, q.payload != "", q.payloads, "payload", max)
+	var payloads []string
+	var err error
+	if q.acts != nil {
+		_, err = oneOrMany(frameAct{}, false, q.acts, "payload", max)
+	} else {
+		payloads, err = oneOrMany(q.payload, q.payload != "", q.payloads, "payload", max)
+	}
 	if err != nil {
 		return nil, err
 	}
-	jobs := make([]*job, len(payloads))
-	for i, p := range payloads {
-		raw, err := base64.StdEncoding.DecodeString(p)
-		if err != nil {
-			return nil, fmt.Errorf("payload %d: bad base64 payload: %v", i, err)
+	jobs := make([]*job, len(payloads)+len(q.acts)) // one of the two is empty
+	for i := range jobs {
+		var act wire.Activation
+		if q.acts != nil {
+			act, err = q.acts[i].act, q.acts[i].err
+		} else {
+			raw, berr := base64.StdEncoding.DecodeString(payloads[i])
+			if berr != nil {
+				return nil, fmt.Errorf("payload %d: bad base64 payload: %v", i, berr)
+			}
+			act, err = wire.Decode(raw)
 		}
-		act, err := wire.Decode(raw)
 		if err == nil {
 			err = m.graph.ValidateResume(act.Node, act.FromStage, act.Pos, act.Shape)
+		}
+		if err == nil {
+			err = finite(act.Data)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("payload %d: %v", i, err)
@@ -275,6 +342,18 @@ func (q *inferRequest) inputs(m *Model, resume bool, max int, tr *obs.Trace) ([]
 		jobs[i] = &job{x: tensor.FromSlice(act.Data, act.Shape...), node: act.Node, fromStage: act.FromStage}
 	}
 	return jobs, nil
+}
+
+// finite refuses a NaN or an infinity in an activation, as NormalizeImages
+// does in a pixel: it would switch off the exit rule of every later stage
+// and come out as a confidence JSON cannot carry (a 200 with no body).
+func finite(data []float64) error {
+	for i, v := range data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("activation value %d is %v; activations must be finite", i, v)
+		}
+	}
+	return nil
 }
 
 // applyPolicy sets the request's shared policy, and who chose it (source),
@@ -352,8 +431,8 @@ func (resp *V2ClassifyResponse) v1() ClassifyResponse {
 
 // handleInfer is the one data handler, mounted on all four routes. resume
 // says which input family the route reads (images or wire activations);
-// wire allocates the route's wire struct.
-func (s *Server) handleInfer(resume bool, wire func() wireRequest) http.HandlerFunc {
+// newBody allocates the route's wire struct.
+func (s *Server) handleInfer(resume bool, newBody func() wireRequest) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue("model") // "" on the /v1 aliases: the default entry
 		m0, ok := s.lookup(w, name)
@@ -361,11 +440,16 @@ func (s *Server) handleInfer(resume bool, wire func() wireRequest) http.HandlerF
 			return
 		}
 		perInput := m0.inWidth * 32
-		if resume {
-			// The model's widest lossless wire activation, base64-inflated.
+		body := newBody()
+		switch {
+		case resume && r.Header.Get("Content-Type") == wire.FrameContentType:
+			// The model's widest lossless wire activation, length-prefixed.
+			perInput = m0.maxResumeWire + 4
+			body = &frameBody{members: body}
+		case resume:
+			// The same, base64-inflated in a JSON string.
 			perInput = base64.StdEncoding.EncodedLen(m0.maxResumeWire) + 4
 		}
-		body := wire()
 		rerr := decodeBody(w, r, http.MethodPost, bodyBound(s.cfg.MaxRequestImages, perInput), body, m0.inWidth, s.cfg.MaxRequestImages)
 		var req inferRequest
 		var ctx context.Context

@@ -55,11 +55,17 @@ func postPadded(t testing.TB, url string, v any, pad int, chunked bool) (int, []
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rd io.Reader = bytes.NewReader(append(body, bytes.Repeat([]byte(" "), pad)...))
+	return postBody(t, url, "application/json", append(body, bytes.Repeat([]byte(" "), pad)...), chunked)
+}
+
+// postBody posts body as it is under contentType.
+func postBody(t testing.TB, url, contentType string, body []byte, chunked bool) (int, []byte) {
+	t.Helper()
+	var rd io.Reader = bytes.NewReader(body)
 	if chunked {
 		rd = struct{ io.Reader }{rd}
 	}
-	resp, err := http.Post(url, "application/json", rd)
+	resp, err := http.Post(url, contentType, rd)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -160,16 +160,20 @@ func TestResumeBadRequests(t *testing.T) {
 		// pad spaces follow the value; chunked declares no Content-Length.
 		pad     int
 		chunked bool
+		// jsonOnly rows have no frame twin: a frame has one payload list and
+		// no base64 to get wrong.
+		jsonOnly bool
 	}{
 		{name: "empty", req: ResumeRequest{}, want: http.StatusBadRequest},
-		{name: "both forms", req: ResumeRequest{Payload: good, Payloads: []string{good}}, want: http.StatusBadRequest},
-		{name: "bad base64", req: ResumeRequest{Payload: "!!!not-base64!!!"}, want: http.StatusBadRequest},
+		{name: "both forms", req: ResumeRequest{Payload: good, Payloads: []string{good}}, want: http.StatusBadRequest, jsonOnly: true},
+		{name: "bad base64", req: ResumeRequest{Payload: "!!!not-base64!!!"}, want: http.StatusBadRequest, jsonOnly: true},
 		{name: "not wire", req: ResumeRequest{Payload: base64.StdEncoding.EncodeToString([]byte("junk-bytes"))}, want: http.StatusBadRequest},
 		{name: "stage too deep", req: ResumeRequest{Payload: reencode(func(a *wire.Activation) { a.FromStage = 9 })}, want: http.StatusBadRequest},
 		{name: "wrong pos", req: ResumeRequest{Payload: reencode(func(a *wire.Activation) { a.Pos = 1 })}, want: http.StatusBadRequest},
 		{name: "wrong shape", req: ResumeRequest{Payload: reencode(func(a *wire.Activation) {
 			a.Shape = []int{len(a.Data)}
 		})}, want: http.StatusBadRequest},
+		{name: "not finite", req: ResumeRequest{Payload: reencode(func(a *wire.Activation) { a.Data[3] = math.NaN() })}, want: http.StatusBadRequest},
 		{name: "out-of-range delta", req: ResumeRequest{Payload: good, Delta: &bad}, want: http.StatusBadRequest},
 		{name: "too many payloads", req: ResumeRequest{Payloads: []string{good, good, good}}, want: http.StatusBadRequest},
 		// Far past the 2-payload bound of the widest activation this model
@@ -182,21 +186,92 @@ func TestResumeBadRequests(t *testing.T) {
 		{name: "chunked body over the bound", req: ResumeRequest{Payload: good}, want: http.StatusRequestEntityTooLarge, pad: 64 << 10, chunked: true},
 	}
 	// Every row is posted in both wire forms: one handler, one verdict, one
-	// bump of the invalid counter each.
+	// bump of the invalid counter each. Then again as the frame of the same
+	// payloads, which is refused in the same words.
+	const v2Path = "/v2/models/" + DefaultModelName + "/resume"
 	for _, tc := range cases {
 		v2 := V2ResumeRequest{Payload: tc.req.Payload, Payloads: tc.req.Payloads, Policy: deltaPolicy(tc.req.Delta)}
-		for path, req := range map[string]any{"/v1/resume": tc.req, "/v2/models/" + DefaultModelName + "/resume": v2} {
+		for path, req := range map[string]any{"/v1/resume": tc.req, v2Path: v2} {
 			before := srv.Stats().Invalid
-			if status, body := postPadded(t, ts.URL+path, req, tc.pad, tc.chunked); status != tc.want {
+			status, body := postPadded(t, ts.URL+path, req, tc.pad, tc.chunked)
+			if status != tc.want {
 				t.Errorf("%s %s: HTTP %d (%s), want %d", path, tc.name, status, body, tc.want)
 			}
 			if got := srv.Stats().Invalid; got != before+1 {
 				t.Errorf("%s %s: invalid counter %d -> %d, want +1", path, tc.name, before, got)
 			}
+			if tc.jsonOnly || tc.pad != 0 { // the frame's own bound: TestResumeFrameBound
+				continue
+			}
+			fstatus, fbody := postFrame(t, ts.URL+path, frameOf(t, req), false)
+			if fstatus != status || !bytes.Equal(fbody, body) {
+				t.Errorf("%s %s as a frame: HTTP %d (%s), as JSON HTTP %d (%s)", path, tc.name, fstatus, fbody, status, body)
+			}
+			if got := srv.Stats().Invalid; got != before+2 {
+				t.Errorf("%s %s as a frame: invalid counter %d -> %d, want +2", path, tc.name, before, got)
+			}
 		}
 	}
 
-	resp, err := http.Get(ts.URL + "/v1/resume")
+	// What only a frame can get wrong. Each is a 400 on both routes, read
+	// off the frame before any payload is looked at.
+	raw, _ := base64.StdEncoding.DecodeString(good)
+	frame := func(members string, payloads ...[]byte) []byte {
+		b, err := wire.AppendFrame(nil, []byte(members), payloads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	whole := frame("{}", raw)
+	for _, tc := range []struct {
+		name, want string
+		body       []byte
+	}{
+		{"bad magic", `wire: frame: bad magic "CDLA"`, raw},
+		{"unknown version", "wire: frame: version 513", append([]byte("CDLF\x01\x02"), whole[6:]...)},
+		{"truncated preamble", "shorter than the 12-byte preamble", whole[:11]},
+		{"truncated members", "wire: frame: truncated members", whole[:13]},
+		{"truncated payload", "wire: frame: payload 0: truncated", whole[:len(whole)-1]},
+		{"trailing bytes", "wire: frame: 1 trailing bytes", append(bytes.Clone(whole), '\n')},
+		{"count over the frame's payloads", "wire: frame: payload 1: truncated length", append([]byte("CDLF\x01\x00\x02"), whole[7:]...)},
+		{"no members", "bad request body: EOF", frame("", raw)},
+		{"payload in the members", `a frame's members carry no "payload" or "payloads"`, frame(`{"payload":"`+good+`"}`, raw)},
+		{"payloads in the members", `a frame's members carry no "payload" or "payloads"`, frame(`{"payloads":["` + good + `"]}`)},
+		{"unknown member", `unknown field "frogs"`, frame(`{"frogs":1}`, raw)},
+		{"the JSON body under the frame's content type", "wire: frame: bad magic", []byte(`{"payload":"` + good + `"}`)},
+	} {
+		for _, path := range []string{"/v1/resume", v2Path} {
+			before := srv.Stats().Invalid
+			status, body := postFrame(t, ts.URL+path, tc.body, false)
+			var refusal struct{ Error string }
+			_ = json.Unmarshal(body, &refusal)
+			if status != http.StatusBadRequest || !strings.Contains(refusal.Error, tc.want) {
+				t.Errorf("%s frame, %s: HTTP %d (%s), want 400 with %q", path, tc.name, status, body, tc.want)
+			}
+			if got := srv.Stats().Invalid; got != before+1 {
+				t.Errorf("%s frame, %s: invalid counter %d -> %d, want +1", path, tc.name, before, got)
+			}
+		}
+	}
+	// The members are the route's own wire struct: the other route's are
+	// unknown fields here.
+	for path, members := range map[string]string{"/v1/resume": `{"policy":{"delta":0.9}}`, v2Path: `{"delta":0.9}`} {
+		if status, body := postFrame(t, ts.URL+path, frame(members, raw), false); status != http.StatusBadRequest || !strings.Contains(string(body), "unknown field") {
+			t.Errorf("%s with the other route's members: HTTP %d (%s), want 400 unknown field", path, status, body)
+		}
+	}
+	// And a frame under any other content type is a JSON body.
+	resp, err := http.Post(ts.URL+"/v1/resume", "application/octet-stream", bytes.NewReader(whole))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("a frame posted as octet-stream: HTTP %d, want 400 from the JSON decoder", resp.StatusCode)
+	}
+
+	resp, err = http.Get(ts.URL + "/v1/resume")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,12 +287,15 @@ func TestResumeBadRequests(t *testing.T) {
 	if status, body := postResume(t, ts.URL, ResumeRequest{Payload: good}); status != http.StatusOK {
 		t.Fatalf("good payload: HTTP %d (%s)", status, body)
 	}
-	st := srv.Stats()
-	if st.ResumeRequests != 1 {
-		t.Errorf("resume_requests %d, want 1", st.ResumeRequests)
+	if status, body := postFrame(t, ts.URL+"/v1/resume", whole, false); status != http.StatusOK {
+		t.Fatalf("good frame: HTTP %d (%s)", status, body)
 	}
-	if st.Requests != 1 {
-		t.Errorf("requests %d, want 1", st.Requests)
+	st := srv.Stats()
+	if st.ResumeRequests != 2 {
+		t.Errorf("resume_requests %d, want 2", st.ResumeRequests)
+	}
+	if st.Requests != 2 {
+		t.Errorf("requests %d, want 2", st.Requests)
 	}
 }
 
