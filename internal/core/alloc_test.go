@@ -46,24 +46,19 @@ func arch8CDLN(seed int64) *CDLN {
 // session is warm, a batched walk on the paper's 8-layer architecture
 // allocates only its records and the per-stage feature and survivor views
 // — every activation, the stacked input and the scores live in
-// replica-owned scratch under replica-owned headers. Skipped under -race,
-// which instruments allocations.
+// replica-owned scratch under replica-owned headers, and the conv layers'
+// fan-out over four workers starts func values bound once per replica.
+// Skipped under -race, which instruments allocations.
 func TestClassifyBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	sess, err := NewSession(arch8CDLN(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(4))
-	xs := make([]*tensor.T, 32)
-	for i := range xs {
-		xs[i] = tensor.New(1, 28, 28)
-		for j := range xs[i].Data {
-			xs[i].Data[j] = rng.Float64()
-		}
-	}
+	xs := randomImages(32, 4)
 	for _, bsz := range []int{32, 1} {
 		batch := xs[:bsz]
 		exits := make(map[int]bool)
@@ -73,6 +68,12 @@ func TestClassifyBatchAllocs(t *testing.T) {
 		if bsz == 32 && len(exits) != 3 {
 			t.Fatalf("batch reached exits %v, want all three: the guard must cover both compactions and the FC tail", exits)
 		}
+		// The runtime recycles an exited goroutine on the P it exited on, so
+		// until every P holds a stock, a `go` on the caller's P can still
+		// allocate a fresh one: warm that cache too.
+		for range 400 {
+			sess.ClassifyBatchPolicy(batch, DefaultExitPolicy())
+		}
 		allocs := testing.AllocsPerRun(20, func() { sess.ClassifyBatchPolicy(batch, DefaultExitPolicy()) })
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
@@ -80,7 +81,7 @@ func TestClassifyBatchAllocs(t *testing.T) {
 		runtime.ReadMemStats(&m1)
 		bytes := m1.TotalAlloc - m0.TotalAlloc
 		t.Logf("batch %d: %.0f allocs, %d B per call", bsz, allocs, bytes)
-		if maxAllocs := map[int]float64{32: 8, 1: 6}[bsz]; allocs > maxAllocs || bytes > 4000 {
+		if maxAllocs := map[int]float64{32: 6, 1: 6}[bsz]; allocs > maxAllocs || bytes > 4000 {
 			t.Errorf("warm ClassifyBatchPolicy at batch %d: %.0f allocs, %d B per call; want ≤ %.0f allocs, ≤ 4000 B", bsz, allocs, bytes, maxAllocs)
 		}
 	}

@@ -2,8 +2,9 @@ package nn
 
 // batch.go is the batched inference fast path: every built-in layer gains a
 // ForwardBatch that processes a whole micro-batch per call, with the
-// convolutions lowered to im2col + GEMM (im2col.go, gemm.go) instead of the
-// per-sample nested loops of Forward.
+// convolutions lowered to im2col + GEMM (im2col.go, gemm.go) one image at a
+// time, image ranges in parallel (Conv2D.fanOut), instead of the per-sample
+// nested loops of Forward.
 //
 // The contract — enforced by the differential harness in equiv_test.go and
 // internal/core's batch_test.go — is that ForwardBatch applied to a stack
@@ -23,6 +24,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"time"
 
 	"cdl/internal/obs"
@@ -132,59 +134,138 @@ func growScratch(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// lower is the one lowering behind Conv2D.ForwardBatch and the fused
-// segment: im2col + grouped GEMM of in ([B, inC, H, W]) into the layer's
-// scratch, leaving the [outC, B·oh·ow] product in c.bgemm, bias not yet
-// added. The grouped accumulation (groupK = k·k) reproduces Forward's
-// per-channel summation order exactly.
-func (c *Conv2D) lower(in *tensor.T) (bsz, oh, ow int) {
+// fanFlops is the least lowered-GEMM work, in flops, worth a range of its
+// own: about four images of Arch8's C1. Below it a goroutine's start and
+// join cost more than sharing the images saves.
+const fanFlops = 1 << 17
+
+// convCall is one batched convolution's arguments, written by the caller
+// before any range starts and only read while they run.
+type convCall struct {
+	in, out             []float64
+	bsz, h, w, per, win int // per: images per range; win: pooling window, 0 unfused
+}
+
+// convJob is one range after the caller's own: its scratch, and its body
+// bound once when the job table grows, so `go` on it allocates nothing.
+type convJob struct {
+	buf []float64
+	run func()
+}
+
+// checkBatch panics unless in is [B, inC, H, W] with room for the kernel,
+// and returns the output plane's height and width.
+func (c *Conv2D) checkBatch(in *tensor.T) (oh, ow int) {
 	if in.Rank() != 4 || in.Dim(1) != c.inC {
 		panic(fmt.Sprintf("nn: %s batch input shape %v, want [B %d H W]", c.name, in.Shape(), c.inC))
 	}
-	bsz, h, w := in.Dim(0), in.Dim(2), in.Dim(3)
-	oh, ow = h-c.k+1, w-c.k+1
+	oh, ow = in.Dim(2)-c.k+1, in.Dim(3)-c.k+1
 	if oh <= 0 || ow <= 0 {
 		panic(fmt.Sprintf("nn: %s kernel %d too large for input %v", c.name, c.k, in.Shape()))
 	}
-	kk := c.k * c.k
-	kcols := c.inC * kk
-	ncols := bsz * oh * ow
-	c.bcols = growScratch(c.bcols, kcols*ncols)
-	c.bgemm = growScratch(c.bgemm, c.outC*ncols)
-	if obs.ProfilingEnabled() {
-		t0 := time.Now()
-		im2colInto(in.Data, bsz, c.inC, h, w, c.k, c.bcols)
-		t1 := time.Now()
-		gemmGrouped(c.weight.W.Data, c.outC, kcols, c.bcols, ncols, c.bgemm, kk)
-		t2 := time.Now()
-		obs.ProfAdd(obs.PhaseIm2Col, t1.Sub(t0))
-		obs.ProfAdd(obs.PhaseGEMM, t2.Sub(t1))
-	} else {
-		im2colInto(in.Data, bsz, c.inC, h, w, c.k, c.bcols)
-		gemmGrouped(c.weight.W.Data, c.outC, kcols, c.bcols, ncols, c.bgemm, kk)
-	}
-	return bsz, oh, ow
+	return oh, ow
 }
 
-// ForwardBatch implements BatchLayer: one lowering for the whole batch,
-// then a scatter from the GEMM's [outC, B·oh·ow] layout into the batched
-// [B, outC, oh, ow] activation with the bias folded in.
-func (c *Conv2D) ForwardBatch(in *tensor.T) *tensor.T {
-	bsz, oh, ow := c.lower(in)
-	out := tensor.New(bsz, c.outC, oh, ow)
-	planeOut := oh * ow
-	ncols := bsz * planeOut
-	for oc := 0; oc < c.outC; oc++ {
-		b := c.bias.W.Data[oc]
-		grow := c.bgemm[oc*ncols : (oc+1)*ncols]
-		for bi := 0; bi < bsz; bi++ {
-			dst := out.Data[(bi*c.outC+oc)*planeOut : (bi*c.outC+oc+1)*planeOut]
-			src := grow[bi*planeOut : (bi+1)*planeOut][:len(dst)]
-			for i := range dst {
-				dst[i] = src[i] + b
-			}
+// split returns how many contiguous image ranges a batch of bsz h×w images
+// runs in, and the images per range: min(GOMAXPROCS, B, flops/fanFlops)
+// ranges of ⌈B/ranges⌉ images, recounted so that no range is left empty.
+// A batch of one is one range without asking the scheduler.
+func (c *Conv2D) split(bsz, h, w int) (ranges, per int) {
+	if bsz <= 1 {
+		return 1, bsz
+	}
+	flops := 2 * c.outC * c.inC * c.k * c.k * (h - c.k + 1) * (w - c.k + 1)
+	ranges = max(1, min(runtime.GOMAXPROCS(0), bsz, bsz*flops/fanFlops))
+	per = (bsz + ranges - 1) / ranges
+	return (bsz + per - 1) / per, per
+}
+
+// fanOut is the one batched convolution (win 0: unfused, else the fused
+// segment's pooling window): the caller runs the first of split's ranges
+// and the job table's goroutines the rest, each lowering its images one at
+// a time into disjoint blocks of out. One image's im2col columns (48–115 KB
+// on the paper's first convolutions) stay in L2, where a batch-wide
+// lowering at B = 32 (1.5–3.7 MB) does not. One range leaves the table be.
+func (c *Conv2D) fanOut(in *tensor.T, out []float64, win int) {
+	bsz, h, w := in.Dim(0), in.Dim(2), in.Dim(3)
+	ranges, per := c.split(bsz, h, w)
+	c.call = convCall{in: in.Data, out: out, bsz: bsz, h: h, w: w, per: per, win: win}
+	if ranges == 1 {
+		c.lowerRange(0, &c.buf)
+		return
+	}
+	for len(c.jobs) < ranges-1 {
+		r := len(c.jobs) + 1
+		c.jobs = append(c.jobs, convJob{run: func() { c.lowerRange(r, &c.jobs[r-1].buf); c.wg.Done() }})
+	}
+	c.wg.Add(ranges - 1)
+	for i := range ranges - 1 {
+		go c.jobs[i].run()
+	}
+	c.lowerRange(0, &c.buf)
+	c.wg.Wait()
+}
+
+// lowerRange convolves range r's images one at a time in the scratch *buf:
+// im2col, the serial grouped GEMM (groupK = k·k is Forward's summation
+// order; a column's sum depends on neither the tiling nor N), then per map
+// pool + bias + σ into the pooled output or, unfused, the bias in place:
+// one image's [outC, oh·ow] product is its [outC, oh, ow] block of out.
+// Under the phase profile the range charges each phase once, summed.
+func (c *Conv2D) lowerRange(r int, buf *[]float64) {
+	a := &c.call
+	oh, ow, win := a.h-c.k+1, a.w-c.k+1, max(a.win, 1)
+	plane, pw, kk := oh*ow, ow/win, c.k*c.k
+	kcols, chw, oplane, pplane := c.inC*kk, c.inC*a.h*a.w, c.outC*plane, oh/win*pw
+	*buf = growScratch(*buf, kcols*plane+oplane)
+	cols := (*buf)[:kcols*plane]
+	var spent *[3]time.Duration // im2col, GEMM, epilogue; nil unless profiling
+	var t time.Time
+	if obs.ProfilingEnabled() {
+		spent, t = new([3]time.Duration), time.Now()
+	}
+	lap := func(phase int) {
+		if spent != nil {
+			now := time.Now()
+			spent[phase] += now.Sub(t)
+			t = now
 		}
 	}
+	for bi := r * a.per; bi < min((r+1)*a.per, a.bsz); bi++ {
+		im2colInto(a.in[bi*chw:][:chw], 1, c.inC, a.h, a.w, c.k, cols)
+		lap(0)
+		prod := (*buf)[kcols*plane:]
+		if a.win == 0 {
+			prod = a.out[bi*oplane:][:oplane]
+		}
+		gemmTiles(c.weight.W.Data, c.outC, kcols, cols, plane, prod, kk, 0, plane)
+		lap(1)
+		for oc, b := range c.bias.W.Data {
+			if src := prod[oc*plane:][:plane]; a.win > 0 {
+				poolSigmoid(a.out[(bi*c.outC+oc)*pplane:][:pplane], src, ow, pw, win, b, nil)
+			} else {
+				for i := range src {
+					src[i] += b
+				}
+			}
+		}
+		lap(2)
+	}
+	if spent != nil {
+		obs.ProfAdd(obs.PhaseIm2Col, spent[0])
+		obs.ProfAdd(obs.PhaseGEMM, spent[1])
+		if a.win > 0 {
+			obs.ProfAdd(obs.PhaseEpilogue, spent[2])
+		}
+	}
+}
+
+// ForwardBatch implements BatchLayer: fanOut with no fused epilogue, into
+// a fresh [B, outC, oh, ow] activation.
+func (c *Conv2D) ForwardBatch(in *tensor.T) *tensor.T {
+	oh, ow := c.checkBatch(in)
+	out := tensor.New(in.Dim(0), c.outC, oh, ow)
+	c.fanOut(in, out.Data, 0)
 	return out
 }
 
@@ -194,36 +275,22 @@ const nearTie = 1e-12
 var nearTieBits = math.Float64bits(nearTie)
 
 // forwardBatchSigmoidPool is the fused Conv2D → Sigmoid → MaxPool2D
-// segment: one lowering, then one pass over the GEMM output writing the
-// pooled [B, outC, oh/win, ow/win] activation into the layer's scratch.
+// segment: fanOut with each image's GEMM product pooled straight into the
+// [B, outC, oh/win, ow/win] activation in the layer's scratch.
 // fl(g+b) and σ are monotone, so maxpool(σ(conv+b)) = σ(max(conv)+b): one
 // math.Exp per pooled element, not one per conv output. No libm documents
 // that the COMPUTED σ is monotone, so every element within nearTie of the
 // max is evaluated too: inside the band that is the reference computation,
 // outside it exp moves by thousands of ulps (DESIGN.md §2).
 func (c *Conv2D) forwardBatchSigmoidPool(in *tensor.T, p *MaxPool2D) *tensor.T {
-	bsz, oh, ow := c.lower(in)
+	oh, ow := c.checkBatch(in)
 	ph, pw := oh/p.win, ow/p.win
 	if ph <= 0 || pw <= 0 {
 		panic(fmt.Sprintf("nn: %s window %d too large for %s output [%d %d]", p.name, p.win, c.name, oh, ow))
 	}
-	plane, pplane := oh*ow, ph*pw
-	out := c.bpool.Point(growScratch(c.bpool.Data, bsz*c.outC*pplane), bsz, c.outC, ph, pw)
-	var t0 time.Time
-	if obs.ProfilingEnabled() {
-		t0 = time.Now()
-	}
-	for oc := 0; oc < c.outC; oc++ {
-		b := c.bias.W.Data[oc]
-		for bi := 0; bi < bsz; bi++ {
-			src := c.bgemm[(oc*bsz+bi)*plane:][:plane]
-			dst := out.Data[(bi*c.outC+oc)*pplane:][:pplane]
-			poolSigmoid(dst, src, ow, pw, p.win, b, nil)
-		}
-	}
-	if !t0.IsZero() {
-		obs.ProfAdd(obs.PhaseEpilogue, time.Since(t0))
-	}
+	bsz := in.Dim(0)
+	out := c.bpool.Point(growScratch(c.bpool.Data, bsz*c.outC*ph*pw), bsz, c.outC, ph, pw)
+	c.fanOut(in, out.Data, p.win)
 	return out
 }
 

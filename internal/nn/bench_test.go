@@ -156,26 +156,28 @@ func BenchmarkForwardLoop32(b *testing.B) {
 
 // BenchmarkForwardBatch32 runs the same baseline through the batched GEMM
 // pipeline.
-func BenchmarkForwardBatch32(b *testing.B) {
-	net := Arch6Layer(rand.New(rand.NewSource(1))).Net
-	batch := stackBatch(benchBatch(rand.New(rand.NewSource(2)), 32, 1, 28, 28))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.ForwardBatch(batch)
-	}
-	b.ReportMetric(32*float64(b.N)/b.Elapsed().Seconds(), "images/s")
-}
+func BenchmarkForwardBatch32(b *testing.B) { benchForwardBatch(b, Arch6Layer, 32) }
 
 // BenchmarkForwardBatch1 pins the batch-of-one overhead: the fast path
 // must not regress a lone request.
-func BenchmarkForwardBatch1(b *testing.B) {
-	net := Arch6Layer(rand.New(rand.NewSource(1))).Net
-	batch := stackBatch(benchBatch(rand.New(rand.NewSource(2)), 1, 1, 28, 28))
+func BenchmarkForwardBatch1(b *testing.B) { benchForwardBatch(b, Arch6Layer, 1) }
+
+// BenchmarkForwardBatch32Arch8 is BenchmarkForwardBatch32 on the 8-layer
+// preset (MNIST_3C's baseline).
+func BenchmarkForwardBatch32Arch8(b *testing.B) { benchForwardBatch(b, Arch8Layer, 32) }
+
+// BenchmarkForwardBatch1Arch8 is BenchmarkForwardBatch1 on the 8-layer
+// preset, whose stage-0 conv is the one most requests end after.
+func BenchmarkForwardBatch1Arch8(b *testing.B) { benchForwardBatch(b, Arch8Layer, 1) }
+
+func benchForwardBatch(b *testing.B, arch func(*rand.Rand) *Arch, bsz int) {
+	net := arch(rand.New(rand.NewSource(1))).Net
+	batch := stackBatch(benchBatch(rand.New(rand.NewSource(2)), bsz, 1, 28, 28))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net.ForwardBatch(batch)
 	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "images/s")
+	b.ReportMetric(float64(bsz)*float64(b.N)/b.Elapsed().Seconds(), "images/s")
 }
 
 // BenchmarkPoolSigmoid times the fused segment's epilogue alone, in ns per

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"sync"
 
 	"cdl/internal/tensor"
 )
@@ -24,13 +25,14 @@ type Conv2D struct {
 	in  *tensor.T
 	out *tensor.T
 
-	// scratch for the batched fast path (batch.go): the im2col column
-	// matrix, the GEMM output and the fused segment's pooled output (with
-	// the header it is returned under), grown on demand and reused across
-	// ForwardBatch calls. Clone starts replicas with nil scratch, so
-	// replicas never share these buffers.
-	bcols []float64
-	bgemm []float64
+	// batched fast path state (batch.go), grown on demand, never shared:
+	// Clone starts replicas without it. call is the current call, buf the
+	// caller's range's scratch, jobs the other ranges and wg their join,
+	// bpool the fused segment's pooled output under its returned header.
+	call  convCall
+	buf   []float64
+	jobs  []convJob
+	wg    sync.WaitGroup
 	bpool tensor.T
 }
 

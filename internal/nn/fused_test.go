@@ -11,6 +11,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"cdl/internal/obs"
@@ -331,24 +332,49 @@ func TestPoolSigmoidGuardCarriesEquality(t *testing.T) {
 	}
 }
 
-// TestFusedSegmentChargesEpilogue pins the layer's name: under the opt-in
-// phase profile every fused segment charges its pool + bias + σ pass to
-// the epilogue phase once, next to the lowering's im2col and GEMM, and a
-// conv run on its own charges none.
+// TestFusedSegmentChargesEpilogue pins the layer's name and who charges
+// it: under the opt-in phase profile every image range of a fused segment
+// charges its pool + bias + σ time to the epilogue phase once, next to its
+// im2col and GEMM, and a conv run on its own charges no epilogue. At batch
+// 32 over four workers the segments fan out, so the counts are per range;
+// at batch 1 each segment is one range.
 func TestFusedSegmentChargesEpilogue(t *testing.T) {
-	obs.ProfReset()
+	old := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(old)
 	obs.SetProfiling(true)
 	defer obs.ProfReset()
 	defer obs.SetProfiling(false)
 	net := Arch8Layer(rand.New(rand.NewSource(2))).Net
-	x := stack([]*tensor.T{randTensor(rand.New(rand.NewSource(3)), net.InShape...)})
-	net.ForwardBatch(x)            // three fused segments
-	net.ForwardBatchRange(x, 0, 1) // C1 alone
-	calls := make(map[string]int64)
-	for _, ph := range obs.ProfSnapshot() {
-		calls[ph.Name] = ph.Calls
-	}
-	if calls["epilogue"] != 3 || calls["gemm"] != 4 || calls["im2col"] != 4 {
-		t.Fatalf("phase calls %v, want epilogue 3, gemm 4, im2col 4", calls)
+	rng := rand.New(rand.NewSource(3))
+	for _, bsz := range []int{1, 32} {
+		var segments, c1 int64 // ranges of the three fused segments, of C1
+		for i, l := range net.Layers {
+			if c, ok := l.(*Conv2D); ok {
+				shape := net.ShapeAt(i)
+				ranges, _ := c.split(bsz, shape[1], shape[2])
+				segments += int64(ranges)
+				if i == 0 {
+					c1 = int64(ranges)
+				}
+			}
+		}
+		if bsz == 1 && segments != 3 || bsz == 32 && segments <= 3 {
+			t.Fatalf("batch %d runs the segments in %d ranges: the fan-out is not what this test pins", bsz, segments)
+		}
+		xs := make([]*tensor.T, bsz)
+		for i := range xs {
+			xs[i] = randTensor(rng, net.InShape...)
+		}
+		x := stack(xs)
+		obs.ProfReset()
+		net.ForwardBatch(x)            // three fused segments
+		net.ForwardBatchRange(x, 0, 1) // C1 alone
+		calls := make(map[string]int64)
+		for _, ph := range obs.ProfSnapshot() {
+			calls[ph.Name] = ph.Calls
+		}
+		if calls["epilogue"] != segments || calls["gemm"] != segments+c1 || calls["im2col"] != segments+c1 {
+			t.Fatalf("batch %d: phase calls %v, want epilogue %d, gemm %d, im2col %d", bsz, calls, segments, segments+c1, segments+c1)
+		}
 	}
 }

@@ -1,7 +1,8 @@
 package nn
 
-// gemm.go is the batched fast-path matrix kernel: a cache-blocked,
-// goroutine-parallel GEMM whose floating-point summation order is pinned to
+// gemm.go is the batched fast-path matrix kernel: a cache-blocked, serial
+// GEMM (parallelism lives a level up, by image: batch.go's Conv2D.fanOut)
+// whose floating-point summation order is pinned to
 // the naive per-sample reference path (conv.go's Conv2DValid loop and
 // dense.go's MatVecInto), so the im2col+GEMM convolution reproduces the
 // reference forward bit for bit — the property the differential harness in
@@ -20,8 +21,6 @@ package nn
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"cdl/internal/tensor"
 )
@@ -31,18 +30,10 @@ import (
 // while the k-loop streams over it.
 const gemmTileN = 512
 
-// gemmParallelFlops is the smallest multiply-add count worth fanning out
-// across goroutines; below it the spawn/join overhead exceeds the win. One
-// LeNet-shape conv at batch 32 is ~5·10⁶ MACs, comfortably above.
-const gemmParallelFlops = 1 << 21
-
 // GemmGrouped computes c = a·b for a of shape [M,K], b of shape [K,N] and c
 // of shape [M,N], accumulating K in groups of groupK as described in the
 // file comment. groupK must divide into K only at the tail (any 1 ≤ groupK
-// ≤ K is legal; the final group may be short). Column tiles are fanned out
-// across GOMAXPROCS goroutines when the multiply-add count is large enough
-// to amortize the spawn; tiles are disjoint in c, so the fan-out is
-// race-free.
+// ≤ K is legal; the final group may be short; anything else means K).
 func GemmGrouped(a, b, c *tensor.T, groupK int) {
 	if a.Rank() != 2 || b.Rank() != 2 || c.Rank() != 2 {
 		panic(fmt.Sprintf("nn: GemmGrouped ranks a=%d b=%d c=%d, want 2", a.Rank(), b.Rank(), c.Rank()))
@@ -52,52 +43,17 @@ func GemmGrouped(a, b, c *tensor.T, groupK int) {
 	if b.Dim(0) != k || c.Dim(0) != m || c.Dim(1) != n {
 		panic(fmt.Sprintf("nn: GemmGrouped dims a=%v b=%v c=%v", a.Shape(), b.Shape(), c.Shape()))
 	}
-	gemmGrouped(a.Data, m, k, b.Data, n, c.Data, groupK)
-}
-
-// gemmGrouped is the slice-level kernel behind GemmGrouped (and
-// Conv2D.ForwardBatch, which feeds it scratch buffers directly).
-func gemmGrouped(a []float64, m, k int, b []float64, n int, c []float64, groupK int) {
 	if groupK <= 0 || groupK > k {
 		groupK = k
 	}
-	if m == 0 || n == 0 {
-		return
-	}
-	workers := runtime.GOMAXPROCS(0)
-	tiles := (n + gemmTileN - 1) / gemmTileN
-	if workers > tiles {
-		workers = tiles
-	}
-	if workers <= 1 || 2*m*k*n < gemmParallelFlops {
-		gemmTiles(a, m, k, b, n, c, groupK, 0, n)
-		return
-	}
-	// Split the column range into one contiguous, tile-aligned chunk per
-	// worker; each chunk owns its columns of c exclusively.
-	var wg sync.WaitGroup
-	tilesPer := (tiles + workers - 1) / workers
-	for lo := 0; lo < n; lo += tilesPer * gemmTileN {
-		hi := lo + tilesPer*gemmTileN
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		// groupK is an argument: captured, the reassigned parameter would
-		// move to the heap on every call, serial ones included.
-		go func(lo, hi, groupK int) {
-			defer wg.Done()
-			gemmTiles(a, m, k, b, n, c, groupK, lo, hi)
-		}(lo, hi, groupK)
-	}
-	wg.Wait()
+	gemmTiles(a.Data, m, k, b.Data, n, c.Data, groupK, 0, n)
 }
 
 // gemmTiles computes columns [lo,hi) of c = a·b, one gemmTileN-wide tile at
 // a time. Within a tile, each row's K loop runs in groups: a group's partial
 // sums accumulate in a local buffer in k-order (the reference (ky,kx)
 // order), then fold into the output row — so every c element sees exactly
-// the reference summation sequence regardless of tiling or parallelism.
+// the reference summation sequence regardless of tiling or of N.
 func gemmTiles(a []float64, m, k int, b []float64, n int, c []float64, groupK, lo, hi int) {
 	var sbuf [gemmTileN]float64
 	for n0 := lo; n0 < hi; n0 += gemmTileN {

@@ -2,8 +2,10 @@ package nn
 
 // im2col.go lowers batched valid convolution onto the GEMM kernel: the
 // classic im2col expansion rearranges every k×k input patch into a column,
-// so a whole batch's convolution becomes one [outC, inC·k·k]×[inC·k·k,
-// B·oh·ow] matrix product (gemm.go). Rows are laid out (ic, ky, kx)-major —
+// so the convolution of B images becomes one [outC, inC·k·k]×[inC·k·k,
+// B·oh·ow] matrix product (gemm.go). The batched walk lowers one image at a
+// time (B = 1, batch.go), which keeps the columns in cache; Im2Col keeps
+// the batch-wide form. Rows are laid out (ic, ky, kx)-major —
 // the same order Conv2DValid visits kernel taps — which is what lets
 // GemmGrouped's per-channel grouped accumulation reproduce the reference
 // summation exactly.

@@ -7,8 +7,10 @@ package obs
 // bodies.
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
+	"sync"
 	"time"
 )
 
@@ -32,12 +34,28 @@ type OpsSources struct {
 	Flights *FlightSet
 }
 
+// jsonBufs holds WriteJSON's encode buffers.
+var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 // WriteJSON writes v as a JSON response with the given status — the one
-// response writer behind every endpoint on every tier.
+// response writer behind every endpoint on every tier. v is encoded before
+// the status goes out: a value JSON cannot carry (a NaN confidence, from
+// weights that overflow to Inf − Inf) answers 500 {"error": "encode: …"},
+// never the status with an empty body.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	defer jsonBufs.Put(buf)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		buf.Reset()
+		status = http.StatusInternalServerError
+		_ = json.NewEncoder(buf).Encode(struct {
+			Error string `json:"error"`
+		}{"encode: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(buf.Bytes())
 }
 
 // OpsMux registers /healthz, /readyz, /statsz, /metricsz, /alertz and
