@@ -29,12 +29,10 @@ import (
 	"os"
 	"path/filepath"
 
-	"cdl/internal/control"
 	"cdl/internal/core"
 	"cdl/internal/edgecloud"
 	"cdl/internal/edgecloud/wire"
 	"cdl/internal/energy"
-	"cdl/internal/fixed"
 	"cdl/internal/mnist"
 	"cdl/internal/modelio"
 	"cdl/internal/nn"
@@ -74,17 +72,12 @@ type (
 	BuildConfig = core.BuildConfig
 	// BuildReport records Algorithm 1's per-stage decisions.
 	BuildReport = core.Report
-	// TrainConfig controls baseline SGD training.
-	TrainConfig = train.Config
 	// Sample is one labelled instance.
 	Sample = train.Sample
 	// Image is one synthetic or loaded MNIST digit.
 	Image = mnist.Image
 	// EnergySummary reports 45nm-model energy for an evaluation.
 	EnergySummary = energy.Summary
-	// EnergyAccumulator aggregates 45nm energy one ExitRecord at a time
-	// (the serving-path counterpart of EnergyOf).
-	EnergyAccumulator = energy.Accumulator
 	// Session is a warm single-goroutine classifier — the one batched
 	// walker of Algorithm 2 (a single input is a batch of one) and the unit
 	// of the serving replica pool.
@@ -93,21 +86,9 @@ type (
 	Server = serve.Server
 	// ServeConfig sizes the inference server (pool, queue, micro-batch).
 	ServeConfig = serve.Config
-	// ServeStats is the server's live counter snapshot (/statsz payload).
-	ServeStats = serve.Stats
-	// Registry is the multi-model serving registry: named, versioned CDLN
-	// entries, each with its own warm replica pool, hot-swappable under
-	// load (internal/serve).
-	Registry = serve.Registry
-	// RegistryModel is one loaded, servable version of a registry entry.
-	RegistryModel = serve.Model
 	// ExitPolicy is the structured per-request exit shaping: global δ,
 	// per-stage deltas, depth/ops caps and record detail (internal/core).
 	ExitPolicy = core.ExitPolicy
-	// SLO declares per-model serving targets (p99 latency, queue
-	// occupancy, energy budget, accuracy floor) for the adaptive
-	// exit-policy controller (internal/control).
-	SLO = control.SLO
 	// Edge is the edge-tier runtime of a split deployment: it owns the
 	// cascade prefix and offloads hard inputs to a cloud backend
 	// (internal/edgecloud).
@@ -120,17 +101,8 @@ type (
 	EdgeResult = edgecloud.Result
 	// EdgeTransport ships offloaded activations to the cloud tier.
 	EdgeTransport = edgecloud.Transport
-	// EdgeServer is the edge node's HTTP front (classify-or-offload).
-	EdgeServer = edgecloud.Server
-	// EdgeServerConfig sizes the edge HTTP front.
-	EdgeServerConfig = edgecloud.ServerConfig
-	// EdgeStats is the edge server's live counter snapshot.
-	EdgeStats = edgecloud.Stats
 	// Link is the edge→cloud transmission energy model.
 	Link = energy.Link
-	// TieredSummary is the per-tier (edge/link/cloud) energy view of a
-	// split deployment.
-	TieredSummary = energy.TieredSummary
 	// WireEncoding selects the offload payload representation (lossless
 	// float64 or quantized fixed-point).
 	WireEncoding = wire.Encoding
@@ -223,22 +195,14 @@ func GenerateMNISTGrouped(n int, seed int64, groups [][]int, weights []float64) 
 	return mnist.Generate(mnist.GenConfig{N: n, Seed: seed, Groups: groups, GroupWeights: weights})
 }
 
-// RenderImage draws a digit as ASCII art.
-func RenderImage(im Image) string { return mnist.Render(im) }
-
 // ImagesToSamples converts images to training samples (sharing pixel
 // storage) — the bridge from GenerateMNISTGrouped to TrainBaseline,
 // BuildCDLN and Evaluate.
 func ImagesToSamples(imgs []Image) []Sample { return mnist.ToSamples(imgs) }
 
-// DefaultTrainConfig returns baseline SGD settings for the given class
-// count (MSE loss, lr 1.0, momentum 0.5 — the regime where these sigmoid
-// CNNs converge).
-func DefaultTrainConfig(classes int) TrainConfig { return train.Defaults(classes) }
-
 // TrainBaseline trains the baseline DLN in place for the given number of
-// epochs with default settings. Use train.SGD directly (via TrainConfig)
-// for full control.
+// epochs with the paper's default settings (MSE loss, lr 1.0, momentum
+// 0.5 — the regime where these sigmoid CNNs converge).
 func TrainBaseline(arch *Arch, data []Sample, epochs int, seed int64) error {
 	cfg := train.Defaults(arch.NumClasses)
 	cfg.Epochs = epochs
@@ -268,38 +232,22 @@ func Evaluate(c *CDLN, data []Sample) (*EvalResult, error) {
 	return core.Evaluate(c, data, 0, false)
 }
 
-// EvaluateWithRecords is Evaluate keeping the per-sample exit records.
-func EvaluateWithRecords(c *CDLN, data []Sample) (*EvalResult, error) {
-	return core.Evaluate(c, data, 0, true)
-}
-
 // EnergyOf converts an evaluation into 45 nm-model energy numbers (Fig. 6
 // methodology).
 func EnergyOf(c *CDLN, res *EvalResult) (EnergySummary, error) {
 	return energy.NewEvaluator().FromEval(c, res)
 }
 
-// NewEnergyAccumulator returns an incremental 45 nm energy counter for the
-// cascade: feed it ExitRecords as they are produced (e.g. by a server) and
-// snapshot a Summary at any time.
-func NewEnergyAccumulator(c *CDLN) (*EnergyAccumulator, error) {
-	return energy.NewEvaluator().NewAccumulator(c)
-}
-
 // NewSession returns a warm classifier over a private replica of the
 // cascade. Classify and ClassifyDelta take one input; ClassifyBatchPolicy
-// takes a micro-batch under an ExitPolicy (DefaultExitPolicy keeps the
-// trained thresholds); ClassifyPrefixBatchPolicy and ResumeBatchPolicyAt
-// are the two halves of a tier split. Every record is bit-identical to
-// the reference oracle CDLN.Classify. Sessions are single-goroutine;
-// create one per worker.
+// takes a micro-batch under an ExitPolicy (ExitPolicy{Delta: -1,
+// MaxExit: -1} keeps the trained thresholds); ClassifyPrefixBatchPolicy
+// and ResumeBatchPolicyAt are the two halves of a tier split. Every record
+// is bit-identical to the reference oracle CDLN.Classify. Sessions are
+// single-goroutine; create one per worker.
 func NewSession(c *CDLN) (*Session, error) {
 	return core.NewSession(c)
 }
-
-// DefaultServeConfig returns the inference server's default sizing
-// (GOMAXPROCS workers, 1024-image queue, 32-image micro-batches).
-func DefaultServeConfig() ServeConfig { return serve.DefaultConfig() }
 
 // NewServer starts a batched inference server over a pool of pre-cloned
 // replicas of the cascade: POST /v1/classify (single image or batch, with
@@ -309,31 +257,6 @@ func DefaultServeConfig() ServeConfig { return serve.DefaultConfig() }
 func NewServer(c *CDLN, cfg ServeConfig) (*Server, error) {
 	return serve.New(c, cfg)
 }
-
-// NewRegistry returns an empty multi-model registry sized by cfg. Register
-// in-memory cascades with Register, load modelio files with Load, then
-// serve it with NewRegistryServer — each entry gets its own replica pool,
-// and re-registering a name hot-swaps it atomically (the old pool drains
-// after its in-flight batches complete).
-func NewRegistry(cfg ServeConfig) *Registry { return serve.NewRegistry(cfg) }
-
-// NewRegistryServer serves an existing registry (at least one model): the
-// /v2 surface dispatches by model name with structured ExitPolicy bodies,
-// /v1 aliases the registry's default entry bit-identically to the
-// single-model server. The server takes ownership of the registry.
-func NewRegistryServer(reg *Registry) (*Server, error) {
-	return serve.NewWithRegistry(reg)
-}
-
-// ParseSLO parses the `-slo` flag syntax ("p99=15ms,queue=0.8,
-// energy=2.5e9,floor=0.5") into an SLO; attach it to a registry entry
-// with Registry.SetSLO to let the adaptive controller trade cascade
-// depth for the declared targets under load.
-func ParseSLO(s string) (SLO, error) { return control.ParseSLO(s) }
-
-// DefaultExitPolicy is the identity ExitPolicy: trained thresholds, full
-// cascade, no trace.
-func DefaultExitPolicy() ExitPolicy { return core.DefaultExitPolicy() }
 
 // DefaultEdgeConfig returns an edge configuration for the given split
 // stage: trained thresholds, lossless wire encoding, default link model.
@@ -352,42 +275,9 @@ func NewEdge(c *CDLN, t EdgeTransport, cfg EdgeConfig) (*Edge, error) {
 	return edgecloud.New(c, t, cfg)
 }
 
-// NewEdgeLoopback returns an in-process cloud tier (decode + resume on a
-// private session) — the transport for tests, demos and single-node runs.
-func NewEdgeLoopback(c *CDLN) (EdgeTransport, error) { return edgecloud.NewLoopback(c) }
-
-// NewGraphEdge is NewEdge for a routing graph: the edge runs the trunk
-// prefix locally; inputs that exit neither early nor into a branch
-// before the split — and every input a router hands to a branch — are
-// offloaded to the cloud tier, which owns the branches.
-func NewGraphEdge(g *Graph, t EdgeTransport, cfg EdgeConfig) (*Edge, error) {
-	return edgecloud.NewGraph(g, t, cfg)
-}
-
-// NewGraphEdgeLoopback is NewEdgeLoopback over a routing graph: branch
-// handoffs resume at the named node exactly as a real backend would.
-func NewGraphEdgeLoopback(g *Graph) (EdgeTransport, error) {
-	return edgecloud.NewGraphLoopback(g)
-}
-
 // NewEdgeHTTPTransport returns a transport that offloads to a cdlserve
 // backend's /v1/resume at the given base URL.
 func NewEdgeHTTPTransport(baseURL string) EdgeTransport { return edgecloud.NewHTTPTransport(baseURL) }
-
-// NewEdgeHTTPModelTransport is NewEdgeHTTPTransport pinned to a named
-// model on the cloud registry (POST /v2/models/{model}/resume), so one
-// multi-model cloud tier can back heterogeneous edge splits.
-func NewEdgeHTTPModelTransport(baseURL, model string) EdgeTransport {
-	return edgecloud.NewHTTPModelTransport(baseURL, model)
-}
-
-// NewEdgeServer starts an edge HTTP front: same /v1/classify schema as
-// NewServer, but only the cascade prefix runs here — hard inputs are
-// forwarded to the cloud tier via transports from newTransport (one per
-// worker).
-func NewEdgeServer(c *CDLN, newTransport func() (EdgeTransport, error), edgeCfg EdgeConfig, cfg EdgeServerConfig) (*EdgeServer, error) {
-	return edgecloud.NewServer(c, newTransport, edgeCfg, cfg)
-}
 
 // TuneDeltas grid-searches a per-stage confidence threshold on validation
 // data (an extension beyond the paper's single δ), updating the CDLN in
@@ -396,26 +286,13 @@ func TuneDeltas(c *CDLN, val []Sample) ([]float64, *EvalResult, error) {
 	return core.TuneDeltas(c, val, core.DefaultTuneConfig())
 }
 
-// Quantize returns a copy of the cascade rounded to the 16-bit Q2.13
-// fixed-point format of the default 45 nm datapath, plus the maximum
-// weight rounding error.
-func Quantize(c *CDLN) (*CDLN, float64, error) {
-	return core.QuantizeCDLN(c, fixed.Q2x13)
-}
-
 // SaveCDLN writes a trained CDLN to path atomically: the bytes land in a
 // temp file in the same directory, are synced, and are renamed over path
 // only once complete. A reader (in particular a serving registry
 // hot-reloading the path, PUT /v2/models/{name}) therefore never observes
 // a torn or half-written model file — it sees either the old version or
 // the new one.
-func SaveCDLN(path string, c *CDLN) error {
-	return saveAtomic(path, func(f *os.File) error { return modelio.SaveCDLN(f, c) })
-}
-
-// saveAtomic writes a model file via the temp-and-rename protocol shared
-// by SaveCDLN and SaveGraph.
-func saveAtomic(path string, write func(*os.File) error) (err error) {
+func SaveCDLN(path string, c *CDLN) (err error) {
 	dir, base := filepath.Split(path)
 	if dir == "" {
 		// A bare filename must stage its temp file in the destination
@@ -446,7 +323,7 @@ func saveAtomic(path string, write func(*os.File) error) (err error) {
 			os.Remove(tmp)
 		}
 	}()
-	if err = write(f); err != nil {
+	if err = modelio.SaveCDLN(f, c); err != nil {
 		return err
 	}
 	if err = f.Sync(); err != nil {
@@ -483,22 +360,3 @@ func LinearGraph(c *CDLN) *Graph { return core.LinearGraph(c) }
 // each router stage's non-exit the stage classifier's argmax picks the
 // branch the input continues in.
 func NewGraphSession(g *Graph) (*Session, error) { return core.NewGraphSession(g) }
-
-// SaveGraph writes a routing graph to path with the same atomic
-// temp-and-rename protocol as SaveCDLN. A one-node linear graph is
-// written in the v1 single-cascade format, so SaveCDLN and SaveGraph
-// produce identical bytes for linear models and LoadCDLN can read them.
-func SaveGraph(path string, g *Graph) error {
-	return saveAtomic(path, func(f *os.File) error { return modelio.SaveGraph(f, g) })
-}
-
-// LoadGraph reads a routing graph written by SaveGraph — or any v1
-// single-cascade file, which loads as its one-node linear graph.
-func LoadGraph(path string) (*Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("cdl: %w", err)
-	}
-	defer f.Close()
-	return modelio.LoadGraph(f)
-}

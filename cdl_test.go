@@ -3,6 +3,10 @@ package cdl
 import (
 	"path/filepath"
 	"testing"
+
+	"cdl/internal/core"
+	"cdl/internal/fixed"
+	"cdl/internal/mnist"
 )
 
 // TestFacadeEndToEnd exercises the whole public API surface: generate data,
@@ -77,7 +81,7 @@ func TestFacadeImagesAndRender(t *testing.T) {
 	if len(trainImgs) != 20 || len(testImgs) != 10 {
 		t.Fatal("image split sizes wrong")
 	}
-	if s := RenderImage(trainImgs[0]); len(s) == 0 {
+	if s := mnist.Render(trainImgs[0]); len(s) == 0 {
 		t.Error("render empty")
 	}
 }
@@ -167,7 +171,7 @@ func TestFacadeTuneAndQuantize(t *testing.T) {
 		t.Errorf("tuned %d deltas for %d stages", len(deltas), len(cdln.Stages))
 	}
 
-	q, maxErr, err := Quantize(cdln)
+	q, maxErr, err := core.QuantizeCDLN(cdln, fixed.Q2x13)
 	if err != nil {
 		t.Fatal(err)
 	}

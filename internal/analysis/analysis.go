@@ -2,7 +2,7 @@
 // analysis suite that enforces, at build time, the repo-specific invariants
 // the dynamic tests (goldens, differential harnesses, -race storms) can only
 // sample — deterministic output bytes, lock discipline, context
-// propagation, observability hygiene, fast-path exhaustiveness and
+// propagation, observability hygiene, op-count exhaustiveness and
 // goroutine lifecycle.
 //
 // The engine deliberately reimplements a thin slice of

@@ -1,21 +1,15 @@
-// Package nn stubs the layer abstraction: the Layer/BatchLayer surfaces
-// plus three fixture implementations exercising the exhaustive analyzer.
+// Package nn stubs the layer abstraction: the Layer surface plus two
+// fixture implementations exercising the exhaustive analyzer.
 package nn
 
 // Layer is the minimal layer surface.
 type Layer interface {
 	Name() string
 	Forward(x []float64) []float64
-}
-
-// BatchLayer is the batched fast-path surface.
-type BatchLayer interface {
-	Layer
 	ForwardBatch(xs [][]float64) [][]float64
 }
 
-// Good implements every required surface: Layer, BatchLayer and an
-// opcount.LayerOps case.
+// Good implements Layer and has an opcount.LayerOps case.
 type Good struct{}
 
 // Name implements Layer.
@@ -24,20 +18,10 @@ func (*Good) Name() string { return "good" }
 // Forward implements Layer.
 func (*Good) Forward(x []float64) []float64 { return x }
 
-// ForwardBatch implements BatchLayer.
+// ForwardBatch implements Layer.
 func (*Good) ForwardBatch(xs [][]float64) [][]float64 { return xs }
 
-// NoBatch implements Layer but not BatchLayer (it is covered by the
-// opcount switch, so only the fast-path finding fires).
-type NoBatch struct{} // want:exhaustive "NoBatch implements nn.Layer but not nn.BatchLayer"
-
-// Name implements Layer.
-func (*NoBatch) Name() string { return "nobatch" }
-
-// Forward implements Layer.
-func (*NoBatch) Forward(x []float64) []float64 { return x }
-
-// NoOps implements both interfaces but is missing from opcount.LayerOps.
+// NoOps implements Layer but is missing from opcount.LayerOps.
 type NoOps struct{} // want:exhaustive "NoOps implements nn.Layer but is not handled in opcount.LayerOps"
 
 // Name implements Layer.
@@ -46,5 +30,5 @@ func (*NoOps) Name() string { return "noops" }
 // Forward implements Layer.
 func (*NoOps) Forward(x []float64) []float64 { return x }
 
-// ForwardBatch implements BatchLayer.
+// ForwardBatch implements Layer.
 func (*NoOps) ForwardBatch(xs [][]float64) [][]float64 { return xs }

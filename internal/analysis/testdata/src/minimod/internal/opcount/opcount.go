@@ -10,8 +10,6 @@ func LayerOps(l nn.Layer) float64 {
 	switch l.(type) {
 	case *nn.Good:
 		return 1
-	case *nn.NoBatch:
-		return 1
 	default:
 		panic("opcount: unknown layer")
 	}

@@ -270,15 +270,6 @@ func (m *AlertMonitor) Status() AlertStatus {
 	return st
 }
 
-// Active reports whether any window is currently firing.
-func (m *AlertMonitor) Active() bool {
-	if m == nil {
-		return false
-	}
-	st := m.Status()
-	return st.Active
-}
-
 // AlertzReport is one tier's /alertz document: the per-model monitor
 // states plus the rolled-up page signal. The router decodes its backends'
 // reports with this same type and re-aggregates them into the fleet view.

@@ -145,7 +145,7 @@ func TestAlertFiresBeforeBaselineSheds(t *testing.T) {
 			}
 		}
 		m.Observe(good, bad)
-		if alertTick < 0 && m.Active() {
+		if alertTick < 0 && m.Status().Active {
 			alertTick = i
 		}
 		clk.advance(time.Duration(p.dtSec * float64(time.Second)))

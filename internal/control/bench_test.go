@@ -3,7 +3,8 @@ package control
 // bench_test.go measures the control plane's overhead — the loop rides
 // on the serving hot path (window observations per micro-batch) and on a
 // periodic tick (snapshot + step), so both must stay trivially cheap
-// next to a ~100µs classify. CI archives these as BENCH_control.json.
+// next to a ~100µs classify. Run them with
+// `go test -run '^$' -bench . ./internal/control`.
 
 import (
 	"testing"

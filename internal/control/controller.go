@@ -200,15 +200,6 @@ func New(slo SLO, ladder []core.ExitPolicy, cfg Config) (*Controller, error) {
 	}, nil
 }
 
-// Config returns the defaults-filled dynamics configuration.
-func (c *Controller) Config() Config { return c.cfg }
-
-// SLO returns the controller's targets.
-func (c *Controller) SLO() SLO { return c.slo }
-
-// Policy returns the current effective exit policy.
-func (c *Controller) Policy() core.ExitPolicy { return c.ladder[c.rung] }
-
 // MaxRung returns the deepest reachable rung index.
 func (c *Controller) MaxRung() int { return len(c.ladder) - 1 }
 

@@ -224,7 +224,7 @@ func TestSimFiveTimesStep(t *testing.T) {
 			t.Fatalf("tick %d: rung %d after recovery, want a stable 0", i, rungs[i])
 		}
 	}
-	if got := c.Policy(); !got.Equal(core.DefaultExitPolicy()) {
+	if got := c.State().Policy; !got.Equal(core.DefaultExitPolicy()) {
 		t.Errorf("final policy %+v, want the trained identity policy", got)
 	}
 }
@@ -285,7 +285,7 @@ func TestSimEnergyBudget(t *testing.T) {
 	if frac := float64(atTwo) / 100; frac < 0.9 {
 		t.Errorf("only %.0f%% of the last 100 ticks at rung 2, want ≥ 90%% (rung 2 is the deepest rung inside the %.1e pJ budget)", 100*frac, budget)
 	}
-	if _, _, pj := p.rungStats(c.Policy()); pj > budget {
+	if _, _, pj := p.rungStats(c.State().Policy); pj > budget {
 		t.Errorf("final policy mean %.2e pJ/image exceeds the %.2e budget", pj, budget)
 	}
 }

@@ -172,16 +172,6 @@ func (w *Window) Arrivals(n int) {
 	w.mu.Unlock()
 }
 
-// Sheds records n inputs rejected (503) instead of served.
-func (w *Window) Sheds(n int) {
-	if n <= 0 {
-		return
-	}
-	w.mu.Lock()
-	w.rotate(w.cfg.Now()).sheds += int64(n)
-	w.mu.Unlock()
-}
-
 // Snapshot is a consistent summary of the window's live span.
 type Snapshot struct {
 	// SpanSeconds is the wall-clock span the snapshot covers (at most the

@@ -69,7 +69,7 @@ func TestWindowSlides(t *testing.T) {
 	w.ObserveBatch([]Obs{{LatencyMS: 5, ExitIndex: 0, EnergyPJ: 100}, {LatencyMS: 5, ExitIndex: 2, EnergyPJ: 300}})
 	clk.advance(time.Second)
 	w.ObserveBatch([]Obs{{LatencyMS: 50, ExitIndex: 1, EnergyPJ: 200}})
-	w.Sheds(2)
+	w.rotate(clk.now()).sheds += 2 // what Plane.Observe charges for a 2-image shed
 
 	s := w.Snapshot()
 	if s.Images != 3 || s.Arrivals != 10 || s.Sheds != 2 {

@@ -54,8 +54,8 @@ func (s *Session) ClassifyBatchPolicy(xs []*tensor.T, pol ExitPolicy) []ExitReco
 
 // ResumeBatchPolicyAt continues Algorithm 2 past a tier split at any graph
 // node for a whole batch of deferred activations: each act sits after
-// Graph.SplitPosOf(node, fromStage) baseline layers of the node's cascade
-// (a branch-entry handoff is (node, 0)), and the remaining cascade — the
+// SplitPos(fromStage) baseline layers of the node's cascade (a
+// branch-entry handoff is (node, 0)), and the remaining cascade — the
 // node's stages, routed branches, FC tails — runs here. (0, 0) is the
 // monolithic classification; for any split, prefix plus resume performs the
 // same floating-point operations in the same order as the monolithic walk,
@@ -63,8 +63,8 @@ func (s *Session) ClassifyBatchPolicy(xs []*tensor.T, pol ExitPolicy) []ExitReco
 // resume point's path depth cannot be satisfied (those exit points already
 // ran on the other tier) and panics, as does an activation whose shape
 // does not match the model at the split position; network-facing callers
-// validate first with Graph.ValidateResume and ValidatePolicy plus an
-// explicit depth check.
+// validate first with Graph.ValidateResume and serve's policy resolution
+// plus an explicit depth check.
 func (s *Session) ResumeBatchPolicyAt(acts []*tensor.T, node, fromStage int, pol ExitPolicy) []ExitRecord {
 	g := s.graph
 	if node < 0 || node >= len(g.Nodes) {
@@ -162,8 +162,8 @@ func (s *Session) ClassifyPrefixBatchPolicy(xs []*tensor.T, splitStage int, pol 
 }
 
 // checkStageDeltas panics on a policy whose per-stage thresholds do not
-// name the trunk's stages (network-facing callers reject it earlier with
-// ValidatePolicy).
+// name the trunk's stages (network-facing callers reject it earlier, in
+// serve's policy resolution).
 func (s *Session) checkStageDeltas(pol ExitPolicy) {
 	if pol.StageDeltas != nil && len(pol.StageDeltas) != len(s.model.Stages) {
 		panic(fmt.Sprintf("core: policy has %d stage deltas for %d stages", len(pol.StageDeltas), len(s.model.Stages)))

@@ -57,8 +57,8 @@ type ExitRecord struct {
 	// StageIndex is the global exit index: for a linear cascade, the index
 	// into Stages of the exit point, or len(Stages) when the input reached
 	// the final FC layer. For a routing graph, exits are numbered node by
-	// node (Graph.ExitIndex), which coincides with the linear numbering on
-	// the trunk.
+	// node (Graph.NodeOfExit inverts it), which coincides with the linear
+	// numbering on the trunk.
 	StageIndex int
 	// StageName is "O1".."On" or "FC", qualified with the branch name
 	// ("even/O1") for branch exits.

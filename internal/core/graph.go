@@ -30,7 +30,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"strings"
 )
 
 // Route attaches class-group dispatch to one stage of a node: when the
@@ -347,32 +346,10 @@ func (g *Graph) BaselineOps() float64 { return g.Trunk().BaselineOps() }
 // ExitPolicy.MaxExit keeps its exact pre-graph meaning.
 func (g *Graph) MaxDepth() int { return g.tables().maxDepth }
 
-// ExitIndex returns the global index of node's local exit point (stage
-// index, or the node's stage count for its FC).
-func (g *Graph) ExitIndex(node, local int) int {
-	t := g.tables()
-	if node < 0 || node >= len(g.Nodes) {
-		panic(fmt.Sprintf("core: graph node %d outside [0,%d)", node, len(g.Nodes)))
-	}
-	if local < 0 || local > len(g.Nodes[node].Model.Stages) {
-		panic(fmt.Sprintf("core: node %d exit %d outside [0,%d]", node, local, len(g.Nodes[node].Model.Stages)))
-	}
-	return t.base[node] + local
-}
-
 // NodeOfExit resolves a global exit index to its (node, local exit) pair.
 func (g *Graph) NodeOfExit(i int) (node, local int) {
 	t := g.tables()
 	return t.exitNode[i], t.exitLocal[i]
-}
-
-// ExitDepth returns the path depth of global exit point i: how many exit
-// points an input evaluates before exiting there (router classifiers
-// included). Exits at equal depth on different paths cost different ops
-// but satisfy the same MaxExit cap.
-func (g *Graph) ExitDepth(i int) int {
-	t := g.tables()
-	return t.entryDepth[t.exitNode[i]] + t.exitLocal[i]
 }
 
 // EntryDepth returns the path depth at which inputs enter the node (0 for
@@ -466,18 +443,6 @@ func (g *Graph) exitRecord(node, local, class int, conf float64) ExitRecord {
 	}
 }
 
-// SplitPosOf returns the baseline-layer position of the activation handed
-// across a tier split at (node, splitStage) — the node-local SplitPos. A
-// branch-entry handoff is (node, 0): the activation is the branch's input,
-// zero branch layers run.
-func (g *Graph) SplitPosOf(node, splitStage int) int {
-	g.tables()
-	if node < 0 || node >= len(g.Nodes) {
-		panic(fmt.Sprintf("core: graph node %d outside [0,%d)", node, len(g.Nodes)))
-	}
-	return g.Nodes[node].Model.SplitPos(splitStage)
-}
-
 // ValidateResume checks a tier-split handoff against this graph: the node
 // must exist and (fromStage, pos, shape) must satisfy the node model's
 // ValidateResume. It is the graph form of the one validation shared by
@@ -493,21 +458,6 @@ func (g *Graph) ValidateResume(node, fromStage, pos int, shape []int) error {
 			return fmt.Errorf("core: branch %s: %w", g.Nodes[node].Name, err)
 		}
 		return err
-	}
-	return nil
-}
-
-// ValidatePolicy checks a policy against this graph: δ fields as for a
-// linear CDLN, StageDeltas against the trunk's stage count (per-stage
-// overrides apply to trunk stages only; branch stages resolve their own
-// trained thresholds under the policy's global Delta), and MaxExit as a
-// path-depth cap in [0, MaxDepth].
-func (g *Graph) ValidatePolicy(p ExitPolicy) error {
-	if err := g.Trunk().ValidatePolicy(ExitPolicy{Delta: p.Delta, StageDeltas: p.StageDeltas, Trace: p.Trace}); err != nil {
-		return err
-	}
-	if p.MaxExit > g.MaxDepth() {
-		return fmt.Errorf("core: policy max exit %d beyond the deepest path depth %d", p.MaxExit, g.MaxDepth())
 	}
 	return nil
 }
@@ -594,29 +544,4 @@ func (g *Graph) WithBranch(name string, model *CDLN) (*Graph, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// Summary renders the graph structure with per-exit path costs.
-func (g *Graph) Summary() string {
-	t := g.tables()
-	var b strings.Builder
-	fmt.Fprintf(&b, "Graph: %d nodes, %d exits, max depth %d\n", len(g.Nodes), len(t.exitOps), t.maxDepth)
-	for ni, n := range g.Nodes {
-		name := n.Name
-		if name == "" {
-			name = "trunk"
-		}
-		if p := t.parent[ni]; p >= 0 {
-			fmt.Fprintf(&b, "  node %d %q (from node %d stage %d, entry depth %d)\n",
-				ni, name, p, t.parentStage[ni], t.entryDepth[ni])
-		} else {
-			fmt.Fprintf(&b, "  node %d %q (trunk)\n", ni, name)
-		}
-		for li := 0; li <= len(n.Model.Stages); li++ {
-			gi := t.base[ni] + li
-			fmt.Fprintf(&b, "    exit %-3d %-12s depth=%d ops=%.0f\n",
-				gi, t.exitNames[gi], t.entryDepth[ni]+li, t.exitOps[gi])
-		}
-	}
-	return b.String()
 }

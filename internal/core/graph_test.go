@@ -142,21 +142,22 @@ func TestRoutedGraphStructure(t *testing.T) {
 			t.Errorf("ExitName(%d) = %q, want %q", i, got, want)
 		}
 	}
-	// Global indexing is node-by-node; NodeOfExit inverts ExitIndex.
+	// Global indexing is node-by-node; NodeOfExit inverts the node's base
+	// offset plus the local exit.
 	for node, locals := range map[int]int{0: 3, 1: 2, 2: 2} {
 		for li := 0; li < locals; li++ {
-			gi := g.ExitIndex(node, li)
+			gi := g.tables().base[node] + li
 			gotNode, gotLocal := g.NodeOfExit(gi)
 			if gotNode != node || gotLocal != li {
-				t.Errorf("NodeOfExit(ExitIndex(%d,%d)=%d) = (%d,%d)", node, li, gi, gotNode, gotLocal)
+				t.Errorf("NodeOfExit(%d) = (%d,%d), want (%d,%d)", gi, gotNode, gotLocal, node, li)
 			}
 		}
 	}
 	// Depth is a path notion: branches enter past the router at depth 1.
 	wantDepths := []int{0, 1, 2, 1, 2, 1, 2}
 	for i, want := range wantDepths {
-		if got := g.ExitDepth(i); got != want {
-			t.Errorf("ExitDepth(%d) = %d, want %d", i, got, want)
+		if got := exitDepth(g, i); got != want {
+			t.Errorf("exit %d at depth %d, want %d", i, got, want)
 		}
 	}
 	if got := g.MaxDepth(); got != 2 {
@@ -353,8 +354,8 @@ func TestRoutedGraphSplitEquivalence(t *testing.T) {
 							assertRecordsMatch(t, "routed-split-local", i, pre.Record, want[i])
 							continue
 						}
-						if pre.Pos != g.SplitPosOf(pre.Node, pre.FromStage) {
-							t.Fatalf("split %d input %d: handoff pos %d, want %d", split, i, pre.Pos, g.SplitPosOf(pre.Node, pre.FromStage))
+						if want := g.Nodes[pre.Node].Model.SplitPos(pre.FromStage); pre.Pos != want {
+							t.Fatalf("split %d input %d: handoff pos %d, want %d", split, i, pre.Pos, want)
 						}
 						if pre.Node > 0 {
 							if pre.FromStage != 0 {
@@ -387,6 +388,14 @@ func TestRoutedGraphSplitEquivalence(t *testing.T) {
 	}
 }
 
+// exitDepth is global exit i's path depth: the exit points an input
+// evaluates before exiting there, router classifiers included — the depth
+// the walker caps (its node's entry depth plus the local exit).
+func exitDepth(g *Graph, i int) int {
+	node, local := g.NodeOfExit(i)
+	return g.EntryDepth(node) + local
+}
+
 // TestRoutedGraphDepthCap pins MaxExit's path-depth semantics on the tree:
 // the cap bounds exits per root-to-exit path — a routed input is forced
 // out at the branch stage that sits at the cap depth, not at a global
@@ -394,12 +403,6 @@ func TestRoutedGraphSplitEquivalence(t *testing.T) {
 // reference.
 func TestRoutedGraphDepthCap(t *testing.T) {
 	g := routedGraph(t, 45)
-	if err := g.ValidatePolicy(DepthCapped(g.MaxDepth())); err != nil {
-		t.Fatalf("cap at MaxDepth rejected: %v", err)
-	}
-	if err := g.ValidatePolicy(DepthCapped(g.MaxDepth() + 1)); err == nil {
-		t.Fatal("cap beyond MaxDepth accepted")
-	}
 	sess, err := NewGraphSession(g)
 	if err != nil {
 		t.Fatal(err)
@@ -418,7 +421,7 @@ func TestRoutedGraphDepthCap(t *testing.T) {
 			for i, x := range xs {
 				want := ref.ClassifyBatchPolicy([]*tensor.T{x}, pol)[0]
 				assertRecordsMatch(t, "depth-cap", i, recs[i], want)
-				if d := g.ExitDepth(recs[i].StageIndex); d > cap {
+				if d := exitDepth(g, recs[i].StageIndex); d > cap {
 					t.Fatalf("cap %d: input %d exited at depth %d (exit %d)", cap, i, d, recs[i].StageIndex)
 				}
 				exitsSeen[recs[i].StageIndex]++
@@ -625,8 +628,9 @@ func TestGraphWithBranch(t *testing.T) {
 	}
 }
 
-// Routing benchmarks — CI archives these as BENCH_routing.json: the routed
-// tree against the linear trunk on the identical input stream, batched.
+// Routing benchmarks (`go test -run '^$' -bench GraphClassifyBatch
+// ./internal/core`): the routed tree against the linear trunk on the
+// identical input stream, batched.
 
 func benchClassifyBatch(b *testing.B, g *Graph, delta float64) {
 	b.Helper()

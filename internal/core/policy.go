@@ -6,14 +6,9 @@ package core
 // caller shape the whole cascade per request: one δ, per-stage deltas, a
 // hard cap on how deep the cascade may run (directly or via an operation
 // budget), and how much detail the exit record should carry. The serving
-// layer validates a policy once per request (CDLN.ValidatePolicy) and
-// threads it unchanged through the replica pool into the Session walker
+// layer validates a policy once per request (serve's PolicyRequest.resolve)
+// and threads it unchanged through the replica pool into the Session walker
 // (Session.ResumeBatchPolicyAt).
-
-import (
-	"fmt"
-	"math"
-)
 
 // ExitPolicy shapes how Algorithm 2 terminates for one request. The zero
 // value is NOT the identity policy — use DefaultExitPolicy (negative Delta
@@ -73,28 +68,4 @@ func (p ExitPolicy) Equal(o ExitPolicy) bool {
 		}
 	}
 	return true
-}
-
-// ValidatePolicy checks a policy against this model: thresholds must be
-// finite and, when active, in [0,1] (a NaN would compare false against
-// every score and silently disable early exit); StageDeltas must match the
-// stage count; MaxExit must name an existing exit point.
-func (c *CDLN) ValidatePolicy(p ExitPolicy) error {
-	if math.IsNaN(p.Delta) || math.IsInf(p.Delta, 0) || p.Delta > 1 {
-		return fmt.Errorf("core: policy delta %v must be negative (keep) or in [0,1]", p.Delta)
-	}
-	if p.StageDeltas != nil {
-		if len(p.StageDeltas) != len(c.Stages) {
-			return fmt.Errorf("core: policy has %d stage deltas for %d stages", len(p.StageDeltas), len(c.Stages))
-		}
-		for i, d := range p.StageDeltas {
-			if math.IsNaN(d) || math.IsInf(d, 0) || d > 1 {
-				return fmt.Errorf("core: policy stage %d delta %v must be negative (keep) or in [0,1]", i, d)
-			}
-		}
-	}
-	if p.MaxExit > len(c.Stages) {
-		return fmt.Errorf("core: policy max exit %d beyond last exit point %d", p.MaxExit, len(c.Stages))
-	}
-	return nil
 }

@@ -1,7 +1,7 @@
 package core
 
-// policy_test.go covers the structured ExitPolicy: validation, the ops
-// budget → depth cap mapping, and the policy-aware walk — delta-only
+// policy_test.go covers the structured ExitPolicy: the ops budget → depth
+// cap mapping, and the policy-aware walk — delta-only
 // policies must be bit-identical to the reference walk under that δ, depth
 // caps must take the capped stage classifier's own verdict, and traces must
 // record every evaluated exit.
@@ -12,37 +12,6 @@ import (
 
 	"cdl/internal/tensor"
 )
-
-func TestValidatePolicy(t *testing.T) {
-	cdln := batchCDLN(t, 61)
-	good := []ExitPolicy{
-		DefaultExitPolicy(),
-		{Delta: 0.5, MaxExit: -1},
-		{Delta: -1, MaxExit: 0},
-		{Delta: -1, MaxExit: len(cdln.Stages)},
-		{Delta: -1, StageDeltas: []float64{0.3, -1}, MaxExit: -1},
-		{Delta: 1, MaxExit: 1, Trace: true},
-	}
-	for i, p := range good {
-		if err := cdln.ValidatePolicy(p); err != nil {
-			t.Errorf("good policy %d rejected: %v", i, err)
-		}
-	}
-	bad := []ExitPolicy{
-		{Delta: math.NaN(), MaxExit: -1},
-		{Delta: math.Inf(1), MaxExit: -1},
-		{Delta: 1.5, MaxExit: -1},
-		{Delta: -1, MaxExit: len(cdln.Stages) + 1},
-		{Delta: -1, StageDeltas: []float64{0.5}, MaxExit: -1},
-		{Delta: -1, StageDeltas: []float64{0.5, math.NaN()}, MaxExit: -1},
-		{Delta: -1, StageDeltas: []float64{0.5, 2}, MaxExit: -1},
-	}
-	for i, p := range bad {
-		if err := cdln.ValidatePolicy(p); err == nil {
-			t.Errorf("bad policy %d accepted: %+v", i, p)
-		}
-	}
-}
 
 func TestMaxExitForOps(t *testing.T) {
 	cdln := batchCDLN(t, 62)

@@ -81,11 +81,6 @@ func newGraphSession(g *Graph) *Session {
 	return s
 }
 
-// Model returns the session's private trunk CDLN replica. Mutating its
-// Delta or StageDeltas between calls is allowed (thresholds are read per
-// call); structural mutation invalidates the session.
-func (s *Session) Model() *CDLN { return s.model }
-
 // Graph returns the session's private routing graph replica (a one-node
 // linear graph for NewSession-built sessions). Treat it as read-only.
 func (s *Session) Graph() *Graph { return s.graph }
@@ -131,7 +126,7 @@ type PrefixResult struct {
 	// for an unrouted handoff, 0 for a branch-entry handoff.
 	FromStage int
 	// Pos is the number of the node's baseline layers composing Activation
-	// — Graph.SplitPosOf(Node, FromStage), recorded here so transports
+	// — the node model's SplitPos(FromStage), recorded here so transports
 	// need not re-derive it.
 	Pos int
 }

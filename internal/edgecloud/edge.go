@@ -152,9 +152,6 @@ func NewGraph(g *core.Graph, t Transport, cfg Config) (*Edge, error) {
 	return &Edge{cfg: cfg, sess: sess, transport: t, costs: costs}, nil
 }
 
-// Config returns the edge's effective (defaults-filled) configuration.
-func (e *Edge) Config() Config { return e.cfg }
-
 // AttachTrace attaches a request trace for the next Classify* call(s):
 // prefix stage spans record as "edge:stage:...", the cloud round trip as
 // "edge:offload", and — when the transport supports tracing — the cloud's
@@ -191,9 +188,6 @@ func (e *Edge) wireTraceID() string {
 	}
 	return id
 }
-
-// Costs returns the precomputed per-exit tier energy split.
-func (e *Edge) Costs() *energy.TierCosts { return e.costs }
 
 // Result is one input's tier-split outcome.
 type Result struct {

@@ -54,7 +54,8 @@ func TestLinkChargeMatchesTheWire(t *testing.T) {
 		{"named model, traced", NewHTTPModelTransport(cloudTS.URL, serve.DefaultModelName), true},
 	} {
 		requests = nil
-		edge, err := New(cdln, tc.transport, DefaultConfig(1))
+		cfg := DefaultConfig(1)
+		edge, err := New(cdln, tc.transport, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +71,7 @@ func TestLinkChargeMatchesTheWire(t *testing.T) {
 			if res.Offloaded {
 				offloads++
 				charged += res.WireBytes
-				if want := edge.Costs().Link.TransferPJ(res.WireBytes); res.LinkPJ != want {
+				if want := cfg.Link.TransferPJ(res.WireBytes); res.LinkPJ != want {
 					t.Errorf("%s: link charge %v pJ, want %v for %d bytes", tc.name, res.LinkPJ, want, res.WireBytes)
 				}
 			}

@@ -118,9 +118,6 @@ func (a *Accumulator) MeanEnergy() float64 {
 	return a.total / float64(a.count)
 }
 
-// BaselineEnergy returns the pJ cost of one unconditioned baseline pass.
-func (a *Accumulator) BaselineEnergy() float64 { return a.baseline }
-
 // ExitEnergy returns the pJ cost of exit point i.
 func (a *Accumulator) ExitEnergy(i int) float64 { return a.exits[i] }
 

@@ -67,26 +67,19 @@ type TierCosts struct {
 	Link Link
 }
 
-// TierCosts derives the per-exit tier split for a cascade cut after
-// splitStage stages (0 ships raw inputs, len(Stages) runs the whole
-// cascade locally and offloads only FC-bound residues).
-func (e Evaluator) TierCosts(c *core.CDLN, splitStage int, link Link) (*TierCosts, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	return e.GraphTierCosts(core.LinearGraph(c), splitStage, link)
-}
-
-// GraphTierCosts is TierCosts for a routing graph split on the trunk after
-// splitStage trunk stages. Trunk exits split exactly as in the linear
-// case. A branch exit always implies an offload (routed inputs leave the
-// trunk before the edge's share is done, and the branch runs on the
-// cloud): its edge-side cost is the trunk prefix actually evaluated
-// before departure — the trunk exit energy at the router stage when the
-// route fired on the edge, the standard PrefixPJ when the input offloaded
-// at the split before reaching the router — and the rest of the path is
-// cloud compute. Edge[i]+Cloud[i] still equals the monolithic path energy
-// for every exit, so the graph split moves compute without inventing it.
+// GraphTierCosts derives the per-exit tier split for a routing graph cut
+// on the trunk after splitStage trunk stages (0 ships raw inputs,
+// len(Stages) runs the whole trunk locally; a linear cascade is its
+// core.LinearGraph). Trunk exits split at the cut: exits before it stay
+// local, the rest offload after the prefix. A branch exit always implies
+// an offload (routed inputs leave the trunk before the edge's share is
+// done, and the branch runs on the cloud): its edge-side cost is the
+// trunk prefix actually evaluated before departure — the trunk exit
+// energy at the router stage when the route fired on the edge, the
+// standard PrefixPJ when the input offloaded at the split before reaching
+// the router — and the rest of the path is cloud compute.
+// Edge[i]+Cloud[i] still equals the monolithic path energy for every
+// exit, so the graph split moves compute without inventing it.
 func (e Evaluator) GraphTierCosts(g *core.Graph, splitStage int, link Link) (*TierCosts, error) {
 	if err := e.Acc.Validate(); err != nil {
 		return nil, err

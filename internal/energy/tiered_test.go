@@ -16,7 +16,7 @@ func TestTierCostsConserveEnergy(t *testing.T) {
 	ev := NewEvaluator()
 	exits := ev.ExitEnergies(cdln)
 	for split := 0; split <= len(cdln.Stages); split++ {
-		tc, err := ev.TierCosts(cdln, split, DefaultLink())
+		tc, err := ev.GraphTierCosts(core.LinearGraph(cdln), split, DefaultLink())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,13 +53,13 @@ func TestTierCostsConserveEnergy(t *testing.T) {
 func TestTierCostsValidation(t *testing.T) {
 	cdln, _ := buildSmallCDLN(t)
 	ev := NewEvaluator()
-	if _, err := ev.TierCosts(cdln, -1, DefaultLink()); err == nil {
+	if _, err := ev.GraphTierCosts(core.LinearGraph(cdln), -1, DefaultLink()); err == nil {
 		t.Error("negative split accepted")
 	}
-	if _, err := ev.TierCosts(cdln, len(cdln.Stages)+1, DefaultLink()); err == nil {
+	if _, err := ev.GraphTierCosts(core.LinearGraph(cdln), len(cdln.Stages)+1, DefaultLink()); err == nil {
 		t.Error("too-deep split accepted")
 	}
-	if _, err := ev.TierCosts(cdln, 0, Link{PJPerByte: -1}); err == nil {
+	if _, err := ev.GraphTierCosts(core.LinearGraph(cdln), 0, Link{PJPerByte: -1}); err == nil {
 		t.Error("negative link cost accepted")
 	}
 }
@@ -72,7 +72,7 @@ func TestTieredAccumulator(t *testing.T) {
 	ev := NewEvaluator()
 	link := Link{PJPerByte: 100, PerOffloadPJ: 1000}
 	const split = 1
-	tc, err := ev.TierCosts(cdln, split, link)
+	tc, err := ev.GraphTierCosts(core.LinearGraph(cdln), split, link)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestTieredAccumulator(t *testing.T) {
 
 func TestTieredAccumulatorRejects(t *testing.T) {
 	cdln, _ := buildSmallCDLN(t)
-	tc, err := NewEvaluator().TierCosts(cdln, 1, DefaultLink())
+	tc, err := NewEvaluator().GraphTierCosts(core.LinearGraph(cdln), 1, DefaultLink())
 	if err != nil {
 		t.Fatal(err)
 	}

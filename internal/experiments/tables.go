@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 
 	"cdl/internal/core"
@@ -259,6 +258,3 @@ func RunAll(ctx *Context) (string, error) {
 	b.WriteString(gain)
 	return b.String(), nil
 }
-
-// Workers returns a sensible worker count for library callers.
-func Workers() int { return runtime.GOMAXPROCS(0) }

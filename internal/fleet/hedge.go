@@ -160,16 +160,3 @@ func (rt *Router) hedgeDeadline(mm *modelMetrics) time.Duration {
 	}
 	return d
 }
-
-// hedgeTotals sums the hedge counters across models (the /statsz and
-// conservation-check surface).
-func (rt *Router) hedgeTotals() (sent, wins, losses int64) {
-	rt.metrics.mu.Lock()
-	defer rt.metrics.mu.Unlock()
-	for _, mm := range rt.metrics.models {
-		sent += mm.hedgesSent.Load()
-		wins += mm.hedgeWins.Load()
-		losses += mm.hedgeLosses.Load()
-	}
-	return
-}

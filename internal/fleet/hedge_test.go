@@ -110,7 +110,7 @@ func startHedgeFleet(t *testing.T) (*testFleet, *stallingBackend, []byte) {
 			t.Fatal(err)
 		}
 		key := HashRequest(serve.DefaultModelName, body)
-		if rt.ring.Owner(key) == 1 { // index 1 == the staller
+		if owner(rt.ring, key) == 1 { // index 1 == the staller
 			return f, sb, body
 		}
 	}

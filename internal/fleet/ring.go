@@ -124,11 +124,6 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Owner returns the member index owning key — the primary placement.
-func (r *Ring) Owner(key uint64) int {
-	return r.points[r.search(key)].member
-}
-
 // Seq returns all member indices in ring order starting from key's owner:
 // Seq(key)[0] is the primary, Seq(key)[1] the first overflow target
 // (bounded-load spill, hedge target, failover), and so on. Every member

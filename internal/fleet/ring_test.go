@@ -59,10 +59,10 @@ func TestRingStability(t *testing.T) {
 	}
 	n1, n3 := r1.Members(), r3.Members()
 	for _, key := range testKeys(2000) {
-		if a, b := r1.Owner(key), r2.Owner(key); a != b {
+		if a, b := owner(r1, key), owner(r2, key); a != b {
 			t.Fatalf("key %x: owner differs across identical constructions (%d vs %d)", key, a, b)
 		}
-		if n1[r1.Owner(key)] != n3[r3.Owner(key)] {
+		if n1[owner(r1, key)] != n3[owner(r3, key)] {
 			t.Fatalf("key %x: owner depends on member order", key)
 		}
 	}
@@ -80,8 +80,8 @@ func TestRingSeq(t *testing.T) {
 		if len(seq) != 4 {
 			t.Fatalf("key %x: seq length %d, want 4", key, len(seq))
 		}
-		if seq[0] != r.Owner(key) {
-			t.Fatalf("key %x: seq starts at %d, owner is %d", key, seq[0], r.Owner(key))
+		if seq[0] != owner(r, key) {
+			t.Fatalf("key %x: seq starts at %d, owner is %d", key, seq[0], owner(r, key))
 		}
 		seen := make(map[int]bool)
 		for _, m := range seq {
@@ -116,7 +116,7 @@ func TestRingMinimalDisruption(t *testing.T) {
 
 			moved := 0
 			for _, key := range keys {
-				ob, oa := bn[before.Owner(key)], an[after.Owner(key)]
+				ob, oa := bn[owner(before, key)], an[owner(after, key)]
 				if ob == oa {
 					continue
 				}
@@ -142,8 +142,8 @@ func TestRingMinimalDisruption(t *testing.T) {
 			// Leave is the mirror image: removing the joiner moves exactly
 			// the keys it owned, back to survivors.
 			for _, key := range keys {
-				oa := an[after.Owner(key)]
-				ob := bn[before.Owner(key)]
+				oa := an[owner(after, key)]
+				ob := bn[owner(before, key)]
 				if oa == joiner {
 					continue // these must move on leave
 				}
@@ -165,7 +165,7 @@ func TestRingSpread(t *testing.T) {
 	}
 	counts := make([]int, n)
 	for _, key := range testKeys(keyCount) {
-		counts[r.Owner(key)]++
+		counts[owner(r, key)]++
 	}
 	fair := keyCount / n
 	for m, c := range counts {
@@ -175,7 +175,7 @@ func TestRingSpread(t *testing.T) {
 	}
 }
 
-func BenchmarkRingOwner(b *testing.B) {
+func BenchmarkRingSeq(b *testing.B) {
 	r, err := NewRing(ringMembers(16), 0)
 	if err != nil {
 		b.Fatal(err)
@@ -183,6 +183,10 @@ func BenchmarkRingOwner(b *testing.B) {
 	keys := testKeys(1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = r.Owner(keys[i%len(keys)])
+		_ = r.Seq(keys[i%len(keys)])
 	}
 }
+
+// owner is key's primary placement: the member of the first virtual point
+// at or after the key's hash, where Seq starts.
+func owner(r *Ring, key uint64) int { return r.points[r.search(key)].member }

@@ -49,18 +49,8 @@ func AnalyzeLayer(l nn.Layer, inShape []int) LayerActivity {
 		a.Compares = float64(outN) * (win - 1)
 		a.InputReads = float64(outN) * win
 		a.OutputWrites = float64(outN)
-	case *nn.MeanPool2D:
-		win := float64(t.Window() * t.Window())
-		a.Adds = float64(outN) * win
-		a.InputReads = float64(outN) * win
-		a.OutputWrites = float64(outN)
-	case *nn.Sigmoid, *nn.Tanh, *nn.ReLU:
+	case *nn.Sigmoid:
 		a.ActEvals = float64(outN)
-		a.InputReads = float64(outN)
-		a.OutputWrites = float64(outN)
-	case *nn.Softmax:
-		a.ActEvals = float64(outN)
-		a.Adds = float64(outN)
 		a.InputReads = float64(outN)
 		a.OutputWrites = float64(outN)
 	case *nn.Flatten:

@@ -63,7 +63,7 @@ func checkDims(kind, name string, dims ...int) error {
 }
 
 type layerSpec struct {
-	Kind    string // "conv", "maxpool", "meanpool", "dense", "sigmoid", "tanh", "relu", "flatten", "softmax"
+	Kind    string // "conv", "maxpool", "dense", "sigmoid", "flatten"
 	Name    string
 	Ints    map[string]int
 	Weights map[string][]float64
@@ -142,24 +142,10 @@ func specFromLayer(l nn.Layer) (layerSpec, error) {
 	case *nn.MaxPool2D:
 		s.Kind = "maxpool"
 		s.Ints["win"] = t.Window()
-	case *nn.MeanPool2D:
-		s.Kind = "meanpool"
-		s.Ints["win"] = t.Window()
 	case *nn.Sigmoid:
 		s.Kind = "sigmoid"
-	case *nn.Tanh:
-		s.Kind = "tanh"
-	case *nn.ReLU:
-		s.Kind = "relu"
 	case *nn.Flatten:
 		s.Kind = "flatten"
-	case *nn.Softmax:
-		s.Kind = "softmax"
-	case *nn.Dropout:
-		// Serialized for structural completeness; a loaded model is for
-		// inference, where dropout is the identity.
-		s.Kind = "dropout"
-		s.Weights["rate"] = []float64{t.Rate}
 	default:
 		return s, fmt.Errorf("modelio: unsupported layer type %T", l)
 	}
@@ -197,29 +183,10 @@ func layerFromSpec(s layerSpec) (nn.Layer, error) {
 			return nil, err
 		}
 		return nn.NewMaxPool2D(s.Name, s.Ints["win"]), nil
-	case "meanpool":
-		if err := checkDims("meanpool", s.Name, s.Ints["win"]); err != nil {
-			return nil, err
-		}
-		return nn.NewMeanPool2D(s.Name, s.Ints["win"]), nil
 	case "sigmoid":
 		return nn.NewSigmoid(s.Name), nil
-	case "tanh":
-		return nn.NewTanh(s.Name), nil
-	case "relu":
-		return nn.NewReLU(s.Name), nil
 	case "flatten":
 		return nn.NewFlatten(s.Name), nil
-	case "softmax":
-		return nn.NewSoftmax(s.Name), nil
-	case "dropout":
-		rate := 0.0
-		if v := s.Weights["rate"]; len(v) == 1 {
-			rate = v[0]
-		}
-		d := nn.NewDropout(s.Name, rate, 1)
-		d.SetTraining(false) // loaded models are inference models
-		return d, nil
 	}
 	return nil, fmt.Errorf("modelio: unknown layer kind %q", s.Kind)
 }
@@ -283,24 +250,6 @@ func archFromSpec(s archSpec) (*nn.Arch, error) {
 		return nil, err
 	}
 	return a, nil
-}
-
-// SaveArch writes a trained baseline architecture (structure + weights).
-func SaveArch(w io.Writer, a *nn.Arch) error {
-	s, err := specFromArch(a)
-	if err != nil {
-		return err
-	}
-	return gob.NewEncoder(w).Encode(s)
-}
-
-// LoadArch reads a baseline architecture saved with SaveArch.
-func LoadArch(r io.Reader) (*nn.Arch, error) {
-	var s archSpec
-	if err := gob.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("modelio: decode arch: %w", err)
-	}
-	return archFromSpec(s)
 }
 
 // specFromCDLN folds a validated cascade into its on-disk spec.

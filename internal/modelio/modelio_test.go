@@ -2,12 +2,17 @@ package modelio
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"cdl/internal/core"
+	"cdl/internal/hw"
 	"cdl/internal/mnist"
 	"cdl/internal/nn"
+	"cdl/internal/opcount"
 	"cdl/internal/tensor"
 	"cdl/internal/train"
 )
@@ -34,15 +39,17 @@ func trainedPair(t *testing.T) (*core.CDLN, []train.Sample) {
 	return cdln, data
 }
 
+// TestArchRoundTrip pins the baseline half of every model file: the arch
+// spec rebuilds the same network, bit for bit.
 func TestArchRoundTrip(t *testing.T) {
 	cdln, data := trainedPair(t)
 	arch := cdln.Arch
 
-	var buf bytes.Buffer
-	if err := SaveArch(&buf, arch); err != nil {
+	spec, err := specFromArch(arch)
+	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadArch(&buf)
+	back, err := archFromSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,41 +102,105 @@ func TestCDLNRoundTrip(t *testing.T) {
 }
 
 func TestLoadGarbage(t *testing.T) {
-	if _, err := LoadArch(bytes.NewReader([]byte("not a gob"))); err == nil {
-		t.Error("garbage arch accepted")
+	if _, err := LoadGraph(bytes.NewReader([]byte("not a gob"))); err == nil {
+		t.Error("garbage graph accepted")
 	}
 	if _, err := LoadCDLN(bytes.NewReader([]byte{1, 2, 3})); err == nil {
 		t.Error("garbage cdln accepted")
 	}
 }
 
+// TestAllLayerKindsRoundTrip is the layer set's totality check across
+// every consumer of a layer: each kind layerFromSpec accepts must survive
+// the spec round trip with the same outputs, be costed by opcount.LayerOps
+// and be itemized by hw.AnalyzeLayer, whose type switches panic on a layer
+// they do not know. The paper's networks must use no kind outside the set.
 func TestAllLayerKindsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	net := nn.NewNetwork([]int{1, 8, 8},
-		nn.NewConv2D("c", 1, 2, 3),
-		nn.NewTanh("t"),
-		nn.NewMeanPool2D("mp", 2),
-		nn.NewReLU("r"),
-		nn.NewFlatten("f"),
-		nn.NewDense("d", 2*3*3, 5),
-		nn.NewSoftmax("sm"),
-	)
-	nn.InitNetwork(net, rng)
-	arch := &nn.Arch{Name: "kinds", Net: net, Taps: []int{3}, TapNames: []string{"mp"}, NumClasses: 5}
-
-	var buf bytes.Buffer
-	if err := SaveArch(&buf, arch); err != nil {
-		t.Fatal(err)
+	conv := nn.NewConv2D("c", 2, 3, 3)
+	dense := nn.NewDense("d", 12, 5)
+	nn.XavierConv(conv, rng)
+	nn.XavierDense(dense, rng)
+	cases := map[string]struct {
+		layer nn.Layer
+		in    []int
+	}{
+		"conv":    {conv, []int{2, 6, 6}},
+		"dense":   {dense, []int{12}},
+		"maxpool": {nn.NewMaxPool2D("p", 2), []int{3, 4, 4}},
+		"sigmoid": {nn.NewSigmoid("s"), []int{3, 4, 4}},
+		"flatten": {nn.NewFlatten("f"), []int{3, 2, 2}},
 	}
-	back, err := LoadArch(&buf)
+	for _, arch := range []*nn.Arch{nn.Arch6Layer(rng), nn.Arch8Layer(rng), nn.ArchTiny(rng, 4)} {
+		for _, l := range arch.Net.Layers {
+			s, err := specFromLayer(l)
+			if _, ok := cases[s.Kind]; err != nil || !ok {
+				t.Errorf("%s layer %s: kind %q (err %v) is not in the table", arch.Name, l.Name(), s.Kind, err)
+			}
+		}
+	}
+	for kind, tc := range cases {
+		s, err := specFromLayer(tc.layer)
+		if err != nil || s.Kind != kind {
+			t.Fatalf("%s: spec kind %q, err %v", kind, s.Kind, err)
+		}
+		back, err := layerFromSpec(s)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		x := tensor.New(tc.in...)
+		for i := range x.Data {
+			x.Data[i] = rng.Float64()*2 - 1
+		}
+		if !tensor.Equal(tc.layer.Forward(x), back.Forward(x)) {
+			t.Errorf("%s: layer changed behaviour after the round trip", kind)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: a consumer panicked: %v", kind, r)
+				}
+			}()
+			want := opcount.LayerOps(tc.layer, tc.in)
+			if got := opcount.LayerOps(back, tc.in); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: ops %+v after the round trip, %+v before", kind, got, want)
+			}
+			if got, want := hw.AnalyzeLayer(back, tc.in), hw.AnalyzeLayer(tc.layer, tc.in); got != want {
+				t.Errorf("%s: activity %+v after the round trip, %+v before", kind, got, want)
+			}
+		}()
+	}
+}
+
+// TestRemovedLayerKindsRefused pins the layers no model uses as unknown:
+// a spec naming one is an error from layerFromSpec and from a whole-file
+// load, never a panic.
+func TestRemovedLayerKindsRefused(t *testing.T) {
+	valid, err := specFromCDLN(fuzzCDLN())
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := tensor.New(1, 8, 8)
-	for i := range x.Data {
-		x.Data[i] = rng.Float64()
-	}
-	if !tensor.Equal(arch.Net.Forward(x), back.Net.Forward(x)) {
-		t.Error("all-kinds network changed behaviour after round trip")
+	for _, kind := range []string{"tanh", "relu", "softmax", "meanpool", "dropout"} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: panicked: %v", kind, r)
+				}
+			}()
+			s := layerSpec{Kind: kind, Name: kind, Ints: map[string]int{"win": 2}, Weights: map[string][]float64{"rate": {0.5}}}
+			if _, err := layerFromSpec(s); err == nil || !strings.Contains(err.Error(), "unknown layer kind") {
+				t.Errorf("%s: layerFromSpec err %v, want unknown layer kind", kind, err)
+			}
+			spec := valid
+			spec.Arch.Layers = append([]layerSpec(nil), valid.Arch.Layers...)
+			spec.Arch.Layers[1] = s // the conv's activation
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(spec); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := LoadCDLN(&buf); err == nil || !strings.Contains(err.Error(), "unknown layer kind") {
+				t.Errorf("%s: LoadCDLN err %v, want unknown layer kind", kind, err)
+			}
+		}()
 	}
 }

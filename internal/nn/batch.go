@@ -1,7 +1,7 @@
 package nn
 
-// batch.go is the batched inference fast path: every built-in layer gains a
-// ForwardBatch that processes a whole micro-batch per call, with the
+// batch.go is the batched inference fast path: every layer's ForwardBatch
+// (a method of Layer) processes a whole micro-batch per call, with the
 // convolutions lowered to im2col + GEMM (im2col.go, gemm.go) one image at a
 // time, image ranges in parallel (Conv2D.fanOut), instead of the per-sample
 // nested loops of Forward.
@@ -31,17 +31,6 @@ import (
 	"cdl/internal/tensor"
 )
 
-// BatchLayer is the optional fast-path extension of Layer: ForwardBatch
-// maps a batched activation [B, ...in] to [B, ...out], reproducing Forward
-// exactly on every row. Layers that do not implement it still work in
-// batched pipelines via the per-sample fallback in ForwardBatchRange. The
-// result may live in layer-owned scratch: it is valid until the next
-// ForwardBatch on the same layer value.
-type BatchLayer interface {
-	Layer
-	ForwardBatch(in *tensor.T) *tensor.T
-}
-
 // ForwardBatch runs a full batched forward pass (layers [0, len)).
 func (n *Network) ForwardBatch(x *tensor.T) *tensor.T {
 	return n.ForwardBatchRange(x, 0, len(n.Layers))
@@ -50,11 +39,9 @@ func (n *Network) ForwardBatch(x *tensor.T) *tensor.T {
 // ForwardBatchRange runs layers [from, to) on the batched activation x
 // (leading dimension = batch). It is the batched counterpart of
 // ForwardRange — the primitive internal/core's Session walker resumes the
-// baseline with between cascade taps — and uses each layer's ForwardBatch
-// when implemented, falling back to a per-sample loop otherwise, so the
-// fast path never constrains which layers a network may contain. A
-// Conv2D → Sigmoid → MaxPool2D triple wholly inside [from, to) runs fused
-// (forwardBatchSigmoidPool); a range that cuts it runs per layer, same
+// baseline with between cascade taps. A Conv2D → Sigmoid → MaxPool2D triple
+// wholly inside [from, to) runs fused (forwardBatchSigmoidPool); every other
+// layer, and a range that cuts the triple, runs its own ForwardBatch, same
 // floats. The result is valid until the next ForwardBatch* on this replica.
 func (n *Network) ForwardBatchRange(x *tensor.T, from, to int) *tensor.T {
 	if from < 0 || to > len(n.Layers) || from > to {
@@ -68,10 +55,8 @@ func (n *Network) ForwardBatchRange(x *tensor.T, from, to int) *tensor.T {
 		if c, p := convSigmoidPool(ls[i:]); c != nil {
 			x = c.forwardBatchSigmoidPool(x, p)
 			i += 2
-		} else if bl, ok := ls[i].(BatchLayer); ok {
-			x = bl.ForwardBatch(x)
 		} else {
-			x = forwardBatchFallback(ls[i], x)
+			x = ls[i].ForwardBatch(x)
 		}
 	}
 	return x
@@ -89,32 +74,6 @@ func convSigmoidPool(ls []Layer) (*Conv2D, *MaxPool2D) {
 		return nil, nil
 	}
 	return c, p
-}
-
-// forwardBatchFallback runs a plain Layer sample by sample over the batch,
-// restacking the outputs. It keeps batched pipelines total over layers that
-// have no native ForwardBatch (custom layers, Dropout in training mode).
-func forwardBatchFallback(l Layer, in *tensor.T) *tensor.T {
-	bsz, sshape := batchDims(in)
-	oshape := l.OutShape(sshape)
-	osz := 1
-	for _, d := range oshape {
-		osz *= d
-	}
-	out := tensor.New(append([]int{bsz}, oshape...)...)
-	ssz := sampleSize(in, bsz)
-	for bi := 0; bi < bsz; bi++ {
-		view := tensor.FromSlice(in.Data[bi*ssz:(bi+1)*ssz], sshape...)
-		y := l.Forward(view)
-		copy(out.Data[bi*osz:(bi+1)*osz], y.Data)
-	}
-	return out
-}
-
-// batchDims splits a batched activation's shape into (batch, sample shape).
-func batchDims(in *tensor.T) (int, []int) {
-	shape := in.Shape()
-	return shape[0], shape[1:]
 }
 
 // sampleSize returns the per-sample element count of a batched activation.
@@ -260,7 +219,7 @@ func (c *Conv2D) lowerRange(r int, buf *[]float64) {
 	}
 }
 
-// ForwardBatch implements BatchLayer: fanOut with no fused epilogue, into
+// ForwardBatch implements Layer: fanOut with no fused epilogue, into
 // a fresh [B, outC, oh, ow] activation.
 func (c *Conv2D) ForwardBatch(in *tensor.T) *tensor.T {
 	oh, ow := c.checkBatch(in)
@@ -362,7 +321,7 @@ func poolScan(src []float64, base, ow, win int, bias float64, act func(float64) 
 	return y
 }
 
-// ForwardBatch implements BatchLayer: per-row W·x + b with the same running
+// ForwardBatch implements Layer: per-row W·x + b with the same running
 // dot order as MatVecInto, the bias added after the dot as in Forward.
 func (d *Dense) ForwardBatch(in *tensor.T) *tensor.T {
 	bsz := in.Dim(0)
@@ -387,13 +346,13 @@ func (d *Dense) ForwardBatch(in *tensor.T) *tensor.T {
 	return out
 }
 
-// ForwardBatch implements BatchLayer: a flat reshape to [B, n].
+// ForwardBatch implements Layer: a flat reshape to [B, n].
 func (f *Flatten) ForwardBatch(in *tensor.T) *tensor.T {
 	bsz := in.Dim(0)
 	return f.bout.Point(in.Data, bsz, sampleSize(in, bsz))
 }
 
-// ForwardBatch implements BatchLayer: element-wise, so batching is the
+// ForwardBatch implements Layer: element-wise, so batching is the
 // identity transformation on the math. in is left untouched.
 func (s *Sigmoid) ForwardBatch(in *tensor.T) *tensor.T {
 	data := growScratch(s.bout.Data, in.Numel())
@@ -405,32 +364,7 @@ func (s *Sigmoid) ForwardBatch(in *tensor.T) *tensor.T {
 	return &s.bout
 }
 
-// ForwardBatch implements BatchLayer.
-func (t *Tanh) ForwardBatch(in *tensor.T) *tensor.T { return in.Map(math.Tanh) }
-
-// ForwardBatch implements BatchLayer.
-func (r *ReLU) ForwardBatch(in *tensor.T) *tensor.T {
-	return in.Map(func(x float64) float64 {
-		if x > 0 {
-			return x
-		}
-		return 0
-	})
-}
-
-// ForwardBatch implements BatchLayer: SoftmaxVec applied per row.
-func (s *Softmax) ForwardBatch(in *tensor.T) *tensor.T {
-	bsz, sshape := batchDims(in)
-	ssz := sampleSize(in, bsz)
-	out := tensor.New(append([]int{bsz}, sshape...)...)
-	for bi := 0; bi < bsz; bi++ {
-		row := tensor.FromSlice(in.Data[bi*ssz:(bi+1)*ssz], ssz)
-		copy(out.Data[bi*ssz:(bi+1)*ssz], SoftmaxVec(row).Data)
-	}
-	return out
-}
-
-// ForwardBatch implements BatchLayer: the same window scan as Forward per
+// ForwardBatch implements Layer: the same window scan as Forward per
 // sample (identical comparison order, so ties break identically), without
 // recording argmax state.
 func (p *MaxPool2D) ForwardBatch(in *tensor.T) *tensor.T {
@@ -466,49 +400,4 @@ func (p *MaxPool2D) ForwardBatch(in *tensor.T) *tensor.T {
 		}
 	}
 	return out
-}
-
-// ForwardBatch implements BatchLayer: Forward's window sums per sample.
-func (p *MeanPool2D) ForwardBatch(in *tensor.T) *tensor.T {
-	shape := in.Shape()
-	if len(shape) != 4 {
-		panic(fmt.Sprintf("nn: %s batch input shape %v, want [B C H W]", p.name, shape))
-	}
-	bsz, c, h, w := shape[0], shape[1], shape[2], shape[3]
-	oh, ow := h/p.win, w/p.win
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("nn: %s window %d too large for input %v", p.name, p.win, shape))
-	}
-	out := tensor.New(bsz, c, oh, ow)
-	inv := 1.0 / float64(p.win*p.win)
-	for bi := 0; bi < bsz; bi++ {
-		ind := in.Data[bi*c*h*w:]
-		outd := out.Data[bi*c*oh*ow:]
-		for ch := 0; ch < c; ch++ {
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					s := 0.0
-					for dy := 0; dy < p.win; dy++ {
-						rowOff := ch*h*w + (oy*p.win+dy)*w + ox*p.win
-						for dx := 0; dx < p.win; dx++ {
-							s += ind[rowOff+dx]
-						}
-					}
-					outd[ch*oh*ow+oy*ow+ox] = s * inv
-				}
-			}
-		}
-	}
-	return out
-}
-
-// ForwardBatch implements BatchLayer for inference mode only: the layer is
-// the identity there, exactly as Forward. In training mode batched calls
-// fall back to the per-sample path so the mask stream stays per-sample
-// deterministic.
-func (d *Dropout) ForwardBatch(in *tensor.T) *tensor.T {
-	if !d.training || d.Rate == 0 {
-		return in
-	}
-	return forwardBatchFallback(d, in)
 }

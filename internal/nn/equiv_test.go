@@ -54,13 +54,13 @@ func assertRowsEqual(t *testing.T, label string, bi int, got *tensor.T, want *te
 // differential sweep.
 type layerCase struct {
 	name  string
-	layer BatchLayer
+	layer Layer
 	shape []int
 }
 
 // equivCases enumerates randomized layer configurations: convs across
 // kernel sizes and channel counts (including the paper's LeNet shapes),
-// both pools, dense, and every activation.
+// max pooling across windows, dense, flatten and the sigmoid.
 func equivCases(rng *rand.Rand) []layerCase {
 	mkConv := func(name string, inC, outC, k int) *Conv2D {
 		c := NewConv2D(name, inC, outC, k)
@@ -83,15 +83,10 @@ func equivCases(rng *rand.Rand) []layerCase {
 		{"maxpool-2", NewMaxPool2D("P", 2), []int{3, 12, 12}},
 		{"maxpool-3", NewMaxPool2D("P", 3), []int{2, 9, 10}},
 		{"maxpool-1", NewMaxPool2D("P", 1), []int{2, 3, 3}},
-		{"meanpool-2", NewMeanPool2D("P", 2), []int{3, 12, 12}},
-		{"meanpool-3", NewMeanPool2D("P", 3), []int{2, 9, 9}},
 		{"dense", mkDense("FC", 48, 10), []int{48}},
 		{"dense-from-map", mkDense("FC", 3*4*4, 10), []int{3, 4, 4}},
 		{"flatten", NewFlatten("flat"), []int{3, 5, 5}},
 		{"sigmoid", NewSigmoid("act"), []int{4, 6, 6}},
-		{"tanh", NewTanh("act"), []int{4, 6, 6}},
-		{"relu", NewReLU("act"), []int{4, 6, 6}},
-		{"softmax", NewSoftmax("sm"), []int{10}},
 	}
 }
 
@@ -162,43 +157,6 @@ func TestForwardBatchRandomizedShapes(t *testing.T) {
 		for bi, x := range xs {
 			assertRowsEqual(t, "conv-fuzz", bi, got, conv.Forward(x))
 		}
-	}
-}
-
-// TestForwardBatchFallback routes a batched pass through a layer with no
-// native ForwardBatch (Dropout in training mode) and checks the network
-// still matches the per-sample path.
-func TestForwardBatchFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	mk := func() *Network {
-		net := NewNetwork([]int{1, 8, 8},
-			NewConv2D("C1", 1, 2, 3),
-			NewSigmoid("act"),
-			NewDropout("drop", 0.4, 11),
-			NewFlatten("flat"),
-			NewDense("FC", 2*6*6, 4),
-		)
-		InitNetwork(net, rand.New(rand.NewSource(3)))
-		return net
-	}
-	xs := make([]*tensor.T, 6)
-	for i := range xs {
-		xs[i] = randTensor(rng, 1, 8, 8)
-	}
-	// Two identical networks: the dropout mask stream advances per Forward
-	// call, so the batched net and the reference net must each consume a
-	// fresh stream.
-	batched, ref := mk(), mk()
-	got := batched.ForwardBatch(stack(xs))
-	for bi, x := range xs {
-		assertRowsEqual(t, "dropout-fallback", bi, got, ref.Forward(x))
-	}
-	// In inference mode Dropout has a native identity ForwardBatch.
-	SetNetworkTraining(batched, false)
-	SetNetworkTraining(ref, false)
-	got = batched.ForwardBatch(stack(xs))
-	for bi, x := range xs {
-		assertRowsEqual(t, "dropout-inference", bi, got, ref.Forward(x))
 	}
 }
 

@@ -3,14 +3,16 @@
 // DeepLearnToolbox [19]; we reimplement the same convolutional
 // backpropagation in Go).
 //
-// The package provides layers (Conv2D, MaxPool2D, MeanPool2D, Dense,
-// Sigmoid, Tanh, ReLU, Flatten, Softmax), a sequential Network container
-// with per-layer activation taps (needed by the CDL cascade), MSE and
-// softmax cross-entropy losses, and deterministic Xavier initialization.
+// The package provides the five layers the paper's networks are built
+// from (Conv2D, Sigmoid, MaxPool2D, Flatten, Dense), a sequential Network
+// container with per-layer activation taps (needed by the CDL cascade),
+// the MSE loss the paper trains with, and deterministic Xavier
+// initialization.
 //
-// Layers process one sample at a time; batching is handled by
-// internal/train, which fans samples out across goroutine-local network
-// replicas (see Layer.Clone).
+// Forward and Backward process one sample at a time; training batches are
+// handled by internal/train, which fans samples out across goroutine-local
+// network replicas (see Layer.Clone). ForwardBatch is the batched
+// inference path (batch.go).
 package nn
 
 import (
@@ -43,6 +45,11 @@ type Layer interface {
 	Name() string
 	// Forward computes the layer's output for one input sample.
 	Forward(in *tensor.T) *tensor.T
+	// ForwardBatch maps a batched activation [B, ...in] to [B, ...out],
+	// reproducing Forward exactly on every row. It is inference-only (no
+	// Backward caches), and its result may live in layer-owned scratch:
+	// valid until the next ForwardBatch on the same layer value.
+	ForwardBatch(in *tensor.T) *tensor.T
 	// Backward consumes dL/dOutput and returns dL/dInput, accumulating
 	// parameter gradients into Params().G. It must be called after Forward.
 	Backward(gradOut *tensor.T) *tensor.T

@@ -2,31 +2,16 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"cdl/internal/tensor"
 )
-
-// Loss scores a prediction against a target and produces the gradient of
-// the loss with respect to the prediction.
-type Loss interface {
-	// Name identifies the loss in logs.
-	Name() string
-	// Loss returns the scalar loss.
-	Loss(pred, target *tensor.T) float64
-	// Grad returns dLoss/dPred.
-	Grad(pred, target *tensor.T) *tensor.T
-}
 
 // MSE is the half squared error loss L = ½·Σ(p−t)², the "least mean
 // square" criterion the paper trains both the baseline DLN and the
 // per-stage linear classifiers with (Algorithm 1 step 7).
 type MSE struct{}
 
-// Name implements Loss.
-func (MSE) Name() string { return "mse" }
-
-// Loss implements Loss.
+// Loss returns the scalar loss.
 func (MSE) Loss(pred, target *tensor.T) float64 {
 	if pred.Numel() != target.Numel() {
 		panic(fmt.Sprintf("nn: MSE size mismatch %d vs %d", pred.Numel(), target.Numel()))
@@ -39,46 +24,12 @@ func (MSE) Loss(pred, target *tensor.T) float64 {
 	return 0.5 * s
 }
 
-// Grad implements Loss: dL/dp = p − t.
+// Grad returns dL/dp = p − t.
 func (MSE) Grad(pred, target *tensor.T) *tensor.T {
 	if pred.Numel() != target.Numel() {
 		panic(fmt.Sprintf("nn: MSE size mismatch %d vs %d", pred.Numel(), target.Numel()))
 	}
 	g := pred.Clone()
-	g.Sub(target)
-	return g
-}
-
-// SoftmaxCrossEntropy treats pred as raw logits, applies an internal
-// softmax and computes the cross-entropy against a one-hot (or soft)
-// target. Grad returns the standard softmax−target shortcut. Provided as a
-// training ablation; the paper itself uses MSE.
-type SoftmaxCrossEntropy struct{}
-
-// Name implements Loss.
-func (SoftmaxCrossEntropy) Name() string { return "softmax-xent" }
-
-// Loss implements Loss.
-func (SoftmaxCrossEntropy) Loss(pred, target *tensor.T) float64 {
-	if pred.Numel() != target.Numel() {
-		panic(fmt.Sprintf("nn: xent size mismatch %d vs %d", pred.Numel(), target.Numel()))
-	}
-	p := SoftmaxVec(pred)
-	s := 0.0
-	for i, t := range target.Data {
-		if t != 0 {
-			s -= t * math.Log(math.Max(p.Data[i], 1e-300))
-		}
-	}
-	return s
-}
-
-// Grad implements Loss.
-func (SoftmaxCrossEntropy) Grad(pred, target *tensor.T) *tensor.T {
-	if pred.Numel() != target.Numel() {
-		panic(fmt.Sprintf("nn: xent size mismatch %d vs %d", pred.Numel(), target.Numel()))
-	}
-	g := SoftmaxVec(pred)
 	g.Sub(target)
 	return g
 }

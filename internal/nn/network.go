@@ -22,12 +22,6 @@ func NewNetwork(inShape []int, layers ...Layer) *Network {
 	return n
 }
 
-// Append adds layers to the end of the network, validating shapes.
-func (n *Network) Append(layers ...Layer) {
-	n.Layers = append(n.Layers, layers...)
-	n.OutShape()
-}
-
 // OutShape returns the network's final output shape, validating every
 // intermediate shape along the way.
 func (n *Network) OutShape() []int {
@@ -71,20 +65,6 @@ func (n *Network) ForwardRange(x *tensor.T, from, to int) *tensor.T {
 		x = l.Forward(x)
 	}
 	return x
-}
-
-// Activations runs x through the network and returns every intermediate
-// activation: result[0] is x itself and result[k] is the output of layer
-// k−1, so len(result) == len(Layers)+1. CDL training uses this to harvest
-// the per-stage CNN features (Algorithm 1 step 5).
-func (n *Network) Activations(x *tensor.T) []*tensor.T {
-	acts := make([]*tensor.T, 0, len(n.Layers)+1)
-	acts = append(acts, x)
-	for _, l := range n.Layers {
-		x = l.Forward(x)
-		acts = append(acts, x)
-	}
-	return acts
 }
 
 // Backward backpropagates dL/dOutput through the whole network, returning

@@ -42,12 +42,13 @@ func TestNetworkActivationsConsistentWithForward(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] = rng.NormFloat64()
 	}
-	acts := net.Activations(x)
-	if len(acts) != len(net.Layers)+1 {
-		t.Fatalf("Activations len = %d, want %d", len(acts), len(net.Layers)+1)
+	// Algorithm 1 harvests tap features one layer range at a time; walked
+	// layer by layer, the activations must end at Forward's output.
+	act := x
+	for i := range net.Layers {
+		act = net.ForwardRange(act, i, i+1)
 	}
-	out := net.Forward(x)
-	if !tensor.AllClose(acts[len(acts)-1], out, 1e-12) {
+	if !tensor.AllClose(act, net.Forward(x), 1e-12) {
 		t.Error("final activation != Forward output")
 	}
 }

@@ -97,94 +97,3 @@ func (p *MaxPool2D) Params() []*Param { return nil }
 
 // Clone implements Layer.
 func (p *MaxPool2D) Clone() Layer { return &MaxPool2D{name: p.name, win: p.win} }
-
-// MeanPool2D is a non-overlapping average pooling layer (the variant used
-// by Palm's toolbox [19]); shape semantics match MaxPool2D.
-type MeanPool2D struct {
-	name string
-	win  int
-
-	inShape []int
-}
-
-// NewMeanPool2D constructs a mean pool layer with the given window size.
-func NewMeanPool2D(name string, win int) *MeanPool2D {
-	if win <= 0 {
-		panic(fmt.Sprintf("nn: NewMeanPool2D bad window %d", win))
-	}
-	return &MeanPool2D{name: name, win: win}
-}
-
-// Name implements Layer.
-func (p *MeanPool2D) Name() string { return p.name }
-
-// Window returns the pooling window size.
-func (p *MeanPool2D) Window() int { return p.win }
-
-// OutShape implements Layer.
-func (p *MeanPool2D) OutShape(in []int) []int {
-	if len(in) != 3 {
-		panic(fmt.Sprintf("nn: %s input shape %v, want [C H W]", p.name, in))
-	}
-	oh, ow := in[1]/p.win, in[2]/p.win
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("nn: %s window %d too large for input %v", p.name, p.win, in))
-	}
-	return []int{in[0], oh, ow}
-}
-
-// Forward implements Layer.
-func (p *MeanPool2D) Forward(in *tensor.T) *tensor.T {
-	os := p.OutShape(in.Shape())
-	c, oh, ow := os[0], os[1], os[2]
-	h, w := in.Dim(1), in.Dim(2)
-	out := tensor.New(c, oh, ow)
-	p.inShape = in.Shape()
-	inv := 1.0 / float64(p.win*p.win)
-	for ch := 0; ch < c; ch++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				s := 0.0
-				for dy := 0; dy < p.win; dy++ {
-					rowOff := ch*h*w + (oy*p.win+dy)*w + ox*p.win
-					for dx := 0; dx < p.win; dx++ {
-						s += in.Data[rowOff+dx]
-					}
-				}
-				out.Data[ch*oh*ow+oy*ow+ox] = s * inv
-			}
-		}
-	}
-	return out
-}
-
-// Backward implements Layer: gradient spreads uniformly over each window.
-func (p *MeanPool2D) Backward(gradOut *tensor.T) *tensor.T {
-	if p.inShape == nil {
-		panic("nn: MeanPool2D.Backward before Forward")
-	}
-	c, h, w := p.inShape[0], p.inShape[1], p.inShape[2]
-	oh, ow := gradOut.Dim(1), gradOut.Dim(2)
-	gradIn := tensor.New(c, h, w)
-	inv := 1.0 / float64(p.win*p.win)
-	for ch := 0; ch < c; ch++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				g := gradOut.Data[ch*oh*ow+oy*ow+ox] * inv
-				for dy := 0; dy < p.win; dy++ {
-					rowOff := ch*h*w + (oy*p.win+dy)*w + ox*p.win
-					for dx := 0; dx < p.win; dx++ {
-						gradIn.Data[rowOff+dx] += g
-					}
-				}
-			}
-		}
-	}
-	return gradIn
-}
-
-// Params implements Layer.
-func (p *MeanPool2D) Params() []*Param { return nil }
-
-// Clone implements Layer.
-func (p *MeanPool2D) Clone() Layer { return &MeanPool2D{name: p.name, win: p.win} }

@@ -70,20 +70,10 @@ func LayerOps(l nn.Layer, inShape []int) LayerBreakdown {
 	case *nn.MaxPool2D:
 		// win²−1 comparisons per output element
 		b.Compares = float64(outN * (t.Window()*t.Window() - 1))
-	case *nn.MeanPool2D:
-		// win²−1 additions plus the divide (counted as one more add)
-		b.Adds = float64(outN * t.Window() * t.Window())
-	case *nn.Sigmoid, *nn.Tanh, *nn.ReLU:
+	case *nn.Sigmoid:
 		b.Acts = float64(outN)
-	case *nn.Softmax:
-		// exp per element plus normalization
-		b.Acts = float64(outN)
-		b.Adds = float64(outN)
 	case *nn.Flatten:
 		// free: a reshape moves no data in this implementation
-	case *nn.Dropout:
-		// free at inference: the layer is the identity outside training
-		// mode, and the OPS metric costs inference passes only
 	default:
 		panic(fmt.Sprintf("opcount: unknown layer type %T", l))
 	}

@@ -42,11 +42,6 @@ func TestPoolOps(t *testing.T) {
 	if b1.Compares != 0 {
 		t.Errorf("window-1 pool should cost nothing, got %v", b1.Compares)
 	}
-	mp := nn.NewMeanPool2D("MP", 2)
-	bm := LayerOps(mp, []int{1, 4, 4})
-	if bm.Adds != float64(4*4) {
-		t.Errorf("meanpool adds = %v", bm.Adds)
-	}
 }
 
 func TestActivationOps(t *testing.T) {
@@ -140,9 +135,10 @@ func TestUnknownLayerPanics(t *testing.T) {
 
 type fakeLayer struct{}
 
-func (fakeLayer) Name() string                   { return "fake" }
-func (fakeLayer) Forward(x *tensor.T) *tensor.T  { return x }
-func (fakeLayer) Backward(g *tensor.T) *tensor.T { return g }
-func (fakeLayer) OutShape(in []int) []int        { return in }
-func (fakeLayer) Params() []*nn.Param            { return nil }
-func (fakeLayer) Clone() nn.Layer                { return fakeLayer{} }
+func (fakeLayer) Name() string                       { return "fake" }
+func (fakeLayer) Forward(x *tensor.T) *tensor.T      { return x }
+func (fakeLayer) ForwardBatch(x *tensor.T) *tensor.T { return x }
+func (fakeLayer) Backward(g *tensor.T) *tensor.T     { return g }
+func (fakeLayer) OutShape(in []int) []int            { return in }
+func (fakeLayer) Params() []*nn.Param                { return nil }
+func (fakeLayer) Clone() nn.Layer                    { return fakeLayer{} }

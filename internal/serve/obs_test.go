@@ -450,7 +450,7 @@ func TestMetricszUnderLoad(t *testing.T) {
 }
 
 // TestMetricszSample writes one post-traffic scrape to $METRICSZ_OUT so CI
-// can archive a real exposition next to the benchmark artifacts.
+// can archive a real exposition per commit.
 func TestMetricszSample(t *testing.T) {
 	out := os.Getenv("METRICSZ_OUT")
 	if out == "" {
@@ -472,7 +472,8 @@ func TestMetricszSample(t *testing.T) {
 
 // BenchmarkObservabilityOverhead pins the cost of always-on tracing: the
 // same classify traffic with the obs layer enabled (default) and globally
-// disabled. The acceptance bar is ≤5% throughput overhead.
+// disabled. The acceptance bar is ≤5% throughput overhead; run it with
+// `go test -run '^$' -bench ObservabilityOverhead ./internal/serve`.
 func BenchmarkObservabilityOverhead(b *testing.B) {
 	cdln, data := testCDLN(b, 70)
 	srv, err := New(cdln, Config{Workers: 2})

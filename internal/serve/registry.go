@@ -174,17 +174,9 @@ func (m *Model) Name() string { return m.name }
 // first load, +1 per hot-swap).
 func (m *Model) Version() int { return m.version }
 
-// Path returns the model file this version was loaded from ("" for
-// in-memory registrations).
-func (m *Model) Path() string { return m.path }
-
 // CDLN returns the served graph's trunk cascade. Treat it as read-only:
 // replicas were cloned from it at construction.
 func (m *Model) CDLN() *core.CDLN { return m.cdln }
-
-// Graph returns the served routing graph (a one-node graph for plain
-// cascades). Treat it as read-only.
-func (m *Model) Graph() *core.Graph { return m.graph }
 
 // snapshot reads the model's counters and its controller state once —
 // what both /statsz and /metricsz render.

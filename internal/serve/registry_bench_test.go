@@ -2,10 +2,9 @@ package serve
 
 // registry_bench_test.go measures what the multi-model redesign costs on
 // the hot path: v2 named dispatch against a single-model process vs a
-// 4-model process (round-robin), and the /v1 alias through the registry.
-// CI archives these as BENCH_registry.json next to the serve and core
-// bench artifacts, so registry overhead (one RLock + map hit per request)
-// stays visible across commits.
+// 4-model process (round-robin), and the /v1 alias through the registry:
+// registry overhead is one RLock + map hit per request. Run them with
+// `go test -run '^$' -bench Registry ./internal/serve`.
 
 import (
 	"bytes"

@@ -112,9 +112,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// DefaultConfig returns the default sizing.
-func DefaultConfig() Config { return Config{}.withDefaults() }
-
 // maxResumeWireSize is the largest wire-encoded activation any valid
 // resume payload for this model can carry (the lossless encoding of the
 // widest resume point on any graph node — trunk split stages and branch

@@ -100,9 +100,8 @@ func (p *PolicyRequest) resolve(m *Model) (core.ExitPolicy, string, error) {
 			p.Detail, DetailLabel, DetailCost, DetailTrace)
 	}
 	pol.Trace = detail == DetailTrace
-	// The field checks above are the full CDLN.ValidatePolicy contract
-	// phrased as per-field 400s (core/policy_test.go pins the core side);
-	// no second validation pass — one source of truth per rule.
+	// The field checks above are the one definition of a valid policy,
+	// phrased as per-field 400s (TestPolicyRequestResolve pins them).
 	return pol, detail, nil
 }
 

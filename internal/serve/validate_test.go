@@ -1,11 +1,12 @@
 package serve
 
 // validate_test.go pins the request-validation helpers shared by the cloud
-// server and the edge front — ParseDeltaOverride and
-// ClassifyRequest.NormalizeImages — with direct table-driven cases. Both
-// were previously covered only incidentally through the e2e HTTP tests;
-// these tables make the accept/reject boundary explicit, including inputs
-// JSON alone cannot produce (NaN/±Inf), which in-process callers can.
+// server and the edge front — ParseDeltaOverride,
+// ClassifyRequest.NormalizeImages and PolicyRequest.resolve — with direct
+// table-driven cases. They were previously covered only incidentally
+// through the e2e HTTP tests; these tables make the accept/reject boundary
+// explicit, including inputs JSON alone cannot produce (NaN/±Inf), which
+// in-process callers can.
 
 import (
 	"math"
@@ -136,5 +137,56 @@ func TestNormalizeImages(t *testing.T) {
 				t.Fatalf("NormalizeImages returned %d images, want %d", len(images), tc.wantN)
 			}
 		})
+	}
+}
+
+// TestPolicyRequestResolve pins the one definition of a valid per-request
+// policy: δ and every per-stage δ finite and in [0,1] (a NaN would compare
+// false against every score and silently disable early exit; a negative
+// stage entry keeps that stage's threshold), one stage delta per stage,
+// and max_exit an existing path depth.
+func TestPolicyRequestResolve(t *testing.T) {
+	cdln, _ := testCDLN(t, 61)
+	reg := NewRegistry(Config{Workers: 1})
+	t.Cleanup(reg.Close)
+	m, err := reg.Register(DefaultModelName, cdln)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(cdln.Stages)
+	stages := func(last float64) []float64 {
+		sd := make([]float64, n)
+		sd[0], sd[n-1] = 0.3, last
+		return sd
+	}
+	ip := func(v int) *int { return &v }
+	good := []PolicyRequest{
+		{},
+		{Delta: fp(0.5)},
+		{MaxExit: ip(0)},
+		{MaxExit: ip(n)},
+		{StageDeltas: stages(-1)},
+		{Delta: fp(1), MaxExit: ip(1), Detail: DetailTrace},
+	}
+	for i, p := range good {
+		if _, _, err := p.resolve(m); err != nil {
+			t.Errorf("good policy %d rejected: %v", i, err)
+		}
+	}
+	bad := []PolicyRequest{
+		{Delta: fp(math.NaN())},
+		{Delta: fp(math.Inf(1))},
+		{Delta: fp(1.5)},
+		{MaxExit: ip(n + 1)},
+		{MaxExit: ip(-1)},
+		{StageDeltas: make([]float64, n+1)},
+		{StageDeltas: stages(math.NaN())},
+		{StageDeltas: stages(2)},
+		{Detail: "verbose"},
+	}
+	for i, p := range bad {
+		if _, _, err := p.resolve(m); err == nil {
+			t.Errorf("bad policy %d accepted: %+v", i, p)
+		}
 	}
 }

@@ -85,13 +85,6 @@ func (t *T) Point(data []float64, shape ...int) *T {
 	return t
 }
 
-// Scalar returns a rank-0-like 1-element tensor holding v.
-func Scalar(v float64) *T {
-	t := New(1)
-	t.Data[0] = v
-	return t
-}
-
 func checkedNumel(shape []int) int {
 	n := 1
 	for _, d := range shape {
@@ -237,14 +230,6 @@ func (t *T) Fill(v float64) {
 	for i := range t.Data {
 		t.Data[i] = v
 	}
-}
-
-// CopyFrom copies u's data into t. Shapes must have equal element counts.
-func (t *T) CopyFrom(u *T) {
-	if len(t.Data) != len(u.Data) {
-		panic(fmt.Sprintf("tensor: CopyFrom size mismatch %d != %d", len(t.Data), len(u.Data)))
-	}
-	copy(t.Data, u.Data)
 }
 
 // Add accumulates u into t element-wise (t += u). Shapes must match.

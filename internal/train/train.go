@@ -35,8 +35,6 @@ type Config struct {
 	Momentum float64
 	// LRDecay multiplies the learning rate after each epoch (1 disables).
 	LRDecay float64
-	// Loss is the training criterion; the paper uses MSE.
-	Loss nn.Loss
 	// Seed drives minibatch shuffling.
 	Seed int64
 	// Workers is the number of parallel gradient goroutines; 0 means
@@ -45,12 +43,6 @@ type Config struct {
 	Workers int
 	// Classes is the label width for one-hot targets.
 	Classes int
-	// Validation, if non-empty, is evaluated after every epoch; with
-	// Patience > 0 training stops early when validation accuracy has not
-	// improved for Patience consecutive epochs.
-	Validation []Sample
-	// Patience is the early-stopping window (0 disables early stopping).
-	Patience int
 	// Log, if non-nil, receives one line per epoch.
 	Log io.Writer
 }
@@ -66,7 +58,6 @@ func Defaults(classes int) Config {
 		LearningRate: 1.0,
 		Momentum:     0.5,
 		LRDecay:      0.98,
-		Loss:         nn.MSE{},
 		Seed:         1,
 		Classes:      classes,
 	}
@@ -84,8 +75,6 @@ func (c *Config) validate() error {
 		return fmt.Errorf("train: Momentum=%v", c.Momentum)
 	case c.LRDecay <= 0 || c.LRDecay > 1:
 		return fmt.Errorf("train: LRDecay=%v", c.LRDecay)
-	case c.Loss == nil:
-		return fmt.Errorf("train: Loss is nil")
 	case c.Classes <= 0:
 		return fmt.Errorf("train: Classes=%d", c.Classes)
 	}
@@ -96,17 +85,12 @@ func (c *Config) validate() error {
 type Result struct {
 	// EpochLoss is the mean per-sample training loss of each epoch.
 	EpochLoss []float64
-	// ValAccuracy is the per-epoch validation accuracy (empty without a
-	// validation set).
-	ValAccuracy []float64
-	// StoppedEarly reports whether the Patience rule ended training before
-	// the epoch budget.
-	StoppedEarly bool
 	// FinalLR is the learning rate after decay.
 	FinalLR float64
 }
 
-// SGD trains net in place and returns the per-epoch loss trace.
+// SGD trains net in place under the paper's MSE criterion and returns the
+// per-epoch loss trace.
 func SGD(net *nn.Network, data []Sample, cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -176,8 +160,8 @@ func SGD(net *nn.Network, data []Sample, cfg Config) (*Result, error) {
 						slot.ZeroGrad()
 						out := slot.Forward(s.X)
 						target := targets[s.Label]
-						losses[i] = cfg.Loss.Loss(out, target)
-						slot.Backward(cfg.Loss.Grad(out, target))
+						losses[i] = nn.MSE{}.Loss(out, target)
+						slot.Backward(nn.MSE{}.Grad(out, target))
 					}
 				}(w)
 			}
@@ -209,48 +193,9 @@ func SGD(net *nn.Network, data []Sample, cfg Config) (*Result, error) {
 			fmt.Fprintf(cfg.Log, "epoch %d/%d loss %.6f lr %.4f\n", epoch+1, cfg.Epochs, epochLoss, lr)
 		}
 		lr *= cfg.LRDecay
-
-		if len(cfg.Validation) > 0 {
-			acc := Accuracy(net, cfg.Validation, cfg.Classes)
-			res.ValAccuracy = append(res.ValAccuracy, acc)
-			if cfg.Log != nil {
-				fmt.Fprintf(cfg.Log, "epoch %d/%d val accuracy %.4f\n", epoch+1, cfg.Epochs, acc)
-			}
-			if cfg.Patience > 0 && epoch+1 >= cfg.Patience {
-				best := 0.0
-				for _, a := range res.ValAccuracy[:len(res.ValAccuracy)-cfg.Patience] {
-					if a > best {
-						best = a
-					}
-				}
-				improved := false
-				for _, a := range res.ValAccuracy[len(res.ValAccuracy)-cfg.Patience:] {
-					if a > best {
-						improved = true
-					}
-				}
-				if !improved && len(res.ValAccuracy) > cfg.Patience {
-					res.StoppedEarly = true
-					break
-				}
-			}
-		}
 	}
 	res.FinalLR = lr
 	return res, nil
-}
-
-// SplitValidation deterministically carves the last fraction of data off
-// as a validation set (no shuffling: callers control ordering).
-func SplitValidation(data []Sample, fraction float64) (trainS, valS []Sample, err error) {
-	if fraction <= 0 || fraction >= 1 {
-		return nil, nil, fmt.Errorf("train: validation fraction %v outside (0,1)", fraction)
-	}
-	n := int(float64(len(data)) * (1 - fraction))
-	if n == 0 || n == len(data) {
-		return nil, nil, fmt.Errorf("train: split of %d samples at %v leaves an empty side", len(data), fraction)
-	}
-	return data[:n], data[n:], nil
 }
 
 // Evaluate runs net over data in parallel and returns the confusion matrix.

@@ -151,12 +151,11 @@ func TestSGDValidation(t *testing.T) {
 	data := blobs(10, 10)
 	bad := []Config{
 		{},
-		{Epochs: 1, BatchSize: 0, LearningRate: 1, LRDecay: 1, Loss: nn.MSE{}, Classes: 2},
-		{Epochs: 1, BatchSize: 1, LearningRate: 0, LRDecay: 1, Loss: nn.MSE{}, Classes: 2},
-		{Epochs: 1, BatchSize: 1, LearningRate: 1, LRDecay: 1, Loss: nil, Classes: 2},
-		{Epochs: 1, BatchSize: 1, LearningRate: 1, LRDecay: 1, Loss: nn.MSE{}, Classes: 0},
-		{Epochs: 1, BatchSize: 1, LearningRate: 1, LRDecay: 0, Loss: nn.MSE{}, Classes: 2},
-		{Epochs: 1, BatchSize: 1, LearningRate: 1, LRDecay: 1, Loss: nn.MSE{}, Classes: 2, Momentum: 1},
+		{Epochs: 1, BatchSize: 0, LearningRate: 1, LRDecay: 1, Classes: 2},
+		{Epochs: 1, BatchSize: 1, LearningRate: 0, LRDecay: 1, Classes: 2},
+		{Epochs: 1, BatchSize: 1, LearningRate: 1, LRDecay: 1, Classes: 0},
+		{Epochs: 1, BatchSize: 1, LearningRate: 1, LRDecay: 0, Classes: 2},
+		{Epochs: 1, BatchSize: 1, LearningRate: 1, LRDecay: 1, Classes: 2, Momentum: 1},
 	}
 	for i, cfg := range bad {
 		if _, err := SGD(net, data, cfg); err == nil {
@@ -237,63 +236,5 @@ func TestTrainCNNSmoke(t *testing.T) {
 	}
 	if acc := Accuracy(arch.Net, data, 2); acc < 0.95 {
 		t.Errorf("CNN accuracy %.3f < 0.95 on trivially separable images", acc)
-	}
-}
-
-func TestEarlyStoppingTriggers(t *testing.T) {
-	// A network trained on separable blobs saturates validation accuracy
-	// quickly; a huge epoch budget with small patience must stop early.
-	net := denseNet(31)
-	data := blobs(120, 32)
-	val := blobs(60, 33)
-	cfg := smallCfg()
-	cfg.Epochs = 200
-	cfg.Validation = val
-	cfg.Patience = 3
-	res, err := SGD(net, data, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.StoppedEarly {
-		t.Error("expected early stopping on saturated validation accuracy")
-	}
-	if len(res.EpochLoss) >= 200 {
-		t.Errorf("ran all %d epochs despite patience", len(res.EpochLoss))
-	}
-	if len(res.ValAccuracy) != len(res.EpochLoss) {
-		t.Errorf("val accuracy entries %d != epochs run %d", len(res.ValAccuracy), len(res.EpochLoss))
-	}
-}
-
-func TestNoEarlyStopWithoutPatience(t *testing.T) {
-	net := denseNet(34)
-	cfg := smallCfg()
-	cfg.Epochs = 5
-	cfg.Validation = blobs(30, 35)
-	res, err := SGD(net, blobs(60, 36), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.StoppedEarly || len(res.EpochLoss) != 5 {
-		t.Error("Patience=0 must run the full budget")
-	}
-}
-
-func TestSplitValidation(t *testing.T) {
-	data := blobs(100, 37)
-	trainS, valS, err := SplitValidation(data, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(trainS) != 80 || len(valS) != 20 {
-		t.Errorf("split %d/%d, want 80/20", len(trainS), len(valS))
-	}
-	for _, frac := range []float64{0, 1, -0.5, 1.5} {
-		if _, _, err := SplitValidation(data, frac); err == nil {
-			t.Errorf("fraction %v accepted", frac)
-		}
-	}
-	if _, _, err := SplitValidation(data[:1], 0.2); err == nil {
-		t.Error("degenerate split accepted")
 	}
 }
