@@ -174,12 +174,6 @@ func GenerateMNIST(trainN, testN int, seed int64) (trainS, testS []Sample, err e
 	return mnist.ToSamples(trainImgs), mnist.ToSamples(testImgs), nil
 }
 
-// GenerateMNISTImages is GenerateMNIST returning the raw images (with
-// difficulty metadata and ASCII rendering support).
-func GenerateMNISTImages(trainN, testN int, seed int64) (trainImgs, testImgs []Image, err error) {
-	return mnist.GenerateSplit(trainN, testN, seed)
-}
-
 // ParseDigitGroups parses a digit-group spec like "even,odd" or
 // "0-4,5-9" into explicit class groups (see internal/mnist.ParseGroups
 // for the token grammar). Groups feed GenerateMNISTGrouped and define

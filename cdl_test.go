@@ -74,14 +74,19 @@ func TestFacadeEndToEnd(t *testing.T) {
 }
 
 func TestFacadeImagesAndRender(t *testing.T) {
-	trainImgs, testImgs, err := GenerateMNISTImages(20, 10, 4)
+	imgs, err := GenerateMNISTGrouped(20, 4, [][]int{{3, 8}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(trainImgs) != 20 || len(testImgs) != 10 {
-		t.Fatal("image split sizes wrong")
+	if len(imgs) != 20 {
+		t.Fatalf("%d images, want 20", len(imgs))
 	}
-	if s := mnist.Render(trainImgs[0]); len(s) == 0 {
+	for _, img := range imgs {
+		if img.Label != 3 && img.Label != 8 {
+			t.Fatalf("label %d outside the group {3, 8}", img.Label)
+		}
+	}
+	if s := mnist.Render(imgs[0]); len(s) == 0 {
 		t.Error("render empty")
 	}
 }

@@ -1,843 +1,149 @@
-// Command serveload is a load generator for cdlserve: it synthesizes a
-// deterministic MNIST-like test set, sprays it at a running server from
-// concurrent clients in batched classify requests, and reports throughput,
-// latency percentiles and the server's own /statsz counters.
+// Command serveload is a closed-loop load client for cdlserve, cdledge and
+// cdlrouter: -c clients post -n generated MNIST images, -batch per request, to
+// /v1/classify or round robin to /v2/models/{m}/classify per -model name. It
+// prints throughput, latency, accuracy, mean normalized OPS and each model's
+// exit distribution (a routed model's "even/O1" exits show its branch split),
+// and fails on any answer but a 200.
 //
-// With -model it targets named models on the v2 surface — a comma list
-// round-robins requests across entries (exercising multi-model dispatch in
-// one process) and the exit distribution is reported per model.
-//
-// Usage (against a server started as in README.md):
-//
-//	go run ./examples/serveload -addr http://localhost:8080 -n 2000 -c 8 -batch 16
-//	go run ./examples/serveload -addr http://localhost:8080 -delta 0.3   # cheaper, riskier
-//	go run ./examples/serveload -addr http://localhost:8080 -model fast,accurate
-//
-// With -groups the generated traffic is skewed toward digit groups
-// ("even,odd" with -group-weights "3,1" sends three even digits per odd
-// one) and the report adds a per-branch exit breakdown — against a
-// routed model (see examples/routing) this shows the class-group load
-// landing on the matching branch subnetwork:
-//
-//	go run ./examples/serveload -addr http://localhost:8080 -groups even,odd -group-weights 3,1
-//
-// With -ramp the generator switches to open loop — it offers traffic at a
-// scripted rate profile (step, spike or sine between -rate and -peak)
-// whatever the server's backlog, which is exactly the regime the SLO
-// controller (cdlserve -slo) is built for — and prints the controller's
-// trajectory (rung, max_exit, windowed p99, sheds) every 500ms:
-//
-//	go run ./examples/serveload -addr http://localhost:8080 -ramp step -rate 300 -peak 1500 -duration 30s
+//	go run ./examples/serveload -addr http://localhost:8080 -n 2000 -c 8 -batch 16 -delta 0.5 -model fast,accurate
 package main
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"os"
-	"sort"
-	"strconv"
+	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cdl"
 )
 
-type classifyRequest struct {
-	Images [][]float64 `json:"images"`
-	Delta  *float64    `json:"delta,omitempty"`
+type result struct {
+	Label         int     `json:"label"`
+	Exit          string  `json:"exit"`
+	NormalizedOps float64 `json:"normalized_ops"`
 }
 
-// v2 request/policy wire shapes (mirrors internal/serve's v2 schema).
-type v2Policy struct {
-	Delta *float64 `json:"delta,omitempty"`
-}
-
-type v2ClassifyRequest struct {
-	Images [][]float64 `json:"images"`
-	Policy *v2Policy   `json:"policy,omitempty"`
-}
-
-type classifyResponse struct {
-	Results []struct {
-		Label         int     `json:"label"`
-		Exit          string  `json:"exit"`
-		ExitIndex     int     `json:"exit_index"`
-		Node          int     `json:"node"` // 0 = trunk; routed models report the branch node
-		NormalizedOps float64 `json:"normalized_ops"`
-	} `json:"results"`
-	Count   int    `json:"count"`
-	TraceID string `json:"trace_id"`
-	Spans   []span `json:"spans"`
-}
-
-// span mirrors the server's trace span shape (internal/obs.Span).
-type span struct {
-	Name        string  `json:"name"`
-	StartUnixNS int64   `json:"start_unix_ns"`
-	DurationMS  float64 `json:"duration_ms"`
-	Detail      string  `json:"detail"`
-}
-
-// branchOf maps a result to its display branch: the qualified exit-name
-// prefix for branch exits ("even/O1" → "even"), "trunk" otherwise.
-func branchOf(exit string, node int) string {
-	if i := strings.IndexByte(exit, '/'); i >= 0 {
-		return exit[:i]
-	}
-	if node > 0 {
-		return fmt.Sprintf("node%d", node)
-	}
-	return "trunk"
+// summary is one run as the client saw it; Exits is model → exit → images.
+type summary struct {
+	Correct    int
+	SumNormOps float64
+	Latencies  []time.Duration // one per request, sorted
+	Elapsed    time.Duration
+	Exits      map[string]map[string]int
 }
 
 func main() {
 	addr := flag.String("addr", "http://localhost:8080", "server base URL")
 	n := flag.Int("n", 2000, "total images to send")
-	concurrency := flag.Int("c", 8, "concurrent client goroutines")
+	clients := flag.Int("c", 8, "concurrent clients")
 	batch := flag.Int("batch", 16, "images per request")
 	delta := flag.Float64("delta", -1, "per-request δ override (-1 = server default)")
-	model := flag.String("model", "", "comma-separated model names to round-robin over the v2 surface (empty = /v1 on the default model)")
+	model := flag.String("model", "", "comma-separated /v2 model names to round-robin over (empty = /v1)")
 	seed := flag.Int64("seed", 1, "dataset seed")
-	groups := flag.String("groups", "", `skew traffic toward digit groups (e.g. "even,odd"); reported exit distributions split per branch`)
-	groupWeights := flag.String("group-weights", "", "comma-separated positive weights biasing the -groups draw (default uniform)")
-	ramp := flag.String("ramp", "", `open-loop traffic profile: "step", "spike" or "sine" (empty = the closed-loop -n/-c mode)`)
-	rate := flag.Float64("rate", 300, "open-loop base offered rate, images/sec")
-	peak := flag.Float64("peak", 0, "open-loop peak offered rate, images/sec (0 = 5x -rate)")
-	duration := flag.Duration("duration", 30*time.Second, "open-loop run length")
-	traceSample := flag.Int("trace-sample", 0, "after the run, send N traced single-image requests and print their span timelines plus a slowest-trace summary")
-	flight := flag.Bool("flight", false, "after the run, query the server's /debug/flightz flight recorder and /alertz burn-rate monitor and print the slowest retained traces plus the alert timeline")
-	router := flag.Int("router", 0, "self-hosted fleet bench: boot N in-process cdlserve backends plus the cdlrouter front door on loopback and measure direct vs routed vs hedged phases (ignores -addr; needs N ≥ 2)")
-	benchOut := flag.String("bench-out", "", `write the -router bench document here (e.g. "BENCH_fleet.json"; empty = print only)`)
-	stragglerEvery := flag.Int64("straggler-every", 16, "-router: stall every K'th classify per backend (the injected straggler fraction is 1/K)")
-	stragglerDelay := flag.Duration("straggler-delay", 150*time.Millisecond, "-router: injected straggler stall")
-	hedgeDeadline := flag.Duration("hedge-deadline", 40*time.Millisecond, "-router: pinned hedge deadline for the hedged phase")
 	flag.Parse()
-
-	var models []string
-	if *model != "" {
-		models = strings.Split(*model, ",")
-	}
-	var err error
-	if *router > 0 {
-		err = runRouterBench(*router, *n, *concurrency, *batch, *seed,
-			*stragglerEvery, *stragglerDelay, *hedgeDeadline, *benchOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "serveload:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *ramp != "" {
-		p := *peak
-		if p <= 0 {
-			p = 5 * *rate
-		}
-		first := ""
-		if len(models) > 0 {
-			first = models[0]
-		}
-		err = runRamp(*addr, *ramp, first, *rate, p, *duration, *batch, *seed, *groups, *groupWeights)
-	} else {
-		err = run(*addr, *n, *concurrency, *batch, *delta, *seed, models, *groups, *groupWeights)
-	}
-	if err == nil && *traceSample > 0 {
-		first := ""
-		if len(models) > 0 {
-			first = models[0]
-		}
-		err = sampleTraces(*addr, first, *traceSample, *delta, *seed)
-	}
-	if err == nil && *flight {
-		err = flightReport(*addr)
-	}
+	models := strings.Split(*model, ",")
+	s, err := run(*addr, *n, *clients, *batch, *delta, *seed, models)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "serveload:", err)
 		os.Exit(1)
 	}
+	q := func(p int) time.Duration { return s.Latencies[(len(s.Latencies)-1)*p/100].Round(time.Microsecond) }
+	fmt.Printf("sent %d images in %d requests (%d clients, batch %d) in %v: %.0f images/s\n", *n,
+		len(s.Latencies), *clients, *batch, s.Elapsed.Round(time.Millisecond), float64(*n)/s.Elapsed.Seconds())
+	fmt.Printf("request latency: p50 %v  p95 %v  p99 %v\naccuracy vs generated labels: %.4f\nmean normalized OPS: %.3f\n",
+		q(50), q(95), q(99), float64(s.Correct)/float64(*n), s.SumNormOps/float64(*n))
+	for _, m := range models {
+		total, pct := 0, map[string]string{}
+		for _, c := range s.Exits[m] {
+			total += c
+		}
+		for e, c := range s.Exits[m] {
+			pct[e] = fmt.Sprintf("%.1f%%", 100*float64(c)/float64(total))
+		}
+		fmt.Printf("exit distribution %s: %v\n", cmp.Or(m, "(default)"), pct)
+	}
 }
 
-// Wire mirrors of the server's /debug/flightz and /alertz documents
-// (internal/obs.FlightzResponse, internal/control.AlertzReport) — only the
-// fields the report prints.
-type flightzDoc struct {
-	Tier    string `json:"tier"`
-	Enabled bool   `json:"enabled"`
-	Models  map[string]struct {
-		Seen      int64 `json:"seen"`
-		Sampled   int64 `json:"sampled"`
-		Anomalous int64 `json:"anomalous"`
-	} `json:"models"`
-	Records []struct {
-		TraceID   string   `json:"trace_id"`
-		Model     string   `json:"model"`
-		NodePath  string   `json:"node_path"`
-		ExitIndex int      `json:"exit_index"`
-		TotalMS   float64  `json:"total_ms"`
-		Outcome   string   `json:"outcome"`
-		Anomalies []string `json:"anomalies"`
-		Spans     []span   `json:"spans"`
-	} `json:"records"`
-	Snapshots []struct {
-		Reason       string  `json:"reason"`
-		Model        string  `json:"model"`
-		Rung         int     `json:"rung"`
-		P99LatencyMS float64 `json:"p99_latency_ms"`
-	} `json:"snapshots"`
-}
-
-type alertzDoc struct {
-	Tier   string `json:"tier"`
-	Active bool   `json:"active"`
-	Models map[string]struct {
-		Active bool `json:"active"`
-		Fast   struct {
-			BurnRate float64 `json:"burn_rate"`
-		} `json:"fast"`
-		Slow struct {
-			BurnRate float64 `json:"burn_rate"`
-		} `json:"slow"`
-		History []struct {
-			Alert    string  `json:"alert"`
-			Active   bool    `json:"active"`
-			AtUnixNS int64   `json:"at_unix_ns"`
-			BurnRate float64 `json:"burn_rate"`
-		} `json:"history"`
-	} `json:"models"`
-}
-
-// flightReport pulls the server's retained flight evidence after a run:
-// the slowest tail-retained traces (with their anomaly tags and span
-// counts), any controller rung-down snapshots, and the burn-rate alert
-// timeline — the same walk the README's triage quickstart does by hand.
-func flightReport(addr string) error {
-	client := &http.Client{Timeout: 10 * time.Second}
-
-	var fd flightzDoc
-	resp, err := client.Get(addr + "/debug/flightz?limit=64")
-	if err != nil {
-		return err
+// run posts request r, images [r·batch, (r+1)·batch) of seed's test set, to
+// models[r mod len(models)] ("" = /v1) and tallies the answers in image order.
+func run(addr string, n, clients, batch int, delta float64, seed int64, models []string) (*summary, error) {
+	if n < 1 || clients < 1 || batch < 1 || len(models) == 0 {
+		return nil, fmt.Errorf("n, c, batch and the model list must be positive")
 	}
-	err = json.NewDecoder(resp.Body).Decode(&fd)
-	resp.Body.Close()
-	if err != nil {
-		return fmt.Errorf("decode /debug/flightz: %v", err)
-	}
-	fmt.Printf("\nflight recorder (%s tier, enabled=%v):\n", fd.Tier, fd.Enabled)
-	var names []string
-	for m := range fd.Models {
-		names = append(names, m)
-	}
-	sort.Strings(names)
-	for _, m := range names {
-		st := fd.Models[m]
-		fmt.Printf("  %s: %d seen, %d sampled, %d anomalous retained\n", m, st.Seen, st.Sampled, st.Anomalous)
-	}
-	sort.Slice(fd.Records, func(i, j int) bool { return fd.Records[i].TotalMS > fd.Records[j].TotalMS })
-	top := fd.Records
-	if len(top) > 8 {
-		top = top[:8]
-	}
-	if len(top) > 0 {
-		fmt.Println("slowest retained traces:")
-		for _, r := range top {
-			anom := "-"
-			if len(r.Anomalies) > 0 {
-				anom = strings.Join(r.Anomalies, ",")
-			}
-			fmt.Printf("  %8.3fms  %-10s exit=%-2d node=%-14s spans=%-3d anomalies=%-22s %s\n",
-				r.TotalMS, r.Outcome, r.ExitIndex, r.NodePath, len(r.Spans), anom, r.TraceID)
-		}
-	}
-	for _, s := range fd.Snapshots {
-		fmt.Printf("rung-down snapshot: %s model=%s rung=%d windowed p99=%.2fms\n",
-			s.Reason, s.Model, s.Rung, s.P99LatencyMS)
-	}
-
-	var ad alertzDoc
-	resp, err = client.Get(addr + "/alertz")
-	if err != nil {
-		return err
-	}
-	err = json.NewDecoder(resp.Body).Decode(&ad)
-	resp.Body.Close()
-	if err != nil {
-		return fmt.Errorf("decode /alertz: %v", err)
-	}
-	fmt.Printf("alerts (%s tier): active=%v\n", ad.Tier, ad.Active)
-	names = names[:0]
-	for m := range ad.Models {
-		names = append(names, m)
-	}
-	sort.Strings(names)
-	for _, m := range names {
-		st := ad.Models[m]
-		fmt.Printf("  %s: active=%v fast_burn=%.2f slow_burn=%.2f\n", m, st.Active, st.Fast.BurnRate, st.Slow.BurnRate)
-		for _, tr := range st.History {
-			verb := "cleared"
-			if tr.Active {
-				verb = "fired"
-			}
-			fmt.Printf("    %s  %s window %s (burn %.2f)\n",
-				time.Unix(0, tr.AtUnixNS).Format("15:04:05.000"), tr.Alert, verb, tr.BurnRate)
-		}
-	}
-	return nil
-}
-
-// sampleTraces sends n traced single-image requests (each with a distinct
-// X-Trace-Id, which opts the response into span detail) and prints each
-// request's span timeline, then a summary of the slowest trace and the
-// span that dominated it. Requests go one at a time so each timeline
-// reflects an idle server — the interesting comparison is across spans
-// within a request, not across requests.
-func sampleTraces(addr, model string, n int, delta float64, seed int64) error {
-	testImgs, err := dataset(n, seed+1, "", "")
-	if err != nil {
-		return err
-	}
-	url := addr + "/v1/classify"
-	if model != "" {
-		url = addr + "/v2/models/" + model + "/classify"
-	}
-	client := &http.Client{Timeout: 30 * time.Second}
-	fmt.Printf("\ntrace sample: %d single-image requests against %s\n", n, url)
-	slowest, slowestID, slowestSpan := 0.0, "", ""
-	for i := 0; i < n; i++ {
-		var body []byte
-		if model == "" {
-			req := classifyRequest{Images: [][]float64{testImgs[i].Pixels}}
-			if delta >= 0 {
-				req.Delta = &delta
-			}
-			body, err = json.Marshal(req)
-		} else {
-			req := v2ClassifyRequest{Images: [][]float64{testImgs[i].Pixels}}
-			if delta >= 0 {
-				req.Policy = &v2Policy{Delta: &delta}
-			}
-			body, err = json.Marshal(req)
-		}
-		if err != nil {
-			return err
-		}
-		hreq, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		hreq.Header.Set("Content-Type", "application/json")
-		// Any ID the client pins is echoed and threaded through the span
-		// tree; 32 hex digits additionally survive wire-encoded edge→cloud
-		// hops.
-		hreq.Header.Set("X-Trace-Id", fmt.Sprintf("%032x", uint64(seed)<<16|uint64(i+1)))
-		resp, err := client.Do(hreq)
-		if err != nil {
-			return err
-		}
-		payload, rerr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if rerr != nil {
-			return rerr
-		}
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("trace sample %d: HTTP %d: %s", i, resp.StatusCode, payload)
-		}
-		var out classifyResponse
-		if err := json.Unmarshal(payload, &out); err != nil {
-			return err
-		}
-		sort.Slice(out.Spans, func(a, b int) bool { return out.Spans[a].StartUnixNS < out.Spans[b].StartUnixNS })
-		total, top, t0 := 0.0, "", int64(0)
-		if len(out.Spans) > 0 {
-			t0 = out.Spans[0].StartUnixNS
-			last := out.Spans[len(out.Spans)-1]
-			total = float64(last.StartUnixNS-t0)/1e6 + last.DurationMS
-		}
-		fmt.Printf("trace %d/%d %s  %d spans  %.2fms\n", i+1, n, out.TraceID, len(out.Spans), total)
-		topDur := 0.0
-		for _, s := range out.Spans {
-			fmt.Printf("  +%8.3fms %9.3fms  %-24s %s\n",
-				float64(s.StartUnixNS-t0)/1e6, s.DurationMS, s.Name, s.Detail)
-			if s.DurationMS > topDur {
-				topDur, top = s.DurationMS, s.Name
-			}
-		}
-		if total > slowest {
-			slowest, slowestID, slowestSpan = total, out.TraceID, top
-		}
-	}
-	if slowestID != "" {
-		fmt.Printf("slowest trace: %s (%.2fms), dominated by %s\n", slowestID, slowest, slowestSpan)
-	}
-	return nil
-}
-
-// dataset synthesizes the n-image test stream: the default balanced set,
-// or the group-skewed sampler when groupSpec is set (e.g. "even,odd"
-// with weights "3,1" sends three even digits for every odd one — the
-// traffic shape that concentrates load on one branch of a routed
-// cascade).
-func dataset(n int, seed int64, groupSpec, weightSpec string) ([]cdl.Image, error) {
-	if groupSpec == "" {
-		if strings.TrimSpace(weightSpec) != "" {
-			return nil, fmt.Errorf("-group-weights requires -groups")
-		}
-		_, testImgs, err := cdl.GenerateMNISTImages(1, n, seed)
-		return testImgs, err
-	}
-	gs, err := cdl.ParseDigitGroups(groupSpec)
+	_, test, err := cdl.GenerateMNIST(1, n, seed)
 	if err != nil {
 		return nil, err
 	}
-	var ws []float64
-	if strings.TrimSpace(weightSpec) != "" {
-		for _, p := range strings.Split(weightSpec, ",") {
-			w, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-			if err != nil {
-				return nil, fmt.Errorf("bad -group-weights %q: %v", p, err)
-			}
-			ws = append(ws, w)
-		}
-	}
-	return cdl.GenerateMNISTGrouped(n, seed, gs, ws)
-}
-
-// profileRate is λ(t): the offered rate at time t into the run.
-func profileRate(profile string, base, peak float64, t, dur time.Duration) float64 {
-	frac := float64(t) / float64(dur)
-	switch profile {
-	case "step": // base, then a sustained step to peak, then base
-		if frac >= 0.25 && frac < 0.75 {
-			return peak
-		}
-		return base
-	case "spike": // a short burst at the midpoint
-		if frac >= 0.5 && frac < 0.6 {
-			return peak
-		}
-		return base
-	case "sine": // one smooth period between base and peak
-		return base + (peak-base)*(1-math.Cos(2*math.Pi*frac))/2
-	default:
-		return base
-	}
-}
-
-// sloTrajectory is the slice of /v2/models/{name}/slo the trajectory
-// printer reads.
-type sloTrajectory struct {
-	Control *struct {
-		Rung       int    `json:"rung"`
-		MaxRung    int    `json:"max_rung"`
-		MaxExit    int    `json:"max_exit"`
-		LastAction string `json:"last_action"`
-		Window     struct {
-			P99LatencyMS  float64 `json:"p99_latency_ms"`
-			MeanExitDepth float64 `json:"mean_exit_depth"`
-			Sheds         int64   `json:"sheds"`
-		} `json:"window"`
-	} `json:"control"`
-}
-
-// runRamp offers traffic open-loop along a scripted profile and prints
-// the server-side controller trajectory alongside the client's view.
-func runRamp(addr, profile, model string, base, peak float64, dur time.Duration, batch int, seed int64, groupSpec, weightSpec string) error {
-	switch profile {
-	case "step", "spike", "sine":
-	default:
-		return fmt.Errorf("unknown -ramp profile %q (want step, spike or sine)", profile)
-	}
-	if batch < 1 {
-		return fmt.Errorf("batch must be positive")
-	}
-	const datasetN = 2048
-	if batch > datasetN {
-		return fmt.Errorf("batch %d exceeds the ramp dataset size %d", batch, datasetN)
-	}
-	testImgs, err := dataset(datasetN, seed, groupSpec, weightSpec)
-	if err != nil {
-		return err
-	}
-	pixels := make([][]float64, len(testImgs))
-	for i, img := range testImgs {
-		pixels[i] = img.Pixels
-	}
-	client := &http.Client{Timeout: 30 * time.Second}
-	// Traffic and the printed trajectory must watch the same entry: an
-	// explicit -model drives that entry's v2 surface; otherwise /v1 hits
-	// the default entry, resolved here so its /slo can be polled.
-	url := addr + "/v1/classify"
-	if model != "" {
-		url = addr + "/v2/models/" + model + "/classify"
-	} else {
-		resp, err := client.Get(addr + "/v2/models")
-		if err != nil {
-			return err
-		}
-		var list struct {
-			Default string `json:"default"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&list)
-		resp.Body.Close()
-		if err != nil {
-			return err
-		}
-		model = list.Default
-	}
-
-	var sent, ok, shed, failed, exitSum, okImgs atomic.Int64
-	fire := func(lo int) {
-		body, err := json.Marshal(classifyRequest{Images: pixels[lo : lo+batch]})
-		if err != nil {
-			failed.Add(1)
-			return
-		}
-		resp, err := client.Post(url, "application/json", bytes.NewReader(body))
-		if err != nil {
-			failed.Add(1)
-			return
-		}
-		payload, rerr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		switch {
-		case resp.StatusCode == http.StatusServiceUnavailable:
-			shed.Add(1)
-		case resp.StatusCode != http.StatusOK || rerr != nil:
-			failed.Add(1)
-		default:
-			var out classifyResponse
-			if json.Unmarshal(payload, &out) != nil {
-				failed.Add(1)
-				return
-			}
-			ok.Add(1)
-			okImgs.Add(int64(out.Count))
-			for _, r := range out.Results {
-				exitSum.Add(int64(r.ExitIndex))
-			}
-		}
-	}
-
-	fmt.Printf("ramp %s: %s for %v, %.0f → %.0f images/s, batch %d, model %q\n",
-		profile, addr, dur, base, peak, batch, model)
-	fmt.Printf("%8s %9s %9s %7s %6s %6s %9s %6s %9s %8s %s\n",
-		"t", "offered/s", "okreq", "shed", "fail", "rung", "max_exit", "depth", "srv_p99", "srv_shed", "action")
-
-	start := time.Now()
-	tick := 10 * time.Millisecond
-	ticker := time.NewTicker(tick)
-	defer ticker.Stop()
-	report := time.NewTicker(500 * time.Millisecond)
-	defer report.Stop()
-	// Bound in-flight requests so an overloaded server degrades the
-	// generator gracefully instead of exhausting client sockets.
-	sem := make(chan struct{}, 512)
+	reqs := (n + batch - 1) / batch
+	outs, errs, lats := make([][]result, reqs), make([]error, reqs), make([]time.Duration, reqs)
 	var wg sync.WaitGroup
-	owed := 0.0
-	next := 0
-	for {
-		now := time.Since(start)
-		if now >= dur {
-			break
-		}
-		select {
-		case <-ticker.C:
-			owed += profileRate(profile, base, peak, now, dur) * tick.Seconds()
-			for owed >= float64(batch) {
-				owed -= float64(batch)
-				lo := next % (len(pixels) - batch + 1)
-				next += batch
-				sent.Add(1)
-				select {
-				case sem <- struct{}{}:
-					wg.Add(1)
-					go func(lo int) {
-						defer wg.Done()
-						defer func() { <-sem }()
-						fire(lo)
-					}(lo)
-				default:
-					// Client-side backpressure: count it as a shed — the
-					// server is so far behind that 512 requests are in
-					// flight.
-					shed.Add(1)
-				}
-			}
-		case <-report.C:
-			var traj sloTrajectory
-			srvP99, srvShed, rung, maxExit, action, depth := 0.0, int64(0), -1, -1, "-", 0.0
-			if resp, err := client.Get(addr + "/v2/models/" + model + "/slo"); err == nil {
-				if json.NewDecoder(resp.Body).Decode(&traj) == nil && traj.Control != nil {
-					srvP99 = traj.Control.Window.P99LatencyMS
-					srvShed = traj.Control.Window.Sheds
-					rung = traj.Control.Rung
-					maxExit = traj.Control.MaxExit
-					action = traj.Control.LastAction
-					depth = traj.Control.Window.MeanExitDepth
-				}
-				resp.Body.Close()
-			}
-			fmt.Printf("%8s %9.0f %9d %7d %6d %6d %9d %6.2f %8.1fms %8d %s\n",
-				now.Round(100*time.Millisecond), profileRate(profile, base, peak, now, dur),
-				ok.Load(), shed.Load(), failed.Load(), rung, maxExit, depth, srvP99, srvShed, action)
-		}
-	}
-	wg.Wait()
-	images := okImgs.Load()
-	fmt.Printf("\noffered %d requests; %d ok, %d shed, %d failed\n",
-		sent.Load(), ok.Load(), shed.Load(), failed.Load())
-	if images > 0 {
-		fmt.Printf("client-observed mean exit depth: %.3f over %d images\n",
-			float64(exitSum.Load())/float64(images), images)
-	}
-	return nil
-}
-
-func run(addr string, n, concurrency, batch int, delta float64, seed int64, models []string, groupSpec, weightSpec string) error {
-	if batch < 1 || concurrency < 1 || n < 1 {
-		return fmt.Errorf("n, c and batch must be positive")
-	}
-	testImgs, err := dataset(n, seed, groupSpec, weightSpec)
-	if err != nil {
-		return err
-	}
-	pixels := make([][]float64, len(testImgs))
-	labels := make([]int, len(testImgs))
-	for i, img := range testImgs {
-		pixels[i] = img.Pixels
-		labels[i] = img.Label
-	}
-
-	// Carve the image stream into per-request batches up front; each chunk
-	// is pinned to a model (round-robin) so the per-model tallies are
-	// deterministic.
-	type chunk struct {
-		lo, hi int
-		model  string // "" = /v1
-	}
-	var chunks []chunk
-	for lo := 0; lo < n; lo += batch {
-		hi := lo + batch
-		if hi > n {
-			hi = n
-		}
-		m := ""
-		if len(models) > 0 {
-			m = models[len(chunks)%len(models)]
-		}
-		chunks = append(chunks, chunk{lo, hi, m})
-	}
-
-	// encode renders a chunk's request body and URL for its surface.
-	encode := func(ck chunk) (string, []byte, error) {
-		imgs := pixels[ck.lo:ck.hi]
-		if ck.model == "" {
-			req := classifyRequest{Images: imgs}
-			if delta >= 0 {
-				req.Delta = &delta
-			}
-			b, err := json.Marshal(req)
-			return addr + "/v1/classify", b, err
-		}
-		req := v2ClassifyRequest{Images: imgs}
-		if delta >= 0 {
-			req.Policy = &v2Policy{Delta: &delta}
-		}
-		b, err := json.Marshal(req)
-		return addr + "/v2/models/" + ck.model + "/classify", b, err
-	}
-
-	client := &http.Client{Timeout: 30 * time.Second}
-	work := make(chan chunk)
-	latencies := make([]time.Duration, len(chunks))
-	correct := make([]int, concurrency)
-	sumNorm := make([]float64, concurrency)
-	// Per-worker (model → exit → count) and (model → branch → count)
-	// tallies, merged after the join.
-	exits := make([]map[string]map[string]int, concurrency)
-	branches := make([]map[string]map[string]int, concurrency)
-	for w := range exits {
-		exits[w] = make(map[string]map[string]int)
-		branches[w] = make(map[string]map[string]int)
-	}
-	var firstErr error
-	var errOnce sync.Once
-	var wg sync.WaitGroup
-
-	start := time.Now()
-	for w := 0; w < concurrency; w++ {
+	inflight, start := make(chan struct{}, clients), time.Now()
+	for r := range reqs {
+		inflight <- struct{}{}
 		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			failed := false
-			for ck := range work {
-				// After a failure keep draining the channel so the
-				// producer never blocks; just stop issuing requests.
-				if failed {
-					continue
-				}
-				url, body, err := encode(ck)
-				if err != nil {
-					errOnce.Do(func() { firstErr = err })
-					failed = true
-					continue
-				}
-				t0 := time.Now()
-				resp, err := client.Post(url, "application/json", bytes.NewReader(body))
-				if err != nil {
-					errOnce.Do(func() { firstErr = err })
-					failed = true
-					continue
-				}
-				payload, err := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if err == nil && resp.StatusCode != http.StatusOK {
-					err = fmt.Errorf("HTTP %d: %s", resp.StatusCode, payload)
-				}
-				var out classifyResponse
-				if err == nil {
-					err = json.Unmarshal(payload, &out)
-				}
-				if err == nil && out.Count != ck.hi-ck.lo {
-					err = fmt.Errorf("got %d results for %d images", out.Count, ck.hi-ck.lo)
-				}
-				if err != nil {
-					errOnce.Do(func() { firstErr = err })
-					failed = true
-					continue
-				}
-				latencies[ck.lo/batch] = time.Since(t0)
-				key := ck.model
-				if key == "" {
-					key = "(default)"
-				}
-				tally := exits[w][key]
-				if tally == nil {
-					tally = make(map[string]int)
-					exits[w][key] = tally
-				}
-				btally := branches[w][key]
-				if btally == nil {
-					btally = make(map[string]int)
-					branches[w][key] = btally
-				}
-				for i, r := range out.Results {
-					if r.Label == labels[ck.lo+i] {
-						correct[w]++
-					}
-					sumNorm[w] += r.NormalizedOps
-					tally[r.Exit]++
-					btally[branchOf(r.Exit, r.Node)]++
-				}
-			}
-		}(w)
+		go func() {
+			defer func() { <-inflight; wg.Done() }()
+			t0 := time.Now()
+			outs[r], errs[r] = post(addr, models[r%len(models)], test[r*batch:min((r+1)*batch, n)], delta)
+			lats[r] = time.Since(t0)
+		}()
 	}
-	for _, ck := range chunks {
-		work <- ck
-	}
-	close(work)
 	wg.Wait()
-	elapsed := time.Since(start)
-	if firstErr != nil {
-		return firstErr
+	if err := cmp.Or(errs...); err != nil { // the first failure, in request order
+		return nil, err
 	}
+	s := &summary{Latencies: lats, Elapsed: time.Since(start), Exits: map[string]map[string]int{}}
+	slices.Sort(lats)
+	for _, m := range models {
+		s.Exits[m] = map[string]int{}
+	}
+	for i, res := range slices.Concat(outs...) {
+		if res.Label == test[i].Label {
+			s.Correct++
+		}
+		s.SumNormOps += res.NormalizedOps
+		s.Exits[models[i/batch%len(models)]][res.Exit]++
+	}
+	return s, nil
+}
 
-	totalCorrect, totalNorm := 0, 0.0
-	exitTotals := make(map[string]map[string]int)
-	branchTotals := make(map[string]map[string]int)
-	modelImages := make(map[string]int)
-	for w := 0; w < concurrency; w++ {
-		totalCorrect += correct[w]
-		totalNorm += sumNorm[w]
-		for m, tally := range exits[w] {
-			mt := exitTotals[m]
-			if mt == nil {
-				mt = make(map[string]int)
-				exitTotals[m] = mt
-			}
-			for e, c := range tally {
-				mt[e] += c
-				modelImages[m] += c
-			}
-		}
-		for m, tally := range branches[w] {
-			mt := branchTotals[m]
-			if mt == nil {
-				mt = make(map[string]int)
-				branchTotals[m] = mt
-			}
-			for b, c := range tally {
-				mt[b] += c
-			}
-		}
+// post classifies one batch and returns one result per image.
+func post(addr, model string, batch []cdl.Sample, delta float64) ([]result, error) {
+	images := make([][]float64, len(batch))
+	for i, s := range batch {
+		images[i] = s.X.Data
 	}
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	pct := func(p float64) time.Duration { return latencies[int(p*float64(len(latencies)-1))] }
-
-	fmt.Printf("sent %d images in %d requests (%d clients, batch %d) in %v\n",
-		n, len(chunks), concurrency, batch, elapsed.Round(time.Millisecond))
-	fmt.Printf("throughput: %.0f images/s\n", float64(n)/elapsed.Seconds())
-	fmt.Printf("request latency: p50 %v  p95 %v  p99 %v\n",
-		pct(0.50).Round(time.Microsecond), pct(0.95).Round(time.Microsecond), pct(0.99).Round(time.Microsecond))
-	fmt.Printf("accuracy vs generated labels: %.4f\n", float64(totalCorrect)/float64(n))
-	fmt.Printf("mean normalized OPS: %.3f\n", totalNorm/float64(n))
-	// The exit distribution is the early-exit thesis made visible — and
-	// since the server classifies each micro-batch in one batched cascade
-	// pass (compacting exited images between stages), it is also the
-	// batch fast path's workload profile: the O1 fraction pays one
-	// shallow GEMM, only the FC fraction pays the whole pipeline. With
-	// multiple models it is reported per model: each cascade separates
-	// easy from hard inputs at its own thresholds.
-	var modelNames []string
-	for m := range exitTotals {
-		modelNames = append(modelNames, m)
+	req, url := map[string]any{"images": images}, addr+"/v1/classify"
+	switch {
+	case model != "":
+		url = addr + "/v2/models/" + model + "/classify"
+		if delta >= 0 {
+			req["policy"] = map[string]float64{"delta": delta}
+		}
+	case delta >= 0:
+		req["delta"] = delta
 	}
-	sort.Strings(modelNames)
-	for _, m := range modelNames {
-		var names []string
-		for e := range exitTotals[m] {
-			names = append(names, e)
-		}
-		sort.Strings(names)
-		fmt.Printf("exit distribution %s:", m)
-		for _, e := range names {
-			fmt.Printf("  %s %.1f%%", e, 100*float64(exitTotals[m][e])/float64(modelImages[m]))
-		}
-		fmt.Println()
-		// A routed model exits through branch nodes; report how traffic
-		// split across them (the trunk row is everything that exited
-		// before any router fired). Linear models are all-trunk, so the
-		// row is omitted unless -groups asked for the breakdown.
-		if bt := branchTotals[m]; groupSpec != "" || len(bt) > 1 {
-			var bnames []string
-			for b := range bt {
-				bnames = append(bnames, b)
-			}
-			sort.Strings(bnames)
-			fmt.Printf("branch distribution %s:", m)
-			for _, b := range bnames {
-				fmt.Printf("  %s %.1f%%", b, 100*float64(bt[b])/float64(modelImages[m]))
-			}
-			fmt.Println()
-		}
-	}
-
-	stats, err := client.Get(addr + "/statsz")
+	body, err := json.Marshal(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer stats.Body.Close()
-	var pretty map[string]any
-	if err := json.NewDecoder(stats.Body).Decode(&pretty); err != nil {
-		return err
+	resp, err := (&http.Client{Timeout: 30 * time.Second}).Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		return nil, err
 	}
-	out, _ := json.MarshalIndent(pretty, "", "  ")
-	fmt.Printf("server /statsz:\n%s\n", out)
-	return nil
+	defer resp.Body.Close()
+	var out struct{ Results []result }
+	payload, err := io.ReadAll(resp.Body)
+	if err == nil && (resp.StatusCode != http.StatusOK || json.Unmarshal(payload, &out) != nil || len(out.Results) != len(batch)) {
+		err = fmt.Errorf("%s: HTTP %d for %d images: %.300s", url, resp.StatusCode, len(batch), bytes.TrimSpace(payload))
+	}
+	return out.Results, err
 }

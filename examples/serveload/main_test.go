@@ -1,0 +1,115 @@
+package main
+
+import (
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"cdl"
+	"cdl/internal/core"
+	"cdl/internal/serve"
+)
+
+// TestClientMatchesEvaluate pins what the verify recipes rely on: the exit
+// counts and accuracy serveload reports equal core.Evaluate's (the serial
+// oracle) on the same images exactly, and its mean normalized OPS to 1e-12,
+// over /v1, over a named /v2 model with a δ policy, and round robin across
+// both. The model is the benchmark's MNIST_3C fixture, read in place.
+func TestClientMatchesEvaluate(t *testing.T) {
+	model, err := cdl.LoadCDLN("../../bench/testdata/mnist3c.cdln")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := serve.NewRegistry(serve.Config{Workers: 2})
+	if _, err := reg.Register("m3c", model); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := serve.NewWithRegistry(reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	const n, batch, seed = 300, 7, 3
+	_, test, err := cdl.GenerateMNIST(1, n, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		models []string
+		delta  float64
+	}{
+		{[]string{""}, -1},
+		{[]string{"m3c"}, 0.5},
+		{[]string{"", "m3c"}, 1},
+	} {
+		oracle := model
+		if tc.delta >= 0 {
+			oracle = model.Clone()
+			oracle.Delta, oracle.StageDeltas = tc.delta, nil
+		}
+		got, err := run(ts.URL, n, 3, batch, tc.delta, seed, tc.models)
+		if err != nil {
+			t.Fatalf("%q δ=%v: %v", tc.models, tc.delta, err)
+		}
+		if want := (n + batch - 1) / batch; len(got.Latencies) != want {
+			t.Errorf("%q: %d latencies, want one per request (%d)", tc.models, len(got.Latencies), want)
+		}
+		correct, totalOps, baseOps := 0, 0.0, 0.0
+		for k, m := range tc.models {
+			var subset []cdl.Sample
+			for r := k; r*batch < n; r += len(tc.models) {
+				subset = append(subset, test[r*batch:min((r+1)*batch, n)]...)
+			}
+			want, err := core.Evaluate(oracle, subset, 0, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			images := 0
+			for e, name := range want.ExitNames {
+				w := 0
+				for _, c := range want.ExitCounts[e] {
+					w += c
+				}
+				if got.Exits[m][name] != w {
+					t.Errorf("%q δ=%v model %q exit %s: %d images, oracle %d", tc.models, tc.delta, m, name, got.Exits[m][name], w)
+				}
+				images += got.Exits[m][name]
+			}
+			if images != len(subset) {
+				t.Errorf("%q model %q: %d images at the oracle's exits %v, sent %d (got %v)", tc.models, m, images, want.ExitNames, len(subset), got.Exits[m])
+			}
+			if len(tc.models) == 1 && float64(got.Correct)/n != want.Confusion.Accuracy() {
+				t.Errorf("%q δ=%v: accuracy %v, oracle %v", tc.models, tc.delta, float64(got.Correct)/n, want.Confusion.Accuracy())
+			}
+			correct += want.Confusion.Correct()
+			totalOps, baseOps = totalOps+want.TotalOps, want.BaselineOps
+		}
+		if got.Correct != correct {
+			t.Errorf("%q δ=%v: %d correct, oracle %d", tc.models, tc.delta, got.Correct, correct)
+		}
+		if g, w := got.SumNormOps/n, totalOps/n/baseOps; math.Abs(g-w) > 1e-12 {
+			t.Errorf("%q δ=%v: mean normalized OPS %v, oracle %v", tc.models, tc.delta, g, w)
+		}
+	}
+}
+
+// TestRunFailsOnRefusal: a server that answers 4xx fails the run, and the
+// error names the status, even when the body would otherwise parse as one
+// result per image.
+func TestRunFailsOnRefusal(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, `{"results": [{"exit": "O1"}, {"exit": "O1"}, {"exit": "O1"}, {"exit": "O1"}]}`, http.StatusBadRequest)
+	}))
+	defer ts.Close()
+	for _, models := range [][]string{{""}, {"m3c"}} {
+		s, err := run(ts.URL, 20, 2, 4, -1, 1, models)
+		if err == nil || !strings.Contains(err.Error(), "HTTP 400") {
+			t.Errorf("%q: run = %v, %v; want an HTTP 400 error", models, s, err)
+		}
+	}
+}

@@ -5,15 +5,12 @@ package fleet
 // /alertz, the router must surface that page in its aggregated fleet view
 // within a probe round, and the breach must leave retrievable evidence on
 // the backend's /debug/flightz — a controller rung-down snapshot holding
-// at least one anomalous record with its full span tree. When $FLIGHT_OUT
-// is set, the retrieved flightz document is written there so CI archives a
-// real post-breach sample.
+// at least one anomalous record with its full span tree.
 
 import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"testing"
 	"time"
 
@@ -167,17 +164,5 @@ func TestFleetAlertOnP99Breach(t *testing.T) {
 	getJSON(t, ts.URL+"/debug/flightz?limit=16", &rfr)
 	if rfr.Tier != "fleet" || len(rfr.Records) == 0 {
 		t.Fatalf("router flightz empty: tier=%q records=%d", rfr.Tier, len(rfr.Records))
-	}
-
-	// Archive the breach evidence for CI when asked.
-	if out := os.Getenv("FLIGHT_OUT"); out != "" {
-		doc, err := json.MarshalIndent(flight, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(out, doc, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote flight sample to %s", out)
 	}
 }

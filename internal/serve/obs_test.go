@@ -4,9 +4,8 @@ package serve
 // X-Trace-Id propagation (header echo on every response path, body trace
 // only when the client asked), span completeness over a routed graph,
 // wire-carried trace adoption on /v1/resume, the /metricsz exposition
-// (structure, under concurrent scrape + classify + hot-swap load, and the
-// CI sample artifact), and the overhead guard benchmark pinning the cost
-// of always-on tracing.
+// (structure, and under concurrent scrape + classify + hot-swap load), and
+// the overhead guard benchmark pinning the cost of always-on tracing.
 
 import (
 	"bytes"
@@ -14,7 +13,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -446,27 +444,6 @@ func TestMetricszUnderLoad(t *testing.T) {
 	wg.Wait()
 	if scrapes < 3 {
 		t.Errorf("only %d scrapes completed", scrapes)
-	}
-}
-
-// TestMetricszSample writes one post-traffic scrape to $METRICSZ_OUT so CI
-// can archive a real exposition per commit.
-func TestMetricszSample(t *testing.T) {
-	out := os.Getenv("METRICSZ_OUT")
-	if out == "" {
-		t.Skip("METRICSZ_OUT not set")
-	}
-	cdln, data := testCDLN(t, 69)
-	_, ts := startServer(t, cdln, Config{Workers: 2})
-	req := ClassifyRequest{}
-	for _, s := range data[:32] {
-		req.Images = append(req.Images, s.X.Flatten().Data)
-	}
-	if status, body := postClassify(t, ts.URL, req); status != http.StatusOK {
-		t.Fatalf("classify HTTP %d: %s", status, body)
-	}
-	if err := os.WriteFile(out, []byte(scrape(t, ts.URL)), 0o644); err != nil {
-		t.Fatal(err)
 	}
 }
 
