@@ -1,13 +1,15 @@
 // Command cdlrouter is the fleet front door: it fans /v1 and /v2 traffic
 // across N cdlserve backends. Placement is a consistent-hash ring on
 // (model, input-hash) so identical inputs keep landing on the same
-// cache-warm replica, with bounded-load overflow to the next ring node;
-// backends are health-probed (/readyz) and load-weighted from their own
-// telemetry (/metricsz); hedged requests clip the tail (after the
-// per-model p95 deadline a straggler's input is re-sent to a second
-// backend and the first answer wins); and PUT /v2/models/{name} at the
-// router performs a rolling fleet hot-swap, one backend at a time, on top
-// of each node's zero-drop registry swap.
+// cache-warm replica, with bounded-load overflow to the next ring node
+// when the router's own in-flight count says the owner is saturated (a
+// backend that sheds anyway answers 503 and the next node is tried);
+// backends are health-probed (/readyz) and their burn-rate alerts rolled
+// up (/alertz); hedged requests clip the tail (after the per-model p95
+// deadline a straggler's input is re-sent to a second backend and the
+// first answer wins); and PUT /v2/models/{name} at the router performs a
+// rolling fleet hot-swap, one backend at a time, on top of each node's
+// zero-drop registry swap.
 //
 // Usage:
 //
@@ -20,7 +22,7 @@
 //	curl -s localhost:8080/readyz
 //	curl -s -X POST localhost:8080/v1/classify -d '{"images": [[...]]}'
 //	curl -s -X PUT localhost:8080/v2/models/default -d '{"path": "m-v2.cdln"}'  # rolling fleet swap
-//	curl -s localhost:8080/statsz      # per-backend health/load + hedge counters
+//	curl -s localhost:8080/statsz      # per-backend health/in-flight + hedge counters
 //	curl -s localhost:8080/metricsz    # Prometheus text exposition (fleet_* families)
 package main
 
@@ -53,7 +55,7 @@ func main() {
 	var backends backendFlag
 	flag.Var(&backends, "backend", "cdlserve base URL to route to (repeatable, at least one)")
 	addr := flag.String("addr", ":8080", "listen address")
-	probeInterval := flag.Duration("probe-interval", 0, "health/load probe period (0 = default 500ms)")
+	probeInterval := flag.Duration("probe-interval", 0, "health (/readyz) and alert (/alertz) probe period (0 = default 500ms)")
 	probeTimeout := flag.Duration("probe-timeout", 0, "per-probe HTTP timeout (0 = default 2s)")
 	reqTimeout := flag.Duration("request-timeout", 0, "per-attempt forward timeout (0 = default 30s)")
 	replicas := flag.Int("replicas", 0, "virtual nodes per backend on the hash ring (0 = default 128)")

@@ -83,7 +83,7 @@ type graphTables struct {
 	parent      []int // parent node index, -1 for the trunk
 	parentStage []int // routing stage in the parent, -1 for the trunk
 	entryDepth  []int // exit points evaluated on the path before the node
-	entryOps    []float64
+	order       []int // node indices in BFS order from the trunk: parents first
 	base        []int // global index of each node's exit 0
 	exitOps     []float64
 	exitNames   []string
@@ -245,12 +245,12 @@ func (g *Graph) Validate() error {
 		}
 	}
 
-	// Derived tables, in BFS order so parents are costed before children.
+	// Derived tables, in BFS order so parents come before children.
 	tab := &graphTables{
 		parent:      parent,
 		parentStage: parentStage,
 		entryDepth:  make([]int, len(g.Nodes)),
-		entryOps:    make([]float64, len(g.Nodes)),
+		order:       order,
 		base:        make([]int, len(g.Nodes)),
 		routeAt:     routeAt,
 		byName:      byName,
@@ -262,7 +262,7 @@ func (g *Graph) Validate() error {
 		nExits += len(n.Model.Stages) + 1
 		localOps[ni] = n.Model.ExitOps()
 	}
-	tab.exitOps = make([]float64, nExits)
+	tab.exitOps = tab.fold(localOps, nExits)
 	tab.exitNames = make([]string, nExits)
 	tab.exitNode = make([]int, nExits)
 	tab.exitLocal = make([]int, nExits)
@@ -270,14 +270,11 @@ func (g *Graph) Validate() error {
 		n := g.Nodes[ni]
 		if p := parent[ni]; p >= 0 {
 			// An input enters the branch having evaluated the parent path's
-			// exits through the router stage — classifier included, since
-			// routing consults its scores.
+			// exits through the router stage.
 			tab.entryDepth[ni] = tab.entryDepth[p] + parentStage[ni] + 1
-			tab.entryOps[ni] = tab.entryOps[p] + localOps[p][parentStage[ni]]
 		}
 		for li := 0; li <= len(n.Model.Stages); li++ {
 			gi := tab.base[ni] + li
-			tab.exitOps[gi] = tab.entryOps[ni] + localOps[ni][li]
 			tab.exitNode[gi] = ni
 			tab.exitLocal[gi] = li
 			name := n.Model.ExitName(li)
@@ -292,6 +289,26 @@ func (g *Graph) Validate() error {
 	}
 	g.tab = tab
 	return nil
+}
+
+// fold lifts per-node local exit costs (local[n][j]: node n's exit j,
+// counted from the node's own entry) into the global per-exit table of
+// nExits entries. Each global exit is charged its whole root-to-exit path:
+// the parent path's cost through the router stage (classifier included,
+// since routing consults its scores) plus the node's own. Walking the BFS
+// order costs every parent before its children.
+func (t *graphTables) fold(local [][]float64, nExits int) []float64 {
+	entry := make([]float64, len(t.order))
+	out := make([]float64, nExits)
+	for _, ni := range t.order {
+		if p := t.parent[ni]; p >= 0 {
+			entry[ni] = entry[p] + local[p][t.parentStage[ni]]
+		}
+		for li, c := range local[ni] {
+			out[t.base[ni]+li] = entry[ni] + c
+		}
+	}
+	return out
 }
 
 // tables returns the derived routing tables, validating on first use.
@@ -376,39 +393,13 @@ func (g *Graph) FoldExitCosts(local [][]float64) []float64 {
 	if len(local) != len(g.Nodes) {
 		panic(fmt.Sprintf("core: %d cost vectors for %d nodes", len(local), len(g.Nodes)))
 	}
-	entry := make([]float64, len(g.Nodes))
-	out := make([]float64, len(t.exitOps))
-	// base order is declaration order, but entry costs need parents first;
-	// BFS order from the trunk guarantees that.
-	done := make([]bool, len(g.Nodes))
-	for remaining := len(g.Nodes); remaining > 0; {
-		progressed := false
-		for ni, n := range g.Nodes {
-			if done[ni] {
-				continue
-			}
-			if p := t.parent[ni]; p >= 0 {
-				if !done[p] {
-					continue
-				}
-				entry[ni] = entry[p] + local[p][t.parentStage[ni]]
-			}
-			if len(local[ni]) != len(n.Model.Stages)+1 {
-				panic(fmt.Sprintf("core: node %d cost vector has %d entries for %d exits",
-					ni, len(local[ni]), len(n.Model.Stages)+1))
-			}
-			for li := 0; li <= len(n.Model.Stages); li++ {
-				out[t.base[ni]+li] = entry[ni] + local[ni][li]
-			}
-			done[ni] = true
-			remaining--
-			progressed = true
-		}
-		if !progressed {
-			panic("core: FoldExitCosts stuck — invalid parent tables")
+	for ni, n := range g.Nodes {
+		if len(local[ni]) != len(n.Model.Stages)+1 {
+			panic(fmt.Sprintf("core: node %d cost vector has %d entries for %d exits",
+				ni, len(local[ni]), len(n.Model.Stages)+1))
 		}
 	}
-	return out
+	return t.fold(local, len(t.exitOps))
 }
 
 // NodeIndex resolves a node name ("" resolves to the trunk).

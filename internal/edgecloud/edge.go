@@ -20,7 +20,6 @@
 package edgecloud
 
 import (
-	"encoding/hex"
 	"fmt"
 	"strconv"
 	"time"
@@ -175,20 +174,6 @@ func (e *Edge) installObserver() func() {
 	return func() { e.sess.SetStageObserver(nil) }
 }
 
-// wireTraceID returns the attached trace's ID when it fits the wire format
-// (exactly 16 bytes hex — generated IDs always do), else "" — client-pinned
-// free-form IDs still propagate over HTTP transports via the header.
-func (e *Edge) wireTraceID() string {
-	if e.tr == nil {
-		return ""
-	}
-	id := e.tr.ID()
-	if raw, err := hex.DecodeString(id); err != nil || len(raw) != 16 {
-		return ""
-	}
-	return id
-}
-
 // Result is one input's tier-split outcome.
 type Result struct {
 	// Record is the final classification, from the edge prefix or the
@@ -319,9 +304,8 @@ func (e *Edge) localResult(rec core.ExitRecord) Result {
 
 // encodePrefix serializes a deferred prefix for the wire: a trunk residue
 // resumes at the split stage, a routed input hands off at its branch entry
-// (node, stage 0, pos 0). With a wire-compatible trace attached the
-// payload carries the trace ID (format v3), so even a cloud tier reached
-// through a headerless transport can continue the request's trace.
+// (node, stage 0, pos 0). The payload carries no trace ID: the trace
+// crosses the split in resumeOffloads, beside the payloads.
 func (e *Edge) encodePrefix(pre core.PrefixResult) ([]byte, error) {
 	payload, err := wire.Encode(wire.Activation{
 		Node:      pre.Node,
@@ -329,7 +313,6 @@ func (e *Edge) encodePrefix(pre core.PrefixResult) ([]byte, error) {
 		Pos:       pre.Pos,
 		Shape:     pre.Activation.Shape(),
 		Data:      pre.Activation.Data,
-		TraceID:   e.wireTraceID(),
 	}, e.cfg.Encoding, e.cfg.Format)
 	if err != nil {
 		return nil, fmt.Errorf("edgecloud: encode offload: %w", err)

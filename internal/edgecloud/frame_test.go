@@ -20,7 +20,7 @@ import (
 // four bytes per payload) is exactly the sum of the offloaded results'
 // WireBytes. The charge was always on the raw wire.Encode length; since the
 // frame replaced base64-in-JSON that is also what is sent, on both the /v1
-// and the named-model route, traced (wire v3 payloads) or not.
+// and the named-model route, traced or not.
 func TestLinkChargeMatchesTheWire(t *testing.T) {
 	cdln, data := testCDLN(t, 91)
 	cloud, err := serve.New(cdln, serve.Config{Workers: 2})

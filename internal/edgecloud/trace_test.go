@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"cdl/internal/core"
+	"cdl/internal/edgecloud/wire"
 	"cdl/internal/linclass"
 	"cdl/internal/nn"
 	"cdl/internal/obs"
@@ -235,5 +236,85 @@ func TestLoopbackTraceSpans(t *testing.T) {
 	}
 	if !cloudSpan {
 		t.Fatalf("no cloud spans merged from the loopback: %v", names)
+	}
+}
+
+// TestOffloadShipsNoTraceBytes pins the hop's bytes: a trace ID crosses the
+// split beside the payloads, never inside them. With a generated ID and with
+// a client-pinned one, over HTTP and over the loopback, every offloaded
+// Result is charged exactly wire.EncodedSizeAt of its handoff (node, rank,
+// numel), and the cloud's spans still merge under "cloud:".
+func TestOffloadShipsNoTraceBytes(t *testing.T) {
+	g, data := routedEdgeGraph(t, 83)
+	reg := serve.NewRegistry(serve.Config{Workers: 2})
+	if _, err := reg.RegisterGraph(serve.DefaultModelName, g); err != nil {
+		t.Fatal(err)
+	}
+	cloud, err := serve.NewWithRegistry(reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cloudTS := httptest.NewServer(cloud.Handler())
+	t.Cleanup(func() { cloudTS.Close(); cloud.Close() })
+	loop, err := NewGraphLoopback(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := Config{SplitStage: 1, Delta: -1}
+	pol := core.DeltaPolicy(0.999) // suppresses trunk exits, so inputs route
+	xs := tensorsOf(data[:24])
+	// Each input's handoff, walked by a session of the test's own.
+	sess, err := core.NewGraphSession(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]int, len(xs)) // 0: the input exits on the edge
+	offloads, routed := 0, 0
+	for i, pre := range sess.ClassifyPrefixBatchPolicy(xs, cfg.SplitStage, pol) {
+		if pre.Exited {
+			continue
+		}
+		want[i] = wire.EncodedSizeAt(pre.Node, len(pre.Activation.Shape()), len(pre.Activation.Data), wire.EncodingFloat64)
+		offloads++
+		if pre.Node != 0 {
+			routed++
+		}
+	}
+	if offloads == 0 || routed == 0 {
+		t.Fatalf("%d offloads, %d of them routed; the fixture must offload to a branch", offloads, routed)
+	}
+
+	for _, tp := range []struct {
+		name      string
+		transport Transport
+	}{{"http", NewHTTPTransport(cloudTS.URL)}, {"loopback", loop}} {
+		for _, tr := range []*obs.Trace{obs.NewTrace(obs.GenerateID(), false), obs.NewTrace("client-pinned-7", true)} {
+			edge, err := NewGraph(g, tp.transport, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			edge.AttachTrace(tr)
+			results, err := edge.ClassifyBatchPolicy(xs, pol)
+			if err != nil {
+				t.Fatalf("%s, trace %q: %v", tp.name, tr.ID(), err)
+			}
+			for i, res := range results {
+				if res.Offloaded != (want[i] > 0) || res.WireBytes != want[i] {
+					t.Errorf("%s, trace %q: input %d offloaded=%v with %d wire bytes, want %d",
+						tp.name, tr.ID(), i, res.Offloaded, res.WireBytes, want[i])
+				}
+			}
+			names := checkSpans(t, tr.Spans())
+			cloudSpans := 0
+			for n := range names {
+				if strings.HasPrefix(n, "cloud:") {
+					cloudSpans++
+				}
+			}
+			if !names["edge:offload"] || cloudSpans == 0 {
+				t.Errorf("%s, trace %q: cloud spans did not merge: %v", tp.name, tr.ID(), names)
+			}
+		}
 	}
 }

@@ -60,9 +60,9 @@ func (h *HTTPTransport) ResumeBatch(payloads [][]byte, delta float64) ([]core.Ex
 }
 
 // ResumeBatchTraced implements TracedBatchTransport: the trace ID rides
-// the X-Trace-Id request header (so the cloud adopts it and opts the
-// response into span detail), and the cloud's span timeline comes back in
-// the response body.
+// the X-Trace-Id request header, its only channel across the split (the
+// cloud adopts it and opts the response into span detail), and the cloud's
+// span timeline comes back in the response body.
 func (h *HTTPTransport) ResumeBatchTraced(payloads [][]byte, delta float64, traceID string) ([]core.ExitRecord, []obs.Span, error) {
 	return h.resumeBatch(payloads, delta, traceID)
 }

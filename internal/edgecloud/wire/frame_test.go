@@ -15,7 +15,7 @@ func testFrame(t testing.TB) (frame, members []byte, payloads [][]byte) {
 	t.Helper()
 	for _, a := range []Activation{
 		{FromStage: 1, Pos: 3, Shape: []int{2, 3}, Data: []float64{1, 2, 3, 4, 5, 6}},
-		{Node: 2, Shape: []int{1}, Data: []float64{-0.5}, TraceID: "00112233445566778899aabbccddeeff"},
+		{Node: 2, Shape: []int{1}, Data: []float64{-0.5}},
 	} {
 		p, err := Encode(a, EncodingFloat64, fixed.Format{})
 		if err != nil {

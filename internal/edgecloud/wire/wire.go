@@ -16,28 +16,26 @@
 //
 //	offset size  field
 //	0      4     magic "CDLA"
-//	4      1     version (1 = linear, 2 = routed, 3 = traced)
+//	4      1     version (1 = linear, 2 = routed)
 //	5      1     encoding (0 = float64, 1 = fixed)
 //	6      1     fixed-point integer bits (0 for float64)
 //	7      1     fixed-point fraction bits (0 for float64)
 //	8      2     fromStage: first cascade stage the receiver evaluates
 //	10     2     pos: number of baseline layers composing the activation
-//	12     2     node: routing-graph node to resume in (versions 2 and 3)
-//	14     16    trace ID, raw bytes (version 3 only)
+//	12     2     node: routing-graph node to resume in (version 2 only)
 //	...    1     rank, then rank × uint32 dims
 //	...          payload: numel × 8 bytes (float64) or × 2 bytes (fixed)
 //
 // Version 2 adds the routing-graph node the receiver must resume in, so a
-// split/resume position names a (node, fromStage, pos) triple. Version 3
-// additionally carries the request's 16-byte trace ID, so a cross-tier
-// trace survives the resume boundary in-band; it always includes the node
-// field, and is emitted only when the sender has a trace ID to propagate.
-// Encoders emit version 1 whenever the node is the trunk (node 0) and no
-// trace ID is attached — a linear deployment's bytes are unchanged, and a
-// routed edge talking only trunk handoffs interoperates with a version-1
-// peer. Decoders accept all versions (a version-1 activation resumes in
-// the trunk) and reject unknown magic, versions and encodings, so the
-// format can evolve without silently misreading old peers.
+// split/resume position names a (node, fromStage, pos) triple. Encoders
+// emit version 1 whenever the node is the trunk (node 0) — a linear
+// deployment's bytes are unchanged, and a routed edge talking only trunk
+// handoffs interoperates with a version-1 peer. Decoders accept both
+// versions (a version-1 activation resumes in the trunk) and reject unknown
+// magic, versions and encodings, so the format can evolve without silently
+// misreading old peers. An activation carries no trace ID: the request's
+// trace crosses the split beside the payloads (the X-Trace-Id header of a
+// resume POST).
 //
 // Several activations cross the link in one resume frame, the body of a
 // POST to a resume route under Content-Type FrameContentType (AppendFrame,
@@ -59,7 +57,6 @@ package wire
 
 import (
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"math"
 	"slices"
@@ -91,30 +88,17 @@ func (e Encoding) String() string {
 const (
 	magic = "CDLA"
 	// versionLinear is the original trunk-only header; versionRouted adds
-	// the uint16 routing-graph node; versionTraced additionally carries a
-	// 16-byte request trace ID so a cross-tier trace survives the resume
-	// boundary in-band (HTTP transports also carry it as a header, but the
-	// wire format must stand alone for non-HTTP links).
+	// the uint16 routing-graph node.
 	versionLinear = 1
 	versionRouted = 2
-	versionTraced = 3
 	// headerBase is the fixed part of the version-1 header before the
-	// dims; the version-2 header is two bytes longer; the version-3 header
-	// always carries the node field plus the 16 trace-ID bytes.
+	// dims; the version-2 header is two bytes longer.
 	headerBase       = 13
 	headerBaseRouted = 15
-	headerBaseTraced = headerBaseRouted + traceIDBytes
-	traceIDBytes     = 16
 	// maxDim bounds each dimension and the total element count a decoder
 	// will accept, so a hostile header cannot make it allocate unboundedly.
 	maxElems = 1 << 24
 )
-
-// TraceOverhead is the worst-case header growth of attaching a trace ID to
-// an activation: a trunk handoff moves from the version-1 to the version-3
-// layout (the node field plus the raw ID bytes). Body-size bounds derived
-// from EncodedSizeAt must add it to admit traced payloads.
-const TraceOverhead = headerBaseTraced - headerBase
 
 // Activation is the decoded form of a split-point handoff.
 type Activation struct {
@@ -135,11 +119,6 @@ type Activation struct {
 	// Data is the payload in float64 (dequantized when the wire encoding
 	// was fixed-point).
 	Data []float64
-	// TraceID, when non-empty, is the request trace ID propagated across
-	// the tier split: exactly 32 lowercase hex characters (16 bytes).
-	// Encoders emit the version-3 layout only when it is set, so untraced
-	// peers keep their version-1/2 bytes unchanged.
-	TraceID string
 }
 
 // Numel returns the element count implied by Shape.
@@ -209,33 +188,18 @@ func Encode(a Activation, enc Encoding, f fixed.Format) ([]byte, error) {
 	}
 
 	// Trunk handoffs stay on the version-1 layout byte for byte; only a
-	// routed handoff needs the node field, and hence version 2. A trace ID
-	// upgrades either to version 3 (node always present, then the raw ID).
-	var traceID []byte
-	if a.TraceID != "" {
-		raw, err := hex.DecodeString(a.TraceID)
-		if err != nil || len(raw) != traceIDBytes {
-			return nil, fmt.Errorf("wire: trace ID %q is not %d hex bytes", a.TraceID, traceIDBytes)
-		}
-		traceID = raw
-	}
+	// routed handoff needs the node field, and hence version 2.
 	ver := uint8(versionLinear)
-	switch {
-	case traceID != nil:
-		ver = versionTraced
-	case a.Node != 0:
+	if a.Node != 0 {
 		ver = versionRouted
 	}
-	b := make([]byte, 0, EncodedSizeAt(a.Node, len(a.Shape), len(a.Data), enc)+TraceOverhead)
+	b := make([]byte, 0, EncodedSizeAt(a.Node, len(a.Shape), len(a.Data), enc))
 	b = append(b, magic...)
 	b = append(b, ver, uint8(enc), intBits, fracBits)
 	b = binary.LittleEndian.AppendUint16(b, uint16(a.FromStage))
 	b = binary.LittleEndian.AppendUint16(b, uint16(a.Pos))
-	if ver != versionLinear {
+	if ver == versionRouted {
 		b = binary.LittleEndian.AppendUint16(b, uint16(a.Node))
-	}
-	if traceID != nil {
-		b = append(b, traceID...)
 	}
 	b = append(b, uint8(len(a.Shape)))
 	for _, d := range a.Shape {
@@ -268,8 +232,8 @@ func Decode(b []byte) (Activation, error) {
 	if string(b[:4]) != magic {
 		return a, fmt.Errorf("wire: bad magic %q", b[:4])
 	}
-	if b[4] != versionLinear && b[4] != versionRouted && b[4] != versionTraced {
-		return a, fmt.Errorf("wire: version %d, want %d, %d or %d", b[4], versionLinear, versionRouted, versionTraced)
+	if b[4] != versionLinear && b[4] != versionRouted {
+		return a, fmt.Errorf("wire: version %d, want %d or %d", b[4], versionLinear, versionRouted)
 	}
 	enc := Encoding(b[5])
 	f := fixed.Format{IntBits: int(b[6]), FracBits: int(b[7])}
@@ -288,20 +252,12 @@ func Decode(b []byte) (Activation, error) {
 	a.FromStage = int(binary.LittleEndian.Uint16(b[8:10]))
 	a.Pos = int(binary.LittleEndian.Uint16(b[10:12]))
 	base := headerBase
-	switch b[4] {
-	case versionRouted:
+	if b[4] == versionRouted {
 		if len(b) < headerBaseRouted {
 			return a, fmt.Errorf("wire: %d bytes, shorter than the %d-byte routed header", len(b), headerBaseRouted)
 		}
 		a.Node = int(binary.LittleEndian.Uint16(b[12:14]))
 		base = headerBaseRouted
-	case versionTraced:
-		if len(b) < headerBaseTraced {
-			return a, fmt.Errorf("wire: %d bytes, shorter than the %d-byte traced header", len(b), headerBaseTraced)
-		}
-		a.Node = int(binary.LittleEndian.Uint16(b[12:14]))
-		a.TraceID = hex.EncodeToString(b[14 : 14+traceIDBytes])
-		base = headerBaseTraced
 	}
 	rank := int(b[base-1])
 	if len(b) < base+4*rank {

@@ -4,6 +4,8 @@ import (
 	"encoding/hex"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"cdl/internal/fixed"
@@ -210,6 +212,30 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	for name, b := range cases {
 		if _, err := Decode(b); err == nil {
 			t.Errorf("%s: decoded without error", name)
+		}
+	}
+}
+
+// TestDecodeRefusesVersion3 pins the retired trace-carrying layout as an
+// unknown version: a well-formed version-3 header (node field, then a
+// 16-byte trace ID) is refused with an error naming the version once the
+// fixed header is there, and never decodes or panics at any length.
+func TestDecodeRefusesVersion3(t *testing.T) {
+	routed := testActivation()
+	routed.Node = 2
+	v2, err := Encode(routed, EncodingFloat64, fixed.Format{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v3 := slices.Concat(v2[:headerBaseRouted-1], make([]byte, 16), v2[headerBaseRouted-1:])
+	v3[4] = 3
+	for n := range len(v3) + 1 {
+		_, err := Decode(v3[:n])
+		if err == nil {
+			t.Fatalf("%d of %d version-3 bytes decoded", n, len(v3))
+		}
+		if n >= headerBase && !strings.Contains(err.Error(), "version 3") {
+			t.Errorf("%d version-3 bytes: error %q does not name the version", n, err)
 		}
 	}
 }

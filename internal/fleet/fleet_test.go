@@ -18,6 +18,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -328,6 +329,121 @@ func TestFleetRoutesAcrossBackends(t *testing.T) {
 	}
 	if mt := st.Models[serve.DefaultModelName]; mt.Requests != 60 {
 		t.Errorf("router counted %d requests, want 60", mt.Requests)
+	}
+}
+
+// TestPickChainOrder pins bounded load on the router's own in-flight count.
+// Backends are named by rank in the key's ring sequence. The chain lists
+// healthy backends under the cap first, then those over it, then draining
+// ones, each group in ring order; unhealthy backends are left out. The cap
+// is LoadFactor (2) × (in flight on healthy backends + 1) ÷ healthy count.
+func TestPickChainOrder(t *testing.T) {
+	rt, err := New(Config{
+		Backends: []string{"http://127.0.0.1:1", "http://127.0.0.1:2", "http://127.0.0.1:3", "http://127.0.0.1:4"},
+		// Nothing listens there and no second round runs, so the states
+		// set below stay put.
+		ProbeInterval: time.Hour,
+		ProbeTimeout:  time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	const key = 42
+	seq := rt.ring.Seq(key)
+	type state struct {
+		down     bool
+		inflight int64
+		swapping bool
+	}
+	for _, tc := range []struct {
+		name   string
+		states [4]state // by ring rank
+		want   []int    // ring ranks, in chain order
+	}{
+		{"idle fleet keeps ring order", [4]state{}, []int{0, 1, 2, 3}},
+		// cap = 2 × (3+1)/4 = 2: the owner's 3 is over it.
+		{"owner over the cap spills", [4]state{{inflight: 3}, {}, {}, {}}, []int{1, 2, 3, 0}},
+		{"over the cap before draining", [4]state{{swapping: true}, {inflight: 3}, {}, {}}, []int{2, 3, 1, 0}},
+		{"unhealthy excluded", [4]state{{down: true}, {}, {down: true}, {}}, []int{1, 3}},
+		// An unhealthy backend's in-flight count is not in the cap:
+		// cap = 2 × (4+1)/3 = 3, so rank 2's 4 is over it.
+		{"all three rules", [4]state{{down: true, inflight: 5}, {swapping: true}, {inflight: 4}, {}}, []int{3, 2, 1}},
+		{"no healthy backend", [4]state{{down: true}, {down: true}, {down: true}, {down: true}}, nil},
+	} {
+		for rank, st := range tc.states {
+			b := rt.backends[seq[rank]]
+			b.healthy.Store(!st.down)
+			b.inflight.Store(st.inflight)
+			b.swapping.Store(st.swapping)
+		}
+		var got []int
+		for _, b := range rt.pickChain(key) {
+			got = append(got, slices.Index(seq, slices.Index(rt.backends, b)))
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: chain by ring rank %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestShedOverflowsToNextNode pins the 503 backstop behind bounded load. A
+// ring owner that sheds (503 + Retry-After) sends the request on to the
+// next node, and the client gets that node's answer. When every backend
+// sheds, the client gets a 503 that still carries Retry-After.
+func TestShedOverflowsToNextNode(t *testing.T) {
+	var shedding [2]atomic.Bool
+	var hits [2]atomic.Int64
+	urls := make([]string, 2)
+	for i := range urls {
+		mux := probedMux(nil)
+		mux.HandleFunc("POST /v1/classify", func(w http.ResponseWriter, r *http.Request) {
+			_, _ = io.Copy(io.Discard, r.Body)
+			hits[i].Add(1)
+			if shedding[i].Load() {
+				serve.WriteShed(w, "queue full")
+				return
+			}
+			serve.WriteJSON(w, http.StatusOK, serve.ClassifyResponse{Count: 1})
+		})
+		ts := httptest.NewServer(mux)
+		t.Cleanup(ts.Close)
+		urls[i] = ts.URL
+	}
+	rt, err := New(Config{Backends: urls, ProbeInterval: time.Hour, ProbeTimeout: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	body := []byte(`{"images": [[0.5]]}`)
+	ownerIdx := owner(rt.ring, HashRequest(serve.DefaultModelName, body))
+	post := func() *httptest.ResponseRecorder {
+		r := httptest.NewRequest(http.MethodPost, "/v1/classify", bytes.NewReader(body))
+		w := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(w, r)
+		return w
+	}
+
+	shedding[ownerIdx].Store(true)
+	if w := post(); w.Code != http.StatusOK {
+		t.Fatalf("owner shed: HTTP %d (%s), want the next node's 200", w.Code, w.Body)
+	}
+	if hits[ownerIdx].Load() != 1 || hits[1-ownerIdx].Load() != 1 {
+		t.Errorf("attempts: owner %d, next %d; want the owner, then the next node, once each",
+			hits[ownerIdx].Load(), hits[1-ownerIdx].Load())
+	}
+
+	shedding[1-ownerIdx].Store(true)
+	w := post()
+	if w.Code != http.StatusServiceUnavailable {
+		t.Fatalf("fleet-wide shed: HTTP %d (%s), want 503", w.Code, w.Body)
+	}
+	if w.Header().Get("Retry-After") == "" {
+		t.Error("fleet-wide shed reached the client without Retry-After")
+	}
+	st := rt.Stats().Models[serve.DefaultModelName]
+	if st.Retries != 2 || st.Sheds != 1 {
+		t.Errorf("retries %d, sheds %d; want 2 failovers and 1 shed", st.Retries, st.Sheds)
 	}
 }
 

@@ -81,7 +81,7 @@ func TestRouterForwardsContentType(t *testing.T) {
 	first := make(chan struct{}, 1)
 	first <- struct{}{}
 	backend := func() string {
-		mux := probedMux()
+		mux := probedMux(nil)
 		mux.HandleFunc("POST /v1/resume", func(w http.ResponseWriter, r *http.Request) {
 			_, _ = io.Copy(io.Discard, r.Body)
 			mu.Lock()

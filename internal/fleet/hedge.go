@@ -84,7 +84,7 @@ func (rt *Router) hedged(ctx context.Context, primary, secondary *backend, metho
 			}
 			// Non-decisive (transport error or 503).
 			if a.res.err != nil && ctx.Err() == nil {
-				a.res.backend.setHealthy(false)
+				a.res.backend.healthy.Store(false)
 			}
 			if first == nil {
 				cp := a
@@ -147,8 +147,8 @@ func hedgeLabel(hedge bool) string {
 // [HedgeMin, HedgeMax]; before that, HedgeMax (hedge conservatively while
 // the distribution is unknown).
 func (rt *Router) hedgeDeadline(mm *modelMetrics) time.Duration {
-	count, q := mm.latQuantile(rt.cfg.HedgeQuantile)
-	if count < rt.cfg.HedgeMinSamples {
+	count, q := mm.latQuantile(hedgeQuantile)
+	if count < hedgeMinSamples {
 		return rt.cfg.HedgeMax
 	}
 	d := time.Duration(q * float64(time.Millisecond))

@@ -10,9 +10,11 @@ package fleet
 import (
 	"encoding/json"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -23,24 +25,52 @@ import (
 // stallingBackend is a fake cdlserve that passes readiness probes but, when
 // stalled, sits on classify requests until the router cancels them. It
 // counts how many classifies it actually answered (for exactly-once
-// assertions) and how many were cancelled under it (loser cancellation).
+// assertions), how many were cancelled under it (loser cancellation) and
+// every GET it was sent (what the probe loop asks for).
 type stallingBackend struct {
 	ts        *httptest.Server
 	stall     atomic.Bool
 	answered  atomic.Int64
 	cancelled atomic.Int64
+	gets      getLog
 }
 
-// probedMux is a fake backend's mux with the two routes the router's probe
-// loop needs to admit it: ready, idle, one worker.
-func probedMux() *http.ServeMux {
+// getLog tallies the GET requests a fake backend receives, by path.
+type getLog struct {
+	mu sync.Mutex
+	n  map[string]int // guarded by mu
+}
+
+func (l *getLog) add(path string) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.n == nil {
+		l.n = make(map[string]int)
+	}
+	l.n[path]++
+}
+
+// snapshot copies the tally.
+func (l *getLog) snapshot() map[string]int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return maps.Clone(l.n)
+}
+
+// probedMux is a fake backend's mux with the one route the router's probe
+// loop needs to admit it: /readyz. Any other GET answers 404. When gets is
+// non-nil, every GET is tallied in it.
+func probedMux(gets *getLog) *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /", func(w http.ResponseWriter, r *http.Request) {
+		if gets != nil {
+			gets.add(r.URL.Path)
+		}
+		if r.URL.Path != "/readyz" {
+			http.NotFound(w, r)
+			return
+		}
 		serve.WriteJSON(w, http.StatusOK, map[string]bool{"ready": true})
-	})
-	mux.HandleFunc("GET /metricsz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_, _ = w.Write([]byte("cdl_queue_depth{model=\"default\"} 0\ncdl_workers{model=\"default\"} 1\n"))
 	})
 	return mux
 }
@@ -48,7 +78,7 @@ func probedMux() *http.ServeMux {
 func newStallingBackend(t testing.TB) *stallingBackend {
 	t.Helper()
 	sb := &stallingBackend{}
-	mux := probedMux()
+	mux := probedMux(&sb.gets)
 	mux.HandleFunc("POST /v2/models/{model}/classify", func(w http.ResponseWriter, r *http.Request) {
 		// Drain the body before stalling, as a real backend would: the
 		// server only watches for client disconnect (which cancels
@@ -204,6 +234,41 @@ func TestHedgeRescuesStalledBackend(t *testing.T) {
 			t.Fatalf("goroutines never settled: baseline %d, now %d", baseline, runtime.NumGoroutine())
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+	// Load is the router's own in-flight count: no probe round scraped the
+	// backend's exposition.
+	if n := sb.gets.snapshot()["/metricsz"]; n != 0 {
+		t.Errorf("the router sent %d GET /metricsz to a backend", n)
+	}
+}
+
+// TestProbeRoundAsksReadyzAndAlertz pins the probe's whole cost: one round
+// sends a ready backend exactly GET /readyz and GET /alertz, and an unready
+// one only GET /readyz.
+func TestProbeRoundAsksReadyzAndAlertz(t *testing.T) {
+	var readyGets, unreadyGets getLog
+	ready := httptest.NewServer(probedMux(&readyGets))
+	t.Cleanup(ready.Close)
+	unready := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		unreadyGets.add(r.URL.Path)
+		serve.WriteShed(w, "not ready")
+	}))
+	t.Cleanup(unready.Close)
+	rt, err := New(Config{
+		Backends:      []string{ready.URL, unready.URL},
+		ProbeInterval: time.Hour, // New's own round is the only one
+		ProbeTimeout:  time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	want := map[string]int{"/readyz": 1, "/alertz": 1}
+	if got := readyGets.snapshot(); !maps.Equal(got, want) {
+		t.Errorf("ready backend: one probe round sent %v, want %v", got, want)
+	}
+	if got := unreadyGets.snapshot(); !maps.Equal(got, map[string]int{"/readyz": 1}) {
+		t.Errorf("unready backend: one probe round sent %v, want only /readyz", got)
 	}
 }
 

@@ -12,8 +12,7 @@ import (
 
 // routerMetrics aggregates the router's own counters: per-model request
 // outcomes (keyed by the model label the client addressed) plus fleet-
-// level probe and swap counts. Per-backend counters live on the backends
-// themselves.
+// level swap counts. Per-backend counters live on the backends themselves.
 type routerMetrics struct {
 	// flights owns the per-model flight rings the planes record into (the
 	// /debug/flightz backing store).
@@ -22,7 +21,6 @@ type routerMetrics struct {
 	mu     sync.Mutex
 	models map[string]*modelMetrics // guarded by mu
 
-	probeErrors  atomic.Int64
 	swaps        atomic.Int64
 	swapFailures atomic.Int64
 }
@@ -137,16 +135,13 @@ func (rt *Router) ready() (any, bool) {
 
 // BackendStats is one backend's row in the router's /statsz.
 type BackendStats struct {
-	URL        string  `json:"url"`
-	Healthy    bool    `json:"healthy"`
-	Swapping   bool    `json:"swapping"`
-	Inflight   int64   `json:"inflight"`
-	QueueDepth int64   `json:"queue_depth"`
-	QueueFrac  float64 `json:"queue_frac"`
-	P95MS      float64 `json:"p95_ms"`
-	Requests   int64   `json:"requests"`
-	Errors     int64   `json:"errors"`
-	ProbeFails int64   `json:"probe_fails"`
+	URL        string `json:"url"`
+	Healthy    bool   `json:"healthy"`
+	Swapping   bool   `json:"swapping"`
+	Inflight   int64  `json:"inflight"`
+	Requests   int64  `json:"requests"`
+	Errors     int64  `json:"errors"`
+	ProbeFails int64  `json:"probe_fails"`
 }
 
 // RouterStats is the router's /statsz document.
@@ -159,7 +154,6 @@ type RouterStats struct {
 	HedgeLosses   int64                 `json:"hedge_losses"`
 	Swaps         int64                 `json:"swaps"`
 	SwapFailures  int64                 `json:"swap_failures"`
-	ProbeErrors   int64                 `json:"probe_errors"`
 }
 
 // ModelStats is one model's row in the router's /statsz.
@@ -201,9 +195,6 @@ func (rt *Router) snapshot() snapshot {
 			Healthy:    b.healthy.Load(),
 			Swapping:   b.swapping.Load(),
 			Inflight:   b.inflight.Load(),
-			QueueDepth: b.queueDepth.Load(),
-			QueueFrac:  b.loadFrac(),
-			P95MS:      b.probedP95(),
 			Requests:   b.requests.Load(),
 			Errors:     b.errors.Load(),
 			ProbeFails: b.probeFails.Load(),
@@ -235,7 +226,6 @@ func (rt *Router) snapshot() snapshot {
 	}
 	out.Swaps = rt.metrics.swaps.Load()
 	out.SwapFailures = rt.metrics.swapFailures.Load()
-	out.ProbeErrors = rt.metrics.probeErrors.Load()
 	return out
 }
 
@@ -269,8 +259,6 @@ func (rt *Router) prom(p *obs.Prom) {
 		p.Gauge("fleet_backend_healthy", "1 if the backend passed its last readiness probe.", l, obs.BoolGauge(b.Healthy))
 		p.Gauge("fleet_backend_swapping", "1 while the backend drains for a rolling swap.", l, obs.BoolGauge(b.Swapping))
 		p.Gauge("fleet_backend_inflight", "Router-side in-flight requests against the backend.", l, float64(b.Inflight))
-		p.Gauge("fleet_backend_queue_depth", "Backend queue depth from its last load probe.", l, float64(b.QueueDepth))
-		p.Gauge("fleet_backend_p95_ms", "Backend p95 total latency from its last load probe.", l, b.P95MS)
 		p.Counter("fleet_backend_requests_total", "Forwarded attempts answered by the backend.", l, float64(b.Requests))
 		p.Counter("fleet_backend_errors_total", "Forwarded attempts that died in transport.", l, float64(b.Errors))
 		p.Counter("fleet_backend_probe_fails_total", "Probe rounds that found the backend unready.", l, float64(b.ProbeFails))
@@ -290,7 +278,6 @@ func (rt *Router) prom(p *obs.Prom) {
 		p.Histogram("fleet_latency_ms", "End-to-end router latency, by model.", l, row.lat.Bounds, row.lat.Counts, row.lat.Sum, row.lat.Count)
 		row.plane.Prom(p, l)
 	}
-	p.Counter("fleet_probe_errors_total", "Load probes that failed against ready backends.", nil, float64(st.ProbeErrors))
 	p.Counter("fleet_swaps_total", "Rolling fleet swaps completed.", nil, float64(st.Swaps))
 	p.Counter("fleet_swap_failures_total", "Rolling fleet swaps aborted mid-fleet.", nil, float64(st.SwapFailures))
 }

@@ -58,12 +58,10 @@ func TestRouterMetricszGolden(t *testing.T) {
 	alt.requests.Add(2)
 	alt.observeLatency(12)
 
-	rt.metrics.probeErrors.Add(4)
 	rt.metrics.swaps.Add(2)
 	rt.metrics.swapFailures.Add(1)
 	rt.backends[0].requests.Add(9)
 	rt.backends[0].errors.Add(1)
-	rt.backends[0].setLoad(3, 0.25, 17.5)
 	rt.backends[1].inflight.Add(2)
 
 	req := httptest.NewRequest("GET", "/metricsz", nil)

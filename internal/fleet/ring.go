@@ -4,13 +4,14 @@
 // keyed by (model, input hash) so a given input keeps landing on the same
 // replica while that replica stays cache- and branch-warm — with
 // bounded-load overflow to the next ring node when the preferred backend
-// is saturated. Backends are health-probed (/readyz) and load-weighted
-// from their own exported telemetry (/metricsz); tail latency is clipped
-// by hedged requests (after a per-model p95 deadline the straggler's
-// input is re-sent to a second backend and the first answer wins); and
-// PUT /v2/models/{name} at the router performs a rolling fleet hot-swap,
-// draining and swapping backend by backend on top of the registry's
-// zero-drop per-node swap.
+// holds more than its share of the router's own in-flight requests (a
+// backend that sheds anyway answers 503, and the next node is tried).
+// Backends are health-probed (/readyz) and their burn-rate alerts rolled
+// up (/alertz); tail latency is clipped by hedged requests (after a
+// per-model p95 deadline the straggler's input is re-sent to a second
+// backend and the first answer wins); and PUT /v2/models/{name} at the
+// router performs a rolling fleet hot-swap, draining and swapping backend
+// by backend on top of the registry's zero-drop per-node swap.
 package fleet
 
 import (

@@ -25,7 +25,8 @@ type Config struct {
 	// the URL string.
 	Backends []string
 
-	// ProbeInterval is the health/load refresh period. Default 500ms.
+	// ProbeInterval is the health (/readyz) and alert (/alertz) refresh
+	// period. Default 500ms.
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one probe HTTP exchange. Default 2s.
 	ProbeTimeout time.Duration
@@ -40,32 +41,29 @@ type Config struct {
 	// exceeds c × the fleet-wide mean. Default 2.0; values < 1 are
 	// treated as 1 (a factor below the mean would reject everything).
 	LoadFactor float64
-	// SpillQueueFrac overflows a backend whose probed queue occupancy is
-	// at or above this fraction. Default 0.9.
-	SpillQueueFrac float64
 
 	// Hedge enables hedged requests: when a classify/resume attempt is
 	// still unanswered after the per-model hedge deadline, the same input
 	// is re-sent to the next ring node and the first answer wins. Default
 	// off (enable explicitly; duplicate work must be opted into).
 	Hedge bool
-	// HedgeQuantile is the per-model latency quantile used as the hedge
-	// deadline. Default 0.95.
-	HedgeQuantile float64
-	// HedgeMin/HedgeMax clamp the hedge deadline. Defaults 5ms / 1s.
-	// Setting HedgeMin == HedgeMax pins a fixed deadline (tests do).
+	// HedgeMin/HedgeMax clamp the hedge deadline (the model's
+	// router-observed hedgeQuantile latency). Defaults 5ms / 1s. Setting
+	// HedgeMin == HedgeMax pins a fixed deadline (tests do).
 	HedgeMin, HedgeMax time.Duration
-	// HedgeMinSamples is how many router-observed latencies a model needs
-	// before its own p95 drives the deadline; below it HedgeMax is used.
-	// Default 50.
-	HedgeMinSamples int64
 
 	// MaxBodyBytes bounds an accepted request body. Default 32 MiB.
 	MaxBodyBytes int64
-	// MaxIdleConnsPerHost sizes the forwarding client's connection reuse
-	// per backend. Default 2×GOMAXPROCS.
-	MaxIdleConnsPerHost int
 }
+
+const (
+	// hedgeQuantile is the per-model router-observed latency quantile used
+	// as the hedge deadline.
+	hedgeQuantile = 0.95
+	// hedgeMinSamples is how many router-observed latencies a model needs
+	// before its own quantile drives the deadline; below it HedgeMax is used.
+	hedgeMinSamples = 50
+)
 
 func (c Config) withDefaults() Config {
 	if c.ProbeInterval <= 0 {
@@ -86,12 +84,6 @@ func (c Config) withDefaults() Config {
 	if c.LoadFactor < 1 {
 		c.LoadFactor = 1
 	}
-	if c.SpillQueueFrac <= 0 {
-		c.SpillQueueFrac = 0.9
-	}
-	if c.HedgeQuantile <= 0 || c.HedgeQuantile >= 1 {
-		c.HedgeQuantile = 0.95
-	}
 	if c.HedgeMin <= 0 {
 		c.HedgeMin = 5 * time.Millisecond
 	}
@@ -101,14 +93,8 @@ func (c Config) withDefaults() Config {
 	if c.HedgeMax < c.HedgeMin {
 		c.HedgeMax = c.HedgeMin
 	}
-	if c.HedgeMinSamples <= 0 {
-		c.HedgeMinSamples = 50
-	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 32 << 20
-	}
-	if c.MaxIdleConnsPerHost <= 0 {
-		c.MaxIdleConnsPerHost = 2 * runtime.GOMAXPROCS(0)
 	}
 	return c
 }
@@ -146,6 +132,7 @@ func New(cfg Config) (*Router, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, fmt.Errorf("fleet: no backends configured")
 	}
+	idlePerHost := 2 * runtime.GOMAXPROCS(0)
 	backends := make([]*backend, len(cfg.Backends))
 	names := make([]string, len(cfg.Backends))
 	for i, raw := range cfg.Backends {
@@ -181,8 +168,8 @@ func New(cfg Config) (*Router, error) {
 			// longer than a classify).
 			Transport: &http.Transport{
 				DialContext:           (&net.Dialer{Timeout: 5 * time.Second}).DialContext,
-				MaxIdleConnsPerHost:   cfg.MaxIdleConnsPerHost,
-				MaxIdleConns:          cfg.MaxIdleConnsPerHost * len(cfg.Backends),
+				MaxIdleConnsPerHost:   idlePerHost,
+				MaxIdleConns:          idlePerHost * len(cfg.Backends),
 				IdleConnTimeout:       60 * time.Second,
 				ResponseHeaderTimeout: cfg.RequestTimeout,
 			},
@@ -265,11 +252,13 @@ func modelKey(model string) string {
 }
 
 // pickChain orders the backends for one key: ring sequence, filtered to
-// healthy + non-draining + under the bounded-load cap first, then healthy
-// non-draining overloaded ones (load spill must degrade to "serve anyway",
-// never to "reject while capacity exists"), then draining ones as a last
-// resort. Unhealthy backends are excluded entirely — transport errors
-// rejoin them only via the probe loop.
+// healthy + non-draining + under the bounded-load cap (the router's own
+// in-flight count) first, then healthy non-draining overloaded ones (load
+// spill must degrade to "serve anyway", never to "reject while capacity
+// exists"), then draining ones as a last resort. Unhealthy backends are
+// excluded entirely — transport errors rejoin them only via the probe loop.
+// A backend that is saturated all the same answers 503, and dispatch walks
+// on down the chain.
 func (rt *Router) pickChain(key uint64) []*backend {
 	seq := rt.ring.Seq(key)
 	cap := rt.loadCap()
@@ -283,7 +272,7 @@ func (rt *Router) pickChain(key uint64) []*backend {
 		switch {
 		case b.swapping.Load():
 			draining = append(draining, b)
-		case b.inflight.Load() >= cap || b.loadFrac() >= rt.cfg.SpillQueueFrac:
+		case b.inflight.Load() >= cap:
 			overloaded = append(overloaded, b)
 		default:
 			chain = append(chain, b)
@@ -533,7 +522,7 @@ func (rt *Router) dispatch(ctx context.Context, chain []*backend, method, path, 
 				// The client is gone or out of time; stop burning backends.
 				return res
 			}
-			res.backend.setHealthy(false)
+			res.backend.healthy.Store(false)
 			last, haveLast = res, true
 			continue
 		}
@@ -564,7 +553,7 @@ func (rt *Router) handleProxyGet(w http.ResponseWriter, r *http.Request) {
 			writeResult(w, res)
 			return
 		}
-		b.setHealthy(false)
+		b.healthy.Store(false)
 	}
 	w.Header().Set("Retry-After", "1")
 	serve.WriteError(w, http.StatusBadGateway, fmt.Sprintf("all backends failed: %v", res.err))

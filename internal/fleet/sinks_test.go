@@ -25,7 +25,7 @@ import (
 func TestRouterSinksAgree(t *testing.T) {
 	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
-			w.WriteHeader(http.StatusOK) // /readyz and the load probes
+			w.WriteHeader(http.StatusOK) // /readyz and /alertz
 			return
 		}
 		body, _ := io.ReadAll(r.Body)

@@ -107,7 +107,7 @@ func (rt *Router) swapOne(ctx context.Context, b *backend, path string, body []b
 	hr, err := rt.dataClient.Do(req)
 	if err != nil {
 		out.Error = err.Error()
-		b.setHealthy(false)
+		b.healthy.Store(false)
 		return out
 	}
 	defer hr.Body.Close()

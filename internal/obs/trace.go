@@ -63,7 +63,7 @@ type Span struct {
 // Trace collects the spans of one request under one ID. Spans complete on
 // whatever goroutine ran the work (pool workers, edge workers), so all
 // mutation is mutex-guarded. A nil *Trace is a valid no-op receiver for
-// Record/Merge/AdoptID — call sites on the hot path need no nil checks
+// Record/Merge — call sites on the hot path need no nil checks
 // beyond what they'd do anyway.
 type Trace struct {
 	mu         sync.Mutex
@@ -131,22 +131,6 @@ func (t *Trace) Propagated() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.propagated
-}
-
-// AdoptID replaces a generated ID with one carried in-band (the wire
-// header of an edge offload), marking the trace propagated so the
-// originating tier's spans join one cross-tier trace. Invalid IDs are
-// ignored; an already-propagated ID is never displaced.
-func (t *Trace) AdoptID(id string) {
-	if t == nil || !ValidID(id) {
-		return
-	}
-	t.mu.Lock()
-	if !t.propagated {
-		t.id = id
-		t.propagated = true
-	}
-	t.mu.Unlock()
 }
 
 // Record appends one closed span.

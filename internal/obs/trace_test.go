@@ -46,25 +46,8 @@ func TestNilTraceIsNoOp(t *testing.T) {
 	var tr *Trace
 	tr.Record("x", time.Now(), time.Now(), "")
 	tr.Merge("p:", []Span{{Name: "y"}})
-	tr.AdoptID("abc")
 	if tr.ID() != "" || tr.Propagated() || tr.Spans() != nil {
 		t.Error("nil trace leaked state")
-	}
-}
-
-func TestAdoptID(t *testing.T) {
-	tr := NewTrace(GenerateID(), false)
-	tr.AdoptID("not valid!") // rejected
-	if tr.Propagated() {
-		t.Fatal("invalid ID adopted")
-	}
-	tr.AdoptID("wire-id-1")
-	if !tr.Propagated() || tr.ID() != "wire-id-1" {
-		t.Fatalf("adopt failed: id=%q propagated=%v", tr.ID(), tr.Propagated())
-	}
-	tr.AdoptID("wire-id-2") // propagated IDs are never displaced
-	if tr.ID() != "wire-id-1" {
-		t.Fatalf("second adopt displaced the ID: %q", tr.ID())
 	}
 }
 

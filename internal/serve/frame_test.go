@@ -224,7 +224,7 @@ func TestFrameDoesNotAliasBody(t *testing.T) {
 	req := frame.infer()
 	check := func(when string) {
 		t.Helper()
-		jobs, err := req.inputs(m, true, 64, nil)
+		jobs, err := req.inputs(m, true, 64)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -289,10 +289,8 @@ func oneOrMany[T any](one T, hasOne bool, many []T, noun string, max int) ([]T, 
 // inputs validates the request's inputs against one model version and
 // prepares each as a job holding only its tensor and where on the routing
 // graph it enters: (0, 0) for a raw image, the decoded resume point for an
-// edge-offloaded activation. An activation carrying a trace ID (wire v3)
-// continues the edge tier's trace: tr adopts it unless the HTTP client
-// pinned one (AdoptID is a no-op then, and on a nil trace).
-func (q *inferRequest) inputs(m *Model, resume bool, max int, tr *obs.Trace) ([]*job, error) {
+// edge-offloaded activation.
+func (q *inferRequest) inputs(m *Model, resume bool, max int) ([]*job, error) {
 	if !resume {
 		inShape := m.cdln.Arch.Net.InShape
 		images, err := q.images.NormalizeImages(m.inWidth, max, inShape)
@@ -335,9 +333,6 @@ func (q *inferRequest) inputs(m *Model, resume bool, max int, tr *obs.Trace) ([]
 		}
 		if err != nil {
 			return nil, fmt.Errorf("payload %d: %v", i, err)
-		}
-		if act.TraceID != "" {
-			tr.AdoptID(act.TraceID)
 		}
 		jobs[i] = &job{x: tensor.FromSlice(act.Data, act.Shape...), node: act.Node, fromStage: act.FromStage}
 	}
@@ -467,7 +462,7 @@ func (s *Server) handleInfer(resume bool, newBody func() wireRequest) http.Handl
 
 		detail := DetailCost
 		build := func(m *Model) ([]*job, *requestError) {
-			jobs, err := req.inputs(m, resume, s.cfg.MaxRequestImages, obs.FromContext(ctx))
+			jobs, err := req.inputs(m, resume, s.cfg.MaxRequestImages)
 			if err != nil {
 				return nil, badRequest("%v", err)
 			}
@@ -500,7 +495,7 @@ func (s *Server) handleInfer(resume bool, newBody func() wireRequest) http.Handl
 		if dl, ok := ctx.Deadline(); ok && detail == DetailTrace {
 			resp.DeadlineUnixMS = dl.UnixMilli()
 		}
-		resp.TraceID, resp.Spans = finishTrace(w, r, detail)
+		resp.TraceID, resp.Spans = finishTrace(r, detail)
 		if req.v1 {
 			WriteJSON(w, http.StatusOK, resp.v1())
 		} else {

@@ -2,14 +2,13 @@ package serve
 
 // obs_test.go covers the observability surface: readiness vs liveness,
 // X-Trace-Id propagation (header echo on every response path, body trace
-// only when the client asked), span completeness over a routed graph,
-// wire-carried trace adoption on /v1/resume, the /metricsz exposition
+// only when the client asked), span completeness over a routed graph, the
+// /metricsz exposition
 // (structure, and under concurrent scrape + classify + hot-swap load), and
 // the overhead guard benchmark pinning the cost of always-on tracing.
 
 import (
 	"bytes"
-	"encoding/base64"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -19,8 +18,6 @@ import (
 	"testing"
 	"time"
 
-	"cdl/internal/edgecloud/wire"
-	"cdl/internal/fixed"
 	"cdl/internal/obs"
 )
 
@@ -239,43 +236,6 @@ func TestShedEchoesTrace(t *testing.T) {
 	if got := resp.Header.Get(obs.TraceHeader); got != "shed-trace-1" {
 		t.Errorf("shed trace echo %q, want shed-trace-1", got)
 	}
-}
-
-// TestWireTraceAdoption: a trace ID carried in-band by a version-3 wire
-// payload (headerless transport) must be adopted by /v1/resume — echoed on
-// the response header and opting the body into span detail — stitching the
-// edge's trace to the cloud's without HTTP header support.
-func TestWireTraceAdoption(t *testing.T) {
-	cdln, data := testCDLN(t, 65)
-	_, ts := startServer(t, cdln, Config{Workers: 1})
-	const wireID = "aabbccddeeff00112233445566778899"
-	x := data[0].X
-	b, err := wire.Encode(wire.Activation{
-		FromStage: 0,
-		Pos:       0,
-		Shape:     x.Shape(),
-		Data:      x.Data,
-		TraceID:   wireID,
-	}, wire.EncodingFloat64, fixed.Format{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, body := postTraced(t, ts.URL+"/v1/resume", "",
-		ResumeRequest{Payload: base64.StdEncoding.EncodeToString(b)})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("HTTP %d: %s", resp.StatusCode, body)
-	}
-	if got := resp.Header.Get(obs.TraceHeader); got != wireID {
-		t.Fatalf("header %q, want wire-adopted %q", got, wireID)
-	}
-	var out ClassifyResponse
-	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.TraceID != wireID {
-		t.Fatalf("body trace_id %q, want %q", out.TraceID, wireID)
-	}
-	assertSpanTree(t, out.Spans, true)
 }
 
 // TestV2TraceDetail: detail "trace" opts into the span timeline even

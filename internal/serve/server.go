@@ -136,9 +136,7 @@ func maxResumeWireSize(g *core.Graph) int {
 			}
 		}
 	}
-	// Trace-carrying payloads (wire v3) grow the header by a fixed amount;
-	// the body bound must admit them.
-	return size + wire.TraceOverhead
+	return size
 }
 
 // Server serves classification over a model registry. Create with New (one
@@ -468,17 +466,15 @@ func (s *Server) dispatch(w http.ResponseWriter, ctx context.Context, name strin
 	return nil, nil, false
 }
 
-// finishTrace re-asserts the response trace header — the ID may have been
-// adopted from a resumed wire payload after the middleware first set it —
-// and returns the body detail (ID + span timeline) for clients that opted
-// in, by sending X-Trace-Id themselves or by asking for detail level
-// "trace". Every other request keeps its exact pre-tracing body.
-func finishTrace(w http.ResponseWriter, r *http.Request, detail string) (string, []obs.Span) {
+// finishTrace returns the body detail (ID + span timeline) for clients that
+// opted in, by sending X-Trace-Id themselves or by asking for detail level
+// "trace". Every other request keeps its exact pre-tracing body. The
+// response header already carries the ID: the middleware set it.
+func finishTrace(r *http.Request, detail string) (string, []obs.Span) {
 	tr := obs.FromContext(r.Context())
 	if tr == nil {
 		return "", nil
 	}
-	w.Header().Set(obs.TraceHeader, tr.ID())
 	if !tr.Propagated() && detail != DetailTrace {
 		return "", nil
 	}
