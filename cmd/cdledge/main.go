@@ -28,11 +28,11 @@ import (
 	"os/signal"
 	"syscall"
 
-	"cdl"
 	"cdl/internal/control"
 	"cdl/internal/edgecloud"
 	"cdl/internal/edgecloud/wire"
 	"cdl/internal/energy"
+	"cdl/internal/modelio"
 	"cdl/internal/obs"
 )
 
@@ -60,7 +60,7 @@ func main() {
 }
 
 func run(model, addr, adminAddr, cloud, cloudModel, encoding, slo string, split, workers int, delta, pjByte, pjOffload float64) error {
-	cdln, err := cdl.LoadCDLN(model)
+	cdln, err := modelio.LoadFile(model)
 	if err != nil {
 		return err
 	}

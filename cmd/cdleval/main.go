@@ -13,8 +13,10 @@ import (
 	"fmt"
 	"os"
 
-	"cdl"
+	"cdl/internal/core"
+	"cdl/internal/energy"
 	"cdl/internal/mnist"
+	"cdl/internal/modelio"
 )
 
 func main() {
@@ -33,7 +35,7 @@ func main() {
 }
 
 func run(model string, testN int, seed int64, delta float64, tune, perDigit bool) error {
-	cdln, err := cdl.LoadCDLN(model)
+	cdln, err := modelio.LoadFile(model)
 	if err != nil {
 		return err
 	}
@@ -42,11 +44,11 @@ func run(model string, testN int, seed int64, delta float64, tune, perDigit bool
 		cdln.StageDeltas = nil
 	}
 	if tune {
-		valS, _, err := cdl.GenerateMNIST(testN, 1, seed+4242)
+		valS, _, err := mnist.GenerateSamples(testN, 1, seed+4242)
 		if err != nil {
 			return err
 		}
-		deltas, _, err := cdl.TuneDeltas(cdln, valS)
+		deltas, _, err := core.TuneDeltas(cdln, valS, core.DefaultTuneConfig())
 		if err != nil {
 			return err
 		}
@@ -54,11 +56,11 @@ func run(model string, testN int, seed int64, delta float64, tune, perDigit bool
 	}
 	fmt.Print(cdln.Summary())
 
-	_, testS, err := cdl.GenerateMNIST(1, testN, seed)
+	_, testS, err := mnist.GenerateSamples(1, testN, seed)
 	if err != nil {
 		return err
 	}
-	res, err := cdl.Evaluate(cdln, testS)
+	res, err := core.Evaluate(cdln, testS, 0, false)
 	if err != nil {
 		return err
 	}
@@ -72,7 +74,7 @@ func run(model string, testN int, seed int64, delta float64, tune, perDigit bool
 		fmt.Printf("  exit %-4s %5.1f%%\n", name, 100*res.ExitFraction(e, -1))
 	}
 
-	sum, err := cdl.EnergyOf(cdln, res)
+	sum, err := energy.NewEvaluator().FromEval(cdln, res)
 	if err != nil {
 		return err
 	}

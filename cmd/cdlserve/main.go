@@ -36,8 +36,9 @@ import (
 	"syscall"
 	"time"
 
-	"cdl"
 	"cdl/internal/control"
+	"cdl/internal/core"
+	"cdl/internal/modelio"
 	"cdl/internal/obs"
 	"cdl/internal/serve"
 )
@@ -114,8 +115,8 @@ func run(models []modelEntry, addr, adminAddr string, workers, queue, batch int,
 		if delta >= 0 {
 			// Apply the load-time δ override before registration, so the
 			// replica pool clones the mutated thresholds.
-			var cdln *cdl.CDLN
-			if cdln, err = cdl.LoadCDLN(e.path); err != nil {
+			var cdln *core.CDLN
+			if cdln, err = modelio.LoadFile(e.path); err != nil {
 				return err
 			}
 			cdln.Delta = delta

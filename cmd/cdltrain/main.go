@@ -10,10 +10,14 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 
-	"cdl"
 	"cdl/internal/core"
+	"cdl/internal/mnist"
+	"cdl/internal/modelio"
+	"cdl/internal/nn"
+	"cdl/internal/train"
 )
 
 func main() {
@@ -41,20 +45,20 @@ func run(archN, trainN, testN int, seed int64, epochs int, delta, epsilon float6
 		log = nil
 	}
 
-	trainS, testS, err := cdl.GenerateMNIST(trainN, testN, seed)
+	trainS, testS, err := mnist.GenerateSamples(trainN, testN, seed)
 	if err != nil {
 		return err
 	}
 
-	var arch *cdl.Arch
+	var arch *nn.Arch
 	switch archN {
 	case 6:
-		arch = cdl.NewArch6(seed + 100)
+		arch = nn.Arch6Layer(rand.New(rand.NewSource(seed + 100)))
 		if epochs == 0 {
 			epochs = 3
 		}
 	case 8:
-		arch = cdl.NewArch8(seed + 200)
+		arch = nn.Arch8Layer(rand.New(rand.NewSource(seed + 200)))
 		if epochs == 0 {
 			epochs = 7
 		}
@@ -64,26 +68,28 @@ func run(archN, trainN, testN int, seed int64, epochs int, delta, epsilon float6
 	if log != nil {
 		fmt.Fprintf(log, "training %s baseline for %d epochs on %d samples\n", arch.Name, epochs, trainN)
 	}
-	if err := cdl.TrainBaseline(arch, trainS, epochs, seed); err != nil {
+	tcfg := train.Defaults(arch.NumClasses)
+	tcfg.Epochs, tcfg.Seed = epochs, seed
+	if _, err := train.SGD(arch.Net, trainS, tcfg); err != nil {
 		return err
 	}
-	baseAcc := cdl.BaselineAccuracy(arch, testS)
+	baseAcc := train.Accuracy(arch.Net, testS, arch.NumClasses)
 	fmt.Printf("baseline accuracy: %.4f\n", baseAcc)
 
-	bcfg := cdl.DefaultBuildConfig()
+	bcfg := core.DefaultBuildConfig()
 	bcfg.Delta = delta
 	bcfg.Epsilon = epsilon
 	bcfg.ForceAllStages = force
 	bcfg.Seed = seed
 	bcfg.Log = log
-	cdln, report, err := cdl.BuildCDLN(arch, trainS, bcfg)
+	cdln, report, err := core.Build(arch, trainS, bcfg)
 	if err != nil {
 		return err
 	}
 	printReport(report)
 	fmt.Print(cdln.Summary())
 
-	res, err := cdl.Evaluate(cdln, testS)
+	res, err := core.Evaluate(cdln, testS, 0, false)
 	if err != nil {
 		return err
 	}
@@ -91,7 +97,7 @@ func run(archN, trainN, testN int, seed int64, epochs int, delta, epsilon float6
 		res.Confusion.Accuracy(), 100*(res.Confusion.Accuracy()-baseAcc))
 	fmt.Printf("normalized OPS: %.3f (%.2fx improvement)\n", res.NormalizedOps(), res.Improvement())
 
-	if err := cdl.SaveCDLN(out, cdln); err != nil {
+	if err := modelio.SaveFile(out, cdln); err != nil {
 		return err
 	}
 	fmt.Printf("saved model to %s\n", out)

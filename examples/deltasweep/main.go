@@ -10,20 +10,26 @@ package main
 import (
 	"fmt"
 	"log"
+	"math/rand"
 
-	"cdl"
+	"cdl/internal/core"
+	"cdl/internal/mnist"
+	"cdl/internal/nn"
+	"cdl/internal/train"
 )
 
 func main() {
-	trainS, testS, err := cdl.GenerateMNIST(3000, 1000, 1)
+	trainS, testS, err := mnist.GenerateSamples(3000, 1000, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	arch := cdl.NewArch8(11)
-	if err := cdl.TrainBaseline(arch, trainS, 7, 1); err != nil {
+	arch := nn.Arch8Layer(rand.New(rand.NewSource(11)))
+	tcfg := train.Defaults(arch.NumClasses)
+	tcfg.Epochs = 7
+	if _, err := train.SGD(arch.Net, trainS, tcfg); err != nil {
 		log.Fatal(err)
 	}
-	cdln, _, err := cdl.BuildCDLN(arch, trainS, cdl.DefaultBuildConfig())
+	cdln, _, err := core.Build(arch, trainS, core.DefaultBuildConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -32,7 +38,7 @@ func main() {
 	fmt.Println("delta  accuracy  normOPS   accuracy-vs-ops trade")
 	for delta := 0.30; delta <= 0.951; delta += 0.05 {
 		cdln.Delta = delta
-		res, err := cdl.Evaluate(cdln, testS)
+		res, err := core.Evaluate(cdln, testS, 0, false)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -21,46 +21,56 @@ package main
 import (
 	"fmt"
 	"log"
+	"math/rand"
 	"net/http/httptest"
 
-	"cdl"
+	"cdl/internal/core"
+	"cdl/internal/edgecloud"
+	"cdl/internal/edgecloud/wire"
+	"cdl/internal/energy"
+	"cdl/internal/mnist"
+	"cdl/internal/nn"
+	"cdl/internal/serve"
+	"cdl/internal/train"
 )
 
 func main() {
-	trainS, testS, err := cdl.GenerateMNIST(3000, 800, 1)
+	trainS, testS, err := mnist.GenerateSamples(3000, 800, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	arch := cdl.NewArch8(11)
+	arch := nn.Arch8Layer(rand.New(rand.NewSource(11)))
 	fmt.Println("training the 8-layer baseline...")
-	if err := cdl.TrainBaseline(arch, trainS, 7, 1); err != nil {
+	tcfg := train.Defaults(arch.NumClasses)
+	tcfg.Epochs = 7
+	if _, err := train.SGD(arch.Net, trainS, tcfg); err != nil {
 		log.Fatal(err)
 	}
-	bcfg := cdl.DefaultBuildConfig()
+	bcfg := core.DefaultBuildConfig()
 	bcfg.ForceAllStages = true // keep O3 so the sweep has four split points
-	cdln, _, err := cdl.BuildCDLN(arch, trainS, bcfg)
+	cdln, _, err := core.Build(arch, trainS, bcfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Monolithic reference: what a single-node deployment does.
-	mono, err := cdl.Evaluate(cdln, testS)
+	mono, err := core.Evaluate(cdln, testS, 0, false)
 	if err != nil {
 		log.Fatal(err)
 	}
-	monoEnergy, err := cdl.EnergyOf(cdln, mono)
+	monoEnergy, err := energy.NewEvaluator().FromEval(cdln, mono)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nmonolithic CDLN: accuracy %.4f, %.1f nJ/image (%.2fx energy improvement over baseline)\n",
 		mono.Confusion.Accuracy(), monoEnergy.MeanEnergy/1000, monoEnergy.Improvement())
-	fmt.Printf("link model: %.0f pJ/byte + %.1f nJ per transfer\n",
-		cdl.DefaultLink().PJPerByte, cdl.DefaultLink().PerOffloadPJ/1000)
+	link := energy.DefaultLink()
+	fmt.Printf("link model: %.0f pJ/byte + %.1f nJ per transfer\n", link.PJPerByte, link.PerOffloadPJ/1000)
 
 	// A real cloud backend over HTTP: the edge posts wire-encoded
 	// activations to its /v1/resume exactly as a distributed deployment
 	// would.
-	cloud, err := cdl.NewServer(cdln, cdl.ServeConfig{Workers: 2})
+	cloud, err := serve.New(cdln, serve.Config{Workers: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,7 +81,7 @@ func main() {
 	fmt.Println("delta  split  offload%   edge nJ   link nJ  cloud nJ  total nJ  accuracy")
 	for _, delta := range []float64{-1, 0.60, 0.75} {
 		for split := 0; split <= len(cdln.Stages); split++ {
-			cfg := cdl.DefaultEdgeConfig(split)
+			cfg := edgecloud.DefaultConfig(split)
 			cfg.Delta = delta
 			row, err := sweepRow(cdln, ts.URL, cfg, testS)
 			if err != nil {
@@ -91,8 +101,8 @@ func main() {
 	fmt.Println("quantized offload (Q2.13 wire, trained δ): 4x smaller payloads, 4x cheaper link")
 	fmt.Println("split  offload%   link nJ  bytes/offload  total nJ  accuracy")
 	for split := 0; split <= len(cdln.Stages); split++ {
-		cfg := cdl.DefaultEdgeConfig(split)
-		cfg.Encoding = cdl.WireFixed
+		cfg := edgecloud.DefaultConfig(split)
+		cfg.Encoding = wire.EncodingFixed
 		row, err := sweepRow(cdln, ts.URL, cfg, testS)
 		if err != nil {
 			log.Fatal(err)
@@ -123,8 +133,8 @@ type row struct {
 
 // sweepRow runs one edge deployment over the test set and aggregates the
 // tier energies (nJ/image), offload fraction and accuracy.
-func sweepRow(cdln *cdl.CDLN, cloudURL string, cfg cdl.EdgeConfig, testS []cdl.Sample) (row, error) {
-	edge, err := cdl.NewEdge(cdln, cdl.NewEdgeHTTPTransport(cloudURL), cfg)
+func sweepRow(cdln *core.CDLN, cloudURL string, cfg edgecloud.Config, testS []train.Sample) (row, error) {
+	edge, err := edgecloud.New(cdln, edgecloud.NewHTTPTransport(cloudURL), cfg)
 	if err != nil {
 		return row{}, err
 	}

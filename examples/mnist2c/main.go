@@ -10,25 +10,31 @@ package main
 import (
 	"fmt"
 	"log"
+	"math/rand"
 
-	"cdl"
+	"cdl/internal/core"
+	"cdl/internal/mnist"
+	"cdl/internal/nn"
+	"cdl/internal/train"
 )
 
 func main() {
-	trainS, testS, err := cdl.GenerateMNIST(4000, 1500, 1)
+	trainS, testS, err := mnist.GenerateSamples(4000, 1500, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	arch := cdl.NewArch6(101)
-	if err := cdl.TrainBaseline(arch, trainS, 3, 1); err != nil {
+	arch := nn.Arch6Layer(rand.New(rand.NewSource(101)))
+	tcfg := train.Defaults(arch.NumClasses)
+	tcfg.Epochs = 3
+	if _, err := train.SGD(arch.Net, trainS, tcfg); err != nil {
 		log.Fatal(err)
 	}
-	baseAcc := cdl.BaselineAccuracy(arch, testS)
+	baseAcc := train.Accuracy(arch.Net, testS, arch.NumClasses)
 
-	cfg := cdl.DefaultBuildConfig()
+	cfg := core.DefaultBuildConfig()
 	cfg.Epsilon = 10
-	cdln, report, err := cdl.BuildCDLN(arch, trainS, cfg)
+	cdln, report, err := core.Build(arch, trainS, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -37,7 +43,7 @@ func main() {
 			s.Name, s.Classified, s.Reaching, s.Gain, s.Admitted)
 	}
 
-	res, err := cdl.Evaluate(cdln, testS)
+	res, err := core.Evaluate(cdln, testS, 0, false)
 	if err != nil {
 		log.Fatal(err)
 	}

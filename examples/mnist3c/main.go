@@ -11,35 +11,42 @@ package main
 import (
 	"fmt"
 	"log"
+	"math/rand"
 
-	"cdl"
+	"cdl/internal/core"
+	"cdl/internal/energy"
+	"cdl/internal/mnist"
+	"cdl/internal/nn"
+	"cdl/internal/train"
 )
 
 func main() {
-	trainS, testS, err := cdl.GenerateMNIST(4000, 1500, 1)
+	trainS, testS, err := mnist.GenerateSamples(4000, 1500, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	arch := cdl.NewArch8(201)
-	if err := cdl.TrainBaseline(arch, trainS, 7, 1); err != nil {
+	arch := nn.Arch8Layer(rand.New(rand.NewSource(201)))
+	tcfg := train.Defaults(arch.NumClasses)
+	tcfg.Epochs = 7
+	if _, err := train.SGD(arch.Net, trainS, tcfg); err != nil {
 		log.Fatal(err)
 	}
-	baseAcc := cdl.BaselineAccuracy(arch, testS)
+	baseAcc := train.Accuracy(arch.Net, testS, arch.NumClasses)
 
-	cfg := cdl.DefaultBuildConfig()
+	cfg := core.DefaultBuildConfig()
 	cfg.Epsilon = 10 // rejects O3, as the paper's Fig. 9 break-even demands
-	cdln, _, err := cdl.BuildCDLN(arch, trainS, cfg)
+	cdln, _, err := core.Build(arch, trainS, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Print(cdln.Summary())
 
-	res, err := cdl.Evaluate(cdln, testS)
+	res, err := core.Evaluate(cdln, testS, 0, false)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sum, err := cdl.EnergyOf(cdln, res)
+	sum, err := energy.NewEvaluator().FromEval(cdln, res)
 	if err != nil {
 		log.Fatal(err)
 	}

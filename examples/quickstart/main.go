@@ -9,34 +9,40 @@ package main
 import (
 	"fmt"
 	"log"
+	"math/rand"
 
-	"cdl"
+	"cdl/internal/core"
+	"cdl/internal/mnist"
+	"cdl/internal/nn"
+	"cdl/internal/train"
 )
 
 func main() {
 	// 1. Data: a deterministic synthetic MNIST split (28×28 digits).
-	trainS, testS, err := cdl.GenerateMNIST(3000, 500, 1)
+	trainS, testS, err := mnist.GenerateSamples(3000, 500, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// 2. Baseline: the paper's Table II 8-layer DLN, trained briefly — CDL
 	// explicitly works with baselines that are "less than optimal".
-	arch := cdl.NewArch8(7)
-	if err := cdl.TrainBaseline(arch, trainS, 10, 1); err != nil {
+	arch := nn.Arch8Layer(rand.New(rand.NewSource(7)))
+	cfg := train.Defaults(arch.NumClasses)
+	cfg.Epochs = 10
+	if _, err := train.SGD(arch.Net, trainS, cfg); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("baseline accuracy: %.4f\n", cdl.BaselineAccuracy(arch, testS))
+	fmt.Printf("baseline accuracy: %.4f\n", train.Accuracy(arch.Net, testS, arch.NumClasses))
 
 	// 3. CDL: attach linear classifiers to the conv stages (Algorithm 1).
-	cdln, _, err := cdl.BuildCDLN(arch, trainS, cdl.DefaultBuildConfig())
+	cdln, _, err := core.Build(arch, trainS, core.DefaultBuildConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Print(cdln.Summary())
 
 	// 4. Early-exit inference (Algorithm 2).
-	res, err := cdl.Evaluate(cdln, testS)
+	res, err := core.Evaluate(cdln, testS, 0, false)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -22,7 +22,8 @@ import (
 	"sync"
 	"time"
 
-	"cdl"
+	"cdl/internal/mnist"
+	"cdl/internal/train"
 )
 
 type result struct {
@@ -78,7 +79,7 @@ func run(addr string, n, clients, batch int, delta float64, seed int64, models [
 	if n < 1 || clients < 1 || batch < 1 || len(models) == 0 {
 		return nil, fmt.Errorf("n, c, batch and the model list must be positive")
 	}
-	_, test, err := cdl.GenerateMNIST(1, n, seed)
+	_, test, err := mnist.GenerateSamples(1, n, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +117,7 @@ func run(addr string, n, clients, batch int, delta float64, seed int64, models [
 }
 
 // post classifies one batch and returns one result per image.
-func post(addr, model string, batch []cdl.Sample, delta float64) ([]result, error) {
+func post(addr, model string, batch []train.Sample, delta float64) ([]result, error) {
 	images := make([][]float64, len(batch))
 	for i, s := range batch {
 		images[i] = s.X.Data

@@ -7,9 +7,11 @@ import (
 	"strings"
 	"testing"
 
-	"cdl"
 	"cdl/internal/core"
+	"cdl/internal/mnist"
+	"cdl/internal/modelio"
 	"cdl/internal/serve"
+	"cdl/internal/train"
 )
 
 // TestClientMatchesEvaluate pins what the verify recipes rely on: the exit
@@ -18,7 +20,7 @@ import (
 // over /v1, over a named /v2 model with a δ policy, and round robin across
 // both. The model is the benchmark's MNIST_3C fixture, read in place.
 func TestClientMatchesEvaluate(t *testing.T) {
-	model, err := cdl.LoadCDLN("../../bench/testdata/mnist3c.cdln")
+	model, err := modelio.LoadFile("../../bench/testdata/mnist3c.cdln")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +37,7 @@ func TestClientMatchesEvaluate(t *testing.T) {
 	defer ts.Close()
 
 	const n, batch, seed = 300, 7, 3
-	_, test, err := cdl.GenerateMNIST(1, n, seed)
+	_, test, err := mnist.GenerateSamples(1, n, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +63,7 @@ func TestClientMatchesEvaluate(t *testing.T) {
 		}
 		correct, totalOps, baseOps := 0, 0.0, 0.0
 		for k, m := range tc.models {
-			var subset []cdl.Sample
+			var subset []train.Sample
 			for r := k; r*batch < n; r += len(tc.models) {
 				subset = append(subset, test[r*batch:min((r+1)*batch, n)]...)
 			}

@@ -25,7 +25,7 @@ func AcceleratorSweep(ctx *Context) (*AcceleratorSweepResult, error) {
 
 	out := &AcceleratorSweepResult{}
 	for _, pes := range []int{4, 8, 16, 32, 64} {
-		acc := hw.Accelerator{Tech: hw.Tech45nm(), PEs: pes, MemPorts: maxInt(1, pes/2)}
+		acc := hw.Accelerator{Tech: hw.Tech45nm(), PEs: pes, MemPorts: max(1, pes/2)}
 		ev := energy.Evaluator{Acc: acc}
 		sum, err := ev.FromEval(cdln3, res)
 		if err != nil {
@@ -39,11 +39,4 @@ func AcceleratorSweep(ctx *Context) (*AcceleratorSweepResult, error) {
 		})
 	}
 	return out, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

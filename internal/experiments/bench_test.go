@@ -1,4 +1,4 @@
-package cdl
+package experiments_test
 
 // One benchmark per table and figure of the paper (see DESIGN.md §5 for the
 // experiment index). Each benchmark regenerates its result from the shared

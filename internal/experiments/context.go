@@ -5,9 +5,10 @@
 // rendering that mirrors the paper's presentation.
 //
 // The substrate differs from the authors' (synthetic MNIST, analytic 45 nm
-// energy model — see DESIGN.md §4), so EXPERIMENTS.md records paper-vs-
-// measured values; the assertions encoded here are the *shape* claims:
-// who wins, by roughly what factor, and where the crossovers fall.
+// energy model — see DESIGN.md §4), so cmd/cdlexp's report and DESIGN.md §5
+// set paper against measured values; the assertions encoded here are the
+// *shape* claims: who wins, by roughly what factor, and where the
+// crossovers fall.
 package experiments
 
 import (
@@ -46,8 +47,8 @@ type Config struct {
 	Log io.Writer
 }
 
-// DefaultConfig returns the configuration used for the recorded
-// EXPERIMENTS.md numbers. The baseline epoch budgets stop well short of
+// DefaultConfig returns the configuration cmd/cdlexp reports (DESIGN.md
+// §5). The baseline epoch budgets stop well short of
 // convergence on purpose: the paper's accuracy enhancement (§II, §V.B)
 // assumes a baseline that is "less than optimal, i.e. not fully trained",
 // whose features the rapidly-converging stage classifiers then out-predict.

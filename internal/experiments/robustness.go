@@ -18,8 +18,9 @@ type RobustnessRow struct {
 
 // RobustnessResult replicates the MNIST_3C headline across independent
 // seeds (fresh dataset, fresh initialization, fresh training), answering
-// the question EXPERIMENTS.md's claims hang on: do the qualitative results
-// survive resampling, or did one lucky seed produce them?
+// the question the reproduced claims (DESIGN.md §5) hang on: do the
+// qualitative results survive resampling, or did one lucky seed produce
+// them?
 type RobustnessResult struct {
 	Rows []RobustnessRow
 	// AccGain summarizes CDLN − baseline accuracy across seeds.

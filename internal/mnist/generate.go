@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"strconv"
 	"strings"
+
+	"cdl/internal/train"
 )
 
 // GenConfig controls the synthetic digit generator. Zero values take the
@@ -193,6 +195,15 @@ func GenerateSplit(trainN, testN int, seed int64) (trainImgs, testImgs []Image, 
 		return nil, nil, err
 	}
 	return trainImgs, testImgs, nil
+}
+
+// GenerateSamples is GenerateSplit returned as training samples.
+func GenerateSamples(trainN, testN int, seed int64) (trainS, testS []train.Sample, err error) {
+	trainImgs, testImgs, err := GenerateSplit(trainN, testN, seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ToSamples(trainImgs), ToSamples(testImgs), nil
 }
 
 // renderDigit draws one randomized instance of the digit's glyph.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -98,6 +99,80 @@ func TestGenerateBadConfig(t *testing.T) {
 	}
 	if _, err := Generate(GenConfig{N: 10, DifficultyExponent: -1}); err == nil {
 		t.Error("negative DifficultyExponent accepted")
+	}
+}
+
+func TestParseGroups(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		want [][]int
+	}{
+		{"even,odd", [][]int{{0, 2, 4, 6, 8}, {1, 3, 5, 7, 9}}},
+		{"all", [][]int{{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}}},
+		{"0-4, 5-9", [][]int{{0, 1, 2, 3, 4}, {5, 6, 7, 8, 9}}},
+		{"3-3", [][]int{{3}}},
+		{"013,89", [][]int{{0, 1, 3}, {8, 9}}},
+		{"0-2,567,odd", [][]int{{0, 1, 2}, {5, 6, 7}, {1, 3, 5, 7, 9}}},
+	} {
+		got, err := ParseGroups(tc.spec)
+		if err != nil {
+			t.Errorf("%q: %v", tc.spec, err)
+		} else if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%q = %v, want %v", tc.spec, got, tc.want)
+		}
+	}
+	for _, spec := range []string{"", "  ", "even,", ",odd", "5-2", "0-10", "-1-3", "a-b", "0-", "12x", "evens"} {
+		if g, err := ParseGroups(spec); err == nil {
+			t.Errorf("%q accepted as %v", spec, g)
+		}
+	}
+}
+
+func TestGenerateGrouped(t *testing.T) {
+	groups := [][]int{{3, 8}, {0, 1, 2, 4, 5, 6, 7, 9}}
+	imgs, err := Generate(GenConfig{N: 400, Seed: 4, Groups: groups[:1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, im := range imgs {
+		if im.Label != 3 && im.Label != 8 {
+			t.Fatalf("image %d: label %d outside the group {3, 8}", i, im.Label)
+		}
+	}
+	// Weights bias the group draw: 9:1 toward {3, 8} puts ~90% of labels
+	// there, against ~50% unweighted.
+	inFirst := func(weights []float64) float64 {
+		imgs, err := Generate(GenConfig{N: 1000, Seed: 5, Groups: groups, GroupWeights: weights})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, im := range imgs {
+			if im.Label == 3 || im.Label == 8 {
+				n++
+			}
+		}
+		return float64(n) / float64(len(imgs))
+	}
+	if f := inFirst([]float64{9, 1}); f < 0.85 || f > 0.95 {
+		t.Errorf("weights 9:1: %.3f of labels in the first group, want ≈ 0.9", f)
+	}
+	if f := inFirst(nil); f < 0.44 || f > 0.56 {
+		t.Errorf("uniform groups: %.3f of labels in the first group, want ≈ 0.5", f)
+	}
+	for _, cfg := range []GenConfig{
+		{N: 10, Groups: [][]int{{1}, {}}},
+		{N: 10, Groups: [][]int{{1, 10}}},
+		{N: 10, Groups: [][]int{{-1}}},
+		{N: 10, Groups: groups, GroupWeights: []float64{1}},
+		{N: 10, Groups: groups, GroupWeights: []float64{1, 0}},
+		{N: 10, Groups: groups, GroupWeights: []float64{1, -2}},
+		{N: 10, Groups: groups, GroupWeights: []float64{1, math.NaN()}},
+		{N: 10, Groups: groups, GroupWeights: []float64{math.Inf(1), 1}},
+	} {
+		if _, err := Generate(cfg); err == nil {
+			t.Errorf("bad config accepted: groups %v weights %v", cfg.Groups, cfg.GroupWeights)
+		}
 	}
 }
 

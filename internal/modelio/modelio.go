@@ -9,6 +9,8 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 
 	"cdl/internal/core"
 	"cdl/internal/linclass"
@@ -341,6 +343,64 @@ func LoadCDLN(r io.Reader) (*core.CDLN, error) {
 		return nil, fmt.Errorf("modelio: file is a routed graph (version %d); load it with LoadGraph", s.Version)
 	}
 	return cdlnFromSpec(s)
+}
+
+// SaveFile writes a CDLN to path atomically: the bytes land in a temp file
+// in the same directory, are synced, and are renamed over path only once
+// complete. A reader (in particular a serving registry hot-reloading the
+// path, PUT /v2/models/{name}) therefore never observes a torn or
+// half-written model file — it sees either the old version or the new one.
+func SaveFile(path string, c *core.CDLN) (err error) {
+	// The temp file is staged next to path (a bare filename's dir is "",
+	// which Join keeps in the working directory), never in os.TempDir():
+	// rename across filesystems fails, and same-directory staging is what
+	// makes the rename atomic.
+	dir, base := filepath.Split(path)
+	// Hand-rolled temp creation rather than os.CreateTemp: O_EXCL with
+	// mode 0666 gets the kernel's umask applied, preserving exactly the
+	// permissions the old os.Create writer produced (CreateTemp would pin
+	// 0600 and a Chmod would bypass the umask).
+	var f *os.File
+	var tmp string
+	for i := 0; ; i++ {
+		tmp = filepath.Join(dir, fmt.Sprintf("%s.tmp-%d-%d", base, os.Getpid(), i))
+		f, err = os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666)
+		if err == nil {
+			break
+		}
+		if !os.IsExist(err) || i >= 10000 {
+			return fmt.Errorf("modelio: %w", err)
+		}
+	}
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(tmp)
+		}
+	}()
+	if err = SaveCDLN(f, c); err != nil {
+		return err
+	}
+	if err = f.Sync(); err != nil {
+		return fmt.Errorf("modelio: %w", err)
+	}
+	if err = f.Close(); err != nil {
+		return fmt.Errorf("modelio: %w", err)
+	}
+	if err = os.Rename(tmp, path); err != nil {
+		return fmt.Errorf("modelio: %w", err)
+	}
+	return nil
+}
+
+// LoadFile reads a CDLN written by SaveFile.
+func LoadFile(path string) (*core.CDLN, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("modelio: %w", err)
+	}
+	defer f.Close()
+	return LoadCDLN(f)
 }
 
 // SaveGraph writes a routing graph. A linear graph (one routeless node) is

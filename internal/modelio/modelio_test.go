@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -107,6 +109,68 @@ func TestLoadGarbage(t *testing.T) {
 	}
 	if _, err := LoadCDLN(bytes.NewReader([]byte{1, 2, 3})); err == nil {
 		t.Error("garbage cdln accepted")
+	}
+}
+
+func TestLoadFileMissing(t *testing.T) {
+	if _, err := LoadFile(filepath.Join(t.TempDir(), "nope.cdln")); err == nil {
+		t.Error("missing file accepted")
+	}
+}
+
+// TestSaveFileAtomic pins the write-temp-then-rename contract: a save over
+// an existing model either fully replaces it or leaves it untouched, and
+// no temp files survive in either case — a registry hot-reloading the path
+// must never observe a torn file. It runs once with a full path and once
+// with a bare filename, whose temp file must be staged in the working
+// directory.
+func TestSaveFileAtomic(t *testing.T) {
+	cdln, data := trainedPair(t)
+	for _, bare := range []bool{false, true} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "model.cdln")
+		if bare {
+			wd, err := os.Getwd()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Chdir(dir); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { os.Chdir(wd) })
+			path = "model.cdln"
+		}
+		// Save twice (create, then atomic replace) and reload after each.
+		for round := 0; round < 2; round++ {
+			if err := SaveFile(path, cdln); err != nil {
+				t.Fatal(err)
+			}
+			back, err := LoadFile(path)
+			if err != nil {
+				t.Fatalf("bare=%v round %d: %v", bare, round, err)
+			}
+			for i := 0; i < 10; i++ {
+				if a, b := cdln.Classify(data[i].X), back.Classify(data[i].X); !a.Equal(b) {
+					t.Fatalf("bare=%v: loaded model diverges on sample %d", bare, i)
+				}
+			}
+		}
+		// An invalid model must fail before touching path and clean its temp.
+		bad := cdln.Clone()
+		bad.Delta = 7 // outside [0,1]: Validate rejects at save time
+		if err := SaveFile(path, bad); err == nil {
+			t.Fatal("invalid model saved")
+		}
+		if _, err := LoadFile(path); err != nil {
+			t.Fatalf("bare=%v: failed save corrupted the existing file: %v", bare, err)
+		}
+		files, err := filepath.Glob(filepath.Join(dir, "*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(files) != 1 || filepath.Base(files[0]) != "model.cdln" {
+			t.Fatalf("bare=%v: temp files left behind: %v", bare, files)
+		}
 	}
 }
 

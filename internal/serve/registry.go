@@ -328,12 +328,7 @@ func (r *Registry) SwapBranch(name, branch string, cdln *core.CDLN) (*Model, err
 // LoadBranch is SwapBranch reading the replacement cascade from a modelio
 // file — the entry point behind PUT /v2/models/{name}/branches/{branch}.
 func (r *Registry) LoadBranch(name, branch, path string) (*Model, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("serve: load branch %q of %q: %w", branch, name, err)
-	}
-	defer f.Close()
-	cdln, err := modelio.LoadCDLN(f)
+	cdln, err := modelio.LoadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("serve: load branch %q of %q: %w", branch, name, err)
 	}
