@@ -44,11 +44,12 @@ func arch8CDLN(seed int64) *CDLN {
 
 // TestClassifyBatchAllocs is the scratch guard (ROADMAP item 2c): once a
 // session is warm, a batched walk on the paper's 8-layer architecture
-// allocates only its records and the per-stage feature and survivor views
-// — every activation, the stacked input and the scores live in
-// replica-owned scratch under replica-owned headers, and the conv layers'
-// fan-out over four workers starts func values bound once per replica.
-// Skipped under -race, which instruments allocations.
+// allocates only its records — every activation, the stacked input, the
+// scores and the per-stage feature and survivor views live in lane-owned
+// scratch under lane-owned headers, and the call's lanes over four procs
+// start func values bound once per lane. The guard covers the monolithic
+// walk at batch 32 and 1, and the edge-split cloud shape: a resume from
+// stage 1 at batch 8. Skipped under -race, which instruments allocations.
 func TestClassifyBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -59,30 +60,46 @@ func TestClassifyBatchAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	xs := randomImages(32, 4)
-	for _, bsz := range []int{32, 1} {
-		batch := xs[:bsz]
+	var acts []*tensor.T // P1 activations O1 did not exit, for the resume
+	for _, pre := range sess.ClassifyPrefixBatchPolicy(xs, 1, DefaultExitPolicy()) {
+		if !pre.Exited && len(acts) < 8 {
+			acts = append(acts, pre.Activation)
+		}
+	}
+	if len(acts) != 8 {
+		t.Fatalf("%d inputs passed O1, want 8 to resume", len(acts))
+	}
+	for _, tc := range []struct {
+		name  string
+		exits int // exits the call must reach, 0 for any
+		call  func() []ExitRecord
+	}{
+		{"classify batch 32", 3, func() []ExitRecord { return sess.ClassifyBatchPolicy(xs, DefaultExitPolicy()) }},
+		{"classify batch 1", 0, func() []ExitRecord { return sess.ClassifyBatchPolicy(xs[:1], DefaultExitPolicy()) }},
+		{"resume batch 8 from stage 1", 2, func() []ExitRecord { return sess.ResumeBatchPolicyAt(acts, 0, 1, DefaultExitPolicy()) }},
+	} {
 		exits := make(map[int]bool)
-		for _, r := range sess.ClassifyBatchPolicy(batch, DefaultExitPolicy()) { // warms the scratch
+		for _, r := range tc.call() { // warms the scratch
 			exits[r.StageIndex] = true
 		}
-		if bsz == 32 && len(exits) != 3 {
-			t.Fatalf("batch reached exits %v, want all three: the guard must cover both compactions and the FC tail", exits)
+		if tc.exits > 0 && len(exits) != tc.exits {
+			t.Fatalf("%s reached exits %v, want %d: the guard must cover every compaction and the FC tail", tc.name, exits, tc.exits)
 		}
 		// The runtime recycles an exited goroutine on the P it exited on, so
 		// until every P holds a stock, a `go` on the caller's P can still
 		// allocate a fresh one: warm that cache too.
 		for range 400 {
-			sess.ClassifyBatchPolicy(batch, DefaultExitPolicy())
+			tc.call()
 		}
-		allocs := testing.AllocsPerRun(20, func() { sess.ClassifyBatchPolicy(batch, DefaultExitPolicy()) })
+		allocs := testing.AllocsPerRun(20, func() { tc.call() })
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		sess.ClassifyBatchPolicy(batch, DefaultExitPolicy())
+		tc.call()
 		runtime.ReadMemStats(&m1)
 		bytes := m1.TotalAlloc - m0.TotalAlloc
-		t.Logf("batch %d: %.0f allocs, %d B per call", bsz, allocs, bytes)
-		if maxAllocs := map[int]float64{32: 6, 1: 6}[bsz]; allocs > maxAllocs || bytes > 4000 {
-			t.Errorf("warm ClassifyBatchPolicy at batch %d: %.0f allocs, %d B per call; want ≤ %.0f allocs, ≤ 4000 B", bsz, allocs, bytes, maxAllocs)
+		t.Logf("%s: %.0f allocs, %d B per call", tc.name, allocs, bytes)
+		if allocs > 6 || bytes > 4000 {
+			t.Errorf("warm %s: %.0f allocs, %d B per call; want ≤ 6 allocs, ≤ 4000 B", tc.name, allocs, bytes)
 		}
 	}
 }

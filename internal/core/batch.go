@@ -21,13 +21,18 @@ package core
 // each input the ExitRecord — exit stage, label, confidence, op count —
 // equals the reference record exactly, at every batch size. A tier split
 // is the same walk with a non-default start (ResumeBatchPolicyAt) or stop
-// (ClassifyPrefixBatchPolicy). The differential harnesses in batch_test.go,
+// (ClassifyPrefixBatchPolicy). Each call forks once (fan): contiguous
+// image ranges walk to completion on lanes of their own, and no float
+// crosses a range boundary. The differential harnesses in batch_test.go,
 // graph_test.go and linear_equiv_test.go enforce this across randomized
 // batches; DESIGN.md §2 documents the 1e-9 contract the harness
 // over-delivers on.
 
 import (
+	"cmp"
 	"fmt"
+	"runtime"
+	"slices"
 	"time"
 
 	"cdl/internal/tensor"
@@ -79,26 +84,10 @@ func (s *Session) ResumeBatchPolicyAt(acts []*tensor.T, node, fromStage int, pol
 	if len(acts) == 0 {
 		return nil
 	}
-	want := g.Nodes[node].Model.Arch.Net.ShapeAt(pos)
-	for i, a := range acts {
-		if !a.HasShape(want) {
-			panic(fmt.Sprintf("core: ResumeBatch activation %d: %v", i, g.ValidateResume(node, fromStage, pos, a.Shape())))
-		}
-	}
 	recs := make([]ExitRecord, len(acts))
-	act, idx := s.stackBatch(acts, want)
-	grp := batchGroup{node: node, from: fromStage, pos: pos, act: act, idx: idx}
-	var queue []batchGroup // routed groups, in dispatch order
-	for {
-		// The node's share of the path-depth cap: its FC when the cap lies
-		// beyond its stages, the forced exit at the capped stage otherwise.
-		to := min(capG-g.EntryDepth(grp.node), len(g.Nodes[grp.node].Model.Stages))
-		s.walk(grp, to, true, pol, recs, &queue)
-		if len(queue) == 0 {
-			return recs
-		}
-		grp, queue = queue[0], queue[1:]
-	}
+	shape := g.Nodes[node].Model.Arch.Net.ShapeAt(pos)
+	s.fan(laneCall{xs: acts, shape: shape, recs: recs, node: node, from: fromStage, pos: pos, to: capG, pol: pol})
+	return recs
 }
 
 // ClassifyPrefixBatchPolicy runs the first splitStage trunk cascade stages
@@ -131,33 +120,8 @@ func (s *Session) ClassifyPrefixBatchPolicy(xs []*tensor.T, splitStage int, pol 
 	if capG := s.graph.maxExit(pol); capG < splitStage {
 		to, forced = capG, true
 	}
-	recs := make([]ExitRecord, len(xs))
-	act, idx := s.stackBatch(xs, s.model.Arch.Net.InShape)
-	var routed []batchGroup
-	rest := s.walk(batchGroup{act: act, idx: idx}, to, forced, pol, recs, &routed)
 	results := make([]PrefixResult, len(xs))
-	for i, rec := range recs {
-		results[i] = PrefixResult{Record: rec, Exited: true}
-	}
-	if len(rest.idx) > 0 {
-		sshape := rest.act.Shape()[1:]
-		ssz := rest.act.Numel() / len(rest.idx)
-		for r, orig := range rest.idx {
-			private := tensor.New(sshape...)
-			copy(private.Data, rest.act.Data[r*ssz:(r+1)*ssz])
-			results[orig] = PrefixResult{Activation: private, Node: 0, FromStage: splitStage, Pos: rest.pos}
-		}
-	}
-	for _, grp := range routed {
-		// Routed rows were gathered into fresh buffers, so disjoint views
-		// are already private.
-		sshape := grp.act.Shape()[1:]
-		ssz := grp.act.Numel() / len(grp.idx)
-		for r, orig := range grp.idx {
-			view := tensor.FromSlice(grp.act.Data[r*ssz:(r+1)*ssz], sshape...)
-			results[orig] = PrefixResult{Activation: view, Node: grp.node, FromStage: 0, Pos: 0}
-		}
-	}
+	s.fan(laneCall{xs: xs, shape: s.model.Arch.Net.InShape, pres: results, to: to, forced: forced, pol: pol})
 	return results
 }
 
@@ -170,34 +134,171 @@ func (s *Session) checkStageDeltas(pol ExitPolicy) {
 	}
 }
 
+// fanOps is the least work worth a lane, in ops (≈ MACs: 2¹⁶ is 2¹⁷
+// flops) of a call's first segment summed over its inputs. Below it waking
+// an idle P (≈ 0.1 ms at p50) costs more than sharing the images saves.
+const fanOps = 1 << 16
+
+// laneCall is one call's arguments, written before any lane starts. Lane r
+// walks inputs [r·per, (r+1)·per) and writes each outcome into the call's
+// one result slice at the input's index: recs for a resume, pres a prefix.
+type laneCall struct {
+	xs              []*tensor.T
+	shape           []int // one input's shape
+	recs            []ExitRecord
+	pres            []PrefixResult
+	node, from, pos int  // where the walk starts
+	to              int  // resume: the path-depth cap; prefix: the last stage walked
+	forced          bool // prefix: stage `to` is a forced exit
+	pol             ExitPolicy
+	per             int
+	observer        func(StageEvent) // non-nil: lanes buffer events for the caller to deliver
+}
+
+// record is where input i's exit record goes.
+func (c *laneCall) record(i int) *ExitRecord {
+	if c.pres != nil {
+		return &c.pres[i].Record
+	}
+	return &c.recs[i]
+}
+
+// fan is a call's one fork: B inputs split into min(GOMAXPROCS, B,
+// B·segOps/fanOps) ranges of ⌈B/ranges⌉, recounted so none is empty, where
+// segOps is the per-input cost of the walk's first segment (consecutive
+// ExitOps entries). The caller checks the shapes, walks range 0 and, after
+// the join, delivers the stage events. A batch of one never builds a lane.
+func (s *Session) fan(c laneCall) {
+	for i, x := range c.xs {
+		if !x.HasShape(c.shape) {
+			panic(fmt.Sprintf("core: batch input %d: %v", i, s.graph.ValidateResume(c.node, c.from, c.pos, x.Shape())))
+		}
+	}
+	b, ops := len(c.xs), s.exitOps[c.node]
+	ranges := max(1, min(runtime.GOMAXPROCS(0), b, int(float64(b)*(ops[c.from+1]-ops[c.from])/fanOps)))
+	c.per, c.observer = (b+ranges-1)/ranges, s.observer
+	ranges = (b + c.per - 1) / c.per
+	s.call = c
+	for len(s.lanes) < ranges {
+		l, r := newLane(s.graph.Clone()), len(s.lanes)
+		l.run = func() { s.walkRange(l, r); s.wg.Done() }
+		s.lanes = append(s.lanes, l)
+	}
+	s.wg.Add(ranges - 1)
+	for _, l := range s.lanes[1:ranges] {
+		go l.run()
+	}
+	s.walkRange(s.lanes[0], 0)
+	s.wg.Wait()
+	if c.observer != nil {
+		s.deliver(s.lanes[:ranges], c.node)
+	}
+}
+
+// walkRange walks range r of the current call to completion on lane l: a
+// resume's stages, branch queue and FC tails, or a prefix and its handoffs.
+func (s *Session) walkRange(l *lane, r int) {
+	c := &s.call
+	lo, hi := r*c.per, min((r+1)*c.per, len(c.xs))
+	l.events = l.events[:0]
+	grp := batchGroup{node: c.node, from: c.from, pos: c.pos}
+	grp.act, grp.idx = l.stackBatch(c.xs[lo:hi], lo, c.shape)
+	if g := l.graph; c.pres == nil {
+		var queue []batchGroup // routed groups, in dispatch order
+		for {
+			// The node's share of the path-depth cap: its FC, or the forced
+			// exit at the capped stage.
+			to := min(c.to-g.EntryDepth(grp.node), len(g.Nodes[grp.node].Model.Stages))
+			l.walk(grp, to, true, c, &queue)
+			if len(queue) == 0 {
+				return
+			}
+			grp, queue = queue[0], queue[1:]
+		}
+	}
+	var handoffs []batchGroup // rows routed to branches, then the survivors
+	rest := l.walk(grp, c.to, c.forced, c, &handoffs)
+	for i := lo; i < hi; i++ {
+		c.pres[i].Exited = true
+	}
+	for _, grp := range append(handoffs, rest) {
+		for r, orig := range grp.idx {
+			ssz := grp.act.Numel() / len(grp.idx)
+			private := tensor.New(grp.act.Shape()[1:]...)
+			copy(private.Data, grp.act.Data[r*ssz:(r+1)*ssz])
+			c.pres[orig] = PrefixResult{Activation: private, Node: grp.node, FromStage: grp.from, Pos: grp.pos}
+		}
+	}
+}
+
+// deliver hands the observer the lanes' buffered events as the serial walk
+// emits them. Events of one unit of work (same Kind, Node, Stage and
+// Branch) merge: Rows concatenated in lane order, which is input order,
+// the earliest Start and the latest End. Then nodes go in dispatch order
+// from the start node, each node's exit points in stage order, a stage's
+// StageForward before its route events and those by first row, the order
+// in which the serial walk opens its gathers and queues their groups.
+func (s *Session) deliver(lanes []*lane, start int) {
+	for order, q := []int{start}, 0; q < len(order); q++ {
+		node := s.node[:0]
+		for _, l := range lanes {
+		next:
+			for _, ev := range l.events {
+				if ev.Node != order[q] {
+					continue
+				}
+				for k := range node {
+					if e := &node[k]; e.Kind == ev.Kind && e.Stage == ev.Stage && e.Branch == ev.Branch {
+						e.Rows = append(e.Rows, ev.Rows...)
+						if ev.Start.Before(e.Start) {
+							e.Start = ev.Start
+						}
+						if ev.End.After(e.End) {
+							e.End = ev.End
+						}
+						continue next
+					}
+				}
+				node = append(node, ev)
+			}
+		}
+		slices.SortFunc(node, func(a, b StageEvent) int {
+			return cmp.Or(cmp.Compare(a.Stage, b.Stage), cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.Rows[0], b.Rows[0]))
+		})
+		for _, ev := range node {
+			if ev.Kind == StageRoute {
+				order = append(order, ev.Branch)
+			}
+			s.observer(ev)
+		}
+		s.node = node
+	}
+}
+
 // stackBatch copies the per-sample activations, each of shape sshape, into
 // one contiguous batched tensor [B, ...sshape] and returns it with the
-// identity row→input index map. Both live in session scratch, valid until
-// the next call on this session.
-func (s *Session) stackBatch(xs []*tensor.T, sshape []int) (*tensor.T, []int) {
+// row→input index map lo, lo+1, …: row r is the call's input lo+r. Both
+// live in lane scratch, valid until the next call on the session.
+func (l *lane) stackBatch(xs []*tensor.T, lo int, sshape []int) (*tensor.T, []int) {
 	ssz := 1
 	for _, d := range sshape {
 		ssz *= d
 	}
-	buf := s.bstack.Data
+	buf := l.bstack.Data
 	if cap(buf) < len(xs)*ssz {
 		buf = make([]float64, len(xs)*ssz)
 	}
-	shape := append(make([]int, 1, 8), sshape...) // constant cap: stays on the stack
-	shape[0] = len(xs)
-	act := s.bstack.Point(buf[:len(xs)*ssz], shape...)
+	shape := append(append(make([]int, 0, 8), len(xs)), sshape...) // constant cap: stays on the stack
+	act := l.bstack.Point(buf[:len(xs)*ssz], shape...)
 	for i, x := range xs {
-		if x.Numel() != ssz {
-			panic(fmt.Sprintf("core: batch input %d numel %d, want %d (shape %v)", i, x.Numel(), ssz, sshape))
-		}
 		copy(act.Data[i*ssz:(i+1)*ssz], x.Data)
 	}
-	if cap(s.bidx) < len(xs) {
-		s.bidx = make([]int, len(xs))
+	if cap(l.bidx) < len(xs) {
+		l.bidx = make([]int, len(xs))
 	}
-	idx := s.bidx[:len(xs)]
+	idx := l.bidx[:len(xs)]
 	for i := range idx {
-		idx[i] = i
+		idx[i] = lo + i
 	}
 	return act, idx
 }
@@ -205,27 +306,27 @@ func (s *Session) stackBatch(xs []*tensor.T, sshape []int) (*tensor.T, []int) {
 // walk is Algorithm 2 for one node's rows: at each exit point from
 // grp.from on, run the baseline to the tap, score the stage classifier and
 // apply the activation module per row, writing an ExitRecord into
-// recs[idx[r]] for every row that exits, gathering rows a route dispatches
-// into per-branch groups appended to routed, and compacting the remaining
-// survivors in place. Exit points before `to` are conditional. With
-// terminate set, exit point `to` is the unconditional terminator every
-// surviving row leaves at — the node's FC output when `to` is its stage
-// count, else the capped stage's classifier verdict whatever its
+// call.record(idx[r]) for every row that exits, gathering rows a route
+// dispatches into per-branch groups appended to routed, and compacting the
+// remaining survivors in place. Exit points before `to` are conditional.
+// With terminate set, exit point `to` is the unconditional terminator
+// every surviving row leaves at — the node's FC output when `to` is its
+// stage count, else the capped stage's classifier verdict whatever its
 // confidence (the ExitPolicy.MaxExit forced exit: the baseline advances
 // only to that stage's tap, so the exit's path cost stays exact). Without
 // it the walk stops after the conditional stages and returns the survivors
-// — activation, baseline position reached, index map — for the other tier.
-// With pol.Trace each evaluated exit point's winning confidence is
-// appended to the sample's record; a routed sample's trace keeps
-// accumulating in its branch group.
-func (s *Session) walk(grp batchGroup, to int, terminate bool, pol ExitPolicy, recs []ExitRecord, routed *[]batchGroup) batchGroup {
-	g, node := s.graph, grp.node
+// — activation, stage `to` and baseline position reached, index map — for
+// the other tier. With call.pol.Trace each evaluated exit point's winning
+// confidence is appended to the sample's record; a routed sample's trace
+// keeps accumulating in its branch group.
+func (l *lane) walk(grp batchGroup, to int, terminate bool, call *laneCall, routed *[]batchGroup) batchGroup {
+	g, node := l.graph, grp.node
 	c := g.Nodes[node].Model
 	act, pos, idx := grp.act, grp.pos, grp.idx
 	for i := grp.from; len(idx) > 0 && (i < to || terminate && i == to); i++ {
 		var evStart time.Time
 		var evRows []int
-		if s.observer != nil {
+		if call.observer != nil {
 			// Copy before the row loop: compaction rewrites idx in place.
 			evStart = time.Now()
 			evRows = append([]int(nil), idx...)
@@ -246,16 +347,16 @@ func (s *Session) walk(grp batchGroup, to int, terminate bool, pol ExitPolicy, r
 			st := c.Stages[i]
 			act = c.Arch.Net.ForwardBatchRange(act, pos, st.Tap)
 			pos = st.Tap
-			scores = s.bscores.Data
+			scores = l.bscores.Data
 			if cap(scores) < nAct*st.LC.Out {
 				scores = make([]float64, nAct*st.LC.Out)
 			}
 			scores = scores[:nAct*st.LC.Out]
-			st.LC.ScoresBatchInto(act.Reshape(nAct, act.Numel()/nAct), s.bscores.Point(scores, nAct, st.LC.Out))
+			st.LC.ScoresBatchInto(l.feat.Point(act.Data, nAct, act.Numel()/nAct), l.bscores.Point(scores, nAct, st.LC.Out))
 			if last {
 				kind = StageForced
 			} else {
-				delta = s.stageDeltaAt(node, i, pol)
+				delta = g.stageDelta(node, i, call.pol)
 				route = g.routeFor(node, i)
 			}
 		}
@@ -270,19 +371,19 @@ func (s *Session) walk(grp batchGroup, to int, terminate bool, pol ExitPolicy, r
 			idx  []int
 		}
 		var hand []pending
-		row := s.rows[node][i]
+		row := l.rows[node][i]
 		w := 0
 		for r := 0; r < nAct; r++ {
 			copy(row.Data, scores[r*width:(r+1)*width])
-			orig := idx[r]
+			out := call.record(idx[r])
 			conf, class := row.Max()
-			if pol.Trace {
-				recs[orig].Trace = append(recs[orig].Trace, conf)
+			if call.pol.Trace {
+				out.Trace = append(out.Trace, conf)
 			}
 			if last || c.Rule.ShouldExit(row, delta) {
 				rec := g.exitRecord(node, i, class, conf)
-				rec.Trace = recs[orig].Trace
-				recs[orig] = rec
+				rec.Trace = out.Trace
+				*out = rec
 				continue
 			}
 			if route != nil {
@@ -301,21 +402,21 @@ func (s *Session) walk(grp batchGroup, to int, terminate bool, pol ExitPolicy, r
 						hi = len(hand) - 1
 					}
 					hand[hi].data = append(hand[hi].data, act.Data[r*ssz:(r+1)*ssz]...)
-					hand[hi].idx = append(hand[hi].idx, orig)
+					hand[hi].idx = append(hand[hi].idx, idx[r])
 					continue
 				}
 			}
 			if w != r {
 				copy(act.Data[w*ssz:(w+1)*ssz], act.Data[r*ssz:(r+1)*ssz])
 			}
-			idx[w] = orig
+			idx[w] = idx[r]
 			w++
 		}
-		if s.observer != nil {
+		if call.observer != nil {
 			evEnd := time.Now()
-			s.observer(StageEvent{Kind: kind, Node: node, Stage: i, Rows: evRows, Start: evStart, End: evEnd})
-			for _, h := range hand {
-				s.observer(StageEvent{Kind: StageRoute, Node: node, Stage: i, Branch: h.node, Rows: h.idx, Start: evEnd, End: evEnd})
+			l.events = append(l.events, StageEvent{Kind: kind, Node: node, Stage: i, Rows: evRows, Start: evStart, End: evEnd})
+			for _, h := range hand { // Rows a copy: the branch's walk compacts h.idx before delivery
+				l.events = append(l.events, StageEvent{Kind: StageRoute, Node: node, Stage: i, Branch: h.node, Rows: append([]int(nil), h.idx...), Start: evEnd, End: evEnd})
 			}
 		}
 		for _, h := range hand {
@@ -328,19 +429,23 @@ func (s *Session) walk(grp batchGroup, to int, terminate bool, pol ExitPolicy, r
 		}
 		idx = idx[:w]
 		if 0 < w && w < nAct {
-			act = act.Head(w)
+			shape := append(make([]int, 0, 8), w) // constant cap: stays on the stack
+			for d := 1; d < act.Rank(); d++ {
+				shape = append(shape, act.Dim(d))
+			}
+			act = l.surv.Point(act.Data[:w*ssz], shape...)
 		}
 	}
-	return batchGroup{node: node, pos: pos, act: act, idx: idx}
+	return batchGroup{node: node, from: to, pos: pos, act: act, idx: idx}
 }
 
-// stageDeltaAt resolves the effective threshold for a node's stage i under
+// stageDelta resolves the effective threshold for a node's stage i under
 // a policy: the node's trained value, then the policy's global Delta, then
 // — for trunk stages only — the policy's per-stage entry (per-stage
 // overrides name trunk stages; branch stages keep their own trained
 // thresholds under the global override).
-func (s *Session) stageDeltaAt(node, i int, p ExitPolicy) float64 {
-	c := s.graph.Nodes[node].Model
+func (g *Graph) stageDelta(node, i int, p ExitPolicy) float64 {
+	c := g.Nodes[node].Model
 	d := c.Delta
 	if c.StageDeltas != nil {
 		d = c.StageDeltas[i]

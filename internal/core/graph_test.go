@@ -41,13 +41,16 @@ func rawTrunk(seed int64) *CDLN {
 // activation, then FC over the given class count. Untrained — with δ=0.5
 // the sigmoid scores land on both sides of the threshold, so branch O1 and
 // branch FC exits both occur.
-func branchCDLN(seed int64, classes int) *CDLN {
+func branchCDLN(seed int64, classes int) *CDLN { return branchOver(seed, classes, 2, 5, 5) }
+
+// branchOver is branchCDLN over a tap of c maps of h×w.
+func branchOver(seed int64, classes, c, h, w int) *CDLN {
 	rng := rand.New(rand.NewSource(seed))
-	net := nn.NewNetwork([]int{2, 5, 5},
-		nn.NewConv2D("B1", 2, 2, 2),
+	net := nn.NewNetwork([]int{c, h, w},
+		nn.NewConv2D("B1", c, 2, 2),
 		nn.NewSigmoid("B1.act"),
 		nn.NewFlatten("B.flat"),
-		nn.NewDense("BFC", 2*4*4, classes),
+		nn.NewDense("BFC", 2*(h-1)*(w-1), classes),
 		nn.NewSigmoid("BFC.act"),
 	)
 	nn.InitNetwork(net, rng)
@@ -61,7 +64,7 @@ func branchCDLN(seed int64, classes int) *CDLN {
 	}
 	return &CDLN{
 		Arch:   arch,
-		Stages: []*Stage{{Name: "O1", Tap: 2, LC: linclass.New(2*4*4, classes, rng)}},
+		Stages: []*Stage{{Name: "O1", Tap: 2, LC: linclass.New(2*(h-1)*(w-1), classes, rng)}},
 		Delta:  0.5,
 		Rule:   ThresholdRule{},
 		Ops:    opcount.Default(),

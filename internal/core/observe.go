@@ -46,7 +46,8 @@ type StageEvent struct {
 }
 
 // SetStageObserver installs fn as the session's observer (nil removes
-// it). The observer is called synchronously on the walking goroutine —
-// keep it cheap. Like the session itself it is single-goroutine state:
-// install before a walk, clear after, never concurrently with one.
+// it). The observer is called on the calling goroutine once the call's
+// lanes have joined, with the events in the order a one-lane walk emits
+// them — keep it cheap. Like the session itself it is single-goroutine
+// state: install before a walk, clear after, never concurrently with one.
 func (s *Session) SetStageObserver(fn func(StageEvent)) { s.observer = fn }

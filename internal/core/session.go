@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"cdl/internal/tensor"
 )
@@ -19,27 +20,42 @@ import (
 // The graph walk only diverges where a Route actually fires.
 //
 // Scratch lifetime: every activation a call computes (stacked input,
-// nn.ForwardBatchRange results, scores) lives in replica-owned buffers,
-// valid until the next call on the session. Nothing a call returns aliases
-// them: every activation that outlives the walk is copied out first.
+// nn.ForwardBatchRange results, scores, the per-stage feature and survivor
+// views) lives in lane-owned buffers under lane-owned headers, valid until
+// the next call on the session. Nothing a call returns aliases them: every
+// activation that outlives the walk is copied out first.
 //
-// A Session is not safe for concurrent use; create one per worker.
+// A call may walk its image ranges on several lanes at once (batch.go's
+// fan), but a Session is not safe for concurrent use; create one per worker.
 type Session struct {
 	graph *Graph
 	model *CDLN // trunk replica, the entry cascade
 
-	// Walk scratch: one score-row buffer per exit point (rows[node][exit],
-	// the node's stages then its FC), the stacked input and stacked scores
-	// (header and buffer) and the active-row index map, the last three
-	// grown on demand and reused across calls.
-	rows    [][]*tensor.T
-	bstack  tensor.T
-	bscores tensor.T
-	bidx    []int
+	exitOps [][]float64 // per node: 0, then its ExitOps; fan prices a segment by difference
+
+	// lanes[0] walks the caller's range; more are built as calls split
+	// wider. call is the current call, wg its join, node deliver's buffer.
+	lanes []*lane
+	call  laneCall
+	wg    sync.WaitGroup
+	node  []StageEvent
 
 	// observer, when set, sees one StageEvent per executed unit of
 	// cascade work (observe.go). Nil costs one pointer check per stage.
 	observer func(StageEvent)
+}
+
+// lane walks one image range of a call over a private graph replica
+// (weights shared) with its own scratch: score rows per exit point
+// (rows[node][exit]), stacked input, scores, feature and survivor views,
+// index map, buffered stage events, and run, its range's body bound once.
+type lane struct {
+	graph                       *Graph
+	rows                        [][]*tensor.T
+	bstack, bscores, feat, surv tensor.T
+	bidx                        []int
+	events                      []StageEvent
+	run                         func()
 }
 
 // NewSession validates the model and returns a warm session over a private
@@ -65,20 +81,29 @@ func NewGraphSession(g *Graph) (*Session, error) {
 	return newGraphSession(g.Clone()), nil
 }
 
-// newGraphSession wraps an already-private replica, validating it to build
-// the derived routing tables on the replica.
+// newGraphSession wraps an already-private replica as lane 0's graph.
 func newGraphSession(g *Graph) *Session {
+	s := &Session{graph: g, model: g.Trunk(), lanes: []*lane{newLane(g)}}
+	for _, n := range g.Nodes {
+		s.exitOps = append(s.exitOps, append([]float64{0}, n.Model.ExitOps()...))
+	}
+	return s
+}
+
+// newLane validates a private graph replica, building its derived routing
+// tables, and allocates its score rows.
+func newLane(g *Graph) *lane {
 	if err := g.Validate(); err != nil {
 		panic(fmt.Sprintf("core: session over invalid graph: %v", err))
 	}
-	s := &Session{graph: g, model: g.Trunk(), rows: make([][]*tensor.T, len(g.Nodes))}
+	l := &lane{graph: g, rows: make([][]*tensor.T, len(g.Nodes))}
 	for ni, n := range g.Nodes {
 		for _, st := range n.Model.Stages {
-			s.rows[ni] = append(s.rows[ni], tensor.New(st.LC.Out))
+			l.rows[ni] = append(l.rows[ni], tensor.New(st.LC.Out))
 		}
-		s.rows[ni] = append(s.rows[ni], tensor.New(n.Model.Arch.NumClasses))
+		l.rows[ni] = append(l.rows[ni], tensor.New(n.Model.Arch.NumClasses))
 	}
-	return s
+	return l
 }
 
 // Graph returns the session's private routing graph replica (a one-node

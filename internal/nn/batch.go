@@ -3,8 +3,9 @@ package nn
 // batch.go is the batched inference fast path: every layer's ForwardBatch
 // (a method of Layer) processes a whole micro-batch per call, with the
 // convolutions lowered to im2col + GEMM (im2col.go, gemm.go) one image at a
-// time, image ranges in parallel (Conv2D.fanOut), instead of the per-sample
-// nested loops of Forward.
+// time, instead of the per-sample nested loops of Forward. The package is
+// serial: a batch's parallelism lives a level up, in internal/core's
+// Session, which walks contiguous image ranges on replicas of its own.
 //
 // The contract — enforced by the differential harness in equiv_test.go and
 // internal/core's batch_test.go — is that ForwardBatch applied to a stack
@@ -24,7 +25,6 @@ package nn
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"cdl/internal/obs"
@@ -93,25 +93,6 @@ func growScratch(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// fanFlops is the least lowered-GEMM work, in flops, worth a range of its
-// own: about four images of Arch8's C1. Below it a goroutine's start and
-// join cost more than sharing the images saves.
-const fanFlops = 1 << 17
-
-// convCall is one batched convolution's arguments, written by the caller
-// before any range starts and only read while they run.
-type convCall struct {
-	in, out             []float64
-	bsz, h, w, per, win int // per: images per range; win: pooling window, 0 unfused
-}
-
-// convJob is one range after the caller's own: its scratch, and its body
-// bound once when the job table grows, so `go` on it allocates nothing.
-type convJob struct {
-	buf []float64
-	run func()
-}
-
 // checkBatch panics unless in is [B, inC, H, W] with room for the kernel,
 // and returns the output plane's height and width.
 func (c *Conv2D) checkBatch(in *tensor.T) (oh, ow int) {
@@ -125,59 +106,20 @@ func (c *Conv2D) checkBatch(in *tensor.T) (oh, ow int) {
 	return oh, ow
 }
 
-// split returns how many contiguous image ranges a batch of bsz h×w images
-// runs in, and the images per range: min(GOMAXPROCS, B, flops/fanFlops)
-// ranges of ⌈B/ranges⌉ images, recounted so that no range is left empty.
-// A batch of one is one range without asking the scheduler.
-func (c *Conv2D) split(bsz, h, w int) (ranges, per int) {
-	if bsz <= 1 {
-		return 1, bsz
-	}
-	flops := 2 * c.outC * c.inC * c.k * c.k * (h - c.k + 1) * (w - c.k + 1)
-	ranges = max(1, min(runtime.GOMAXPROCS(0), bsz, bsz*flops/fanFlops))
-	per = (bsz + ranges - 1) / ranges
-	return (bsz + per - 1) / per, per
-}
-
-// fanOut is the one batched convolution (win 0: unfused, else the fused
-// segment's pooling window): the caller runs the first of split's ranges
-// and the job table's goroutines the rest, each lowering its images one at
-// a time into disjoint blocks of out. One image's im2col columns (48–115 KB
-// on the paper's first convolutions) stay in L2, where a batch-wide
-// lowering at B = 32 (1.5–3.7 MB) does not. One range leaves the table be.
-func (c *Conv2D) fanOut(in *tensor.T, out []float64, win int) {
-	bsz, h, w := in.Dim(0), in.Dim(2), in.Dim(3)
-	ranges, per := c.split(bsz, h, w)
-	c.call = convCall{in: in.Data, out: out, bsz: bsz, h: h, w: w, per: per, win: win}
-	if ranges == 1 {
-		c.lowerRange(0, &c.buf)
-		return
-	}
-	for len(c.jobs) < ranges-1 {
-		r := len(c.jobs) + 1
-		c.jobs = append(c.jobs, convJob{run: func() { c.lowerRange(r, &c.jobs[r-1].buf); c.wg.Done() }})
-	}
-	c.wg.Add(ranges - 1)
-	for i := range ranges - 1 {
-		go c.jobs[i].run()
-	}
-	c.lowerRange(0, &c.buf)
-	c.wg.Wait()
-}
-
-// lowerRange convolves range r's images one at a time in the scratch *buf:
+// lower is the one batched convolution (win 0: unfused, else the fused
+// segment's pooling window), one image at a time in the layer's scratch, so
+// the columns (48–115 KB on the paper's first convolutions) stay in L2:
 // im2col, the serial grouped GEMM (groupK = k·k is Forward's summation
 // order; a column's sum depends on neither the tiling nor N), then per map
-// pool + bias + σ into the pooled output or, unfused, the bias in place:
-// one image's [outC, oh·ow] product is its [outC, oh, ow] block of out.
-// Under the phase profile the range charges each phase once, summed.
-func (c *Conv2D) lowerRange(r int, buf *[]float64) {
-	a := &c.call
-	oh, ow, win := a.h-c.k+1, a.w-c.k+1, max(a.win, 1)
-	plane, pw, kk := oh*ow, ow/win, c.k*c.k
-	kcols, chw, oplane, pplane := c.inC*kk, c.inC*a.h*a.w, c.outC*plane, oh/win*pw
-	*buf = growScratch(*buf, kcols*plane+oplane)
-	cols := (*buf)[:kcols*plane]
+// pool + bias + σ into the pooled output or, unfused, the bias in place.
+// Under the phase profile a call charges each phase once, summed.
+func (c *Conv2D) lower(in *tensor.T, out []float64, win int) {
+	bsz, h, w := in.Dim(0), in.Dim(2), in.Dim(3)
+	oh, ow, pwin := h-c.k+1, w-c.k+1, max(win, 1)
+	plane, pw, kk := oh*ow, ow/pwin, c.k*c.k
+	kcols, chw, oplane, pplane := c.inC*kk, c.inC*h*w, c.outC*plane, oh/pwin*pw
+	c.buf = growScratch(c.buf, kcols*plane+oplane)
+	cols := c.buf[:kcols*plane]
 	var spent *[3]time.Duration // im2col, GEMM, epilogue; nil unless profiling
 	var t time.Time
 	if obs.ProfilingEnabled() {
@@ -190,18 +132,18 @@ func (c *Conv2D) lowerRange(r int, buf *[]float64) {
 			t = now
 		}
 	}
-	for bi := r * a.per; bi < min((r+1)*a.per, a.bsz); bi++ {
-		im2colInto(a.in[bi*chw:][:chw], 1, c.inC, a.h, a.w, c.k, cols)
+	for bi := range bsz {
+		im2colInto(in.Data[bi*chw:][:chw], 1, c.inC, h, w, c.k, cols)
 		lap(0)
-		prod := (*buf)[kcols*plane:]
-		if a.win == 0 {
-			prod = a.out[bi*oplane:][:oplane]
+		prod := c.buf[kcols*plane:]
+		if win == 0 {
+			prod = out[bi*oplane:][:oplane]
 		}
 		gemmTiles(c.weight.W.Data, c.outC, kcols, cols, plane, prod, kk, 0, plane)
 		lap(1)
 		for oc, b := range c.bias.W.Data {
-			if src := prod[oc*plane:][:plane]; a.win > 0 {
-				poolSigmoid(a.out[(bi*c.outC+oc)*pplane:][:pplane], src, ow, pw, win, b, nil)
+			if src := prod[oc*plane:][:plane]; win > 0 {
+				poolSigmoid(out[(bi*c.outC+oc)*pplane:][:pplane], src, ow, pw, win, b, nil)
 			} else {
 				for i := range src {
 					src[i] += b
@@ -213,18 +155,18 @@ func (c *Conv2D) lowerRange(r int, buf *[]float64) {
 	if spent != nil {
 		obs.ProfAdd(obs.PhaseIm2Col, spent[0])
 		obs.ProfAdd(obs.PhaseGEMM, spent[1])
-		if a.win > 0 {
+		if win > 0 {
 			obs.ProfAdd(obs.PhaseEpilogue, spent[2])
 		}
 	}
 }
 
-// ForwardBatch implements Layer: fanOut with no fused epilogue, into
-// a fresh [B, outC, oh, ow] activation.
+// ForwardBatch implements Layer: lower with no fused epilogue, into a
+// fresh [B, outC, oh, ow] activation.
 func (c *Conv2D) ForwardBatch(in *tensor.T) *tensor.T {
 	oh, ow := c.checkBatch(in)
 	out := tensor.New(in.Dim(0), c.outC, oh, ow)
-	c.fanOut(in, out.Data, 0)
+	c.lower(in, out.Data, 0)
 	return out
 }
 
@@ -234,7 +176,7 @@ const nearTie = 1e-12
 var nearTieBits = math.Float64bits(nearTie)
 
 // forwardBatchSigmoidPool is the fused Conv2D → Sigmoid → MaxPool2D
-// segment: fanOut with each image's GEMM product pooled straight into the
+// segment: lower with each image's GEMM product pooled straight into the
 // [B, outC, oh/win, ow/win] activation in the layer's scratch.
 // fl(g+b) and σ are monotone, so maxpool(σ(conv+b)) = σ(max(conv)+b): one
 // math.Exp per pooled element, not one per conv output. No libm documents
@@ -249,7 +191,7 @@ func (c *Conv2D) forwardBatchSigmoidPool(in *tensor.T, p *MaxPool2D) *tensor.T {
 	}
 	bsz := in.Dim(0)
 	out := c.bpool.Point(growScratch(c.bpool.Data, bsz*c.outC*ph*pw), bsz, c.outC, ph, pw)
-	c.fanOut(in, out.Data, p.win)
+	c.lower(in, out.Data, p.win)
 	return out
 }
 

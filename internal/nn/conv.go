@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"sync"
 
 	"cdl/internal/tensor"
 )
@@ -26,13 +25,10 @@ type Conv2D struct {
 	out *tensor.T
 
 	// batched fast path state (batch.go), grown on demand, never shared:
-	// Clone starts replicas without it. call is the current call, buf the
-	// caller's range's scratch, jobs the other ranges and wg their join,
-	// bpool the fused segment's pooled output under its returned header.
-	call  convCall
+	// Clone starts replicas without it. buf is one image's im2col columns
+	// and GEMM product, bpool the fused segment's pooled output under its
+	// returned header.
 	buf   []float64
-	jobs  []convJob
-	wg    sync.WaitGroup
 	bpool tensor.T
 }
 

@@ -10,7 +10,6 @@ package nn
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"cdl/internal/tensor"
@@ -201,46 +200,6 @@ func TestGemmGroupedMatchesReference(t *testing.T) {
 		}
 		if !tensor.Equal(got, want) {
 			t.Fatalf("GemmGrouped(m=%d k=%d n=%d groupK=%d) diverges from reference", m, k, n, groupK)
-		}
-	}
-}
-
-// TestConvFanOutRanges sets GOMAXPROCS so that the conv fan-out's image
-// ranges come out uneven and short: fewer images than workers, 33 images
-// over 8, and batches where ⌈B/workers⌉-image ranges run out of images
-// before the workers do (9 over 8 is five ranges, the last of one image;
-// 33 over 8 is seven, not eight with an empty one). Every row of the fused
-// segment and of the unfused convolution must equal Forward. A batch of one
-// must never touch the job table.
-func TestConvFanOutRanges(t *testing.T) {
-	old := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(old)
-	rng := rand.New(rand.NewSource(31))
-	net := Arch6Layer(rand.New(rand.NewSource(4))).Net // every C1 image clears fanFlops
-	conv := net.Layers[0].(*Conv2D)
-	x1 := randTensor(rng, 1, 1, 28, 28)
-	net.ForwardBatchRange(x1, 0, 3)
-	conv.ForwardBatch(x1)
-	if conv.jobs != nil {
-		t.Fatalf("a batch of one grew the job table to %d jobs", len(conv.jobs))
-	}
-	for _, tc := range []struct{ procs, bsz, ranges int }{
-		{8, 1, 1}, {8, 3, 3}, {8, 9, 5}, {8, 33, 7}, {3, 32, 3}, {2, 5, 2}, {1, 32, 1},
-	} {
-		runtime.GOMAXPROCS(tc.procs)
-		if got, _ := conv.split(tc.bsz, 28, 28); got != tc.ranges {
-			t.Fatalf("GOMAXPROCS %d, batch %d: %d ranges, want %d", tc.procs, tc.bsz, got, tc.ranges)
-		}
-		xs := make([]*tensor.T, tc.bsz)
-		for i := range xs {
-			xs[i] = randTensor(rng, net.InShape...)
-		}
-		x := stack(xs)
-		fused := net.ForwardBatchRange(x, 0, 3)
-		unfused := conv.ForwardBatch(x)
-		for bi, xi := range xs {
-			assertRowsEqual(t, "fan-out unfused", bi, unfused, conv.Forward(xi))
-			assertRowsEqual(t, "fan-out fused", bi, fused, net.ForwardRange(xi, 0, 3))
 		}
 	}
 }

@@ -1,8 +1,8 @@
 package nn
 
 // gemm.go is the batched fast-path matrix kernel: a cache-blocked, serial
-// GEMM (parallelism lives a level up, by image: batch.go's Conv2D.fanOut)
-// whose floating-point summation order is pinned to
+// GEMM (parallelism lives in internal/core, by image range: the Session's
+// lanes) whose floating-point summation order is pinned to
 // the naive per-sample reference path (conv.go's Conv2DValid loop and
 // dense.go's MatVecInto), so the im2col+GEMM convolution reproduces the
 // reference forward bit for bit — the property the differential harness in

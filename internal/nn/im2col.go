@@ -4,8 +4,10 @@ package nn
 // classic im2col expansion rearranges every k×k input patch into a column,
 // so the convolution of B images becomes one [outC, inC·k·k]×[inC·k·k,
 // B·oh·ow] matrix product (gemm.go). The batched walk lowers one image at a
-// time (B = 1, batch.go), which keeps the columns in cache; Im2Col keeps
-// the batch-wide form. Rows are laid out (ic, ky, kx)-major —
+// time (B = 1, batch.go's Conv2D.lower), which keeps the columns in cache,
+// and on one goroutine: image ranges run in parallel only as internal/core
+// Session lanes, each over its own replica. Im2Col keeps the batch-wide
+// form. Rows are laid out (ic, ky, kx)-major —
 // the same order Conv2DValid visits kernel taps — which is what lets
 // GemmGrouped's per-channel grouped accumulation reproduce the reference
 // summation exactly.

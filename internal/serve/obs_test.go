@@ -10,15 +10,22 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"cdl/internal/core"
+	"cdl/internal/linclass"
+	"cdl/internal/nn"
 	"cdl/internal/obs"
+	"cdl/internal/opcount"
 )
 
 func TestReadyzLifecycle(t *testing.T) {
@@ -259,6 +266,52 @@ func TestV2TraceDetail(t *testing.T) {
 		t.Fatal("detail=trace response has no trace_id")
 	}
 	assertSpanTree(t, out.Spans, true)
+}
+
+// TestTraceSpansCoreCountInvariant: a traced 16-image /v2 classify on the
+// paper's Arch6 cascade walks as one range at GOMAXPROCS 1 and fans out
+// across the worker session's lanes at 4; the trace must record the same
+// span names, each as often, either way.
+func TestTraceSpansCoreCountInvariant(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(67))
+	arch := nn.Arch6Layer(rng)
+	cdln := &core.CDLN{
+		Arch:   arch,
+		Stages: []*core.Stage{{Name: "O1", Tap: 3, LC: linclass.New(arch.TapFeatureLen(0), 10, rng)}},
+		Delta:  0.5,
+		Rule:   core.ThresholdRule{},
+		Ops:    opcount.Default(),
+	}
+	_, ts := startServer(t, cdln, Config{Workers: 1})
+	req := V2ClassifyRequest{Images: make([][]float64, 16)}
+	for i := range req.Images {
+		req.Images[i] = make([]float64, 28*28)
+		for j := range req.Images[i] {
+			req.Images[i][j] = rng.Float64()
+		}
+	}
+	var counts [2]map[string]int
+	for k, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		resp, body := postTraced(t, ts.URL+"/v2/models/"+DefaultModelName+"/classify", "lanes-"+strconv.Itoa(procs), req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GOMAXPROCS %d: HTTP %d: %s", procs, resp.StatusCode, body)
+		}
+		var out V2ClassifyResponse
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		assertSpanTree(t, out.Spans, true)
+		counts[k] = make(map[string]int)
+		for _, sp := range out.Spans {
+			counts[k][sp.Name]++
+		}
+	}
+	t.Logf("span counts: %v", counts[0])
+	if !reflect.DeepEqual(counts[0], counts[1]) {
+		t.Fatalf("span counts at GOMAXPROCS 4 %v, at 1 %v", counts[1], counts[0])
+	}
 }
 
 // scrape fetches /metricsz and validates the text format line by line.

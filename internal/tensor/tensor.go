@@ -204,17 +204,6 @@ func (t *T) Reshape(dims ...int) *T {
 	return v
 }
 
-// Head returns a view of the first n entries along the leading dimension,
-// sharing t's data (entries are contiguous in row-major order).
-func (t *T) Head(n int) *T {
-	if len(t.shape) == 0 || n < 0 || n > t.shape[0] {
-		panic(fmt.Sprintf("tensor: Head(%d) of shape %v", n, t.shape))
-	}
-	v := view(t.Data[:n*t.strides[0]], t.shape)
-	v.shape[0] = n
-	return v
-}
-
 // Flatten returns a rank-1 view of t sharing its data.
 func (t *T) Flatten() *T { return t.Reshape(t.Numel()) }
 

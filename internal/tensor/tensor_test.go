@@ -388,7 +388,7 @@ func TestQuickRot180Involution(t *testing.T) {
 
 // TestViewsAcrossRanks covers the single-allocation header on both sides
 // of its inline capacity (rank ≤ 4 inline, rank 5 spilled) through every
-// constructor that builds one, plus Head and HasShape.
+// constructor that builds one, plus HasShape.
 func TestViewsAcrossRanks(t *testing.T) {
 	for _, shape := range [][]int{{6}, {2, 3}, {2, 3, 4, 5}, {2, 1, 3, 2, 2}} {
 		x := New(shape...)
@@ -409,18 +409,5 @@ func TestViewsAcrossRanks(t *testing.T) {
 		if flat.Dim(1) != x.Numel()/shape[0] || flat.At(shape[0]-1, flat.Dim(1)-1) != float64(x.Numel()-1) {
 			t.Fatalf("shape %v: Reshape(-1) gave %v", shape, flat.Shape())
 		}
-		h := x.Head(1)
-		if h.Dim(0) != 1 || h.Numel() != x.Numel()/shape[0] || &h.Data[0] != &x.Data[0] {
-			t.Fatalf("shape %v: Head(1) = %v, %d elements", shape, h.Shape(), h.Numel())
-		}
-		if x.Dim(0) != shape[0] {
-			t.Fatalf("Head changed its receiver's shape to %v", x.Shape())
-		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Head beyond the leading dimension did not panic")
-		}
-	}()
-	New(2, 2).Head(3)
 }
