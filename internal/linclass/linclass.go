@@ -92,17 +92,11 @@ func (c *Classifier) ScoresBatchInto(x, y *tensor.T) {
 	if prof {
 		t0 = time.Now()
 	}
-	wd, bd := c.W.Data, c.B.Data
 	for bi := 0; bi < bsz; bi++ {
-		xr := x.Data[bi*c.In : (bi+1)*c.In]
-		yr := y.Data[bi*c.Out : (bi+1)*c.Out]
-		for o := 0; o < c.Out; o++ {
-			row := wd[o*c.In : (o+1)*c.In][:len(xr)]
-			s := 0.0
-			for i, v := range row {
-				s += v * xr[i]
-			}
-			yr[o] = 1 / (1 + math.Exp(-(s + bd[o])))
+		yr := y.Data[bi*c.Out:][:c.Out]
+		tensor.MatVecRows(c.W.Data, x.Data[bi*c.In:][:c.In], yr)
+		for o, b := range c.B.Data {
+			yr[o] = 1 / (1 + math.Exp(-(yr[o] + b)))
 		}
 	}
 	if prof {

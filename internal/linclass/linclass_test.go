@@ -172,3 +172,34 @@ func TestQuickTrainingRaisesTargetScore(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestScoresBatchMatchesScores runs the batched scorer across every
+// remainder of the four-row dot kernel (Out 1..9) and feature widths down
+// to one: each row must equal Scores on that row alone, bit for bit.
+func TestScoresBatchMatchesScores(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for out := 1; out <= 9; out++ {
+		for _, in := range []int{1, 7, 507} {
+			c := New(in, out, rng)
+			for i := range c.B.Data {
+				c.B.Data[i] = rng.NormFloat64()
+			}
+			for _, bsz := range []int{1, 5} {
+				x := tensor.New(bsz, in)
+				for i := range x.Data {
+					x.Data[i] = rng.NormFloat64()
+				}
+				y := tensor.New(bsz, out)
+				c.ScoresBatchInto(x, y)
+				for bi := 0; bi < bsz; bi++ {
+					want := c.Scores(tensor.FromSlice(x.Data[bi*in:(bi+1)*in], in))
+					for o, w := range want.Data {
+						if got := y.Data[bi*out+o]; math.Float64bits(got) != math.Float64bits(w) {
+							t.Fatalf("Out %d In %d batch %d row %d class %d: %v, Scores %v", out, in, bsz, bi, o, got, w)
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -2,8 +2,9 @@ package nn
 
 // batch.go is the batched inference fast path: every layer's ForwardBatch
 // (a method of Layer) processes a whole micro-batch per call, with the
-// convolutions lowered to im2col + GEMM (im2col.go, gemm.go) one image at a
-// time, instead of the per-sample nested loops of Forward. The package is
+// convolutions lowered one image at a time onto the GEMM (gemm.go), whose
+// B rows are the kernel taps read straight from the activation, instead of
+// the per-sample nested loops of Forward. The package is
 // serial: a batch's parallelism lives a level up, in internal/core's
 // Session, which walks contiguous image ranges on replicas of its own.
 //
@@ -107,23 +108,25 @@ func (c *Conv2D) checkBatch(in *tensor.T) (oh, ow int) {
 }
 
 // lower is the one batched convolution (win 0: unfused, else the fused
-// segment's pooling window), one image at a time in the layer's scratch, so
-// the columns (48–115 KB on the paper's first convolutions) stay in L2:
-// im2col, the serial grouped GEMM (groupK = k·k is Forward's summation
-// order; a column's sum depends on neither the tiling nor N), then per map
-// pool + bias + σ into the pooled output or, unfused, the bias in place.
-// Under the phase profile a call charges each phase once, summed.
+// segment's pooling window), one image at a time: the serial grouped GEMM
+// reads tap (ic, ky, kx)'s row straight from the image at offset
+// ic·H·W + ky·W + kx (taps), so output maps come out W wide, each of the
+// (oh−1)·W + ow computed columns holding Forward's sum in Forward's order.
+// The last k−1 columns of a row wrap into the next input row and are never
+// read: per map, pool + bias + σ into the pooled output at row stride W or,
+// unfused, the ow valid columns copied out with the bias added. Under the
+// phase profile a call charges each phase once, summed.
 func (c *Conv2D) lower(in *tensor.T, out []float64, win int) {
 	bsz, h, w := in.Dim(0), in.Dim(2), in.Dim(3)
 	oh, ow, pwin := h-c.k+1, w-c.k+1, max(win, 1)
-	plane, pw, kk := oh*ow, ow/pwin, c.k*c.k
-	kcols, chw, oplane, pplane := c.inC*kk, c.inC*h*w, c.outC*plane, oh/pwin*pw
-	c.buf = growScratch(c.buf, kcols*plane+oplane)
-	cols := c.buf[:kcols*plane]
-	var spent *[3]time.Duration // im2col, GEMM, epilogue; nil unless profiling
+	plane, pw, chw := oh*w, ow/pwin, c.inC*h*w
+	pplane, oplane := oh/pwin*pw, oh*ow
+	off := c.taps(h, w)
+	c.buf = growScratch(c.buf, c.outC*plane)
+	var spent *[2]time.Duration // GEMM, epilogue; nil unless profiling
 	var t time.Time
 	if obs.ProfilingEnabled() {
-		spent, t = new([3]time.Duration), time.Now()
+		spent, t = new([2]time.Duration), time.Now()
 	}
 	lap := func(phase int) {
 		if spent != nil {
@@ -133,32 +136,48 @@ func (c *Conv2D) lower(in *tensor.T, out []float64, win int) {
 		}
 	}
 	for bi := range bsz {
-		im2colInto(in.Data[bi*chw:][:chw], 1, c.inC, h, w, c.k, cols)
+		gemmTiles(c.weight.W.Data, c.outC, in.Data[bi*chw:][:chw], off, plane-c.k+1, c.buf, plane, c.k*c.k)
 		lap(0)
-		prod := c.buf[kcols*plane:]
-		if win == 0 {
-			prod = out[bi*oplane:][:oplane]
-		}
-		gemmTiles(c.weight.W.Data, c.outC, kcols, cols, plane, prod, kk, 0, plane)
-		lap(1)
 		for oc, b := range c.bias.W.Data {
-			if src := prod[oc*plane:][:plane]; win > 0 {
-				poolSigmoid(out[(bi*c.outC+oc)*pplane:][:pplane], src, ow, pw, win, b, nil)
-			} else {
-				for i := range src {
-					src[i] += b
+			src := c.buf[oc*plane:][:plane]
+			if win > 0 {
+				poolSigmoid(out[(bi*c.outC+oc)*pplane:][:pplane], src, w, pw, win, b, nil)
+				continue
+			}
+			dst := out[(bi*c.outC+oc)*oplane:][:oplane]
+			for y := range oh {
+				d := dst[y*ow:][:ow]
+				for x, v := range src[y*w:][:ow] {
+					d[x] = v + b
 				}
 			}
 		}
-		lap(2)
+		lap(1)
 	}
 	if spent != nil {
-		obs.ProfAdd(obs.PhaseIm2Col, spent[0])
-		obs.ProfAdd(obs.PhaseGEMM, spent[1])
+		obs.ProfAdd(obs.PhaseGEMM, spent[0])
 		if win > 0 {
-			obs.ProfAdd(obs.PhaseEpilogue, spent[2])
+			obs.ProfAdd(obs.PhaseEpilogue, spent[1])
 		}
 	}
+}
+
+// taps returns the offset of tap (ic, ky, kx) into one [inC, h, w] image,
+// in the weights' (ic, ky, kx) order, rebuilt in the layer's scratch only
+// when the input plane changes.
+func (c *Conv2D) taps(h, w int) []int {
+	if c.tapsHW != [2]int{h, w} {
+		c.tapsOff = c.tapsOff[:0]
+		for ic := range c.inC {
+			for ky := range c.k {
+				for kx := range c.k {
+					c.tapsOff = append(c.tapsOff, (ic*h+ky)*w+kx)
+				}
+			}
+		}
+		c.tapsHW = [2]int{h, w}
+	}
+	return c.tapsOff
 }
 
 // ForwardBatch implements Layer: lower with no fused epilogue, into a
@@ -196,7 +215,7 @@ func (c *Conv2D) forwardBatchSigmoidPool(in *tensor.T, p *MaxPool2D) *tensor.T {
 }
 
 // poolSigmoid fills one pooled plane dst (rows of pw) from one conv output
-// plane src (rows of ow, bias not added): every element is poolScan's of
+// plane src (row stride ow, bias not added): every element is poolScan's of
 // its window. act is a parameter so a test can bend σ and show the guard
 // carries the equality; nil is σ itself, called directly.
 //
@@ -263,8 +282,8 @@ func poolScan(src []float64, base, ow, win int, bias float64, act func(float64) 
 	return y
 }
 
-// ForwardBatch implements Layer: per-row W·x + b with the same running
-// dot order as MatVecInto, the bias added after the dot as in Forward.
+// ForwardBatch implements Layer: per-row W·x + b through MatVecInto's
+// kernel, the bias added after the dot as in Forward.
 func (d *Dense) ForwardBatch(in *tensor.T) *tensor.T {
 	bsz := in.Dim(0)
 	ssz := sampleSize(in, bsz)
@@ -272,17 +291,11 @@ func (d *Dense) ForwardBatch(in *tensor.T) *tensor.T {
 		panic(fmt.Sprintf("nn: %s batch sample numel %d, want %d", d.name, ssz, d.in))
 	}
 	out := d.bout.Point(growScratch(d.bout.Data, bsz*d.out), bsz, d.out)
-	wd, bd := d.weight.W.Data, d.bias.W.Data
 	for bi := 0; bi < bsz; bi++ {
-		x := in.Data[bi*ssz : (bi+1)*ssz]
-		y := out.Data[bi*d.out : (bi+1)*d.out]
-		for o := 0; o < d.out; o++ {
-			row := wd[o*d.in : (o+1)*d.in][:len(x)]
-			s := 0.0
-			for i, v := range row {
-				s += v * x[i]
-			}
-			y[o] = s + bd[o]
+		y := out.Data[bi*d.out:][:d.out]
+		tensor.MatVecRows(d.weight.W.Data, in.Data[bi*ssz:][:ssz], y)
+		for o, b := range d.bias.W.Data {
+			y[o] += b
 		}
 	}
 	return out

@@ -25,11 +25,14 @@ type Conv2D struct {
 	out *tensor.T
 
 	// batched fast path state (batch.go), grown on demand, never shared:
-	// Clone starts replicas without it. buf is one image's im2col columns
-	// and GEMM product, bpool the fused segment's pooled output under its
+	// Clone starts replicas without it. buf is one image's GEMM product
+	// (outC maps of oh rows W wide), tapsOff the tap offsets for the input
+	// plane tapsHW, bpool the fused segment's pooled output under its
 	// returned header.
-	buf   []float64
-	bpool tensor.T
+	buf     []float64
+	tapsOff []int
+	tapsHW  [2]int
+	bpool   tensor.T
 }
 
 // NewConv2D constructs a conv layer with zeroed weights; call an

@@ -79,6 +79,8 @@ func equivCases(rng *rand.Rand) []layerCase {
 		{"conv-C3-8layer", mkConv("C3", 6, 9, 3), []int{6, 5, 5}},
 		{"conv-wide", mkConv("CW", 4, 7, 2), []int{4, 9, 11}},
 		{"conv-1x1", mkConv("C11", 3, 5, 1), []int{3, 6, 6}},
+		// (oh−1)·W + ow = 1118 columns: three GEMM tiles, boundaries mid-row.
+		{"conv-multi-tile", mkConv("CT", 2, 3, 3), []int{2, 30, 40}},
 		{"maxpool-2", NewMaxPool2D("P", 2), []int{3, 12, 12}},
 		{"maxpool-3", NewMaxPool2D("P", 3), []int{2, 9, 10}},
 		{"maxpool-1", NewMaxPool2D("P", 1), []int{2, 3, 3}},
@@ -135,16 +137,26 @@ func TestForwardBatchRangeMatchesForwardRange(t *testing.T) {
 	}
 }
 
-// TestForwardBatchRandomizedShapes fuzzes conv/pool/dense dimensions and
-// weights beyond the fixed presets.
+// TestForwardBatchRandomizedShapes fuzzes conv dimensions and weights
+// beyond the fixed presets: every third trial is wide (W ∈ [300, 600], so
+// the 512-column GEMM tile boundary falls mid-row) and every third a
+// single output (k = H = W). Each trial runs unfused and as the fused
+// Conv→Sigmoid→MaxPool segment at every pooling window 1–3 that fits,
+// against the per-layer batched path and the per-sample reference.
 func TestForwardBatchRandomizedShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 25; trial++ {
+	for trial := 0; trial < 36; trial++ {
 		inC := 1 + rng.Intn(4)
 		outC := 1 + rng.Intn(8)
 		k := 1 + rng.Intn(4)
 		h := k + rng.Intn(12)
 		w := k + rng.Intn(12)
+		switch trial % 3 {
+		case 1:
+			h, w = k+rng.Intn(4), 300+rng.Intn(301)
+		case 2:
+			h, w = k, k
+		}
 		conv := NewConv2D("C", inC, outC, k)
 		XavierConv(conv, rng)
 		bsz := 1 + rng.Intn(9)
@@ -152,9 +164,19 @@ func TestForwardBatchRandomizedShapes(t *testing.T) {
 		for i := range xs {
 			xs[i] = randTensor(rng, inC, h, w)
 		}
-		got := conv.ForwardBatch(stack(xs))
-		for bi, x := range xs {
-			assertRowsEqual(t, "conv-fuzz", bi, got, conv.Forward(x))
+		x := stack(xs)
+		got := conv.ForwardBatch(x)
+		for bi, xi := range xs {
+			assertRowsEqual(t, "conv-fuzz", bi, got, conv.Forward(xi))
+		}
+		for win := 1; win <= 3 && win <= h-k+1 && win <= w-k+1; win++ {
+			net := NewNetwork([]int{inC, h, w}, conv, NewSigmoid("act"), NewMaxPool2D("P", win))
+			fused := net.ForwardBatchRange(x, 0, 3).Clone()
+			byLayer := net.ForwardBatchRange(net.ForwardBatchRange(net.ForwardBatchRange(x, 0, 1), 1, 2), 2, 3)
+			assertBitsEqual(t, "fused-fuzz vs 1+1+1", fused, byLayer)
+			for bi, xi := range xs {
+				assertRowsEqual(t, "fused-fuzz", bi, fused, net.Forward(xi))
+			}
 		}
 	}
 }

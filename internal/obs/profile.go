@@ -6,12 +6,14 @@ import (
 )
 
 // Phase identifies one hot-path phase for the opt-in profile: where a
-// stage's wall time actually goes (lowering vs GEMM vs the fused segment's
+// stage's wall time actually goes (GEMM vs the fused segment's
 // pool + bias + σ epilogue vs the per-stage linear classifier), and what a
 // request pays before any of it (reading and decoding its body).
 type Phase int
 
 const (
+	// PhaseIm2Col is charged by nothing since the convolution reads its
+	// taps from the activation; the benchmark still reads it by name.
 	PhaseIm2Col Phase = iota
 	PhaseGEMM
 	PhaseClassifier

@@ -25,14 +25,37 @@ func MatVecInto(w, x, y *T) {
 	if x.Numel() != in || y.Numel() != out {
 		panic(fmt.Sprintf("tensor: MatVecInto dims w=%v x=%d y=%d", w.shape, x.Numel(), y.Numel()))
 	}
-	wd, xd, yd := w.Data, x.Data, y.Data
-	for o := 0; o < out; o++ {
-		row := wd[o*in : (o+1)*in]
-		s := 0.0
-		for i, v := range row {
-			s += v * xd[i]
+	MatVecRows(w.Data, x.Data, y.Data)
+}
+
+// MatVecRows sets y[o] to the dot product of row o of w (len(y) rows of
+// len(x) weights, contiguous) with x. It is the one running-dot kernel of
+// MatVecInto and the batched Dense and linear-classifier paths: four rows'
+// sums run side by side, each a single running sum in i order, so every
+// y[o] is bitwise the one-accumulator loop's and the interleaving only
+// hides the FP-add latency.
+func MatVecRows(w, x, y []float64) {
+	n := len(x)
+	o := 0
+	for ; o+4 <= len(y); o += 4 {
+		r0, r1 := w[o*n:][:len(x)], w[(o+1)*n:][:len(x)]
+		r2, r3 := w[(o+2)*n:][:len(x)], w[(o+3)*n:][:len(x)]
+		var s0, s1, s2, s3 float64
+		for i, v := range x {
+			s0 += r0[i] * v
+			s1 += r1[i] * v
+			s2 += r2[i] * v
+			s3 += r3[i] * v
 		}
-		yd[o] = s
+		y[o], y[o+1], y[o+2], y[o+3] = s0, s1, s2, s3
+	}
+	for ; o < len(y); o++ {
+		row := w[o*n:][:len(x)]
+		s := 0.0
+		for i, v := range x {
+			s += row[i] * v
+		}
+		y[o] = s
 	}
 }
 

@@ -17,6 +17,30 @@ func TestMatVec(t *testing.T) {
 	if y.Numel() != 2 || y.Data[0] != -2 || y.Data[1] != -2 {
 		t.Errorf("MatVec = %v, want [-2 -2]", y.Data)
 	}
+	// Every remainder of the four-row kernel against one running sum per
+	// row, bit for bit.
+	r := rand.New(rand.NewSource(3))
+	for _, out := range []int{1, 2, 3, 5, 10} {
+		for _, in := range []int{1, 7, 507} {
+			w, x := New(out, in), New(in)
+			for i := range w.Data {
+				w.Data[i] = r.NormFloat64()
+			}
+			for i := range x.Data {
+				x.Data[i] = r.NormFloat64()
+			}
+			y := MatVec(w, x)
+			for o := 0; o < out; o++ {
+				s := 0.0
+				for i, v := range w.Data[o*in : (o+1)*in] {
+					s += v * x.Data[i]
+				}
+				if math.Float64bits(y.Data[o]) != math.Float64bits(s) {
+					t.Fatalf("MatVec %dx%d row %d = %v, one-accumulator loop %v", out, in, o, y.Data[o], s)
+				}
+			}
+		}
+	}
 }
 
 func TestMatVecDimPanics(t *testing.T) {
