@@ -48,7 +48,7 @@ func run(model string, testN int, seed int64, delta float64, tune, perDigit bool
 		if err != nil {
 			return err
 		}
-		deltas, _, err := core.TuneDeltas(cdln, valS, core.DefaultTuneConfig())
+		deltas, _, err := core.TuneDeltas(cdln, valS, 0)
 		if err != nil {
 			return err
 		}

@@ -17,64 +17,29 @@ import (
 	"time"
 )
 
-// AlertConfig shapes a monitor. Zero values take defaults.
-type AlertConfig struct {
-	// ErrorBudget is the tolerated bad-request fraction. Default 0.01.
-	ErrorBudget float64
-	// FastWindow/SlowWindow are the two burn measurement spans. Defaults
-	// 1m and 10m. The slow window also bounds the bucket ring's reach.
-	FastWindow time.Duration
-	SlowWindow time.Duration
-	// FastBurn/SlowBurn are the firing thresholds (multiples of budget
-	// burn). Defaults 14 and 2 — the classic page/ticket split.
-	FastBurn float64
-	SlowBurn float64
-	// MinSamples suppresses burn evaluation until a window holds this
-	// many requests, so an idle model never pages on its first straggler.
-	// Default 12.
-	MinSamples int64
-	// Buckets is the ring granularity over SlowWindow. Default 120.
-	Buckets int
-	// HistoryCap bounds the retained activation/clear transitions (the
-	// alert timeline). Default 64.
-	HistoryCap int
-	// Now injects a clock for deterministic tests. Default time.Now.
-	Now func() time.Time
-}
-
-func (c AlertConfig) withDefaults() AlertConfig {
-	if c.ErrorBudget <= 0 {
-		c.ErrorBudget = 0.01
-	}
-	if c.FastWindow <= 0 {
-		c.FastWindow = time.Minute
-	}
-	if c.SlowWindow <= 0 {
-		c.SlowWindow = 10 * time.Minute
-	}
-	if c.SlowWindow < c.FastWindow {
-		c.SlowWindow = c.FastWindow
-	}
-	if c.FastBurn <= 0 {
-		c.FastBurn = 14
-	}
-	if c.SlowBurn <= 0 {
-		c.SlowBurn = 2
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 12
-	}
-	if c.Buckets <= 0 {
-		c.Buckets = 120
-	}
-	if c.HistoryCap <= 0 {
-		c.HistoryCap = 64
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-	return c
-}
+// The burn-rate geometry every monitor runs.
+const (
+	// errorBudget is the tolerated bad-request fraction.
+	errorBudget = 0.01
+	// fastWindow/slowWindow are the two burn measurement spans; the slow
+	// window also bounds the bucket ring's reach.
+	fastWindow = time.Minute
+	slowWindow = 10 * time.Minute
+	// fastBurn/slowBurn are the firing thresholds (multiples of budget
+	// burn): the classic page/ticket split.
+	fastBurn = 14
+	slowBurn = 2
+	// alertMinSamples suppresses burn evaluation until a window holds
+	// this many requests, so an idle model never pages on its first
+	// straggler.
+	alertMinSamples = 12
+	// alertBuckets is the ring granularity over slowWindow.
+	alertBuckets   = 120
+	alertBucketDur = slowWindow / alertBuckets
+	// historyCap bounds the retained activation/clear transitions (the
+	// alert timeline).
+	historyCap = 64
+)
 
 // alertBucket is one ring slot's good/bad tally.
 type alertBucket struct {
@@ -122,28 +87,22 @@ type AlertStatus struct {
 // per micro-batch (not per image), so contention is negligible next to
 // the inference work.
 type AlertMonitor struct {
-	cfg       AlertConfig
-	bucketDur time.Duration
+	now func() time.Time // the clock; tests inject one
 
 	mu         sync.Mutex
-	buckets    []alertBucket // guarded by mu
-	fastActive bool          // guarded by mu
-	slowActive bool          // guarded by mu
-	fastSince  int64         // guarded by mu; unix nanos
-	slowSince  int64         // guarded by mu
+	buckets    [alertBuckets]alertBucket // guarded by mu
+	fastActive bool                      // guarded by mu
+	slowActive bool                      // guarded by mu
+	fastSince  int64                     // guarded by mu; unix nanos
+	slowSince  int64                     // guarded by mu
 	history    []AlertTransition
 	totalGood  int64 // guarded by mu
 	totalBad   int64 // guarded by mu
 }
 
 // NewAlertMonitor returns an idle monitor.
-func NewAlertMonitor(cfg AlertConfig) *AlertMonitor {
-	cfg = cfg.withDefaults()
-	return &AlertMonitor{
-		cfg:       cfg,
-		bucketDur: cfg.SlowWindow / time.Duration(cfg.Buckets),
-		buckets:   make([]alertBucket, cfg.Buckets),
-	}
+func NewAlertMonitor() *AlertMonitor {
+	return &AlertMonitor{now: time.Now}
 }
 
 // Observe feeds one batch of finished requests: good met the target, bad
@@ -152,7 +111,7 @@ func (m *AlertMonitor) Observe(good, bad int64) {
 	if m == nil || (good <= 0 && bad <= 0) {
 		return
 	}
-	now := m.cfg.Now()
+	now := m.now()
 	m.mu.Lock()
 	b := m.bucket(now)
 	if good > 0 {
@@ -170,10 +129,10 @@ func (m *AlertMonitor) Observe(good, bad int64) {
 // bucket locates (and if stale, resets) the ring slot for now. Caller
 // holds mu.
 func (m *AlertMonitor) bucket(now time.Time) *alertBucket {
-	aligned := now.UnixNano() / int64(m.bucketDur) * int64(m.bucketDur)
-	idx := int((aligned / int64(m.bucketDur)) % int64(len(m.buckets)))
+	aligned := now.UnixNano() / int64(alertBucketDur) * int64(alertBucketDur)
+	idx := int((aligned / int64(alertBucketDur)) % alertBuckets)
 	if idx < 0 {
-		idx += len(m.buckets)
+		idx += alertBuckets
 	}
 	b := &m.buckets[idx]
 	if b.startNS != aligned {
@@ -188,7 +147,7 @@ func (m *AlertMonitor) windowCounts(now time.Time, span time.Duration) (good, ba
 	nowNS := now.UnixNano()
 	for i := range m.buckets {
 		b := &m.buckets[i]
-		if b.startNS == 0 || b.startNS+int64(m.bucketDur) <= cut || b.startNS > nowNS {
+		if b.startNS == 0 || b.startNS+int64(alertBucketDur) <= cut || b.startNS > nowNS {
 			continue
 		}
 		good += b.good
@@ -197,15 +156,15 @@ func (m *AlertMonitor) windowCounts(now time.Time, span time.Duration) (good, ba
 	return good, bad
 }
 
-// burn computes one window's burn rate; below MinSamples the burn is 0
+// burn computes one window's burn rate; below alertMinSamples the burn is 0
 // (never fire on noise).
 func (m *AlertMonitor) burn(good, bad int64) (burnRate, badFrac float64) {
 	total := good + bad
-	if total < m.cfg.MinSamples || total == 0 {
+	if total < alertMinSamples {
 		return 0, 0
 	}
 	badFrac = float64(bad) / float64(total)
-	return badFrac / m.cfg.ErrorBudget, badFrac
+	return badFrac / errorBudget, badFrac
 }
 
 // evaluate recomputes both windows and records transitions. Caller holds
@@ -223,25 +182,25 @@ func (m *AlertMonitor) evaluate(now time.Time) (fast, slow AlertWindowStatus) {
 			*since = 0
 		}
 		m.history = append(m.history, AlertTransition{Alert: name, Active: firing, AtUnixNS: nowNS, BurnRate: rate})
-		if len(m.history) > m.cfg.HistoryCap {
-			m.history = m.history[len(m.history)-m.cfg.HistoryCap:]
+		if len(m.history) > historyCap {
+			m.history = m.history[len(m.history)-historyCap:]
 		}
 	}
 
-	fg, fb := m.windowCounts(now, m.cfg.FastWindow)
+	fg, fb := m.windowCounts(now, fastWindow)
 	fRate, fFrac := m.burn(fg, fb)
-	flip(&m.fastActive, &m.fastSince, "fast", fRate >= m.cfg.FastBurn, fRate)
+	flip(&m.fastActive, &m.fastSince, "fast", fRate >= fastBurn, fRate)
 	fast = AlertWindowStatus{
-		WindowSec: m.cfg.FastWindow.Seconds(), Threshold: m.cfg.FastBurn,
+		WindowSec: fastWindow.Seconds(), Threshold: fastBurn,
 		BurnRate: fRate, BadFrac: fFrac, Good: fg, Bad: fb,
 		Active: m.fastActive, SinceUnixNS: m.fastSince,
 	}
 
-	sg, sb := m.windowCounts(now, m.cfg.SlowWindow)
+	sg, sb := m.windowCounts(now, slowWindow)
 	sRate, sFrac := m.burn(sg, sb)
-	flip(&m.slowActive, &m.slowSince, "slow", sRate >= m.cfg.SlowBurn, sRate)
+	flip(&m.slowActive, &m.slowSince, "slow", sRate >= slowBurn, sRate)
 	slow = AlertWindowStatus{
-		WindowSec: m.cfg.SlowWindow.Seconds(), Threshold: m.cfg.SlowBurn,
+		WindowSec: slowWindow.Seconds(), Threshold: slowBurn,
 		BurnRate: sRate, BadFrac: sFrac, Good: sg, Bad: sb,
 		Active: m.slowActive, SinceUnixNS: m.slowSince,
 	}
@@ -254,11 +213,11 @@ func (m *AlertMonitor) Status() AlertStatus {
 	if m == nil {
 		return AlertStatus{}
 	}
-	now := m.cfg.Now()
+	now := m.now()
 	m.mu.Lock()
 	fast, slow := m.evaluate(now)
 	st := AlertStatus{
-		ErrorBudget: m.cfg.ErrorBudget,
+		ErrorBudget: errorBudget,
 		Fast:        fast,
 		Slow:        slow,
 		Active:      fast.Active || slow.Active,

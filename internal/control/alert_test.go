@@ -13,37 +13,39 @@ type manualClock struct{ t time.Time }
 func (c *manualClock) now() time.Time          { return c.t }
 func (c *manualClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 func newManualClock() *manualClock             { return &manualClock{t: time.Unix(1_000_000, 0)} }
-func alertCfg(clk *manualClock, c AlertConfig) AlertConfig {
-	c.Now = clk.now
-	return c
+
+// newTestMonitor returns a monitor on clk.
+func newTestMonitor(clk *manualClock) *AlertMonitor {
+	m := NewAlertMonitor()
+	m.now = clk.now
+	return m
 }
 
 // TestAlertMultiWindow pins the two-window construction: a short burst
 // fires the fast (page) alert but not the slow one; the fast alert clears
-// as its window drains while the sustained-burn case trips both.
+// as its window drains while the sustained-burn case trips both. Every
+// Observe fills one 5 s ring slot.
 func TestAlertMultiWindow(t *testing.T) {
 	clk := newManualClock()
-	m := NewAlertMonitor(alertCfg(clk, AlertConfig{
-		ErrorBudget: 0.01,
-		FastWindow:  10 * time.Second,
-		SlowWindow:  100 * time.Second,
-		FastBurn:    10, SlowBurn: 3, MinSamples: 10,
-	}))
+	m := newTestMonitor(clk)
+	healthy := func(slots int) {
+		for i := 0; i < slots; i++ {
+			m.Observe(50, 0)
+			clk.advance(alertBucketDur)
+		}
+	}
 
 	// Healthy traffic long enough to fill the slow window: nothing fires.
-	for i := 0; i < 100; i++ {
-		m.Observe(100, 0)
-		clk.advance(time.Second)
-	}
+	healthy(alertBuckets)
 	if st := m.Status(); st.Active {
 		t.Fatalf("alert active on healthy traffic: %+v", st)
 	}
 
-	// A one-second total outage: the fast window sees 150 bad against
-	// ~900 good (burn ≈ 14× budget ≥ 10, fires); the slow window dilutes
-	// the same 150 bad over ~9600 good (burn ≈ 1.5 < 3, stays quiet).
-	m.Observe(0, 150)
-	clk.advance(time.Second)
+	// A one-slot total outage: the fast window sees 110 bad against the
+	// 600 good of its 12 earlier slots (burn ≈ 15.5× budget ≥ 14, fires);
+	// the slow window dilutes the same 110 bad over 5 950 good (burn ≈ 1.8
+	// < 2, stays quiet).
+	m.Observe(0, 110)
 	st := m.Status()
 	if !st.Fast.Active {
 		t.Fatalf("fast alert did not fire on the burst: %+v", st.Fast)
@@ -55,20 +57,18 @@ func TestAlertMultiWindow(t *testing.T) {
 		t.Fatal("rolled-up Active must follow the fast window")
 	}
 
-	// Recovery: the burst ages out of the fast window and the page clears.
-	for i := 0; i < 15; i++ {
-		m.Observe(100, 0)
-		clk.advance(time.Second)
-	}
+	// Recovery: the burst ages out of both windows and the page clears.
+	clk.advance(alertBucketDur)
+	healthy(alertBuckets)
 	st = m.Status()
 	if st.Fast.Active || st.Active {
 		t.Fatalf("fast alert did not clear after recovery: %+v", st.Fast)
 	}
 
 	// Sustained burn: everything bad long enough to trip the slow window.
-	for i := 0; i < 120; i++ {
+	for i := 0; i < alertBuckets; i++ {
 		m.Observe(0, 50)
-		clk.advance(time.Second)
+		clk.advance(alertBucketDur)
 	}
 	st = m.Status()
 	if !st.Fast.Active || !st.Slow.Active {
@@ -93,15 +93,14 @@ func TestAlertMultiWindow(t *testing.T) {
 // TestAlertMinSamples pins the idle-model guard: a lone bad request on an
 // otherwise idle monitor must not page.
 func TestAlertMinSamples(t *testing.T) {
-	clk := newManualClock()
-	m := NewAlertMonitor(alertCfg(clk, AlertConfig{MinSamples: 12}))
-	m.Observe(0, 3)
+	m := newTestMonitor(newManualClock())
+	m.Observe(0, alertMinSamples-1)
 	if st := m.Status(); st.Active {
-		t.Fatalf("alert fired below MinSamples: %+v", st)
+		t.Fatalf("alert fired below alertMinSamples: %+v", st)
 	}
-	m.Observe(0, 20)
+	m.Observe(0, 1)
 	if st := m.Status(); !st.Fast.Active {
-		t.Fatalf("alert must fire once MinSamples is met: %+v", st.Fast)
+		t.Fatalf("alert must fire once alertMinSamples is met: %+v", st.Fast)
 	}
 }
 
@@ -120,12 +119,7 @@ func TestAlertFiresBeforeBaselineSheds(t *testing.T) {
 
 	p := newSimPlant()
 	clk := newManualClock()
-	m := NewAlertMonitor(alertCfg(clk, AlertConfig{
-		ErrorBudget: 0.01,
-		FastWindow:  5 * time.Second, // 25 plant ticks at dt=0.2s
-		SlowWindow:  60 * time.Second,
-		MinSamples:  32,
-	}))
+	m := newTestMonitor(clk)
 
 	pol := core.DefaultExitPolicy()
 	alertTick, shedTick := -1, -1

@@ -6,10 +6,7 @@ package control
 // next to a ~100µs classify. Run them with
 // `go test -run '^$' -bench . ./internal/control`.
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func BenchmarkHistogramObserve(b *testing.B) {
 	h := NewHistogram()
@@ -45,8 +42,7 @@ func BenchmarkWindowSnapshot(b *testing.B) {
 }
 
 func BenchmarkControllerStep(b *testing.B) {
-	c, err := New(SLO{P99LatencyMs: 15, MaxQueueFrac: 0.8, EnergyBudgetPJ: 2.5e9},
-		Ladder(3, 0), Config{Interval: 200 * time.Millisecond})
+	c, err := New(SLO{P99LatencyMs: 15, MaxQueueFrac: 0.8, EnergyBudgetPJ: 2.5e9}, Ladder(3, 0))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -4,24 +4,28 @@ package control
 // single-owner state machine stepped once per tick with a telemetry
 // Sample. The loop is AIMD-shaped with hysteresis:
 //
-//   - any violated target shallows the policy immediately (bounded by
-//     MaxStep rungs per tick), because overload compounds — queue growth
-//     is integral, so reaction must be prompt;
+//   - any violated target shallows the policy immediately (by maxStep = 1
+//     rung per tick), because overload compounds — queue growth is
+//     integral, so reaction must be prompt;
 //   - recovery is deliberate: every active target must sit below
-//     RecoverMargin of its threshold for RecoverHold consecutive ticks
-//     before the policy deepens one step, so a load hovering at the
-//     target parks at a stable rung instead of oscillating around it;
+//     recoverMargin (0.85) of its threshold for recoverHold (3)
+//     consecutive ticks before the policy deepens one step, so a load
+//     hovering at the target parks at a stable rung instead of
+//     oscillating around it;
 //   - every deepening step opens a probation window: if it provokes a
-//     violation within ProbationTicks, the next recovery attempt must
-//     wait exponentially longer (doubling up to MaxRecoverHold). A load
-//     that sits exactly between two rungs' capacities — where margin
-//     hysteresis alone would limit-cycle, because the shallow rung looks
-//     entirely comfortable — decays into an occasional probe instead of
-//     an oscillation. A probation survived cleanly resets the backoff.
+//     violation within probationTicks (5), the next recovery attempt
+//     must wait exponentially longer (doubling up to maxRecoverHold,
+//     256). A load that sits exactly between two rungs' capacities —
+//     where margin hysteresis alone would limit-cycle, because the
+//     shallow rung looks entirely comfortable — decays into an
+//     occasional probe instead of an oscillation (a cap of 60 still flaps
+//     7 times in 200 steady ticks). A probation survived cleanly resets
+//     the backoff.
 //
-// The constants are defaults, not magic: sim_test.go drives the loop
-// against scripted arrival traces and pins convergence, hysteresis and
-// bounded-step safety for exactly these values.
+// The latency and energy signals count only above minSamples (8) windowed
+// images. These are constants, not settings: sim_test.go drives New with
+// exactly them against scripted arrival traces and pins convergence,
+// hysteresis and bounded-step safety.
 
 import (
 	"fmt"
@@ -53,7 +57,7 @@ type Sample struct {
 	// MeanEnergyPJ is the windowed mean dynamic energy per image.
 	MeanEnergyPJ float64
 	// Images is how many classified inputs back the latency/energy
-	// numbers — below Config.MinSamples those signals are ignored.
+	// numbers — below minSamples those signals are ignored.
 	Images int64
 	// Arrivals is the offered load in the same window (admitted or
 	// not). It distinguishes a starved system (demand arriving, nothing
@@ -63,60 +67,19 @@ type Sample struct {
 	Arrivals int64
 }
 
-// Config shapes the controller dynamics. The zero value selects the
-// sim-tested defaults.
-type Config struct {
-	// Interval is the owner's tick period (the controller itself is
-	// clock-free; serve's loop and the flag surface read this). Default
-	// 200ms.
-	Interval time.Duration
-	// MaxStep bounds how many rungs one tick may move in either
-	// direction. Default 1.
-	MaxStep int
-	// RecoverMargin is the fraction of a target a signal must stay under
-	// to count as headroom (hysteresis band). Default 0.85.
-	RecoverMargin float64
-	// RecoverHold is how many consecutive headroom ticks precede one
-	// deepening step. Default 3.
-	RecoverHold int
-	// ProbationTicks is how long after a deepening step a violation is
-	// blamed on that step (and doubles the next recovery wait). Default 5.
-	ProbationTicks int
-	// MaxRecoverHold caps the exponential recovery backoff. Default 60.
-	MaxRecoverHold int
-	// MinSamples is the minimum windowed image count for the latency and
-	// energy signals to be trusted (queue occupancy is always live).
-	// Default 8.
-	MinSamples int64
-}
-
-func (c Config) withDefaults() Config {
-	if c.Interval <= 0 {
-		c.Interval = 200 * time.Millisecond
-	}
-	if c.MaxStep <= 0 {
-		c.MaxStep = 1
-	}
-	if c.RecoverMargin <= 0 || c.RecoverMargin >= 1 {
-		c.RecoverMargin = 0.85
-	}
-	if c.RecoverHold <= 0 {
-		c.RecoverHold = 3
-	}
-	if c.ProbationTicks <= 0 {
-		c.ProbationTicks = 5
-	}
-	if c.MaxRecoverHold <= 0 {
-		c.MaxRecoverHold = 60
-	}
-	if c.MaxRecoverHold < c.RecoverHold {
-		c.MaxRecoverHold = c.RecoverHold
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 8
-	}
-	return c
-}
+// The controller dynamics (see the file comment). Every SLO-attached
+// entry on every tier runs exactly these.
+const (
+	// TickInterval is the controller's tick period: the edge's, and
+	// serve's unless cdlserve -slo-interval sets another.
+	TickInterval   = 200 * time.Millisecond
+	maxStep        = 1
+	recoverMargin  = 0.85
+	recoverHold    = 3
+	probationTicks = 5
+	maxRecoverHold = 256
+	minSamples     = 8
+)
 
 // Ladder builds the monotone actuation axis for a cascade with numStages
 // stages: rung 0 is the identity policy (trained δ, full depth); rung k
@@ -168,7 +131,6 @@ type State struct {
 // NOT safe for concurrent use — the owner (serve's control loop, the sim
 // harness) serializes Step/State calls.
 type Controller struct {
-	cfg    Config
 	slo    SLO
 	ladder []core.ExitPolicy
 
@@ -183,19 +145,17 @@ type Controller struct {
 
 // New validates the SLO against the ladder and returns a controller at
 // rung 0 (identity policy).
-func New(slo SLO, ladder []core.ExitPolicy, cfg Config) (*Controller, error) {
+func New(slo SLO, ladder []core.ExitPolicy) (*Controller, error) {
 	if err := slo.Validate(); err != nil {
 		return nil, err
 	}
 	if len(ladder) < 2 {
 		return nil, fmt.Errorf("control: ladder has %d rung(s); the accuracy floor leaves the controller nothing to actuate", len(ladder))
 	}
-	cfg = cfg.withDefaults()
 	return &Controller{
-		cfg:        cfg,
 		slo:        slo,
 		ladder:     append([]core.ExitPolicy(nil), ladder...),
-		holdNeeded: cfg.RecoverHold,
+		holdNeeded: recoverHold,
 		lastAction: ActionHold,
 	}, nil
 }
@@ -231,16 +191,16 @@ func (c *Controller) evaluate(s Sample) (violated, comfortable bool) {
 		if val > target {
 			violated = true
 		}
-		if val > c.cfg.RecoverMargin*target {
+		if val > recoverMargin*target {
 			comfortable = false
 		}
 	}
 	// Latency and energy are windowed statistics: on a near-empty window
-	// they are noise, so they are only consulted above MinSamples. Queue
+	// they are noise, so they are only consulted above minSamples. Queue
 	// occupancy is an instantaneous reading and always counts — it is
 	// also the signal that still works when the window is empty because
 	// the queue is too backed up to complete anything.
-	if s.Images >= c.cfg.MinSamples {
+	if s.Images >= minSamples {
 		check(s.P99LatencyMS, c.slo.P99LatencyMs)
 		check(s.MeanEnergyPJ, c.slo.EnergyBudgetPJ)
 	}
@@ -252,7 +212,7 @@ func (c *Controller) evaluate(s Sample) (violated, comfortable bool) {
 		// precisely because nothing finishes — so deepening here would
 		// undo the mitigation at the worst moment. No demand means
 		// genuinely idle: recover.
-		if s.Arrivals >= c.cfg.MinSamples {
+		if s.Arrivals >= minSamples {
 			return true, false
 		}
 	}
@@ -260,7 +220,7 @@ func (c *Controller) evaluate(s Sample) (violated, comfortable bool) {
 }
 
 // Step advances the loop one tick. Rung movement is bounded by
-// cfg.MaxStep in both directions.
+// maxStep in both directions.
 func (c *Controller) Step(s Sample) Decision {
 	c.ticks++
 	violated, comfortable := c.evaluate(s)
@@ -272,12 +232,12 @@ func (c *Controller) Step(s Sample) Decision {
 			// recovery attempt exponentially, so a load sitting between
 			// two rungs' capacities decays into an occasional probe
 			// instead of a limit cycle.
-			c.holdNeeded = min(c.holdNeeded*2, c.cfg.MaxRecoverHold)
+			c.holdNeeded = min(c.holdNeeded*2, maxRecoverHold)
 			c.probation = 0
 		case c.probation == 0:
 			// Probation survived cleanly: the deeper rung is genuinely
 			// affordable again.
-			c.holdNeeded = c.cfg.RecoverHold
+			c.holdNeeded = recoverHold
 		}
 	}
 	action := ActionHold
@@ -285,7 +245,7 @@ func (c *Controller) Step(s Sample) Decision {
 	case violated:
 		c.violations++
 		c.holdGood = 0
-		if step := min(c.cfg.MaxStep, c.MaxRung()-c.rung); step > 0 {
+		if step := min(maxStep, c.MaxRung()-c.rung); step > 0 {
 			c.rung += step
 			action = ActionShallow
 		}
@@ -297,8 +257,8 @@ func (c *Controller) Step(s Sample) Decision {
 		c.holdGood++
 		if c.holdGood >= c.holdNeeded {
 			c.holdGood = 0
-			c.rung -= min(c.cfg.MaxStep, c.rung)
-			c.probation = c.cfg.ProbationTicks
+			c.rung -= min(maxStep, c.rung)
+			c.probation = probationTicks
 			action = ActionDeepen
 		}
 	default:

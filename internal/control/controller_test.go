@@ -32,25 +32,26 @@ func TestLadder(t *testing.T) {
 }
 
 func TestControllerNewRejects(t *testing.T) {
-	if _, err := New(SLO{}, Ladder(3, 0), Config{}); err == nil {
+	if _, err := New(SLO{}, Ladder(3, 0)); err == nil {
 		t.Error("empty SLO accepted")
 	}
-	if _, err := New(SLO{P99LatencyMs: 15}, Ladder(3, 1), Config{}); err == nil {
+	if _, err := New(SLO{P99LatencyMs: 15}, Ladder(3, 1)); err == nil {
 		t.Error("one-rung ladder accepted — nothing to actuate")
 	}
 }
 
 // TestControllerBoundedSteps pins the bounded-step safety property: no
-// single tick may move the policy more than MaxStep rungs, whatever the
+// single tick may move the policy more than maxStep rungs, whatever the
 // telemetry says.
 func TestControllerBoundedSteps(t *testing.T) {
-	c, err := New(SLO{P99LatencyMs: 10}, Ladder(5, 0), Config{MaxStep: 1, RecoverHold: 1, ProbationTicks: 1})
+	c, err := New(SLO{P99LatencyMs: 10}, Ladder(5, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	prev := 0
-	// Catastrophic overload for 20 ticks, then instant calm: rung must
-	// move at most one step per tick in both directions.
+	// Catastrophic overload for 20 ticks, then instant calm (long enough
+	// for five recoverHold waits): rung must move at most one step per
+	// tick in both directions.
 	for i := 0; i < 40; i++ {
 		s := Sample{P99LatencyMS: 1e6, QueueFrac: 1, Images: 100}
 		if i >= 20 {
@@ -68,14 +69,14 @@ func TestControllerBoundedSteps(t *testing.T) {
 }
 
 // TestControllerIgnoresThinSignals checks that latency/energy readings
-// backed by fewer than MinSamples images cannot trip the controller,
+// backed by fewer than minSamples images cannot trip the controller,
 // while queue occupancy always can.
 func TestControllerIgnoresThinSignals(t *testing.T) {
-	c, err := New(SLO{P99LatencyMs: 10, MaxQueueFrac: 0.8}, Ladder(3, 0), Config{MinSamples: 8})
+	c, err := New(SLO{P99LatencyMs: 10, MaxQueueFrac: 0.8}, Ladder(3, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := c.Step(Sample{P99LatencyMS: 1e6, Images: 3}); d.Action != ActionHold || d.Rung != 0 {
+	if d := c.Step(Sample{P99LatencyMS: 1e6, Images: minSamples - 1}); d.Action != ActionHold || d.Rung != 0 {
 		t.Errorf("thin latency signal acted: %+v", d)
 	}
 	if d := c.Step(Sample{QueueFrac: 0.95, Images: 0}); d.Action != ActionShallow {
@@ -90,7 +91,7 @@ func TestControllerIgnoresThinSignals(t *testing.T) {
 // empty precisely because nothing completes. With no demand either, it
 // is genuinely idle and recovers.
 func TestControllerStarvedWindow(t *testing.T) {
-	c, err := New(SLO{P99LatencyMs: 10}, Ladder(3, 0), Config{RecoverHold: 1, MinSamples: 8})
+	c, err := New(SLO{P99LatencyMs: 10}, Ladder(3, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestControllerStarvedWindow(t *testing.T) {
 // TestControllerHysteresisBand checks that a reading between the
 // recovery margin and the target neither shallows nor deepens.
 func TestControllerHysteresisBand(t *testing.T) {
-	c, err := New(SLO{P99LatencyMs: 10}, Ladder(3, 0), Config{RecoverHold: 2})
+	c, err := New(SLO{P99LatencyMs: 10}, Ladder(3, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,8 +130,10 @@ func TestControllerHysteresisBand(t *testing.T) {
 			t.Fatalf("tick %d in hysteresis band: %+v, want hold at rung 1", i, d)
 		}
 	}
-	// Dropping below the margin for RecoverHold ticks deepens.
-	c.Step(Sample{P99LatencyMS: 2, Images: 100})
+	// Dropping below the margin for recoverHold ticks deepens.
+	for i := 1; i < recoverHold; i++ {
+		c.Step(Sample{P99LatencyMS: 2, Images: 100})
+	}
 	if d := c.Step(Sample{P99LatencyMS: 2, Images: 100}); d.Action != ActionDeepen || d.Rung != 0 {
 		t.Fatalf("after sustained headroom: %+v, want deepen to rung 0", d)
 	}
@@ -140,8 +143,7 @@ func TestControllerHysteresisBand(t *testing.T) {
 // that immediately re-violates doubles the next recovery wait, and a
 // clean probation resets it.
 func TestControllerRecoveryBackoff(t *testing.T) {
-	cfg := Config{RecoverHold: 2, ProbationTicks: 3, MaxRecoverHold: 16}
-	c, err := New(SLO{P99LatencyMs: 10}, Ladder(3, 0), cfg)
+	c, err := New(SLO{P99LatencyMs: 10}, Ladder(3, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,27 +151,29 @@ func TestControllerRecoveryBackoff(t *testing.T) {
 	hot := Sample{P99LatencyMS: 100, Images: 100}
 
 	c.Step(hot) // rung 1
-	c.Step(calm)
+	for i := 1; i < recoverHold; i++ {
+		c.Step(calm)
+	}
 	if d := c.Step(calm); d.Action != ActionDeepen {
-		t.Fatalf("first recovery: %+v, want deepen after RecoverHold=2", d)
+		t.Fatalf("first recovery: %+v, want deepen after recoverHold=%d", d, recoverHold)
 	}
-	c.Step(hot) // violation inside probation → backoff to 4
-	if got := c.State().RecoverHold; got != 4 {
-		t.Fatalf("recover hold after failed probation = %d, want 4", got)
+	c.Step(hot) // violation inside probation → backoff to 2×recoverHold
+	if got := c.State().RecoverHold; got != 2*recoverHold {
+		t.Fatalf("recover hold after failed probation = %d, want %d", got, 2*recoverHold)
 	}
-	for i := 0; i < 3; i++ {
+	for i := 1; i < 2*recoverHold; i++ {
 		if d := c.Step(calm); d.Action != ActionHold {
 			t.Fatalf("backoff tick %d: %+v, want hold", i, d)
 		}
 	}
 	if d := c.Step(calm); d.Action != ActionDeepen {
-		t.Fatalf("4th calm tick: %+v, want deepen under backed-off hold", d)
+		t.Fatalf("calm tick %d: %+v, want deepen under backed-off hold", 2*recoverHold, d)
 	}
 	// Probation passes cleanly this time: backoff resets.
-	for i := 0; i < cfg.ProbationTicks; i++ {
+	for i := 0; i < probationTicks; i++ {
 		c.Step(calm)
 	}
-	if got := c.State().RecoverHold; got != cfg.RecoverHold {
-		t.Errorf("recover hold after clean probation = %d, want %d", got, cfg.RecoverHold)
+	if got := c.State().RecoverHold; got != recoverHold {
+		t.Errorf("recover hold after clean probation = %d, want %d", got, recoverHold)
 	}
 }

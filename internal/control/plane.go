@@ -109,7 +109,6 @@ const (
 type Plane struct {
 	name   string
 	flight *obs.FlightRecorder
-	span   time.Duration
 
 	window  atomic.Pointer[Window]
 	budget  atomic.Pointer[budget]
@@ -129,10 +128,10 @@ type Plane struct {
 	stop, done chan struct{}
 }
 
-// NewPlane returns an idle plane recording into flight; span is the
-// telemetry window's reach. numExits and delta are as for Bind.
-func NewPlane(name string, flight *obs.FlightRecorder, span time.Duration, numExits int, delta float64) *Plane {
-	p := &Plane{name: name, flight: flight, span: span}
+// NewPlane returns an idle plane recording into flight. numExits and delta
+// are as for Bind.
+func NewPlane(name string, flight *obs.FlightRecorder, numExits int, delta float64) *Plane {
+	p := &Plane{name: name, flight: flight}
 	p.Bind(numExits, delta)
 	return p
 }
@@ -143,8 +142,7 @@ func NewPlane(name string, flight *obs.FlightRecorder, span time.Duration, numEx
 // controller and flight ring carry over — they are the entry's, not the
 // version's.
 func (p *Plane) Bind(numExits int, delta float64) {
-	const buckets = 10
-	p.window.Store(NewWindow(numExits, WindowConfig{Buckets: buckets, BucketDur: p.span / buckets}))
+	p.window.Store(NewWindow(numExits, WindowConfig{}))
 	p.mu.Lock()
 	p.delta = delta
 	p.mu.Unlock()
@@ -266,7 +264,7 @@ func (p *Plane) Monitor(targetMS float64) {
 	if old := p.budget.Load(); old != nil {
 		b.mon = old.mon
 	} else {
-		b.mon = NewAlertMonitor(AlertConfig{})
+		b.mon = NewAlertMonitor()
 	}
 	p.budget.Store(b)
 }
@@ -298,7 +296,7 @@ func Report(tier string, planes ...*Plane) AlertzReport {
 // history carry on). queueFrac is the tier's occupancy signal, sampled
 // once per tick: queue depth on serve, busy workers on the edge.
 func (p *Plane) Attach(slo SLO, ladder []core.ExitPolicy, interval time.Duration, queueFrac func() float64) error {
-	ctrl, err := New(slo, ladder, Config{Interval: interval})
+	ctrl, err := New(slo, ladder)
 	if err != nil {
 		return err
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 func newTestPlane(numExits int) *Plane {
-	return NewPlane("m", obs.NewFlightRecorder(obs.FlightConfig{SampleN: 1}), time.Minute, numExits, 0.5)
+	return NewPlane("m", obs.NewFlightRecorder(obs.FlightConfig{SampleN: 1}), numExits, 0.5)
 }
 
 func served(totalMS float64, exit int) Event {

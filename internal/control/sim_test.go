@@ -135,7 +135,7 @@ const simTargetP99MS = 20
 
 func simController(t *testing.T, p *simPlant, slo SLO) *Controller {
 	t.Helper()
-	c, err := New(slo, Ladder(p.numStages(), slo.AccuracyFloorDelta), Config{RecoverHold: 3, ProbationTicks: 5, MaxRecoverHold: 256})
+	c, err := New(slo, Ladder(p.numStages(), slo.AccuracyFloorDelta))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestSimAccuracyFloorBoundsExcursion(t *testing.T) {
 	trace := stepTrace(640, 3200, 10, 60, 10)
 	p := newSimPlant()
 	ladder := Ladder(p.numStages(), 0.6) // minExit = ceil(0.6·3) = 2
-	c, err := New(SLO{P99LatencyMs: simTargetP99MS}, ladder, Config{RecoverHold: 3})
+	c, err := New(SLO{P99LatencyMs: simTargetP99MS}, ladder)
 	if err != nil {
 		t.Fatal(err)
 	}

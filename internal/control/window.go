@@ -31,29 +31,18 @@ type Obs struct {
 	EnergyPJ float64
 }
 
-// WindowConfig sizes a telemetry window.
+// The telemetry window's geometry: a ring of windowBuckets slots of
+// bucketDur each, 5 s of traffic.
+const (
+	windowBuckets = 10
+	bucketDur     = 500 * time.Millisecond
+)
+
+// WindowConfig configures a telemetry window.
 type WindowConfig struct {
-	// Buckets is the ring size; the window spans Buckets×BucketDur.
-	// Default 10.
-	Buckets int
-	// BucketDur is one ring slot's time span. Default 500ms.
-	BucketDur time.Duration
 	// Now is the clock (injectable for deterministic tests). Default
 	// time.Now.
 	Now func() time.Time
-}
-
-func (c WindowConfig) withDefaults() WindowConfig {
-	if c.Buckets <= 0 {
-		c.Buckets = 10
-	}
-	if c.BucketDur <= 0 {
-		c.BucketDur = 500 * time.Millisecond
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-	return c
 }
 
 // wbucket is one ring slot's accumulators.
@@ -78,7 +67,7 @@ func (b *wbucket) reset(start time.Time) {
 }
 
 // Window is a sliding-window telemetry accumulator: a time-bucketed ring
-// whose Snapshot summarizes only the last Buckets×BucketDur of traffic.
+// whose Snapshot summarizes only the last windowBuckets×bucketDur of traffic.
 // It is the controller's sensor — cumulative metrics can't tell "load
 // spiked 2 s ago" from "load spiked an hour ago". All methods are safe
 // for concurrent use; the single mutex is taken once per batch of
@@ -88,19 +77,21 @@ type Window struct {
 	mu       sync.Mutex
 	cfg      WindowConfig
 	numExits int
-	buckets  []wbucket // guarded by mu
-	cur      int       // guarded by mu
+	buckets  [windowBuckets]wbucket // guarded by mu
+	cur      int                    // guarded by mu
 }
 
 // NewWindow returns an empty window for a cascade with numExits exit
 // points (exit-depth tallies are sized by it; observations outside the
 // range are clamped).
 func NewWindow(numExits int, cfg WindowConfig) *Window {
-	cfg = cfg.withDefaults()
+	if cfg.Now == nil {
+		cfg.Now = time.Now
+	}
 	if numExits < 1 {
 		numExits = 1
 	}
-	w := &Window{cfg: cfg, numExits: numExits, buckets: make([]wbucket, cfg.Buckets)}
+	w := &Window{cfg: cfg, numExits: numExits}
 	for i := range w.buckets {
 		w.buckets[i].lat = NewHistogram()
 		w.buckets[i].exitCounts = make([]int64, numExits)
@@ -112,20 +103,20 @@ func NewWindow(numExits int, cfg WindowConfig) *Window {
 // rotate advances the ring to the bucket covering now. Caller holds mu.
 func (w *Window) rotate(now time.Time) *wbucket {
 	cur := &w.buckets[w.cur]
-	for !now.Before(cur.start.Add(w.cfg.BucketDur)) {
-		steps := int(now.Sub(cur.start) / w.cfg.BucketDur)
+	for !now.Before(cur.start.Add(bucketDur)) {
+		steps := int(now.Sub(cur.start) / bucketDur)
 		if steps > len(w.buckets) {
 			steps = len(w.buckets)
 		}
 		start := cur.start
 		for s := 1; s <= steps; s++ {
 			w.cur = (w.cur + 1) % len(w.buckets)
-			w.buckets[w.cur].reset(start.Add(time.Duration(s) * w.cfg.BucketDur))
+			w.buckets[w.cur].reset(start.Add(time.Duration(s) * bucketDur))
 		}
 		// After clearing a full ring the oldest start may still trail now
 		// (a long idle gap); realign instead of looping bucket by bucket.
 		cur = &w.buckets[w.cur]
-		if !now.Before(cur.start.Add(w.cfg.BucketDur)) {
+		if !now.Before(cur.start.Add(bucketDur)) {
 			cur.reset(now)
 		}
 	}
@@ -205,7 +196,7 @@ func (w *Window) Snapshot() Snapshot {
 	defer w.mu.Unlock()
 	now := w.cfg.Now()
 	w.rotate(now)
-	horizon := now.Add(-time.Duration(len(w.buckets)) * w.cfg.BucketDur)
+	horizon := now.Add(-time.Duration(len(w.buckets)) * bucketDur)
 	merged := NewHistogram()
 	s := Snapshot{ExitCounts: make([]int64, w.numExits)}
 	oldest := now

@@ -63,11 +63,11 @@ func TestHistogramClampsOutOfRange(t *testing.T) {
 
 func TestWindowSlides(t *testing.T) {
 	clk := newFakeClock()
-	w := NewWindow(3, WindowConfig{Buckets: 4, BucketDur: time.Second, Now: clk.now})
+	w := NewWindow(3, WindowConfig{Now: clk.now})
 
 	w.Arrivals(10)
 	w.ObserveBatch([]Obs{{LatencyMS: 5, ExitIndex: 0, EnergyPJ: 100}, {LatencyMS: 5, ExitIndex: 2, EnergyPJ: 300}})
-	clk.advance(time.Second)
+	clk.advance(bucketDur)
 	w.ObserveBatch([]Obs{{LatencyMS: 50, ExitIndex: 1, EnergyPJ: 200}})
 	w.rotate(clk.now()).sheds += 2 // what Plane.Observe charges for a 2-image shed
 
@@ -86,7 +86,7 @@ func TestWindowSlides(t *testing.T) {
 	}
 
 	// Slide past the first bucket: its contents must age out.
-	clk.advance(3 * time.Second)
+	clk.advance((windowBuckets - 1) * bucketDur)
 	w.ObserveBatch([]Obs{{LatencyMS: 1, ExitIndex: 0}})
 	s = w.Snapshot()
 	if s.Images != 2 {
@@ -106,10 +106,10 @@ func TestWindowSlides(t *testing.T) {
 
 func TestWindowArrivalRate(t *testing.T) {
 	clk := newFakeClock()
-	w := NewWindow(2, WindowConfig{Buckets: 5, BucketDur: time.Second, Now: clk.now})
-	for i := 0; i < 4; i++ {
-		w.Arrivals(100)
-		clk.advance(time.Second)
+	w := NewWindow(2, WindowConfig{Now: clk.now})
+	for i := 0; i < 8; i++ {
+		w.Arrivals(50)
+		clk.advance(bucketDur)
 	}
 	s := w.Snapshot()
 	if s.Arrivals != 400 {

@@ -14,46 +14,26 @@ import (
 // A CDLN uses StageDeltas[i] for stage i when StageDeltas is non-nil;
 // otherwise every stage uses Delta.
 
-// TuneConfig controls TuneDeltas.
-type TuneConfig struct {
-	// Grid is the candidate threshold set per stage (default
-	// 0.30,0.35,…,0.90).
-	Grid []float64
-	// MaxNormalizedOps, if positive, constrains the search to settings
-	// whose normalized OPS stay at or below the bound.
-	MaxNormalizedOps float64
-	// Workers bounds evaluation parallelism.
-	Workers int
-}
-
-// DefaultTuneConfig returns the standard grid.
-func DefaultTuneConfig() TuneConfig {
-	grid := make([]float64, 0, 13)
-	for d := 0.30; d <= 0.901; d += 0.05 {
-		grid = append(grid, d)
-	}
-	return TuneConfig{Grid: grid}
-}
+// TuneDeltas sweeps each stage's δ over 0.30, 0.35, …, 0.90 (the bound's
+// extra 0.001 absorbs the running sum's rounding).
+const (
+	tuneGridLo   = 0.30
+	tuneGridHi   = 0.901
+	tuneGridStep = 0.05
+)
 
 // TuneDeltas greedily assigns a per-stage threshold by sweeping each
 // stage's δ over the grid (deepest stage last), keeping the value that
 // maximizes validation accuracy and breaking ties toward lower OPS. It
 // returns the chosen thresholds and the final validation result; the CDLN
-// is updated in place with StageDeltas set.
-func TuneDeltas(c *CDLN, val []train.Sample, cfg TuneConfig) ([]float64, *EvalResult, error) {
+// is updated in place with StageDeltas set. workers bounds evaluation
+// parallelism.
+func TuneDeltas(c *CDLN, val []train.Sample, workers int) ([]float64, *EvalResult, error) {
 	if len(val) == 0 {
 		return nil, nil, fmt.Errorf("core: empty validation set")
 	}
-	if len(cfg.Grid) == 0 {
-		cfg.Grid = DefaultTuneConfig().Grid
-	}
-	for _, d := range cfg.Grid {
-		if d <= 0 || d > 1 {
-			return nil, nil, fmt.Errorf("core: grid value %v outside (0,1]", d)
-		}
-	}
 	if len(c.Stages) == 0 {
-		res, err := Evaluate(c, val, cfg.Workers, false)
+		res, err := Evaluate(c, val, workers, false)
 		return nil, res, err
 	}
 
@@ -63,20 +43,17 @@ func TuneDeltas(c *CDLN, val []train.Sample, cfg TuneConfig) ([]float64, *EvalRe
 	}
 	c.StageDeltas = deltas
 
-	best, err := Evaluate(c, val, cfg.Workers, false)
+	best, err := Evaluate(c, val, workers, false)
 	if err != nil {
 		return nil, nil, err
 	}
 	for si := range c.Stages {
 		bestDelta := deltas[si]
-		for _, d := range cfg.Grid {
+		for d := tuneGridLo; d <= tuneGridHi; d += tuneGridStep {
 			deltas[si] = d
-			res, err := Evaluate(c, val, cfg.Workers, false)
+			res, err := Evaluate(c, val, workers, false)
 			if err != nil {
 				return nil, nil, err
-			}
-			if cfg.MaxNormalizedOps > 0 && res.NormalizedOps() > cfg.MaxNormalizedOps {
-				continue
 			}
 			better := res.Confusion.Accuracy() > best.Confusion.Accuracy()
 			tie := res.Confusion.Accuracy() == best.Confusion.Accuracy() &&

@@ -107,10 +107,8 @@ func TestEdgeServerControllerAdaptsOffloadSplit(t *testing.T) {
 	edgeSrv, err := NewServer(cdln, lbFactory,
 		Config{SplitStage: 1, Delta: 0.995}, // near-1 δ: nearly everything offloads at identity
 		ServerConfig{
-			Workers:         1,
-			SLO:             control.SLO{EnergyBudgetPJ: 1}, // below any exit's energy
-			ControlInterval: 5 * time.Millisecond,
-			ControlWindow:   time.Second,
+			Workers: 1,
+			SLO:     control.SLO{EnergyBudgetPJ: 1}, // below any exit's energy
 		})
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"cdl/internal/core"
 	"cdl/internal/edgecloud/wire"
@@ -338,15 +337,17 @@ func TestEdgeServerBadRequests(t *testing.T) {
 	cdln, data := testCDLN(t, 55)
 	lbFactory := func() (Transport, error) { return NewLoopback(cdln) }
 	edgeSrv, err := NewServer(cdln, lbFactory, Config{SplitStage: 1, Delta: -1},
-		ServerConfig{Workers: 1, MaxRequestImages: 2})
+		ServerConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(edgeSrv.Handler())
-	defer ts.Close()
 
 	good := data[0].X.Flatten().Data
 	bad := 1.5
+	tooMany := make([][]float64, maxRequestImages+1)
+	for i := range tooMany {
+		tooMany[i] = good
+	}
 	cases := []struct {
 		name string
 		req  serve.ClassifyRequest
@@ -359,14 +360,15 @@ func TestEdgeServerBadRequests(t *testing.T) {
 		{name: "wrong width", req: serve.ClassifyRequest{Image: []float64{1, 2}}, want: http.StatusBadRequest},
 		{name: "both forms", req: serve.ClassifyRequest{Image: good, Images: [][]float64{good}}, want: http.StatusBadRequest},
 		{name: "bad delta", req: serve.ClassifyRequest{Image: good, Delta: &bad}, want: http.StatusBadRequest},
-		{name: "too many", req: serve.ClassifyRequest{Images: [][]float64{good, good, good}}, want: http.StatusBadRequest},
-		// 40 KB of pixels against a 2-image body bound of ~25 KB.
-		{name: "body over the bound", req: serve.ClassifyRequest{Image: make([]float64, 20000)}, want: http.StatusRequestEntityTooLarge},
+		{name: "too many", req: serve.ClassifyRequest{Images: tooMany}, want: http.StatusBadRequest},
+		// A wrong-width image in 8 MB against the 256-image body bound of
+		// ~6.4 MB: the byte limit decides, before the width check could.
+		{name: "body over the bound", req: serve.ClassifyRequest{Image: make([]float64, 20000)}, want: http.StatusRequestEntityTooLarge, pad: 8 << 20},
 		// The bound decides on length alone: a good request is refused once
 		// padding carries it over, by its declared Content-Length before a
 		// byte is read, or without one (chunked) when the bytes run past.
-		{name: "declared length over the bound", req: serve.ClassifyRequest{Image: good}, want: http.StatusRequestEntityTooLarge, pad: 64 << 10},
-		{name: "chunked body over the bound", req: serve.ClassifyRequest{Image: good}, want: http.StatusRequestEntityTooLarge, pad: 64 << 10, chunked: true},
+		{name: "declared length over the bound", req: serve.ClassifyRequest{Image: good}, want: http.StatusRequestEntityTooLarge, pad: 8 << 20},
+		{name: "chunked body over the bound", req: serve.ClassifyRequest{Image: good}, want: http.StatusRequestEntityTooLarge, pad: 8 << 20, chunked: true},
 	}
 	for _, tc := range cases {
 		before := edgeSrv.Stats().Invalid
@@ -375,25 +377,21 @@ func TestEdgeServerBadRequests(t *testing.T) {
 		if tc.chunked {
 			rd = struct{ io.Reader }{rd}
 		}
-		resp, err := http.Post(ts.URL+"/v1/classify", "application/json", rd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != tc.want {
-			t.Errorf("%s: HTTP %d, want %d", tc.name, resp.StatusCode, tc.want)
+		// Handler to handler: over a socket, a body refused unread holds
+		// the connection's close for half a second.
+		w := httptest.NewRecorder()
+		edgeSrv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/classify", rd))
+		if w.Code != tc.want {
+			t.Errorf("%s: HTTP %d, want %d", tc.name, w.Code, tc.want)
 		}
 		if got := edgeSrv.Stats().Invalid; got != before+1 {
 			t.Errorf("%s: invalid counter %d -> %d, want +1", tc.name, before, got)
 		}
 	}
-	resp, err := http.Get(ts.URL + "/v1/classify")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET: HTTP %d, want 405", resp.StatusCode)
+	w := httptest.NewRecorder()
+	edgeSrv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/classify", nil))
+	if w.Code != http.StatusMethodNotAllowed {
+		t.Errorf("GET: HTTP %d, want 405", w.Code)
 	}
 	if st := edgeSrv.Stats(); st.Invalid == 0 {
 		t.Error("invalid counter not incremented")
@@ -481,8 +479,10 @@ func (b *blockingTransport) ResumeBatch(ps [][]byte, d float64) ([]core.ExitReco
 
 // TestEdgeServerShedsWhenBusy pins the load-shedding path: with one worker
 // stuck on a slow cloud, a second request must be rejected with 503 within
-// AcquireTimeout instead of queueing unboundedly.
+// acquireTimeout instead of queueing unboundedly. Parallel: it waits the
+// full second, as TestEdgeSinksAgree does.
 func TestEdgeServerShedsWhenBusy(t *testing.T) {
+	t.Parallel()
 	cdln, data := testCDLN(t, 58)
 	lb, err := NewLoopback(cdln)
 	if err != nil {
@@ -492,7 +492,7 @@ func TestEdgeServerShedsWhenBusy(t *testing.T) {
 	edgeSrv, err := NewServer(cdln,
 		func() (Transport, error) { return bt, nil },
 		Config{SplitStage: 0, Delta: -1}, // split 0: every input offloads
-		ServerConfig{Workers: 1, AcquireTimeout: 50 * time.Millisecond})
+		ServerConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,9 +21,6 @@ type ServerConfig struct {
 	// Workers is the number of warm Edge runtimes (each with a private
 	// session and transport). Default GOMAXPROCS.
 	Workers int
-	// MaxRequestImages caps the images accepted in one request. Default
-	// 256.
-	MaxRequestImages int
 	// ModelName is reported by /healthz.
 	ModelName string
 	// CloudURL is reported by /healthz (informational; the transports
@@ -35,12 +32,6 @@ type ServerConfig struct {
 	// cloud's default model — one multi-model cloud tier can back many
 	// edge fronts, each split against its own named cascade.
 	CloudModel string
-	// AcquireTimeout is how long a request may wait for a free edge
-	// worker before being shed with 503 — with a slow cloud each offload
-	// can hold a worker for the transport's full timeout, and an edge
-	// node must shed that backlog rather than queue unboundedly (the
-	// same philosophy as serve's bounded queue). Default 1s.
-	AcquireTimeout time.Duration
 
 	// SLO, when active, attaches the same feedback controller the cloud
 	// registry runs (internal/control) to adapt the edge's offload
@@ -48,29 +39,25 @@ type ServerConfig struct {
 	// the controller caps the cascade below the split stage, resolving
 	// every input locally instead of queueing on a slow cloud, and
 	// restores the configured split when the pressure passes. Only
-	// requests without an explicit δ inherit the adapted policy.
+	// requests without an explicit δ inherit the adapted policy. It
+	// ticks every control.TickInterval.
 	SLO control.SLO
-	// ControlInterval is the controller tick period. Default 200ms.
-	ControlInterval time.Duration
-	// ControlWindow is the sliding telemetry span. Default 5s.
-	ControlWindow time.Duration
 }
+
+const (
+	// maxRequestImages caps the images accepted in one request.
+	maxRequestImages = 256
+	// acquireTimeout is how long a request may wait for a free edge
+	// worker before being shed with 503 — with a slow cloud each offload
+	// can hold a worker for the transport's full timeout, and an edge
+	// node must shed that backlog rather than queue unboundedly (the
+	// same philosophy as serve's bounded queue).
+	acquireTimeout = time.Second
+)
 
 func (c ServerConfig) withDefaults() ServerConfig {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.MaxRequestImages <= 0 {
-		c.MaxRequestImages = 256
-	}
-	if c.AcquireTimeout == 0 {
-		c.AcquireTimeout = time.Second
-	}
-	if c.ControlInterval <= 0 {
-		c.ControlInterval = 200 * time.Millisecond
-	}
-	if c.ControlWindow <= 0 {
-		c.ControlWindow = 5 * time.Second
 	}
 	return c
 }
@@ -183,13 +170,13 @@ func NewGraphServer(g *core.Graph, newTransport func() (Transport, error), edgeC
 		delta = model.Delta
 	}
 	flights := obs.NewFlightSet("edge", obs.FlightConfig{})
-	s.plane = control.NewPlane(s.name, flights.Recorder(s.name), cfg.ControlWindow, g.NumExits(), delta)
+	s.plane = control.NewPlane(s.name, flights.Recorder(s.name), g.NumExits(), delta)
 	if cfg.SLO.Active() {
 		// The edge's queue-occupancy analogue is worker exhaustion: a slow
 		// cloud holds every Edge for its transport timeout, so busy-worker
 		// fraction is the earliest pressure signal.
 		ladder := edgeLadder(g.MaxDepth(), edgeCfg.SplitStage, cfg.SLO.AccuracyFloorDelta)
-		err := s.plane.Attach(cfg.SLO, ladder, cfg.ControlInterval, func() float64 {
+		err := s.plane.Attach(cfg.SLO, ladder, control.TickInterval, func() float64 {
 			return float64(cfg.Workers-len(s.edges)) / float64(cfg.Workers)
 		})
 		if err != nil {
@@ -276,7 +263,7 @@ type Stats struct {
 	Requests      int64   `json:"requests"`
 	Invalid       int64   `json:"invalid"`
 	// Rejected counts requests shed with 503 because no edge worker
-	// freed up within AcquireTimeout.
+	// freed up within acquireTimeout.
 	Rejected int64 `json:"rejected"`
 	// CloudErrors counts offloads that failed at the cloud tier (mapped
 	// to 502 for the whole request).
@@ -333,7 +320,7 @@ func (s *Server) Stats() Stats {
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	// The cloud tier's own ingress: same method check, body bound, strict
 	// decode, image and δ validation, same status codes and error text.
-	images, delta, ok := serve.DecodeClassify(w, r, s.inWidth, s.cfg.MaxRequestImages, s.model.Arch.Net.InShape)
+	images, delta, ok := serve.DecodeClassify(w, r, s.inWidth, maxRequestImages, s.model.Arch.Net.InShape)
 	tr := obs.FromContext(r.Context())
 	if !ok {
 		s.refuse(tr, obs.FlightError, control.CauseInvalid, 0)
@@ -359,7 +346,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	select {
 	case edge = <-s.edges:
 	default:
-		timer := time.NewTimer(s.cfg.AcquireTimeout)
+		timer := time.NewTimer(acquireTimeout)
 		defer timer.Stop()
 		select {
 		case edge = <-s.edges:

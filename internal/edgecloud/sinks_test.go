@@ -10,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"cdl/internal/control"
 	"cdl/internal/core"
@@ -45,7 +44,9 @@ func (f *faultTransport) ResumeBatch(ps [][]byte, d float64) ([]core.ExitRecord,
 // cumulative counters, the telemetry window, the burn-rate monitor and the
 // flight ring agree exactly, /metricsz renders what /statsz reports, and
 // every non-200 left a flight record naming its cause. Run under -race.
+// Parallel: its shed waits the full acquireTimeout second.
 func TestEdgeSinksAgree(t *testing.T) {
+	t.Parallel()
 	cdln, data := testCDLN(t, 93)
 	lb, err := NewLoopback(cdln)
 	if err != nil {
@@ -57,8 +58,7 @@ func TestEdgeSinksAgree(t *testing.T) {
 	srv, err := NewServer(cdln, func() (Transport, error) { return ft, nil },
 		Config{SplitStage: 1, Delta: -1},
 		ServerConfig{
-			Workers: 1, AcquireTimeout: 50 * time.Millisecond, ModelName: "blob",
-			SLO: control.SLO{P99LatencyMs: 60_000}, ControlInterval: time.Hour, ControlWindow: time.Hour,
+			Workers: 1, ModelName: "blob", SLO: control.SLO{P99LatencyMs: 60_000},
 		})
 	if err != nil {
 		t.Fatal(err)

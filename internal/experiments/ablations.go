@@ -215,9 +215,7 @@ func AblationTunedDeltas(ctx *Context) (*AblationTunedDeltasResult, error) {
 		return nil, err
 	}
 	tuned := cdln3.Clone()
-	tcfg := core.DefaultTuneConfig()
-	tcfg.Workers = ctx.Cfg.Workers
-	deltas, _, err := core.TuneDeltas(tuned, trainS, tcfg)
+	deltas, _, err := core.TuneDeltas(tuned, trainS, ctx.Cfg.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -456,22 +456,32 @@ func (b unreadBody) Read([]byte) (int, error) {
 }
 
 // TestRouterBodyBound pins the router's 413 rule, the one serve's
-// decodeBody has: MaxBodyBytes alone decides. A declared length over the
+// decodeBody has: maxBodyBytes alone decides. A declared length over the
 // bound is refused before a byte is read, a body that runs past it
 // undeclared (chunked) is refused too, both with MaxBytesError's message;
-// a body of exactly the bound is forwarded intact, which the backend shows
-// by classifying it.
+// a body of exactly the bound — two images padded to 32 MiB — is forwarded
+// intact, which a backend whose own bound (8 192 images of 144 pixels,
+// ~38 MB) is wider shows by classifying it.
 func TestRouterBodyBound(t *testing.T) {
 	cdln, data := testCDLN(t, 37)
-	body, err := json.Marshal(serve.ClassifyRequest{Images: sampleImages(data, 0, 2)})
+	req, err := json.Marshal(serve.ClassifyRequest{Images: sampleImages(data, 0, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bound := int64(len(body))
-	f := startFleet(t, cdln, 1, func(c *Config) { c.MaxBodyBytes = bound })
-	waitReady(t, f, 1)
+	const bound = maxBodyBytes
+	over := make([]byte, bound+1)
+	copy(over, req)
+	for i := len(req); i < len(over); i++ {
+		over[i] = ' '
+	}
+	body := over[:bound]
+	b := startBackend(t, cdln, serve.Config{Workers: 1, MaxBatch: 1024, QueueDepth: 8192})
+	rt, err := New(Config{Backends: []string{b.url}}) // probes once: ready on return
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
 
-	over := append(bytes.Clone(body), ' ')
 	for _, tc := range []struct {
 		name     string
 		body     io.Reader
@@ -486,9 +496,9 @@ func TestRouterBodyBound(t *testing.T) {
 		r := httptest.NewRequest(http.MethodPost, "/v1/classify", tc.body)
 		r.ContentLength = tc.declared
 		w := httptest.NewRecorder()
-		f.router.Handler().ServeHTTP(w, r)
+		rt.Handler().ServeHTTP(w, r)
 		if w.Code != tc.want {
-			t.Errorf("%s: HTTP %d (%s), want %d", tc.name, w.Code, w.Body, tc.want)
+			t.Errorf("%s: HTTP %d (%.200s), want %d", tc.name, w.Code, w.Body, tc.want)
 			continue
 		}
 		switch tc.want {

@@ -32,10 +32,6 @@ const maxModelSeries = 256
 
 const overflowModel = "_other"
 
-// planeWindow is the span of a model's router-side telemetry window (the
-// live p99 behind the flight recorder's anomaly gate).
-const planeWindow = 5 * time.Second
-
 // modelMetrics is one model's router-side state: the counters only a
 // front door has — routed requests, failover retries, sheds, hedges, the
 // end-to-end latency that sets the hedge deadline — and the model's
@@ -78,7 +74,7 @@ func (m *routerMetrics) model(name string) *modelMetrics {
 		}
 		mm = &modelMetrics{
 			lat:   control.NewHistogram(),
-			plane: control.NewPlane(name, m.flights.Recorder(name), planeWindow, 1, 0),
+			plane: control.NewPlane(name, m.flights.Recorder(name), 1, 0),
 		}
 		mm.plane.Monitor(0)
 		m.models[name] = mm

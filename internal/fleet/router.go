@@ -51,12 +51,12 @@ type Config struct {
 	// router-observed hedgeQuantile latency). Defaults 5ms / 1s. Setting
 	// HedgeMin == HedgeMax pins a fixed deadline (tests do).
 	HedgeMin, HedgeMax time.Duration
-
-	// MaxBodyBytes bounds an accepted request body. Default 32 MiB.
-	MaxBodyBytes int64
 }
 
 const (
+	// maxBodyBytes bounds an accepted request body (and a backend's
+	// answer).
+	maxBodyBytes = 32 << 20
 	// hedgeQuantile is the per-model router-observed latency quantile used
 	// as the hedge deadline.
 	hedgeQuantile = 0.95
@@ -92,9 +92,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HedgeMax < c.HedgeMin {
 		c.HedgeMax = c.HedgeMin
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 32 << 20
 	}
 	return c
 }
@@ -349,7 +346,7 @@ func (rt *Router) send(ctx context.Context, b *backend, method, path, contentTyp
 		return attemptResult{backend: b, err: err}
 	}
 	defer resp.Body.Close()
-	payload, err := serve.ReadSized(io.LimitReader(resp.Body, rt.cfg.MaxBodyBytes+1), resp.ContentLength)
+	payload, err := serve.ReadSized(io.LimitReader(resp.Body, maxBodyBytes+1), resp.ContentLength)
 	if err != nil {
 		b.errors.Add(1)
 		return attemptResult{backend: b, err: err}
@@ -388,10 +385,10 @@ func (rt *Router) handleData(w http.ResponseWriter, r *http.Request, model, rout
 	// be sending it after this handler returns.
 	var body []byte
 	var err error
-	if r.ContentLength > rt.cfg.MaxBodyBytes {
-		err = &http.MaxBytesError{Limit: rt.cfg.MaxBodyBytes}
+	if r.ContentLength > maxBodyBytes {
+		err = &http.MaxBytesError{Limit: maxBodyBytes}
 	} else {
-		body, err = serve.ReadSized(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes), r.ContentLength)
+		body, err = serve.ReadSized(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
 	}
 	if err != nil {
 		mm.plane.Observe([]control.Event{refused})

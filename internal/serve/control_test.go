@@ -407,7 +407,7 @@ func TestV2TimeoutRange(t *testing.T) {
 // of the controlled entry (swap) and SLO re-attachment all concurrently.
 func TestControlObserveStepSwapRace(t *testing.T) {
 	cdln, data := testCDLN(t, 77)
-	reg := NewRegistry(Config{Workers: 2, ControlInterval: 2 * time.Millisecond, ControlWindow: 200 * time.Millisecond})
+	reg := NewRegistry(Config{Workers: 2, ControlInterval: 2 * time.Millisecond})
 	if _, err := reg.Register(DefaultModelName, cdln); err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +501,7 @@ func TestControlObserveStepSwapRace(t *testing.T) {
 // subsequent no-policy responses.
 func TestSLOControllerActuatesEndToEnd(t *testing.T) {
 	cdln, data := testCDLN(t, 78)
-	reg := NewRegistry(Config{Workers: 1, ControlInterval: 5 * time.Millisecond, ControlWindow: time.Second})
+	reg := NewRegistry(Config{Workers: 1, ControlInterval: 5 * time.Millisecond})
 	if _, err := reg.Register(DefaultModelName, cdln); err != nil {
 		t.Fatal(err)
 	}

@@ -136,14 +136,14 @@ func TestFrameMatchesJSON(t *testing.T) {
 }
 
 // TestResumeFrameBound pins the frame's 413 on its own length: the bound is
-// MaxRequestImages payloads of the model's widest activation, each with its
+// the request cap's payloads of the model's widest activation, each with its
 // four-byte length, not the base64-inflated bound of the JSON body. A frame
 // of exactly the bound is served; one byte more is refused by its declared
 // length before a byte is read, or (chunked) once the bytes run past.
 func TestResumeFrameBound(t *testing.T) {
 	cdln, _ := testCDLN(t, 91)
 	const maxImages = 3
-	srv, _ := startServer(t, cdln, Config{Workers: 1, MaxRequestImages: maxImages})
+	srv, _ := startServer(t, cdln, Config{Workers: 1, QueueDepth: maxImages})
 	m, err := srv.Registry().Get("")
 	if err != nil {
 		t.Fatal(err)
@@ -305,7 +305,7 @@ func TestFrameJSONConcurrent(t *testing.T) {
 // have no JSON twin; their frame must be a 400.
 func FuzzResumeFrame(f *testing.F) {
 	cdln, _ := testCDLN(f, 91)
-	srv, _ := startServer(f, cdln, Config{Workers: 2, MaxRequestImages: 3})
+	srv, _ := startServer(f, cdln, Config{Workers: 2, QueueDepth: 3})
 	v1, _ := goldenResume(f, cdln)
 	_, good, _ := wire.ReadFrame(frameOf(f, v1))
 	act, err := wire.Decode(good[0])

@@ -445,7 +445,7 @@ func (s *Server) handleInfer(resume bool, newBody func() wireRequest) http.Handl
 			// The same, base64-inflated in a JSON string.
 			perInput = base64.StdEncoding.EncodedLen(m0.maxResumeWire) + 4
 		}
-		rerr := decodeBody(w, r, http.MethodPost, bodyBound(s.cfg.MaxRequestImages, perInput), body, m0.inWidth, s.cfg.MaxRequestImages)
+		rerr := decodeBody(w, r, http.MethodPost, bodyBound(s.maxImages, perInput), body, m0.inWidth, s.maxImages)
 		var req inferRequest
 		var ctx context.Context
 		var cancel context.CancelFunc
@@ -462,7 +462,7 @@ func (s *Server) handleInfer(resume bool, newBody func() wireRequest) http.Handl
 
 		detail := DetailCost
 		build := func(m *Model) ([]*job, *requestError) {
-			jobs, err := req.inputs(m, resume, s.cfg.MaxRequestImages)
+			jobs, err := req.inputs(m, resume, s.maxImages)
 			if err != nil {
 				return nil, badRequest("%v", err)
 			}

@@ -373,7 +373,7 @@ func (r *Registry) swapIn(name, path string, g *core.Graph) (*Model, error) {
 	}
 	delta := m.cdln.Delta
 	if m.plane = r.planes[name]; m.plane == nil {
-		m.plane = control.NewPlane(name, r.flights.Recorder(name), r.cfg.ControlWindow, g.NumExits(), delta)
+		m.plane = control.NewPlane(name, r.flights.Recorder(name), g.NumExits(), delta)
 		r.planes[name] = m.plane
 	} else {
 		m.plane.Bind(g.NumExits(), delta)

@@ -112,7 +112,7 @@ func TestResumeMatchesMonolithic(t *testing.T) {
 // TestResumeBadRequests covers the defensive 4xx paths of /v1/resume.
 func TestResumeBadRequests(t *testing.T) {
 	cdln, data := testCDLN(t, 42)
-	srv, ts := startServer(t, cdln, Config{Workers: 1, MaxRequestImages: 2})
+	srv, ts := startServer(t, cdln, Config{Workers: 1, QueueDepth: 2})
 
 	edge, err := core.NewSession(cdln)
 	if err != nil {

@@ -67,21 +67,16 @@ type Config struct {
 	QueueDepth int
 	// MaxBatch is the micro-batch size B: a worker drains up to B queued
 	// images before touching shared state, and never waits for more.
-	// Default 32.
+	// Default 32. One request carries at most MaxBatch×8 images, and no
+	// more than QueueDepth.
 	MaxBatch int
-	// MaxRequestImages caps the images accepted in one request (they must
-	// all fit the queue anyway). Default MaxBatch×8.
-	MaxRequestImages int
 	// ModelName is reported by /healthz (e.g. the model file path).
 	ModelName string
 
 	// ControlInterval is the SLO controller tick period for entries with
 	// an attached SLO (Registry.SetSLO / PUT /v2/models/{name}/slo).
-	// Default 200ms.
+	// Default control.TickInterval.
 	ControlInterval time.Duration
-	// ControlWindow is the sliding telemetry span the controller's
-	// latency/energy signals are computed over. Default 5s.
-	ControlWindow time.Duration
 }
 
 // withDefaults fills unset fields.
@@ -95,19 +90,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
 	}
-	if c.MaxRequestImages <= 0 {
-		c.MaxRequestImages = c.MaxBatch * 8
-	}
-	// Admission is all-or-nothing against the queue, so a request larger
-	// than the queue could never be accepted.
-	if c.MaxRequestImages > c.QueueDepth {
-		c.MaxRequestImages = c.QueueDepth
-	}
 	if c.ControlInterval <= 0 {
-		c.ControlInterval = 200 * time.Millisecond
-	}
-	if c.ControlWindow <= 0 {
-		c.ControlWindow = 5 * time.Second
+		c.ControlInterval = control.TickInterval
 	}
 	return c
 }
@@ -143,13 +127,17 @@ func maxResumeWireSize(g *core.Graph) int {
 // in-memory model) or NewWithRegistry (multi-model), expose via Handler
 // (or ListenAndServe) and stop with Close.
 type Server struct {
-	cfg     Config
-	reg     *Registry
-	mux     *http.ServeMux
-	handler http.Handler // mux wrapped in the tracing middleware
-	slow    *obs.SlowLog
-	admin   []obs.AdminRoute
-	started time.Time
+	cfg Config
+	// maxImages caps the images in one request: MaxBatch×8, clamped to
+	// QueueDepth (admission is all-or-nothing against the queue, so a
+	// larger request could never be accepted).
+	maxImages int
+	reg       *Registry
+	mux       *http.ServeMux
+	handler   http.Handler // mux wrapped in the tracing middleware
+	slow      *obs.SlowLog
+	admin     []obs.AdminRoute
+	started   time.Time
 }
 
 // New builds a single-model server: the model is registered in-memory
@@ -169,7 +157,8 @@ func NewWithRegistry(reg *Registry) (*Server, error) {
 	if len(reg.Models()) == 0 {
 		return nil, fmt.Errorf("serve: registry has no models")
 	}
-	s := &Server{cfg: reg.Config(), reg: reg, started: time.Now()}
+	cfg := reg.Config()
+	s := &Server{cfg: cfg, maxImages: min(cfg.MaxBatch*8, cfg.QueueDepth), reg: reg, started: time.Now()}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/classify", s.handleInfer(false, func() wireRequest { return new(ClassifyRequest) }))
 	s.mux.HandleFunc("/v1/resume", s.handleInfer(true, func() wireRequest { return new(ResumeRequest) }))

@@ -329,7 +329,7 @@ func TestServerConcurrent(t *testing.T) {
 // TestServerBadRequests covers the 4xx/405 paths.
 func TestServerBadRequests(t *testing.T) {
 	cdln, data := testCDLN(t, 25)
-	srv, ts := startServer(t, cdln, Config{Workers: 1, MaxRequestImages: 4})
+	srv, ts := startServer(t, cdln, Config{Workers: 1, QueueDepth: 4})
 
 	good := data[0].X.Flatten().Data
 	bad := 2.0

@@ -127,7 +127,7 @@ func TestDroppedJobsChargedPerImage(t *testing.T) {
 // left a flight record naming its cause. Run under -race in CI.
 func TestSinksAgree(t *testing.T) {
 	cdln, data := testCDLN(t, 92)
-	reg := NewRegistry(Config{Workers: 2, MaxBatch: 4, ControlInterval: time.Hour, ControlWindow: time.Hour})
+	reg := NewRegistry(Config{Workers: 2, MaxBatch: 4, ControlInterval: time.Hour})
 	if _, err := reg.Register(DefaultModelName, cdln); err != nil {
 		t.Fatal(err)
 	}
