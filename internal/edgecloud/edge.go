@@ -2,7 +2,8 @@
 // owns the baseline prefix up to a configurable split stage plus its linear
 // classifiers, exits easy inputs locally when the δ-rule fires, and ships
 // only the hard residue — as wire-encoded intermediate activations — to a
-// cloud backend that resumes the cascade (internal/serve's /v1/resume).
+// cloud backend that resumes the cascade: internal/serve's /v1/resume, or
+// /v2/models/{name}/resume when the HTTPTransport names a model.
 //
 // This is the paper's thesis turned into an offload policy: the exit
 // cascade already separates easy inputs from hard ones, so the same
@@ -21,6 +22,7 @@ package edgecloud
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -78,6 +80,10 @@ func (c Config) withDefaults() Config {
 // trip for however many payloads a batch deferred — and returns the
 // cascade's final exit records in payload order. delta is the bare-δ
 // policy (core.DeltaPolicy: < 0 = the model's trained thresholds).
+// A record need carry only what a wire record does: StageIndex, Label and
+// Confidence. The Edge checks those against its own graph and derives
+// Node, StageName and Ops from the exit index. The payloads are valid only
+// for the duration of the call: they are views of a buffer the Edge reuses.
 // Implementations: HTTPTransport (a real cdlserve backend) and Loopback
 // (in-process, for tests and single-node runs).
 type Transport interface {
@@ -104,6 +110,16 @@ type Edge struct {
 	sess      *core.Session
 	transport Transport
 	costs     *energy.TierCosts
+	// exitOps and classes complete and check the cloud's records: the op
+	// cost of each global exit, and the trunk's label count.
+	exitOps []float64
+	classes int
+	// slab holds the encoded offloads of the current call; payloads and
+	// deferred are its views and their inputs' indices. Reused call after
+	// call (an Edge is single-goroutine).
+	slab     []byte
+	payloads [][]byte
+	deferred []int
 	// tr is the attached request trace (nil between requests): prefix
 	// stage spans, the offload hop and the cloud tier's merged spans all
 	// record into it.
@@ -148,7 +164,7 @@ func NewGraph(g *core.Graph, t Transport, cfg Config) (*Edge, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Edge{cfg: cfg, sess: sess, transport: t, costs: costs}, nil
+	return &Edge{cfg: cfg, sess: sess, transport: t, costs: costs, exitOps: g.ExitOps(), classes: g.Trunk().Arch.NumClasses}, nil
 }
 
 // AttachTrace attaches a request trace for the next Classify* call(s):
@@ -229,38 +245,42 @@ func (e *Edge) ClassifyBatchPolicy(xs []*tensor.T, pol core.ExitPolicy) ([]Resul
 		return nil, fmt.Errorf("edgecloud: policy depth cap %d lies in the cloud tier (split %d) and cannot be forwarded on the δ-only offload wire",
 			pol.MaxExit, e.cfg.SplitStage)
 	}
-	delta := pol.Delta
 	results := make([]Result, len(xs))
-	var payloads [][]byte
-	var deferred []int // index into xs of each offloaded input
 	detach := e.installObserver()
 	prefixes := e.sess.ClassifyPrefixBatchPolicy(xs, e.cfg.SplitStage, pol)
 	detach()
+	size := 0
+	e.deferred = e.deferred[:0]
 	for i, pre := range prefixes {
 		if pre.Exited {
 			results[i] = e.localResult(pre.Record)
 			continue
 		}
-		payload, err := e.encodePrefix(pre)
-		if err != nil {
-			return nil, err
-		}
-		payloads = append(payloads, payload)
-		deferred = append(deferred, i)
+		e.deferred = append(e.deferred, i)
+		size += wire.EncodedSizeAt(pre.Node, len(pre.Activation.Shape()), len(pre.Activation.Data), e.cfg.Encoding)
 	}
-	if len(payloads) == 0 {
+	if len(e.deferred) == 0 {
 		return results, nil
 	}
-	recs, err := e.resumeOffloads(payloads, delta)
+	// Grown once, so every payload is a view of the one array.
+	e.slab, e.payloads = slices.Grow(e.slab[:0], size), e.payloads[:0]
+	for _, i := range e.deferred {
+		at := len(e.slab)
+		if err := e.encodePrefix(prefixes[i]); err != nil {
+			return nil, err
+		}
+		e.payloads = append(e.payloads, e.slab[at:])
+	}
+	recs, err := e.resumeOffloads(e.payloads, pol.Delta)
 	if err != nil {
 		return nil, err
 	}
 	for k, rec := range recs {
-		res, err := e.offloadResult(rec, len(payloads[k]))
+		res, err := e.offloadResult(rec, len(e.payloads[k]))
 		if err != nil {
 			return nil, err
 		}
-		results[deferred[k]] = res
+		results[e.deferred[k]] = res
 	}
 	return results, nil
 }
@@ -302,12 +322,13 @@ func (e *Edge) localResult(rec core.ExitRecord) Result {
 	return Result{Record: rec, EdgePJ: e.costs.Edge[rec.StageIndex]}
 }
 
-// encodePrefix serializes a deferred prefix for the wire: a trunk residue
-// resumes at the split stage, a routed input hands off at its branch entry
-// (node, stage 0, pos 0). The payload carries no trace ID: the trace
-// crosses the split in resumeOffloads, beside the payloads.
-func (e *Edge) encodePrefix(pre core.PrefixResult) ([]byte, error) {
-	payload, err := wire.Encode(wire.Activation{
+// encodePrefix appends a deferred prefix's wire encoding to the slab: a
+// trunk residue resumes at the split stage, a routed input hands off at its
+// branch entry (node, stage 0, pos 0). The payload carries no trace ID: the
+// trace crosses the split in resumeOffloads, beside the payloads.
+func (e *Edge) encodePrefix(pre core.PrefixResult) error {
+	var err error
+	e.slab, err = wire.AppendEncode(e.slab, wire.Activation{
 		Node:      pre.Node,
 		FromStage: pre.FromStage,
 		Pos:       pre.Pos,
@@ -315,17 +336,25 @@ func (e *Edge) encodePrefix(pre core.PrefixResult) ([]byte, error) {
 		Data:      pre.Activation.Data,
 	}, e.cfg.Encoding, e.cfg.Format)
 	if err != nil {
-		return nil, fmt.Errorf("edgecloud: encode offload: %w", err)
+		return fmt.Errorf("edgecloud: encode offload: %w", err)
 	}
-	return payload, nil
+	return nil
 }
 
-// offloadResult validates a cloud record and charges all three tiers.
+// offloadResult checks what a cloud record carries — an exit in the cloud's
+// half of the cascade, a label of the model — completes the rest from the
+// edge's own graph, and charges all three tiers.
 func (e *Edge) offloadResult(rec core.ExitRecord, wireBytes int) (Result, error) {
-	if rec.StageIndex < e.cfg.SplitStage || rec.StageIndex >= len(e.costs.Edge) {
+	if rec.StageIndex < e.cfg.SplitStage || rec.StageIndex >= len(e.exitOps) {
 		return Result{}, fmt.Errorf("edgecloud: cloud returned exit %d outside [%d,%d)",
-			rec.StageIndex, e.cfg.SplitStage, len(e.costs.Edge))
+			rec.StageIndex, e.cfg.SplitStage, len(e.exitOps))
 	}
+	if rec.Label < 0 || rec.Label >= e.classes {
+		return Result{}, fmt.Errorf("edgecloud: cloud returned label %d outside [0,%d)", rec.Label, e.classes)
+	}
+	g := e.sess.Graph()
+	rec.Node, _ = g.NodeOfExit(rec.StageIndex)
+	rec.StageName, rec.Ops = g.ExitName(rec.StageIndex), e.exitOps[rec.StageIndex]
 	return Result{
 		Record:    rec,
 		Offloaded: true,

@@ -98,3 +98,42 @@ func TestLinkChargeMatchesTheWire(t *testing.T) {
 		}
 	}
 }
+
+// TestRequestFrameOutlivesAnEarlyRefusal: a cloud may refuse before it
+// reads the body, and net/http then returns the answer from Do while it is
+// still writing the request. A body past the server's 256 KB post-handler
+// drain is never drained: the server answers, holds the connection for its
+// reset-avoidance delay and closes it, so the write of every call below is
+// still in flight when the next call builds its frame. Several callers
+// share the pool, as an edge's workers do. The pooled request frame must go
+// back to its pool only when net/http closes the body; under -race,
+// recycling it any earlier is a data race between that write and another
+// call's AppendFrame.
+func TestRequestFrameOutlivesAnEarlyRefusal(t *testing.T) {
+	cloud := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		serve.WriteError(w, http.StatusServiceUnavailable, "refused unread")
+	}))
+	defer cloud.Close()
+	transport := NewHTTPTransport(cloud.URL)
+	var wg sync.WaitGroup
+	for caller := 0; caller < 3; caller++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			payloads := make([][]byte, 4)
+			for i := range payloads {
+				payloads[i] = bytes.Repeat([]byte{byte(caller)}, 100<<10)
+			}
+			for call := 0; call < 10; call++ {
+				for _, p := range payloads {
+					p[0] = byte(call)
+				}
+				if _, err := transport.ResumeBatch(payloads, 0.9); err == nil {
+					t.Errorf("caller %d call %d: a refusing cloud yielded records", caller, call)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -212,6 +213,116 @@ func TestEdgeSinksAgree(t *testing.T) {
 	for id, code := range refused {
 		if rec, ok := byTrace[id]; !ok || rec.RejectCause == "" {
 			t.Errorf("HTTP %d (trace %s) left flight record %+v, want one with a reject_cause", code, id, rec)
+		}
+	}
+}
+
+// lyingTransport is a loopback cloud that rewrites every record it returns.
+type lyingTransport struct {
+	lb  *Loopback
+	lie func(*core.ExitRecord)
+}
+
+func (l *lyingTransport) ResumeBatch(ps [][]byte, d float64) ([]core.ExitRecord, error) {
+	recs, err := l.lb.ResumeBatch(ps, d)
+	for i := range recs {
+		l.lie(&recs[i])
+	}
+	return recs, err
+}
+
+// TestEdgeChecksWhatItCannotDerive: of a cloud record the edge reads only
+// what a wire record carries. The exit must lie in the cloud's half of the
+// cascade and the label among the model's classes; a record that breaks
+// either fails the request with 502, and every sink counts it as a
+// cloud_error: /statsz, /metricsz, the burn-rate monitor and the flight
+// ring. Node, name and op cost are derived from the exit, so a cloud that
+// gets them wrong changes nothing.
+func TestEdgeChecksWhatItCannotDerive(t *testing.T) {
+	cdln, data := testCDLN(t, 94)
+	classes, exits := cdln.Arch.NumClasses, len(cdln.Stages)+1
+	one := 1.0 // no early exit: every image crosses the link
+	body, err := json.Marshal(serve.ClassifyRequest{Images: [][]float64{data[0].X.Flatten().Data, data[1].X.Flatten().Data}, Delta: &one})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		lie  func(*core.ExitRecord)
+		want string // the 502's error; "" expects the oracle's records
+	}{
+		{"exit on the edge's side of the split", func(r *core.ExitRecord) { r.StageIndex = 0 }, "cloud returned exit 0 outside [1,3)"},
+		{"exit past FC", func(r *core.ExitRecord) { r.StageIndex = exits }, "cloud returned exit 3 outside [1,3)"},
+		{"label past the classes", func(r *core.ExitRecord) { r.Label = classes }, "cloud returned label 3 outside [0,3)"},
+		{"negative label", func(r *core.ExitRecord) { r.Label = -1 }, "cloud returned label -1 outside [0,3)"},
+		{"wrong node, name and ops", func(r *core.ExitRecord) { r.Node, r.StageName, r.Ops = 7, "bogus", -1 }, ""},
+	} {
+		lb, err := NewLoopback(cdln)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lt := &lyingTransport{lb: lb, lie: tc.lie}
+		srv, err := NewServer(cdln, func() (Transport, error) { return lt, nil },
+			Config{SplitStage: 1, Delta: -1}, ServerConfig{Workers: 1, ModelName: "liar", SLO: control.SLO{P99LatencyMs: 60_000}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := httptest.NewRequest(http.MethodPost, "/v1/classify", bytes.NewReader(body))
+		r.Header.Set(obs.TraceHeader, "liar-0001")
+		w := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(w, r)
+		var out struct {
+			Error   string                 `json:"error"`
+			Results []serve.ClassifyResult `json:"results"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &out); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		get := func(path string) []byte {
+			w := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+			return w.Body.Bytes()
+		}
+		var flights obs.FlightzResponse
+		var alerts control.AlertzReport
+		if err := json.Unmarshal(get("/debug/flightz?limit=16"), &flights); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(get("/alertz"), &alerts); err != nil {
+			t.Fatal(err)
+		}
+		metrics := get("/metricsz")
+		st := srv.Stats()
+		srv.Close()
+
+		if tc.want == "" {
+			ref := cdln.Clone()
+			ref.Delta, ref.StageDeltas = one, nil
+			for i, res := range out.Results {
+				want := ref.Classify(data[i].X)
+				if w.Code != http.StatusOK || res.Exit != want.StageName || res.ExitIndex != want.StageIndex || res.Ops != want.Ops || res.Label != want.Label {
+					t.Errorf("%s: HTTP %d, image %d answered %+v, oracle %+v", tc.name, w.Code, i, res, want)
+				}
+			}
+			if st.CloudErrors != 0 || st.Offloads != 2 {
+				t.Errorf("%s: cloud_errors %d, offloads %d; want 0 and 2", tc.name, st.CloudErrors, st.Offloads)
+			}
+			continue
+		}
+		if w.Code != http.StatusBadGateway || !strings.Contains(out.Error, tc.want) {
+			t.Errorf("%s: HTTP %d %q, want 502 naming %q", tc.name, w.Code, out.Error, tc.want)
+		}
+		if st.CloudErrors != 1 || st.Requests != 0 || st.Images != 0 {
+			t.Errorf("%s: statsz cloud_errors/requests/images = %d/%d/%d, want 1/0/0", tc.name, st.CloudErrors, st.Requests, st.Images)
+		}
+		if !bytes.Contains(metrics, []byte("cdl_edge_cloud_errors_total 1\n")) {
+			t.Errorf("%s: /metricsz does not count the cloud error", tc.name)
+		}
+		if bad := alerts.Models["liar"].TotalBad; bad != 2 {
+			t.Errorf("%s: alert bad %d, want the request's 2 images", tc.name, bad)
+		}
+		if len(flights.Records) != 1 || flights.Records[0].TraceID != "liar-0001" || flights.Records[0].RejectCause != causeCloudError {
+			t.Errorf("%s: flight records %+v, want one for liar-0001 with cause %q", tc.name, flights.Records, causeCloudError)
 		}
 	}
 }

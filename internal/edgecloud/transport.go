@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"cdl/internal/core"
@@ -53,7 +55,9 @@ func NewHTTPModelTransport(baseURL, model string) *HTTPTransport {
 
 // ResumeBatch implements Transport over the serve resume routes: all
 // payloads travel in one wire frame (wire.AppendFrame), so a hard batch
-// costs one round trip instead of one per image.
+// costs one round trip instead of one per image, and the cloud answers
+// with a frame of wire records (exit, label, confidence), which is all a
+// returned record carries.
 func (h *HTTPTransport) ResumeBatch(payloads [][]byte, delta float64) ([]core.ExitRecord, error) {
 	recs, _, err := h.resumeBatch(payloads, delta, "")
 	return recs, err
@@ -62,10 +66,62 @@ func (h *HTTPTransport) ResumeBatch(payloads [][]byte, delta float64) ([]core.Ex
 // ResumeBatchTraced implements TracedBatchTransport: the trace ID rides
 // the X-Trace-Id request header, its only channel across the split (the
 // cloud adopts it and opts the response into span detail), and the cloud's
-// span timeline comes back in the response body.
+// span timeline comes back as the answer frame's members.
 func (h *HTTPTransport) ResumeBatchTraced(payloads [][]byte, delta float64, traceID string) ([]core.ExitRecord, []obs.Span, error) {
 	return h.resumeBatch(payloads, delta, traceID)
 }
+
+// requestFrame is a pooled request body: one resume frame, read by one
+// frameReader per (re)send. It goes back to framePool when its last
+// reference is dropped: each reader's Close drops one, and resumeBatch
+// holds one across client.Do, because Do may ask GetBody for a fresh reader
+// (to resend on a new connection) after closing the first. Do can return
+// on an early answer while the transport is still writing the body, so the
+// buffer is never recycled only because Do returned.
+type requestFrame struct {
+	buf  []byte
+	refs atomic.Int32
+}
+
+var framePool = sync.Pool{New: func() any { return new(requestFrame) }}
+
+// reader takes a reference and returns a body reading the whole frame.
+func (f *requestFrame) reader() io.ReadCloser {
+	f.refs.Add(1)
+	r := &frameReader{f: f}
+	r.Reset(f.buf)
+	return r
+}
+
+// release drops one reference, recycling the frame with the last.
+func (f *requestFrame) release() {
+	if f.refs.Add(-1) == 0 && cap(f.buf) <= maxPooledBuf {
+		framePool.Put(f)
+	}
+}
+
+// frameReader is one send's view of a requestFrame; Close, which net/http
+// calls once it is done writing, releases its reference once.
+type frameReader struct {
+	bytes.Reader
+	f      *requestFrame
+	closed atomic.Bool
+}
+
+func (r *frameReader) Close() error {
+	if r.closed.CompareAndSwap(false, true) {
+		r.f.release()
+	}
+	return nil
+}
+
+// maxPooledBuf caps what the transport's buffer pools retain, as the
+// serve body pool is capped.
+const maxPooledBuf = 1 << 20
+
+// answerBufs holds the buffers answers are read into. Nothing decoded
+// from an answer aliases it.
+var answerBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 func (h *HTTPTransport) resumeBatch(payloads [][]byte, delta float64, traceID string) ([]core.ExitRecord, []obs.Span, error) {
 	// The members: the route's own wire struct, its payload fields empty.
@@ -86,11 +142,14 @@ func (h *HTTPTransport) resumeBatch(payloads [][]byte, delta float64, traceID st
 		}
 		members = req
 	}
-	body, err := json.Marshal(members)
-	if err == nil {
-		body, err = wire.AppendFrame(nil, body, payloads)
-	}
+	m, err := json.Marshal(members)
 	if err != nil {
+		return nil, nil, err
+	}
+	frame := framePool.Get().(*requestFrame)
+	frame.refs.Store(1) // resumeBatch's own, across Do
+	defer frame.release()
+	if frame.buf, err = wire.AppendFrame(frame.buf[:0], m, payloads); err != nil {
 		return nil, nil, err
 	}
 	client := h.Client
@@ -98,10 +157,12 @@ func (h *HTTPTransport) resumeBatch(payloads [][]byte, delta float64, traceID st
 		client = defaultClient
 	}
 	url := strings.TrimSuffix(h.BaseURL, "/") + path
-	hreq, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
+	hreq, err := http.NewRequest(http.MethodPost, url, frame.reader())
 	if err != nil {
 		return nil, nil, err
 	}
+	hreq.ContentLength = int64(len(frame.buf))
+	hreq.GetBody = func() (io.ReadCloser, error) { return frame.reader(), nil }
 	hreq.Header.Set("Content-Type", wire.FrameContentType)
 	if traceID != "" {
 		hreq.Header.Set(obs.TraceHeader, traceID)
@@ -111,40 +172,55 @@ func (h *HTTPTransport) resumeBatch(payloads [][]byte, delta float64, traceID st
 		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	raw, err := serve.ReadSized(io.LimitReader(resp.Body, 8<<20), resp.ContentLength)
-	if err != nil {
+	buf := answerBufs.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBuf {
+			buf.Reset()
+			answerBufs.Put(buf)
+		}
+	}()
+	buf.Grow(int(min(max(resp.ContentLength, 0), maxPooledBuf)) + bytes.MinRead)
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, 8<<20)); err != nil {
 		return nil, nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
 		var e struct {
 			Error string `json:"error"`
 		}
-		if json.Unmarshal(raw, &e) == nil && e.Error != "" {
+		if json.Unmarshal(buf.Bytes(), &e) == nil && e.Error != "" {
 			return nil, nil, fmt.Errorf("cloud HTTP %d: %s", resp.StatusCode, e.Error)
 		}
 		return nil, nil, fmt.Errorf("cloud HTTP %d", resp.StatusCode)
 	}
-	// The v1 and v2 result rows share field names, so one decode shape
-	// covers both surfaces.
-	var out serve.ClassifyResponse
-	if err := json.Unmarshal(raw, &out); err != nil {
-		return nil, nil, fmt.Errorf("cloud response: %w", err)
+	return decodeAnswer(buf.Bytes(), len(payloads))
+}
+
+// decodeAnswer reads an answer frame of want records: each completes only
+// StageIndex, Label and Confidence (the Edge derives the rest from its own
+// graph), and the members, when present, are the cloud's spans.
+func decodeAnswer(b []byte, want int) ([]core.ExitRecord, []obs.Span, error) {
+	members, records, err := wire.ReadFrame(b)
+	if err != nil {
+		return nil, nil, fmt.Errorf("cloud answer: %w", err)
 	}
-	if len(out.Results) != len(payloads) {
-		return nil, nil, fmt.Errorf("cloud returned %d results for %d payloads", len(out.Results), len(payloads))
+	if len(records) != want {
+		return nil, nil, fmt.Errorf("cloud returned %d results for %d payloads", len(records), want)
 	}
-	recs := make([]core.ExitRecord, len(out.Results))
-	for i, r := range out.Results {
-		recs[i] = core.ExitRecord{
-			Node:       r.Node,
-			StageIndex: r.ExitIndex,
-			StageName:  r.Exit,
-			Label:      r.Label,
-			Confidence: r.Confidence,
-			Ops:        r.Ops,
+	recs := make([]core.ExitRecord, len(records))
+	for i, p := range records {
+		r, err := wire.DecodeRecord(p)
+		if err != nil {
+			return nil, nil, fmt.Errorf("cloud answer: record %d: %w", i, err)
+		}
+		recs[i] = core.ExitRecord{StageIndex: r.Exit, Label: r.Label, Confidence: r.Confidence}
+	}
+	var spans []obs.Span
+	if len(members) > 0 {
+		if err := json.Unmarshal(members, &spans); err != nil {
+			return nil, nil, fmt.Errorf("cloud answer spans: %w", err)
 		}
 	}
-	return recs, out.Spans, nil
+	return recs, spans, nil
 }
 
 // Loopback is an in-process cloud tier: it decodes offloads and resumes

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"strings"
 	"testing"
 
@@ -117,6 +118,67 @@ func TestReadFrameMalformed(t *testing.T) {
 		_, _, err := ReadFrame(tc.b)
 		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.HasPrefix(err.Error(), "wire: frame: ") {
 			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestRecordRoundTrip pins the answer record: 12 bytes, exit and label as
+// uint16, the confidence's bits as they were (a NaN's payload and a
+// negative zero included), and an answer frame of records reads back
+// through ReadFrame and DecodeRecord to what was framed.
+func TestRecordRoundTrip(t *testing.T) {
+	recs := []Record{
+		{Exit: 0, Label: 0, Confidence: 0},
+		{Exit: 2, Label: 9, Confidence: 0.9921875},
+		{Exit: math.MaxUint16, Label: math.MaxUint16, Confidence: math.Copysign(0, -1)},
+		{Exit: 1, Label: 3, Confidence: math.Float64frombits(0x7ff8000000000123)},
+	}
+	var payloads [][]byte
+	for _, r := range recs {
+		b, err := AppendRecord(nil, r)
+		if err != nil || len(b) != RecordSize {
+			t.Fatalf("%+v: %d bytes, %v", r, len(b), err)
+		}
+		got, err := DecodeRecord(b)
+		if err != nil || got.Exit != r.Exit || got.Label != r.Label || math.Float64bits(got.Confidence) != math.Float64bits(r.Confidence) {
+			t.Errorf("%+v reads back as %+v (%v)", r, got, err)
+		}
+		payloads = append(payloads, b)
+	}
+	if b, _ := AppendRecord(nil, recs[1]); !bytes.Equal(b, []byte{2, 0, 9, 0, 0, 0, 0, 0, 0, 0xc0, 0xef, 0x3f}) {
+		t.Errorf("layout: % x", b)
+	}
+	answer, err := AppendFrame(nil, nil, payloads)
+	if err != nil || len(answer) != framePreamble+len(recs)*(4+RecordSize) {
+		t.Fatalf("answer frame: %d bytes, %v", len(answer), err)
+	}
+	members, got, err := ReadFrame(answer)
+	if err != nil || len(members) != 0 || len(got) != len(recs) {
+		t.Fatalf("answer frame reads back as (%q, %d payloads, %v)", members, len(got), err)
+	}
+}
+
+// TestRecordMalformed pins every refusal of the record codec.
+func TestRecordMalformed(t *testing.T) {
+	good, err := AppendRecord(nil, Record{Exit: 1, Label: 2, Confidence: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, want string
+		b          []byte
+	}{
+		{"empty", "0 bytes, want 12", nil},
+		{"truncated", "11 bytes, want 12", good[:RecordSize-1]},
+		{"13 bytes", "13 bytes, want 12", append(bytes.Clone(good), 0)},
+	} {
+		if _, err := DecodeRecord(tc.b); err == nil || !strings.Contains(err.Error(), tc.want) || !strings.HasPrefix(err.Error(), "wire: record: ") {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+	for _, r := range []Record{{Exit: -1}, {Exit: math.MaxUint16 + 1}, {Label: -1}, {Label: math.MaxUint16 + 1}} {
+		if b, err := AppendRecord([]byte("kept"), r); err == nil || string(b) != "kept" {
+			t.Errorf("%+v: encoded as %q (%v), want an error and dst unchanged", r, b, err)
 		}
 	}
 }

@@ -5,11 +5,15 @@ package wire
 // an error — never panic, never allocate unboundedly (the maxElems decode
 // bound), never return an Activation whose Data disagrees with its Shape.
 // The same bytes go to ReadFrame, the other thing a peer can send: it too
-// errors or returns parts that re-frame to exactly its input.
+// errors or returns parts that re-frame to exactly its input. And they go
+// to DecodeRecord, alone and as each payload of a frame (the answer
+// direction): a record decodes only from exactly its 12 bytes, and
+// re-encodes to them.
 // CI runs a 30-second `go test -fuzz` smoke on every push; the seeded
 // corpus under testdata/fuzz/FuzzDecode pins the interesting regions
 // (valid payloads of both encodings, truncations, bad magic/version/
-// encoding, hostile dims) so even the plain `go test` run replays them.
+// encoding, hostile dims, answer frames with good, short and long records)
+// so even the plain `go test` run replays them.
 
 import (
 	"bytes"
@@ -62,6 +66,10 @@ func fuzzSeeds() [][]byte {
 	}, EncodingFixed, fixed.Q2x13))
 	// Resume frames: well formed, cut in each region, mislabelled, padded.
 	frame := must(AppendFrame(nil, []byte(`{"delta":0.9}`), [][]byte{scalarish, routedFixed}))
+	// Answer frames: records under an optional span list.
+	rec := must(AppendRecord(nil, Record{Exit: 2, Label: 7, Confidence: 0.875}))
+	answer := must(AppendFrame(nil, []byte(`[{"name":"queue","start_unix_ns":1,"duration_ms":0.5}]`),
+		[][]byte{rec, must(AppendRecord(nil, Record{Exit: 1, Label: 0, Confidence: math.NaN()}))}))
 	return [][]byte{
 		valid,
 		fixedEnc,
@@ -87,6 +95,11 @@ func fuzzSeeds() [][]byte {
 		frame[:len(frame)-1],
 		append(frame[:len(frame):len(frame)], 0),
 		append([]byte("CDLF\x02"), frame[5:]...), // unknown frame version
+		answer,
+		rec,
+		must(AppendFrame(nil, nil, [][]byte{rec[:RecordSize-1]})),                     // truncated record
+		must(AppendFrame(nil, nil, [][]byte{append(rec[:RecordSize:RecordSize], 0)})), // 13-byte record
+		append(answer[:len(answer):len(answer)], 0),                                   // trailing byte
 	}
 }
 
@@ -97,10 +110,14 @@ func FuzzDecode(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
+		checkRecord(t, b)
 		if members, payloads, err := ReadFrame(b); err == nil {
 			again, err := AppendFrame(nil, members, payloads)
 			if err != nil || !bytes.Equal(again, b) {
 				t.Fatalf("a %d-byte frame of %d payloads re-frames to %d bytes (%v)", len(b), len(payloads), len(again), err)
+			}
+			for _, p := range payloads {
+				checkRecord(t, p)
 			}
 		}
 		a, err := Decode(b)
@@ -132,6 +149,22 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("version-1 input decoded to node %d", a.Node)
 		}
 	})
+}
+
+// checkRecord holds DecodeRecord to its layout: b decodes if and only if it
+// is exactly RecordSize bytes, and then re-encodes to exactly b.
+func checkRecord(t *testing.T, b []byte) {
+	t.Helper()
+	r, err := DecodeRecord(b)
+	if (err == nil) != (len(b) == RecordSize) {
+		t.Fatalf("a %d-byte record decoded with error %v", len(b), err)
+	}
+	if err != nil {
+		return
+	}
+	if again, err := AppendRecord(nil, r); err != nil || !bytes.Equal(again, b) {
+		t.Fatalf("record %x re-encodes to %x (%v)", b, again, err)
+	}
 }
 
 // TestDecodeMalformedSeedsError pins the malformed seeds to hard errors

@@ -53,6 +53,22 @@
 // JSON the route's text body uses, so there is one policy decoder. A reader
 // refuses trailing bytes, a count that disagrees with the payloads present
 // and any length that runs past the end.
+//
+// A frame is answered with a frame: the request's Content-Type picks both
+// directions. The answer has the same layout. Its payloads are records, one
+// per request payload in the same order, each 12 bytes (AppendRecord,
+// DecodeRecord; little-endian):
+//
+//	offset size  field
+//	0      2     exit: the global exit index the input left the cascade at
+//	2      2     label: the predicted class
+//	4      8     confidence: the winning score's raw IEEE-754 bits
+//
+// The exit's node, name and op cost are functions of the exit index on the
+// model both tiers hold, so the receiver derives them rather than reading
+// them. The answer's members are the request trace's span list (JSON) when
+// the sender returns one, and empty otherwise. A refusal is not a frame: it
+// keeps its status code and its JSON error body.
 package wire
 
 import (
@@ -152,39 +168,50 @@ func EncodedSizeAt(node, rank, numel int, enc Encoding) int {
 	return base + 4*rank + per*numel
 }
 
-// Encode serializes the activation. For EncodingFixed, f must be a valid
-// format of width ≤ 16 (the int16 payload word); values are quantized with
-// saturation, so out-of-range activations clip rather than wrap. For
-// EncodingFloat64, f is ignored.
+// Encode serializes the activation: AppendEncode into a buffer of its own.
 func Encode(a Activation, enc Encoding, f fixed.Format) ([]byte, error) {
+	return AppendEncode(nil, a, enc, f)
+}
+
+// AppendEncode appends the serialized activation to dst, grown at most
+// once. For EncodingFixed, f must be a valid format of width ≤ 16 (the
+// int16 payload word); values are quantized with saturation, so
+// out-of-range activations clip rather than wrap. For EncodingFloat64, f
+// is ignored. On error dst is returned with its length unchanged.
+func AppendEncode(dst []byte, a Activation, enc Encoding, f fixed.Format) ([]byte, error) {
 	if len(a.Data) != a.Numel() {
-		return nil, fmt.Errorf("wire: %d values for shape %v (%d elements)", len(a.Data), a.Shape, a.Numel())
+		return dst, fmt.Errorf("wire: %d values for shape %v (%d elements)", len(a.Data), a.Shape, a.Numel())
 	}
 	if a.Node < 0 || a.Node > math.MaxUint16 {
-		return nil, fmt.Errorf("wire: node %d outside uint16", a.Node)
+		return dst, fmt.Errorf("wire: node %d outside uint16", a.Node)
 	}
 	if a.FromStage < 0 || a.FromStage > math.MaxUint16 {
-		return nil, fmt.Errorf("wire: fromStage %d outside uint16", a.FromStage)
+		return dst, fmt.Errorf("wire: fromStage %d outside uint16", a.FromStage)
 	}
 	if a.Pos < 0 || a.Pos > math.MaxUint16 {
-		return nil, fmt.Errorf("wire: pos %d outside uint16", a.Pos)
+		return dst, fmt.Errorf("wire: pos %d outside uint16", a.Pos)
 	}
 	if len(a.Shape) > math.MaxUint8 {
-		return nil, fmt.Errorf("wire: rank %d outside uint8", len(a.Shape))
+		return dst, fmt.Errorf("wire: rank %d outside uint8", len(a.Shape))
+	}
+	for _, d := range a.Shape {
+		if d < 0 || d > maxElems {
+			return dst, fmt.Errorf("wire: dimension %d outside [0,%d]", d, maxElems)
+		}
 	}
 	var intBits, fracBits uint8
 	switch enc {
 	case EncodingFloat64:
 	case EncodingFixed:
 		if err := f.Validate(); err != nil {
-			return nil, err
+			return dst, err
 		}
 		if f.Width() > 16 {
-			return nil, fmt.Errorf("wire: fixed format %s width %d exceeds the 16-bit payload word", f, f.Width())
+			return dst, fmt.Errorf("wire: fixed format %s width %d exceeds the 16-bit payload word", f, f.Width())
 		}
 		intBits, fracBits = uint8(f.IntBits), uint8(f.FracBits)
 	default:
-		return nil, fmt.Errorf("wire: unknown encoding %d", enc)
+		return dst, fmt.Errorf("wire: unknown encoding %d", enc)
 	}
 
 	// Trunk handoffs stay on the version-1 layout byte for byte; only a
@@ -193,7 +220,7 @@ func Encode(a Activation, enc Encoding, f fixed.Format) ([]byte, error) {
 	if a.Node != 0 {
 		ver = versionRouted
 	}
-	b := make([]byte, 0, EncodedSizeAt(a.Node, len(a.Shape), len(a.Data), enc))
+	b := slices.Grow(dst, EncodedSizeAt(a.Node, len(a.Shape), len(a.Data), enc))
 	b = append(b, magic...)
 	b = append(b, ver, uint8(enc), intBits, fracBits)
 	b = binary.LittleEndian.AppendUint16(b, uint16(a.FromStage))
@@ -203,9 +230,6 @@ func Encode(a Activation, enc Encoding, f fixed.Format) ([]byte, error) {
 	}
 	b = append(b, uint8(len(a.Shape)))
 	for _, d := range a.Shape {
-		if d < 0 || d > maxElems {
-			return nil, fmt.Errorf("wire: dimension %d outside [0,%d]", d, maxElems)
-		}
 		b = binary.LittleEndian.AppendUint32(b, uint32(d))
 	}
 	switch enc {
@@ -364,4 +388,43 @@ func ReadFrame(b []byte) (members []byte, payloads [][]byte, err error) {
 		return nil, nil, fmt.Errorf("wire: frame: %d trailing bytes", len(rest))
 	}
 	return members, payloads, nil
+}
+
+// RecordSize is the length of one answer record.
+const RecordSize = 12
+
+// Record is one resumed input's outcome as an answer frame carries it.
+type Record struct {
+	// Exit is the global exit index (core.ExitRecord.StageIndex).
+	Exit int
+	// Label is the predicted class.
+	Label int
+	// Confidence is the winning score at the exit, bit for bit.
+	Confidence float64
+}
+
+// AppendRecord appends r's RecordSize bytes to dst. On error dst is
+// returned unchanged.
+func AppendRecord(dst []byte, r Record) ([]byte, error) {
+	if r.Exit < 0 || r.Exit > math.MaxUint16 {
+		return dst, fmt.Errorf("wire: record: exit %d outside uint16", r.Exit)
+	}
+	if r.Label < 0 || r.Label > math.MaxUint16 {
+		return dst, fmt.Errorf("wire: record: label %d outside uint16", r.Label)
+	}
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(r.Exit))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(r.Label))
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.Confidence)), nil
+}
+
+// DecodeRecord parses one record, which is exactly RecordSize bytes.
+func DecodeRecord(b []byte) (Record, error) {
+	if len(b) != RecordSize {
+		return Record{}, fmt.Errorf("wire: record: %d bytes, want %d", len(b), RecordSize)
+	}
+	return Record{
+		Exit:       int(binary.LittleEndian.Uint16(b)),
+		Label:      int(binary.LittleEndian.Uint16(b[2:])),
+		Confidence: math.Float64frombits(binary.LittleEndian.Uint64(b[4:])),
+	}, nil
 }

@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -79,12 +81,59 @@ func oneAndMany(one string, many []string) []string {
 	return many
 }
 
+// answerRows renders what both answer shapes carry: on a 200, each
+// result's exit index, label and confidence bits, decoded from a frame
+// answer's wire records or from a JSON answer's results; on a refusal, the
+// body itself, which is JSON either way.
+func answerRows(t testing.TB, status int, body []byte, frame bool) string {
+	t.Helper()
+	if status != http.StatusOK {
+		return string(body)
+	}
+	var rows []wire.Record
+	if frame {
+		_, payloads, err := wire.ReadFrame(body)
+		if err != nil {
+			t.Fatalf("answer frame: %v", err)
+		}
+		for i, p := range payloads {
+			r, err := wire.DecodeRecord(p)
+			if err != nil {
+				t.Fatalf("answer record %d: %v", i, err)
+			}
+			rows = append(rows, r)
+		}
+	} else {
+		var resp struct {
+			Results []struct {
+				ExitIndex  int     `json:"exit_index"`
+				Label      int     `json:"label"`
+				Confidence float64 `json:"confidence"`
+			} `json:"results"`
+		}
+		if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatalf("JSON answer: %v", err)
+		}
+		for _, r := range resp.Results {
+			rows = append(rows, wire.Record{Exit: r.ExitIndex, Label: r.Label, Confidence: r.Confidence})
+		}
+	}
+	var b strings.Builder
+	for _, r := range rows {
+		fmt.Fprintf(&b, "exit %d label %d confidence %#x\n", r.Exit, r.Label, math.Float64bits(r.Confidence))
+	}
+	return b.String()
+}
+
 // TestFrameMatchesJSON is the differential check on the second body shape:
 // the frame of a resume request and the JSON body carrying base64 of the
-// same payloads get the same status and the same response bytes on both
-// routes — the golden requests (so the frame's answers are pinned by the
-// same files), a single payload, a shaped policy with a deadline, and a
-// refusal at each payload index by wire.Decode and by ValidateResume.
+// same payloads get the same status on both routes, the same result rows
+// (the frame answer's records against the JSON answer's results) on a 200
+// and the same refusal bytes otherwise — the golden requests (so the
+// frame's answers are pinned by the same files), a single payload, a
+// shaped policy with a deadline, and a refusal at each payload index by
+// wire.Decode and by ValidateResume. An untraced frame answer has no
+// members.
 func TestFrameMatchesJSON(t *testing.T) {
 	cdln, _ := testCDLN(t, 91)
 	_, ts := startServer(t, cdln, Config{Workers: 2})
@@ -129,8 +178,14 @@ func TestFrameMatchesJSON(t *testing.T) {
 		if status != tc.want {
 			t.Errorf("%s: JSON HTTP %d (%s), want %d", tc.name, status, body, tc.want)
 		}
-		if fstatus != status || !bytes.Equal(fbody, body) {
-			t.Errorf("%s: frame HTTP %d\n%s\nJSON HTTP %d\n%s", tc.name, fstatus, fbody, status, body)
+		if fstatus != status || answerRows(t, fstatus, fbody, true) != answerRows(t, status, body, false) {
+			t.Errorf("%s: frame HTTP %d\n%q\nJSON HTTP %d\n%s", tc.name, fstatus, fbody, status, body)
+			continue
+		}
+		if fstatus == http.StatusOK {
+			if members, _, _ := wire.ReadFrame(fbody); len(members) != 0 {
+				t.Errorf("%s: untraced frame answer carries members %q", tc.name, members)
+			}
 		}
 	}
 }
@@ -249,8 +304,9 @@ func TestFrameDoesNotAliasBody(t *testing.T) {
 }
 
 // TestFrameJSONConcurrent mixes both body shapes on one server (one body
-// pool, one worker pool): every response is the one its request gets alone.
-// CI runs it under -race.
+// pool, one answer pool, one worker pool): every response is the one its
+// request gets alone — the same bytes for a JSON request, the same records
+// for a frame. CI runs it under -race.
 func TestFrameJSONConcurrent(t *testing.T) {
 	cdln, _ := testCDLN(t, 91)
 	_, ts := startServer(t, cdln, Config{Workers: 2})
@@ -277,13 +333,15 @@ func TestFrameJSONConcurrent(t *testing.T) {
 				k := (g + i) % n
 				var status int
 				var body []byte
-				if (g+i)%2 == 0 {
+				frame := (g+i)%2 == 0
+				if frame {
 					status, body = postFrame(t, ts.URL+"/v1/resume", frameOf(t, reqs[k]), i%3 == 0)
 				} else {
 					status, body = postResume(t, ts.URL, reqs[k])
 				}
-				if status != http.StatusOK || !bytes.Equal(body, want[k]) {
-					errs <- fmt.Errorf("goroutine %d request %d (payload %d): HTTP %d %s, want %s", g, i, k, status, body, want[k])
+				if status != http.StatusOK || (frame && answerRows(t, status, body, true) != answerRows(t, status, want[k], false)) ||
+					(!frame && !bytes.Equal(body, want[k])) {
+					errs <- fmt.Errorf("goroutine %d request %d (payload %d, frame %v): HTTP %d %q, want %s", g, i, k, frame, status, body, want[k])
 					return
 				}
 			}
@@ -300,9 +358,10 @@ func TestFrameJSONConcurrent(t *testing.T) {
 // handler with no sockets: for any members and any payloads, the frame and
 // the JSON body carrying base64 of the same payloads under the same members
 // get the same status on /v1/resume and /v2/.../resume, the same result rows
-// on 200 and the same refusal otherwise — the payload index and wire's or
-// ValidateResume's words included. Members the route's wire struct refuses
-// have no JSON twin; their frame must be a 400.
+// on 200 (exit index, label and confidence bits: the frame answer's records
+// against the JSON results) and the same refusal otherwise — the payload
+// index and wire's or ValidateResume's words included. Members the route's
+// wire struct refuses have no JSON twin; their frame must be a 400.
 func FuzzResumeFrame(f *testing.F) {
 	cdln, _ := testCDLN(f, 91)
 	srv, _ := startServer(f, cdln, Config{Workers: 2, QueueDepth: 3})
@@ -334,7 +393,7 @@ func FuzzResumeFrame(f *testing.F) {
 		r.Header.Set("Content-Type", contentType)
 		w := httptest.NewRecorder()
 		srv.Handler().ServeHTTP(w, r)
-		return w.Code, verdict(t, w.Body.Bytes())
+		return w.Code, answerRows(t, w.Code, w.Body.Bytes(), contentType == wire.FrameContentType)
 	}
 	// A deadline or a full queue is the clock's verdict, not the body's; and
 	// the two bodies have different lengths under different bounds.
@@ -373,26 +432,16 @@ func FuzzResumeFrame(f *testing.F) {
 			if incomparable[status] || incomparable[jstatus] {
 				continue
 			}
+			if jstatus == http.StatusInternalServerError && status == http.StatusOK && strings.Contains(want, "encode: ") {
+				// A NaN or infinite confidence: JSON cannot carry it, a record can.
+				if !strings.Contains(got, "confidence 0x7ff") && !strings.Contains(got, "confidence 0xfff") {
+					t.Fatalf("%s: JSON %s, frame records without a NaN:\n%s", path, want, got)
+				}
+				continue
+			}
 			if status != jstatus || got != want {
 				t.Fatalf("%s: frame HTTP %d %s\nJSON  HTTP %d %s", path, status, got, jstatus, want)
 			}
 		}
 	})
-}
-
-// verdict is a response without what the clock wrote into it (a trace
-// detail's span list and deadline stamp): the refusal, or the result rows
-// byte for byte.
-func verdict(t testing.TB, resp []byte) string {
-	var out struct {
-		Error   string          `json:"error"`
-		Model   string          `json:"model"`
-		Version int             `json:"version"`
-		Results json.RawMessage `json:"results"`
-		Count   int             `json:"count"`
-	}
-	if err := json.Unmarshal(resp, &out); err != nil {
-		t.Fatal(err)
-	}
-	return fmt.Sprintf("%s|%s|%d|%s|%d", out.Error, out.Model, out.Version, out.Results, out.Count)
 }

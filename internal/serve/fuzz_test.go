@@ -2,9 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"io"
 	"net/http"
+	"strings"
 	"testing"
 
 	"cdl/internal/edgecloud/wire"
@@ -19,9 +21,11 @@ import (
 // them, trailing garbage after a valid value and a wrong-typed field.
 //
 // The resume routes get the same bytes a second time under the frame's
-// content type, held to the same rules (frames of the golden resume
-// requests, whole, cut and padded, seed that side); FuzzResumeFrame holds
-// well-formed frames to the JSON route's verdicts.
+// content type, held to the same rules, except that a 200 answers with a
+// frame of wire records: those must equal, in exit index, label and
+// confidence bits, the results the JSON twin of the request gets (frames
+// of the golden resume requests, whole, cut and padded, seed that side).
+// FuzzResumeFrame holds well-formed frames to the JSON route's verdicts.
 func FuzzInfer(f *testing.F) {
 	cdln, _ := testCDLN(f, 91)
 	_, ts := startServer(f, cdln, Config{Workers: 2})
@@ -55,7 +59,7 @@ func FuzzInfer(f *testing.F) {
 		http.StatusServiceUnavailable: true, http.StatusGatewayTimeout: true,
 	}
 	// post holds one response to the surface's rules and returns it.
-	post := func(t *testing.T, path, contentType string, body []byte) {
+	post := func(t *testing.T, path, contentType string, body []byte) (int, []byte) {
 		resp, err := http.Post(ts.URL+path, contentType, bytes.NewReader(body))
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
@@ -71,19 +75,63 @@ func FuzzInfer(f *testing.F) {
 		if !allowed[resp.StatusCode] {
 			t.Fatalf("%s: HTTP %d", path, resp.StatusCode)
 		}
+		if resp.StatusCode == http.StatusOK && contentType == wire.FrameContentType {
+			return resp.StatusCode, raw // answerRows decodes it
+		}
 		if err := json.Unmarshal(raw, &out); err != nil {
 			t.Fatalf("%s: HTTP %d with a non-JSON body: %v", path, resp.StatusCode, err)
 		}
 		if resp.StatusCode != http.StatusOK && out.Error == "" {
 			t.Fatalf("%s: HTTP %d without an error message", path, resp.StatusCode)
 		}
+		return resp.StatusCode, raw
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		for _, path := range routes {
 			post(t, path, "application/json", body)
 		}
 		for _, path := range []string{routes[1], routes[3]} {
-			post(t, path, wire.FrameContentType, body)
+			status, answer := post(t, path, wire.FrameContentType, body)
+			if status != http.StatusOK {
+				continue
+			}
+			got := answerRows(t, status, answer, true)
+			jstatus, janswer := post(t, path, "application/json", jsonTwin(t, path, body))
+			if jstatus == http.StatusOK && answerRows(t, jstatus, janswer, false) != got {
+				t.Fatalf("%s: frame records\n%sJSON twin's results\n%s", path, got, answerRows(t, jstatus, janswer, false))
+			}
 		}
 	})
+}
+
+// jsonTwin is the JSON body that says what an accepted resume frame says:
+// its members decoded into the route's wire struct, its payloads in base64.
+func jsonTwin(t testing.TB, path string, frame []byte) []byte {
+	t.Helper()
+	members, payloads, err := wire.ReadFrame(frame)
+	if err != nil {
+		t.Fatalf("an accepted frame does not read back: %v", err)
+	}
+	b64 := make([]string, len(payloads))
+	for i, p := range payloads {
+		b64[i] = base64.StdEncoding.EncodeToString(p)
+	}
+	var twin wireRequest = new(V2ResumeRequest)
+	if strings.HasPrefix(path, "/v1/") {
+		twin = new(ResumeRequest)
+	}
+	if err := strictDecode(members, twin); err != nil {
+		t.Fatalf("an accepted frame's members do not decode: %v", err)
+	}
+	switch q := twin.(type) {
+	case *ResumeRequest:
+		q.Payloads = b64
+	case *V2ResumeRequest:
+		q.Payloads = b64
+	}
+	body, err := json.Marshal(twin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
 }

@@ -16,6 +16,8 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -436,8 +438,10 @@ func (s *Server) handleInfer(resume bool, newBody func() wireRequest) http.Handl
 		}
 		perInput := m0.inWidth * 32
 		body := newBody()
+		// A frame request gets a frame answer.
+		frame := resume && r.Header.Get("Content-Type") == wire.FrameContentType
 		switch {
-		case resume && r.Header.Get("Content-Type") == wire.FrameContentType:
+		case frame:
 			// The model's widest lossless wire activation, length-prefixed.
 			perInput = m0.maxResumeWire + 4
 			body = &frameBody{members: body}
@@ -488,18 +492,71 @@ func (s *Server) handleInfer(resume bool, newBody func() wireRequest) http.Handl
 		if !ok {
 			return
 		}
+		traceID, spans := finishTrace(r, detail)
+		if frame {
+			writeFrame(w, records, spans)
+			return
+		}
 		resp := V2ClassifyResponse{
 			Model: m.name, Version: m.version,
 			Results: renderResults(m, records, detail), Count: len(records),
+			TraceID: traceID, Spans: spans,
 		}
 		if dl, ok := ctx.Deadline(); ok && detail == DetailTrace {
 			resp.DeadlineUnixMS = dl.UnixMilli()
 		}
-		resp.TraceID, resp.Spans = finishTrace(r, detail)
 		if req.v1 {
 			WriteJSON(w, http.StatusOK, resp.v1())
 		} else {
 			WriteJSON(w, http.StatusOK, resp)
 		}
+	}
+}
+
+// answerFrame is the scratch a frame answer is rendered in: the records,
+// their views as frame payloads, and the frame.
+type answerFrame struct {
+	records  []byte
+	payloads [][]byte
+	frame    []byte
+}
+
+var answerFrames = sync.Pool{New: func() any { return new(answerFrame) }}
+
+// writeFrame answers a frame request: one wire record per result, in input
+// order, under the trace's span list when finishTrace returned one (the
+// policy's detail level shapes JSON answers only). A result a record cannot
+// carry answers 500, as a JSON encode failure does.
+func writeFrame(w http.ResponseWriter, records []core.ExitRecord, spans []obs.Span) {
+	a := answerFrames.Get().(*answerFrame)
+	var members []byte
+	var err error
+	if len(spans) > 0 {
+		members, err = json.Marshal(spans)
+	}
+	// Grown once, so every payload view stays on the one array.
+	a.records, a.payloads = slices.Grow(a.records[:0], wire.RecordSize*len(records)), a.payloads[:0]
+	for _, rec := range records {
+		if err != nil {
+			break
+		}
+		at := len(a.records)
+		a.records, err = wire.AppendRecord(a.records, wire.Record{Exit: rec.StageIndex, Label: rec.Label, Confidence: rec.Confidence})
+		a.payloads = append(a.payloads, a.records[at:])
+	}
+	if err == nil {
+		a.frame, err = wire.AppendFrame(a.frame[:0], members, a.payloads)
+	}
+	if err != nil {
+		WriteError(w, http.StatusInternalServerError, "encode: "+err.Error())
+	} else {
+		w.Header().Set("Content-Type", wire.FrameContentType)
+		w.Header().Set("Content-Length", strconv.Itoa(len(a.frame)))
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(a.frame)
+	}
+	if cap(a.frame) <= maxPooledBody {
+		clear(a.payloads)
+		answerFrames.Put(a)
 	}
 }

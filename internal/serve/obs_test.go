@@ -140,6 +140,33 @@ func TestTraceEchoAndSpans(t *testing.T) {
 	}
 }
 
+// TestTraceRecordsEachSpanOnce: a request's jobs share its trace, so a
+// micro-batch event that covers several of its rows is one span of that
+// trace, not one per row. A traced three-payload resume echoes no two
+// identical (name, start, duration, detail) spans.
+func TestTraceRecordsEachSpanOnce(t *testing.T) {
+	cdln, _ := testCDLN(t, 91)
+	_, ts := startServer(t, cdln, Config{Workers: 1})
+	v1, _ := goldenResume(t, cdln)
+	req := ResumeRequest{Payloads: v1.Payloads[:3], Delta: v1.Delta}
+	resp, body := postTraced(t, ts.URL+"/v1/resume", "once-trace-1", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("HTTP %d: %s", resp.StatusCode, body)
+	}
+	var out ClassifyResponse
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	assertSpanTree(t, out.Spans, true)
+	seen := make(map[obs.Span]bool)
+	for _, sp := range out.Spans {
+		if seen[sp] {
+			t.Errorf("span recorded twice: %+v", sp)
+		}
+		seen[sp] = true
+	}
+}
+
 // assertSpanTree checks the span-completeness contract: non-empty, every
 // span closed (non-negative duration), ordered by start time, and — when
 // wantPool is set — covering admission (queue), grouping (batch) and at

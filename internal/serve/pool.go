@@ -164,7 +164,10 @@ func samePolicy(a, b *core.ExitPolicy) bool {
 // whole micro-batch. ResumeBatchPolicyAt(xs, 0, 0, pol) is exactly a
 // batched policy-aware classify, so one call covers fresh classifications,
 // split-resume jobs and branch-entry handoffs alike; each job writes its
-// record in place, so grouping never disturbs response order. Each group
+// record in place, so grouping never disturbs response order. A traced
+// request gets its queue and batch spans once per micro-batch and group,
+// however many of its jobs they hold: submit queues a request's jobs back
+// to back, so they are adjacent in every batch and group. Each group
 // — the dropped jobs first, then every classified one — is emitted to the
 // sinks BEFORE its waiters are released, so a client holding its response
 // can already read its own request in /statsz, /metricsz and
@@ -185,6 +188,7 @@ func (p *pool) worker(sess *core.Session, emit func(group []*job, batchSize int)
 		started := time.Now()
 		claimed, group = claimed[:0], group[:0]
 		remaining := 0
+		var last *obs.Trace
 		for _, j := range batch {
 			j.started = started
 			if j.ctx != nil && j.ctx.Err() != nil {
@@ -194,9 +198,11 @@ func (p *pool) worker(sess *core.Session, emit func(group []*job, batchSize int)
 				claimed = append(claimed, true)
 				continue
 			}
-			if j.tr != nil {
+			// A request's jobs share its enqueue stamp: one span for all.
+			if j.tr != nil && j.tr != last {
 				j.tr.Record("queue", j.enqueued, started, "")
 			}
+			last = j.tr
 			claimed = append(claimed, false)
 			remaining++
 		}
@@ -238,10 +244,12 @@ func (p *pool) worker(sess *core.Session, emit func(group []*job, batchSize int)
 				// spans.
 				end := time.Now()
 				size := "size=" + strconv.Itoa(len(group))
+				last = nil
 				for _, j := range group {
-					if j.tr != nil {
+					if j.tr != nil && j.tr != last {
 						j.tr.Record("batch", started, end, size)
 					}
+					last = j.tr
 				}
 			}
 			for gi, rec := range recs {

@@ -3,8 +3,9 @@ package serve
 // trace.go maps the core layer's stage events onto per-request trace spans.
 // The worker installs a stage observer on its session for the duration of
 // one grouped ResumeBatchPolicyAt call; every event carries the batch rows
-// it covered, so each traced job in the group receives exactly the spans of
-// the work its image took part in — shared batched stage passes appear in
+// it covered, so each traced request in the group receives exactly the
+// spans of the work its images took part in, once per event however many
+// of its rows the event covered — shared batched stage passes appear in
 // every participant's trace (annotated with the rows they batched with),
 // route dispatches and exits only in the traces of the rows they moved.
 
@@ -12,6 +13,7 @@ import (
 	"strconv"
 
 	"cdl/internal/core"
+	"cdl/internal/obs"
 )
 
 // SpanName is the one stage-event → span mapping: it renders the event as
@@ -66,17 +68,21 @@ func anyTraced(group []*job) bool {
 
 // stageObserver returns the observer to install around one grouped batch
 // call: it fans each stage event out to the traces of the rows it covered
-// (every walk is batched, so Rows always names them). The returned closure
-// runs on the worker goroutine only, and group's backing array is stable
-// for the duration of the call, so no locking beyond the traces' own is
-// needed.
+// (every walk is batched, so Rows always names them), once per trace. A
+// request's jobs are queued back to back (pool.submit holds its lock), so
+// they are adjacent in every batch and group, and Rows lists rows in group
+// order: one trace's rows form one run. The returned closure runs on the
+// worker goroutine only, and group's backing array is stable for the
+// duration of the call, so no locking beyond the traces' own is needed.
 func stageObserver(group []*job, g *core.Graph) func(core.StageEvent) {
 	return func(ev core.StageEvent) {
 		name, detail := SpanName(g, ev)
+		var last *obs.Trace
 		for _, row := range ev.Rows {
 			if row >= 0 && row < len(group) {
-				if tr := group[row].tr; tr != nil {
+				if tr := group[row].tr; tr != nil && tr != last {
 					tr.Record(name, ev.Start, ev.End, detail)
+					last = tr
 				}
 			}
 		}
