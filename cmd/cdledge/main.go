@@ -1,17 +1,18 @@
 // Command cdledge runs the edge half of a split CDLN deployment: it owns
-// the cascade prefix up to -split stages, answers /v1/classify locally when
-// the δ-rule fires, and offloads the hard residue to a cdlserve backend's
-// /v1/resume as wire-encoded activations. Clients speak the same JSON
-// schema to an edge node as to a full server.
+// the cascade prefix up to -split stages, answers POST /v1/classify
+// locally when the δ-rule fires, and offloads the hard residue as
+// wire-encoded activations to a cdlserve backend's
+// /v2/models/{name}/resume, where -cloud-model names the registry entry
+// this edge's cascade belongs to (default "default", the name cdlserve
+// gives a bare -model path). One cloud tier can so back heterogeneous
+// edge splits.
 //
 // Usage (cloud first, then the edge against it):
 //
 //	cdlserve -model model.cdln -addr :8080
 //	cdledge  -model model.cdln -addr :8081 -cloud http://localhost:8080 -split 1
-//
-// Against a multi-model cloud, -cloud-model names the registry entry this
-// edge's cascade belongs to (offloads then use /v2/models/{name}/resume),
-// so one cloud tier can back heterogeneous edge splits.
+//	cdlserve -model fast=a.cdln -model accurate=b.cdln -addr :8080
+//	cdledge  -model b.cdln -addr :8081 -cloud http://localhost:8080 -cloud-model accurate
 //
 //	curl -s -X POST localhost:8081/v1/classify -d '{"images": [[...784 floats...]]}'
 //	curl -s localhost:8081/statsz   # offload fraction, edge/link/cloud pJ
@@ -34,13 +35,14 @@ import (
 	"cdl/internal/energy"
 	"cdl/internal/modelio"
 	"cdl/internal/obs"
+	"cdl/internal/serve"
 )
 
 func main() {
 	model := flag.String("model", "model.cdln", "model path written by cdltrain")
 	addr := flag.String("addr", ":8081", "listen address")
 	cloud := flag.String("cloud", "http://localhost:8080", "cloud cdlserve base URL for offloads")
-	cloudModel := flag.String("cloud-model", "", "named model on the cloud registry to resume on (empty = the cloud's default model via /v1/resume)")
+	cloudModel := flag.String("cloud-model", serve.DefaultModelName, "cloud registry entry to resume on, POST /v2/models/{name}/resume (cdlserve names a bare -model path \"default\")")
 	split := flag.Int("split", 1, "cascade stages owned by this edge node (0 = offload everything)")
 	delta := flag.Float64("delta", -1, "δ override for the local exit rule (-1 keeps the trained thresholds)")
 	workers := flag.Int("workers", 0, "edge runtime pool size (0 = GOMAXPROCS)")
@@ -80,13 +82,11 @@ func run(model, addr, adminAddr, cloud, cloudModel, encoding, slo string, split,
 		return fmt.Errorf("unknown -encoding %q (want float64 or fixed)", encoding)
 	}
 
+	if cloudModel == "" {
+		return fmt.Errorf("empty -cloud-model: name the cloud registry entry to resume on")
+	}
 	srv, err := edgecloud.NewServer(cdln,
-		func() (edgecloud.Transport, error) {
-			if cloudModel != "" {
-				return edgecloud.NewHTTPModelTransport(cloud, cloudModel), nil
-			}
-			return edgecloud.NewHTTPTransport(cloud), nil
-		},
+		func() (edgecloud.Transport, error) { return edgecloud.NewHTTPModelTransport(cloud, cloudModel), nil },
 		edgecloud.Config{
 			SplitStage: split,
 			Delta:      delta,

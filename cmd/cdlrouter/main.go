@@ -1,5 +1,5 @@
-// Command cdlrouter is the fleet front door: it fans /v1 and /v2 traffic
-// across N cdlserve backends. Placement is a consistent-hash ring on
+// Command cdlrouter is the fleet front door: it fans /v2 traffic across N
+// cdlserve backends. Placement is a consistent-hash ring on
 // (model, input-hash) so identical inputs keep landing on the same
 // cache-warm replica, with bounded-load overflow to the next ring node
 // when the router's own in-flight count says the owner is saturated (a
@@ -20,7 +20,7 @@
 //	          -backend http://127.0.0.1:8082 -backend http://127.0.0.1:8083 -hedge
 //
 //	curl -s localhost:8080/readyz
-//	curl -s -X POST localhost:8080/v1/classify -d '{"images": [[...]]}'
+//	curl -s -X POST localhost:8080/v2/models/default/classify -d '{"images": [[...]]}'
 //	curl -s -X PUT localhost:8080/v2/models/default -d '{"path": "m-v2.cdln"}'  # rolling fleet swap
 //	curl -s localhost:8080/statsz      # per-backend health/in-flight + hedge counters
 //	curl -s localhost:8080/metricsz    # Prometheus text exposition (fleet_* families)

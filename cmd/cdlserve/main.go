@@ -7,11 +7,12 @@
 //
 // Usage:
 //
-//	cdlserve -model model.cdln -addr :8080                 # single model
-//	cdlserve -model a=a.cdln -model b=b.cdln -addr :8080   # multi-model (a is the default)
+//	cdlserve -model model.cdln -addr :8080                 # single model, named "default"
+//	cdlserve -model a=a.cdln -model b=b.cdln -addr :8080   # multi-model (/healthz and /statsz describe a)
 //	curl -s localhost:8080/healthz
 //	curl -s localhost:8080/v2/models
-//	curl -s -X POST localhost:8080/v1/classify -d '{"images": [[...784 floats...]], "delta": 0.6}'
+//	curl -s -X POST localhost:8080/v2/models/default/classify \
+//	     -d '{"images": [[...784 floats...]], "policy": {"delta": 0.6}}'
 //	curl -s -X POST localhost:8080/v2/models/b/classify \
 //	     -d '{"images": [[...]], "policy": {"delta": 0.6, "max_exit": 1, "detail": "trace"}}'
 //	curl -s -X PUT localhost:8080/v2/models/b -d '{"path": "b-v2.cdln"}'   # hot-swap
@@ -78,13 +79,12 @@ func (f *modelFlag) Set(v string) error {
 
 func main() {
 	var models modelFlag
-	flag.Var(&models, "model", "model file to serve: path or name=path (repeatable; first is the default entry)")
+	flag.Var(&models, "model", "model file to serve: path (entry \"default\") or name=path (repeatable; the first is what /healthz and /statsz describe)")
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "replica pool size per model (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "work queue depth in images per model (0 = default 1024)")
 	batch := flag.Int("batch", 0, "micro-batch size B (0 = default 32)")
 	delta := flag.Float64("delta", -1, "override every model's trained δ at load (-1 keeps them)")
-	defName := flag.String("default", "", "name of the default model entry (the /v1 alias target; default: first -model)")
 	slo := flag.String("slo", "", `attach an SLO controller to every model: "p99=15ms,queue=0.8,energy=2.5e9,floor=0.5" (see internal/control.ParseSLO); requests without an explicit δ/policy degrade to shallower exits under load instead of shedding`)
 	sloInterval := flag.Duration("slo-interval", 0, "SLO controller tick period (0 = default 200ms)")
 	adminAddr := flag.String("admin-addr", "", "separate listen address for the admin/debug surface (pprof, expvar, phase profile); empty = disabled")
@@ -95,13 +95,13 @@ func main() {
 		models.entries = []modelEntry{{serve.DefaultModelName, "model.cdln"}}
 	}
 	obs.SetProfiling(*profile)
-	if err := run(models.entries, *addr, *adminAddr, *workers, *queue, *batch, *delta, *defName, *slo, *sloInterval); err != nil {
+	if err := run(models.entries, *addr, *adminAddr, *workers, *queue, *batch, *delta, *slo, *sloInterval); err != nil {
 		fmt.Fprintln(os.Stderr, "cdlserve:", err)
 		os.Exit(1)
 	}
 }
 
-func run(models []modelEntry, addr, adminAddr string, workers, queue, batch int, delta float64, defName, slo string, sloInterval time.Duration) error {
+func run(models []modelEntry, addr, adminAddr string, workers, queue, batch int, delta float64, slo string, sloInterval time.Duration) error {
 	reg := serve.NewRegistry(serve.Config{
 		Workers:         workers,
 		QueueDepth:      queue,
@@ -130,11 +130,6 @@ func run(models []modelEntry, addr, adminAddr string, workers, queue, batch int,
 		}
 		fmt.Fprintf(os.Stderr, "cdlserve: loaded %s v%d from %s (%s, %d stages)\n",
 			e.name, m.Version(), e.path, m.CDLN().Arch.Name, len(m.CDLN().Stages))
-	}
-	if defName != "" {
-		if err := reg.SetDefault(defName); err != nil {
-			return err
-		}
 	}
 	if slo != "" {
 		target, err := control.ParseSLO(slo)

@@ -3,7 +3,7 @@
 // maps directly onto a two-tier deployment (cf. Long et al. 2020): a cheap
 // edge node owns the shallow stages and their linear classifiers, and only
 // the hard residue crosses the link to a cloud backend that resumes the
-// cascade at /v1/resume.
+// cascade at /v2/models/default/resume.
 //
 // This demo trains an 8-layer CDLN, starts a real in-process cloud server,
 // and sweeps the split point and δ, printing the offload fraction, the
@@ -68,8 +68,8 @@ func main() {
 	fmt.Printf("link model: %.0f pJ/byte + %.1f nJ per transfer\n", link.PJPerByte, link.PerOffloadPJ/1000)
 
 	// A real cloud backend over HTTP: the edge posts wire-encoded
-	// activations to its /v1/resume exactly as a distributed deployment
-	// would.
+	// activations to its /v2/models/default/resume exactly as a
+	// distributed deployment would.
 	cloud, err := serve.New(cdln, serve.Config{Workers: 2})
 	if err != nil {
 		log.Fatal(err)
@@ -134,7 +134,7 @@ type row struct {
 // sweepRow runs one edge deployment over the test set and aggregates the
 // tier energies (nJ/image), offload fraction and accuracy.
 func sweepRow(cdln *core.CDLN, cloudURL string, cfg edgecloud.Config, testS []train.Sample) (row, error) {
-	edge, err := edgecloud.New(cdln, edgecloud.NewHTTPTransport(cloudURL), cfg)
+	edge, err := edgecloud.New(cdln, edgecloud.NewHTTPModelTransport(cloudURL, serve.DefaultModelName), cfg)
 	if err != nil {
 		return row{}, err
 	}

@@ -1,8 +1,8 @@
-// Command serveload is a closed-loop load client for cdlserve, cdledge and
-// cdlrouter: -c clients post -n generated MNIST images, -batch per request, to
-// /v1/classify or round robin to /v2/models/{m}/classify per -model name. It
-// prints throughput, latency, accuracy, mean normalized OPS and each model's
-// exit distribution (a routed model's "even/O1" exits show its branch split),
+// Command serveload is a closed-loop load client for cdlserve and
+// cdlrouter: -c clients post -n generated MNIST images, -batch per request,
+// round robin to /v2/models/{m}/classify over the -model names. It prints
+// throughput, latency, accuracy, mean normalized OPS and each model's exit
+// distribution (a routed model's "even/O1" exits show its branch split),
 // and fails on any answer but a 200.
 //
 //	go run ./examples/serveload -addr http://localhost:8080 -n 2000 -c 8 -batch 16 -delta 0.5 -model fast,accurate
@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"cdl/internal/mnist"
+	"cdl/internal/serve"
 	"cdl/internal/train"
 )
 
@@ -47,7 +48,7 @@ func main() {
 	clients := flag.Int("c", 8, "concurrent clients")
 	batch := flag.Int("batch", 16, "images per request")
 	delta := flag.Float64("delta", -1, "per-request δ override (-1 = server default)")
-	model := flag.String("model", "", "comma-separated /v2 model names to round-robin over (empty = /v1)")
+	model := flag.String("model", serve.DefaultModelName, "comma-separated model names to round-robin over")
 	seed := flag.Int64("seed", 1, "dataset seed")
 	flag.Parse()
 	models := strings.Split(*model, ",")
@@ -69,15 +70,15 @@ func main() {
 		for e, c := range s.Exits[m] {
 			pct[e] = fmt.Sprintf("%.1f%%", 100*float64(c)/float64(total))
 		}
-		fmt.Printf("exit distribution %s: %v\n", cmp.Or(m, "(default)"), pct)
+		fmt.Printf("exit distribution %s: %v\n", m, pct)
 	}
 }
 
 // run posts request r, images [r·batch, (r+1)·batch) of seed's test set, to
-// models[r mod len(models)] ("" = /v1) and tallies the answers in image order.
+// models[r mod len(models)] and tallies the answers in image order.
 func run(addr string, n, clients, batch int, delta float64, seed int64, models []string) (*summary, error) {
-	if n < 1 || clients < 1 || batch < 1 || len(models) == 0 {
-		return nil, fmt.Errorf("n, c, batch and the model list must be positive")
+	if n < 1 || clients < 1 || batch < 1 || len(models) == 0 || slices.Contains(models, "") {
+		return nil, fmt.Errorf("n, c and batch must be positive and every model named")
 	}
 	_, test, err := mnist.GenerateSamples(1, n, seed)
 	if err != nil {
@@ -122,15 +123,9 @@ func post(addr, model string, batch []train.Sample, delta float64) ([]result, er
 	for i, s := range batch {
 		images[i] = s.X.Data
 	}
-	req, url := map[string]any{"images": images}, addr+"/v1/classify"
-	switch {
-	case model != "":
-		url = addr + "/v2/models/" + model + "/classify"
-		if delta >= 0 {
-			req["policy"] = map[string]float64{"delta": delta}
-		}
-	case delta >= 0:
-		req["delta"] = delta
+	req, url := map[string]any{"images": images}, addr+"/v2/models/"+model+"/classify"
+	if delta >= 0 {
+		req["policy"] = map[string]float64{"delta": delta}
 	}
 	body, err := json.Marshal(req)
 	if err != nil {

@@ -17,16 +17,19 @@ import (
 // TestClientMatchesEvaluate pins what the verify recipes rely on: the exit
 // counts and accuracy serveload reports equal core.Evaluate's (the serial
 // oracle) on the same images exactly, and its mean normalized OPS to 1e-12,
-// over /v1, over a named /v2 model with a δ policy, and round robin across
-// both. The model is the benchmark's MNIST_3C fixture, read in place.
+// on the entry a bare -model path is named, on another name with a δ
+// policy, and round robin across both. The model is the benchmark's
+// MNIST_3C fixture, read in place, registered under both names.
 func TestClientMatchesEvaluate(t *testing.T) {
 	model, err := modelio.LoadFile("../../bench/testdata/mnist3c.cdln")
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := serve.NewRegistry(serve.Config{Workers: 2})
-	if _, err := reg.Register("m3c", model); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{serve.DefaultModelName, "m3c"} {
+		if _, err := reg.Register(name, model); err != nil {
+			t.Fatal(err)
+		}
 	}
 	srv, err := serve.NewWithRegistry(reg)
 	if err != nil {
@@ -45,9 +48,9 @@ func TestClientMatchesEvaluate(t *testing.T) {
 		models []string
 		delta  float64
 	}{
-		{[]string{""}, -1},
+		{[]string{serve.DefaultModelName}, -1},
 		{[]string{"m3c"}, 0.5},
-		{[]string{"", "m3c"}, 1},
+		{[]string{serve.DefaultModelName, "m3c"}, 1},
 	} {
 		oracle := model
 		if tc.delta >= 0 {
@@ -102,16 +105,20 @@ func TestClientMatchesEvaluate(t *testing.T) {
 
 // TestRunFailsOnRefusal: a server that answers 4xx fails the run, and the
 // error names the status, even when the body would otherwise parse as one
-// result per image.
+// result per image; an empty model name fails it before anything is sent.
 func TestRunFailsOnRefusal(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, `{"results": [{"exit": "O1"}, {"exit": "O1"}, {"exit": "O1"}, {"exit": "O1"}]}`, http.StatusBadRequest)
 	}))
 	defer ts.Close()
-	for _, models := range [][]string{{""}, {"m3c"}} {
+	for _, models := range [][]string{{serve.DefaultModelName}, {"m3c"}} {
 		s, err := run(ts.URL, 20, 2, 4, -1, 1, models)
 		if err == nil || !strings.Contains(err.Error(), "HTTP 400") {
 			t.Errorf("%q: run = %v, %v; want an HTTP 400 error", models, s, err)
 		}
+	}
+	// An empty name would post to /v2/models//classify: refused unsent.
+	if s, err := run(ts.URL, 20, 2, 4, -1, 1, []string{"m3c", ""}); err == nil || !strings.Contains(err.Error(), "every model named") {
+		t.Errorf("an empty model name: run = %v, %v; want it refused", s, err)
 	}
 }

@@ -2,8 +2,8 @@
 // owns the baseline prefix up to a configurable split stage plus its linear
 // classifiers, exits easy inputs locally when the δ-rule fires, and ships
 // only the hard residue — as wire-encoded intermediate activations — to a
-// cloud backend that resumes the cascade: internal/serve's /v1/resume, or
-// /v2/models/{name}/resume when the HTTPTransport names a model.
+// cloud backend that resumes the cascade: internal/serve's
+// /v2/models/{name}/resume, on the model the HTTPTransport names.
 //
 // This is the paper's thesis turned into an offload policy: the exit
 // cascade already separates easy inputs from hard ones, so the same

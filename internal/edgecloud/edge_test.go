@@ -228,7 +228,7 @@ func TestEdgeServerEndToEnd(t *testing.T) {
 	t.Cleanup(func() { cloudTS.Close(); cloud.Close() })
 
 	edgeSrv, err := NewServer(cdln,
-		func() (Transport, error) { return NewHTTPTransport(cloudTS.URL), nil },
+		func() (Transport, error) { return NewHTTPModelTransport(cloudTS.URL, serve.DefaultModelName), nil },
 		Config{SplitStage: 1, Delta: -1},
 		ServerConfig{Workers: 2, CloudURL: cloudTS.URL})
 	if err != nil {
@@ -309,7 +309,7 @@ func TestEdgeServerCloudDown(t *testing.T) {
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close()
 	edgeSrv, err := NewServer(cdln,
-		func() (Transport, error) { return NewHTTPTransport(dead.URL), nil },
+		func() (Transport, error) { return NewHTTPModelTransport(dead.URL, serve.DefaultModelName), nil },
 		Config{SplitStage: 0, Delta: -1}, // split 0: every input must offload
 		ServerConfig{Workers: 1})
 	if err != nil {

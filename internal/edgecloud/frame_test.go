@@ -49,7 +49,6 @@ func TestLinkChargeMatchesTheWire(t *testing.T) {
 		transport *HTTPTransport
 		traced    bool
 	}{
-		{"v1", NewHTTPTransport(cloudTS.URL), false},
 		{"named model", NewHTTPModelTransport(cloudTS.URL, serve.DefaultModelName), false},
 		{"named model, traced", NewHTTPModelTransport(cloudTS.URL, serve.DefaultModelName), true},
 	} {
@@ -93,7 +92,7 @@ func TestLinkChargeMatchesTheWire(t *testing.T) {
 		if sent := len(req.body) - (12 + len(members) + 4*len(payloads)); sent != charged {
 			t.Errorf("%s: %d payload bytes on the link, %d charged", tc.name, sent, charged)
 		}
-		if want := map[bool]string{true: `{"policy":{"delta":0.9}}`, false: `{"delta":0.9}`}[tc.transport.Model != ""]; string(members) != want {
+		if want := `{"policy":{"delta":0.9}}`; string(members) != want {
 			t.Errorf("%s: members %s, want %s", tc.name, members, want)
 		}
 	}
@@ -114,7 +113,7 @@ func TestRequestFrameOutlivesAnEarlyRefusal(t *testing.T) {
 		serve.WriteError(w, http.StatusServiceUnavailable, "refused unread")
 	}))
 	defer cloud.Close()
-	transport := NewHTTPTransport(cloud.URL)
+	transport := NewHTTPModelTransport(cloud.URL, serve.DefaultModelName)
 	var wg sync.WaitGroup
 	for caller := 0; caller < 3; caller++ {
 		wg.Add(1)

@@ -8,7 +8,10 @@ package edgecloud
 // cascade.
 
 import (
+	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"cdl/internal/core"
@@ -99,5 +102,30 @@ func TestHTTPModelTransportResumesNamedModel(t *testing.T) {
 	}
 	if _, err := bad.Classify(data[0].X); err == nil {
 		t.Fatal("offload to an unknown cloud model succeeded")
+	}
+}
+
+// TestHTTPTransportRefusesAnUnnamedModel: with no model named, the path
+// would be /v2/models//resume, which the cloud's mux redirects to a GET of
+// /v2/models/resume and answers as a 404 for a model called "resume". The
+// transport refuses before it sends anything, naming the field.
+func TestHTTPTransportRefusesAnUnnamedModel(t *testing.T) {
+	var sent atomic.Int64
+	cloud := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		sent.Add(1)
+		serve.WriteError(w, http.StatusNotFound, "unknown model")
+	}))
+	defer cloud.Close()
+	h := &HTTPTransport{BaseURL: cloud.URL}
+	_, err := h.ResumeBatch([][]byte{{1}}, -1)
+	if err == nil || !strings.Contains(err.Error(), "HTTPTransport.Model") {
+		t.Errorf("ResumeBatch with no model: %v, want an error naming HTTPTransport.Model", err)
+	}
+	_, _, err = h.ResumeBatchTraced([][]byte{{1}}, 0.9, "00112233445566778899aabbccddeeff")
+	if err == nil || !strings.Contains(err.Error(), "HTTPTransport.Model") {
+		t.Errorf("ResumeBatchTraced with no model: %v, want an error naming HTTPTransport.Model", err)
+	}
+	if n := sent.Load(); n != 0 {
+		t.Errorf("%d requests reached the cloud, want none", n)
 	}
 }

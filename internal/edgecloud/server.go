@@ -28,9 +28,9 @@ type ServerConfig struct {
 	CloudURL string
 	// CloudModel is the named cloud registry entry offloads resume on
 	// (informational here, like CloudURL: build the transports with
-	// NewHTTPModelTransport to actually target it). Empty means the
-	// cloud's default model — one multi-model cloud tier can back many
-	// edge fronts, each split against its own named cascade.
+	// NewHTTPModelTransport to actually target it). One multi-model cloud
+	// tier can back many edge fronts, each split against its own named
+	// cascade.
 	CloudModel string
 
 	// SLO, when active, attaches the same feedback controller the cloud
@@ -62,14 +62,15 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	return c
 }
 
-// Server is the edge node's HTTP front. It speaks the same /v1/classify
-// JSON schema as the monolithic serve.Server — a client cannot tell an
-// edge front from a full backend — but answers locally only when the
-// prefix cascade exits, forwarding the hard residue to the cloud tier.
+// Server is the edge node's HTTP front. Its /v1/classify takes a
+// serve.ClassifyRequest and answers a serve.ClassifyResponse, with the
+// results a monolithic serve.Server gives at that δ, but answers locally
+// only when the prefix cascade exits, forwarding the hard residue to the
+// cloud tier.
 //
 // Endpoints:
 //
-//	POST /v1/classify  same schema as serve; per-request δ forwarded on offload
+//	POST /v1/classify  serve.ClassifyRequest; per-request δ forwarded on offload
 //	GET  /healthz      liveness, model identity, split point, cloud target
 //	GET  /statsz       offload fraction and tiered (edge/link/cloud) energy
 type Server struct {

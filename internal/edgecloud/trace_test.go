@@ -115,7 +115,7 @@ func TestCrossTierSpanTree(t *testing.T) {
 	t.Cleanup(func() { cloudTS.Close(); cloud.Close() })
 
 	edgeSrv, err := NewGraphServer(g,
-		func() (Transport, error) { return NewHTTPTransport(cloudTS.URL), nil },
+		func() (Transport, error) { return NewHTTPModelTransport(cloudTS.URL, serve.DefaultModelName), nil },
 		Config{SplitStage: 1, Delta: -1},
 		ServerConfig{Workers: 1, CloudURL: cloudTS.URL})
 	if err != nil {
@@ -288,7 +288,7 @@ func TestOffloadShipsNoTraceBytes(t *testing.T) {
 	for _, tp := range []struct {
 		name      string
 		transport Transport
-	}{{"http", NewHTTPTransport(cloudTS.URL)}, {"loopback", loop}} {
+	}{{"http", NewHTTPModelTransport(cloudTS.URL, serve.DefaultModelName)}, {"loopback", loop}} {
 		for _, tr := range []*obs.Trace{obs.NewTrace(obs.GenerateID(), false), obs.NewTrace("client-pinned-7", true)} {
 			edge, err := NewGraph(g, tp.transport, cfg)
 			if err != nil {

@@ -19,19 +19,19 @@ import (
 	"cdl/internal/tensor"
 )
 
-// HTTPTransport offloads to a cdlserve backend: POST /v1/resume when Model
-// is empty (the backend's default model), or POST /v2/models/{Model}/resume
-// when set — one multi-model cloud tier can then back heterogeneous edge
-// splits, each edge naming the cascade its prefix belongs to. It is
-// stateless apart from the shared http.Client, so any number of Edges may
-// hold the same transport.
+// HTTPTransport offloads to a cdlserve backend's POST
+// /v2/models/{Model}/resume: each edge names the cascade its prefix belongs
+// to, so one multi-model cloud tier can back heterogeneous edge splits. It
+// is stateless apart from the shared http.Client, so any number of Edges
+// may hold the same transport.
 type HTTPTransport struct {
 	// BaseURL is the cloud server's base, e.g. "http://cloud:8080".
 	BaseURL string
-	// Model names the cloud registry entry to resume on; empty targets the
-	// backend's default model over the /v1 surface. The named model must be
-	// the same cascade the edge runs its prefix on — the cloud validates
-	// every activation's stage/shape against it and rejects mismatches.
+	// Model names the cloud registry entry to resume on (cdlserve names a
+	// bare -model path serve.DefaultModelName); it must be set. The named
+	// model must be the same cascade the edge runs its prefix on — the
+	// cloud validates every activation's stage/shape against it and
+	// rejects mismatches.
 	Model string
 	// Client is the HTTP client; nil uses defaultClient.
 	Client *http.Client
@@ -41,14 +41,8 @@ type HTTPTransport struct {
 // an offload must never hang an edge worker forever.
 var defaultClient = &http.Client{Timeout: 30 * time.Second}
 
-// NewHTTPTransport returns a transport for the given base URL with the
-// default client, targeting the backend's default model.
-func NewHTTPTransport(baseURL string) *HTTPTransport {
-	return &HTTPTransport{BaseURL: baseURL}
-}
-
-// NewHTTPModelTransport is NewHTTPTransport pinned to a named model on the
-// cloud registry (the /v2 resume surface).
+// NewHTTPModelTransport returns a transport with the default client that
+// resumes on the named model of the cloud registry at baseURL.
 func NewHTTPModelTransport(baseURL, model string) *HTTPTransport {
 	return &HTTPTransport{BaseURL: baseURL, Model: model}
 }
@@ -124,23 +118,15 @@ const maxPooledBuf = 1 << 20
 var answerBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 func (h *HTTPTransport) resumeBatch(payloads [][]byte, delta float64, traceID string) ([]core.ExitRecord, []obs.Span, error) {
-	// The members: the route's own wire struct, its payload fields empty.
-	var members any
-	var path string
 	if h.Model == "" {
-		path = "/v1/resume"
-		req := serve.ResumeRequest{}
-		if delta >= 0 {
-			req.Delta = &delta
-		}
-		members = req
-	} else {
-		path = "/v2/models/" + h.Model + "/resume"
-		req := serve.V2ResumeRequest{}
-		if delta >= 0 {
-			req.Policy = &serve.PolicyRequest{Delta: &delta}
-		}
-		members = req
+		// An empty name would post to /v2/models//resume, which the
+		// cloud's mux redirects to GET /v2/models/resume.
+		return nil, nil, fmt.Errorf("edgecloud: HTTPTransport.Model is empty; name the cloud model to resume on")
+	}
+	// The members: the route's own wire struct, its payload fields empty.
+	var members serve.V2ResumeRequest
+	if delta >= 0 {
+		members.Policy = &serve.PolicyRequest{Delta: &delta}
 	}
 	m, err := json.Marshal(members)
 	if err != nil {
@@ -156,7 +142,7 @@ func (h *HTTPTransport) resumeBatch(payloads [][]byte, delta float64, traceID st
 	if client == nil {
 		client = defaultClient
 	}
-	url := strings.TrimSuffix(h.BaseURL, "/") + path
+	url := strings.TrimSuffix(h.BaseURL, "/") + "/v2/models/" + h.Model + "/resume"
 	hreq, err := http.NewRequest(http.MethodPost, url, frame.reader())
 	if err != nil {
 		return nil, nil, err
@@ -254,9 +240,9 @@ func NewGraphLoopback(g *core.Graph) (*Loopback, error) {
 
 // ResumeBatch implements Transport: payloads decode, validate with the
 // same core.Graph.ValidateResume a real backend applies (so the loopback
-// accepts exactly what /v1/resume would), and resume on the private
-// session grouped by handoff point — one walk per distinct (node, stage),
-// in first-appearance order.
+// accepts exactly what a cloud resume route would), and resume on the
+// private session grouped by handoff point — one walk per distinct (node,
+// stage), in first-appearance order.
 func (l *Loopback) ResumeBatch(payloads [][]byte, delta float64) ([]core.ExitRecord, error) {
 	type group struct {
 		node, from int

@@ -87,8 +87,8 @@ func TestFleetAlertOnP99Breach(t *testing.T) {
 	// are tail-retained with their span trees — exactly what the first
 	// rung-down snapshot must freeze.
 	for i := 0; i < 40; i++ {
-		status, _, body := postJSON(t, client, ts.URL+"/v1/classify",
-			serve.ClassifyRequest{Images: sampleImages(data, i*2, 2)})
+		status, _, body := postJSON(t, client, ts.URL+classifyPath,
+			serve.V2ClassifyRequest{Images: sampleImages(data, i*2, 2)})
 		if status != http.StatusOK {
 			t.Fatalf("warmup request %d: HTTP %d: %s", i, status, body)
 		}
@@ -131,8 +131,8 @@ func TestFleetAlertOnP99Breach(t *testing.T) {
 		}
 		// Keep traffic flowing so the fast window and the controller see
 		// live load while the alert propagates.
-		postJSON(t, client, ts.URL+"/v1/classify",
-			serve.ClassifyRequest{Images: sampleImages(data, i*3, 2)})
+		postJSON(t, client, ts.URL+classifyPath,
+			serve.V2ClassifyRequest{Images: sampleImages(data, i*3, 2)})
 
 		if !backendActive {
 			var rep control.AlertzReport

@@ -43,8 +43,8 @@ func TestRouterRelaysNaNConfidence500(t *testing.T) {
 	f := startFleet(t, overflowCDLN(cdln), 1, nil)
 	waitReady(t, f, 1)
 	one := 1.0
-	status, _, body := postJSON(t, &http.Client{Timeout: 10 * time.Second}, f.URL()+"/v1/classify",
-		serve.ClassifyRequest{Image: data[0].X.Flatten().Data, Delta: &one})
+	status, _, body := postJSON(t, &http.Client{Timeout: 10 * time.Second}, f.URL()+classifyPath,
+		serve.V2ClassifyRequest{Image: data[0].X.Flatten().Data, Policy: &serve.PolicyRequest{Delta: &one}})
 	var e struct{ Error string }
 	if err := json.Unmarshal(body, &e); status != http.StatusInternalServerError || err != nil || !strings.HasPrefix(e.Error, "encode: ") {
 		t.Fatalf("HTTP %d, body %q; want 500 with {\"error\": \"encode: …\"}", status, body)

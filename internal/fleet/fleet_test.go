@@ -19,6 +19,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -227,7 +228,14 @@ func startFleet(t testing.TB, cdln *core.CDLN, n int, mutate func(*Config)) *tes
 	return f
 }
 
-// sampleImages flattens k samples into v1/v2 request image payloads.
+// classifyPath and resumePath are the data routes of the entry a backend
+// registers for a bare model (serve.New, cdlserve -model path).
+const (
+	classifyPath = "/v2/models/" + serve.DefaultModelName + "/classify"
+	resumePath   = "/v2/models/" + serve.DefaultModelName + "/resume"
+)
+
+// sampleImages flattens k samples into request image payloads.
 func sampleImages(data []train.Sample, off, k int) [][]float64 {
 	out := make([][]float64, k)
 	for i := 0; i < k; i++ {
@@ -308,12 +316,12 @@ func TestFleetRoutesAcrossBackends(t *testing.T) {
 
 	client := &http.Client{Timeout: 10 * time.Second}
 	for i := 0; i < 60; i++ {
-		status, _, body := postJSON(t, client, f.URL()+"/v1/classify",
-			serve.ClassifyRequest{Images: sampleImages(data, i*3, 2)})
+		status, _, body := postJSON(t, client, f.URL()+classifyPath,
+			serve.V2ClassifyRequest{Images: sampleImages(data, i*3, 2)})
 		if status != http.StatusOK {
 			t.Fatalf("request %d: HTTP %d: %s", i, status, body)
 		}
-		var cr serve.ClassifyResponse
+		var cr serve.V2ClassifyResponse
 		if err := json.Unmarshal(body, &cr); err != nil {
 			t.Fatalf("request %d: bad body: %v", i, err)
 		}
@@ -397,14 +405,14 @@ func TestShedOverflowsToNextNode(t *testing.T) {
 	urls := make([]string, 2)
 	for i := range urls {
 		mux := probedMux(nil)
-		mux.HandleFunc("POST /v1/classify", func(w http.ResponseWriter, r *http.Request) {
+		mux.HandleFunc("POST "+classifyPath, func(w http.ResponseWriter, r *http.Request) {
 			_, _ = io.Copy(io.Discard, r.Body)
 			hits[i].Add(1)
 			if shedding[i].Load() {
 				serve.WriteShed(w, "queue full")
 				return
 			}
-			serve.WriteJSON(w, http.StatusOK, serve.ClassifyResponse{Count: 1})
+			serve.WriteJSON(w, http.StatusOK, serve.V2ClassifyResponse{Count: 1})
 		})
 		ts := httptest.NewServer(mux)
 		t.Cleanup(ts.Close)
@@ -418,7 +426,7 @@ func TestShedOverflowsToNextNode(t *testing.T) {
 	body := []byte(`{"images": [[0.5]]}`)
 	ownerIdx := owner(rt.ring, HashRequest(serve.DefaultModelName, body))
 	post := func() *httptest.ResponseRecorder {
-		r := httptest.NewRequest(http.MethodPost, "/v1/classify", bytes.NewReader(body))
+		r := httptest.NewRequest(http.MethodPost, classifyPath, bytes.NewReader(body))
 		w := httptest.NewRecorder()
 		rt.Handler().ServeHTTP(w, r)
 		return w
@@ -464,7 +472,7 @@ func (b unreadBody) Read([]byte) (int, error) {
 // ~38 MB) is wider shows by classifying it.
 func TestRouterBodyBound(t *testing.T) {
 	cdln, data := testCDLN(t, 37)
-	req, err := json.Marshal(serve.ClassifyRequest{Images: sampleImages(data, 0, 2)})
+	req, err := json.Marshal(serve.V2ClassifyRequest{Images: sampleImages(data, 0, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +501,7 @@ func TestRouterBodyBound(t *testing.T) {
 		{"declared over the bound", unreadBody{t}, bound + 1, http.StatusRequestEntityTooLarge},
 		{"chunked over the bound", bytes.NewReader(over), -1, http.StatusRequestEntityTooLarge},
 	} {
-		r := httptest.NewRequest(http.MethodPost, "/v1/classify", tc.body)
+		r := httptest.NewRequest(http.MethodPost, classifyPath, tc.body)
 		r.ContentLength = tc.declared
 		w := httptest.NewRecorder()
 		rt.Handler().ServeHTTP(w, r)
@@ -503,7 +511,7 @@ func TestRouterBodyBound(t *testing.T) {
 		}
 		switch tc.want {
 		case http.StatusOK:
-			var cr serve.ClassifyResponse
+			var cr serve.V2ClassifyResponse
 			if err := json.Unmarshal(w.Body.Bytes(), &cr); err != nil || cr.Count != 2 {
 				t.Errorf("%s: the backend answered %s (%v), want 2 results", tc.name, w.Body, err)
 			}
@@ -621,8 +629,8 @@ func TestFleetSurvivesBackendKill(t *testing.T) {
 		if i >= 500 {
 			t.Fatal("restarted backend never took traffic")
 		}
-		status, _, body := postJSON(t, client, f.URL()+"/v1/classify",
-			serve.ClassifyRequest{Images: sampleImages(data, i*7, 1)})
+		status, _, body := postJSON(t, client, f.URL()+classifyPath,
+			serve.V2ClassifyRequest{Images: sampleImages(data, i*7, 1)})
 		if status != http.StatusOK {
 			t.Fatalf("post-restart request failed: HTTP %d: %s", status, body)
 		}
@@ -673,11 +681,41 @@ func TestFleetReadyz(t *testing.T) {
 	}
 	// With zero ready backends the data path must shed, not hang or 502.
 	client := &http.Client{Timeout: 5 * time.Second}
-	status, hdr, _ := postJSON(t, client, f.URL()+"/v1/classify", serve.ClassifyRequest{})
+	status, hdr, _ := postJSON(t, client, f.URL()+classifyPath, serve.V2ClassifyRequest{})
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("data path with dead fleet: HTTP %d, want 503", status)
 	}
 	if hdr.Get("Retry-After") == "" {
 		t.Error("fleet-wide shed carries no Retry-After")
+	}
+}
+
+// TestRouterRetiredSurfaceIsGone pins what the router no longer offers: the
+// /v1 data routes are not routed, and a rolling PUT that asks to make its
+// entry the default is relayed as the backend's 400 for the field.
+func TestRouterRetiredSurfaceIsGone(t *testing.T) {
+	cdln, data := testCDLN(t, 32)
+	f := startFleet(t, cdln, 1, nil)
+	waitReady(t, f, 1)
+	client := &http.Client{Timeout: 10 * time.Second}
+	for _, path := range []string{"/v1/classify", "/v1/resume"} {
+		if status, _, body := postJSON(t, client, f.URL()+path, serve.V2ClassifyRequest{Images: sampleImages(data, 0, 1)}); status != http.StatusNotFound {
+			t.Errorf("POST %s: HTTP %d (%s), want 404", path, status, body)
+		}
+	}
+	req, err := http.NewRequest(http.MethodPut, f.URL()+"/v2/models/"+serve.DefaultModelName,
+		strings.NewReader(`{"path": "absent.cdln", "default": true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var swap SwapResponse
+	err = json.NewDecoder(resp.Body).Decode(&swap)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || err != nil || len(swap.Results) != 1 || !strings.Contains(swap.Results[0].Error, `unknown field \"default\"`) {
+		t.Errorf(`PUT with "default": HTTP %d %+v (%v), want the backend's 400 naming the unknown field`, resp.StatusCode, swap, err)
 	}
 }

@@ -24,8 +24,8 @@ import (
 
 // TestRouterForwardsEdgeOffloads is the chain edge → Router → two backends:
 // a batch whose hard residue offloads through the router comes back with
-// records equal to the monolithic oracle's, on the /v1 and the named-model
-// resume routes.
+// records equal to the monolithic oracle's, on the named-model resume
+// route.
 func TestRouterForwardsEdgeOffloads(t *testing.T) {
 	cdln, data := testCDLN(t, 31)
 	f := startFleet(t, cdln, 2, nil)
@@ -39,7 +39,6 @@ func TestRouterForwardsEdgeOffloads(t *testing.T) {
 		xs[i] = data[i].X
 	}
 	for name, transport := range map[string]edgecloud.Transport{
-		"v1":          edgecloud.NewHTTPTransport(f.URL()),
 		"named model": edgecloud.NewHTTPModelTransport(f.URL(), serve.DefaultModelName),
 	} {
 		edge, err := edgecloud.New(cdln, transport, edgecloud.DefaultConfig(1))
@@ -82,7 +81,7 @@ func TestRouterForwardsContentType(t *testing.T) {
 	first <- struct{}{}
 	backend := func() string {
 		mux := probedMux(nil)
-		mux.HandleFunc("POST /v1/resume", func(w http.ResponseWriter, r *http.Request) {
+		mux.HandleFunc("POST "+resumePath, func(w http.ResponseWriter, r *http.Request) {
 			_, _ = io.Copy(io.Discard, r.Body)
 			mu.Lock()
 			seen = append(seen, r.Header.Get("Content-Type"))
@@ -92,7 +91,7 @@ func TestRouterForwardsContentType(t *testing.T) {
 				<-r.Context().Done()
 				first <- struct{}{}
 			default:
-				serve.WriteJSON(w, http.StatusOK, serve.ClassifyResponse{})
+				serve.WriteJSON(w, http.StatusOK, serve.V2ClassifyResponse{})
 			}
 		})
 		ts := httptest.NewServer(mux)
@@ -120,7 +119,7 @@ func TestRouterForwardsContentType(t *testing.T) {
 		mu.Lock()
 		seen = nil
 		mu.Unlock()
-		req, err := http.NewRequest(http.MethodPost, front.URL+"/v1/resume", bytes.NewReader([]byte("opaque to the router")))
+		req, err := http.NewRequest(http.MethodPost, front.URL+resumePath, bytes.NewReader([]byte("opaque to the router")))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,5 +1,5 @@
 // Package fleet is the multi-machine serving tier: an HTTP front door
-// (Router) that fans /v1 and /v2 traffic across N cdlserve backends.
+// (Router) that fans /v2 traffic across N cdlserve backends.
 // Routing is model-aware — requests are placed on a consistent-hash ring
 // keyed by (model, input hash) so a given input keeps landing on the same
 // replica while that replica stays cache- and branch-warm — with

@@ -175,12 +175,6 @@ func New(cfg Config) (*Router, error) {
 		started: time.Now(),
 	}
 	rt.mux = http.NewServeMux()
-	rt.mux.HandleFunc("POST /v1/classify", func(w http.ResponseWriter, r *http.Request) {
-		rt.handleData(w, r, "", routeClassify)
-	})
-	rt.mux.HandleFunc("POST /v1/resume", func(w http.ResponseWriter, r *http.Request) {
-		rt.handleData(w, r, "", routeResume)
-	})
 	rt.mux.HandleFunc("POST /v2/models/{model}/classify", func(w http.ResponseWriter, r *http.Request) {
 		rt.handleData(w, r, r.PathValue("model"), routeClassify)
 	})
@@ -239,14 +233,6 @@ const (
 	routeClassify = "classify"
 	routeResume   = "resume"
 )
-
-// modelKey normalizes the metrics/ring label for the /v1 alias surface.
-func modelKey(model string) string {
-	if model == "" {
-		return serve.DefaultModelName
-	}
-	return model
-}
 
 // pickChain orders the backends for one key: ring sequence, filtered to
 // healthy + non-draining + under the bounded-load cap (the router's own
@@ -376,8 +362,7 @@ func writeResult(w http.ResponseWriter, res attemptResult) {
 // hedging and failover. Every outcome is one event on the model's plane,
 // emitted before the response is written.
 func (rt *Router) handleData(w http.ResponseWriter, r *http.Request, model, route string) {
-	mk := modelKey(model)
-	mm := rt.metrics.model(mk)
+	mm := rt.metrics.model(model)
 	tr := obs.FromContext(r.Context())
 	refused := control.Event{Trace: tr, ExitIndex: -1, Outcome: obs.FlightError, Cause: control.CauseInvalid}
 	// The bound alone decides 413: a declared length over it is refused
@@ -400,7 +385,7 @@ func (rt *Router) handleData(w http.ResponseWriter, r *http.Request, model, rout
 		serve.WriteError(w, http.StatusBadRequest, fmt.Sprintf("read body: %v", err))
 		return
 	}
-	key := HashRequest(mk, body)
+	key := HashRequest(model, body)
 	chain := rt.pickChain(key)
 	if len(chain) == 0 {
 		// Rejected before any backend attempt.
@@ -415,7 +400,7 @@ func (rt *Router) handleData(w http.ResponseWriter, r *http.Request, model, rout
 		traceID = tr.ID()
 	}
 	start := time.Now()
-	res := rt.dispatch(r.Context(), chain, r.Method, r.URL.RequestURI(), r.Header.Get("Content-Type"), body, mk, route, traceID, tr)
+	res := rt.dispatch(r.Context(), chain, r.Method, r.URL.RequestURI(), r.Header.Get("Content-Type"), body, model, route, traceID, tr)
 	elapsedMS := float64(time.Since(start)) / float64(time.Millisecond)
 	mm.observe(tr, res, elapsedMS)
 	if res.err != nil {

@@ -54,7 +54,7 @@ func TestRouterSinksAgree(t *testing.T) {
 		seq++
 		id := fmt.Sprintf("fleet-sinks-%04d", seq)
 		mu.Unlock()
-		r := httptest.NewRequest(http.MethodPost, "/v1/classify", bytes.NewReader([]byte(strconv.Itoa(want))))
+		r := httptest.NewRequest(http.MethodPost, classifyPath, bytes.NewReader([]byte(strconv.Itoa(want))))
 		r.Header.Set(obs.TraceHeader, id)
 		w := httptest.NewRecorder()
 		rt.Handler().ServeHTTP(w, r)

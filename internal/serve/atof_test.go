@@ -234,9 +234,9 @@ func TestClientTokensNeverFallBack(t *testing.T) {
 		}
 		switch g.req.(type) {
 		case ClassifyRequest:
-			check(g.surface+"_"+g.name, body, classifyOthers, 144)
+			check(g.name, body, classifyOthers, 144)
 		case V2ClassifyRequest:
-			check(g.surface+"_"+g.name, body, v2ClassifyOthers, 144)
+			check(g.name, body, v2ClassifyOthers, 144)
 		}
 	}
 	single, batch, edge := benchShapedBodies(t, 16)

@@ -6,8 +6,8 @@
 // Actuation is deliberately narrow: the controller only rewrites the
 // *default* policy — the one a request inherits when it carries no
 // explicit δ or policy of its own. A request that states its policy
-// always wins, so the /v1 and /v2 golden behaviour is untouched and a
-// client that needs the trained cascade can pin it per call. The
+// always wins, so the golden behaviour is untouched and a client that
+// needs the trained cascade can pin it per call. The
 // controller survives hot-swaps (the plane is keyed by entry name, not
 // model version); a swap that changes the graph's depth rebuilds the
 // ladder from rung 0.
@@ -60,7 +60,7 @@ func (r *Registry) SetSLO(name string, slo control.SLO) error {
 	if err != nil {
 		return err
 	}
-	name = m.name // resolve "" to the default entry
+	name = m.name // resolve "" to the first registered entry
 	ladder := control.Ladder(m.graph.MaxDepth(), slo.AccuracyFloorDelta)
 	return m.plane.Attach(slo, ladder, r.cfg.ControlInterval, func() float64 {
 		cur, err := r.Get(name)

@@ -167,11 +167,11 @@ func TestControllerInheritance(t *testing.T) {
 
 	img := data[0].X.Flatten().Data
 	// Inherited: the controller's MaxExit=0 cap forces every exit to O1.
-	status, body := postClassify(t, ts.URL, ClassifyRequest{Images: [][]float64{img, data[1].X.Flatten().Data}})
+	status, body := postClassify(t, ts.URL, V2ClassifyRequest{Images: [][]float64{img, data[1].X.Flatten().Data}})
 	if status != http.StatusOK {
 		t.Fatalf("inherited classify: HTTP %d: %s", status, body)
 	}
-	var out ClassifyResponse
+	var out V2ClassifyResponse
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -184,11 +184,11 @@ func TestControllerInheritance(t *testing.T) {
 	// Explicit δ=1 disables early exit: the cascade must run to FC even
 	// though the controller is parked at MaxExit 0.
 	one := 1.0
-	status, body = postClassify(t, ts.URL, ClassifyRequest{Image: img, Delta: &one})
+	status, body = postClassify(t, ts.URL, V2ClassifyRequest{Image: img, Policy: &PolicyRequest{Delta: &one}})
 	if status != http.StatusOK {
 		t.Fatalf("explicit classify: HTTP %d: %s", status, body)
 	}
-	out = ClassifyResponse{}
+	out = V2ClassifyResponse{}
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -246,11 +246,11 @@ func TestResumeInheritedPolicyRelaxed(t *testing.T) {
 		t.Fatal("no input deferred at δ=0.99; fixture degenerate")
 	}
 
-	status, body := postResume(t, ts.URL, ResumeRequest{Payload: payload})
+	status, body := postResume(t, ts.URL, V2ResumeRequest{Payload: payload})
 	if status != http.StatusOK {
 		t.Fatalf("inherited resume under a shallow controller cap: HTTP %d: %s (must relax, not reject)", status, body)
 	}
-	var out ClassifyResponse
+	var out V2ClassifyResponse
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -281,8 +281,8 @@ func TestShedCausesAndRetryAfter(t *testing.T) {
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()
 		srv.Close()
-		body, _ := json.Marshal(ClassifyRequest{Image: img})
-		resp, err := http.Post(ts.URL+"/v1/classify", "application/json", bytes.NewReader(body))
+		body, _ := json.Marshal(V2ClassifyRequest{Image: img})
+		resp, err := http.Post(ts.URL+classifyPath, "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,8 +314,8 @@ func TestShedCausesAndRetryAfter(t *testing.T) {
 		}
 		m.pool.close()
 		m.pool = newPool(nil, 2, 1, m.emit)
-		body, _ := json.Marshal(ClassifyRequest{Images: [][]float64{img, img, img}})
-		resp, err := http.Post(ts.URL+"/v1/classify", "application/json", bytes.NewReader(body))
+		body, _ := json.Marshal(V2ClassifyRequest{Images: [][]float64{img, img, img}})
+		resp, err := http.Post(ts.URL+classifyPath, "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,7 +342,7 @@ func TestLatencyHistogramsInStats(t *testing.T) {
 	cdln, data := testCDLN(t, 75)
 	srv, ts := startServer(t, cdln, Config{Workers: 2})
 	for i := 0; i < 10; i++ {
-		status, _ := postClassify(t, ts.URL, ClassifyRequest{Image: data[i].X.Flatten().Data})
+		status, _ := postClassify(t, ts.URL, V2ClassifyRequest{Image: data[i].X.Flatten().Data})
 		if status != http.StatusOK {
 			t.Fatalf("classify %d: HTTP %d", i, status)
 		}
@@ -430,14 +430,14 @@ func TestControlObserveStepSwapRace(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			img := data[w].X.Flatten().Data
-			body, _ := json.Marshal(ClassifyRequest{Image: img})
+			body, _ := json.Marshal(V2ClassifyRequest{Image: img})
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				resp, err := http.Post(ts.URL+"/v1/classify", "application/json", bytes.NewReader(body))
+				resp, err := http.Post(ts.URL+classifyPath, "application/json", bytes.NewReader(body))
 				if err != nil {
 					continue
 				}
@@ -523,7 +523,7 @@ func TestSLOControllerActuatesEndToEnd(t *testing.T) {
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if status, _ := postClassify(t, ts.URL, ClassifyRequest{Images: images}); status != http.StatusOK {
+		if status, _ := postClassify(t, ts.URL, V2ClassifyRequest{Images: images}); status != http.StatusOK {
 			t.Fatalf("classify: HTTP %d", status)
 		}
 		st := srv.Stats().Control
@@ -536,11 +536,11 @@ func TestSLOControllerActuatesEndToEnd(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	// Responses without a policy now exit at the cap.
-	status, body := postClassify(t, ts.URL, ClassifyRequest{Images: images})
+	status, body := postClassify(t, ts.URL, V2ClassifyRequest{Images: images})
 	if status != http.StatusOK {
 		t.Fatalf("capped classify: HTTP %d", status)
 	}
-	var out ClassifyResponse
+	var out V2ClassifyResponse
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}

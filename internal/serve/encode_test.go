@@ -6,9 +6,7 @@ package serve
 // encode, not with a 200 and an empty body.
 
 import (
-	"bytes"
 	"encoding/json"
-	"io"
 	"math"
 	"net/http"
 	"strings"
@@ -40,8 +38,8 @@ func overflowCDLN(cdln *core.CDLN) *core.CDLN {
 	return c
 }
 
-// TestNaNConfidenceAnswers500 drives a NaN confidence through both
-// classify routes.
+// TestNaNConfidenceAnswers500 drives a NaN confidence through the classify
+// route.
 func TestNaNConfidenceAnswers500(t *testing.T) {
 	cdln, data := testCDLN(t, 61)
 	bad := overflowCDLN(cdln)
@@ -53,26 +51,9 @@ func TestNaNConfidenceAnswers500(t *testing.T) {
 	}
 	_, ts := startServer(t, bad, Config{Workers: 1})
 	one := 1.0
-	for route, req := range map[string]any{
-		"/v1/classify":                ClassifyRequest{Image: img, Delta: &one},
-		"/v2/models/default/classify": V2ClassifyRequest{Image: img, Policy: &PolicyRequest{Delta: &one}},
-	} {
-		body, err := json.Marshal(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(ts.URL+route, "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var e struct{ Error string }
-		if err := json.Unmarshal(out, &e); resp.StatusCode != http.StatusInternalServerError || err != nil || !strings.HasPrefix(e.Error, "encode: ") {
-			t.Fatalf("%s: HTTP %d, body %q; want 500 with {\"error\": \"encode: …\"}", route, resp.StatusCode, out)
-		}
+	status, out := postClassify(t, ts.URL, V2ClassifyRequest{Image: img, Policy: &PolicyRequest{Delta: &one}})
+	var e struct{ Error string }
+	if err := json.Unmarshal(out, &e); status != http.StatusInternalServerError || err != nil || !strings.HasPrefix(e.Error, "encode: ") {
+		t.Fatalf("HTTP %d, body %q; want 500 with {\"error\": \"encode: …\"}", status, out)
 	}
 }

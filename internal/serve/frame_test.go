@@ -33,8 +33,8 @@ func frameOf(t testing.TB, req any) []byte {
 	t.Helper()
 	var b64 []string
 	switch q := req.(type) {
-	case ResumeRequest:
-		b64, q.Payload, q.Payloads = oneAndMany(q.Payload, q.Payloads), "", nil
+	case v1Resume:
+		b64, q.Payloads = q.Payloads, nil
 		req = q
 	case V2ResumeRequest:
 		b64, q.Payload, q.Payloads = oneAndMany(q.Payload, q.Payloads), "", nil
@@ -60,18 +60,16 @@ func frameOf(t testing.TB, req any) []byte {
 	return frame
 }
 
-// goldenResume returns the two resume requests of the golden set.
-func goldenResume(t testing.TB, cdln *core.CDLN) (v1 ResumeRequest, v2 V2ResumeRequest) {
+// goldenResume returns the resume request of the golden set.
+func goldenResume(t testing.TB, cdln *core.CDLN) V2ResumeRequest {
 	t.Helper()
 	for _, g := range goldenRequests(t, cdln) {
-		switch q := g.req.(type) {
-		case ResumeRequest:
-			v1 = q
-		case V2ResumeRequest:
-			v2 = q
+		if q, ok := g.req.(V2ResumeRequest); ok {
+			return q
 		}
 	}
-	return v1, v2
+	t.Fatal("the golden set has no resume request")
+	return V2ResumeRequest{}
 }
 
 func oneAndMany(one string, many []string) []string {
@@ -127,9 +125,9 @@ func answerRows(t testing.TB, status int, body []byte, frame bool) string {
 
 // TestFrameMatchesJSON is the differential check on the second body shape:
 // the frame of a resume request and the JSON body carrying base64 of the
-// same payloads get the same status on both routes, the same result rows
-// (the frame answer's records against the JSON answer's results) on a 200
-// and the same refusal bytes otherwise — the golden requests (so the
+// same payloads get the same status, the same result rows (the frame
+// answer's records against the JSON answer's results) on a 200 and the
+// same refusal bytes otherwise — the golden requests (so the
 // frame's answers are pinned by the same files), a single payload, a
 // shaped policy with a deadline, and a refusal at each payload index by
 // wire.Decode and by ValidateResume. An untraced frame answer has no
@@ -137,10 +135,8 @@ func answerRows(t testing.TB, status int, body []byte, frame bool) string {
 func TestFrameMatchesJSON(t *testing.T) {
 	cdln, _ := testCDLN(t, 91)
 	_, ts := startServer(t, cdln, Config{Workers: 2})
-	const v2Path = "/v2/models/" + DefaultModelName + "/resume"
-
-	v1, v2 := goldenResume(t, cdln)
-	good := v1.Payloads
+	golden := goldenResume(t, cdln)
+	good := golden.Payloads
 	raw, _ := base64.StdEncoding.DecodeString(good[0])
 	act, err := wire.Decode(raw)
 	if err != nil {
@@ -156,25 +152,23 @@ func TestFrameMatchesJSON(t *testing.T) {
 
 	capAt, strict := 2, 0.999
 	cases := []struct {
-		name, path string
-		req        any
-		want       int
+		name string
+		req  V2ResumeRequest
+		want int
 	}{
-		{"golden v1", "/v1/resume", v1, 200},
-		{"golden v2", v2Path, v2, 200},
-		{"one payload v1", "/v1/resume", ResumeRequest{Payload: good[0]}, 200},
-		{"one payload v2", v2Path, V2ResumeRequest{Payload: good[0]}, 200},
-		{"shaped policy", v2Path, V2ResumeRequest{Payloads: good[:3], TimeoutMS: 60_000,
+		{"golden", golden, 200},
+		{"one payload", V2ResumeRequest{Payload: good[0]}, 200},
+		{"shaped policy", V2ResumeRequest{Payloads: good[:3], TimeoutMS: 60_000,
 			Policy: &PolicyRequest{Delta: &strict, MaxExit: &capAt, Detail: DetailLabel}}, 200},
-		{"unsatisfiable depth cap", v2Path, V2ResumeRequest{Payloads: good[:2], Policy: &PolicyRequest{MaxExit: new(int)}}, 400},
-		{"negative timeout", v2Path, V2ResumeRequest{Payloads: good[:2], TimeoutMS: -1}, 400},
-		{"wire refuses payload 2", "/v1/resume", ResumeRequest{Payloads: []string{good[0], good[1], notWire, wrongShape}}, 400},
-		{"the model refuses payload 1", v2Path, V2ResumeRequest{Payloads: []string{good[0], wrongShape, notWire}}, 400},
-		{"the model refuses payload 0, wire payload 1", "/v1/resume", ResumeRequest{Payloads: []string{wrongShape, notWire}}, 400},
+		{"unsatisfiable depth cap", V2ResumeRequest{Payloads: good[:2], Policy: &PolicyRequest{MaxExit: new(int)}}, 400},
+		{"negative timeout", V2ResumeRequest{Payloads: good[:2], TimeoutMS: -1}, 400},
+		{"wire refuses payload 2", V2ResumeRequest{Payloads: []string{good[0], good[1], notWire, wrongShape}}, 400},
+		{"the model refuses payload 1", V2ResumeRequest{Payloads: []string{good[0], wrongShape, notWire}}, 400},
+		{"the model refuses payload 0, wire payload 1", V2ResumeRequest{Payloads: []string{wrongShape, notWire}}, 400},
 	}
 	for _, tc := range cases {
-		status, body := postJSON(t, ts.URL+tc.path, tc.req)
-		fstatus, fbody := postFrame(t, ts.URL+tc.path, frameOf(t, tc.req), false)
+		status, body := postJSON(t, ts.URL+resumePath, tc.req)
+		fstatus, fbody := postFrame(t, ts.URL+resumePath, frameOf(t, tc.req), false)
 		if status != tc.want {
 			t.Errorf("%s: JSON HTTP %d (%s), want %d", tc.name, status, body, tc.want)
 		}
@@ -207,14 +201,14 @@ func TestResumeFrameBound(t *testing.T) {
 	if jsonBound := bodyBound(maxImages, base64.StdEncoding.EncodedLen(m.maxResumeWire)+4); bound >= jsonBound {
 		t.Fatalf("frame bound %d is not under the JSON bound %d", bound, jsonBound)
 	}
-	golden, _ := goldenResume(t, cdln)
-	req := ResumeRequest{Payloads: golden.Payloads[:maxImages], Delta: golden.Delta}
+	golden := goldenResume(t, cdln)
+	req := V2ResumeRequest{Payloads: golden.Payloads[:maxImages], Policy: golden.Policy}
 	// Whitespace after the members object is the one place a frame can be
 	// padded: the members are read as the JSON route reads its body.
 	padded := func(size int64) []byte {
 		frame := frameOf(t, req)
 		_, payloads, _ := wire.ReadFrame(frame)
-		members, _ := json.Marshal(ResumeRequest{Delta: req.Delta})
+		members, _ := json.Marshal(V2ResumeRequest{Policy: req.Policy})
 		members = append(members, bytes.Repeat([]byte(" "), int(size)-len(frame))...)
 		frame, err := wire.AppendFrame(nil, members, payloads)
 		if err != nil || int64(len(frame)) != size {
@@ -223,7 +217,7 @@ func TestResumeFrameBound(t *testing.T) {
 		return frame
 	}
 	post := func(body io.Reader, declared int64) int {
-		r := httptest.NewRequest(http.MethodPost, "/v1/resume", body)
+		r := httptest.NewRequest(http.MethodPost, resumePath, body)
 		r.Header.Set("Content-Type", wire.FrameContentType)
 		r.ContentLength = declared
 		w := httptest.NewRecorder()
@@ -260,7 +254,7 @@ func TestFrameDoesNotAliasBody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, v2 := goldenResume(t, cdln)
+	v2 := goldenResume(t, cdln)
 	var want []*tensor.T
 	for _, p := range v2.Payloads {
 		raw, _ := base64.StdEncoding.DecodeString(p)
@@ -310,13 +304,13 @@ func TestFrameDoesNotAliasBody(t *testing.T) {
 func TestFrameJSONConcurrent(t *testing.T) {
 	cdln, _ := testCDLN(t, 91)
 	_, ts := startServer(t, cdln, Config{Workers: 2})
-	v1, _ := goldenResume(t, cdln)
+	golden := goldenResume(t, cdln)
 	// Request k resumes payload k alone, so a swapped buffer shows as a
 	// different record.
-	n := len(v1.Payloads)
-	reqs, want := make([]ResumeRequest, n), make([][]byte, n)
+	n := len(golden.Payloads)
+	reqs, want := make([]V2ResumeRequest, n), make([][]byte, n)
 	for k := range reqs {
-		reqs[k] = ResumeRequest{Payload: v1.Payloads[k], Delta: v1.Delta}
+		reqs[k] = V2ResumeRequest{Payload: golden.Payloads[k], Policy: golden.Policy}
 		status, body := postResume(t, ts.URL, reqs[k])
 		if status != http.StatusOK {
 			t.Fatalf("payload %d: HTTP %d (%s)", k, status, body)
@@ -335,7 +329,7 @@ func TestFrameJSONConcurrent(t *testing.T) {
 				var body []byte
 				frame := (g+i)%2 == 0
 				if frame {
-					status, body = postFrame(t, ts.URL+"/v1/resume", frameOf(t, reqs[k]), i%3 == 0)
+					status, body = postFrame(t, ts.URL+resumePath, frameOf(t, reqs[k]), i%3 == 0)
 				} else {
 					status, body = postResume(t, ts.URL, reqs[k])
 				}
@@ -357,16 +351,15 @@ func TestFrameJSONConcurrent(t *testing.T) {
 // FuzzResumeFrame is the differential check as a fuzz target, handler to
 // handler with no sockets: for any members and any payloads, the frame and
 // the JSON body carrying base64 of the same payloads under the same members
-// get the same status on /v1/resume and /v2/.../resume, the same result rows
-// on 200 (exit index, label and confidence bits: the frame answer's records
-// against the JSON results) and the same refusal otherwise — the payload
+// get the same status, the same result rows on 200 (exit index, label and
+// confidence bits: the frame answer's records against the JSON results)
+// and the same refusal otherwise — the payload
 // index and wire's or ValidateResume's words included. Members the route's
 // wire struct refuses have no JSON twin; their frame must be a 400.
 func FuzzResumeFrame(f *testing.F) {
 	cdln, _ := testCDLN(f, 91)
 	srv, _ := startServer(f, cdln, Config{Workers: 2, QueueDepth: 3})
-	v1, _ := goldenResume(f, cdln)
-	_, good, _ := wire.ReadFrame(frameOf(f, v1))
+	_, good, _ := wire.ReadFrame(frameOf(f, goldenResume(f, cdln)))
 	act, err := wire.Decode(good[0])
 	if err != nil {
 		f.Fatal(err)
@@ -409,39 +402,33 @@ func FuzzResumeFrame(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for path, twin := range map[string]wireRequest{"/v1/resume": new(ResumeRequest), "/v2/models/" + DefaultModelName + "/resume": new(V2ResumeRequest)} {
-			status, got := post(t, path, wire.FrameContentType, frame)
-			err := strictDecode(members, twin)
-			if q := twin.infer(); err != nil || q.payload != "" || q.payloads != nil {
-				if status != http.StatusBadRequest && status != http.StatusRequestEntityTooLarge {
-					t.Fatalf("%s: HTTP %d %s for members %q", path, status, got, members)
-				}
-				continue
+		status, got := post(t, resumePath, wire.FrameContentType, frame)
+		var twin V2ResumeRequest
+		err = strictDecode(members, &twin)
+		if err != nil || twin.Payload != "" || twin.Payloads != nil {
+			if status != http.StatusBadRequest && status != http.StatusRequestEntityTooLarge {
+				t.Fatalf("HTTP %d %s for members %q", status, got, members)
 			}
-			switch q := twin.(type) {
-			case *ResumeRequest:
-				q.Payloads = b64
-			case *V2ResumeRequest:
-				q.Payloads = b64
+			return
+		}
+		twin.Payloads = b64
+		asJSON, err := json.Marshal(twin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jstatus, want := post(t, resumePath, "application/json", asJSON)
+		if incomparable[status] || incomparable[jstatus] {
+			return
+		}
+		if jstatus == http.StatusInternalServerError && status == http.StatusOK && strings.Contains(want, "encode: ") {
+			// A NaN or infinite confidence: JSON cannot carry it, a record can.
+			if !strings.Contains(got, "confidence 0x7ff") && !strings.Contains(got, "confidence 0xfff") {
+				t.Fatalf("JSON %s, frame records without a NaN:\n%s", want, got)
 			}
-			asJSON, err := json.Marshal(twin)
-			if err != nil {
-				t.Fatal(err)
-			}
-			jstatus, want := post(t, path, "application/json", asJSON)
-			if incomparable[status] || incomparable[jstatus] {
-				continue
-			}
-			if jstatus == http.StatusInternalServerError && status == http.StatusOK && strings.Contains(want, "encode: ") {
-				// A NaN or infinite confidence: JSON cannot carry it, a record can.
-				if !strings.Contains(got, "confidence 0x7ff") && !strings.Contains(got, "confidence 0xfff") {
-					t.Fatalf("%s: JSON %s, frame records without a NaN:\n%s", path, want, got)
-				}
-				continue
-			}
-			if status != jstatus || got != want {
-				t.Fatalf("%s: frame HTTP %d %s\nJSON  HTTP %d %s", path, status, got, jstatus, want)
-			}
+			return
+		}
+		if status != jstatus || got != want {
+			t.Fatalf("frame HTTP %d %s\nJSON  HTTP %d %s", status, got, jstatus, want)
 		}
 	})
 }

@@ -6,21 +6,21 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"strings"
 	"testing"
 
 	"cdl/internal/edgecloud/wire"
 )
 
 // FuzzInfer feeds arbitrary bodies to the one inference handler through
-// all four of its routes, over real HTTP on the 12×12 fixture. Whatever
+// both of its routes, over real HTTP on the 12×12 fixture. Whatever
 // arrives, the server must not panic (a handler panic resets the
 // connection, which fails the POST), must answer with a status the surface
 // documents, and must say why in the shared {"error": ...} body whenever it
-// refuses. The corpus is seeded from the golden requests, truncations of
-// them, trailing garbage after a valid value and a wrong-typed field.
+// refuses. The corpus is seeded from the golden requests (the retired /v1
+// bodies among them), truncations of them, trailing garbage after a valid
+// value and a wrong-typed field.
 //
-// The resume routes get the same bytes a second time under the frame's
+// The resume route gets the same bytes a second time under the frame's
 // content type, held to the same rules, except that a 200 answers with a
 // frame of wire records: those must equal, in exit index, label and
 // confidence bits, the results the JSON twin of the request gets (frames
@@ -39,7 +39,7 @@ func FuzzInfer(f *testing.F) {
 		f.Add(body[:len(body)-1])
 		f.Add(append(body[:len(body):len(body)], " trailing garbage"...))
 		switch g.req.(type) {
-		case ResumeRequest, V2ResumeRequest:
+		case v1Resume, V2ResumeRequest:
 			frame := frameOf(f, g.req)
 			f.Add(frame)
 			f.Add(frame[:len(frame)/2])
@@ -49,10 +49,6 @@ func FuzzInfer(f *testing.F) {
 	}
 	f.Add([]byte(`{"image": "not an array", "timeout_ms": "soon"}`))
 
-	routes := []string{
-		"/v1/classify", "/v1/resume",
-		"/v2/models/" + DefaultModelName + "/classify", "/v2/models/" + DefaultModelName + "/resume",
-	}
 	allowed := map[int]bool{
 		http.StatusOK: true, http.StatusBadRequest: true, http.StatusNotFound: true,
 		http.StatusMethodNotAllowed: true, http.StatusRequestEntityTooLarge: true,
@@ -87,26 +83,23 @@ func FuzzInfer(f *testing.F) {
 		return resp.StatusCode, raw
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		for _, path := range routes {
-			post(t, path, "application/json", body)
+		post(t, classifyPath, "application/json", body)
+		post(t, resumePath, "application/json", body)
+		status, answer := post(t, resumePath, wire.FrameContentType, body)
+		if status != http.StatusOK {
+			return
 		}
-		for _, path := range []string{routes[1], routes[3]} {
-			status, answer := post(t, path, wire.FrameContentType, body)
-			if status != http.StatusOK {
-				continue
-			}
-			got := answerRows(t, status, answer, true)
-			jstatus, janswer := post(t, path, "application/json", jsonTwin(t, path, body))
-			if jstatus == http.StatusOK && answerRows(t, jstatus, janswer, false) != got {
-				t.Fatalf("%s: frame records\n%sJSON twin's results\n%s", path, got, answerRows(t, jstatus, janswer, false))
-			}
+		got := answerRows(t, status, answer, true)
+		jstatus, janswer := post(t, resumePath, "application/json", jsonTwin(t, body))
+		if jstatus == http.StatusOK && answerRows(t, jstatus, janswer, false) != got {
+			t.Fatalf("frame records\n%sJSON twin's results\n%s", got, answerRows(t, jstatus, janswer, false))
 		}
 	})
 }
 
 // jsonTwin is the JSON body that says what an accepted resume frame says:
 // its members decoded into the route's wire struct, its payloads in base64.
-func jsonTwin(t testing.TB, path string, frame []byte) []byte {
+func jsonTwin(t testing.TB, frame []byte) []byte {
 	t.Helper()
 	members, payloads, err := wire.ReadFrame(frame)
 	if err != nil {
@@ -116,19 +109,11 @@ func jsonTwin(t testing.TB, path string, frame []byte) []byte {
 	for i, p := range payloads {
 		b64[i] = base64.StdEncoding.EncodeToString(p)
 	}
-	var twin wireRequest = new(V2ResumeRequest)
-	if strings.HasPrefix(path, "/v1/") {
-		twin = new(ResumeRequest)
-	}
-	if err := strictDecode(members, twin); err != nil {
+	var twin V2ResumeRequest
+	if err := strictDecode(members, &twin); err != nil {
 		t.Fatalf("an accepted frame's members do not decode: %v", err)
 	}
-	switch q := twin.(type) {
-	case *ResumeRequest:
-		q.Payloads = b64
-	case *V2ResumeRequest:
-		q.Payloads = b64
-	}
+	twin.Payloads = b64
 	body, err := json.Marshal(twin)
 	if err != nil {
 		t.Fatal(err)

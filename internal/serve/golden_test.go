@@ -1,15 +1,12 @@
 package serve
 
 // golden_test.go pins the inference wire format byte-for-byte. The
-// golden_v1_* files under testdata/ were generated against the
-// pre-registry single-model server, and every later redesign of the
-// serving internals (the model registry, the v2 surface, policy-aware
-// dispatch) must keep /v1/classify and /v1/resume responses bit-identical
-// to them. The golden_v2_* files were generated against the last tree with
-// four separate data handlers, and pin /v2 classify/resume across their
-// collapse onto handleInfer. Regenerate only on a deliberate, documented
-// wire change: go test ./internal/serve -run TestV1GoldenCompat
-// -update-golden
+// golden_v2_* files pin /v2 classify and resume: four were generated
+// against the last tree with four separate data handlers, and
+// classify_batch and classify_delta carry, value for value, the results
+// the retired /v1 surface gave the same inputs. Regenerate only on a
+// deliberate, documented wire change: go test ./internal/serve -run
+// TestGoldenCompat -update-golden
 
 import (
 	"bytes"
@@ -36,19 +33,29 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the golden respons
 var goldenVolatile = regexp.MustCompile(`"(trace_id|start_unix_ns|duration_ms|deadline_unix_ms)":("[^"]*"|[0-9.e+-]+)`)
 
 // goldenRequest is one pinned exchange: req POSTed to path must answer 200
-// with exactly the bytes of testdata/golden_<surface>_<name>.json.
+// with exactly the bytes of testdata/golden_v2_<golden>.json. An empty
+// golden marks a body the removed /v1 routes took with its δ as a bare
+// "delta" member: /v2 must refuse it as an unknown field.
 type goldenRequest struct {
-	surface string // "v1" or "v2"
-	name    string
-	path    string
-	req     any
+	name   string
+	path   string
+	req    any
+	golden string
+}
+
+// v1Resume is the body the retired /v1/resume route took.
+type v1Resume struct {
+	Payloads []string `json:"payloads,omitempty"`
+	Delta    *float64 `json:"delta,omitempty"`
 }
 
 // goldenRequests builds the deterministic request set: classify (single,
-// batch, δ-override) and resume (every payload the split-1 prefix defers
-// under a deep-exit δ) on /v1, and single, shaped-policy trace, label-detail
-// and resume on /v2. Everything derives from the seeded fixture, so the
-// bodies are reproducible bit-for-bit.
+// batch, δ policy, shaped-policy trace, label detail) and resume (every
+// payload the split-1 prefix defers under a deep-exit δ), then three
+// bodies the retired /v1 routes took: the δ-less single image, which /v2
+// answers byte for byte as its own, and the two that carried a bare δ.
+// Everything derives from the seeded fixture, so the bodies are
+// reproducible bit-for-bit.
 func goldenRequests(t testing.TB, cdln *core.CDLN) []goldenRequest {
 	t.Helper()
 	_, data := testCDLN(t, 91) // same seed as the caller's model
@@ -94,40 +101,42 @@ func goldenRequests(t testing.TB, cdln *core.CDLN) []goldenRequest {
 	// stage clears plus a depth cap makes the cap decide the exit.
 	capAt, strict := 1, 0.999
 	shaped := &PolicyRequest{Delta: &strict, MaxExit: &capAt, Detail: DetailTrace}
-	const v2Classify, v2Resume = "/v2/models/" + DefaultModelName + "/classify", "/v2/models/" + DefaultModelName + "/resume"
 	return []goldenRequest{
-		{"v1", "classify_single", "/v1/classify", ClassifyRequest{Image: img(3)}},
-		{"v1", "classify_batch", "/v1/classify", ClassifyRequest{Images: batch}},
-		{"v1", "classify_delta", "/v1/classify", ClassifyRequest{Images: small, Delta: &delta}},
-		{"v1", "resume_batch", "/v1/resume", ResumeRequest{Payloads: payloads, Delta: &resumeDelta}},
-		{"v2", "classify_single", v2Classify, V2ClassifyRequest{Image: img(3)}},
-		{"v2", "classify_policy_trace", v2Classify, V2ClassifyRequest{Image: img(5), Policy: shaped, TimeoutMS: 60_000}},
-		{"v2", "classify_label", v2Classify, V2ClassifyRequest{Images: small, Policy: &PolicyRequest{Detail: DetailLabel}}},
-		{"v2", "resume_batch", v2Resume, V2ResumeRequest{Payloads: payloads, Policy: &PolicyRequest{Delta: &resumeDelta}}},
+		{"classify_single", classifyPath, V2ClassifyRequest{Image: img(3)}, "classify_single"},
+		{"classify_batch", classifyPath, V2ClassifyRequest{Images: batch}, "classify_batch"},
+		{"classify_delta", classifyPath, V2ClassifyRequest{Images: small, Policy: &PolicyRequest{Delta: &delta}}, "classify_delta"},
+		{"classify_policy_trace", classifyPath, V2ClassifyRequest{Image: img(5), Policy: shaped, TimeoutMS: 60_000}, "classify_policy_trace"},
+		{"classify_label", classifyPath, V2ClassifyRequest{Images: small, Policy: &PolicyRequest{Detail: DetailLabel}}, "classify_label"},
+		{"resume_batch", resumePath, V2ResumeRequest{Payloads: payloads, Policy: &PolicyRequest{Delta: &resumeDelta}}, "resume_batch"},
+		{"v1_classify_single", classifyPath, ClassifyRequest{Image: img(3)}, "classify_single"},
+		{"v1_classify_delta", classifyPath, ClassifyRequest{Images: small, Delta: &delta}, ""},
+		{"v1_resume_batch", resumePath, v1Resume{Payloads: payloads, Delta: &resumeDelta}, ""},
 	}
 }
 
-// TestV1GoldenCompat asserts the exact response bytes of the four
-// inference routes against the checked-in goldens (HTTP 200 and body,
-// including the JSON encoder's trailing newline). The /v1 subtests keep
-// their original names; the /v2 ones carry a v2_ prefix.
-func TestV1GoldenCompat(t *testing.T) {
+// TestGoldenCompat asserts the exact response bytes of both inference
+// routes against the checked-in goldens (HTTP 200 and body, including the
+// JSON encoder's trailing newline), and that the retired /v1 bodies
+// carrying a bare δ are refused.
+func TestGoldenCompat(t *testing.T) {
 	cdln, _ := testCDLN(t, 91)
 	_, ts := startServer(t, cdln, Config{Workers: 2})
 
 	for _, tc := range goldenRequests(t, cdln) {
-		name := tc.name
-		if tc.surface != "v1" {
-			name = tc.surface + "_" + tc.name
-		}
-		t.Run(name, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			status, body := postJSON(t, ts.URL+tc.path, tc.req)
+			if tc.golden == "" {
+				if status != http.StatusBadRequest || !bytes.Contains(body, []byte(`unknown field \"delta\"`)) {
+					t.Fatalf("HTTP %d: %s; want 400 naming the unknown field \"delta\"", status, body)
+				}
+				return
+			}
 			if status != http.StatusOK {
 				t.Fatalf("HTTP %d: %s", status, body)
 			}
 			body = goldenVolatile.ReplaceAll(body, []byte(`"$1":"MASKED"`))
-			golden := filepath.Join("testdata", "golden_"+tc.surface+"_"+tc.name+".json")
-			if *updateGolden {
+			golden := filepath.Join("testdata", "golden_v2_"+tc.golden+".json")
+			if *updateGolden && tc.golden == tc.name {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
 					t.Fatal(err)
 				}

@@ -1,9 +1,9 @@
-// infer.go is the one inference path. The four data routes — /v1/classify,
-// /v1/resume and their /v2/models/{model}/ counterparts — are one request:
-// inputs (images, or activations resumed from an edge tier), an exit policy
-// and a deadline. Each route contributes only its wire struct and the shim
-// that maps it onto inferRequest; everything after the shim runs once, in
-// handleInfer.
+// infer.go is the one inference path. The two data routes,
+// /v2/models/{model}/classify and /v2/models/{model}/resume, are one
+// request: inputs (images, or activations resumed from an edge tier), an
+// exit policy and a deadline. Each route contributes only its wire struct
+// and the shim that maps it onto inferRequest; everything after the shim
+// runs once, in handleInfer.
 package serve
 
 import (
@@ -42,29 +42,10 @@ type inferRequest struct {
 	// current rung, or the trained behaviour).
 	policy    *PolicyRequest
 	timeoutMS int
-	// v1 marks the default-model aliases: the policy was a bare "delta" (its
-	// errors carry no "policy: " path) and the response is the /v1 envelope.
-	v1 bool
 }
 
 // wireRequest is a route's wire struct; infer is its decode shim.
 type wireRequest interface{ infer() inferRequest }
-
-// deltaPolicy lifts /v1's bare δ onto the policy every route shares.
-func deltaPolicy(d *float64) *PolicyRequest {
-	if d == nil {
-		return nil
-	}
-	return &PolicyRequest{Delta: d}
-}
-
-func (q *ClassifyRequest) infer() inferRequest {
-	return inferRequest{v1: true, images: *q, policy: deltaPolicy(q.Delta)}
-}
-
-func (q *ResumeRequest) infer() inferRequest {
-	return inferRequest{v1: true, payload: q.Payload, payloads: q.Payloads, policy: deltaPolicy(q.Delta)}
-}
 
 func (q *V2ClassifyRequest) infer() inferRequest {
 	return inferRequest{images: ClassifyRequest{Image: q.Image, Images: q.Images}, policy: q.Policy, timeoutMS: q.TimeoutMS}
@@ -250,9 +231,9 @@ func strictDecode(data []byte, into any) error {
 
 // DecodeClassify is the /v1/classify ingress for a tier that fronts one
 // fixed model outside a registry (the edge front in internal/edgecloud):
-// decodeBody, NormalizeImages and ParseDeltaOverride, exactly what
-// handleInfer runs, so both tiers accept and reject the same requests by
-// construction. On rejection it has written the error response and returns
+// decodeBody, NormalizeImages and ParseDeltaOverride — the body check and
+// the input check handleInfer runs on its images, and the δ check behind a
+// /v2 "policy.delta" — so the edge refuses what the cloud refuses. On rejection it has written the error response and returns
 // ok=false. delta is nil when the client sent none.
 func DecodeClassify(w http.ResponseWriter, r *http.Request, inWidth, maxImages int, inShape []int) (images [][]float64, delta *float64, ok bool) {
 	var req ClassifyRequest
@@ -413,25 +394,12 @@ func renderResults(m *Model, records []core.ExitRecord, detail string) []V2Resul
 	return out
 }
 
-// v1 narrows the response to the /v1 envelope: detail level "cost" without
-// the model identity, its cost fields emitted even when zero.
-func (resp *V2ClassifyResponse) v1() ClassifyResponse {
-	out := ClassifyResponse{Results: make([]ClassifyResult, len(resp.Results)), Count: resp.Count, TraceID: resp.TraceID, Spans: resp.Spans}
-	for i, r := range resp.Results {
-		out.Results[i] = ClassifyResult{
-			Label: r.Label, Exit: r.Exit, ExitIndex: r.ExitIndex, Node: r.Node, Confidence: r.Confidence,
-			Ops: r.Ops, NormalizedOps: r.NormalizedOps, EnergyPJ: r.EnergyPJ,
-		}
-	}
-	return out
-}
-
-// handleInfer is the one data handler, mounted on all four routes. resume
+// handleInfer is the one data handler, mounted on both routes. resume
 // says which input family the route reads (images or wire activations);
 // newBody allocates the route's wire struct.
 func (s *Server) handleInfer(resume bool, newBody func() wireRequest) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		name := r.PathValue("model") // "" on the /v1 aliases: the default entry
+		name := r.PathValue("model")
 		m0, ok := s.lookup(w, name)
 		if !ok {
 			return
@@ -472,17 +440,13 @@ func (s *Server) handleInfer(resume bool, newBody func() wireRequest) http.Handl
 			}
 			// No explicit policy: inherit the entry's current serve policy
 			// (identity unless an SLO controller is actuating). A present
-			// policy — a /v1 "delta", or a /v2 "policy" object, even an
-			// empty one — is explicit: it pins the trained behaviour and
-			// the controller never overrides it.
+			// "policy" object, even an empty one, is explicit: it pins the
+			// trained behaviour and the controller never overrides it.
 			pol, source := m.servePolicy()
 			if req.policy != nil {
 				explicit, d, err := req.policy.resolve(m)
 				if err != nil {
-					if !req.v1 {
-						err = fmt.Errorf("policy: %v", err)
-					}
-					return nil, badRequest("%v", err)
+					return nil, badRequest("policy: %v", err)
 				}
 				pol, source, detail = &explicit, control.SourceExplicit, d
 			}
@@ -505,11 +469,7 @@ func (s *Server) handleInfer(resume bool, newBody func() wireRequest) http.Handl
 		if dl, ok := ctx.Deadline(); ok && detail == DetailTrace {
 			resp.DeadlineUnixMS = dl.UnixMilli()
 		}
-		if req.v1 {
-			WriteJSON(w, http.StatusOK, resp.v1())
-		} else {
-			WriteJSON(w, http.StatusOK, resp)
-		}
+		WriteJSON(w, http.StatusOK, resp)
 	}
 }
 

@@ -97,20 +97,20 @@ func postTraced(t testing.TB, url, traceID string, req any) (*http.Response, []b
 // TestTraceEchoAndSpans: a pinned X-Trace-Id is echoed on the response
 // header and opts the body into the span timeline (queue, batch, stages —
 // all closed and ordered); without a pinned ID the header carries a
-// generated ID and the body stays exactly the golden /v1 shape.
+// generated ID and the body stays exactly the golden shape.
 func TestTraceEchoAndSpans(t *testing.T) {
 	cdln, data := testCDLN(t, 62)
 	_, ts := startServer(t, cdln, Config{Workers: 2})
-	req := ClassifyRequest{Images: [][]float64{data[0].X.Flatten().Data, data[1].X.Flatten().Data}}
+	req := V2ClassifyRequest{Images: [][]float64{data[0].X.Flatten().Data, data[1].X.Flatten().Data}}
 
-	resp, body := postTraced(t, ts.URL+"/v1/classify", "pinned-trace-1", req)
+	resp, body := postTraced(t, ts.URL+classifyPath, "pinned-trace-1", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("HTTP %d: %s", resp.StatusCode, body)
 	}
 	if got := resp.Header.Get(obs.TraceHeader); got != "pinned-trace-1" {
 		t.Fatalf("header echo %q, want pinned-trace-1", got)
 	}
-	var out ClassifyResponse
+	var out V2ClassifyResponse
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +120,8 @@ func TestTraceEchoAndSpans(t *testing.T) {
 	assertSpanTree(t, out.Spans, true)
 
 	// Unpinned: generated header ID, no trace fields in the body (the
-	// golden /v1 contract must not grow fields under clients' feet).
-	resp, body = postTraced(t, ts.URL+"/v1/classify", "", req)
+	// golden contract must not grow fields under clients' feet).
+	resp, body = postTraced(t, ts.URL+classifyPath, "", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("HTTP %d: %s", resp.StatusCode, body)
 	}
@@ -147,13 +147,13 @@ func TestTraceEchoAndSpans(t *testing.T) {
 func TestTraceRecordsEachSpanOnce(t *testing.T) {
 	cdln, _ := testCDLN(t, 91)
 	_, ts := startServer(t, cdln, Config{Workers: 1})
-	v1, _ := goldenResume(t, cdln)
-	req := ResumeRequest{Payloads: v1.Payloads[:3], Delta: v1.Delta}
-	resp, body := postTraced(t, ts.URL+"/v1/resume", "once-trace-1", req)
+	golden := goldenResume(t, cdln)
+	req := V2ResumeRequest{Payloads: golden.Payloads[:3], Policy: golden.Policy}
+	resp, body := postTraced(t, ts.URL+resumePath, "once-trace-1", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("HTTP %d: %s", resp.StatusCode, body)
 	}
-	var out ClassifyResponse
+	var out V2ClassifyResponse
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -225,12 +225,12 @@ func TestRoutedSpanTree(t *testing.T) {
 	d := routingDelta
 	routed := false
 	for i := 0; i < 12; i++ {
-		req := ClassifyRequest{Images: [][]float64{data[i].X.Flatten().Data}, Delta: &d}
-		resp, body := postTraced(t, ts.URL+"/v1/classify", "route-trace-"+strconv.Itoa(i), req)
+		req := V2ClassifyRequest{Images: [][]float64{data[i].X.Flatten().Data}, Policy: &PolicyRequest{Delta: &d}}
+		resp, body := postTraced(t, ts.URL+classifyPath, "route-trace-"+strconv.Itoa(i), req)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("HTTP %d: %s", resp.StatusCode, body)
 		}
-		var out ClassifyResponse
+		var out V2ClassifyResponse
 		if err := json.Unmarshal(body, &out); err != nil {
 			t.Fatal(err)
 		}
@@ -259,8 +259,8 @@ func TestShedEchoesTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.pool.close()
-	req := ClassifyRequest{Images: [][]float64{data[0].X.Flatten().Data, data[1].X.Flatten().Data}}
-	resp, body := postTraced(t, ts.URL+"/v1/classify", "shed-trace-1", req)
+	req := V2ClassifyRequest{Images: [][]float64{data[0].X.Flatten().Data, data[1].X.Flatten().Data}}
+	resp, body := postTraced(t, ts.URL+classifyPath, "shed-trace-1", req)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("HTTP %d (%s), want 503", resp.StatusCode, body)
 	}
@@ -383,7 +383,7 @@ func scrape(t testing.TB, url string) string {
 func TestMetricszExposition(t *testing.T) {
 	cdln, data := testCDLN(t, 67)
 	_, ts := startServer(t, cdln, Config{Workers: 2})
-	req := ClassifyRequest{}
+	req := V2ClassifyRequest{}
 	for _, s := range data[:20] {
 		req.Images = append(req.Images, s.X.Flatten().Data)
 	}
@@ -425,7 +425,7 @@ func TestMetricszExposition(t *testing.T) {
 func TestMetricszUnderLoad(t *testing.T) {
 	cdln, data := testCDLN(t, 68)
 	srv, ts := startServer(t, cdln, Config{Workers: 2, MaxBatch: 4})
-	req := ClassifyRequest{}
+	req := V2ClassifyRequest{}
 	for _, s := range data[:8] {
 		req.Images = append(req.Images, s.X.Flatten().Data)
 	}
@@ -446,7 +446,7 @@ func TestMetricszUnderLoad(t *testing.T) {
 					return
 				default:
 				}
-				resp, err := http.Post(ts.URL+"/v1/classify", "application/json", bytes.NewReader(body))
+				resp, err := http.Post(ts.URL+classifyPath, "application/json", bytes.NewReader(body))
 				if err != nil {
 					return
 				}
@@ -498,7 +498,7 @@ func BenchmarkObservabilityOverhead(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer srv.Close()
-	req := ClassifyRequest{}
+	req := V2ClassifyRequest{}
 	for _, s := range data[:8] {
 		req.Images = append(req.Images, s.X.Flatten().Data)
 	}
@@ -509,7 +509,7 @@ func BenchmarkObservabilityOverhead(b *testing.B) {
 	run := func(b *testing.B) {
 		b.SetBytes(int64(len(req.Images)))
 		for i := 0; i < b.N; i++ {
-			r := httptest.NewRequest(http.MethodPost, "/v1/classify", bytes.NewReader(body))
+			r := httptest.NewRequest(http.MethodPost, classifyPath, bytes.NewReader(body))
 			r.Header.Set("Content-Type", "application/json")
 			w := httptest.NewRecorder()
 			srv.Handler().ServeHTTP(w, r)

@@ -27,8 +27,8 @@ import (
 	"cdl/internal/obs"
 )
 
-// DefaultModelName is the entry name used when a single-model Server is
-// built without one (the /v1 alias target).
+// DefaultModelName is the entry name New gives its one model, and the name
+// cdlserve gives a bare -model path.
 const DefaultModelName = "default"
 
 // Model is one loaded, servable version of a named registry entry: the
@@ -226,9 +226,8 @@ func (r *Registry) Flights() *obs.FlightSet { return r.flights }
 // Config returns the defaults-filled sizing every entry uses.
 func (r *Registry) Config() Config { return r.cfg }
 
-// Ready reports whether the registry can serve a default-model request
-// right now: it is not closed and the default entry exists with its warmed
-// pool. This is the readiness-probe predicate — distinct from liveness,
+// Ready reports whether the registry can serve right now: it is not
+// closed and its first entry exists with its warmed pool. This is the readiness-probe predicate — distinct from liveness,
 // which only asks whether the process can answer at all. A registry with
 // zero entries (or mid-Close) is alive but not ready.
 func (r *Registry) Ready() bool {
@@ -260,7 +259,8 @@ func validName(name string) error {
 // Register publishes an in-memory CDLN under name, hot-swapping any
 // existing version: the new pool is warmed before the swap, and the
 // retired version's pool is drained (in-flight batches complete) before
-// Register returns. The first registered entry becomes the default.
+// Register returns. The first registered entry becomes the default: the
+// one /healthz and /statsz describe, for the registry's lifetime.
 func (r *Registry) Register(name string, cdln *core.CDLN) (*Model, error) {
 	if err := cdln.Validate(); err != nil {
 		return nil, err
@@ -397,7 +397,8 @@ func (r *Registry) swapIn(name, path string, g *core.Graph) (*Model, error) {
 	return m, nil
 }
 
-// Get resolves a name ("" means the default entry) to its current version.
+// Get resolves a name to its current version; "" means the first
+// registered entry, the one /healthz and /statsz describe.
 func (r *Registry) Get(name string) (*Model, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -415,23 +416,11 @@ func (r *Registry) getLocked(name string) (*Model, error) {
 	return nil, fmt.Errorf("serve: unknown model %q", name)
 }
 
-// DefaultName returns the default entry's name ("" while empty).
+// DefaultName returns the first registered entry's name ("" while empty).
 func (r *Registry) DefaultName() string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.defaultName
-}
-
-// SetDefault redirects the /v1 alias surface (and name-less lookups) to an
-// existing entry.
-func (r *Registry) SetDefault(name string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.models[name] == nil {
-		return fmt.Errorf("serve: unknown model %q", name)
-	}
-	r.defaultName = name
-	return nil
 }
 
 // Models returns the current version of every entry, sorted by name.

@@ -1,9 +1,9 @@
 package serve
 
 // registry_bench_test.go measures what the multi-model redesign costs on
-// the hot path: v2 named dispatch against a single-model process vs a
-// 4-model process (round-robin), and the /v1 alias through the registry:
-// registry overhead is one RLock + map hit per request. Run them with
+// the hot path: named dispatch against a single-model process vs a 4-model
+// process (round-robin): registry overhead is one RLock + map hit per
+// request. Run them with
 // `go test -run '^$' -bench Registry ./internal/serve`.
 
 import (
@@ -49,17 +49,13 @@ func benchRegistryServer(b *testing.B, n int) (*Server, *httptest.Server, [][]by
 }
 
 // benchDispatch posts b.N 8-image requests round-robin over the given
-// model names (empty name = /v1).
+// model names.
 func benchDispatch(b *testing.B, ts *httptest.Server, bodies [][]byte, names []string) {
 	client := ts.Client()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		name := names[i%len(names)]
-		url := ts.URL + "/v1/classify"
-		if name != "" {
-			url = ts.URL + "/v2/models/" + name + "/classify"
-		}
+		url := ts.URL + "/v2/models/" + names[i%len(names)] + "/classify"
 		resp, err := client.Post(url, "application/json", bytes.NewReader(bodies[i%len(bodies)]))
 		if err != nil {
 			b.Fatal(err)
@@ -90,12 +86,4 @@ func BenchmarkRegistryDispatchSingle(b *testing.B) {
 func BenchmarkRegistryDispatchMulti4(b *testing.B) {
 	_, ts, bodies := benchRegistryServer(b, 4)
 	benchDispatch(b, ts, bodies, []string{"m0", "m1", "m2", "m3"})
-}
-
-// BenchmarkRegistryDispatchV1Alias measures the /v1 alias path through the
-// registry (default-model resolution), comparable against the pre-registry
-// BenchmarkServerClassify numbers.
-func BenchmarkRegistryDispatchV1Alias(b *testing.B) {
-	_, ts, bodies := benchRegistryServer(b, 1)
-	benchDispatch(b, ts, bodies, []string{""})
 }

@@ -148,9 +148,6 @@ func TestRegistryVersioning(t *testing.T) {
 		t.Fatalf("swapped model classified %+v, want %+v", got, ref)
 	}
 
-	if err := reg.SetDefault("nope"); err == nil {
-		t.Fatal("SetDefault accepted an unknown name")
-	}
 	if _, err := reg.Register("bad/name", cdlnA); err == nil {
 		t.Fatal("Register accepted a name with a slash")
 	}
@@ -415,21 +412,17 @@ func TestV2PolicyShaping(t *testing.T) {
 		}
 	})
 
+	// The retired /v1 routes took δ as a bare "delta": the cascade with
+	// its trained thresholds replaced by δ, which a delta-only policy is.
 	t.Run("delta-only policy matches v1", func(t *testing.T) {
 		d := 0.8
-		v2 := post(t, V2ClassifyRequest{Images: images, Policy: &PolicyRequest{Delta: &d}})
-		status, body := postClassify(t, ts.URL, ClassifyRequest{Images: images, Delta: &d})
-		if status != http.StatusOK {
-			t.Fatalf("v1: HTTP %d: %s", status, body)
-		}
-		var v1 ClassifyResponse
-		if err := json.Unmarshal(body, &v1); err != nil {
-			t.Fatal(err)
-		}
-		for i := range v2.Results {
-			a, b := v2.Results[i], v1.Results[i]
-			if a.Label != b.Label || a.Exit != b.Exit || a.Confidence != b.Confidence || a.Ops != b.Ops {
-				t.Fatalf("sample %d: v2 %+v != v1 %+v", i, a, b)
+		out := post(t, V2ClassifyRequest{Images: images, Policy: &PolicyRequest{Delta: &d}})
+		oracle := cdln.Clone()
+		oracle.Delta, oracle.StageDeltas = d, nil
+		for i, got := range out.Results {
+			want := oracle.Classify(data[i].X)
+			if got.Label != want.Label || got.Exit != want.StageName || got.Confidence != want.Confidence || got.Ops != want.Ops {
+				t.Fatalf("sample %d: HTTP %+v != the cascade at δ=%v %+v", i, got, d, want)
 			}
 		}
 	})
@@ -535,7 +528,7 @@ func TestWorkerDropsDeadJobs(t *testing.T) {
 }
 
 // TestRegistryHotSwapUnderLoad is the acceptance test for atomic hot-swap:
-// sustained classify load (v1 and v2, several clients) while the default
+// sustained classify load (several clients) while the default
 // model is repeatedly PUT-swapped between two versions. Zero requests may
 // fail or be dropped, and after the last swap the server must serve the
 // final version's exact records. Run under -race in CI.
@@ -588,14 +581,7 @@ func TestRegistryHotSwapUnderLoad(t *testing.T) {
 					data[(c*perClient+k)%len(data)].X.Flatten().Data,
 					data[(c+k)%len(data)].X.Flatten().Data,
 				}
-				var status int
-				var body []byte
-				if k%2 == 0 {
-					status, body = postClassify(t, ts.URL, ClassifyRequest{Images: images})
-				} else {
-					status, body = postJSON(t, ts.URL+"/v2/models/"+DefaultModelName+"/classify",
-						V2ClassifyRequest{Images: images})
-				}
+				status, body := postClassify(t, ts.URL, V2ClassifyRequest{Images: images})
 				if status != http.StatusOK {
 					failures.Add(1)
 					errCh <- fmt.Errorf("client %d request %d: HTTP %d: %s", c, k, status, body)
@@ -640,11 +626,11 @@ func TestRegistryHotSwapUnderLoad(t *testing.T) {
 		t.Fatalf("final version %d, want %d (initial + %d swaps)", v, swaps+1, swaps)
 	}
 	for i := 0; i < 10; i++ {
-		status, body := postClassify(t, ts.URL, ClassifyRequest{Image: data[i].X.Flatten().Data})
+		status, body := postClassify(t, ts.URL, V2ClassifyRequest{Image: data[i].X.Flatten().Data})
 		if status != http.StatusOK {
 			t.Fatalf("post-swap classify: HTTP %d", status)
 		}
-		var out ClassifyResponse
+		var out V2ClassifyResponse
 		if err := json.Unmarshal(body, &out); err != nil {
 			t.Fatal(err)
 		}

@@ -14,13 +14,13 @@ import (
 	"cdl/internal/fixed"
 )
 
-func postResume(t testing.TB, url string, req ResumeRequest) (int, []byte) {
+func postResume(t testing.TB, url string, req V2ResumeRequest) (int, []byte) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url+"/v1/resume", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+resumePath, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,9 +34,9 @@ func postResume(t testing.TB, url string, req ResumeRequest) (int, []byte) {
 
 // TestResumeMatchesMonolithic is the cross-tier identity check over real
 // HTTP: for every split stage (and both trained and overridden δ), inputs
-// that the edge prefix defers must come back from /v1/resume with records
-// bit-identical to the monolithic result. δ=0.9 forces a deep-exit mix even
-// when the trained thresholds exit everything at O1.
+// that the edge prefix defers must come back from the resume route with
+// records bit-identical to the monolithic result. δ=0.9 forces a deep-exit
+// mix even when the trained thresholds exit everything at O1.
 func TestResumeMatchesMonolithic(t *testing.T) {
 	cdln, data := testCDLN(t, 41)
 	_, ts := startServer(t, cdln, Config{Workers: 2})
@@ -81,16 +81,16 @@ func TestResumeMatchesMonolithic(t *testing.T) {
 				}
 				continue
 			}
-			req := ResumeRequest{Payloads: payloads}
+			req := V2ResumeRequest{Payloads: payloads}
 			if delta >= 0 {
 				d := delta
-				req.Delta = &d
+				req.Policy = &PolicyRequest{Delta: &d}
 			}
 			status, body := postResume(t, ts.URL, req)
 			if status != http.StatusOK {
 				t.Fatalf("split %d: HTTP %d: %s", split, status, body)
 			}
-			var out ClassifyResponse
+			var out V2ClassifyResponse
 			if err := json.Unmarshal(body, &out); err != nil {
 				t.Fatal(err)
 			}
@@ -109,7 +109,7 @@ func TestResumeMatchesMonolithic(t *testing.T) {
 	}
 }
 
-// TestResumeBadRequests covers the defensive 4xx paths of /v1/resume.
+// TestResumeBadRequests covers the defensive 4xx paths of the resume route.
 func TestResumeBadRequests(t *testing.T) {
 	cdln, data := testCDLN(t, 42)
 	srv, ts := startServer(t, cdln, Config{Workers: 1, QueueDepth: 2})
@@ -155,7 +155,7 @@ func TestResumeBadRequests(t *testing.T) {
 	bad := 1.5
 	cases := []struct {
 		name string
-		req  ResumeRequest
+		req  V2ResumeRequest
 		want int
 		// pad spaces follow the value; chunked declares no Content-Length.
 		pad     int
@@ -164,57 +164,52 @@ func TestResumeBadRequests(t *testing.T) {
 		// no base64 to get wrong.
 		jsonOnly bool
 	}{
-		{name: "empty", req: ResumeRequest{}, want: http.StatusBadRequest},
-		{name: "both forms", req: ResumeRequest{Payload: good, Payloads: []string{good}}, want: http.StatusBadRequest, jsonOnly: true},
-		{name: "bad base64", req: ResumeRequest{Payload: "!!!not-base64!!!"}, want: http.StatusBadRequest, jsonOnly: true},
-		{name: "not wire", req: ResumeRequest{Payload: base64.StdEncoding.EncodeToString([]byte("junk-bytes"))}, want: http.StatusBadRequest},
-		{name: "stage too deep", req: ResumeRequest{Payload: reencode(func(a *wire.Activation) { a.FromStage = 9 })}, want: http.StatusBadRequest},
-		{name: "wrong pos", req: ResumeRequest{Payload: reencode(func(a *wire.Activation) { a.Pos = 1 })}, want: http.StatusBadRequest},
-		{name: "wrong shape", req: ResumeRequest{Payload: reencode(func(a *wire.Activation) {
+		{name: "empty", req: V2ResumeRequest{}, want: http.StatusBadRequest},
+		{name: "both forms", req: V2ResumeRequest{Payload: good, Payloads: []string{good}}, want: http.StatusBadRequest, jsonOnly: true},
+		{name: "bad base64", req: V2ResumeRequest{Payload: "!!!not-base64!!!"}, want: http.StatusBadRequest, jsonOnly: true},
+		{name: "not wire", req: V2ResumeRequest{Payload: base64.StdEncoding.EncodeToString([]byte("junk-bytes"))}, want: http.StatusBadRequest},
+		{name: "stage too deep", req: V2ResumeRequest{Payload: reencode(func(a *wire.Activation) { a.FromStage = 9 })}, want: http.StatusBadRequest},
+		{name: "wrong pos", req: V2ResumeRequest{Payload: reencode(func(a *wire.Activation) { a.Pos = 1 })}, want: http.StatusBadRequest},
+		{name: "wrong shape", req: V2ResumeRequest{Payload: reencode(func(a *wire.Activation) {
 			a.Shape = []int{len(a.Data)}
 		})}, want: http.StatusBadRequest},
-		{name: "not finite", req: ResumeRequest{Payload: reencode(func(a *wire.Activation) { a.Data[3] = math.NaN() })}, want: http.StatusBadRequest},
-		{name: "out-of-range delta", req: ResumeRequest{Payload: good, Delta: &bad}, want: http.StatusBadRequest},
-		{name: "too many payloads", req: ResumeRequest{Payloads: []string{good, good, good}}, want: http.StatusBadRequest},
+		{name: "not finite", req: V2ResumeRequest{Payload: reencode(func(a *wire.Activation) { a.Data[3] = math.NaN() })}, want: http.StatusBadRequest},
+		{name: "out-of-range delta", req: V2ResumeRequest{Payload: good, Policy: &PolicyRequest{Delta: &bad}}, want: http.StatusBadRequest},
+		{name: "too many payloads", req: V2ResumeRequest{Payloads: []string{good, good, good}}, want: http.StatusBadRequest},
 		// Far past the 2-payload bound of the widest activation this model
 		// can receive: the byte limit decides before base64 is even looked at.
-		{name: "body over the bound", req: ResumeRequest{Payload: strings.Repeat("A", 64<<10)}, want: http.StatusRequestEntityTooLarge},
+		{name: "body over the bound", req: V2ResumeRequest{Payload: strings.Repeat("A", 64<<10)}, want: http.StatusRequestEntityTooLarge},
 		// The bound decides on length alone: a good request is refused once
 		// padding carries it over, by its declared Content-Length before a
 		// byte is read, or without one (chunked) when the bytes run past.
-		{name: "declared length over the bound", req: ResumeRequest{Payload: good}, want: http.StatusRequestEntityTooLarge, pad: 64 << 10},
-		{name: "chunked body over the bound", req: ResumeRequest{Payload: good}, want: http.StatusRequestEntityTooLarge, pad: 64 << 10, chunked: true},
+		{name: "declared length over the bound", req: V2ResumeRequest{Payload: good}, want: http.StatusRequestEntityTooLarge, pad: 64 << 10},
+		{name: "chunked body over the bound", req: V2ResumeRequest{Payload: good}, want: http.StatusRequestEntityTooLarge, pad: 64 << 10, chunked: true},
 	}
-	// Every row is posted in both wire forms: one handler, one verdict, one
-	// bump of the invalid counter each. Then again as the frame of the same
-	// payloads, which is refused in the same words.
-	const v2Path = "/v2/models/" + DefaultModelName + "/resume"
+	// One verdict and one bump of the invalid counter per row; then again
+	// as the frame of the same payloads, which is refused in the same words.
 	for _, tc := range cases {
-		v2 := V2ResumeRequest{Payload: tc.req.Payload, Payloads: tc.req.Payloads, Policy: deltaPolicy(tc.req.Delta)}
-		for path, req := range map[string]any{"/v1/resume": tc.req, v2Path: v2} {
-			before := srv.Stats().Invalid
-			status, body := postPadded(t, ts.URL+path, req, tc.pad, tc.chunked)
-			if status != tc.want {
-				t.Errorf("%s %s: HTTP %d (%s), want %d", path, tc.name, status, body, tc.want)
-			}
-			if got := srv.Stats().Invalid; got != before+1 {
-				t.Errorf("%s %s: invalid counter %d -> %d, want +1", path, tc.name, before, got)
-			}
-			if tc.jsonOnly || tc.pad != 0 { // the frame's own bound: TestResumeFrameBound
-				continue
-			}
-			fstatus, fbody := postFrame(t, ts.URL+path, frameOf(t, req), false)
-			if fstatus != status || !bytes.Equal(fbody, body) {
-				t.Errorf("%s %s as a frame: HTTP %d (%s), as JSON HTTP %d (%s)", path, tc.name, fstatus, fbody, status, body)
-			}
-			if got := srv.Stats().Invalid; got != before+2 {
-				t.Errorf("%s %s as a frame: invalid counter %d -> %d, want +2", path, tc.name, before, got)
-			}
+		before := srv.Stats().Invalid
+		status, body := postPadded(t, ts.URL+resumePath, tc.req, tc.pad, tc.chunked)
+		if status != tc.want {
+			t.Errorf("%s: HTTP %d (%s), want %d", tc.name, status, body, tc.want)
+		}
+		if got := srv.Stats().Invalid; got != before+1 {
+			t.Errorf("%s: invalid counter %d -> %d, want +1", tc.name, before, got)
+		}
+		if tc.jsonOnly || tc.pad != 0 { // the frame's own bound: TestResumeFrameBound
+			continue
+		}
+		fstatus, fbody := postFrame(t, ts.URL+resumePath, frameOf(t, tc.req), false)
+		if fstatus != status || !bytes.Equal(fbody, body) {
+			t.Errorf("%s as a frame: HTTP %d (%s), as JSON HTTP %d (%s)", tc.name, fstatus, fbody, status, body)
+		}
+		if got := srv.Stats().Invalid; got != before+2 {
+			t.Errorf("%s as a frame: invalid counter %d -> %d, want +2", tc.name, before, got)
 		}
 	}
 
-	// What only a frame can get wrong. Each is a 400 on both routes, read
-	// off the frame before any payload is looked at.
+	// What only a frame can get wrong. Each is a 400, read off the frame
+	// before any payload is looked at.
 	raw, _ := base64.StdEncoding.DecodeString(good)
 	frame := func(members string, payloads ...[]byte) []byte {
 		b, err := wire.AppendFrame(nil, []byte(members), payloads)
@@ -241,28 +236,24 @@ func TestResumeBadRequests(t *testing.T) {
 		{"unknown member", `unknown field "frogs"`, frame(`{"frogs":1}`, raw)},
 		{"the JSON body under the frame's content type", "wire: frame: bad magic", []byte(`{"payload":"` + good + `"}`)},
 	} {
-		for _, path := range []string{"/v1/resume", v2Path} {
-			before := srv.Stats().Invalid
-			status, body := postFrame(t, ts.URL+path, tc.body, false)
-			var refusal struct{ Error string }
-			_ = json.Unmarshal(body, &refusal)
-			if status != http.StatusBadRequest || !strings.Contains(refusal.Error, tc.want) {
-				t.Errorf("%s frame, %s: HTTP %d (%s), want 400 with %q", path, tc.name, status, body, tc.want)
-			}
-			if got := srv.Stats().Invalid; got != before+1 {
-				t.Errorf("%s frame, %s: invalid counter %d -> %d, want +1", path, tc.name, before, got)
-			}
+		before := srv.Stats().Invalid
+		status, body := postFrame(t, ts.URL+resumePath, tc.body, false)
+		var refusal struct{ Error string }
+		_ = json.Unmarshal(body, &refusal)
+		if status != http.StatusBadRequest || !strings.Contains(refusal.Error, tc.want) {
+			t.Errorf("frame, %s: HTTP %d (%s), want 400 with %q", tc.name, status, body, tc.want)
+		}
+		if got := srv.Stats().Invalid; got != before+1 {
+			t.Errorf("frame, %s: invalid counter %d -> %d, want +1", tc.name, before, got)
 		}
 	}
-	// The members are the route's own wire struct: the other route's are
-	// unknown fields here.
-	for path, members := range map[string]string{"/v1/resume": `{"policy":{"delta":0.9}}`, v2Path: `{"delta":0.9}`} {
-		if status, body := postFrame(t, ts.URL+path, frame(members, raw), false); status != http.StatusBadRequest || !strings.Contains(string(body), "unknown field") {
-			t.Errorf("%s with the other route's members: HTTP %d (%s), want 400 unknown field", path, status, body)
-		}
+	// The members are the route's own wire struct: the retired /v1 form's
+	// bare "delta" is an unknown field here.
+	if status, body := postFrame(t, ts.URL+resumePath, frame(`{"delta":0.9}`, raw), false); status != http.StatusBadRequest || !strings.Contains(string(body), "unknown field") {
+		t.Errorf("bare delta in the members: HTTP %d (%s), want 400 unknown field", status, body)
 	}
 	// And a frame under any other content type is a JSON body.
-	resp, err := http.Post(ts.URL+"/v1/resume", "application/octet-stream", bytes.NewReader(whole))
+	resp, err := http.Post(ts.URL+resumePath, "application/octet-stream", bytes.NewReader(whole))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +262,7 @@ func TestResumeBadRequests(t *testing.T) {
 		t.Errorf("a frame posted as octet-stream: HTTP %d, want 400 from the JSON decoder", resp.StatusCode)
 	}
 
-	resp, err = http.Get(ts.URL + "/v1/resume")
+	resp, err = http.Get(ts.URL + resumePath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,10 +275,10 @@ func TestResumeBadRequests(t *testing.T) {
 	}
 
 	// A valid resume is counted in both requests and resume_requests.
-	if status, body := postResume(t, ts.URL, ResumeRequest{Payload: good}); status != http.StatusOK {
+	if status, body := postResume(t, ts.URL, V2ResumeRequest{Payload: good}); status != http.StatusOK {
 		t.Fatalf("good payload: HTTP %d (%s)", status, body)
 	}
-	if status, body := postFrame(t, ts.URL+"/v1/resume", whole, false); status != http.StatusOK {
+	if status, body := postFrame(t, ts.URL+resumePath, whole, false); status != http.StatusOK {
 		t.Fatalf("good frame: HTTP %d (%s)", status, body)
 	}
 	st := srv.Stats()
@@ -327,7 +318,7 @@ func TestClassifyRejectsOutOfRangeDelta(t *testing.T) {
 	srv, ts := startServer(t, cdln, Config{Workers: 1})
 	for _, bad := range []float64{-0.1, 1.1} {
 		v := bad
-		status, body := postClassify(t, ts.URL, ClassifyRequest{Image: data[0].X.Flatten().Data, Delta: &v})
+		status, body := postClassify(t, ts.URL, V2ClassifyRequest{Image: data[0].X.Flatten().Data, Policy: &PolicyRequest{Delta: &v}})
 		if status != http.StatusBadRequest {
 			t.Errorf("delta %v: HTTP %d (%s), want 400", bad, status, body)
 		}

@@ -16,13 +16,13 @@ import (
 	"cdl/internal/mnist"
 )
 
-// wireStructs are the four data routes' wire structs, each allocated fresh.
+// wireStructs are the data routes' wire structs (the two /v2 routes' and
+// the edge front's ClassifyRequest), each allocated fresh.
 var wireStructs = []struct {
 	name  string
 	alloc func() any
 }{
 	{"ClassifyRequest", func() any { return new(ClassifyRequest) }},
-	{"ResumeRequest", func() any { return new(ResumeRequest) }},
 	{"V2ClassifyRequest", func() any { return new(V2ClassifyRequest) }},
 	{"V2ResumeRequest", func() any { return new(V2ResumeRequest) }},
 }
@@ -39,7 +39,7 @@ func pixelsOf(v any) [][]float64 {
 }
 
 // checkAgainstOracle holds decodeJSON to a plain strict json.Decoder on one
-// body, for all four wire structs: the same verdict, the same error text,
+// body, for all three wire structs: the same verdict, the same error text,
 // the same value (reflect.DeepEqual, then bit equality on every pixel, so
 // -0 counts). It returns, by wire struct name, whether the scanner took the
 // body.
@@ -202,7 +202,7 @@ func TestScannerTakesWhatClientsSend(t *testing.T) {
 		}
 		route := reflect.TypeOf(g.req).Name()
 		if took := checkAgainstOracle(t, body, 144, 256)[route]; !took && !strings.Contains(g.name, "resume") {
-			t.Errorf("golden %s_%s: the scanner declined it", g.surface, g.name)
+			t.Errorf("golden %s: the scanner declined it", g.name)
 		}
 	}
 	single, batch, edge := benchShapedBodies(t, 16)
@@ -278,7 +278,7 @@ func TestDecodedRequestDoesNotAliasTheBody(t *testing.T) {
 	}
 
 	for _, ws := range wireStructs {
-		for _, g := range [][]byte{body, []byte(`{"payload":"QUJD","payloads":["QUJD","REVG"],"delta":0.5}`)} {
+		for _, g := range [][]byte{body, []byte(`{"payload":"QUJD","payloads":["QUJD","REVG"],"policy":{"delta":0.5}}`)} {
 			data := bytes.Clone(g)
 			got, want := ws.alloc(), ws.alloc()
 			if _, err := decodeJSON(data, got, 4, 8); err != nil {

@@ -6,39 +6,35 @@
 // The serving design is the paper's thesis operationalized: easy inputs
 // exit the cascade early, so most requests cost a fraction of a full
 // forward pass, and the per-request exit policy exposes §III.B's runtime
-// accuracy/efficiency knob to clients per call — as a single δ on /v1, and
-// as a structured ExitPolicy (per-stage deltas, depth caps, op budgets,
-// detail levels) on /v2.
+// accuracy/efficiency knob to clients per call as a structured ExitPolicy
+// (δ, per-stage deltas, depth caps, op budgets, detail levels).
 //
 // Endpoints:
 //
-//	POST /v1/classify                    one image or a batch, optional per-request δ
-//	POST /v1/resume                      resume an edge-offloaded cascade past its split stage
 //	GET  /v2/models                      list models + metadata (stages, δ, op costs)
 //	GET  /v2/models/{model}              one model's metadata
 //	PUT  /v2/models/{model}              load-from-path hot-swap (admin surface)
 //	PUT  /v2/models/{model}/branches/{b} hot-swap one branch subnetwork of a routed model
 //	POST /v2/models/{model}/classify     classify on a named model under an ExitPolicy
-//	POST /v2/models/{model}/resume       resume on a named model under an ExitPolicy
+//	POST /v2/models/{model}/resume       resume an edge-offloaded cascade past its split stage
 //	GET  /v2/models/{model}/slo          attached SLO + controller state (rung, δ, window)
 //	PUT  /v2/models/{model}/slo          attach/retarget the SLO feedback controller
 //	DELETE /v2/models/{model}/slo        detach the controller (restore trained behaviour)
-//	GET  /healthz                        liveness and model identity
-//	GET  /statsz                         live exit distribution, latency histograms, normalized
-//	                                     OPS, 45 nm energy, shed causes, controller state
+//	GET  /healthz                        liveness and the first entry's identity
+//	GET  /statsz                         the first entry's exit distribution, latency histograms,
+//	                                     normalized OPS, 45 nm energy, shed causes, controller state
 //
-// The /v1 routes are aliases onto the registry's default model with
-// responses bit-identical to the pre-registry single-model server (pinned
-// by golden_test.go). Hot-swapping a model under load drops no requests:
-// a request that races the swap retries transparently against the
-// successor version. Request contexts are threaded through the pool into
-// the workers, so a cancelled or deadline-expired request is dropped
+// Every data route names its model; a bare model path given to cdlserve
+// is registered as DefaultModelName. Hot-swapping a model under load drops
+// no requests: a request that races the swap retries transparently against
+// the successor version. Request contexts are threaded through the pool
+// into the workers, so a cancelled or deadline-expired request is dropped
 // before it burns a replica.
 //
-// /v1/resume and /v2/models/{model}/resume are the cloud half of the
-// edge–cloud split (internal/edgecloud): an edge node runs the cascade
-// prefix, exits easy inputs locally, and ships only the hard residue here
-// as wire-encoded intermediate activations.
+// /v2/models/{model}/resume is the cloud half of the edge–cloud split
+// (internal/edgecloud): an edge node runs the cascade prefix, exits easy
+// inputs locally, and ships only the hard residue here as wire-encoded
+// intermediate activations.
 package serve
 
 import (
@@ -141,8 +137,7 @@ type Server struct {
 }
 
 // New builds a single-model server: the model is registered in-memory
-// under DefaultModelName in a fresh registry. Equivalent to the
-// pre-registry constructor — /v1 responses are bit-identical.
+// under DefaultModelName in a fresh registry.
 func New(model *core.CDLN, cfg Config) (*Server, error) {
 	reg := NewRegistry(cfg)
 	if _, err := reg.Register(DefaultModelName, model); err != nil {
@@ -160,8 +155,6 @@ func NewWithRegistry(reg *Registry) (*Server, error) {
 	cfg := reg.Config()
 	s := &Server{cfg: cfg, maxImages: min(cfg.MaxBatch*8, cfg.QueueDepth), reg: reg, started: time.Now()}
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/v1/classify", s.handleInfer(false, func() wireRequest { return new(ClassifyRequest) }))
-	s.mux.HandleFunc("/v1/resume", s.handleInfer(true, func() wireRequest { return new(ResumeRequest) }))
 	s.mux.HandleFunc("GET /v2/models", s.handleModelsList)
 	s.mux.HandleFunc("GET /v2/models/{model}", s.handleModelGet)
 	s.mux.HandleFunc("PUT /v2/models/{model}", s.handleModelPut)
@@ -199,9 +192,9 @@ func (s *Server) Registry() *Registry { return s.reg }
 // rate-limit-logs slow requests with their span timelines.
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// Stats snapshots the default model's live counters (the /statsz payload;
-// per-model views are on /v2/models), including the SLO controller state
-// when one is attached.
+// Stats snapshots the first registered entry's live counters (the /statsz
+// payload; per-model views are on /v2/models), including the SLO controller
+// state when one is attached.
 func (s *Server) Stats() Stats {
 	m, err := s.reg.Get("")
 	if err != nil {
@@ -269,18 +262,19 @@ func (s *Server) ListenAndServe(addr string, stop <-chan struct{}) error {
 	return ListenHardened(addr, s.handler, stop, s.Close)
 }
 
-// ClassifyRequest is the /v1/classify payload: exactly one of Image (a
-// single flattened image) or Images (a batch) must be set. Pixel counts
-// must match the model's input shape. Delta, when non-nil, overrides the
-// model's confidence threshold δ for every image in the request — the
-// paper's §III.B runtime knob. It must be a finite number in [0,1]; NaN
-// and ±Inf are rejected with 400 rather than passed into the exit rule
-// (NaN compares false against every score, which would silently disable
-// early exit). δ=1 disables early exit entirely (maximum accuracy of the
-// baseline, baseline-like cost); moderate δ trades depth for cost. Note
-// the default threshold rule (exit iff exactly one score clears δ) is not
-// monotone at the low end: δ near 0 makes every class "confident" and so
-// forces full depth too.
+// ClassifyRequest is the edge front's POST /v1/classify payload
+// (internal/edgecloud; this server's routes take V2ClassifyRequest): exactly
+// one of Image (a single flattened image) or Images (a batch) must be set.
+// Pixel counts must match the model's input shape. Delta, when non-nil,
+// overrides the model's confidence threshold δ for every image in the
+// request — the paper's §III.B runtime knob. It must be a finite number in
+// [0,1]; NaN and ±Inf are rejected with 400 rather than passed into the
+// exit rule (NaN compares false against every score, which would silently
+// disable early exit). δ=1 disables early exit entirely (maximum accuracy
+// of the baseline, baseline-like cost); moderate δ trades depth for cost.
+// Note the default threshold rule (exit iff exactly one score clears δ) is
+// not monotone at the low end: δ near 0 makes every class "confident" and
+// so forces full depth too.
 type ClassifyRequest struct {
 	Image  []float64   `json:"image,omitempty"`
 	Images [][]float64 `json:"images,omitempty"`
@@ -309,10 +303,9 @@ type ClassifyResult struct {
 	EnergyPJ      float64 `json:"energy_pj"`
 }
 
-// ClassifyResponse is the /v1/classify response; Results is in request
-// order. TraceID and Spans appear only when the client sent an X-Trace-Id
-// header (opting into tracing detail) — requests without one get the exact
-// pre-tracing body, which golden_test.go pins byte for byte.
+// ClassifyResponse is the edge front's /v1/classify response; Results is
+// in request order. TraceID and Spans appear only when the client sent an
+// X-Trace-Id header (opting into tracing detail).
 type ClassifyResponse struct {
 	Results []ClassifyResult `json:"results"`
 	Count   int              `json:"count"`
@@ -470,20 +463,6 @@ func finishTrace(r *http.Request, detail string) (string, []obs.Span) {
 	return tr.ID(), tr.Spans()
 }
 
-// ResumeRequest is the /v1/resume payload: exactly one of Payload (a
-// single activation) or Payloads (a batch) must be set, each a base64
-// (standard encoding) wire-format activation produced by an edge node's
-// prefix walk (see internal/edgecloud/wire). The activation's split
-// stage, layer position and shape must match this server's model. Delta
-// follows the same rules as ClassifyRequest.Delta and must be the δ the
-// edge used for its prefix if the pair is to behave like one monolithic
-// cascade.
-type ResumeRequest struct {
-	Payload  string   `json:"payload,omitempty"`
-	Payloads []string `json:"payloads,omitempty"`
-	Delta    *float64 `json:"delta,omitempty"`
-}
-
 // NormalizeImages validates the request's single/batch forms against the
 // model's input width and the per-request cap, returning the pixel slices.
 // Shared by the cloud server and the edge front, so both tiers accept and
@@ -524,7 +503,8 @@ type healthResponse struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 }
 
-// health is the /healthz body: liveness and the default model's identity.
+// health is the /healthz body: liveness and the first registered entry's
+// identity.
 func (s *Server) health() any {
 	resp := healthResponse{
 		Status:        "ok",
@@ -536,9 +516,9 @@ func (s *Server) health() any {
 	}
 	if m, err := s.reg.Get(""); err == nil {
 		// The identity fields must all describe the same entry — the
-		// current default — or a monitor would attribute one model's δ and
+		// first registered — or a monitor would attribute one model's δ and
 		// stage count to another's file. cfg.ModelName only labels
-		// in-memory defaults that carry no path of their own.
+		// in-memory entries that carry no path of their own.
 		switch {
 		case m.path != "":
 			resp.Model = m.path
@@ -558,8 +538,8 @@ type readyResponse struct {
 	Default string `json:"default_model,omitempty"`
 }
 
-// ready is the readiness probe: ok only while the registry can serve a
-// default-model request (at least one warmed entry, not mid-Close).
+// ready is the readiness probe: ok only while the registry's first entry
+// can serve (its warmed pool exists, not mid-Close).
 // /healthz stays pure liveness — it answers 200 whenever the process can
 // answer at all, so orchestrators restart on liveness and un-route on
 // readiness.
@@ -579,9 +559,8 @@ func WriteError(w http.ResponseWriter, status int, msg string) {
 	WriteJSON(w, status, errorResponse{msg})
 }
 
-// lookup resolves a route's {model} to its current version ("", as on the
-// /v1 aliases, is the default entry); for a name the registry does not hold
-// it has written the 404 and returns ok=false.
+// lookup resolves a route's {model} to its current version; for a name the
+// registry does not hold it has written the 404 and returns ok=false.
 func (s *Server) lookup(w http.ResponseWriter, name string) (m *Model, ok bool) {
 	m, err := s.reg.Get(name)
 	if err != nil {

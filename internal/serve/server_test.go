@@ -108,13 +108,20 @@ func startServer(t testing.TB, cdln *core.CDLN, cfg Config) (*Server, *httptest.
 	return srv, ts
 }
 
-func postClassify(t testing.TB, url string, req ClassifyRequest) (int, []byte) {
+// classifyPath and resumePath are the data routes of the entry New
+// registers.
+const (
+	classifyPath = "/v2/models/" + DefaultModelName + "/classify"
+	resumePath   = "/v2/models/" + DefaultModelName + "/resume"
+)
+
+func postClassify(t testing.TB, url string, req V2ClassifyRequest) (int, []byte) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url+"/v1/classify", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+classifyPath, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +134,7 @@ func postClassify(t testing.TB, url string, req ClassifyRequest) (int, []byte) {
 }
 
 // TestServerMatchesEvaluate is the end-to-end identity check: batched
-// /v1/classify results must be bit-identical to core.Evaluate's records on
+// classify results must be bit-identical to core.Evaluate's records on
 // the same samples.
 func TestServerMatchesEvaluate(t *testing.T) {
 	cdln, data := testCDLN(t, 21)
@@ -143,7 +150,7 @@ func TestServerMatchesEvaluate(t *testing.T) {
 		if hi > len(data) {
 			hi = len(data)
 		}
-		req := ClassifyRequest{Images: make([][]float64, 0, hi-lo)}
+		req := V2ClassifyRequest{Images: make([][]float64, 0, hi-lo)}
 		for _, s := range data[lo:hi] {
 			req.Images = append(req.Images, s.X.Flatten().Data)
 		}
@@ -151,7 +158,7 @@ func TestServerMatchesEvaluate(t *testing.T) {
 		if status != http.StatusOK {
 			t.Fatalf("HTTP %d: %s", status, body)
 		}
-		var out ClassifyResponse
+		var out V2ClassifyResponse
 		if err := json.Unmarshal(body, &out); err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +181,7 @@ func TestServerStatsz(t *testing.T) {
 	cdln, data := testCDLN(t, 22)
 	srv, ts := startServer(t, cdln, Config{Workers: 2})
 
-	req := ClassifyRequest{}
+	req := V2ClassifyRequest{}
 	for _, s := range data[:50] {
 		req.Images = append(req.Images, s.X.Flatten().Data)
 	}
@@ -235,7 +242,7 @@ func TestServerDeltaOverride(t *testing.T) {
 	_, ts := startServer(t, cdln, Config{Workers: 2})
 
 	one := 1.0
-	req := ClassifyRequest{Delta: &one}
+	req := V2ClassifyRequest{Policy: &PolicyRequest{Delta: &one}}
 	for _, s := range data[:30] {
 		req.Images = append(req.Images, s.X.Flatten().Data)
 	}
@@ -243,7 +250,7 @@ func TestServerDeltaOverride(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("HTTP %d: %s", status, body)
 	}
-	var out ClassifyResponse
+	var out V2ClassifyResponse
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +261,7 @@ func TestServerDeltaOverride(t *testing.T) {
 	}
 
 	// Trained thresholds: expect at least one early exit on this fixture.
-	req.Delta = nil
+	req.Policy = nil
 	status, body = postClassify(t, ts.URL, req)
 	if status != http.StatusOK {
 		t.Fatalf("HTTP %d: %s", status, body)
@@ -294,14 +301,14 @@ func TestServerConcurrent(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(cl)))
 			for k := 0; k < perClient; k++ {
 				i := rng.Intn(len(data))
-				req := ClassifyRequest{Image: data[i].X.Flatten().Data}
+				req := V2ClassifyRequest{Image: data[i].X.Flatten().Data}
 				body, _ := json.Marshal(req)
-				resp, err := http.Post(ts.URL+"/v1/classify", "application/json", bytes.NewReader(body))
+				resp, err := http.Post(ts.URL+classifyPath, "application/json", bytes.NewReader(body))
 				if err != nil {
 					errCh <- err
 					return
 				}
-				var out ClassifyResponse
+				var out V2ClassifyResponse
 				err = json.NewDecoder(resp.Body).Decode(&out)
 				resp.Body.Close()
 				if err != nil {
@@ -335,42 +342,38 @@ func TestServerBadRequests(t *testing.T) {
 	bad := 2.0
 	cases := []struct {
 		name string
-		req  ClassifyRequest
+		req  V2ClassifyRequest
 		want int
 		// pad spaces follow the value; chunked declares no Content-Length.
 		pad     int
 		chunked bool
 	}{
-		{name: "empty", req: ClassifyRequest{}, want: http.StatusBadRequest},
-		{name: "wrong width", req: ClassifyRequest{Image: []float64{1, 2, 3}}, want: http.StatusBadRequest},
-		{name: "both forms", req: ClassifyRequest{Image: good, Images: [][]float64{good}}, want: http.StatusBadRequest},
-		{name: "delta range", req: ClassifyRequest{Image: good, Delta: &bad}, want: http.StatusBadRequest},
-		{name: "too many images", req: ClassifyRequest{Images: [][]float64{good, good, good, good, good}}, want: http.StatusBadRequest},
+		{name: "empty", req: V2ClassifyRequest{}, want: http.StatusBadRequest},
+		{name: "wrong width", req: V2ClassifyRequest{Image: []float64{1, 2, 3}}, want: http.StatusBadRequest},
+		{name: "both forms", req: V2ClassifyRequest{Image: good, Images: [][]float64{good}}, want: http.StatusBadRequest},
+		{name: "delta range", req: V2ClassifyRequest{Image: good, Policy: &PolicyRequest{Delta: &bad}}, want: http.StatusBadRequest},
+		{name: "too many images", req: V2ClassifyRequest{Images: [][]float64{good, good, good, good, good}}, want: http.StatusBadRequest},
 		// 40 KB of pixels against a 4-image bound of ~34 KB: the byte limit
 		// decides, before the width check could see the image.
-		{name: "body over the bound", req: ClassifyRequest{Image: make([]float64, 20000)}, want: http.StatusRequestEntityTooLarge},
+		{name: "body over the bound", req: V2ClassifyRequest{Image: make([]float64, 20000)}, want: http.StatusRequestEntityTooLarge},
 		// The bound decides on length alone: a good request is refused once
 		// padding carries it over, by its declared Content-Length before a
 		// byte is read, or without one (chunked) when the bytes run past.
-		{name: "declared length over the bound", req: ClassifyRequest{Image: good}, want: http.StatusRequestEntityTooLarge, pad: 64 << 10},
-		{name: "chunked body over the bound", req: ClassifyRequest{Image: good}, want: http.StatusRequestEntityTooLarge, pad: 64 << 10, chunked: true},
+		{name: "declared length over the bound", req: V2ClassifyRequest{Image: good}, want: http.StatusRequestEntityTooLarge, pad: 64 << 10},
+		{name: "chunked body over the bound", req: V2ClassifyRequest{Image: good}, want: http.StatusRequestEntityTooLarge, pad: 64 << 10, chunked: true},
 	}
-	// Every row is posted in both wire forms: one handler, one verdict, one
-	// bump of the invalid counter each.
+	// One verdict and one bump of the invalid counter per row.
 	for _, tc := range cases {
-		v2 := V2ClassifyRequest{Image: tc.req.Image, Images: tc.req.Images, Policy: deltaPolicy(tc.req.Delta)}
-		for path, req := range map[string]any{"/v1/classify": tc.req, "/v2/models/" + DefaultModelName + "/classify": v2} {
-			before := srv.Stats().Invalid
-			if status, body := postPadded(t, ts.URL+path, req, tc.pad, tc.chunked); status != tc.want {
-				t.Errorf("%s %s: HTTP %d (%s), want %d", path, tc.name, status, body, tc.want)
-			}
-			if got := srv.Stats().Invalid; got != before+1 {
-				t.Errorf("%s %s: invalid counter %d -> %d, want +1", path, tc.name, before, got)
-			}
+		before := srv.Stats().Invalid
+		if status, body := postPadded(t, ts.URL+classifyPath, tc.req, tc.pad, tc.chunked); status != tc.want {
+			t.Errorf("%s: HTTP %d (%s), want %d", tc.name, status, body, tc.want)
+		}
+		if got := srv.Stats().Invalid; got != before+1 {
+			t.Errorf("%s: invalid counter %d -> %d, want +1", tc.name, before, got)
 		}
 	}
 
-	resp, err := http.Get(ts.URL + "/v1/classify")
+	resp, err := http.Get(ts.URL + classifyPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +385,7 @@ func TestServerBadRequests(t *testing.T) {
 	// Oversized body: rejected by the byte limit, well before the
 	// image-count check could see it.
 	huge := bytes.Repeat([]byte("9"), 8<<20)
-	oresp, err := http.Post(ts.URL+"/v1/classify", "application/json",
+	oresp, err := http.Post(ts.URL+classifyPath, "application/json",
 		bytes.NewReader(append([]byte(`{"image":[`), huge...)))
 	if err == nil {
 		oresp.Body.Close()
@@ -392,7 +395,7 @@ func TestServerBadRequests(t *testing.T) {
 	}
 
 	// Malformed JSON.
-	mresp, err := http.Post(ts.URL+"/v1/classify", "application/json", bytes.NewReader([]byte("{nope")))
+	mresp, err := http.Post(ts.URL+classifyPath, "application/json", bytes.NewReader([]byte("{nope")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,7 +524,7 @@ func TestServerClosedRejects(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	srv.Close()
-	status, _ := postClassify(t, ts.URL, ClassifyRequest{Image: data[0].X.Flatten().Data})
+	status, _ := postClassify(t, ts.URL, V2ClassifyRequest{Image: data[0].X.Flatten().Data})
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("classify after Close: HTTP %d, want 503", status)
 	}
@@ -535,11 +538,11 @@ func TestServerClosedRejects(t *testing.T) {
 func BenchmarkServerClassify(b *testing.B) {
 	cdln, data := testCDLN(b, 27)
 	_, ts := startServer(b, cdln, Config{Workers: 4})
-	body, _ := json.Marshal(ClassifyRequest{Image: data[0].X.Flatten().Data})
+	body, _ := json.Marshal(V2ClassifyRequest{Image: data[0].X.Flatten().Data})
 	client := ts.Client()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp, err := client.Post(ts.URL+"/v1/classify", "application/json", bytes.NewReader(body))
+		resp, err := client.Post(ts.URL+classifyPath, "application/json", bytes.NewReader(body))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -550,5 +553,25 @@ func BenchmarkServerClassify(b *testing.B) {
 		if resp.StatusCode != http.StatusOK {
 			b.Fatalf("HTTP %d", resp.StatusCode)
 		}
+	}
+}
+
+// TestRetiredSurfaceIsGone pins what the server no longer offers: the /v1
+// data routes are not routed, and a PUT that asks to make its entry the
+// default is refused for the field, before the path is looked at.
+func TestRetiredSurfaceIsGone(t *testing.T) {
+	cdln, data := testCDLN(t, 28)
+	srv, ts := startServer(t, cdln, Config{Workers: 1})
+	for _, path := range []string{"/v1/classify", "/v1/resume"} {
+		if status, body := postJSON(t, ts.URL+path, V2ClassifyRequest{Image: data[0].X.Flatten().Data}); status != http.StatusNotFound {
+			t.Errorf("POST %s: HTTP %d (%s), want 404", path, status, body)
+		}
+	}
+	status, body := putJSON(t, ts.URL+"/v2/models/"+DefaultModelName, map[string]any{"path": "absent.cdln", "default": true})
+	if status != http.StatusBadRequest || !bytes.Contains(body, []byte(`unknown field \"default\"`)) {
+		t.Errorf(`PUT with "default": HTTP %d (%s), want 400 naming the unknown field`, status, body)
+	}
+	if m, err := srv.Registry().Get(DefaultModelName); err != nil || m.Version() != 1 {
+		t.Errorf("after the refused PUT: %v, %v; want version 1 serving", m, err)
 	}
 }

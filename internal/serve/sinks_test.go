@@ -49,7 +49,7 @@ func TestFlightRetainsWhatBurnsBudget(t *testing.T) {
 	}
 	const requests, perRequest = 12, 5
 	for i := 0; i < requests; i++ {
-		req := ClassifyRequest{}
+		req := V2ClassifyRequest{}
 		for _, s := range data[i*perRequest : (i+1)*perRequest] {
 			req.Images = append(req.Images, s.X.Flatten().Data)
 		}

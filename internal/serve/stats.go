@@ -182,7 +182,7 @@ func SummarizeLatency(h *control.Histogram) LatencyStats {
 type Stats struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	Requests      int64   `json:"requests"`
-	// ResumeRequests counts the admitted /v1/resume requests — traffic
+	// ResumeRequests counts the admitted resume requests — traffic
 	// arriving as edge-offloaded intermediate activations rather than raw
 	// images (already included in Requests).
 	ResumeRequests int64 `json:"resume_requests"`

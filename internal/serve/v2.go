@@ -1,8 +1,6 @@
 // v2.go is the multi-model request surface: every route names its model,
-// the request body carries a structured ExitPolicy instead of a lone δ,
-// and PUT hot-swaps a model version without dropping traffic. The /v1
-// routes remain as aliases onto the registry's default model; /v2 is the
-// surface that exposes what the registry actually supports.
+// the request body carries a structured ExitPolicy, and PUT hot-swaps a
+// model version without dropping traffic.
 package serve
 
 import (
@@ -38,7 +36,7 @@ type PolicyRequest struct {
 	// with MaxExit by taking the shallower cap.
 	OpsBudget *float64 `json:"ops_budget,omitempty"`
 	// Detail selects the record detail level: "label" (prediction only),
-	// "cost" (default: ops + energy accounting, the /v1 shape) or "trace"
+	// "cost" (default: ops + energy accounting) or "trace"
 	// (cost plus the winning confidence at every evaluated exit).
 	Detail string `json:"detail,omitempty"`
 }
@@ -106,7 +104,7 @@ func (p *PolicyRequest) resolve(m *Model) (core.ExitPolicy, string, error) {
 }
 
 // V2ClassifyRequest is the POST /v2/models/{model}/classify payload:
-// images as in /v1, a structured exit policy, and an optional per-request
+// images as in ClassifyRequest, a structured exit policy, and an optional per-request
 // deadline after which the request is abandoned wherever it is (queued
 // requests are dropped before touching a replica).
 type V2ClassifyRequest struct {
@@ -141,8 +139,8 @@ type V2Result struct {
 	StageConfidences []float64 `json:"stage_confidences,omitempty"`
 }
 
-// V2ClassifyResponse is the v2 classify/resume response: the /v1 result
-// shape plus the model identity that served it (name and version matter
+// V2ClassifyResponse is the v2 classify/resume response: the
+// ClassifyResult shape plus the model identity that served it (name and version matter
 // once hot-swap exists). At detail level "trace" with a timeout_ms set,
 // DeadlineUnixMS surfaces the resolved absolute deadline the request ran
 // under (Unix milliseconds) — the observability hook for debugging
@@ -192,6 +190,8 @@ type ModelInfo struct {
 	Name    string `json:"name"`
 	Version int    `json:"version"`
 	Path    string `json:"path,omitempty"`
+	// Default marks the first registered entry, the one /healthz and
+	// /statsz describe.
 	Default bool   `json:"default"`
 	Arch    string `json:"arch"`
 	Stages  int    `json:"stages"`
@@ -305,9 +305,6 @@ func (s *Server) handleModelGet(w http.ResponseWriter, r *http.Request) {
 // itself (the path is read from the server's filesystem).
 type V2PutModelRequest struct {
 	Path string `json:"path"`
-	// Default, when true, also makes this entry the registry default (the
-	// /v1 alias target).
-	Default bool `json:"default,omitempty"`
 }
 
 // V2PutModelResponse reports the published version.
@@ -342,12 +339,6 @@ func (s *Server) handleModelPut(w http.ResponseWriter, r *http.Request) {
 		}
 		WriteError(w, status, err.Error())
 		return
-	}
-	if req.Default {
-		if err := s.reg.SetDefault(name); err != nil {
-			WriteError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
 	}
 	WriteJSON(w, http.StatusOK, V2PutModelResponse{
 		Model: m.name, Version: m.version,
