@@ -3,15 +3,20 @@ package edgecloud
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"sync"
 	"testing"
 
 	"cdl/internal/core"
 	"cdl/internal/edgecloud/wire"
 	"cdl/internal/energy"
+	"cdl/internal/modelio"
 	"cdl/internal/nn"
 	"cdl/internal/serve"
 	"cdl/internal/tensor"
@@ -553,5 +558,166 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(cdln, lb, Config{SplitStage: 1, Encoding: wire.Encoding(9)}); err == nil {
 		t.Error("unknown encoding accepted")
+	}
+}
+
+// flakyTransport drops every fourth round trip its inner transport would
+// have made. Each edge worker builds its own, so trips is never shared.
+type flakyTransport struct {
+	inner Transport
+	trips int
+}
+
+func (f *flakyTransport) ResumeBatch(ps [][]byte, d float64) ([]core.ExitRecord, error) {
+	if f.trips++; f.trips%4 == 0 {
+		return nil, errors.New("link dropped")
+	}
+	return f.inner.ResumeBatch(ps, d)
+}
+
+// TestEdgePixelsGoBackAfterTheWalk is the edge's side of
+// serve.TestPixelsGoBackAfterTheLastReader: the edge gives a request's
+// images back once its walk has returned, whatever it answers. Several
+// clients send images of their own, and 4xx refusals, through two edge
+// workers to a cloud that is hot-swapped to the same weights mid-run and
+// whose link drops every fourth round trip (502s); every 200 must be
+// exactly CDLN.Classify of the images its client sent. Run under -race in
+// CI.
+func TestEdgePixelsGoBackAfterTheWalk(t *testing.T) {
+	cdln, data := testCDLN(t, 59)
+	path := filepath.Join(t.TempDir(), "m.cdln")
+	if err := modelio.SaveFile(path, cdln); err != nil {
+		t.Fatal(err)
+	}
+	cloud, err := serve.New(cdln, serve.Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cloudTS := httptest.NewServer(cloud.Handler())
+	t.Cleanup(func() { cloudTS.Close(); cloud.Close() })
+	edgeSrv, err := NewServer(cdln,
+		func() (Transport, error) {
+			return &flakyTransport{inner: NewHTTPModelTransport(cloudTS.URL, serve.DefaultModelName)}, nil
+		},
+		Config{SplitStage: 1, Delta: 0.99}, ServerConfig{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edgeTS := httptest.NewServer(edgeSrv.Handler())
+	t.Cleanup(edgeTS.Close)
+	oracle := reference(cdln, 0.99)
+	inShape := cdln.Arch.Net.InShape
+
+	const clients, perClient, swaps = 5, 20, 4
+	var mu sync.Mutex
+	statuses := map[int]int{}
+	errs := make(chan error, clients+1)
+	var wg sync.WaitGroup
+	wg.Add(clients + 1)
+	swap, err := json.Marshal(serve.V2PutModelRequest{Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		defer wg.Done()
+		for k := 0; k < swaps; k++ {
+			req, err := http.NewRequest(http.MethodPut, cloudTS.URL+"/v2/models/"+serve.DefaultModelName, bytes.NewReader(swap))
+			if err != nil {
+				errs <- err
+				return
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err == nil {
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					err = fmt.Errorf("HTTP %d", resp.StatusCode)
+				}
+			}
+			if err != nil {
+				errs <- fmt.Errorf("swap %d: %v", k, err)
+				return
+			}
+		}
+	}()
+	for c := 0; c < clients; c++ {
+		// Each client's images, and the oracle's records of them, are made
+		// before the traffic starts: CDLN.Classify is not concurrent.
+		rng := rand.New(rand.NewSource(int64(c) + 1))
+		type request struct {
+			body   serve.ClassifyRequest
+			expect []core.ExitRecord
+		}
+		reqs := make([]request, perClient)
+		for k := range reqs {
+			q := &reqs[k]
+			for i := 0; i <= (c+k)%3; i++ {
+				img := make([]float64, len(data[0].X.Data))
+				for p, v := range data[rng.Intn(len(data))].X.Data {
+					img[p] = v + 0.05*rng.NormFloat64()
+				}
+				q.body.Images = append(q.body.Images, img)
+				q.expect = append(q.expect, oracle.Classify(tensor.FromSlice(img, inShape...)))
+			}
+			if k%5 == 3 { // a refusal: one image a pixel short, or a pixel long
+				q.expect = nil
+				if img := q.body.Images[0]; k%2 == 0 {
+					q.body.Images[0] = img[:len(img)-1]
+				} else {
+					q.body.Images[0] = append(img, 0.5)
+				}
+			}
+		}
+		go func(c int) {
+			defer wg.Done()
+			for k, q := range reqs {
+				body, err := json.Marshal(q.body)
+				if err != nil {
+					errs <- err
+					return
+				}
+				resp, err := http.Post(edgeTS.URL+"/v1/classify", "application/json", bytes.NewReader(body))
+				if err != nil {
+					errs <- err
+					return
+				}
+				var out serve.ClassifyResponse
+				status := resp.StatusCode
+				if status == http.StatusOK {
+					err = json.NewDecoder(resp.Body).Decode(&out)
+				}
+				resp.Body.Close()
+				switch {
+				case err != nil:
+				case q.expect == nil && status != http.StatusBadRequest:
+					err = fmt.Errorf("a refusal answered HTTP %d", status)
+				case q.expect != nil && status != http.StatusOK && status != http.StatusBadGateway && status != http.StatusServiceUnavailable:
+					err = fmt.Errorf("HTTP %d", status)
+				case status == http.StatusOK && len(out.Results) != len(q.expect):
+					err = fmt.Errorf("%d results for %d images", len(out.Results), len(q.expect))
+				}
+				for i := 0; err == nil && status == http.StatusOK && i < len(out.Results); i++ {
+					got, want := out.Results[i], q.expect[i]
+					if got.Label != want.Label || got.ExitIndex != want.StageIndex || got.Exit != want.StageName || got.Confidence != want.Confidence {
+						err = fmt.Errorf("image %d answered %+v, its own pixels classify as %+v", i, got, want)
+					}
+				}
+				if err != nil {
+					errs <- fmt.Errorf("client %d request %d: %v", c, k, err)
+					return
+				}
+				mu.Lock()
+				statuses[status]++
+				mu.Unlock()
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	t.Logf("answers by status: %v; %d offloads", statuses, edgeSrv.Stats().Offloads)
+	if statuses[http.StatusOK] == 0 || statuses[http.StatusBadGateway] == 0 {
+		t.Errorf("want both classified requests and dropped links, got %v", statuses)
 	}
 }

@@ -327,6 +327,9 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		s.refuse(tr, obs.FlightError, control.CauseInvalid, 0)
 		return
 	}
+	// The walk is the images' last reader: it returns with each offload
+	// copied out of them and encoded, so they go back on every answer.
+	defer serve.ReleaseImages(s.inWidth, images...)
 	// Requests without an explicit δ inherit the offload-split
 	// controller's current policy (identity = the configured split);
 	// an explicit δ always bypasses the controller, as on the cloud

@@ -117,7 +117,9 @@ const maxPooledBody = 1 << 20
 
 // bodyPool holds the buffers request bodies are read into. Nothing decoded
 // from a body may alias it: the buffer is back in the pool, and being
-// overwritten by another request, as soon as decodeBody returns.
+// overwritten by another request, as soon as decodeBody returns. (The
+// decoded pixels are pooled too, but they live longer: a request holds
+// them until its last reader is done; see ReleaseImages.)
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // ReadSized reads r to its end, like io.ReadAll, into one buffer sized from
@@ -234,7 +236,9 @@ func strictDecode(data []byte, into any) error {
 // decodeBody, NormalizeImages and ParseDeltaOverride — the body check and
 // the input check handleInfer runs on its images, and the δ check behind a
 // /v2 "policy.delta" — so the edge refuses what the cloud refuses. On rejection it has written the error response and returns
-// ok=false. delta is nil when the client sent none.
+// ok=false. delta is nil when the client sent none. The images are the
+// caller's: it gives them back with ReleaseImages(inWidth, images...) once
+// nothing reads them any more.
 func DecodeClassify(w http.ResponseWriter, r *http.Request, inWidth, maxImages int, inShape []int) (images [][]float64, delta *float64, ok bool) {
 	var req ClassifyRequest
 	rerr := decodeBody(w, r, http.MethodPost, bodyBound(maxImages, inWidth*32), &req, inWidth, maxImages)
@@ -246,6 +250,8 @@ func DecodeClassify(w http.ResponseWriter, r *http.Request, inWidth, maxImages i
 		if err == nil {
 			return images, req.Delta, true
 		}
+		ReleaseImages(inWidth, req.Image)
+		ReleaseImages(inWidth, req.Images...)
 		rerr = badRequest("%v", err)
 	}
 	WriteError(w, rerr.status, rerr.msg)
@@ -423,6 +429,15 @@ func (s *Server) handleInfer(resume bool, newBody func() wireRequest) http.Handl
 		var cancel context.CancelFunc
 		if rerr == nil {
 			req = body.infer()
+			// The pixels go back once dispatch has returned, whatever it
+			// answered: it has waited out every job it queued, the walk
+			// copied each image into lane scratch before the job was
+			// released, a refused submit queued nothing, and no sink keeps
+			// a pixel.
+			defer func() {
+				ReleaseImages(m0.inWidth, req.images.Image)
+				ReleaseImages(m0.inWidth, req.images.Images...)
+			}()
 			ctx, cancel, rerr = requestContext(r, req.timeoutMS)
 		}
 		if rerr != nil {

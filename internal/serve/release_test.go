@@ -1,0 +1,204 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"math/rand"
+	"net/http"
+	"sync"
+	"testing"
+
+	"cdl/internal/core"
+	"cdl/internal/mnist"
+	"cdl/internal/modelio"
+	"cdl/internal/tensor"
+)
+
+// pixelRequest is one request of TestPixelsGoBackAfterTheLastReader: the
+// body a client sends, the statuses it may answer, and, for a 200, the
+// oracle's record of each image it carries.
+type pixelRequest struct {
+	body   V2ClassifyRequest
+	allow  map[int]bool
+	expect []core.ExitRecord
+}
+
+// pixelWorkload builds each client's requests from images of its own (the
+// fixture's samples under client-seeded noise) and classifies every image
+// the server is to answer with CDLN.Classify, serially, before any traffic
+// starts. Every fifth request is refused (an image one pixel short, one
+// pixel long, or "image" beside "images"), and every fifth carries a 1 ms
+// deadline, which the saturated pool may answer 504 or 503 instead of 200.
+func pixelWorkload(cdln *core.CDLN, samples [][]float64, clients, perClient int) [][]pixelRequest {
+	inShape := cdln.Arch.Net.InShape
+	ok := map[int]bool{http.StatusOK: true, http.StatusServiceUnavailable: true}
+	late := map[int]bool{http.StatusOK: true, http.StatusServiceUnavailable: true, http.StatusGatewayTimeout: true}
+	refused := map[int]bool{http.StatusBadRequest: true}
+	out := make([][]pixelRequest, clients)
+	for c := range out {
+		rng := rand.New(rand.NewSource(int64(c) + 1))
+		image := func() []float64 {
+			img := make([]float64, len(samples[0]))
+			for i, v := range samples[rng.Intn(len(samples))] {
+				img[i] = v + 0.05*rng.NormFloat64()
+			}
+			return img
+		}
+		for k := 0; k < perClient; k++ {
+			var q pixelRequest
+			n := 1 + (c+k)%3
+			for i := 0; i < n; i++ {
+				q.body.Images = append(q.body.Images, image())
+			}
+			switch k % 5 {
+			case 3:
+				q.allow = refused
+				switch img := q.body.Images[0]; k / 5 % 3 {
+				case 0:
+					q.body.Images[0] = img[:len(img)-1]
+				case 1:
+					q.body.Images[0] = append(img, 0.5)
+				default:
+					q.body.Image = image()
+				}
+				out[c] = append(out[c], q)
+				continue
+			case 4:
+				q.body.TimeoutMS, q.allow = 1, late
+			default:
+				q.allow = ok
+			}
+			for _, img := range q.body.Images {
+				q.expect = append(q.expect, cdln.Classify(tensor.FromSlice(img, inShape...)))
+			}
+			if n == 1 && k%2 == 0 {
+				q.body.Image, q.body.Images = q.body.Images[0], nil
+			}
+			out[c] = append(out[c], q)
+		}
+	}
+	return out
+}
+
+// send posts one request of pixelWorkload and checks its answer: a status
+// the request allows and, on a 200, exactly the oracle's records.
+func (q *pixelRequest) send(url string) (int, error) {
+	body, err := json.Marshal(q.body)
+	if err != nil {
+		return 0, err
+	}
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return 0, err
+	}
+	if !q.allow[resp.StatusCode] {
+		return resp.StatusCode, fmt.Errorf("HTTP %d: %s", resp.StatusCode, raw)
+	}
+	if resp.StatusCode != http.StatusOK {
+		return resp.StatusCode, nil
+	}
+	var out V2ClassifyResponse
+	if err := json.Unmarshal(raw, &out); err != nil {
+		return resp.StatusCode, err
+	}
+	if len(out.Results) != len(q.expect) {
+		return resp.StatusCode, fmt.Errorf("%d results for %d images", len(out.Results), len(q.expect))
+	}
+	for i, got := range out.Results {
+		want := q.expect[i]
+		if got.Label != want.Label || got.ExitIndex != want.StageIndex || got.Confidence != want.Confidence || got.Ops != want.Ops {
+			return resp.StatusCode, fmt.Errorf("image %d answered %+v, its own pixels classify as %+v", i, got, want)
+		}
+	}
+	return resp.StatusCode, nil
+}
+
+// TestPixelsGoBackAfterTheLastReader pins when a request's pixels return
+// to the scanner's pool: after dispatch has returned, never while a worker
+// may still read them. A buffer given back early is parsed into by the
+// next request while its own jobs wait in the queue, and they classify
+// someone else's image. Several clients send MNIST_3C-sized images of their
+// own through a pool of one worker kept saturated (503s), with 1 ms
+// deadlines (504s), 4xx refusals and hot-swaps of the entry to the same
+// weights (retried dispatches) mixed in; every 200 must be exactly
+// CDLN.Classify of the images its client sent. Run under -race in CI.
+func TestPixelsGoBackAfterTheLastReader(t *testing.T) {
+	const fixture = "../../bench/testdata/mnist3c.cdln"
+	cdln, err := modelio.LoadFile(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, test, err := mnist.GenerateSamples(1, 40, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := make([][]float64, len(test))
+	for i, s := range test {
+		samples[i] = s.X.Flatten().Data
+	}
+	const clients, perClient, swaps = 6, 20, 4
+	work := pixelWorkload(cdln, samples, clients, perClient)
+	_, ts := startServer(t, cdln, Config{Workers: 1, MaxBatch: 4, QueueDepth: 6})
+
+	var mu sync.Mutex
+	statuses := map[int]int{}
+	errs := make(chan error, clients+1)
+	var wg sync.WaitGroup
+	wg.Add(clients + 1)
+	swap, err := json.Marshal(V2PutModelRequest{Path: fixture})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		defer wg.Done()
+		for k := 0; k < swaps; k++ {
+			req, err := http.NewRequest(http.MethodPut, ts.URL+"/v2/models/"+DefaultModelName, bytes.NewReader(swap))
+			if err != nil {
+				errs <- err
+				return
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err == nil {
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					err = fmt.Errorf("HTTP %d", resp.StatusCode)
+				}
+			}
+			if err != nil {
+				errs <- fmt.Errorf("swap %d: %v", k, err)
+				return
+			}
+		}
+	}()
+	for c := range work {
+		go func(c int) {
+			defer wg.Done()
+			for k := range work[c] {
+				status, err := work[c][k].send(ts.URL + classifyPath)
+				if err != nil {
+					errs <- fmt.Errorf("client %d request %d: %v", c, k, err)
+					return
+				}
+				mu.Lock()
+				statuses[status]++
+				mu.Unlock()
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	t.Logf("answers by status: %v", statuses)
+	if statuses[http.StatusOK] == 0 {
+		t.Error("no request was classified")
+	}
+}

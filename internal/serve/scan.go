@@ -12,6 +12,7 @@ package serve
 import (
 	"encoding/binary"
 	"strconv"
+	"sync"
 )
 
 // The members of the two image wire structs the scanner passes through to
@@ -47,12 +48,14 @@ func (s *bodyScan) space() byte {
 
 // imageBody scans s.data as an image route's request. others names the
 // wire struct's members besides "image" and "images"; width and maxImages
-// size the pixel storage (one exact allocation per image of the model's
-// width; a body carrying more than maxImages images declines, so what a
-// hostile `[[],[],…` can make the scanner allocate is what a legitimate
-// full request occupies). rest is the other members re-framed as one
-// object for the strict decode, nil when there are none. Everything
-// returned is freshly allocated: nothing aliases s.data.
+// size the pixel storage (one buffer of exactly the model's width per
+// image; a body carrying more than maxImages images declines, so what a
+// hostile `[[],[],…` can make the scanner take is what a legitimate full
+// request occupies). rest is the other members re-framed as one object for
+// the strict decode, nil when there are none. Nothing returned aliases
+// s.data. The pixel buffers belong to the request: it may read them until
+// its last reader is done, then give them back with ReleaseImages, and
+// nobody may read them after that.
 func (s *bodyScan) imageBody(others []string, width, maxImages int) (image []float64, images [][]float64, rest []byte, ok bool) {
 	data := s.data
 	if s.space() != '{' {
@@ -174,9 +177,11 @@ func (s *bodyScan) numberArrays(width, maxImages int) ([][]float64, bool) {
 	}
 }
 
-// numbers scans one array of numbers into a slice with room for width of
-// them. Each token is walked once: the loop that checks it against the JSON
-// number grammar (-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?) also
+// numbers scans one array of numbers into a buffer of exactly width
+// float64s, taken from pixelPool when one is there (an array of more than
+// width numbers regrows it, as append does, and the grown buffer is never
+// pooled). Each token is walked once: the loop that checks it against the
+// JSON number grammar (-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?) also
 // gathers its significant digits into an integer mantissa and its decimal
 // exponent, which decimalToFloat converts. A token that conversion cannot
 // prove — more than 19 significant digits, or one of its own declines — goes
@@ -188,7 +193,10 @@ func (s *bodyScan) numbers(width int) ([]float64, bool) {
 		return nil, false
 	}
 	s.i++
-	out := make([]float64, 0, width)
+	out, pooled := pixelPool.Get().([]float64)
+	if !pooled || cap(out) != width {
+		out = make([]float64, 0, width) // a mismatched buffer is dropped
+	}
 	if s.space() == ']' {
 		s.i++
 		return out, true
@@ -303,6 +311,23 @@ func (s *bodyScan) numbers(width int) ([]float64, bool) {
 			return out, true
 		default:
 			return nil, false
+		}
+	}
+}
+
+// pixelPool holds the pixel buffers requests have given back, each empty
+// and of exactly the width of the model it was decoded for.
+var pixelPool sync.Pool
+
+// ReleaseImages gives a request's decoded images back to the scanner once
+// their last reader is done: after it nobody may read them, since the next
+// request parses its pixels into them. width is the width they were decoded
+// for; a buffer of another capacity, such as a grown image, is left to the
+// collector. Each buffer is given back once.
+func ReleaseImages(width int, images ...[]float64) {
+	for _, img := range images {
+		if width > 0 && cap(img) == width {
+			pixelPool.Put(img[:0])
 		}
 	}
 }
