@@ -1,11 +1,13 @@
-// Command cdledge runs the edge half of a split CDLN deployment: it owns
-// the cascade prefix up to -split stages, answers POST /v1/classify
-// locally when the δ-rule fires, and offloads the hard residue as
-// wire-encoded activations to a cdlserve backend's
+// Command cdledge runs the edge half of a split CDLN deployment: a serve
+// front whose one model, "default", owns the cascade prefix up to -split
+// stages, answers locally when the δ-rule fires, and offloads the hard
+// residue as wire-encoded activations to a cdlserve backend's
 // /v2/models/{name}/resume, where -cloud-model names the registry entry
 // this edge's cascade belongs to (default "default", the name cdlserve
 // gives a bare -model path). One cloud tier can so back heterogeneous
-// edge splits.
+// edge splits. Clients post to POST /v1/classify (images and a bare δ) or
+// to POST /v2/models/default/classify (a policy the δ-only offload wire
+// can carry, and timeout_ms); the ops routes are cdlserve's.
 //
 // Usage (cloud first, then the edge against it):
 //
@@ -15,7 +17,7 @@
 //	cdledge  -model b.cdln -addr :8081 -cloud http://localhost:8080 -cloud-model accurate
 //
 //	curl -s -X POST localhost:8081/v1/classify -d '{"images": [[...784 floats...]]}'
-//	curl -s localhost:8081/statsz   # offload fraction, edge/link/cloud pJ
+//	curl -s localhost:8081/statsz   # tier: offload fraction, edge/link/cloud pJ
 //
 // -encoding fixed ships Q2.13-quantized activations (4x smaller payloads,
 // no bit-identity guarantee); the default float64 encoding keeps split
@@ -45,11 +47,11 @@ func main() {
 	cloudModel := flag.String("cloud-model", serve.DefaultModelName, "cloud registry entry to resume on, POST /v2/models/{name}/resume (cdlserve names a bare -model path \"default\")")
 	split := flag.Int("split", 1, "cascade stages owned by this edge node (0 = offload everything)")
 	delta := flag.Float64("delta", -1, "δ override for the local exit rule (-1 keeps the trained thresholds)")
-	workers := flag.Int("workers", 0, "edge runtime pool size (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "edge runtime pool size, one pool worker each (0 = GOMAXPROCS)")
 	encoding := flag.String("encoding", "float64", `offload payload encoding: "float64" (lossless) or "fixed" (Q2.13, 4x smaller)`)
 	pjByte := flag.Float64("pjbyte", energy.DefaultLink().PJPerByte, "link energy model: pJ per transmitted byte")
 	pjOffload := flag.Float64("pjoffload", energy.DefaultLink().PerOffloadPJ, "link energy model: fixed pJ per transfer")
-	slo := flag.String("slo", "", `adapt the offload split to an SLO: "p99=20ms,queue=0.8,energy=2.5e9" — under pressure the controller resolves inputs locally at the last edge stage instead of queueing on the cloud (requests with an explicit δ bypass it)`)
+	slo := flag.String("slo", "", `adapt the offload split to an SLO: "p99=20ms,queue=0.8,energy=2.5e9" — under pressure the controller resolves inputs locally at the last edge stage instead of queueing on the cloud (requests with an explicit δ bypass it); "queue" is the bounded queue's occupancy`)
 	adminAddr := flag.String("admin-addr", "", "separate listen address for the admin/debug surface (pprof, expvar, phase profile); empty = disabled")
 	profile := flag.Bool("profile", false, "enable the per-phase (im2col/gemm/epilogue/classifier/decode) time breakdown from startup; also toggleable at runtime via POST /debug/phaseprof on -admin-addr")
 	flag.Parse()
@@ -93,13 +95,7 @@ func run(model, addr, adminAddr, cloud, cloudModel, encoding, slo string, split,
 			Encoding:   enc,
 			Link:       energy.Link{PJPerByte: pjByte, PerOffloadPJ: pjOffload},
 		},
-		edgecloud.ServerConfig{
-			Workers:    workers,
-			ModelName:  model,
-			CloudURL:   cloud,
-			CloudModel: cloudModel,
-			SLO:        target,
-		})
+		edgecloud.ServerConfig{Workers: workers, ModelName: model, SLO: target})
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"cdl/internal/core"
+	"cdl/internal/edgecloud"
 	"cdl/internal/mnist"
 	"cdl/internal/modelio"
 	"cdl/internal/serve"
@@ -100,6 +102,60 @@ func TestClientMatchesEvaluate(t *testing.T) {
 		if g, w := got.SumNormOps/n, totalOps/n/baseOps; math.Abs(g-w) > 1e-12 {
 			t.Errorf("%q δ=%v: mean normalized OPS %v, oracle %v", tc.models, tc.delta, g, w)
 		}
+	}
+}
+
+// TestClientDrivesTheEdge: serveload drives an edge front (split 1, over an
+// in-process loopback cloud) through its /v2/models/default/classify, and
+// every number it reports equals CDLN.Classify's on the same images: the
+// exit counts and the correct count exactly, mean normalized OPS to 1e-12.
+func TestClientDrivesTheEdge(t *testing.T) {
+	model, err := modelio.LoadFile("../../bench/testdata/mnist3c.cdln")
+	if err != nil {
+		t.Fatal(err)
+	}
+	edge, err := edgecloud.NewServer(model, func() (edgecloud.Transport, error) { return edgecloud.NewLoopback(model) },
+		edgecloud.DefaultConfig(1), edgecloud.ServerConfig{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer edge.Close()
+	ts := httptest.NewServer(edge.Handler())
+	defer ts.Close()
+
+	const n, batch, seed = 200, 8, 5
+	_, test, err := mnist.GenerateSamples(1, n, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, delta := range []float64{-1, 0.95} {
+		oracle := model
+		if delta >= 0 {
+			oracle = model.Clone()
+			oracle.Delta, oracle.StageDeltas = delta, nil
+		}
+		got, err := run(ts.URL, n, 3, batch, delta, seed, []string{serve.DefaultModelName})
+		if err != nil {
+			t.Fatalf("δ=%v: %v", delta, err)
+		}
+		exits, correct, normOps := map[string]int{}, 0, 0.0
+		for _, s := range test {
+			rec := oracle.Classify(s.X)
+			exits[rec.StageName]++
+			if rec.Label == s.Label {
+				correct++
+			}
+			normOps += rec.Ops / model.BaselineOps()
+		}
+		if fmt.Sprint(got.Exits[serve.DefaultModelName]) != fmt.Sprint(exits) || got.Correct != correct {
+			t.Errorf("δ=%v: exits %v, %d correct; CDLN.Classify %v, %d", delta, got.Exits[serve.DefaultModelName], got.Correct, exits, correct)
+		}
+		if math.Abs(got.SumNormOps-normOps) > 1e-12*n {
+			t.Errorf("δ=%v: Σ normalized OPS %v, CDLN.Classify %v", delta, got.SumNormOps, normOps)
+		}
+	}
+	if st := edge.Stats(); st.Offloads == 0 || st.LocalExits == 0 {
+		t.Errorf("%d offloads, %d local exits: want both tiers to answer", st.Offloads, st.LocalExits)
 	}
 }
 

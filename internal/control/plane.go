@@ -21,7 +21,7 @@ import (
 )
 
 // Reject causes the plane itself distinguishes (tiers add their own:
-// "queue_full", "workers_busy", "backend_shed", …). CauseInvalid marks a
+// "queue_full", "cloud_error", "backend_shed", …). CauseInvalid marks a
 // request the client got wrong (4xx): tail-retained like every refusal, it
 // is the one refusal that spends no error budget. CauseDeadline tags the
 // record AnomalyDeadline instead of AnomalyError.
@@ -294,7 +294,8 @@ func Report(tier string, planes ...*Plane) AlertzReport {
 // Attach starts the feedback controller on the plane, or re-targets the
 // one running (its state restarts at rung 0, the loop and the burn-rate
 // history carry on). queueFrac is the tier's occupancy signal, sampled
-// once per tick: queue depth on serve, busy workers on the edge.
+// once per tick: queue depth on every serve entry, the edge front's
+// included.
 func (p *Plane) Attach(slo SLO, ladder []core.ExitPolicy, interval time.Duration, queueFrac func() float64) error {
 	ctrl, err := New(slo, ladder)
 	if err != nil {
@@ -455,7 +456,7 @@ func (p *Plane) Prom(pr *obs.Prom, labels obs.Labels) {
 		pr.Gauge("cdl_control_max_rung", "Deepest actuation rung the controller may take.", labels, float64(ctrl.MaxRung))
 		pr.Gauge("cdl_control_delta", "Effective confidence threshold under the controller.", labels, ctrl.Delta)
 		pr.Gauge("cdl_control_max_exit", "Current depth cap (-1 = none).", labels, float64(ctrl.MaxExit))
-		pr.Gauge("cdl_control_queue_frac", "Occupancy (queue depth or busy workers) at the controller's last tick.", labels, ctrl.QueueFrac)
+		pr.Gauge("cdl_control_queue_frac", "Queue occupancy at the controller's last tick.", labels, ctrl.QueueFrac)
 		pr.Counter("cdl_control_violations_total", "Controller ticks that observed an SLO violation.", labels, float64(ctrl.Violations))
 	}
 }

@@ -1,9 +1,9 @@
 package edgecloud
 
 // control_test.go covers the edge tier's SLO integration: the
-// policy-aware split pipeline (ClassifyBatchPolicy), the restricted
-// actuation ladder, and the offload-split controller adapting an edge
-// front end to end.
+// policy-aware split pipeline (ClassifyBatchPolicy) and the offload-split
+// controller adapting an edge front end to end (the restricted actuation
+// ladder is serve's TestEdgeLadder).
 
 import (
 	"bytes"
@@ -69,19 +69,6 @@ func TestClassifyBatchPolicyForceLocal(t *testing.T) {
 	}
 	if _, err := mid.ClassifyBatchPolicy(xs[:1], core.ExitPolicy{Delta: -1, MaxExit: -1, StageDeltas: []float64{-1, -1}}); err == nil {
 		t.Error("per-stage deltas accepted; want an error (not forwardable)")
-	}
-}
-
-func TestEdgeLadder(t *testing.T) {
-	// split 1 on a 2-stage cascade: identity + MaxExit 0.
-	l := edgeLadder(2, 1, 0)
-	if len(l) != 2 || l[1].MaxExit != 0 {
-		t.Fatalf("edgeLadder(2,1) = %+v, want [identity, cap0]", l)
-	}
-	// split 0 owns nothing: no actuation rungs → the controller must be
-	// rejected at construction.
-	if l := edgeLadder(2, 0, 0); len(l) != 1 {
-		t.Fatalf("edgeLadder(2,0) = %+v, want identity only", l)
 	}
 }
 
@@ -175,7 +162,7 @@ func TestEdgeServerControllerAdaptsOffloadSplit(t *testing.T) {
 	if final.Control == nil || final.Control.MaxExit != 0 {
 		t.Errorf("stats control %+v, want MaxExit 0", final.Control)
 	}
-	if final.Latency.Count == 0 {
+	if final.TotalLatency.Count == 0 {
 		t.Error("edge latency histogram empty after traffic")
 	}
 }

@@ -18,6 +18,11 @@
 // Energy is accounted per tier (internal/energy's TierCosts): edge compute
 // for the prefix, bytes × pJ/byte for the link, cloud compute for the
 // remainder.
+//
+// The edge front, Server, is a serve.Server whose one registry entry is a
+// split entry: its pool workers are Edges (Edge.WalkBatch is a
+// serve.Walker), so the edge queues, batches, observes and adapts exactly
+// as a cloud entry does.
 package edgecloud
 
 import (
@@ -104,22 +109,25 @@ type TracedBatchTransport interface {
 // Edge is the edge-tier runtime: a warm session over the full model of
 // which it executes only the prefix, plus the offload machinery. Like
 // core.Session it is single-goroutine; create one per worker (the edge
-// Server does).
+// Server's split entry builds one per pool worker).
 type Edge struct {
 	cfg       Config
 	sess      *core.Session
 	transport Transport
 	costs     *energy.TierCosts
-	// exitOps and classes complete and check the cloud's records: the op
-	// cost of each global exit, and the trunk's label count.
-	exitOps []float64
-	classes int
+	// wireBytes is each exit's offload size (exitWireBytes); exitOps and
+	// classes complete and check the cloud's records: the op cost of each
+	// global exit, and the trunk's label count.
+	wireBytes []int
+	exitOps   []float64
+	classes   int
 	// slab holds the encoded offloads of the current call; payloads and
-	// deferred are its views and their inputs' indices. Reused call after
-	// call (an Edge is single-goroutine).
+	// deferred are its views and their inputs' indices; recs is the call's
+	// answer. All reused call after call (an Edge is single-goroutine).
 	slab     []byte
 	payloads [][]byte
 	deferred []int
+	recs     []core.ExitRecord
 	// tr is the attached request trace (nil between requests): prefix
 	// stage spans, the offload hop and the cloud tier's merged spans all
 	// record into it.
@@ -164,31 +172,42 @@ func NewGraph(g *core.Graph, t Transport, cfg Config) (*Edge, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Edge{cfg: cfg, sess: sess, transport: t, costs: costs, exitOps: g.ExitOps(), classes: g.Trunk().Arch.NumClasses}, nil
+	return &Edge{
+		cfg: cfg, sess: sess, transport: t, costs: costs, wireBytes: exitWireBytes(g, costs, cfg.Encoding),
+		exitOps: g.ExitOps(), classes: g.Trunk().Arch.NumClasses,
+	}, nil
+}
+
+// exitWireBytes sizes each exit's offload: the encoding of the activation
+// an input exiting there shipped, from the trunk's split stage or a
+// branch's entry (TierCosts.Handoff), and 0 for a local exit. An offload's
+// size is fixed by its resume point.
+func exitWireBytes(g *core.Graph, costs *energy.TierCosts, enc wire.Encoding) []int {
+	out := make([]int, len(costs.Handoff))
+	for i, node := range costs.Handoff {
+		if node < 0 {
+			continue
+		}
+		m, from := g.Nodes[node].Model, 0
+		if node == 0 {
+			from = costs.SplitStage
+		}
+		shape := m.Arch.Net.ShapeAt(m.SplitPos(from))
+		n := 1
+		for _, d := range shape {
+			n *= d
+		}
+		out[i] = wire.EncodedSizeAt(node, len(shape), n, enc)
+	}
+	return out
 }
 
 // AttachTrace attaches a request trace for the next Classify* call(s):
 // prefix stage spans record as "edge:stage:...", the cloud round trip as
 // "edge:offload", and — when the transport supports tracing — the cloud's
 // own spans merge back under "cloud:". Pass nil to detach. Like every Edge
-// method this is single-goroutine; the edge Server attaches per request
-// while it holds the worker.
+// method this is single-goroutine.
 func (e *Edge) AttachTrace(tr *obs.Trace) { e.tr = tr }
-
-// installObserver wires the session's stage events into the attached
-// trace for the duration of one prefix walk; the returned func detaches.
-func (e *Edge) installObserver() func() {
-	if e.tr == nil {
-		return func() {}
-	}
-	g := e.sess.Graph()
-	tr := e.tr
-	e.sess.SetStageObserver(func(ev core.StageEvent) {
-		name, detail := serve.SpanName(g, ev)
-		tr.Record("edge:"+name, ev.Start, ev.End, detail)
-	})
-	return func() { e.sess.SetStageObserver(nil) }
-}
 
 // Result is one input's tier-split outcome.
 type Result struct {
@@ -224,43 +243,77 @@ func (e *Edge) ClassifyDelta(x *tensor.T, delta float64) (Result, error) {
 	return res[0], nil
 }
 
-// ClassifyBatchPolicy runs the split pipeline over a batch: the whole
-// batch's prefix runs locally in one cascade pass
-// (core.Session.ClassifyPrefixBatchPolicy — exit where the δ-rule fires,
-// exited inputs compacted away between stages), then every deferred
-// split-point activation is wire-encoded and all of them resume on the
-// cloud in one round trip. Results are in input order, each identical to
-// what the input would get alone. The policy is honored within what a
-// split deployment can: the offload wire carries only δ, so per-stage
-// thresholds and depth caps in the cloud's half of the cascade cannot be
-// forwarded and are rejected. A depth cap at or below the last
-// local stage resolves the whole batch on the edge (nothing offloads) —
-// the knob the SLO controller turns to shed the offload path under load.
+// ClassifyBatchPolicy runs the split pipeline over a batch (WalkBatch,
+// under the attached trace) and charges each input's tiers. Results are in
+// input order, each identical to what the input would get alone.
 func (e *Edge) ClassifyBatchPolicy(xs []*tensor.T, pol core.ExitPolicy) ([]Result, error) {
-	if pol.StageDeltas != nil {
-		return nil, fmt.Errorf("edgecloud: per-stage deltas cannot be forwarded on the δ-only offload wire")
+	var traces []*obs.Trace
+	if e.tr != nil {
+		traces = make([]*obs.Trace, len(xs))
+		for i := range traces {
+			traces[i] = e.tr
+		}
 	}
-	maxDepth := e.sess.Graph().MaxDepth()
-	if pol.MaxExit >= e.cfg.SplitStage && pol.MaxExit < maxDepth {
-		return nil, fmt.Errorf("edgecloud: policy depth cap %d lies in the cloud tier (split %d) and cannot be forwarded on the δ-only offload wire",
-			pol.MaxExit, e.cfg.SplitStage)
+	recs, err := e.WalkBatch(xs, 0, 0, pol, traces)
+	if err != nil {
+		return nil, err
 	}
-	results := make([]Result, len(xs))
-	detach := e.installObserver()
+	results := make([]Result, len(recs))
+	for i, rec := range recs {
+		x := rec.StageIndex
+		results[i] = Result{Record: rec, EdgePJ: e.costs.Edge[x], CloudPJ: e.costs.Cloud[x]}
+		if e.costs.Offloaded(x) {
+			results[i].Offloaded, results[i].WireBytes = true, e.wireBytes[x]
+			results[i].LinkPJ = e.costs.Link.TransferPJ(e.wireBytes[x])
+		}
+	}
+	return results, nil
+}
+
+// WalkBatch is the split pipeline as a serve pool worker runs it
+// (serve.Walker): the whole batch's prefix runs locally in one cascade
+// pass (core.Session.ClassifyPrefixBatchPolicy — exit where the δ-rule
+// fires, exited inputs compacted away between stages), then every
+// deferred split-point activation is wire-encoded and all of them resume
+// on the cloud in one round trip. An edge walks from the input layer only,
+// so node and fromStage must be 0. traces, when non-nil, holds each
+// input's trace: the prefix records "edge:"-prefixed stage spans into the
+// inputs' own traces, and every distinct trace gets the "edge:offload" hop
+// and the cloud's spans; the hop carries the first trace's ID. The policy
+// is honored within what a split deployment can: the offload wire carries
+// only δ, so per-stage thresholds, depth caps in the cloud's half of the
+// cascade and per-stage confidences cannot be forwarded and are rejected. A depth cap at or
+// below the last local stage resolves the whole batch on the edge (nothing
+// offloads) — the knob the SLO controller turns to shed the offload path
+// under load. serve.OffloadCarries is the rule. The records are the Edge's
+// until its next call.
+func (e *Edge) WalkBatch(xs []*tensor.T, node, fromStage int, pol core.ExitPolicy, traces []*obs.Trace) ([]core.ExitRecord, error) {
+	if node != 0 || fromStage != 0 {
+		return nil, fmt.Errorf("edgecloud: an edge walks from the input layer, not from node %d stage %d", node, fromStage)
+	}
+	if err := serve.OffloadCarries(pol, e.cfg.SplitStage, e.sess.Graph().MaxDepth()); err != nil {
+		return nil, fmt.Errorf("edgecloud: %w", err)
+	}
+	if traces != nil {
+		e.sess.SetStageObserver(serve.StageObserver(e.sess.Graph(), "edge:", traces))
+	}
 	prefixes := e.sess.ClassifyPrefixBatchPolicy(xs, e.cfg.SplitStage, pol)
-	detach()
+	if traces != nil {
+		e.sess.SetStageObserver(nil)
+	}
+	e.recs = slices.Grow(e.recs[:0], len(xs))[:len(xs)]
 	size := 0
 	e.deferred = e.deferred[:0]
 	for i, pre := range prefixes {
 		if pre.Exited {
-			results[i] = e.localResult(pre.Record)
+			e.recs[i] = pre.Record
 			continue
 		}
 		e.deferred = append(e.deferred, i)
 		size += wire.EncodedSizeAt(pre.Node, len(pre.Activation.Shape()), len(pre.Activation.Data), e.cfg.Encoding)
 	}
 	if len(e.deferred) == 0 {
-		return results, nil
+		return e.recs, nil
 	}
 	// Grown once, so every payload is a view of the one array.
 	e.slab, e.payloads = slices.Grow(e.slab[:0], size), e.payloads[:0]
@@ -271,37 +324,40 @@ func (e *Edge) ClassifyBatchPolicy(xs []*tensor.T, pol core.ExitPolicy) ([]Resul
 		}
 		e.payloads = append(e.payloads, e.slab[at:])
 	}
-	recs, err := e.resumeOffloads(e.payloads, pol.Delta)
+	recs, err := e.resumeOffloads(e.payloads, pol.Delta, traces)
 	if err != nil {
 		return nil, err
 	}
 	for k, rec := range recs {
-		res, err := e.offloadResult(rec, len(e.payloads[k]))
-		if err != nil {
+		if e.recs[e.deferred[k]], err = e.complete(rec); err != nil {
 			return nil, err
 		}
-		results[e.deferred[k]] = res
 	}
-	return results, nil
+	return e.recs, nil
 }
 
 // resumeOffloads ships the deferred payloads across the link in one round
-// trip, recording the hop as an "edge:offload" span and, on a
-// TracedBatchTransport, forwarding the trace ID and folding the cloud
-// tier's spans back in under "cloud:".
-func (e *Edge) resumeOffloads(payloads [][]byte, delta float64) ([]core.ExitRecord, error) {
+// trip and, for traced inputs, records the hop as an "edge:offload" span
+// and — on a TracedBatchTransport, which carries the first trace's ID —
+// folds the cloud tier's spans back in under "cloud:", in every distinct
+// trace of the batch (a request's inputs are adjacent).
+func (e *Edge) resumeOffloads(payloads [][]byte, delta float64, traces []*obs.Trace) ([]core.ExitRecord, error) {
+	var lead *obs.Trace
+	for _, tr := range traces {
+		if tr != nil {
+			lead = tr
+			break
+		}
+	}
 	var start time.Time
-	if e.tr != nil {
+	if lead != nil {
 		start = time.Now()
 	}
 	var recs []core.ExitRecord
+	var spans []obs.Span
 	var err error
-	if tt, ok := e.transport.(TracedBatchTransport); ok && e.tr != nil {
-		var spans []obs.Span
-		recs, spans, err = tt.ResumeBatchTraced(payloads, delta, e.tr.ID())
-		if err == nil {
-			e.tr.Merge("cloud:", spans)
-		}
+	if tt, ok := e.transport.(TracedBatchTransport); ok && lead != nil {
+		recs, spans, err = tt.ResumeBatchTraced(payloads, delta, lead.ID())
 	} else {
 		recs, err = e.transport.ResumeBatch(payloads, delta)
 	}
@@ -311,15 +367,18 @@ func (e *Edge) resumeOffloads(payloads [][]byte, delta float64) ([]core.ExitReco
 	if len(recs) != len(payloads) {
 		return nil, fmt.Errorf("edgecloud: cloud returned %d records for %d offloads", len(recs), len(payloads))
 	}
-	if e.tr != nil {
-		e.tr.Record("edge:offload", start, time.Now(), "payloads="+strconv.Itoa(len(payloads)))
+	if lead != nil {
+		end, detail := time.Now(), "payloads="+strconv.Itoa(len(payloads))
+		var last *obs.Trace
+		for _, tr := range traces {
+			if tr != nil && tr != last {
+				tr.Merge("cloud:", spans)
+				tr.Record("edge:offload", start, end, detail)
+				last = tr
+			}
+		}
 	}
 	return recs, nil
-}
-
-// localResult charges a prefix exit to the edge tier.
-func (e *Edge) localResult(rec core.ExitRecord) Result {
-	return Result{Record: rec, EdgePJ: e.costs.Edge[rec.StageIndex]}
 }
 
 // encodePrefix appends a deferred prefix's wire encoding to the slab: a
@@ -341,26 +400,19 @@ func (e *Edge) encodePrefix(pre core.PrefixResult) error {
 	return nil
 }
 
-// offloadResult checks what a cloud record carries — an exit in the cloud's
-// half of the cascade, a label of the model — completes the rest from the
-// edge's own graph, and charges all three tiers.
-func (e *Edge) offloadResult(rec core.ExitRecord, wireBytes int) (Result, error) {
+// complete checks what a cloud record carries — an exit in the cloud's
+// half of the cascade, a label of the model — and completes the rest from
+// the edge's own graph.
+func (e *Edge) complete(rec core.ExitRecord) (core.ExitRecord, error) {
 	if rec.StageIndex < e.cfg.SplitStage || rec.StageIndex >= len(e.exitOps) {
-		return Result{}, fmt.Errorf("edgecloud: cloud returned exit %d outside [%d,%d)",
+		return rec, fmt.Errorf("edgecloud: cloud returned exit %d outside [%d,%d)",
 			rec.StageIndex, e.cfg.SplitStage, len(e.exitOps))
 	}
 	if rec.Label < 0 || rec.Label >= e.classes {
-		return Result{}, fmt.Errorf("edgecloud: cloud returned label %d outside [0,%d)", rec.Label, e.classes)
+		return rec, fmt.Errorf("edgecloud: cloud returned label %d outside [0,%d)", rec.Label, e.classes)
 	}
 	g := e.sess.Graph()
 	rec.Node, _ = g.NodeOfExit(rec.StageIndex)
 	rec.StageName, rec.Ops = g.ExitName(rec.StageIndex), e.exitOps[rec.StageIndex]
-	return Result{
-		Record:    rec,
-		Offloaded: true,
-		WireBytes: wireBytes,
-		EdgePJ:    e.costs.Edge[rec.StageIndex],
-		LinkPJ:    e.costs.Link.TransferPJ(wireBytes),
-		CloudPJ:   e.costs.Cloud[rec.StageIndex],
-	}, nil
+	return rec, nil
 }

@@ -12,12 +12,14 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"cdl/internal/core"
 	"cdl/internal/edgecloud/wire"
 	"cdl/internal/energy"
 	"cdl/internal/modelio"
 	"cdl/internal/nn"
+	"cdl/internal/obs"
 	"cdl/internal/serve"
 	"cdl/internal/tensor"
 	"cdl/internal/train"
@@ -235,7 +237,7 @@ func TestEdgeServerEndToEnd(t *testing.T) {
 	edgeSrv, err := NewServer(cdln,
 		func() (Transport, error) { return NewHTTPModelTransport(cloudTS.URL, serve.DefaultModelName), nil },
 		Config{SplitStage: 1, Delta: -1},
-		ServerConfig{Workers: 2, CloudURL: cloudTS.URL})
+		ServerConfig{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +351,7 @@ func TestEdgeServerBadRequests(t *testing.T) {
 
 	good := data[0].X.Flatten().Data
 	bad := 1.5
-	tooMany := make([][]float64, maxRequestImages+1)
+	tooMany := make([][]float64, 256+1) // the per-request cap is 256 images
 	for i := range tooMany {
 		tooMany[i] = good
 	}
@@ -469,7 +471,7 @@ func TestClassifyBatchUsesBatchTransport(t *testing.T) {
 }
 
 // blockingTransport parks every round trip until released, signalling
-// entry.
+// entry without ever blocking on the signal.
 type blockingTransport struct {
 	entered chan struct{}
 	release chan struct{}
@@ -477,17 +479,19 @@ type blockingTransport struct {
 }
 
 func (b *blockingTransport) ResumeBatch(ps [][]byte, d float64) ([]core.ExitRecord, error) {
-	b.entered <- struct{}{}
+	select {
+	case b.entered <- struct{}{}:
+	default:
+	}
 	<-b.release
 	return b.lb.ResumeBatch(ps, d)
 }
 
-// TestEdgeServerShedsWhenBusy pins the load-shedding path: with one worker
-// stuck on a slow cloud, a second request must be rejected with 503 within
-// acquireTimeout instead of queueing unboundedly. Parallel: it waits the
-// full second, as TestEdgeSinksAgree does.
+// TestEdgeServerShedsWhenBusy pins the load-shedding path: with the lone
+// worker parked inside the cloud call and serve's bounded queue full (1 024
+// images), the next request is shed at once with 503 + Retry-After, cause
+// queue_full, instead of queueing unboundedly.
 func TestEdgeServerShedsWhenBusy(t *testing.T) {
-	t.Parallel()
 	cdln, data := testCDLN(t, 58)
 	lb, err := NewLoopback(cdln)
 	if err != nil {
@@ -504,36 +508,64 @@ func TestEdgeServerShedsWhenBusy(t *testing.T) {
 	ts := httptest.NewServer(edgeSrv.Handler())
 	defer ts.Close()
 
-	body, _ := json.Marshal(serve.ClassifyRequest{Image: data[0].X.Flatten().Data})
-	firstDone := make(chan error, 1)
-	go func() {
+	post := func(n int) (*http.Response, error) {
+		req := serve.ClassifyRequest{}
+		for i := 0; i < n; i++ {
+			req.Images = append(req.Images, data[i%len(data)].X.Flatten().Data)
+		}
+		body, _ := json.Marshal(req)
 		resp, err := http.Post(ts.URL+"/v1/classify", "application/json", bytes.NewReader(body))
 		if err == nil {
 			resp.Body.Close()
 		}
-		firstDone <- err
-	}()
+		return resp, err
+	}
+	const fill = 4 // requests at the 256-image cap: the 1 024-image queue
+	done := make(chan error, 1+fill)
+	go func() { _, err := post(1); done <- err }()
 	<-bt.entered // the lone worker is now parked inside the cloud call
+	for i := 0; i < fill; i++ {
+		go func() { _, err := post(256); done <- err }()
+	}
+	for edgeSrv.Stats().QueueDepth < fill*256 {
+		time.Sleep(time.Millisecond)
+	}
 
-	resp, err := http.Post(ts.URL+"/v1/classify", "application/json", bytes.NewReader(body))
+	resp, err := post(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("busy server: HTTP %d, want 503", resp.StatusCode)
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("full queue: HTTP %d, Retry-After %q; want 503 with Retry-After", resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
 
 	close(bt.release)
-	if err := <-firstDone; err != nil {
-		t.Fatal(err)
+	for i := 0; i <= fill; i++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
 	}
 	st := edgeSrv.Stats()
-	if st.Rejected != 1 {
-		t.Errorf("rejected %d, want 1", st.Rejected)
+	if st.Rejected != 1 || st.RejectedQueueFull != 1 {
+		t.Errorf("rejected %d (queue_full %d), want 1", st.Rejected, st.RejectedQueueFull)
 	}
-	if st.Images != 1 {
-		t.Errorf("images %d, want 1 (the shed request must not be classified)", st.Images)
+	if want := int64(1 + fill*256); st.Images != want {
+		t.Errorf("images %d, want %d (the shed request must not be classified)", st.Images, want)
+	}
+	var flights obs.FlightzResponse
+	w := httptest.NewRecorder()
+	edgeSrv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/debug/flightz?limit=256", nil))
+	if err := json.Unmarshal(w.Body.Bytes(), &flights); err != nil {
+		t.Fatal(err)
+	}
+	shed := 0
+	for _, rec := range flights.Records {
+		if rec.RejectCause == "queue_full" {
+			shed++
+		}
+	}
+	if shed != 1 {
+		t.Errorf("%d flight records with cause queue_full, want 1", shed)
 	}
 }
 

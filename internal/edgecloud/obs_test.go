@@ -64,16 +64,16 @@ func TestEdgeReadyzAndMetricsz(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"cdl_edge_requests_total 1",
-		"cdl_edge_images_total 10",
-		"cdl_edge_split_stage 1",
-		"cdl_edge_offload_fraction ",
-		"cdl_edge_latency_ms_count 10",
-		`cdl_tier_energy_pj_total{tier="edge"} `,
-		`cdl_tier_energy_pj_total{tier="link"} `,
-		`cdl_tier_energy_pj_total{tier="cloud"} `,
-		"cdl_energy_pj_per_image ",
-		"cdl_edge_workers 2",
+		`cdl_requests_total{model="default"} 1`,
+		`cdl_images_total{model="default"} 10`,
+		`cdl_split_stage{model="default"} 1`,
+		`cdl_offload_fraction{model="default"} `,
+		`cdl_total_latency_ms_count{model="default"} 10`,
+		`cdl_tier_energy_pj_total{model="default",tier="edge"} `,
+		`cdl_tier_energy_pj_total{model="default",tier="link"} `,
+		`cdl_tier_energy_pj_total{model="default",tier="cloud"} `,
+		`cdl_energy_pj_per_image{model="default"} `,
+		`cdl_workers{model="default"} 2`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("edge scrape missing %q", want)

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"cdl/internal/control"
 	"cdl/internal/core"
@@ -41,11 +42,10 @@ func (f *faultTransport) ResumeBatch(ps [][]byte, d float64) ([]core.ExitRecord,
 
 // TestEdgeSinksAgree is the edge tier's sink-conservation test: after a
 // mixed run — OK traffic from several clients, invalid bodies, a request
-// shed with every worker busy, an offload the cloud failed — the
-// cumulative counters, the telemetry window, the burn-rate monitor and the
-// flight ring agree exactly, /metricsz renders what /statsz reports, and
-// every non-200 left a flight record naming its cause. Run under -race.
-// Parallel: its shed waits the full acquireTimeout second.
+// shed on a full queue, an offload the cloud failed — the cumulative
+// counters, the telemetry window, the burn-rate monitor and the flight
+// ring agree exactly, /metricsz renders what /statsz reports, and every
+// non-200 left a flight record naming its cause. Run under -race.
 func TestEdgeSinksAgree(t *testing.T) {
 	t.Parallel()
 	cdln, data := testCDLN(t, 93)
@@ -54,7 +54,7 @@ func TestEdgeSinksAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	ft := &faultTransport{lb: lb, entered: make(chan struct{}), release: make(chan struct{})}
-	// One worker, so one parked offload is "every worker busy". The latency
+	// One worker, so one parked offload holds the queue. The latency
 	// target is one nothing misses: bad counts exactly the refused images.
 	srv, err := NewServer(cdln, func() (Transport, error) { return ft, nil },
 		Config{SplitStage: 1, Delta: -1},
@@ -101,9 +101,53 @@ func TestEdgeSinksAgree(t *testing.T) {
 		return b
 	}
 
+	get := func(path string, out any) {
+		t.Helper()
+		w := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+		if err := json.Unmarshal(w.Body.Bytes(), out); err != nil || w.Code != http.StatusOK {
+			t.Fatalf("GET %s: HTTP %d, %v", path, w.Code, err)
+		}
+	}
+	checked := map[string]bool{} // refusals whose flight record was read early
+	// queue_full: park the lone worker inside the cloud call, fill the
+	// bounded queue (1 024 images, four requests at the 256-image cap),
+	// then ask.
+	ft.park.Store(true)
+	parked := make(chan int, 5)
+	go func() { parked <- do(classify(2, 0, true)) }()
+	<-ft.entered
+	ft.park.Store(false)
+	const fill = 4
+	for i := 0; i < fill; i++ {
+		go func() { parked <- do(classify(256, i, true)) }()
+	}
+	for srv.model.Stats().QueueDepth < fill*256 {
+		time.Sleep(time.Millisecond)
+	}
+	if code := do(classify(3, 0, true)); code != http.StatusServiceUnavailable {
+		t.Fatalf("busy edge: HTTP %d, want 503", code)
+	}
+	// The released fill outnumbers the 256-record flight ring: read the
+	// shed's record now.
+	var early obs.FlightzResponse
+	get("/debug/flightz?limit=256", &early)
+	for _, rec := range early.Records {
+		if refused[rec.TraceID] == http.StatusServiceUnavailable && rec.RejectCause == "queue_full" {
+			checked[rec.TraceID] = true
+		}
+	}
+	close(ft.release)
+	for i := 0; i <= fill; i++ {
+		if code := <-parked; code != http.StatusOK {
+			t.Fatalf("parked request: HTTP %d, want 200", code)
+		}
+	}
+	okImages, okRequests := int64(2+fill*256), int64(1+fill)
+
 	const clients, perClient = 3, 5
 	var wg sync.WaitGroup
-	var okImages, okRequests, invalid int64
+	var invalid int64
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
@@ -128,20 +172,6 @@ func TestEdgeSinksAgree(t *testing.T) {
 	}
 	wg.Wait()
 
-	// workers_busy: park the lone worker inside the cloud call, then ask.
-	ft.park.Store(true)
-	parked := make(chan int, 1)
-	go func() { parked <- do(classify(2, 0, true)) }()
-	<-ft.entered
-	ft.park.Store(false)
-	if code := do(classify(3, 0, true)); code != http.StatusServiceUnavailable {
-		t.Fatalf("busy edge: HTTP %d, want 503", code)
-	}
-	close(ft.release)
-	if code := <-parked; code != http.StatusOK {
-		t.Fatalf("parked request: HTTP %d, want 200", code)
-	}
-	okImages, okRequests = okImages+2, okRequests+1
 	// cloud_error: the offload fails, the whole request is a 502.
 	ft.fail.Store(true)
 	if code := do(classify(4, 0, true)); code != http.StatusBadGateway {
@@ -150,30 +180,22 @@ func TestEdgeSinksAgree(t *testing.T) {
 	const refusedImages, refusals = 3 + 4, 2
 
 	st := srv.Stats()
-	snap := srv.plane.Window()
+	snap := srv.model.Plane().Window()
 	var exits int64
 	for _, c := range snap.ExitCounts {
 		exits += c
 	}
-	get := func(path string, out any) {
-		t.Helper()
-		w := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
-		if err := json.Unmarshal(w.Body.Bytes(), out); err != nil || w.Code != http.StatusOK {
-			t.Fatalf("GET %s: HTTP %d, %v", path, w.Code, err)
-		}
-	}
 	var alerts control.AlertzReport
 	get("/alertz", &alerts)
-	alert := alerts.Models["blob"]
+	alert := alerts.Models[serve.DefaultModelName]
 	var flights obs.FlightzResponse
 	get("/debug/flightz?limit=256", &flights)
-	seen := flights.Models["blob"].Seen
+	seen := flights.Models[serve.DefaultModelName].Seen
 
-	if st.Images != okImages || st.LocalExits+st.Offloads != okImages || st.Latency.Count != okImages ||
+	if st.Images != okImages || st.LocalExits+st.Offloads != okImages || st.TotalLatency.Count != okImages ||
 		snap.Images != okImages || exits != okImages || alert.TotalGood != okImages {
 		t.Errorf("images: statsz %d, local+offloads %d, latency %d, window %d, Σ exit depth %d, alert good %d — want all %d",
-			st.Images, st.LocalExits+st.Offloads, st.Latency.Count, snap.Images, exits, alert.TotalGood, okImages)
+			st.Images, st.LocalExits+st.Offloads, st.TotalLatency.Count, snap.Images, exits, alert.TotalGood, okImages)
 	}
 	if st.Requests != okRequests || st.Invalid != invalid || st.Rejected != 1 || st.CloudErrors != 1 {
 		t.Errorf("requests/invalid/rejected/cloud_errors = %d/%d/%d/%d, want %d/%d/1/1",
@@ -191,10 +213,10 @@ func TestEdgeSinksAgree(t *testing.T) {
 	w := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metricsz", nil))
 	for _, line := range []string{
-		fmt.Sprintf(`cdl_edge_images_total %d`, okImages),
-		fmt.Sprintf(`cdl_flight_seen_total{model="blob"} %d`, seen),
-		fmt.Sprintf(`cdl_alert_bad_total{model="blob"} %d`, refusedImages),
-		`cdl_alert_error_budget{model="blob"} 0.01`,
+		fmt.Sprintf(`cdl_images_total{model="default"} %d`, okImages),
+		fmt.Sprintf(`cdl_flight_seen_total{model="default"} %d`, seen),
+		fmt.Sprintf(`cdl_alert_bad_total{model="default"} %d`, refusedImages),
+		`cdl_alert_error_budget{model="default"} 0.01`,
 	} {
 		if !bytes.Contains(w.Body.Bytes(), []byte(line+"\n")) {
 			t.Errorf("/metricsz lacks %q", line)
@@ -211,7 +233,7 @@ func TestEdgeSinksAgree(t *testing.T) {
 		t.Fatalf("%d non-200 responses, want %d", len(refused), invalid+refusals)
 	}
 	for id, code := range refused {
-		if rec, ok := byTrace[id]; !ok || rec.RejectCause == "" {
+		if rec, ok := byTrace[id]; !checked[id] && (!ok || rec.RejectCause == "") {
 			t.Errorf("HTTP %d (trace %s) left flight record %+v, want one with a reject_cause", code, id, rec)
 		}
 	}
@@ -315,14 +337,14 @@ func TestEdgeChecksWhatItCannotDerive(t *testing.T) {
 		if st.CloudErrors != 1 || st.Requests != 0 || st.Images != 0 {
 			t.Errorf("%s: statsz cloud_errors/requests/images = %d/%d/%d, want 1/0/0", tc.name, st.CloudErrors, st.Requests, st.Images)
 		}
-		if !bytes.Contains(metrics, []byte("cdl_edge_cloud_errors_total 1\n")) {
+		if !bytes.Contains(metrics, []byte(`cdl_cloud_errors_total{model="default"} 1`+"\n")) {
 			t.Errorf("%s: /metricsz does not count the cloud error", tc.name)
 		}
-		if bad := alerts.Models["liar"].TotalBad; bad != 2 {
+		if bad := alerts.Models[serve.DefaultModelName].TotalBad; bad != 2 {
 			t.Errorf("%s: alert bad %d, want the request's 2 images", tc.name, bad)
 		}
-		if len(flights.Records) != 1 || flights.Records[0].TraceID != "liar-0001" || flights.Records[0].RejectCause != causeCloudError {
-			t.Errorf("%s: flight records %+v, want one for liar-0001 with cause %q", tc.name, flights.Records, causeCloudError)
+		if len(flights.Records) != 1 || flights.Records[0].TraceID != "liar-0001" || flights.Records[0].RejectCause != "cloud_error" {
+			t.Errorf("%s: flight records %+v, want one for liar-0001 with cause cloud_error", tc.name, flights.Records)
 		}
 	}
 }

@@ -117,7 +117,7 @@ func TestCrossTierSpanTree(t *testing.T) {
 	edgeSrv, err := NewGraphServer(g,
 		func() (Transport, error) { return NewHTTPModelTransport(cloudTS.URL, serve.DefaultModelName), nil },
 		Config{SplitStage: 1, Delta: -1},
-		ServerConfig{Workers: 1, CloudURL: cloudTS.URL})
+		ServerConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

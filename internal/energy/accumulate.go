@@ -64,6 +64,18 @@ func (e Evaluator) NewGraphAccumulator(g *core.Graph) (*Accumulator, error) {
 	}, nil
 }
 
+// NewSplitAccumulator is NewGraphAccumulator for g deployed split as tc
+// describes: each exit is charged its whole-system energy,
+// tc.ExitEnergies(wireBytes), link transfer included.
+func (e Evaluator) NewSplitAccumulator(g *core.Graph, tc *TierCosts, wireBytes []int) (*Accumulator, error) {
+	a, err := e.NewGraphAccumulator(g)
+	if err != nil {
+		return nil, err
+	}
+	a.exits = tc.ExitEnergies(wireBytes)
+	return a, nil
+}
+
 // Add charges one classified input to the counters. Records with an exit
 // index or label outside the model the accumulator was built for are
 // rejected.

@@ -41,7 +41,8 @@ func (l Link) TransferPJ(bytes int) float64 {
 // TierCosts precomputes the per-exit energy split of an edge–cloud
 // deployment cut after SplitStage cascade stages: an input exiting at exit
 // i consumed Edge[i] pJ on the edge tier and Cloud[i] pJ on the cloud tier
-// (link energy is per-transfer, charged separately from actual wire bytes).
+// (link energy is per transfer, on the payload size the deployment's wire
+// gives each exit: see ExitEnergies).
 // Edge[i]+Cloud[i] always equals the monolithic exit energy, so tiered
 // accounting never invents or loses compute energy — the split only moves
 // it and adds the link.
@@ -59,11 +60,15 @@ type TierCosts struct {
 	// prefix ran (including the last edge stage's classifier, whose
 	// activation module declined to exit).
 	PrefixPJ float64
+	// Handoff[i] is the graph node an input exiting at exit i resumed in
+	// on the cloud — 0 for the trunk's split point, a branch directly
+	// under the trunk for a route that fired on the edge — or −1 for a
+	// local exit. The resume point fixes the offload's size on the wire.
+	Handoff []int
 	// BaselinePJ is one unconditioned full forward pass, for
 	// normalization.
 	BaselinePJ float64
-	// Link is the transmission model used by accumulators built from
-	// these costs.
+	// Link is the transmission model ExitEnergies and Summary charge.
 	Link Link
 }
 
@@ -99,6 +104,7 @@ func (e Evaluator) GraphTierCosts(g *core.Graph, splitStage int, link Link) (*Ti
 		SplitStage: splitStage,
 		Edge:       make([]float64, len(exits)),
 		Cloud:      make([]float64, len(exits)),
+		Handoff:    make([]int, len(exits)),
 		BaselinePJ: e.BaselineEnergy(trunk),
 		Link:       link,
 	}
@@ -108,20 +114,24 @@ func (e Evaluator) GraphTierCosts(g *core.Graph, splitStage int, link Link) (*Ti
 		tc.PrefixPJ = exits[splitStage-1]
 	}
 	// departure[n] is the trunk stage at which inputs bound for node n
-	// leave the trunk: the router stage of n's trunk-level ancestor.
-	departure := make([]int, len(g.Nodes))
+	// leave the trunk: the router stage of n's trunk-level ancestor,
+	// entry[n].
+	departure, entry := make([]int, len(g.Nodes)), make([]int, len(g.Nodes))
 	for ni := 1; ni < len(g.Nodes); ni++ {
+		child := ni
 		anc, stage := g.ParentOf(ni)
 		for anc != 0 {
+			child = anc
 			anc, stage = g.ParentOf(anc)
 		}
-		departure[ni] = stage
+		departure[ni], entry[ni] = stage, child
 	}
 	for i, pj := range exits {
 		node, local := g.NodeOfExit(i)
 		switch {
 		case node == 0 && local < splitStage:
 			tc.Edge[i] = pj // local trunk exit
+			tc.Handoff[i] = -1
 		case node == 0:
 			tc.Edge[i] = tc.PrefixPJ // offloaded at the split
 			tc.Cloud[i] = pj - tc.PrefixPJ
@@ -130,6 +140,7 @@ func (e Evaluator) GraphTierCosts(g *core.Graph, splitStage int, link Link) (*Ti
 			// through the router stage, then shipped the branch entry.
 			tc.Edge[i] = exits[departure[node]]
 			tc.Cloud[i] = pj - tc.Edge[i]
+			tc.Handoff[i] = entry[node]
 		default:
 			// The input offloaded at the split before reaching the router;
 			// the whole route and branch ran on the cloud.
@@ -173,67 +184,51 @@ type TieredSummary struct {
 	NormalizedTotal float64
 }
 
-// TieredAccumulator aggregates per-tier energy one ExitRecord at a time —
-// the split-deployment counterpart of Accumulator. Whether a record crossed
-// the link is implied by its exit index (TierCosts.Offloaded); wire bytes
-// are charged at the link model's rate. Not safe for concurrent use; guard
-// with a lock or shard and sum snapshots.
-type TieredAccumulator struct {
-	costs *TierCosts
-
-	count     int64
-	offloaded int64
-	wireBytes int64
-	edgePJ    float64
-	linkPJ    float64
-	cloudPJ   float64
+// linkPJ is the link energy an input exiting at exit i paid: one transfer
+// of wireBytes[i] bytes when the exit lies past the split, nothing for a
+// local exit.
+func (tc *TierCosts) linkPJ(i int, wireBytes []int) float64 {
+	if !tc.Offloaded(i) {
+		return 0
+	}
+	return tc.Link.TransferPJ(wireBytes[i])
 }
 
-// NewAccumulator returns an empty accumulator over these tier costs.
-func (tc *TierCosts) NewAccumulator() *TieredAccumulator {
-	return &TieredAccumulator{costs: tc}
+// ExitEnergies returns each exit's whole-system energy in a deployment
+// whose offload of an input exiting at exit i ships wireBytes[i] bytes:
+// Edge[i] + link + Cloud[i], summed in that order — what an edge's
+// per-input tier split adds up to — so a local exit costs Edge[i].
+func (tc *TierCosts) ExitEnergies(wireBytes []int) []float64 {
+	out := make([]float64, len(tc.Edge))
+	for i := range out {
+		out[i] = tc.Edge[i] + tc.linkPJ(i, wireBytes) + tc.Cloud[i]
+	}
+	return out
 }
 
-// Add charges one classified input: its exit's edge/cloud compute, and —
-// when the exit lies past the split — one transfer of wireBytes payload.
-// wireBytes is ignored for local exits (nothing was shipped).
-func (a *TieredAccumulator) Add(rec core.ExitRecord, wireBytes int) error {
-	if rec.StageIndex < 0 || rec.StageIndex >= len(a.costs.Edge) {
-		return fmt.Errorf("energy: exit index %d outside [0,%d)", rec.StageIndex, len(a.costs.Edge))
+// Summary folds per-exit input counts into the tiered view: each exit's
+// inputs are charged its edge and cloud compute and, past the split, one
+// transfer of wireBytes[i] each.
+func (tc *TierCosts) Summary(exitCounts []int64, wireBytes []int) TieredSummary {
+	s := TieredSummary{SplitStage: tc.SplitStage, BaselinePJ: tc.BaselinePJ}
+	for i, c := range exitCounts {
+		n := float64(c)
+		s.Count += c
+		s.EdgePJ += n * tc.Edge[i]
+		s.LinkPJ += n * tc.linkPJ(i, wireBytes)
+		s.CloudPJ += n * tc.Cloud[i]
+		if tc.Offloaded(i) {
+			s.Offloaded += c
+			s.WireBytes += c * int64(wireBytes[i])
+		}
 	}
-	if wireBytes < 0 {
-		return fmt.Errorf("energy: negative wire bytes %d", wireBytes)
-	}
-	a.count++
-	a.edgePJ += a.costs.Edge[rec.StageIndex]
-	a.cloudPJ += a.costs.Cloud[rec.StageIndex]
-	if a.costs.Offloaded(rec.StageIndex) {
-		a.offloaded++
-		a.wireBytes += int64(wireBytes)
-		a.linkPJ += a.costs.Link.TransferPJ(wireBytes)
-	}
-	return nil
-}
-
-// Summary snapshots the counters.
-func (a *TieredAccumulator) Summary() TieredSummary {
-	s := TieredSummary{
-		SplitStage: a.costs.SplitStage,
-		Count:      a.count,
-		Offloaded:  a.offloaded,
-		WireBytes:  a.wireBytes,
-		EdgePJ:     a.edgePJ,
-		LinkPJ:     a.linkPJ,
-		CloudPJ:    a.cloudPJ,
-		TotalPJ:    a.edgePJ + a.linkPJ + a.cloudPJ,
-		BaselinePJ: a.costs.BaselinePJ,
-	}
-	if a.count > 0 {
-		n := float64(a.count)
-		s.OffloadFraction = float64(a.offloaded) / n
-		s.MeanEdgePJ = a.edgePJ / n
-		s.MeanLinkPJ = a.linkPJ / n
-		s.MeanCloudPJ = a.cloudPJ / n
+	s.TotalPJ = s.EdgePJ + s.LinkPJ + s.CloudPJ
+	if s.Count > 0 {
+		n := float64(s.Count)
+		s.OffloadFraction = float64(s.Offloaded) / n
+		s.MeanEdgePJ = s.EdgePJ / n
+		s.MeanLinkPJ = s.LinkPJ / n
+		s.MeanCloudPJ = s.CloudPJ / n
 		s.MeanTotalPJ = s.TotalPJ / n
 		if s.BaselinePJ > 0 {
 			s.NormalizedTotal = s.MeanTotalPJ / s.BaselinePJ

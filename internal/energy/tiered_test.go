@@ -29,15 +29,15 @@ func TestTierCostsConserveEnergy(t *testing.T) {
 				if tc.Cloud[i] != 0 {
 					t.Errorf("split %d: local exit %d charged %v pJ to the cloud", split, i, tc.Cloud[i])
 				}
-				if tc.Offloaded(i) {
-					t.Errorf("split %d: exit %d marked offloaded", split, i)
+				if tc.Offloaded(i) || tc.Handoff[i] != -1 {
+					t.Errorf("split %d: exit %d marked offloaded (handoff %d)", split, i, tc.Handoff[i])
 				}
 			} else {
 				if tc.Edge[i] != tc.PrefixPJ {
 					t.Errorf("split %d: offloaded exit %d edge cost %v != prefix %v", split, i, tc.Edge[i], tc.PrefixPJ)
 				}
-				if !tc.Offloaded(i) {
-					t.Errorf("split %d: exit %d not marked offloaded", split, i)
+				if !tc.Offloaded(i) || tc.Handoff[i] != 0 {
+					t.Errorf("split %d: exit %d not marked offloaded at the trunk (handoff %d)", split, i, tc.Handoff[i])
 				}
 			}
 		}
@@ -64,10 +64,12 @@ func TestTierCostsValidation(t *testing.T) {
 	}
 }
 
-// TestTieredAccumulator charges a synthetic exit mix and checks totals,
-// offload accounting and the lossless-link identity: total minus link
-// equals what the monolithic accumulator would have charged.
-func TestTieredAccumulator(t *testing.T) {
+// TestTieredSummary charges a synthetic exit mix by its per-exit counts
+// and checks totals, offload accounting and the lossless-link identity:
+// total minus link equals what the monolithic accumulator would have
+// charged. ExitEnergies prices each exit as edge + link + cloud, the link
+// only past the split.
+func TestTieredSummary(t *testing.T) {
 	cdln, _ := buildSmallCDLN(t)
 	ev := NewEvaluator()
 	link := Link{PJPerByte: 100, PerOffloadPJ: 1000}
@@ -76,24 +78,26 @@ func TestTieredAccumulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc := tc.NewAccumulator()
 	mono, err := ev.NewAccumulator(cdln)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	const wireBytes = 256
+	bytes := make([]int, len(tc.Edge))
+	for i := range bytes {
+		bytes[i] = wireBytes
+	}
 	records := []core.ExitRecord{
 		{StageIndex: 0, Label: 1}, // local exit
 		{StageIndex: 0, Label: 4},
 		{StageIndex: len(cdln.Stages), Label: 2}, // FC via cloud
 		{StageIndex: split, Label: 0},            // first cloud stage
 	}
+	counts := make([]int64, len(tc.Edge))
 	offloads := 0
 	for _, rec := range records {
-		if err := acc.Add(rec, wireBytes); err != nil {
-			t.Fatal(err)
-		}
+		counts[rec.StageIndex]++
 		if err := mono.Add(rec); err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +106,7 @@ func TestTieredAccumulator(t *testing.T) {
 		}
 	}
 
-	s := acc.Summary()
+	s := tc.Summary(counts, bytes)
 	if s.Count != int64(len(records)) || s.Offloaded != int64(offloads) {
 		t.Fatalf("count %d/%d, want %d/%d", s.Count, s.Offloaded, len(records), offloads)
 	}
@@ -124,25 +128,13 @@ func TestTieredAccumulator(t *testing.T) {
 	if s.TotalPJ != s.EdgePJ+s.LinkPJ+s.CloudPJ {
 		t.Errorf("total %v != edge+link+cloud", s.TotalPJ)
 	}
-}
-
-func TestTieredAccumulatorRejects(t *testing.T) {
-	cdln, _ := buildSmallCDLN(t)
-	tc, err := NewEvaluator().GraphTierCosts(core.LinearGraph(cdln), 1, DefaultLink())
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc := tc.NewAccumulator()
-	if err := acc.Add(core.ExitRecord{StageIndex: -1}, 0); err == nil {
-		t.Error("negative exit accepted")
-	}
-	if err := acc.Add(core.ExitRecord{StageIndex: len(cdln.Stages) + 1}, 0); err == nil {
-		t.Error("out-of-range exit accepted")
-	}
-	if err := acc.Add(core.ExitRecord{StageIndex: 1}, -5); err == nil {
-		t.Error("negative wire bytes accepted")
-	}
-	if got := acc.Summary().Count; got != 0 {
-		t.Errorf("rejected records charged: count %d", got)
+	for i, pj := range tc.ExitEnergies(bytes) {
+		want := tc.Edge[i]
+		if tc.Offloaded(i) {
+			want = tc.Edge[i] + link.TransferPJ(wireBytes) + tc.Cloud[i]
+		}
+		if pj != want {
+			t.Errorf("exit %d: %v pJ, want %v", i, pj, want)
+		}
 	}
 }

@@ -23,7 +23,8 @@ import (
 )
 
 // identityPolicy is the shared inherit target when no controller is
-// attached: the model's trained behaviour. Never mutated.
+// attached: the model's trained behaviour (a split entry has its own, at
+// its δ). Never mutated.
 var identityPolicy = core.DefaultExitPolicy()
 
 // servePolicy is the policy a request without an explicit one inherits —
@@ -35,7 +36,7 @@ func (m *Model) servePolicy() (*core.ExitPolicy, string) {
 	if p := m.plane.Policy(); p != nil {
 		return p, control.SourceController
 	}
-	return &identityPolicy, control.SourceDefault
+	return m.identity, control.SourceDefault
 }
 
 // SetSLO attaches (or re-targets) a feedback controller on entry name.
@@ -62,6 +63,9 @@ func (r *Registry) SetSLO(name string, slo control.SLO) error {
 	}
 	name = m.name // resolve "" to the first registered entry
 	ladder := control.Ladder(m.graph.MaxDepth(), slo.AccuracyFloorDelta)
+	if m.split != nil {
+		ladder = m.split.ladder(m.graph.MaxDepth(), slo.AccuracyFloorDelta)
+	}
 	return m.plane.Attach(slo, ladder, r.cfg.ControlInterval, func() float64 {
 		cur, err := r.Get(name)
 		if err != nil {

@@ -1,9 +1,9 @@
-// infer.go is the one inference path. The two data routes,
-// /v2/models/{model}/classify and /v2/models/{model}/resume, are one
-// request: inputs (images, or activations resumed from an edge tier), an
-// exit policy and a deadline. Each route contributes only its wire struct
-// and the shim that maps it onto inferRequest; everything after the shim
-// runs once, in handleInfer.
+// infer.go is the one inference path. The data routes,
+// /v2/models/{model}/classify and /v2/models/{model}/resume, plus the edge
+// front's /v1/classify (ClassifyV1), are one request: inputs (images, or
+// activations resumed from an edge tier), an exit policy and a deadline.
+// Each route contributes only its wire struct and the shim that maps it
+// onto inferRequest; everything after the shim runs once, in handleInfer.
 package serve
 
 import (
@@ -42,6 +42,8 @@ type inferRequest struct {
 	// current rung, or the trained behaviour).
 	policy    *PolicyRequest
 	timeoutMS int
+	// v1 answers a ClassifyResponse (the edge front's /v1/classify).
+	v1 bool
 }
 
 // wireRequest is a route's wire struct; infer is its decode shim.
@@ -49,6 +51,16 @@ type wireRequest interface{ infer() inferRequest }
 
 func (q *V2ClassifyRequest) infer() inferRequest {
 	return inferRequest{images: ClassifyRequest{Image: q.Image, Images: q.Images}, policy: q.Policy, timeoutMS: q.TimeoutMS}
+}
+
+// infer maps the bare δ onto a policy that names only it: explicit, so it
+// bypasses the controller, as on every route.
+func (q *ClassifyRequest) infer() inferRequest {
+	r := inferRequest{images: *q, v1: true}
+	if q.Delta != nil {
+		r.policy = &PolicyRequest{Delta: q.Delta}
+	}
+	return r
 }
 
 func (q *V2ResumeRequest) infer() inferRequest {
@@ -229,33 +241,6 @@ func strictDecode(data []byte, into any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	return dec.Decode(into)
-}
-
-// DecodeClassify is the /v1/classify ingress for a tier that fronts one
-// fixed model outside a registry (the edge front in internal/edgecloud):
-// decodeBody, NormalizeImages and ParseDeltaOverride — the body check and
-// the input check handleInfer runs on its images, and the δ check behind a
-// /v2 "policy.delta" — so the edge refuses what the cloud refuses. On rejection it has written the error response and returns
-// ok=false. delta is nil when the client sent none. The images are the
-// caller's: it gives them back with ReleaseImages(inWidth, images...) once
-// nothing reads them any more.
-func DecodeClassify(w http.ResponseWriter, r *http.Request, inWidth, maxImages int, inShape []int) (images [][]float64, delta *float64, ok bool) {
-	var req ClassifyRequest
-	rerr := decodeBody(w, r, http.MethodPost, bodyBound(maxImages, inWidth*32), &req, inWidth, maxImages)
-	if rerr == nil {
-		images, err := req.NormalizeImages(inWidth, maxImages, inShape)
-		if err == nil {
-			_, err = ParseDeltaOverride(req.Delta)
-		}
-		if err == nil {
-			return images, req.Delta, true
-		}
-		ReleaseImages(inWidth, req.Image)
-		ReleaseImages(inWidth, req.Images...)
-		rerr = badRequest("%v", err)
-	}
-	WriteError(w, rerr.status, rerr.msg)
-	return nil, nil, false
 }
 
 // oneOrMany resolves a wire struct's single/batch pair (noun / noun+"s")
@@ -449,6 +434,9 @@ func (s *Server) handleInfer(resume bool, newBody func() wireRequest) http.Handl
 
 		detail := DetailCost
 		build := func(m *Model) ([]*job, *requestError) {
+			if resume && m.split != nil {
+				return nil, badRequest("model %q is a split entry: its tail runs on another tier, so it resumes nothing", m.name)
+			}
 			jobs, err := req.inputs(m, resume, s.maxImages)
 			if err != nil {
 				return nil, badRequest("%v", err)
@@ -460,6 +448,9 @@ func (s *Server) handleInfer(resume bool, newBody func() wireRequest) http.Handl
 			pol, source := m.servePolicy()
 			if req.policy != nil {
 				explicit, d, err := req.policy.resolve(m)
+				if err == nil && m.split != nil {
+					err = OffloadCarries(explicit, m.split.Costs.SplitStage, m.graph.MaxDepth())
+				}
 				if err != nil {
 					return nil, badRequest("policy: %v", err)
 				}
@@ -472,8 +463,12 @@ func (s *Server) handleInfer(resume bool, newBody func() wireRequest) http.Handl
 			return
 		}
 		traceID, spans := finishTrace(r, detail)
-		if frame {
+		switch {
+		case frame:
 			writeFrame(w, records, spans)
+			return
+		case req.v1:
+			writeV1(w, m, records, traceID, spans)
 			return
 		}
 		resp := V2ClassifyResponse{
@@ -486,6 +481,21 @@ func (s *Server) handleInfer(resume bool, newBody func() wireRequest) http.Handl
 		}
 		WriteJSON(w, http.StatusOK, resp)
 	}
+}
+
+// writeV1 answers the edge front's /v1/classify at detail "cost".
+func writeV1(w http.ResponseWriter, m *Model, records []core.ExitRecord, traceID string, spans []obs.Span) {
+	resp := ClassifyResponse{Results: make([]ClassifyResult, len(records)), Count: len(records), TraceID: traceID, Spans: spans}
+	for i, rec := range records {
+		resp.Results[i] = ClassifyResult{
+			Label: rec.Label, Exit: rec.StageName, ExitIndex: rec.StageIndex, Node: rec.Node,
+			Confidence: rec.Confidence, Ops: rec.Ops, EnergyPJ: m.metrics.acc.ExitEnergy(rec.StageIndex),
+		}
+		if base := m.metrics.baselineOps; base > 0 {
+			resp.Results[i].NormalizedOps = rec.Ops / base
+		}
+	}
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // answerFrame is the scratch a frame answer is rendered in: the records,

@@ -54,6 +54,20 @@ func (m *Model) prom(p *obs.Prom) {
 	p.Gauge("cdl_baseline_ops", "Dynamic operations of one unconditioned baseline pass.", model, s.BaselineOps)
 	p.Gauge("cdl_baseline_energy_pj", "45 nm energy of one unconditioned baseline pass (pJ).", model, s.BaselineEnergyPJ)
 
+	if t := s.Tier; t != nil {
+		// A split entry's tier view: what crossed the link, what it cost
+		// there, and the walks the other tier failed.
+		p.Gauge("cdl_split_stage", "Trunk stages a split entry walks before it offloads.", model, float64(t.SplitStage))
+		p.Counter("cdl_offloads_total", "Images shipped across the link as intermediate activations.", model, float64(t.Offloaded))
+		p.Gauge("cdl_offload_fraction", "Fraction of images that crossed the link.", model, t.OffloadFraction)
+		p.Counter("cdl_wire_bytes_total", "Encoded payload bytes shipped.", model, float64(t.WireBytes))
+		tier := func(n string) obs.Labels { return obs.Labels{{"model", m.name}, {"tier", n}} }
+		p.Counter("cdl_tier_energy_pj_total", "Cumulative 45 nm energy by tier (edge compute, link transfer, cloud compute).", tier("edge"), t.EdgePJ)
+		p.Counter("cdl_tier_energy_pj_total", "", tier("link"), t.LinkPJ)
+		p.Counter("cdl_tier_energy_pj_total", "", tier("cloud"), t.CloudPJ)
+		p.Counter("cdl_cloud_errors_total", "Requests answered 502 because their group's walk failed on the other tier.", model, float64(s.CloudErrors))
+	}
+
 	p.Histogram("cdl_queue_latency_ms", "Per-image queue wait (enqueue to micro-batch start), milliseconds.", model, s.queue.Bounds, s.queue.Counts, s.queue.Sum, s.queue.Count)
 	p.Histogram("cdl_service_latency_ms", "Per-image micro-batch service time, milliseconds.", model, s.service.Bounds, s.service.Counts, s.service.Sum, s.service.Count)
 	p.Histogram("cdl_total_latency_ms", "Per-image end-to-end latency inside the pool, milliseconds.", model, s.total.Bounds, s.total.Counts, s.total.Sum, s.total.Count)

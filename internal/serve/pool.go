@@ -54,6 +54,9 @@ type job struct {
 	// context; the handler discards the whole request and the counters of
 	// classified images skip it.
 	cancelled bool
+	// err is set (before wg.Done) when the walk of the job's group failed:
+	// the handler answers the whole request 502.
+	err error
 	// enqueued and started bound the job's queue wait: submit stamps
 	// enqueued (one clock read per request), the worker stamps started
 	// when its micro-batch begins. The emit callback turns them into the
@@ -62,33 +65,60 @@ type job struct {
 	started  time.Time
 }
 
-// pool is the replica fan-out: a bounded job queue drained by one goroutine
-// per pre-built core.Session. Workers micro-batch work-conservingly —
-// after blocking on the first job they take whatever else is already
-// queued, up to maxBatch, and never wait for more — so batches form from
-// the backlog that builds while every replica is busy, which is when the
-// per-batch costs downstream (one metrics lock per batch, not per image)
-// need amortizing, and a lone request on an idle pool is dispatched at once.
-type pool struct {
-	jobs     chan *job
-	maxBatch int
+// Walker walks one group of a pool worker's micro-batch: inputs that enter
+// the routing graph at (node, fromStage) under one policy. traces is nil
+// when no input is traced, else each input's trace (nil for an untraced
+// one), into which the walk records its spans. A registry entry's own
+// walker is its core.Session (sessionWalker), which cannot fail; a split
+// entry's walkers resume each group's residue on another tier and can
+// (RegisterSplit). The records need only stay valid until the next call.
+type Walker interface {
+	WalkBatch(xs []*tensor.T, node, fromStage int, pol core.ExitPolicy, traces []*obs.Trace) ([]core.ExitRecord, error)
+}
 
-	mu     sync.Mutex // serializes submits
+// sessionWalker walks a group with Session.ResumeBatchPolicyAt, which is a
+// batched policy-aware classify at (0, 0) and a resume elsewhere.
+type sessionWalker struct{ *core.Session }
+
+func (s sessionWalker) WalkBatch(xs []*tensor.T, node, fromStage int, pol core.ExitPolicy, traces []*obs.Trace) ([]core.ExitRecord, error) {
+	if traces != nil {
+		s.SetStageObserver(StageObserver(s.Graph(), "", traces))
+		defer s.SetStageObserver(nil)
+	}
+	return s.ResumeBatchPolicyAt(xs, node, fromStage, pol), nil
+}
+
+// pool is the replica fan-out: a bounded job queue drained by one goroutine
+// per Walker. Workers micro-batch work-conservingly — a worker woken by
+// queued work takes what is queued, up to maxBatch, and never waits for
+// more — so batches form from the backlog that builds while every replica
+// is busy, which is when the per-batch costs downstream (one metrics lock
+// per batch, not per image) need amortizing, and a lone request on an idle
+// pool is dispatched at once. A worker takes requests whole (up to
+// maxBatch), and only its first one while other workers are idle; it
+// wakes the next worker for whatever it leaves. So idle workers share out
+// requests, never the jobs of one request — which on a split entry would
+// cost a round trip per piece.
+type pool struct {
+	maxBatch, queueDepth int
+
+	mu     sync.Mutex // serializes submits and takes
+	ready  sync.Cond  // signalled when jobs are queued or the pool closes
+	queue  []*job     // guarded by mu
+	idle   int        // guarded by mu; workers waiting on ready
 	closed bool       // guarded by mu
 	wg     sync.WaitGroup
 }
 
-// newPool starts one worker per session. emit (nil in tests that need no
+// newPool starts one worker per walker. emit (nil in tests that need no
 // sinks) receives every group of every micro-batch, with the micro-batch's
 // size, before the group's waiters are released.
-func newPool(sessions []*core.Session, queueDepth, maxBatch int, emit func(group []*job, batchSize int)) *pool {
-	p := &pool{
-		jobs:     make(chan *job, queueDepth),
-		maxBatch: maxBatch,
-	}
-	for _, sess := range sessions {
+func newPool(walkers []Walker, queueDepth, maxBatch int, emit func(group []*job, batchSize int)) *pool {
+	p := &pool{maxBatch: maxBatch, queueDepth: queueDepth, queue: make([]*job, 0, queueDepth)}
+	p.ready.L = &p.mu
+	for _, w := range walkers {
 		p.wg.Add(1)
-		go p.worker(sess, emit)
+		go p.worker(w, emit)
 	}
 	return p
 }
@@ -97,10 +127,9 @@ func newPool(sessions []*core.Session, queueDepth, maxBatch int, emit func(group
 // whole request so the caller never waits behind a saturated pool.
 // Admission is all-or-nothing: submits serialize on the mutex and check
 // free capacity up front, so a rejected request enqueues nothing and costs
-// the saturated server no worker time. The check cannot go stale mid-loop
-// — workers only ever drain the queue, so free space only grows. A context
-// already dead at admission is rejected outright with its own error, so a
-// disconnected client never occupies queue space.
+// the saturated server no worker time. A context already dead at admission
+// is rejected outright with its own error, so a disconnected client never
+// occupies queue space.
 func (p *pool) submit(ctx context.Context, jobs []*job) error {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -108,35 +137,54 @@ func (p *pool) submit(ctx context.Context, jobs []*job) error {
 		}
 	}
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.closed {
+		p.mu.Unlock()
 		return ErrClosed
 	}
-	if len(jobs) > cap(p.jobs)-len(p.jobs) {
+	if len(jobs) > p.queueDepth-len(p.queue) {
+		p.mu.Unlock()
 		return ErrOverloaded
 	}
 	now := time.Now()
 	for _, j := range jobs {
 		j.enqueued = now
 		j.wg.Add(1)
-		p.jobs <- j
 	}
+	p.queue = append(p.queue, jobs...)
+	p.mu.Unlock()
+	// Signalled unlocked, so the worker it wakes does not block on mu.
+	p.ready.Signal()
 	return nil
 }
 
 // depth reports how many jobs are queued right now.
-func (p *pool) depth() int { return len(p.jobs) }
+func (p *pool) depth() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.queue)
+}
 
 // close stops accepting work, drains the queue and waits for the workers.
 // Jobs already queued are still classified.
 func (p *pool) close() {
 	p.mu.Lock()
-	if !p.closed {
-		p.closed = true
-		close(p.jobs)
-	}
+	p.closed = true
 	p.mu.Unlock()
+	p.ready.Broadcast()
 	p.wg.Wait()
+}
+
+// wait blocks until jobs are queued; false once the pool is closed and
+// drained.
+func (p *pool) wait() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for len(p.queue) == 0 && !p.closed {
+		p.idle++
+		p.ready.Wait()
+		p.idle--
+	}
+	return len(p.queue) > 0
 }
 
 // samePolicy reports whether two jobs' policies can share one batched
@@ -153,38 +201,38 @@ func samePolicy(a, b *core.ExitPolicy) bool {
 		a.Delta == b.Delta && a.MaxExit == b.MaxExit && a.Trace == b.Trace
 }
 
-// worker drains micro-batches with its private session, dispatching each
-// batch through the Session walker (Session.ResumeBatchPolicyAt) instead
-// of a per-sample loop. Jobs whose request context died in the
-// queue are dropped first — a cancelled client costs no replica time.
-// Live jobs are grouped by (node, fromStage, policy) — a batched cascade
-// pass needs one resume point and one policy — and a micro-batch usually
-// is one group (multi-image requests fan out sharing a policy, resumes
-// share a split), so the common case is a single batched pass over the
-// whole micro-batch. ResumeBatchPolicyAt(xs, 0, 0, pol) is exactly a
-// batched policy-aware classify, so one call covers fresh classifications,
-// split-resume jobs and branch-entry handoffs alike; each job writes its
-// record in place, so grouping never disturbs response order. A traced
-// request gets its queue and batch spans once per micro-batch and group,
-// however many of its jobs they hold: submit queues a request's jobs back
-// to back, so they are adjacent in every batch and group. Each group
-// — the dropped jobs first, then every classified one — is emitted to the
-// sinks BEFORE its waiters are released, so a client holding its response
-// can already read its own request in /statsz, /metricsz and
-// /debug/flightz (the ordering control.Plane.Observe documents).
-func (p *pool) worker(sess *core.Session, emit func(group []*job, batchSize int)) {
+// worker drains micro-batches with its private walker, dispatching each
+// batch through one batched walk instead of a per-sample loop. Jobs whose
+// request context died in the queue are dropped first — a cancelled client
+// costs no replica time, nor, on a split entry, a round trip. Live jobs
+// are grouped by (node, fromStage, policy) — a batched cascade pass needs
+// one resume point and one policy — and a micro-batch usually is one group
+// (multi-image requests fan out sharing a policy, resumes share a split),
+// so the common case is a single batched pass over the whole micro-batch.
+// One WalkBatch call covers fresh classifications, split-resume jobs and
+// branch-entry handoffs alike; each job writes its record in place, so
+// grouping never disturbs response order. A walk that fails marks its
+// group's jobs and emits nothing for them: their handlers answer 502 and
+// report the refusal. A traced request gets its queue and batch spans once
+// per micro-batch and group, however many of its jobs they hold: submit
+// queues a request's jobs back to back, so they are adjacent in every
+// batch and group. Each group — the dropped jobs first, then every
+// classified one — is emitted to the sinks BEFORE its waiters are
+// released, so a client holding its response can already read its own
+// request in /statsz, /metricsz and /debug/flightz (the ordering
+// control.Plane.Observe documents).
+func (p *pool) worker(w Walker, emit func(group []*job, batchSize int)) {
 	defer p.wg.Done()
 	batch := make([]*job, 0, p.maxBatch)
 	group := make([]*job, 0, p.maxBatch)
 	xs := make([]*tensor.T, 0, p.maxBatch)
+	traces := make([]*obs.Trace, 0, p.maxBatch)
 	claimed := make([]bool, 0, p.maxBatch)
-	for {
-		first, ok := <-p.jobs
-		if !ok {
-			return
+	for p.wait() {
+		batch = batch[:0]
+		if p.collect(&batch); len(batch) == 0 {
+			continue // another worker took them
 		}
-		batch = append(batch[:0], first)
-		p.collect(&batch)
 		started := time.Now()
 		claimed, group = claimed[:0], group[:0]
 		remaining := 0
@@ -228,17 +276,16 @@ func (p *pool) worker(sess *core.Session, emit func(group []*job, batchSize int)
 					xs = append(xs, j.x)
 				}
 			}
-			traced := anyTraced(group)
-			if traced {
-				// Capture the slice header: collect/claim reuse the backing
-				// arrays only after this call returns and the observer is
-				// cleared, so events index into a stable group.
-				grp := group
-				sess.SetStageObserver(stageObserver(grp, sess.Graph()))
+			var rows []*obs.Trace
+			if anyTraced(group) {
+				traces = traces[:0]
+				for _, j := range group {
+					traces = append(traces, j.tr)
+				}
+				rows = traces
 			}
-			recs := sess.ResumeBatchPolicyAt(xs, lead.node, lead.fromStage, *lead.pol)
-			if traced {
-				sess.SetStageObserver(nil)
+			recs, err := w.WalkBatch(xs, lead.node, lead.fromStage, *lead.pol, rows)
+			if rows != nil {
 				// Record the grouping span before releasing any waiter so a
 				// handler never serializes a trace that is still gaining
 				// spans.
@@ -252,10 +299,17 @@ func (p *pool) worker(sess *core.Session, emit func(group []*job, batchSize int)
 					last = j.tr
 				}
 			}
-			for gi, rec := range recs {
-				*group[gi].rec = rec
+			if err != nil {
+				for _, j := range group {
+					j.err = err
+				}
+				release(group, len(batch), nil)
+			} else {
+				for gi, rec := range recs {
+					*group[gi].rec = rec
+				}
+				release(group, len(batch), emit)
 			}
-			release(group, len(batch), emit)
 			remaining -= len(group)
 		}
 	}
@@ -273,17 +327,24 @@ func release(group []*job, batchSize int, emit func(group []*job, batchSize int)
 }
 
 // collect tops the batch up to maxBatch from the jobs already queued,
-// without waiting: an empty queue dispatches what the worker has.
+// without waiting — an empty queue dispatches what the worker has — and
+// wakes another worker for whatever it leaves. While a worker is idle it
+// takes only the first request's jobs (a request's jobs share their
+// WaitGroup and are queued back to back).
 func (p *pool) collect(batch *[]*job) {
-	for len(*batch) < p.maxBatch {
-		select {
-		case j, ok := <-p.jobs:
-			if !ok {
-				return
-			}
-			*batch = append(*batch, j)
-		default:
-			return
+	p.mu.Lock()
+	n := min(p.maxBatch-len(*batch), len(p.queue))
+	for k := 1; k < n && p.idle > 0; k++ {
+		if p.queue[k].wg != p.queue[0].wg {
+			n = k
 		}
+	}
+	*batch = append(*batch, p.queue[:n]...)
+	rest := copy(p.queue, p.queue[n:])
+	clear(p.queue[rest:]) // the taken jobs are the batch's now
+	p.queue = p.queue[:rest]
+	p.mu.Unlock()
+	if rest > 0 {
+		p.ready.Signal()
 	}
 }

@@ -64,38 +64,57 @@ type Model struct {
 	// ("trunk", "trunk->convB"), so the per-image event never allocates a
 	// path string on the hot path.
 	nodePaths []string
+	// split is non-nil for a split entry (RegisterSplit); identity is the
+	// policy a request without one inherits while no controller actuates:
+	// the trained behaviour, or a split entry's δ.
+	split    *Split
+	identity *core.ExitPolicy
 }
 
-// newModel validates the routing graph, pre-clones cfg.Workers warm
-// sessions and starts the replica pool — the per-model half of what
-// serve.New did for its single model. The Model owns a private clone, so
-// callers may keep mutating (or re-swapping branches of) the graph they
-// passed in.
-func newModel(name string, version int, path string, g *core.Graph, cfg Config) (*Model, error) {
+// newModel validates the routing graph, builds cfg.Workers walkers — warm
+// sessions, or a split entry's own — and starts the replica pool. The
+// Model owns a private clone, so callers may keep mutating (or re-swapping
+// branches of) the graph they passed in.
+func newModel(name string, version int, path string, g *core.Graph, cfg Config, split *Split) (*Model, error) {
 	g = g.Clone()
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	acc, err := energy.NewEvaluator().NewGraphAccumulator(g)
+	ev := energy.NewEvaluator()
+	acc, err := ev.NewGraphAccumulator(g)
+	identity := &identityPolicy
+	if split != nil {
+		acc, err = ev.NewSplitAccumulator(g, split.Costs, split.WireBytes)
+		identity = &core.ExitPolicy{Delta: split.Delta, MaxExit: -1}
+	}
 	if err != nil {
 		return nil, err
 	}
-	sessions := make([]*core.Session, cfg.Workers)
-	for i := range sessions {
-		if sessions[i], err = core.NewGraphSession(g); err != nil {
+	walkers := make([]Walker, cfg.Workers)
+	for i := range walkers {
+		if split != nil {
+			walkers[i], err = split.NewWalker()
+		} else {
+			var sess *core.Session
+			sess, err = core.NewGraphSession(g)
+			walkers[i] = sessionWalker{sess}
+		}
+		if err != nil {
 			return nil, err
 		}
 	}
 	m := &Model{
-		name:    name,
-		version: version,
-		path:    path,
-		graph:   g,
-		cdln:    g.Trunk(),
-		inWidth: inputWidth(g.Trunk()),
-		exitOps: g.ExitOps(),
-		metrics: newMetrics(g, acc),
-		workers: cfg.Workers,
+		name:     name,
+		version:  version,
+		path:     path,
+		graph:    g,
+		cdln:     g.Trunk(),
+		inWidth:  inputWidth(g.Trunk()),
+		exitOps:  g.ExitOps(),
+		metrics:  newMetrics(g, acc),
+		workers:  cfg.Workers,
+		split:    split,
+		identity: identity,
 	}
 	m.maxResumeWire = maxResumeWireSize(g)
 	m.nodePaths = make([]string, len(m.metrics.nodeNames))
@@ -106,7 +125,7 @@ func newModel(name string, version int, path string, g *core.Graph, cfg Config) 
 			m.nodePaths[ni] = m.metrics.nodeNames[0] + "->" + n
 		}
 	}
-	m.pool = newPool(sessions, cfg.QueueDepth, cfg.MaxBatch, m.emit)
+	m.pool = newPool(walkers, cfg.QueueDepth, cfg.MaxBatch, m.emit)
 	return m, nil
 }
 
@@ -174,6 +193,10 @@ func (m *Model) Name() string { return m.name }
 // first load, +1 per hot-swap).
 func (m *Model) Version() int { return m.version }
 
+// Plane returns the entry's control plane (telemetry window, burn-rate
+// monitor, flight ring, controller), shared by every version of the entry.
+func (m *Model) Plane() *control.Plane { return m.plane }
+
 // CDLN returns the served graph's trunk cascade. Treat it as read-only:
 // replicas were cloned from it at construction.
 func (m *Model) CDLN() *core.CDLN { return m.cdln }
@@ -183,6 +206,14 @@ func (m *Model) CDLN() *core.CDLN { return m.cdln }
 func (m *Model) snapshot() snapshot {
 	s := m.metrics.snapshot(m.pool.depth(), m.workers)
 	s.Control = m.plane.Status()
+	if m.split != nil {
+		counts := make([]int64, len(s.Exits))
+		for e, x := range s.Exits {
+			counts[e] = x.Count
+		}
+		tier := m.split.Costs.Summary(counts, m.split.WireBytes)
+		s.Tier = &tier
+	}
 	return s
 }
 
@@ -265,7 +296,7 @@ func (r *Registry) Register(name string, cdln *core.CDLN) (*Model, error) {
 	if err := cdln.Validate(); err != nil {
 		return nil, err
 	}
-	return r.swapIn(name, "", core.LinearGraph(cdln))
+	return r.swapIn(name, "", core.LinearGraph(cdln), nil)
 }
 
 // RegisterAt is Register recording the file the CDLN originated from —
@@ -276,13 +307,13 @@ func (r *Registry) RegisterAt(name, path string, cdln *core.CDLN) (*Model, error
 	if err := cdln.Validate(); err != nil {
 		return nil, err
 	}
-	return r.swapIn(name, path, core.LinearGraph(cdln))
+	return r.swapIn(name, path, core.LinearGraph(cdln), nil)
 }
 
 // RegisterGraph publishes an in-memory routing graph under name with
 // Register semantics.
 func (r *Registry) RegisterGraph(name string, g *core.Graph) (*Model, error) {
-	return r.swapIn(name, "", g)
+	return r.swapIn(name, "", g, nil)
 }
 
 // Load reads a modelio file — a linear CDLN or a v2 routing graph — and
@@ -300,7 +331,7 @@ func (r *Registry) Load(name, path string) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: load model %q: %w", name, err)
 	}
-	return r.swapIn(name, path, g)
+	return r.swapIn(name, path, g, nil)
 }
 
 // SwapBranch republishes entry name with one branch subnetwork (or, for
@@ -322,7 +353,7 @@ func (r *Registry) SwapBranch(name, branch string, cdln *core.CDLN) (*Model, err
 	if err != nil {
 		return nil, fmt.Errorf("serve: swap branch %q of %q: %w", branch, cur.name, err)
 	}
-	return r.swapIn(cur.name, cur.path, g)
+	return r.swapIn(cur.name, cur.path, g, nil)
 }
 
 // LoadBranch is SwapBranch reading the replacement cascade from a modelio
@@ -336,8 +367,8 @@ func (r *Registry) LoadBranch(name, branch, path string) (*Model, error) {
 }
 
 // swapIn builds the new version outside the lock, publishes it atomically,
-// then drains the retired pool.
-func (r *Registry) swapIn(name, path string, g *core.Graph) (*Model, error) {
+// then drains the retired pool. A split entry is never replaced.
+func (r *Registry) swapIn(name, path string, g *core.Graph, split *Split) (*Model, error) {
 	if err := validName(name); err != nil {
 		return nil, err
 	}
@@ -348,11 +379,15 @@ func (r *Registry) swapIn(name, path string, g *core.Graph) (*Model, error) {
 		r.mu.Unlock()
 		return nil, ErrClosed
 	}
+	if cur := r.models[name]; cur != nil && cur.split != nil {
+		r.mu.Unlock()
+		return nil, fmt.Errorf("serve: %q is a split entry; its model and branches cannot be swapped", name)
+	}
 	version := r.versions[name] + 1
 	r.versions[name] = version
 	r.mu.Unlock()
 
-	m, err := newModel(name, version, path, g, r.cfg)
+	m, err := newModel(name, version, path, g, r.cfg, split)
 	if err != nil {
 		return nil, err
 	}

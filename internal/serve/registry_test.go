@@ -511,7 +511,7 @@ func TestWorkerDropsDeadJobs(t *testing.T) {
 	}
 	cancel() // die in the queue
 	p.wg.Add(1)
-	go p.worker(sess, done)
+	go p.worker(sessionWalker{sess}, done)
 	wg.Wait()
 	for i, j := range jobs {
 		if !j.cancelled {

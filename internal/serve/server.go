@@ -34,7 +34,9 @@
 // /v2/models/{model}/resume is the cloud half of the edge–cloud split
 // (internal/edgecloud): an edge node runs the cascade prefix, exits easy
 // inputs locally, and ships only the hard residue here as wire-encoded
-// intermediate activations.
+// intermediate activations. The edge node is itself a Server, over a
+// registry holding one split entry (RegisterSplit), with the frozen
+// POST /v1/classify mounted (ClassifyV1).
 package serve
 
 import (
@@ -186,6 +188,18 @@ func NewWithRegistry(reg *Registry) (*Server, error) {
 // registration and hot-swap alongside the HTTP admin surface).
 func (s *Server) Registry() *Registry { return s.reg }
 
+// ClassifyV1 is the edge front's frozen POST /v1/classify (internal/edgecloud
+// mounts it; cdlserve does not): a ClassifyRequest on the first registered
+// entry, answered as a ClassifyResponse, through the one data handler.
+func (s *Server) ClassifyV1() http.Handler {
+	return s.handleInfer(false, func() wireRequest { return new(ClassifyRequest) })
+}
+
+// Handle adds a route to the server's mux, behind the tracing middleware.
+// A method-qualified pattern such as "GET /healthz" takes precedence over
+// the ops route of the same path.
+func (s *Server) Handle(pattern string, h http.Handler) { s.mux.Handle(pattern, h) }
+
 // Handler returns the HTTP handler (also what ListenAndServe mounts): the
 // route mux wrapped in the tracing middleware, which assigns or adopts the
 // X-Trace-Id of every request — error and shed responses included — and
@@ -263,7 +277,7 @@ func (s *Server) ListenAndServe(addr string, stop <-chan struct{}) error {
 }
 
 // ClassifyRequest is the edge front's POST /v1/classify payload
-// (internal/edgecloud; this server's routes take V2ClassifyRequest): exactly
+// (ClassifyV1; cdlserve's routes take V2ClassifyRequest): exactly
 // one of Image (a single flattened image) or Images (a batch) must be set.
 // Pixel counts must match the model's input shape. Delta, when non-nil,
 // overrides the model's confidence threshold δ for every image in the
@@ -317,8 +331,8 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// ParseDeltaOverride validates an optional per-request δ override (shared
-// by this server and the edge front in internal/edgecloud). nil keeps the
+// ParseDeltaOverride validates an optional per-request δ override (a
+// policy's "delta", which /v1/classify's bare δ becomes). nil keeps the
 // model's trained thresholds (reported as −1, the Session sentinel);
 // otherwise the value must be a finite number in [0,1] — NaN in particular
 // would flow into every score comparison and silently disable early exit.
@@ -357,8 +371,8 @@ const shedRetryAfterSeconds = "1"
 
 // WriteShed writes a 503 with the Retry-After header — the contract that
 // lets load generators (and the SLO controller's telemetry) distinguish
-// deliberate load shedding from hard failure. Shared with the edge front,
-// whose worker-exhaustion sheds follow the same protocol.
+// deliberate load shedding from hard failure. Shared with the fleet
+// router, whose sheds follow the same protocol.
 func WriteShed(w http.ResponseWriter, msg string) {
 	w.Header().Set("Retry-After", shedRetryAfterSeconds)
 	WriteError(w, http.StatusServiceUnavailable, msg)
@@ -417,6 +431,16 @@ func (s *Server) dispatch(w http.ResponseWriter, ctx context.Context, name strin
 				WriteError(w, status, fmt.Sprintf("request abandoned: %v", cerr))
 				return nil, nil, false
 			}
+			for _, j := range jobs {
+				if j.err != nil {
+					// A group this request rode in failed its walk on the
+					// other tier: the whole request is a 502, and no sink
+					// heard of that group's images.
+					m.refuse(ctx, obs.FlightError, causeCloudError, len(jobs))
+					WriteError(w, http.StatusBadGateway, j.err.Error())
+					return nil, nil, false
+				}
+			}
 			m.metrics.observeRequest(resume)
 			return m, records, true
 		case errors.Is(err, ErrOverloaded):
@@ -465,8 +489,8 @@ func finishTrace(r *http.Request, detail string) (string, []obs.Span) {
 
 // NormalizeImages validates the request's single/batch forms against the
 // model's input width and the per-request cap, returning the pixel slices.
-// Shared by the cloud server and the edge front, so both tiers accept and
-// reject exactly the same requests. Pixels must be finite: standard JSON
+// Every image route runs it, so both tiers accept and reject exactly the
+// same requests. Pixels must be finite: standard JSON
 // cannot carry NaN/±Inf, but the type is also used by in-process callers,
 // and a NaN pixel would flow through every stage score and silently
 // disable the exit rule (NaN compares false against δ) — reject it here,

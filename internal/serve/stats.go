@@ -35,6 +35,7 @@ type metrics struct {
 	rejClosed int64 // guarded by mu; 503s from a draining/closed pool
 	rejChurn  int64 // guarded by mu; 503s from hot-swap churn outrunning dispatch retries
 	invalid   int64 // guarded by mu; 4xx classify/resume requests
+	cloudErr  int64 // guarded by mu; 502s from a split entry's failed walk
 	cancelled int64 // guarded by mu; requests whose context died before completion
 	images    int64 // guarded by mu
 
@@ -107,6 +108,8 @@ func (m *metrics) observeRefused(cause string) {
 		m.rejChurn++
 	case control.CauseInvalid:
 		m.invalid++
+	case causeCloudError:
+		m.cloudErr++
 	default:
 		m.cancelled++
 	}
@@ -165,10 +168,8 @@ type LatencyStats struct {
 	P99MS  float64 `json:"p99_ms"`
 }
 
-// SummarizeLatency folds a latency histogram into the wire shape — shared
-// with the edge front, which keeps its own histogram over the split
-// pipeline (local exits and cloud round trips alike).
-func SummarizeLatency(h *control.Histogram) LatencyStats {
+// summarizeLatency folds a latency histogram into the wire shape.
+func summarizeLatency(h *control.Histogram) LatencyStats {
 	return LatencyStats{
 		Count:  h.Count(),
 		MeanMS: h.Mean(),
@@ -197,10 +198,13 @@ type Stats struct {
 	// Cancelled counts requests whose context was cancelled or timed out
 	// before classification completed (dropped before burning a replica
 	// when the cancellation beat the worker to the job).
-	Cancelled  int64 `json:"cancelled"`
-	Images     int64 `json:"images"`
-	QueueDepth int   `json:"queue_depth"`
-	Workers    int   `json:"workers"`
+	Cancelled int64 `json:"cancelled"`
+	// CloudErrors counts a split entry's requests answered 502 because
+	// the walk of a group they were in failed on the other tier.
+	CloudErrors int64 `json:"cloud_errors,omitempty"`
+	Images      int64 `json:"images"`
+	QueueDepth  int   `json:"queue_depth"`
+	Workers     int   `json:"workers"`
 
 	// Per-image latency over the server's lifetime, split into queue
 	// wait and micro-batch service time (TotalLatency is their sum as
@@ -224,6 +228,11 @@ type Stats struct {
 	BaselineEnergyPJ float64 `json:"baseline_energy_pj"`
 	NormalizedEnergy float64 `json:"normalized_energy"`
 	EnergySpeedup    float64 `json:"energy_improvement_x"`
+
+	// Tier is a split entry's tiered view, derived from its exit counts:
+	// offload fraction, wire bytes and edge/link/cloud pJ (absent for
+	// other entries).
+	Tier *energy.TieredSummary `json:"tier,omitempty"`
 
 	// Control is the attached SLO controller's state (absent when the
 	// entry has no SLO).
@@ -265,12 +274,13 @@ func (m *metrics) snapshot(queueDepth, workers int) snapshot {
 			RejectedChurn:     m.rejChurn,
 			Invalid:           m.invalid,
 			Cancelled:         m.cancelled,
+			CloudErrors:       m.cloudErr,
 			Images:            m.images,
 			QueueDepth:        queueDepth,
 			Workers:           workers,
-			QueueLatency:      SummarizeLatency(m.queueLat),
-			ServiceLatency:    SummarizeLatency(m.serviceLat),
-			TotalLatency:      SummarizeLatency(m.totalLat),
+			QueueLatency:      summarizeLatency(m.queueLat),
+			ServiceLatency:    summarizeLatency(m.serviceLat),
+			TotalLatency:      summarizeLatency(m.totalLat),
 			BaselineOps:       m.baselineOps,
 			Exits:             make([]ExitStat, len(m.exitNames)),
 		},

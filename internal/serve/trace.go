@@ -1,8 +1,8 @@
 package serve
 
 // trace.go maps the core layer's stage events onto per-request trace spans.
-// The worker installs a stage observer on its session for the duration of
-// one grouped ResumeBatchPolicyAt call; every event carries the batch rows
+// A pool worker's walker installs a stage observer on its session for the
+// duration of one grouped walk; every event carries the batch rows
 // it covered, so each traced request in the group receives exactly the
 // spans of the work its images took part in, once per event however many
 // of its rows the event covered — shared batched stage passes appear in
@@ -66,22 +66,24 @@ func anyTraced(group []*job) bool {
 	return false
 }
 
-// stageObserver returns the observer to install around one grouped batch
-// call: it fans each stage event out to the traces of the rows it covered
-// (every walk is batched, so Rows always names them), once per trace. A
+// StageObserver returns the observer a walker installs on its session for
+// one grouped batch call: it fans each stage event out to the traces of
+// the rows it covered (traces[row]; every walk is batched, so Rows always
+// names them), once per trace, as a span named prefix + SpanName. A
 // request's jobs are queued back to back (pool.submit holds its lock), so
 // they are adjacent in every batch and group, and Rows lists rows in group
 // order: one trace's rows form one run. The returned closure runs on the
-// worker goroutine only, and group's backing array is stable for the
-// duration of the call, so no locking beyond the traces' own is needed.
-func stageObserver(group []*job, g *core.Graph) func(core.StageEvent) {
+// walker's goroutine only, and traces must stay put for the duration of
+// the call, so no locking beyond the traces' own is needed. The edge tier
+// installs it with prefix "edge:" on its prefix walk.
+func StageObserver(g *core.Graph, prefix string, traces []*obs.Trace) func(core.StageEvent) {
 	return func(ev core.StageEvent) {
 		name, detail := SpanName(g, ev)
 		var last *obs.Trace
 		for _, row := range ev.Rows {
-			if row >= 0 && row < len(group) {
-				if tr := group[row].tr; tr != nil && tr != last {
-					tr.Record(name, ev.Start, ev.End, detail)
+			if row >= 0 && row < len(traces) {
+				if tr := traces[row]; tr != nil && tr != last {
+					tr.Record(prefix+name, ev.Start, ev.End, detail)
 					last = tr
 				}
 			}
