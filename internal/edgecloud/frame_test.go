@@ -2,11 +2,14 @@ package edgecloud
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"cdl/internal/core"
 	"cdl/internal/edgecloud/wire"
@@ -135,4 +138,66 @@ func TestRequestFrameOutlivesAnEarlyRefusal(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestServerCloseSettlesGoroutines: an edge that offloaded over HTTP leaves
+// no goroutine behind once Close returns. The cloud stays up, so its
+// keep-alive connections to the edge's default client stay open unless
+// Close shuts them.
+func TestServerCloseSettlesGoroutines(t *testing.T) {
+	cdln, data := testCDLN(t, 96)
+	cloud, err := serve.New(cdln, serve.Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cloudTS := httptest.NewServer(cloud.Handler())
+	defer func() { cloudTS.Close(); cloud.Close() }()
+	start := runtime.NumGoroutine()
+
+	transport := NewHTTPModelTransport(cloudTS.URL, serve.DefaultModelName)
+	srv, err := NewServer(cdln, func() (Transport, error) { return transport, nil },
+		Config{SplitStage: 1, Delta: -1}, ServerConfig{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edgeTS := httptest.NewServer(srv.Handler())
+	one := 1.0 // no early exit: every image crosses the link
+	var wg sync.WaitGroup
+	for c := 0; c < 3; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				body, err := json.Marshal(serve.ClassifyRequest{Images: [][]float64{data[c+i].X.Flatten().Data}, Delta: &one})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp, err := edgeTS.Client().Post(edgeTS.URL+"/v1/classify", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("classify: HTTP %d", resp.StatusCode)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := srv.Stats(); st.Offloads != 12 {
+		t.Fatalf("%d offloads, want 12", st.Offloads)
+	}
+	edgeTS.Close()
+	srv.Close()
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > start {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines 1 s after Close, %d before the edge started:\n%s",
+				runtime.NumGoroutine(), start, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }

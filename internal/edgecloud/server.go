@@ -96,6 +96,12 @@ func NewGraphServer(g *core.Graph, newTransport func() (Transport, error), edgeC
 	return s, nil
 }
 
+// Close stops the serve front and the default client's idle cloud links.
+func (s *Server) Close() {
+	s.Server.Close()
+	defaultClient.CloseIdleConnections()
+}
+
 // Stats is the split entry's serve.Stats (its Tier always set) with the
 // images that crossed the link and those the prefix resolved counted out.
 type Stats struct {

@@ -1,19 +1,18 @@
 package edgecloud
 
 import (
-	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"cdl/internal/core"
 	"cdl/internal/edgecloud/wire"
+	"cdl/internal/hop"
 	"cdl/internal/obs"
 	"cdl/internal/serve"
 	"cdl/internal/tensor"
@@ -39,7 +38,11 @@ type HTTPTransport struct {
 
 // defaultClient is shared by every transport without a Client of its own:
 // an offload must never hang an edge worker forever.
-var defaultClient = &http.Client{Timeout: 30 * time.Second}
+var defaultClient = func() *http.Client {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.DialContext = hop.Dial(t.DialContext)
+	return &http.Client{Timeout: 30 * time.Second, Transport: t}
+}()
 
 // NewHTTPModelTransport returns a transport with the default client that
 // resumes on the named model of the cloud registry at baseURL.
@@ -65,58 +68,6 @@ func (h *HTTPTransport) ResumeBatchTraced(payloads [][]byte, delta float64, trac
 	return h.resumeBatch(payloads, delta, traceID)
 }
 
-// requestFrame is a pooled request body: one resume frame, read by one
-// frameReader per (re)send. It goes back to framePool when its last
-// reference is dropped: each reader's Close drops one, and resumeBatch
-// holds one across client.Do, because Do may ask GetBody for a fresh reader
-// (to resend on a new connection) after closing the first. Do can return
-// on an early answer while the transport is still writing the body, so the
-// buffer is never recycled only because Do returned.
-type requestFrame struct {
-	buf  []byte
-	refs atomic.Int32
-}
-
-var framePool = sync.Pool{New: func() any { return new(requestFrame) }}
-
-// reader takes a reference and returns a body reading the whole frame.
-func (f *requestFrame) reader() io.ReadCloser {
-	f.refs.Add(1)
-	r := &frameReader{f: f}
-	r.Reset(f.buf)
-	return r
-}
-
-// release drops one reference, recycling the frame with the last.
-func (f *requestFrame) release() {
-	if f.refs.Add(-1) == 0 && cap(f.buf) <= maxPooledBuf {
-		framePool.Put(f)
-	}
-}
-
-// frameReader is one send's view of a requestFrame; Close, which net/http
-// calls once it is done writing, releases its reference once.
-type frameReader struct {
-	bytes.Reader
-	f      *requestFrame
-	closed atomic.Bool
-}
-
-func (r *frameReader) Close() error {
-	if r.closed.CompareAndSwap(false, true) {
-		r.f.release()
-	}
-	return nil
-}
-
-// maxPooledBuf caps what the transport's buffer pools retain, as the
-// serve body pool is capped.
-const maxPooledBuf = 1 << 20
-
-// answerBufs holds the buffers answers are read into. Nothing decoded
-// from an answer aliases it.
-var answerBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
 func (h *HTTPTransport) resumeBatch(payloads [][]byte, delta float64, traceID string) ([]core.ExitRecord, []obs.Span, error) {
 	if h.Model == "" {
 		// An empty name would post to /v2/models//resume, which the
@@ -132,23 +83,21 @@ func (h *HTTPTransport) resumeBatch(payloads [][]byte, delta float64, traceID st
 	if err != nil {
 		return nil, nil, err
 	}
-	frame := framePool.Get().(*requestFrame)
-	frame.refs.Store(1) // resumeBatch's own, across Do
-	defer frame.release()
-	if frame.buf, err = wire.AppendFrame(frame.buf[:0], m, payloads); err != nil {
-		return nil, nil, err
-	}
-	client := h.Client
-	if client == nil {
-		client = defaultClient
-	}
-	url := strings.TrimSuffix(h.BaseURL, "/") + "/v2/models/" + h.Model + "/resume"
-	hreq, err := http.NewRequest(http.MethodPost, url, frame.reader())
+	// The frame's readers hold it past an early answer from Do.
+	frame := hop.NewBody()
+	defer frame.Release()
+	buf, err := wire.AppendFrame(frame.Bytes()[:0], m, payloads)
 	if err != nil {
 		return nil, nil, err
 	}
-	hreq.ContentLength = int64(len(frame.buf))
-	hreq.GetBody = func() (io.ReadCloser, error) { return frame.reader(), nil }
+	frame.Set(buf)
+	client := cmp.Or(h.Client, defaultClient)
+	url := strings.TrimSuffix(h.BaseURL, "/") + "/v2/models/" + h.Model + "/resume"
+	hreq, err := http.NewRequest(http.MethodPost, url, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	frame.Attach(hreq)
 	hreq.Header.Set("Content-Type", wire.FrameContentType)
 	if traceID != "" {
 		hreq.Header.Set(obs.TraceHeader, traceID)
@@ -158,27 +107,22 @@ func (h *HTTPTransport) resumeBatch(payloads [][]byte, delta float64, traceID st
 		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	buf := answerBufs.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= maxPooledBuf {
-			buf.Reset()
-			answerBufs.Put(buf)
-		}
-	}()
-	buf.Grow(int(min(max(resp.ContentLength, 0), maxPooledBuf)) + bytes.MinRead)
-	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, 8<<20)); err != nil {
+	// The answer reads into a pooled body too; nothing decoded aliases it.
+	answer := hop.NewBody()
+	defer answer.Release()
+	if err := answer.Fill(io.LimitReader(resp.Body, 8<<20), resp.ContentLength); err != nil {
 		return nil, nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
 		var e struct {
 			Error string `json:"error"`
 		}
-		if json.Unmarshal(buf.Bytes(), &e) == nil && e.Error != "" {
+		if json.Unmarshal(answer.Bytes(), &e) == nil && e.Error != "" {
 			return nil, nil, fmt.Errorf("cloud HTTP %d: %s", resp.StatusCode, e.Error)
 		}
 		return nil, nil, fmt.Errorf("cloud HTTP %d", resp.StatusCode)
 	}
-	return decodeAnswer(buf.Bytes(), len(payloads))
+	return decodeAnswer(answer.Bytes(), len(payloads))
 }
 
 // decodeAnswer reads an answer frame of want records: each completes only

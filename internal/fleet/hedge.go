@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"cdl/internal/hop"
 	"cdl/internal/obs"
 )
 
@@ -20,7 +21,7 @@ import (
 // was the one used — including the case where the primary had already
 // failed) or a loss (the primary's response was used, or both failed).
 // hedges_sent == hedge_wins + hedge_losses at every quiescent point.
-func (rt *Router) hedged(ctx context.Context, primary, secondary *backend, method, path, contentType string, body []byte, model, traceID string, tr *obs.Trace) attemptResult {
+func (rt *Router) hedged(ctx context.Context, primary, secondary *backend, method, path, contentType string, body *hop.Body, model, traceID string, tr *obs.Trace) attemptResult {
 	mm := rt.metrics.model(model)
 	deadline := rt.hedgeDeadline(mm)
 
@@ -30,9 +31,12 @@ func (rt *Router) hedged(ctx context.Context, primary, secondary *backend, metho
 		cancel context.CancelFunc
 	}
 	results := make(chan arrival, 2)
+	// An attempt holds the body until send returns, past a lost race.
 	launch := func(b *backend, hedge bool) context.CancelFunc {
 		actx, cancel := context.WithCancel(ctx)
+		body.Retain()
 		go func() {
+			defer body.Release()
 			results <- arrival{res: rt.send(actx, b, method, path, contentType, body, traceID), hedge: hedge, cancel: cancel}
 		}()
 		return cancel

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"cmp"
 	"context"
 	"errors"
@@ -14,6 +13,7 @@ import (
 	"time"
 
 	"cdl/internal/control"
+	"cdl/internal/hop"
 	"cdl/internal/obs"
 	"cdl/internal/serve"
 )
@@ -164,7 +164,7 @@ func New(cfg Config) (*Router, error) {
 			// rolling-swap PUTs, whose model warm-up legitimately runs
 			// longer than a classify).
 			Transport: &http.Transport{
-				DialContext:           (&net.Dialer{Timeout: 5 * time.Second}).DialContext,
+				DialContext:           hop.Dial((&net.Dialer{Timeout: 5 * time.Second}).DialContext),
 				MaxIdleConnsPerHost:   idlePerHost,
 				MaxIdleConns:          idlePerHost * len(cfg.Backends),
 				IdleConnTimeout:       60 * time.Second,
@@ -308,19 +308,22 @@ func (a attemptResult) decisive() bool {
 	return a.err == nil && a.status != http.StatusServiceUnavailable
 }
 
-// send forwards one attempt to b and buffers the response. The body goes
+// send forwards one attempt to b and buffers the response. A body goes
 // under the client's own Content-Type (the router never reads it, and a
 // backend picks its decoder by it). The trace ID is propagated to the
 // backend only when the client itself supplied one — otherwise backend
 // response bodies would grow trace fields the client never asked for.
-func (rt *Router) send(ctx context.Context, b *backend, method, path, contentType string, body []byte, traceID string) attemptResult {
+func (rt *Router) send(ctx context.Context, b *backend, method, path, contentType string, body *hop.Body, traceID string) attemptResult {
 	b.inflight.Add(1)
 	defer b.inflight.Add(-1)
 	actx, cancel := context.WithTimeout(ctx, rt.cfg.RequestTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(actx, method, b.url+path, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(actx, method, b.url+path, nil)
 	if err != nil {
 		return attemptResult{backend: b, err: err}
+	}
+	if body != nil {
+		body.Attach(req)
 	}
 	req.Header.Set("Content-Type", cmp.Or(contentType, "application/json"))
 	if traceID != "" {
@@ -366,14 +369,14 @@ func (rt *Router) handleData(w http.ResponseWriter, r *http.Request, model, rout
 	tr := obs.FromContext(r.Context())
 	refused := control.Event{Trace: tr, ExitIndex: -1, Outcome: obs.FlightError, Cause: control.CauseInvalid}
 	// The bound alone decides 413: a declared length over it is refused
-	// unread. The buffer is not pooled: a hedge loser's goroutine can still
-	// be sending it after this handler returns.
-	var body []byte
+	// unread. Each attempt, and each reader of it, holds its own reference.
+	body := hop.NewBody()
+	defer body.Release()
 	var err error
 	if r.ContentLength > maxBodyBytes {
 		err = &http.MaxBytesError{Limit: maxBodyBytes}
 	} else {
-		body, err = serve.ReadSized(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
+		err = body.Fill(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
 	}
 	if err != nil {
 		mm.plane.Observe([]control.Event{refused})
@@ -385,7 +388,7 @@ func (rt *Router) handleData(w http.ResponseWriter, r *http.Request, model, rout
 		serve.WriteError(w, http.StatusBadRequest, fmt.Sprintf("read body: %v", err))
 		return
 	}
-	key := HashRequest(model, body)
+	key := HashRequest(model, body.Bytes())
 	chain := rt.pickChain(key)
 	if len(chain) == 0 {
 		// Rejected before any backend attempt.
@@ -481,7 +484,7 @@ func (rt *Router) AlertReport() FleetAlertz {
 // the backend down on the spot — rerouting does not wait for the probe
 // loop — and moves on; a 503 is remembered (for Retry-After propagation)
 // while overflow tries the rest of the chain.
-func (rt *Router) dispatch(ctx context.Context, chain []*backend, method, path, contentType string, body []byte, model, route, traceID string, tr *obs.Trace) attemptResult {
+func (rt *Router) dispatch(ctx context.Context, chain []*backend, method, path, contentType string, body *hop.Body, model, route, traceID string, tr *obs.Trace) attemptResult {
 	var last attemptResult
 	haveLast := false
 	for i := 0; i < len(chain); i++ {

@@ -95,7 +95,7 @@ func (r *FlightRecord) Anomalous() bool { return len(r.Anomalies) > 0 }
 
 // FlightConfig sizes a recorder.
 type FlightConfig struct {
-	// Capacity is the per-model ring size. Default 256.
+	// Capacity is the per-model ring size, half kept for refusals. Default 256.
 	Capacity int
 	// SampleN keeps 1-in-N normal (non-anomalous) records. 1 keeps all.
 	// Default 16.
@@ -136,9 +136,9 @@ type FlightRecorder struct {
 	tails atomic.Int64 // anomalous records retained
 
 	mu   sync.Mutex
-	ring []FlightRecord // guarded by mu; fixed-capacity ring
-	next int            // guarded by mu
-	n    int            // guarded by mu; live records in ring
+	ring []FlightRecord // guarded by mu; sheds and errors in [:len/2], all else after
+	next [2]int         // guarded by mu; each ring's next slot, from its start
+	n    [2]int         // guarded by mu; live records in each ring
 
 	snapMu  sync.Mutex
 	snaps   []FlightSnapshot // guarded by snapMu; newest last
@@ -148,12 +148,12 @@ type FlightRecorder struct {
 // NewFlightRecorder returns an empty recorder.
 func NewFlightRecorder(cfg FlightConfig) *FlightRecorder {
 	cfg = cfg.withDefaults()
-	return &FlightRecorder{cfg: cfg, ring: make([]FlightRecord, cfg.Capacity)}
+	return &FlightRecorder{cfg: cfg, ring: make([]FlightRecord, max(cfg.Capacity, 2))}
 }
 
 // Record offers one finished request. Anomalous records (any anomaly tag)
 // are always retained with whatever spans they carry; normal records pass
-// the 1-in-N sample or vanish without touching the lock.
+// the 1-in-N sample or vanish without touching the lock. No allocation.
 func (f *FlightRecorder) Record(rec FlightRecord) {
 	if f == nil || !FlightEnabled() {
 		return
@@ -168,11 +168,13 @@ func (f *FlightRecorder) Record(rec FlightRecord) {
 		f.tails.Add(1)
 	}
 	f.mu.Lock()
-	f.ring[f.next] = rec
-	f.next = (f.next + 1) % len(f.ring)
-	if f.n < len(f.ring) {
-		f.n++
+	c, lo, size := 0, 0, len(f.ring)/2
+	if rec.Outcome != FlightShed && rec.Outcome != FlightError {
+		c, lo, size = 1, size, len(f.ring)-size
 	}
+	f.ring[lo+f.next[c]] = rec
+	f.next[c] = (f.next[c] + 1) % size
+	f.n[c] = min(f.n[c]+1, size)
 	f.mu.Unlock()
 }
 
@@ -205,23 +207,23 @@ func (q FlightQuery) match(r *FlightRecord) bool {
 	return true
 }
 
-// Query returns matching records, newest first, up to the query limit.
+// Query returns matching records, newest started first, up to the limit.
 func (f *FlightRecorder) Query(q FlightQuery) []FlightRecord {
 	if f == nil {
 		return nil
 	}
-	limit := q.limit()
-	out := make([]FlightRecord, 0, limit)
+	out := make([]FlightRecord, 0, q.limit())
 	f.mu.Lock()
-	for i := 0; i < f.n && len(out) < limit; i++ {
-		// Walk newest to oldest: next-1 backwards.
-		idx := (f.next - 1 - i + 2*len(f.ring)) % len(f.ring)
-		if r := &f.ring[idx]; q.match(r) {
-			out = append(out, *r)
+	for c, lo := range [2]int{0, len(f.ring) / 2} {
+		for i := lo; i < lo+f.n[c]; i++ {
+			if r := &f.ring[i]; q.match(r) {
+				out = append(out, *r)
+			}
 		}
 	}
 	f.mu.Unlock()
-	return out
+	sort.SliceStable(out, func(i, j int) bool { return out[i].StartUnixNS > out[j].StartUnixNS })
+	return out[:min(len(out), q.limit())]
 }
 
 // FlightStats summarizes a recorder's retention counters.
@@ -238,7 +240,7 @@ func (f *FlightRecorder) Stats() FlightStats {
 		return FlightStats{}
 	}
 	f.mu.Lock()
-	n := f.n
+	n := f.n[0] + f.n[1]
 	f.mu.Unlock()
 	return FlightStats{
 		Seen:      f.seen.Load(),

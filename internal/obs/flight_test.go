@@ -224,3 +224,34 @@ func TestFlightConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestFlightRefusalsKeepTheirShare: sheds and errors fill half of the ring
+// and no other record evicts them, and other records keep the other half;
+// Query reads both, newest first, and Record does not allocate.
+func TestFlightRefusalsKeepTheirShare(t *testing.T) {
+	f := NewFlightRecorder(FlightConfig{Capacity: 16, SampleN: 1})
+	shed := FlightRecord{Outcome: FlightShed, RejectCause: "queue_full", Anomalies: []string{AnomalyShed}, TraceID: "shed"}
+	f.Record(shed)
+	deep := anomalousRec("m", 1)
+	deep.Anomalies = []string{AnomalyDeepExit}
+	if allocs := testing.AllocsPerRun(100, func() { f.Record(deep) }); allocs != 0 {
+		t.Errorf("Record allocates %v times per call", allocs)
+	}
+	all := f.Query(FlightQuery{Limit: 100})
+	if st := f.Stats(); st.Buffered != 9 || len(all) != 9 {
+		t.Fatalf("%d buffered, %d read, want the shed and 8 others", st.Buffered, len(all))
+	}
+	if last := all[len(all)-1]; last.TraceID != "shed" {
+		t.Fatalf("oldest record %+v, want the shed", last)
+	}
+	for i := 0; i < 9; i++ {
+		f.Record(FlightRecord{Outcome: FlightError, TraceID: strconv.Itoa(i), Anomalies: []string{AnomalyError}, StartUnixNS: int64(10 + i)})
+	}
+	errs := f.Query(FlightQuery{Outcome: FlightError, Limit: 100})
+	if len(errs) != 8 || errs[0].TraceID != "8" || errs[7].TraceID != "1" {
+		t.Fatalf("error records %+v, want the newest 8, newest first", errs)
+	}
+	if n := len(f.Query(FlightQuery{Outcome: FlightOK, Limit: 100})); n != 8 {
+		t.Fatalf("%d other records left, want 8", n)
+	}
+}

@@ -140,7 +140,8 @@ var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // regrows — some 34 KB of garbage for a 10 KB body. The declaration is only
 // a hint, reserved up to maxPooledBody: a body that runs past it still
 // reads whole, so the bound on r stays the caller's (http.MaxBytesReader, an
-// io.LimitReader). The buffer is the caller's own, never pooled.
+// io.LimitReader). The buffer is the caller's own, never pooled: the router
+// reads backend answers with it, and forwards its request as a hop.Body.
 func ReadSized(r io.Reader, declared int64) ([]byte, error) {
 	if declared < 0 {
 		return io.ReadAll(r)

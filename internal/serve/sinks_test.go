@@ -287,3 +287,56 @@ func TestSinksAgree(t *testing.T) {
 		}
 	}
 }
+
+// TestFlightKeepsRefusals: a refusal keeps its record in /debug/flightz
+// however many anomalies follow it. A queue_full shed is followed by 1 024
+// δ = 1 images, every one a deepest-exit anomaly, four times what the
+// flight ring holds; the shed's record is still there, because sheds and
+// errors have half of the ring, which other records cannot evict.
+func TestFlightKeepsRefusals(t *testing.T) {
+	cdln, data := testCDLN(t, 95)
+	srv, err := New(cdln, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	post := func(n int, delta *float64) int {
+		req := V2ClassifyRequest{Policy: &PolicyRequest{Delta: delta}}
+		for i := 0; i < n; i++ {
+			req.Images = append(req.Images, data[i%len(data)].X.Flatten().Data)
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, classifyPath, bytes.NewReader(body)))
+		return w.Code
+	}
+	// A worker-less pool of depth 2 cannot take a 3-image request.
+	m, err := srv.Registry().Get("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := m.pool
+	m.pool = newPool(nil, 2, 1, m.emit)
+	if code := post(3, nil); code != http.StatusServiceUnavailable {
+		t.Fatalf("full queue: HTTP %d, want 503", code)
+	}
+	m.pool = served
+	one := 1.0
+	const deep = 1024
+	for i := 0; i < deep; i += 256 {
+		if code := post(256, &one); code != http.StatusOK {
+			t.Fatalf("δ = 1 request: HTTP %d", code)
+		}
+	}
+	var flights obs.FlightzResponse
+	opsDoc(t, srv.Handler(), "/debug/flightz?outcome=shed", &flights)
+	if st := flights.Models[DefaultModelName]; st.Seen != deep+1 || st.Anomalous != deep+1 {
+		t.Fatalf("flight stats %+v, want %d seen, all anomalous", st, deep+1)
+	}
+	if len(flights.Records) != 1 || flights.Records[0].RejectCause != "queue_full" {
+		t.Fatalf("shed records after %d deepest exits: %+v, want the queue_full shed", deep, flights.Records)
+	}
+}
