@@ -202,6 +202,10 @@ func (p *Plane) Observe(events []Event) {
 	}
 	p99 := p.liveP99(w, nowNS)
 	rung := int(p.rung.Load())
+	// One copy of a trace's spans per call, shared by the records of its
+	// images (a request's events are adjacent; records are read-only).
+	var spansOf *obs.Trace
+	var spans []obs.Span
 	for i := range events {
 		ev := &events[i]
 		rec := obs.FlightRecord{
@@ -237,7 +241,10 @@ func (p *Plane) Observe(events []Event) {
 		if ev.Trace != nil {
 			rec.TraceID = ev.Trace.ID()
 			if rec.Anomalous() {
-				rec.Spans = ev.Trace.Spans()
+				if ev.Trace != spansOf {
+					spansOf, spans = ev.Trace, ev.Trace.Spans()
+				}
+				rec.Spans = spans
 			}
 		}
 		p.flight.Record(rec)

@@ -65,6 +65,52 @@ func TestPlaneSinksAgree(t *testing.T) {
 	}
 }
 
+// TestPlaneSharesOneSpanCopyPerTrace: the records of a multi-image
+// request's anomalous images carry its spans from one copy, not one copy
+// (and sort) per image, while another request's records carry their own.
+func TestPlaneSharesOneSpanCopyPerTrace(t *testing.T) {
+	p := newTestPlane(3)
+	at := time.Unix(0, 0)
+	one, two := obs.NewTrace("one", true), obs.NewTrace("two", true)
+	one.Record("late", at.Add(2*time.Millisecond), at.Add(3*time.Millisecond), "")
+	one.Record("early", at, at.Add(time.Millisecond), "")
+	two.Record("other", at, at.Add(time.Millisecond), "")
+	var events []Event
+	for i := 0; i < 8; i++ { // every image at the deepest exit: all anomalous
+		ev := served(1, 2)
+		ev.Trace = one
+		events = append(events, ev)
+	}
+	last := served(1, 2)
+	last.Trace = two
+	p.Observe(append(events, last))
+
+	recs := p.flight.Query(obs.FlightQuery{Limit: 16})
+	if len(recs) != 9 {
+		t.Fatalf("%d records, want 9", len(recs))
+	}
+	var shared *obs.Span
+	for _, rec := range recs {
+		switch rec.TraceID {
+		case "one":
+			if len(rec.Spans) != 2 || rec.Spans[0].Name != "early" || rec.Spans[1].Name != "late" {
+				t.Fatalf("request one's record carries spans %+v, want early then late", rec.Spans)
+			}
+			if shared == nil {
+				shared = &rec.Spans[0]
+			} else if &rec.Spans[0] != shared {
+				t.Error("two records of one request carry separate copies of its spans")
+			}
+		case "two":
+			if len(rec.Spans) != 1 || rec.Spans[0].Name != "other" {
+				t.Errorf("request two's record carries spans %+v, want its own", rec.Spans)
+			}
+		default:
+			t.Errorf("record of trace %q", rec.TraceID)
+		}
+	}
+}
+
 // TestPlaneLiveP99NeedsSamples: the live-p99 anomaly gate stays shut until
 // the window holds liveP99MinSamples latencies, so a tier's first requests
 // are not tagged against a one-sample window.

@@ -99,7 +99,8 @@ func (s *Session) ResumeBatchPolicyAt(acts []*tensor.T, node, fromStage int, pol
 // branch's entry when a trunk route fired before the split. splitStage
 // must be in [0, len(trunk.Stages)]: 0 owns no stages and always defers,
 // len(Stages) owns the whole trunk and defers only the FC tail (plus any
-// routed branches).
+// routed branches). It is ClassifyPrefixInto over a fresh slab, so a
+// caller may hold a whole batch's results across later session use.
 //
 // A depth cap at or below the split stage resolves the unrouted share of
 // the batch locally (those PrefixResults are Exited — nothing left to
@@ -111,6 +112,26 @@ func (s *Session) ResumeBatchPolicyAt(acts []*tensor.T, node, fromStage int, pol
 // to enforce — so prefix+resume stays bit-identical to the monolithic walk
 // under every policy.
 func (s *Session) ClassifyPrefixBatchPolicy(xs []*tensor.T, splitStage int, pol ExitPolicy) []PrefixResult {
+	return s.ClassifyPrefixInto(new(PrefixSlab), xs, splitStage, pol)
+}
+
+// PrefixSlab is caller-owned storage for ClassifyPrefixInto: the results,
+// each deferred activation in its input's fixed-stride slot, and the
+// headers the activations are viewed under. It grows to the largest batch
+// it has held and is reused call after call; the zero value is ready.
+type PrefixSlab struct {
+	res   []PrefixResult
+	data  []float64
+	heads []tensor.T
+}
+
+// ClassifyPrefixInto is ClassifyPrefixBatchPolicy writing into slab: the
+// returned results, and every deferred activation, live there until the
+// slab's next use, and nothing of them in session scratch. Input i's
+// activation is written only into slot i of the slab, whose stride is the
+// largest handoff a prefix to splitStage can make (sized when the session
+// was built), so the call's lanes write without coordinating.
+func (s *Session) ClassifyPrefixInto(slab *PrefixSlab, xs []*tensor.T, splitStage int, pol ExitPolicy) []PrefixResult {
 	s.model.SplitPos(splitStage) // validates splitStage
 	s.checkStageDeltas(pol)
 	if len(xs) == 0 {
@@ -120,9 +141,15 @@ func (s *Session) ClassifyPrefixBatchPolicy(xs []*tensor.T, splitStage int, pol 
 	if capG := s.graph.maxExit(pol); capG < splitStage {
 		to, forced = capG, true
 	}
-	results := make([]PrefixResult, len(xs))
-	s.fan(laneCall{xs: xs, shape: s.model.Arch.Net.InShape, pres: results, to: to, forced: forced, pol: pol})
-	return results
+	b, stride := len(xs), s.handoff[splitStage]
+	slab.res = slices.Grow(slab.res[:0], b)[:b]
+	clear(slab.res)
+	slab.data = slices.Grow(slab.data[:0], b*stride)[:b*stride]
+	if len(slab.heads) < b {
+		slab.heads = make([]tensor.T, b)
+	}
+	s.fan(laneCall{xs: xs, shape: s.model.Arch.Net.InShape, pres: slab.res, slab: slab, stride: stride, to: to, forced: forced, pol: pol})
+	return slab.res
 }
 
 // checkStageDeltas panics on a policy whose per-stage thresholds do not
@@ -147,6 +174,8 @@ type laneCall struct {
 	shape           []int // one input's shape
 	recs            []ExitRecord
 	pres            []PrefixResult
+	slab            *PrefixSlab // prefix: where deferred rows go, slot i at i·stride
+	stride          int
 	node, from, pos int  // where the walk starts
 	to              int  // resume: the path-depth cap; prefix: the last stage walked
 	forced          bool // prefix: stage `to` is a forced exit
@@ -196,7 +225,8 @@ func (s *Session) fan(c laneCall) {
 }
 
 // walkRange walks range r of the current call to completion on lane l: a
-// resume's stages, branch queue and FC tails, or a prefix and its handoffs.
+// resume's stages, branch queue and FC tails, or a prefix and its handoffs,
+// each deferred row copied into its input's slot of the call's slab.
 func (s *Session) walkRange(l *lane, r int) {
 	c := &s.call
 	lo, hi := r*c.per, min((r+1)*c.per, len(c.xs))
@@ -222,11 +252,20 @@ func (s *Session) walkRange(l *lane, r int) {
 		c.pres[i].Exited = true
 	}
 	for _, grp := range append(handoffs, rest) {
+		if len(grp.idx) == 0 {
+			continue
+		}
+		ssz := grp.act.Numel() / len(grp.idx)
+		shape := make([]int, 0, 8) // constant cap: stays on the stack
+		for d := 1; d < grp.act.Rank(); d++ {
+			shape = append(shape, grp.act.Dim(d))
+		}
 		for r, orig := range grp.idx {
-			ssz := grp.act.Numel() / len(grp.idx)
-			private := tensor.New(grp.act.Shape()[1:]...)
-			copy(private.Data, grp.act.Data[r*ssz:(r+1)*ssz])
-			c.pres[orig] = PrefixResult{Activation: private, Node: grp.node, FromStage: grp.from, Pos: grp.pos}
+			// Bounded by the slot's end: a row larger than the stride panics
+			// rather than spill into its neighbour's slot.
+			slot := c.slab.data[orig*c.stride : orig*c.stride+ssz : (orig+1)*c.stride]
+			copy(slot, grp.act.Data[r*ssz:(r+1)*ssz])
+			c.pres[orig] = PrefixResult{Activation: c.slab.heads[orig].Point(slot, shape...), Node: grp.node, FromStage: grp.from, Pos: grp.pos}
 		}
 	}
 }

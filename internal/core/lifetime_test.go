@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"cdl/internal/tensor"
@@ -77,5 +78,82 @@ func TestSessionScratchLifetime(t *testing.T) {
 	}
 	if trunkHandoffs == 0 || branchHandoffs == 0 {
 		t.Fatalf("held %d trunk and %d branch handoffs; the test needs both kinds", trunkHandoffs, branchHandoffs)
+	}
+}
+
+// TestPrefixIntoWritesOnlyItsSlab pins ClassifyPrefixInto's storage rule:
+// the results are the slab's, each deferred activation — trunk and branch
+// handoffs alike — sits at the start of its own input's slot, stride the
+// session's handoff size for the split, and nothing else of the slab is
+// written. One slab serves every split and batch size in turn, each call's
+// results equal ClassifyPrefixBatchPolicy's private ones, and they survive
+// later calls through the session and through another slab.
+func TestPrefixIntoWritesOnlyItsSlab(t *testing.T) {
+	g := routedGraph(t, 44)
+	sess, err := NewGraphSession(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := DeltaPolicy(0.999) // suppress trunk exits: nearly every row is handed off
+	var slab, other PrefixSlab
+	sess.ClassifyPrefixInto(&slab, mixedInputs(64, 1), 0, pol) // grow the slab past every call below
+	trunkHandoffs, branchHandoffs := 0, 0
+	for split := 0; split <= len(g.Trunk().Stages); split++ {
+		for _, n := range []int{40, 9, 33} {
+			xs := mixedInputs(n, int64(split*100+n))
+			want := sess.ClassifyPrefixBatchPolicy(xs, split, pol)
+			sentinel := math.Float64frombits(0x7ff8dead_beefcafe)
+			data := slab.data[:cap(slab.data)]
+			for i := range data {
+				data[i] = sentinel
+			}
+			got := sess.ClassifyPrefixInto(&slab, xs, split, pol)
+			if len(got) != n || &got[0] != &slab.res[0] {
+				t.Fatalf("split %d batch %d: %d results outside the slab", split, n, len(got))
+			}
+			stride := sess.handoff[split]
+			written := make([]bool, len(data))
+			for i, pre := range got {
+				if pre.Exited != want[i].Exited || pre.Node != want[i].Node || pre.FromStage != want[i].FromStage || pre.Pos != want[i].Pos {
+					t.Fatalf("split %d batch %d input %d: %+v, want %+v", split, n, i, pre, want[i])
+				}
+				if pre.Exited {
+					assertRecordsMatch(t, "slab prefix record", i, pre.Record, want[i].Record)
+					continue
+				}
+				if pre.Node > 0 {
+					branchHandoffs++
+				} else {
+					trunkHandoffs++
+				}
+				act := pre.Activation
+				if !tensor.Equal(act, want[i].Activation) {
+					t.Fatalf("split %d batch %d input %d: activation differs from the private one", split, n, i)
+				}
+				if len(act.Data) > stride || &act.Data[0] != &data[i*stride] || cap(act.Data) != stride {
+					t.Fatalf("split %d batch %d input %d: %d values outside slot %d of stride %d", split, n, i, len(act.Data), i, stride)
+				}
+				for k := range act.Data {
+					written[i*stride+k] = true
+				}
+			}
+			for k, v := range data {
+				if !written[k] && math.Float64bits(v) != math.Float64bits(sentinel) {
+					t.Fatalf("split %d batch %d: slab value %d (slot %d) written outside any handoff", split, n, k, k/stride)
+				}
+			}
+			// Later calls through session scratch and another slab leave
+			// the results alone.
+			sess.ClassifyBatchPolicy(mixedInputs(48, 7), pol)
+			sess.ClassifyPrefixInto(&other, mixedInputs(n, 5), split, pol)
+			for i, pre := range got {
+				if !pre.Exited && !tensor.Equal(pre.Activation, want[i].Activation) {
+					t.Fatalf("split %d batch %d input %d: a later call overwrote the slab's activation", split, n, i)
+				}
+			}
+		}
+	}
+	if trunkHandoffs == 0 || branchHandoffs == 0 {
+		t.Fatalf("%d trunk and %d branch handoffs; the test needs both kinds", trunkHandoffs, branchHandoffs)
 	}
 }

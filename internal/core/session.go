@@ -32,6 +32,11 @@ type Session struct {
 	model *CDLN // trunk replica, the entry cascade
 
 	exitOps [][]float64 // per node: 0, then its ExitOps; fan prices a segment by difference
+	// handoff[k] is the stride of a PrefixSlab slot for a prefix to trunk
+	// stage k: the largest activation, in floats, it can hand off — the
+	// trunk's at stage k or any branch's input (a route before the split
+	// hands its row off at the branch's entry).
+	handoff []int
 
 	// lanes[0] walks the caller's range; more are built as calls split
 	// wider. call is the current call, wg its join, node deliver's buffer.
@@ -84,10 +89,26 @@ func NewGraphSession(g *Graph) (*Session, error) {
 // newGraphSession wraps an already-private replica as lane 0's graph.
 func newGraphSession(g *Graph) *Session {
 	s := &Session{graph: g, model: g.Trunk(), lanes: []*lane{newLane(g)}}
-	for _, n := range g.Nodes {
+	branch := 0
+	for i, n := range g.Nodes {
 		s.exitOps = append(s.exitOps, append([]float64{0}, n.Model.ExitOps()...))
+		if i > 0 {
+			branch = max(branch, numel(n.Model.Arch.Net.InShape))
+		}
+	}
+	for k := range len(s.model.Stages) + 1 {
+		s.handoff = append(s.handoff, max(branch, numel(s.model.Arch.Net.ShapeAt(s.model.SplitPos(k)))))
 	}
 	return s
+}
+
+// numel is the element count of a shape.
+func numel(shape []int) int {
+	n := 1
+	for _, d := range shape {
+		n *= d
+	}
+	return n
 }
 
 // newLane validates a private graph replica, building its derived routing
@@ -138,9 +159,11 @@ type PrefixResult struct {
 	// Exited reports whether a prefix stage's activation module fired.
 	Exited bool
 	// Activation is the intermediate activation at the handoff point; valid
-	// only when !Exited. It is private to the result (survivor compaction
-	// reuses the walk's buffers, so deferred rows are copied out): a caller
-	// may hold a whole batch's activations across later session use.
+	// only when !Exited. Survivor compaction reuses the walk's buffers, so
+	// deferred rows are copied out: into a fresh slab private to the call's
+	// results under ClassifyPrefixBatchPolicy (a caller may hold a whole
+	// batch's activations across later session use), into the caller's
+	// slab, valid until its next use, under ClassifyPrefixInto.
 	Activation *tensor.T
 	// Node is the graph node the other tier must resume in: 0 when the
 	// input reached the trunk split stage undecided, or a branch index when

@@ -121,12 +121,16 @@ type Edge struct {
 	wireBytes []int
 	exitOps   []float64
 	classes   int
-	// slab holds the encoded offloads of the current call; payloads and
-	// deferred are its views and their inputs' indices; recs is the call's
-	// answer. All reused call after call (an Edge is single-goroutine).
+	// prefix holds the current call's prefix results and deferred
+	// activations; slab their encoded offloads, payloads and deferred its
+	// views and their inputs' indices, dims an activation's shape; recs is
+	// the call's answer. All reused call after call (an Edge is
+	// single-goroutine).
+	prefix   core.PrefixSlab
 	slab     []byte
 	payloads [][]byte
 	deferred []int
+	dims     []int
 	recs     []core.ExitRecord
 	// tr is the attached request trace (nil between requests): prefix
 	// stage spans, the offload hop and the cloud tier's merged spans all
@@ -272,9 +276,9 @@ func (e *Edge) ClassifyBatchPolicy(xs []*tensor.T, pol core.ExitPolicy) ([]Resul
 
 // WalkBatch is the split pipeline as a serve pool worker runs it
 // (serve.Walker): the whole batch's prefix runs locally in one cascade
-// pass (core.Session.ClassifyPrefixBatchPolicy — exit where the δ-rule
-// fires, exited inputs compacted away between stages), then every
-// deferred split-point activation is wire-encoded and all of them resume
+// pass (core.Session.ClassifyPrefixInto the Edge's own slab — exit where
+// the δ-rule fires, exited inputs compacted away between stages), then
+// every deferred split-point activation is wire-encoded and all of them resume
 // on the cloud in one round trip. An edge walks from the input layer only,
 // so node and fromStage must be 0. traces, when non-nil, holds each
 // input's trace: the prefix records "edge:"-prefixed stage spans into the
@@ -297,7 +301,7 @@ func (e *Edge) WalkBatch(xs []*tensor.T, node, fromStage int, pol core.ExitPolic
 	if traces != nil {
 		e.sess.SetStageObserver(serve.StageObserver(e.sess.Graph(), "edge:", traces))
 	}
-	prefixes := e.sess.ClassifyPrefixBatchPolicy(xs, e.cfg.SplitStage, pol)
+	prefixes := e.sess.ClassifyPrefixInto(&e.prefix, xs, e.cfg.SplitStage, pol)
 	if traces != nil {
 		e.sess.SetStageObserver(nil)
 	}
@@ -310,7 +314,7 @@ func (e *Edge) WalkBatch(xs []*tensor.T, node, fromStage int, pol core.ExitPolic
 			continue
 		}
 		e.deferred = append(e.deferred, i)
-		size += wire.EncodedSizeAt(pre.Node, len(pre.Activation.Shape()), len(pre.Activation.Data), e.cfg.Encoding)
+		size += wire.EncodedSizeAt(pre.Node, pre.Activation.Rank(), len(pre.Activation.Data), e.cfg.Encoding)
 	}
 	if len(e.deferred) == 0 {
 		return e.recs, nil
@@ -381,18 +385,24 @@ func (e *Edge) resumeOffloads(payloads [][]byte, delta float64, traces []*obs.Tr
 	return recs, nil
 }
 
-// encodePrefix appends a deferred prefix's wire encoding to the slab: a
-// trunk residue resumes at the split stage, a routed input hands off at its
-// branch entry (node, stage 0, pos 0). The payload carries no trace ID: the
-// trace crosses the split in resumeOffloads, beside the payloads.
+// encodePrefix appends a deferred prefix's wire encoding, read from the
+// Edge's prefix slab, to the slab: a trunk residue resumes at the split
+// stage, a routed input hands off at its branch entry (node, stage 0, pos
+// 0). The payload carries no trace ID: the trace crosses the split in
+// resumeOffloads, beside the payloads.
 func (e *Edge) encodePrefix(pre core.PrefixResult) error {
+	act := pre.Activation
+	e.dims = e.dims[:0]
+	for d := range act.Rank() {
+		e.dims = append(e.dims, act.Dim(d))
+	}
 	var err error
 	e.slab, err = wire.AppendEncode(e.slab, wire.Activation{
 		Node:      pre.Node,
 		FromStage: pre.FromStage,
 		Pos:       pre.Pos,
-		Shape:     pre.Activation.Shape(),
-		Data:      pre.Activation.Data,
+		Shape:     e.dims,
+		Data:      act.Data,
 	}, e.cfg.Encoding, e.cfg.Format)
 	if err != nil {
 		return fmt.Errorf("edgecloud: encode offload: %w", err)

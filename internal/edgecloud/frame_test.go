@@ -13,6 +13,7 @@ import (
 
 	"cdl/internal/core"
 	"cdl/internal/edgecloud/wire"
+	"cdl/internal/fixed"
 	"cdl/internal/obs"
 	"cdl/internal/serve"
 )
@@ -199,5 +200,83 @@ func TestServerCloseSettlesGoroutines(t *testing.T) {
 				runtime.NumGoroutine(), start, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// recordingTransport keeps a copy of every payload it is handed: the
+// payloads are views of a buffer the Edge reuses.
+type recordingTransport struct {
+	inner Transport
+	sent  [][]byte
+}
+
+func (r *recordingTransport) ResumeBatch(ps [][]byte, d float64) ([]core.ExitRecord, error) {
+	for _, p := range ps {
+		r.sent = append(r.sent, bytes.Clone(p))
+	}
+	return r.inner.ResumeBatch(ps, d)
+}
+
+// TestEdgeEncodesFromItsSlab: an Edge walks its prefix into a slab it
+// reuses call after call, growing and shrinking with the batch, and what it
+// ships is byte for byte the encoding of the private activations
+// ClassifyPrefixBatchPolicy returns for the same inputs — trunk residues
+// and routed branch handoffs alike — and its records are the monolithic
+// walk's.
+func TestEdgeEncodesFromItsSlab(t *testing.T) {
+	g, data := routedEdgeGraph(t, 17)
+	lb, err := NewGraphLoopback(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &recordingTransport{inner: lb}
+	edge, err := NewGraph(g, rec, Config{SplitStage: 1, Delta: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := core.NewGraphSession(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := core.DeltaPolicy(0.999)
+	xs := tensorsOf(data)
+	branch := 0
+	for lo, n := range []int{16, 3, 11, 1, 16, 7} {
+		batch := xs[lo*5 : lo*5+n]
+		rec.sent = rec.sent[:0]
+		got, err := edge.WalkBatch(batch, 0, 0, pol, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want [][]byte
+		for _, pre := range ref.ClassifyPrefixBatchPolicy(batch, 1, pol) {
+			if pre.Exited {
+				continue
+			}
+			p, err := wire.Encode(wire.Activation{Node: pre.Node, FromStage: pre.FromStage, Pos: pre.Pos, Shape: pre.Activation.Shape(), Data: pre.Activation.Data}, wire.EncodingFloat64, fixed.Format{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, p)
+			if pre.Node > 0 {
+				branch++
+			}
+		}
+		if len(rec.sent) != len(want) {
+			t.Fatalf("batch %d: shipped %d payloads, want %d", lo, len(rec.sent), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(rec.sent[i], want[i]) {
+				t.Fatalf("batch %d: payload %d is not the encoding of its private activation", lo, i)
+			}
+		}
+		for i, r := range ref.ClassifyBatchPolicy(batch, pol) {
+			if !sameRecord(got[i], r) {
+				t.Fatalf("batch %d input %d: edge record %+v, monolithic %+v", lo, i, got[i], r)
+			}
+		}
+	}
+	if branch == 0 {
+		t.Fatal("no routed handoff was shipped; the test needs one")
 	}
 }

@@ -246,18 +246,28 @@ func AppendEncode(dst []byte, a Activation, enc Encoding, f fixed.Format) ([]byt
 }
 
 // Decode parses an encoded activation, dequantizing fixed-point payloads
-// back to float64. It validates the header defensively: the input may come
-// off the network.
+// back to float64, into storage of its own: DecodeAppend(nil, b).
 func Decode(b []byte) (Activation, error) {
+	_, a, err := DecodeAppend(nil, b)
+	return a, err
+}
+
+// DecodeAppend parses an encoded activation, dequantizing fixed-point
+// payloads back to float64, and appends its values to dst, grown at most
+// once: the returned activation's Data is the appended tail (capped at its
+// length), valid while dst's storage is. It validates the header
+// defensively, since the input may come off the network; on error dst is
+// returned with its length unchanged and nothing of it written.
+func DecodeAppend(dst []float64, b []byte) ([]float64, Activation, error) {
 	var a Activation
 	if len(b) < headerBase {
-		return a, fmt.Errorf("wire: %d bytes, shorter than the %d-byte header", len(b), headerBase)
+		return dst, a, fmt.Errorf("wire: %d bytes, shorter than the %d-byte header", len(b), headerBase)
 	}
 	if string(b[:4]) != magic {
-		return a, fmt.Errorf("wire: bad magic %q", b[:4])
+		return dst, a, fmt.Errorf("wire: bad magic %q", b[:4])
 	}
 	if b[4] != versionLinear && b[4] != versionRouted {
-		return a, fmt.Errorf("wire: version %d, want %d or %d", b[4], versionLinear, versionRouted)
+		return dst, a, fmt.Errorf("wire: version %d, want %d or %d", b[4], versionLinear, versionRouted)
 	}
 	enc := Encoding(b[5])
 	f := fixed.Format{IntBits: int(b[6]), FracBits: int(b[7])}
@@ -265,59 +275,60 @@ func Decode(b []byte) (Activation, error) {
 	case EncodingFloat64:
 	case EncodingFixed:
 		if err := f.Validate(); err != nil {
-			return a, err
+			return dst, a, err
 		}
 		if f.Width() > 16 {
-			return a, fmt.Errorf("wire: fixed format %s width %d exceeds the 16-bit payload word", f, f.Width())
+			return dst, a, fmt.Errorf("wire: fixed format %s width %d exceeds the 16-bit payload word", f, f.Width())
 		}
 	default:
-		return a, fmt.Errorf("wire: unknown encoding %d", enc)
+		return dst, a, fmt.Errorf("wire: unknown encoding %d", enc)
 	}
 	a.FromStage = int(binary.LittleEndian.Uint16(b[8:10]))
 	a.Pos = int(binary.LittleEndian.Uint16(b[10:12]))
 	base := headerBase
 	if b[4] == versionRouted {
 		if len(b) < headerBaseRouted {
-			return a, fmt.Errorf("wire: %d bytes, shorter than the %d-byte routed header", len(b), headerBaseRouted)
+			return dst, a, fmt.Errorf("wire: %d bytes, shorter than the %d-byte routed header", len(b), headerBaseRouted)
 		}
 		a.Node = int(binary.LittleEndian.Uint16(b[12:14]))
 		base = headerBaseRouted
 	}
 	rank := int(b[base-1])
 	if len(b) < base+4*rank {
-		return a, fmt.Errorf("wire: truncated dims (rank %d, %d bytes)", rank, len(b))
+		return dst, a, fmt.Errorf("wire: truncated dims (rank %d, %d bytes)", rank, len(b))
 	}
 	a.Shape = make([]int, rank)
 	numel := 1
 	for i := 0; i < rank; i++ {
 		d := int(binary.LittleEndian.Uint32(b[base+4*i:]))
 		if d > maxElems || numel > maxElems/max(d, 1) {
-			return a, fmt.Errorf("wire: dimension %d of %d exceeds the %d-element decode bound", d, rank, maxElems)
+			return dst, a, fmt.Errorf("wire: dimension %d of %d exceeds the %d-element decode bound", d, rank, maxElems)
 		}
 		a.Shape[i] = d
 		numel *= d
 	}
-	payload := b[base+4*rank:]
+	payload, per := b[base+4*rank:], 8
+	if enc == EncodingFixed {
+		per = 2
+	}
+	if len(payload) != per*numel {
+		return dst, a, fmt.Errorf("wire: %s payload %d bytes, want %d", enc, len(payload), per*numel)
+	}
+	at := len(dst)
+	dst = slices.Grow(dst, numel)[:at+numel]
+	a.Data = dst[at : at+numel : at+numel]
 	switch enc {
 	case EncodingFloat64:
-		if len(payload) != 8*numel {
-			return a, fmt.Errorf("wire: float64 payload %d bytes, want %d", len(payload), 8*numel)
-		}
-		a.Data = make([]float64, numel)
 		for i := range a.Data {
 			a.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
 		}
 	case EncodingFixed:
-		if len(payload) != 2*numel {
-			return a, fmt.Errorf("wire: fixed payload %d bytes, want %d", len(payload), 2*numel)
-		}
-		a.Data = make([]float64, numel)
 		for i := range a.Data {
 			raw := int16(binary.LittleEndian.Uint16(payload[2*i:]))
 			a.Data[i] = f.Dequantize(int64(raw))
 		}
 	}
-	return a, nil
+	return dst, a, nil
 }
 
 // FrameContentType is the request Content-Type that selects the resume
@@ -354,7 +365,7 @@ func AppendFrame(dst, members []byte, payloads [][]byte) ([]byte, error) {
 }
 
 // ReadFrame splits a resume frame into its members and payloads. Both alias
-// b: Decode each payload (it copies) before b is reused. The payload count
+// b: decode each payload (Decode and DecodeAppend copy) before b is reused. The payload count
 // is the frame's own; the caller holds it to its per-request cap.
 func ReadFrame(b []byte) (members []byte, payloads [][]byte, err error) {
 	if len(b) < framePreamble {

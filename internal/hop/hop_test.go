@@ -51,6 +51,24 @@ func TestBodyReferences(t *testing.T) {
 	b.Release()
 }
 
+// TestBodyPoolDropsLargeBuffers: a body that grew past maxPooled for one
+// large request is not retained, whatever the pool hands out next.
+func TestBodyPoolDropsLargeBuffers(t *testing.T) {
+	large := bytes.Repeat([]byte(" "), 2*maxPooled)
+	for i := 0; i < 4; i++ {
+		b := NewBody()
+		if err := b.Fill(bytes.NewReader(large), int64(len(large))); err != nil {
+			t.Fatal(err)
+		}
+		b.Release()
+		next := NewBody()
+		if c := cap(next.Bytes()); c > maxPooled {
+			t.Fatalf("the pool retained a %d-byte buffer, cap %d", c, maxPooled)
+		}
+		next.Release()
+	}
+}
+
 // TestCopyDoesNotScaleWithBody posts 1 KiB and 256 KiB bodies through a
 // transport dialled by Dial, each as a *bytes.Reader and as a Body's
 // reader, and checks that they arrive exact and that what a request

@@ -14,11 +14,12 @@
 package obs
 
 import (
+	"cmp"
 	"context"
 	"log/slog"
 	"math/rand/v2"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -172,7 +173,7 @@ func (t *Trace) Spans() []Span {
 	t.mu.Lock()
 	out := append([]Span(nil), t.spans...)
 	t.mu.Unlock()
-	sort.SliceStable(out, func(i, j int) bool { return out[i].StartUnixNS < out[j].StartUnixNS })
+	slices.SortStableFunc(out, func(a, b Span) int { return cmp.Compare(a.StartUnixNS, b.StartUnixNS) })
 	return out
 }
 

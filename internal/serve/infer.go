@@ -24,6 +24,7 @@ import (
 	"cdl/internal/control"
 	"cdl/internal/core"
 	"cdl/internal/edgecloud/wire"
+	"cdl/internal/hop"
 	"cdl/internal/obs"
 	"cdl/internal/tensor"
 )
@@ -36,7 +37,7 @@ type inferRequest struct {
 	payload  string
 	payloads []string
 	// acts, non-nil for a wire.FrameContentType body, are its payloads in
-	// place of payload/payloads, already through wire.Decode (see frameBody).
+	// place of payload/payloads, already decoded (see frameBody).
 	acts []frameAct
 	// policy nil inherits the entry's serve policy (the SLO controller's
 	// current rung, or the trained behaviour).
@@ -67,7 +68,7 @@ func (q *V2ResumeRequest) infer() inferRequest {
 	return inferRequest{payload: q.Payload, payloads: q.Payloads, policy: q.Policy, timeoutMS: q.TimeoutMS}
 }
 
-// frameAct is one payload of a resume frame through wire.Decode: its
+// frameAct is one payload of a resume frame through wire.DecodeAppend: its
 // refusal is reported by inputs, at the payload's index like the JSON route's.
 type frameAct struct {
 	act wire.Activation
@@ -78,11 +79,17 @@ type frameAct struct {
 // is the route's own wire struct, strict-decoded from the frame's JSON
 // object so policy, timeout and unknown-field refusal keep one definition.
 // Inputs can be built twice across a hot-swap, after the pooled body buffer
-// was handed on, so every payload is decoded here (wire.Decode copies).
+// was handed on, so every payload is decoded here, out of the body: into
+// slab, a buffer borrowed from actSlabs until release.
 type frameBody struct {
 	members wireRequest
 	acts    []frameAct
+	slab    *[]float64
 }
+
+// actSlabs holds the buffers frames have given back, each empty: a frame's
+// activations are decoded into one of them.
+var actSlabs = sync.Pool{New: func() any { return new([]float64) }}
 
 func (f *frameBody) infer() inferRequest {
 	q := f.members.infer()
@@ -105,12 +112,33 @@ func (f *frameBody) decode(data []byte, maxInputs int) error {
 	if len(payloads) > maxInputs {
 		return nil // inputs refuses the count; nothing is decoded for it
 	}
+	size := 0
+	for _, p := range payloads {
+		size += len(p)
+	}
+	// Grown once for float64 payloads, whose values fill at most an eighth
+	// of their bytes; a fixed-point frame regrows, and the values decoded
+	// before that keep the array they were written to.
+	f.slab = actSlabs.Get().(*[]float64)
+	slab := slices.Grow(*f.slab, size/8)
 	for i, p := range payloads {
-		if f.acts[i].act, f.acts[i].err = wire.Decode(p); f.acts[i].err != nil {
+		if slab, f.acts[i].act, f.acts[i].err = wire.DecodeAppend(slab, p); f.acts[i].err != nil {
 			break // inputs stops here too
 		}
 	}
+	*f.slab = slab
 	return nil
+}
+
+// release gives the frame's activations back once their last reader is
+// done: after it nobody may read them, since the next frame decodes into
+// them. A slab that grew past maxPooledBody is left to the collector.
+func (f *frameBody) release() {
+	if f.slab != nil && cap(*f.slab) <= maxPooledBody/8 {
+		*f.slab = (*f.slab)[:0]
+		actSlabs.Put(f.slab)
+	}
+	f.slab = nil
 }
 
 // bodyBound is the largest body a request of maxInputs inputs, each at most
@@ -121,18 +149,12 @@ func bodyBound(maxInputs, perInput int) int64 {
 	return int64(maxInputs)*int64(perInput) + 16384
 }
 
-// maxPooledBody caps what the body pool retains: a buffer that grew past it
-// (bodyBound reaches 6.4 MB at 256 images of 784 pixels) is dropped after
-// its request, so one large request does not pin its size in every pool
-// slot. It also caps what a declared Content-Length alone can reserve.
+// maxPooledBody caps, in bytes, what the answer-frame and activation pools
+// retain: a buffer that grew past it is dropped after its request, so one
+// large request does not pin its size in every pool slot. It also caps
+// what a declared Content-Length alone can reserve in ReadSized. (Request
+// bodies are hop.Bodies, under hop's own cap of the same size.)
 const maxPooledBody = 1 << 20
-
-// bodyPool holds the buffers request bodies are read into. Nothing decoded
-// from a body may alias it: the buffer is back in the pool, and being
-// overwritten by another request, as soon as decodeBody returns. (The
-// decoded pixels are pooled too, but they live longer: a request holds
-// them until its last reader is done; see ReleaseImages.)
-var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // ReadSized reads r to its end, like io.ReadAll, into one buffer sized from
 // the length the peer declared (an http Content-Length; negative when there
@@ -154,12 +176,16 @@ func ReadSized(r io.Reader, declared int64) ([]byte, error) {
 
 // decodeBody is the ingress check of every request body on both tiers: the
 // route's method only, at most maxBody bytes, one value with no unknown
-// fields. The body is read whole into a pooled buffer before anything is
+// fields. The body is read whole into a pooled hop.Body before anything is
 // parsed, so the bound alone decides 413 — a declared Content-Length above
 // it is refused unread, and a body that runs past it is refused however
-// much of it was padding — and any other reject is 400. width and
-// maxImages size an image route's pixel storage (see bodyScan.imageBody); the
-// admin bodies pass zeros.
+// much of it was padding — and any other reject is 400. Nothing decoded
+// may alias the body: it is back in the pool, and being overwritten by
+// another request, as soon as decodeBody returns. (The decoded pixels and
+// frame activations are pooled too, but they live longer: a request holds
+// them until its last reader is done; see ReleaseImages and
+// frameBody.release.) width and maxImages size an image route's pixel
+// storage (see bodyScan.imageBody); the admin bodies pass zeros.
 func decodeBody(w http.ResponseWriter, r *http.Request, method string, maxBody int64, into any, width, maxImages int) *requestError {
 	if r.Method != method {
 		return &requestError{http.StatusMethodNotAllowed, method + " only"}
@@ -169,21 +195,17 @@ func decodeBody(w http.ResponseWriter, r *http.Request, method string, maxBody i
 	if prof {
 		t0 = time.Now()
 	}
-	buf := bodyPool.Get().(*bytes.Buffer)
+	body := hop.NewBody()
 	var err error
 	if r.ContentLength > maxBody {
 		err = &http.MaxBytesError{Limit: maxBody}
 	} else {
-		buf.Grow(int(min(r.ContentLength, maxPooledBody)) + bytes.MinRead)
-		_, err = buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody))
+		err = body.Fill(http.MaxBytesReader(w, r.Body, maxBody), r.ContentLength)
 	}
 	if err == nil {
-		_, err = decodeJSON(buf.Bytes(), into, width, maxImages)
+		_, err = decodeJSON(body.Bytes(), into, width, maxImages)
 	}
-	if buf.Cap() <= maxPooledBody {
-		buf.Reset()
-		bodyPool.Put(buf)
-	}
+	body.Release()
 	if prof {
 		obs.ProfAdd(obs.PhaseDecode, time.Since(t0))
 	}
@@ -404,7 +426,12 @@ func (s *Server) handleInfer(resume bool, newBody func() wireRequest) http.Handl
 		case frame:
 			// The model's widest lossless wire activation, length-prefixed.
 			perInput = m0.maxResumeWire + 4
-			body = &frameBody{members: body}
+			f := &frameBody{members: body}
+			body = f
+			// The activations go back once dispatch has returned, on every
+			// status, as the pixels do below: by then the walk has copied
+			// each into lane scratch, and no sink keeps one.
+			defer f.release()
 		case resume:
 			// The same, base64-inflated in a JSON string.
 			perInput = base64.StdEncoding.EncodedLen(m0.maxResumeWire) + 4

@@ -298,24 +298,6 @@ func TestDecodedRequestDoesNotAliasTheBody(t *testing.T) {
 	}
 }
 
-// TestBodyPoolDropsLargeBuffers: a buffer that grew past maxPooledBody for
-// one large request is not retained, whatever the pool hands out next.
-func TestBodyPoolDropsLargeBuffers(t *testing.T) {
-	body := append([]byte(`{"image":[1]}`), bytes.Repeat([]byte(" "), 2*maxPooledBody)...)
-	for i := 0; i < 4; i++ {
-		var q ClassifyRequest
-		r := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body))
-		if rerr := decodeBody(httptest.NewRecorder(), r, http.MethodPost, 4*maxPooledBody, &q, 1, 1); rerr != nil {
-			t.Fatal(rerr.msg)
-		}
-		buf := bodyPool.Get().(*bytes.Buffer)
-		if buf.Cap() > maxPooledBody {
-			t.Fatalf("the pool retained a %d-byte buffer, cap %d", buf.Cap(), maxPooledBody)
-		}
-		bodyPool.Put(buf)
-	}
-}
-
 // TestReadSized: the declared length only sizes the buffer. The body reads
 // whole whether the declaration was right, short, long, absent or past the
 // reservation cap, and a reader's error comes back with what was read.
