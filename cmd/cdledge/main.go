@@ -6,8 +6,9 @@
 // this edge's cascade belongs to (default "default", the name cdlserve
 // gives a bare -model path). One cloud tier can so back heterogeneous
 // edge splits. Clients post to POST /v1/classify (images and a bare δ) or
-// to POST /v2/models/default/classify (a policy the δ-only offload wire
-// can carry, and timeout_ms); the ops routes are cdlserve's.
+// to POST /v2/models/default/classify (any policy cdlserve answers, and
+// timeout_ms: each offload carries the request's whole policy); the ops
+// routes are cdlserve's.
 //
 // Usage (cloud first, then the edge against it):
 //
@@ -51,7 +52,7 @@ func main() {
 	encoding := flag.String("encoding", "float64", `offload payload encoding: "float64" (lossless) or "fixed" (Q2.13, 4x smaller)`)
 	pjByte := flag.Float64("pjbyte", energy.DefaultLink().PJPerByte, "link energy model: pJ per transmitted byte")
 	pjOffload := flag.Float64("pjoffload", energy.DefaultLink().PerOffloadPJ, "link energy model: fixed pJ per transfer")
-	slo := flag.String("slo", "", `adapt the offload split to an SLO: "p99=20ms,queue=0.8,energy=2.5e9" — under pressure the controller resolves inputs locally at the last edge stage instead of queueing on the cloud (requests with an explicit δ bypass it); "queue" is the bounded queue's occupancy`)
+	slo := flag.String("slo", "", `adapt the offload split to an SLO: "p99=20ms,queue=0.8,energy=2.5e9" — under pressure the controller caps the cascade's depth, from the deepest exit down, and below the split resolves inputs locally instead of queueing on the cloud (requests with an explicit δ bypass it); "queue" is the bounded queue's occupancy`)
 	adminAddr := flag.String("admin-addr", "", "separate listen address for the admin/debug surface (pprof, expvar, phase profile); empty = disabled")
 	profile := flag.Bool("profile", false, "enable the per-phase (im2col/gemm/epilogue/classifier/decode) time breakdown from startup; also toggleable at runtime via POST /debug/phaseprof on -admin-addr")
 	flag.Parse()

@@ -265,7 +265,10 @@ func (s *Session) walkRange(l *lane, r int) {
 			// rather than spill into its neighbour's slot.
 			slot := c.slab.data[orig*c.stride : orig*c.stride+ssz : (orig+1)*c.stride]
 			copy(slot, grp.act.Data[r*ssz:(r+1)*ssz])
-			c.pres[orig] = PrefixResult{Activation: c.slab.heads[orig].Point(slot, shape...), Node: grp.node, FromStage: grp.from, Pos: grp.pos}
+			c.pres[orig] = PrefixResult{
+				Record:     ExitRecord{Trace: c.pres[orig].Record.Trace}, // the prefix's confidences, under a Trace policy
+				Activation: c.slab.heads[orig].Point(slot, shape...), Node: grp.node, FromStage: grp.from, Pos: grp.pos,
+			}
 		}
 	}
 }

@@ -154,7 +154,10 @@ func (s *Session) ClassifyDelta(x *tensor.T, delta float64) ExitRecord {
 // and (Node, FromStage, Pos, Activation) describe what to hand to
 // ResumeBatchPolicyAt on the other tier.
 type PrefixResult struct {
-	// Record is the final classification; valid only when Exited.
+	// Record is the final classification; valid only when Exited. Under a
+	// Trace policy a deferred input's Record carries only its Trace: the
+	// confidences of the exit points the prefix evaluated, which the other
+	// tier's continue.
 	Record ExitRecord
 	// Exited reports whether a prefix stage's activation module fired.
 	Exited bool

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"cdl/internal/tensor"
@@ -156,6 +157,37 @@ func TestSplitOpsEnergyAccounting(t *testing.T) {
 					t.Fatalf("record ops %v != exit ops %v at exit %d", rec.Ops, exitOps[rec.StageIndex], rec.StageIndex)
 				}
 			}
+		}
+	}
+}
+
+// TestSplitTraceConcatenates pins the trace across a tier split: a
+// deferred prefix result's Record.Trace holds the confidences of the exit
+// points its prefix evaluated, and followed by its resume's it is the
+// monolithic walk's trace, at every split stage.
+func TestSplitTraceConcatenates(t *testing.T) {
+	cdln, xs := splitCDLN(t, 35)
+	xs = xs[:40]
+	sess, _ := NewSession(cdln)
+	pol := ExitPolicy{Delta: 0.9, MaxExit: -1, Trace: true}
+	want := sess.ClassifyBatchPolicy(xs, pol)
+	for split := 0; split <= len(cdln.Stages); split++ {
+		deferred := 0
+		for i, pre := range sess.ClassifyPrefixBatchPolicy(xs, split, pol) {
+			got := pre.Record.Trace
+			if !pre.Exited {
+				deferred++
+				if len(got) != split {
+					t.Fatalf("split %d sample %d: deferred with %d confidences, want %d", split, i, len(got), split)
+				}
+				got = append(got, sess.ResumeBatchPolicyAt([]*tensor.T{pre.Activation}, 0, split, pol)[0].Trace...)
+			}
+			if !slices.Equal(got, want[i].Trace) {
+				t.Fatalf("split %d sample %d: trace %v, monolithic %v", split, i, got, want[i].Trace)
+			}
+		}
+		if deferred == 0 {
+			t.Errorf("split %d: nothing deferred", split)
 		}
 	}
 }

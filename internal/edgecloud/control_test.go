@@ -1,15 +1,15 @@
 package edgecloud
 
 // control_test.go covers the edge tier's SLO integration: the
-// policy-aware split pipeline (ClassifyBatchPolicy) and the offload-split
-// controller adapting an edge front end to end (the restricted actuation
-// ladder is serve's TestEdgeLadder).
+// policy-aware split pipeline (ClassifyBatchPolicy) and the controller
+// adapting an edge front end to end, on its plain control.Ladder.
 
 import (
 	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -21,7 +21,9 @@ import (
 
 // TestClassifyBatchPolicyForceLocal pins the shed knob: a depth cap
 // below the split stage resolves every input on the edge — zero offloads
-// — with records identical to a fully-local capped cascade.
+// — with records identical to a fully-local capped cascade. A cap in the
+// cloud's half and per-stage δs cross with the offload instead, and the
+// split answers what a monolithic Session does, bit for bit.
 func TestClassifyBatchPolicyForceLocal(t *testing.T) {
 	cdln, data := testCDLN(t, 81)
 	lb, err := NewLoopback(cdln)
@@ -58,29 +60,78 @@ func TestClassifyBatchPolicyForceLocal(t *testing.T) {
 		}
 	}
 
-	// Caps in the cloud's half of the cascade cannot ride the δ-only
-	// wire and must error, as must per-stage deltas.
 	mid, err := New(cdln, lb, Config{SplitStage: 1, Delta: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mid.ClassifyBatchPolicy(xs[:1], core.DepthCapped(1)); err == nil {
-		t.Error("cloud-tier depth cap accepted; want an error (not forwardable)")
-	}
-	if _, err := mid.ClassifyBatchPolicy(xs[:1], core.ExitPolicy{Delta: -1, MaxExit: -1, StageDeltas: []float64{-1, -1}}); err == nil {
-		t.Error("per-stage deltas accepted; want an error (not forwardable)")
+	for _, pol := range []core.ExitPolicy{
+		{Delta: 0.999, MaxExit: 1},
+		{Delta: -1, MaxExit: -1, StageDeltas: []float64{0.999, -1}},
+		{Delta: 0.9, MaxExit: 1, StageDeltas: []float64{-1, 0.5}, Trace: true},
+	} {
+		want := ref.ClassifyBatchPolicy(xs, pol)
+		got, err := mid.ClassifyBatchPolicy(xs, pol)
+		if err != nil {
+			t.Fatalf("%+v: %v", pol, err)
+		}
+		offloads := 0
+		for i, res := range got {
+			if !sameRecord(res.Record, want[i]) || !slices.Equal(res.Record.Trace, want[i].Trace) {
+				t.Fatalf("%+v sample %d: %+v != monolithic %+v", pol, i, res.Record, want[i])
+			}
+			if res.Offloaded {
+				offloads++
+			}
+		}
+		if offloads == 0 {
+			t.Errorf("%+v: nothing offloaded", pol)
+		}
 	}
 }
 
-// TestEdgeServerSLORejectsSplitZero: an SLO on an edge that owns no
-// stages has nothing to actuate and must fail loudly at startup.
-func TestEdgeServerSLORejectsSplitZero(t *testing.T) {
-	cdln, _ := testCDLN(t, 82)
-	lbFactory := func() (Transport, error) { return NewLoopback(cdln) }
-	_, err := NewServer(cdln, lbFactory, Config{SplitStage: 0, Delta: -1},
-		ServerConfig{Workers: 1, SLO: control.SLO{P99LatencyMs: 10}})
-	if err == nil {
-		t.Fatal("NewServer accepted an SLO with split 0; want an error")
+// TestEdgeServerSLOAtSplitZeroCapsTheCloud: an edge that owns no stages
+// takes an SLO, and its saturated controller caps the cloud's walk: every
+// inherited input still crosses the link and exits at the floor rung's
+// cap, exit 0.
+func TestEdgeServerSLOAtSplitZeroCapsTheCloud(t *testing.T) {
+	cdln, data := testCDLN(t, 82)
+	edgeSrv, err := NewServer(cdln, func() (Transport, error) { return NewLoopback(cdln) },
+		Config{SplitStage: 0, Delta: -1},
+		ServerConfig{Workers: 1, SLO: control.SLO{EnergyBudgetPJ: 1}}) // below any exit's energy
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer edgeSrv.Close()
+	images := make([][]float64, 16)
+	for i := range images {
+		images[i] = data[i].X.Flatten().Data
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if code, _, err := postJSON(edgeSrv.Handler(), "/v1/classify", serve.ClassifyRequest{Images: images}); code != http.StatusOK || err != nil {
+			t.Fatalf("classify: HTTP %d, %v", code, err)
+		}
+		st := edgeSrv.Stats()
+		if st.Control != nil && st.Control.Rung == st.Control.MaxRung {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("edge controller never saturated: %+v", st.Control)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	before := edgeSrv.Stats()
+	_, got, err := postJSON(edgeSrv.Handler(), "/v1/classify", serve.ClassifyRequest{Images: images})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range got {
+		if r.ExitIndex != 0 {
+			t.Errorf("inherited result %d exited at %d under a saturated controller, want the cap, 0", i, r.ExitIndex)
+		}
+	}
+	if after := edgeSrv.Stats(); after.Offloads-before.Offloads != int64(len(images)) || after.Control.MaxExit != 0 {
+		t.Errorf("offloads grew by %d, control %+v; want every image offloaded under MaxExit 0", after.Offloads-before.Offloads, after.Control)
 	}
 }
 

@@ -10,9 +10,12 @@
 // confidence test that saves deep-layer compute in a monolithic deployment
 // decides what crosses the link in a distributed one (cf. Long et al.,
 // "Conditionally Deep Hybrid Neural Networks Across Edge and Cloud", 2020).
-// With the lossless wire encoding the split is semantically invisible:
-// labels, exits and OPS are bit-identical to monolithic classification for
-// every split stage. The fixed-point encoding trades that identity for a 4×
+// Each offload carries its request's whole exit policy — δ, per-stage δs,
+// depth cap, traced detail — so the cloud continues the one cascade under
+// the one exit rule. With the lossless wire encoding the split is
+// semantically invisible: labels, exits, OPS and stage confidences are
+// bit-identical to monolithic classification for every split stage and
+// every policy. The fixed-point encoding trades that identity for a 4×
 // smaller payload, modelling a quantized radio link.
 //
 // Energy is accounted per tier (internal/energy's TierCosts): edge compute
@@ -47,9 +50,9 @@ type Config struct {
 	// the whole cascade locally and offloads only FC-bound residues.
 	SplitStage int
 	// Delta overrides the model's trained thresholds for every input when
-	// ≥ 0 (the §III.B runtime knob); negative keeps them. The same δ is
-	// forwarded with each offload so the cloud continues the cascade the
-	// edge started.
+	// ≥ 0 (the §III.B runtime knob); negative keeps them. It is the policy
+	// of requests that state none, and each offload forwards the policy its
+	// input ran under, so the cloud continues the cascade the edge started.
 	Delta float64
 	// Encoding selects the offload payload representation; the default
 	// (EncodingFloat64) preserves bit-identity with monolithic
@@ -82,28 +85,21 @@ func (c Config) withDefaults() Config {
 }
 
 // Transport ships wire-encoded activations to the cloud tier — one round
-// trip for however many payloads a batch deferred — and returns the
-// cascade's final exit records in payload order. delta is the bare-δ
-// policy (core.DeltaPolicy: < 0 = the model's trained thresholds).
-// A record need carry only what a wire record does: StageIndex, Label and
-// Confidence. The Edge checks those against its own graph and derives
-// Node, StageName and Ops from the exit index. The payloads are valid only
-// for the duration of the call: they are views of a buffer the Edge reuses.
-// Implementations: HTTPTransport (a real cdlserve backend) and Loopback
-// (in-process, for tests and single-node runs).
+// trip for however many payloads a batch deferred — and resumes them under
+// pol, the request's whole resolved policy, returning the cascade's final
+// exit records in payload order. A record need carry only what a wire
+// record does: StageIndex, Label and Confidence, plus under pol.Trace the
+// confidences of the exit points the cloud evaluated. The Edge checks
+// those against its own graph and pol, and derives Node, StageName and
+// Ops from the exit index. A non-empty traceID carries the request's trace
+// to the cloud tier (as an X-Trace-Id header on HTTPTransport, in-process
+// on Loopback), which returns its span timeline un-prefixed; the Edge
+// namespaces it "cloud:". The payloads are valid only for the duration of
+// the call: they are views of a buffer the Edge reuses. Implementations:
+// HTTPTransport (a real cdlserve backend) and Loopback (in-process, for
+// tests and single-node runs).
 type Transport interface {
-	ResumeBatch(payloads [][]byte, delta float64) ([]core.ExitRecord, error)
-}
-
-// TracedBatchTransport is the optional tracing extension of Transport: the
-// hop carries the request's trace ID to the cloud tier (as an X-Trace-Id
-// header on HTTPTransport, in-process on Loopback) and returns the cloud's
-// span timeline alongside the records, so an Edge with an attached trace
-// can stitch one end-to-end tree across the tier split. Implementations
-// return the cloud spans un-prefixed; the Edge namespaces them "cloud:".
-type TracedBatchTransport interface {
-	Transport
-	ResumeBatchTraced(payloads [][]byte, delta float64, traceID string) ([]core.ExitRecord, []obs.Span, error)
+	Resume(payloads [][]byte, pol core.ExitPolicy, traceID string) ([]core.ExitRecord, []obs.Span, error)
 }
 
 // Edge is the edge-tier runtime: a warm session over the full model of
@@ -208,9 +204,8 @@ func exitWireBytes(g *core.Graph, costs *energy.TierCosts, enc wire.Encoding) []
 
 // AttachTrace attaches a request trace for the next Classify* call(s):
 // prefix stage spans record as "edge:stage:...", the cloud round trip as
-// "edge:offload", and — when the transport supports tracing — the cloud's
-// own spans merge back under "cloud:". Pass nil to detach. Like every Edge
-// method this is single-goroutine.
+// "edge:offload", and the cloud's own spans merge back under "cloud:".
+// Pass nil to detach. Like every Edge method this is single-goroutine.
 func (e *Edge) AttachTrace(tr *obs.Trace) { e.tr = tr }
 
 // Result is one input's tier-split outcome.
@@ -283,20 +278,15 @@ func (e *Edge) ClassifyBatchPolicy(xs []*tensor.T, pol core.ExitPolicy) ([]Resul
 // so node and fromStage must be 0. traces, when non-nil, holds each
 // input's trace: the prefix records "edge:"-prefixed stage spans into the
 // inputs' own traces, and every distinct trace gets the "edge:offload" hop
-// and the cloud's spans; the hop carries the first trace's ID. The policy
-// is honored within what a split deployment can: the offload wire carries
-// only δ, so per-stage thresholds, depth caps in the cloud's half of the
-// cascade and per-stage confidences cannot be forwarded and are rejected. A depth cap at or
-// below the last local stage resolves the whole batch on the edge (nothing
-// offloads) — the knob the SLO controller turns to shed the offload path
-// under load. serve.OffloadCarries is the rule. The records are the Edge's
-// until its next call.
+// and the cloud's spans; the hop carries the first trace's ID. The whole
+// policy crosses with the offload, so the split answers what the
+// monolithic walk does under every policy. A depth cap below the split
+// resolves the trunk's residue on the edge (nothing of it offloads) — the
+// SLO controller's deepest rungs shed the offload path so under load. The
+// records are the Edge's until its next call.
 func (e *Edge) WalkBatch(xs []*tensor.T, node, fromStage int, pol core.ExitPolicy, traces []*obs.Trace) ([]core.ExitRecord, error) {
 	if node != 0 || fromStage != 0 {
 		return nil, fmt.Errorf("edgecloud: an edge walks from the input layer, not from node %d stage %d", node, fromStage)
-	}
-	if err := serve.OffloadCarries(pol, e.cfg.SplitStage, e.sess.Graph().MaxDepth()); err != nil {
-		return nil, fmt.Errorf("edgecloud: %w", err)
 	}
 	if traces != nil {
 		e.sess.SetStageObserver(serve.StageObserver(e.sess.Graph(), "edge:", traces))
@@ -328,12 +318,13 @@ func (e *Edge) WalkBatch(xs []*tensor.T, node, fromStage int, pol core.ExitPolic
 		}
 		e.payloads = append(e.payloads, e.slab[at:])
 	}
-	recs, err := e.resumeOffloads(e.payloads, pol.Delta, traces)
+	recs, err := e.resumeOffloads(e.payloads, pol, traces)
 	if err != nil {
 		return nil, err
 	}
 	for k, rec := range recs {
-		if e.recs[e.deferred[k]], err = e.complete(rec); err != nil {
+		i := e.deferred[k]
+		if e.recs[i], err = e.complete(rec, pol, prefixes[i].Record.Trace); err != nil {
 			return nil, err
 		}
 	}
@@ -342,10 +333,10 @@ func (e *Edge) WalkBatch(xs []*tensor.T, node, fromStage int, pol core.ExitPolic
 
 // resumeOffloads ships the deferred payloads across the link in one round
 // trip and, for traced inputs, records the hop as an "edge:offload" span
-// and — on a TracedBatchTransport, which carries the first trace's ID —
-// folds the cloud tier's spans back in under "cloud:", in every distinct
-// trace of the batch (a request's inputs are adjacent).
-func (e *Edge) resumeOffloads(payloads [][]byte, delta float64, traces []*obs.Trace) ([]core.ExitRecord, error) {
+// folds the cloud tier's spans, resumed under the first trace's ID, back
+// in under "cloud:", in every distinct trace of the batch (a request's
+// inputs are adjacent).
+func (e *Edge) resumeOffloads(payloads [][]byte, pol core.ExitPolicy, traces []*obs.Trace) ([]core.ExitRecord, error) {
 	var lead *obs.Trace
 	for _, tr := range traces {
 		if tr != nil {
@@ -354,17 +345,11 @@ func (e *Edge) resumeOffloads(payloads [][]byte, delta float64, traces []*obs.Tr
 		}
 	}
 	var start time.Time
+	var traceID string
 	if lead != nil {
-		start = time.Now()
+		start, traceID = time.Now(), lead.ID()
 	}
-	var recs []core.ExitRecord
-	var spans []obs.Span
-	var err error
-	if tt, ok := e.transport.(TracedBatchTransport); ok && lead != nil {
-		recs, spans, err = tt.ResumeBatchTraced(payloads, delta, lead.ID())
-	} else {
-		recs, err = e.transport.ResumeBatch(payloads, delta)
-	}
+	recs, spans, err := e.transport.Resume(payloads, pol, traceID)
 	if err != nil {
 		return nil, fmt.Errorf("edgecloud: cloud resume: %w", err)
 	}
@@ -411,9 +396,11 @@ func (e *Edge) encodePrefix(pre core.PrefixResult) error {
 }
 
 // complete checks what a cloud record carries — an exit in the cloud's
-// half of the cascade, a label of the model — and completes the rest from
-// the edge's own graph.
-func (e *Edge) complete(rec core.ExitRecord) (core.ExitRecord, error) {
+// half of the cascade no deeper than pol's cap, a label of the model and,
+// under pol.Trace, a confidence for every exit point on the exit's path
+// after the prefix's — and completes the rest from the edge's own graph,
+// the prefix's confidences in front of the cloud's.
+func (e *Edge) complete(rec core.ExitRecord, pol core.ExitPolicy, prefix []float64) (core.ExitRecord, error) {
 	if rec.StageIndex < e.cfg.SplitStage || rec.StageIndex >= len(e.exitOps) {
 		return rec, fmt.Errorf("edgecloud: cloud returned exit %d outside [%d,%d)",
 			rec.StageIndex, e.cfg.SplitStage, len(e.exitOps))
@@ -422,7 +409,19 @@ func (e *Edge) complete(rec core.ExitRecord) (core.ExitRecord, error) {
 		return rec, fmt.Errorf("edgecloud: cloud returned label %d outside [0,%d)", rec.Label, e.classes)
 	}
 	g := e.sess.Graph()
-	rec.Node, _ = g.NodeOfExit(rec.StageIndex)
-	rec.StageName, rec.Ops = g.ExitName(rec.StageIndex), e.exitOps[rec.StageIndex]
+	node, local := g.NodeOfExit(rec.StageIndex)
+	depth := g.EntryDepth(node) + local
+	if pol.MaxExit >= 0 && depth > pol.MaxExit {
+		return rec, fmt.Errorf("edgecloud: cloud returned exit %d at depth %d, past the policy's max exit %d",
+			rec.StageIndex, depth, pol.MaxExit)
+	}
+	if pol.Trace {
+		if want := depth + 1 - len(prefix); len(rec.Trace) != want {
+			return rec, fmt.Errorf("edgecloud: cloud returned %d stage confidences for exit %d, want %d",
+				len(rec.Trace), rec.StageIndex, want)
+		}
+		rec.Trace = append(prefix[:len(prefix):len(prefix)], rec.Trace...)
+	}
+	rec.Node, rec.StageName, rec.Ops = node, g.ExitName(rec.StageIndex), e.exitOps[rec.StageIndex]
 	return rec, nil
 }

@@ -413,14 +413,14 @@ type countingBatchTransport struct {
 	payloads int
 }
 
-func (c *countingBatchTransport) ResumeBatch(ps [][]byte, d float64) ([]core.ExitRecord, error) {
+func (c *countingBatchTransport) Resume(ps [][]byte, pol core.ExitPolicy, id string) ([]core.ExitRecord, []obs.Span, error) {
 	c.calls++
 	c.payloads += len(ps)
-	return c.lb.ResumeBatch(ps, d)
+	return c.lb.Resume(ps, pol, id)
 }
 
 // TestClassifyBatchUsesBatchTransport checks that a batch's offloads
-// travel through one ResumeBatch call — a batch of one included, where the
+// travel through one Resume call — a batch of one included, where the
 // round trip carries the one payload — with results bit-identical to the
 // reference walk and in input order.
 func TestClassifyBatchUsesBatchTransport(t *testing.T) {
@@ -478,13 +478,13 @@ type blockingTransport struct {
 	lb      *Loopback
 }
 
-func (b *blockingTransport) ResumeBatch(ps [][]byte, d float64) ([]core.ExitRecord, error) {
+func (b *blockingTransport) Resume(ps [][]byte, pol core.ExitPolicy, id string) ([]core.ExitRecord, []obs.Span, error) {
 	select {
 	case b.entered <- struct{}{}:
 	default:
 	}
 	<-b.release
-	return b.lb.ResumeBatch(ps, d)
+	return b.lb.Resume(ps, pol, id)
 }
 
 // TestEdgeServerShedsWhenBusy pins the load-shedding path: with the lone
@@ -600,11 +600,11 @@ type flakyTransport struct {
 	trips int
 }
 
-func (f *flakyTransport) ResumeBatch(ps [][]byte, d float64) ([]core.ExitRecord, error) {
+func (f *flakyTransport) Resume(ps [][]byte, pol core.ExitPolicy, id string) ([]core.ExitRecord, []obs.Span, error) {
 	if f.trips++; f.trips%4 == 0 {
-		return nil, errors.New("link dropped")
+		return nil, nil, errors.New("link dropped")
 	}
-	return f.inner.ResumeBatch(ps, d)
+	return f.inner.Resume(ps, pol, id)
 }
 
 // TestEdgePixelsGoBackAfterTheWalk is the edge's side of

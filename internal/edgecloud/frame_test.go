@@ -23,8 +23,9 @@ import (
 // whose length less its framing (the 12-byte preamble, the members object,
 // four bytes per payload) is exactly the sum of the offloaded results'
 // WireBytes. The charge was always on the raw wire.Encode length; since the
-// frame replaced base64-in-JSON that is also what is sent, on both the /v1
-// and the named-model route, traced or not.
+// frame replaced base64-in-JSON that is also what is sent, traced or not.
+// The members are the request's whole policy: a bare δ's bytes are the
+// ones a δ-only offload sent.
 func TestLinkChargeMatchesTheWire(t *testing.T) {
 	cdln, data := testCDLN(t, 91)
 	cloud, err := serve.New(cdln, serve.Config{Workers: 2})
@@ -52,9 +53,14 @@ func TestLinkChargeMatchesTheWire(t *testing.T) {
 		name      string
 		transport *HTTPTransport
 		traced    bool
+		pol       core.ExitPolicy
+		members   string
 	}{
-		{"named model", NewHTTPModelTransport(cloudTS.URL, serve.DefaultModelName), false},
-		{"named model, traced", NewHTTPModelTransport(cloudTS.URL, serve.DefaultModelName), true},
+		{"named model", NewHTTPModelTransport(cloudTS.URL, serve.DefaultModelName), false, core.DeltaPolicy(0.9), `{"policy":{"delta":0.9}}`},
+		{"named model, traced", NewHTTPModelTransport(cloudTS.URL, serve.DefaultModelName), true, core.DeltaPolicy(0.9), `{"policy":{"delta":0.9}}`},
+		{"stage deltas, a cap, traced detail", NewHTTPModelTransport(cloudTS.URL, serve.DefaultModelName), false,
+			core.ExitPolicy{Delta: -1, StageDeltas: []float64{0.999, -1}, MaxExit: 2, Trace: true},
+			`{"policy":{"stage_deltas":[0.999,-1],"max_exit":2,"detail":"trace"}}`},
 	} {
 		requests = nil
 		cfg := DefaultConfig(1)
@@ -65,7 +71,7 @@ func TestLinkChargeMatchesTheWire(t *testing.T) {
 		if tc.traced {
 			edge.AttachTrace(obs.NewTrace("00112233445566778899aabbccddeeff", true))
 		}
-		results, err := edge.ClassifyBatchPolicy(xs, core.DeltaPolicy(0.9))
+		results, err := edge.ClassifyBatchPolicy(xs, tc.pol)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,8 +102,8 @@ func TestLinkChargeMatchesTheWire(t *testing.T) {
 		if sent := len(req.body) - (12 + len(members) + 4*len(payloads)); sent != charged {
 			t.Errorf("%s: %d payload bytes on the link, %d charged", tc.name, sent, charged)
 		}
-		if want := `{"policy":{"delta":0.9}}`; string(members) != want {
-			t.Errorf("%s: members %s, want %s", tc.name, members, want)
+		if string(members) != tc.members {
+			t.Errorf("%s: members %s, want %s", tc.name, members, tc.members)
 		}
 	}
 }
@@ -210,11 +216,11 @@ type recordingTransport struct {
 	sent  [][]byte
 }
 
-func (r *recordingTransport) ResumeBatch(ps [][]byte, d float64) ([]core.ExitRecord, error) {
+func (r *recordingTransport) Resume(ps [][]byte, pol core.ExitPolicy, id string) ([]core.ExitRecord, []obs.Span, error) {
 	for _, p := range ps {
 		r.sent = append(r.sent, bytes.Clone(p))
 	}
-	return r.inner.ResumeBatch(ps, d)
+	return r.inner.Resume(ps, pol, id)
 }
 
 // TestEdgeEncodesFromItsSlab: an Edge walks its prefix into a slab it

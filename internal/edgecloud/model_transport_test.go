@@ -121,9 +121,9 @@ func TestHTTPTransportRefusesAnUnnamedModel(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "HTTPTransport.Model") {
 		t.Errorf("ResumeBatch with no model: %v, want an error naming HTTPTransport.Model", err)
 	}
-	_, _, err = h.ResumeBatchTraced([][]byte{{1}}, 0.9, "00112233445566778899aabbccddeeff")
+	_, _, err = h.Resume([][]byte{{1}}, core.DeltaPolicy(0.9), "00112233445566778899aabbccddeeff")
 	if err == nil || !strings.Contains(err.Error(), "HTTPTransport.Model") {
-		t.Errorf("ResumeBatchTraced with no model: %v, want an error naming HTTPTransport.Model", err)
+		t.Errorf("Resume with no model: %v, want an error naming HTTPTransport.Model", err)
 	}
 	if n := sent.Load(); n != 0 {
 		t.Errorf("%d requests reached the cloud, want none", n)

@@ -19,9 +19,10 @@ type ServerConfig struct {
 	// ModelName labels /healthz (e.g. the model file path).
 	ModelName string
 	// SLO, when active, attaches serve's feedback controller: under
-	// sustained pressure it caps the cascade below the split, resolving
-	// every input locally instead of queueing on a slow cloud. Requests
-	// with a δ or policy of their own bypass it.
+	// sustained pressure it caps the cascade's depth, from the deepest exit
+	// down — in the cloud's half first, and below the split every input
+	// resolves locally instead of queueing on a slow cloud. Requests with
+	// a δ or policy of their own bypass it.
 	SLO control.SLO
 }
 

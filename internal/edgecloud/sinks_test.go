@@ -29,15 +29,15 @@ type faultTransport struct {
 	release chan struct{}
 }
 
-func (f *faultTransport) ResumeBatch(ps [][]byte, d float64) ([]core.ExitRecord, error) {
+func (f *faultTransport) Resume(ps [][]byte, pol core.ExitPolicy, id string) ([]core.ExitRecord, []obs.Span, error) {
 	if f.fail.Load() {
-		return nil, errors.New("cloud down")
+		return nil, nil, errors.New("cloud down")
 	}
 	if f.park.Load() {
 		f.entered <- struct{}{}
 		<-f.release
 	}
-	return f.lb.ResumeBatch(ps, d)
+	return f.lb.Resume(ps, pol, id)
 }
 
 // TestEdgeSinksAgree is the edge tier's sink-conservation test: after a
@@ -235,40 +235,54 @@ type lyingTransport struct {
 	lie func(*core.ExitRecord)
 }
 
-func (l *lyingTransport) ResumeBatch(ps [][]byte, d float64) ([]core.ExitRecord, error) {
-	recs, err := l.lb.ResumeBatch(ps, d)
+func (l *lyingTransport) Resume(ps [][]byte, pol core.ExitPolicy, id string) ([]core.ExitRecord, []obs.Span, error) {
+	recs, spans, err := l.lb.Resume(ps, pol, id)
 	for i := range recs {
 		l.lie(&recs[i])
 	}
-	return recs, err
+	return recs, spans, err
 }
 
 // TestEdgeChecksWhatItCannotDerive: of a cloud record the edge reads only
-// what a wire record carries. The exit must lie in the cloud's half of the
-// cascade and the label among the model's classes; a record that breaks
-// either fails the request with 502, and every sink counts it as a
-// cloud_error: /statsz, /metricsz, the burn-rate monitor and the flight
-// ring. Node, name and op cost are derived from the exit, so a cloud that
-// gets them wrong changes nothing.
+// what a wire record carries, and checks it against what it sent. The exit
+// must lie in the cloud's half of the cascade, no deeper than the
+// forwarded depth cap, the label among the model's classes, and under
+// detail "trace" the record must carry one confidence per exit point the
+// cloud evaluated; a record that breaks any of these fails the request
+// with 502, and every sink counts it as a cloud_error: /statsz, /metricsz,
+// the burn-rate monitor and the flight ring. Node, name and op cost are
+// derived from the exit, so a cloud that gets them wrong changes nothing.
 func TestEdgeChecksWhatItCannotDerive(t *testing.T) {
 	cdln, data := testCDLN(t, 94)
 	classes, exits := cdln.Arch.NumClasses, len(cdln.Stages)+1
-	one := 1.0 // no early exit: every image crosses the link
-	body, err := json.Marshal(serve.ClassifyRequest{Images: [][]float64{data[0].X.Flatten().Data, data[1].X.Flatten().Data}, Delta: &one})
-	if err != nil {
-		t.Fatal(err)
-	}
+	one, capAt := 1.0, 1 // no early exit: every image crosses the link
+	images := [][]float64{data[0].X.Flatten().Data, data[1].X.Flatten().Data}
 	for _, tc := range []struct {
-		name string
-		lie  func(*core.ExitRecord)
-		want string // the 502's error; "" expects the oracle's records
+		name   string
+		policy *serve.PolicyRequest // nil: a /v1 request at δ 1
+		lie    func(*core.ExitRecord)
+		want   string // the 502's error; "" expects the oracle's records
 	}{
-		{"exit on the edge's side of the split", func(r *core.ExitRecord) { r.StageIndex = 0 }, "cloud returned exit 0 outside [1,3)"},
-		{"exit past FC", func(r *core.ExitRecord) { r.StageIndex = exits }, "cloud returned exit 3 outside [1,3)"},
-		{"label past the classes", func(r *core.ExitRecord) { r.Label = classes }, "cloud returned label 3 outside [0,3)"},
-		{"negative label", func(r *core.ExitRecord) { r.Label = -1 }, "cloud returned label -1 outside [0,3)"},
-		{"wrong node, name and ops", func(r *core.ExitRecord) { r.Node, r.StageName, r.Ops = 7, "bogus", -1 }, ""},
+		{"exit on the edge's side of the split", nil, func(r *core.ExitRecord) { r.StageIndex = 0 }, "cloud returned exit 0 outside [1,3)"},
+		{"exit past FC", nil, func(r *core.ExitRecord) { r.StageIndex = exits }, "cloud returned exit 3 outside [1,3)"},
+		{"label past the classes", nil, func(r *core.ExitRecord) { r.Label = classes }, "cloud returned label 3 outside [0,3)"},
+		{"negative label", nil, func(r *core.ExitRecord) { r.Label = -1 }, "cloud returned label -1 outside [0,3)"},
+		{"wrong node, name and ops", nil, func(r *core.ExitRecord) { r.Node, r.StageName, r.Ops = 7, "bogus", -1 }, ""},
+		{"exit past the forwarded cap", &serve.PolicyRequest{Delta: &one, MaxExit: &capAt},
+			func(r *core.ExitRecord) { r.StageIndex = 2 }, "cloud returned exit 2 at depth 2, past the policy's max exit 1"},
+		{"a confidence short", &serve.PolicyRequest{Delta: &one, Detail: serve.DetailTrace},
+			func(r *core.ExitRecord) { r.Trace = r.Trace[1:] }, "cloud returned 1 stage confidences for exit 2, want 2"},
+		{"a confidence over", &serve.PolicyRequest{Delta: &one, Detail: serve.DetailTrace},
+			func(r *core.ExitRecord) { r.Trace = append(r.Trace, 1) }, "cloud returned 3 stage confidences for exit 2, want 2"},
 	} {
+		path, req := "/v1/classify", any(serve.ClassifyRequest{Images: images, Delta: &one})
+		if tc.policy != nil {
+			path, req = "/v2/models/default/classify", serve.V2ClassifyRequest{Images: images, Policy: tc.policy}
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
 		lb, err := NewLoopback(cdln)
 		if err != nil {
 			t.Fatal(err)
@@ -279,7 +293,7 @@ func TestEdgeChecksWhatItCannotDerive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := httptest.NewRequest(http.MethodPost, "/v1/classify", bytes.NewReader(body))
+		r := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
 		r.Header.Set(obs.TraceHeader, "liar-0001")
 		w := httptest.NewRecorder()
 		srv.Handler().ServeHTTP(w, r)

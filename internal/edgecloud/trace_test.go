@@ -18,6 +18,7 @@ import (
 
 	"cdl/internal/core"
 	"cdl/internal/edgecloud/wire"
+	"cdl/internal/fixed"
 	"cdl/internal/linclass"
 	"cdl/internal/nn"
 	"cdl/internal/obs"
@@ -204,7 +205,7 @@ func TestCrossTierSpanTree(t *testing.T) {
 
 // TestLoopbackTraceSpans covers the headerless in-process cloud: an Edge
 // with an attached trace must merge the loopback's cascade spans under the
-// "cloud:" prefix and record the hop.
+// "cloud:" prefix and record the hop; untraced it returns no spans.
 func TestLoopbackTraceSpans(t *testing.T) {
 	cdln, data := testCDLN(t, 82)
 	lb, err := NewLoopback(cdln)
@@ -236,6 +237,25 @@ func TestLoopbackTraceSpans(t *testing.T) {
 	}
 	if !cloudSpan {
 		t.Fatalf("no cloud spans merged from the loopback: %v", names)
+	}
+
+	// Untraced, the loopback observes nothing; a cap above a payload's
+	// resume depth is refused as the cloud route refuses it, not panicked on.
+	sess, err := core.NewSession(cdln)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre := sess.ClassifyPrefixBatchPolicy(tensorsOf(data[:1]), 1, core.DeltaPolicy(0.9999))[0]
+	payload, err := wire.Encode(wire.Activation{FromStage: 1, Pos: pre.Pos, Shape: pre.Activation.Shape(), Data: pre.Activation.Data},
+		wire.EncodingFloat64, fixed.Q2x13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recs, spans, err := lb.Resume([][]byte{payload}, core.DeltaPolicy(0.9999), ""); err != nil || len(recs) != 1 || spans != nil {
+		t.Errorf("untraced resume: %d records, spans %v, %v; want 1 record and no spans", len(recs), spans, err)
+	}
+	if _, _, err := lb.Resume([][]byte{payload}, core.DepthCapped(0), ""); err == nil || !strings.Contains(err.Error(), "resume depth 1") {
+		t.Errorf("cap 0 on a stage-1 payload: %v, want a refusal naming resume depth 1", err)
 	}
 }
 

@@ -50,36 +50,29 @@ func NewHTTPModelTransport(baseURL, model string) *HTTPTransport {
 	return &HTTPTransport{BaseURL: baseURL, Model: model}
 }
 
-// ResumeBatch implements Transport over the serve resume routes: all
-// payloads travel in one wire frame (wire.AppendFrame), so a hard batch
-// costs one round trip instead of one per image, and the cloud answers
-// with a frame of wire records (exit, label, confidence), which is all a
-// returned record carries.
+// ResumeBatch is Resume under the bare-δ policy core.DeltaPolicy(delta),
+// untraced.
 func (h *HTTPTransport) ResumeBatch(payloads [][]byte, delta float64) ([]core.ExitRecord, error) {
-	recs, _, err := h.resumeBatch(payloads, delta, "")
+	recs, _, err := h.Resume(payloads, core.DeltaPolicy(delta), "")
 	return recs, err
 }
 
-// ResumeBatchTraced implements TracedBatchTransport: the trace ID rides
-// the X-Trace-Id request header, its only channel across the split (the
-// cloud adopts it and opts the response into span detail), and the cloud's
-// span timeline comes back as the answer frame's members.
-func (h *HTTPTransport) ResumeBatchTraced(payloads [][]byte, delta float64, traceID string) ([]core.ExitRecord, []obs.Span, error) {
-	return h.resumeBatch(payloads, delta, traceID)
-}
-
-func (h *HTTPTransport) resumeBatch(payloads [][]byte, delta float64, traceID string) ([]core.ExitRecord, []obs.Span, error) {
+// Resume implements Transport over the serve resume routes: all payloads
+// travel in one wire frame (wire.AppendFrame), so a hard batch costs one
+// round trip instead of one per image, under members that are the route's
+// own wire struct with pol as its "policy" (serve.PolicyRequestOf). The
+// trace ID rides the X-Trace-Id request header, its only channel across
+// the split (the cloud adopts it and opts the response into span detail).
+// The cloud answers with a frame of wire records (exit, label, confidence)
+// under serve.FrameAnswer members: its spans, and under pol.Trace each
+// record's stage confidences.
+func (h *HTTPTransport) Resume(payloads [][]byte, pol core.ExitPolicy, traceID string) ([]core.ExitRecord, []obs.Span, error) {
 	if h.Model == "" {
 		// An empty name would post to /v2/models//resume, which the
 		// cloud's mux redirects to GET /v2/models/resume.
 		return nil, nil, fmt.Errorf("edgecloud: HTTPTransport.Model is empty; name the cloud model to resume on")
 	}
-	// The members: the route's own wire struct, its payload fields empty.
-	var members serve.V2ResumeRequest
-	if delta >= 0 {
-		members.Policy = &serve.PolicyRequest{Delta: &delta}
-	}
-	m, err := json.Marshal(members)
+	m, err := json.Marshal(serve.V2ResumeRequest{Policy: serve.PolicyRequestOf(pol)})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -127,7 +120,8 @@ func (h *HTTPTransport) resumeBatch(payloads [][]byte, delta float64, traceID st
 
 // decodeAnswer reads an answer frame of want records: each completes only
 // StageIndex, Label and Confidence (the Edge derives the rest from its own
-// graph), and the members, when present, are the cloud's spans.
+// graph), plus its Trace when the members carry stage confidences; the
+// members' spans are the cloud's.
 func decodeAnswer(b []byte, want int) ([]core.ExitRecord, []obs.Span, error) {
 	members, records, err := wire.ReadFrame(b)
 	if err != nil {
@@ -136,6 +130,12 @@ func decodeAnswer(b []byte, want int) ([]core.ExitRecord, []obs.Span, error) {
 	if len(records) != want {
 		return nil, nil, fmt.Errorf("cloud returned %d results for %d payloads", len(records), want)
 	}
+	var ans serve.FrameAnswer
+	if len(members) > 0 {
+		if err := json.Unmarshal(members, &ans); err != nil {
+			return nil, nil, fmt.Errorf("cloud answer members: %w", err)
+		}
+	}
 	recs := make([]core.ExitRecord, len(records))
 	for i, p := range records {
 		r, err := wire.DecodeRecord(p)
@@ -143,14 +143,11 @@ func decodeAnswer(b []byte, want int) ([]core.ExitRecord, []obs.Span, error) {
 			return nil, nil, fmt.Errorf("cloud answer: record %d: %w", i, err)
 		}
 		recs[i] = core.ExitRecord{StageIndex: r.Exit, Label: r.Label, Confidence: r.Confidence}
-	}
-	var spans []obs.Span
-	if len(members) > 0 {
-		if err := json.Unmarshal(members, &spans); err != nil {
-			return nil, nil, fmt.Errorf("cloud answer spans: %w", err)
+		if i < len(ans.StageConfidences) { // Edge.complete counts them
+			recs[i].Trace = ans.StageConfidences[i]
 		}
 	}
-	return recs, spans, nil
+	return recs, ans.Spans, nil
 }
 
 // Loopback is an in-process cloud tier: it decodes offloads and resumes
@@ -182,12 +179,14 @@ func NewGraphLoopback(g *core.Graph) (*Loopback, error) {
 	return &Loopback{graph: sess.Graph(), sess: sess}, nil
 }
 
-// ResumeBatch implements Transport: payloads decode, validate with the
-// same core.Graph.ValidateResume a real backend applies (so the loopback
-// accepts exactly what a cloud resume route would), and resume on the
-// private session grouped by handoff point — one walk per distinct (node,
-// stage), in first-appearance order.
-func (l *Loopback) ResumeBatch(payloads [][]byte, delta float64) ([]core.ExitRecord, error) {
+// Resume implements Transport: payloads decode, validate with the same
+// core.Graph.ValidateResume a real backend applies (so the loopback
+// accepts exactly what a cloud resume route would), and resume under pol
+// on the private session grouped by handoff point — one walk per distinct
+// (node, stage), in first-appearance order. With a traceID a stage
+// observer returns the same span vocabulary a real backend would (minus
+// queue/batch spans — there is no pool here).
+func (l *Loopback) Resume(payloads [][]byte, pol core.ExitPolicy, traceID string) ([]core.ExitRecord, []obs.Span, error) {
 	type group struct {
 		node, from int
 		acts       []*tensor.T
@@ -197,10 +196,13 @@ func (l *Loopback) ResumeBatch(payloads [][]byte, delta float64) ([]core.ExitRec
 	for i, p := range payloads {
 		act, err := wire.Decode(p)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if err := l.graph.ValidateResume(act.Node, act.FromStage, act.Pos, act.Shape); err != nil {
-			return nil, err
+			return nil, nil, err
+		}
+		if depth := l.graph.EntryDepth(act.Node) + act.FromStage; pol.MaxExit >= 0 && depth > pol.MaxExit {
+			return nil, nil, fmt.Errorf("resume depth %d beyond the policy's max exit %d", depth, pol.MaxExit)
 		}
 		gi := slices.IndexFunc(groups, func(g group) bool { return g.node == act.Node && g.from == act.FromStage })
 		if gi < 0 {
@@ -210,34 +212,24 @@ func (l *Loopback) ResumeBatch(payloads [][]byte, delta float64) ([]core.ExitRec
 		groups[gi].acts = append(groups[gi].acts, tensor.FromSlice(act.Data, act.Shape...))
 		groups[gi].rows = append(groups[gi].rows, i)
 	}
+	var spans []obs.Span
+	if traceID != "" {
+		l.sess.SetStageObserver(func(ev core.StageEvent) {
+			name, detail := serve.SpanName(l.graph, ev)
+			spans = append(spans, obs.Span{
+				Name:        name,
+				StartUnixNS: ev.Start.UnixNano(),
+				DurationMS:  float64(ev.End.Sub(ev.Start)) / float64(time.Millisecond),
+				Detail:      detail,
+			})
+		})
+		defer l.sess.SetStageObserver(nil)
+	}
 	recs := make([]core.ExitRecord, len(payloads))
 	for _, g := range groups {
-		for k, rec := range l.sess.ResumeBatchPolicyAt(g.acts, g.node, g.from, core.DeltaPolicy(delta)) {
+		for k, rec := range l.sess.ResumeBatchPolicyAt(g.acts, g.node, g.from, pol) {
 			recs[g.rows[k]] = rec
 		}
-	}
-	return recs, nil
-}
-
-// ResumeBatchTraced implements TracedBatchTransport: ResumeBatch with a
-// stage observer attached, so the in-process "cloud" returns the same span
-// vocabulary a real backend would (minus queue/batch spans — there is no
-// pool here).
-func (l *Loopback) ResumeBatchTraced(payloads [][]byte, delta float64, traceID string) ([]core.ExitRecord, []obs.Span, error) {
-	var spans []obs.Span
-	l.sess.SetStageObserver(func(ev core.StageEvent) {
-		name, detail := serve.SpanName(l.graph, ev)
-		spans = append(spans, obs.Span{
-			Name:        name,
-			StartUnixNS: ev.Start.UnixNano(),
-			DurationMS:  float64(ev.End.Sub(ev.Start)) / float64(time.Millisecond),
-			Detail:      detail,
-		})
-	})
-	defer l.sess.SetStageObserver(nil)
-	recs, err := l.ResumeBatch(payloads, delta)
-	if err != nil {
-		return nil, nil, err
 	}
 	return recs, spans, nil
 }

@@ -62,9 +62,10 @@ func (r *Registry) SetSLO(name string, slo control.SLO) error {
 		return err
 	}
 	name = m.name // resolve "" to the first registered entry
+	// Every rung keeps the entry's δ: a split entry's identity has its own.
 	ladder := control.Ladder(m.graph.MaxDepth(), slo.AccuracyFloorDelta)
-	if m.split != nil {
-		ladder = m.split.ladder(m.graph.MaxDepth(), slo.AccuracyFloorDelta)
+	for i := range ladder {
+		ladder[i].Delta = m.identity.Delta
 	}
 	return m.plane.Attach(slo, ladder, r.cfg.ControlInterval, func() float64 {
 		cur, err := r.Get(name)

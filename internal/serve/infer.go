@@ -476,9 +476,6 @@ func (s *Server) handleInfer(resume bool, newBody func() wireRequest) http.Handl
 			pol, source := m.servePolicy()
 			if req.policy != nil {
 				explicit, d, err := req.policy.resolve(m)
-				if err == nil && m.split != nil {
-					err = OffloadCarries(explicit, m.split.Costs.SplitStage, m.graph.MaxDepth())
-				}
 				if err != nil {
 					return nil, badRequest("policy: %v", err)
 				}
@@ -493,7 +490,7 @@ func (s *Server) handleInfer(resume bool, newBody func() wireRequest) http.Handl
 		traceID, spans := finishTrace(r, detail)
 		switch {
 		case frame:
-			writeFrame(w, records, spans)
+			writeFrame(w, records, spans, detail)
 			return
 		case req.v1:
 			writeV1(w, m, records, traceID, spans)
@@ -536,16 +533,30 @@ type answerFrame struct {
 
 var answerFrames = sync.Pool{New: func() any { return new(answerFrame) }}
 
+// FrameAnswer is a frame answer's members: the span list when finishTrace
+// returned one, and at detail "trace" each record's per-stage confidences
+// in record order. An answer with neither carries no members.
+type FrameAnswer struct {
+	Spans            []obs.Span  `json:"spans,omitempty"`
+	StageConfidences [][]float64 `json:"stage_confidences,omitempty"`
+}
+
 // writeFrame answers a frame request: one wire record per result, in input
-// order, under the trace's span list when finishTrace returned one (the
-// policy's detail level shapes JSON answers only). A result a record cannot
-// carry answers 500, as a JSON encode failure does.
-func writeFrame(w http.ResponseWriter, records []core.ExitRecord, spans []obs.Span) {
+// order, under the FrameAnswer members. A result a record cannot carry
+// answers 500, as a JSON encode failure does.
+func writeFrame(w http.ResponseWriter, records []core.ExitRecord, spans []obs.Span, detail string) {
 	a := answerFrames.Get().(*answerFrame)
 	var members []byte
 	var err error
-	if len(spans) > 0 {
-		members, err = json.Marshal(spans)
+	if len(spans) > 0 || detail == DetailTrace {
+		ans := FrameAnswer{Spans: spans}
+		if detail == DetailTrace {
+			ans.StageConfidences = make([][]float64, len(records))
+			for i, rec := range records {
+				ans.StageConfidences[i] = rec.Trace
+			}
+		}
+		members, err = json.Marshal(ans)
 	}
 	// Grown once, so every payload view stays on the one array.
 	a.records, a.payloads = slices.Grow(a.records[:0], wire.RecordSize*len(records)), a.payloads[:0]

@@ -3,16 +3,13 @@
 // the hard residue on another tier through walkers the entry supplies
 // (internal/edgecloud's Edge). The entry keeps everything else an entry
 // has — the bounded queue and micro-batching, Stats, /metricsz, the /v2
-// policy surface, timeout_ms and the SLO controller — and refuses at
-// admission what the δ-only offload wire cannot carry, so the tier behind
-// it is never asked for what it cannot answer.
+// policy surface, timeout_ms and the SLO controller — and its walkers
+// forward each request's whole resolved policy with the offload, so a
+// split entry answers every policy a local entry answers. Only /resume is
+// refused: the entry's tail runs on the other tier.
 package serve
 
 import (
-	"errors"
-	"fmt"
-
-	"cdl/internal/control"
 	"cdl/internal/core"
 	"cdl/internal/energy"
 )
@@ -31,7 +28,8 @@ type Split struct {
 	// what answers, /statsz, the telemetry window and the controller see.
 	WireBytes []int
 	// Delta is the δ of the entry's identity policy (< 0: the trained
-	// thresholds); an offload forwards the δ its request ran under.
+	// thresholds), stamped on every rung of its SLO ladder too; an offload
+	// forwards the policy its request ran under.
 	Delta float64
 	// NewWalker builds one pool worker's walker; the entry builds no
 	// session of its own.
@@ -43,39 +41,4 @@ type Split struct {
 // Register* under its name.
 func (r *Registry) RegisterSplit(name string, g *core.Graph, sp Split) (*Model, error) {
 	return r.swapIn(name, "", g, &sp)
-}
-
-// OffloadCarries refuses what the δ-only offload wire cannot carry for a
-// walk that offloads after split trunk stages: per-stage thresholds, a
-// depth cap in the cloud's half of the cascade (an ops_budget resolves to
-// one) and the per-stage confidences of detail "trace". A cap below the
-// split resolves everything locally and rides fine. It is the one rule a
-// split entry admits requests and builds its SLO ladder by, and an Edge
-// walks by.
-func OffloadCarries(pol core.ExitPolicy, split, maxDepth int) error {
-	switch {
-	case pol.StageDeltas != nil:
-		return errors.New("stage_deltas cannot cross the δ-only offload wire")
-	case pol.MaxExit >= split && pol.MaxExit < maxDepth:
-		return fmt.Errorf("max_exit %d lies in the cloud's half (split %d) and cannot cross the δ-only offload wire", pol.MaxExit, split)
-	case pol.Trace:
-		return errors.New(`detail "trace" cannot cross the δ-only offload wire`)
-	}
-	return nil
-}
-
-// ladder is control.Ladder filtered by OffloadCarries, every rung at the
-// entry's δ: the identity policy plus the depth caps strictly below the
-// split, so rung 1 already resolves every input locally — a split entry's
-// actuation is exactly its offload split. A split of 0 leaves the identity
-// alone, which control.New refuses.
-func (sp *Split) ladder(maxDepth int, floor float64) []core.ExitPolicy {
-	var out []core.ExitPolicy
-	for _, p := range control.Ladder(maxDepth, floor) {
-		if OffloadCarries(p, sp.Costs.SplitStage, maxDepth) == nil {
-			p.Delta = sp.Delta
-			out = append(out, p)
-		}
-	}
-	return out
 }

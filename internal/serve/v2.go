@@ -103,6 +103,27 @@ func (p *PolicyRequest) resolve(m *Model) (core.ExitPolicy, string, error) {
 	return pol, detail, nil
 }
 
+// PolicyRequestOf is resolve's inverse: the wire form of a resolved
+// policy, which resolves back to it on any entry of the same graph, or nil
+// for the trained policy. An ops_budget travels as the max_exit it resolved
+// to. A split entry's walkers forward a request's policy in it.
+func PolicyRequestOf(pol core.ExitPolicy) *PolicyRequest {
+	p := PolicyRequest{StageDeltas: pol.StageDeltas}
+	if d := pol.Delta; d >= 0 {
+		p.Delta = &d
+	}
+	if me := pol.MaxExit; me >= 0 {
+		p.MaxExit = &me
+	}
+	if pol.Trace {
+		p.Detail = DetailTrace
+	}
+	if p.Delta == nil && p.StageDeltas == nil && p.MaxExit == nil && p.Detail == "" {
+		return nil
+	}
+	return &p
+}
+
 // V2ClassifyRequest is the POST /v2/models/{model}/classify payload:
 // images as in ClassifyRequest, a structured exit policy, and an optional per-request
 // deadline after which the request is abandoned wherever it is (queued

@@ -2,16 +2,20 @@ package serve
 
 // validate_test.go pins the request-validation helpers shared by the cloud
 // server and the edge front — ParseDeltaOverride,
-// ClassifyRequest.NormalizeImages and PolicyRequest.resolve — with direct
+// ClassifyRequest.NormalizeImages, PolicyRequest.resolve and its inverse,
+// PolicyRequestOf — with direct
 // table-driven cases. They were previously covered only incidentally
 // through the e2e HTTP tests; these tables make the accept/reject boundary
 // explicit, including inputs JSON alone cannot produce (NaN/±Inf), which
 // in-process callers can.
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
+
+	"cdl/internal/core"
 )
 
 func fp(v float64) *float64 { return &v }
@@ -187,6 +191,60 @@ func TestPolicyRequestResolve(t *testing.T) {
 	for i, p := range bad {
 		if _, _, err := p.resolve(m); err == nil {
 			t.Errorf("bad policy %d accepted: %+v", i, p)
+		}
+	}
+}
+
+// TestPolicyRequestOfRoundTrips pins the offload's policy bytes: every
+// resolved policy, written as a resume request's members by
+// PolicyRequestOf (the members HTTPTransport sends) and read back as the
+// cloud reads them — strict decode, then resolve — comes back Equal. A
+// bare δ keeps its pre-policy bytes and the trained policy sends "{}", so
+// a δ-only offload's frame does not change by a byte.
+func TestPolicyRequestOfRoundTrips(t *testing.T) {
+	cdln, _ := testCDLN(t, 61)
+	reg := NewRegistry(Config{Workers: 1})
+	t.Cleanup(reg.Close)
+	m, err := reg.Register(DefaultModelName, cdln)
+	if err != nil {
+		t.Fatal(err)
+	}
+	depth := m.graph.MaxDepth()
+	for _, tc := range []struct {
+		name  string
+		pol   core.ExitPolicy
+		bytes string // "" leaves the bytes unpinned
+	}{
+		{"trained thresholds", core.DefaultExitPolicy(), `{}`},
+		{"bare delta", core.DeltaPolicy(0.95), `{"policy":{"delta":0.95}}`},
+		{"delta 0", core.DeltaPolicy(0), `{"policy":{"delta":0}}`},
+		{"stage deltas with a keep entry", core.ExitPolicy{Delta: -1, MaxExit: -1, StageDeltas: []float64{-1, 0.8}}, ""},
+		{"stage deltas under a delta", core.ExitPolicy{Delta: 0.9, MaxExit: -1, StageDeltas: []float64{0.5, -0.25}}, ""},
+		{"max_exit at split 1", core.DepthCapped(1), `{"policy":{"max_exit":1}}`},
+		{"max_exit at MaxDepth-1", core.DepthCapped(depth - 1), ""},
+		{"max_exit at MaxDepth", core.DepthCapped(depth), ""},
+		{"trace", core.ExitPolicy{Delta: -1, MaxExit: -1, Trace: true}, `{"policy":{"detail":"trace"}}`},
+		{"everything", core.ExitPolicy{Delta: 0.7, MaxExit: 1, StageDeltas: []float64{-1, 0.3}, Trace: true}, ""},
+	} {
+		b, err := json.Marshal(V2ResumeRequest{Policy: PolicyRequestOf(tc.pol)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.bytes != "" && string(b) != tc.bytes {
+			t.Errorf("%s: members %s, want %s", tc.name, b, tc.bytes)
+		}
+		var req V2ResumeRequest
+		if err := strictDecode(b, &req); err != nil {
+			t.Fatalf("%s: %s: %v", tc.name, b, err)
+		}
+		got := core.DefaultExitPolicy()
+		if req.Policy != nil {
+			if got, _, err = req.Policy.resolve(m); err != nil {
+				t.Fatalf("%s: %s: %v", tc.name, b, err)
+			}
+		}
+		if !got.Equal(tc.pol) {
+			t.Errorf("%s: %s resolves to %+v, sent %+v", tc.name, b, got, tc.pol)
 		}
 	}
 }
