@@ -69,8 +69,18 @@ func (s *Session) ClassifyBatchPolicy(xs []*tensor.T, pol ExitPolicy) []ExitReco
 // ran on the other tier) and panics, as does an activation whose shape
 // does not match the model at the split position; network-facing callers
 // validate first with Graph.ValidateResume and serve's policy resolution
-// plus an explicit depth check.
+// plus an explicit depth check. It is ResumeBatchInto(nil, …): the records
+// are the caller's own.
 func (s *Session) ResumeBatchPolicyAt(acts []*tensor.T, node, fromStage int, pol ExitPolicy) []ExitRecord {
+	return s.ResumeBatchInto(nil, acts, node, fromStage, pol)
+}
+
+// ResumeBatchInto is ResumeBatchPolicyAt writing the records into dst's
+// storage, grown to len(acts) and zeroed first, so a record's Trace never
+// shares an array with one written before: the returned records live
+// there until dst's next use. A walker that hands its records on by copy
+// reuses one dst call after call.
+func (s *Session) ResumeBatchInto(dst []ExitRecord, acts []*tensor.T, node, fromStage int, pol ExitPolicy) []ExitRecord {
 	g := s.graph
 	if node < 0 || node >= len(g.Nodes) {
 		panic(fmt.Sprintf("core: ResumeBatch node %d outside [0,%d)", node, len(g.Nodes)))
@@ -82,9 +92,10 @@ func (s *Session) ResumeBatchPolicyAt(acts []*tensor.T, node, fromStage int, pol
 		panic(fmt.Sprintf("core: policy max exit %d precedes resume depth %d", capG, depth))
 	}
 	if len(acts) == 0 {
-		return nil
+		return dst[:0]
 	}
-	recs := make([]ExitRecord, len(acts))
+	recs := slices.Grow(dst[:0], len(acts))[:len(acts)]
+	clear(recs)
 	shape := g.Nodes[node].Model.Arch.Net.ShapeAt(pos)
 	s.fan(laneCall{xs: acts, shape: shape, recs: recs, node: node, from: fromStage, pos: pos, to: capG, pol: pol})
 	return recs

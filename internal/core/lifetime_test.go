@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"cdl/internal/tensor"
@@ -155,5 +156,50 @@ func TestPrefixIntoWritesOnlyItsSlab(t *testing.T) {
 	}
 	if trunkHandoffs == 0 || branchHandoffs == 0 {
 		t.Fatalf("%d trunk and %d branch handoffs; the test needs both kinds", trunkHandoffs, branchHandoffs)
+	}
+}
+
+// TestResumeIntoZeroesItsRecords pins ResumeBatchInto's storage rule: the
+// records are dst's, each zeroed before the walk writes it, so a record's
+// trace is never appended to one written by an earlier call. One dst serves
+// traced and untraced calls of every batch size in turn; each call's
+// records, traces included, equal ResumeBatchPolicyAt's private ones, and
+// the copies a caller took of the earlier records keep their traces.
+func TestResumeIntoZeroesItsRecords(t *testing.T) {
+	g := routedGraph(t, 44)
+	sess, err := NewGraphSession(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced, plain := DefaultExitPolicy(), DefaultExitPolicy()
+	traced.Trace = true
+	dst := sess.ResumeBatchInto(nil, mixedInputs(40, 1), 0, 0, traced)
+	for k, tc := range []struct {
+		n   int
+		pol ExitPolicy
+	}{{40, traced}, {9, traced}, {33, plain}, {40, traced}} {
+		held := append([]ExitRecord(nil), dst...)
+		heldTraces := make([][]float64, len(held))
+		for i, rec := range held {
+			heldTraces[i] = append([]float64(nil), rec.Trace...)
+		}
+		xs := mixedInputs(tc.n, int64(k+2))
+		want := sess.ResumeBatchPolicyAt(xs, 0, 0, tc.pol)
+		got := sess.ResumeBatchInto(dst, xs, 0, 0, tc.pol)
+		if len(got) != tc.n || &got[0] != &dst[0] {
+			t.Fatalf("call %d: %d records outside dst", k, len(got))
+		}
+		for i := range got {
+			assertRecordsMatch(t, "dst record", i, got[i], want[i])
+			if !slices.Equal(got[i].Trace, want[i].Trace) {
+				t.Fatalf("call %d input %d: trace %v, want %v", k, i, got[i].Trace, want[i].Trace)
+			}
+		}
+		for i, rec := range held {
+			if !slices.Equal(rec.Trace, heldTraces[i]) {
+				t.Fatalf("call %d: the copy of an earlier record %d now has trace %v, was %v", k, i, rec.Trace, heldTraces[i])
+			}
+		}
+		dst = got
 	}
 }

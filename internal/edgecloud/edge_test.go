@@ -609,7 +609,8 @@ func (f *flakyTransport) Resume(ps [][]byte, pol core.ExitPolicy, id string) ([]
 
 // TestEdgePixelsGoBackAfterTheWalk is the edge's side of
 // serve.TestPixelsGoBackAfterTheLastReader: the edge gives a request's
-// images back once its walk has returned, whatever it answers. Several
+// arena, its images included, back once the walk has returned and the
+// response is written, whatever it answers. Several
 // clients send images of their own, and 4xx refusals, through two edge
 // workers to a cloud that is hot-swapped to the same weights mid-run and
 // whose link drops every fourth round trip (502s); every 200 must be

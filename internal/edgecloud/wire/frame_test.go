@@ -122,6 +122,31 @@ func TestReadFrameMalformed(t *testing.T) {
 	}
 }
 
+// TestReadFrameAppendCap pins the reader's cap: a frame that declares more
+// payloads than max reads back its members and its count with no payload
+// and no error, whatever follows the members (a hostile count, a truncated
+// payload), and leaves the caller's storage as it was; at the cap it reads
+// whole, appending to that storage.
+func TestReadFrameAppendCap(t *testing.T) {
+	frame, members, payloads := testFrame(t)
+	dst := make([][]byte, 1, 8)
+	for _, b := range [][]byte{frame, frame[:len(frame)-1]} {
+		m, got, count, err := ReadFrameAppend(dst, b, len(payloads)-1)
+		if err != nil || !bytes.Equal(m, members) || count != len(payloads) || len(got) != 1 || dst[:2][1] != nil {
+			t.Errorf("over the cap: members %q, %d payloads, count %d, %v", m, len(got), count, err)
+		}
+	}
+	m, got, count, err := ReadFrameAppend(dst, frame, len(payloads))
+	if err != nil || !bytes.Equal(m, members) || count != len(payloads) || len(got) != 1+len(payloads) || &got[0] != &dst[0] {
+		t.Fatalf("at the cap: members %q, %d payloads, count %d, %v", m, len(got), count, err)
+	}
+	for i, p := range got[1:] {
+		if !bytes.Equal(p, payloads[i]) {
+			t.Errorf("payload %d differs", i)
+		}
+	}
+}
+
 // TestRecordRoundTrip pins the answer record: 12 bytes, exit and label as
 // uint16, the confidence's bits as they were (a NaN's payload and a
 // negative zero included), and an answer frame of records reads back

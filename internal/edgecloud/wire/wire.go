@@ -246,28 +246,29 @@ func AppendEncode(dst []byte, a Activation, enc Encoding, f fixed.Format) ([]byt
 }
 
 // Decode parses an encoded activation, dequantizing fixed-point payloads
-// back to float64, into storage of its own: DecodeAppend(nil, b).
+// back to float64, into storage of its own: DecodeAppend(nil, nil, b).
 func Decode(b []byte) (Activation, error) {
-	_, a, err := DecodeAppend(nil, b)
+	_, _, a, err := DecodeAppend(nil, nil, b)
 	return a, err
 }
 
 // DecodeAppend parses an encoded activation, dequantizing fixed-point
-// payloads back to float64, and appends its values to dst, grown at most
-// once: the returned activation's Data is the appended tail (capped at its
-// length), valid while dst's storage is. It validates the header
-// defensively, since the input may come off the network; on error dst is
-// returned with its length unchanged and nothing of it written.
-func DecodeAppend(dst []float64, b []byte) ([]float64, Activation, error) {
+// payloads back to float64, and appends its values to dst and its dims to
+// dims, each grown at most once: the returned activation's Data and Shape
+// are the appended tails (capped at their lengths), valid while the
+// storage of dst and dims is. It validates the header defensively, since
+// the input may come off the network; on error dst and dims are returned
+// with their lengths unchanged and nothing of them written.
+func DecodeAppend(dst []float64, dims []int, b []byte) ([]float64, []int, Activation, error) {
 	var a Activation
 	if len(b) < headerBase {
-		return dst, a, fmt.Errorf("wire: %d bytes, shorter than the %d-byte header", len(b), headerBase)
+		return dst, dims, a, fmt.Errorf("wire: %d bytes, shorter than the %d-byte header", len(b), headerBase)
 	}
 	if string(b[:4]) != magic {
-		return dst, a, fmt.Errorf("wire: bad magic %q", b[:4])
+		return dst, dims, a, fmt.Errorf("wire: bad magic %q", b[:4])
 	}
 	if b[4] != versionLinear && b[4] != versionRouted {
-		return dst, a, fmt.Errorf("wire: version %d, want %d or %d", b[4], versionLinear, versionRouted)
+		return dst, dims, a, fmt.Errorf("wire: version %d, want %d or %d", b[4], versionLinear, versionRouted)
 	}
 	enc := Encoding(b[5])
 	f := fixed.Format{IntBits: int(b[6]), FracBits: int(b[7])}
@@ -275,36 +276,34 @@ func DecodeAppend(dst []float64, b []byte) ([]float64, Activation, error) {
 	case EncodingFloat64:
 	case EncodingFixed:
 		if err := f.Validate(); err != nil {
-			return dst, a, err
+			return dst, dims, a, err
 		}
 		if f.Width() > 16 {
-			return dst, a, fmt.Errorf("wire: fixed format %s width %d exceeds the 16-bit payload word", f, f.Width())
+			return dst, dims, a, fmt.Errorf("wire: fixed format %s width %d exceeds the 16-bit payload word", f, f.Width())
 		}
 	default:
-		return dst, a, fmt.Errorf("wire: unknown encoding %d", enc)
+		return dst, dims, a, fmt.Errorf("wire: unknown encoding %d", enc)
 	}
 	a.FromStage = int(binary.LittleEndian.Uint16(b[8:10]))
 	a.Pos = int(binary.LittleEndian.Uint16(b[10:12]))
 	base := headerBase
 	if b[4] == versionRouted {
 		if len(b) < headerBaseRouted {
-			return dst, a, fmt.Errorf("wire: %d bytes, shorter than the %d-byte routed header", len(b), headerBaseRouted)
+			return dst, dims, a, fmt.Errorf("wire: %d bytes, shorter than the %d-byte routed header", len(b), headerBaseRouted)
 		}
 		a.Node = int(binary.LittleEndian.Uint16(b[12:14]))
 		base = headerBaseRouted
 	}
 	rank := int(b[base-1])
 	if len(b) < base+4*rank {
-		return dst, a, fmt.Errorf("wire: truncated dims (rank %d, %d bytes)", rank, len(b))
+		return dst, dims, a, fmt.Errorf("wire: truncated dims (rank %d, %d bytes)", rank, len(b))
 	}
-	a.Shape = make([]int, rank)
 	numel := 1
 	for i := 0; i < rank; i++ {
 		d := int(binary.LittleEndian.Uint32(b[base+4*i:]))
 		if d > maxElems || numel > maxElems/max(d, 1) {
-			return dst, a, fmt.Errorf("wire: dimension %d of %d exceeds the %d-element decode bound", d, rank, maxElems)
+			return dst, dims, a, fmt.Errorf("wire: dimension %d of %d exceeds the %d-element decode bound", d, rank, maxElems)
 		}
-		a.Shape[i] = d
 		numel *= d
 	}
 	payload, per := b[base+4*rank:], 8
@@ -312,9 +311,15 @@ func DecodeAppend(dst []float64, b []byte) ([]float64, Activation, error) {
 		per = 2
 	}
 	if len(payload) != per*numel {
-		return dst, a, fmt.Errorf("wire: %s payload %d bytes, want %d", enc, len(payload), per*numel)
+		return dst, dims, a, fmt.Errorf("wire: %s payload %d bytes, want %d", enc, len(payload), per*numel)
 	}
-	at := len(dst)
+	at := len(dims)
+	dims = slices.Grow(dims, rank)[:at+rank]
+	a.Shape = dims[at : at+rank : at+rank]
+	for i := range a.Shape {
+		a.Shape[i] = int(binary.LittleEndian.Uint32(b[base+4*i:]))
+	}
+	at = len(dst)
 	dst = slices.Grow(dst, numel)[:at+numel]
 	a.Data = dst[at : at+numel : at+numel]
 	switch enc {
@@ -328,7 +333,7 @@ func DecodeAppend(dst []float64, b []byte) ([]float64, Activation, error) {
 			a.Data[i] = f.Dequantize(int64(raw))
 		}
 	}
-	return dst, a, nil
+	return dst, dims, a, nil
 }
 
 // FrameContentType is the request Content-Type that selects the resume
@@ -365,40 +370,54 @@ func AppendFrame(dst, members []byte, payloads [][]byte) ([]byte, error) {
 }
 
 // ReadFrame splits a resume frame into its members and payloads. Both alias
-// b: decode each payload (Decode and DecodeAppend copy) before b is reused. The payload count
-// is the frame's own; the caller holds it to its per-request cap.
+// b: decode each payload (Decode and DecodeAppend copy) before b is reused.
+// The payload count is the frame's own; the caller holds it to its
+// per-request cap, or has ReadFrameAppend do so before any payload is read.
 func ReadFrame(b []byte) (members []byte, payloads [][]byte, err error) {
+	members, payloads, _, err = ReadFrameAppend(nil, b, math.MaxUint16)
+	return members, payloads, err
+}
+
+// ReadFrameAppend is ReadFrame appending the payloads to dst, and count is
+// the number of payloads the frame declares. A frame that declares more
+// than max is read no further than its members: no payload is appended
+// and err is nil, so the caller refuses the count by its own rule, after
+// its members, without having stored anything per payload.
+func ReadFrameAppend(dst [][]byte, b []byte, max int) (members []byte, payloads [][]byte, count int, err error) {
 	if len(b) < framePreamble {
-		return nil, nil, fmt.Errorf("wire: frame: %d bytes, shorter than the %d-byte preamble", len(b), framePreamble)
+		return nil, dst, 0, fmt.Errorf("wire: frame: %d bytes, shorter than the %d-byte preamble", len(b), framePreamble)
 	}
 	if string(b[:4]) != frameMagic {
-		return nil, nil, fmt.Errorf("wire: frame: bad magic %q", b[:4])
+		return nil, dst, 0, fmt.Errorf("wire: frame: bad magic %q", b[:4])
 	}
 	if v := binary.LittleEndian.Uint16(b[4:]); v != frameVersion {
-		return nil, nil, fmt.Errorf("wire: frame: version %d, want %d", v, frameVersion)
+		return nil, dst, 0, fmt.Errorf("wire: frame: version %d, want %d", v, frameVersion)
 	}
-	count := int(binary.LittleEndian.Uint16(b[6:]))
+	count = int(binary.LittleEndian.Uint16(b[6:]))
 	n, rest := uint64(binary.LittleEndian.Uint32(b[8:])), b[framePreamble:]
 	if n > uint64(len(rest)) {
-		return nil, nil, fmt.Errorf("wire: frame: truncated members (%d of %d bytes)", len(rest), n)
+		return nil, dst, 0, fmt.Errorf("wire: frame: truncated members (%d of %d bytes)", len(rest), n)
 	}
 	members, rest = rest[:n], rest[n:]
+	if count > max {
+		return members, dst, count, nil
+	}
 	// Sized by what b can hold, not by what it claims.
-	payloads = make([][]byte, 0, min(count, len(rest)/4))
+	payloads = slices.Grow(dst, min(count, len(rest)/4))
 	for i := range count {
 		if len(rest) < 4 {
-			return nil, nil, fmt.Errorf("wire: frame: payload %d: truncated length", i)
+			return nil, dst, 0, fmt.Errorf("wire: frame: payload %d: truncated length", i)
 		}
 		n, rest = uint64(binary.LittleEndian.Uint32(rest)), rest[4:]
 		if n > uint64(len(rest)) {
-			return nil, nil, fmt.Errorf("wire: frame: payload %d: truncated (%d of %d bytes)", i, len(rest), n)
+			return nil, dst, 0, fmt.Errorf("wire: frame: payload %d: truncated (%d of %d bytes)", i, len(rest), n)
 		}
 		payloads, rest = append(payloads, rest[:n]), rest[n:]
 	}
 	if len(rest) != 0 {
-		return nil, nil, fmt.Errorf("wire: frame: %d trailing bytes", len(rest))
+		return nil, dst, 0, fmt.Errorf("wire: frame: %d trailing bytes", len(rest))
 	}
-	return members, payloads, nil
+	return members, payloads, count, nil
 }
 
 // RecordSize is the length of one answer record.

@@ -71,13 +71,18 @@ type Trace struct {
 	id         string
 	propagated bool
 	spans      []Span
+	// inline backs spans up to the first four, the three or four a request
+	// usually records, so they cost no allocation beyond the Trace's own.
+	inline [4]Span
 }
 
 // NewTrace starts an empty trace. propagated marks an ID the client (or a
 // wire payload) supplied — the signal that the caller wants trace data
 // echoed back on the response body.
 func NewTrace(id string, propagated bool) *Trace {
-	return &Trace{id: id, propagated: propagated}
+	t := &Trace{id: id, propagated: propagated}
+	t.spans = t.inline[:0]
+	return t
 }
 
 // GenerateID returns a fresh 32-hex-character (16-byte) trace ID.

@@ -53,7 +53,7 @@ var edgeNumbers = []string{
 // whether the token was converted without the fallback.
 func checkNumber(t testing.TB, tok string) (fast bool) {
 	t.Helper()
-	s := bodyScan{data: []byte("[" + tok + "]")}
+	s := bodyScan{data: []byte("[" + tok + "]"), arena: new(request)}
 	got, ok := s.numbers(1)
 	want, err := strconv.ParseFloat(tok, 64)
 	if ok != (err == nil) {
@@ -213,7 +213,7 @@ func TestPow10TableAgainstBig(t *testing.T) {
 // bodies the benchmark's workloads post is converted without strconv.
 func TestClientTokensNeverFallBack(t *testing.T) {
 	check := func(name string, body []byte, others []string, width int) {
-		s := bodyScan{data: body}
+		s := bodyScan{data: body, arena: new(request)}
 		image, images, _, ok := s.imageBody(others, width, 256)
 		if !ok {
 			t.Errorf("%s: the scanner declined it", name)

@@ -121,7 +121,7 @@ func (s *Server) handleSLOPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var slo control.SLO
-	if rerr := decodeBody(w, r, http.MethodPut, 1<<16, &slo, 0, 0); rerr != nil {
+	if rerr := decodeBody(w, r, http.MethodPut, 1<<16, &slo, nil); rerr != nil {
 		WriteError(w, rerr.status, rerr.msg)
 		return
 	}

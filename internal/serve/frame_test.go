@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -267,13 +268,14 @@ func TestFrameDoesNotAliasBody(t *testing.T) {
 
 	buf := frameOf(t, v2)
 	frame := &frameBody{members: new(V2ResumeRequest)}
-	if _, err := decodeJSON(buf, frame, m.inWidth, 64); err != nil {
+	a := &request{width: m.inWidth, maxInputs: 64}
+	if _, err := decodeJSON(buf, frame, a); err != nil {
 		t.Fatal(err)
 	}
 	req := frame.infer()
 	check := func(when string) {
 		t.Helper()
-		jobs, err := req.inputs(m, true, 64)
+		jobs, err := req.inputs(m, true, a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,7 +293,7 @@ func TestFrameDoesNotAliasBody(t *testing.T) {
 	// Reused for another request's frame, as the pool would.
 	other := frameOf(t, V2ResumeRequest{Payloads: []string{v2.Payloads[len(v2.Payloads)-1]}})
 	copy(buf, other)
-	if _, err := decodeJSON(buf[:len(other)], &frameBody{members: new(V2ResumeRequest)}, m.inWidth, 64); err != nil {
+	if _, err := decodeJSON(buf[:len(other)], &frameBody{members: new(V2ResumeRequest)}, &request{width: m.inWidth, maxInputs: 64}); err != nil {
 		t.Fatal(err)
 	}
 	check("after the buffer carried another request")
@@ -431,4 +433,45 @@ func FuzzResumeFrame(f *testing.F) {
 			t.Fatalf("frame HTTP %d %s\nJSON  HTTP %d %s", status, got, jstatus, want)
 		}
 	})
+}
+
+// TestFramePayloadCountRefusedUnstored pins the refusal of a frame that
+// declares more payloads than a request may carry: 65 535 empty payloads,
+// within the default server's frame bound, get the JSON route's 400 text
+// byte for byte, and the reader stores nothing per payload on the way, so
+// a warm server allocates under 64 KiB for the request, not a view and an
+// activation slot for each of the 65 535.
+func TestFramePayloadCountRefusedUnstored(t *testing.T) {
+	cdln, _ := testCDLN(t, 91)
+	srv, _ := startServer(t, cdln, Config{})
+	frame, err := wire.AppendFrame(nil, []byte(`{}`), make([][]byte, math.MaxUint16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func() *httptest.ResponseRecorder {
+		r := httptest.NewRequest(http.MethodPost, resumePath, bytes.NewReader(frame))
+		r.Header.Set("Content-Type", wire.FrameContentType)
+		w := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(w, r)
+		return w
+	}
+	const want = `{"error":"65535 payloads exceed the per-request cap 256"}` + "\n"
+	if w := post(); w.Code != http.StatusBadRequest || w.Body.String() != want {
+		t.Fatalf("HTTP %d %q, want 400 %q", w.Code, w.Body, want)
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		post()
+	}
+	runtime.ReadMemStats(&after)
+	perRequest := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("a %d-byte frame of %d payloads: %d B allocated per request", len(frame), math.MaxUint16, perRequest)
+	if perRequest >= 64<<10 {
+		t.Errorf("%d bytes allocated per refused frame, want < 64 KiB", perRequest)
+	}
 }

@@ -18,7 +18,6 @@ import (
 	"net/http"
 	"slices"
 	"strconv"
-	"sync"
 	"time"
 
 	"cdl/internal/control"
@@ -26,7 +25,6 @@ import (
 	"cdl/internal/edgecloud/wire"
 	"cdl/internal/hop"
 	"cdl/internal/obs"
-	"cdl/internal/tensor"
 )
 
 // inferRequest is the request behind every data route.
@@ -36,9 +34,9 @@ type inferRequest struct {
 	images   ClassifyRequest
 	payload  string
 	payloads []string
-	// acts, non-nil for a wire.FrameContentType body, are its payloads in
-	// place of payload/payloads, already decoded (see frameBody).
-	acts []frameAct
+	// frame, non-nil for a wire.FrameContentType body, holds its payloads
+	// in place of payload/payloads, already decoded.
+	frame *frameBody
 	// policy nil inherits the entry's serve policy (the SLO controller's
 	// current rung, or the trained behaviour).
 	policy    *PolicyRequest
@@ -78,27 +76,27 @@ type frameAct struct {
 // frameBody is the resume routes' second body shape, a wire frame: members
 // is the route's own wire struct, strict-decoded from the frame's JSON
 // object so policy, timeout and unknown-field refusal keep one definition.
-// Inputs can be built twice across a hot-swap, after the pooled body buffer
-// was handed on, so every payload is decoded here, out of the body: into
-// slab, a buffer borrowed from actSlabs until release.
+// count is the number of payloads the frame declares, and acts each one
+// decoded. Inputs can be built twice across a hot-swap, after the pooled
+// body buffer was handed on, so every payload is decoded here, out of the
+// body, into the request's arena.
 type frameBody struct {
 	members wireRequest
+	count   int
 	acts    []frameAct
-	slab    *[]float64
 }
-
-// actSlabs holds the buffers frames have given back, each empty: a frame's
-// activations are decoded into one of them.
-var actSlabs = sync.Pool{New: func() any { return new([]float64) }}
 
 func (f *frameBody) infer() inferRequest {
 	q := f.members.infer()
-	q.acts = f.acts
+	q.frame = f
 	return q
 }
 
-func (f *frameBody) decode(data []byte, maxInputs int) error {
-	members, payloads, err := wire.ReadFrame(data)
+// decode reads a frame into f, its payloads into a's storage. A frame of
+// more payloads than a request may carry stores nothing for them: inputs
+// refuses the count, after the members, as the JSON route does.
+func (f *frameBody) decode(data []byte, a *request) error {
+	members, payloads, count, err := wire.ReadFrameAppend(a.views[:0], data, a.maxInputs)
 	if err == nil {
 		err = strictDecode(members, f.members)
 	}
@@ -108,10 +106,7 @@ func (f *frameBody) decode(data []byte, maxInputs int) error {
 	if q := f.members.infer(); q.payload != "" || q.payloads != nil {
 		return errors.New(`a frame's members carry no "payload" or "payloads"`)
 	}
-	f.acts = make([]frameAct, len(payloads))
-	if len(payloads) > maxInputs {
-		return nil // inputs refuses the count; nothing is decoded for it
-	}
+	f.count, a.views = count, payloads
 	size := 0
 	for _, p := range payloads {
 		size += len(p)
@@ -119,26 +114,16 @@ func (f *frameBody) decode(data []byte, maxInputs int) error {
 	// Grown once for float64 payloads, whose values fill at most an eighth
 	// of their bytes; a fixed-point frame regrows, and the values decoded
 	// before that keep the array they were written to.
-	f.slab = actSlabs.Get().(*[]float64)
-	slab := slices.Grow(*f.slab, size/8)
+	slab, dims := slices.Grow(a.slab[:0], size/8), a.dims[:0]
+	a.acts = slices.Grow(a.acts[:0], len(payloads))[:len(payloads)]
+	clear(a.acts)
 	for i, p := range payloads {
-		if slab, f.acts[i].act, f.acts[i].err = wire.DecodeAppend(slab, p); f.acts[i].err != nil {
+		if slab, dims, a.acts[i].act, a.acts[i].err = wire.DecodeAppend(slab, dims, p); a.acts[i].err != nil {
 			break // inputs stops here too
 		}
 	}
-	*f.slab = slab
+	f.acts, a.slab, a.dims = a.acts, slab, dims
 	return nil
-}
-
-// release gives the frame's activations back once their last reader is
-// done: after it nobody may read them, since the next frame decodes into
-// them. A slab that grew past maxPooledBody is left to the collector.
-func (f *frameBody) release() {
-	if f.slab != nil && cap(*f.slab) <= maxPooledBody/8 {
-		*f.slab = (*f.slab)[:0]
-		actSlabs.Put(f.slab)
-	}
-	f.slab = nil
 }
 
 // bodyBound is the largest body a request of maxInputs inputs, each at most
@@ -149,11 +134,12 @@ func bodyBound(maxInputs, perInput int) int64 {
 	return int64(maxInputs)*int64(perInput) + 16384
 }
 
-// maxPooledBody caps, in bytes, what the answer-frame and activation pools
-// retain: a buffer that grew past it is dropped after its request, so one
-// large request does not pin its size in every pool slot. It also caps
-// what a declared Content-Length alone can reserve in ReadSized. (Request
-// bodies are hop.Bodies, under hop's own cap of the same size.)
+// maxPooledBody caps, in bytes, the pixel, activation and answer storage a
+// pooled request arena retains: an arena that grew past it is dropped after
+// its request, so one large request does not pin its size in every pool
+// slot. It also caps what a declared Content-Length alone can reserve in
+// ReadSized. (Request bodies are hop.Bodies, under hop's own cap of the
+// same size.)
 const maxPooledBody = 1 << 20
 
 // ReadSized reads r to its end, like io.ReadAll, into one buffer sized from
@@ -182,11 +168,10 @@ func ReadSized(r io.Reader, declared int64) ([]byte, error) {
 // much of it was padding — and any other reject is 400. Nothing decoded
 // may alias the body: it is back in the pool, and being overwritten by
 // another request, as soon as decodeBody returns. (The decoded pixels and
-// frame activations are pooled too, but they live longer: a request holds
-// them until its last reader is done; see ReleaseImages and
-// frameBody.release.) width and maxImages size an image route's pixel
-// storage (see bodyScan.imageBody); the admin bodies pass zeros.
-func decodeBody(w http.ResponseWriter, r *http.Request, method string, maxBody int64, into any, width, maxImages int) *requestError {
+// frame activations live longer, in the data request's arena a, which the
+// request gives back once its response is written; see request.) The
+// admin bodies pass no arena.
+func decodeBody(w http.ResponseWriter, r *http.Request, method string, maxBody int64, into any, a *request) *requestError {
 	if r.Method != method {
 		return &requestError{http.StatusMethodNotAllowed, method + " only"}
 	}
@@ -203,7 +188,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, method string, maxBody i
 		err = body.Fill(http.MaxBytesReader(w, r.Body, maxBody), r.ContentLength)
 	}
 	if err == nil {
-		_, err = decodeJSON(body.Bytes(), into, width, maxImages)
+		_, err = decodeJSON(body.Bytes(), into, a)
 	}
 	body.Release()
 	if prof {
@@ -227,15 +212,16 @@ func decodeBody(w http.ResponseWriter, r *http.Request, method string, maxBody i
 // and every body of the other routes, takes strictDecode whole (a resume
 // frame's members do, in frameBody.decode): that is the only path for those
 // inputs and the oracle FuzzDecodeBody holds the scanner to, chosen by the
-// bytes and never by a caller.
-func decodeJSON(data []byte, into any, width, maxImages int) (scanned bool, err error) {
+// bytes and never by a caller. The arena a sizes and holds what an image
+// route or a frame decodes; only the admin bodies come without one.
+func decodeJSON(data []byte, into any, a *request) (scanned bool, err error) {
 	switch q := into.(type) {
 	case *ClassifyRequest:
-		scanned = scanInto(data, q, &q.Image, &q.Images, classifyOthers, width, maxImages)
+		scanned = scanInto(data, q, &q.Image, &q.Images, classifyOthers, a)
 	case *V2ClassifyRequest:
-		scanned = scanInto(data, q, &q.Image, &q.Images, v2ClassifyOthers, width, maxImages)
+		scanned = scanInto(data, q, &q.Image, &q.Images, v2ClassifyOthers, a)
 	case *frameBody:
-		return false, q.decode(data, maxImages)
+		return false, q.decode(data, a)
 	}
 	if scanned {
 		return true, nil
@@ -246,9 +232,9 @@ func decodeJSON(data []byte, into any, width, maxImages int) (scanned bool, err 
 // scanInto fills the wire struct *q from the scanner's reading of data:
 // the other members through the strict decode, then the pixels. It leaves
 // *q zero when the scanner, or the strict decode of those members, declines.
-func scanInto[T any](data []byte, q *T, image *[]float64, images *[][]float64, others []string, width, maxImages int) bool {
-	s := bodyScan{data: data}
-	one, many, rest, ok := s.imageBody(others, width, maxImages)
+func scanInto[T any](data []byte, q *T, image *[]float64, images *[][]float64, others []string, a *request) bool {
+	s := bodyScan{data: data, arena: a}
+	one, many, rest, ok := s.imageBody(others, a.width, a.maxInputs)
 	if ok && rest != nil && strictDecode(rest, q) != nil {
 		*q, ok = *new(T), false
 	}
@@ -274,47 +260,55 @@ func oneOrMany[T any](one T, hasOne bool, many []T, noun string, max int) ([]T, 
 		return nil, fmt.Errorf(`set "%s" or "%ss", not both`, noun, noun)
 	case hasOne:
 		many = []T{one}
-	case len(many) == 0:
-		return nil, fmt.Errorf(`missing "%s" or "%ss"`, noun, noun)
 	}
-	if len(many) > max {
-		return nil, fmt.Errorf("%d %ss exceed the per-request cap %d", len(many), noun, max)
+	return many, checkCount(len(many), noun, max)
+}
+
+// checkCount holds a request's n inputs to [1, max].
+func checkCount(n int, noun string, max int) error {
+	switch {
+	case n == 0:
+		return fmt.Errorf(`missing "%s" or "%ss"`, noun, noun)
+	case n > max:
+		return fmt.Errorf("%d %ss exceed the per-request cap %d", n, noun, max)
 	}
-	return many, nil
+	return nil
 }
 
 // inputs validates the request's inputs against one model version and
-// prepares each as a job holding only its tensor and where on the routing
-// graph it enters: (0, 0) for a raw image, the decoded resume point for an
-// edge-offloaded activation.
-func (q *inferRequest) inputs(m *Model, resume bool, max int) ([]*job, error) {
+// prepares each as a job of the arena a holding only its tensor and where
+// on the routing graph it enters: (0, 0) for a raw image, the decoded
+// resume point for an edge-offloaded activation.
+func (q *inferRequest) inputs(m *Model, resume bool, a *request) ([]*job, error) {
 	if !resume {
 		inShape := m.cdln.Arch.Net.InShape
-		images, err := q.images.NormalizeImages(m.inWidth, max, inShape)
+		images, err := q.images.NormalizeImages(m.inWidth, a.maxInputs, inShape)
 		if err != nil {
 			return nil, err
 		}
-		jobs := make([]*job, len(images))
+		jobs := a.newJobs(len(images))
 		for i, img := range images {
-			jobs[i] = &job{x: tensor.FromSlice(img, inShape...)}
+			jobs[i].x.Point(img, inShape...)
 		}
 		return jobs, nil
 	}
 	var payloads []string
+	var n int
 	var err error
-	if q.acts != nil {
-		_, err = oneOrMany(frameAct{}, false, q.acts, "payload", max)
+	if q.frame != nil {
+		n, err = q.frame.count, checkCount(q.frame.count, "payload", a.maxInputs)
 	} else {
-		payloads, err = oneOrMany(q.payload, q.payload != "", q.payloads, "payload", max)
+		payloads, err = oneOrMany(q.payload, q.payload != "", q.payloads, "payload", a.maxInputs)
+		n = len(payloads)
 	}
 	if err != nil {
 		return nil, err
 	}
-	jobs := make([]*job, len(payloads)+len(q.acts)) // one of the two is empty
-	for i := range jobs {
+	jobs := a.newJobs(n)
+	for i, j := range jobs {
 		var act wire.Activation
-		if q.acts != nil {
-			act, err = q.acts[i].act, q.acts[i].err
+		if q.frame != nil {
+			act, err = q.frame.acts[i].act, q.frame.acts[i].err
 		} else {
 			raw, berr := base64.StdEncoding.DecodeString(payloads[i])
 			if berr != nil {
@@ -331,7 +325,8 @@ func (q *inferRequest) inputs(m *Model, resume bool, max int) ([]*job, error) {
 		if err != nil {
 			return nil, fmt.Errorf("payload %d: %v", i, err)
 		}
-		jobs[i] = &job{x: tensor.FromSlice(act.Data, act.Shape...), node: act.Node, fromStage: act.FromStage}
+		j.x.Point(act.Data, act.Shape...)
+		j.node, j.fromStage = act.Node, act.FromStage
 	}
 	return jobs, nil
 }
@@ -381,9 +376,10 @@ func applyPolicy(m *Model, jobs []*job, pol *core.ExitPolicy, source string) *re
 	return nil
 }
 
-// renderResults renders records at the requested detail level.
-func renderResults(m *Model, records []core.ExitRecord, detail string) []V2Result {
-	out := make([]V2Result, len(records))
+// renderResults renders records at the requested detail level into dst's
+// storage.
+func renderResults(dst []V2Result, m *Model, records []core.ExitRecord, detail string) []V2Result {
+	out := slices.Grow(dst[:0], len(records))[:len(records)]
 	baseOps := m.metrics.baselineOps
 	for i, rec := range records {
 		res := V2Result{
@@ -418,6 +414,11 @@ func (s *Server) handleInfer(resume bool, newBody func() wireRequest) http.Handl
 		if !ok {
 			return
 		}
+		// Everything the request decodes, queues and renders lives in its
+		// arena, given back once the response is written, whatever the
+		// status: see request for why nothing reads it after that.
+		a := takeRequest(m0.inWidth, s.maxImages)
+		defer a.release()
 		perInput := m0.inWidth * 32
 		body := newBody()
 		// A frame request gets a frame answer.
@@ -426,31 +427,18 @@ func (s *Server) handleInfer(resume bool, newBody func() wireRequest) http.Handl
 		case frame:
 			// The model's widest lossless wire activation, length-prefixed.
 			perInput = m0.maxResumeWire + 4
-			f := &frameBody{members: body}
-			body = f
-			// The activations go back once dispatch has returned, on every
-			// status, as the pixels do below: by then the walk has copied
-			// each into lane scratch, and no sink keeps one.
-			defer f.release()
+			a.frame.members = body
+			body = &a.frame
 		case resume:
 			// The same, base64-inflated in a JSON string.
 			perInput = base64.StdEncoding.EncodedLen(m0.maxResumeWire) + 4
 		}
-		rerr := decodeBody(w, r, http.MethodPost, bodyBound(s.maxImages, perInput), body, m0.inWidth, s.maxImages)
+		rerr := decodeBody(w, r, http.MethodPost, bodyBound(s.maxImages, perInput), body, a)
 		var req inferRequest
 		var ctx context.Context
 		var cancel context.CancelFunc
 		if rerr == nil {
 			req = body.infer()
-			// The pixels go back once dispatch has returned, whatever it
-			// answered: it has waited out every job it queued, the walk
-			// copied each image into lane scratch before the job was
-			// released, a refused submit queued nothing, and no sink keeps
-			// a pixel.
-			defer func() {
-				ReleaseImages(m0.inWidth, req.images.Image)
-				ReleaseImages(m0.inWidth, req.images.Images...)
-			}()
 			ctx, cancel, rerr = requestContext(r, req.timeoutMS)
 		}
 		if rerr != nil {
@@ -465,7 +453,7 @@ func (s *Server) handleInfer(resume bool, newBody func() wireRequest) http.Handl
 			if resume && m.split != nil {
 				return nil, badRequest("model %q is a split entry: its tail runs on another tier, so it resumes nothing", m.name)
 			}
-			jobs, err := req.inputs(m, resume, s.maxImages)
+			jobs, err := req.inputs(m, resume, a)
 			if err != nil {
 				return nil, badRequest("%v", err)
 			}
@@ -483,22 +471,23 @@ func (s *Server) handleInfer(resume bool, newBody func() wireRequest) http.Handl
 			}
 			return jobs, applyPolicy(m, jobs, pol, source)
 		}
-		m, records, ok := s.dispatch(w, ctx, name, resume, build)
+		m, records, ok := s.dispatch(w, ctx, name, resume, a, build)
 		if !ok {
 			return
 		}
 		traceID, spans := finishTrace(r, detail)
 		switch {
 		case frame:
-			writeFrame(w, records, spans, detail)
+			writeFrame(w, &a.answer, records, spans, detail)
 			return
 		case req.v1:
-			writeV1(w, m, records, traceID, spans)
+			a.v1 = writeV1(w, a.v1, m, records, traceID, spans)
 			return
 		}
+		a.results = renderResults(a.results, m, records, detail)
 		resp := V2ClassifyResponse{
 			Model: m.name, Version: m.version,
-			Results: renderResults(m, records, detail), Count: len(records),
+			Results: a.results, Count: len(records),
 			TraceID: traceID, Spans: spans,
 		}
 		if dl, ok := ctx.Deadline(); ok && detail == DetailTrace {
@@ -508,9 +497,10 @@ func (s *Server) handleInfer(resume bool, newBody func() wireRequest) http.Handl
 	}
 }
 
-// writeV1 answers the edge front's /v1/classify at detail "cost".
-func writeV1(w http.ResponseWriter, m *Model, records []core.ExitRecord, traceID string, spans []obs.Span) {
-	resp := ClassifyResponse{Results: make([]ClassifyResult, len(records)), Count: len(records), TraceID: traceID, Spans: spans}
+// writeV1 answers the edge front's /v1/classify at detail "cost", its
+// results rendered into dst's storage, which it returns.
+func writeV1(w http.ResponseWriter, dst []ClassifyResult, m *Model, records []core.ExitRecord, traceID string, spans []obs.Span) []ClassifyResult {
+	resp := ClassifyResponse{Results: slices.Grow(dst[:0], len(records))[:len(records)], Count: len(records), TraceID: traceID, Spans: spans}
 	for i, rec := range records {
 		resp.Results[i] = ClassifyResult{
 			Label: rec.Label, Exit: rec.StageName, ExitIndex: rec.StageIndex, Node: rec.Node,
@@ -521,6 +511,7 @@ func writeV1(w http.ResponseWriter, m *Model, records []core.ExitRecord, traceID
 		}
 	}
 	WriteJSON(w, http.StatusOK, resp)
+	return resp.Results
 }
 
 // answerFrame is the scratch a frame answer is rendered in: the records,
@@ -531,8 +522,6 @@ type answerFrame struct {
 	frame    []byte
 }
 
-var answerFrames = sync.Pool{New: func() any { return new(answerFrame) }}
-
 // FrameAnswer is a frame answer's members: the span list when finishTrace
 // returned one, and at detail "trace" each record's per-stage confidences
 // in record order. An answer with neither carries no members.
@@ -541,11 +530,10 @@ type FrameAnswer struct {
 	StageConfidences [][]float64 `json:"stage_confidences,omitempty"`
 }
 
-// writeFrame answers a frame request: one wire record per result, in input
-// order, under the FrameAnswer members. A result a record cannot carry
-// answers 500, as a JSON encode failure does.
-func writeFrame(w http.ResponseWriter, records []core.ExitRecord, spans []obs.Span, detail string) {
-	a := answerFrames.Get().(*answerFrame)
+// writeFrame answers a frame request in the scratch a: one wire record per
+// result, in input order, under the FrameAnswer members. A result a record
+// cannot carry answers 500, as a JSON encode failure does.
+func writeFrame(w http.ResponseWriter, a *answerFrame, records []core.ExitRecord, spans []obs.Span, detail string) {
 	var members []byte
 	var err error
 	if len(spans) > 0 || detail == DetailTrace {
@@ -578,9 +566,5 @@ func writeFrame(w http.ResponseWriter, records []core.ExitRecord, spans []obs.Sp
 		w.Header().Set("Content-Length", strconv.Itoa(len(a.frame)))
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write(a.frame)
-	}
-	if cap(a.frame) <= maxPooledBody {
-		clear(a.payloads)
-		answerFrames.Put(a)
 	}
 }

@@ -76,16 +76,21 @@ type Walker interface {
 	WalkBatch(xs []*tensor.T, node, fromStage int, pol core.ExitPolicy, traces []*obs.Trace) ([]core.ExitRecord, error)
 }
 
-// sessionWalker walks a group with Session.ResumeBatchPolicyAt, which is a
-// batched policy-aware classify at (0, 0) and a resume elsewhere.
-type sessionWalker struct{ *core.Session }
+// sessionWalker walks a group with Session.ResumeBatchInto, which is a
+// batched policy-aware classify at (0, 0) and a resume elsewhere, into
+// recs, a records slab of its own that the worker copies out of.
+type sessionWalker struct {
+	*core.Session
+	recs []core.ExitRecord
+}
 
-func (s sessionWalker) WalkBatch(xs []*tensor.T, node, fromStage int, pol core.ExitPolicy, traces []*obs.Trace) ([]core.ExitRecord, error) {
+func (s *sessionWalker) WalkBatch(xs []*tensor.T, node, fromStage int, pol core.ExitPolicy, traces []*obs.Trace) ([]core.ExitRecord, error) {
 	if traces != nil {
 		s.SetStageObserver(StageObserver(s.Graph(), "", traces))
 		defer s.SetStageObserver(nil)
 	}
-	return s.ResumeBatchPolicyAt(xs, node, fromStage, pol), nil
+	s.recs = s.ResumeBatchInto(s.recs, xs, node, fromStage, pol)
+	return s.recs, nil
 }
 
 // pool is the replica fan-out: a bounded job queue drained by one goroutine

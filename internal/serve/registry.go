@@ -97,7 +97,7 @@ func newModel(name string, version int, path string, g *core.Graph, cfg Config, 
 		} else {
 			var sess *core.Session
 			sess, err = core.NewGraphSession(g)
-			walkers[i] = sessionWalker{sess}
+			walkers[i] = &sessionWalker{Session: sess}
 		}
 		if err != nil {
 			return nil, err

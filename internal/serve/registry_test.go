@@ -164,7 +164,7 @@ func m2Classify(t testing.TB, m *Model, img []float64) V2Result {
 		t.Fatal(err)
 	}
 	wg.Wait()
-	return renderResults(m, []core.ExitRecord{rec}, DetailCost)[0]
+	return renderResults(nil, m, []core.ExitRecord{rec}, DetailCost)[0]
 }
 
 // TestV2Endpoints covers the v2 metadata and dispatch surface end to end:
@@ -511,7 +511,7 @@ func TestWorkerDropsDeadJobs(t *testing.T) {
 	}
 	cancel() // die in the queue
 	p.wg.Add(1)
-	go p.worker(sessionWalker{sess}, done)
+	go p.worker(&sessionWalker{Session: sess}, done)
 	wg.Wait()
 	for i, j := range jobs {
 		if !j.cancelled {

@@ -7,6 +7,8 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -85,7 +87,8 @@ func pixelWorkload(cdln *core.CDLN, samples [][]float64, clients, perClient int)
 }
 
 // send posts one request of pixelWorkload and checks its answer: a status
-// the request allows and, on a 200, exactly the oracle's records.
+// the request allows and, on a 200, exactly the oracle's records, their
+// stage confidences too when the request asks for detail "trace".
 func (q *pixelRequest) send(url string) (int, error) {
 	body, err := json.Marshal(q.body)
 	if err != nil {
@@ -115,7 +118,8 @@ func (q *pixelRequest) send(url string) (int, error) {
 	}
 	for i, got := range out.Results {
 		want := q.expect[i]
-		if got.Label != want.Label || got.ExitIndex != want.StageIndex || got.Confidence != want.Confidence || got.Ops != want.Ops {
+		if got.Label != want.Label || got.ExitIndex != want.StageIndex || got.Confidence != want.Confidence || got.Ops != want.Ops ||
+			q.body.Policy != nil && q.body.Policy.Detail == DetailTrace && !slices.Equal(got.StageConfidences, want.Trace) {
 			return resp.StatusCode, fmt.Errorf("image %d answered %+v, its own pixels classify as %+v", i, got, want)
 		}
 	}
@@ -123,10 +127,10 @@ func (q *pixelRequest) send(url string) (int, error) {
 }
 
 // TestPixelsGoBackAfterTheLastReader pins when a request's pixels return
-// to the scanner's pool: after dispatch has returned, never while a worker
-// may still read them. A buffer given back early is parsed into by the
-// next request while its own jobs wait in the queue, and they classify
-// someone else's image. Several clients send MNIST_3C-sized images of their
+// to the pool with its arena: after dispatch has returned, never while a
+// worker may still read them. Pixels given back early are parsed into by
+// the next request while their own jobs wait in the queue, and they
+// classify someone else's image. Several clients send MNIST_3C-sized images of their
 // own through a pool of one worker kept saturated (503s), with 1 ms
 // deadlines (504s), 4xx refusals and hot-swaps of the entry to the same
 // weights (retried dispatches) mixed in; every 200 must be exactly
@@ -140,6 +144,54 @@ func TestPixelsGoBackAfterTheLastReader(t *testing.T) {
 	for c := range work {
 		for k := range work[c] {
 			sends[c] = append(sends[c], work[c][k].send)
+		}
+	}
+	hammer(t, ts.URL, classifyPath, swaps, sends)
+}
+
+// TestRequestArenaGoesBackAfterTheResponse pins when a request's arena —
+// its pixels, frame activations, jobs, records and rendered results —
+// returns to the pool: once its response is written, never while a worker
+// or the handler may still read it. One server takes both kinds of
+// traffic: each client alternates the JSON classify requests of
+// TestPixelsGoBackAfterTheLastReader, every fifth of them at detail
+// "trace", with the resume frames of TestActivationsGoBackAfterTheLastReader,
+// through a saturated pool of one worker (503s), 1 ms deadlines (504s),
+// 4xx refusals and hot-swaps of the entry to the same weights (retried
+// dispatches). Every 200 must be exactly the oracle's answer for the inputs
+// its client sent, stage confidences included, so no body carries another
+// request's rows. Run under -race in CI.
+func TestRequestArenaGoesBackAfterTheResponse(t *testing.T) {
+	cdln, samples := lifetimeFixture(t)
+	const clients, perClient, swaps = 6, 20, 4
+	pixels := pixelWorkload(cdln, samples, clients, perClient)
+	frames := activationWorkload(t, cdln, samples, clients, perClient)
+	sess, err := core.NewSession(cdln)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced := core.ExitPolicy{Delta: -1, MaxExit: -1, Trace: true}
+	_, ts := startServer(t, cdln, Config{Workers: 1, MaxBatch: 4, QueueDepth: 6})
+	sends := make([][]func(string) (int, error), clients)
+	for c := range sends {
+		for k := range pixels[c] {
+			q := &pixels[c][k]
+			if k%5 == 1 {
+				q.body.Policy = &PolicyRequest{Detail: DetailTrace}
+				images := q.body.Images
+				if q.body.Image != nil {
+					images = [][]float64{q.body.Image}
+				}
+				xs := make([]*tensor.T, len(images))
+				for i, img := range images {
+					xs[i] = tensor.FromSlice(img, cdln.Arch.Net.InShape...)
+				}
+				q.expect = sess.ClassifyBatchPolicy(xs, traced)
+			}
+			f := &frames[c][k]
+			sends[c] = append(sends[c], q.send, func(base string) (int, error) {
+				return f.send(strings.TrimSuffix(base, classifyPath) + resumePath)
+			})
 		}
 	}
 	hammer(t, ts.URL, classifyPath, swaps, sends)
@@ -274,10 +326,10 @@ func (q *activationRequest) send(url string) (int, error) {
 }
 
 // TestActivationsGoBackAfterTheLastReader pins when a resume frame's
-// decoded activations return to their pool: after dispatch has returned,
-// never while a worker may still read them. A slab given back early is
-// decoded into by the next frame while its own jobs wait in the queue, and
-// they resume someone else's activations. The traffic is
+// decoded activations return to the pool with its arena: after dispatch
+// has returned, never while a worker may still read them. Activations
+// given back early are decoded into by the next frame while their own jobs
+// wait in the queue, and they resume someone else's. The traffic is
 // TestPixelsGoBackAfterTheLastReader's, in frames of split-1 activations:
 // every 200 must be exactly ResumeBatchPolicyAt on the activations its
 // client sent. Run under -race in CI.

@@ -12,7 +12,6 @@ package serve
 import (
 	"encoding/binary"
 	"strconv"
-	"sync"
 )
 
 // The members of the two image wire structs the scanner passes through to
@@ -26,6 +25,9 @@ var (
 type bodyScan struct {
 	data []byte
 	i    int
+	// arena is the request the pixels are scanned into: its pixel slots
+	// and its image list.
+	arena *request
 	// fallbacks counts the number tokens strconv.ParseFloat converted
 	// because decimalToFloat declined them; tests and BenchmarkDecodeBody
 	// hold it at zero on what clients send.
@@ -53,9 +55,9 @@ func (s *bodyScan) space() byte {
 // hostile `[[],[],…` can make the scanner take is what a legitimate full
 // request occupies). rest is the other members re-framed as one object for
 // the strict decode, nil when there are none. Nothing returned aliases
-// s.data. The pixel buffers belong to the request: it may read them until
-// its last reader is done, then give them back with ReleaseImages, and
-// nobody may read them after that.
+// s.data. The pixels and the image list live in s.arena: they are the
+// request's until it gives its arena back, and nobody may read them after
+// that.
 func (s *bodyScan) imageBody(others []string, width, maxImages int) (image []float64, images [][]float64, rest []byte, ok bool) {
 	data := s.data
 	if s.space() != '{' {
@@ -151,7 +153,10 @@ func (s *bodyScan) numberArrays(width, maxImages int) ([][]float64, bool) {
 		return nil, false
 	}
 	s.i++
-	out := [][]float64{}
+	out := s.arena.images[:0]
+	if out == nil {
+		out = [][]float64{} // an empty array is an empty list, not a missing one
+	}
 	if s.space() == ']' {
 		s.i++
 		return out, true
@@ -165,6 +170,7 @@ func (s *bodyScan) numberArrays(width, maxImages int) ([][]float64, bool) {
 			return nil, false
 		}
 		out = append(out, img)
+		s.arena.images = out // grown, the list stays the arena's
 		switch s.space() {
 		case ',':
 			s.i++
@@ -178,10 +184,10 @@ func (s *bodyScan) numberArrays(width, maxImages int) ([][]float64, bool) {
 }
 
 // numbers scans one array of numbers into a buffer of exactly width
-// float64s, taken from pixelPool when one is there (an array of more than
-// width numbers regrows it, as append does, and the grown buffer is never
-// pooled). Each token is walked once: the loop that checks it against the
-// JSON number grammar (-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?) also
+// float64s, a slot of the arena's pixels (an array of more than width
+// numbers regrows out of it, as append does). Each
+// token is walked once: the loop that checks it against the JSON number
+// grammar (-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?) also
 // gathers its significant digits into an integer mantissa and its decimal
 // exponent, which decimalToFloat converts. A token that conversion cannot
 // prove — more than 19 significant digits, or one of its own declines — goes
@@ -193,10 +199,7 @@ func (s *bodyScan) numbers(width int) ([]float64, bool) {
 		return nil, false
 	}
 	s.i++
-	out, pooled := pixelPool.Get().([]float64)
-	if !pooled || cap(out) != width {
-		out = make([]float64, 0, width) // a mismatched buffer is dropped
-	}
+	out := s.arena.pixelSlot(width)
 	if s.space() == ']' {
 		s.i++
 		return out, true
@@ -311,23 +314,6 @@ func (s *bodyScan) numbers(width int) ([]float64, bool) {
 			return out, true
 		default:
 			return nil, false
-		}
-	}
-}
-
-// pixelPool holds the pixel buffers requests have given back, each empty
-// and of exactly the width of the model it was decoded for.
-var pixelPool sync.Pool
-
-// ReleaseImages gives a request's decoded images back to the scanner once
-// their last reader is done: after it nobody may read them, since the next
-// request parses its pixels into them. width is the width they were decoded
-// for; a buffer of another capacity, such as a grown image, is left to the
-// collector. Each buffer is given back once.
-func ReleaseImages(width int, images ...[]float64) {
-	for _, img := range images {
-		if width > 0 && cap(img) == width {
-			pixelPool.Put(img[:0])
 		}
 	}
 }

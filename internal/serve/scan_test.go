@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -48,7 +49,7 @@ func checkAgainstOracle(t *testing.T, body []byte, width, maxImages int) (scanne
 	scanned = make(map[string]bool)
 	for _, ws := range wireStructs {
 		got, want := ws.alloc(), ws.alloc()
-		took, gotErr := decodeJSON(body, got, width, maxImages)
+		took, gotErr := decodeJSON(body, got, &request{width: width, maxInputs: maxImages})
 		wantErr := strictDecode(body, want)
 		scanned[ws.name] = took
 		if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
@@ -265,7 +266,7 @@ func TestDecodedRequestDoesNotAliasTheBody(t *testing.T) {
 	decode := func(body []byte) *V2ClassifyRequest {
 		var q V2ClassifyRequest
 		r := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body))
-		if rerr := decodeBody(httptest.NewRecorder(), r, http.MethodPost, 1<<20, &q, 4, 8); rerr != nil {
+		if rerr := decodeBody(httptest.NewRecorder(), r, http.MethodPost, 1<<20, &q, &request{width: 4, maxInputs: 8}); rerr != nil {
 			t.Fatal(rerr.msg)
 		}
 		return &q
@@ -282,7 +283,7 @@ func TestDecodedRequestDoesNotAliasTheBody(t *testing.T) {
 		for _, g := range [][]byte{body, []byte(`{"payload":"QUJD","payloads":["QUJD","REVG"],"policy":{"delta":0.5}}`)} {
 			data := bytes.Clone(g)
 			got, want := ws.alloc(), ws.alloc()
-			if _, err := decodeJSON(data, got, 4, 8); err != nil {
+			if _, err := decodeJSON(data, got, &request{width: 4, maxInputs: 8}); err != nil {
 				continue // the other route family's body: unknown fields
 			}
 			for i := range data {
@@ -341,7 +342,7 @@ func TestDecodeBodyBound(t *testing.T) {
 		r := httptest.NewRequest(http.MethodPost, "/", body)
 		r.ContentLength = declared
 		var q ClassifyRequest
-		return decodeBody(httptest.NewRecorder(), r, http.MethodPost, bound, &q, 2, 1)
+		return decodeBody(httptest.NewRecorder(), r, http.MethodPost, bound, &q, &request{width: 2, maxInputs: 1})
 	}
 	for _, tc := range []struct {
 		name string
@@ -369,60 +370,54 @@ func TestDecodeBodyBound(t *testing.T) {
 }
 
 // TestDecodeBodyAllocs guards what the scanner exists to remove: decoding a
-// 16-image body allocates one exactly-sized pixel slice per image plus a
-// handful of headers, not encoding/json's doubling slices and boxed
-// tokens. The pixel storage is sized from the model's width, so the bytes
-// stay within 10 % of the pixels themselves — and once requests give their
-// pixels back, a warm decode-then-give-back cycle allocates under 2 % of
-// them. The pool holds each width apart: a decode only ever gets a buffer
-// of its own width, and an image grown past its width is never pooled.
+// 16-image body into a fresh arena allocates one exactly-sized pixel slice
+// per image plus a handful of headers, not encoding/json's doubling slices
+// and boxed tokens. The pixel storage is sized from the model's width, so
+// the bytes stay within 10 % of the pixels themselves — and once a request
+// has given its arena back, a warm decode into it allocates under 2 % of
+// them. One arena serves models of any width: each image gets a slot of
+// exactly its own, and an image grown past its slot does not write into
+// the next.
 func TestDecodeBodyAllocs(t *testing.T) {
 	const n, width = 16, 784
 	_, batch, _ := benchShapedBodies(t, n)
+	a := new(request)
 	decodeWidth := func(body []byte, width int) *V2ClassifyRequest {
+		a.width, a.maxInputs = width, 256
 		q := new(V2ClassifyRequest)
-		if took, err := decodeJSON(body, q, width, 256); err != nil || !took {
+		if took, err := decodeJSON(body, q, a); err != nil || !took {
 			t.Fatalf("scanned %v, err %v", took, err)
 		}
 		return q
 	}
 	narrow := []byte(`{"image":[1,2,3,4],"images":[[5,6,7,8],[9,10,11,12],[13,14]]}`)
 	for round := 0; round < 4; round++ {
-		wide := decodeWidth(batch, width)
-		ReleaseImages(width, wide.Images...)
+		decodeWidth(batch, width)
+		a.reset()
 		q := decodeWidth(narrow, 4)
 		for _, img := range append(q.Images, q.Image) {
 			if cap(img) != 4 {
-				t.Fatalf("round %d: a width-4 decode after 784-wide buffers went back got a cap-%d slice", round, cap(img))
+				t.Fatalf("round %d: a width-4 decode after a 784-wide one got a cap-%d slice", round, cap(img))
 			}
 		}
-		ReleaseImages(4, q.Image)
-		ReleaseImages(4, q.Images...)
+		a.reset()
 		for _, img := range decodeWidth(batch, width).Images {
 			if cap(img) != width {
-				t.Fatalf("round %d: a width-%d decode after width-4 buffers went back got a cap-%d slice", round, width, cap(img))
+				t.Fatalf("round %d: a width-%d decode after a width-4 one got a cap-%d slice", round, width, cap(img))
 			}
 		}
+		a.reset()
 	}
-	// Emptied, the pool is handed a grown image (six pixels at width 4):
-	// it must not keep it.
-	drain := func() {
-		for pixelPool.Get() != nil {
-		}
-	}
-	drain()
-	grown := decodeWidth([]byte(`{"image":[1,2,3,4,5,6]}`), 4).Image
-	ReleaseImages(4, grown)
-	for b := pixelPool.Get(); b != nil; b = pixelPool.Get() {
-		if img := b.([]float64); &img[:1][0] == &grown[0] {
-			t.Fatalf("the pool kept a grown %d-pixel image of cap %d", len(grown), cap(grown))
-		}
+	// Six pixels at width 4: the first image regrows out of its slot, and
+	// the second, in the slot after it, keeps its own pixels.
+	q := decodeWidth([]byte(`{"images":[[1,2,3,4,5,6],[7,8,9,10]]}`), 4)
+	if !slices.Equal(q.Images[0], []float64{1, 2, 3, 4, 5, 6}) || !slices.Equal(q.Images[1], []float64{7, 8, 9, 10}) {
+		t.Fatalf("a grown image wrote into its neighbour: %v", q.Images)
 	}
 
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	drain() // the bounds below are a decode's with nothing given back
 	measure := func(body []byte, decode func([]byte, any)) (allocs, bytesPerRun float64) {
 		const runs = 20
 		var before, after runtime.MemStats
@@ -431,11 +426,13 @@ func TestDecodeBodyAllocs(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
 	}
-	scan := func(body []byte, into any) {
-		if took, err := decodeJSON(body, into, width, 256); err != nil || !took {
+	scanInto := func(body []byte, into any, a *request) {
+		if took, err := decodeJSON(body, into, a); err != nil || !took {
 			t.Fatalf("scanned %v, err %v", took, err)
 		}
 	}
+	// The bounds below are a decode's into an arena with nothing in it.
+	scan := func(body []byte, into any) { scanInto(body, into, &request{width: width, maxInputs: 256}) }
 	allocs, size := measure(batch, scan)
 	oracleAllocs, oracleSize := measure(batch, func(body []byte, into any) { _ = strictDecode(body, into) })
 	t.Logf("16x784 body: scanner %.0f allocs, %.0f B; encoding/json %.0f allocs, %.0f B", allocs, size, oracleAllocs, oracleSize)
@@ -458,15 +455,16 @@ func TestDecodeBodyAllocs(t *testing.T) {
 		t.Errorf("8 over-long tokens cost %.0f extra allocations, want <= 8", longAllocs-shortAllocs)
 	}
 
+	warm := &request{width: width, maxInputs: 256}
 	recycle := func(body []byte, into any) {
-		scan(body, into)
-		ReleaseImages(width, into.(*V2ClassifyRequest).Images...)
+		scanInto(body, into, warm)
+		warm.reset()
 	}
-	recycle(batch, new(V2ClassifyRequest)) // warm the pool
+	recycle(batch, new(V2ClassifyRequest)) // size the arena
 	_, recycled := measure(batch, recycle)
-	t.Logf("16x784 body, pixels given back: %.0f B", recycled)
+	t.Logf("16x784 body into a reused arena: %.0f B", recycled)
 	if limit := 0.02 * 8 * n * width; recycled > limit {
-		t.Errorf("%.0f bytes allocated per 16-image decode-then-give-back, want <= %.0f", recycled, limit)
+		t.Errorf("%.0f bytes allocated per 16-image decode into a reused arena, want <= %.0f", recycled, limit)
 	}
 }
 
@@ -478,8 +476,8 @@ var decodeSink any
 // the scanner replaced and falls back to. numbers_only is the scanner by
 // itself on the 16-image body: what one pixel token costs to check and
 // convert, and how many of them strconv converted (none). The _recycled
-// cases give each request's pixels back after its decode, as the handlers
-// do once the last reader is done, so -benchmem reports the steady state.
+// cases decode every request into one arena, emptied after each as a
+// request gives its arena back, so -benchmem reports the steady state.
 func BenchmarkDecodeBody(b *testing.B) {
 	single, batch, _ := benchShapedBodies(b, 16)
 	b.Run("numbers_only", func(b *testing.B) {
@@ -487,7 +485,7 @@ func BenchmarkDecodeBody(b *testing.B) {
 		b.ReportAllocs()
 		fallbacks := 0
 		for i := 0; i < b.N; i++ {
-			s := bodyScan{data: batch}
+			s := bodyScan{data: batch, arena: new(request)}
 			_, images, _, ok := s.imageBody(v2ClassifyOthers, 784, 256)
 			if !ok {
 				b.Fatal("the scanner declined the body")
@@ -507,7 +505,7 @@ func BenchmarkDecodeBody(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				q := new(V2ClassifyRequest)
-				if took, err := decodeJSON(bc.body, q, 784, 256); err != nil || !took {
+				if took, err := decodeJSON(bc.body, q, &request{width: 784, maxInputs: 256}); err != nil || !took {
 					b.Fatalf("scanned %v, err %v", took, err)
 				}
 				decodeSink = q
@@ -516,13 +514,13 @@ func BenchmarkDecodeBody(b *testing.B) {
 		b.Run(bc.name+"_recycled", func(b *testing.B) {
 			b.SetBytes(int64(len(bc.body)))
 			b.ReportAllocs()
+			a := &request{width: 784, maxInputs: 256}
 			for i := 0; i < b.N; i++ {
 				q := new(V2ClassifyRequest)
-				if took, err := decodeJSON(bc.body, q, 784, 256); err != nil || !took {
+				if took, err := decodeJSON(bc.body, q, a); err != nil || !took {
 					b.Fatalf("scanned %v, err %v", took, err)
 				}
-				ReleaseImages(784, q.Image)
-				ReleaseImages(784, q.Images...)
+				a.reset()
 				decodeSink = q
 			}
 		})

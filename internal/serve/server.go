@@ -46,7 +46,6 @@ import (
 	"math"
 	"net/http"
 	"runtime"
-	"sync"
 	"time"
 
 	"cdl/internal/control"
@@ -384,12 +383,14 @@ func WriteShed(w http.ResponseWriter, msg string) {
 // (re-running build, so inputs are re-validated against the new model).
 // On success it returns the model that served the request and the records,
 // in job order; on failure it has already written the error response and
-// charged the refusal to the model (Model.refuse).
+// charged the refusal to the model (Model.refuse). Either way it returns
+// only once no worker holds a job of the request.
 //
 // build runs against a specific model version and returns the request's
-// jobs (inputs and shared policy set; dispatch adds the context, trace,
-// records and WaitGroup) or a rejection, counted as invalid on that model.
-func (s *Server) dispatch(w http.ResponseWriter, ctx context.Context, name string, resume bool, build func(m *Model) ([]*job, *requestError)) (*Model, []core.ExitRecord, bool) {
+// jobs, built afresh in the arena a (request.newJobs: tensor, record and
+// WaitGroup wired; inputs and shared policy set; dispatch adds the context
+// and trace), or a rejection, counted as invalid on that model.
+func (s *Server) dispatch(w http.ResponseWriter, ctx context.Context, name string, resume bool, a *request, build func(m *Model) ([]*job, *requestError)) (*Model, []core.ExitRecord, bool) {
 	var m *Model
 	lastJobs := 1
 	tr := obs.FromContext(ctx)
@@ -404,10 +405,8 @@ func (s *Server) dispatch(w http.ResponseWriter, ctx context.Context, name strin
 			WriteError(w, rerr.status, rerr.msg)
 			return nil, nil, false
 		}
-		records := make([]core.ExitRecord, len(jobs))
-		var wg sync.WaitGroup
-		for i, j := range jobs {
-			j.ctx, j.tr, j.rec, j.wg = ctx, tr, &records[i], &wg
+		for _, j := range jobs {
+			j.ctx, j.tr = ctx, tr
 		}
 		lastJobs = len(jobs)
 		if attempt == 0 {
@@ -417,7 +416,7 @@ func (s *Server) dispatch(w http.ResponseWriter, ctx context.Context, name strin
 		}
 		switch err := m.pool.submit(ctx, jobs); {
 		case err == nil:
-			wg.Wait()
+			a.wg.Wait()
 			if cerr := ctx.Err(); cerr != nil {
 				// The request died while queued or mid-batch; whatever
 				// subset was classified, the client is gone or out of time
@@ -442,7 +441,7 @@ func (s *Server) dispatch(w http.ResponseWriter, ctx context.Context, name strin
 				}
 			}
 			m.metrics.observeRequest(resume)
-			return m, records, true
+			return m, a.records, true
 		case errors.Is(err, ErrOverloaded):
 			m.refuse(ctx, obs.FlightShed, causeQueueFull, len(jobs))
 			WriteShed(w, err.Error())

@@ -474,7 +474,7 @@ func TestPoolBatchesFormFromBacklog(t *testing.T) {
 	// the batch size and then sits in the callback until the test lets it go,
 	// so the replica is provably busy while the next jobs queue.
 	sizes, resume := make(chan int), make(chan struct{})
-	p := newPool([]Walker{sessionWalker{sess}}, 16, maxBatch, func(_ []*job, batchSize int) {
+	p := newPool([]Walker{&sessionWalker{Session: sess}}, 16, maxBatch, func(_ []*job, batchSize int) {
 		sizes <- batchSize
 		<-resume
 	})

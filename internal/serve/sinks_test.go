@@ -99,7 +99,7 @@ func TestDroppedJobsChargedPerImage(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.pool.wg.Add(1)
-	go m.pool.worker(sessionWalker{sess}, m.emit)
+	go m.pool.worker(&sessionWalker{Session: sess}, m.emit)
 	wg.Wait() // emit-before-release: the sinks are settled once the waiters are
 
 	var alerts control.AlertzReport

@@ -344,7 +344,7 @@ func (s *Server) handleModelPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req V2PutModelRequest
-	if rerr := decodeBody(w, r, http.MethodPut, 1<<20, &req, 0, 0); rerr != nil {
+	if rerr := decodeBody(w, r, http.MethodPut, 1<<20, &req, nil); rerr != nil {
 		WriteError(w, rerr.status, rerr.msg)
 		return
 	}
@@ -396,7 +396,7 @@ func (s *Server) handleBranchPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req V2PutBranchRequest
-	if rerr := decodeBody(w, r, http.MethodPut, 1<<20, &req, 0, 0); rerr != nil {
+	if rerr := decodeBody(w, r, http.MethodPut, 1<<20, &req, nil); rerr != nil {
 		WriteError(w, rerr.status, rerr.msg)
 		return
 	}
