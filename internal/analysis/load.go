@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -226,8 +227,8 @@ type parsedDir struct {
 	imports map[string]bool
 }
 
-// parseDir parses the non-test files of one package directory and records
-// its //cdlvet:allow directives.
+// parseDir parses the non-test files of one package directory that build
+// on this platform and records their //cdlvet:allow directives.
 func (m *Module) parseDir(rel string) (*parsedDir, error) {
 	dir := filepath.Join(m.Dir, filepath.FromSlash(rel))
 	ents, err := os.ReadDir(dir)
@@ -238,6 +239,13 @@ func (m *Module) parseDir(rel string) (*parsedDir, error) {
 	for _, e := range ents {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		// Only what a build for this platform compiles: a file pair split
+		// by build constraints declares its names once in each half.
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		path := filepath.Join(dir, name)

@@ -96,7 +96,7 @@ func (s *Session) ResumeBatchInto(dst []ExitRecord, acts []*tensor.T, node, from
 	}
 	recs := slices.Grow(dst[:0], len(acts))[:len(acts)]
 	clear(recs)
-	shape := g.Nodes[node].Model.Arch.Net.ShapeAt(pos)
+	shape := g.tables().resumeShape[node][fromStage]
 	s.fan(laneCall{xs: acts, shape: shape, recs: recs, node: node, from: fromStage, pos: pos, to: capG, pol: pol})
 	return recs
 }

@@ -232,27 +232,20 @@ func (c *CDLN) SplitPos(splitStage int) int {
 	return c.Stages[splitStage-1].Tap
 }
 
-// ValidateResume checks a tier-split handoff against this model: the
+// validateResume checks a tier-split handoff against this model: the
 // resume stage must exist, pos must be the stage's SplitPos, and the
-// activation shape must match the network at that position. It is the one
-// validation shared by every resume entry point —
-// Session.ResumeBatchPolicyAt (which panics on failure), the serve resume
-// handlers and the edgecloud Loopback transport (which map it to request
-// errors) — so a payload the loopback accepts is exactly a payload a real
-// backend accepts.
-//
-// Like NumExits, this is linear-cascade validation: fromStage names a
-// trunk stage. Handoffs into a routing graph (a (node, fromStage) pair)
-// go through Graph.ValidateResume, which applies this check against the
-// named node's cascade.
-func (c *CDLN) ValidateResume(fromStage, pos int, shape []int) error {
+// activation shape must be shapes[fromStage], the network's shape there
+// (the graph tables hold one per stage). Graph.ValidateResume, the one
+// validation shared by every resume entry point, applies it to the named
+// node's cascade.
+func (c *CDLN) validateResume(shapes [][]int, fromStage, pos int, shape []int) error {
 	if fromStage < 0 || fromStage > len(c.Stages) {
 		return fmt.Errorf("core: resume stage %d outside [0,%d]", fromStage, len(c.Stages))
 	}
 	if want := c.SplitPos(fromStage); pos != want {
 		return fmt.Errorf("core: activation position %d, want %d for stage %d", pos, want, fromStage)
 	}
-	want := c.Arch.Net.ShapeAt(pos)
+	want := shapes[fromStage]
 	if len(shape) != len(want) {
 		return fmt.Errorf("core: activation rank %d, want %d (shape %v)", len(shape), len(want), want)
 	}

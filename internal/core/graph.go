@@ -92,6 +92,7 @@ type graphTables struct {
 	maxDepth    int
 	routeAt     [][]*Route
 	byName      map[string]int
+	resumeShape [][][]int // [node][fromStage]: the activation a resume there takes
 }
 
 // LinearGraph wraps a linear CDLN in the trivial one-node graph — the
@@ -256,11 +257,15 @@ func (g *Graph) Validate() error {
 		byName:      byName,
 	}
 	localOps := make([][]float64, len(g.Nodes))
+	tab.resumeShape = make([][][]int, len(g.Nodes))
 	nExits := 0
 	for ni, n := range g.Nodes {
 		tab.base[ni] = nExits
 		nExits += len(n.Model.Stages) + 1
 		localOps[ni] = n.Model.ExitOps()
+		for k := 0; k <= len(n.Model.Stages); k++ {
+			tab.resumeShape[ni] = append(tab.resumeShape[ni], n.Model.Arch.Net.ShapeAt(n.Model.SplitPos(k)))
+		}
 	}
 	tab.exitOps = tab.fold(localOps, nExits)
 	tab.exitNames = make([]string, nExits)
@@ -436,7 +441,7 @@ func (g *Graph) exitRecord(node, local, class int, conf float64) ExitRecord {
 
 // ValidateResume checks a tier-split handoff against this graph: the node
 // must exist and (fromStage, pos, shape) must satisfy the node model's
-// ValidateResume. It is the graph form of the one validation shared by
+// validateResume against the graph tables' shapes. It is the graph form of the one validation shared by
 // every resume entry point — Session.ResumeBatchPolicyAt, the serve resume
 // handlers and the edgecloud Loopback.
 func (g *Graph) ValidateResume(node, fromStage, pos int, shape []int) error {
@@ -444,7 +449,7 @@ func (g *Graph) ValidateResume(node, fromStage, pos int, shape []int) error {
 	if node < 0 || node >= len(g.Nodes) {
 		return fmt.Errorf("core: resume node %d outside [0,%d)", node, len(g.Nodes))
 	}
-	if err := g.Nodes[node].Model.ValidateResume(fromStage, pos, shape); err != nil {
+	if err := g.Nodes[node].Model.validateResume(g.tab.resumeShape[node], fromStage, pos, shape); err != nil {
 		if node > 0 {
 			return fmt.Errorf("core: branch %s: %w", g.Nodes[node].Name, err)
 		}

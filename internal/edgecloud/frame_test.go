@@ -62,7 +62,9 @@ func TestLinkChargeMatchesTheWire(t *testing.T) {
 			core.ExitPolicy{Delta: -1, StageDeltas: []float64{0.999, -1}, MaxExit: 2, Trace: true},
 			`{"policy":{"stage_deltas":[0.999,-1],"max_exit":2,"detail":"trace"}}`},
 	} {
+		mu.Lock()
 		requests = nil
+		mu.Unlock()
 		cfg := DefaultConfig(1)
 		edge, err := New(cdln, tc.transport, cfg)
 		if err != nil {

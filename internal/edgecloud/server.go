@@ -97,10 +97,10 @@ func NewGraphServer(g *core.Graph, newTransport func() (Transport, error), edgeC
 	return s, nil
 }
 
-// Close stops the serve front and the default client's idle cloud links.
+// Close stops the serve front and closes the idle cloud connections.
 func (s *Server) Close() {
 	s.Server.Close()
-	defaultClient.CloseIdleConnections()
+	cloud.CloseIdle()
 }
 
 // Stats is the split entry's serve.Stats (its Tier always set) with the

@@ -1,13 +1,11 @@
 package edgecloud
 
 import (
-	"cmp"
+	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"slices"
-	"strings"
 	"time"
 
 	"cdl/internal/core"
@@ -21,7 +19,7 @@ import (
 // HTTPTransport offloads to a cdlserve backend's POST
 // /v2/models/{Model}/resume: each edge names the cascade its prefix belongs
 // to, so one multi-model cloud tier can back heterogeneous edge splits. It
-// is stateless apart from the shared http.Client, so any number of Edges
+// is stateless apart from the shared cloud client, so any number of Edges
 // may hold the same transport.
 type HTTPTransport struct {
 	// BaseURL is the cloud server's base, e.g. "http://cloud:8080".
@@ -32,20 +30,14 @@ type HTTPTransport struct {
 	// cloud validates every activation's stage/shape against it and
 	// rejects mismatches.
 	Model string
-	// Client is the HTTP client; nil uses defaultClient.
-	Client *http.Client
 }
 
-// defaultClient is shared by every transport without a Client of its own:
-// an offload must never hang an edge worker forever.
-var defaultClient = func() *http.Client {
-	t := http.DefaultTransport.(*http.Transport).Clone()
-	t.DialContext = hop.Dial(t.DialContext)
-	return &http.Client{Timeout: 30 * time.Second, Transport: t}
-}()
+// cloud is the client every HTTPTransport offloads through, reading
+// answers of up to 8 MiB.
+var cloud = hop.NewClient(8 << 20)
 
-// NewHTTPModelTransport returns a transport with the default client that
-// resumes on the named model of the cloud registry at baseURL.
+// NewHTTPModelTransport returns a transport that resumes on the named
+// model of the cloud registry at baseURL.
 func NewHTTPModelTransport(baseURL, model string) *HTTPTransport {
 	return &HTTPTransport{BaseURL: baseURL, Model: model}
 }
@@ -76,7 +68,6 @@ func (h *HTTPTransport) Resume(payloads [][]byte, pol core.ExitPolicy, traceID s
 	if err != nil {
 		return nil, nil, err
 	}
-	// The frame's readers hold it past an early answer from Do.
 	frame := hop.NewBody()
 	defer frame.Release()
 	buf, err := wire.AppendFrame(frame.Bytes()[:0], m, payloads)
@@ -84,38 +75,26 @@ func (h *HTTPTransport) Resume(payloads [][]byte, pol core.ExitPolicy, traceID s
 		return nil, nil, err
 	}
 	frame.Set(buf)
-	client := cmp.Or(h.Client, defaultClient)
-	url := strings.TrimSuffix(h.BaseURL, "/") + "/v2/models/" + h.Model + "/resume"
-	hreq, err := http.NewRequest(http.MethodPost, url, nil)
+	resp, err := cloud.Do(context.Background(), &hop.Request{
+		Method: http.MethodPost, Base: h.BaseURL, Path: "/v2/models/" + h.Model + "/resume",
+		ContentType: wire.FrameContentType, TraceID: traceID, Body: frame.Bytes(),
+		Timeout: 30 * time.Second, // a cloud that stops answering must not hang an edge worker
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	frame.Attach(hreq)
-	hreq.Header.Set("Content-Type", wire.FrameContentType)
-	if traceID != "" {
-		hreq.Header.Set(obs.TraceHeader, traceID)
-	}
-	resp, err := client.Do(hreq)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer resp.Body.Close()
-	// The answer reads into a pooled body too; nothing decoded aliases it.
-	answer := hop.NewBody()
-	defer answer.Release()
-	if err := answer.Fill(io.LimitReader(resp.Body, 8<<20), resp.ContentLength); err != nil {
-		return nil, nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
+	// The answer is pooled too; nothing decoded aliases it.
+	defer resp.Body.Release()
+	if resp.Status != http.StatusOK {
 		var e struct {
 			Error string `json:"error"`
 		}
-		if json.Unmarshal(answer.Bytes(), &e) == nil && e.Error != "" {
-			return nil, nil, fmt.Errorf("cloud HTTP %d: %s", resp.StatusCode, e.Error)
+		if json.Unmarshal(resp.Body.Bytes(), &e) == nil && e.Error != "" {
+			return nil, nil, fmt.Errorf("cloud HTTP %d: %s", resp.Status, e.Error)
 		}
-		return nil, nil, fmt.Errorf("cloud HTTP %d", resp.StatusCode)
+		return nil, nil, fmt.Errorf("cloud HTTP %d", resp.Status)
 	}
-	return decodeAnswer(answer.Bytes(), len(payloads))
+	return decodeAnswer(resp.Body.Bytes(), len(payloads))
 }
 
 // decodeAnswer reads an answer frame of want records: each completes only

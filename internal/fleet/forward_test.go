@@ -25,7 +25,6 @@ import (
 	"cdl/internal/core"
 	"cdl/internal/edgecloud"
 	"cdl/internal/edgecloud/wire"
-	"cdl/internal/hop"
 	"cdl/internal/serve"
 	"cdl/internal/tensor"
 )
@@ -241,13 +240,13 @@ func TestForwardedBodyOutlivesTheHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.dataClient.Transport.(*http.Transport).DialContext = hop.Dial(func(ctx context.Context, network, addr string) (net.Conn, error) {
+	rt.data.Dial = func(ctx context.Context, network, addr string) (net.Conn, error) {
 		c, err := (&net.Dialer{}).DialContext(ctx, network, addr)
 		if err != nil {
 			return nil, err
 		}
 		return c, c.(*net.TCPConn).SetWriteBuffer(socketBuf)
-	})
+	}
 	front := httptest.NewServer(rt.Handler())
 	t.Cleanup(func() { front.Close(); rt.Close() })
 	waitReady(t, &testFleet{router: rt, ts: front}, 2)

@@ -175,6 +175,53 @@ func TestRingSpread(t *testing.T) {
 	}
 }
 
+// TestHashRequestSpread: request keys spread like the ring's own test
+// keys — 10 000 distinct bodies that differ only in a few bytes, as
+// near-identical images do, land within TestRingSpread's factor of two of
+// fair on rings of 2, 3 and 5 members — and the separator keeps the model
+// name and the body apart.
+func TestHashRequestSpread(t *testing.T) {
+	const keyCount = 10000
+	body := []byte(`{"image":[0.00000000,0.50000000,0.25000000]}`)
+	keys := make([]uint64, keyCount)
+	for i := range keys {
+		copy(body[12:], fmt.Sprintf("%08d", i))
+		keys[i] = HashRequest("default", body)
+	}
+	for _, n := range []int{2, 3, 5} {
+		r, err := NewRing(ringMembers(n), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts := make([]int, n)
+		for _, key := range keys {
+			counts[owner(r, key)]++
+		}
+		fair := keyCount / n
+		for m, c := range counts {
+			if c < fair/2 || c > fair*2 {
+				t.Errorf("%d members: member %d owns %d keys; fair share is %d", n, m, c, fair)
+			}
+		}
+	}
+	if HashRequest("ab", []byte("c")) == HashRequest("a", []byte("bc")) {
+		t.Error(`("ab","c") and ("a","bc") share a key`)
+	}
+}
+
+// BenchmarkHashRequest keys a serve-single-sized body (one 784-pixel image,
+// about 10 KB of JSON).
+func BenchmarkHashRequest(b *testing.B) {
+	body := make([]byte, 10_000)
+	for i := range body {
+		body[i] = "0123456789.,"[i%12]
+	}
+	b.SetBytes(int64(len(body)))
+	for i := 0; i < b.N; i++ {
+		_ = HashRequest("default", body)
+	}
+}
+
 func BenchmarkRingSeq(b *testing.B) {
 	r, err := NewRing(ringMembers(16), 0)
 	if err != nil {

@@ -5,10 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
-	"runtime"
 	"sync"
 	"time"
 
@@ -104,12 +102,11 @@ type Router struct {
 	ring     *Ring
 	metrics  *routerMetrics
 
-	// probeClient and dataClient are deliberately separate and both carry
-	// explicit timeouts and bounded connection reuse: the zero-value
-	// http.Client (no timeout at all) would let one hung backend pin a
-	// probe goroutine — or a request goroutine — forever.
+	// probeClient (the cold /readyz and /alertz path, under its own
+	// timeout) and data (every forward, under RequestTimeout) are separate,
+	// so a hung backend pins neither a probe nor a request goroutine.
 	probeClient *http.Client
-	dataClient  *http.Client
+	data        *hop.Client
 
 	mux     *http.ServeMux
 	handler http.Handler
@@ -129,7 +126,6 @@ func New(cfg Config) (*Router, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, fmt.Errorf("fleet: no backends configured")
 	}
-	idlePerHost := 2 * runtime.GOMAXPROCS(0)
 	backends := make([]*backend, len(cfg.Backends))
 	names := make([]string, len(cfg.Backends))
 	for i, raw := range cfg.Backends {
@@ -158,19 +154,7 @@ func New(cfg Config) (*Router, error) {
 				ResponseHeaderTimeout: cfg.ProbeTimeout,
 			},
 		},
-		dataClient: &http.Client{
-			// No client-wide Timeout: each attempt carries its own
-			// RequestTimeout context (a global timeout would also cap the
-			// rolling-swap PUTs, whose model warm-up legitimately runs
-			// longer than a classify).
-			Transport: &http.Transport{
-				DialContext:           hop.Dial((&net.Dialer{Timeout: 5 * time.Second}).DialContext),
-				MaxIdleConnsPerHost:   idlePerHost,
-				MaxIdleConns:          idlePerHost * len(cfg.Backends),
-				IdleConnTimeout:       60 * time.Second,
-				ResponseHeaderTimeout: cfg.RequestTimeout,
-			},
-		},
+		data:    hop.NewClient(maxBodyBytes),
 		stop:    make(chan struct{}),
 		started: time.Now(),
 	}
@@ -219,7 +203,7 @@ func (rt *Router) Close() {
 	}
 	rt.wg.Wait()
 	rt.probeClient.CloseIdleConnections()
-	rt.dataClient.CloseIdleConnections()
+	rt.data.CloseIdle()
 }
 
 // ListenAndServe runs the router on addr until stop is closed, then shuts
@@ -291,8 +275,7 @@ func (rt *Router) loadCap() int64 {
 type attemptResult struct {
 	backend *backend
 	status  int
-	header  http.Header
-	body    []byte
+	answer  hop.Response // its Body is the caller's to release
 	err     error
 	// hedged/hedgeWon carry the hedge outcome up to the flight recorder:
 	// hedged is true when a hedge was launched for this request, hedgeWon
@@ -308,7 +291,14 @@ func (a attemptResult) decisive() bool {
 	return a.err == nil && a.status != http.StatusServiceUnavailable
 }
 
-// send forwards one attempt to b and buffers the response. A body goes
+// release gives the answer's pooled body back.
+func (a attemptResult) release() {
+	if a.answer.Body != nil {
+		a.answer.Body.Release()
+	}
+}
+
+// send forwards one attempt to b and reads the answer whole. A body goes
 // under the client's own Content-Type (the router never reads it, and a
 // backend picks its decoder by it). The trace ID is propagated to the
 // backend only when the client itself supplied one — otherwise backend
@@ -316,32 +306,17 @@ func (a attemptResult) decisive() bool {
 func (rt *Router) send(ctx context.Context, b *backend, method, path, contentType string, body *hop.Body, traceID string) attemptResult {
 	b.inflight.Add(1)
 	defer b.inflight.Add(-1)
-	actx, cancel := context.WithTimeout(ctx, rt.cfg.RequestTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(actx, method, b.url+path, nil)
-	if err != nil {
-		return attemptResult{backend: b, err: err}
-	}
+	req := hop.Request{Method: method, Base: b.url, Path: path, ContentType: cmp.Or(contentType, "application/json"), TraceID: traceID, Timeout: rt.cfg.RequestTimeout}
 	if body != nil {
-		body.Attach(req)
+		req.Body = body.Bytes()
 	}
-	req.Header.Set("Content-Type", cmp.Or(contentType, "application/json"))
-	if traceID != "" {
-		req.Header.Set(obs.TraceHeader, traceID)
-	}
-	resp, err := rt.dataClient.Do(req)
-	if err != nil {
-		b.errors.Add(1)
-		return attemptResult{backend: b, err: err}
-	}
-	defer resp.Body.Close()
-	payload, err := serve.ReadSized(io.LimitReader(resp.Body, maxBodyBytes+1), resp.ContentLength)
+	resp, err := rt.data.Do(ctx, &req)
 	if err != nil {
 		b.errors.Add(1)
 		return attemptResult{backend: b, err: err}
 	}
 	b.requests.Add(1)
-	return attemptResult{backend: b, status: resp.StatusCode, header: resp.Header, body: payload}
+	return attemptResult{backend: b, status: resp.Status, answer: resp}
 }
 
 // writeResult relays a backend response to the client: status, body, and
@@ -349,16 +324,12 @@ func (rt *Router) send(ctx context.Context, b *backend, method, path, contentTyp
 // propagated, not swallowed — the backend's own backoff hint must reach
 // the client).
 func writeResult(w http.ResponseWriter, res attemptResult) {
-	if ct := res.header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	} else {
-		w.Header().Set("Content-Type", "application/json")
-	}
-	if ra := res.header.Get("Retry-After"); ra != "" {
+	w.Header().Set("Content-Type", cmp.Or(res.answer.ContentType, "application/json"))
+	if ra := res.answer.RetryAfter; ra != "" {
 		w.Header().Set("Retry-After", ra)
 	}
 	w.WriteHeader(res.status)
-	_, _ = w.Write(res.body)
+	_, _ = w.Write(res.answer.Body.Bytes())
 }
 
 // handleData is the classify/resume data path: hash, pick, forward with
@@ -369,7 +340,7 @@ func (rt *Router) handleData(w http.ResponseWriter, r *http.Request, model, rout
 	tr := obs.FromContext(r.Context())
 	refused := control.Event{Trace: tr, ExitIndex: -1, Outcome: obs.FlightError, Cause: control.CauseInvalid}
 	// The bound alone decides 413: a declared length over it is refused
-	// unread. Each attempt, and each reader of it, holds its own reference.
+	// unread. Each hedged attempt holds its own reference.
 	body := hop.NewBody()
 	defer body.Release()
 	var err error
@@ -406,6 +377,7 @@ func (rt *Router) handleData(w http.ResponseWriter, r *http.Request, model, rout
 	res := rt.dispatch(r.Context(), chain, r.Method, r.URL.RequestURI(), r.Header.Get("Content-Type"), body, model, route, traceID, tr)
 	elapsedMS := float64(time.Since(start)) / float64(time.Millisecond)
 	mm.observe(tr, res, elapsedMS)
+	defer res.release()
 	if res.err != nil {
 		w.Header().Set("Retry-After", "1")
 		serve.WriteError(w, http.StatusBadGateway, fmt.Sprintf("all backends failed: %v", res.err))
@@ -502,18 +474,16 @@ func (rt *Router) dispatch(ctx context.Context, chain []*backend, method, path, 
 			}
 			tr.Record(name, start, time.Now(), "backend="+b.url+" model="+model+" route="+route)
 		}
-		if res.err != nil {
-			if ctx.Err() != nil {
-				// The client is gone or out of time; stop burning backends.
-				return res
-			}
-			res.backend.healthy.Store(false)
-			last, haveLast = res, true
-			continue
-		}
-		if res.decisive() {
+		// A decisive answer ends the chain, and so does a client that is
+		// gone or out of time: stop burning backends.
+		if res.decisive() || res.err != nil && ctx.Err() != nil {
+			last.release()
 			return res
 		}
+		if res.err != nil {
+			res.backend.healthy.Store(false)
+		}
+		last.release()
 		last, haveLast = res, true
 	}
 	if !haveLast {
@@ -536,6 +506,7 @@ func (rt *Router) handleProxyGet(w http.ResponseWriter, r *http.Request) {
 		res = rt.send(r.Context(), b, http.MethodGet, r.URL.RequestURI(), "", nil, "")
 		if res.err == nil {
 			writeResult(w, res)
+			res.release()
 			return
 		}
 		b.healthy.Store(false)

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -9,6 +8,7 @@ import (
 	"net/http"
 	"time"
 
+	"cdl/internal/hop"
 	"cdl/internal/obs"
 	"cdl/internal/serve"
 )
@@ -93,31 +93,16 @@ func (rt *Router) swapOne(ctx context.Context, b *backend, path string, body []b
 	defer b.swapping.Store(false)
 
 	// Model loading and warm-up legitimately outlast a classify deadline.
-	sctx, cancel := context.WithTimeout(ctx, 2*rt.cfg.RequestTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(sctx, http.MethodPut, b.url+path, bytes.NewReader(body))
-	if err != nil {
-		out.Error = err.Error()
-		return out
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if traceID != "" {
-		req.Header.Set(obs.TraceHeader, traceID)
-	}
-	hr, err := rt.dataClient.Do(req)
+	hr, err := rt.data.Do(ctx, &hop.Request{Method: http.MethodPut, Base: b.url, Path: path, ContentType: "application/json", TraceID: traceID, Body: body, Timeout: 2 * rt.cfg.RequestTimeout})
 	if err != nil {
 		out.Error = err.Error()
 		b.healthy.Store(false)
 		return out
 	}
-	defer hr.Body.Close()
-	payload, err := io.ReadAll(io.LimitReader(hr.Body, maxProbeBody))
-	if err != nil {
-		out.Error = err.Error()
-		return out
-	}
-	out.Status = hr.StatusCode
-	if hr.StatusCode != http.StatusOK {
+	defer hr.Body.Release()
+	payload := hr.Body.Bytes()
+	out.Status = hr.Status
+	if hr.Status != http.StatusOK {
 		out.Error = string(payload)
 		return out
 	}

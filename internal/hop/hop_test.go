@@ -2,51 +2,32 @@ package hop
 
 import (
 	"bytes"
+	"context"
 	"hash/crc32"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"strconv"
 	"sync"
 	"testing"
 )
 
-// TestBodyReferences: the holder and every reader hold one reference each,
-// a reader's second Close drops nothing, and every reader reads the whole
-// body.
+// TestBodyReferences: every holder holds one reference, and the body goes
+// back to the pool with the last, not before.
 func TestBodyReferences(t *testing.T) {
 	b := NewBody()
 	if err := b.Fill(bytes.NewReader([]byte("a pooled body")), 13); err != nil {
 		t.Fatal(err)
 	}
-	req, err := http.NewRequest(http.MethodPost, "http://example.invalid/", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Attach(req)
-	again, err := req.GetBody()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := b.refs.Load(); got != 3 || req.ContentLength != 13 {
-		t.Fatalf("%d references, Content-Length %d; want 3 and 13", got, req.ContentLength)
-	}
-	for _, r := range []io.ReadCloser{req.Body, again} {
-		if got, err := io.ReadAll(r); err != nil || string(got) != "a pooled body" {
-			t.Fatalf("a reader read %q, %v", got, err)
-		}
-		r.Close()
-		r.Close()
-	}
-	if got := b.refs.Load(); got != 1 {
-		t.Fatalf("%d references after both readers closed twice, want the holder's 1", got)
-	}
 	b.Retain()
+	b.Retain()
+	if got := b.refs.Load(); got != 3 {
+		t.Fatalf("%d references, want 3", got)
+	}
 	b.Release()
-	if got := b.refs.Load(); got != 1 {
-		t.Fatalf("%d references after Retain and Release, want 1", got)
+	b.Release()
+	if got := b.refs.Load(); got != 1 || string(b.Bytes()) != "a pooled body" {
+		t.Fatalf("%d references holding %q after two releases, want the holder's 1 and the body", got, b.Bytes())
 	}
 	b.Release()
 }
@@ -70,70 +51,48 @@ func TestBodyPoolDropsLargeBuffers(t *testing.T) {
 }
 
 // TestCopyDoesNotScaleWithBody posts 1 KiB and 256 KiB bodies through a
-// transport dialled by Dial, each as a *bytes.Reader and as a Body's
-// reader, and checks that they arrive exact and that what a request
-// allocates does not grow with its body: net/http copies a sized body
-// through io.LimitReader, and without Dial the connection's ReadFrom
-// allocates up to 32 KiB per body (≈ 28 KiB more per 256 KiB request).
+// Client and checks that they arrive exact and that what a request
+// allocates does not grow with its body: the head and the body go out in
+// one vectored write, with no copy buffer between them.
 func TestCopyDoesNotScaleWithBody(t *testing.T) {
-	var bufMu sync.Mutex
-	buf := make([]byte, 32<<10)
+	var mu sync.Mutex
+	buf := make([]byte, 32<<10) // guarded by mu
+	var sum uint32              // guarded by mu
+	var n int64                 // guarded by mu
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		h := crc32.NewIEEE()
-		bufMu.Lock()
-		n, err := io.CopyBuffer(h, r.Body, buf)
-		bufMu.Unlock()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.Header().Set("X-Sum", strconv.FormatUint(uint64(h.Sum32()), 10)+"/"+strconv.FormatInt(n, 10))
+		mu.Lock()
+		defer mu.Unlock()
+		n, _ = io.CopyBuffer(h, r.Body, buf)
+		sum = h.Sum32()
 	}))
 	defer srv.Close()
-	transport := &http.Transport{DialContext: Dial((&net.Dialer{}).DialContext)}
-	defer transport.CloseIdleConnections()
-	client := &http.Client{Transport: transport}
+	client := NewClient(1 << 20)
+	defer client.CloseIdle()
 
-	// pooled is nil for a *bytes.Reader body; a Body is held across the
-	// measurement, so what is measured is the copy, not the body pool.
-	post := func(payload []byte, pooled *Body) {
+	post := func(payload []byte) {
 		t.Helper()
-		req, err := http.NewRequest(http.MethodPost, srv.URL, bytes.NewReader(payload))
+		resp, err := client.Do(context.Background(), &Request{Method: http.MethodPost, Base: srv.URL, Path: "/", Body: payload})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pooled != nil {
-			pooled.Attach(req)
-		}
-		resp, err := client.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		want := strconv.FormatUint(uint64(crc32.ChecksumIEEE(payload)), 10) + "/" + strconv.Itoa(len(payload))
-		if got := resp.Header.Get("X-Sum"); resp.StatusCode != http.StatusOK || got != want {
-			t.Fatalf("HTTP %d, the server read %q; want %q", resp.StatusCode, got, want)
+		resp.Body.Release()
+		mu.Lock()
+		defer mu.Unlock()
+		if resp.Status != http.StatusOK || sum != crc32.ChecksumIEEE(payload) || n != int64(len(payload)) {
+			t.Fatalf("HTTP %d, the server read %d bytes summing to %x; want %d and %x", resp.Status, n, sum, len(payload), crc32.ChecksumIEEE(payload))
 		}
 	}
-	perRequest := func(payload []byte, pooled bool) float64 {
-		var body *Body
-		if pooled {
-			body = NewBody()
-			body.Set(append(body.Bytes()[:0], payload...))
-			defer body.Release()
-		}
-		// Enough requests that a copy buffer the pool loses to a GC or to
-		// another P now and then stays far below the bound.
+	perRequest := func(payload []byte) float64 {
 		const n = 200
 		for i := 0; i < 5; i++ {
-			post(payload, body)
+			post(payload)
 		}
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		for i := 0; i < n; i++ {
-			post(payload, body)
+			post(payload)
 		}
 		runtime.ReadMemStats(&after)
 		return float64(after.TotalAlloc-before.TotalAlloc) / n
@@ -143,11 +102,9 @@ func TestCopyDoesNotScaleWithBody(t *testing.T) {
 		large[i] = byte(i * 7)
 	}
 	copy(small, large)
-	for _, pooled := range []bool{false, true} {
-		s, l := perRequest(small, pooled), perRequest(large, pooled)
-		t.Logf("pooled body %v: %.0f B/request at 1 KiB, %.0f at 256 KiB", pooled, s, l)
-		if !raceEnabled && l-s > 4<<10 {
-			t.Errorf("pooled body %v: a 256 KiB request allocates %.0f B more than a 1 KiB one, want ≤ 4 KiB", pooled, l-s)
-		}
+	s, l := perRequest(small), perRequest(large)
+	t.Logf("%.0f B/request at 1 KiB, %.0f at 256 KiB", s, l)
+	if !raceEnabled && l-s > 4<<10 {
+		t.Errorf("a 256 KiB request allocates %.0f B more than a 1 KiB one, want ≤ 4 KiB", l-s)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"slices"
@@ -137,28 +136,9 @@ func bodyBound(maxInputs, perInput int) int64 {
 // maxPooledBody caps, in bytes, the pixel, activation and answer storage a
 // pooled request arena retains: an arena that grew past it is dropped after
 // its request, so one large request does not pin its size in every pool
-// slot. It also caps what a declared Content-Length alone can reserve in
-// ReadSized. (Request bodies are hop.Bodies, under hop's own cap of the
-// same size.)
+// slot. (Request bodies are hop.Bodies, under hop's own cap of the same
+// size.)
 const maxPooledBody = 1 << 20
-
-// ReadSized reads r to its end, like io.ReadAll, into one buffer sized from
-// the length the peer declared (an http Content-Length; negative when there
-// is none, and then it is io.ReadAll). io.ReadAll starts at 512 bytes and
-// regrows — some 34 KB of garbage for a 10 KB body. The declaration is only
-// a hint, reserved up to maxPooledBody: a body that runs past it still
-// reads whole, so the bound on r stays the caller's (http.MaxBytesReader, an
-// io.LimitReader). The buffer is the caller's own, never pooled: the router
-// reads backend answers with it, and forwards its request as a hop.Body.
-func ReadSized(r io.Reader, declared int64) ([]byte, error) {
-	if declared < 0 {
-		return io.ReadAll(r)
-	}
-	// bytes.MinRead spare, or ReadFrom regrows to look for the EOF.
-	buf := bytes.NewBuffer(make([]byte, 0, min(declared, maxPooledBody)+bytes.MinRead))
-	_, err := buf.ReadFrom(r)
-	return buf.Bytes(), err
-}
 
 // decodeBody is the ingress check of every request body on both tiers: the
 // route's method only, at most maxBody bytes, one value with no unknown

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"io"
 	"math"
 	"net/http"
@@ -296,27 +295,6 @@ func TestDecodedRequestDoesNotAliasTheBody(t *testing.T) {
 				t.Errorf("%s: overwriting the body changed the decoded request to %+v", ws.name, got)
 			}
 		}
-	}
-}
-
-// TestReadSized: the declared length only sizes the buffer. The body reads
-// whole whether the declaration was right, short, long, absent or past the
-// reservation cap, and a reader's error comes back with what was read.
-func TestReadSized(t *testing.T) {
-	body := bytes.Repeat([]byte("0123456789abcdef"), 700)
-	for _, declared := range []int64{-1, 0, 1, int64(len(body)) - 1, int64(len(body)), int64(len(body)) + 1, 1 << 40} {
-		got, err := ReadSized(bytes.NewReader(body), declared)
-		if err != nil || !bytes.Equal(got, body) {
-			t.Errorf("declared %d: read %d bytes (%v), want the %d sent", declared, len(got), err, len(body))
-		}
-		if declared == int64(len(body)) && cap(got) != len(body)+bytes.MinRead {
-			t.Errorf("a true declaration of %d left a %d-byte buffer: it regrew", declared, cap(got))
-		}
-	}
-	got, err := ReadSized(http.MaxBytesReader(httptest.NewRecorder(), io.NopCloser(bytes.NewReader(body)), 100), int64(len(body)))
-	var tooLarge *http.MaxBytesError
-	if !errors.As(err, &tooLarge) || len(got) != 100 {
-		t.Errorf("past the reader's bound: %d bytes, %v", len(got), err)
 	}
 }
 
