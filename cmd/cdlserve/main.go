@@ -26,6 +26,16 @@
 //	cdlserve -model model.cdln -slo p99=15ms,queue=0.8
 //	curl -s localhost:8080/v2/models/default/slo            # controller state
 //	curl -s -X PUT localhost:8080/v2/models/default/slo -d '{"energy_budget_pj": 2.5e9}'
+//
+// A split entry, name=path@k, is the edge half of an edge–cloud split
+// (internal/edgecloud): it runs the first k trunk stages, answers the
+// inputs that exit there, and resumes the rest on the -cloud server's
+// entry of its own name. -encoding fixed ships Q2.13 activations at a
+// quarter of the bytes; the float64 default answers bit for bit as a local
+// entry does:
+//
+//	cdlserve -model accurate=b.cdln -addr :8080                            # the cloud
+//	cdlserve -model accurate=b.cdln@1 -addr :8081 -cloud http://localhost:8080
 package main
 
 import (
@@ -33,117 +43,152 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
+	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"cdl/internal/control"
-	"cdl/internal/core"
+	"cdl/internal/edgecloud"
+	"cdl/internal/edgecloud/wire"
 	"cdl/internal/modelio"
 	"cdl/internal/obs"
 	"cdl/internal/serve"
 )
 
-// modelFlag collects repeatable -model values: either a bare path (entry
-// name "default") or name=path.
-type modelFlag struct {
-	entries []modelEntry
+// modelFlag collects repeatable -model values: a bare path (entry name
+// "default") or name=path, either with an optional @k that makes the
+// entry a split entry running the first k trunk stages.
+type modelFlag []modelEntry
+
+// modelEntry is one -model value; split is -1 for a local entry.
+type modelEntry struct {
+	name, path string
+	split      int
 }
 
-type modelEntry struct{ name, path string }
-
-func (f *modelFlag) String() string {
-	parts := make([]string, len(f.entries))
-	for i, e := range f.entries {
-		parts[i] = e.name + "=" + e.path
-	}
-	return strings.Join(parts, ",")
-}
+func (f *modelFlag) String() string { return fmt.Sprint(*f) }
 
 func (f *modelFlag) Set(v string) error {
-	name, path := serve.DefaultModelName, v
+	name, path, split := serve.DefaultModelName, v, -1
 	if i := strings.IndexByte(v, '='); i >= 0 {
 		name, path = v[:i], v[i+1:]
+	}
+	if i := strings.LastIndexByte(path, '@'); i >= 0 {
+		k, err := strconv.Atoi(path[i+1:])
+		if err != nil || k < 0 {
+			return fmt.Errorf("split %q in %q: want a trunk stage count ≥ 0", path[i+1:], v)
+		}
+		path, split = path[:i], k
 	}
 	if path == "" {
 		return fmt.Errorf("empty model path in %q", v)
 	}
-	for _, e := range f.entries {
+	for _, e := range *f {
 		if e.name == name {
 			return fmt.Errorf("duplicate model name %q", name)
 		}
 	}
-	f.entries = append(f.entries, modelEntry{name, path})
+	*f = append(*f, modelEntry{name, path, split})
 	return nil
+}
+
+// options are the flags that shape the registry beyond its entries.
+type options struct {
+	serve.Config
+	delta                float64
+	slo, cloud, encoding string
 }
 
 func main() {
 	var models modelFlag
-	flag.Var(&models, "model", "model file to serve: path (entry \"default\") or name=path (repeatable; the first is what /healthz and /statsz describe)")
+	var o options
+	flag.Var(&models, "model", "model file to serve: path (entry \"default\") or name=path, with @k for a split entry that runs the first k trunk stages and resumes the rest on -cloud's entry of its own name (repeatable; the first is what /healthz and /statsz describe)")
 	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("workers", 0, "replica pool size per model (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", 0, "work queue depth in images per model (0 = default 1024)")
-	batch := flag.Int("batch", 0, "micro-batch size B (0 = default 32)")
-	delta := flag.Float64("delta", -1, "override every model's trained δ at load (-1 keeps them)")
-	slo := flag.String("slo", "", `attach an SLO controller to every model: "p99=15ms,queue=0.8,energy=2.5e9,floor=0.5" (see internal/control.ParseSLO); requests without an explicit δ/policy degrade to shallower exits under load instead of shedding`)
-	sloInterval := flag.Duration("slo-interval", 0, "SLO controller tick period (0 = default 200ms)")
+	flag.IntVar(&o.Workers, "workers", 0, "replica pool size per model (0 = GOMAXPROCS)")
+	flag.IntVar(&o.QueueDepth, "queue", 0, "work queue depth in images per model (0 = default 1024)")
+	flag.IntVar(&o.MaxBatch, "batch", 0, "micro-batch size B (0 = default 32)")
+	flag.Float64Var(&o.delta, "delta", -1, "override every model's trained δ at load; a split entry runs it as the δ of requests without a policy and forwards it with each offload (-1 keeps them)")
+	flag.StringVar(&o.slo, "slo", "", `attach an SLO controller to every model: "p99=15ms,queue=0.8,energy=2.5e9,floor=0.5" (see internal/control.ParseSLO); requests without an explicit δ/policy degrade to shallower exits under load instead of shedding, and a split entry resolves them below its split instead of queueing on the cloud`)
+	flag.DurationVar(&o.ControlInterval, "slo-interval", 0, "SLO controller tick period (0 = default 200ms)")
+	flag.StringVar(&o.cloud, "cloud", "", "base URL of the cdlserve tier that runs the split entries' tails (required with a split entry)")
+	flag.StringVar(&o.encoding, "encoding", "float64", `split entries' offload payload encoding: "float64" (lossless) or "fixed" (Q2.13, 4x smaller)`)
 	adminAddr := flag.String("admin-addr", "", "separate listen address for the admin/debug surface (pprof, expvar, phase profile); empty = disabled")
 	profile := flag.Bool("profile", false, "enable the per-phase (im2col/gemm/epilogue/classifier/decode) time breakdown from startup; also toggleable at runtime via POST /debug/phaseprof on -admin-addr")
 	flag.Parse()
 
-	if len(models.entries) == 0 {
-		models.entries = []modelEntry{{serve.DefaultModelName, "model.cdln"}}
+	if len(models) == 0 {
+		models = modelFlag{{serve.DefaultModelName, "model.cdln", -1}}
 	}
 	obs.SetProfiling(*profile)
-	if err := run(models.entries, *addr, *adminAddr, *workers, *queue, *batch, *delta, *slo, *sloInterval); err != nil {
+	if err := run(models, o, *addr, *adminAddr); err != nil {
 		fmt.Fprintln(os.Stderr, "cdlserve:", err)
 		os.Exit(1)
 	}
 }
 
-func run(models []modelEntry, addr, adminAddr string, workers, queue, batch int, delta float64, slo string, sloInterval time.Duration) error {
-	reg := serve.NewRegistry(serve.Config{
-		Workers:         workers,
-		QueueDepth:      queue,
-		MaxBatch:        batch,
-		ModelName:       models[0].path,
-		ControlInterval: sloInterval,
-	})
+// newServer loads every entry into one registry, attaches the SLO and
+// builds the server. Under -delta a local entry's thresholds, every
+// node's, are overridden before its replicas clone them. A split entry is
+// an edgecloud entry that resumes on the -cloud entry of its own name;
+// -delta is its policy, forwarded with each offload, and its model stays
+// untouched, since the cloud's tail runs the δ it is sent.
+func newServer(models []modelEntry, o options) (srv *serve.Server, err error) {
+	enc := wire.EncodingFloat64
+	if o.encoding == "fixed" {
+		enc = wire.EncodingFixed
+	} else if o.encoding != "float64" {
+		return nil, fmt.Errorf("unknown -encoding %q (want float64 or fixed)", o.encoding)
+	}
+	if slices.ContainsFunc(models, func(e modelEntry) bool { return e.split >= 0 }) != (o.cloud != "") {
+		return nil, fmt.Errorf("-cloud %q: a split -model entry (name=path@k) needs -cloud, and -cloud a split entry", o.cloud)
+	}
+	reg := serve.NewRegistry(o.Config)
+	defer func() {
+		if err != nil {
+			reg.Close()
+		}
+	}()
 	for _, e := range models {
+		g, err := modelio.LoadGraphFile(e.path)
 		var m *serve.Model
-		var err error
-		if delta >= 0 {
-			// Apply the load-time δ override before registration, so the
-			// replica pool clones the mutated thresholds.
-			var cdln *core.CDLN
-			if cdln, err = modelio.LoadFile(e.path); err != nil {
-				return err
+		switch {
+		case err != nil:
+		case e.split >= 0:
+			t := edgecloud.NewHTTPModelTransport(o.cloud, e.name)
+			m, err = edgecloud.Register(reg, e.name, g, func() (edgecloud.Transport, error) { return t, nil },
+				edgecloud.Config{SplitStage: e.split, Delta: o.delta, Encoding: enc})
+		default:
+			if o.delta >= 0 {
+				for _, n := range g.Nodes {
+					n.Model.Delta, n.Model.StageDeltas = o.delta, nil
+				}
 			}
-			cdln.Delta = delta
-			cdln.StageDeltas = nil
-			m, err = reg.RegisterAt(e.name, e.path, cdln)
-		} else {
-			m, err = reg.Load(e.name, e.path)
+			m, err = reg.RegisterAt(e.name, e.path, g)
 		}
 		if err != nil {
-			return err
+			return nil, fmt.Errorf("model %q: %w", e.name, err)
 		}
 		fmt.Fprintf(os.Stderr, "cdlserve: loaded %s v%d from %s (%s, %d stages)\n",
 			e.name, m.Version(), e.path, m.CDLN().Arch.Name, len(m.CDLN().Stages))
 	}
-	if slo != "" {
-		target, err := control.ParseSLO(slo)
+	if o.slo != "" {
+		target, err := control.ParseSLO(o.slo)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		for _, m := range reg.Models() {
 			if err := reg.SetSLO(m.Name(), target); err != nil {
-				return fmt.Errorf("attach SLO to %q: %w", m.Name(), err)
+				return nil, fmt.Errorf("attach SLO to %q: %w", m.Name(), err)
 			}
 		}
 		fmt.Fprintf(os.Stderr, "cdlserve: SLO %s attached to %d model(s)\n", target, len(reg.Models()))
 	}
-	srv, err := serve.NewWithRegistry(reg)
+	return serve.NewWithRegistry(reg)
+}
+
+func run(models []modelEntry, o options, addr, adminAddr string) error {
+	srv, err := newServer(models, o)
 	if err != nil {
 		return err
 	}
@@ -169,7 +214,7 @@ func run(models []modelEntry, addr, adminAddr string, workers, queue, batch int,
 	}()
 
 	fmt.Fprintf(os.Stderr, "cdlserve: %d model(s) on %s (default %q)\n",
-		len(models), addr, reg.DefaultName())
+		len(models), addr, srv.Registry().DefaultName())
 	if err := srv.ListenAndServe(addr, stop); err != nil {
 		return err
 	}

@@ -31,6 +31,7 @@ import (
 	"cdl/internal/mnist"
 	"cdl/internal/nn"
 	"cdl/internal/serve"
+	"cdl/internal/tensor"
 	"cdl/internal/train"
 )
 
@@ -140,11 +141,13 @@ func sweepRow(cdln *core.CDLN, cloudURL string, cfg edgecloud.Config, testS []tr
 	}
 	var r row
 	correct := 0
+	pol := core.DeltaPolicy(cfg.Delta)
 	for _, s := range testS {
-		res, err := edge.Classify(s.X)
+		results, err := edge.ClassifyBatchPolicy([]*tensor.T{s.X}, pol)
 		if err != nil {
 			return row{}, err
 		}
+		res := results[0]
 		if res.Record.Label == s.Label {
 			correct++
 		}

@@ -96,12 +96,15 @@ func TestClassifyBatchPolicyForceLocal(t *testing.T) {
 func TestEdgeServerSLOAtSplitZeroCapsTheCloud(t *testing.T) {
 	cdln, data := testCDLN(t, 82)
 	edgeSrv, err := NewServer(cdln, func() (Transport, error) { return NewLoopback(cdln) },
-		Config{SplitStage: 0, Delta: -1},
-		ServerConfig{Workers: 1, SLO: control.SLO{EnergyBudgetPJ: 1}}) // below any exit's energy
+		Config{SplitStage: 0, Delta: -1}, ServerConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer edgeSrv.Close()
+	// An energy budget below any exit's energy.
+	if err := edgeSrv.Registry().SetSLO(serve.DefaultModelName, control.SLO{EnergyBudgetPJ: 1}); err != nil {
+		t.Fatal(err)
+	}
 	images := make([][]float64, 16)
 	for i := range images {
 		images[i] = data[i].X.Flatten().Data
@@ -144,14 +147,15 @@ func TestEdgeServerControllerAdaptsOffloadSplit(t *testing.T) {
 	lbFactory := func() (Transport, error) { return NewLoopback(cdln) }
 	edgeSrv, err := NewServer(cdln, lbFactory,
 		Config{SplitStage: 1, Delta: 0.995}, // near-1 δ: nearly everything offloads at identity
-		ServerConfig{
-			Workers: 1,
-			SLO:     control.SLO{EnergyBudgetPJ: 1}, // below any exit's energy
-		})
+		ServerConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer edgeSrv.Close()
+	// An energy budget below any exit's energy.
+	if err := edgeSrv.Registry().SetSLO(serve.DefaultModelName, control.SLO{EnergyBudgetPJ: 1}); err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(edgeSrv.Handler())
 	defer ts.Close()
 

@@ -22,10 +22,11 @@
 // for the prefix, bytes × pJ/byte for the link, cloud compute for the
 // remainder.
 //
-// The edge front, Server, is a serve.Server whose one registry entry is a
-// split entry: its pool workers are Edges (Edge.WalkBatch is a
-// serve.Walker), so the edge queues, batches, observes and adapts exactly
-// as a cloud entry does.
+// Register makes a serve registry entry a split entry: its pool workers
+// are Edges (Edge.WalkBatch is a serve.Walker), so the edge queues,
+// batches, observes and adapts exactly as a cloud entry does. cdlserve
+// hosts such entries (-model name=path@split), and Server is the one-entry
+// front the benchmark builds.
 package edgecloud
 
 import (
@@ -57,31 +58,15 @@ type Config struct {
 	// Encoding selects the offload payload representation; the default
 	// (EncodingFloat64) preserves bit-identity with monolithic
 	// classification, EncodingFixed models a quantized link at a quarter
-	// of the bytes.
+	// of the bytes in fixed.Q2x13, the 16-bit datapath format. The link is
+	// charged at energy.DefaultLink's prices.
 	Encoding wire.Encoding
-	// Format is the fixed-point format for EncodingFixed; zero value
-	// means fixed.Q2x13 (the 16-bit datapath format).
-	Format fixed.Format
-	// Link is the transmission energy model; zero value means
-	// energy.DefaultLink().
-	Link energy.Link
 }
 
 // DefaultConfig returns an edge configuration for the given split stage:
-// trained thresholds (Delta −1), lossless encoding, default link model.
+// trained thresholds (Delta −1) and the lossless encoding.
 func DefaultConfig(splitStage int) Config {
-	return Config{SplitStage: splitStage, Delta: -1}.withDefaults()
-}
-
-// withDefaults fills unset fields.
-func (c Config) withDefaults() Config {
-	if c.Format == (fixed.Format{}) {
-		c.Format = fixed.Q2x13
-	}
-	if c.Link == (energy.Link{}) {
-		c.Link = energy.DefaultLink()
-	}
-	return c
+	return Config{SplitStage: splitStage, Delta: -1}
 }
 
 // Transport ships wire-encoded activations to the cloud tier — one round
@@ -104,8 +89,8 @@ type Transport interface {
 
 // Edge is the edge-tier runtime: a warm session over the full model of
 // which it executes only the prefix, plus the offload machinery. Like
-// core.Session it is single-goroutine; create one per worker (the edge
-// Server's split entry builds one per pool worker).
+// core.Session it is single-goroutine; create one per worker (Register
+// builds one per pool worker).
 type Edge struct {
 	cfg       Config
 	sess      *core.Session
@@ -147,7 +132,6 @@ func New(model *core.CDLN, t Transport, cfg Config) (*Edge, error) {
 // routed inputs defer to the cloud like any other hard residue (the edge
 // owns only the trunk prefix), carrying their branch handoff on the wire.
 func NewGraph(g *core.Graph, t Transport, cfg Config) (*Edge, error) {
-	cfg = cfg.withDefaults()
 	if t == nil {
 		return nil, fmt.Errorf("edgecloud: nil transport")
 	}
@@ -164,7 +148,7 @@ func NewGraph(g *core.Graph, t Transport, cfg Config) (*Edge, error) {
 	if cfg.Encoding != wire.EncodingFloat64 && cfg.Encoding != wire.EncodingFixed {
 		return nil, fmt.Errorf("edgecloud: unknown encoding %d", cfg.Encoding)
 	}
-	costs, err := energy.NewEvaluator().GraphTierCosts(g, cfg.SplitStage, cfg.Link)
+	costs, err := energy.NewEvaluator().GraphTierCosts(g, cfg.SplitStage, energy.DefaultLink())
 	if err != nil {
 		return nil, err
 	}
@@ -202,6 +186,44 @@ func exitWireBytes(g *core.Graph, costs *energy.TierCosts, enc wire.Encoding) []
 	return out
 }
 
+// Register publishes g on reg under name as a split entry
+// (serve.RegisterSplit) whose pool workers are Edges over g, each with a
+// transport of its own from newTransport (one with per-connection state
+// must not be shared; an HTTPTransport may be returned repeatedly). The
+// first worker's Edge prices the entry's tiers, and its HTTPTransport's
+// cloud and model label it on /healthz and GET /v2/models.
+func Register(reg *serve.Registry, name string, g *core.Graph, newTransport func() (Transport, error), cfg Config) (*serve.Model, error) {
+	newEdge := func() (*Edge, error) {
+		t, err := newTransport()
+		if err != nil {
+			return nil, err
+		}
+		return NewGraph(g, t, cfg)
+	}
+	first, err := newEdge()
+	if err != nil {
+		return nil, err
+	}
+	tail := serve.SplitInfo{Stage: cfg.SplitStage, Encoding: cfg.Encoding.String()}
+	if h, ok := first.transport.(*HTTPTransport); ok {
+		tail.Cloud, tail.CloudModel = h.BaseURL, h.Model
+	}
+	return reg.RegisterSplit(name, g, serve.Split{
+		Costs: first.costs, WireBytes: first.wireBytes, Delta: cfg.Delta, Tail: tail,
+		NewWalker: func() (serve.Walker, error) {
+			if e := first; e != nil {
+				first = nil
+				return e, nil
+			}
+			e, err := newEdge()
+			if err != nil {
+				return nil, err
+			}
+			return e, nil
+		},
+	})
+}
+
 // AttachTrace attaches a request trace for the next Classify* call(s):
 // prefix stage spans record as "edge:stage:...", the cloud round trip as
 // "edge:offload", and the cloud's own spans merge back under "cloud:".
@@ -225,22 +247,6 @@ type Result struct {
 
 // TotalPJ is the input's whole-system energy.
 func (r Result) TotalPJ() float64 { return r.EdgePJ + r.LinkPJ + r.CloudPJ }
-
-// Classify runs the split pipeline on one input with the config's δ: a
-// batch of one through ClassifyBatchPolicy.
-func (e *Edge) Classify(x *tensor.T) (Result, error) {
-	return e.ClassifyDelta(x, e.cfg.Delta)
-}
-
-// ClassifyDelta is Classify with a per-call δ override (< 0 keeps the
-// model's trained thresholds), forwarded to the cloud on offload.
-func (e *Edge) ClassifyDelta(x *tensor.T, delta float64) (Result, error) {
-	res, err := e.ClassifyBatchPolicy([]*tensor.T{x}, core.DeltaPolicy(delta))
-	if err != nil {
-		return Result{}, err
-	}
-	return res[0], nil
-}
 
 // ClassifyBatchPolicy runs the split pipeline over a batch (WalkBatch,
 // under the attached trace) and charges each input's tiers. Results are in
@@ -388,7 +394,7 @@ func (e *Edge) encodePrefix(pre core.PrefixResult) error {
 		Pos:       pre.Pos,
 		Shape:     e.dims,
 		Data:      act.Data,
-	}, e.cfg.Encoding, e.cfg.Format)
+	}, e.cfg.Encoding, fixed.Q2x13)
 	if err != nil {
 		return fmt.Errorf("edgecloud: encode offload: %w", err)
 	}

@@ -99,6 +99,16 @@ func sameRecord(a, b core.ExitRecord) bool {
 		a.Label == b.Label && a.Confidence == b.Confidence && a.Ops == b.Ops
 }
 
+// classifyOne runs x alone through e under a bare δ (< 0 keeps the
+// trained thresholds).
+func classifyOne(e *Edge, x *tensor.T, delta float64) (Result, error) {
+	res, err := e.ClassifyBatchPolicy([]*tensor.T{x}, core.DeltaPolicy(delta))
+	if err != nil {
+		return Result{}, err
+	}
+	return res[0], nil
+}
+
 // reference returns the monolithic reference oracle (CDLN.Classify: serial,
 // per layer) under a bare δ override (negative keeps the trained
 // thresholds), expressed as the threshold of a private clone.
@@ -132,7 +142,7 @@ func TestEdgeLoopbackIdentity(t *testing.T) {
 			offloads := 0
 			for i, s := range data {
 				want := mono.Classify(s.X)
-				res, err := edge.ClassifyDelta(s.X, delta)
+				res, err := classifyOne(edge, s.X, delta)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -186,7 +196,7 @@ func TestEdgeQuantizedLink(t *testing.T) {
 	const strict = 0.9 // force offloads past the easy-exit thresholds
 	for _, s := range data {
 		want := mono.ClassifyDelta(s.X, strict)
-		res, err := edge.ClassifyDelta(s.X, strict)
+		res, err := classifyOne(edge, s.X, strict)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -295,18 +305,38 @@ func TestEdgeServerEndToEnd(t *testing.T) {
 		t.Fatalf("cloud resume requests %d, want %d", cst.ResumeRequests, st.Offloads)
 	}
 
-	// healthz reports the edge role and split.
-	hr, err := http.Get(edgeTS.URL + "/healthz")
+	// /healthz and GET /v2/models name the split and the cloud entry it
+	// resumes on, and the δ the entry runs.
+	split := serve.SplitInfo{Stage: 1, Encoding: "float64", Cloud: cloudTS.URL, CloudModel: serve.DefaultModelName}
+	var h struct {
+		Arch  string
+		Delta float64
+		Split *serve.SplitInfo
+	}
+	getJSON(t, edgeTS.URL+"/healthz", &h)
+	if h.Arch != "edge-test" || h.Delta != cdln.Delta || h.Split == nil || *h.Split != split {
+		t.Errorf("healthz %+v (split %+v), want arch edge-test, δ %v, split %+v", h, h.Split, cdln.Delta, split)
+	}
+	var models serve.V2ModelsResponse
+	getJSON(t, edgeTS.URL+"/v2/models", &models)
+	if len(models.Models) != 1 || models.Models[0].Split == nil || *models.Models[0].Split != split {
+		t.Errorf("GET /v2/models %+v, want one entry with split %+v", models, split)
+	}
+}
+
+// getJSON decodes a 200 answer to GET url into out.
+func getJSON(t testing.TB, url string, out any) {
+	t.Helper()
+	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer hr.Body.Close()
-	var h map[string]any
-	if err := json.NewDecoder(hr.Body).Decode(&h); err != nil {
-		t.Fatal(err)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: HTTP %d", url, resp.StatusCode)
 	}
-	if h["role"] != "edge" || h["split_stage"] != float64(1) || h["arch"] != "edge-test" {
-		t.Errorf("healthz %v", h)
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		t.Fatal(err)
 	}
 }
 

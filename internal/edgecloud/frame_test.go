@@ -13,6 +13,7 @@ import (
 
 	"cdl/internal/core"
 	"cdl/internal/edgecloud/wire"
+	"cdl/internal/energy"
 	"cdl/internal/fixed"
 	"cdl/internal/obs"
 	"cdl/internal/serve"
@@ -65,8 +66,7 @@ func TestLinkChargeMatchesTheWire(t *testing.T) {
 		mu.Lock()
 		requests = nil
 		mu.Unlock()
-		cfg := DefaultConfig(1)
-		edge, err := New(cdln, tc.transport, cfg)
+		edge, err := New(cdln, tc.transport, DefaultConfig(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func TestLinkChargeMatchesTheWire(t *testing.T) {
 			if res.Offloaded {
 				offloads++
 				charged += res.WireBytes
-				if want := cfg.Link.TransferPJ(res.WireBytes); res.LinkPJ != want {
+				if want := energy.DefaultLink().TransferPJ(res.WireBytes); res.LinkPJ != want {
 					t.Errorf("%s: link charge %v pJ, want %v for %d bytes", tc.name, res.LinkPJ, want, res.WireBytes)
 				}
 			}

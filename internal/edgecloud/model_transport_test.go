@@ -60,7 +60,7 @@ func TestHTTPModelTransportResumesNamedModel(t *testing.T) {
 		}
 		offloads := 0
 		for i, s := range data[:60] {
-			res, err := edge.ClassifyDelta(s.X, delta)
+			res, err := classifyOne(edge, s.X, delta)
 			if err != nil {
 				t.Fatalf("δ=%v sample %d: %v", delta, i, err)
 			}
@@ -100,7 +100,7 @@ func TestHTTPModelTransportResumesNamedModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bad.Classify(data[0].X); err == nil {
+	if _, err := classifyOne(bad, data[0].X, -1); err == nil {
 		t.Fatal("offload to an unknown cloud model succeeded")
 	}
 }

@@ -57,14 +57,14 @@ func TestEdgeSinksAgree(t *testing.T) {
 	// One worker, so one parked offload holds the queue. The latency
 	// target is one nothing misses: bad counts exactly the refused images.
 	srv, err := NewServer(cdln, func() (Transport, error) { return ft, nil },
-		Config{SplitStage: 1, Delta: -1},
-		ServerConfig{
-			Workers: 1, ModelName: "blob", SLO: control.SLO{P99LatencyMs: 60_000},
-		})
+		Config{SplitStage: 1, Delta: -1}, ServerConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	if err := srv.Registry().SetSLO(serve.DefaultModelName, control.SLO{P99LatencyMs: 60_000}); err != nil {
+		t.Fatal(err)
+	}
 
 	var mu sync.Mutex
 	var seq int
@@ -289,7 +289,10 @@ func TestEdgeChecksWhatItCannotDerive(t *testing.T) {
 		}
 		lt := &lyingTransport{lb: lb, lie: tc.lie}
 		srv, err := NewServer(cdln, func() (Transport, error) { return lt, nil },
-			Config{SplitStage: 1, Delta: -1}, ServerConfig{Workers: 1, ModelName: "liar", SLO: control.SLO{P99LatencyMs: 60_000}})
+			Config{SplitStage: 1, Delta: -1}, ServerConfig{Workers: 1})
+		if err == nil {
+			err = srv.Registry().SetSLO(serve.DefaultModelName, control.SLO{P99LatencyMs: 60_000})
+		}
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -75,6 +75,22 @@ func postJSON(h http.Handler, path string, body any) (int, []answer, error) {
 	return code, out.Results, err
 }
 
+// splitServer serves g as the split entry "default" through Register on a
+// server of its own, with /v1/classify mounted as NewServer mounts it.
+func splitServer(t testing.TB, g *core.Graph, newTransport func() (Transport, error), cfg Config, workers int) *serve.Server {
+	t.Helper()
+	reg := serve.NewRegistry(serve.Config{Workers: workers})
+	if _, err := Register(reg, serve.DefaultModelName, g, newTransport, cfg); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := serve.NewWithRegistry(reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Handle("/v1/classify", srv.ClassifyV1())
+	return srv
+}
+
 // policyCase is one /v2 policy and the core policy it resolves to.
 type policyCase struct {
 	name string
@@ -141,10 +157,7 @@ func TestSplitEntryMatchesTheEdge(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				srv, err := NewGraphServer(gc.g, func() (Transport, error) { return NewGraphLoopback(gc.g) }, cfg, ServerConfig{Workers: 2})
-				if err != nil {
-					t.Fatal(err)
-				}
+				srv := splitServer(t, gc.g, func() (Transport, error) { return NewGraphLoopback(gc.g) }, cfg, 2)
 				images, offloads := 0, 0
 				// check posts xs in requests of 8 and compares each answer
 				// with the oracle's record under pol.
@@ -187,8 +200,8 @@ func TestSplitEntryMatchesTheEdge(t *testing.T) {
 					check(prefix+" "+pc.name, "/v2/models/default/classify", pc.pol, pc.req != nil && pc.req.Detail == serve.DetailLabel,
 						func(batch [][]float64) any { return serve.V2ClassifyRequest{Images: batch, Policy: pc.req} })
 				}
-				if st := srv.Stats(); st.Offloads != int64(offloads) || st.Images != int64(images) {
-					t.Errorf("%s: statsz %d offloads of %d images, want %d of %d", prefix, st.Offloads, st.Images, offloads, images)
+				if st := srv.Stats(); st.Tier.Offloaded != int64(offloads) || st.Images != int64(images) {
+					t.Errorf("%s: statsz %d offloads of %d images, want %d of %d", prefix, st.Tier.Offloaded, st.Images, offloads, images)
 				}
 				srv.Close()
 			}
@@ -250,10 +263,7 @@ func TestSplitEntryAnswersLikeALocalEntry(t *testing.T) {
 				{"http", func() (Transport, error) { return NewHTTPModelTransport(cloudTS.URL, serve.DefaultModelName), nil }},
 			} {
 				name := fmt.Sprintf("%s split %d %s", gc.name, split, tc.name)
-				srv, err := NewGraphServer(gc.g, tc.new, Config{SplitStage: split, Delta: -1}, ServerConfig{Workers: 2})
-				if err != nil {
-					t.Fatal(err)
-				}
+				srv := splitServer(t, gc.g, tc.new, Config{SplitStage: split, Delta: -1}, 2)
 				for i, req := range reqs {
 					wantCode, want, err1 := post(local.Handler(), "/v2/models/default/classify", req)
 					code, got, err2 := post(srv.Handler(), "/v2/models/default/classify", req)
@@ -265,7 +275,7 @@ func TestSplitEntryAnswersLikeALocalEntry(t *testing.T) {
 						t.Errorf("%s request %d:\nsplit: %s\nlocal: %s", name, i, got, want)
 					}
 				}
-				if st := srv.Stats(); st.Offloads == 0 {
+				if st := srv.Stats(); st.Tier.Offloaded == 0 {
 					t.Errorf("%s: nothing offloaded", name)
 				}
 				srv.Close()

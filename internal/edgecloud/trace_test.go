@@ -115,13 +115,10 @@ func TestCrossTierSpanTree(t *testing.T) {
 	cloudTS := httptest.NewServer(cloud.Handler())
 	t.Cleanup(func() { cloudTS.Close(); cloud.Close() })
 
-	edgeSrv, err := NewGraphServer(g,
+	edgeSrv := splitServer(t, g,
 		func() (Transport, error) { return NewHTTPModelTransport(cloudTS.URL, serve.DefaultModelName), nil },
-		Config{SplitStage: 1, Delta: -1},
-		ServerConfig{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+		Config{SplitStage: 1, Delta: -1}, 1)
+	t.Cleanup(edgeSrv.Close)
 	edgeTS := httptest.NewServer(edgeSrv.Handler())
 	t.Cleanup(edgeTS.Close)
 
@@ -220,7 +217,7 @@ func TestLoopbackTraceSpans(t *testing.T) {
 	tr := obs.NewTrace("loopback-trace", true)
 	edge.AttachTrace(tr)
 	defer edge.AttachTrace(nil)
-	if _, err := edge.ClassifyDelta(data[0].X, 0.9999); err != nil {
+	if _, err := classifyOne(edge, data[0].X, 0.9999); err != nil {
 		t.Fatal(err)
 	}
 	names := checkSpans(t, tr.Spans())

@@ -403,6 +403,16 @@ func LoadFile(path string) (*core.CDLN, error) {
 	return LoadCDLN(f)
 }
 
+// LoadGraphFile reads the file at path with LoadGraph.
+func LoadGraphFile(path string) (*core.Graph, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("modelio: %w", err)
+	}
+	defer f.Close()
+	return LoadGraph(f)
+}
+
 // SaveGraph writes a routing graph. A linear graph (one routeless node) is
 // written as a plain version-1 CDLN file — bit-compatible with SaveCDLN
 // and readable by pre-graph loaders — so the format only diverges where

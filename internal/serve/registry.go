@@ -14,7 +14,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -299,15 +298,12 @@ func (r *Registry) Register(name string, cdln *core.CDLN) (*Model, error) {
 	return r.swapIn(name, "", core.LinearGraph(cdln), nil)
 }
 
-// RegisterAt is Register recording the file the CDLN originated from —
-// for callers that load a model themselves, mutate it (e.g. a load-time δ
-// override) and then publish it, so /healthz and /v2/models still
-// attribute the entry to its real source path.
-func (r *Registry) RegisterAt(name, path string, cdln *core.CDLN) (*Model, error) {
-	if err := cdln.Validate(); err != nil {
-		return nil, err
-	}
-	return r.swapIn(name, path, core.LinearGraph(cdln), nil)
+// RegisterAt is RegisterGraph recording the file the graph originated
+// from — for callers that load a model themselves, mutate it (e.g. a
+// load-time δ override) and then publish it, so /healthz and /v2/models
+// still attribute the entry to its real source path.
+func (r *Registry) RegisterAt(name, path string, g *core.Graph) (*Model, error) {
+	return r.swapIn(name, path, g, nil)
 }
 
 // RegisterGraph publishes an in-memory routing graph under name with
@@ -322,12 +318,7 @@ func (r *Registry) RegisterGraph(name string, g *core.Graph) (*Model, error) {
 // validated before the swap, so a torn or hostile file never displaces a
 // serving version.
 func (r *Registry) Load(name, path string) (*Model, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("serve: load model %q: %w", name, err)
-	}
-	defer f.Close()
-	g, err := modelio.LoadGraph(f)
+	g, err := modelio.LoadGraphFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("serve: load model %q: %w", name, err)
 	}

@@ -34,12 +34,12 @@
 // /v2/models/{model}/resume is the cloud half of the edge–cloud split
 // (internal/edgecloud): an edge node runs the cascade prefix, exits easy
 // inputs locally, and ships only the hard residue here as wire-encoded
-// intermediate activations. The edge node is itself a Server, over a
-// registry holding one split entry (RegisterSplit), with the frozen
-// POST /v1/classify mounted (ClassifyV1).
+// intermediate activations. The edge node is itself a Server whose
+// registry holds split entries (RegisterSplit) beside any local ones.
 package serve
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -67,8 +67,6 @@ type Config struct {
 	// Default 32. One request carries at most MaxBatch×8 images, and no
 	// more than QueueDepth.
 	MaxBatch int
-	// ModelName is reported by /healthz (e.g. the model file path).
-	ModelName string
 
 	// ControlInterval is the SLO controller tick period for entries with
 	// an attached SLO (Registry.SetSLO / PUT /v2/models/{name}/slo).
@@ -187,16 +185,14 @@ func NewWithRegistry(reg *Registry) (*Server, error) {
 // registration and hot-swap alongside the HTTP admin surface).
 func (s *Server) Registry() *Registry { return s.reg }
 
-// ClassifyV1 is the edge front's frozen POST /v1/classify (internal/edgecloud
-// mounts it; cdlserve does not): a ClassifyRequest on the first registered
+// ClassifyV1 is the frozen POST /v1/classify (edgecloud.NewServer mounts
+// it; cdlserve does not): a ClassifyRequest on the first registered
 // entry, answered as a ClassifyResponse, through the one data handler.
 func (s *Server) ClassifyV1() http.Handler {
 	return s.handleInfer(false, func() wireRequest { return new(ClassifyRequest) })
 }
 
 // Handle adds a route to the server's mux, behind the tracing middleware.
-// A method-qualified pattern such as "GET /healthz" takes precedence over
-// the ops route of the same path.
 func (s *Server) Handle(pattern string, h http.Handler) { s.mux.Handle(pattern, h) }
 
 // Handler returns the HTTP handler (also what ListenAndServe mounts): the
@@ -515,15 +511,16 @@ func (req *ClassifyRequest) NormalizeImages(inWidth, maxImages int, inShape []in
 
 // healthResponse is the /healthz payload.
 type healthResponse struct {
-	Status        string  `json:"status"`
-	Model         string  `json:"model,omitempty"`
-	Arch          string  `json:"arch"`
-	Stages        int     `json:"stages"`
-	Delta         float64 `json:"delta"`
-	Workers       int     `json:"workers"`
-	Models        int     `json:"models"`
-	Default       string  `json:"default_model"`
-	UptimeSeconds float64 `json:"uptime_seconds"`
+	Status        string     `json:"status"`
+	Model         string     `json:"model,omitempty"`
+	Arch          string     `json:"arch"`
+	Stages        int        `json:"stages"`
+	Delta         float64    `json:"delta"`
+	Split         *SplitInfo `json:"split,omitempty"`
+	Workers       int        `json:"workers"`
+	Models        int        `json:"models"`
+	Default       string     `json:"default_model"`
+	UptimeSeconds float64    `json:"uptime_seconds"`
 }
 
 // health is the /healthz body: liveness and the first registered entry's
@@ -531,26 +528,19 @@ type healthResponse struct {
 func (s *Server) health() any {
 	resp := healthResponse{
 		Status:        "ok",
-		Model:         s.cfg.ModelName,
 		Workers:       s.cfg.Workers,
 		Models:        len(s.reg.Models()),
 		Default:       s.reg.DefaultName(),
 		UptimeSeconds: time.Since(s.started).Seconds(),
 	}
 	if m, err := s.reg.Get(""); err == nil {
-		// The identity fields must all describe the same entry — the
-		// first registered — or a monitor would attribute one model's δ and
-		// stage count to another's file. cfg.ModelName only labels
-		// in-memory entries that carry no path of their own.
-		switch {
-		case m.path != "":
-			resp.Model = m.path
-		case resp.Model == "":
-			resp.Model = m.name
-		}
+		// The identity fields all describe the first registered entry,
+		// labelled by its file or, without one, its name.
+		resp.Model = cmp.Or(m.path, m.name)
 		resp.Arch = m.cdln.Arch.Name
 		resp.Stages = len(m.cdln.Stages)
-		resp.Delta = m.cdln.Delta
+		resp.Delta = m.delta()
+		resp.Split = m.splitInfo()
 	}
 	return resp
 }

@@ -34,6 +34,18 @@ type Split struct {
 	// NewWalker builds one pool worker's walker; the entry builds no
 	// session of its own.
 	NewWalker func() (Walker, error)
+	// Tail labels the entry's split on /healthz and GET /v2/models.
+	Tail SplitInfo
+}
+
+// SplitInfo is a split entry's "split" object on /healthz and GET
+// /v2/models: the trunk stages it runs, its offloads' wire encoding, and
+// the cloud and cloud entry it resumes on (empty for an in-process tail).
+type SplitInfo struct {
+	Stage      int    `json:"stage"`
+	Encoding   string `json:"encoding,omitempty"`
+	Cloud      string `json:"cloud,omitempty"`
+	CloudModel string `json:"cloud_model,omitempty"`
 }
 
 // RegisterSplit publishes g under name as a split entry. A split entry is
@@ -41,4 +53,20 @@ type Split struct {
 // Register* under its name.
 func (r *Registry) RegisterSplit(name string, g *core.Graph, sp Split) (*Model, error) {
 	return r.swapIn(name, "", g, &sp)
+}
+
+// splitInfo is the entry's split object, nil for a local entry.
+func (m *Model) splitInfo() *SplitInfo {
+	if m.split == nil {
+		return nil
+	}
+	return &m.split.Tail
+}
+
+// delta is the δ of the entry's identity policy: a split entry's, or the trained one.
+func (m *Model) delta() float64 {
+	if m.identity.Delta >= 0 {
+		return m.identity.Delta
+	}
+	return m.cdln.Delta
 }

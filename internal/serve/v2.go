@@ -216,10 +216,13 @@ type ModelInfo struct {
 	Default bool   `json:"default"`
 	Arch    string `json:"arch"`
 	Stages  int    `json:"stages"`
-	// Delta and StageDeltas are the model's trained thresholds (the values
-	// a request policy overrides).
+	// Delta and StageDeltas are the thresholds a request without a policy
+	// runs (the values a request policy overrides): the model's trained
+	// ones, or a split entry's own δ.
 	Delta       float64   `json:"delta"`
 	StageDeltas []float64 `json:"stage_deltas,omitempty"`
+	// Split is present on a split entry only: where its tail runs.
+	Split *SplitInfo `json:"split,omitempty"`
 	// ExitNames and ExitOps describe the exit points in the routing
 	// graph's global exit order (trunk stages then FC, then each branch's;
 	// cascade order for linear models); BaselineOps is one full trunk
@@ -267,7 +270,7 @@ func (m *Model) info(isDefault bool) ModelInfo {
 		names[i] = g.ExitName(i)
 	}
 	var stageDeltas []float64
-	if c.StageDeltas != nil {
+	if c.StageDeltas != nil && m.identity.Delta < 0 {
 		stageDeltas = append([]float64(nil), c.StageDeltas...)
 	}
 	var branches []BranchInfo
@@ -289,8 +292,9 @@ func (m *Model) info(isDefault bool) ModelInfo {
 		Default:     isDefault,
 		Arch:        c.Arch.Name,
 		Stages:      len(c.Stages),
-		Delta:       c.Delta,
+		Delta:       m.delta(),
 		StageDeltas: stageDeltas,
+		Split:       m.splitInfo(),
 		ExitNames:   names,
 		ExitOps:     append([]float64(nil), m.exitOps...),
 		BaselineOps: c.BaselineOps(),
