@@ -108,7 +108,7 @@ func main() {
 	flag.IntVar(&o.Workers, "workers", 0, "replica pool size per model (0 = GOMAXPROCS)")
 	flag.IntVar(&o.QueueDepth, "queue", 0, "work queue depth in images per model (0 = default 1024)")
 	flag.IntVar(&o.MaxBatch, "batch", 0, "micro-batch size B (0 = default 32)")
-	flag.Float64Var(&o.delta, "delta", -1, "override every model's trained δ at load; a split entry runs it as the δ of requests without a policy and forwards it with each offload (-1 keeps them)")
+	flag.Float64Var(&o.delta, "delta", -1, "override every model's trained δ at load; a split entry runs it as the δ of every request that sets none and forwards it with each offload (-1 keeps them)")
 	flag.StringVar(&o.slo, "slo", "", `attach an SLO controller to every model: "p99=15ms,queue=0.8,energy=2.5e9,floor=0.5" (see internal/control.ParseSLO); requests without an explicit δ/policy degrade to shallower exits under load instead of shedding, and a split entry resolves them below its split instead of queueing on the cloud`)
 	flag.DurationVar(&o.ControlInterval, "slo-interval", 0, "SLO controller tick period (0 = default 200ms)")
 	flag.StringVar(&o.cloud, "cloud", "", "base URL of the cdlserve tier that runs the split entries' tails (required with a split entry)")

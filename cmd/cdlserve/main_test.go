@@ -186,11 +186,12 @@ func TestSplitEntriesAnswerLikeALocalEntry(t *testing.T) {
 }
 
 // TestSplitEntryDeltaIsItsPolicy: -delta on a split entry is the δ its
-// requests without a policy run and forward, in front of a cloud that runs
-// the trained δ (0.5): they get what a local entry loaded under -delta 0.9
-// answers, and /healthz reports 0.9. Were -delta to override the model's
-// thresholds, the entry would forward the trained δ and the cloud's tail
-// would run it.
+// requests run and forward whenever they set none — without a policy, or
+// under one that sets only detail or a depth cap — in front of a cloud that
+// runs the trained δ (0.5): they get what a local entry loaded under
+// -delta 0.9 answers, and /healthz reports 0.9. Were -delta to override
+// the model's thresholds, the entry would forward the trained δ and the
+// cloud's tail would run it.
 func TestSplitEntryDeltaIsItsPolicy(t *testing.T) {
 	cloud := boot(t, []modelEntry{{serve.DefaultModelName, fixture, -1}}, options{delta: -1, Config: serve.Config{Workers: 2}})
 	cloudTS := httptest.NewServer(cloud.Handler())
@@ -199,7 +200,12 @@ func TestSplitEntryDeltaIsItsPolicy(t *testing.T) {
 	edge := boot(t, []modelEntry{{serve.DefaultModelName, fixture, 1}}, options{delta: 0.9, Config: serve.Config{Workers: 2}, cloud: cloudTS.URL})
 
 	imgs := images(t, 32)
-	for _, req := range []serve.V2ClassifyRequest{{Image: imgs[12]}, {Images: imgs}} {
+	capAt := 1
+	for _, req := range []serve.V2ClassifyRequest{
+		{Image: imgs[12]}, {Images: imgs},
+		{Images: imgs, Policy: &serve.PolicyRequest{Detail: serve.DetailTrace}},
+		{Images: imgs, Policy: &serve.PolicyRequest{MaxExit: &capAt}},
+	} {
 		if want, got := post(t, local, serve.DefaultModelName, req), post(t, edge, serve.DefaultModelName, req); !bytes.Equal(got, want) {
 			t.Errorf("split entry at -delta 0.9:\n%s\nlocal entry at -delta 0.9:\n%s", got, want)
 		}

@@ -241,7 +241,7 @@ func (s *Session) fan(c laneCall) {
 func (s *Session) walkRange(l *lane, r int) {
 	c := &s.call
 	lo, hi := r*c.per, min((r+1)*c.per, len(c.xs))
-	l.events = l.events[:0]
+	l.events, l.evRows = l.events[:0], l.evRows[:0]
 	grp := batchGroup{node: c.node, from: c.from, pos: c.pos}
 	grp.act, grp.idx = l.stackBatch(c.xs[lo:hi], lo, c.shape)
 	if g := l.graph; c.pres == nil {
@@ -382,7 +382,7 @@ func (l *lane) walk(grp batchGroup, to int, terminate bool, call *laneCall, rout
 		if call.observer != nil {
 			// Copy before the row loop: compaction rewrites idx in place.
 			evStart = time.Now()
-			evRows = append([]int(nil), idx...)
+			evRows = l.keepRows(idx)
 		}
 		nAct := len(idx)
 		// Advance to exit point i and score it: the stage classifier at its
@@ -469,7 +469,7 @@ func (l *lane) walk(grp batchGroup, to int, terminate bool, call *laneCall, rout
 			evEnd := time.Now()
 			l.events = append(l.events, StageEvent{Kind: kind, Node: node, Stage: i, Rows: evRows, Start: evStart, End: evEnd})
 			for _, h := range hand { // Rows a copy: the branch's walk compacts h.idx before delivery
-				l.events = append(l.events, StageEvent{Kind: StageRoute, Node: node, Stage: i, Branch: h.node, Rows: append([]int(nil), h.idx...), Start: evEnd, End: evEnd})
+				l.events = append(l.events, StageEvent{Kind: StageRoute, Node: node, Stage: i, Branch: h.node, Rows: l.keepRows(h.idx), Start: evEnd, End: evEnd})
 			}
 		}
 		for _, h := range hand {
@@ -490,6 +490,16 @@ func (l *lane) walk(grp batchGroup, to int, terminate bool, call *laneCall, rout
 		}
 	}
 	return batchGroup{node: node, from: to, pos: pos, act: act, idx: idx}
+}
+
+// keepRows copies an event's rows into the lane's row slab, which the
+// lane reuses call after call, and returns the copy, capped at its length
+// so that deliver's merge appends to a copy of its own instead of over
+// the next event's rows.
+func (l *lane) keepRows(rows []int) []int {
+	at := len(l.evRows)
+	l.evRows = append(l.evRows, rows...)
+	return l.evRows[at:len(l.evRows):len(l.evRows)]
 }
 
 // stageDelta resolves the effective threshold for a node's stage i under

@@ -60,6 +60,7 @@ type lane struct {
 	bstack, bscores, feat, surv tensor.T
 	bidx                        []int
 	events                      []StageEvent
+	evRows                      []int // the events' Rows (keepRows)
 	run                         func()
 }
 

@@ -28,7 +28,7 @@ import (
 // results, pixels and frame buffers come from its pooled arena, so a warm
 // request allocates per request, not per input: 16 images cost fewer than
 // 15 allocations more than one. Each count must also stay within its pin,
-// which is the count measured on go1.24 (37, 47, 69, 53 and 139) plus a
+// which is the count measured on go1.24 (29, 39, 64, 47 and 132) plus a
 // headroom of 5 to 7 for what net/http and httptest allocate under other
 // Go releases.
 func TestRequestAllocs(t *testing.T) {
@@ -110,11 +110,11 @@ func TestRequestAllocs(t *testing.T) {
 		run  func()
 		pin  float64
 	}{
-		{"/v2 classify, 1 image", post(cloud.Handler(), classify, "application/json", marshal(serve.V2ClassifyRequest{Image: images[0]})), 42},
-		{"/v2 classify, 16 images", post(cloud.Handler(), classify, "application/json", marshal(serve.V2ClassifyRequest{Images: images})), 52},
-		{"edge /v1/classify, 8 images", post(edge.Handler(), "/v1/classify", "application/json", marshal(serve.ClassifyRequest{Images: images[:8]})), 76},
-		{"framed /resume, 8 activations", post(cloud.Handler(), resume, wire.FrameContentType, frame), 60},
-		{"edge /v1/classify, 8 images, HTTP cloud", post(overHTTP.Handler(), "/v1/classify", "application/json", marshal(serve.ClassifyRequest{Images: images[:8]})), 146},
+		{"/v2 classify, 1 image", post(cloud.Handler(), classify, "application/json", marshal(serve.V2ClassifyRequest{Image: images[0]})), 34},
+		{"/v2 classify, 16 images", post(cloud.Handler(), classify, "application/json", marshal(serve.V2ClassifyRequest{Images: images})), 44},
+		{"edge /v1/classify, 8 images", post(edge.Handler(), "/v1/classify", "application/json", marshal(serve.ClassifyRequest{Images: images[:8]})), 71},
+		{"framed /resume, 8 activations", post(cloud.Handler(), resume, wire.FrameContentType, frame), 54},
+		{"edge /v1/classify, 8 images, HTTP cloud", post(overHTTP.Handler(), "/v1/classify", "application/json", marshal(serve.ClassifyRequest{Images: images[:8]})), 139},
 	} {
 		for k := 0; k < 20; k++ {
 			tc.run()

@@ -113,6 +113,8 @@ type Edge struct {
 	deferred []int
 	dims     []int
 	recs     []core.ExitRecord
+	// tap records the prefix walk's stage events as "edge:" spans.
+	tap *serve.StageTap
 	// tr is the attached request trace (nil between requests): prefix
 	// stage spans, the offload hop and the cloud tier's merged spans all
 	// record into it.
@@ -158,7 +160,7 @@ func NewGraph(g *core.Graph, t Transport, cfg Config) (*Edge, error) {
 	}
 	return &Edge{
 		cfg: cfg, sess: sess, transport: t, costs: costs, wireBytes: exitWireBytes(g, costs, cfg.Encoding),
-		exitOps: g.ExitOps(), classes: g.Trunk().Arch.NumClasses,
+		exitOps: g.ExitOps(), classes: g.Trunk().Arch.NumClasses, tap: serve.NewStageTap(sess.Graph(), "edge:"),
 	}, nil
 }
 
@@ -295,11 +297,11 @@ func (e *Edge) WalkBatch(xs []*tensor.T, node, fromStage int, pol core.ExitPolic
 		return nil, fmt.Errorf("edgecloud: an edge walks from the input layer, not from node %d stage %d", node, fromStage)
 	}
 	if traces != nil {
-		e.sess.SetStageObserver(serve.StageObserver(e.sess.Graph(), "edge:", traces))
+		e.tap.Watch(e.sess, traces)
 	}
 	prefixes := e.sess.ClassifyPrefixInto(&e.prefix, xs, e.cfg.SplitStage, pol)
 	if traces != nil {
-		e.sess.SetStageObserver(nil)
+		e.tap.Watch(e.sess, nil)
 	}
 	e.recs = slices.Grow(e.recs[:0], len(xs))[:len(xs)]
 	size := 0

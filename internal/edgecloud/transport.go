@@ -191,18 +191,16 @@ func (l *Loopback) Resume(payloads [][]byte, pol core.ExitPolicy, traceID string
 		groups[gi].acts = append(groups[gi].acts, tensor.FromSlice(act.Data, act.Shape...))
 		groups[gi].rows = append(groups[gi].rows, i)
 	}
-	var spans []obs.Span
+	var tr *obs.Trace
 	if traceID != "" {
-		l.sess.SetStageObserver(func(ev core.StageEvent) {
-			name, detail := serve.SpanName(l.graph, ev)
-			spans = append(spans, obs.Span{
-				Name:        name,
-				StartUnixNS: ev.Start.UnixNano(),
-				DurationMS:  float64(ev.End.Sub(ev.Start)) / float64(time.Millisecond),
-				Detail:      detail,
-			})
-		})
-		defer l.sess.SetStageObserver(nil)
+		tr = obs.NewTrace(traceID, true)
+		traces := make([]*obs.Trace, len(payloads))
+		for i := range traces {
+			traces[i] = tr
+		}
+		tap := serve.NewStageTap(l.graph, "")
+		tap.Watch(l.sess, traces)
+		defer tap.Watch(l.sess, nil)
 	}
 	recs := make([]core.ExitRecord, len(payloads))
 	for _, g := range groups {
@@ -210,5 +208,5 @@ func (l *Loopback) Resume(payloads [][]byte, pol core.ExitPolicy, traceID string
 			recs[g.rows[k]] = rec
 		}
 	}
-	return recs, spans, nil
+	return recs, tr.Spans(), nil
 }

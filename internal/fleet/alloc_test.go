@@ -19,7 +19,7 @@ import (
 // every goroutine's allocations, so the count takes in building the
 // request, the router's forward and relay, and the backend's own handling
 // over a real loopback connection. Probes run once an hour, so none lands
-// in the measurement. The pin is the count measured on go1.24 (74) plus a
+// in the measurement. The pin is the count measured on go1.24 (59) plus a
 // headroom of 7 for what net/http and httptest allocate under other Go
 // releases.
 func TestRoutedRequestAllocs(t *testing.T) {
@@ -60,7 +60,7 @@ func TestRoutedRequestAllocs(t *testing.T) {
 	for k := 0; k < 20; k++ {
 		run()
 	}
-	const pin = 81
+	const pin = 66
 	n := testing.AllocsPerRun(100, run)
 	t.Logf("routed /v2 classify, 1 image: %.0f allocations per request", n)
 	if n > pin {

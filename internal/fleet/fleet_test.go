@@ -386,7 +386,7 @@ func TestPickChainOrder(t *testing.T) {
 			b.swapping.Store(st.swapping)
 		}
 		var got []int
-		for _, b := range rt.pickChain(key) {
+		for _, b := range rt.pickChain(nil, key) {
 			got = append(got, slices.Index(seq, slices.Index(rt.backends, b)))
 		}
 		if !slices.Equal(got, tc.want) {

@@ -77,9 +77,13 @@ func (rt *Router) hedged(ctx context.Context, primary, secondary *backend, metho
 					} else if hCancel != nil {
 						hCancel()
 					}
-					tr.Record("router:hedge", start, time.Now(), "model="+model+" winner="+hedgeLabel(a.hedge)+" backend="+a.res.backend.url)
+					winner := int32(0)
+					if a.hedge {
+						winner = 1
+					}
+					tr.Add(a.res.backend, obs.Event{Kind: spanHedge, Branch: winner, Label: model}, start, time.Now())
 				} else {
-					tr.Record("router:pick", start, time.Now(), "backend="+a.res.backend.url+" model="+model)
+					tr.Add(a.res.backend, obs.Event{Kind: spanPick, Stage: -1, Label: model}, start, time.Now())
 				}
 				resolve(a.hedge)
 				a.res.hedged = hedgeSent
@@ -111,7 +115,7 @@ func (rt *Router) hedged(ctx context.Context, primary, secondary *backend, metho
 			if pending == 0 {
 				// Both attempts non-decisive: report the primary's outcome
 				// (stable for the client), count the hedge as a loss.
-				tr.Record("router:hedge", start, time.Now(), "model="+model+" winner=none")
+				tr.Add(primary, obs.Event{Kind: spanHedge, Branch: -1, Label: model}, start, time.Now())
 				resolve(false)
 				if !first.hedge {
 					first.res.hedged = true
@@ -137,13 +141,6 @@ func (rt *Router) hedged(ctx context.Context, primary, secondary *backend, metho
 			return attemptResult{backend: primary, err: ctx.Err()}
 		}
 	}
-}
-
-func hedgeLabel(hedge bool) string {
-	if hedge {
-		return "hedge"
-	}
-	return "primary"
 }
 
 // hedgeDeadline picks the hedge trigger for one model: its own router-

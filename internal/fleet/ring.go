@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -130,17 +131,18 @@ func mix64(x uint64) uint64 {
 // Seq(key)[0] is the primary, Seq(key)[1] the first overflow target
 // (bounded-load spill, hedge target, failover), and so on. Every member
 // appears exactly once.
-func (r *Ring) Seq(key uint64) []int {
-	out := make([]int, 0, len(r.members))
-	seen := make([]bool, len(r.members))
-	for i, n := r.search(key), 0; n < len(r.points) && len(out) < len(r.members); i, n = (i+1)%len(r.points), n+1 {
-		m := r.points[i].member
-		if !seen[m] {
-			seen[m] = true
-			out = append(out, m)
+func (r *Ring) Seq(key uint64) []int { return r.AppendSeq(make([]int, 0, len(r.members)), key) }
+
+// AppendSeq appends Seq(key) to dst and returns the extended slice, so a
+// caller with room on its stack allocates nothing.
+func (r *Ring) AppendSeq(dst []int, key uint64) []int {
+	base := len(dst)
+	for i, n := r.search(key), 0; n < len(r.points) && len(dst)-base < len(r.members); i, n = (i+1)%len(r.points), n+1 {
+		if m := r.points[i].member; !slices.Contains(dst[base:], m) {
+			dst = append(dst, m)
 		}
 	}
-	return out
+	return dst
 }
 
 // search finds the index of the first point at or after key, wrapping.

@@ -110,7 +110,6 @@ type Router struct {
 
 	mux     *http.ServeMux
 	handler http.Handler
-	slow    *obs.SlowLog
 	admin   []obs.AdminRoute
 
 	stop    chan struct{}
@@ -179,8 +178,7 @@ func New(cfg Config) (*Router, error) {
 		Alerts:  func() any { return rt.AlertReport() },
 		Flights: rt.metrics.flights,
 	})
-	rt.slow = obs.NewSlowLog()
-	rt.handler = obs.Middleware(rt.mux, rt.slow)
+	rt.handler = obs.Middleware(rt.mux, obs.NewSlowLog())
 
 	rt.probeRound()
 	rt.wg.Add(1)
@@ -212,11 +210,42 @@ func (rt *Router) ListenAndServe(addr string, stop <-chan struct{}) error {
 	return serve.ListenHardened(addr, rt.handler, stop, rt.Close)
 }
 
-// route names label the per-model metrics.
+// The data routes, by their index in routes (a pick span's Stage).
 const (
-	routeClassify = "classify"
-	routeResume   = "resume"
+	routeClassify = iota
+	routeResume
 )
+
+var routes = [...]string{"classify", "resume"}
+
+// stackFleet is the largest fleet whose pick allocates nothing: pickChain's
+// ring sequence and spill lists, and its callers' chains, are stack arrays
+// of this size.
+const stackFleet = 8
+
+// The router's spans, recorded under the backend they name (a hedge
+// neither attempt answered names its primary): Label is the model, a pick's
+// or retry's Stage its route (−1: a hedged pick names none), a hedge's
+// Branch its winner (0 the primary, 1 the hedge, −1 neither).
+const (
+	spanPick uint8 = iota
+	spanRetry
+	spanHedge
+)
+
+// SpanName renders the router's spans recorded under b (obs.Namer).
+func (b *backend) SpanName(ev obs.Event) (name, detail string) {
+	if ev.Kind == spanHedge {
+		if ev.Branch < 0 {
+			return "router:hedge", "model=" + ev.Label + " winner=none"
+		}
+		return "router:hedge", "model=" + ev.Label + " winner=" + [...]string{"primary", "hedge"}[ev.Branch] + " backend=" + b.url
+	}
+	if detail = "backend=" + b.url + " model=" + ev.Label; ev.Stage >= 0 {
+		detail += " route=" + routes[ev.Stage]
+	}
+	return [...]string{spanPick: "router:pick", spanRetry: "router:retry"}[ev.Kind], detail
+}
 
 // pickChain orders the backends for one key: ring sequence, filtered to
 // healthy + non-draining + under the bounded-load cap (the router's own
@@ -226,12 +255,13 @@ const (
 // excluded entirely — transport errors rejoin them only via the probe loop.
 // A backend that is saturated all the same answers 503, and dispatch walks
 // on down the chain.
-func (rt *Router) pickChain(key uint64) []*backend {
-	seq := rt.ring.Seq(key)
-	cap := rt.loadCap()
-	chain := make([]*backend, 0, len(seq))
-	var overloaded, draining []*backend
-	for _, mi := range seq {
+// The chain is appended to chain.
+func (rt *Router) pickChain(chain []*backend, key uint64) []*backend {
+	var seqBuf [stackFleet]int
+	var overBuf, drainBuf [stackFleet]*backend
+	overloaded, draining := overBuf[:0], drainBuf[:0]
+	limit := rt.loadCap()
+	for _, mi := range rt.ring.AppendSeq(seqBuf[:0], key) {
 		b := rt.backends[mi]
 		if !b.healthy.Load() {
 			continue
@@ -239,7 +269,7 @@ func (rt *Router) pickChain(key uint64) []*backend {
 		switch {
 		case b.swapping.Load():
 			draining = append(draining, b)
-		case b.inflight.Load() >= cap:
+		case b.inflight.Load() >= limit:
 			overloaded = append(overloaded, b)
 		default:
 			chain = append(chain, b)
@@ -335,9 +365,9 @@ func writeResult(w http.ResponseWriter, res attemptResult) {
 // handleData is the classify/resume data path: hash, pick, forward with
 // hedging and failover. Every outcome is one event on the model's plane,
 // emitted before the response is written.
-func (rt *Router) handleData(w http.ResponseWriter, r *http.Request, model, route string) {
+func (rt *Router) handleData(w http.ResponseWriter, r *http.Request, model string, route int) {
 	mm := rt.metrics.model(model)
-	tr := obs.FromContext(r.Context())
+	tr := obs.TraceOf(w)
 	refused := control.Event{Trace: tr, ExitIndex: -1, Outcome: obs.FlightError, Cause: control.CauseInvalid}
 	// The bound alone decides 413: a declared length over it is refused
 	// unread. Each hedged attempt holds its own reference.
@@ -360,7 +390,8 @@ func (rt *Router) handleData(w http.ResponseWriter, r *http.Request, model, rout
 		return
 	}
 	key := HashRequest(model, body.Bytes())
-	chain := rt.pickChain(key)
+	var chainBuf [stackFleet]*backend
+	chain := rt.pickChain(chainBuf[:0], key)
 	if len(chain) == 0 {
 		// Rejected before any backend attempt.
 		mm.sheds.Add(1)
@@ -456,7 +487,7 @@ func (rt *Router) AlertReport() FleetAlertz {
 // the backend down on the spot — rerouting does not wait for the probe
 // loop — and moves on; a 503 is remembered (for Retry-After propagation)
 // while overflow tries the rest of the chain.
-func (rt *Router) dispatch(ctx context.Context, chain []*backend, method, path, contentType string, body *hop.Body, model, route, traceID string, tr *obs.Trace) attemptResult {
+func (rt *Router) dispatch(ctx context.Context, chain []*backend, method, path, contentType string, body *hop.Body, model string, route int, traceID string, tr *obs.Trace) attemptResult {
 	var last attemptResult
 	haveLast := false
 	for i := 0; i < len(chain); i++ {
@@ -467,12 +498,12 @@ func (rt *Router) dispatch(ctx context.Context, chain []*backend, method, path, 
 			res = rt.hedged(ctx, b, chain[1], method, path, contentType, body, model, traceID, tr)
 		} else {
 			res = rt.send(ctx, b, method, path, contentType, body, traceID)
-			name := "router:pick"
+			kind := spanPick
 			if i > 0 {
-				name = "router:retry"
+				kind = spanRetry
 				rt.metrics.model(model).retries.Add(1)
 			}
-			tr.Record(name, start, time.Now(), "backend="+b.url+" model="+model+" route="+route)
+			tr.Add(b, obs.Event{Kind: kind, Stage: int32(route), Label: model}, start, time.Now())
 		}
 		// A decisive answer ends the chain, and so does a client that is
 		// gone or out of time: stop burning backends.
@@ -496,7 +527,8 @@ func (rt *Router) dispatch(ctx context.Context, chain []*backend, method, path, 
 // backend in ring order of the path (cheap spread without affinity
 // requirements).
 func (rt *Router) handleProxyGet(w http.ResponseWriter, r *http.Request) {
-	chain := rt.pickChain(HashKey(r.URL.Path))
+	var chainBuf [stackFleet]*backend
+	chain := rt.pickChain(chainBuf[:0], HashKey(r.URL.Path))
 	if len(chain) == 0 {
 		serve.WriteShed(w, "no ready backend")
 		return

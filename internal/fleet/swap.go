@@ -47,7 +47,7 @@ func (rt *Router) handleRollingSwap(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(w, http.StatusBadRequest, fmt.Sprintf("read body: %v", err))
 		return
 	}
-	tr := obs.FromContext(r.Context())
+	tr := obs.TraceOf(w)
 	traceID := ""
 	if tr.Propagated() {
 		traceID = tr.ID()

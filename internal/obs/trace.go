@@ -8,14 +8,15 @@
 //
 // Tracing is always on by default and is designed to stay on in
 // production: per-request cost is one ID, a handful of clock reads per
-// micro-batch stage and a mutex-guarded span append. SetEnabled(false)
-// turns the whole layer into header pass-through — the overhead guard
-// benchmark in internal/serve pins the enabled-vs-disabled gap.
+// micro-batch stage and a mutex-guarded append of an integer Event into a
+// pooled Trace, whose spans are rendered only when it is read.
+// SetEnabled(false) turns the whole layer into header pass-through — the
+// overhead guard benchmark in internal/serve pins the enabled-vs-disabled
+// gap.
 package obs
 
 import (
 	"cmp"
-	"context"
 	"log/slog"
 	"math/rand/v2"
 	"net/http"
@@ -61,28 +62,44 @@ type Span struct {
 	Detail string `json:"detail,omitempty"`
 }
 
+// Event is a span kept as integers, named by its Namer only when the trace
+// is read. A stage walk's event fills Kind, Node, Stage, Branch, First (the
+// walk's first row) and Rows (its row count); other namers say which they
+// read. Label is a string its recorder already holds, never one built for it.
+type Event struct {
+	Kind                             uint8
+	Node, Stage, Branch, First, Rows int32
+	Label                            string
+	names                            Namer
+	start, end                       int64 // monotonic ns since the trace began
+}
+
+// Namer renders the events recorded under it, from them and data that does
+// not change once they are recorded.
+type Namer interface {
+	SpanName(ev Event) (name, detail string)
+}
+
 // Trace collects the spans of one request under one ID. Spans complete on
-// whatever goroutine ran the work (pool workers, edge workers), so all
-// mutation is mutex-guarded. A nil *Trace is a valid no-op receiver for
-// Record/Merge — call sites on the hot path need no nil checks
-// beyond what they'd do anyway.
+// whatever goroutine ran the work (pool workers, edge workers), so
+// recording and reading are mutex-guarded; the ID and its propagation are
+// set before the request's handler runs and never change under it. A nil
+// *Trace is a valid no-op receiver — call sites on the hot path need no
+// nil checks beyond what they'd do anyway.
 type Trace struct {
 	mu         sync.Mutex
 	id         string
 	propagated bool
-	spans      []Span
-	// inline backs spans up to the first four, the three or four a request
-	// usually records, so they cost no allocation beyond the Trace's own.
-	inline [4]Span
+	begun      time.Time // the events' origin, rendered on its wall clock
+	events     []Event
+	spans      []Span // recorded with their strings (Record, Merge)
 }
 
 // NewTrace starts an empty trace. propagated marks an ID the client (or a
 // wire payload) supplied — the signal that the caller wants trace data
 // echoed back on the response body.
 func NewTrace(id string, propagated bool) *Trace {
-	t := &Trace{id: id, propagated: propagated}
-	t.spans = t.inline[:0]
-	return t
+	return &Trace{id: id, propagated: propagated, begun: time.Now()}
 }
 
 // GenerateID returns a fresh 32-hex-character (16-byte) trace ID.
@@ -122,8 +139,6 @@ func (t *Trace) ID() string {
 	if t == nil {
 		return ""
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.id
 }
 
@@ -134,25 +149,23 @@ func (t *Trace) Propagated() bool {
 	if t == nil {
 		return false
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.propagated
 }
 
-// Record appends one closed span.
-func (t *Trace) Record(name string, start, end time.Time, detail string) {
+// Add records one closed span as ev, which names renders when it is read.
+func (t *Trace) Add(names Namer, ev Event, start, end time.Time) {
 	if t == nil {
 		return
 	}
-	sp := Span{
-		Name:        name,
-		StartUnixNS: start.UnixNano(),
-		DurationMS:  float64(end.Sub(start)) / float64(time.Millisecond),
-		Detail:      detail,
-	}
+	ev.names, ev.start, ev.end = names, int64(start.Sub(t.begun)), int64(end.Sub(t.begun))
 	t.mu.Lock()
-	t.spans = append(t.spans, sp)
+	t.events = append(t.events, ev)
 	t.mu.Unlock()
+}
+
+// Record appends one closed span with its strings.
+func (t *Trace) Record(name string, start, end time.Time, detail string) {
+	t.Merge("", []Span{{Name: name, StartUnixNS: start.UnixNano(), DurationMS: float64(end.Sub(start)) / float64(time.Millisecond), Detail: detail}})
 }
 
 // Merge appends spans recorded on another tier, prefixing each name (e.g.
@@ -169,34 +182,28 @@ func (t *Trace) Merge(prefix string, spans []Span) {
 	t.mu.Unlock()
 }
 
-// Spans returns a copy of the recorded spans ordered by start time (ties
-// keep record order), i.e. the request's timeline.
+// Spans renders the recorded spans ordered by start time (ties keep
+// record order, events before string spans): the request's timeline.
+// Every read of a trace — an echoed answer, a flight record, a slow-log
+// line — goes through it, so all of them carry the same spans.
 func (t *Trace) Spans() []Span {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
-	out := append([]Span(nil), t.spans...)
+	events := slices.Clone(t.events)
+	out := append(make([]Span, len(events), len(events)+len(t.spans)), t.spans...)
 	t.mu.Unlock()
-	slices.SortStableFunc(out, func(a, b Span) int { return cmp.Compare(a.StartUnixNS, b.StartUnixNS) })
-	return out
-}
-
-// ctxKey keys the request trace in a context.
-type ctxKey struct{}
-
-// With attaches a trace to a context.
-func With(ctx context.Context, t *Trace) context.Context {
-	return context.WithValue(ctx, ctxKey{}, t)
-}
-
-// FromContext returns the context's trace, or nil.
-func FromContext(ctx context.Context) *Trace {
-	if ctx == nil {
+	if len(out) == 0 {
 		return nil
 	}
-	t, _ := ctx.Value(ctxKey{}).(*Trace)
-	return t
+	base := t.begun.UnixNano()
+	for i, ev := range events {
+		name, detail := ev.names.SpanName(ev)
+		out[i] = Span{Name: name, StartUnixNS: base + ev.start, DurationMS: float64(ev.end-ev.start) / float64(time.Millisecond), Detail: detail}
+	}
+	slices.SortStableFunc(out, func(a, b Span) int { return cmp.Compare(a.StartUnixNS, b.StartUnixNS) })
+	return out
 }
 
 // SlowLog samples structured log lines for slow requests: any request
@@ -250,24 +257,40 @@ func (l *SlowLog) Observe(method, path string, status int, tr *Trace, dur time.D
 	lg.Warn("slow request", attrs...)
 }
 
-// statusRecorder captures the response status for the slow-request log.
-type statusRecorder struct {
+// traced is one request's pooled tracing state: the writer Middleware hands
+// the handler, the status it wrote (for the slow log) and the trace.
+type traced struct {
 	http.ResponseWriter
 	status int
+	tr     Trace
 }
 
-func (r *statusRecorder) WriteHeader(code int) {
-	r.status = code
-	r.ResponseWriter.WriteHeader(code)
+func (w *traced) WriteHeader(code int) {
+	w.status = code
+	w.ResponseWriter.WriteHeader(code)
+}
+
+// tracedPool holds the tracing state of finished requests.
+var tracedPool = sync.Pool{New: func() any { return new(traced) }}
+
+// TraceOf returns the trace of the request Middleware handed w to (nil
+// with tracing off), the request's until its handler returns.
+func TraceOf(w http.ResponseWriter) *Trace {
+	if tw, ok := w.(*traced); ok {
+		return &tw.tr
+	}
+	return nil
 }
 
 // Middleware is the front-door tracing layer shared by the cloud server
 // and the edge front: it accepts a client X-Trace-Id (or generates one),
 // echoes it on the response — set before the handler runs, so every
 // response path including 503/504 sheds with Retry-After carries it —
-// attaches the Trace to the request context, and feeds the slow-request
-// sampler. With tracing globally disabled it reduces to header
-// pass-through.
+// hands the handler a writer that carries the request's Trace (TraceOf),
+// and feeds the slow-request sampler. The writer and its trace are one
+// pooled object, given back after the slow-log check: nothing may record
+// into or read the trace after that, and the race detector reports what
+// does. With tracing globally disabled it reduces to header pass-through.
 func Middleware(next http.Handler, slow *SlowLog) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		hdr := r.Header.Get(TraceHeader)
@@ -282,13 +305,18 @@ func Middleware(next http.Handler, slow *SlowLog) http.Handler {
 		if !ValidID(id) {
 			id, propagated = GenerateID(), false
 		}
-		tr := NewTrace(id, propagated)
 		w.Header().Set(TraceHeader, id)
 		start := time.Now()
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		next.ServeHTTP(rec, r.WithContext(With(r.Context(), tr)))
+		tw := tracedPool.Get().(*traced)
+		tw.ResponseWriter, tw.status = w, http.StatusOK
+		tw.tr.id, tw.tr.propagated, tw.tr.begun = id, propagated, start
+		next.ServeHTTP(tw, r)
 		if slow != nil {
-			slow.Observe(r.Method, r.URL.Path, rec.status, tr, time.Since(start))
+			slow.Observe(r.Method, r.URL.Path, tw.status, &tw.tr, time.Since(start))
 		}
+		clear(tw.tr.events) // their namers and labels
+		clear(tw.tr.spans)
+		tw.ResponseWriter, tw.tr.events, tw.tr.spans = nil, tw.tr.events[:0], tw.tr.spans[:0]
+		tracedPool.Put(tw)
 	})
 }

@@ -5,6 +5,8 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -77,10 +79,81 @@ func TestSpansOrderedAndMerged(t *testing.T) {
 	}
 }
 
-func TestMiddlewareEchoesAndGenerates(t *testing.T) {
-	var got *Trace
+// rowNames is a Namer for the tests: kind 1 renders "rows" with the row
+// count, anything else "other".
+type rowNames struct{}
+
+func (rowNames) SpanName(ev Event) (string, string) {
+	if ev.Kind == 1 {
+		return "rows", "n=" + strconv.Itoa(int(ev.Rows))
+	}
+	return "other", ""
+}
+
+// TestEventsRenderOnRead: an Event renders through its Namer, on the
+// trace's clock, in start order with the spans recorded as strings.
+func TestEventsRenderOnRead(t *testing.T) {
+	tr := NewTrace("t", false)
+	at := tr.begun.Add(time.Millisecond)
+	tr.Add(rowNames{}, Event{Kind: 1, Rows: 3}, at, at.Add(2*time.Millisecond))
+	tr.Record("text", tr.begun, tr.begun, "d")
+	tr.Add(rowNames{}, Event{}, at, at)
+	want := []Span{
+		{Name: "text", StartUnixNS: tr.begun.UnixNano(), Detail: "d"},
+		{Name: "rows", StartUnixNS: at.UnixNano(), DurationMS: 2, Detail: "n=3"},
+		{Name: "other", StartUnixNS: at.UnixNano()},
+	}
+	if got := tr.Spans(); !slices.Equal(got, want) {
+		t.Errorf("spans %+v, want %+v", got, want)
+	}
+}
+
+// TestReusedTraceStartsEmpty: Middleware's trace is pooled, so a request
+// may get the one the last request gave back. It must start under its own
+// ID and propagation, holding none of the last request's events or
+// string spans.
+func TestReusedTraceStartsEmpty(t *testing.T) {
+	seen := map[*Trace]bool{}
+	reused := 0
 	h := Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		got = FromContext(r.Context())
+		tr := TraceOf(w)
+		if seen[tr] {
+			reused++
+		}
+		seen[tr] = true
+		pin := r.Header.Get(TraceHeader)
+		if spans := tr.Spans(); spans != nil || tr.Propagated() != (pin != "") || pin != "" && tr.ID() != pin {
+			t.Errorf("request %q got trace %q (propagated %v) holding %+v", pin, tr.ID(), tr.Propagated(), spans)
+		}
+		now := time.Now()
+		tr.Add(rowNames{}, Event{Kind: 1, Rows: 2}, now, now)
+		tr.Record("text", now, now, "")
+		tr.Merge("cloud:", []Span{{Name: "stage"}})
+		if n := len(tr.Spans()); n != 3 {
+			t.Errorf("%d spans recorded, want 3", n)
+		}
+	}), nil)
+	for i := 0; i < 64; i++ {
+		req := httptest.NewRequest("POST", "/", nil)
+		if i%2 == 0 {
+			req.Header.Set(TraceHeader, "reuse-"+strconv.Itoa(i))
+		}
+		h.ServeHTTP(httptest.NewRecorder(), req)
+	}
+	if reused == 0 {
+		t.Fatal("no trace was reused")
+	}
+}
+
+func TestMiddlewareEchoesAndGenerates(t *testing.T) {
+	// The trace is the request's until its handler returns: read it there.
+	var got struct {
+		traced, propagated bool
+		id                 string
+	}
+	h := Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		tr := TraceOf(w)
+		got.traced, got.propagated, got.id = tr != nil, tr.Propagated(), tr.ID()
 		w.WriteHeader(http.StatusServiceUnavailable) // header must already be set
 	}), nil)
 
@@ -92,8 +165,8 @@ func TestMiddlewareEchoesAndGenerates(t *testing.T) {
 	if rec.Header().Get(TraceHeader) != "pinned-1" {
 		t.Fatalf("header = %q, want pinned-1", rec.Header().Get(TraceHeader))
 	}
-	if got == nil || !got.Propagated() || got.ID() != "pinned-1" {
-		t.Fatalf("context trace = %+v", got)
+	if !got.traced || !got.propagated || got.id != "pinned-1" {
+		t.Fatalf("request trace = %+v", got)
 	}
 
 	// No ID: one is generated, echoed, not marked propagated.
@@ -102,8 +175,8 @@ func TestMiddlewareEchoesAndGenerates(t *testing.T) {
 	if id := rec.Header().Get(TraceHeader); !ValidID(id) || len(id) != 32 {
 		t.Fatalf("generated header = %q", id)
 	}
-	if got.Propagated() {
-		t.Error("generated ID marked propagated")
+	if got.propagated || got.id != rec.Header().Get(TraceHeader) {
+		t.Errorf("generated ID: request trace = %+v", got)
 	}
 
 	// Hostile ID: replaced with a generated one, never echoed verbatim.
@@ -121,7 +194,7 @@ func TestMiddlewareDisabled(t *testing.T) {
 	defer SetEnabled(true)
 	var got *Trace
 	h := Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		got = FromContext(r.Context())
+		got = TraceOf(w)
 	}), nil)
 	req := httptest.NewRequest("POST", "/", nil)
 	req.Header.Set(TraceHeader, "still-echoed")

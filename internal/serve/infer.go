@@ -422,7 +422,7 @@ func (s *Server) handleInfer(resume bool, newBody func() wireRequest) http.Handl
 			ctx, cancel, rerr = requestContext(r, req.timeoutMS)
 		}
 		if rerr != nil {
-			m0.refuse(r.Context(), obs.FlightError, control.CauseInvalid, 0)
+			m0.refuse(obs.TraceOf(w), obs.FlightError, control.CauseInvalid, 0)
 			WriteError(w, rerr.status, rerr.msg)
 			return
 		}
@@ -455,7 +455,7 @@ func (s *Server) handleInfer(resume bool, newBody func() wireRequest) http.Handl
 		if !ok {
 			return
 		}
-		traceID, spans := finishTrace(r, detail)
+		traceID, spans := finishTrace(obs.TraceOf(w), detail)
 		switch {
 		case frame:
 			writeFrame(w, &a.answer, records, spans, detail)

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"strconv"
 	"sync"
 	"time"
 
@@ -78,16 +77,21 @@ type Walker interface {
 
 // sessionWalker walks a group with Session.ResumeBatchInto, which is a
 // batched policy-aware classify at (0, 0) and a resume elsewhere, into
-// recs, a records slab of its own that the worker copies out of.
+// recs, a records slab of its own that the worker copies out of; tap,
+// built on the first traced walk, records the walk's stage events.
 type sessionWalker struct {
 	*core.Session
 	recs []core.ExitRecord
+	tap  *StageTap
 }
 
 func (s *sessionWalker) WalkBatch(xs []*tensor.T, node, fromStage int, pol core.ExitPolicy, traces []*obs.Trace) ([]core.ExitRecord, error) {
 	if traces != nil {
-		s.SetStageObserver(StageObserver(s.Graph(), "", traces))
-		defer s.SetStageObserver(nil)
+		if s.tap == nil {
+			s.tap = NewStageTap(s.Graph(), "")
+		}
+		s.tap.Watch(s.Session, traces)
+		defer s.tap.Watch(s.Session, nil)
 	}
 	s.recs = s.ResumeBatchInto(s.recs, xs, node, fromStage, pol)
 	return s.recs, nil
@@ -253,7 +257,7 @@ func (p *pool) worker(w Walker, emit func(group []*job, batchSize int)) {
 			}
 			// A request's jobs share its enqueue stamp: one span for all.
 			if j.tr != nil && j.tr != last {
-				j.tr.Record("queue", j.enqueued, started, "")
+				j.tr.Add(poolSpans{}, obs.Event{Kind: spanQueue}, j.enqueued, started)
 			}
 			last = j.tr
 			claimed = append(claimed, false)
@@ -261,8 +265,9 @@ func (p *pool) worker(w Walker, emit func(group []*job, batchSize int)) {
 		}
 		release(group, len(batch), emit)
 		for remaining > 0 {
-			group, xs = group[:0], xs[:0]
+			group, xs, traces = group[:0], xs[:0], traces[:0]
 			var lead *job
+			traced := false
 			for i, j := range batch {
 				if claimed[i] {
 					continue
@@ -279,14 +284,15 @@ func (p *pool) worker(w Walker, emit func(group []*job, batchSize int)) {
 					claimed[i] = true
 					group = append(group, j)
 					xs = append(xs, j.x)
+					traces = append(traces, j.tr)
+					traced = traced || j.tr != nil
 				}
 			}
+			// Only with tracing off does no job carry a trace (the
+			// middleware attaches one to every request); the walk then
+			// runs without a stage tap, at one nil check per stage.
 			var rows []*obs.Trace
-			if anyTraced(group) {
-				traces = traces[:0]
-				for _, j := range group {
-					traces = append(traces, j.tr)
-				}
+			if traced {
 				rows = traces
 			}
 			recs, err := w.WalkBatch(xs, lead.node, lead.fromStage, *lead.pol, rows)
@@ -295,11 +301,10 @@ func (p *pool) worker(w Walker, emit func(group []*job, batchSize int)) {
 				// handler never serializes a trace that is still gaining
 				// spans.
 				end := time.Now()
-				size := "size=" + strconv.Itoa(len(group))
 				last = nil
 				for _, j := range group {
 					if j.tr != nil && j.tr != last {
-						j.tr.Record("batch", started, end, size)
+						j.tr.Add(poolSpans{}, obs.Event{Kind: spanBatch, Rows: int32(len(group))}, started, end)
 					}
 					last = j.tr
 				}

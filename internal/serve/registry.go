@@ -169,10 +169,10 @@ func (m *Model) emit(group []*job, batchSize int) {
 // refuse charges one request that produced no result — shed, abandoned or
 // malformed — to the entry's counters and reports it to the plane (always
 // tail-retained: a refusal is by definition anomalous).
-func (m *Model) refuse(ctx context.Context, outcome, cause string, images int) {
+func (m *Model) refuse(tr *obs.Trace, outcome, cause string, images int) {
 	m.metrics.observeRefused(cause)
 	m.plane.Observe([]control.Event{{
-		Trace: obs.FromContext(ctx), Version: m.version, ExitIndex: -1,
+		Trace: tr, Version: m.version, ExitIndex: -1,
 		BatchSize: images, Outcome: outcome, Cause: cause,
 	}})
 }

@@ -130,7 +130,6 @@ type Server struct {
 	reg       *Registry
 	mux       *http.ServeMux
 	handler   http.Handler // mux wrapped in the tracing middleware
-	slow      *obs.SlowLog
 	admin     []obs.AdminRoute
 	started   time.Time
 }
@@ -176,8 +175,7 @@ func NewWithRegistry(reg *Registry) (*Server, error) {
 		Alerts:  func() any { return reg.alertReport() },
 		Flights: reg.flights,
 	})
-	s.slow = obs.NewSlowLog()
-	s.handler = obs.Middleware(s.mux, s.slow)
+	s.handler = obs.Middleware(s.mux, obs.NewSlowLog())
 	return s, nil
 }
 
@@ -389,7 +387,7 @@ func WriteShed(w http.ResponseWriter, msg string) {
 func (s *Server) dispatch(w http.ResponseWriter, ctx context.Context, name string, resume bool, a *request, build func(m *Model) ([]*job, *requestError)) (*Model, []core.ExitRecord, bool) {
 	var m *Model
 	lastJobs := 1
-	tr := obs.FromContext(ctx)
+	tr := obs.TraceOf(w)
 	for attempt := 0; attempt < maxDispatchAttempts; attempt++ {
 		var ok bool
 		if m, ok = s.lookup(w, name); !ok {
@@ -397,7 +395,7 @@ func (s *Server) dispatch(w http.ResponseWriter, ctx context.Context, name strin
 		}
 		jobs, rerr := build(m)
 		if rerr != nil {
-			m.refuse(ctx, obs.FlightError, control.CauseInvalid, 0)
+			m.refuse(tr, obs.FlightError, control.CauseInvalid, 0)
 			WriteError(w, rerr.status, rerr.msg)
 			return nil, nil, false
 		}
@@ -431,7 +429,7 @@ func (s *Server) dispatch(w http.ResponseWriter, ctx context.Context, name strin
 					// A group this request rode in failed its walk on the
 					// other tier: the whole request is a 502, and no sink
 					// heard of that group's images.
-					m.refuse(ctx, obs.FlightError, causeCloudError, len(jobs))
+					m.refuse(tr, obs.FlightError, causeCloudError, len(jobs))
 					WriteError(w, http.StatusBadGateway, j.err.Error())
 					return nil, nil, false
 				}
@@ -439,7 +437,7 @@ func (s *Server) dispatch(w http.ResponseWriter, ctx context.Context, name strin
 			m.metrics.observeRequest(resume)
 			return m, a.records, true
 		case errors.Is(err, ErrOverloaded):
-			m.refuse(ctx, obs.FlightShed, causeQueueFull, len(jobs))
+			m.refuse(tr, obs.FlightShed, causeQueueFull, len(jobs))
 			WriteShed(w, err.Error())
 			return nil, nil, false
 		case errors.Is(err, ErrClosed):
@@ -448,12 +446,12 @@ func (s *Server) dispatch(w http.ResponseWriter, ctx context.Context, name strin
 			if cur, gerr := s.reg.Get(name); gerr == nil && cur != m {
 				continue
 			}
-			m.refuse(ctx, obs.FlightShed, causeClosed, len(jobs))
+			m.refuse(tr, obs.FlightShed, causeClosed, len(jobs))
 			WriteShed(w, err.Error())
 			return nil, nil, false
 		default:
 			// Context error at admission: nothing was enqueued.
-			m.refuse(ctx, obs.FlightError, rejectCause(err), len(jobs))
+			m.refuse(tr, obs.FlightError, rejectCause(err), len(jobs))
 			if errors.Is(err, context.DeadlineExceeded) {
 				WriteError(w, http.StatusGatewayTimeout, fmt.Sprintf("request abandoned: %v", err))
 			} else {
@@ -462,21 +460,18 @@ func (s *Server) dispatch(w http.ResponseWriter, ctx context.Context, name strin
 			return nil, nil, false
 		}
 	}
-	m.refuse(ctx, obs.FlightShed, causeChurn, lastJobs)
+	m.refuse(tr, obs.FlightShed, causeChurn, lastJobs)
 	WriteShed(w, "model reloading too fast; retry")
 	return nil, nil, false
 }
 
 // finishTrace returns the body detail (ID + span timeline) for clients that
 // opted in, by sending X-Trace-Id themselves or by asking for detail level
-// "trace". Every other request keeps its exact pre-tracing body. The
-// response header already carries the ID: the middleware set it.
-func finishTrace(r *http.Request, detail string) (string, []obs.Span) {
-	tr := obs.FromContext(r.Context())
-	if tr == nil {
-		return "", nil
-	}
-	if !tr.Propagated() && detail != DetailTrace {
+// "trace": the only requests whose spans the data path renders. Every
+// other request keeps its exact pre-tracing body. The response header
+// already carries the ID: the middleware set it.
+func finishTrace(tr *obs.Trace, detail string) (string, []obs.Span) {
+	if tr == nil || !tr.Propagated() && detail != DetailTrace {
 		return "", nil
 	}
 	return tr.ID(), tr.Spans()

@@ -28,8 +28,9 @@ type Split struct {
 	// what answers, /statsz, the telemetry window and the controller see.
 	WireBytes []int
 	// Delta is the δ of the entry's identity policy (< 0: the trained
-	// thresholds), stamped on every rung of its SLO ladder too; an offload
-	// forwards the policy its request ran under.
+	// thresholds), stamped on every rung of its SLO ladder too, and the δ
+	// of an explicit policy that sets none; an offload forwards the policy
+	// its request ran under.
 	Delta float64
 	// NewWalker builds one pool worker's walker; the entry builds no
 	// session of its own.

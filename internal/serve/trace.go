@@ -1,13 +1,14 @@
 package serve
 
-// trace.go maps the core layer's stage events onto per-request trace spans.
-// A pool worker's walker installs a stage observer on its session for the
-// duration of one grouped walk; every event carries the batch rows
+// trace.go maps the core layer's stage events onto per-request trace
+// events. A pool worker's walker installs a stage tap on its session for
+// the duration of one grouped walk; every event carries the batch rows
 // it covered, so each traced request in the group receives exactly the
-// spans of the work its images took part in, once per event however many
+// events of the work its images took part in, once per event however many
 // of its rows the event covered — shared batched stage passes appear in
 // every participant's trace (annotated with the rows they batched with),
 // route dispatches and exits only in the traces of the rows they moved.
+// The events are integers; the tap names them only when a trace is read.
 
 import (
 	"strconv"
@@ -16,6 +17,52 @@ import (
 	"cdl/internal/obs"
 )
 
+// StageTap is a walker's stage observer and its events' obs.Namer. Watch
+// installs it for one walk: it records each stage event into the traces of
+// the rows it covered (traces[row]; every walk is batched, so Rows always
+// names them), once per trace. A request's jobs are queued back to back
+// (pool.submit holds its lock), so they are adjacent in every batch and
+// group, and Rows lists rows in group order: one trace's rows form one
+// run. The tap runs on the walker's goroutine only, and the traces must
+// stay put for the walk, so no locking beyond the traces' own is needed.
+// The edge tier's prefix walk names its spans under the prefix "edge:".
+type StageTap struct {
+	graph  *core.Graph
+	prefix string
+	traces []*obs.Trace
+	fn     func(core.StageEvent) // observe, bound once
+}
+
+// NewStageTap returns a tap that names events after g's nodes.
+func NewStageTap(g *core.Graph, prefix string) *StageTap {
+	t := &StageTap{graph: g, prefix: prefix}
+	t.fn = t.observe
+	return t
+}
+
+// Watch installs the tap on s for a walk whose row i is traced into
+// traces[i]; nil traces removes it.
+func (t *StageTap) Watch(s *core.Session, traces []*obs.Trace) {
+	if t.traces = traces; traces == nil {
+		s.SetStageObserver(nil)
+	} else {
+		s.SetStageObserver(t.fn)
+	}
+}
+
+func (t *StageTap) observe(ev core.StageEvent) {
+	var last *obs.Trace
+	for _, row := range ev.Rows {
+		if row >= 0 && row < len(t.traces) {
+			if tr := t.traces[row]; tr != nil && tr != last {
+				tr.Add(t, obs.Event{Kind: uint8(ev.Kind), Node: int32(ev.Node), Stage: int32(ev.Stage), Branch: int32(ev.Branch),
+					First: int32(ev.Rows[0]), Rows: int32(len(ev.Rows))}, ev.Start, ev.End)
+				last = tr
+			}
+		}
+	}
+}
+
 // SpanName is the one stage-event → span mapping: it renders the event as
 // a span name using the graph's node names — "stage:<node>#<i>" for a
 // cascade stage forward (conv stage + linear classifier + exit decision),
@@ -23,24 +70,22 @@ import (
 // FC exit and "forced:<node>#<i>" for a depth-cap exit — plus the span
 // detail: "batch=N" on a stage pass that N > 1 rows shared, so a trace
 // shows which stages amortized across neighbours. The set of names is
-// bounded by the model's graph, never by request content. Exported for the
-// edge tier, which renders its prefix and loopback walks with the same
-// vocabulary so a cross-tier trace reads uniformly.
-func SpanName(g *core.Graph, ev core.StageEvent) (name, detail string) {
-	node := nodeName(g, ev.Node)
-	if ev.Kind == core.StageRoute {
-		return "route:" + node + "->" + nodeName(g, ev.Branch), ""
+// bounded by the model's graph, never by request content.
+func (t *StageTap) SpanName(ev obs.Event) (name, detail string) {
+	node := nodeName(t.graph, int(ev.Node))
+	if core.StageEventKind(ev.Kind) == core.StageRoute {
+		return t.prefix + "route:" + node + "->" + nodeName(t.graph, int(ev.Branch)), ""
 	}
-	if len(ev.Rows) > 1 {
-		detail = "batch=" + strconv.Itoa(len(ev.Rows))
+	if ev.Rows > 1 {
+		detail = "batch=" + strconv.Itoa(int(ev.Rows))
 	}
-	switch ev.Kind {
+	switch core.StageEventKind(ev.Kind) {
 	case core.StageFinal:
-		return "fc:" + node, detail
+		return t.prefix + "fc:" + node, detail
 	case core.StageForced:
-		return "forced:" + node + "#" + strconv.Itoa(ev.Stage), detail
+		return t.prefix + "forced:" + node + "#" + strconv.Itoa(int(ev.Stage)), detail
 	default:
-		return "stage:" + node + "#" + strconv.Itoa(ev.Stage), detail
+		return t.prefix + "stage:" + node + "#" + strconv.Itoa(int(ev.Stage)), detail
 	}
 }
 
@@ -54,39 +99,18 @@ func nodeName(g *core.Graph, node int) string {
 	return "node" + strconv.Itoa(node)
 }
 
-// anyTraced reports whether installing a stage observer would do anything
-// for this group — the common untraced case skips the observer entirely,
-// leaving the hot path at one nil check per stage inside core.
-func anyTraced(group []*job) bool {
-	for _, j := range group {
-		if j.tr != nil {
-			return true
-		}
-	}
-	return false
-}
+// poolSpans names the pool's events: a request's queue wait (spanQueue)
+// and each grouped walk it rode in (spanBatch, Rows the group's size).
+type poolSpans struct{}
 
-// StageObserver returns the observer a walker installs on its session for
-// one grouped batch call: it fans each stage event out to the traces of
-// the rows it covered (traces[row]; every walk is batched, so Rows always
-// names them), once per trace, as a span named prefix + SpanName. A
-// request's jobs are queued back to back (pool.submit holds its lock), so
-// they are adjacent in every batch and group, and Rows lists rows in group
-// order: one trace's rows form one run. The returned closure runs on the
-// walker's goroutine only, and traces must stay put for the duration of
-// the call, so no locking beyond the traces' own is needed. The edge tier
-// installs it with prefix "edge:" on its prefix walk.
-func StageObserver(g *core.Graph, prefix string, traces []*obs.Trace) func(core.StageEvent) {
-	return func(ev core.StageEvent) {
-		name, detail := SpanName(g, ev)
-		var last *obs.Trace
-		for _, row := range ev.Rows {
-			if row >= 0 && row < len(traces) {
-				if tr := traces[row]; tr != nil && tr != last {
-					tr.Record(prefix+name, ev.Start, ev.End, detail)
-					last = tr
-				}
-			}
-		}
+const (
+	spanQueue uint8 = iota
+	spanBatch
+)
+
+func (poolSpans) SpanName(ev obs.Event) (name, detail string) {
+	if ev.Kind == spanQueue {
+		return "queue", ""
 	}
+	return "batch", "size=" + strconv.Itoa(int(ev.Rows))
 }

@@ -60,6 +60,11 @@ func (p *PolicyRequest) resolve(m *Model) (core.ExitPolicy, string, error) {
 		return pol, "", err
 	}
 	pol.Delta = delta
+	if p.Delta == nil && m.split != nil {
+		// A split entry's δ stands in for an unset one, as a local entry
+		// loaded under that δ runs it from its model's thresholds.
+		pol.Delta = m.split.Delta
+	}
 	if p.StageDeltas != nil {
 		if len(p.StageDeltas) != len(m.cdln.Stages) {
 			return pol, "", fmt.Errorf("%d stage deltas for %d stages", len(p.StageDeltas), len(m.cdln.Stages))
