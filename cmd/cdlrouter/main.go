@@ -4,8 +4,8 @@
 // cache-warm replica, with bounded-load overflow to the next ring node
 // when the router's own in-flight count says the owner is saturated (a
 // backend that sheds anyway answers 503 and the next node is tried);
-// backends are health-probed (/readyz) and their burn-rate alerts rolled
-// up (/alertz); hedged requests clip the tail (after the per-model p95
+// backends are health-probed (/readyz), and each pages on its own /alertz;
+// hedged requests clip the tail (after the per-model p95
 // deadline a straggler's input is re-sent to a second backend and the
 // first answer wins); and PUT /v2/models/{name} at the router performs a
 // rolling fleet hot-swap, one backend at a time, on top of each node's
@@ -55,7 +55,7 @@ func main() {
 	var backends backendFlag
 	flag.Var(&backends, "backend", "cdlserve base URL to route to (repeatable, at least one)")
 	addr := flag.String("addr", ":8080", "listen address")
-	probeInterval := flag.Duration("probe-interval", 0, "health (/readyz) and alert (/alertz) probe period (0 = default 500ms)")
+	probeInterval := flag.Duration("probe-interval", 0, "health (/readyz) probe period (0 = default 500ms)")
 	probeTimeout := flag.Duration("probe-timeout", 0, "per-probe HTTP timeout (0 = default 2s)")
 	reqTimeout := flag.Duration("request-timeout", 0, "per-attempt forward timeout (0 = default 30s)")
 	replicas := flag.Int("replicas", 0, "virtual nodes per backend on the hash ring (0 = default 128)")
@@ -63,7 +63,7 @@ func main() {
 	hedge := flag.Bool("hedge", false, "enable hedged requests: re-send stragglers past the per-model p95 deadline to a second backend")
 	hedgeMin := flag.Duration("hedge-min", 0, "hedge deadline floor (0 = default 5ms)")
 	hedgeMax := flag.Duration("hedge-max", 0, "hedge deadline ceiling, also used before enough samples exist (0 = default 1s)")
-	adminAddr := flag.String("admin-addr", "", "separate listen address for the admin/debug surface (pprof, expvar, fleet /alertz and /debug/flightz); empty = disabled")
+	adminAddr := flag.String("admin-addr", "", "separate listen address for the admin/debug surface (pprof, expvar, the router's /alertz and /debug/flightz); empty = disabled")
 	flag.Parse()
 
 	if len(backends) == 0 {

@@ -1,8 +1,8 @@
 package control
 
 // histogram.go is the latency-distribution primitive behind both the
-// sliding telemetry window and the serving layer's cumulative /statsz
-// histograms: a fixed, log-spaced bucket layout over [1µs, 60s] so that
+// sliding telemetry window and a plane's lifetime horizon (every tier's
+// /statsz histograms): a fixed, log-spaced bucket layout over [1µs, 60s] so that
 // Observe is O(log buckets), memory is constant, and quantile estimates
 // carry a bounded relative error (one bucket width, ~12%) — exactly the
 // precision an SLO controller needs and no more.
@@ -26,8 +26,8 @@ var histBounds = func() []float64 {
 
 // Histogram is a fixed-layout latency histogram in milliseconds. The zero
 // value is NOT usable; create with NewHistogram. Not safe for concurrent
-// use — callers hold their own lock (the telemetry window and the serve
-// metrics both already serialize observations).
+// use — callers hold their own lock (the telemetry window's, which also
+// guards the lifetime horizon).
 type Histogram struct {
 	counts []int64
 	total  int64
@@ -62,6 +62,13 @@ func (h *Histogram) Add(o *Histogram) {
 	}
 	h.total += o.total
 	h.sum += o.sum
+}
+
+// clone returns a copy of the histogram.
+func (h *Histogram) clone() *Histogram {
+	c := NewHistogram()
+	c.Add(h)
+	return c
 }
 
 // Reset zeroes the histogram in place (the window reuses bucket storage

@@ -6,12 +6,16 @@ package control
 // single call, Observe; inside it "feeds the telemetry window", "burns
 // error budget", "is anomalous" and "becomes a flight record" are each
 // decided once, so the window, the burn-rate monitor and the flight ring
-// cannot disagree about what a request, a shed or an anomaly is. The
-// Plane also runs the SLO feedback loop (sample → Controller.Step →
-// actuate) and renders the alert/flight/control metric families.
+// cannot disagree about what a request, a shed or an anomaly is. The same
+// pass charges the bound version's lifetime horizon (Lifetime), the one
+// fold every tier's /statsz and /metricsz render. The Plane also runs the
+// SLO feedback loop (sample → Controller.Step → actuate) and renders the
+// alert/flight/control metric families.
 
 import (
+	"maps"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,6 +63,10 @@ type Event struct {
 	Version      int
 	Outcome      string
 	Cause        string
+	// Dropped marks an image a worker dropped un-run because its request's
+	// context died: a refusal in every sink but the lifetime's per-cause
+	// count, where the request counts once (Plane.Abandoned).
+	Dropped bool
 }
 
 func (ev *Event) served() bool {
@@ -128,24 +136,142 @@ type Plane struct {
 	stop, done chan struct{}
 }
 
-// NewPlane returns an idle plane recording into flight. numExits and delta
-// are as for Bind.
-func NewPlane(name string, flight *obs.FlightRecorder, numExits int, delta float64) *Plane {
+// NewPlane returns an idle plane recording into flight, bound to version 0
+// of a model with one exit point (a tier that sees no exits, the router);
+// a serve entry binds each of its versions.
+func NewPlane(name string, flight *obs.FlightRecorder) *Plane {
 	p := &Plane{name: name, flight: flight}
-	p.Bind(numExits, delta)
+	p.Bind(0, 1, 0)
 	return p
 }
 
 // Bind points the plane at a model version: telemetry restarts in a fresh
-// window sized for its numExits exit points, and delta (its trained δ) is
-// what Status reports while the controller leaves δ alone. Monitor,
-// controller and flight ring carry over — they are the entry's, not the
-// version's.
-func (p *Plane) Bind(numExits int, delta float64) {
-	p.window.Store(NewWindow(numExits, WindowConfig{}))
+// window and a fresh lifetime horizon, sized for its numExits exit points,
+// and delta (its trained δ) is what Status reports while the controller
+// leaves δ alone. Only events of this version reach the new horizon, so a
+// retired version's in-flight tail never lands in its successor's
+// counters. Monitor, controller and flight ring carry over — they are the
+// entry's, not the version's.
+func (p *Plane) Bind(version, numExits int, delta float64) {
+	w := NewWindow(numExits, WindowConfig{})
+	w.life = newLifetime(version, w.numExits)
+	p.window.Store(w)
 	p.mu.Lock()
 	p.delta = delta
 	p.mu.Unlock()
+}
+
+// Lifetime is a bound model version's lifetime horizon, what /statsz and
+// /metricsz render: counts and latency histograms, nothing summed in
+// arrival order. Every ops and energy aggregate is derived from Exits when
+// it is read (Σₑ Exits[e] × price[e], in exit order), so a run reports the
+// same bits whatever order it served its images in.
+type Lifetime struct {
+	// Version is the bound model version, Since when it was bound.
+	Version int
+	Since   time.Time
+	// Requests counts the admitted requests, Resumes those of them that
+	// arrived as edge offloads (Plane.Admitted).
+	Requests, Resumes int64
+	// Images counts the served events, Exits them by exit index.
+	Images int64
+	Exits  []int64
+	// Refused counts refused requests by cause: every refusal event but a
+	// Dropped image, and every request Abandoned after its images were
+	// emitted.
+	Refused map[string]int64
+	// Queue, Service and Total are the served events' queue wait, service
+	// time (total − queue) and total latency, in ms.
+	Queue, Service, Total *Histogram
+}
+
+func newLifetime(version, numExits int) *Lifetime {
+	return &Lifetime{
+		Version: version, Since: time.Now(),
+		Exits:   make([]int64, numExits),
+		Refused: make(map[string]int64),
+		Queue:   NewHistogram(), Service: NewHistogram(), Total: NewHistogram(),
+	}
+}
+
+// charge adds one event of the horizon's version. Caller holds the
+// window's mu.
+func (l *Lifetime) charge(ev *Event) {
+	switch {
+	case ev.served():
+		l.Images++
+		if ev.ExitIndex >= 0 && ev.ExitIndex < len(l.Exits) {
+			l.Exits[ev.ExitIndex]++
+		}
+		l.Queue.Observe(ev.QueueMS)
+		l.Service.Observe(ev.TotalMS - ev.QueueMS)
+		l.Total.Observe(ev.TotalMS)
+	case !ev.Dropped:
+		l.Refused[ev.Cause]++
+	}
+}
+
+// Cost prices the horizon's served images: Σₑ Exits[e] × price[e], summed
+// in exit order, so it has the same bits whatever order they were served
+// in.
+func (l *Lifetime) Cost(price []float64) float64 {
+	var sum float64
+	for e, c := range l.Exits {
+		sum += float64(c) * price[e]
+	}
+	return sum
+}
+
+// Lifetime copies the lifetime horizon of version; a version no longer (or
+// not yet) bound reads an empty horizon of numExits exits.
+func (p *Plane) Lifetime(version, numExits int) Lifetime {
+	w := p.window.Load()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.life.Version != version {
+		return *newLifetime(version, numExits)
+	}
+	l := *w.life
+	l.Exits, l.Refused = slices.Clone(l.Exits), maps.Clone(l.Refused)
+	l.Queue, l.Service, l.Total = l.Queue.clone(), l.Service.clone(), l.Total.clone()
+	return l
+}
+
+// LatencyQuantile reads the count and quantile q of the bound version's
+// lifetime total latency without copying the horizon.
+func (p *Plane) LatencyQuantile(q float64) (count int64, ms float64) {
+	w := p.window.Load()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.life.Total.Count(), w.life.Total.Quantile(q)
+}
+
+// Admitted counts one answered request of version on its lifetime horizon
+// (resume: it arrived as an offload). Observe sees a request's images,
+// never the request.
+func (p *Plane) Admitted(version int, resume bool) {
+	p.settle(version, func(l *Lifetime) {
+		l.Requests++
+		if resume {
+			l.Resumes++
+		}
+	})
+}
+
+// Abandoned counts one request of version, by cause, whose context died
+// after its images were emitted, served or Dropped.
+func (p *Plane) Abandoned(version int, cause string) {
+	p.settle(version, func(l *Lifetime) { l.Refused[cause]++ })
+}
+
+// settle applies f to version's horizon while it is the bound one.
+func (p *Plane) settle(version int, f func(*Lifetime)) {
+	w := p.window.Load()
+	w.mu.Lock()
+	if w.life.Version == version {
+		f(w.life)
+	}
+	w.mu.Unlock()
 }
 
 // Arrivals records n inputs offered to the tier, admitted or not.
@@ -160,7 +286,8 @@ func (p *Plane) Window() Snapshot { return p.window.Load().Snapshot() }
 func (p *Plane) Policy() *core.ExitPolicy { return p.policy.Load() }
 
 // Observe is the one emission. Each event feeds the telemetry window
-// (served images: latency, exit depth, energy; sheds: the shed count), is
+// (served images: latency, exit depth, energy; sheds: the shed count) and,
+// when it is of the bound version, the lifetime horizon (Lifetime), is
 // classified against the error budget by Event.burns, and becomes a
 // flight record that is tail-retained when it burned budget, exceeded the
 // live window p99 (≥ 50 samples), took the deepest exit, lost a hedge or
@@ -184,6 +311,9 @@ func (p *Plane) Observe(events []Event) {
 			slot.observe(Obs{LatencyMS: ev.TotalMS, ExitIndex: ev.ExitIndex, EnergyPJ: ev.EnergyPJ})
 		case ev.Outcome == obs.FlightShed:
 			slot.sheds += ev.images()
+		}
+		if ev.Version == w.life.Version {
+			w.life.charge(ev)
 		}
 		if ev.burns(targetMS) {
 			bad += ev.images()

@@ -9,7 +9,9 @@ import (
 )
 
 func newTestPlane(numExits int) *Plane {
-	return NewPlane("m", obs.NewFlightRecorder(obs.FlightConfig{SampleN: 1}), numExits, 0.5)
+	p := NewPlane("m", obs.NewFlightRecorder(obs.FlightConfig{SampleN: 1}))
+	p.Bind(0, numExits, 0.5)
+	return p
 }
 
 func served(totalMS float64, exit int) Event {
@@ -187,7 +189,7 @@ func TestPlaneControllerLifecycle(t *testing.T) {
 	if ast, ok := p.Alert(); !ok || ast.TotalBad != 16 {
 		t.Fatalf("attached monitor: ok=%v %+v", ok, ast)
 	}
-	p.Bind(5, 0.9) // a hot-swap: telemetry restarts, controller and history stay
+	p.Bind(1, 5, 0.9) // a hot-swap: telemetry restarts, controller and history stay
 	if snap := p.Window(); snap.Images != 0 || len(snap.ExitCounts) != 5 {
 		t.Fatalf("window after Bind: %+v", snap)
 	}
@@ -239,7 +241,7 @@ func TestPlaneConcurrent(t *testing.T) {
 		}
 		time.Sleep(200 * time.Microsecond)
 	})
-	run(func(i int) { p.Bind(3+i%2, 0.5); time.Sleep(300 * time.Microsecond) })
+	run(func(i int) { p.Bind(0, 3+i%2, 0.5); time.Sleep(300 * time.Microsecond) })
 	run(func(int) {
 		p.Status()
 		p.Policy()

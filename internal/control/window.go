@@ -71,14 +71,18 @@ func (b *wbucket) reset(start time.Time) {
 // It is the controller's sensor — cumulative metrics can't tell "load
 // spiked 2 s ago" from "load spiked an hour ago". All methods are safe
 // for concurrent use; the single mutex is taken once per batch of
-// observations, not per image, mirroring the serve pool's per-batch
-// metrics discipline.
+// observations, not per image, as the serve pool emits once per batch.
 type Window struct {
 	mu       sync.Mutex
 	cfg      WindowConfig
 	numExits int
 	buckets  [windowBuckets]wbucket // guarded by mu
 	cur      int                    // guarded by mu
+	// life is the lifetime horizon a Plane binds beside the window and
+	// charges in the same Observe pass (nil on a bare window). The pointer
+	// is set before the window is published; the horizon is read and
+	// written only under mu.
+	life *Lifetime
 }
 
 // NewWindow returns an empty window for a cascade with numExits exit

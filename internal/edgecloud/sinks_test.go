@@ -69,6 +69,7 @@ func TestEdgeSinksAgree(t *testing.T) {
 	var mu sync.Mutex
 	var seq int
 	refused := map[string]int{} // trace id → status of every non-200
+	var answers [][]byte        // the body of every 200
 	do := func(body []byte) int {
 		mu.Lock()
 		seq++
@@ -78,11 +79,13 @@ func TestEdgeSinksAgree(t *testing.T) {
 		r.Header.Set(obs.TraceHeader, id)
 		w := httptest.NewRecorder()
 		srv.Handler().ServeHTTP(w, r)
+		mu.Lock()
 		if w.Code != http.StatusOK {
-			mu.Lock()
 			refused[id] = w.Code
-			mu.Unlock()
+		} else {
+			answers = append(answers, w.Body.Bytes())
 		}
+		mu.Unlock()
 		return w.Code
 	}
 	// offloadAll is δ=1: no early exit, every image crosses the link.
@@ -210,6 +213,21 @@ func TestEdgeSinksAgree(t *testing.T) {
 	} {
 		if !bytes.Contains(w.Body.Bytes(), []byte(line+"\n")) {
 			t.Errorf("/metricsz lacks %q", line)
+		}
+	}
+
+	// Every answered record, resolved on the edge or the cloud, costs its
+	// exit's whole-path ops: the fact /statsz's derived aggregates rest on.
+	exitOps := core.LinearGraph(cdln).ExitOps()
+	for _, body := range answers {
+		var resp serve.ClassifyResponse
+		if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range resp.Results {
+			if r.Ops != exitOps[r.ExitIndex] {
+				t.Errorf("exit %d answered %v ops, its exit costs %v", r.ExitIndex, r.Ops, exitOps[r.ExitIndex])
+			}
 		}
 	}
 

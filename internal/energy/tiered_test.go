@@ -119,8 +119,8 @@ func TestTieredSummary(t *testing.T) {
 	if want := float64(offloads) * link.TransferPJ(wireBytes); s.LinkPJ != want {
 		t.Errorf("link pJ %v, want %v", s.LinkPJ, want)
 	}
-	if math.Abs((s.TotalPJ-s.LinkPJ)-mono.TotalEnergy()) > 1e-6 {
-		t.Errorf("tiered compute %v != monolithic %v", s.TotalPJ-s.LinkPJ, mono.TotalEnergy())
+	if monoPJ := mono.Summary().MeanEnergy * float64(len(records)); math.Abs((s.TotalPJ-s.LinkPJ)-monoPJ) > 1e-6 {
+		t.Errorf("tiered compute %v != monolithic %v", s.TotalPJ-s.LinkPJ, monoPJ)
 	}
 	if s.MeanTotalPJ <= 0 || s.NormalizedTotal <= 0 {
 		t.Errorf("summary means not populated: %+v", s)

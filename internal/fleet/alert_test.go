@@ -1,10 +1,9 @@
 package fleet
 
 // alert_test.go is the acceptance harness for the fleet observability
-// stack: a backend handed an unreachable p99 target must page on its own
-// /alertz, the router must surface that page in its aggregated fleet view
-// within a probe round, and the breach must leave retrievable evidence on
-// the backend's /debug/flightz — a controller rung-down snapshot holding
+// stack: a backend handed an unreachable p99 target behind the router must
+// page on its own /alertz, and the breach must leave retrievable evidence
+// on the backend's /debug/flightz — a controller rung-down snapshot holding
 // at least one anomalous record with its full span tree.
 
 import (
@@ -121,13 +120,12 @@ func TestFleetAlertOnP99Breach(t *testing.T) {
 	var (
 		flight        obs.FlightzResponse
 		backendActive bool
-		routerActive  bool
 		haveSnapshot  bool
 	)
-	for i := 0; !(backendActive && routerActive && haveSnapshot); i++ {
+	for i := 0; !(backendActive && haveSnapshot); i++ {
 		if time.Now().After(deadline) {
-			t.Fatalf("breach never fully surfaced: backend alert=%v router alert=%v rung-down span tree=%v",
-				backendActive, routerActive, haveSnapshot)
+			t.Fatalf("breach never fully surfaced: backend alert=%v rung-down span tree=%v",
+				backendActive, haveSnapshot)
 		}
 		// Keep traffic flowing so the fast window and the controller see
 		// live load while the alert propagates.
@@ -138,11 +136,6 @@ func TestFleetAlertOnP99Breach(t *testing.T) {
 			var rep control.AlertzReport
 			getJSON(t, breaching.url+"/alertz", &rep)
 			backendActive = rep.Active && rep.Tier == "serve"
-		}
-		if !routerActive {
-			var fa FleetAlertz
-			getJSON(t, ts.URL+"/alertz", &fa)
-			routerActive = fa.Active && fa.Tier == "fleet" && fa.Backends[breaching.url].Active
 		}
 		if !haveSnapshot {
 			getJSON(t, breaching.url+"/debug/flightz?limit=64", &flight)

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,8 +9,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
-
-	"cdl/internal/control"
 )
 
 // backend is the router's live view of one cdlserve process: identity,
@@ -39,11 +36,6 @@ type backend struct {
 	requests   atomic.Int64 // forwarded attempts that produced an HTTP response
 	errors     atomic.Int64 // forwarded attempts that died in transport
 	probeFails atomic.Int64 // probe rounds that found the backend unready/unreachable
-
-	// alertz caches the backend's last-probed burn-rate report (nil until
-	// the first successful fetch; best-effort — a backend without /alertz
-	// simply never populates the fleet alert view).
-	alertz atomic.Pointer[control.AlertzReport]
 }
 
 func newBackend(raw string) (*backend, error) {
@@ -64,45 +56,15 @@ func newBackend(raw string) (*backend, error) {
 	return b, nil
 }
 
-// probeOnce refreshes one backend: /readyz decides health, and a ready
-// backend's /alertz feeds the fleet alert view. Load is not probed — the
-// picker balances on the router's own in-flight count. Probe failures never
-// panic the loop; they mark the backend down and count.
+// probeOnce refreshes one backend: /readyz decides health. Load is not
+// probed — the picker balances on the router's own in-flight count. Probe
+// failures never panic the loop; they mark the backend down and count.
 func (rt *Router) probeOnce(ctx context.Context, b *backend) {
 	ready := rt.probeReady(ctx, b)
 	b.healthy.Store(ready)
 	if !ready {
 		b.probeFails.Add(1)
-		return
 	}
-	rt.probeAlertz(ctx, b)
-}
-
-// probeAlertz piggybacks the backend's burn-rate state on the probe round:
-// the fleet /alertz view aggregates these cached reports, so a breaching
-// backend surfaces at the front door within one probe interval. Failures
-// are silent — the report just goes stale until the next round.
-func (rt *Router) probeAlertz(ctx context.Context, b *backend) {
-	ctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.url+"/alertz", nil)
-	if err != nil {
-		return
-	}
-	resp, err := rt.probeClient.Do(req)
-	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return
-	}
-	var rep control.AlertzReport
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxProbeBody)).Decode(&rep); err != nil {
-		return
-	}
-	b.alertz.Store(&rep)
 }
 
 // probeReady is the /readyz check: any 200 is ready, everything else
@@ -122,10 +84,6 @@ func (rt *Router) probeReady(ctx context.Context, b *backend) bool {
 	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 	return resp.StatusCode == http.StatusOK
 }
-
-// maxProbeBody bounds what a probe will read from a backend: a hostile or
-// broken backend must not balloon the router.
-const maxProbeBody = 4 << 20
 
 // probeLoop probes every backend each interval until the router closes.
 // The per-round probes run concurrently so one hung backend cannot stall

@@ -148,7 +148,7 @@ func (rt *Router) hedged(ctx context.Context, primary, secondary *backend, metho
 // [HedgeMin, HedgeMax]; before that, HedgeMax (hedge conservatively while
 // the distribution is unknown).
 func (rt *Router) hedgeDeadline(mm *modelMetrics) time.Duration {
-	count, q := mm.latQuantile(hedgeQuantile)
+	count, q := mm.plane.LatencyQuantile(hedgeQuantile)
 	if count < hedgeMinSamples {
 		return rt.cfg.HedgeMax
 	}

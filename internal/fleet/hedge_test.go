@@ -242,10 +242,9 @@ func TestHedgeRescuesStalledBackend(t *testing.T) {
 	}
 }
 
-// TestProbeRoundAsksReadyzAndAlertz pins the probe's whole cost: one round
-// sends a ready backend exactly GET /readyz and GET /alertz, and an unready
-// one only GET /readyz.
-func TestProbeRoundAsksReadyzAndAlertz(t *testing.T) {
+// TestProbeRoundAsksOnlyReadyz pins the probe's whole cost: one round
+// sends each backend, ready or not, exactly GET /readyz.
+func TestProbeRoundAsksOnlyReadyz(t *testing.T) {
 	var readyGets, unreadyGets getLog
 	ready := httptest.NewServer(probedMux(&readyGets))
 	t.Cleanup(ready.Close)
@@ -263,7 +262,7 @@ func TestProbeRoundAsksReadyzAndAlertz(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(rt.Close)
-	want := map[string]int{"/readyz": 1, "/alertz": 1}
+	want := map[string]int{"/readyz": 1}
 	if got := readyGets.snapshot(); !maps.Equal(got, want) {
 		t.Errorf("ready backend: one probe round sent %v, want %v", got, want)
 	}

@@ -33,9 +33,8 @@ const maxModelSeries = 256
 const overflowModel = "_other"
 
 // modelMetrics is one model's router-side state: the counters only a
-// front door has — routed requests, failover retries, sheds, hedges, the
-// end-to-end latency that sets the hedge deadline — and the model's
-// control plane.
+// front door has — routed requests, failover retries, sheds, hedges — and
+// the model's control plane.
 type modelMetrics struct {
 	requests    atomic.Int64
 	retries     atomic.Int64
@@ -44,14 +43,13 @@ type modelMetrics struct {
 	hedgeWins   atomic.Int64
 	hedgeLosses atomic.Int64
 
-	// plane is the router's view of this model: its window, its flight ring
-	// and its availability monitor — a forwarded 200 is good, a shed or a
-	// transport failure burns budget. The latency dimension lives on the
-	// backends; the fleet /alertz merges both.
+	// plane is the router's view of this model: its window, its lifetime
+	// horizon (whose total-latency histogram is the end-to-end router
+	// latency /statsz, /metricsz and the hedge deadline read), its flight
+	// ring and its availability monitor — a forwarded 200 is good, a shed
+	// or a transport failure burns budget. Latency SLOs are the backends'
+	// own, on their /alertz.
 	plane *control.Plane
-
-	latMu sync.Mutex
-	lat   *control.Histogram // guarded by latMu; end-to-end router latency, ms
 }
 
 func newRouterMetrics() *routerMetrics {
@@ -72,10 +70,7 @@ func (m *routerMetrics) model(name string) *modelMetrics {
 				return mm
 			}
 		}
-		mm = &modelMetrics{
-			lat:   control.NewHistogram(),
-			plane: control.NewPlane(name, m.flights.Recorder(name), 1, 0),
-		}
+		mm = &modelMetrics{plane: control.NewPlane(name, m.flights.Recorder(name))}
 		mm.plane.Monitor(0)
 		m.models[name] = mm
 	}
@@ -95,20 +90,6 @@ func (m *routerMetrics) sorted() (names []string, models []*modelMetrics) {
 		models = append(models, m.models[name])
 	}
 	return names, models
-}
-
-func (mm *modelMetrics) observeLatency(ms float64) {
-	mm.latMu.Lock()
-	mm.lat.Observe(ms)
-	mm.latMu.Unlock()
-}
-
-// latQuantile returns the sample count and quantile q of the model's
-// router-observed latency.
-func (mm *modelMetrics) latQuantile(q float64) (int64, float64) {
-	mm.latMu.Lock()
-	defer mm.latMu.Unlock()
-	return mm.lat.Count(), mm.lat.Quantile(q)
 }
 
 // ready is the /readyz body and verdict: ready iff at least one backend is
@@ -166,9 +147,9 @@ type ModelStats struct {
 }
 
 // snapshot is one read of the router's state: the /statsz document plus,
-// per model in name order, what only /metricsz renders — the latency
-// histogram coarsened for exposition and the model's plane. Both views
-// render from it, so they cannot disagree.
+// per model in name order, what only /metricsz renders — the lifetime
+// latency histogram coarsened for exposition and the model's plane. Both
+// views render from it, so they cannot disagree.
 type snapshot struct {
 	RouterStats
 	models []modelRow
@@ -201,7 +182,7 @@ func (rt *Router) snapshot() snapshot {
 	for i, mm := range models {
 		row := &out.models[i]
 		row.name, row.plane = names[i], mm.plane
-		mm.latMu.Lock()
+		lat := mm.plane.Lifetime(0, 1).Total
 		ms := ModelStats{
 			Requests:    mm.requests.Load(),
 			Retries:     mm.retries.Load(),
@@ -209,12 +190,11 @@ func (rt *Router) snapshot() snapshot {
 			HedgesSent:  mm.hedgesSent.Load(),
 			HedgeWins:   mm.hedgeWins.Load(),
 			HedgeLosses: mm.hedgeLosses.Load(),
-			P50MS:       mm.lat.Quantile(0.50),
-			P95MS:       mm.lat.Quantile(0.95),
-			P99MS:       mm.lat.Quantile(0.99),
+			P50MS:       lat.Quantile(0.50),
+			P95MS:       lat.Quantile(0.95),
+			P99MS:       lat.Quantile(0.99),
 		}
-		row.lat = mm.lat.Buckets()
-		mm.latMu.Unlock()
+		row.lat = lat.Buckets()
 		out.Models[names[i]] = ms
 		out.HedgesSent += ms.HedgesSent
 		out.HedgeWins += ms.HedgeWins
@@ -227,14 +207,6 @@ func (rt *Router) snapshot() snapshot {
 
 // Stats snapshots the router's state (the /statsz payload).
 func (rt *Router) Stats() RouterStats { return rt.snapshot().RouterStats }
-
-// FleetAlertz is the router's /alertz document: its own per-model
-// availability monitors in the shared AlertzReport shape, plus every
-// backend's last-probed burn-rate report keyed by backend URL.
-type FleetAlertz struct {
-	control.AlertzReport
-	Backends map[string]control.AlertzReport `json:"backends,omitempty"`
-}
 
 // prom is the router's share of the /metricsz exposition, rendered from
 // the snapshot /statsz returns. Iteration orders are pinned (config order
@@ -250,7 +222,7 @@ func (rt *Router) prom(p *obs.Prom) {
 		}
 	}
 	p.Gauge("fleet_backends_ready", "Backends currently passing readiness probes.", nil, float64(ready))
-	for i, b := range st.Backends {
+	for _, b := range st.Backends {
 		l := obs.Labels{{"backend", b.URL}}
 		p.Gauge("fleet_backend_healthy", "1 if the backend passed its last readiness probe.", l, obs.BoolGauge(b.Healthy))
 		p.Gauge("fleet_backend_swapping", "1 while the backend drains for a rolling swap.", l, obs.BoolGauge(b.Swapping))
@@ -258,9 +230,6 @@ func (rt *Router) prom(p *obs.Prom) {
 		p.Counter("fleet_backend_requests_total", "Forwarded attempts answered by the backend.", l, float64(b.Requests))
 		p.Counter("fleet_backend_errors_total", "Forwarded attempts that died in transport.", l, float64(b.Errors))
 		p.Counter("fleet_backend_probe_fails_total", "Probe rounds that found the backend unready.", l, float64(b.ProbeFails))
-		if rep := rt.backends[i].alertz.Load(); rep != nil {
-			p.Gauge("fleet_backend_alert_active", "1 while the backend's own burn-rate monitor pages (from its last-probed /alertz).", l, obs.BoolGauge(rep.Active))
-		}
 	}
 	for _, row := range st.models {
 		ms := st.Models[row.name]

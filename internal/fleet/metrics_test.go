@@ -15,6 +15,9 @@ import (
 	"strconv"
 	"testing"
 	"time"
+
+	"cdl/internal/control"
+	"cdl/internal/obs"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -44,19 +47,30 @@ func TestRouterMetricszGolden(t *testing.T) {
 	// Seed deterministic traffic counters: two models with distinct
 	// outcomes, fixed latency observations (bucket placement is what the
 	// golden pins, and the histogram bounds are fixed by construction).
-	def := rt.metrics.model("default")
+	// The latencies are served events on each model's plane, observed with
+	// the flight recorder off and before the availability monitor exists,
+	// so they reach the lifetime horizon alone and the alert and flight
+	// families read zero.
+	seed := func(name string, ms ...float64) *modelMetrics {
+		p := control.NewPlane(name, rt.metrics.flights.Recorder(name))
+		obs.SetFlightEnabled(false)
+		for _, v := range ms {
+			p.Observe([]control.Event{{TotalMS: v, ExitIndex: -1, Outcome: obs.FlightOK}})
+		}
+		obs.SetFlightEnabled(true)
+		p.Monitor(0)
+		mm := &modelMetrics{plane: p}
+		rt.metrics.models[name] = mm
+		return mm
+	}
+	def := seed("default", 0.8, 2.5, 2.6, 40, 900)
 	def.requests.Add(7)
 	def.retries.Add(1)
 	def.sheds.Add(2)
 	def.hedgesSent.Add(3)
 	def.hedgeWins.Add(1)
 	def.hedgeLosses.Add(2)
-	for _, ms := range []float64{0.8, 2.5, 2.6, 40, 900} {
-		def.observeLatency(ms)
-	}
-	alt := rt.metrics.model("alt")
-	alt.requests.Add(2)
-	alt.observeLatency(12)
+	seed("alt", 12).requests.Add(2)
 
 	rt.metrics.swaps.Add(2)
 	rt.metrics.swapFailures.Add(1)

@@ -6,8 +6,8 @@
 // bounded-load overflow to the next ring node when the preferred backend
 // holds more than its share of the router's own in-flight requests (a
 // backend that sheds anyway answers 503, and the next node is tried).
-// Backends are health-probed (/readyz) and their burn-rate alerts rolled
-// up (/alertz); tail latency is clipped by hedged requests (after a
+// Backends are health-probed (/readyz), and each pages on its own
+// /alertz; tail latency is clipped by hedged requests (after a
 // per-model p95 deadline the straggler's input is re-sent to a second
 // backend and the first answer wins); and PUT /v2/models/{name} at the
 // router performs a rolling fleet hot-swap, draining and swapping backend

@@ -23,8 +23,7 @@ type Config struct {
 	// the URL string.
 	Backends []string
 
-	// ProbeInterval is the health (/readyz) and alert (/alertz) refresh
-	// period. Default 500ms.
+	// ProbeInterval is the health (/readyz) refresh period. Default 500ms.
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one probe HTTP exchange. Default 2s.
 	ProbeTimeout time.Duration
@@ -102,9 +101,9 @@ type Router struct {
 	ring     *Ring
 	metrics  *routerMetrics
 
-	// probeClient (the cold /readyz and /alertz path, under its own
-	// timeout) and data (every forward, under RequestTimeout) are separate,
-	// so a hung backend pins neither a probe nor a request goroutine.
+	// probeClient (the cold /readyz path, under its own timeout) and data
+	// (every forward, under RequestTimeout) are separate, so a hung backend
+	// pins neither a probe nor a request goroutine.
 	probeClient *http.Client
 	data        *hop.Client
 
@@ -440,7 +439,6 @@ func (mm *modelMetrics) observe(tr *obs.Trace, res attemptResult, elapsedMS floa
 	case res.status != http.StatusOK:
 		ev.Outcome, ev.Cause = obs.FlightError, control.CauseInvalid
 	default:
-		mm.observeLatency(elapsedMS)
 		if res.hedged && res.hedgeWon {
 			ev.Outcome = obs.FlightHedgeWin
 		} else if res.hedged {
@@ -457,29 +455,16 @@ func (mm *modelMetrics) observe(tr *obs.Trace, res attemptResult, elapsedMS floa
 // (obs.ListenAdmin): /alertz and /debug/flightz.
 func (rt *Router) AdminRoutes() []obs.AdminRoute { return rt.admin }
 
-// AlertReport rolls the fleet's burn-rate state into one view: the
-// router's own per-model availability monitors plus every backend's
-// last-probed /alertz report. The fleet pages when anything underneath
-// pages — its own monitors or any backend's.
-func (rt *Router) AlertReport() FleetAlertz {
+// AlertReport is the router's /alertz document: its own per-model
+// availability monitors. A backend's latency SLO pages on that backend's
+// own /alertz (and its cdl_alert_active), which the router does not relay.
+func (rt *Router) AlertReport() control.AlertzReport {
 	_, models := rt.metrics.sorted()
 	planes := make([]*control.Plane, len(models))
 	for i, mm := range models {
 		planes[i] = mm.plane
 	}
-	out := FleetAlertz{AlertzReport: control.Report("fleet", planes...)}
-	for _, b := range rt.backends {
-		rep := b.alertz.Load()
-		if rep == nil {
-			continue
-		}
-		if out.Backends == nil {
-			out.Backends = make(map[string]control.AlertzReport)
-		}
-		out.Backends[b.url] = *rep
-		out.Active = out.Active || rep.Active
-	}
-	return out
+	return control.Report("fleet", planes...)
 }
 
 // dispatch runs the attempt chain: the primary attempt is hedged (when

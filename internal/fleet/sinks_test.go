@@ -25,7 +25,7 @@ import (
 func TestRouterSinksAgree(t *testing.T) {
 	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
-			w.WriteHeader(http.StatusOK) // /readyz and /alertz
+			w.WriteHeader(http.StatusOK) // /readyz
 			return
 		}
 		body, _ := io.ReadAll(r.Body)
@@ -99,7 +99,7 @@ func TestRouterSinksAgree(t *testing.T) {
 
 	ms := rt.Stats().Models["default"]
 	mm := rt.metrics.model("default")
-	latCount, _ := mm.latQuantile(0.5)
+	latCount := mm.plane.Lifetime(0, 1).Total.Count()
 	snap := mm.plane.Window()
 	alerts := rt.AlertReport().Models["default"]
 	var flights obs.FlightzResponse

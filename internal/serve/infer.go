@@ -262,7 +262,13 @@ func checkCount(n int, noun string, max int) error {
 func (q *inferRequest) inputs(m *Model, resume bool, a *request) ([]*job, error) {
 	if !resume {
 		inShape := m.cdln.Arch.Net.InShape
-		images, err := q.images.NormalizeImages(m.inWidth, a.maxInputs, inShape)
+		req := q.images
+		if req.Image != nil && req.Images == nil {
+			// A lone image rides in the arena's list, not a list of its own.
+			a.images = append(a.images[:0], req.Image)
+			req.Image, req.Images = nil, a.images
+		}
+		images, err := req.NormalizeImages(m.inWidth, a.maxInputs, inShape)
 		if err != nil {
 			return nil, err
 		}
@@ -360,7 +366,7 @@ func applyPolicy(m *Model, jobs []*job, pol *core.ExitPolicy, source string) *re
 // storage.
 func renderResults(dst []V2Result, m *Model, records []core.ExitRecord, detail string) []V2Result {
 	out := slices.Grow(dst[:0], len(records))[:len(records)]
-	baseOps := m.metrics.baselineOps
+	baseOps := m.baselineOps
 	for i, rec := range records {
 		res := V2Result{
 			Label:      rec.Label,
@@ -371,7 +377,7 @@ func renderResults(dst []V2Result, m *Model, records []core.ExitRecord, detail s
 		}
 		if detail != DetailLabel {
 			res.Ops = rec.Ops
-			res.EnergyPJ = m.metrics.acc.ExitEnergy(rec.StageIndex)
+			res.EnergyPJ = m.exitPJ[rec.StageIndex]
 			if baseOps > 0 {
 				res.NormalizedOps = rec.Ops / baseOps
 			}
@@ -386,8 +392,8 @@ func renderResults(dst []V2Result, m *Model, records []core.ExitRecord, detail s
 
 // handleInfer is the one data handler, mounted on both routes. resume
 // says which input family the route reads (images or wire activations);
-// newBody allocates the route's wire struct.
-func (s *Server) handleInfer(resume bool, newBody func() wireRequest) http.HandlerFunc {
+// newBody returns the route's wire struct in the request's arena.
+func (s *Server) handleInfer(resume bool, newBody func(a *request) wireRequest) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue("model")
 		m0, ok := s.lookup(w, name)
@@ -400,7 +406,7 @@ func (s *Server) handleInfer(resume bool, newBody func() wireRequest) http.Handl
 		a := takeRequest(m0.inWidth, s.maxImages)
 		defer a.release()
 		perInput := m0.inWidth * 32
-		body := newBody()
+		body := newBody(a)
 		// A frame request gets a frame answer.
 		frame := resume && r.Header.Get("Content-Type") == wire.FrameContentType
 		switch {
@@ -461,19 +467,20 @@ func (s *Server) handleInfer(resume bool, newBody func() wireRequest) http.Handl
 			writeFrame(w, &a.answer, records, spans, detail)
 			return
 		case req.v1:
-			a.v1 = writeV1(w, a.v1, m, records, traceID, spans)
+			a.v1Results = writeV1(w, a.v1Results, m, records, traceID, spans)
 			return
 		}
 		a.results = renderResults(a.results, m, records, detail)
-		resp := V2ClassifyResponse{
+		a.resp = V2ClassifyResponse{
 			Model: m.name, Version: m.version,
 			Results: a.results, Count: len(records),
 			TraceID: traceID, Spans: spans,
 		}
 		if dl, ok := ctx.Deadline(); ok && detail == DetailTrace {
-			resp.DeadlineUnixMS = dl.UnixMilli()
+			a.resp.DeadlineUnixMS = dl.UnixMilli()
 		}
-		WriteJSON(w, http.StatusOK, resp)
+		// Through a pointer, so the response is not boxed into a copy.
+		WriteJSON(w, http.StatusOK, &a.resp)
 	}
 }
 
@@ -484,9 +491,9 @@ func writeV1(w http.ResponseWriter, dst []ClassifyResult, m *Model, records []co
 	for i, rec := range records {
 		resp.Results[i] = ClassifyResult{
 			Label: rec.Label, Exit: rec.StageName, ExitIndex: rec.StageIndex, Node: rec.Node,
-			Confidence: rec.Confidence, Ops: rec.Ops, EnergyPJ: m.metrics.acc.ExitEnergy(rec.StageIndex),
+			Confidence: rec.Confidence, Ops: rec.Ops, EnergyPJ: m.exitPJ[rec.StageIndex],
 		}
-		if base := m.metrics.baselineOps; base > 0 {
+		if base := m.baselineOps; base > 0 {
 			resp.Results[i].NormalizedOps = rec.Ops / base
 		}
 	}

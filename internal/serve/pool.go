@@ -101,7 +101,7 @@ func (s *sessionWalker) WalkBatch(xs []*tensor.T, node, fromStage int, pol core.
 // per Walker. Workers micro-batch work-conservingly — a worker woken by
 // queued work takes what is queued, up to maxBatch, and never waits for
 // more — so batches form from the backlog that builds while every replica
-// is busy, which is when the per-batch costs downstream (one metrics lock
+// is busy, which is when the per-batch costs downstream (one plane lock
 // per batch, not per image) need amortizing, and a lone request on an idle
 // pool is dispatched at once. A worker takes requests whole (up to
 // maxBatch), and only its first one while other workers are idle; it

@@ -1,10 +1,10 @@
 // registry.go is the multi-model core of the serving layer: a Registry of
-// named, versioned CDLN entries, each owning its own warm replica pool and
-// live metrics. Models are registered in-memory or loaded from modelio
-// files, and can be hot-swapped atomically while traffic flows: the new
-// version's pool is fully built and warmed before publication, the swap
-// itself is one map write, and the old version's pool is drained only
-// after its in-flight micro-batches complete. Handlers that lose the race
+// named, versioned CDLN entries, each owning its own warm replica pool.
+// Models are registered in-memory or loaded from modelio files, and can be
+// hot-swapped atomically while traffic flows: the new version's pool is
+// fully built and warmed before publication, the swap itself is one map
+// write, and the old version's pool is drained only after its in-flight
+// micro-batches complete. Handlers that lose the race
 // (submitted to a pool just closed by a swap) transparently retry against
 // the successor version, so a swap under sustained load drops zero
 // requests.
@@ -31,7 +31,7 @@ import (
 const DefaultModelName = "default"
 
 // Model is one loaded, servable version of a named registry entry: the
-// validated routing graph, its warm replica pool and its live metrics. A
+// validated routing graph, its price tables and its warm replica pool. A
 // Model is immutable after construction — a reload (or branch swap)
 // produces a new Model and retires this one — so handlers can use it
 // without holding registry locks.
@@ -48,16 +48,20 @@ type Model struct {
 	// maxResumeWire bounds /resume bodies: the largest wire-encoded
 	// activation any valid split point of this model can produce.
 	maxResumeWire int
-	exitOps       []float64
-	pool          *pool
-	metrics       *metrics
-	workers       int
-	// plane is the entry's control plane: telemetry window, burn-rate
-	// monitor, flight ring and the attached SLO controller with the policy
-	// requests without one of their own inherit. It is the entry's, not the
-	// version's — a hot-swap's successor is bound to the same plane, so the
-	// tail evidence, the burn-rate history and the controller survive
-	// reloads.
+	// The price tables every ops and pJ figure is derived from: each exit's
+	// whole-path ops and pJ (a split entry's pJ is its tiered whole-system
+	// energy, link included), and one unconditioned trunk pass's.
+	exitOps, exitPJ         []float64
+	baselineOps, baselinePJ float64
+	pool                    *pool
+	workers                 int
+	// plane is the entry's control plane: telemetry window, lifetime
+	// horizon, burn-rate monitor, flight ring and the attached SLO
+	// controller with the policy requests without one of their own
+	// inherit. It is the entry's, not the version's — a hot-swap's
+	// successor is bound to the same plane, so the tail evidence, the
+	// burn-rate history and the controller survive reloads, while the
+	// window and the horizon (/statsz) start afresh.
 	plane *control.Plane
 	// nodePaths pre-renders the routed walk for each graph node
 	// ("trunk", "trunk->convB"), so the per-image event never allocates a
@@ -80,17 +84,14 @@ func newModel(name string, version int, path string, g *core.Graph, cfg Config, 
 		return nil, err
 	}
 	ev := energy.NewEvaluator()
-	acc, err := ev.NewGraphAccumulator(g)
-	identity := &identityPolicy
+	exitPJ, identity := ev.GraphExitEnergies(g), &identityPolicy
 	if split != nil {
-		acc, err = ev.NewSplitAccumulator(g, split.Costs, split.WireBytes)
+		exitPJ = split.Costs.ExitEnergies(split.WireBytes)
 		identity = &core.ExitPolicy{Delta: split.Delta, MaxExit: -1}
-	}
-	if err != nil {
-		return nil, err
 	}
 	walkers := make([]Walker, cfg.Workers)
 	for i := range walkers {
+		var err error
 		if split != nil {
 			walkers[i], err = split.NewWalker()
 		} else {
@@ -103,25 +104,26 @@ func newModel(name string, version int, path string, g *core.Graph, cfg Config, 
 		}
 	}
 	m := &Model{
-		name:     name,
-		version:  version,
-		path:     path,
-		graph:    g,
-		cdln:     g.Trunk(),
-		inWidth:  inputWidth(g.Trunk()),
-		exitOps:  g.ExitOps(),
-		metrics:  newMetrics(g, acc),
-		workers:  cfg.Workers,
-		split:    split,
-		identity: identity,
+		name:          name,
+		version:       version,
+		path:          path,
+		graph:         g,
+		cdln:          g.Trunk(),
+		inWidth:       inputWidth(g.Trunk()),
+		maxResumeWire: maxResumeWireSize(g),
+		exitOps:       g.ExitOps(),
+		exitPJ:        exitPJ,
+		baselineOps:   g.BaselineOps(),
+		baselinePJ:    ev.BaselineEnergy(g.Trunk()),
+		workers:       cfg.Workers,
+		split:         split,
+		identity:      identity,
+		nodePaths:     make([]string, len(g.Nodes)),
 	}
-	m.maxResumeWire = maxResumeWireSize(g)
-	m.nodePaths = make([]string, len(m.metrics.nodeNames))
-	for ni, n := range m.metrics.nodeNames {
-		if ni == 0 {
-			m.nodePaths[ni] = n
-		} else {
-			m.nodePaths[ni] = m.metrics.nodeNames[0] + "->" + n
+	for ni, n := range g.Nodes {
+		m.nodePaths[ni] = n.Name
+		if ni > 0 {
+			m.nodePaths[ni] = g.Nodes[0].Name + "->" + n.Name
 		}
 	}
 	m.pool = newPool(walkers, cfg.QueueDepth, cfg.MaxBatch, m.emit)
@@ -130,14 +132,11 @@ func newModel(name string, version int, path string, g *core.Graph, cfg Config, 
 
 // emit is the pool's callback for one group of a micro-batch — the jobs
 // one batched cascade pass classified, or the ones dropped for a dead
-// context — called before the group's waiters are released: it charges the
-// cumulative metrics and reports one event per image to the plane.
+// context — called before the group's waiters are released: it reports one
+// event per image to the plane.
 func (m *Model) emit(group []*job, batchSize int) {
 	now := time.Now()
 	dropped := group[0].cancelled
-	if !dropped {
-		m.metrics.observeGroup(group, now)
-	}
 	var buf [32]control.Event
 	events := buf[:0]
 	for _, j := range group {
@@ -150,27 +149,24 @@ func (m *Model) emit(group []*job, batchSize int) {
 			TotalMS:   float64(now.Sub(j.enqueued)) / float64(time.Millisecond),
 		}
 		if dropped {
-			ev.Outcome, ev.Cause = obs.FlightError, rejectCause(j.ctx.Err())
+			ev.Outcome, ev.Cause, ev.Dropped = obs.FlightError, rejectCause(j.ctx.Err()), true
 		} else {
 			ev.Outcome, ev.PolicySource, ev.BatchSize = obs.FlightOK, j.src, batchSize
 			ev.ExitIndex = j.rec.StageIndex
 			if j.rec.Node >= 0 && j.rec.Node < len(m.nodePaths) {
 				ev.NodePath = m.nodePaths[j.rec.Node]
 			}
-			// ExitEnergy reads an immutable precomputed table — safe
-			// without the metrics lock.
-			ev.EnergyPJ = m.metrics.acc.ExitEnergy(j.rec.StageIndex)
+			ev.EnergyPJ = m.exitPJ[j.rec.StageIndex]
 		}
 		events = append(events, ev)
 	}
 	m.plane.Observe(events)
 }
 
-// refuse charges one request that produced no result — shed, abandoned or
-// malformed — to the entry's counters and reports it to the plane (always
-// tail-retained: a refusal is by definition anomalous).
+// refuse reports one request that produced no result — shed, abandoned or
+// malformed — to the plane (always tail-retained: a refusal is by
+// definition anomalous).
 func (m *Model) refuse(tr *obs.Trace, outcome, cause string, images int) {
-	m.metrics.observeRefused(cause)
 	m.plane.Observe([]control.Event{{
 		Trace: tr, Version: m.version, ExitIndex: -1,
 		BatchSize: images, Outcome: outcome, Cause: cause,
@@ -199,22 +195,6 @@ func (m *Model) Plane() *control.Plane { return m.plane }
 // CDLN returns the served graph's trunk cascade. Treat it as read-only:
 // replicas were cloned from it at construction.
 func (m *Model) CDLN() *core.CDLN { return m.cdln }
-
-// snapshot reads the model's counters and its controller state once —
-// what both /statsz and /metricsz render.
-func (m *Model) snapshot() snapshot {
-	s := m.metrics.snapshot(m.pool.depth(), m.workers)
-	s.Control = m.plane.Status()
-	if m.split != nil {
-		counts := make([]int64, len(s.Exits))
-		for e, x := range s.Exits {
-			counts[e] = x.Count
-		}
-		tier := m.split.Costs.Summary(counts, m.split.WireBytes)
-		s.Tier = &tier
-	}
-	return s
-}
 
 // Stats snapshots this model's live counters, including the SLO controller
 // state when one is attached.
@@ -397,13 +377,11 @@ func (r *Registry) swapIn(name, path string, g *core.Graph, split *Split) (*Mode
 		m.pool.close()
 		return old, nil
 	}
-	delta := m.cdln.Delta
 	if m.plane = r.planes[name]; m.plane == nil {
-		m.plane = control.NewPlane(name, r.flights.Recorder(name), g.NumExits(), delta)
+		m.plane = control.NewPlane(name, r.flights.Recorder(name))
 		r.planes[name] = m.plane
-	} else {
-		m.plane.Bind(g.NumExits(), delta)
 	}
+	m.plane.Bind(version, g.NumExits(), m.cdln.Delta)
 	r.models[name] = m
 	if r.defaultName == "" {
 		r.defaultName = name

@@ -23,6 +23,7 @@ import (
 
 	"cdl/internal/core"
 	"cdl/internal/modelio"
+	"cdl/internal/obs"
 	"cdl/internal/tensor"
 	"cdl/internal/train"
 )
@@ -150,6 +151,48 @@ func TestRegistryVersioning(t *testing.T) {
 
 	if _, err := reg.Register("bad/name", cdlnA); err == nil {
 		t.Fatal("Register accepted a name with a slash")
+	}
+}
+
+// TestHotSwapStartsStatszFromZero: /statsz is per version. A swap binds
+// the successor to a fresh lifetime horizon, and what the retired version
+// still emits — its in-flight tail, a refusal, an admission — never
+// reaches the successor's counters.
+func TestHotSwapStartsStatszFromZero(t *testing.T) {
+	cdln, data := testCDLN(t, 53)
+	srv, ts := startServer(t, cdln, Config{Workers: 2})
+	req := V2ClassifyRequest{}
+	for _, s := range data[:6] {
+		req.Images = append(req.Images, s.X.Flatten().Data)
+	}
+	if status, body := postClassify(t, ts.URL, req); status != http.StatusOK {
+		t.Fatalf("classify: HTTP %d: %s", status, body)
+	}
+	if st := srv.Stats(); st.Images != 6 || st.Requests != 1 || st.TotalLatency.Count != 6 {
+		t.Fatalf("before the swap: %d images, %d requests, %d latencies, want 6/1/6", st.Images, st.Requests, st.TotalLatency.Count)
+	}
+	old, err := srv.Registry().Get("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Registry().Register(DefaultModelName, cdln); err != nil {
+		t.Fatal(err)
+	}
+	old.emit([]*job{{rec: &core.ExitRecord{StageIndex: 0}}}, 1)
+	old.refuse(nil, obs.FlightShed, causeQueueFull, 2)
+	old.plane.Admitted(old.version, false)
+	st := srv.Stats()
+	if st.Images != 0 || st.Requests != 0 || st.Rejected != 0 || st.TotalLatency.Count != 0 ||
+		st.QueueLatency.Count != 0 || st.MeanOps != 0 || st.TotalEnergyPJ != 0 {
+		t.Fatalf("after the swap: %+v, want every count zero", st)
+	}
+	for _, e := range st.Exits {
+		if e.Count != 0 {
+			t.Errorf("after the swap: exit %s counts %d", e.Name, e.Count)
+		}
+	}
+	if ost := old.Stats(); ost.Images != 0 || ost.Requests != 0 {
+		t.Errorf("retired version reads %d images, %d requests: its horizon ended with the swap", ost.Images, ost.Requests)
 	}
 }
 

@@ -22,6 +22,12 @@ type request struct {
 	// bodyScan.imageBody) and cap the inputs of every route.
 	width, maxInputs int
 
+	// The routes' wire structs, one of which the body decodes into
+	// (handleInfer's newBody).
+	v2       V2ClassifyRequest
+	v2resume V2ResumeRequest
+	v1       ClassifyRequest
+
 	// The decoded inputs: pixels holds the images one width-sized slot
 	// after another, npix of it handed out (pixelSlot), and images is the
 	// "images" list. A resume frame is its members (frame), views of its
@@ -44,11 +50,12 @@ type request struct {
 	records []core.ExitRecord
 	wg      sync.WaitGroup
 
-	// The rendered answer: /v2 results, the edge front's /v1 results, or a
-	// frame answer.
-	results []V2Result
-	v1      []ClassifyResult
-	answer  answerFrame
+	// The rendered answer: a /v2 response and its results, the edge
+	// front's /v1 results, or a frame answer.
+	resp      V2ClassifyResponse
+	results   []V2Result
+	v1Results []ClassifyResult
+	answer    answerFrame
 }
 
 // requests holds the arenas requests have given back.
@@ -92,9 +99,10 @@ func (a *request) reset() {
 	clear(a.jobs)
 	clear(a.records)
 	clear(a.results)
-	clear(a.v1)
+	clear(a.v1Results)
 	clear(a.answer.payloads)
 	a.frame = frameBody{}
+	a.v2, a.v2resume, a.v1, a.resp = V2ClassifyRequest{}, V2ResumeRequest{}, ClassifyRequest{}, V2ClassifyResponse{}
 }
 
 // pixelSlot returns an empty buffer of capacity width for the scanner's

@@ -157,8 +157,8 @@ func NewWithRegistry(reg *Registry) (*Server, error) {
 	s.mux.HandleFunc("GET /v2/models/{model}", s.handleModelGet)
 	s.mux.HandleFunc("PUT /v2/models/{model}", s.handleModelPut)
 	s.mux.HandleFunc("PUT /v2/models/{model}/branches/{branch}", s.handleBranchPut)
-	s.mux.HandleFunc("POST /v2/models/{model}/classify", s.handleInfer(false, func() wireRequest { return new(V2ClassifyRequest) }))
-	s.mux.HandleFunc("POST /v2/models/{model}/resume", s.handleInfer(true, func() wireRequest { return new(V2ResumeRequest) }))
+	s.mux.HandleFunc("POST /v2/models/{model}/classify", s.handleInfer(false, func(a *request) wireRequest { return &a.v2 }))
+	s.mux.HandleFunc("POST /v2/models/{model}/resume", s.handleInfer(true, func(a *request) wireRequest { return &a.v2resume }))
 	s.mux.HandleFunc("GET /v2/models/{model}/slo", s.handleSLOGet)
 	s.mux.HandleFunc("PUT /v2/models/{model}/slo", s.handleSLOPut)
 	s.mux.HandleFunc("DELETE /v2/models/{model}/slo", s.handleSLODelete)
@@ -187,7 +187,7 @@ func (s *Server) Registry() *Registry { return s.reg }
 // it; cdlserve does not): a ClassifyRequest on the first registered
 // entry, answered as a ClassifyResponse, through the one data handler.
 func (s *Server) ClassifyV1() http.Handler {
-	return s.handleInfer(false, func() wireRequest { return new(ClassifyRequest) })
+	return s.handleInfer(false, func(a *request) wireRequest { return &a.v1 })
 }
 
 // Handle adds a route to the server's mux, behind the tracing middleware.
@@ -416,7 +416,7 @@ func (s *Server) dispatch(w http.ResponseWriter, ctx context.Context, name strin
 				// subset was classified, the client is gone or out of time
 				// — never ship a partial response. The worker already
 				// emitted one event per image, dropped or classified.
-				m.metrics.observeRefused(rejectCause(cerr))
+				m.plane.Abandoned(m.version, rejectCause(cerr))
 				status := http.StatusServiceUnavailable
 				if errors.Is(cerr, context.DeadlineExceeded) {
 					status = http.StatusGatewayTimeout
@@ -434,7 +434,7 @@ func (s *Server) dispatch(w http.ResponseWriter, ctx context.Context, name strin
 					return nil, nil, false
 				}
 			}
-			m.metrics.observeRequest(resume)
+			m.plane.Admitted(m.version, resume)
 			return m, a.records, true
 		case errors.Is(err, ErrOverloaded):
 			m.refuse(tr, obs.FlightShed, causeQueueFull, len(jobs))

@@ -12,6 +12,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -114,8 +115,63 @@ func TestDroppedJobsChargedPerImage(t *testing.T) {
 			t.Errorf("dropped job recorded as %+v, want cause %q and no exit", rec, causeCancelled)
 		}
 	}
-	if st := srv.Stats(); st.Images != 0 {
-		t.Errorf("%d images counted for dropped jobs", st.Images)
+	// No handler gave up on a request here, so /statsz counts no refusal:
+	// a request abandoned after its jobs were dropped counts once, when
+	// its handler sees the dead context (Plane.Abandoned).
+	if st := srv.Stats(); st.Images != 0 || st.Cancelled != 0 {
+		t.Errorf("%d images and %d cancelled requests counted for dropped jobs", st.Images, st.Cancelled)
+	}
+}
+
+// TestAbandonedRequestCountsOnce: a request whose context dies while its
+// jobs wait in the queue is dropped image by image — each image a refusal
+// in the monitor and the flight ring — and /statsz counts the request
+// once, as cancelled, when its handler gives up.
+func TestAbandonedRequestCountsOnce(t *testing.T) {
+	cdln, data := testCDLN(t, 96)
+	srv, _ := startServer(t, cdln, Config{Workers: 1, ControlInterval: time.Hour})
+	if err := srv.Registry().SetSLO("", control.SLO{P99LatencyMs: 60_000}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := srv.Registry().Get("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.pool.close()
+	m.pool = newPool(nil, 16, 8, m.emit) // no workers yet: the jobs wait
+	req := V2ClassifyRequest{}
+	for _, s := range data[:3] {
+		req.Images = append(req.Images, s.X.Flatten().Data)
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	status := make(chan int)
+	go func() {
+		w := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, classifyPath, bytes.NewReader(body)).WithContext(ctx))
+		status <- w.Code
+	}()
+	for m.pool.depth() < 3 {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	sess, err := core.NewSession(cdln)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.pool.wg.Add(1)
+	go m.pool.worker(&sessionWalker{Session: sess}, m.emit)
+	if code := <-status; code != http.StatusServiceUnavailable {
+		t.Fatalf("abandoned request: HTTP %d, want 503", code)
+	}
+	var alerts control.AlertzReport
+	opsDoc(t, srv.Handler(), "/alertz", &alerts)
+	if st := srv.Stats(); st.Cancelled != 1 || st.Requests != 0 || st.Images != 0 || alerts.Models[DefaultModelName].TotalBad != 3 {
+		t.Fatalf("cancelled/requests/images = %d/%d/%d, alert bad %d: want 1/0/0 and 3",
+			st.Cancelled, st.Requests, st.Images, alerts.Models[DefaultModelName].TotalBad)
 	}
 }
 
@@ -124,11 +180,19 @@ func TestDroppedJobsChargedPerImage(t *testing.T) {
 // and asserts the conservation identities per model: images == window
 // samples == Σ exit-depth counts == alert good; flight seen == images +
 // refusals; alert good + bad == images + refused images; and every non-200
-// left a flight record naming its cause. Run under -race in CI.
+// left a flight record naming its cause. Every answered record, on the
+// linear entry and on a routed one beside it, costs exactly its exit's
+// whole-path ops: the fact /statsz's derived aggregates rest on. Run under
+// -race in CI.
 func TestSinksAgree(t *testing.T) {
 	cdln, data := testCDLN(t, 92)
 	reg := NewRegistry(Config{Workers: 2, MaxBatch: 4, ControlInterval: time.Hour})
 	if _, err := reg.Register(DefaultModelName, cdln); err != nil {
+		t.Fatal(err)
+	}
+	const routed = "routed"
+	g, _ := routedServeGraph(t, 92)
+	if _, err := reg.RegisterGraph(routed, g); err != nil {
 		t.Fatal(err)
 	}
 	srv, err := NewWithRegistry(reg)
@@ -143,27 +207,32 @@ func TestSinksAgree(t *testing.T) {
 	}
 	img := func(i int) []float64 { return data[i%len(data)].X.Flatten().Data }
 
-	// do sends one request under ctx with a pinned trace id and returns the
-	// HTTP status.
+	// post sends one request to entry name under ctx with a pinned trace
+	// id and returns the HTTP status; do posts to the default entry.
 	var traceSeq int
 	var traceMu sync.Mutex
-	refused := map[string]int{} // trace id → status of every non-200
-	do := func(ctx context.Context, body []byte) int {
+	refused := map[string]int{}     // trace id → status of every non-200
+	answers := map[string][]byte{}  // trace id → body of every 200
+	answered := map[string]string{} // trace id → its entry
+	post := func(ctx context.Context, name string, body []byte) int {
 		traceMu.Lock()
 		traceSeq++
 		id := fmt.Sprintf("sinks-%04d", traceSeq)
 		traceMu.Unlock()
-		r := httptest.NewRequest(http.MethodPost, "/v2/models/"+DefaultModelName+"/classify", bytes.NewReader(body)).WithContext(ctx)
+		r := httptest.NewRequest(http.MethodPost, "/v2/models/"+name+"/classify", bytes.NewReader(body)).WithContext(ctx)
 		r.Header.Set(obs.TraceHeader, id)
 		w := httptest.NewRecorder()
 		srv.Handler().ServeHTTP(w, r)
+		traceMu.Lock()
 		if w.Code != http.StatusOK {
-			traceMu.Lock()
 			refused[id] = w.Code
-			traceMu.Unlock()
+		} else {
+			answers[id], answered[id] = w.Body.Bytes(), name
 		}
+		traceMu.Unlock()
 		return w.Code
 	}
+	do := func(ctx context.Context, body []byte) int { return post(ctx, DefaultModelName, body) }
 	classify := func(n, from int) []byte {
 		req := V2ClassifyRequest{}
 		for i := 0; i < n; i++ {
@@ -193,6 +262,13 @@ func TestSinksAgree(t *testing.T) {
 				}
 				if code := do(context.Background(), []byte(`{"image":[1,2,3]}`)); code != http.StatusBadRequest {
 					t.Errorf("invalid body: HTTP %d, want 400", code)
+					return
+				}
+				// The routing δ sends the routed entry's images down its
+				// branches too.
+				body := bytes.Replace(classify(n, c*31+i), []byte("{"), []byte(`{"policy":{"delta":0.999},`), 1)
+				if code := post(context.Background(), routed, body); code != http.StatusOK {
+					t.Errorf("routed classify: HTTP %d", code)
 					return
 				}
 				countMu.Lock()
@@ -269,6 +345,32 @@ func TestSinksAgree(t *testing.T) {
 		if !bytes.Contains(w.Body.Bytes(), []byte(line+"\n")) {
 			t.Errorf("/metricsz lacks %q", line)
 		}
+	}
+
+	// Every answered record costs its exit's whole-path ops, and /statsz's
+	// totals, derived from exit counts, are the answers' own sums.
+	rm, err := reg.Get(routed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exitOps := map[string][]float64{DefaultModelName: m.graph.ExitOps(), routed: rm.graph.ExitOps()}
+	var ops, pj float64
+	for id, body := range answers {
+		var resp V2ClassifyResponse
+		if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range resp.Results {
+			if want := exitOps[answered[id]][r.ExitIndex]; r.Ops != want {
+				t.Errorf("%s (trace %s): exit %d answered %v ops, its exit costs %v", answered[id], id, r.ExitIndex, r.Ops, want)
+			}
+			if answered[id] == DefaultModelName {
+				ops, pj = ops+r.Ops, pj+r.EnergyPJ
+			}
+		}
+	}
+	if got := st.MeanOps * float64(st.Images); math.Abs(got-ops) > 1e-12*ops || math.Abs(st.TotalEnergyPJ-pj) > 1e-12*pj {
+		t.Errorf("statsz ops %v, pJ %v; the answers sum to %v, %v", got, st.TotalEnergyPJ, ops, pj)
 	}
 
 	// Every non-200 left a flight record naming its cause.

@@ -1,11 +1,9 @@
 package serve
 
 import (
-	"sync"
 	"time"
 
 	"cdl/internal/control"
-	"cdl/internal/core"
 	"cdl/internal/energy"
 )
 
@@ -20,122 +18,6 @@ const (
 	causeChurn     = "churn"
 	causeCancelled = "cancelled"
 )
-
-// metrics aggregates live serving statistics: request/image counters, the
-// exit distribution, dynamic OPS, the 45 nm energy counters and the
-// queue/service latency histograms. Workers update it once per
-// classified group (observeGroup), so the mutex is taken per batch rather
-// than per image.
-type metrics struct {
-	mu        sync.Mutex
-	started   time.Time
-	requests  int64 // guarded by mu; classify + resume requests admitted
-	resumes   int64 // guarded by mu; resume requests admitted (edge offloads)
-	rejFull   int64 // guarded by mu; 503s from a full work queue
-	rejClosed int64 // guarded by mu; 503s from a draining/closed pool
-	rejChurn  int64 // guarded by mu; 503s from hot-swap churn outrunning dispatch retries
-	invalid   int64 // guarded by mu; 4xx classify/resume requests
-	cloudErr  int64 // guarded by mu; 502s from a split entry's failed walk
-	cancelled int64 // guarded by mu; requests whose context died before completion
-	images    int64 // guarded by mu
-
-	exitNames   []string // immutable after construction
-	exitCounts  []int64  // guarded by mu
-	totalOps    float64  // guarded by mu
-	baselineOps float64
-	// acc's pointer is immutable; its counters are mutated and read under
-	// mu (observeGroup and snapshot take the same critical section).
-	acc *energy.Accumulator
-	// exitNode maps each global exit index to its graph node, exitOps is
-	// the per-exit path cost, and nodeNames names the nodes — the
-	// per-branch aggregation tables for routed models (len(nodeNames) == 1
-	// for a plain linear cascade).
-	exitNode  []int
-	exitOps   []float64
-	nodeNames []string
-
-	// Cumulative latency histograms over every classified image: queue
-	// wait (enqueue → micro-batch start), service (batch start → batch
-	// done) and their sum. The controller reads the *windowed*
-	// counterparts (Model.window); these are the lifetime /statsz view.
-	queueLat   *control.Histogram // guarded by mu
-	serviceLat *control.Histogram // guarded by mu
-	totalLat   *control.Histogram // guarded by mu
-}
-
-func newMetrics(g *core.Graph, acc *energy.Accumulator) *metrics {
-	m := &metrics{
-		started:     time.Now(),
-		exitNames:   make([]string, g.NumExits()),
-		exitCounts:  make([]int64, g.NumExits()),
-		baselineOps: g.BaselineOps(),
-		acc:         acc,
-		exitNode:    make([]int, g.NumExits()),
-		exitOps:     g.ExitOps(),
-		nodeNames:   make([]string, len(g.Nodes)),
-		queueLat:    control.NewHistogram(),
-		serviceLat:  control.NewHistogram(),
-		totalLat:    control.NewHistogram(),
-	}
-	for e := range m.exitNames {
-		m.exitNames[e] = g.ExitName(e)
-		m.exitNode[e], _ = g.NodeOfExit(e)
-	}
-	for ni, n := range g.Nodes {
-		m.nodeNames[ni] = n.Name
-	}
-	return m
-}
-
-func (m *metrics) observeRequest(resume bool) {
-	m.mu.Lock()
-	m.requests++
-	if resume {
-		m.resumes++
-	}
-	m.mu.Unlock()
-}
-
-// observeRefused counts one request that produced no result, by cause.
-func (m *metrics) observeRefused(cause string) {
-	m.mu.Lock()
-	switch cause {
-	case causeQueueFull:
-		m.rejFull++
-	case causeClosed:
-		m.rejClosed++
-	case causeChurn:
-		m.rejChurn++
-	case control.CauseInvalid:
-		m.invalid++
-	case causeCloudError:
-		m.cloudErr++
-	default:
-		m.cancelled++
-	}
-	m.mu.Unlock()
-}
-
-// observeGroup charges one classified group of a micro-batch, finished at
-// now, to the counters.
-func (m *metrics) observeGroup(group []*job, now time.Time) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, j := range group {
-		rec := *j.rec
-		m.images++
-		m.exitCounts[rec.StageIndex]++
-		m.totalOps += rec.Ops
-		queueMS := float64(j.started.Sub(j.enqueued)) / float64(time.Millisecond)
-		totalMS := float64(now.Sub(j.enqueued)) / float64(time.Millisecond)
-		m.queueLat.Observe(queueMS)
-		m.serviceLat.Observe(totalMS - queueMS)
-		m.totalLat.Observe(totalMS)
-		// Records come from a validated session; Add can only fail on a
-		// model/accumulator mismatch, which construction rules out.
-		_ = m.acc.Add(rec)
-	}
-}
 
 // ExitStat is one exit point's share of the served traffic.
 type ExitStat struct {
@@ -257,55 +139,57 @@ type nodeTotal struct {
 	ops, pj float64
 }
 
-// snapshot reads everything under the lock in one critical section, so a
-// scrape racing a classify storm never shows a request whose images are
-// missing.
-func (m *metrics) snapshot(queueDepth, workers int) snapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// snapshot renders one consistent copy of the version's lifetime horizon
+// (control.Plane.Lifetime), the one fold of its served and refused
+// requests. Every ops and pJ aggregate is a sum of exit counts times the
+// exit's price (exitOps, exitPJ), taken in exit order when read
+// (Lifetime.Cost), so it has the same bits whatever order the images were
+// served in.
+func (m *Model) snapshot() snapshot {
+	life := m.plane.Lifetime(m.version, len(m.exitOps))
 	s := snapshot{
 		Stats: Stats{
-			UptimeSeconds:     time.Since(m.started).Seconds(),
-			Requests:          m.requests,
-			ResumeRequests:    m.resumes,
-			Rejected:          m.rejFull + m.rejClosed + m.rejChurn,
-			RejectedQueueFull: m.rejFull,
-			RejectedClosed:    m.rejClosed,
-			RejectedChurn:     m.rejChurn,
-			Invalid:           m.invalid,
-			Cancelled:         m.cancelled,
-			CloudErrors:       m.cloudErr,
-			Images:            m.images,
-			QueueDepth:        queueDepth,
-			Workers:           workers,
-			QueueLatency:      summarizeLatency(m.queueLat),
-			ServiceLatency:    summarizeLatency(m.serviceLat),
-			TotalLatency:      summarizeLatency(m.totalLat),
+			UptimeSeconds:     time.Since(life.Since).Seconds(),
+			Requests:          life.Requests,
+			ResumeRequests:    life.Resumes,
+			RejectedQueueFull: life.Refused[causeQueueFull],
+			RejectedClosed:    life.Refused[causeClosed],
+			RejectedChurn:     life.Refused[causeChurn],
+			Invalid:           life.Refused[control.CauseInvalid],
+			Cancelled:         life.Refused[causeCancelled] + life.Refused[control.CauseDeadline],
+			CloudErrors:       life.Refused[causeCloudError],
+			Images:            life.Images,
+			QueueDepth:        m.pool.depth(),
+			Workers:           m.workers,
+			QueueLatency:      summarizeLatency(life.Queue),
+			ServiceLatency:    summarizeLatency(life.Service),
+			TotalLatency:      summarizeLatency(life.Total),
 			BaselineOps:       m.baselineOps,
-			Exits:             make([]ExitStat, len(m.exitNames)),
+			BaselineEnergyPJ:  m.baselinePJ,
+			Exits:             make([]ExitStat, len(m.exitOps)),
+			Control:           m.plane.Status(),
 		},
-		nodes:   make([]nodeTotal, len(m.nodeNames)),
-		queue:   m.queueLat.Buckets(),
-		service: m.serviceLat.Buckets(),
-		total:   m.totalLat.Buckets(),
+		nodes:   make([]nodeTotal, len(m.graph.Nodes)),
+		queue:   life.Queue.Buckets(),
+		service: life.Service.Buckets(),
+		total:   life.Total.Buckets(),
 	}
-	for ni, name := range m.nodeNames {
-		s.nodes[ni].name = name
+	s.Rejected = s.RejectedQueueFull + s.RejectedClosed + s.RejectedChurn
+	for ni, n := range m.graph.Nodes {
+		s.nodes[ni].name = n.Name
 	}
-	for e := range s.Exits {
-		s.Exits[e] = ExitStat{
-			Name:     m.exitNames[e],
-			Count:    m.exitCounts[e],
-			EnergyPJ: m.acc.ExitEnergy(e),
+	for e, count := range life.Exits {
+		s.Exits[e] = ExitStat{Name: m.graph.ExitName(e), Count: count, EnergyPJ: m.exitPJ[e]}
+		if life.Images > 0 {
+			s.Exits[e].Fraction = float64(count) / float64(life.Images)
 		}
-		if m.images > 0 {
-			s.Exits[e].Fraction = float64(m.exitCounts[e]) / float64(m.images)
-		}
-		n := &s.nodes[m.exitNode[e]]
-		n.images += m.exitCounts[e]
-		n.ops += float64(m.exitCounts[e]) * m.exitOps[e]
-		n.pj += float64(m.exitCounts[e]) * m.acc.ExitEnergy(e)
+		ni, _ := m.graph.NodeOfExit(e)
+		n := &s.nodes[ni]
+		n.images += count
+		n.ops += float64(count) * m.exitOps[e]
+		n.pj += float64(count) * m.exitPJ[e]
 	}
+	s.TotalEnergyPJ = life.Cost(m.exitPJ)
 	if len(s.nodes) > 1 {
 		s.Branches = make([]BranchStat, len(s.nodes))
 		for ni, n := range s.nodes {
@@ -314,26 +198,28 @@ func (m *metrics) snapshot(queueDepth, workers int) snapshot {
 				b.MeanOps = n.ops / float64(n.images)
 				b.MeanEnergyPJ = n.pj / float64(n.images)
 			}
-			if m.images > 0 {
-				b.Fraction = float64(n.images) / float64(m.images)
+			if life.Images > 0 {
+				b.Fraction = float64(n.images) / float64(life.Images)
 			}
 			s.Branches[ni] = b
 		}
 	}
-	sum := m.acc.Summary()
-	s.TotalEnergyPJ = m.acc.TotalEnergy()
-	s.BaselineEnergyPJ = sum.BaselineEnergy
-	if m.images > 0 {
-		s.MeanOps = m.totalOps / float64(m.images)
-		s.MeanEnergyPJ = m.acc.MeanEnergy()
+	if life.Images > 0 {
+		s.MeanOps = life.Cost(m.exitOps) / float64(life.Images)
+		s.MeanEnergyPJ = s.TotalEnergyPJ / float64(life.Images)
 		if m.baselineOps > 0 {
 			s.NormalizedOps = s.MeanOps / m.baselineOps
 		}
 		if s.NormalizedOps > 0 {
 			s.OpsSpeedup = 1 / s.NormalizedOps
 		}
+		sum := energy.Summary{MeanEnergy: s.MeanEnergyPJ, BaselineEnergy: m.baselinePJ}
 		s.NormalizedEnergy = sum.Normalized()
 		s.EnergySpeedup = sum.Improvement()
+	}
+	if m.split != nil {
+		tier := m.split.Costs.Summary(life.Exits, m.split.WireBytes)
+		s.Tier = &tier
 	}
 	return s
 }
