@@ -64,9 +64,10 @@ func (c *Classifier) ScoresInto(x, y *tensor.T) {
 		t0 = time.Now()
 	}
 	tensor.MatVecInto(c.W, x.Flatten(), y)
-	for o := 0; o < c.Out; o++ {
-		y.Data[o] = 1 / (1 + math.Exp(-(y.Data[o] + c.B.Data[o])))
+	for o, b := range c.B.Data {
+		y.Data[o] += b
 	}
+	tensor.SigmoidInPlace(y.Data)
 	if prof {
 		obs.ProfAdd(obs.PhaseClassifier, time.Since(t0))
 	}
@@ -96,8 +97,9 @@ func (c *Classifier) ScoresBatchInto(x, y *tensor.T) {
 		yr := y.Data[bi*c.Out:][:c.Out]
 		tensor.MatVecRows(c.W.Data, x.Data[bi*c.In:][:c.In], yr)
 		for o, b := range c.B.Data {
-			yr[o] = 1 / (1 + math.Exp(-(yr[o] + b)))
+			yr[o] += b
 		}
+		tensor.SigmoidInPlace(yr)
 	}
 	if prof {
 		obs.ProfAdd(obs.PhaseClassifier, time.Since(t0))
@@ -205,7 +207,7 @@ func (c *Classifier) Train(features []*tensor.T, labels []int, cfg TrainConfig) 
 			step := lr / norms[idx]
 			tensor.MatVecInto(c.W, x, y)
 			for o := 0; o < c.Out; o++ {
-				v := 1 / (1 + math.Exp(-(y.Data[o] + c.B.Data[o])))
+				v := tensor.Sigmoid(y.Data[o] + c.B.Data[o])
 				t := 0.0
 				if o == labels[idx] {
 					t = 1

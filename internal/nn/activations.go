@@ -1,15 +1,11 @@
 package nn
 
-import (
-	"math"
+import "cdl/internal/tensor"
 
-	"cdl/internal/tensor"
-)
-
-// Sigmoid applies the logistic function 1/(1+e^-x) element-wise. The
-// paper's networks (after Palm [19]) use sigmoid activations throughout,
-// and the per-stage confidence values compared against δ are sigmoid
-// outputs in [0,1].
+// Sigmoid applies the logistic function 1/(1+e^-x) element-wise, as
+// tensor.Sigmoid computes it. The paper's networks (after Palm [19]) use
+// sigmoid activations throughout, and the per-stage confidence values
+// compared against δ are sigmoid outputs in [0,1].
 type Sigmoid struct {
 	name string
 	out  *tensor.T
@@ -27,7 +23,7 @@ func (s *Sigmoid) OutShape(in []int) []int { return append([]int(nil), in...) }
 
 // Forward implements Layer.
 func (s *Sigmoid) Forward(in *tensor.T) *tensor.T {
-	out := in.Map(sigmoid)
+	out := in.Map(tensor.Sigmoid)
 	s.out = out
 	return out
 }
@@ -49,5 +45,3 @@ func (s *Sigmoid) Params() []*Param { return nil }
 
 // Clone implements Layer.
 func (s *Sigmoid) Clone() Layer { return &Sigmoid{name: s.name} }
-
-func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }

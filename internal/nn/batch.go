@@ -198,10 +198,11 @@ var nearTieBits = math.Float64bits(nearTie)
 // segment: lower with each image's GEMM product pooled straight into the
 // [B, outC, oh/win, ow/win] activation in the layer's scratch.
 // fl(g+b) and σ are monotone, so maxpool(σ(conv+b)) = σ(max(conv)+b): one
-// math.Exp per pooled element, not one per conv output. No libm documents
-// that the COMPUTED σ is monotone, so every element within nearTie of the
-// max is evaluated too: inside the band that is the reference computation,
-// outside it exp moves by thousands of ulps (DESIGN.md §2).
+// σ per pooled element, not one per conv output. Nothing proves the
+// COMPUTED σ (tensor.Sigmoid) monotone to the last ulp, so every element
+// within nearTie of the max is evaluated too: inside the band that is the
+// reference computation, outside it e^x moves by thousands of ulps
+// (DESIGN.md §2).
 func (c *Conv2D) forwardBatchSigmoidPool(in *tensor.T, p *MaxPool2D) *tensor.T {
 	oh, ow := c.checkBatch(in)
 	ph, pw := oh/p.win, ow/p.win
@@ -217,18 +218,16 @@ func (c *Conv2D) forwardBatchSigmoidPool(in *tensor.T, p *MaxPool2D) *tensor.T {
 // poolSigmoid fills one pooled plane dst (rows of pw) from one conv output
 // plane src (row stride ow, bias not added): every element is poolScan's of
 // its window. act is a parameter so a test can bend σ and show the guard
-// carries the equality; nil is σ itself, called directly.
+// carries the equality; nil is σ itself.
 //
 // The 2×2 window, the only pooling shape the paper's architectures compute
-// with, has no data-dependent branch: on conv outputs the scan's compares
-// mispredict, and the refills cost more than the exp they precede. best-v
-// is +0 exactly when v == best, and positive doubles order like their bits,
-// so u, the least Float64bits(best-v)-1 (a tie wraps to MaxUint64; Inf-Inf
-// is NaN, whose bits are large), is below nearTieBits exactly when some v
-// has 0 < best-v ≤ nearTie, the guard's predicate. Such a window, and one
-// holding a NaN, takes poolScan. In any other the scan finds the same max
-// or the other zero of a +0/-0 pair, and no output bit depends on which:
-// fl(±0+b) is b for b ≠ 0, σ(+0) = σ(-0) = 0.5 exactly (DESIGN.md §2).
+// with, scans without a data-dependent branch (max4): on conv outputs the
+// scan's compares mispredict, and the refills cost more than the σ they
+// precede. Under σ itself it takes three passes: the scan writes each
+// window's max+bias into dst and notes whether any window needs poolScan,
+// tensor.SigmoidInPlace runs over the plane with no call per element, and
+// only in a plane so noted are those windows rewritten by poolScan. A bent
+// act takes one pass, an act call per window or poolScan's calls.
 func poolSigmoid(dst, src []float64, ow, pw, win int, bias float64, act func(float64) float64) {
 	if win != 2 {
 		for o := range dst {
@@ -236,24 +235,57 @@ func poolSigmoid(dst, src []float64, ow, pw, win int, bias float64, act func(flo
 		}
 		return
 	}
+	rescan := false
 	for py := 0; py < len(dst)/pw; py++ {
 		r0, r1 := src[2*py*ow:][:2*pw], src[(2*py+1)*ow:][:2*pw]
 		d := dst[py*pw:][:pw]
 		for px := range d {
-			a, b, c, e := r0[2*px], r0[2*px+1], r1[2*px], r1[2*px+1]
-			best := max(a, b, c, e)
-			u := min(math.Float64bits(best-a)-1, math.Float64bits(best-b)-1,
-				math.Float64bits(best-c)-1, math.Float64bits(best-e)-1)
+			best, scan := max4(r0[2*px], r0[2*px+1], r1[2*px], r1[2*px+1])
 			switch {
-			case best != best || u < nearTieBits:
-				d[px] = poolScan(src, 2*py*ow+2*px, ow, 2, bias, act)
 			case act == nil:
-				d[px] = sigmoid(best + bias)
+				d[px] = best + bias
+				if scan {
+					rescan = true
+				}
+			case scan:
+				d[px] = poolScan(src, 2*py*ow+2*px, ow, 2, bias, act)
 			default:
 				d[px] = act(best + bias)
 			}
 		}
 	}
+	if act != nil {
+		return
+	}
+	tensor.SigmoidInPlace(dst)
+	if !rescan {
+		return
+	}
+	for py := 0; py < len(dst)/pw; py++ {
+		r0, r1 := src[2*py*ow:][:2*pw], src[(2*py+1)*ow:][:2*pw]
+		d := dst[py*pw:][:pw]
+		for px := range d {
+			if _, scan := max4(r0[2*px], r0[2*px+1], r1[2*px], r1[2*px+1]); scan {
+				d[px] = poolScan(src, 2*py*ow+2*px, ow, 2, bias, nil)
+			}
+		}
+	}
+}
+
+// max4 returns the max of the 2×2 window a, b, c, e and whether poolScan
+// must compute its element. best-v is +0 exactly when v == best, and
+// positive doubles order like their bits, so u, the least
+// Float64bits(best-v)-1 (a tie wraps to MaxUint64; Inf-Inf is NaN, whose
+// bits are large), is below nearTieBits exactly when some v has
+// 0 < best-v ≤ nearTie, the guard's predicate. Such a window, and one
+// holding a NaN, needs poolScan. In any other best is the scan's max or the
+// other zero of a +0/-0 pair, and no output bit depends on which:
+// fl(±0+b) is b for b ≠ 0, σ(+0) = σ(-0) = 0.5 exactly (DESIGN.md §2).
+func max4(a, b, c, e float64) (best float64, scan bool) {
+	best = max(a, b, c, e)
+	u := min(math.Float64bits(best-a)-1, math.Float64bits(best-b)-1,
+		math.Float64bits(best-c)-1, math.Float64bits(best-e)-1)
+	return best, best != best || u < nearTieBits
 }
 
 // poolScan is one pooled element, exactly: the max of the win×win window
@@ -261,7 +293,7 @@ func poolSigmoid(dst, src []float64, ow, pw, win int, bias float64, act func(flo
 // every element within nearTie of the max evaluated too.
 func poolScan(src []float64, base, ow, win int, bias float64, act func(float64) float64) float64 {
 	if act == nil {
-		act = sigmoid
+		act = tensor.Sigmoid
 	}
 	best := src[base]
 	for dy := 0; dy < win; dy++ {
@@ -311,9 +343,8 @@ func (f *Flatten) ForwardBatch(in *tensor.T) *tensor.T {
 // identity transformation on the math. in is left untouched.
 func (s *Sigmoid) ForwardBatch(in *tensor.T) *tensor.T {
 	data := growScratch(s.bout.Data, in.Numel())
-	for i, v := range in.Data {
-		data[i] = sigmoid(v)
-	}
+	copy(data, in.Data)
+	tensor.SigmoidInPlace(data)
 	s.bout = *in // in's shape over the layer's own data
 	s.bout.Data = data
 	return &s.bout

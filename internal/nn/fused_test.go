@@ -124,7 +124,7 @@ var adversarialBiases = []float64{0, math.Copysign(0, -1), 0.1, 0.3, -3.7, -1e-1
 // activation like that is what the near-tie guard exists for.
 func bentAt(at float64) func(float64) float64 {
 	return func(z float64) float64 {
-		y := sigmoid(z)
+		y := tensor.Sigmoid(z)
 		if z == at {
 			for i := 0; i < 3; i++ {
 				y = math.Nextafter(y, 2)
@@ -147,8 +147,8 @@ func checkPoolSigmoid(t *testing.T, src []float64, ow, win int, bias float64) {
 	ph, pw := len(src)/ow/win, ow/win
 	got, want := make([]float64, ph*pw), make([]float64, ph*pw)
 	calls := 0
-	counted := func(z float64) float64 { calls++; return sigmoid(z) }
-	acts := map[string][2]func(float64) float64{"σ direct": {nil, sigmoid}, "σ": {counted, sigmoid}}
+	counted := func(z float64) float64 { calls++; return tensor.Sigmoid(z) }
+	acts := map[string][2]func(float64) float64{"σ direct": {nil, tensor.Sigmoid}, "σ": {counted, tensor.Sigmoid}}
 	if at := bentLo + bias; math.Abs(at) <= 4 {
 		acts["bent σ"] = [2]func(float64) float64{bentAt(at), bentAt(at)}
 	}
@@ -282,7 +282,7 @@ func TestForwardBatchFusedAdversarialWindows(t *testing.T) {
 
 // TestPoolSigmoidGuardCarriesEquality substitutes an activation that is
 // NOT monotone at one point and shows the equality survives because of the
-// near-tie guard, not because math.Exp happens to be monotone here: with
+// near-tie guard, not because the computed σ happens to be monotone here: with
 // the bent σ the plain identity σ(max) gives the wrong answer, the guarded
 // epilogue the right one. It also pins the cost: one activation call per
 // pooled element unless a near tie exists.
@@ -294,9 +294,9 @@ func TestPoolSigmoidGuardCarriesEquality(t *testing.T) {
 	bent := func(z float64) float64 {
 		calls++
 		if z == lo+bias {
-			return sigmoid(z) + 1e-3 // σ(lo) > σ(hi): non-monotone at lo
+			return tensor.Sigmoid(z) + 1e-3 // σ(lo) > σ(hi): non-monotone at lo
 		}
-		return sigmoid(z)
+		return tensor.Sigmoid(z)
 	}
 	if lo+bias == hi+bias {
 		t.Fatal("bias add collapses the pair; the bent point is not reachable")

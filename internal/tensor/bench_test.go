@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -56,4 +57,25 @@ func BenchmarkOuterAccum(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		OuterAccum(w, g, x)
 	}
+}
+
+// BenchmarkSigmoidRow times σ over one 864-element row, a stage-0 output
+// of the paper's 3-stage network (6 maps of 12×12), as SigmoidInPlace
+// computes it and as the one-call-per-element 1/(1+math.Exp(-x)) did.
+func BenchmarkSigmoidRow(b *testing.B) {
+	src := randTensor([]int{864}, 9).Data
+	row := make([]float64, len(src))
+	b.Run("SigmoidInPlace", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			copy(row, src)
+			SigmoidInPlace(row)
+		}
+	})
+	b.Run("math.Exp", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for j, x := range src {
+				row[j] = 1 / (1 + math.Exp(-x))
+			}
+		}
+	})
 }
